@@ -61,8 +61,7 @@ func main() {
 		suspect      = flag.Int("suspect-threshold", 3, "consecutive suspect runs before a session is quarantined and rebuilt")
 		brkThresh    = flag.Int("breaker-threshold", 3, "consecutive leader failures tripping a per-image circuit breaker (<0 disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker fast-fail window before a half-open probe")
-		wdFactor     = flag.Float64("watchdog-factor", 4, "runaway-run watchdog limit as a multiple of the job deadline (<0 disables)")
-		wdGrace      = flag.Duration("watchdog-grace", 2*time.Second, "grace after watchdog cancel before the session is abandoned")
+		wdGrace      = flag.Duration("watchdog-grace", 2*time.Second, "how long a run may ignore the end of its job deadline before its session is abandoned")
 		solveTimeout = flag.Duration("solve-timeout", 30*time.Second, "ceiling on the FEM solve stage of /v1/simulate (caps per-request asks)")
 		brownout     = flag.Bool("brownout", true, "degrade mesh quality instead of rejecting under overload (X-Pi2md-Brownout responses)")
 		brownoutLad  = flag.String("brownout-ladder", "", "degradation ladder: tiers separated by /, knobs re=,fa=,ds=,n= (empty = built-in re=3,fa=15/re=4,fa=10,ds=2,n=100000)")
@@ -101,7 +100,6 @@ func main() {
 		SuspectThreshold: *suspect,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
-		WatchdogFactor:   *wdFactor,
 		WatchdogGrace:    *wdGrace,
 		SolveTimeout:     *solveTimeout,
 		Brownout:         *brownout,

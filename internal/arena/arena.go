@@ -42,7 +42,7 @@ const Nil Handle = 0
 // Arena is a concurrent chunked store of T. Create with New, allocate
 // through per-worker Allocators, and dereference with At.
 type Arena[T any] struct {
-	chunks [MaxChunks]atomic.Pointer[[ChunkSize]T]
+	chunks [MaxChunks]atomic.Pointer[chunk[T]]
 
 	mu        sync.Mutex
 	numChunks int32 // guarded by mu for writers; read atomically
@@ -50,11 +50,19 @@ type Arena[T any] struct {
 	length atomic.Int64 // total entries handed out (monotone)
 }
 
+// chunk is one block of entries. used is how many of them the chunk's
+// owning Allocator has handed out since the chunk was last registered;
+// it is what a recycled chunk must zero to honour Alloc's contract.
+type chunk[T any] struct {
+	e    [ChunkSize]T
+	used uint32
+}
+
 // New returns an empty arena whose first slot (Handle 0) is burned as
 // the nil handle.
 func New[T any]() *Arena[T] {
 	a := &Arena[T]{}
-	a.chunks[0].Store(new([ChunkSize]T))
+	a.chunks[0].Store(new(chunk[T]))
 	a.numChunks = 1
 	a.length.Store(1) // slot 0 reserved
 	return a
@@ -68,7 +76,7 @@ func (a *Arena[T]) At(h Handle) *T {
 		panic("arena: dereference of nil handle")
 	}
 	c := a.chunks[h>>ChunkShift].Load()
-	return &c[h&chunkMask]
+	return &c.e[h&chunkMask]
 }
 
 // Len returns the total number of entries allocated so far (including
@@ -95,12 +103,15 @@ func (a *Arena[T]) ForEach(fn func(Handle, *T)) {
 			start = 1 // skip the nil handle
 		}
 		for off := start; off < ChunkSize; off++ {
-			fn(Handle(uint32(ci)<<ChunkShift|uint32(off)), &c[off])
+			fn(Handle(uint32(ci)<<ChunkShift|uint32(off)), &c.e[off])
 		}
 	}
 }
 
-// newChunk registers a fresh chunk and returns its index.
+// newChunk registers a chunk — a fresh one, or after Reset a recycled
+// one whose handed-out entries are zeroed first, so Alloc's entries are
+// zero-valued and ForEach never sees a previous cycle's contents — and
+// returns its index.
 func (a *Arena[T]) newChunk() int32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -108,17 +119,19 @@ func (a *Arena[T]) newChunk() int32 {
 	if idx >= MaxChunks {
 		panic(fmt.Sprintf("arena: capacity exhausted (%d chunks)", MaxChunks))
 	}
-	if a.chunks[idx].Load() == nil {
-		a.chunks[idx].Store(new([ChunkSize]T))
+	if c := a.chunks[idx].Load(); c == nil {
+		a.chunks[idx].Store(new(chunk[T]))
+	} else {
+		clear(c.e[:c.used])
+		c.used = 0
 	}
 	a.numChunks = idx + 1
 	return idx
 }
 
 // Reset logically discards all entries, returning the arena to its
-// initial state while retaining the allocated chunks for reuse (the
-// caller guarantees every field of an entry is initialized on
-// allocation, so stale contents are harmless). It must not race with
+// initial state while retaining the allocated chunks for reuse (each
+// is zeroed when an allocator draws it again). It must not race with
 // any concurrent use; it exists for single-owner scratch arenas (the
 // local triangulations of vertex removal) that are rebuilt many
 // times. Outstanding Allocators must be discarded or Reset as well.
@@ -153,6 +166,7 @@ func (al *Allocator[T]) Alloc() Handle {
 	}
 	h := Handle(uint32(al.chunk)<<ChunkShift | al.next)
 	al.next++
+	al.a.chunks[al.chunk].Load().used = al.next
 	al.a.length.Add(1)
 	return h
 }

@@ -138,16 +138,45 @@ func TestResetReusesChunks(t *testing.T) {
 	if a.Len() != 1 {
 		t.Fatalf("Len after reset = %d", a.Len())
 	}
-	// Reallocation hands out the same handle space; stale contents are
-	// visible until the caller initializes them (the documented
-	// contract: every field must be written on alloc).
+	// Reallocation hands out the same handle space, zero-valued again.
 	h := al.Alloc()
 	if h != first[0] {
 		t.Fatalf("first handle after reset = %d, want %d", h, first[0])
 	}
+	if got := a.At(h).id; got != 0 {
+		t.Fatalf("recycled entry holds %d, want the zero value", got)
+	}
 	a.At(h).id = 42
 	if a.At(h).id != 42 {
 		t.Fatal("write after reuse lost")
+	}
+}
+
+// TestForEachAfterResetSeesNoStaleEntries: a sweep after Reset must see
+// only what the new cycle wrote — a recycled chunk's unallocated tail
+// reads as zero values, not as the previous cycle's entries.
+func TestForEachAfterResetSeesNoStaleEntries(t *testing.T) {
+	a := New[entry]()
+	al := a.NewAllocator()
+	for i := 0; i < ChunkSize+100; i++ {
+		a.At(al.Alloc()).id = int64(i + 1)
+	}
+	a.Reset()
+	al.Reset()
+	for i := 0; i < 10; i++ {
+		a.At(al.Alloc()).id = -1
+	}
+	fresh, stale := 0, 0
+	a.ForEach(func(h Handle, e *entry) {
+		switch {
+		case e.id == -1:
+			fresh++
+		case e.id != 0:
+			stale++
+		}
+	})
+	if fresh != 10 || stale != 0 {
+		t.Fatalf("sweep after reset saw %d fresh and %d stale entries, want 10 and 0", fresh, stale)
 	}
 }
 

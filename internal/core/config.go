@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -109,17 +108,6 @@ type Config struct {
 	// progress reports are dropped) rather than crashing the process.
 	Progress       func(Progress)
 	ProgressSample time.Duration
-
-	// Context, when non-nil, cooperatively cancels the refinement: once
-	// it is done (deadline or cancel), the workers stop at the next
-	// operation boundary and Run returns a partial Result with
-	// StatusAborted, the final-mesh cells extracted so far, and the
-	// cancellation reason. The mesh remains structurally valid — every
-	// committed operation is atomic under the locking protocol.
-	//
-	// Deprecated: pass the context to Session.Run instead. A context
-	// given to Session.Run takes precedence over this field.
-	Context context.Context
 
 	// PanicBudget is the number of panics a single worker thread may
 	// recover from (releasing its vertex locks and re-queuing the

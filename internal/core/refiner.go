@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,6 +21,7 @@ import (
 // Refiner runs the parallel image-to-mesh conversion.
 type Refiner struct {
 	cfg  Config
+	ctx  context.Context // the run's cancellation; nil = never canceled
 	im   *img.Image
 	edt  *edt.Transform
 	mesh *delaunay.Mesh
@@ -144,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	return s.Run(cfg.Context, cfg.Image)
+	return s.Run(context.Background(), cfg.Image)
 }
 
 // noteCreated classifies a fresh (or bootstrap) cell: records it in
@@ -686,7 +688,7 @@ func (r *Refiner) startAux() func() {
 		}()
 	}
 
-	if ctx := r.cfg.Context; ctx != nil {
+	if ctx := r.ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			// Already canceled before the first worker starts: abort
 			// synchronously. The watcher goroutine alone races tiny

@@ -87,9 +87,9 @@ type SessionStats struct {
 }
 
 // NewSession validates the configuration knobs and returns an empty
-// session. cfg.Image and cfg.Context are ignored here — the image (and
-// a context) are per-Run arguments; all other fields act as the
-// template for every Run.
+// session. cfg.Image is ignored here — the image (and a context) are
+// per-Run arguments; all other fields act as the template for every
+// Run.
 func NewSession(cfg Config) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -147,7 +147,11 @@ func (s *Session) Close() error {
 // Delaunay refinement, final-mesh extraction — on the given image,
 // reusing the session's retained allocations from previous runs where
 // the shapes allow. ctx, when non-nil, cooperatively cancels the
-// refinement exactly like the deprecated Config.Context.
+// refinement: once it is done (deadline or cancel), the workers stop at
+// the next operation boundary and Run returns a partial Result with
+// StatusAborted, the final-mesh cells extracted so far, and the
+// cancellation reason. The mesh remains structurally valid — every
+// committed operation is atomic under the locking protocol.
 //
 // Run does not queue: if another Run is already in flight on this
 // session it returns ErrSessionBusy immediately.
@@ -176,17 +180,10 @@ func (s *Session) RunTuned(ctx context.Context, image *img.Image, tune func(*Con
 	}
 	cfg := s.tmpl
 	cfg.Image = image
-	if ctx != nil {
-		cfg.Context = ctx
-	}
 	if tune != nil {
 		tune(&cfg)
-		// The per-run image and context always win over a tune that
-		// clobbers them.
+		// The per-run image always wins over a tune that clobbers it.
 		cfg.Image = image
-		if ctx != nil {
-			cfg.Context = ctx
-		}
 		// Worker-count changes are a template-level decision: the
 		// per-thread state is sized by the template, so a tuned run
 		// keeps the session's parallelism.
@@ -200,13 +197,13 @@ func (s *Session) RunTuned(ctx context.Context, image *img.Image, tune func(*Con
 	if err != nil {
 		return nil, err
 	}
-	return s.run(cfg)
+	return s.run(ctx, cfg)
 }
 
 // run executes one refinement with the session lock held and cfg fully
 // defaulted.
-func (s *Session) run(cfg Config) (*Result, error) {
-	r := &Refiner{cfg: cfg, im: cfg.Image}
+func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
+	r := &Refiner{cfg: cfg, im: cfg.Image, ctx: ctx}
 	r.guardCallbacks()
 
 	res := &Result{Config: cfg}

@@ -191,6 +191,28 @@ func TestSessionShapeChange(t *testing.T) {
 	}
 }
 
+// TestSessionWarmSmallerRunChecks: a warm run that needs fewer arena
+// chunks than its predecessor must still sweep clean — Mesh.Check (and
+// every LiveCells caller) walks the recycled chunks, so a previous
+// run's cells left behind in them would read as live cells referencing
+// removed vertices on a perfectly sound mesh.
+func TestSessionWarmSmallerRunChecks(t *testing.T) {
+	s, err := NewSession(Config{Workers: 1, LivelockTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, scale := range []int{40, 12} {
+		res, err := s.Run(context.Background(), img.SpherePhantom(scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Mesh.Check(); err != nil {
+			t.Fatalf("SpherePhantom(%d) on the shared session: %v", scale, err)
+		}
+	}
+}
+
 // TestSessionWarmFaultStorm drives two consecutive runs of one session
 // through the PR-1 fault storm: the warm path must preserve the whole
 // failure model (recovered panics, degraded status, balanced

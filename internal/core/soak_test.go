@@ -353,13 +353,16 @@ func TestPanicBudgetAborts(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := Run(Config{
-		Image:          img.AbdominalPhantom(64, 64, 42),
+	s, err := NewSession(Config{
 		Workers:        2,
-		Context:        ctx,
 		ProgressSample: 2 * time.Millisecond,
 		Progress:       func(Progress) { cancel() },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(ctx, img.AbdominalPhantom(64, 64, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,11 +387,12 @@ func TestContextCancellation(t *testing.T) {
 func TestContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(Config{
-		Image:   img.SpherePhantom(32),
-		Workers: 2,
-		Context: ctx,
-	})
+	s, err := NewSession(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(ctx, img.SpherePhantom(32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,23 +245,17 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 			b.calm = now
 		}
 	}
-	if refuse {
-		return b.tier, true
-	}
-	return b.tier, false
+	return b.tier, refuse
 }
 
 // applyBrownout runs the controller for one request and returns the
 // (possibly rewritten) spec plus the tier it was rewritten to. The
-// deadline headroom comes from the request context when the caller set
-// one, else from the server's default timeout. On refusal the
-// overloaded rejection is counted and ErrOverloaded returned.
+// deadline headroom is what is left of the job deadline the walk has
+// already put on ctx. On refusal the overloaded rejection is counted
+// and ErrOverloaded returned.
 func (s *Server) applyBrownout(ctx context.Context, spec MeshSpec) (MeshSpec, int, error) {
-	headroom := s.cfg.DefaultTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		headroom = time.Until(dl)
-	}
-	tier, refuse := s.brownout.decide(time.Now(), s.waiting.Load(), s.mLeaseSeconds.Quantile(0.90), headroom)
+	deadline, _ := ctx.Deadline()
+	tier, refuse := s.brownout.decide(time.Now(), s.waiting.Load(), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
 	if refuse {
 		s.mRejected.With("overloaded").Inc()
 		return spec, 0, ErrOverloaded

@@ -74,7 +74,7 @@ func TestBrownedRelaxOnly(t *testing.T) {
 		t.Fatalf("default spec browned = %+v, want all tier knobs applied", d)
 	}
 	empty := MeshSpec{}
-	if d.variant() == empty.variant() {
+	if d.Variant() == empty.Variant() {
 		t.Fatal("degraded spec derives the same variant key as full quality")
 	}
 	if err := d.validate(); err != nil {
@@ -181,10 +181,10 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	body := nrrdBody(t, 6)
 	key := ImageKey(body)
 	empty := MeshSpec{}
-	fullVariant := empty.variant()
+	fullVariant := empty.Variant()
 	ladder := DefaultBrownoutLadder()
 	degSpec := empty.browned(ladder[len(ladder)-1])
-	degradedVariant := degSpec.variant()
+	degradedVariant := degSpec.Variant()
 
 	resp, err := http.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {

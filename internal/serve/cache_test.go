@@ -47,6 +47,7 @@ func TestCacheHitShortCircuitsAdmission(t *testing.T) {
 	}
 	checkoutsBefore := srv.pool.Stats().Checkouts
 	runsBefore := srv.mRunSeconds.Count()
+	parsesBefore, parseHitsBefore := srv.mImgCacheMiss.Value(), srv.mImgCacheHit.Value()
 
 	second, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -72,6 +73,12 @@ func TestCacheHitShortCircuitsAdmission(t *testing.T) {
 	if srv.mCacheServed.Value() != 1 {
 		t.Fatalf("cache-served counter = %d, want 1", srv.mCacheServed.Value())
 	}
+	// A hit needs the upload's hash, not its voxels: it neither parses
+	// the NRRD nor touches the parsed-image LRU.
+	if m, h := srv.mImgCacheMiss.Value(), srv.mImgCacheHit.Value(); m != parsesBefore || h != parseHitsBefore {
+		t.Fatalf("cache hit decoded its upload: image-cache misses %d -> %d, hits %d -> %d",
+			parsesBefore, m, parseHitsBefore, h)
+	}
 	// The invariant the chaos soak asserts, in miniature.
 	if srv.mAccepted.Value() != srv.mCompleted.Value() {
 		t.Fatalf("accepted %d != completed %d", srv.mAccepted.Value(), srv.mCompleted.Value())
@@ -88,6 +95,22 @@ func TestCacheHitShortCircuitsAdmission(t *testing.T) {
 	}
 	if srv.mCacheServed.Value() != 1 {
 		t.Fatal("a different variant was served from the wrong cache entry")
+	}
+}
+
+// TestColdMissProbesCacheOnce: a request the cache cannot answer looks
+// it up once — one index probe, one ENOENT for the adoptive disk
+// fallback — with the brownout controller on, as the daemon runs it. An
+// idle controller rewrites nothing, so there is no second identity to
+// look up.
+func TestColdMissProbesCacheOnce(t *testing.T) {
+	cache := openTestCache(t, t.TempDir())
+	_, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache, Brownout: true})
+	if code, out := post(t, ts.Client(), ts.URL+"/v1/mesh", nrrdBody(t, 7)); code != http.StatusOK {
+		t.Fatalf("cold mesh: status %d: %s", code, out)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Writes != 1 {
+		t.Fatalf("one cold request: cache misses = %d, writes = %d, want 1 and 1", st.Misses, st.Writes)
 	}
 }
 
@@ -230,7 +253,7 @@ func TestConditionalGet(t *testing.T) {
 
 // TestEtagMatch pins the If-None-Match comparison rules.
 func TestEtagMatch(t *testing.T) {
-	e := entityTag("00c0ffee00c0ffee", "vtk")
+	e := EntityTag("00c0ffee00c0ffee", "vtk")
 	cases := []struct {
 		header string
 		want   bool
@@ -240,12 +263,12 @@ func TestEtagMatch(t *testing.T) {
 		{`W/` + e, true},
 		{`"other"` + ", " + e, true},
 		{`"other"`, false},
-		{entityTag("00c0ffee00c0ffee", "off"), false},
+		{EntityTag("00c0ffee00c0ffee", "off"), false},
 		{"", false},
 	}
 	for _, c := range cases {
-		if got := etagMatch(c.header, e); got != c.want {
-			t.Errorf("etagMatch(%q) = %v, want %v", c.header, got, c.want)
+		if got := ETagMatch(c.header, e); got != c.want {
+			t.Errorf("ETagMatch(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func TestCacheOnlyFastPath(t *testing.T) {
 // format validation, and path-escaped variants.
 func TestCacheProbeEndpoint(t *testing.T) {
 	cache := openTestCache(t, t.TempDir())
-	_, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
 	client := ts.Client()
 	body := nrrdBody(t, 7)
 	key := ImageKey(body)
@@ -218,6 +218,22 @@ func TestCacheProbeEndpoint(t *testing.T) {
 		t.Fatalf("304 probe ETag %q, want %q", resp.Header.Get("ETag"), etag)
 	}
 
+	// Pinned in full: the 304 is stamped as a cache-only hit and counted
+	// as one, and a probe naming the other format is served the off
+	// entity under its own tag.
+	served := srv.mCacheOnlyServed.Value()
+	doPin(t, client, "conditional probe", pinReq(t, "GET", ts.URL+"/v1/cache/"+key, "", nil, "If-None-Match", etag),
+		pin{status: 304, etag: etag, cacheOnly: "hit", sha: sha(nil)})
+	if got := srv.mCacheOnlyServed.Value(); got != served+1 {
+		t.Fatalf("cache_only_served = %d after the 304, want %d", got, served+1)
+	}
+	offTag := strings.TrimSuffix(etag, `-vtk"`) + `-off"`
+	offBody := doPin(t, client, "off probe against the vtk entity", pinReq(t, "GET", ts.URL+"/v1/cache/"+key+"?format=off", "", nil, "If-None-Match", etag),
+		pin{status: 200, etag: offTag, ctype: "model/off", cacheOnly: "hit", sha: sha(meshedOff(t, client, ts.URL, body))})
+	if !bytes.HasPrefix(offBody, []byte("OFF")) {
+		t.Fatalf("off probe body starts %.20q", offBody)
+	}
+
 	// The format is part of the entity: an off probe of a vtk-tagged
 	// validator must not 304, and a bogus format is a 400.
 	resp = get("/v1/cache/"+key+"?format=off", etag)
@@ -265,6 +281,16 @@ func TestCacheProbeEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown-variant probe: status %d, want 404", resp.StatusCode)
 	}
+}
+
+// meshedOff fetches the off encoding of body's mesh through /v1/mesh.
+func meshedOff(t *testing.T, c *http.Client, base string, body []byte) []byte {
+	t.Helper()
+	code, out := post(t, c, base+"/v1/mesh?format=off", body)
+	if code != http.StatusOK {
+		t.Fatalf("off mesh: status %d: %s", code, out)
+	}
+	return out
 }
 
 // TestDrainHandoffEndpoint: POST /v1/drain flips the node to draining

@@ -75,7 +75,6 @@ func TestChaosSoak(t *testing.T) {
 		SuspectThreshold: 2,
 		BreakerThreshold: 3,
 		BreakerCooldown:  150 * time.Millisecond,
-		WatchdogFactor:   1,
 		WatchdogGrace:    50 * time.Millisecond,
 		Cache:            cache,
 	})

@@ -44,20 +44,26 @@ type errorBody struct {
 	RetryAfterS int    `json:"retry_after_s,omitempty"`
 }
 
+// requestError is a failure that is the request's own fault, discovered
+// past the handler's parse step — an undecodable image, a cache-only
+// miss, boundary conditions that constrain no vertex of the actual mesh
+// — carrying the status and envelope code it is answered with.
+type requestError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
 // WriteError writes the structured JSON error envelope with the given
 // status and machine-readable code — the one rejection shape every
 // tier speaks. The router uses it for its own 503s so a client can
 // never tell a router-originated rejection from a backend one by
-// format.
+// format. It reads any Retry-After header already stamped on the
+// response, so capacity call sites keep their set-header-then-error
+// shape.
 func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	httpError(w, status, code, format, args...)
-}
-
-// httpError writes the structured JSON error envelope with the given
-// status and machine-readable code. It reads any Retry-After header
-// already stamped on the response, so capacity call sites keep their
-// existing set-header-then-error shape.
-func httpError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	var retry int
 	if ra := w.Header().Get("Retry-After"); ra != "" {
 		retry, _ = strconv.Atoi(ra)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -152,7 +153,6 @@ func TestRebuildFailRetry(t *testing.T) {
 func TestWatchdogAbandon(t *testing.T) {
 	srv := newBareServer(t, Config{
 		PoolSize:         1,
-		WatchdogFactor:   1,
 		WatchdogGrace:    50 * time.Millisecond,
 		BreakerThreshold: -1,
 	})
@@ -203,6 +203,51 @@ func TestWatchdogAbandon(t *testing.T) {
 	if _, err := srv.MeshSnapshot(context.Background(), "watchdog", "", image, nil); err != nil {
 		t.Fatalf("run after reaper: %v", err)
 	}
+}
+
+// TestWatchdogLimitIsTheDeadline: on a freshly booted server with the
+// default configuration, a wedged run holds its caller for the deadline
+// the job agreed to plus WatchdogGrace — not a multiple of the deadline
+// that depends on how much run history the process has — and is then
+// answered 503 watchdog, its session abandoned and its slot rebuilt.
+func TestWatchdogLimitIsTheDeadline(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	const deadline = 200 * time.Millisecond
+	grace := srv.cfg.WatchdogGrace
+
+	restore := faultinject.Enable(faultinject.New(faultinject.Config{
+		Rates:    map[faultinject.Point]float64{faultinject.LeaseLeak: 1},
+		MaxFires: map[faultinject.Point]int64{faultinject.LeaseLeak: 1},
+		Delay:    deadline + grace + 500*time.Millisecond,
+	}))
+	defer restore()
+
+	start := time.Now()
+	resp, err := ts.Client().Post(ts.URL+"/v1/mesh?timeout="+deadline.String(),
+		"application/octet-stream", bytes.NewReader(nrrdBody(t, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	code, _ := readEnvelope(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || code != CodeWatchdog {
+		t.Fatalf("wedged run answered %d %q, want 503 %q", resp.StatusCode, code, CodeWatchdog)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("watchdog rejection carries no Retry-After")
+	}
+	if limit := deadline + grace + 400*time.Millisecond; elapsed < deadline+grace || elapsed > limit {
+		t.Errorf("caller held %v, want between deadline+grace = %v and %v", elapsed, deadline+grace, limit)
+	}
+	if a := srv.mWatchdogAbandons.Value(); a != 1 {
+		t.Errorf("watchdog abandons = %d, want 1", a)
+	}
+	srv.pool.WaitSettled()
+	if rb, h := srv.pool.Rebuilds(), srv.pool.Healthy(); rb != 1 || h != 1 {
+		t.Errorf("after the abandon: rebuilds = %d, healthy = %d, want 1 and 1", rb, h)
+	}
+	time.Sleep(600 * time.Millisecond) // let the wedged run come back under this test's injector
 }
 
 // TestReadyzZeroHealthy: with the only session quarantined and its

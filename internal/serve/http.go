@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -109,56 +108,81 @@ func (w *codeWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// readUpload reads the request body under the MaxRequestBytes cap and
+// splits it into its JSON spec part (nil when there is none) and its
+// image payload. On failure it has answered — 413 over the cap, 400
+// otherwise — and ok is false.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, image []byte, ok bool) {
+	specJSON, image, err := SplitSpecImage(r.Header.Get("Content-Type"),
+		http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			"request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	default:
+		return specJSON, image, true
+	}
+	return nil, nil, false
+}
+
 // readMeshRequest resolves a request into its MeshSpec and image
 // payload, honoring body-over-params precedence: a multipart "spec"
 // part replaces the query string wholesale, a spec-less request parses
 // the query exactly as the server always has.
 func (s *Server) readMeshRequest(w http.ResponseWriter, r *http.Request) (MeshSpec, []byte, bool) {
-	specJSON, image, err := readSpecRequest(w, r, s.cfg.MaxRequestBytes)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				"request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)
-			return MeshSpec{}, nil, false
-		}
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	specJSON, image, ok := s.readUpload(w, r)
+	if !ok {
 		return MeshSpec{}, nil, false
 	}
 	if len(image) == 0 {
-		httpError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			"empty body: expected an NRRD label image")
 		return MeshSpec{}, nil, false
 	}
 	var spec MeshSpec
+	var err error
 	if specJSON != nil {
 		spec, err = ParseMeshSpec(specJSON)
 	} else {
-		spec, err = meshSpecFromQuery(r.URL.Query())
+		spec, err = MeshSpecFromQuery(r.URL.Query())
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return MeshSpec{}, nil, false
 	}
 	return spec, image, true
 }
 
-// writeMeshError maps a MeshSnapshot failure to its HTTP response and
-// returns the envelope code it chose — the simulate handler records it
-// as the job outcome. Shared by /v1/mesh and /v1/simulate so the two
-// endpoints can never disagree on what a rejection looks like.
+// writeMeshError maps a walk (or solve) failure to its HTTP response
+// and returns the envelope code it chose — the simulate handler derives
+// the job outcome from it. Every endpoint answers through it, so no two
+// can disagree on what a rejection looks like.
 func (s *Server) writeMeshError(w http.ResponseWriter, err error) string {
 	var brkOpen *BreakerOpenError
+	var reqErr *requestError
+	var notMod *notModified
 	switch {
+	case errors.As(err, &notMod):
+		// 304 carries the entity tag back so the client can keep
+		// validating with it.
+		w.Header().Set("ETag", notMod.entity)
+		w.WriteHeader(http.StatusNotModified)
+		return ""
+	case errors.As(err, &reqErr):
+		WriteError(w, reqErr.status, reqErr.code, "%s", reqErr.msg)
+		return reqErr.code
 	case errors.Is(err, ErrQueueFull):
 		s.setRetryAfter(w)
-		httpError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
 		return CodeQueueFull
 	case errors.Is(err, ErrDeadline):
 		// Capacity signal: the job's deadline expired before a
 		// session freed up (or mid-run). Worth retrying shortly.
 		s.setRetryAfter(w)
-		httpError(w, http.StatusServiceUnavailable, CodeDeadline, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeDeadline, "%v", err)
 		return CodeDeadline
 	case errors.As(err, &brkOpen):
 		// The breaker knows exactly when it will admit a probe;
@@ -168,139 +192,82 @@ func (s *Server) writeMeshError(w http.ResponseWriter, err error) string {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpError(w, http.StatusServiceUnavailable, CodeBreakerOpen, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeBreakerOpen, "%v", err)
 		return CodeBreakerOpen
 	case errors.Is(err, ErrWatchdog):
 		// The run was abandoned and its session quarantined; by the
 		// time a retry lands the pool has likely backfilled.
 		s.setRetryAfter(w)
-		httpError(w, http.StatusServiceUnavailable, CodeWatchdog, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeWatchdog, "%v", err)
 		return CodeWatchdog
 	case errors.Is(err, ErrCanceled):
 		// The client gave up; nobody is listening, but the status
 		// still lands in logs and metrics (nginx's 499).
-		httpError(w, StatusClientClosedRequest, CodeCanceled, "%v", err)
+		WriteError(w, StatusClientClosedRequest, CodeCanceled, "%v", err)
 		return CodeCanceled
 	case errors.Is(err, ErrOverloaded):
 		// Even the coarsest brownout tier can't meet the deadline; the
 		// queue-position estimate tells the client when it might.
 		s.setRetryAfter(w)
-		httpError(w, http.StatusServiceUnavailable, CodeOverloaded, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeOverloaded, "%v", err)
 		return CodeOverloaded
 	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
 		return CodeDraining
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, core.ErrSessionBusy):
-		httpError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
 		return CodeUnavailable
 	default:
-		httpError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return CodeInternal
 	}
 }
 
-// handleMesh is POST /v1/mesh: resolve the spec, read and cap the
-// body, admit, run, stream the mesh back.
+// handleMesh is POST /v1/mesh: parse the request, walk it, encode the
+// mesh. Per-request quality knobs ride on top of the pool's session
+// template via the tuned-run hook; the variant string canonicalizes the
+// same knobs for the coalescing key and the result cache, so only jobs
+// requesting the same mesh share a run or a cached entry (the format is
+// per-waiter and excluded from the variant — it is part of the entity
+// tag instead, since VTK and OFF bodies differ).
 func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	spec, body, ok := s.readMeshRequest(w, r)
 	if !ok {
 		return
 	}
-
-	key := ImageKey(body)
-
-	// Per-request quality knobs ride on top of the pool's session
-	// template via the tuned-run hook; the common path (no overrides)
-	// runs the template verbatim. The variant string canonicalizes the
-	// same knobs for the coalescing key and the result cache, so only
-	// jobs requesting the same mesh share a run or a cached entry (the
-	// format is per-waiter and excluded from the variant — it is part of
-	// the entity tag instead, since VTK and OFF bodies differ).
-	variant := spec.variant()
-	tune := spec.tune()
-
-	// Conditional GET: If-None-Match is answered from the cache index
-	// alone — no image decode, no blob read, no session. 304 carries the
-	// entity tag back so the client can keep validating with it.
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if tag, ok := s.CacheETag(key, variant); ok {
-			entity := entityTag(tag, spec.Format)
-			if etagMatch(inm, entity) {
-				w.Header().Set("ETag", entity)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
+	j := &job{
+		key: ImageKey(body), body: body, variant: spec.Variant(), tune: spec.tune(),
+		format: spec.Format, ifNoneMatch: r.Header.Get("If-None-Match"),
+		cacheOnly: r.Header.Get(CacheOnlyHeader) == "1",
+		timeout:   time.Duration(spec.Timeout), spec: &spec,
+	}
+	sr, err := s.walk(r.Context(), j)
+	if j.tier > 0 {
+		w.Header().Set(BrownoutHeader, strconv.Itoa(j.tier))
+		if err == nil {
+			s.mBrownedOut.With(strconv.Itoa(j.tier)).Inc()
 		}
 	}
+	s.reply(w, j, sr, err)
+}
 
-	// Cache-only fast path: answer from the result cache or 404, never
-	// touching admission. The body was read only to derive the key; it
-	// is not decoded.
-	if r.Header.Get(CacheOnlyHeader) == "1" {
-		s.serveCacheOnly(w, key, variant, spec.Format)
-		return
-	}
-
-	image, err := s.decodeImage(key, body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "decoding image: %v", err)
-		return
-	}
-
-	ctx := r.Context()
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Timeout))
-		defer cancel()
-	}
-
-	// Brownout: under queue or deadline pressure, rewrite the spec to a
-	// degraded quality tier instead of letting the request ride into a
-	// 429/503. A cached full-quality result short-circuits first — it
-	// is both better and cheaper than any degraded re-mesh — and the
-	// rewrite precedes variant derivation, so the degraded mesh lives
-	// under its own honest variant key and coalesces only with other
-	// same-tier requests.
-	tier := 0
-	if s.brownout != nil && !s.draining.Load() {
-		if sr, ok := s.cachedSnapshot(key, variant); ok {
-			s.writeSnapshot(w, spec.Format, sr)
-			return
-		}
-		var err error
-		spec, tier, err = s.applyBrownout(ctx, spec)
-		if err != nil {
-			s.writeMeshError(w, err)
-			return
-		}
-		if tier > 0 {
-			variant = spec.variant()
-			tune = spec.tune()
-			w.Header().Set(BrownoutHeader, strconv.Itoa(tier))
-		}
-	}
-
-	sr, err := s.MeshSnapshot(ctx, key, variant, image, tune)
+// reply encodes a walk's outcome: the error mapping, or the snapshot in
+// the job's format under its format-folded entity tag. A cache-only
+// answer is marked as such, so a proxy can prove no meshing happened.
+// Encoding happens off-lease: the session that produced the mesh is
+// already serving the next job.
+func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err error) {
 	if err != nil {
 		s.writeMeshError(w, err)
 		return
 	}
-	if tier > 0 {
-		s.mBrownedOut.With(strconv.Itoa(tier)).Inc()
+	if j.cacheOnly {
+		w.Header().Set(CacheOnlyHeader, "hit")
 	}
-
-	s.writeSnapshot(w, spec.Format, sr)
-}
-
-// writeSnapshot encodes a snapshot result as the response body in the
-// requested format, stamping the format-folded entity tag. Encoding
-// happens off-lease: the session that produced the mesh is already
-// serving the next job.
-func (s *Server) writeSnapshot(w http.ResponseWriter, format string, sr *SnapshotResult) {
 	if sr.ETag != "" {
-		w.Header().Set("ETag", entityTag(sr.ETag, format))
+		w.Header().Set("ETag", EntityTag(sr.ETag, j.format))
 	}
-	switch format {
+	switch j.format {
 	case "off":
 		w.Header().Set("Content-Type", "model/off")
 		meshio.WriteOFFSnapshot(w, sr.Snapshot)
@@ -310,63 +277,37 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, format string, sr *Snapsho
 	}
 }
 
-// serveCacheOnly answers a request from the persistent result cache
-// alone: a hit streams the encoded snapshot with its entity tag and the
-// CacheOnlyHeader: hit marker; a miss is 404 cache_miss. The pool, the
-// queue, coalescing, and breakers are never consulted — this is the
-// read path a router walks across replicas before paying a re-mesh, so
-// it must stay cheap and side-effect-free on miss.
-func (s *Server) serveCacheOnly(w http.ResponseWriter, key, variant, format string) {
-	sr, ok := s.cachedSnapshot(key, variant)
-	if !ok {
-		s.mCacheOnlyMiss.Inc()
-		httpError(w, http.StatusNotFound, CodeCacheMiss,
-			"no cached result for image %.16s… variant %q", key, variant)
-		return
-	}
-	s.mCacheOnlyServed.Inc()
-	w.Header().Set(CacheOnlyHeader, "hit")
-	s.writeSnapshot(w, format, sr)
-}
-
 // handleCacheProbe is GET /v1/cache/{imageKey}/{variant}: the body-less
-// cache read. The variant travels path-escaped (it may be empty — the
-// default-knob variant — in which case the path is just the key); the
-// format query parameter selects the encoding exactly as /v1/mesh does.
-// If-None-Match is honored against the cache index so a replica probe
-// that already holds the entity costs a 304, not a body.
+// cache-only walk — the read a router sends across replicas before
+// paying a re-mesh. The variant travels path-escaped (it may be empty —
+// the default-knob variant — in which case the path is just the key);
+// the format query parameter selects the encoding exactly as /v1/mesh
+// does. A probe that already holds the entity costs a 304, not a body,
+// and that 304 counts as a cache-only answer too.
 func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("imageKey")
-	if !ValidImageKey(key) {
-		httpError(w, http.StatusBadRequest, CodeBadRequest,
+	j := &job{key: r.PathValue("imageKey"), variant: r.PathValue("variant"),
+		ifNoneMatch: r.Header.Get("If-None-Match"), cacheOnly: true}
+	if !ValidImageKey(j.key) {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			"image key must be 64 lowercase hex characters (the full SHA-256 of the image)")
 		return
 	}
-	variant := r.PathValue("variant")
-	if unesc, err := url.PathUnescape(variant); err == nil {
-		variant = unesc
+	if unesc, err := url.PathUnescape(j.variant); err == nil {
+		j.variant = unesc
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "vtk"
-	}
-	if format != "vtk" && format != "off" {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "unknown format %q (want vtk or off)", format)
+	format := MeshSpec{Format: r.URL.Query().Get("format")}
+	if err := format.validate(); err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if tag, ok := s.CacheETag(key, variant); ok {
-			entity := entityTag(tag, format)
-			if etagMatch(inm, entity) {
-				s.mCacheOnlyServed.Inc()
-				w.Header().Set(CacheOnlyHeader, "hit")
-				w.Header().Set("ETag", entity)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
+	j.format = format.Format
+	sr, err := s.walk(r.Context(), j)
+	var notMod *notModified
+	if errors.As(err, &notMod) {
+		s.mCacheOnlyServed.Inc()
+		w.Header().Set(CacheOnlyHeader, "hit")
 	}
-	s.serveCacheOnly(w, key, variant, format)
+	s.reply(w, j, sr, err)
 }
 
 // drainKey is one warm-state handoff entry of the drain response.
@@ -404,28 +345,22 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// entityTag builds the quoted HTTP entity tag for a cached snapshot in
+// EntityTag builds the quoted HTTP entity tag for a cached snapshot in
 // one response format. The format is folded in because the same
 // snapshot encodes to different bytes as VTK and OFF — one blob, two
-// entities.
-func entityTag(etag, format string) string {
+// entities. The router builds candidate entity tags from its learned
+// raw etags with it, so the two tiers can never disagree on the quoting
+// or the format suffix.
+func EntityTag(etag, format string) string {
 	return `"` + etag + "-" + format + `"`
 }
 
-// EntityTag is entityTag for other tiers: the router builds candidate
-// entity tags from its learned raw etags with it, so the two tiers can
-// never disagree on the quoting or the format suffix.
-func EntityTag(etag, format string) string { return entityTag(etag, format) }
-
-// ETagMatch is etagMatch for other tiers: the router answers local
-// 304s with the exact comparison the backend would have used.
-func ETagMatch(header, entity string) bool { return etagMatch(header, entity) }
-
-// etagMatch implements If-None-Match: a literal "*" matches anything,
+// ETagMatch implements If-None-Match: a literal "*" matches anything,
 // otherwise the comma-separated candidate list is compared tag by tag.
 // Weak validators (W/ prefix) compare by their opaque part — weak
-// comparison is permitted for If-None-Match.
-func etagMatch(header, entity string) bool {
+// comparison is permitted for If-None-Match. The router answers local
+// 304s with this exact comparison.
+func ETagMatch(header, entity string) bool {
 	opaque := func(t string) string {
 		t = strings.TrimSpace(t)
 		t = strings.TrimPrefix(t, "W/")
@@ -460,11 +395,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // 503 while draining or while every pool session is quarantined.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}
 	if s.pool.Healthy() == 0 {
-		httpError(w, http.StatusServiceUnavailable, CodeUnavailable,
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable,
 			"no healthy sessions (all quarantined)")
 		return
 	}

@@ -1,11 +1,88 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"net/url"
 	"testing"
 	"time"
 )
+
+// pin is everything a client or the router can observe of one response.
+// The behaviour-pin rows in server_test.go, cacheonly_test.go and
+// simulate_test.go assert all of it, so a rewrite of the request path
+// cannot change a status, an envelope, a header or a body byte unseen.
+type pin struct {
+	status    int
+	code      string // envelope code ("" on a 2xx/304)
+	etag      string
+	ctype     string
+	cacheOnly string // X-Pi2md-Cache-Only
+	brownout  string // X-Pi2md-Brownout
+	sha       string // hex SHA-256 of the body
+}
+
+func sha(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// envelope is the exact body of an error response without a Retry-After.
+func envelope(code, reason string) []byte {
+	r, _ := json.Marshal(reason)
+	return []byte(`{"error":{"code":"` + code + `","reason":` + string(r) + "}}\n")
+}
+
+// doPin sends req and checks the response against want, returning the
+// body for rows that compare later responses with it.
+func doPin(t *testing.T, c *http.Client, name string, req *http.Request, want pin) []byte {
+	t.Helper()
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got := pin{
+		status:    resp.StatusCode,
+		etag:      resp.Header.Get("ETag"),
+		ctype:     resp.Header.Get("Content-Type"),
+		cacheOnly: resp.Header.Get(CacheOnlyHeader),
+		brownout:  resp.Header.Get(BrownoutHeader),
+		sha:       sha(body),
+	}
+	if resp.StatusCode >= 400 {
+		got.code, _ = readEnvelope(t, bytes.NewReader(body))
+	}
+	if got != want {
+		t.Errorf("%s:\n got %+v\nwant %+v\nbody %.200q", name, got, want, body)
+	}
+	return body
+}
+
+// pinReq builds a request with optional header pairs.
+func pinReq(t *testing.T, method, url, ctype string, body []byte, hdr ...string) *http.Request {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	return req
+}
 
 // TestRetryAfterTracksLatency: the Retry-After hint is derived from
 // the rejected waiter's actual queue position — queued/pool lease
@@ -119,12 +196,12 @@ func queryValues(qs string) url.Values {
 // false.
 func TestParseMeshSpecHostile(t *testing.T) {
 	for _, qs := range hostileParams {
-		if _, err := meshSpecFromQuery(queryValues(qs)); err == nil {
+		if _, err := MeshSpecFromQuery(queryValues(qs)); err == nil {
 			t.Errorf("query %q accepted, want an error", qs)
 		}
 	}
 	// Sanity: the legitimate knobs still parse.
-	spec, err := meshSpecFromQuery(queryValues(
+	spec, err := MeshSpecFromQuery(queryValues(
 		"format=off&delta=0.5&max_elements=1000&max_radius_edge=2.2&min_facet_angle=25&timeout=30s"))
 	if err != nil {
 		t.Fatalf("legitimate query rejected: %v", err)
@@ -188,7 +265,7 @@ func FuzzParseMeshParams(f *testing.F) {
 		if u, err := url.Parse("/v1/mesh?" + qs); err == nil {
 			q = u.Query()
 		}
-		m, err := meshSpecFromQuery(q)
+		m, err := MeshSpecFromQuery(q)
 		if err != nil {
 			return
 		}

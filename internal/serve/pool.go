@@ -126,7 +126,6 @@ func NewPool(n int, cfg core.Config) (*Pool, error) {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", n)
 	}
 	cfg.Image = nil
-	cfg.Context = nil
 	p := &Pool{cfg: cfg, health: HealthConfig{}.withDefaults(), entries: make([]*poolEntry, n)}
 	for i := range p.entries {
 		s, err := core.NewSession(cfg)
@@ -193,22 +192,16 @@ type Lease struct {
 	warm   bool
 }
 
-// waitGrant is a session handed to a blocked waiter by the EDF grant
-// path: the entry is already marked busy and its affinity accounted.
-type waitGrant struct {
-	e        *poolEntry
-	affinity bool
-}
-
 // waiter is one goroutine blocked in Checkout. deadline is the
 // caller's context deadline (zero = none, sorts last); seq breaks ties
-// FIFO. ch is buffered so the granter never blocks; idx is the heap
-// position, -1 once popped (granted) or removed (canceled).
+// FIFO. ch carries the granted lease and is buffered so the granter
+// never blocks; idx is the heap position, -1 once popped (granted) or
+// removed (canceled).
 type waiter struct {
 	key      string
 	deadline time.Time
 	seq      uint64
-	ch       chan waitGrant
+	ch       chan *Lease
 	idx      int
 }
 
@@ -258,14 +251,21 @@ func (p *Pool) grantLocked() {
 			return
 		}
 		w := heap.Pop(&p.waiters).(*waiter)
-		e.busy = true
-		p.checkouts++
-		hit := w.key != "" && e.key == w.key
-		if hit {
-			p.affinityHits++
-		}
-		w.ch <- waitGrant{e: e, affinity: hit}
+		w.ch <- p.leaseLocked(e, w.key)
 	}
+}
+
+// leaseLocked (p.mu held) is the one place a session changes hands: it
+// marks the free entry busy, accounts the checkout and its affinity,
+// and wraps it in a Lease.
+func (p *Pool) leaseLocked(e *poolEntry, key string) *Lease {
+	e.busy = true
+	p.checkouts++
+	hit := key != "" && e.key == key
+	if hit {
+		p.affinityHits++
+	}
+	return &Lease{p: p, e: e, s: e.s, key: key, affinity: hit}
 }
 
 // failWaitersLocked (p.mu held) wakes every blocked waiter with a
@@ -333,16 +333,11 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		return nil, err
 	}
 	if e := p.pickFree(key); e != nil {
-		e.busy = true
-		p.checkouts++
-		hit := key != "" && e.key == key
-		if hit {
-			p.affinityHits++
-		}
+		l := p.leaseLocked(e, key)
 		p.mu.Unlock()
-		return &Lease{p: p, e: e, s: e.s, key: key, affinity: hit}, nil
+		return l, nil
 	}
-	w := &waiter{key: key, seq: p.waiterSeq, ch: make(chan waitGrant, 1)}
+	w := &waiter{key: key, seq: p.waiterSeq, ch: make(chan *Lease, 1)}
 	p.waiterSeq++
 	if dl, ok := ctx.Deadline(); ok {
 		w.deadline = dl
@@ -351,11 +346,11 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 	p.mu.Unlock()
 
 	select {
-	case g, ok := <-w.ch:
+	case l, ok := <-w.ch:
 		if !ok {
 			return nil, ErrPoolClosed
 		}
-		return &Lease{p: p, e: g.e, s: g.e.s, key: key, affinity: g.affinity}, nil
+		return l, nil
 	case <-ctx.Done():
 		p.mu.Lock()
 		if w.idx >= 0 {
@@ -367,15 +362,15 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		// Lost the race: a grant (or close) is already in flight. Take
 		// it and hand the session straight to the next waiter — it must
 		// not leak on this abandoned checkout.
-		if g, ok := <-w.ch; ok {
+		if l, ok := <-w.ch; ok {
 			p.mu.Lock()
-			g.e.busy = false
-			p.checkouts-- // the grant never became a lease
-			if g.affinity {
+			l.e.busy = false
+			p.checkouts-- // the grant was never used
+			if l.affinity {
 				p.affinityHits--
 			}
 			if p.closed {
-				g.e.s.Close()
+				l.s.Close()
 			} else {
 				p.grantLocked()
 			}
@@ -399,13 +394,7 @@ func (p *Pool) TryCheckout(key string) (*Lease, error) {
 	if e == nil {
 		return nil, nil
 	}
-	e.busy = true
-	p.checkouts++
-	hit := key != "" && e.key == key
-	if hit {
-		p.affinityHits++
-	}
-	return &Lease{p: p, e: e, s: e.s, key: key, affinity: hit}, nil
+	return p.leaseLocked(e, key), nil
 }
 
 // AffinityHit reports whether the checkout landed on the session that

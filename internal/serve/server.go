@@ -40,10 +40,10 @@ var (
 	// server-capacity signal: the client went away, so the HTTP layer
 	// answers 499 without a Retry-After.
 	ErrCanceled = errors.New("serve: canceled by the caller before a session was available")
-	// ErrWatchdog fails a job whose run exceeded the runaway-run
-	// watchdog's limit and then ignored cancellation past the grace
-	// window; its session was abandoned and quarantined rather than
-	// leaked. The HTTP layer answers 503 with a Retry-After.
+	// ErrWatchdog fails a job whose run (or solve) was still going
+	// WatchdogGrace after its deadline ended its context; a run's session
+	// was abandoned and quarantined rather than leaked. The HTTP layer
+	// answers 503 with a Retry-After.
 	ErrWatchdog = errors.New("serve: run abandoned by the runaway-run watchdog")
 )
 
@@ -104,16 +104,9 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker fast-fails its key
 	// before admitting a single half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// WatchdogFactor bounds a run's wall time at factor × its deadline
-	// budget, tightened toward factor × the observed run p99 once
-	// enough history accumulates — but never below the deadline the
-	// caller agreed to. A run exceeding the limit is canceled; one that
-	// ignores cancellation past WatchdogGrace has its session
-	// quarantined instead of leaked. 0 selects the default (4);
-	// values in (0,1) clamp to 1; negative disables the watchdog.
-	WatchdogFactor float64
-	// WatchdogGrace is how long a watchdog-canceled run may keep
-	// running before its session is abandoned (default 2s).
+	// WatchdogGrace is how long a run (or a solve) may keep going after
+	// its job's deadline ended its context before it is abandoned — a
+	// run's session quarantined instead of leaked (default 2s).
 	WatchdogGrace time.Duration
 	// SolveTimeout caps the solve stage of a /v1/simulate job — the
 	// ceiling a request's own solve budget is clamped to (default 30s).
@@ -134,7 +127,7 @@ type Config struct {
 	// hysteresis (default 5s).
 	BrownoutHold time.Duration
 	// Session is the configuration template every pool session runs
-	// with. Its Image and Context fields are ignored.
+	// with. Its Image field is ignored.
 	Session core.Config
 }
 
@@ -171,11 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.WatchdogFactor == 0 {
-		c.WatchdogFactor = 4
-	} else if c.WatchdogFactor > 0 && c.WatchdogFactor < 1 {
-		c.WatchdogFactor = 1
 	}
 	if c.WatchdogGrace <= 0 {
 		c.WatchdogGrace = 2 * time.Second
@@ -227,8 +215,7 @@ type Server struct {
 	// deterministic tests.
 	retryJitter func() float64
 
-	// brownout is the adaptive quality controller; nil when disabled,
-	// which is the fast path handleMesh takes by default.
+	// brownout is the adaptive quality controller; nil when disabled.
 	brownout *brownoutController
 
 	// imgCache retains parsed input images under an LRU-by-bytes
@@ -373,9 +360,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mEvictions = r.Counter("pi2md_pool_evictions_total",
 		"Idle sessions evicted to release their retained memory.")
 	s.mWatchdogKills = r.Counter("pi2md_watchdog_kills_total",
-		"Runs canceled by the runaway-run watchdog for exceeding their limit.")
+		"Runs still going when their job deadline — the watchdog's limit — ended their context.")
 	s.mWatchdogAbandons = r.Counter("pi2md_watchdog_abandoned_total",
-		"Watchdog-canceled runs that ignored cancellation past the grace window; their sessions were quarantined.")
+		"Runs that ignored the end of their context past the grace window; their sessions were quarantined.")
 	s.mBreakerTrips = r.Counter("pi2md_breaker_trips_total",
 		"Circuit-breaker transitions into the open state.")
 	r.CounterFunc("pi2md_sessions_quarantined_total",
@@ -543,11 +530,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Pool exposes the session pool (for stats and eviction janitors).
 func (s *Server) Pool() *Pool { return s.pool }
 
-// LeaseOccupancy exposes the lease-occupancy histogram (checkout to
-// release) — the benchmark harness reads it to show that off-lease
-// encoding shortens session occupancy.
-func (s *Server) LeaseOccupancy() *Histogram { return s.mLeaseSeconds }
-
 // EvictIdle evicts pool sessions idle longer than maxIdle, recording
 // the evictions in the metrics. See Pool.EvictIdle.
 func (s *Server) EvictIdle(maxIdle time.Duration) int {
@@ -641,47 +623,10 @@ type SnapshotResult struct {
 	ETag string
 }
 
-// cachedSnapshot answers a job from the persistent result cache, if it
-// can: the blob is re-verified on read, the job never touches the pool,
-// the queue, or the key's breaker. A cache-served job counts as
-// accepted + completed (the caller got a mesh) plus cacheServed, so the
-// run-count invariant stays runs == accepted − coalesced − abandoned −
-// cacheServed.
-func (s *Server) cachedSnapshot(key, variant string) (*SnapshotResult, bool) {
-	if s.cache == nil || key == "" {
-		return nil, false
-	}
-	// Lookup, not Get: the adoptive disk fallback lets this node serve
-	// blobs a peer sharing the cache directory wrote after our boot fsck.
-	snap, etag, ok := s.cache.Lookup(key, variant)
-	if !ok {
-		return nil, false
-	}
-	s.mAccepted.Inc()
-	s.mCompleted.Inc()
-	s.mCacheServed.Inc()
-	sr := &SnapshotResult{
-		Summary: JobSummary{
-			ImageKey: key,
-			CacheHit: true,
-			Run:      snap.Summary,
-		},
-		Snapshot: snap,
-		ETag:     etag,
-	}
-	s.lastMu.Lock()
-	s.lastRuns = append(s.lastRuns, sr.Summary)
-	if len(s.lastRuns) > 16 {
-		s.lastRuns = s.lastRuns[len(s.lastRuns)-16:]
-	}
-	s.lastMu.Unlock()
-	return sr, true
-}
-
 // CacheETag answers a conditional GET from the cache index alone — no
 // blob I/O, no session. ok is false without a cache or a cached entry.
 func (s *Server) CacheETag(key, variant string) (string, bool) {
-	if s.cache == nil || key == "" {
+	if s.cache == nil {
 		return "", false
 	}
 	return s.cache.ETag(key, variant)
@@ -701,19 +646,19 @@ func (s *Server) rejectForCtx(err error) error {
 	return fmt.Errorf("%w: %v", ErrDeadline, err)
 }
 
-// runOnce executes one actual meshing run under admission control: a
-// non-blocking checkout (free sessions bypass the queue entirely), a
-// bounded wait otherwise, the run itself under the job deadline, the
-// snapshot copy-out that ends the lease before any encoding, and the
-// off-lease persist into the result cache. Coalesced followers never
-// reach this function.
-func (s *Server) runOnce(jctx context.Context, key, variant string, image *img.Image, tune func(*core.Config)) (*SnapshotResult, error) {
+// runOnce is the walk's tail for a leader — the one actual meshing run
+// under admission control: a non-blocking checkout (free sessions
+// bypass the queue entirely), a bounded wait otherwise, the supervised
+// run under the job deadline, the snapshot copy-out that ends the lease
+// before any encoding, and the off-lease persist into the result cache.
+// Coalesced followers never reach this function.
+func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) {
 	// Admission: a job only counts against QueueDepth while it is
 	// actually waiting. A burst that fits the free sessions is
 	// admitted without touching the wait counter, so QueueDepth
 	// bounds the waiters beyond the PoolSize running jobs — exactly
 	// the documented contract.
-	lease, err := s.pool.TryCheckout(key)
+	lease, err := s.pool.TryCheckout(j.key)
 	if err != nil {
 		s.mRejected.With("pool_closed").Inc()
 		return nil, err
@@ -726,7 +671,7 @@ func (s *Server) runOnce(jctx context.Context, key, variant string, image *img.I
 			return nil, ErrQueueFull
 		}
 		waitStart := time.Now()
-		lease, err = s.pool.Checkout(jctx, key)
+		lease, err = s.pool.Checkout(jctx, j.key)
 		s.waiting.Add(-1)
 		wait = time.Since(waitStart)
 		if err != nil {
@@ -760,7 +705,7 @@ func (s *Server) runOnce(jctx context.Context, key, variant string, image *img.I
 	faultinject.Sleep(faultinject.SlowSession)
 
 	runStart := time.Now()
-	res, err := s.superviseRun(jctx, lease, image, tune)
+	res, err := s.superviseRun(jctx, lease, j.image, j.tune)
 	if errors.Is(err, ErrWatchdog) {
 		// The run ignored cancellation past the grace window. Its lease
 		// was abandoned (Release above is now a no-op) and the session
@@ -835,14 +780,14 @@ func (s *Server) runOnce(jctx context.Context, key, variant string, image *img.I
 	// Put absorbs disk failures (degrading the store) rather than
 	// surfacing them — a full disk must never fail a finished mesh.
 	var etag string
-	if s.cache != nil && key != "" {
-		etag, _ = s.cache.Put(key, variant, snap)
+	if s.cache != nil {
+		etag, _ = s.cache.Put(j.key, j.variant, snap)
 	}
 
 	sr := &SnapshotResult{
 		ETag: etag,
 		Summary: JobSummary{
-			ImageKey:    key,
+			ImageKey:    j.key,
 			QueueWaitMs: float64(wait) / 1e6,
 			EDTCacheHit: lease.EDTHit(),
 			WarmRun:     lease.WarmRun(),
@@ -850,12 +795,7 @@ func (s *Server) runOnce(jctx context.Context, key, variant string, image *img.I
 		},
 		Snapshot: snap,
 	}
-	s.lastMu.Lock()
-	s.lastRuns = append(s.lastRuns, sr.Summary)
-	if len(s.lastRuns) > 16 {
-		s.lastRuns = s.lastRuns[len(s.lastRuns)-16:]
-	}
-	s.lastMu.Unlock()
+	s.recordRun(sr.Summary)
 	return sr, nil
 }
 
@@ -880,45 +820,26 @@ func (s *Server) guardedRun(ctx context.Context, lease *Lease, image *img.Image,
 	return lease.RunTuned(ctx, image, tune)
 }
 
-// superviseRun runs the job under the runaway-run watchdog. A run
-// exceeding watchdogLimit is canceled; if it returns within the grace
-// window the normal outcome path classifies it (the job deadline has
-// expired by then, so it reads as a mid-flight deadline abort). A run
-// that ignores cancellation past the grace window has its lease
-// abandoned — the pool quarantines the slot and backfills with a
-// fresh session — and a reaper goroutine closes the wedged session
-// whenever the run finally returns.
+// superviseRun runs the job under the watchdog (see supervise). A run
+// that comes back within the grace window after its deadline is
+// classified by the normal outcome path (it reads as a mid-flight
+// deadline abort). One that does not has its lease abandoned — the pool
+// quarantines the slot and backfills with a fresh session — and a
+// reaper goroutine closes the wedged session whenever the run finally
+// returns.
 func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Image, tune func(*core.Config)) (*core.Result, error) {
-	if s.cfg.WatchdogFactor <= 0 {
-		return s.guardedRun(jctx, lease, image, tune)
+	// Written by the run's goroutine, read only once it has finished: an
+	// abandoned run may still write them long after this returns.
+	var res *core.Result
+	var err error
+	done, finished := supervise(jctx, s.cfg.WatchdogGrace, func() {
+		res, err = s.guardedRun(jctx, lease, image, tune)
+	})
+	if errors.Is(jctx.Err(), context.DeadlineExceeded) {
+		s.mWatchdogKills.Inc()
 	}
-	limit := s.watchdogLimit(jctx)
-	runCtx, cancelRun := context.WithCancel(jctx)
-	defer cancelRun()
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.guardedRun(runCtx, lease, image, tune)
-		done <- outcome{res, err}
-	}()
-	timer := time.NewTimer(limit)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-timer.C:
-	}
-	s.mWatchdogKills.Inc()
-	cancelRun()
-	grace := time.NewTimer(s.cfg.WatchdogGrace)
-	defer grace.Stop()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-grace.C:
+	if finished {
+		return res, err
 	}
 	s.mWatchdogAbandons.Inc()
 	lease.Abandon()
@@ -926,36 +847,7 @@ func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Ima
 		<-done
 		lease.FinishAbandoned()
 	}()
-	return nil, fmt.Errorf("%w: run exceeded %v and ignored cancellation for %v",
-		ErrWatchdog, limit.Round(time.Millisecond), s.cfg.WatchdogGrace)
-}
-
-// watchdogLimit is the wall-time bound for one run: WatchdogFactor ×
-// the job's remaining deadline budget, tightened toward factor × the
-// observed run p99 once at least 64 runs are recorded — but never
-// below the deadline (+grace) the caller agreed to, so the watchdog
-// can only fire on runs that are already ignoring their own deadline.
-func (s *Server) watchdogLimit(jctx context.Context) time.Duration {
-	remaining := s.cfg.DefaultTimeout
-	if dl, ok := jctx.Deadline(); ok {
-		remaining = time.Until(dl)
-	}
-	if remaining < time.Millisecond {
-		remaining = time.Millisecond
-	}
-	limit := time.Duration(s.cfg.WatchdogFactor * float64(remaining))
-	if s.mRunSeconds.Count() >= 64 {
-		if p99 := s.mRunSeconds.Quantile(0.99); p99 > 0 {
-			alt := time.Duration(s.cfg.WatchdogFactor * p99 * float64(time.Second))
-			if floor := remaining + s.cfg.WatchdogGrace; alt < floor {
-				alt = floor
-			}
-			if alt < limit {
-				limit = alt
-			}
-		}
-	}
-	return limit
+	return nil, fmt.Errorf("%w: run ignored the end of its deadline for %v", ErrWatchdog, s.cfg.WatchdogGrace)
 }
 
 // abortedByCaller reports whether an aborted run was cut short by its

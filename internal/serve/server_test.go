@@ -531,3 +531,68 @@ func TestServerSlowSessionFault(t *testing.T) {
 		t.Errorf("queue wait sum = %vs; the slow-session stall did not back up the queue", srv.mQueueWait.Sum())
 	}
 }
+
+// TestPinMeshPath pins what /v1/mesh answers on the paths no other test
+// looks at byte for byte: a conditional whose validator names the other
+// format, the oversized and empty uploads, and a cached pair on a
+// draining node — refused to a meshing request, served to a cache-only
+// one. It runs with the brownout controller off and on (the daemon's
+// default): an idle controller must not show.
+func TestPinMeshPath(t *testing.T) {
+	for _, brownout := range []bool{false, true} {
+		cache := openTestCache(t, t.TempDir())
+		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache, Brownout: brownout, MaxRequestBytes: 4 << 10})
+		c := ts.Client()
+		body := nrrdBody(t, 7)
+		const octet = "application/octet-stream"
+		mesh := ts.URL + "/v1/mesh"
+		fetch := func(url string) ([]byte, string) {
+			t.Helper()
+			resp, err := c.Post(url, octet, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			out, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", url, resp.StatusCode, out)
+			}
+			return out, resp.Header.Get("ETag")
+		}
+		vtk, vtkTag := fetch(mesh)
+		off, offTag := fetch(mesh + "?format=off")
+		if !strings.HasSuffix(vtkTag, `-vtk"`) || offTag != strings.TrimSuffix(vtkTag, `-vtk"`)+`-off"` {
+			t.Fatalf("entity tags %q / %q: want one blob tag with the format folded in", vtkTag, offTag)
+		}
+
+		doPin(t, c, "repeat hit", pinReq(t, "POST", mesh, octet, body),
+			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
+		doPin(t, c, "conditional, matching", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
+			pin{status: 304, etag: vtkTag, sha: sha(nil)})
+		doPin(t, c, "off conditional against the vtk entity", pinReq(t, "POST", mesh+"?format=off", octet, body, "If-None-Match", vtkTag),
+			pin{status: 200, etag: offTag, ctype: "model/off", sha: sha(off)})
+		doPin(t, c, "vtk conditional against the off entity", pinReq(t, "POST", mesh, octet, body, "If-None-Match", offTag),
+			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
+		doPin(t, c, "oversized upload", pinReq(t, "POST", mesh, octet, nrrdBody(t, 24)),
+			pin{status: 413, code: CodeTooLarge, ctype: "application/json",
+				sha: sha(envelope(CodeTooLarge, "request body exceeds the 4096 byte cap"))})
+		doPin(t, c, "empty upload", pinReq(t, "POST", mesh, octet, nil),
+			pin{status: 400, code: CodeBadRequest, ctype: "application/json",
+				sha: sha(envelope(CodeBadRequest, "empty body: expected an NRRD label image"))})
+		doPin(t, c, "cache-only miss", pinReq(t, "POST", mesh+"?delta=3", octet, body, CacheOnlyHeader, "1"),
+			pin{status: 404, code: CodeCacheMiss, ctype: "application/json",
+				sha: sha(envelope(CodeCacheMiss, fmt.Sprintf("no cached result for image %.16s… variant %q", ImageKey(body), "d=3,n=0,re=0,fa=0")))})
+
+		srv.AnnounceDrain(0)
+		doPin(t, c, "cached pair while draining", pinReq(t, "POST", mesh, octet, body),
+			pin{status: 503, code: CodeDraining, ctype: "application/json",
+				sha: sha(envelope(CodeDraining, "serve: server draining"))})
+		doPin(t, c, "conditional while draining", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
+			pin{status: 304, etag: vtkTag, sha: sha(nil)})
+		doPin(t, c, "cache-only while draining", pinReq(t, "POST", mesh, octet, body, CacheOnlyHeader, "1"),
+			pin{status: 200, etag: vtkTag, ctype: "text/vtk", cacheOnly: "hit", sha: sha(vtk)})
+		if n := srv.mRejected.Value("draining"); n != 1 {
+			t.Errorf("brownout=%v: draining rejections = %d, want 1", brownout, n)
+		}
+	}
+}

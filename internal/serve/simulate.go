@@ -263,23 +263,13 @@ func snapshotQuality(s *core.MeshSnapshot) MeshQuality {
 	return q
 }
 
-// specError is a mesh-dependent spec failure discovered after the mesh
-// stage (e.g. boundary conditions that constrain nothing): still the
-// client's fault, answered 400 with a specific code.
-type specError struct {
-	code string
-	msg  string
-}
-
-func (e *specError) Error() string { return e.msg }
-
 // dirichletFromSpec resolves the spec's clauses against the snapshot's
 // exterior surface. Later clauses override earlier ones; the result
 // must constrain at least one vertex.
 func dirichletFromSpec(snap *core.MeshSnapshot, bcs []BCSpec) (map[int32]float64, error) {
 	verts, labels := snap.ExteriorVertices()
 	if len(verts) == 0 {
-		return nil, &specError{code: CodeBadBC, msg: "mesh has no exterior surface"}
+		return nil, &requestError{http.StatusBadRequest, CodeBadBC, "mesh has no exterior surface"}
 	}
 	// Bounding box of the exterior surface, for plane predicates.
 	lo := snap.Verts[verts[0]]
@@ -332,8 +322,8 @@ func dirichletFromSpec(snap *core.MeshSnapshot, bcs []BCSpec) (map[int32]float64
 		}
 	}
 	if len(out) == 0 {
-		return nil, &specError{code: CodeBadBC,
-			msg: "dirichlet clauses constrain no vertex of the meshed surface"}
+		return nil, &requestError{http.StatusBadRequest, CodeBadBC,
+			"dirichlet clauses constrain no vertex of the meshed surface"}
 	}
 	return out, nil
 }
@@ -377,12 +367,13 @@ func (s *Server) solveBudget(spec *SimSpec) time.Duration {
 }
 
 // runSolve assembles and solves the spec's problem on the snapshot,
-// supervised like a meshing run: the solve runs under a deadline
-// (budget), CG observes it cooperatively every few iterations, and a
-// solve that somehow ignores cancellation past WatchdogGrace is
-// abandoned to its goroutine with ErrWatchdog rather than wedging the
-// request forever. Everything runs off-lease — the mesh session was
-// released before this function is called.
+// supervised exactly like a meshing run: the solve runs under a
+// deadline (budget), CG observes it cooperatively every few iterations,
+// and a solve that somehow ignores cancellation past WatchdogGrace is
+// abandoned to its goroutine (it holds only heap memory, no session)
+// with ErrWatchdog rather than wedging the request forever. Everything
+// runs off-lease — the mesh session was released before this function
+// is called.
 func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *SimSpec) (*fem.Solution, map[int32]float64, error) {
 	dirichlet, err := dirichletFromSpec(snap, spec.Dirichlet)
 	if err != nil {
@@ -401,55 +392,41 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *Si
 	}
 	conductivity, err := fem.ConductivityFromLabels(raw, byLabel, def)
 	if err != nil {
-		return nil, nil, &specError{code: CodeBadRequest, msg: err.Error()}
+		return nil, nil, &requestError{http.StatusBadRequest, CodeBadRequest, err.Error()}
 	}
 
 	budget := s.solveBudget(spec)
 	solveCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	type outcome struct {
-		sol *fem.Solution
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		sys, err := fem.Assemble(&fem.Problem{
+	// Written by the solve's goroutine, read only once it has finished.
+	var sol *fem.Solution
+	var solveErr error
+	_, finished := supervise(solveCtx, s.cfg.WatchdogGrace, func() {
+		var sys *fem.System
+		sys, solveErr = fem.Assemble(&fem.Problem{
 			Mesh:         raw,
 			Conductivity: conductivity,
 			Source:       spec.Source.sourceFunc(),
 			Dirichlet:    dirichlet,
 		})
-		if err != nil {
-			done <- outcome{nil, err}
-			return
+		if solveErr == nil {
+			sol, solveErr = sys.SolveCtx(solveCtx, fem.SolveOptions{
+				Tol:     spec.Solve.Tol,
+				MaxIter: spec.Solve.MaxIter,
+			})
 		}
-		sol, err := sys.SolveCtx(solveCtx, fem.SolveOptions{
-			Tol:     spec.Solve.Tol,
-			MaxIter: spec.Solve.MaxIter,
-		})
-		done <- outcome{sol, err}
-	}()
-
-	grace := s.cfg.WatchdogGrace
-	timer := time.NewTimer(budget + grace)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return nil, nil, o.err
-		}
-		// A solve that converged right at the deadline still answers:
-		// the field is complete and the caller is still listening.
-		return o.sol, dirichlet, nil
-	case <-timer.C:
-		// The solve ignored its deadline past the grace window —
-		// assembly wedged or the context checks stopped firing. Abandon
-		// the goroutine (it holds only heap memory, no session) and
-		// fail the request like a watchdogged run.
+	})
+	if !finished {
 		return nil, nil, fmt.Errorf("%w: solve exceeded %v and ignored cancellation for %v",
-			ErrWatchdog, budget, grace)
+			ErrWatchdog, budget, s.cfg.WatchdogGrace)
 	}
+	if solveErr != nil {
+		return nil, nil, solveErr
+	}
+	// A solve that converged right at the deadline still answers: the
+	// field is complete and the caller is still listening.
+	return sol, dirichlet, nil
 }
 
 // handleSimulate is POST /v1/simulate: a multipart request ("spec"
@@ -461,59 +438,41 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *Si
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	outcome := func(o string) { s.mSimJobs.With(o).Inc() }
 
-	specJSON, body, err := readSpecRequest(w, r, s.cfg.MaxRequestBytes)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			outcome("bad_request")
-			httpError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				"request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)
-			return
-		}
+	specJSON, body, ok := s.readUpload(w, r)
+	if !ok {
 		outcome("bad_request")
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
 		return
 	}
 	if specJSON == nil {
 		outcome("bad_request")
-		httpError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			"missing %q part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image", "spec")
 		return
 	}
 	if len(body) == 0 {
 		outcome("bad_request")
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "empty %q part: expected an NRRD label image", "image")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "empty %q part: expected an NRRD label image", "image")
 		return
 	}
 	spec, err := ParseSimSpec(specJSON)
 	if err != nil {
 		outcome("bad_request")
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "bad simulation spec: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad simulation spec: %v", err)
 		return
 	}
 
-	key := ImageKey(body)
-	variant := spec.Mesh.variant()
-	image, err := s.decodeImage(key, body)
-	if err != nil {
-		outcome("bad_request")
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "decoding image: %v", err)
-		return
-	}
-
-	// Mesh stage: identical to /v1/mesh, including the per-stage
+	// Mesh stage: the walk /v1/mesh takes, including the per-stage
 	// timeout. A concurrent simulate (or mesh) request for the same
 	// (image, variant) shares the run; a cached mesh skips it entirely.
-	meshCtx := r.Context()
-	if spec.Mesh.Timeout > 0 {
-		var cancel context.CancelFunc
-		meshCtx, cancel = context.WithTimeout(meshCtx, time.Duration(spec.Mesh.Timeout))
-		defer cancel()
-	}
-	sr, err := s.MeshSnapshot(meshCtx, key, variant, image, spec.Mesh.tune())
+	key, variant := ImageKey(body), spec.Mesh.Variant()
+	sr, err := s.walk(r.Context(), &job{key: key, body: body, variant: variant,
+		tune: spec.Mesh.tune(), timeout: time.Duration(spec.Mesh.Timeout)})
 	if err != nil {
-		outcome("mesh_failed")
-		s.writeMeshError(w, err)
+		if s.writeMeshError(w, err) == CodeBadRequest {
+			outcome("bad_request") // the image did not decode
+		} else {
+			outcome("mesh_failed")
+		}
 		return
 	}
 
@@ -522,26 +481,25 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sol, dirichlet, err := s.runSolve(r.Context(), sr.Snapshot, &spec)
 	solveSecs := time.Since(solveStart).Seconds()
 	if err != nil {
-		var se *specError
+		var reqErr *requestError
 		switch {
-		case errors.As(err, &se):
+		case errors.As(err, &reqErr):
 			outcome("bad_bc")
-			httpError(w, http.StatusBadRequest, se.code, "%v", se)
+			s.writeMeshError(w, err)
 		case errors.Is(err, ErrWatchdog):
 			outcome("watchdog")
-			s.setRetryAfter(w)
-			httpError(w, http.StatusServiceUnavailable, CodeWatchdog, "%v", err)
+			s.writeMeshError(w, err)
 		case errors.Is(err, context.Canceled):
 			outcome("canceled")
-			httpError(w, StatusClientClosedRequest, CodeCanceled, "solve canceled: %v", err)
+			WriteError(w, StatusClientClosedRequest, CodeCanceled, "solve canceled: %v", err)
 		case errors.Is(err, context.DeadlineExceeded):
 			outcome("deadline")
 			s.setRetryAfter(w)
-			httpError(w, http.StatusServiceUnavailable, CodeDeadline,
+			WriteError(w, http.StatusServiceUnavailable, CodeDeadline,
 				"solve exceeded its %v budget: %v", s.solveBudget(&spec), err)
 		default:
 			outcome("solve_failed")
-			httpError(w, http.StatusInternalServerError, CodeSolveFailed, "solve failed: %v", err)
+			WriteError(w, http.StatusInternalServerError, CodeSolveFailed, "solve failed: %v", err)
 		}
 		return
 	}

@@ -208,6 +208,39 @@ func TestSimulateBadBC(t *testing.T) {
 	}
 }
 
+// TestPinSimulateUploadErrors pins the upload rejections of /v1/simulate
+// — the same body-read mapping /v1/mesh has, with simulate's own wording
+// for the parts — byte for byte, and their bad_request outcome count.
+func TestPinSimulateUploadErrors(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
+	c := ts.Client()
+	const spec = `{"dirichlet": [{"value": 0}]}`
+	sim := ts.URL + "/v1/simulate"
+	row := func(name string, parts map[string][]byte, want pin) {
+		t.Helper()
+		body, ctype := multipartBody(t, parts)
+		doPin(t, c, name, pinReq(t, "POST", sim, ctype, body), want)
+	}
+	row("oversized upload", map[string][]byte{"spec": []byte(spec), "image": nrrdBody(t, 24)},
+		pin{status: 413, code: CodeTooLarge, ctype: "application/json",
+			sha: sha(envelope(CodeTooLarge, "request body exceeds the 4096 byte cap"))})
+	row("empty image part", map[string][]byte{"spec": []byte(spec), "image": {}},
+		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(CodeBadRequest, `empty "image" part: expected an NRRD label image`))})
+	row("no spec part", map[string][]byte{"image": nrrdBody(t, 7)},
+		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(CodeBadRequest, `missing "spec" part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image`))})
+	row("undecodable image", map[string][]byte{"spec": []byte(spec), "image": []byte("not an image")},
+		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(CodeBadRequest, "decoding image: nrrd: reading magic: EOF"))})
+	if v := srv.mSimJobs.Value("bad_request"); v != 4 {
+		t.Errorf("simulate_jobs_total{bad_request} = %d, want 4", v)
+	}
+	if v := srv.mSimJobs.Total(); v != 4 {
+		t.Errorf("simulate_jobs_total = %d over all outcomes, want 4", v)
+	}
+}
+
 // TestSimulateSharedMeshTwoSolves: two simulate requests agreeing on
 // (image, mesh variant) but differing in boundary conditions share ONE
 // meshing run — via single-flight coalescing when they overlap, via

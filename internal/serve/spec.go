@@ -3,13 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"mime"
 	"mime/multipart"
-	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
@@ -225,19 +223,12 @@ func (sz *SizeSpec) validate() error {
 	return nil
 }
 
-// MeshSpecFromQuery parses the query-parameter surface into a MeshSpec
-// through the shared validation path — exported for the router, which
-// derives its routing variant from the same grammar the backend will
-// apply.
-func MeshSpecFromQuery(q url.Values) (MeshSpec, error) {
-	return meshSpecFromQuery(q)
-}
-
-// meshSpecFromQuery parses the historical query-parameter surface into
+// MeshSpecFromQuery parses the historical query-parameter surface into
 // a MeshSpec and validates it through the shared path. The accepted
 // grammar is unchanged: format, delta, max_elements, max_radius_edge,
-// min_facet_angle, timeout.
-func meshSpecFromQuery(q url.Values) (MeshSpec, error) {
+// min_facet_angle, timeout. The router derives its routing variant
+// from the same grammar the backend will apply.
+func MeshSpecFromQuery(q url.Values) (MeshSpec, error) {
 	var m MeshSpec
 	m.Format = q.Get("format")
 	parseF := func(name string, dst *float64) error {
@@ -307,18 +298,14 @@ func (m *MeshSpec) hasTuning() bool {
 		m.MinFacetAngle > 0 || m.Size != nil || m.DeltaScale > 1
 }
 
-// Variant exposes the canonical tuning-variant encoding — the second
-// half of the (image key, variant) identity that coalescing, breakers,
-// the cachestore, and the router's hash ring all agree on.
-func (m *MeshSpec) Variant() string { return m.variant() }
-
-// variant canonicalizes the tuning knobs for the coalescing key and
-// the result cache. The knob encoding is frozen — cache entries and
-// breaker priors persisted by earlier builds must keep resolving — so
-// the size spec, which did not exist then, is appended as a new
-// segment rather than folded into the old one. Empty means "template
-// verbatim".
-func (m *MeshSpec) variant() string {
+// Variant canonicalizes the tuning knobs — the second half of the
+// (image key, variant) identity that coalescing, breakers, the
+// cachestore, and the router's hash ring all agree on. The knob
+// encoding is frozen — cache entries and breaker priors persisted by
+// earlier builds must keep resolving — so the size spec, which did not
+// exist then, is appended as a new segment rather than folded into the
+// old one. Empty means "template verbatim".
+func (m *MeshSpec) Variant() string {
 	var parts []string
 	if m.Delta > 0 || m.MaxElements > 0 || m.MaxRadiusEdge > 0 || m.MinFacetAngle > 0 {
 		parts = append(parts, fmt.Sprintf("d=%g,n=%d,re=%g,fa=%g",
@@ -438,9 +425,9 @@ func (sz *SizeSpec) compile(im *img.Image) sizing.Func {
 	return sizing.Min(fs...)
 }
 
-// readSpecRequest splits a request into its JSON spec part (nil when
-// the request carries no spec) and its image payload, capped at
-// maxBytes in total. Two surfaces are accepted:
+// SplitSpecImage splits one request body stream into its JSON spec
+// part (nil when the request carries none) and its image payload,
+// using the declared Content-Type. Two surfaces are accepted:
 //
 //   - raw body: the entire body is the NRRD image and there is no spec
 //     part — the historical /v1/mesh surface, byte-for-byte unchanged;
@@ -449,19 +436,10 @@ func (sz *SizeSpec) compile(im *img.Image) sizing.Func {
 //     wholesale over query parameters (body-over-params precedence —
 //     the two are never merged).
 //
-// An oversized request surfaces as *http.MaxBytesError so the caller
-// can answer 413 on either surface.
-func readSpecRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (spec, image []byte, err error) {
-	return SplitSpecImage(r.Header.Get("Content-Type"), http.MaxBytesReader(w, r.Body, maxBytes))
-}
-
-// SplitSpecImage splits one request body stream into its JSON spec
-// part (nil when the request carries none) and its image payload,
-// using the declared Content-Type — the same resolution the backend
-// handlers apply, exported so the router derives its routing key from
-// exactly the bytes the backend will hash. Size capping is the
-// caller's job (wrap body in an http.MaxBytesReader); an overflow
-// surfaces unwrapped so errors.As finds *http.MaxBytesError.
+// It is the resolution the backend handlers apply, exported so the
+// router derives its routing key from exactly the bytes the backend
+// will hash. Size capping is the caller's job (wrap body in an
+// http.MaxBytesReader); an overflow stays reachable through errors.As.
 func SplitSpecImage(contentType string, body io.Reader) (spec, image []byte, err error) {
 	mt, params, _ := mime.ParseMediaType(contentType)
 	if mt != "multipart/form-data" {
@@ -482,21 +460,13 @@ func SplitSpecImage(contentType string, body io.Reader) (spec, image []byte, err
 			break
 		}
 		if perr != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(perr, &tooBig) {
-				return nil, nil, perr
-			}
-			return nil, nil, fmt.Errorf("reading multipart body: %v", perr)
+			return nil, nil, fmt.Errorf("reading multipart body: %w", perr)
 		}
 		name := p.FormName()
 		data, rerr := io.ReadAll(p)
 		p.Close()
 		if rerr != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(rerr, &tooBig) {
-				return nil, nil, rerr
-			}
-			return nil, nil, fmt.Errorf("reading part %q: %v", name, rerr)
+			return nil, nil, fmt.Errorf("reading part %q: %w", name, rerr)
 		}
 		switch name {
 		case "spec":

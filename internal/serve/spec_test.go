@@ -56,11 +56,11 @@ func TestVariantGolden(t *testing.T) {
 			"sz=pl{1:2}"},
 		{"knobs and size", MeshSpec{Delta: 2.5, Size: &SizeSpec{
 			PerLabel: map[string]float64{"2": 0.5, "1": 2}, Default: 3,
-			Balls:    []BallSpec{{Center: [3]float64{8, 8, 8}, R: 4, H: 0.5}},
+			Balls: []BallSpec{{Center: [3]float64{8, 8, 8}, R: 4, H: 0.5}},
 		}}, "d=2.5,n=0,re=0,fa=0,sz=pl{1:2;2:0.5}def=3b(8,8,8;4;0.5;0)"},
 	}
 	for _, c := range cases {
-		if got := c.spec.variant(); got != c.want {
+		if got := c.spec.Variant(); got != c.want {
 			t.Errorf("%s: variant = %q, want %q", c.name, got, c.want)
 		}
 	}
@@ -75,7 +75,7 @@ func TestMeshSpecJSONQueryAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromQuery, err := meshSpecFromQuery(queryValues(
+	fromQuery, err := MeshSpecFromQuery(queryValues(
 		"format=off&delta=0.5&max_elements=1000&max_radius_edge=2.2&min_facet_angle=25&timeout=30s"))
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +83,8 @@ func TestMeshSpecJSONQueryAgree(t *testing.T) {
 	if fromJSON != fromQuery {
 		t.Errorf("JSON spec %+v != query spec %+v", fromJSON, fromQuery)
 	}
-	if fromJSON.variant() != fromQuery.variant() {
-		t.Errorf("variant mismatch: %q vs %q", fromJSON.variant(), fromQuery.variant())
+	if fromJSON.Variant() != fromQuery.Variant() {
+		t.Errorf("variant mismatch: %q vs %q", fromJSON.Variant(), fromQuery.Variant())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestErrorEnvelope(t *testing.T) {
 	// Retry-After mirroring.
 	w := httptest.NewRecorder()
 	w.Header().Set("Retry-After", "7")
-	httpError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
+	WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
 	env = errorEnvelope{}
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)

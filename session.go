@@ -39,9 +39,9 @@ type sessionOptions struct {
 
 // WithConfig replaces the whole configuration template at once — the
 // escape hatch for knobs without a dedicated option (Topology,
-// SuccessLimit, TimelineSample, ...). Image and Context fields are
-// ignored: the image and a context are per-Run arguments. Options
-// after WithConfig still apply on top of it.
+// SuccessLimit, TimelineSample, ...). The Image field is ignored: the
+// image and a context are per-Run arguments. Options after WithConfig
+// still apply on top of it.
 func WithConfig(cfg Config) Option {
 	return func(o *sessionOptions) { o.cfg = cfg }
 }
@@ -200,7 +200,6 @@ func NewSession(opts ...Option) (*Session, error) {
 		opt(&o)
 	}
 	o.cfg.Image = nil
-	o.cfg.Context = nil
 	cs, err := core.NewSession(o.cfg)
 	if err != nil {
 		return nil, err
