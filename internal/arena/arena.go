@@ -132,14 +132,60 @@ func (a *Arena[T]) newChunk() int32 {
 // Reset logically discards all entries, returning the arena to its
 // initial state while retaining the allocated chunks for reuse (each
 // is zeroed when an allocator draws it again). It must not race with
-// any concurrent use; it exists for single-owner scratch arenas (the
-// local triangulations of vertex removal) that are rebuilt many
-// times. Outstanding Allocators must be discarded or Reset as well.
+// any concurrent use; it exists for arenas a single owner rebuilds
+// many times (a session's mesh between runs, the local triangulations
+// of vertex removal). Outstanding Allocators must be discarded or
+// Reset as well.
 func (a *Arena[T]) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.numChunks = 1
 	a.length.Store(1)
+}
+
+// Prefix is a copy of everything an arena had handed out when Record
+// was called: the used entries of every registered chunk, chunk by
+// chunk. Rewind puts the arena back into exactly that state. The copy
+// lives here, inside the generic arena, so entry types that embed
+// atomics are copied as plain memory while nothing else can observe
+// them (Record and Rewind share Reset's single-owner contract).
+type Prefix[T any] struct {
+	chunks [][]T
+	length int64
+}
+
+// Record captures the arena's current contents. It must not race with
+// allocation or with writers of the entries.
+func (a *Arena[T]) Record() *Prefix[T] {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	p := &Prefix[T]{chunks: make([][]T, a.numChunks), length: a.length.Load()}
+	for i := range p.chunks {
+		c := a.chunks[i].Load()
+		p.chunks[i] = append([]T(nil), c.e[:c.used]...)
+	}
+	return p
+}
+
+// Rewind discards every entry allocated since p was recorded and
+// restores the recorded entries' contents, retaining later chunks for
+// reuse exactly as Reset does. Allocators drawing from the arena
+// afterwards receive the same handle sequence they would have received
+// right after Record. p must come from this arena; outstanding
+// Allocators must be discarded or Reset.
+func (a *Arena[T]) Rewind(p *Prefix[T]) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, saved := range p.chunks {
+		c := a.chunks[i].Load()
+		n := copy(c.e[:], saved)
+		if int(c.used) > n {
+			clear(c.e[n:c.used])
+		}
+		c.used = uint32(n)
+	}
+	a.numChunks = int32(len(p.chunks))
+	a.length.Store(p.length)
 }
 
 // Allocator hands out handles from chunks owned by a single worker.

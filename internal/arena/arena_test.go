@@ -212,3 +212,90 @@ func TestForEachSkipsNilChunks(t *testing.T) {
 		t.Fatalf("visited %d slots, want %d", count, 2*ChunkSize-1)
 	}
 }
+
+// TestRewindRestoresPrefix: after Record, any amount of further
+// allocation and mutation of recorded entries, Rewind puts back the
+// recorded contents, drops everything later, and a fresh allocator
+// draws the same handles a fresh allocator drew right after Record.
+func TestRewindRestoresPrefix(t *testing.T) {
+	a := New[entry]()
+	boot := a.NewAllocator()
+	var prefix []Handle
+	for i := 0; i < 100; i++ {
+		h := boot.Alloc()
+		a.At(h).id = int64(i + 1)
+		prefix = append(prefix, h)
+	}
+	p := a.Record()
+	wantLen := a.Len()
+
+	dirty := func() []Handle {
+		al := a.NewAllocator()
+		var hs []Handle
+		for i := 0; i < ChunkSize+50; i++ {
+			h := al.Alloc()
+			a.At(h).id = -7
+			hs = append(hs, h)
+		}
+		// The bootstrap allocator's chunk keeps filling too, and
+		// recorded entries are overwritten.
+		a.At(boot.Alloc()).id = -7
+		for _, h := range prefix {
+			a.At(h).id = -7
+		}
+		return hs
+	}
+	first := dirty()
+
+	for cycle := 0; cycle < 3; cycle++ {
+		a.Rewind(p)
+		// An allocator that outlives a Rewind is Reset, as after
+		// Arena.Reset; dirty draws its other allocator fresh.
+		boot.Reset()
+		if a.Len() != wantLen {
+			t.Fatalf("cycle %d: Len after rewind = %d, want %d", cycle, a.Len(), wantLen)
+		}
+		for i, h := range prefix {
+			if got := a.At(h).id; got != int64(i+1) {
+				t.Fatalf("cycle %d: recorded entry %d holds %d, want %d", cycle, h, got, i+1)
+			}
+		}
+		recorded, stale := 0, 0
+		a.ForEach(func(h Handle, e *entry) {
+			switch {
+			case e.id > 0:
+				recorded++
+			case e.id != 0:
+				stale++
+			}
+		})
+		if recorded != len(prefix) || stale != 0 {
+			t.Fatalf("cycle %d: sweep after rewind saw %d recorded and %d stale entries, want %d and 0",
+				cycle, recorded, stale, len(prefix))
+		}
+		again := dirty()
+		for i := range first {
+			if again[i] != first[i] {
+				t.Fatalf("cycle %d: allocation %d after rewind = handle %d, want %d", cycle, i, again[i], first[i])
+			}
+		}
+	}
+}
+
+// TestRewindToEmptyPrefix: a prefix recorded on a fresh arena rewinds
+// to the state Reset produces.
+func TestRewindToEmptyPrefix(t *testing.T) {
+	a := New[entry]()
+	p := a.Record()
+	al := a.NewAllocator()
+	first := al.Alloc()
+	a.At(first).id = 5
+	a.Rewind(p)
+	al.Reset()
+	if a.Len() != 1 {
+		t.Fatalf("Len after rewind = %d, want 1", a.Len())
+	}
+	if h := al.Alloc(); h != first || a.At(h).id != 0 {
+		t.Fatalf("first handle after rewind = %d holding %d, want %d holding 0", h, a.At(h).id, first)
+	}
+}

@@ -191,6 +191,55 @@ func TestSessionShapeChange(t *testing.T) {
 	}
 }
 
+// TestSessionBoxChangeAndBack runs box A, box B, box A on one session.
+// The second run bootstraps anew and replaces the recorded bootstrap;
+// the third must bootstrap A again — not restore B's record, not a
+// stale A — and so equal a cold run of A on a fresh session bit for
+// bit, as must a fourth that restores A by copy.
+func TestSessionBoxChangeAndBack(t *testing.T) {
+	cfg := Config{Workers: 1, LivelockTimeout: time.Minute}
+	a, b := img.SpherePhantom(24), img.AbdominalPhantom(30, 30, 20)
+	alo, ahi := a.Bounds()
+	if blo, bhi := b.Bounds(); alo == blo && ahi == bhi {
+		t.Fatal("the two images share a virtual box")
+	}
+	cold := func(im *img.Image) (int, uint64) {
+		t.Helper()
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.Run(context.Background(), im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Elements(), meshFingerprint(res)
+	}
+	wantN := map[*img.Image]int{}
+	wantFP := map[*img.Image]uint64{}
+	wantN[a], wantFP[a] = cold(a)
+	wantN[b], wantFP[b] = cold(b)
+
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, im := range []*img.Image{a, b, a, a} {
+		res, err := s.Run(context.Background(), im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, fp := res.Elements(), meshFingerprint(res); n != wantN[im] || fp != wantFP[im] {
+			t.Fatalf("run %d: %d elements, fingerprint %x; a cold run gives %d, %x", i, n, fp, wantN[im], wantFP[im])
+		}
+		if err := res.Mesh.Check(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
 // TestSessionWarmSmallerRunChecks: a warm run that needs fewer arena
 // chunks than its predecessor must still sweep clean — Mesh.Check (and
 // every LiveCells caller) walks the recycled chunks, so a previous

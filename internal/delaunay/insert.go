@@ -170,7 +170,8 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 		// walk raced; re-checked here exactly.
 		return Failed
 	}
-	w.sc.visited[loc] = visitCavity
+	visited := &w.sc.visited
+	*visited.at(key1(loc)) = visitCavity
 	w.sc.cavity = append(w.sc.cavity, loc)
 
 	// Depth-first expansion; w.sc.cavity doubles as the worklist since
@@ -186,7 +187,11 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 				w.sc.boundary = append(w.sc.boundary, bFace{in: ch, face: f, out: arena.Nil})
 				continue
 			}
-			switch w.sc.visited[nb] {
+			// One probe per neighbor: a cell seen for the first time is
+			// marked through the same slot once it has been tested (an
+			// abort in between leaves the slot zero, i.e. unvisited).
+			mark := visited.at(key1(nb))
+			switch *mark {
 			case visitCavity:
 				continue
 			case visitOutside:
@@ -201,10 +206,10 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 				return Stale
 			}
 			if w.conflict(n, p) {
-				w.sc.visited[nb] = visitCavity
+				*mark = visitCavity
 				w.sc.cavity = append(w.sc.cavity, nb)
 			} else {
-				w.sc.visited[nb] = visitOutside
+				*mark = visitOutside
 				w.sc.boundary = append(w.sc.boundary, bFace{in: ch, face: f, out: nb})
 			}
 		}
@@ -213,11 +218,11 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 }
 
 // edgeKey canonicalizes an edge for internal-face matching.
-func edgeKey(a, b arena.Handle) [2]arena.Handle {
+func edgeKey(a, b arena.Handle) tkey {
 	if a > b {
 		a, b = b, a
 	}
-	return [2]arena.Handle{a, b}
+	return tkey{ab: uint64(a)<<32 | uint64(b)}
 }
 
 // commitInsert performs the irreversible part of an insertion: all
@@ -244,8 +249,8 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	// Phase 1: create and fully wire the new star among itself. The
 	// new cells stay unreachable from the live mesh until phase 2, so
 	// lock-free walkers never observe half-wired connectivity.
-	edges := w.sc.edges
-	clear(edges)
+	edges := &w.sc.edges
+	edges.clear()
 	for _, bf := range w.sc.boundary {
 		in := m.Cells.At(bf.in)
 		a := in.V[ftab[bf.face][0]]
@@ -267,13 +272,15 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 		// one edge of the triangle: face 0 ~ (b,c), face 1 ~ (a,c),
 		// face 2 ~ (a,b).
 		wire := func(x, y arena.Handle, face int) {
-			k := edgeKey(x, y)
-			if other, ok := edges[k]; ok {
+			// The first star cell on an edge waits in the table; the
+			// second wires both and empties the slot again.
+			other := edges.at(edgeKey(x, y))
+			if other.cell != arena.Nil {
 				nc.setNeighbor(face, other.cell)
 				m.Cells.At(other.cell).setNeighbor(other.face, nh)
-				delete(edges, k)
+				*other = edgeRef{}
 			} else {
-				edges[k] = edgeRef{nh, face}
+				*other = edgeRef{nh, face}
 			}
 		}
 		wire(b, c, 0)

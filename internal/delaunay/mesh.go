@@ -176,11 +176,28 @@ type Mesh struct {
 	// as a default walk start; refreshed by every commit.
 	firstCell atomic.Uint32
 
+	// boot is the bootstrapped triangulation over [boxLo, boxHi] as
+	// bootstrap left it, or nil when the last bootstrap failed. The
+	// initial triangulation is a pure function of the box, so a reset
+	// over the same box copies it back instead of rebuilding it.
+	boot *bootRecord
+
 	// recoveredBoot counts panics recovered (and retried) inside this
 	// mesh's bootstrap — only the fault harness can inject one there.
 	// Mesh.Reset zeroes it; resetTo does not, so the removal scratch
-	// meshes accumulate across the many rebuilds of one run.
+	// meshes accumulate across the rebuilds of one run (one per box:
+	// restoring a recorded bootstrap passes no injection site).
 	recoveredBoot atomic.Int64
+}
+
+// bootRecord is what a reset must put back besides the box and hull
+// fields, which nothing changes between bootstraps: both arenas'
+// contents, the stamp counter and the default walk start.
+type bootRecord struct {
+	verts     *arena.Prefix[Vertex]
+	cells     *arena.Prefix[Cell]
+	stamp     uint64
+	firstCell uint32
 }
 
 // BootstrapPanicRecoveries reports panics recovered inside this mesh's
@@ -205,13 +222,13 @@ func NewMesh(lo, hi geom.Vec3) (*Mesh, error) {
 		Verts: arena.New[Vertex](),
 		Cells: arena.New[Cell](),
 	}
-	if err := m.bootstrap(lo, hi); err != nil {
+	if err := m.resetTo(lo, hi); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Reset clears the mesh and rebuilds the initial triangulation over a
+// Reset clears the mesh and restores the initial triangulation over a
 // (possibly different) virtual box, retaining the arena chunks of the
 // previous build so a warm rebuild performs almost no allocation. It
 // must not race with any concurrent worker; a run session calls it
@@ -221,14 +238,35 @@ func (m *Mesh) Reset(lo, hi geom.Vec3) error {
 	return m.resetTo(lo, hi)
 }
 
-// resetTo clears the mesh and rebuilds the initial triangulation. Only
-// valid when the caller owns the mesh exclusively (vertex removal's
-// local triangulations, the inter-run reset of a session).
+// resetTo returns the mesh to the initial triangulation over [lo, hi].
+// Over the box of the last bootstrap it rewinds both arenas to the
+// recorded state, so handles are handed out afterwards in the same
+// sequence as after a rebuild; over any other box it rebuilds and
+// records anew. Only valid when the caller owns the mesh exclusively
+// (vertex removal's local triangulations, the inter-run reset of a
+// session).
 func (m *Mesh) resetTo(lo, hi geom.Vec3) error {
+	if b := m.boot; b != nil && lo == m.boxLo && hi == m.boxHi {
+		m.Verts.Rewind(b.verts)
+		m.Cells.Rewind(b.cells)
+		m.stamp.Store(b.stamp)
+		m.firstCell.Store(b.firstCell)
+		return nil
+	}
+	m.boot = nil
 	m.Verts.Reset()
 	m.Cells.Reset()
 	m.stamp.Store(0)
-	return m.bootstrap(lo, hi)
+	if err := m.bootstrap(lo, hi); err != nil {
+		return err
+	}
+	m.boot = &bootRecord{
+		verts:     m.Verts.Record(),
+		cells:     m.Cells.Record(),
+		stamp:     m.stamp.Load(),
+		firstCell: m.firstCell.Load(),
+	}
+	return nil
 }
 
 func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
@@ -348,18 +386,18 @@ func circum(m *Mesh, vh [4]arena.Handle) (geom.Vec3, float64) {
 
 // sortedFace returns face i of c as a sorted vertex-handle triple (a
 // canonical key for face matching).
-func sortedFace(c *Cell, i int) [3]arena.Handle {
-	k := [3]arena.Handle{c.V[ftab[i][0]], c.V[ftab[i][1]], c.V[ftab[i][2]]}
-	if k[0] > k[1] {
-		k[0], k[1] = k[1], k[0]
+func sortedFace(c *Cell, i int) tkey {
+	a, b, d := c.V[ftab[i][0]], c.V[ftab[i][1]], c.V[ftab[i][2]]
+	if a > b {
+		a, b = b, a
 	}
-	if k[1] > k[2] {
-		k[1], k[2] = k[2], k[1]
+	if b > d {
+		b, d = d, b
 	}
-	if k[0] > k[1] {
-		k[0], k[1] = k[1], k[0]
+	if a > b {
+		a, b = b, a
 	}
-	return k
+	return tkey{ab: uint64(a)<<32 | uint64(b), c: d}
 }
 
 // FirstCell returns a recently created cell to start walks from. It

@@ -1,7 +1,8 @@
 package delaunay
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/geom"
@@ -24,26 +25,16 @@ type rewire struct {
 	face    int
 }
 
-// removeScratch lazily builds, then clears, the removal maps of the
-// worker's pooled scratch, returning the hole map ready for use. Most
-// workers never remove, so the maps are not part of the pool's New.
-func (w *Worker) removeScratch() map[[3]arena.Handle]holeFace {
+// removeScratch clears the removal state of the worker's pooled scratch.
+func (w *Worker) removeScratch() {
 	sc := w.sc
-	if sc.hole == nil {
-		sc.hole = make(map[[3]arena.Handle]holeFace, 32)
-		sc.linkSet = make(map[arena.Handle]struct{}, 32)
-		sc.toGlobal = make(map[arena.Handle]arena.Handle, 32)
-		sc.localToNew = make(map[arena.Handle]arena.Handle, 32)
-	} else {
-		clear(sc.hole)
-		clear(sc.linkSet)
-		clear(sc.toGlobal)
-		clear(sc.localToNew)
-	}
+	sc.hole.clear()
+	sc.linkSeen.clear()
+	sc.toGlobal.clear()
+	sc.localToNew.clear()
 	sc.link = sc.link[:0]
 	sc.fill = sc.fill[:0]
 	sc.rewires = sc.rewires[:0]
-	return sc.hole
 }
 
 // Remove speculatively deletes vertex vh from the triangulation,
@@ -91,9 +82,11 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 		w.rollback()
 		return nil, Conflict
 	}
-	w.sc.visited[start] = visitCavity
+	visited := &w.sc.visited
+	*visited.at(key1(start)) = visitCavity
 	ball = append(ball, start)
-	hole := w.removeScratch()
+	w.removeScratch()
+	hole := &w.sc.hole
 	for i := 0; i < len(ball); i++ {
 		ch := ball[i]
 		c := m.Cells.At(ch)
@@ -104,7 +97,7 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 				// Face opposite v: hole boundary. nb is live: a
 				// neighbor pointer read under the face's vertex locks
 				// always refers to a live cell.
-				hole[sortedFace(c, f)] = holeFace{ball: ch, out: nb}
+				*hole.at(sortedFace(c, f)) = holeFace{ball: ch, out: nb}
 				continue
 			}
 			if nb == arena.Nil {
@@ -114,39 +107,42 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 				w.Stats.FailedOps++
 				return nil, Failed
 			}
-			if w.sc.visited[nb] != 0 {
+			mark := visited.at(key1(nb))
+			if *mark != 0 {
 				continue
 			}
 			if !w.lockCell(m.Cells.At(nb)) {
 				w.rollback()
 				return nil, Conflict
 			}
-			w.sc.visited[nb] = visitCavity
+			*mark = visitCavity
 			ball = append(ball, nb)
 		}
 	}
 	w.sc.cavity = ball
 
 	// Link vertices, sorted by global insertion stamp.
-	linkSet := w.sc.linkSet
+	linkSeen := &w.sc.linkSeen
+	link := w.sc.link
 	for _, ch := range ball {
 		c := m.Cells.At(ch)
-		for i := 0; i < 4; i++ {
-			if c.V[i] != vh {
-				linkSet[c.V[i]] = struct{}{}
+		for _, h := range c.V {
+			if h == vh {
+				continue
+			}
+			if seen := linkSeen.at(key1(h)); !*seen {
+				*seen = true
+				link = append(link, h)
 			}
 		}
 	}
-	link := w.sc.link[:0]
-	for h := range linkSet {
-		link = append(link, h)
-	}
 	w.sc.link = link
-	sort.Slice(link, func(i, j int) bool {
-		return m.Verts.At(link[i]).Stamp < m.Verts.At(link[j]).Stamp
+	slices.SortFunc(link, func(a, b arena.Handle) int {
+		return cmp.Compare(m.Verts.At(a).Stamp, m.Verts.At(b).Stamp)
 	})
 
-	fill, st := w.triangulateHole(v.Pos, link, hole)
+	// Every ball cell contributed exactly one hole face.
+	fill, st := w.triangulateHole(v.Pos, link, hole, len(ball))
 	if st != OK {
 		// No mutation has happened; release and report.
 		if st == Conflict {
@@ -188,13 +184,16 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 func (w *Worker) triangulateHole(
 	p geom.Vec3,
 	link []arena.Handle,
-	hole map[[3]arena.Handle]holeFace,
+	hole *table[holeFace],
+	holeFaces int,
 ) ([]arena.Handle, Status) {
 	m := w.m
 
-	// (Re)build the scratch mesh: the global hull's bounding box
-	// inflated 4x, so every global vertex — box corners and super-tet
-	// corners included — stays strictly interior to the scratch hull.
+	// Reset the scratch mesh: the global hull's bounding box inflated
+	// 4x, so every global vertex — box corners and super-tet corners
+	// included — stays strictly interior to the scratch hull. The box
+	// depends only on the global box, so after a worker's first removal
+	// of a run this restores the recorded bootstrap by copy.
 	lo, hi := m.superLo, m.superHi
 	span := hi.Sub(lo)
 	slo := lo.Sub(span.Scale(1.5))
@@ -216,14 +215,14 @@ func (w *Worker) triangulateHole(
 	sm, sw := w.scratch, w.scratchW
 
 	// Insert link vertices in stamp order, tracking local->global.
-	toGlobal := w.sc.toGlobal
+	toGlobal := &w.sc.toGlobal
 	hint := sm.FirstCell()
 	for _, gh := range link {
 		res, st := sw.Insert(m.Verts.At(gh).Pos, KindIso, hint)
 		if st != OK {
 			return nil, Failed
 		}
-		toGlobal[res.NewVert] = gh
+		*toGlobal.at(key1(res.NewVert)) = gh
 		hint = res.Created[0]
 	}
 
@@ -243,31 +242,31 @@ func (w *Worker) triangulateHole(
 	for _, lch := range sw.sc.cavity {
 		lc := sm.Cells.At(lch)
 		for i := 0; i < 4; i++ {
-			if _, ok := toGlobal[lc.V[i]]; !ok {
+			if toGlobal.get(key1(lc.V[i])) == arena.Nil {
 				return nil, Failed
 			}
 		}
 	}
 	// The conflict region's boundary must match the hole boundary
 	// exactly: same number of faces, every face present.
-	if len(sw.sc.boundary) != len(hole) {
+	if len(sw.sc.boundary) != holeFaces {
 		return nil, Failed
 	}
 
 	// Instantiate fill cells.
-	localToNew := w.sc.localToNew
+	localToNew := &w.sc.localToNew
 	fill := w.sc.fill[:0]
 	for _, lch := range sw.sc.cavity {
 		lc := sm.Cells.At(lch)
 		nh := w.ca.Alloc()
 		nc := m.Cells.At(nh)
 		for i := 0; i < 4; i++ {
-			nc.V[i] = toGlobal[lc.V[i]]
+			nc.V[i] = toGlobal.get(key1(lc.V[i]))
 		}
 		nc.CC, nc.R2 = circum(m, nc.V)
 		nc.flags.Store(0)
 		nc.Aux.Store(0)
-		localToNew[lch] = nh
+		*localToNew.at(key1(lch)) = nh
 		fill = append(fill, nh)
 	}
 
@@ -285,26 +284,26 @@ func (w *Worker) triangulateHole(
 	rewires := w.sc.rewires[:0]
 	for _, lch := range sw.sc.cavity {
 		lc := sm.Cells.At(lch)
-		nh := localToNew[lch]
+		nh := localToNew.get(key1(lch))
 		nc := m.Cells.At(nh)
 		for f := 0; f < 4; f++ {
 			lnb := lc.Neighbor(f)
-			if inner, ok := localToNew[lnb]; ok {
+			if inner := localToNew.get(key1(lnb)); inner != arena.Nil {
 				nc.setNeighbor(f, inner)
 				continue
 			}
-			key := sortedFace(nc, f)
-			hf, ok := hole[key]
-			if !ok {
+			// A hole face matches once: taking it empties its slot.
+			hf := hole.at(sortedFace(nc, f))
+			if hf.ball == arena.Nil {
 				discard()
 				return nil, Failed
 			}
 			nc.setNeighbor(f, hf.out)
 			rewires = append(rewires, rewire{out: hf.out, oldBall: hf.ball, cell: nh, face: f})
-			delete(hole, key)
+			*hf = holeFace{}
 		}
 	}
-	if len(hole) != 0 {
+	if len(rewires) != holeFaces {
 		discard()
 		return nil, Failed
 	}

@@ -79,7 +79,7 @@ type Worker struct {
 	locked []arena.Handle
 
 	// sc is the pooled per-operation scratch (cavity walk, boundary,
-	// removal maps), drawn from scratchPool so transient workers — the
+	// removal tables), drawn from scratchPool so transient workers — the
 	// bootstrap of every mesh (re)build, one-shot query workers — reuse
 	// buffers that long-lived workers warmed up.
 	sc *opScratch
@@ -103,29 +103,26 @@ type Worker struct {
 // worker's allocators: the Bowyer-Watson cavity walk state and the
 // vertex-removal bookkeeping. Instances cycle through scratchPool;
 // all fields are length-reset or cleared at the start of each use, so
-// stale contents are harmless.
+// stale contents are harmless. The lookup tables are generation-stamped
+// (see table), so clearing them costs the same after a large cavity as
+// after a small one, and they allocate on first use only.
 type opScratch struct {
 	cavity   []arena.Handle
 	boundary []bFace
-	visited  map[arena.Handle]uint8
-	edges    map[[2]arena.Handle]edgeRef
+	visited  table[uint8]   // cell -> visitCavity / visitOutside
+	edges    table[edgeRef] // star edge -> the new cell still waiting across it
 
-	// Vertex-removal state (nil until the worker's first Remove).
-	hole       map[[3]arena.Handle]holeFace
-	linkSet    map[arena.Handle]struct{}
-	link       []arena.Handle
-	toGlobal   map[arena.Handle]arena.Handle
-	localToNew map[arena.Handle]arena.Handle
+	// Vertex-removal state.
+	hole       table[holeFace]     // sorted hole face -> ball cell, outside cell
+	linkSeen   table[bool]         // link vertices already collected
+	link       []arena.Handle      // link vertices, sorted by stamp
+	toGlobal   table[arena.Handle] // scratch vertex -> global vertex
+	localToNew table[arena.Handle] // scratch conflict cell -> global fill cell
 	fill       []arena.Handle
 	rewires    []rewire
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &opScratch{
-		visited: make(map[arena.Handle]uint8, 64),
-		edges:   make(map[[2]arena.Handle]edgeRef, 64),
-	}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
 
 // bFace is a cavity boundary face: face `face` of inside (cavity) cell
 // `in`, with the live outside cell `out` across it.
@@ -272,7 +269,7 @@ func (w *Worker) reset() {
 	sc := w.sc
 	sc.cavity = sc.cavity[:0]
 	sc.boundary = sc.boundary[:0]
-	clear(sc.visited)
+	sc.visited.clear()
 	w.result.Created = w.result.Created[:0]
 	w.result.Killed = w.result.Killed[:0]
 	w.result.NewVert = arena.Nil
