@@ -25,7 +25,6 @@
 package cachestore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -75,43 +74,31 @@ func encodeBlob(meta blobMeta, snap *core.MeshSnapshot) (data []byte, etag strin
 	}
 	size := len(blobMagic) + 4 + len(metaJSON) + 8 + 8 + 1 +
 		24*len(snap.Verts) + 16*len(snap.Cells) + len(snap.Labels) + 8
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	buf.WriteString(blobMagic)
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(metaJSON)))
-	buf.Write(u32[:])
-	buf.Write(metaJSON)
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(snap.Verts)))
-	buf.Write(u64[:])
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(snap.Cells)))
-	buf.Write(u64[:])
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, size), blobMagic...)
+	b = append(le.AppendUint32(b, uint32(len(metaJSON))), metaJSON...)
+	b = le.AppendUint64(b, uint64(len(snap.Verts)))
+	b = le.AppendUint64(b, uint64(len(snap.Cells)))
 	if snap.Labels != nil {
-		buf.WriteByte(1)
+		b = append(b, 1)
 	} else {
-		buf.WriteByte(0)
+		b = append(b, 0)
 	}
 	for _, v := range snap.Verts {
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v.X))
-		buf.Write(u64[:])
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v.Y))
-		buf.Write(u64[:])
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v.Z))
-		buf.Write(u64[:])
+		b = le.AppendUint64(b, math.Float64bits(v.X))
+		b = le.AppendUint64(b, math.Float64bits(v.Y))
+		b = le.AppendUint64(b, math.Float64bits(v.Z))
 	}
 	for _, c := range snap.Cells {
-		for j := 0; j < 4; j++ {
-			binary.LittleEndian.PutUint32(u32[:], uint32(c[j]))
-			buf.Write(u32[:])
+		for _, idx := range c {
+			b = le.AppendUint32(b, uint32(idx))
 		}
 	}
 	for _, l := range snap.Labels {
-		buf.WriteByte(byte(l))
+		b = append(b, byte(l))
 	}
-	crc := crc64.Checksum(buf.Bytes(), crcTable)
-	binary.LittleEndian.PutUint64(u64[:], crc)
-	buf.Write(u64[:])
-	return buf.Bytes(), fmt.Sprintf("%016x", crc), nil
+	crc := crc64.Checksum(b, crcTable)
+	return le.AppendUint64(b, crc), fmt.Sprintf("%016x", crc), nil
 }
 
 // decodeBlob verifies and decodes a framed blob. The CRC is checked
@@ -160,23 +147,27 @@ func decodeBlob(data []byte) (blobMeta, *core.MeshSnapshot, string, error) {
 	if uint64(len(p)) != want {
 		return meta, nil, "", fmt.Errorf("cachestore: payload is %d bytes, header declares %d", len(p), want)
 	}
+	// One pass over each section, cut to its declared size up front so
+	// every element read below is in bounds by construction.
+	verts, cells, labels := p[:cellsAt], p[cellsAt:labelsAt], p[labelsAt:]
+	le := binary.LittleEndian
 	snap := &core.MeshSnapshot{
 		Summary: meta.Summary,
 		Verts:   make([]geom.Vec3, nVerts),
 		Cells:   make([][4]int32, nCells),
 	}
 	for i := range snap.Verts {
-		off := 24 * i
+		v := verts[24*i:][:24]
 		snap.Verts[i] = geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(p[off:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(p[off+8:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(p[off+16:])),
+			X: math.Float64frombits(le.Uint64(v[0:8])),
+			Y: math.Float64frombits(le.Uint64(v[8:16])),
+			Z: math.Float64frombits(le.Uint64(v[16:24])),
 		}
 	}
 	for i := range snap.Cells {
-		off := int(cellsAt) + 16*i
-		for j := 0; j < 4; j++ {
-			idx := int32(binary.LittleEndian.Uint32(p[off+4*j:]))
+		c := cells[16*i:][:16]
+		for j := range snap.Cells[i] {
+			idx := int32(le.Uint32(c[4*j:]))
 			// A CRC-valid blob written by us always indexes in range; a
 			// hand-crafted one must not crash a reader downstream.
 			if idx < 0 || uint64(idx) >= nVerts {
@@ -187,8 +178,8 @@ func decodeBlob(data []byte) (blobMeta, *core.MeshSnapshot, string, error) {
 	}
 	if hasLabels {
 		snap.Labels = make([]img.Label, nCells)
-		for i := range snap.Labels {
-			snap.Labels[i] = img.Label(p[int(labelsAt)+i])
+		for i, l := range labels {
+			snap.Labels[i] = img.Label(l)
 		}
 	}
 	return meta, snap, etag, nil

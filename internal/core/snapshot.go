@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/arena"
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/quality"
@@ -38,24 +39,30 @@ type MeshSnapshot struct {
 // still valid — before the next Run on the owning session — and is
 // the serving layer's bridge out of the lease window.
 func (r *Result) Snapshot() *MeshSnapshot {
-	s := &MeshSnapshot{
-		Summary: r.Summary(),
-		Cells:   make([][4]int32, len(r.Final)),
-	}
-	im := r.Config.Image
+	s := SnapshotOf(r.Mesh, r.Final, r.Config.Image)
+	s.Summary = r.Summary()
+	return s
+}
+
+// SnapshotOf copies the final cells of m into a MeshSnapshot with a
+// zero Summary: the one place the first-seen vertex compaction every
+// encoder's output order rests on is written down. Cells carry the
+// label at their circumcenter when im is non-nil.
+func SnapshotOf(m *delaunay.Mesh, final []arena.Handle, im *img.Image) *MeshSnapshot {
+	s := &MeshSnapshot{Cells: make([][4]int32, len(final))}
 	if im != nil {
-		s.Labels = make([]img.Label, len(r.Final))
+		s.Labels = make([]img.Label, len(final))
 	}
-	index := make(map[arena.Handle]int32, 4*len(r.Final))
-	for i, h := range r.Final {
-		c := r.Mesh.Cells.At(h)
+	index := make(map[arena.Handle]int32, 4*len(final))
+	for i, h := range final {
+		c := m.Cells.At(h)
 		for j := 0; j < 4; j++ {
 			vh := c.V[j]
 			idx, ok := index[vh]
 			if !ok {
 				idx = int32(len(s.Verts))
 				index[vh] = idx
-				s.Verts = append(s.Verts, r.Mesh.Pos(vh))
+				s.Verts = append(s.Verts, m.Pos(vh))
 			}
 			s.Cells[i][j] = idx
 		}

@@ -5,124 +5,34 @@
 package meshio
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/arena"
+	"repro/internal/core"
 	"repro/internal/delaunay"
 	"repro/internal/img"
 	"repro/internal/quality"
 )
 
 // WriteVTK writes the final cells as a legacy-ASCII VTK unstructured
-// grid. When im is non-nil, each tetrahedron carries its tissue label
+// grid, vertices compacted to those the final cells use, in first-seen
+// order. When im is non-nil, each tetrahedron carries its tissue label
 // (the label at its circumcenter) as cell data.
 func WriteVTK(w io.Writer, m *delaunay.Mesh, final []arena.Handle, im *img.Image) error {
-	bw := bufio.NewWriter(w)
-
-	// Compact the vertex set to those used by final cells.
-	index := make(map[arena.Handle]int)
-	var order []arena.Handle
-	for _, h := range final {
-		c := m.Cells.At(h)
-		for i := 0; i < 4; i++ {
-			if _, ok := index[c.V[i]]; !ok {
-				index[c.V[i]] = len(order)
-				order = append(order, c.V[i])
-			}
-		}
-	}
-
-	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
-	fmt.Fprintln(bw, "PI2M tetrahedral mesh")
-	fmt.Fprintln(bw, "ASCII")
-	fmt.Fprintln(bw, "DATASET UNSTRUCTURED_GRID")
-	fmt.Fprintf(bw, "POINTS %d double\n", len(order))
-	for _, vh := range order {
-		p := m.Pos(vh)
-		fmt.Fprintf(bw, "%g %g %g\n", p.X, p.Y, p.Z)
-	}
-	fmt.Fprintf(bw, "CELLS %d %d\n", len(final), 5*len(final))
-	for _, h := range final {
-		c := m.Cells.At(h)
-		fmt.Fprintf(bw, "4 %d %d %d %d\n",
-			index[c.V[0]], index[c.V[1]], index[c.V[2]], index[c.V[3]])
-	}
-	fmt.Fprintf(bw, "CELL_TYPES %d\n", len(final))
-	for range final {
-		fmt.Fprintln(bw, 10) // VTK_TETRA
-	}
-	if im != nil {
-		fmt.Fprintf(bw, "CELL_DATA %d\n", len(final))
-		fmt.Fprintln(bw, "SCALARS tissue int 1")
-		fmt.Fprintln(bw, "LOOKUP_TABLE default")
-		for _, h := range final {
-			fmt.Fprintln(bw, int(im.LabelAt(m.Cells.At(h).CC)))
-		}
-	}
-	return bw.Flush()
+	return WriteVTKSnapshot(w, core.SnapshotOf(m, final, im))
 }
 
 // WriteVTKFile is WriteVTK to a named file.
 func WriteVTKFile(path string, m *delaunay.Mesh, final []arena.Handle, im *img.Image) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteVTK(f, m, final, im); err != nil {
-		return err
-	}
-	return f.Sync()
+	return writeFile(path, AppendVTKSnapshot(nil, core.SnapshotOf(m, final, im)))
 }
 
 // WriteOFF writes boundary triangles as an OFF surface mesh. Vertices
 // are not deduplicated across triangles beyond exact position
 // equality.
-func WriteOFF(w io.Writer, tris []quality.Triangle) error {
-	bw := bufio.NewWriter(w)
-	type key [3]float64
-	index := make(map[key]int)
-	var pts []key
-	id := func(x, y, z float64) int {
-		k := key{x, y, z}
-		if i, ok := index[k]; ok {
-			return i
-		}
-		index[k] = len(pts)
-		pts = append(pts, k)
-		return len(pts) - 1
-	}
-	faces := make([][3]int, len(tris))
-	for i, t := range tris {
-		faces[i] = [3]int{
-			id(t.A.X, t.A.Y, t.A.Z),
-			id(t.B.X, t.B.Y, t.B.Z),
-			id(t.C.X, t.C.Y, t.C.Z),
-		}
-	}
-	fmt.Fprintln(bw, "OFF")
-	fmt.Fprintf(bw, "%d %d 0\n", len(pts), len(faces))
-	for _, p := range pts {
-		fmt.Fprintf(bw, "%g %g %g\n", p[0], p[1], p[2])
-	}
-	for _, f := range faces {
-		fmt.Fprintf(bw, "3 %d %d %d\n", f[0], f[1], f[2])
-	}
-	return bw.Flush()
-}
+func WriteOFF(w io.Writer, tris []quality.Triangle) error { return writeOnce(w, appendOFF(nil, tris)) }
 
 // WriteOFFFile is WriteOFF to a named file.
 func WriteOFFFile(path string, tris []quality.Triangle) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteOFF(f, tris); err != nil {
-		return err
-	}
-	return f.Sync()
+	return writeFile(path, appendOFF(nil, tris))
 }

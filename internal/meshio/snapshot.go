@@ -1,47 +1,25 @@
 package meshio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
 )
 
-// WriteVTKSnapshot writes a MeshSnapshot as a legacy-ASCII VTK
+// AppendVTKSnapshot appends a MeshSnapshot to b as a legacy-ASCII VTK
 // unstructured grid — byte-identical to WriteVTK over the Result the
-// snapshot was taken from (the snapshot preserves WriteVTK's
-// first-seen vertex compaction). This is the off-lease encoding path
-// of the serving layer: the snapshot is copied out while the session
-// lease is held, and the (much slower) text encoding happens after
-// the session is already serving the next job.
+// snapshot was taken from — without allocating when b has room. It is
+// the serving layer's off-lease encoding path: the snapshot is copied
+// out under the session lease, and the text (about 0.25 GB/s) is
+// produced after the session has moved on to the next job.
+func AppendVTKSnapshot(b []byte, s *core.MeshSnapshot) []byte {
+	return appendVTK(b, s.Verts, s.Cells, s.Labels, s.Labels != nil)
+}
+
+// WriteVTKSnapshot writes AppendVTKSnapshot's encoding to w.
 func WriteVTKSnapshot(w io.Writer, s *core.MeshSnapshot) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
-	fmt.Fprintln(bw, "PI2M tetrahedral mesh")
-	fmt.Fprintln(bw, "ASCII")
-	fmt.Fprintln(bw, "DATASET UNSTRUCTURED_GRID")
-	fmt.Fprintf(bw, "POINTS %d double\n", len(s.Verts))
-	for _, p := range s.Verts {
-		fmt.Fprintf(bw, "%g %g %g\n", p.X, p.Y, p.Z)
-	}
-	fmt.Fprintf(bw, "CELLS %d %d\n", len(s.Cells), 5*len(s.Cells))
-	for _, c := range s.Cells {
-		fmt.Fprintf(bw, "4 %d %d %d %d\n", c[0], c[1], c[2], c[3])
-	}
-	fmt.Fprintf(bw, "CELL_TYPES %d\n", len(s.Cells))
-	for range s.Cells {
-		fmt.Fprintln(bw, 10) // VTK_TETRA
-	}
-	if s.Labels != nil {
-		fmt.Fprintf(bw, "CELL_DATA %d\n", len(s.Cells))
-		fmt.Fprintln(bw, "SCALARS tissue int 1")
-		fmt.Fprintln(bw, "LOOKUP_TABLE default")
-		for _, l := range s.Labels {
-			fmt.Fprintln(bw, int(l))
-		}
-	}
-	return bw.Flush()
+	return writeOnce(w, AppendVTKSnapshot(nil, s))
 }
 
 // RawFromSnapshot adapts a MeshSnapshot to the RawMesh shape the fem
@@ -60,31 +38,34 @@ func RawFromSnapshot(s *core.MeshSnapshot) *RawMesh {
 	return m
 }
 
-// WriteVTKSnapshotField writes the snapshot as VTK exactly like
-// WriteVTKSnapshot, then appends a POINT_DATA section carrying one
-// scalar field u (one value per snapshot vertex, in vertex order) —
-// the encoding a simulation endpoint returns so the solved field can
-// be visualized on the mesh it was computed on.
-func WriteVTKSnapshotField(w io.Writer, s *core.MeshSnapshot, name string, u []float64) error {
+// AppendVTKSnapshotField is AppendVTKSnapshot followed by a POINT_DATA
+// section carrying one scalar field u (one value per snapshot vertex,
+// in vertex order) — the encoding a simulation endpoint returns so the
+// solved field can be visualized on the mesh it was computed on.
+func AppendVTKSnapshotField(b []byte, s *core.MeshSnapshot, name string, u []float64) ([]byte, error) {
 	if len(u) != len(s.Verts) {
-		return fmt.Errorf("meshio: field %q has %d values for %d vertices", name, len(u), len(s.Verts))
+		return b, fmt.Errorf("meshio: field %q has %d values for %d vertices", name, len(u), len(s.Verts))
 	}
-	bw := bufio.NewWriter(w)
-	if err := WriteVTKSnapshot(bw, s); err != nil {
-		return err
-	}
-	fmt.Fprintf(bw, "POINT_DATA %d\n", len(s.Verts))
-	fmt.Fprintf(bw, "SCALARS %s double 1\n", name)
-	fmt.Fprintln(bw, "LOOKUP_TABLE default")
-	for _, v := range u {
-		fmt.Fprintf(bw, "%g\n", v)
-	}
-	return bw.Flush()
+	return appendField(AppendVTKSnapshot(b, s), name, u), nil
 }
 
-// WriteOFFSnapshot writes the snapshot's boundary triangulation as an
-// OFF surface mesh, extracting the boundary from the copied geometry
+// WriteVTKSnapshotField writes AppendVTKSnapshotField's encoding to w.
+func WriteVTKSnapshotField(w io.Writer, s *core.MeshSnapshot, name string, u []float64) error {
+	b, err := AppendVTKSnapshotField(nil, s, name, u)
+	if err != nil {
+		return err
+	}
+	return writeOnce(w, b)
+}
+
+// AppendOFFSnapshot appends the snapshot's boundary triangulation as
+// an OFF surface mesh, extracting the boundary from the copied geometry
 // (MeshSnapshot.BoundaryTriangles) — no mesh or lease required.
+func AppendOFFSnapshot(b []byte, s *core.MeshSnapshot) []byte {
+	return appendOFF(b, s.BoundaryTriangles())
+}
+
+// WriteOFFSnapshot writes AppendOFFSnapshot's encoding to w.
 func WriteOFFSnapshot(w io.Writer, s *core.MeshSnapshot) error {
-	return WriteOFF(w, s.BoundaryTriangles())
+	return writeOnce(w, AppendOFFSnapshot(nil, s))
 }

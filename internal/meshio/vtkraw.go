@@ -19,49 +19,18 @@ type RawMesh struct {
 	Labels []int // optional per-cell tissue labels (len 0 or len(Cells))
 }
 
-// WriteVTKRaw writes a RawMesh as a legacy-ASCII VTK unstructured
-// grid.
-func WriteVTKRaw(w io.Writer, m *RawMesh) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
-	fmt.Fprintln(bw, "PI2M tetrahedral mesh")
-	fmt.Fprintln(bw, "ASCII")
-	fmt.Fprintln(bw, "DATASET UNSTRUCTURED_GRID")
-	fmt.Fprintf(bw, "POINTS %d double\n", len(m.Verts))
-	for _, p := range m.Verts {
-		fmt.Fprintf(bw, "%g %g %g\n", p.X, p.Y, p.Z)
-	}
-	fmt.Fprintf(bw, "CELLS %d %d\n", len(m.Cells), 5*len(m.Cells))
-	for _, c := range m.Cells {
-		fmt.Fprintf(bw, "4 %d %d %d %d\n", c[0], c[1], c[2], c[3])
-	}
-	fmt.Fprintf(bw, "CELL_TYPES %d\n", len(m.Cells))
-	for range m.Cells {
-		fmt.Fprintln(bw, 10)
-	}
-	if len(m.Labels) == len(m.Cells) && len(m.Labels) > 0 {
-		fmt.Fprintf(bw, "CELL_DATA %d\n", len(m.Cells))
-		fmt.Fprintln(bw, "SCALARS tissue int 1")
-		fmt.Fprintln(bw, "LOOKUP_TABLE default")
-		for _, l := range m.Labels {
-			fmt.Fprintln(bw, l)
-		}
-	}
-	return bw.Flush()
+// appendVTKRaw appends a RawMesh as VTK; labels that do not cover the
+// cells one to one are left out.
+func appendVTKRaw(b []byte, m *RawMesh) []byte {
+	return appendVTK(b, m.Verts, m.Cells, m.Labels, len(m.Labels) == len(m.Cells) && len(m.Labels) > 0)
 }
 
+// WriteVTKRaw writes a RawMesh as a legacy-ASCII VTK unstructured
+// grid.
+func WriteVTKRaw(w io.Writer, m *RawMesh) error { return writeOnce(w, appendVTKRaw(nil, m)) }
+
 // WriteVTKRawFile is WriteVTKRaw to a named file.
-func WriteVTKRawFile(path string, m *RawMesh) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteVTKRaw(f, m); err != nil {
-		return err
-	}
-	return f.Sync()
-}
+func WriteVTKRawFile(path string, m *RawMesh) error { return writeFile(path, appendVTKRaw(nil, m)) }
 
 // ReadVTK parses the legacy-ASCII tetrahedral VTK files this package
 // writes (POINTS/CELLS/CELL_TYPES and the optional tissue scalars).

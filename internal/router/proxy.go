@@ -493,7 +493,8 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 		}, true
 	}
 
-	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
+	raw, err := serve.ReadSized(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes),
+		min(req.ContentLength, r.cfg.MaxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -504,7 +505,7 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "reading body: %v", err)
 		return routePlan{}, false
 	}
-	specJSON, image, err := serve.SplitSpecImage(req.Header.Get("Content-Type"), bytes.NewReader(raw))
+	specJSON, image, err := serve.SplitSpecImage(req.Header.Get("Content-Type"), bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "reading body: %v", err)
 		return routePlan{}, false

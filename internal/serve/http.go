@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -108,13 +111,34 @@ func (w *codeWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// maxPresize bounds what a declared Content-Length may make ReadSized
+// allocate before a byte has arrived: a length is a claim, and a client
+// that claims 64 MiB and sends nothing must not cost 64 MiB.
+const maxPresize = 1 << 20
+
+// ReadSized reads r to EOF like io.ReadAll, into a buffer presized from
+// the body's declared length (a Request.ContentLength), so that a body
+// as long as it says is read without a single growth copy. A negative
+// length means unknown and is io.ReadAll. A wrong declaration costs
+// only what it saves: a longer body is still read whole, a shorter one
+// leaves spare capacity no larger than maxPresize. Size capping is the
+// caller's job (wrap r in an http.MaxBytesReader).
+func ReadSized(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(declared, maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // readUpload reads the request body under the MaxRequestBytes cap and
 // splits it into its JSON spec part (nil when there is none) and its
 // image payload. On failure it has answered — 413 over the cap, 400
 // otherwise — and ok is false.
 func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, image []byte, ok bool) {
 	specJSON, image, err := SplitSpecImage(r.Header.Get("Content-Type"),
-		http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+		http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), min(r.ContentLength, s.cfg.MaxRequestBytes))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
@@ -261,20 +285,61 @@ func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err er
 		s.writeMeshError(w, err)
 		return
 	}
+	contentType, encode := "text/vtk", meshio.AppendVTKSnapshot
+	if j.format == "off" {
+		contentType, encode = "model/off", meshio.AppendOFFSnapshot
+	}
+	body, err := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
+	if err != nil {
+		s.writeMeshError(w, err)
+		return
+	}
 	if j.cacheOnly {
 		w.Header().Set(CacheOnlyHeader, "hit")
 	}
 	if sr.ETag != "" {
 		w.Header().Set("ETag", EntityTag(sr.ETag, j.format))
 	}
-	switch j.format {
-	case "off":
-		w.Header().Set("Content-Type", "model/off")
-		meshio.WriteOFFSnapshot(w, sr.Snapshot)
-	default:
-		w.Header().Set("Content-Type", "text/vtk")
-		meshio.WriteVTKSnapshot(w, sr.Snapshot)
+	sendBody(w, contentType, body)
+}
+
+// bodyPool keeps encode buffers between responses. A buffer that grew
+// past maxPooledBody goes to the collector instead of back to the pool,
+// so one huge mesh does not pin its body's size for the process's life.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 8 << 20
+
+func releaseBody(body *[]byte) {
+	if cap(*body) <= maxPooledBody {
+		bodyPool.Put(body)
 	}
+}
+
+// encodeBody runs an append-style encoder into a pooled buffer. Every
+// 200 with an entity is encoded whole before its first header is set:
+// that is what lets sendBody frame it by length, and what leaves an
+// encode that fails still in time to be answered as the 500 it is, with
+// nothing of the entity on the wire. A returned body goes to sendBody.
+func encodeBody(encode func([]byte) ([]byte, error)) (*[]byte, error) {
+	body := bodyPool.Get().(*[]byte)
+	var err error
+	if *body, err = encode((*body)[:0]); err != nil {
+		releaseBody(body)
+		return nil, fmt.Errorf("encoding the response: %w", err)
+	}
+	return body, nil
+}
+
+// sendBody sends an encoded body under an exact Content-Length, in one
+// Write, and gives its buffer back: the response is length-framed, not
+// chunked, so a client or a proxy can tell a truncated mesh from a
+// complete one.
+func sendBody(w http.ResponseWriter, contentType string, body *[]byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(*body)))
+	w.Write(*body)
+	releaseBody(body)
 }
 
 // handleCacheProbe is GET /v1/cache/{imageKey}/{variant}: the body-less

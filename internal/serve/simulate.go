@@ -503,7 +503,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	outcome("ok")
 	s.mSolveSeconds.Observe(solveSecs)
 	s.mSolveIters.Observe(float64(sol.Iterations))
 
@@ -525,16 +524,34 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		summary.FieldMin = math.Min(summary.FieldMin, u)
 		summary.FieldMax = math.Max(summary.FieldMax, u)
 	}
+	s.replySimulation(w, spec.Format, sr.Snapshot, sol.U, &summary)
+}
 
-	if spec.Format == "summary" {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(summary)
+// replySimulation encodes and sends a solved simulation: the summary
+// alone as indented JSON for format "summary", otherwise the field u on
+// its mesh as VTK with the summary compacted into X-Simulate-Summary.
+// It settles the job's outcome before the first byte leaves, so the
+// count is there by the time the client has its answer.
+func (s *Server) replySimulation(w http.ResponseWriter, format string, snap *core.MeshSnapshot, u []float64, summary *SimSummary) {
+	contentType, encode := "text/vtk", func(b []byte) ([]byte, error) {
+		return meshio.AppendVTKSnapshotField(b, snap, "u", u)
+	}
+	if format == "summary" {
+		contentType, encode = "application/json", func(b []byte) ([]byte, error) {
+			doc, err := json.MarshalIndent(summary, "", "  ")
+			return append(append(b, doc...), '\n'), err
+		}
+	}
+	body, err := encodeBody(encode)
+	if err != nil {
+		s.mSimJobs.With("solve_failed").Inc() // a field that cannot be encoded is no answer
+		s.writeMeshError(w, err)
 		return
 	}
-	compact, _ := json.Marshal(summary)
-	w.Header().Set("X-Simulate-Summary", string(compact))
-	w.Header().Set("Content-Type", "text/vtk")
-	meshio.WriteVTKSnapshotField(w, sr.Snapshot, "u", sol.U)
+	s.mSimJobs.With("ok").Inc()
+	if format != "summary" {
+		compact, _ := json.Marshal(summary)
+		w.Header().Set("X-Simulate-Summary", string(compact))
+	}
+	sendBody(w, contentType, body)
 }

@@ -440,10 +440,12 @@ func (sz *SizeSpec) compile(im *img.Image) sizing.Func {
 // router derives its routing key from exactly the bytes the backend
 // will hash. Size capping is the caller's job (wrap body in an
 // http.MaxBytesReader); an overflow stays reachable through errors.As.
-func SplitSpecImage(contentType string, body io.Reader) (spec, image []byte, err error) {
+// declared is the body's Content-Length (negative when unknown), which
+// ReadSized presizes the image's buffer from.
+func SplitSpecImage(contentType string, body io.Reader, declared int64) (spec, image []byte, err error) {
 	mt, params, _ := mime.ParseMediaType(contentType)
 	if mt != "multipart/form-data" {
-		raw, err := io.ReadAll(body)
+		raw, err := ReadSized(body, declared)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -463,7 +465,11 @@ func SplitSpecImage(contentType string, body io.Reader) (spec, image []byte, err
 			return nil, nil, fmt.Errorf("reading multipart body: %w", perr)
 		}
 		name := p.FormName()
-		data, rerr := io.ReadAll(p)
+		partLen := int64(-1)
+		if name == "image" {
+			partLen = declared // all but the framing and a small spec
+		}
+		data, rerr := ReadSized(p, partLen)
 		p.Close()
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("reading part %q: %w", name, rerr)
