@@ -1,0 +1,52 @@
+package core_test
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/img"
+)
+
+// BenchmarkRefineW1 is the serve_miss workload's shape without the
+// daemon: one warm Workers=1 session cycling the three atlas phantoms
+// at the daemon workloads' scale (48), so every run pays the EDT and a
+// full refinement on a restored mesh. One iteration is one run. Profile
+// a kernel claim here (-cpuprofile) rather than through pi2md.
+func BenchmarkRefineW1(b *testing.B) {
+	images := []*img.Image{
+		img.AbdominalPhantom(48, 48, 32),
+		img.KneePhantom(48, 48, 48),
+		img.HeadNeckPhantom(48, 48, 48),
+	}
+	s, err := core.NewSession(core.Config{Workers: 1, LivelockTimeout: time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	run := func(i int) *core.Result {
+		res, err := s.Run(context.Background(), images[i%len(images)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status != core.StatusCompleted {
+			b.Fatalf("run %d: %v", i, res.Status)
+		}
+		return res
+	}
+	for i := range images {
+		run(i) // warm the arenas, grids and scratch meshes
+	}
+	var cells, ops, removals int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := run(i)
+		cells += int64(res.Elements())
+		ops += res.Stats.Inserts + res.Stats.Removals
+		removals += res.Stats.Removals
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(ops)/float64(b.N), "ops/run")
+	b.ReportMetric(float64(removals)/float64(b.N), "rem/run")
+}

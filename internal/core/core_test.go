@@ -42,6 +42,10 @@ func TestRunSphereSequential(t *testing.T) {
 	if res.Stats.Inserts == 0 {
 		t.Error("no insertions recorded")
 	}
+	// One worker owns the mesh outright: nothing is locked, ever.
+	if res.Stats.LocksAcquired != 0 {
+		t.Errorf("a single-worker run acquired %d vertex locks", res.Stats.LocksAcquired)
+	}
 	t.Logf("elements=%d inserts=%d removals=%d rules=%v",
 		res.Elements(), res.Stats.Inserts, res.Stats.Removals, res.Stats.RuleCounts)
 }
@@ -53,6 +57,9 @@ func TestRunSphereParallel(t *testing.T) {
 	}
 	if err := res.Mesh.Check(); err != nil {
 		t.Fatalf("final mesh invalid: %v", err)
+	}
+	if res.Stats.LocksAcquired == 0 {
+		t.Error("a four-worker run acquired no vertex locks")
 	}
 }
 

@@ -249,7 +249,10 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 		}
 	}()
 
-	t.drainInbox()
+	// A lone worker has nobody to fill its inbox.
+	if len(r.threads) > 1 {
+		t.drainInbox()
+	}
 
 	// Degradation mode: every thread but 0 forwards its work and then
 	// parks through the regular idle path.
@@ -383,10 +386,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// element" (Section 4.2) — and the thread consults the
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
-		t.pel = append(t.pel, pelItem{cell: ch, act: act, retries: t.cur.retries})
-		if n := len(t.pel) - 1; n > 0 {
-			t.pel[0], t.pel[n] = t.pel[n], t.pel[0]
-		}
+		t.pel = pushBottom(t.pel, pelItem{cell: ch, act: act, retries: t.cur.retries})
 		r.cm().OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
@@ -415,12 +415,24 @@ func (r *Refiner) doRemoval(t *thread, vh arena.Handle) {
 		r.flushScratch(t)
 	case delaunay.Conflict:
 		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
-		t.removals = append([]arena.Handle{vh}, t.removals...)
+		t.removals = pushBottom(t.removals, vh)
 		r.cm().OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale, delaunay.Failed:
 		// Already removed, or a degenerate link: keep the vertex (the
 		// quality rules still hold; R6 is a termination aid).
 	}
+}
+
+// pushBottom puts a rolled-back work item at the bottom of a thread's
+// LIFO stack, so the thread moves on to its other work first: push,
+// then swap with the bottom entry. Allocation free once the slice has
+// grown.
+func pushBottom[T any](stack []T, item T) []T {
+	stack = append(stack, item)
+	if n := len(stack) - 1; n > 0 {
+		stack[0], stack[n] = stack[n], stack[0]
+	}
+	return stack
 }
 
 // cellBudgetExceeded reports whether the MaxElements cap is hit.

@@ -238,7 +238,11 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 		s.mesh = m
 	}
 	r.mesh = s.mesh
-	// Panics the fault harness injected into the (single-owner)
+	// One worker is one owner: the mesh and the grids below take no
+	// locks (the aux goroutines of startAux only read run counters).
+	single := cfg.Workers == 1
+	s.mesh.SetSingleOwner(single)
+	// Panics the fault harness injected into the (sequential)
 	// bootstrap were recovered and retried in place; they still count
 	// toward the run's failure accounting.
 	r.recoveredPanics.Add(s.mesh.BootstrapPanicRecoveries())
@@ -253,6 +257,8 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	} else {
 		s.ccGrid = spatial.NewGrid(lo, hi, 2*cfg.Delta)
 	}
+	s.isoGrid.SetSingleOwner(single)
+	s.ccGrid.SetSingleOwner(single)
 	r.isoGrid, r.ccGrid = s.isoGrid, s.ccGrid
 
 	// Coordination state is cheap and run-scoped: built fresh.

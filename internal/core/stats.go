@@ -46,7 +46,8 @@ type RunStats struct {
 
 	Transfers balance.TransferStats
 
-	// Kernel-level counters.
+	// Kernel-level counters. LocksAcquired is 0 for a Workers == 1 run
+	// by design: its mesh is single-owner and takes no vertex locks.
 	WalkSteps     int64
 	LocksAcquired int64
 	CavityCells   int64

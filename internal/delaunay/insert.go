@@ -146,9 +146,11 @@ const (
 
 // growCavity expands the conflict region of p starting from the cell
 // loc, locking every touched vertex before reading connectivity
-// through it (the speculative-execution protocol). On OK, w.sc.cavity
-// lists the conflict cells and w.sc.boundary their boundary faces; all
-// their vertices (and the apexes of tested outside cells) are locked.
+// through it (the speculative-execution protocol). Every cell on the
+// worklist is fully locked, so a neighbor across one of its faces needs
+// only its apex acquired. On OK, w.sc.cavity lists the conflict cells
+// and w.sc.boundary their boundary faces; all their vertices (and the
+// apexes of tested outside cells) are locked.
 func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 	c0 := w.m.Cells.At(loc)
 	if !w.lockCell(c0) {
@@ -199,7 +201,7 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 				continue
 			}
 			n := w.m.Cells.At(nb)
-			if !w.lockCell(n) {
+			if !w.tryLock(apexAcross(c, f, n)) {
 				return Conflict
 			}
 			if n.Dead() {
@@ -231,24 +233,29 @@ func edgeKey(a, b arena.Handle) tkey {
 func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	m := w.m
 
-	// New vertex, born locked by this worker. Every field is written:
-	// arena slots may be recycled scratch storage.
+	// New vertex, born locked by this worker on a shared mesh. Every
+	// field is written: arena slots may be recycled scratch storage.
+	// Nothing can reach it before phase 2, so the stores are plain.
 	vh := w.va.Alloc()
 	v := m.Verts.At(vh)
 	v.Pos = p
 	v.Kind = kind
 	v.Stamp = m.stamp.Add(1)
-	v.flags.Store(0)
-	v.incident.Store(0)
-	v.lock.Store(w.tid + 1)
-	w.locked = append(w.locked, vh)
+	v.flags = 0
+	v.incident = 0
+	v.lock = 0
+	if !m.single {
+		v.lock = w.tid + 1
+		w.locked = append(w.locked, vh)
+	}
 	w.result.NewVert = vh
 
 	// One new cell per boundary face: (a, b, c, p), positively
 	// oriented because Orient3D(face, p) > 0 was verified.
-	// Phase 1: create and fully wire the new star among itself. The
-	// new cells stay unreachable from the live mesh until phase 2, so
-	// lock-free walkers never observe half-wired connectivity.
+	// Phase 1: create and fully wire the new star among itself, with
+	// plain stores. The new cells stay unreachable from the live mesh
+	// until phase 2, so lock-free walkers never observe half-wired
+	// connectivity.
 	edges := &w.sc.edges
 	edges.clear()
 	for _, bf := range w.sc.boundary {
@@ -259,14 +266,11 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 
 		nh := w.ca.Alloc()
 		nc := m.Cells.At(nh)
-		nc.V = [4]arena.Handle{a, b, c, vh}
-		nc.CC, nc.R2 = circum(m, nc.V)
-		nc.flags.Store(0)
-		nc.Aux.Store(0)
+		nc.init(m, [4]arena.Handle{a, b, c, vh})
 
 		// Across face 3 (= (a,b,c)) lies the old outside cell (or the
 		// hull).
-		nc.setNeighbor(3, bf.out)
+		nc.n[3] = uint32(bf.out)
 
 		// Faces 0,1,2 of (a,b,c,p) are internal; each corresponds to
 		// one edge of the triangle: face 0 ~ (b,c), face 1 ~ (a,c),
@@ -276,8 +280,8 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 			// second wires both and empties the slot again.
 			other := edges.at(edgeKey(x, y))
 			if other.cell != arena.Nil {
-				nc.setNeighbor(face, other.cell)
-				m.Cells.At(other.cell).setNeighbor(other.face, nh)
+				nc.n[face] = uint32(other.cell)
+				m.Cells.At(other.cell).n[other.face] = uint32(nh)
 				*other = edgeRef{}
 			} else {
 				*other = edgeRef{nh, face}
@@ -298,7 +302,7 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 		}
 		out := m.Cells.At(bf.out)
 		if j := out.FaceIndex(bf.in); j >= 0 {
-			out.setNeighbor(j, w.result.Created[i])
+			m.publish(out, j, w.result.Created[i])
 		}
 	}
 
@@ -306,13 +310,13 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	for _, nh := range w.result.Created {
 		nc := m.Cells.At(nh)
 		for i := 0; i < 4; i++ {
-			m.Verts.At(nc.V[i]).incident.Store(uint32(nh))
+			m.Verts.At(nc.V[i]).incident = uint32(nh)
 		}
 	}
 
 	// Retire the cavity.
 	for _, ch := range w.sc.cavity {
-		m.Cells.At(ch).flags.Or(cellDead)
+		m.kill(m.Cells.At(ch))
 		w.result.Killed = append(w.result.Killed, ch)
 	}
 

@@ -7,15 +7,51 @@
 // Concurrency protocol. Every operation (insertion or removal) locks —
 // via a compare-and-swap per-vertex lock — every vertex of every cell
 // it reads during cavity expansion or ball gathering, *before* reading
-// that cell's connectivity. Cell mutation (marking dead, rewiring a
-// neighbor pointer across a face) is only performed by an operation
-// holding the locks of the mutated cell's — respectively the shared
-// face's — vertices. Consequently, once an operation holds a cell's
-// four vertex locks and observes the cell alive, the cell's
-// connectivity is frozen until the operation completes. A failed lock
-// acquisition aborts the operation (a rollback): all held locks are
-// released, no mutation has happened, and the conflicting owner is
-// reported to the contention manager.
+// that cell's connectivity. A neighbor reached across a face of a cell
+// the operation has fully locked shares that face's three vertices, so
+// locking it means acquiring its one remaining vertex, the apex. Cell
+// mutation (marking dead, rewiring a neighbor pointer across a face)
+// is only performed by an operation holding the locks of the mutated
+// cell's — respectively the shared face's — vertices. Consequently,
+// once an operation holds a cell's four vertex locks and observes the
+// cell alive, the cell's connectivity is frozen until the operation
+// completes. A failed lock acquisition aborts the operation (a
+// rollback): all held locks are released, no mutation has happened,
+// and the conflicting owner is reported to the contention manager.
+//
+// Which accesses are atomic. Synchronization is paid where two workers
+// can meet, nowhere else:
+//
+//   - Vertex.Pos/Kind/Stamp and Cell.V/CC/R2 are written once, before
+//     the entry is reachable, and are plain ever after.
+//   - Vertex.lock, Vertex.flags, Cell.flags and the neighbor pointers
+//     can be read by a worker that holds no lock (the lock-free locate
+//     walk, a CAS on a contended vertex), so they are read with atomic
+//     loads — and written with atomic stores *once the entry is
+//     reachable*.
+//   - A new vertex, the star an insertion creates and the fill a
+//     removal creates are unreachable until the operation rewires the
+//     surviving outside cells to point at them. Everything written
+//     before that — every field of the new entries and the wiring of
+//     the new cells among themselves — is a plain store: initialize,
+//     then publish. The one atomic store per boundary face that
+//     publishes (Mesh.publish) is the release edge; the atomic load
+//     through which a walker first steps onto a new cell is the
+//     acquire edge, so it sees the entry complete.
+//   - Vertex.incident is read and written only by an operation holding
+//     that vertex's lock (and by sweeps of a quiesced mesh); the lock's
+//     acquire/release orders the accesses, so it is a plain field.
+//
+// Single-owner meshes. A mesh that only one goroutine at a time ever
+// touches needs none of the above: SetSingleOwner(true) makes tryLock a
+// no-op that acquires nothing (no CAS, no unlock store, LocksAcquired
+// stays 0, every Vertex.lock stays 0) and makes publish and kill plain
+// stores. It is one Mesh field read on the same code path, not a second
+// kernel. Two callers set it: the removal scratch mesh (always — its
+// worker is the only goroutine that can reach it) and core.Session for
+// a Workers == 1 run. NewMesh returns a shared mesh. The fault
+// harness's LockDeny site fires ahead of the shortcut, so a
+// single-owner mesh still sees synthetic denials and rolls back.
 //
 // Storage is append-only (package arena): a speculative reader holding
 // a stale handle always sees type-stable memory, at worst flagged
@@ -49,17 +85,18 @@ const (
 )
 
 // Vertex is a mesh vertex. Pos, Kind and Stamp are immutable after
-// creation; lock, flags and incident are atomic.
+// creation; lock and flags are accessed atomically once the vertex is
+// reachable; incident is guarded by lock (see the package comment).
 type Vertex struct {
 	Pos  geom.Vec3
-	lock atomic.Int32 // 0 free, otherwise owner worker id + 1
+	lock int32 // 0 free, otherwise owner worker id + 1
 
 	// incident is a hint: a cell that contained this vertex when the
 	// last operation holding this vertex's lock committed. For a live,
 	// locked vertex the hint is a live cell containing it.
-	incident atomic.Uint32
+	incident uint32
 
-	flags atomic.Uint32 // vertDead
+	flags uint32 // vertDead
 
 	// Stamp is the global insertion order, used to replay insertions
 	// in the same order inside the local triangulations of vertex
@@ -72,14 +109,15 @@ type Vertex struct {
 const vertDead = 1
 
 // Dead reports whether the vertex has been removed from the mesh.
-func (v *Vertex) Dead() bool { return v.flags.Load()&vertDead != 0 }
+func (v *Vertex) Dead() bool { return atomic.LoadUint32(&v.flags)&vertDead != 0 }
 
-// Incident returns the vertex's incident-cell hint.
-func (v *Vertex) Incident() arena.Handle { return arena.Handle(v.incident.Load()) }
+// Incident returns the vertex's incident-cell hint. The caller holds
+// the vertex's lock or has the mesh quiesced.
+func (v *Vertex) Incident() arena.Handle { return arena.Handle(v.incident) }
 
 // LockedBy returns the id of the worker currently holding the vertex
 // lock, or -1 when free. Intended for diagnostics.
-func (v *Vertex) LockedBy() int { return int(v.lock.Load()) - 1 }
+func (v *Vertex) LockedBy() int { return int(atomic.LoadInt32(&v.lock)) - 1 }
 
 // Cell flags.
 const (
@@ -91,22 +129,24 @@ const (
 )
 
 // Cell is a tetrahedron. V, CC and R2 are immutable after creation;
-// neighbor pointers and flags are atomic and mutated only under the
-// locking protocol described in the package comment.
+// neighbor pointers and flags are accessed atomically once the cell is
+// reachable and mutated only under the locking protocol described in
+// the package comment.
 type Cell struct {
 	// V holds the four vertex handles, positively oriented:
 	// Orient3D(V[0], V[1], V[2], V[3]) > 0.
 	V [4]arena.Handle
-	n [4]atomic.Uint32
+	n [4]uint32
 
 	// CC and R2 cache the circumcenter and squared circumradius.
 	CC geom.Vec3
 	R2 float64
 
-	flags atomic.Uint32
+	flags uint32
 
 	// Aux is scratch space for the refiner's per-cell bookkeeping
-	// (poor-element-list membership); the kernel never touches it.
+	// (poor-element-list membership); the kernel only zeroes it when it
+	// initializes the cell.
 	Aux atomic.Uint64
 }
 
@@ -116,25 +156,44 @@ type Cell struct {
 var ftab = [4][3]int{{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}}
 
 // Dead reports whether the cell has been replaced by a later operation.
-func (c *Cell) Dead() bool { return c.flags.Load()&cellDead != 0 }
+func (c *Cell) Dead() bool { return atomic.LoadUint32(&c.flags)&cellDead != 0 }
 
 // Inside reports whether the refiner classified the cell as having its
 // circumcenter inside the object.
-func (c *Cell) Inside() bool { return c.flags.Load()&CellInside != 0 }
+func (c *Cell) Inside() bool { return atomic.LoadUint32(&c.flags)&CellInside != 0 }
 
 // SetInside raises the CellInside flag (classification is monotone:
 // a cell's circumcenter position never changes, so the flag is only
-// ever set once, at creation).
+// ever set once, at creation). The cell is already published, and
+// another worker may be retiring it: an atomic read-modify-write.
 func (c *Cell) SetInside(in bool) {
 	if in {
-		c.flags.Or(CellInside)
+		atomic.OrUint32(&c.flags, CellInside)
 	}
 }
 
 // Neighbor returns the cell across face i (arena.Nil on the hull).
-func (c *Cell) Neighbor(i int) arena.Handle { return arena.Handle(c.n[i].Load()) }
+func (c *Cell) Neighbor(i int) arena.Handle { return arena.Handle(atomic.LoadUint32(&c.n[i])) }
 
-func (c *Cell) setNeighbor(i int, h arena.Handle) { c.n[i].Store(uint32(h)) }
+// init fills in every field of a freshly allocated cell with plain
+// stores: nothing can reach it yet, and arena slots may be recycled
+// scratch storage, so nothing is left as found. Its neighbors start
+// out Nil.
+func (c *Cell) init(m *Mesh, v [4]arena.Handle) {
+	c.V = v
+	c.n = [4]uint32{}
+	c.CC, c.R2 = circum(m, v)
+	c.flags = 0
+	c.Aux = atomic.Uint64{}
+}
+
+// apexAcross returns the vertex of n opposite the face it shares with
+// face f of c. XOR-ing the three vertices of that face with n's four
+// cancels the shared ones and leaves the apex.
+func apexAcross(c *Cell, f int, n *Cell) arena.Handle {
+	return c.V[ftab[f][0]] ^ c.V[ftab[f][1]] ^ c.V[ftab[f][2]] ^
+		n.V[0] ^ n.V[1] ^ n.V[2] ^ n.V[3]
+}
 
 // FaceIndex returns which face of c is shared with neighbor handle nb,
 // or -1 if nb is not a neighbor.
@@ -164,6 +223,10 @@ func (c *Cell) HasVert(v arena.Handle) bool { return c.VertIndex(v) >= 0 }
 type Mesh struct {
 	Verts *arena.Arena[Vertex]
 	Cells *arena.Arena[Cell]
+
+	// single marks a mesh only one goroutine at a time touches: locks,
+	// publishes and kills are plain (see SetSingleOwner).
+	single bool
 
 	stamp atomic.Uint64
 
@@ -203,6 +266,44 @@ type bootRecord struct {
 // BootstrapPanicRecoveries reports panics recovered inside this mesh's
 // bootstrap since construction or the last Reset.
 func (m *Mesh) BootstrapPanicRecoveries() int64 { return m.recoveredBoot.Load() }
+
+// SetSingleOwner declares whether, from now until the next call, a
+// single goroutine at a time operates on the mesh — workers, walkers
+// and readers included. On a single-owner mesh operations acquire no
+// vertex locks and publish with plain stores; the results are those of
+// a shared mesh, cell for cell. The call itself must not race with any
+// use of the mesh. Meshes start out shared.
+func (m *Mesh) SetSingleOwner(on bool) { m.single = on }
+
+// publish points face i of the reachable cell c at h. On a shared mesh
+// this is the atomic store that makes a new star or fill visible to
+// lock-free walkers, everything written before it included.
+func (m *Mesh) publish(c *Cell, i int, h arena.Handle) {
+	if m.single {
+		c.n[i] = uint32(h)
+		return
+	}
+	atomic.StoreUint32(&c.n[i], uint32(h))
+}
+
+// kill retires the reachable cell c. SetInside may be racing on the
+// same word of a shared mesh, hence the read-modify-write.
+func (m *Mesh) kill(c *Cell) {
+	if m.single {
+		c.flags |= cellDead
+		return
+	}
+	atomic.OrUint32(&c.flags, cellDead)
+}
+
+// killVert marks the reachable vertex v removed.
+func (m *Mesh) killVert(v *Vertex) {
+	if m.single {
+		v.flags = vertDead
+		return
+	}
+	atomic.StoreUint32(&v.flags, vertDead)
+}
 
 // NewMesh builds the initial triangulation enclosing the virtual box
 // [lo, hi] (paper Fig. 1a). A super-tetrahedron comfortably containing
@@ -294,8 +395,8 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 		v.Pos = ctr.Add(d.Scale(3 * r * 3 / 1.7320508075688772)) // |d| = sqrt(3)
 		v.Kind = KindBox
 		v.Stamp = m.stamp.Add(1)
-		v.flags.Store(0)
-		v.lock.Store(0)
+		v.flags = 0
+		v.lock = 0
 		sv[i] = h
 	}
 	if predicates.Orient3D(m.Verts.At(sv[0]).Pos, m.Verts.At(sv[1]).Pos,
@@ -303,16 +404,9 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 		sv[1], sv[2] = sv[2], sv[1]
 	}
 	ch := ca.Alloc()
-	c := m.Cells.At(ch)
-	c.V = sv
-	c.CC, c.R2 = circum(m, sv)
-	c.flags.Store(0)
-	c.Aux.Store(0)
-	for i := 0; i < 4; i++ {
-		c.setNeighbor(i, arena.Nil)
-	}
+	m.Cells.At(ch).init(m, sv)
 	for _, h := range sv {
-		m.Verts.At(h).incident.Store(uint32(ch))
+		m.Verts.At(h).incident = uint32(ch)
 	}
 	m.firstCell.Store(uint32(ch))
 	m.hullVolume = geom.TetraVolume(m.Verts.At(sv[0]).Pos, m.Verts.At(sv[1]).Pos,
@@ -334,9 +428,9 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 			Y: pick(b&2 != 0, hi.Y, lo.Y),
 			Z: pick(b&4 != 0, hi.Z, lo.Z),
 		}
-		// Bootstrap runs single-owner, so a Conflict can only be a
-		// synthetic CAS denial from the fault harness, and a panic in
-		// Insert only an injected one (every pre-commit site leaves
+		// Nobody else is on the mesh during bootstrap, so a Conflict can
+		// only be a synthetic CAS denial from the fault harness, and a
+		// panic in Insert only an injected one (every pre-commit site leaves
 		// the mesh untouched). Retry a bounded number of times rather
 		// than failing construction: the warm rebuild of a session
 		// runs with any active injector's After budgets long spent.

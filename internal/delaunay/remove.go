@@ -111,7 +111,8 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 			if *mark != 0 {
 				continue
 			}
-			if !w.lockCell(m.Cells.At(nb)) {
+			// c is fully locked: nb adds only its apex.
+			if !w.tryLock(apexAcross(c, f, m.Cells.At(nb))) {
 				w.rollback()
 				return nil, Conflict
 			}
@@ -159,15 +160,15 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	for _, nh := range fill {
 		nc := m.Cells.At(nh)
 		for i := 0; i < 4; i++ {
-			m.Verts.At(nc.V[i]).incident.Store(uint32(nh))
+			m.Verts.At(nc.V[i]).incident = uint32(nh)
 		}
 		w.result.Created = append(w.result.Created, nh)
 	}
 	for _, ch := range ball {
-		m.Cells.At(ch).flags.Or(cellDead)
+		m.kill(m.Cells.At(ch))
 		w.result.Killed = append(w.result.Killed, ch)
 	}
-	v.flags.Or(vertDead)
+	m.killVert(v)
 	m.firstCell.Store(uint32(fill[0]))
 	w.Stats.Removals++
 	w.unlockAll()
@@ -203,6 +204,8 @@ func (w *Worker) triangulateHole(
 		if err != nil {
 			return nil, Failed
 		}
+		// Only this worker's goroutine can ever reach the scratch mesh.
+		sm.SetSingleOwner(true)
 		w.scratch = sm
 		w.scratchW = w.scratch.NewWorker(0)
 	} else {
@@ -259,26 +262,25 @@ func (w *Worker) triangulateHole(
 	for _, lch := range sw.sc.cavity {
 		lc := sm.Cells.At(lch)
 		nh := w.ca.Alloc()
-		nc := m.Cells.At(nh)
+		var gv [4]arena.Handle
 		for i := 0; i < 4; i++ {
-			nc.V[i] = toGlobal.get(key1(lc.V[i]))
+			gv[i] = toGlobal.get(key1(lc.V[i]))
 		}
-		nc.CC, nc.R2 = circum(m, nc.V)
-		nc.flags.Store(0)
-		nc.Aux.Store(0)
+		m.Cells.At(nh).init(m, gv)
 		*localToNew.at(key1(lch)) = nh
 		fill = append(fill, nh)
 	}
 
 	w.sc.fill = fill
 
-	// Wire adjacency. Interior faces copy the local structure;
-	// boundary faces attach to the hole.
+	// Wire adjacency with plain stores (the fill is still unreachable).
+	// Interior faces copy the local structure; boundary faces attach to
+	// the hole.
 	// discard abandons the (still unpublished) fill cells on a late
 	// failure so that post-hoc sweeps do not see them as live.
 	discard := func() {
 		for _, h := range fill {
-			m.Cells.At(h).flags.Or(cellDead)
+			m.Cells.At(h).flags = cellDead
 		}
 	}
 	rewires := w.sc.rewires[:0]
@@ -289,7 +291,7 @@ func (w *Worker) triangulateHole(
 		for f := 0; f < 4; f++ {
 			lnb := lc.Neighbor(f)
 			if inner := localToNew.get(key1(lnb)); inner != arena.Nil {
-				nc.setNeighbor(f, inner)
+				nc.n[f] = uint32(inner)
 				continue
 			}
 			// A hole face matches once: taking it empties its slot.
@@ -298,7 +300,7 @@ func (w *Worker) triangulateHole(
 				discard()
 				return nil, Failed
 			}
-			nc.setNeighbor(f, hf.out)
+			nc.n[f] = uint32(hf.out)
 			rewires = append(rewires, rewire{out: hf.out, oldBall: hf.ball, cell: nh, face: f})
 			*hf = holeFace{}
 		}
@@ -318,7 +320,7 @@ func (w *Worker) triangulateHole(
 		}
 		out := m.Cells.At(r.out)
 		if j := out.FaceIndex(r.oldBall); j >= 0 {
-			out.setNeighbor(j, r.cell)
+			m.publish(out, j, r.cell)
 		}
 	}
 	return fill, OK

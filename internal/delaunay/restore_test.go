@@ -10,7 +10,7 @@ import (
 )
 
 // vertState and cellState are the complete contents of an arena entry,
-// atomics read out, so two meshes compare field for field.
+// read out of a quiesced mesh, so two meshes compare field for field.
 type vertState struct {
 	h               arena.Handle
 	pos             geom.Vec3
@@ -51,16 +51,13 @@ func requireSameMesh(t *testing.T, what string, got, want *Mesh) {
 	}
 	verts := func(m *Mesh) (out []vertState) {
 		m.Verts.ForEach(func(h arena.Handle, v *Vertex) {
-			out = append(out, vertState{h, v.Pos, v.lock.Load(), v.incident.Load(), v.flags.Load(), v.Stamp, v.Kind})
+			out = append(out, vertState{h, v.Pos, v.lock, v.incident, v.flags, v.Stamp, v.Kind})
 		})
 		return out
 	}
 	cells := func(m *Mesh) (out []cellState) {
 		m.Cells.ForEach(func(h arena.Handle, c *Cell) {
-			s := cellState{h: h, v: c.V, cc: c.CC, r2: c.R2, flags: c.flags.Load(), aux: c.Aux.Load()}
-			for i := range s.n {
-				s.n[i] = c.n[i].Load()
-			}
+			s := cellState{h: h, v: c.V, cc: c.CC, r2: c.R2, n: c.n, flags: c.flags, aux: c.Aux.Load()}
 			out = append(out, s)
 		})
 		return out
@@ -186,40 +183,44 @@ func TestFailedBootstrapIsNotRestored(t *testing.T) {
 
 // TestSteadyStateOpsDoNotAllocate: once a worker's buffers, tables and
 // removal scratch mesh are warm, an Insert and a Remove allocate
-// nothing. (A new arena chunk every few hundred operations is far
-// below one allocation per run, which is what AllocsPerRun reports.)
+// nothing, on a shared mesh and on a single-owner one. (A new arena
+// chunk every few hundred operations is far below one allocation per
+// run, which is what AllocsPerRun reports.)
 func TestSteadyStateOpsDoNotAllocate(t *testing.T) {
-	m := unitBox()
-	w := m.NewWorker(0)
-	rng := rand.New(rand.NewSource(5))
-	start := m.FirstCell()
-	var live []arena.Handle
-	insert := func() {
-		res, st := w.Insert(v3(rng.Float64(), rng.Float64(), rng.Float64()), KindCircum, start)
-		if st != OK {
-			t.Fatalf("insert: %v", st)
+	for _, single := range []bool{false, true} {
+		m := unitBox()
+		m.SetSingleOwner(single)
+		w := m.NewWorker(0)
+		rng := rand.New(rand.NewSource(5))
+		start := m.FirstCell()
+		var live []arena.Handle
+		insert := func() {
+			res, st := w.Insert(v3(rng.Float64(), rng.Float64(), rng.Float64()), KindCircum, start)
+			if st != OK {
+				t.Fatalf("insert: %v", st)
+			}
+			live = append(live, res.NewVert)
+			start = res.Created[0]
 		}
-		live = append(live, res.NewVert)
-		start = res.Created[0]
-	}
-	const runs = 200
-	for i := 0; i < 3*runs; i++ {
-		insert()
-	}
-	live = slices.Grow(live, runs+1) // the measured inserts must not grow it
+		const runs = 200
+		for i := 0; i < 3*runs; i++ {
+			insert()
+		}
+		live = slices.Grow(live, runs+1) // the measured inserts must not grow it
 
-	if n := testing.AllocsPerRun(runs, insert); n != 0 {
-		t.Errorf("Insert allocates %.0f times per operation", n)
-	}
-	removed := 0
-	remove := func() {
-		if _, st := w.Remove(live[removed]); st != OK {
-			t.Fatalf("remove: %v", st)
+		if n := testing.AllocsPerRun(runs, insert); n != 0 {
+			t.Errorf("single-owner=%v: Insert allocates %.0f times per operation", single, n)
 		}
-		removed++
-	}
-	remove() // builds the scratch mesh
-	if n := testing.AllocsPerRun(runs, remove); n != 0 {
-		t.Errorf("Remove allocates %.0f times per operation", n)
+		removed := 0
+		remove := func() {
+			if _, st := w.Remove(live[removed]); st != OK {
+				t.Fatalf("remove: %v", st)
+			}
+			removed++
+		}
+		remove() // builds the scratch mesh
+		if n := testing.AllocsPerRun(runs, remove); n != 0 {
+			t.Errorf("single-owner=%v: Remove allocates %.0f times per operation", single, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package delaunay
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/faultinject"
@@ -53,7 +54,8 @@ type OpResult struct {
 	NewVert arena.Handle
 }
 
-// Stats counts a worker's kernel-level activity.
+// Stats counts a worker's kernel-level activity. LocksAcquired stays 0
+// on a single-owner mesh, which takes no locks.
 type Stats struct {
 	Inserts       int64 // committed insertions
 	Removals      int64 // committed removals
@@ -216,32 +218,38 @@ func (w *Worker) ID() int { return int(w.tid) }
 // tryLock attempts to acquire v's lock. It reports success; on failure
 // it records the conflicting owner in w.ConflictTid. Re-acquiring a
 // vertex already held by this worker succeeds without recording it
-// twice.
+// twice. On a single-owner mesh there is nobody to exclude: it succeeds
+// without touching the vertex, so nothing is ever held or counted.
 func (w *Worker) tryLock(vh arena.Handle) bool {
-	v := w.m.Verts.At(vh)
+	// The injection site comes first, so a single-owner mesh still sees
+	// synthetic denials.
 	if faultinject.Fire(faultinject.LockDeny) {
 		// Synthetic CAS denial: behave exactly like a lost race with an
 		// unknown owner so the rollback/contention-manager path runs.
 		w.ConflictTid = -1
 		return false
 	}
-	if v.lock.CompareAndSwap(0, w.tid+1) {
+	if w.m.single {
+		return true
+	}
+	lock := &w.m.Verts.At(vh).lock
+	if atomic.CompareAndSwapInt32(lock, 0, w.tid+1) {
 		w.locked = append(w.locked, vh)
 		w.Stats.LocksAcquired++
 		return true
 	}
-	owner := v.lock.Load()
+	owner := atomic.LoadInt32(lock)
 	if owner == w.tid+1 {
 		return true // reentrant
 	}
 	// The owner may have released between the CAS and the Load; retry
 	// once to avoid a spurious rollback.
-	if v.lock.CompareAndSwap(0, w.tid+1) {
+	if atomic.CompareAndSwapInt32(lock, 0, w.tid+1) {
 		w.locked = append(w.locked, vh)
 		w.Stats.LocksAcquired++
 		return true
 	}
-	owner = v.lock.Load()
+	owner = atomic.LoadInt32(lock)
 	w.ConflictTid = int(owner) - 1
 	return false
 }
@@ -256,10 +264,11 @@ func (w *Worker) lockCell(c *Cell) bool {
 	return true
 }
 
-// unlockAll releases every lock held by the in-flight operation.
+// unlockAll releases every lock held by the in-flight operation (none,
+// on a single-owner mesh).
 func (w *Worker) unlockAll() {
 	for _, vh := range w.locked {
-		w.m.Verts.At(vh).lock.Store(0)
+		atomic.StoreInt32(&w.m.Verts.At(vh).lock, 0)
 	}
 	w.locked = w.locked[:0]
 }
@@ -292,7 +301,7 @@ func (w *Worker) rollback() {
 func (w *Worker) RecoverFromPanic() int {
 	n := len(w.locked)
 	for i := n - 1; i >= 0; i-- {
-		w.m.Verts.At(w.locked[i]).lock.Store(0)
+		atomic.StoreInt32(&w.m.Verts.At(w.locked[i]).lock, 0)
 	}
 	w.locked = w.locked[:0]
 	w.reset()

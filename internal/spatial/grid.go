@@ -12,14 +12,16 @@ import (
 )
 
 // Grid buckets points by cells of a fixed size. Add and the queries
-// may be called concurrently; each bucket is independently locked.
-// Entries are never removed — callers that delete points (R6) filter
-// stale ids themselves.
+// may be called concurrently; each bucket is independently locked —
+// unless the grid is single-owner (SetSingleOwner), which takes no
+// locks at all. Entries are never removed — callers that delete points
+// (R6) filter stale ids themselves.
 type Grid struct {
 	lo         geom.Vec3
 	inv        float64 // 1 / cell size
 	nx, ny, nz int
 	buckets    []bucket
+	single     bool
 }
 
 type bucket struct {
@@ -42,6 +44,24 @@ func NewGrid(lo, hi geom.Vec3, cellSize float64) *Grid {
 		lo: lo, inv: 1 / cellSize,
 		nx: nx, ny: ny, nz: nz,
 		buckets: make([]bucket, nx*ny*nz),
+	}
+}
+
+// SetSingleOwner declares whether, from now until the next call, a
+// single goroutine at a time uses the grid; a single-owner grid skips
+// the bucket locks. The call itself must not race with any use of the
+// grid. Grids start out shared.
+func (g *Grid) SetSingleOwner(on bool) { g.single = on }
+
+func (g *Grid) lock(b *bucket) {
+	if !g.single {
+		b.mu.Lock()
+	}
+}
+
+func (g *Grid) unlock(b *bucket) {
+	if !g.single {
+		b.mu.Unlock()
 	}
 }
 
@@ -70,10 +90,10 @@ func (g *Grid) bucketAt(i, j, k int) *bucket {
 func (g *Grid) Add(p geom.Vec3, id uint32) {
 	i, j, k := g.cellOf(p)
 	b := g.bucketAt(i, j, k)
-	b.mu.Lock()
+	g.lock(b)
 	b.ids = append(b.ids, id)
 	b.pts = append(b.pts, p)
-	b.mu.Unlock()
+	g.unlock(b)
 }
 
 // forBuckets visits the buckets overlapping the ball (p, r).
@@ -99,14 +119,14 @@ func (g *Grid) AnyWithin(p geom.Vec3, r float64) bool {
 	r2 := r * r
 	found := false
 	g.forBuckets(p, r, func(b *bucket) bool {
-		b.mu.Lock()
+		g.lock(b)
 		for _, q := range b.pts {
 			if q.Dist2(p) <= r2 {
 				found = true
 				break
 			}
 		}
-		b.mu.Unlock()
+		g.unlock(b)
 		return !found
 	})
 	return found
@@ -118,16 +138,16 @@ func (g *Grid) AnyWithin(p geom.Vec3, r float64) bool {
 func (g *Grid) ForEachWithin(p geom.Vec3, r float64, fn func(id uint32, q geom.Vec3) bool) {
 	r2 := r * r
 	g.forBuckets(p, r, func(b *bucket) bool {
-		b.mu.Lock()
+		g.lock(b)
 		for i, q := range b.pts {
 			if q.Dist2(p) <= r2 {
 				if !fn(b.ids[i], q) {
-					b.mu.Unlock()
+					g.unlock(b)
 					return false
 				}
 			}
 		}
-		b.mu.Unlock()
+		g.unlock(b)
 		return true
 	})
 }
@@ -154,10 +174,10 @@ func (g *Grid) Fits(lo, hi geom.Vec3, cellSize float64) bool {
 func (g *Grid) Reset() {
 	for i := range g.buckets {
 		b := &g.buckets[i]
-		b.mu.Lock()
+		g.lock(b)
 		b.ids = b.ids[:0]
 		b.pts = b.pts[:0]
-		b.mu.Unlock()
+		g.unlock(b)
 	}
 }
 
@@ -167,9 +187,9 @@ func (g *Grid) Len() int {
 	n := 0
 	for i := range g.buckets {
 		b := &g.buckets[i]
-		b.mu.Lock()
+		g.lock(b)
 		n += len(b.ids)
-		b.mu.Unlock()
+		g.unlock(b)
 	}
 	return n
 }

@@ -77,33 +77,48 @@ func TestOutOfRangePointsClamped(t *testing.T) {
 	}
 }
 
+// TestMatchesBruteForce checks both query kinds against a linear scan,
+// on a shared grid and on a single-owner one (which differ only in
+// taking the bucket locks or not, early stop inside fn included).
 func TestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGrid(v3(0, 0, 0), v3(10, 10, 10), 0.8)
-	var pts []geom.Vec3
-	for i := 0; i < 500; i++ {
-		p := v3(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		pts = append(pts, p)
-		g.Add(p, uint32(i))
-	}
-	for trial := 0; trial < 200; trial++ {
-		q := v3(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		r := rng.Float64() * 2
-		want := false
-		wantCount := 0
-		for _, p := range pts {
-			if p.Dist(q) <= r {
-				want = true
-				wantCount++
+	for _, single := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(3))
+		g := NewGrid(v3(0, 0, 0), v3(10, 10, 10), 0.8)
+		g.SetSingleOwner(single)
+		var pts []geom.Vec3
+		for i := 0; i < 500; i++ {
+			p := v3(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
+			pts = append(pts, p)
+			g.Add(p, uint32(i))
+		}
+		if g.Len() != len(pts) {
+			t.Fatalf("single-owner=%v: Len = %d, want %d", single, g.Len(), len(pts))
+		}
+		for trial := 0; trial < 200; trial++ {
+			q := v3(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
+			r := rng.Float64() * 2
+			want := false
+			wantCount := 0
+			for _, p := range pts {
+				if p.Dist(q) <= r {
+					want = true
+					wantCount++
+				}
 			}
+			if got := g.AnyWithin(q, r); got != want {
+				t.Fatalf("single-owner=%v: AnyWithin(%v, %v) = %v, want %v", single, q, r, got, want)
+			}
+			gotCount := 0
+			g.ForEachWithin(q, r, func(uint32, geom.Vec3) bool { gotCount++; return true })
+			if gotCount != wantCount {
+				t.Fatalf("single-owner=%v: ForEachWithin count = %d, want %d", single, gotCount, wantCount)
+			}
+			// Stopping early must leave every bucket usable.
+			g.ForEachWithin(q, r, func(uint32, geom.Vec3) bool { return false })
 		}
-		if got := g.AnyWithin(q, r); got != want {
-			t.Fatalf("AnyWithin(%v, %v) = %v, want %v", q, r, got, want)
-		}
-		gotCount := 0
-		g.ForEachWithin(q, r, func(uint32, geom.Vec3) bool { gotCount++; return true })
-		if gotCount != wantCount {
-			t.Fatalf("ForEachWithin count = %d, want %d", gotCount, wantCount)
+		g.Reset()
+		if g.Len() != 0 {
+			t.Fatalf("single-owner=%v: Len after Reset = %d", single, g.Len())
 		}
 	}
 }
