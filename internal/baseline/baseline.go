@@ -94,8 +94,12 @@ func SeqMesh(im *img.Image, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A sequential tool shares its mesh with nobody: no vertex locks,
+	// no bucket locks.
+	m.SetSingleOwner(true)
 	w := m.NewWorker(0)
 	isoGrid := spatial.NewGrid(lo, hi, opt.Delta)
+	isoGrid.SetSingleOwner(true)
 	meshStart := time.Now()
 
 	s := &seqMesher{
@@ -263,6 +267,7 @@ func PLCMesh(im *img.Image, tris []quality.Triangle, opt Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	m.SetSingleOwner(true)
 	w := m.NewWorker(0)
 
 	// Insert the PLC vertices (deduplicated by exact position).

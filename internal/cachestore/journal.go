@@ -124,8 +124,8 @@ func replayJournal(path string) (recs []journalRec, torn int, present bool, err 
 // checkpointDoc is the serialized checkpoint: every live entry in LRU
 // order (oldest first), so recency survives a restart.
 type checkpointDoc struct {
-	Version int           `json:"version"`
-	Entries []journalRec  `json:"entries"`
+	Version int          `json:"version"`
+	Entries []journalRec `json:"entries"`
 }
 
 // writeCheckpoint atomically replaces the checkpoint: temp file, fsync,

@@ -314,7 +314,7 @@ func TestFsckRebuildsFromBlobsAlone(t *testing.T) {
 	want := map[string]string{}
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("img%d", i)
-		tag, err := s.Put(k, "", testSnap(i + 3))
+		tag, err := s.Put(k, "", testSnap(i+3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,7 @@ type Refiner struct {
 	cfg  Config
 	ctx  context.Context // the run's cancellation; nil = never canceled
 	im   *img.Image
+	ic   imageConsts
 	edt  *edt.Transform
 	mesh *delaunay.Mesh
 
@@ -46,8 +47,12 @@ type Refiner struct {
 	livelocked atomic.Bool // the stall watchdog exhausted the ladder
 	seqDrain   atomic.Bool // degradation: all work drains through thread 0
 
-	ops         atomic.Int64
-	insideCount atomic.Int64 // live final-mesh cells (for MaxElements)
+	ops atomic.Int64
+	// insideCount is the number of live final-mesh cells (for
+	// MaxElements), current as of each thread's last committed
+	// operation: a thread accumulates an operation's changes in
+	// thread.insideDelta and adds them here once.
+	insideCount atomic.Int64
 
 	recoveredPanics atomic.Int64
 	droppedItems    atomic.Int64
@@ -84,14 +89,21 @@ type thread struct {
 		removals []arena.Handle // forwarded R6 work (sequential drain)
 	}
 
-	inside []arena.Handle // cells created with circumcenter inside O
+	inside      []arena.Handle // cells created with circumcenter inside O
+	insideDelta int64          // change to Refiner.insideCount not yet added to it
 
-	// poorCount tracks the valid poor elements currently in this
-	// thread's PEL (paper Section 4.4): incremented when an element is
-	// pushed here (by anyone), decremented by whichever thread pops or
-	// invalidates it. Cell.Aux holds the owning thread id + 1 while an
-	// element is counted, so increment/decrement pair up exactly once.
-	poorCount atomic.Int64
+	// The valid poor elements currently in this thread's PEL (paper
+	// Section 4.4) number poorOwn + poorForeign: incremented when an
+	// element is pushed here (by anyone), decremented by whichever
+	// thread pops or invalidates it. Cell.Aux holds the owning thread
+	// id + 1 while an element is counted, so increment/decrement pair up
+	// exactly once. The thread's own adjustments — nearly all of them,
+	// and all of them in a single-worker run — go to the plain poorOwn;
+	// only another thread's (a donation, an invalidation from outside,
+	// a hand-off) pay for an atomic. Only the owner needs the sum while
+	// the run is live (the donation threshold).
+	poorOwn     int64
+	poorForeign atomic.Int64
 
 	// panics counts operations this thread recovered from a panic; the
 	// run aborts once it exceeds Config.PanicBudget.
@@ -118,15 +130,16 @@ const (
 	curRemoval
 )
 
-// pelItem is a poor element, optionally with a classification already
-// computed (act.rule != RuleNone): a conflicted operation re-queues
-// its element with the action cached so the retry skips
-// re-classification. retries counts panic-recovery re-queues of this
-// item, bounded by Config.RetryBudget.
+// pelItem is a poor element with the surface query its creator made
+// for it, optionally with a classification already computed (act.rule
+// != RuleNone): a conflicted operation re-queues its element with the
+// action cached so the retry skips re-classification. retries counts
+// panic-recovery re-queues of this item, bounded by Config.RetryBudget.
 type pelItem struct {
 	cell    arena.Handle
+	retries int32
+	near    nearest
 	act     action
-	retries int
 }
 
 // cm returns the active contention manager.
@@ -149,17 +162,37 @@ func Run(cfg Config) (*Result, error) {
 	return s.Run(context.Background(), cfg.Image)
 }
 
+// newRefiner returns the run-scoped state that depends only on the
+// (defaulted) configuration; the session attaches the transform, mesh,
+// grids and threads it retains across runs.
+func newRefiner(ctx context.Context, cfg Config) *Refiner {
+	r := &Refiner{cfg: cfg, im: cfg.Image, ctx: ctx}
+	r.ic = newImageConsts(cfg.Image, cfg)
+	return r
+}
+
 // noteCreated classifies a fresh (or bootstrap) cell: records it in
-// the final-mesh list when its circumcenter is inside O, and appends
-// it to the thread's PEL when a rule applies.
+// the final-mesh list when its circumcenter is inside O — the one time
+// the image is asked for the circumcenter's label; the rules read the
+// flag — and appends it to the thread's PEL candidates when a rule
+// may apply.
 func (r *Refiner) noteCreated(t *thread, h arena.Handle, c *delaunay.Cell) {
 	if r.im.LabelAt(c.CC) != 0 {
 		c.SetInside(true)
 		t.inside = append(t.inside, h)
-		r.insideCount.Add(1)
+		t.insideDelta++
 	}
-	if r.poorQuick(c) {
-		t.scratch = append(t.scratch, pelItem{cell: h})
+	if near, poor := r.poorQuick(c); poor {
+		t.scratch = append(t.scratch, pelItem{cell: h, near: near})
+	}
+}
+
+// publishInside adds the thread's pending final-mesh count changes to
+// the run's counter: one atomic per operation instead of one per cell.
+func (r *Refiner) publishInside(t *thread) {
+	if t.insideDelta != 0 {
+		r.insideCount.Add(t.insideDelta)
+		t.insideDelta = 0
 	}
 }
 
@@ -172,12 +205,13 @@ func (r *Refiner) flushScratch(t *thread) {
 	if len(t.scratch) == 0 {
 		return
 	}
-	if !r.seqDrain.Load() && t.poorCount.Load() >= int64(r.cfg.DonateThreshold) {
+	if !r.seqDrain.Load() && t.poorOwn+t.poorForeign.Load() >= int64(r.cfg.DonateThreshold) {
 		if beggar, ok := r.bal.ClaimBeggar(t.id); ok {
 			bt := r.threads[beggar]
 			for _, item := range t.scratch {
-				r.countIn(bt, item.cell)
+				r.tag(item.cell, bt)
 			}
+			bt.poorForeign.Add(int64(len(t.scratch)))
 			bt.inbox.mu.Lock()
 			bt.inbox.items = append(bt.inbox.items, t.scratch...)
 			bt.inbox.mu.Unlock()
@@ -193,20 +227,36 @@ func (r *Refiner) flushScratch(t *thread) {
 	t.scratch = t.scratch[:0]
 }
 
-// countIn marks cell ch as a counted poor element of thread t.
+// tag records in cell ch that owner's count includes it.
+func (r *Refiner) tag(ch arena.Handle, owner *thread) {
+	r.mesh.Cells.At(ch).Aux.Store(uint64(owner.id + 1))
+}
+
+// countIn marks cell ch as a counted poor element of t, the calling
+// thread.
 func (r *Refiner) countIn(t *thread, ch arena.Handle) {
-	r.mesh.Cells.At(ch).Aux.Store(uint64(t.id + 1))
-	t.poorCount.Add(1)
+	r.tag(ch, t)
+	t.poorOwn++
 }
 
 // countOut releases the poor-element count for ch, whichever thread
-// holds it; reports whether it was still counted.
-func (r *Refiner) countOut(ch arena.Handle) bool {
-	old := r.mesh.Cells.At(ch).Aux.Swap(0)
-	if old == 0 {
+// holds it, on behalf of the calling thread t; reports whether it was
+// still counted. Most cells reaching here are not (popped earlier, or
+// never queued), and a load tells without the swap's bus lock.
+func (r *Refiner) countOut(t *thread, ch arena.Handle) bool {
+	aux := &r.mesh.Cells.At(ch).Aux
+	if aux.Load() == 0 {
 		return false
 	}
-	r.threads[old-1].poorCount.Add(-1)
+	old := aux.Swap(0)
+	switch {
+	case old == 0:
+		return false
+	case int(old-1) == t.id:
+		t.poorOwn--
+	default:
+		r.threads[old-1].poorForeign.Add(-1)
+	}
 	return true
 }
 
@@ -276,7 +326,7 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 
 	item := t.pel[len(t.pel)-1]
 	t.pel = t.pel[:len(t.pel)-1]
-	r.countOut(item.cell)
+	r.countOut(t, item.cell)
 	c := r.mesh.Cells.At(item.cell)
 	if c.Dead() {
 		return true // invalidated while queued (Section 4.3)
@@ -292,7 +342,7 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 		(act.rule == R3 && r.isoGrid.AnyWithin(act.point, r.cfg.Delta/4))
 	if fresh || stale {
 		var ok bool
-		act, ok = r.classify(item.cell, c)
+		act, ok = r.classify(c, item.near)
 		if !ok {
 			return true
 		}
@@ -322,7 +372,7 @@ func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 
 	switch t.curKind {
 	case curInsertion:
-		if t.cur.retries < r.cfg.RetryBudget {
+		if int(t.cur.retries) < r.cfg.RetryBudget {
 			t.cur.retries++
 			r.countIn(t, t.cur.cell)
 			t.pel = append(t.pel, t.cur)
@@ -354,11 +404,14 @@ func (r *Refiner) handoff(t *thread) {
 		return
 	}
 	t0 := r.threads[0]
+	moved := int64(0)
 	for _, item := range t.pel {
-		if r.countOut(item.cell) {
-			r.countIn(t0, item.cell)
+		if r.countOut(t, item.cell) {
+			r.tag(item.cell, t0)
+			moved++
 		}
 	}
+	t0.poorForeign.Add(moved)
 	t0.inbox.mu.Lock()
 	t0.inbox.items = append(t0.inbox.items, t.pel...)
 	t0.inbox.removals = append(t0.inbox.removals, t.removals...)
@@ -386,7 +439,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// element" (Section 4.2) — and the thread consults the
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
-		t.pel = pushBottom(t.pel, pelItem{cell: ch, act: act, retries: t.cur.retries})
+		t.pel = pushBottom(t.pel, pelItem{cell: ch, near: t.cur.near, act: act, retries: t.cur.retries})
 		r.cm().OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
@@ -449,14 +502,15 @@ func (r *Refiner) postCommit(t *thread, act action, res *delaunay.OpResult) {
 	// accordingly the counter of the thread that contains c in its
 	// PEL").
 	for _, kh := range res.Killed {
-		r.countOut(kh)
+		r.countOut(t, kh)
 		if r.mesh.Cells.At(kh).Inside() {
-			r.insideCount.Add(-1)
+			t.insideDelta--
 		}
 	}
 	for _, nh := range res.Created {
 		r.noteCreated(t, nh, r.mesh.Cells.At(nh))
 	}
+	r.publishInside(t)
 	if r.cellBudgetExceeded() {
 		r.finish()
 	}

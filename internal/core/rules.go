@@ -6,6 +6,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/delaunay"
 	"repro/internal/geom"
+	"repro/internal/img"
 )
 
 // Rule identifies which refinement rule (Section 3) fired.
@@ -68,19 +69,70 @@ func (r *Refiner) deltaAt(p geom.Vec3) float64 {
 	return d
 }
 
-// distanceToSurface estimates the distance from p to the isosurface,
-// clamping points outside the image onto its boundary (huge early
-// cells have circumcenters far outside the image).
-func (r *Refiner) distanceToSurface(p geom.Vec3) (float64, geom.Vec3, bool) {
-	lo, hi := r.im.Bounds()
-	eps := r.im.MinSpacing() / 2
-	q := p.Max(lo.Add(geom.Vec3{X: eps, Y: eps, Z: eps})).
-		Min(hi.Sub(geom.Vec3{X: eps, Y: eps, Z: eps}))
-	sv, ok := r.edt.NearestSurfaceVoxel(q)
-	if !ok {
-		return math.Inf(1), geom.Vec3{}, false
+// imageConsts are the quantities the rules derive from the image and
+// the configuration alone. The image is immutable for the whole run,
+// so they are computed once per run instead of once per question.
+type imageConsts struct {
+	// clampLo/clampHi bound the EDT lookup: the image box shrunk by half
+	// the minimum spacing (huge early cells have circumcenters far
+	// outside the image).
+	clampLo, clampHi geom.Vec3
+	// overshoot + diagonal is how far beyond a ball's or segment's own
+	// reach the voxelized surface can still touch it: two minimum
+	// spacings of marching overshoot plus one voxel diagonal, since
+	// distances are measured to voxel centers. nearMargin is their sum;
+	// the parts stay for the one test that adds them in sequence
+	// (floating-point addition does not associate, and decisions are
+	// pinned bit for bit).
+	overshoot, diagonal, nearMargin float64
+	tol                             float64         // bisection tolerance of a surface crossing
+	facetBound                      geom.AngleBound // R3's planar angle bound
+}
+
+func newImageConsts(im *img.Image, cfg Config) imageConsts {
+	lo, hi := im.Bounds()
+	ms := im.MinSpacing()
+	eps := geom.Vec3{X: ms / 2, Y: ms / 2, Z: ms / 2}
+	return imageConsts{
+		clampLo:    lo.Add(eps),
+		clampHi:    hi.Sub(eps),
+		overshoot:  2 * ms,
+		diagonal:   im.Spacing.Norm(),
+		nearMargin: 2*ms + im.Spacing.Norm(),
+		tol:        surfaceTol * ms,
+		facetBound: geom.NewAngleBound(cfg.MinFacetAngle),
 	}
-	return p.Dist(sv), sv, true
+}
+
+// nearest is a cell's one question to the distance transform: the
+// center of the surface voxel nearest its circumcenter. The creating
+// thread asks it for the cheap poorness test and the answer travels
+// with the queued element, so the full classify at pop time does not
+// ask again. ok is false when the image has no surface voxels.
+type nearest struct {
+	sv geom.Vec3
+	ok bool
+}
+
+// nearestSurface looks up the surface voxel nearest p, clamping points
+// outside the image onto its boundary.
+func (r *Refiner) nearestSurface(p geom.Vec3) nearest {
+	lo, hi := r.ic.clampLo, r.ic.clampHi
+	q := geom.Vec3{X: clamp(p.X, lo.X, hi.X), Y: clamp(p.Y, lo.Y, hi.Y), Z: clamp(p.Z, lo.Z, hi.Z)}
+	sv, ok := r.edt.NearestSurfaceVoxel(q)
+	return nearest{sv: sv, ok: ok}
+}
+
+// clamp limits v to [lo, hi]; a NaN passes through, as it does through
+// math.Max and math.Min, which are calls where this is two compares.
+func clamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }
 
 // isoPointNear computes ẑ, the isosurface point closest to p (paper
@@ -91,50 +143,50 @@ func (r *Refiner) distanceToSurface(p geom.Vec3) (float64, geom.Vec3, bool) {
 func (r *Refiner) isoPointNear(p geom.Vec3, sv geom.Vec3) (geom.Vec3, bool) {
 	dir := sv.Sub(p)
 	if n := dir.Norm(); n > 0 {
-		dir = dir.Scale((n + 2*r.im.MinSpacing()) / n)
+		dir = dir.Scale((n + r.ic.overshoot) / n)
 	} else {
-		dir = geom.Vec3{X: 2 * r.im.MinSpacing()}
+		dir = geom.Vec3{X: r.ic.overshoot}
 	}
-	return r.im.SurfacePoint(p, p.Add(dir), surfaceTol*r.im.MinSpacing())
+	return r.im.SurfacePoint(p, p.Add(dir), r.ic.tol)
 }
 
 // poorQuick is the creation-time poorness test: a cheap conservative
 // over-approximation of "some rule applies", used when the creating
 // thread classifies new cells for its PEL and for donation (Section
 // 4.4). The expensive geometry (surface marches) is deferred to the
-// full classify at pop time.
-func (r *Refiner) poorQuick(c *delaunay.Cell) bool {
+// full classify at pop time, which reuses the surface query returned
+// here. c's inside flag must already be set.
+func (r *Refiner) poorQuick(c *delaunay.Cell) (nearest, bool) {
 	if math.IsInf(c.R2, 1) {
-		return false
+		return nearest{}, false
 	}
 	cc := c.CC
 	rad := math.Sqrt(c.R2)
-	dist, _, haveSurface := r.distanceToSurface(cc)
-	margin := 2*r.im.MinSpacing() + r.im.Spacing.Norm()
-	if haveSurface && dist <= rad+margin {
-		return true // R1/R2/R3 candidate near the surface
+	near := r.nearestSurface(cc)
+	if near.ok && cc.Dist(near.sv) <= rad+r.ic.nearMargin {
+		return near, true // R1/R2/R3 candidate near the surface
 	}
-	if r.im.LabelAt(cc) != 0 {
+	if c.Inside() {
 		se := shortestEdge(r.mesh, c)
 		if se > 0 && rad/se > r.cfg.MaxRadiusEdge {
-			return true // R4
+			return near, true // R4
 		}
 		if rad > r.cfg.SizeFunc(cc) {
-			return true // R5
+			return near, true // R5
 		}
 	}
 	// R3 across a facet whose Voronoi edge strays near the surface
 	// while this circumcenter is far: the neighbor's own quick test
 	// covers it from the other side, and the full classify at pop
 	// checks both directions.
-	return false
+	return near, false
 }
 
-// classify decides which rule, if any, applies to live cell ch and
-// returns the operation to perform. Rules are evaluated in the paper's
-// order R1..R5; R6 is triggered separately when isosurface vertices
-// are committed.
-func (r *Refiner) classify(ch arena.Handle, c *delaunay.Cell) (action, bool) {
+// classify decides which rule, if any, applies to live cell c and
+// returns the operation to perform. near is poorQuick's surface query
+// for c. Rules are evaluated in the paper's order R1..R5; R6 is
+// triggered separately when isosurface vertices are committed.
+func (r *Refiner) classify(c *delaunay.Cell, near nearest) (action, bool) {
 	if c.Dead() {
 		return action{}, false
 	}
@@ -144,11 +196,14 @@ func (r *Refiner) classify(ch arena.Handle, c *delaunay.Cell) (action, bool) {
 	cc := c.CC
 	rad := math.Sqrt(c.R2)
 
-	dist, sv, haveSurface := r.distanceToSurface(cc)
-	if haveSurface && dist <= rad {
+	dist := math.Inf(1)
+	if near.ok {
+		dist = cc.Dist(near.sv)
+	}
+	if dist <= rad {
 		// The circumball intersects ∂O.
 		// R1: sample the isosurface at ẑ if no sample is within δ(ẑ).
-		if z, ok := r.isoPointNear(cc, sv); ok && !r.isoGrid.AnyWithin(z, r.deltaAt(z)) {
+		if z, ok := r.isoPointNear(cc, near.sv); ok && !r.isoGrid.AnyWithin(z, r.deltaAt(z)) {
 			return action{rule: R1, kind: delaunay.KindIso, point: z}, true
 		}
 		// R2: large surface-crossing tetrahedra are split.
@@ -160,8 +215,14 @@ func (r *Refiner) classify(ch arena.Handle, c *delaunay.Cell) (action, bool) {
 	// R3: boundary facets (Voronoi edge crosses ∂O) with a small
 	// planar angle or a vertex off the isosurface get their
 	// surface-center inserted. A δ/4 sparsity gate guarantees
-	// termination on the voxelized (non-smooth) isosurface.
+	// termination on the voxelized (non-smooth) isosurface. The
+	// questions are asked cheapest first: marching the Voronoi edge is
+	// the dear one, so it is asked only of a facet that would fire.
 	m := r.mesh
+	// offVerts counts c's vertices that are not isosurface samples (off
+	// marks them), looked up once for all four facets, when the first
+	// facet gets that far.
+	offVerts, off := -1, [4]bool{}
 	for f := 0; f < 4; f++ {
 		nbh := c.Neighbor(f)
 		if nbh == arena.Nil {
@@ -171,40 +232,37 @@ func (r *Refiner) classify(ch arena.Handle, c *delaunay.Cell) (action, bool) {
 		if math.IsInf(nb.R2, 1) {
 			continue
 		}
-		// Cheap rejection: every point of the Voronoi edge is at least
-		// dist - |edge| from the surface, so the edge cannot cross ∂O
-		// when dist exceeds its length (plus a voxel-quantization
-		// margin, since dist is measured to voxel centers).
-		segLen := cc.Dist(nb.CC)
-		if haveSurface && dist > segLen+2*r.im.MinSpacing()+r.im.Spacing.Norm() {
+		// Every point of the Voronoi edge is at least dist - |edge| from
+		// the surface, so the edge cannot cross ∂O when dist exceeds its
+		// length (plus the voxel-quantization margin).
+		if near.ok && dist > cc.Dist(nb.CC)+r.ic.overshoot+r.ic.diagonal {
 			continue
 		}
-		cSurf, ok := r.im.SurfacePoint(cc, nb.CC, surfaceTol*r.im.MinSpacing())
-		if !ok {
-			continue
-		}
-		face := c.Face(f)
-		offSurface := false
-		for _, vh := range face {
-			k := m.Verts.At(vh).Kind
-			if k != delaunay.KindIso && k != delaunay.KindSurface {
-				offSurface = true
-				break
+		if offVerts < 0 {
+			offVerts = 0
+			for i, vh := range c.V {
+				if k := m.Verts.At(vh).Kind; k != delaunay.KindIso && k != delaunay.KindSurface {
+					off[i] = true
+					offVerts++
+				}
 			}
 		}
+		// Facet f is the three vertices other than vertex f.
+		offSurface := offVerts > 1 || (offVerts == 1 && !off[f])
 		if !offSurface {
-			a := m.Pos(face[0])
-			b := m.Pos(face[1])
-			c3 := m.Pos(face[2])
-			offSurface = geom.MinTriangleAngle(a, b, c3) < r.cfg.MinFacetAngle
+			face := c.Face(f)
+			if !r.ic.facetBound.MinAngleBelow(m.Pos(face[0]), m.Pos(face[1]), m.Pos(face[2])) {
+				continue
+			}
 		}
-		if offSurface && !r.isoGrid.AnyWithin(cSurf, r.deltaAt(cSurf)/4) {
+		cSurf, ok := r.im.SurfacePoint(cc, nb.CC, r.ic.tol)
+		if ok && !r.isoGrid.AnyWithin(cSurf, r.deltaAt(cSurf)/4) {
 			return action{rule: R3, kind: delaunay.KindSurface, point: cSurf}, true
 		}
 	}
 
 	// Interior rules need the circumcenter inside O.
-	if r.im.LabelAt(cc) != 0 {
+	if c.Inside() {
 		// R4: radius-edge quality.
 		se := shortestEdge(m, c)
 		if se > 0 && rad/se > r.cfg.MaxRadiusEdge {

@@ -203,7 +203,7 @@ func (s *Session) RunTuned(ctx context.Context, image *img.Image, tune func(*Con
 // run executes one refinement with the session lock held and cfg fully
 // defaulted.
 func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
-	r := &Refiner{cfg: cfg, im: cfg.Image, ctx: ctx}
+	r := newRefiner(ctx, cfg)
 	r.guardCallbacks()
 
 	res := &Result{Config: cfg}
@@ -247,16 +247,13 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	// toward the run's failure accounting.
 	r.recoveredPanics.Add(s.mesh.BootstrapPanicRecoveries())
 
-	if s.isoGrid != nil && s.isoGrid.Fits(lo, hi, cfg.Delta) {
-		s.isoGrid.Reset()
-	} else {
-		s.isoGrid = spatial.NewGrid(lo, hi, cfg.Delta)
+	// The sparsity grids reshape in place: consecutive images of
+	// different shapes share the bucket arrays of the largest.
+	if s.isoGrid == nil {
+		s.isoGrid, s.ccGrid = new(spatial.Grid), new(spatial.Grid)
 	}
-	if s.ccGrid != nil && s.ccGrid.Fits(lo, hi, 2*cfg.Delta) {
-		s.ccGrid.Reset()
-	} else {
-		s.ccGrid = spatial.NewGrid(lo, hi, 2*cfg.Delta)
-	}
+	s.isoGrid.Reshape(lo, hi, cfg.Delta)
+	s.ccGrid.Reshape(lo, hi, 2*cfg.Delta)
 	s.isoGrid.SetSingleOwner(single)
 	s.ccGrid.SetSingleOwner(single)
 	r.isoGrid, r.ccGrid = s.isoGrid, s.ccGrid
@@ -292,6 +289,7 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	r.mesh.LiveCells(func(h arena.Handle, c *delaunay.Cell) {
 		r.noteCreated(t0, h, c)
 	})
+	r.publishInside(t0)
 	r.flushScratch(t0)
 
 	r.startWall = time.Now()
@@ -325,7 +323,9 @@ func (t *thread) resetForRun() {
 	t.inbox.items = t.inbox.items[:0]
 	t.inbox.removals = t.inbox.removals[:0]
 	t.inside = t.inside[:0]
-	t.poorCount.Store(0)
+	t.insideDelta = 0
+	t.poorOwn = 0
+	t.poorForeign.Store(0)
 	t.panics = 0
 	t.cur = pelItem{}
 	t.curVert = arena.Nil

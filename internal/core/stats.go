@@ -281,7 +281,7 @@ func (r *Refiner) collect(res *Result) {
 	}
 	s.Transfers = r.bal.Transfers()
 	for _, t := range r.threads {
-		s.DanglingPoorCount += t.poorCount.Load()
+		s.DanglingPoorCount += t.poorOwn + t.poorForeign.Load()
 	}
 
 	// Final mesh: the per-thread inside lists, filtered for cells that

@@ -47,9 +47,10 @@
 // no-op that acquires nothing (no CAS, no unlock store, LocksAcquired
 // stays 0, every Vertex.lock stays 0) and makes publish and kill plain
 // stores. It is one Mesh field read on the same code path, not a second
-// kernel. Two callers set it: the removal scratch mesh (always — its
-// worker is the only goroutine that can reach it) and core.Session for
-// a Workers == 1 run. NewMesh returns a shared mesh. The fault
+// kernel. Three callers set it: the removal scratch mesh (always — its
+// worker is the only goroutine that can reach it), core.Session for a
+// Workers == 1 run, and the sequential baselines. NewMesh returns a
+// shared mesh. The fault
 // harness's LockDeny site fires ahead of the shortcut, so a
 // single-owner mesh still sees synthetic denials and rolls back.
 //

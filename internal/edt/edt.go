@@ -26,11 +26,15 @@ import (
 
 // Transform holds the exact feature transform of an image: for every
 // voxel, the linear index of the nearest surface voxel (in world
-// metric, honoring anisotropic spacing) and the distance to it.
+// metric, honoring anisotropic spacing). Distances are not stored: a
+// query measures from its own point to the feature voxel's center.
 type Transform struct {
 	im      *img.Image
-	feature []int32   // linear index of nearest surface voxel, -1 if none
-	dist    []float32 // world-space distance to that voxel's center
+	feature []int32 // linear index of nearest surface voxel, -1 if none
+
+	// plane = NX*NY, with the reciprocals a lookup divides by.
+	plane           int
+	invPlane, invNX float64
 }
 
 // Compute builds the feature transform of im's surface voxels using
@@ -50,7 +54,6 @@ func Compute(im *img.Image, workers int) *Transform {
 type Computer struct {
 	d2   []float64
 	feat []int32
-	dist []float32
 }
 
 // grow returns s resliced to length n, reallocating only when the
@@ -62,6 +65,8 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+var inf = math.Inf(1)
+
 // Compute builds the feature transform of im's surface voxels, reusing
 // c's buffers (0 workers means GOMAXPROCS).
 func (c *Computer) Compute(im *img.Image, workers int) *Transform {
@@ -72,131 +77,156 @@ func (c *Computer) Compute(im *img.Image, workers int) *Transform {
 	n := nx * ny * nz
 
 	// d2 holds running squared distance; feat the current best feature.
+	// Neither is cleared: pass 1 writes every element of every row.
 	c.d2 = grow(c.d2, n)
 	c.feat = grow(c.feat, n)
 	d2, feat := c.d2, c.feat
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-		feat[i] = -1
-	}
-	for _, idx := range im.SurfaceVoxels() {
-		d2[idx] = 0
-		feat[idx] = int32(idx)
-	}
 
-	// Pass 1: along X (stride 1), rows indexed by (j,k).
+	// Pass 1: along X (stride 1), rows indexed by (j,k). Each row finds
+	// its own surface voxels — the seeds, at distance 0 from themselves
+	// — and scans them while the row is hot, so seeding is as parallel
+	// as the scan and no seed list or cleared buffer exists in between.
 	sx, sy, sz := im.Spacing.X, im.Spacing.Y, im.Spacing.Z
 	parallelFor(ny*nz, workers, func(row int, sc *lineScratch) {
 		base := row * nx
-		envelopeScan(nx, sx, base, 1, d2, feat, sc)
+		sc.seeds = im.AppendSurfaceRow(sc.seeds[:0], row%ny, row/ny)
+		if len(sc.seeds) == 0 {
+			for i := base; i < base+nx; i++ {
+				d2[i] = inf
+				feat[i] = -1
+			}
+			return
+		}
+		sc.size(nx)
+		for s, idx := range sc.seeds {
+			sc.q[s], sc.f[s], sc.src[s] = idx-base, 0, int32(idx)
+		}
+		sc.envelope(len(sc.seeds), sx)
+		sc.fill(nx, sx, base, 1, d2, feat)
 	})
 	// Pass 2: along Y (stride nx), rows indexed by (i,k).
 	parallelFor(nx*nz, workers, func(row int, sc *lineScratch) {
 		i := row % nx
 		k := row / nx
 		base := k*nx*ny + i
-		envelopeScan(ny, sy, base, nx, d2, feat, sc)
-	})
-	// Pass 3: along Z (stride nx*ny), rows indexed by (i,j).
-	parallelFor(nx*ny, workers, func(row int, sc *lineScratch) {
-		envelopeScan(nz, sz, row, nx*ny, d2, feat, sc)
-	})
-
-	c.dist = grow(c.dist, n)
-	dist := c.dist
-	for i := range dist {
-		if feat[i] >= 0 {
-			dist[i] = float32(math.Sqrt(d2[i]))
-		} else {
-			dist[i] = float32(math.Inf(1))
+		if n := sc.gather(ny, base, nx, d2, feat); n > 0 {
+			sc.envelope(n, sy)
+			sc.fill(ny, sy, base, nx, d2, feat)
 		}
+	})
+	// Pass 3: along Z (stride nx*ny), rows indexed by (i,j). Nothing
+	// reads the distances after the last pass, so it writes features
+	// only.
+	parallelFor(nx*ny, workers, func(row int, sc *lineScratch) {
+		if n := sc.gather(nz, row, nx*ny, d2, feat); n > 0 {
+			sc.envelope(n, sz)
+			sc.fill(nz, sz, row, nx*ny, nil, feat)
+		}
+	})
+	return &Transform{
+		im: im, feature: feat,
+		plane: nx * ny, invPlane: 1 / float64(nx*ny), invNX: 1 / float64(nx),
 	}
-	return &Transform{im: im, feature: feat, dist: dist}
 }
 
 // lineScratch carries the per-scanline envelope buffers. One instance
 // serves every row a goroutine processes (and is pooled across
-// passes and Computes), replacing the four allocations the scan used
-// to make per row.
+// passes and Computes).
+//
+// A scan line's finite inputs — its sites — are gathered into q (the
+// position along the line), f (squared distance so far) and src (the
+// feature achieving it); envelope then compacts them in place to the
+// sites on the lower envelope, with z their breakpoints.
 type lineScratch struct {
-	v   []int
-	z   []float64
-	f   []float64
-	src []int32
+	q     []int
+	f     []float64
+	src   []int32
+	z     []float64
+	seeds []int // pass 1: the row's surface voxels
 }
 
 var linePool = sync.Pool{New: func() any { return new(lineScratch) }}
 
 func (sc *lineScratch) size(m int) {
-	sc.v = grow(sc.v, m)
-	sc.z = grow(sc.z, m+1)
+	sc.q = grow(sc.q, m)
 	sc.f = grow(sc.f, m)
 	sc.src = grow(sc.src, m)
+	sc.z = grow(sc.z, m+1)
 }
 
-// envelopeScan performs the exact 1D combination step along one scan
-// line: out(x) = min_q ( (x-q)^2*s^2 + in(q) ), tracking the feature
-// achieving the minimum. The line has length m, world step s, first
-// element at `base` and consecutive elements `stride` apart in d2/feat.
-func envelopeScan(m int, s float64, base, stride int, d2 []float64, feat []int32, sc *lineScratch) {
-	// Lower envelope of parabolas (Felzenszwalb & Huttenlocher, exact
-	// for the Maurer separable recurrence).
+// gather collects the finite elements of one scan line of length m —
+// first element at base, consecutive ones stride apart in d2/feat —
+// as the line's sites, and returns their number.
+func (sc *lineScratch) gather(m, base, stride int, d2 []float64, feat []int32) int {
 	sc.size(m)
-	v := sc.v     // parabola sites
-	z := sc.z     // envelope breakpoints
-	f := sc.f
-	src := sc.src
-	for q := 0; q < m; q++ {
-		f[q] = d2[base+q*stride]
-		src[q] = feat[base+q*stride]
+	q, f, src := sc.q, sc.f, sc.src
+	n := 0
+	for x, i := 0, base; x < m; x, i = x+1, i+stride {
+		if v := d2[i]; v != inf {
+			q[n], f[n], src[n] = x, v, feat[i]
+			n++
+		}
 	}
-	s2 := s * s
+	return n
+}
 
+// envelope reduces the first n > 0 sites to the lower envelope of
+// their parabolas y = s²(x-q)² + f (Felzenszwalb & Huttenlocher, exact
+// for the Maurer separable recurrence), compacting q/f/src in place and
+// leaving z[k], z[k+1] as the range of x over which site k is lowest.
+//
+// The breakpoint expression is frozen. Where two surface voxels are
+// equidistant it decides, through its rounding, which one becomes the
+// feature — and so which voxel every later surface ray aims at and
+// every mesh coordinate downstream. Rearranging it algebraically would
+// still be an exact transform, but not this one.
+func (sc *lineScratch) envelope(n int, s float64) {
+	qs, f, src, z := sc.q, sc.f, sc.src, sc.z
+	s2 := s * s
 	k := 0
-	v[0] = -1 // until the first finite parabola is seen
 	z[0] = math.Inf(-1)
-	z[1] = math.Inf(1)
-	started := false
-	for q := 0; q < m; q++ {
-		if math.IsInf(f[q], 1) {
-			continue
-		}
-		if !started {
-			started = true
-			k = 0
-			v[0] = q
-			z[0] = math.Inf(-1)
-			z[1] = math.Inf(1)
-			continue
-		}
+	z[1] = inf
+	for c := 1; c < n; c++ {
+		q := qs[c]
 		var sIntersect float64
 		for {
-			p := v[k]
+			p := qs[k]
 			// Intersection of parabolas rooted at p and q.
-			sIntersect = (f[q] - f[p] + s2*float64(q*q-p*p)) / (2 * s2 * float64(q-p))
+			sIntersect = (f[c] - f[k] + s2*float64(q*q-p*p)) / (2 * s2 * float64(q-p))
 			if sIntersect > z[k] {
 				break
 			}
 			k--
 		}
 		k++
-		v[k] = q
+		qs[k], f[k], src[k] = q, f[c], src[c]
 		z[k] = sIntersect
-		z[k+1] = math.Inf(1)
+		z[k+1] = inf
 	}
-	if !started {
-		return // no finite input on this line
-	}
+}
 
-	k = 0
-	for x := 0; x < m; x++ {
+// fill evaluates the envelope along the line: out(x) = min over sites
+// of s²(x-q)² + f(q), with the feature achieving it. d2 may be nil
+// when only the features are wanted.
+func (sc *lineScratch) fill(m int, s float64, base, stride int, d2 []float64, feat []int32) {
+	qs, f, src, z := sc.q, sc.f, sc.src, sc.z
+	k := 0
+	if d2 == nil {
+		for x, i := 0, base; x < m; x, i = x+1, i+stride {
+			for z[k+1] < float64(x) {
+				k++
+			}
+			feat[i] = src[k]
+		}
+		return
+	}
+	for x, i := 0, base; x < m; x, i = x+1, i+stride {
 		for z[k+1] < float64(x) {
 			k++
 		}
-		q := v[k]
-		dx := s * float64(x-q)
-		d2[base+x*stride] = dx*dx + f[q]
-		feat[base+x*stride] = src[q]
+		dx := s * float64(x-qs[k])
+		d2[i] = dx*dx + f[k]
+		feat[i] = src[k]
 	}
 }
 
@@ -243,40 +273,45 @@ func parallelFor(n, workers int, fn func(int, *lineScratch)) {
 }
 
 // NearestSurfaceVoxel returns the center of the surface voxel closest
-// to world point p, and ok=false when the image has no surface voxels
-// or p is outside the image.
+// to world point p — exactly so for the center of p's voxel — and
+// ok=false when the image has no surface voxels or p is outside the
+// image.
 func (t *Transform) NearestSurfaceVoxel(p geom.Vec3) (geom.Vec3, bool) {
-	i, j, k := t.im.Voxel(p)
-	if i < 0 || j < 0 || k < 0 || i >= t.im.NX || j >= t.im.NY || k >= t.im.NZ {
+	im := t.im
+	i, j, k := im.Voxel(p)
+	if i < 0 || j < 0 || k < 0 || i >= im.NX || j >= im.NY || k >= im.NZ {
 		return geom.Vec3{}, false
 	}
-	idx := (k*t.im.NY+j)*t.im.NX + i
-	fidx := t.feature[idx]
+	fidx := int(t.feature[(k*im.NY+j)*im.NX+i])
 	if fidx < 0 {
 		return geom.Vec3{}, false
 	}
-	fi, fj, fk := t.im.Unindex(int(fidx))
-	return t.im.VoxelCenter(fi, fj, fk), true
+	// Unindex without its two integer divisions: the quotient estimated
+	// in floating point is exact or one too small (a product of a
+	// correctly rounded reciprocal errs by under one part in 2^51, and
+	// fidx < 2^31), which the remainder reveals.
+	fk := int(float64(fidx) * t.invPlane)
+	rem := fidx - fk*t.plane
+	if rem >= t.plane {
+		fk, rem = fk+1, rem-t.plane
+	}
+	fj := int(float64(rem) * t.invNX)
+	fi := rem - fj*im.NX
+	if fi >= im.NX {
+		fj, fi = fj+1, fi-im.NX
+	}
+	return im.VoxelCenter(fi, fj, fk), true
 }
 
-// DistanceToSurface returns the distance (world units) from the center
-// of p's voxel to the nearest surface voxel center, +Inf when
-// unavailable. The value is exact at voxel centers and accurate to
-// within half a voxel diagonal elsewhere.
+// DistanceToSurface returns the distance (world units) from p to the
+// center of the surface voxel nearest the center of p's voxel, +Inf
+// when unavailable. The value is exact at voxel centers and accurate to
+// within one voxel diagonal elsewhere (the stored feature is the
+// nearest surface voxel of the containing voxel's center, not of p).
 func (t *Transform) DistanceToSurface(p geom.Vec3) float64 {
-	i, j, k := t.im.Voxel(p)
-	if i < 0 || j < 0 || k < 0 || i >= t.im.NX || j >= t.im.NY || k >= t.im.NZ {
+	sv, ok := t.NearestSurfaceVoxel(p)
+	if !ok {
 		return math.Inf(1)
 	}
-	idx := (k*t.im.NY+j)*t.im.NX + i
-	fidx := t.feature[idx]
-	if fidx < 0 {
-		return math.Inf(1)
-	}
-	// Refine against the actual query point rather than the voxel
-	// center: the stored feature is the nearest surface voxel of the
-	// containing voxel's center, which is within one voxel diagonal of
-	// the true nearest for any p in the voxel.
-	fi, fj, fk := t.im.Unindex(int(fidx))
-	return p.Dist(t.im.VoxelCenter(fi, fj, fk))
+	return p.Dist(sv)
 }

@@ -1,6 +1,7 @@
 package edt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,12 +71,16 @@ func TestEDTAnisotropicSpacing(t *testing.T) {
 }
 
 func TestEDTParallelMatchesSerial(t *testing.T) {
-	im := img.AbdominalPhantom(24, 24, 16)
-	t1 := Compute(im, 1)
-	t8 := Compute(im, 8)
-	for idx := range t1.feature {
-		if t1.dist[idx] != t8.dist[idx] {
-			t.Fatalf("parallel/serial distance mismatch at %d: %v vs %v", idx, t1.dist[idx], t8.dist[idx])
+	aniso := img.New(20, 14, 9, geom.Vec3{X: 1, Y: 2, Z: 2.5})
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n < 300; n++ {
+		aniso.Set(rng.Intn(20), rng.Intn(14), rng.Intn(9), img.Label(1+rng.Intn(3)))
+	}
+	for _, im := range []*img.Image{img.AbdominalPhantom(24, 24, 16), aniso} {
+		serial := Compute(im, 1).feature
+		for _, workers := range []int{2, 5, 8} {
+			requireSameFeatures(t, fmt.Sprintf("%dx%dx%d W=%d", im.NX, im.NY, im.NZ, workers),
+				Compute(im, workers).feature, serial)
 		}
 	}
 }
@@ -147,10 +152,19 @@ func TestEDTExactDistanceProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkEDT64(b *testing.B) {
-	im := img.AbdominalPhantom(64, 64, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compute(im, 0)
+// BenchmarkEDT times the transform on a warm Computer — the shape a
+// session runs it in — at the two benchmark scales.
+func BenchmarkEDT(b *testing.B) {
+	for _, tc := range []struct{ scale, workers int }{{48, 1}, {96, 1}, {96, 2}} {
+		im := img.KneePhantom(tc.scale, tc.scale, tc.scale)
+		b.Run(fmt.Sprintf("knee%d/W%d", tc.scale, tc.workers), func(b *testing.B) {
+			var c Computer
+			c.Compute(im, tc.workers)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Compute(im, tc.workers)
+			}
+			b.ReportMetric(float64(im.NumVoxels())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mvox/s")
+		})
 	}
 }

@@ -305,3 +305,55 @@ func TestTriangleAngleSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAngleBoundMatchesMinTriangleAngle: the arccosine-free test must
+// make MinTriangleAngle's decision on every input — degenerate
+// triangles (a zero-length edge is a 0° corner), thresholds outside
+// (0°, 180°], and triangles whose smallest angle sits within rounding
+// of the threshold, where the cosine comparison hands over to the
+// exact path.
+func TestAngleBoundMatchesMinTriangleAngle(t *testing.T) {
+	bounds := []float64{
+		-5, 0, 1e-9, 10, 29.999999999, 30, 30.000000001, 59.9999999, 60, 60.0000001,
+		90, 120, 179.9, 180, 181, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	tris := [][3]Vec3{
+		{{0, 0, 0}, {0, 0, 0}, {1, 0, 0}},                  // zero-length edge
+		{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}},                  // a point
+		{{0, 0, 0}, {1, 0, 0}, {2, 0, 0}},                  // collinear: 0°, 180°, 0°
+		{{0, 0, 0}, {1, 0, 0}, {0.5, math.Sqrt(3) / 2, 0}}, // equilateral
+		{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}},                  // 90/45/45
+		{{0, 0, 0}, {1, 0, 0}, {0, 1e-300, 0}},             // underflowing products
+		{{0, 0, 0}, {1e200, 0, 0}, {0, 1e200, 0}},          // overflowing products
+		{{0, 0, 0}, {math.NaN(), 0, 0}, {0, 1, 0}},
+	}
+	// Isosceles triangles with apex angle at, and a few ulps around,
+	// every finite threshold.
+	for _, deg := range bounds {
+		if !(deg > 0 && deg < 180) {
+			continue
+		}
+		for _, nudge := range []float64{0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-10, -1e-10, 1e-8, -1e-8} {
+			half := (deg/2 + nudge) * math.Pi / 180
+			tris = append(tris, [3]Vec3{{0, 0, 0}, {math.Cos(half), math.Sin(half), 0}, {math.Cos(half), -math.Sin(half), 0}})
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 2000; i++ {
+		var tr [3]Vec3
+		for j := range tr {
+			tr[j] = Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64() * 1e-3}
+		}
+		tris = append(tris, tr)
+	}
+	for _, deg := range bounds {
+		b := NewAngleBound(deg)
+		for _, tr := range tris {
+			want := MinTriangleAngle(tr[0], tr[1], tr[2]) < deg
+			if got := b.MinAngleBelow(tr[0], tr[1], tr[2]); got != want {
+				t.Errorf("bound %v, triangle %v: MinAngleBelow = %v, MinTriangleAngle = %v",
+					deg, tr, got, MinTriangleAngle(tr[0], tr[1], tr[2]))
+			}
+		}
+	}
+}

@@ -186,3 +186,72 @@ func MinTriangleAngle(a, b, c Vec3) float64 {
 	}
 	return min
 }
+
+// AngleBound is a planar-angle threshold prepared for repeated
+// "is the smallest angle below it" tests that avoid the arccosine:
+// angles in [0°, 180°] order inversely to their cosines, so all but
+// hairline cases are decided by comparing cosines.
+type AngleBound struct {
+	deg float64
+	cos float64 // cosine of deg; ±Inf when deg is outside (0°, 180°]
+}
+
+// angleBoundBand is the half-width, in cosine, of the interval around
+// the threshold inside which MinAngleBelow evaluates the arccosine
+// exactly as TriangleAngles does. It exceeds the combined rounding
+// error of math.Cos, math.Acos and the degree conversion by orders of
+// magnitude, so outside it the cosine comparison cannot disagree.
+const angleBoundBand = 1e-9
+
+// NewAngleBound prepares the threshold deg (degrees).
+func NewAngleBound(deg float64) AngleBound {
+	b := AngleBound{deg: deg, cos: math.Cos(deg * math.Pi / 180)}
+	switch {
+	case deg > 180:
+		b.cos = math.Inf(-1) // every angle is below
+	case !(deg > 0):
+		b.cos = math.Inf(1) // no angle is below
+	}
+	return b
+}
+
+// MinAngleBelow reports MinTriangleAngle(p, q, r) < bound, decision for
+// decision: a corner at a zero-length edge counts as 0°, and a first
+// corner that is not a number makes the answer false (the running
+// minimum there starts, and stays, NaN).
+func (b AngleBound) MinAngleBelow(p, q, r Vec3) bool {
+	c0 := cornerCos(p, q, r)
+	if c0 != c0 {
+		return false
+	}
+	return b.below(c0) || b.below(cornerCos(q, r, p)) || b.below(cornerCos(r, p, q))
+}
+
+// cornerCos returns the cosine of the angle at p between q and r,
+// computed and clamped as TriangleAngles does before its arccosine.
+func cornerCos(p, q, r Vec3) float64 {
+	u := q.Sub(p)
+	w := r.Sub(p)
+	den := u.Norm() * w.Norm()
+	if den == 0 {
+		return 1 // TriangleAngles' 0°
+	}
+	cosv := u.Dot(w) / den
+	if cosv > 1 {
+		cosv = 1
+	} else if cosv < -1 {
+		cosv = -1
+	}
+	return cosv
+}
+
+// below reports whether the angle with cosine cosv is below the bound.
+func (b AngleBound) below(cosv float64) bool {
+	switch {
+	case cosv > b.cos+angleBoundBand:
+		return true
+	case cosv < b.cos-angleBoundBand:
+		return false
+	}
+	return math.Acos(cosv)*180/math.Pi < b.deg
+}

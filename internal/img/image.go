@@ -80,11 +80,22 @@ func (im *Image) Voxel(p geom.Vec3) (i, j, k int) {
 
 // LabelAt returns the label at world point p (nearest-voxel lookup).
 func (im *Image) LabelAt(p geom.Vec3) Label {
-	if p.X < 0 || p.Y < 0 || p.Z < 0 {
+	return im.labelAt(p.X, p.Y, p.Z)
+}
+
+// labelAt is LabelAt on bare coordinates, small enough to inline into
+// the surface marches that call it once per sample.
+func (im *Image) labelAt(x, y, z float64) Label {
+	if x < 0 || y < 0 || z < 0 {
 		return 0
 	}
-	i, j, k := im.Voxel(p)
-	return im.At(i, j, k)
+	// A coordinate too large for an int converts to a negative one; the
+	// unsigned comparison rejects both ends at once.
+	i, j, k := int(x*im.inv.X), int(y*im.inv.Y), int(z*im.inv.Z)
+	if uint(i) >= uint(im.NX) || uint(j) >= uint(im.NY) || uint(k) >= uint(im.NZ) {
+		return 0
+	}
+	return im.data[(k*im.NY+j)*im.NX+i]
 }
 
 // Inside reports whether world point p lies inside the foreground
@@ -128,20 +139,53 @@ func (im *Image) IsSurfaceVoxel(i, j, k int) bool {
 }
 
 // SurfaceVoxels returns the indices of all surface voxels, flattened
-// as the image's linear index. Used to seed the Euclidean distance
-// transform.
+// as the image's linear index, in increasing order.
 func (im *Image) SurfaceVoxels() []int {
 	var out []int
 	for k := 0; k < im.NZ; k++ {
 		for j := 0; j < im.NY; j++ {
-			for i := 0; i < im.NX; i++ {
-				if im.IsSurfaceVoxel(i, j, k) {
-					out = append(out, im.index(i, j, k))
-				}
-			}
+			out = im.AppendSurfaceRow(out, j, k)
 		}
 	}
 	return out
+}
+
+// AppendSurfaceRow appends the linear indices of the surface voxels of
+// X row (j,k), in increasing order, and returns the extended slice. It
+// only reads the image, so rows may be scanned concurrently (the
+// distance transform seeds itself one row per parallel slice).
+func (im *Image) AppendSurfaceRow(dst []int, j, k int) []int {
+	nx := im.NX
+	base := im.index(0, j, k)
+	if j == 0 || k == 0 || j == im.NY-1 || k == im.NZ-1 || nx < 3 {
+		// On the image border a neighbor is out of range.
+		for i := 0; i < nx; i++ {
+			if im.IsSurfaceVoxel(i, j, k) {
+				dst = append(dst, base+i)
+			}
+		}
+		return dst
+	}
+	// Interior row: the six neighbors are at fixed offsets in the label
+	// slice, read without per-voxel index arithmetic or range checks.
+	plane := nx * im.NY
+	row := im.data[base : base+nx]
+	south, north := im.data[base-nx:base], im.data[base+nx:base+2*nx]
+	below, above := im.data[base-plane:base-plane+nx], im.data[base+plane:base+plane+nx]
+	if im.IsSurfaceVoxel(0, j, k) {
+		dst = append(dst, base)
+	}
+	for i := 1; i < nx-1; i++ {
+		l := row[i]
+		if l != 0 && (row[i-1] != l || row[i+1] != l || south[i] != l ||
+			north[i] != l || below[i] != l || above[i] != l) {
+			dst = append(dst, base+i)
+		}
+	}
+	if im.IsSurfaceVoxel(nx-1, j, k) {
+		dst = append(dst, base+nx-1)
+	}
+	return dst
 }
 
 // Unindex converts a linear voxel index back to (i,j,k).
@@ -182,12 +226,13 @@ func (im *Image) SurfacePoint(p, q geom.Vec3, tol float64) (geom.Vec3, bool) {
 	step := im.MinSpacing() / 2
 	n := int(dist/step) + 1
 
-	// Bracket the first sample with a different label.
+	// Bracket the first sample with a different label. Samples are
+	// p.Lerp(q, t), spelled out on the precomputed d.
 	prevT := 0.0
 	foundT := -1.0
 	for s := 1; s <= n; s++ {
 		t := float64(s) / float64(n)
-		if im.LabelAt(p.Lerp(q, t)) != lp {
+		if im.labelAt(p.X+t*d.X, p.Y+t*d.Y, p.Z+t*d.Z) != lp {
 			foundT = t
 			break
 		}
@@ -199,9 +244,9 @@ func (im *Image) SurfacePoint(p, q geom.Vec3, tol float64) (geom.Vec3, bool) {
 
 	// Bisect [prevT, foundT] down to tol.
 	lo, hi := prevT, foundT
-	for hi-lo > tol/dist {
+	for width := tol / dist; hi-lo > width; {
 		mid := (lo + hi) / 2
-		if im.LabelAt(p.Lerp(q, mid)) != lp {
+		if im.labelAt(p.X+mid*d.X, p.Y+mid*d.Y, p.Z+mid*d.Z) != lp {
 			hi = mid
 		} else {
 			lo = mid

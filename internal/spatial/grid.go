@@ -7,6 +7,7 @@ package spatial
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -25,25 +26,47 @@ type Grid struct {
 }
 
 type bucket struct {
-	mu  sync.Mutex
-	ids []uint32
-	pts []geom.Vec3
+	mu sync.Mutex
+	// n is len(pts), kept readable without the lock: most buckets a
+	// query visits are empty, and it passes those over with one load.
+	n   atomic.Int32
+	pts []entry
+}
+
+type entry struct {
+	p  geom.Vec3
+	id uint32
 }
 
 // NewGrid covers the world box [lo, hi] with cells of the given size
 // (points outside are clamped to border cells).
 func NewGrid(lo, hi geom.Vec3, cellSize float64) *Grid {
+	g := new(Grid)
+	g.Reshape(lo, hi, cellSize)
+	return g
+}
+
+// Reshape empties the grid and makes it cover [lo, hi] at the given
+// cell size, with exactly the geometry NewGrid chooses for those
+// arguments — a reshaped grid behaves identically to a fresh one. The
+// bucket array is kept when it is large enough, along with every kept
+// bucket's slice capacity, so a session alternating between image
+// shapes allocates for the largest once. It must not race with any
+// other use of the grid.
+func (g *Grid) Reshape(lo, hi geom.Vec3, cellSize float64) {
 	if cellSize <= 0 {
 		panic("spatial: non-positive cell size")
 	}
 	span := hi.Sub(lo)
-	nx := int(math.Ceil(span.X/cellSize)) + 1
-	ny := int(math.Ceil(span.Y/cellSize)) + 1
-	nz := int(math.Ceil(span.Z/cellSize)) + 1
-	return &Grid{
-		lo: lo, inv: 1 / cellSize,
-		nx: nx, ny: ny, nz: nz,
-		buckets: make([]bucket, nx*ny*nz),
+	g.lo, g.inv = lo, 1/cellSize
+	g.nx = int(math.Ceil(span.X/cellSize)) + 1
+	g.ny = int(math.Ceil(span.Y/cellSize)) + 1
+	g.nz = int(math.Ceil(span.Z/cellSize)) + 1
+	if n := g.nx * g.ny * g.nz; n <= cap(g.buckets) {
+		g.buckets = g.buckets[:n]
+		g.Reset()
+	} else {
+		g.buckets = make([]bucket, n)
 	}
 }
 
@@ -91,45 +114,50 @@ func (g *Grid) Add(p geom.Vec3, id uint32) {
 	i, j, k := g.cellOf(p)
 	b := g.bucketAt(i, j, k)
 	g.lock(b)
-	b.ids = append(b.ids, id)
-	b.pts = append(b.pts, p)
+	b.pts = append(b.pts, entry{p, id})
+	b.n.Store(int32(len(b.pts)))
 	g.unlock(b)
 }
 
-// forBuckets visits the buckets overlapping the ball (p, r).
-func (g *Grid) forBuckets(p geom.Vec3, r float64, fn func(*bucket) bool) {
-	lo := p.Sub(geom.Vec3{X: r, Y: r, Z: r})
-	hi := p.Add(geom.Vec3{X: r, Y: r, Z: r})
-	i0, j0, k0 := g.cellOf(lo)
-	i1, j1, k1 := g.cellOf(hi)
+// span returns the inclusive range of bucket coordinates overlapping
+// the ball (p, r).
+func (g *Grid) span(p geom.Vec3, r float64) (i0, j0, k0, i1, j1, k1 int) {
+	i0, j0, k0 = g.cellOf(p.Sub(geom.Vec3{X: r, Y: r, Z: r}))
+	i1, j1, k1 = g.cellOf(p.Add(geom.Vec3{X: r, Y: r, Z: r}))
+	return
+}
+
+// AnyWithin reports whether any stored point lies within distance r of
+// p. It is the refiner's most frequent question and mostly answered by
+// empty buckets, so the bucket range is walked row by row with no
+// callback, empty buckets are passed over without locking (an Add
+// racing with the query may be missed, as it may by a query that takes
+// the lock first), and the first hit returns.
+func (g *Grid) AnyWithin(p geom.Vec3, r float64) bool {
+	r2 := r * r
+	i0, j0, k0, i1, j1, k1 := g.span(p, r)
 	for k := k0; k <= k1; k++ {
 		for j := j0; j <= j1; j++ {
+			row := g.buckets[(k*g.ny+j)*g.nx:]
 			for i := i0; i <= i1; i++ {
-				if !fn(g.bucketAt(i, j, k)) {
-					return
+				if b := &row[i]; b.n.Load() != 0 && g.anyInBucket(b, p, r2) {
+					return true
 				}
 			}
 		}
 	}
+	return false
 }
 
-// AnyWithin reports whether any stored point lies within distance r of
-// p.
-func (g *Grid) AnyWithin(p geom.Vec3, r float64) bool {
-	r2 := r * r
-	found := false
-	g.forBuckets(p, r, func(b *bucket) bool {
-		g.lock(b)
-		for _, q := range b.pts {
-			if q.Dist2(p) <= r2 {
-				found = true
-				break
-			}
+func (g *Grid) anyInBucket(b *bucket, p geom.Vec3, r2 float64) bool {
+	g.lock(b)
+	defer g.unlock(b)
+	for i := range b.pts {
+		if b.pts[i].p.Dist2(p) <= r2 {
+			return true
 		}
-		g.unlock(b)
-		return !found
-	})
-	return found
+	}
+	return false
 }
 
 // ForEachWithin calls fn for every stored point within distance r of
@@ -137,47 +165,39 @@ func (g *Grid) AnyWithin(p geom.Vec3, r float64) bool {
 // fn, so fn must not call back into the grid.
 func (g *Grid) ForEachWithin(p geom.Vec3, r float64, fn func(id uint32, q geom.Vec3) bool) {
 	r2 := r * r
-	g.forBuckets(p, r, func(b *bucket) bool {
-		g.lock(b)
-		for i, q := range b.pts {
-			if q.Dist2(p) <= r2 {
-				if !fn(b.ids[i], q) {
-					g.unlock(b)
-					return false
+	i0, j0, k0, i1, j1, k1 := g.span(p, r)
+	for k := k0; k <= k1; k++ {
+		for j := j0; j <= j1; j++ {
+			for i := i0; i <= i1; i++ {
+				if !g.eachInBucket(g.bucketAt(i, j, k), p, r2, fn) {
+					return
 				}
 			}
 		}
-		g.unlock(b)
-		return true
-	})
+	}
 }
 
-// Fits reports whether this grid covers the box [lo, hi] at the given
-// cell size with exactly the geometry NewGrid would choose — i.e.
-// whether a Reset grid behaves identically to a freshly built one for
-// those parameters. Clamping means behavior depends only on the
-// origin, the cell size, and the bucket dimensions, which is what is
-// compared.
-func (g *Grid) Fits(lo, hi geom.Vec3, cellSize float64) bool {
-	if cellSize <= 0 || g.lo != lo || g.inv != 1/cellSize {
-		return false
+func (g *Grid) eachInBucket(b *bucket, p geom.Vec3, r2 float64, fn func(id uint32, q geom.Vec3) bool) bool {
+	g.lock(b)
+	defer g.unlock(b)
+	for _, e := range b.pts {
+		if e.p.Dist2(p) <= r2 && !fn(e.id, e.p) {
+			return false
+		}
 	}
-	span := hi.Sub(lo)
-	return g.nx == int(math.Ceil(span.X/cellSize))+1 &&
-		g.ny == int(math.Ceil(span.Y/cellSize))+1 &&
-		g.nz == int(math.Ceil(span.Z/cellSize))+1
+	return true
 }
 
 // Reset empties every bucket while keeping the bucket array and the
 // per-bucket slice capacity, so a reused grid performs no steady-state
-// allocation. It must not race with concurrent Adds or queries.
+// allocation. It must not race with any other use of the grid, and so
+// takes no locks; buckets already empty are only read.
 func (g *Grid) Reset() {
 	for i := range g.buckets {
-		b := &g.buckets[i]
-		g.lock(b)
-		b.ids = b.ids[:0]
-		b.pts = b.pts[:0]
-		g.unlock(b)
+		if b := &g.buckets[i]; b.n.Load() != 0 {
+			b.pts = b.pts[:0]
+			b.n.Store(0)
+		}
 	}
 }
 
@@ -188,7 +208,7 @@ func (g *Grid) Len() int {
 	for i := range g.buckets {
 		b := &g.buckets[i]
 		g.lock(b)
-		n += len(b.ids)
+		n += len(b.pts)
 		g.unlock(b)
 	}
 	return n
