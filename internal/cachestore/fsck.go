@@ -1,241 +1,110 @@
 package cachestore
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
+	"time"
 )
 
-// FsckReport summarizes what the boot-time verification pass found and
-// repaired.
+// FsckReport summarizes what the boot-time verification pass found.
 type FsckReport struct {
-	// CheckpointUsed is true when a valid checkpoint seeded the index.
-	CheckpointUsed bool `json:"checkpoint_used"`
-	// CheckpointDamaged is true when a checkpoint existed but failed to
-	// parse — the index was then reconstructed from journal + blobs.
-	CheckpointDamaged bool `json:"checkpoint_damaged,omitempty"`
-	// JournalRecords is how many valid journal records replayed.
-	JournalRecords int `json:"journal_records"`
-	// JournalTornLines is how many trailing journal lines were discarded
-	// after the first damaged one (a crash mid-append).
-	JournalTornLines int `json:"journal_torn_lines,omitempty"`
-	// Verified is how many indexed blobs re-verified clean.
+	// Verified is how many blobs verified clean and were indexed.
 	Verified int `json:"verified"`
-	// Recovered is how many verified blobs were adopted that the index
-	// did not know about (orphans from a crash after rename but before
-	// the journal append, or survivors of a destroyed index).
-	Recovered int `json:"recovered,omitempty"`
 	// Quarantined is how many blobs failed verification and were moved
 	// to quarantine/.
 	Quarantined int `json:"quarantined,omitempty"`
-	// Dropped is how many index entries pointed at missing blobs.
-	Dropped int `json:"dropped,omitempty"`
 	// TmpCleaned is how many abandoned *.tmp files were removed.
 	TmpCleaned int `json:"tmp_cleaned,omitempty"`
 }
 
 func (r FsckReport) String() string {
-	return fmt.Sprintf("fsck: %d verified, %d recovered, %d quarantined, %d dropped, %d tmp cleaned (checkpoint used=%v damaged=%v, journal %d records, %d torn lines)",
-		r.Verified, r.Recovered, r.Quarantined, r.Dropped, r.TmpCleaned,
-		r.CheckpointUsed, r.CheckpointDamaged, r.JournalRecords, r.JournalTornLines)
+	return fmt.Sprintf("fsck: %d verified, %d quarantined, %d tmp cleaned", r.Verified, r.Quarantined, r.TmpCleaned)
 }
 
-// verifyBlobHeader checks a blob's frame (length, magic, CRC, declared
-// geometry sizes) and returns its self-described identity without
-// materializing the snapshot — fsck wants the verdict, not the mesh.
-func verifyBlobHeader(data []byte) (blobMeta, string, error) {
-	var meta blobMeta
-	if len(data) < len(blobMagic)+4+8+8+1+8 {
-		return meta, "", fmt.Errorf("cachestore: blob too short (%d bytes)", len(data))
+// tmpGrace is how recently a *.tmp file must have been modified for the
+// boot sweep to leave it alone: it may be a write in flight in another
+// process sharing the directory, not a crash's leftover.
+const tmpGrace = time.Minute
+
+// sweepTemps deletes the abandoned *.tmp files a crash mid-write left in
+// dir and returns how many it removed.
+func sweepTemps(dir string) int {
+	des, _ := os.ReadDir(dir)
+	n := 0
+	for _, de := range des {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), ".tmp") {
+			continue
+		}
+		if fi, err := de.Info(); err != nil || time.Since(fi.ModTime()) < tmpGrace {
+			continue
+		}
+		if os.Remove(filepath.Join(dir, de.Name())) == nil {
+			n++
+		}
 	}
-	if string(data[:len(blobMagic)]) != blobMagic {
-		return meta, "", fmt.Errorf("cachestore: bad magic %q", data[:len(blobMagic)])
-	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	crc := crc64.Checksum(body, crcTable)
-	if got := binary.LittleEndian.Uint64(trailer); got != crc {
-		return meta, "", fmt.Errorf("cachestore: CRC mismatch (stored %016x, computed %016x)", got, crc)
-	}
-	p := body[len(blobMagic):]
-	metaLen := binary.LittleEndian.Uint32(p[:4])
-	if uint64(metaLen) > uint64(len(p)-4) {
-		return meta, "", fmt.Errorf("cachestore: meta length %d exceeds blob", metaLen)
-	}
-	if err := json.Unmarshal(p[4:4+metaLen], &meta); err != nil {
-		return meta, "", fmt.Errorf("cachestore: decoding blob meta: %w", err)
-	}
-	p = p[4+metaLen:]
-	if len(p) < 17 {
-		return meta, "", fmt.Errorf("cachestore: truncated geometry header")
-	}
-	nVerts := binary.LittleEndian.Uint64(p[:8])
-	nCells := binary.LittleEndian.Uint64(p[8:16])
-	want := 24*nVerts + 16*nCells
-	if p[16] == 1 {
-		want += nCells
-	}
-	if uint64(len(p)-17) != want {
-		return meta, "", fmt.Errorf("cachestore: payload is %d bytes, header declares %d", len(p)-17, want)
-	}
-	if meta.ImageKey == "" {
-		return meta, "", fmt.Errorf("cachestore: blob meta has no image key")
-	}
-	return meta, fmt.Sprintf("%016x", crc), nil
+	return n
 }
 
-// fsck reconciles the index with the blobs on disk. It runs inside
-// Open, before the store is shared, so no locking is needed. The ladder:
-//
-//  1. seed the index from the checkpoint (if one parses);
-//  2. replay the journal on top, truncating at a torn tail;
-//  3. scan blobs/: verify every indexed blob (quarantine failures),
-//     adopt verified orphans (which is also how the index is rebuilt
-//     when checkpoint and journal are both gone or damaged), drop index
-//     entries whose blob is missing, and delete abandoned *.tmp files.
-//
-// Blobs are the ground truth: the index never overrules a blob's
-// self-described identity, and a blob that fails its own CRC is
-// quarantined no matter what the index claims.
+// fsck builds the index from the blobs on disk — the only durable state
+// there is. It runs inside Open, before the store is shared, so it takes
+// no lock. One pass: sweep abandoned temp files, read and verify every
+// blob (a blob that fails its own CRC, or sits under a name its
+// self-described identity does not hash to, is quarantined), order the
+// survivors by creation time into the LRU, and evict down to the byte
+// budget so a restart with a smaller -cache-max-bytes converges before
+// serving begins.
 func (s *Store) fsck() (FsckReport, error) {
 	var rep FsckReport
-
-	type idxEnt struct {
-		rec journalRec
-		seq int // replay order; higher = more recent
-	}
-	index := make(map[string]idxEnt)
-	seq := 0
-
-	ckRecs, ckPresent, ckOK := loadCheckpoint(s.cfg.Dir)
-	if ckOK {
-		rep.CheckpointUsed = true
-		for _, rec := range ckRecs {
-			index[entryKey(rec.ImageKey, rec.Variant)] = idxEnt{rec, seq}
-			seq++
-		}
-	} else if ckPresent {
-		rep.CheckpointDamaged = true
-		// Quarantine the damaged checkpoint for post-mortem; the blob
-		// scan below rebuilds the index without it.
-		ckPath := filepath.Join(s.cfg.Dir, checkpointName)
-		os.Rename(ckPath, filepath.Join(s.cfg.Dir, quarantineName, checkpointName))
-	}
-
-	jRecs, torn, _, jErr := replayJournal(filepath.Join(s.cfg.Dir, journalName))
-	rep.JournalTornLines = torn
-	if jErr == nil {
-		rep.JournalRecords = len(jRecs)
-		for _, rec := range jRecs {
-			k := entryKey(rec.ImageKey, rec.Variant)
-			switch rec.Op {
-			case "put":
-				index[k] = idxEnt{rec, seq}
-				seq++
-			case "del":
-				delete(index, k)
-			}
-		}
-	}
-
 	blobsDir := filepath.Join(s.cfg.Dir, blobsDirName)
-	names, err := os.ReadDir(blobsDir)
+	rep.TmpCleaned = sweepTemps(s.cfg.Dir) + sweepTemps(blobsDir)
+	des, err := os.ReadDir(blobsDir)
 	if err != nil {
 		return rep, fmt.Errorf("cachestore: reading %s: %w", blobsDir, err)
 	}
-	onDisk := make(map[string]bool, len(names))
-	type adopted struct {
-		rec journalRec
-		seq int
+	type found struct {
+		e         *entry
+		name      string
+		createdNS int64
 	}
-	var live []adopted
-	for _, de := range names {
+	var live []found
+	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() {
+		if de.IsDir() || strings.HasSuffix(name, ".tmp") {
 			continue
 		}
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(blobsDir, name))
-			rep.TmpCleaned++
-			continue
+		data, err := os.ReadFile(filepath.Join(blobsDir, name))
+		var meta blobMeta
+		var etag string
+		if err == nil {
+			meta, etag, err = verifyBlobHeader(data)
 		}
-		path := filepath.Join(blobsDir, name)
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
+		if err == nil && blobName(meta.ImageKey, meta.Variant) != name {
+			err = fmt.Errorf("cachestore: blob %s self-describes as %s", name, blobName(meta.ImageKey, meta.Variant))
+		}
+		if err != nil {
 			s.quarantineBlob(name)
 			rep.Quarantined++
 			continue
 		}
-		meta, etag, verr := verifyBlobHeader(data)
-		if verr == nil && blobName(meta.ImageKey, meta.Variant) != name {
-			verr = fmt.Errorf("cachestore: blob %s self-describes as %s", name, blobName(meta.ImageKey, meta.Variant))
-		}
-		if verr != nil {
-			s.quarantineBlob(name)
-			rep.Quarantined++
-			continue
-		}
-		onDisk[name] = true
-		k := entryKey(meta.ImageKey, meta.Variant)
-		ent, indexed := index[k]
-		rec := journalRec{
-			Op: "put", ImageKey: meta.ImageKey, Variant: meta.Variant,
-			File: name, Bytes: int64(len(data)), ETag: etag, CreatedNS: meta.CreatedNS,
-		}
-		if indexed && ent.rec.File == name {
-			rep.Verified++
-			live = append(live, adopted{rec, ent.seq})
-		} else {
-			// Orphan: the blob landed but its journal record did not (a
-			// crash between rename and append), or the index was lost.
-			rep.Recovered++
-			live = append(live, adopted{rec, seq})
-			seq++
-		}
+		rep.Verified++
+		live = append(live, found{
+			e:         &entry{imageKey: meta.ImageKey, variant: meta.Variant, bytes: int64(len(data)), etag: etag},
+			name:      name,
+			createdNS: meta.CreatedNS,
+		})
 	}
-	for k, ent := range index {
-		if !onDisk[ent.rec.File] {
-			rep.Dropped++
-			delete(index, k)
-		}
+	// Oldest first, so the LRU front ends up holding the most recently
+	// written entries; the file name breaks ties deterministically.
+	slices.SortFunc(live, func(a, b found) int {
+		return cmp.Or(cmp.Compare(a.createdNS, b.createdNS), cmp.Compare(a.name, b.name))
+	})
+	for _, f := range live {
+		s.indexLocked(f.e)
 	}
-
-	// Materialize the in-memory index, oldest replay order first so the
-	// LRU front ends up holding the most recently written entries.
-	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-	for _, a := range live {
-		rec := a.rec
-		e := &entry{
-			imageKey:  rec.ImageKey,
-			variant:   rec.Variant,
-			file:      rec.File,
-			bytes:     rec.Bytes,
-			etag:      rec.ETag,
-			createdNS: rec.CreatedNS,
-		}
-		e.elem = s.lru.PushFront(e)
-		s.entries[entryKey(rec.ImageKey, rec.Variant)] = e
-		s.totalBytes += rec.Bytes
-	}
-	s.evictLockedBoot()
+	s.evictLocked()
 	return rep, nil
-}
-
-// evictLockedBoot trims the recovered index to budget before serving
-// begins (a restart with a smaller -cache-max-bytes must converge
-// immediately). Runs inside Open, before the store is shared.
-func (s *Store) evictLockedBoot() {
-	for s.totalBytes > s.cfg.MaxBytes && s.lru.Len() > 0 {
-		el := s.lru.Back()
-		e := el.Value.(*entry)
-		delete(s.entries, entryKey(e.imageKey, e.variant))
-		s.lru.Remove(el)
-		s.totalBytes -= e.bytes
-		os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, e.file))
-		s.evictions.Add(1)
-	}
 }

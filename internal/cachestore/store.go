@@ -22,10 +22,15 @@ import (
 type Config struct {
 	// Dir is the cache directory; created if absent. Layout:
 	//
-	//	<dir>/blobs/<sha256(key)>.snap   framed snapshot blobs
-	//	<dir>/journal                    append-only index journal
-	//	<dir>/index.ckpt                 compacting index checkpoint
+	//	<dir>/blobs/<sha256(key)>.snap   framed snapshot blobs — the
+	//	                                 only durable state; the index
+	//	                                 is rebuilt from them at Open
+	//	<dir>/blobs/*.tmp                writes in flight
 	//	<dir>/quarantine/                corrupt blobs, moved aside
+	//	<dir>/<name>                     sidecars (WriteSidecar)
+	//
+	// Any number of stores, in one process or several, may share a
+	// directory without coordinating.
 	Dir string
 	// MaxBytes is the LRU byte budget across all live entries (blob
 	// bytes on disk, estimated snapshot bytes for memory-only entries).
@@ -56,7 +61,6 @@ type Stats struct {
 	Evictions       int64 `json:"evictions"`
 	Corrupt         int64 `json:"corrupt"`
 	Adopted         int64 `json:"adopted,omitempty"`
-	FsckRecovered   int64 `json:"fsck_recovered"`
 	FsckQuarantined int64 `json:"fsck_quarantined"`
 	Bytes           int64 `json:"bytes"`
 	Entries         int   `json:"entries"`
@@ -67,19 +71,23 @@ type Stats struct {
 // while the store was degraded: they live in memory only and are
 // served without touching the disk.
 type entry struct {
-	imageKey  string
-	variant   string
-	file      string // blob filename under blobs/
-	bytes     int64
-	etag      string
-	createdNS int64
-	elem      *list.Element
-	mem       *core.MeshSnapshot
+	imageKey string
+	variant  string
+	bytes    int64
+	etag     string
+	elem     *list.Element
+	mem      *core.MeshSnapshot
 }
+
+const (
+	blobsDirName   = "blobs"
+	quarantineName = "quarantine"
+)
 
 func entryKey(imageKey, variant string) string { return imageKey + "\x00" + variant }
 
-// blobName content-addresses the (image key, variant) pair.
+// blobName content-addresses the (image key, variant) pair: an entry's
+// file name is a pure function of its key.
 func blobName(imageKey, variant string) string {
 	sum := sha256.Sum256([]byte(entryKey(imageKey, variant)))
 	return hex.EncodeToString(sum[:]) + ".snap"
@@ -94,8 +102,6 @@ type Store struct {
 	entries    map[string]*entry
 	lru        *list.List // front = most recently used
 	totalBytes int64
-	journal    *os.File
-	journalLen int
 	closed     bool
 	lastProbe  time.Time
 
@@ -103,13 +109,14 @@ type Store struct {
 
 	hits, misses, writes, evictions, corrupt atomic.Int64
 	adopted                                  atomic.Int64
-	fsckRecovered, fsckQuarantined           atomic.Int64
+	fsckQuarantined                          int64 // set once by Open
 }
 
 // Open opens (or creates) the store at cfg.Dir and runs the boot-time
 // fsck pass described in the package comment. The returned report says
 // what fsck found; Open only fails for unrecoverable environment
-// problems (the directory cannot be created or written).
+// problems (the directory cannot be created or read). It writes nothing
+// but the directories themselves.
 func Open(cfg Config) (*Store, FsckReport, error) {
 	cfg = cfg.withDefaults()
 	s := &Store{
@@ -126,20 +133,9 @@ func Open(cfg Config) (*Store, FsckReport, error) {
 	if err != nil {
 		return nil, rep, err
 	}
-	s.fsckRecovered.Store(int64(rep.Recovered))
-	s.fsckQuarantined.Store(int64(rep.Quarantined))
-	// Persist the reconciled index and start a fresh journal, so the
-	// next boot replays from a state fsck has already blessed.
-	if err := s.compactLocked(); err != nil {
-		// The disk is refusing writes already at boot: open degraded
-		// rather than failing — reads of verified blobs still work.
-		s.degrade()
-	}
+	s.fsckQuarantined = int64(rep.Quarantined)
 	return s, rep, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.cfg.Dir }
 
 // Degraded reports whether the store is in memory-only mode after a
 // disk write failure.
@@ -165,8 +161,7 @@ func (s *Store) Stats() Stats {
 		Evictions:       s.evictions.Load(),
 		Corrupt:         s.corrupt.Load(),
 		Adopted:         s.adopted.Load(),
-		FsckRecovered:   s.fsckRecovered.Load(),
-		FsckQuarantined: s.fsckQuarantined.Load(),
+		FsckQuarantined: s.fsckQuarantined,
 		Bytes:           bytes,
 		Entries:         n,
 		Degraded:        s.degraded.Load(),
@@ -199,133 +194,67 @@ func (s *Store) Contains(imageKey, variant string) bool {
 }
 
 // Get returns the cached snapshot for (imageKey, variant), re-verifying
-// the blob's CRC before a byte is trusted. A corrupt blob is moved to
-// quarantine, dropped from the index, counted, and reported as a miss —
-// corrupt bytes are never served, they cost one re-mesh.
+// the blob's CRC and embedded identity before a byte is trusted. A
+// corrupt blob — or a valid one sitting at another key's path — is moved
+// to quarantine, dropped from the index, counted, and reported as a
+// miss: corrupt bytes are never served, they cost one re-mesh.
+//
+// The index is a hint, not the authority on what is readable. A key it
+// does not hold is still tried at its deterministic blob path, and a
+// verified blob found there — written by another process sharing the
+// directory — is adopted into the index and served as a hit. That is
+// what lets a replica answer for a dead peer's keys the moment the bytes
+// are reachable, without a restart or a re-mesh.
 func (s *Store) Get(imageKey, variant string) (*core.MeshSnapshot, string, bool) {
 	k := entryKey(imageKey, variant)
 	s.mu.Lock()
-	e, ok := s.entries[k]
-	if !ok {
-		s.misses.Add(1)
-		s.mu.Unlock()
-		return nil, "", false
-	}
-	if e.mem != nil {
+	e := s.entries[k]
+	if e != nil && e.mem != nil {
 		s.lru.MoveToFront(e.elem)
 		s.hits.Add(1)
 		snap, etag := e.mem, e.etag
 		s.mu.Unlock()
 		return snap, etag, true
 	}
-	path := filepath.Join(s.cfg.Dir, blobsDirName, e.file)
 	s.mu.Unlock()
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		// Concurrently evicted, or the disk is failing reads: either way
-		// this is a miss, not an error the caller must handle.
-		s.dropEntry(k, e, false)
-		s.misses.Add(1)
-		return nil, "", false
-	}
-	meta, snap, etag, derr := decodeBlob(data)
-	if derr == nil && (meta.ImageKey != imageKey || meta.Variant != variant) {
-		derr = fmt.Errorf("cachestore: blob %s carries identity (%.16s…, %q), index says (%.16s…, %q)",
-			e.file, meta.ImageKey, meta.Variant, imageKey, variant)
-	}
-	if derr != nil {
-		s.quarantineBlob(e.file)
-		s.dropEntry(k, e, true)
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		return nil, "", false
-	}
-	s.mu.Lock()
-	if cur, still := s.entries[k]; still && cur == e {
-		s.lru.MoveToFront(e.elem)
-	}
-	s.hits.Add(1)
-	s.mu.Unlock()
-	return snap, etag, true
-}
-
-// Lookup is Get plus an adoptive disk fallback. Blob filenames are a
-// pure function of (imageKey, variant), so when the index has no entry
-// the deterministic blob path is probed directly: a verified blob that
-// another process sharing the directory wrote — a replica on shared
-// storage, or a peer that was killed before this boot's fsck — is
-// adopted into the index and served as a hit. A corrupt blob at that
-// path is quarantined exactly as Get would. The distributed tier's
-// replica cache reads are built on this: a survivor can answer for a
-// dead owner's key the moment the bytes are reachable, without a
-// restart or a re-mesh.
-func (s *Store) Lookup(imageKey, variant string) (*core.MeshSnapshot, string, bool) {
-	if snap, etag, ok := s.Get(imageKey, variant); ok {
-		return snap, etag, true
-	}
-	if imageKey == "" {
-		return nil, "", false
-	}
+	// A failed read — never written, evicted (by us or a peer), or the
+	// disk failing reads — is a miss, not an error the caller must handle.
 	name := blobName(imageKey, variant)
 	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, blobsDirName, name))
-	if err != nil {
-		return nil, "", false // Get already counted the miss
-	}
-	meta, snap, etag, derr := decodeBlob(data)
-	if derr == nil && (meta.ImageKey != imageKey || meta.Variant != variant) {
-		derr = fmt.Errorf("cachestore: blob %s carries identity (%.16s…, %q), caller asked for (%.16s…, %q)",
-			name, meta.ImageKey, meta.Variant, imageKey, variant)
-	}
-	if derr != nil {
-		s.quarantineBlob(name)
-		s.corrupt.Add(1)
-		return nil, "", false
+	var snap *core.MeshSnapshot
+	var etag string
+	if err == nil {
+		var meta blobMeta
+		meta, snap, etag, err = decodeBlob(data)
+		if err == nil && (meta.ImageKey != imageKey || meta.Variant != variant) {
+			err = fmt.Errorf("cachestore: blob %s carries identity (%.16s…, %q), caller asked for (%.16s…, %q)",
+				name, meta.ImageKey, meta.Variant, imageKey, variant)
+		}
+		if err != nil {
+			s.quarantineBlob(name)
+			s.corrupt.Add(1)
+		}
 	}
 
-	k := entryKey(imageKey, variant)
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err != nil {
+		if e != nil {
+			s.removeLocked(k, e, false)
+		}
+		s.misses.Add(1)
 		return nil, "", false
 	}
-	if _, raced := s.entries[k]; !raced {
-		e := &entry{
-			imageKey:  imageKey,
-			variant:   variant,
-			file:      name,
-			bytes:     int64(len(data)),
-			etag:      etag,
-			createdNS: meta.CreatedNS,
-		}
-		e.elem = s.lru.PushFront(e)
-		s.entries[k] = e
-		s.totalBytes += e.bytes
-		s.appendJournalLocked(journalRec{
-			Op: "put", ImageKey: imageKey, Variant: variant,
-			File: name, Bytes: e.bytes, ETag: etag, CreatedNS: e.createdNS,
-		})
+	if cur, ok := s.entries[k]; ok {
+		s.lru.MoveToFront(cur.elem)
+	} else if !s.closed {
+		s.indexLocked(&entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag})
+		s.adopted.Add(1)
 		s.evictLocked()
 	}
-	s.adopted.Add(1)
 	s.hits.Add(1)
-	s.mu.Unlock()
 	return snap, etag, true
-}
-
-// Exists reports whether the pair is servable — indexed, or present as
-// an un-indexed blob at its deterministic path. Like Contains it counts
-// nothing and touches no recency; unlike Contains it sees blobs written
-// by other processes sharing the directory.
-func (s *Store) Exists(imageKey, variant string) bool {
-	if s.Contains(imageKey, variant) {
-		return true
-	}
-	if imageKey == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(s.cfg.Dir, blobsDirName, blobName(imageKey, variant)))
-	return err == nil
 }
 
 // Put stores a snapshot for (imageKey, variant). Disk failures never
@@ -369,7 +298,10 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 	}
 	if durable {
 		if werr := s.writeBlobFile(name, data); werr != nil {
-			s.degrade()
+			// Memory-only from here: reads of already-stored blobs keep
+			// working (the disk may still read fine); new entries live in
+			// memory until a re-probe write lands.
+			s.degraded.Store(true)
 			s.lastProbe = time.Now()
 			durable = false
 		} else if s.degraded.Load() {
@@ -382,37 +314,31 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 	if old, ok := s.entries[k]; ok {
 		s.removeLocked(k, old, false)
 	}
-	e := &entry{
-		imageKey:  imageKey,
-		variant:   variant,
-		file:      name,
-		bytes:     int64(len(data)),
-		etag:      etag,
-		createdNS: meta.CreatedNS,
-	}
+	e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
 	if !durable {
 		e.mem = snap
 		e.bytes = int64(snap.SizeBytes())
 	}
-	e.elem = s.lru.PushFront(e)
-	s.entries[k] = e
-	s.totalBytes += e.bytes
+	s.indexLocked(e)
 	s.writes.Add(1)
-	if durable {
-		s.appendJournalLocked(journalRec{
-			Op: "put", ImageKey: imageKey, Variant: variant,
-			File: name, Bytes: e.bytes, ETag: etag, CreatedNS: e.createdNS,
-		})
-	}
 	s.evictLocked()
 	return etag, nil
 }
 
-// writeBlobFile writes one framed blob with the crash-safe discipline:
-// temp file, fsync, atomic rename, directory fsync. The faultinject
-// points simulate the disk failing (CacheWriteFail/CacheENOSPC) or
-// lying (CacheTornWrite/CacheBitFlip — the write "succeeds" but the
-// blob is corrupt, which the CRC must catch later). Caller holds s.mu.
+// indexLocked makes e the most recently used entry. Caller holds s.mu
+// (or is Open, before the store is shared).
+func (s *Store) indexLocked(e *entry) {
+	e.elem = s.lru.PushFront(e)
+	s.entries[entryKey(e.imageKey, e.variant)] = e
+	s.totalBytes += e.bytes
+}
+
+// writeBlobFile writes one framed blob with atomicWriteFile's crash-safe
+// discipline; the two fsyncs there are every durable write a Put makes.
+// The faultinject points simulate the disk failing (CacheWriteFail/
+// CacheENOSPC) or lying (CacheTornWrite/CacheBitFlip — the write
+// "succeeds" but the blob is corrupt, which the CRC must catch later).
+// Caller holds s.mu.
 func (s *Store) writeBlobFile(name string, data []byte) error {
 	if faultinject.Fire(faultinject.CacheENOSPC) {
 		return fmt.Errorf("cachestore: injected disk-full: %w", syscall.ENOSPC)
@@ -430,75 +356,9 @@ func (s *Store) writeBlobFile(name string, data []byte) error {
 	return atomicWriteFile(filepath.Join(s.cfg.Dir, blobsDirName, name), data)
 }
 
-// degrade flips the store to memory-only mode. Reads of already-stored
-// blobs keep working (the disk may still read fine); new entries live
-// in memory until a re-probe write lands.
-func (s *Store) degrade() { s.degraded.Store(true) }
-
-// appendJournalLocked appends one record; journal failures degrade the
-// store rather than failing the operation (the checkpoint on a healthy
-// restart repairs the history). Caller holds s.mu.
-func (s *Store) appendJournalLocked(rec journalRec) {
-	if s.journal == nil {
-		f, err := os.OpenFile(filepath.Join(s.cfg.Dir, journalName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			s.degrade()
-			return
-		}
-		s.journal = f
-	}
-	line, err := encodeJournalLine(rec)
-	if err != nil {
-		return
-	}
-	if _, err := s.journal.Write(line); err != nil {
-		s.degrade()
-		return
-	}
-	if err := s.journal.Sync(); err != nil {
-		s.degrade()
-		return
-	}
-	s.journalLen++
-	if s.journalLen >= journalCompactAfter {
-		if err := s.compactLocked(); err != nil {
-			s.degrade()
-		}
-	}
-}
-
-// compactLocked writes a checkpoint of the live index (LRU order,
-// oldest first) and restarts the journal. Caller holds s.mu (or is
-// Open, before the store is shared).
-func (s *Store) compactLocked() error {
-	recs := make([]journalRec, 0, len(s.entries))
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		if e.mem != nil {
-			continue // memory-only entries die with the process by definition
-		}
-		recs = append(recs, journalRec{
-			Op: "put", ImageKey: e.imageKey, Variant: e.variant,
-			File: e.file, Bytes: e.bytes, ETag: e.etag, CreatedNS: e.createdNS,
-		})
-	}
-	if err := writeCheckpoint(s.cfg.Dir, recs); err != nil {
-		return err
-	}
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
-	if err := os.Remove(filepath.Join(s.cfg.Dir, journalName)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	s.journalLen = 0
-	return nil
-}
-
 // evictLocked enforces the byte budget, least-recently-used first. The
 // newest entry is never evicted (budget admission already capped its
-// size). Caller holds s.mu.
+// size). Caller holds s.mu (or is Open, before the store is shared).
 func (s *Store) evictLocked() {
 	for s.totalBytes > s.cfg.MaxBytes && s.lru.Len() > 1 {
 		el := s.lru.Back()
@@ -511,36 +371,17 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// removeLocked unlinks an entry and (optionally) deletes its blob and
-// journals the deletion. Caller holds s.mu.
+// removeLocked unlinks an entry, if it is still the live one for its
+// key, and optionally deletes its blob. Caller holds s.mu.
 func (s *Store) removeLocked(k string, e *entry, deleteBlob bool) {
-	if cur, ok := s.entries[k]; !ok || cur != e {
+	if s.entries[k] != e {
 		return
 	}
 	delete(s.entries, k)
 	s.lru.Remove(e.elem)
 	s.totalBytes -= e.bytes
-	if e.mem == nil {
-		if deleteBlob {
-			os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, e.file))
-		}
-		s.appendJournalLocked(journalRec{Op: "del", ImageKey: e.imageKey, Variant: e.variant, File: e.file})
-	}
-}
-
-// dropEntry removes an entry from the index after an out-of-lock read
-// found it unusable. The blob itself is handled by the caller
-// (quarantined or already gone).
-func (s *Store) dropEntry(k string, e *entry, journalDel bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.entries[k]; ok && cur == e {
-		delete(s.entries, k)
-		s.lru.Remove(e.elem)
-		s.totalBytes -= e.bytes
-		if journalDel && e.mem == nil {
-			s.appendJournalLocked(journalRec{Op: "del", ImageKey: e.imageKey, Variant: e.variant, File: e.file})
-		}
+	if deleteBlob && e.mem == nil {
+		os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant)))
 	}
 }
 
@@ -563,8 +404,9 @@ type KeyInfo struct {
 	Bytes    int64
 }
 
-// KeysMRU lists the live entries, most recently used first — the boot
-// warm-start uses it to seed pool affinity before the first request.
+// KeysMRU lists the live entries, most recently used first — a draining
+// node hands the head of it to the router as its warm-state list. Right
+// after Open the order is blob write order, newest first.
 func (s *Store) KeysMRU() []KeyInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -577,7 +419,7 @@ func (s *Store) KeysMRU() []KeyInfo {
 }
 
 // WriteSidecar atomically writes a small named state file (e.g. the
-// serving layer's breaker priors) next to the index. name must be a
+// serving layer's breaker priors) next to blobs/. name must be a
 // bare filename.
 func (s *Store) WriteSidecar(name string, data []byte) error {
 	if strings.ContainsAny(name, `/\`) || name == "" {
@@ -599,19 +441,53 @@ func (s *Store) ReadSidecar(name string) ([]byte, bool) {
 	return data, true
 }
 
-// Close checkpoints the index and closes the journal. The store must
-// not be used afterwards.
+// Close marks the store closed: later Puts are refused and reads stop
+// adopting. It writes nothing — every blob was durable when its Put
+// returned, and the blobs are all the state there is.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	err := s.compactLocked()
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
+	s.mu.Unlock()
+	return nil
+}
+
+// atomicWriteFile writes data to path via a uniquely named temp file in
+// the same directory + fsync + rename, then fsyncs the directory so the
+// rename itself is durable. The unique name is what lets two processes
+// write the same path at once: each renames its own complete file, and
+// the last rename wins whole.
+func atomicWriteFile(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
 	}
-	return err
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the blob from a peer under another uid
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives a crash;
+// best-effort (some filesystems reject directory fsync).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -141,8 +140,8 @@ func TestStorePutGetPersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if !rep2.CheckpointUsed || rep2.Verified != 1 {
-		t.Fatalf("reopen fsck: %+v", rep2)
+	if rep2 != (FsckReport{Verified: 1}) {
+		t.Fatalf("reopen fsck: %+v, want exactly one verified blob", rep2)
 	}
 	got, gotTag, ok = s2.Get("img1", "delta=2.5")
 	if !ok || gotTag != etag || !snapsEqual(snap, got) {
@@ -263,8 +262,9 @@ func TestFsckQuarantinesAndRecovers(t *testing.T) {
 	}
 	s.Close()
 
-	// Corrupt one blob, drop an orphan (valid blob the index has never
-	// heard of), leave a stray tmp file, and tear the journal.
+	// Corrupt one blob, drop in a valid blob no store of ours wrote, leave
+	// an abandoned tmp file, and leave an older build's index file lying
+	// around (ignored: the blobs are the index).
 	badPath := filepath.Join(dir, blobsDirName, blobName("bad", ""))
 	raw, _ := os.ReadFile(badPath)
 	raw[len(raw)-1] ^= 0xFF
@@ -273,8 +273,10 @@ func TestFsckQuarantinesAndRecovers(t *testing.T) {
 	orphanSnap := testSnap(11)
 	orphanData, orphanTag, _ := encodeBlob(blobMeta{ImageKey: "orphan", Variant: "v", CreatedNS: 1, Summary: orphanSnap.Summary}, orphanSnap)
 	os.WriteFile(filepath.Join(dir, blobsDirName, blobName("orphan", "v")), orphanData, 0o644)
-	os.WriteFile(filepath.Join(dir, blobsDirName, "stray.snap.tmp"), []byte("half"), 0o644)
-	os.WriteFile(filepath.Join(dir, journalName), []byte("{\"op\":\"put\" TORN"), 0o644)
+	stray := filepath.Join(dir, blobsDirName, "stray.snap.tmp")
+	os.WriteFile(stray, []byte("half"), 0o644)
+	os.Chtimes(stray, time.Time{}, time.Now().Add(-2*tmpGrace))
+	os.WriteFile(filepath.Join(dir, "journal"), []byte("{\"op\":\"put\" TORN"), 0o644)
 
 	s2, rep, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -284,8 +286,8 @@ func TestFsckQuarantinesAndRecovers(t *testing.T) {
 	if rep.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1 (%+v)", rep.Quarantined, rep)
 	}
-	if rep.Recovered != 1 {
-		t.Fatalf("recovered = %d, want 1 (%+v)", rep.Recovered, rep)
+	if rep.Verified != 2 {
+		t.Fatalf("verified = %d, want 2: the good entry and the foreign blob (%+v)", rep.Verified, rep)
 	}
 	if rep.TmpCleaned != 1 {
 		t.Fatalf("tmp cleaned = %d, want 1 (%+v)", rep.TmpCleaned, rep)
@@ -300,7 +302,7 @@ func TestFsckQuarantinesAndRecovers(t *testing.T) {
 		t.Fatal("corrupt entry served after fsck")
 	}
 	st := s2.Stats()
-	if st.FsckQuarantined != 1 || st.FsckRecovered != 1 {
+	if st.FsckQuarantined != 1 || st.Entries != 2 {
 		t.Fatalf("fsck counters: %+v", st)
 	}
 }
@@ -312,6 +314,7 @@ func TestFsckRebuildsFromBlobsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{}
+	var order []string // newest first
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("img%d", i)
 		tag, err := s.Put(k, "", testSnap(i+3))
@@ -319,23 +322,26 @@ func TestFsckRebuildsFromBlobsAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[k] = tag
+		order = append([]string{k}, order...)
 	}
-	s.Close()
-
-	// Destroy both index files: checkpoint garbage, journal gone.
-	os.WriteFile(filepath.Join(dir, checkpointName), []byte("not json at all"), 0o644)
-	os.Remove(filepath.Join(dir, journalName))
+	// Reads reorder the live LRU; they are not durable state.
+	s.Get("img0", "")
+	// kill -9: the store is abandoned without Close. There is no index
+	// file to lose — the blobs are all there is.
 
 	s2, rep, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if !rep.CheckpointDamaged {
-		t.Fatalf("checkpoint damage not reported: %+v", rep)
+	if rep != (FsckReport{Verified: len(want)}) {
+		t.Fatalf("reopen fsck: %+v, want %d verified and nothing else", rep, len(want))
 	}
-	if rep.Recovered != len(want) {
-		t.Fatalf("recovered %d of %d entries: %+v", rep.Recovered, len(want), rep)
+	// Restart recency is blob write order, newest first.
+	for i, ki := range s2.KeysMRU() {
+		if ki.ImageKey != order[i] || ki.ETag != want[ki.ImageKey] {
+			t.Fatalf("KeysMRU after reopen = %+v, want write order %v", s2.KeysMRU(), order)
+		}
 	}
 	for k, tag := range want {
 		if gotTag, ok := s2.ETag(k, ""); !ok || gotTag != tag {
@@ -440,9 +446,9 @@ func TestStoreTornWriteNeverServed(t *testing.T) {
 // TestKillMidWriteFsckSoak is the dedicated crash soak: across several
 // seeds, a store takes writes while torn writes and bit flips are
 // injected, then the process "dies" (the store is abandoned without
-// Close, journal mid-life), the directory is reopened, and every
-// surviving read either misses or returns bytes that re-verify —
-// corrupt entries are never served.
+// Close), the directory is reopened, and every surviving read either
+// misses or returns bytes that re-verify — corrupt entries are never
+// served. TestPutCrashPoints enumerates the states a kill can leave.
 func TestKillMidWriteFsckSoak(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303} {
 		seed := seed
@@ -471,12 +477,7 @@ func TestKillMidWriteFsckSoak(t *testing.T) {
 				want[k] = snap
 			}
 			restore()
-			// kill -9: no Close, journal and checkpoint left mid-life.
-			// Simulate a torn journal tail too.
-			if f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644); err == nil {
-				f.WriteString(`{"op":"put","k":"half`)
-				f.Close()
-			}
+			// kill -9: no Close.
 
 			s2, rep, err := Open(Config{Dir: dir})
 			if err != nil {
@@ -510,38 +511,6 @@ func TestKillMidWriteFsckSoak(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestJournalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite the same key enough times to cross the compaction
-	// threshold; the journal must restart instead of growing forever.
-	for i := 0; i < journalCompactAfter+10; i++ {
-		if _, err := s.Put("hot", "", testSnap(3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d, want 1", s.Len())
-	}
-	if data, err := os.ReadFile(filepath.Join(dir, journalName)); err == nil {
-		if n := strings.Count(string(data), "\n"); n >= journalCompactAfter {
-			t.Fatalf("journal has %d lines after compaction threshold", n)
-		}
-	}
-	s.Close()
-	s2, rep, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if !rep.CheckpointUsed || s2.Len() != 1 {
-		t.Fatalf("reopen after compaction: len=%d rep=%+v", s2.Len(), rep)
 	}
 }
 

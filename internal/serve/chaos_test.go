@@ -369,7 +369,6 @@ func TestChaosSoak(t *testing.T) {
 			"cache_corrupt":      cs.Corrupt,
 			"cache_bytes":        cs.Bytes,
 			"cache_degraded":     cs.Degraded,
-			"fsck_recovered":     cs.FsckRecovered,
 			"fsck_quarantined":   cs.FsckQuarantined,
 		}
 		data, err := json.MarshalIndent(report, "", "  ")

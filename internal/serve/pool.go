@@ -140,29 +140,6 @@ func NewPool(n int, cfg core.Config) (*Pool, error) {
 // Size returns the number of sessions in the pool.
 func (p *Pool) Size() int { return len(p.entries) }
 
-// SeedAffinity assigns image identities to idle, never-used sessions so
-// checkout routing can honor affinity from the first request after a
-// restart — the persistent cache's warm start. Keys are consumed in
-// order (pass most-recently-used first); sessions that already carry an
-// identity, are busy, or are quarantined are left alone. The seeded
-// sessions have run nothing, so their EDT caches are still cold; the
-// win is stable routing, which turns the second request warm.
-func (p *Pool) SeedAffinity(keys []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := 0
-	for _, e := range p.entries {
-		if i >= len(keys) {
-			return
-		}
-		if e.busy || e.quarantined || e.key != "" {
-			continue
-		}
-		e.key = keys[i]
-		i++
-	}
-}
-
 // Lease verdicts, recorded by the caller between Run and Release and
 // folded into the session health ledger at release time.
 const (
@@ -639,10 +616,7 @@ func (p *Pool) EvictIdle(maxIdle time.Duration) int {
 	}
 	n := 0
 	for _, e := range p.entries {
-		// lastUsed.IsZero with a non-empty key marks an affinity-seeded
-		// session that has never actually run: it holds no arenas or EDT
-		// buffers, so "evicting" it would only discard the routing hint.
-		if e.busy || e.quarantined || e.key == "" || e.lastUsed.IsZero() || e.lastUsed.After(cutoff) {
+		if e.busy || e.quarantined || e.key == "" || e.lastUsed.After(cutoff) {
 			continue
 		}
 		e.s.Close()

@@ -445,18 +445,15 @@ func NewServer(cfg Config) (*Server, error) {
 	r.CounterFunc("pi2md_cache_adopted_total",
 		"Un-indexed blobs found at their deterministic path (written by a peer sharing the directory) verified and adopted at read time.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.Adopted) }))
-	r.CounterFunc("pi2md_fsck_recovered_total",
-		"Verified orphan blobs the boot fsck adopted back into the cache index.",
-		cacheStat(func(st cachestore.Stats) float64 { return float64(st.FsckRecovered) }))
 	r.CounterFunc("pi2md_fsck_quarantined_total",
 		"Blobs the boot fsck moved to quarantine for failing verification.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.FsckQuarantined) }))
 	return s, nil
 }
 
-// breakerPriorsSidecar is the sidecar file Drain persists next to the
-// cache index so a graceful restart re-arms known-bad keys. A kill -9
-// loses it by design — the priors are an optimization, the index is
+// breakerPriorsSidecar is the sidecar file Drain persists in the cache
+// directory so a graceful restart re-arms known-bad keys. A kill -9
+// loses it by design — the priors are an optimization, the blobs are
 // the durable artifact.
 const breakerPriorsSidecar = "breaker_priors.json"
 
@@ -464,23 +461,15 @@ type breakerPriors struct {
 	OpenKeys []string `json:"open_keys"`
 }
 
-// warmStart pre-populates state from the recovered cache index: pool
-// image affinity from the most-recently-used cached keys, and breaker
-// priors from the last graceful drain's sidecar (seeded open with an
-// elapsed cooldown, so the first arrival probes instead of fast-failing).
+// warmStart re-arms breaker priors from the last graceful drain's
+// sidecar (seeded open with an elapsed cooldown, so the first arrival
+// probes instead of fast-failing). Pool affinity is not seeded: a cached
+// key never reaches a session, and a new variant of a cached image finds
+// every session's EDT cache equally cold.
 func (s *Server) warmStart() {
 	if s.cache == nil {
 		return
 	}
-	seen := make(map[string]bool)
-	var keys []string
-	for _, ki := range s.cache.KeysMRU() {
-		if !seen[ki.ImageKey] {
-			seen[ki.ImageKey] = true
-			keys = append(keys, ki.ImageKey)
-		}
-	}
-	s.pool.SeedAffinity(keys)
 	if data, ok := s.cache.ReadSidecar(breakerPriorsSidecar); ok {
 		var priors breakerPriors
 		if json.Unmarshal(data, &priors) == nil && len(priors.OpenKeys) > 0 {

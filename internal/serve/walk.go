@@ -217,9 +217,7 @@ func (s *Server) cachedSnapshot(key, variant string) (*SnapshotResult, bool) {
 	if s.cache == nil {
 		return nil, false
 	}
-	// Lookup, not Get: the adoptive disk fallback lets this node serve
-	// blobs a peer sharing the cache directory wrote after our boot fsck.
-	snap, etag, ok := s.cache.Lookup(key, variant)
+	snap, etag, ok := s.cache.Get(key, variant)
 	if !ok {
 		return nil, false
 	}
