@@ -33,6 +33,12 @@
 // stops accepting, lets in-flight proxies finish (bounded by
 // -drain-timeout), and exits; it holds no durable state — the ETag
 // table is a rebuildable cache.
+//
+// The flags are deployment settings: -addr -backends -replicas
+// -probe-interval -fail-threshold -max-bytes -drain-timeout. Ring
+// density, the probe deadline, the ETag table's size and the retry
+// budget that bounds failover amplification are constants in
+// internal/router. The binary links no mesher.
 package main
 
 import (
@@ -58,15 +64,10 @@ func main() {
 		addr          = flag.String("addr", ":8090", "listen address")
 		backends      = flag.String("backends", "", "comma-separated pi2md base URLs (required)")
 		replicas      = flag.Int("replicas", 2, "fallback ladder depth: distinct backends tried per key")
-		vnodes        = flag.Int("vnodes", 128, "virtual nodes per backend on the hash ring")
 		probeInterval = flag.Duration("probe-interval", time.Second, "mean backend health-probe period (jittered)")
-		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive failures ejecting a backend from the ring")
 		maxBytes      = flag.Int64("max-bytes", 64<<20, "body cap on the buffered (key-deriving) routing path")
-		etagCache     = flag.Int("etag-cache", 4096, "entries in the (route key -> ETag) table behind local 304s and replica cache reads")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight proxies")
-		retryBudget   = flag.Float64("retry-budget", 0.1, "retry tokens earned per successful relay; retries beyond a request's first attempt spend one (<0 disables gating)")
-		hedgeQuantile = flag.Float64("hedge-quantile", 0.95, "probe-latency quantile after which a replica cache probe is hedged (<0 disables hedging)")
 	)
 	flag.Parse()
 
@@ -83,14 +84,9 @@ func main() {
 	rt, err := router.New(router.Config{
 		Backends:        list,
 		Replicas:        *replicas,
-		VNodes:          *vnodes,
 		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
 		FailThreshold:   *failThreshold,
 		MaxRequestBytes: *maxBytes,
-		ETagCacheSize:   *etagCache,
-		RetryBudget:     *retryBudget,
-		HedgeQuantile:   *hedgeQuantile,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -85,10 +85,6 @@ const (
 	// controller degrades every request to the deepest ladder tier until
 	// the storm subsides and hysteresis walks quality back up.
 	BrownoutStuck
-	// HedgeLoser stalls a router cache-only probe so that its hedge
-	// (fired after the probe-latency quantile) races ahead and wins,
-	// exercising first-winner selection and loser cancellation.
-	HedgeLoser
 
 	// NumPoints is the number of injection points.
 	NumPoints int = iota
@@ -131,8 +127,6 @@ func (p Point) String() string {
 		return "probe-fail"
 	case BrownoutStuck:
 		return "brownout-stuck"
-	case HedgeLoser:
-		return "hedge-loser"
 	}
 	return fmt.Sprintf("point(%d)", int(p))
 }

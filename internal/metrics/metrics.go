@@ -1,15 +1,9 @@
-// Package serve is the serving layer of PI2M: a bounded pool of warm
-// core.Sessions multiplexing concurrent image-to-mesh requests, a job
-// admission controller with queue-depth and deadline rejection, an
-// HTTP surface (POST /v1/mesh, /healthz, /v1/stats, /metrics), and a
-// dependency-free metrics registry with Prometheus text exposition.
-//
-// The layering: Pool owns sessions and affinity; Server owns
-// admission, the image cache, metrics and encoding; the HTTP handlers
-// are a thin translation of Server errors into status codes. cmd/pi2md
-// is the daemon wrapping a Server in an http.Server with graceful
-// drain.
-package serve
+// Package metrics is the dependency-free metrics registry both serving
+// tiers expose on /metrics: counters, gauges, histograms and labelled
+// families of the first two, with Prometheus text exposition. It
+// imports nothing from this module, so the router links it without
+// linking the mesher.
+package metrics
 
 import (
 	"fmt"
@@ -141,137 +135,93 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// CounterVec is a family of counters split by one label's values
-// (e.g. requests_total{code="200"}). Unknown values materialize their
-// series on first use.
-type CounterVec struct {
-	label string
-	mu    sync.Mutex
-	vals  map[string]*Counter
+// Vec is a family of counters or gauges split by its labels' values
+// (requests_total{code="200"}, proxied_jobs_total{backend="a",
+// outcome="ok"}). Unknown value tuples materialize their series on
+// first use.
+type Vec[T any, P interface {
+	*T
+	Value() int64
+}] struct {
+	labels []string
+	mu     sync.Mutex
+	vals   map[string]P // keyed by the label values joined with vecSep
 }
 
-// With returns the counter for the given label value.
-func (cv *CounterVec) With(value string) *Counter {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	c, ok := cv.vals[value]
+// CounterVec and GaugeVec are the two families the registry hands out.
+type (
+	CounterVec = Vec[Counter, *Counter]
+	GaugeVec   = Vec[Gauge, *Gauge]
+)
+
+// vecSep joins a series' label values into its map key. NUL sorts below
+// every byte a label value holds, so sorting the keys sorts the series
+// by first label, then second.
+const vecSep = "\x00"
+
+func (v *Vec[T, P]) key(values []string) string {
+	if len(values) != len(v.labels) {
+		panic(fmt.Sprintf("metrics: %d label values for labels %v", len(values), v.labels))
+	}
+	return strings.Join(values, vecSep)
+}
+
+// With returns the series for the given label values, one per label.
+func (v *Vec[T, P]) With(values ...string) P {
+	k := v.key(values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	s, ok := v.vals[k]
 	if !ok {
-		c = &Counter{}
-		cv.vals[value] = c
+		s = new(T)
+		v.vals[k] = s
 	}
-	return c
+	return s
 }
 
-// Value returns the count for the given label value (0 if the series
-// does not exist yet).
-func (cv *CounterVec) Value(value string) int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if c, ok := cv.vals[value]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Total sums the counter across all label values.
-func (cv *CounterVec) Total() int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	var t int64
-	for _, c := range cv.vals {
-		t += c.Value()
-	}
-	return t
-}
-
-// CounterVec2 is a family of counters split by two labels' values
-// (e.g. proxied_jobs_total{backend="a",outcome="ok"}). Unknown value
-// pairs materialize their series on first use.
-type CounterVec2 struct {
-	label1, label2 string
-	mu             sync.Mutex
-	vals           map[[2]string]*Counter
-}
-
-// With returns the counter for the given label-value pair.
-func (cv *CounterVec2) With(v1, v2 string) *Counter {
-	k := [2]string{v1, v2}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	c, ok := cv.vals[k]
-	if !ok {
-		c = &Counter{}
-		cv.vals[k] = c
-	}
-	return c
-}
-
-// Value returns the count for the given label-value pair (0 if the
+// Value returns the series' value for the given label values (0 if the
 // series does not exist yet).
-func (cv *CounterVec2) Value(v1, v2 string) int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if c, ok := cv.vals[[2]string{v1, v2}]; ok {
-		return c.Value()
+func (v *Vec[T, P]) Value(values ...string) int64 {
+	k := v.key(values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if s, ok := v.vals[k]; ok {
+		return s.Value()
 	}
 	return 0
 }
 
-// Total sums the counter across all label-value pairs.
-func (cv *CounterVec2) Total() int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
+// Total sums the family across all its series.
+func (v *Vec[T, P]) Total() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	var t int64
-	for _, c := range cv.vals {
-		t += c.Value()
+	for _, s := range v.vals {
+		t += s.Value()
 	}
 	return t
 }
 
-// TotalLabel2 sums the counter across series whose second label value
-// matches (e.g. every backend's outcome="ok").
-func (cv *CounterVec2) TotalLabel2(v2 string) int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	var t int64
-	for k, c := range cv.vals {
-		if k[1] == v2 {
-			t += c.Value()
+// write appends the family's sample lines, sorted by label values.
+func (v *Vec[T, P]) write(b *strings.Builder, name string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	keys := make([]string, 0, len(v.vals))
+	for k := range v.vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.WriteString(name)
+		for i, val := range strings.Split(k, vecSep) {
+			sep := ","
+			if i == 0 {
+				sep = "{"
+			}
+			fmt.Fprintf(b, "%s%s=%q", sep, v.labels[i], escapeLabel(val))
 		}
+		fmt.Fprintf(b, "} %d\n", v.vals[k].Value())
 	}
-	return t
-}
-
-// GaugeVec is a family of gauges split by one label's values (e.g.
-// backend_healthy{backend="a"}). Unknown values materialize their
-// series on first use.
-type GaugeVec struct {
-	label string
-	mu    sync.Mutex
-	vals  map[string]*Gauge
-}
-
-// With returns the gauge for the given label value.
-func (gv *GaugeVec) With(value string) *Gauge {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	g, ok := gv.vals[value]
-	if !ok {
-		g = &Gauge{}
-		gv.vals[value] = g
-	}
-	return g
-}
-
-// Value returns the gauge for the given label value (0 if the series
-// does not exist yet).
-func (gv *GaugeVec) Value(value string) int64 {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	if g, ok := gv.vals[value]; ok {
-		return g.Value()
-	}
-	return 0
 }
 
 // metric is one registered metric with its exposition metadata.
@@ -285,9 +235,9 @@ type metric struct {
 	gaugeFunc   func() float64
 	counterFunc func() float64
 	histogram   *Histogram
-	counterVec  *CounterVec
-	counterVec2 *CounterVec2
-	gaugeVec    *GaugeVec
+	vec         interface {
+		write(b *strings.Builder, name string)
+	}
 }
 
 // Registry is an ordered collection of metrics with Prometheus text
@@ -309,7 +259,7 @@ func (r *Registry) register(m *metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[m.name]; dup {
-		panic(fmt.Sprintf("serve: metric %q registered twice", m.name))
+		panic(fmt.Sprintf("metrics: metric %q registered twice", m.name))
 	}
 	r.byName[m.name] = m
 	r.metrics = append(r.metrics, m)
@@ -322,24 +272,17 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// CounterVec registers and returns a one-label counter family.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	cv := &CounterVec{label: label, vals: make(map[string]*Counter)}
-	r.register(&metric{name: name, help: help, typ: "counter", counterVec: cv})
+// CounterVec registers and returns a counter family split by labels.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	cv := &CounterVec{labels: labels, vals: make(map[string]*Counter)}
+	r.register(&metric{name: name, help: help, typ: "counter", vec: cv})
 	return cv
 }
 
-// CounterVec2 registers and returns a two-label counter family.
-func (r *Registry) CounterVec2(name, help, label1, label2 string) *CounterVec2 {
-	cv := &CounterVec2{label1: label1, label2: label2, vals: make(map[[2]string]*Counter)}
-	r.register(&metric{name: name, help: help, typ: "counter", counterVec2: cv})
-	return cv
-}
-
-// GaugeVec registers and returns a one-label gauge family.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	gv := &GaugeVec{label: label, vals: make(map[string]*Gauge)}
-	r.register(&metric{name: name, help: help, typ: "gauge", gaugeVec: gv})
+// GaugeVec registers and returns a gauge family split by labels.
+func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	gv := &GaugeVec{labels: labels, vals: make(map[string]*Gauge)}
+	r.register(&metric{name: name, help: help, typ: "gauge", vec: gv})
 	return gv
 }
 
@@ -407,48 +350,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case m.counter != nil:
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.counter.Value())
-		case m.counterVec != nil:
-			cv := m.counterVec
-			cv.mu.Lock()
-			keys := make([]string, 0, len(cv.vals))
-			for k := range cv.vals {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "%s{%s=%q} %d\n", m.name, cv.label, escapeLabel(k), cv.vals[k].Value())
-			}
-			cv.mu.Unlock()
-		case m.counterVec2 != nil:
-			cv := m.counterVec2
-			cv.mu.Lock()
-			keys := make([][2]string, 0, len(cv.vals))
-			for k := range cv.vals {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i][0] != keys[j][0] {
-					return keys[i][0] < keys[j][0]
-				}
-				return keys[i][1] < keys[j][1]
-			})
-			for _, k := range keys {
-				fmt.Fprintf(&b, "%s{%s=%q,%s=%q} %d\n", m.name,
-					cv.label1, escapeLabel(k[0]), cv.label2, escapeLabel(k[1]), cv.vals[k].Value())
-			}
-			cv.mu.Unlock()
-		case m.gaugeVec != nil:
-			gv := m.gaugeVec
-			gv.mu.Lock()
-			keys := make([]string, 0, len(gv.vals))
-			for k := range gv.vals {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "%s{%s=%q} %d\n", m.name, gv.label, escapeLabel(k), gv.vals[k].Value())
-			}
-			gv.mu.Unlock()
+		case m.vec != nil:
+			m.vec.write(&b, m.name)
 		case m.gauge != nil:
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.gauge.Value())
 		case m.gaugeFunc != nil:

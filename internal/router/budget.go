@@ -2,39 +2,36 @@ package router
 
 import "sync"
 
+// The retry budget's shape: a fresh router may spend retrySeed retries
+// before it has earned any, every successful relay earns retryRatio of
+// one back, and retryCap bounds what a long quiet streak of successes
+// can bank toward a retry storm.
+const (
+	retryRatio = 0.1
+	retrySeed  = 10
+	retryCap   = 100
+)
+
 // retryBudget is a Finagle-style token bucket bounding retry
-// amplification fleet-wide: every successful relay deposits ratio
-// tokens, every retry (fallback forward, extra cache probe, hedge)
-// withdraws one. With ratio 0.1 a healthy router earns one retry per
-// ten successes — so against a dying fleet, where successes stop, the
-// ladders stop fanning out instead of multiplying every client request
-// into Replicas× backend load. The seed is the burst allowance a
-// freshly booted router may spend before it has earned anything.
+// amplification fleet-wide: every successful relay deposits retryRatio
+// tokens, every retry (fallback forward, extra cache probe) withdraws
+// one. A healthy router earns one retry per ten successes — so against
+// a dying fleet, where successes stop, the ladders stop fanning out
+// instead of multiplying every client request into Replicas× backend
+// load.
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	ratio  float64
-	cap    float64
 }
 
-// newRetryBudget builds a bucket earning ratio tokens per success,
-// holding seed tokens at boot, capped at max(seed, 100) so a long
-// quiet streak of successes cannot bank an unbounded retry storm.
-func newRetryBudget(ratio, seed float64) *retryBudget {
-	c := seed
-	if c < 100 {
-		c = 100
-	}
-	return &retryBudget{tokens: seed, ratio: ratio, cap: c}
+func newRetryBudget() *retryBudget {
+	return &retryBudget{tokens: retrySeed}
 }
 
 // deposit credits one successful request's worth of retry allowance.
 func (b *retryBudget) deposit() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.cap {
-		b.tokens = b.cap
-	}
+	b.tokens = min(b.tokens+retryRatio, retryCap)
 	b.mu.Unlock()
 }
 

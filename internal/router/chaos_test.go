@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/img"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // chaosSeed mirrors the serve-package convention: PI2MD_CHAOS_SEED
@@ -132,7 +133,6 @@ func TestRouterChaosSoak(t *testing.T) {
 		Backends:      urls,
 		Replicas:      2,
 		ProbeInterval: 30 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
 		FailThreshold: 2,
 		Transport:     part,
 		Jitter:        (&lockedJitter{rng: rand.New(rand.NewSource(seed + 1))}).Float64,
@@ -181,11 +181,11 @@ func TestRouterChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		bodies[i] = buf.Bytes()
-		spec, err := serve.MeshSpecFromQuery(nil)
+		spec, err := wire.MeshSpecFromQuery(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i] = serve.ImageKey(bodies[i]) + "|" + spec.Variant()
+		keys[i] = routeKey(wire.ImageKey(bodies[i]), spec.Variant())
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -199,9 +199,9 @@ func TestRouterChaosSoak(t *testing.T) {
 		out := chaosOutcome{
 			key:        ki,
 			code:       resp.StatusCode,
-			node:       resp.Header.Get(serve.NodeHeader),
+			node:       resp.Header.Get(wire.NodeHeader),
 			retryAfter: resp.Header.Get("Retry-After"),
-			cacheOnly:  resp.Header.Get(serve.CacheOnlyHeader),
+			cacheOnly:  resp.Header.Get(wire.CacheOnlyHeader),
 		}
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		if resp.StatusCode >= 400 {
@@ -438,10 +438,13 @@ func TestRouterChaosSoak(t *testing.T) {
 	// Retry-budget ledger: every retry withdrew a token, and tokens only
 	// enter the bucket at boot (seed) or as a fraction of ok relays —
 	// so the retry count can never exceed seed + ratio x ok_relays.
-	okRelays := rt.mProxied.TotalLabel2(outcomeOK)
-	if maxRetries := rt.cfg.RetryBudgetSeed + rt.cfg.RetryBudget*float64(okRelays); float64(st.Retries) > maxRetries+1e-9 {
+	var okRelays int64
+	for _, backend := range rt.order {
+		okRelays += rt.mProxied.Value(backend, outcomeOK)
+	}
+	if maxRetries := retrySeed + retryRatio*float64(okRelays); float64(st.Retries) > maxRetries+1e-9 {
 		t.Fatalf("retries = %d exceed the budget ledger bound %.1f (seed %.0f + %.2f x %d ok relays)",
-			st.Retries, maxRetries, rt.cfg.RetryBudgetSeed, rt.cfg.RetryBudget, okRelays)
+			st.Retries, maxRetries, float64(retrySeed), retryRatio, okRelays)
 	}
 
 	if path := os.Getenv("PI2MR_CHAOS_REPORT"); path != "" {
@@ -462,8 +465,6 @@ func TestRouterChaosSoak(t *testing.T) {
 			"cache_only_served":    cacheOnlyServed,
 			"retries":              st.Retries,
 			"retry_exhausted":      st.RetryExhausted,
-			"hedged_won":           st.HedgedWon,
-			"hedged_lost":          st.HedgedLost,
 		}
 		raw, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/img"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // TestRouterRelaysLengthFramed: what a real pi2md sends length-framed
@@ -136,9 +137,9 @@ func TestRouterRelaysLengthFramed(t *testing.T) {
 	}
 	part.set(owner, true)
 	ladder, relayed := framed("replica ladder", "/v1/mesh", octets, image)
-	if ladder.Header.Get(serve.CacheOnlyHeader) != "hit" || !bytes.Equal(relayed, first) {
+	if ladder.Header.Get(wire.CacheOnlyHeader) != "hit" || !bytes.Equal(relayed, first) {
 		t.Errorf("ladder answer: %s %q, %d bytes; want the survivor's cache-only copy of the same mesh",
-			serve.CacheOnlyHeader, ladder.Header.Get(serve.CacheOnlyHeader), len(relayed))
+			wire.CacheOnlyHeader, ladder.Header.Get(wire.CacheOnlyHeader), len(relayed))
 	}
 	if st := r.Stats(); st.ReplicaCacheHits != 1 {
 		t.Errorf("replica_cache_hits = %d, want 1", st.ReplicaCacheHits)

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Handler returns the router's HTTP surface:
@@ -54,13 +54,17 @@ func (r *Router) Handler() http.Handler {
 // request as one whose result lives in the backends' snapshot caches,
 // which is what arms the ETag table and the replica cache-only ladder.
 type routePlan struct {
-	routeKey string // imageKey + "|" + variant
+	routeKey string // routeKey(imageKey, variant)
 	imageKey string
 	variant  string
 	format   string // "vtk"/"off" for /v1/mesh, "" for /v1/simulate
 	raw      []byte // buffered body; nil on the streaming path
 	stream   io.Reader
 }
+
+// routeKey joins the two halves of a job's identity into the key the
+// ring, the pin table and the ETag table all index by.
+func routeKey(imageKey, variant string) string { return imageKey + "|" + variant }
 
 // handleProxy is the whole proxy path: derive the route key, answer a
 // conditional request from the local ETag table when it can, join or
@@ -89,8 +93,8 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	if plan.format != "" {
 		if inm := req.Header.Get("If-None-Match"); inm != "" {
 			if ent, ok := r.etags.lookup(plan.routeKey); ok {
-				entity := serve.EntityTag(ent.etag, plan.format)
-				if serve.ETagMatch(inm, entity) {
+				entity := wire.EntityTag(ent.etag, plan.format)
+				if wire.ETagMatch(inm, entity) {
 					w.Header().Set("ETag", entity)
 					w.WriteHeader(http.StatusNotModified)
 					r.mETag304.Inc()
@@ -109,8 +113,8 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// Every backend round trip beyond this request's first — fallback
-	// forwards, extra cache probes, hedges — is accounted against the
-	// shared retry budget, so a dying fleet sees bounded amplification
+	// forwards, extra cache probes — is accounted against the shared
+	// retry budget, so a dying fleet sees bounded amplification
 	// instead of Replicas× its offered load.
 	att := &attempts{r: r}
 
@@ -191,274 +195,110 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			}
 			continue
 		}
-		if r.relay(w, req, resp, cand, plan) {
-			r.mCompleted.Inc()
-		} else {
-			r.mFailed.Inc()
-		}
-		r.mProxySeconds.Observe(time.Since(started).Seconds())
+		r.finish(w, req, resp, cand, plan, started)
 		return
 	}
 	r.answer503(w, "no reachable backend for key %s (tried %d)", plan.routeKey, len(cands))
 }
 
+// finish relays a backend's response and settles the job: completed
+// when the whole body reached the client, failed otherwise, timed either
+// way.
+func (r *Router) finish(w http.ResponseWriter, req *http.Request, resp *http.Response, backend string, plan routePlan, started time.Time) {
+	if r.relay(w, req, resp, backend, plan) {
+		r.mCompleted.Inc()
+	} else {
+		r.mFailed.Inc()
+	}
+	r.mProxySeconds.Observe(time.Since(started).Seconds())
+}
+
 // attempts is one request's retry-budget ledger: the first backend
 // round trip is always free (it is the request, not a retry), every
-// additional one must withdraw a token. Hedges go through allowHedge —
-// a declined hedge is merely not fired (starved), while a declined
-// allow stops the ladder and is counted as budget exhaustion.
+// additional one must withdraw a token. A declined allow stops the
+// ladder and is counted as budget exhaustion.
 type attempts struct {
 	r    *Router
 	used int
 }
 
 func (a *attempts) allow() bool {
-	if a.used == 0 {
-		a.used++
-		return true
-	}
-	if a.r.budget != nil && !a.r.budget.withdraw() {
-		a.r.mRetryExhausted.Inc()
-		return false
-	}
-	a.used++
-	a.r.mRetries.Inc()
-	return true
-}
-
-// allowHedge pays for a speculative extra probe. Unlike allow it is
-// never free — a hedge is by definition a second round trip for work
-// already in flight.
-func (a *attempts) allowHedge() bool {
-	if a.r.budget != nil && !a.r.budget.withdraw() {
-		return false
+	if a.used > 0 {
+		if !a.r.budget.withdraw() {
+			a.r.mRetryExhausted.Inc()
+			return false
+		}
+		a.r.mRetries.Inc()
 	}
 	a.used++
-	a.r.mRetries.Inc()
 	return true
 }
 
 // tryCacheLadder walks candidates with cache-only probes — GET
 // /v1/cache/{key}/{variant}, no request body — and relays the first
 // hit: a backend that still holds the blob serves it (or validates the
-// client's ETag to a 304) with zero re-meshing. Probes are hedged: if
-// a rung is still unanswered after the observed probe-latency upper
-// quantile, the next rung is fired in parallel and the first winner is
-// relayed (a hedge-won 404 skips both rungs). A 404 cache_miss moves
+// client's ETag to a 304) with zero re-meshing. A 404 cache_miss moves
 // the ladder along — and drops the ETag entry when the missing backend
 // is the very one the table attributed the key to, so a gone blob
 // stops re-arming this ladder on every request. A transport failure
 // feeds the health ledger like any other. Returns true when a response
 // was relayed and the request is done.
 func (r *Router) tryCacheLadder(w http.ResponseWriter, req *http.Request, plan routePlan, cands []string, started time.Time, att *attempts) bool {
-	for i := 0; i < len(cands); i++ {
+	for _, cand := range cands {
 		if !att.allow() {
 			return false
 		}
-		hedge := ""
-		if i+1 < len(cands) {
-			hedge = cands[i+1]
-		}
-		resp, winner, hedgeFired, err := r.probeCacheHedged(req, plan, cands[i], hedge, att)
-		if hedgeFired {
-			// Whatever the hedge's rung would have said is already
-			// answered (or abandoned as the canceled loser): skip it.
-			i++
-		}
+		resp, err := r.probeCache(req, cand, plan)
 		if err != nil {
 			if req.Context().Err() != nil {
-				r.answerCanceled(w, winner, err)
+				r.answerCanceled(w, cand, err)
 				return true
 			}
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			r.mReplicaMisses.Inc()
-			r.etags.dropIf(plan.routeKey, winner)
+			r.noteTransportFailure(cand)
 			continue
 		}
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotModified {
-			// A probe rejection other than a miss (bad key, draining-side
-			// surprise): not a cache answer — fall back to the full path,
-			// where the backend's own parser owns the verdict.
+			// A miss moves the ladder along. Any other rejection (bad
+			// key, draining-side surprise) is not a cache answer either:
+			// fall back to the full path, where the backend's own parser
+			// owns the verdict.
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 			resp.Body.Close()
+			if resp.StatusCode == http.StatusNotFound {
+				r.mReplicaMisses.Inc()
+				r.etags.dropIf(plan.routeKey, cand)
+			}
 			continue
 		}
 		r.mReplicaHits.Inc()
-		r.setPin(plan.routeKey, winner)
-		if r.relay(w, req, resp, winner, plan) {
-			r.mCompleted.Inc()
-		} else {
-			r.mFailed.Inc()
-		}
-		r.mProxySeconds.Observe(time.Since(started).Seconds())
+		r.setPin(plan.routeKey, cand)
+		r.finish(w, req, resp, cand, plan, started)
 		return true
 	}
 	return false
 }
 
-// probeResult is one cache probe's outcome in a hedged race. cancel
-// releases the probe's context; for the winner it is deferred to body
-// close, so the relay can stream the response before the context dies.
-type probeResult struct {
-	resp    *http.Response
-	err     error
-	backend string
-	cancel  context.CancelFunc
-}
-
-// cancelOnClose ties a hedged winner's context to its body: relay's
-// Close releases the context only after the last byte was streamed.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
-}
-
-// hedgeDelay is how long a cache probe may stay unanswered before its
-// hedge fires: the configured upper quantile of observed probe
-// latency, floored by HedgeMinDelay until the histogram has enough
-// samples to mean anything.
-func (r *Router) hedgeDelay() time.Duration {
-	if r.mProbeSeconds.Count() >= 16 {
-		if q := r.mProbeSeconds.Quantile(r.cfg.HedgeQuantile); q > 0 {
-			d := time.Duration(q * float64(time.Second))
-			if d > r.cfg.HedgeMinDelay {
-				return d
-			}
-		}
-	}
-	return r.cfg.HedgeMinDelay
-}
-
-// probeCacheHedged races a cache-only probe of primary against a
-// hedge of the same probe at hedge, fired only if primary is still
-// unanswered after hedgeDelay. The first backend to produce a response
-// wins; the loser's probe is canceled and its body reaped off the
-// request path. An early transport error from one side feeds the
-// health ledger and the race waits for the other; only when every
-// fired probe has failed does the call return an error. hedgeFired
-// reports whether the hedge actually launched (its rung is consumed).
-// Hedging is skipped — never failing the request — when no hedge
-// candidate exists, hedging is disabled, the deadline is too close for
-// a hedge to help, or the retry budget declines the extra probe.
-func (r *Router) probeCacheHedged(req *http.Request, plan routePlan, primary, hedge string, att *attempts) (resp *http.Response, backend string, hedgeFired bool, err error) {
-	results := make(chan probeResult, 2)
-	launch := func(b string) {
-		ctx, cancel := context.WithCancel(req.Context())
-		go func() {
-			resp, err := r.probeCacheCtx(ctx, b, req, plan)
-			results <- probeResult{resp: resp, err: err, backend: b, cancel: cancel}
-		}()
-	}
-	launch(primary)
-
-	var timerC <-chan time.Time
-	if hedge != "" && r.cfg.HedgeQuantile > 0 {
-		delay := r.hedgeDelay()
-		tooLate := false
-		if dl, ok := req.Context().Deadline(); ok && time.Until(dl) < 2*delay {
-			// By the time the hedge fires, half the remaining budget is
-			// gone — the race cannot pay for itself.
-			tooLate = true
-		}
-		if !tooLate {
-			t := time.NewTimer(delay)
-			defer t.Stop()
-			timerC = t.C
-		}
-	}
-
-	outstanding := 1
-	backend = primary
-	for {
-		select {
-		case <-timerC:
-			timerC = nil
-			if !att.allowHedge() {
-				r.mHedged.With("starved").Inc()
-				continue
-			}
-			launch(hedge)
-			outstanding++
-			hedgeFired = true
-		case res := <-results:
-			outstanding--
-			backend = res.backend
-			if res.err != nil {
-				res.cancel()
-				if req.Context().Err() == nil {
-					r.noteTransportFailure(res.backend)
-				}
-				if outstanding > 0 {
-					// The other side of the race may still answer.
-					continue
-				}
-				return nil, res.backend, hedgeFired, res.err
-			}
-			if outstanding > 0 {
-				// First winner takes the request; cancel the loser and
-				// reap its eventual result off the request path.
-				go func() {
-					loser := <-results
-					loser.cancel()
-					if loser.resp != nil {
-						io.Copy(io.Discard, io.LimitReader(loser.resp.Body, 4<<10))
-						loser.resp.Body.Close()
-					}
-				}()
-			}
-			if hedgeFired {
-				if res.backend == hedge {
-					r.mHedged.With("won").Inc()
-				} else {
-					r.mHedged.With("lost").Inc()
-				}
-			}
-			res.resp.Body = &cancelOnClose{ReadCloser: res.resp.Body, cancel: res.cancel}
-			return res.resp, res.backend, hedgeFired, nil
-		}
-	}
-}
-
-// probeCacheCtx asks one backend for the plan's key from its result
-// cache alone: a body-less GET against the cache probe endpoint, with
-// the client's validators forwarded so a holder can answer 304 instead
-// of shipping the mesh. ctx governs the round trip so a hedged loser
-// can be canceled independently of the client request.
-func (r *Router) probeCacheCtx(ctx context.Context, backend string, req *http.Request, plan routePlan) (*http.Response, error) {
+// probeCache asks one backend for the plan's key from its result cache
+// alone: a body-less GET against the cache probe endpoint under the
+// client's context, with the client's validators forwarded so a holder
+// can answer 304 instead of shipping the mesh.
+func (r *Router) probeCache(req *http.Request, backend string, plan routePlan) (*http.Response, error) {
 	if faultinject.Fire(faultinject.ProxyDialFail) {
 		return nil, errInjectedDial
 	}
-	// HedgeLoser stalls this probe (tests cap it to the primary with
-	// MaxFires) so its hedge races ahead and wins.
-	faultinject.Sleep(faultinject.HedgeLoser)
 	u := backend + "/v1/cache/" + plan.imageKey
 	if plan.variant != "" {
 		u += "/" + url.PathEscape(plan.variant)
 	}
 	u += "?format=" + url.QueryEscape(plan.format)
-	preq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	preq, err := http.NewRequestWithContext(req.Context(), http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
 	if inm := req.Header.Get("If-None-Match"); inm != "" {
 		preq.Header.Set("If-None-Match", inm)
 	}
-	start := time.Now()
-	resp, err := r.cfg.Transport.RoundTrip(preq)
-	if err == nil {
-		r.mProbeSeconds.Observe(time.Since(start).Seconds())
-	}
-	return resp, err
+	return r.cfg.Transport.RoundTrip(preq)
 }
 
 // planRoute derives the (image key, variant) route key and the bytes
@@ -466,85 +306,66 @@ func (r *Router) probeCacheCtx(ctx context.Context, backend string, req *http.Re
 // malformed key header) it writes the error envelope and returns
 // ok=false; the caller accounts the failure.
 func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan, bool) {
+	var plan routePlan
+	var specJSON []byte
 	if hk := req.Header.Get(ImageKeyHeader); hk != "" {
 		// Streaming path: the client vouched for the key, the router
 		// never touches the body. The key must look exactly like what it
 		// claims to be — a full SHA-256 in lowercase hex — or arbitrary
 		// client bytes would become route keys, poisoning the pin table,
-		// the ETag table, and metrics cardinality.
-		if !serve.ValidImageKey(hk) {
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
+		// the ETag table, and metrics cardinality. The only spec a
+		// body-less router can see is the query string; a spec part in
+		// the body that disagrees only costs routing locality, never
+		// correctness — the backend re-derives everything.
+		if !wire.ValidImageKey(hk) {
+			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 				"%s must be 64 lowercase hex characters (the full SHA-256 of the image), got %d bytes",
 				ImageKeyHeader, len(hk))
-			return routePlan{}, false
+			return plan, false
 		}
-		// The variant comes from the query string (the only spec a
-		// body-less router can see); a spec part in the body that
-		// disagrees only costs routing locality, never correctness — the
-		// backend re-derives everything.
-		variant, format := "", "vtk"
-		if spec, err := serve.MeshSpecFromQuery(req.URL.Query()); err == nil {
-			variant, format = spec.Variant(), spec.Format
-		}
-		return routePlan{
-			routeKey: hk + "|" + variant,
-			imageKey: hk, variant: variant, format: format,
-			stream: req.Body,
-		}, true
-	}
-
-	raw, err := serve.ReadSized(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes),
-		min(req.ContentLength, r.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			serve.WriteError(w, http.StatusRequestEntityTooLarge, serve.CodeTooLarge,
-				"request body exceeds the %d byte cap", r.cfg.MaxRequestBytes)
-			return routePlan{}, false
-		}
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "reading body: %v", err)
-		return routePlan{}, false
-	}
-	specJSON, image, err := serve.SplitSpecImage(req.Header.Get("Content-Type"), bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, "reading body: %v", err)
-		return routePlan{}, false
-	}
-	if len(image) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
-			"empty body: expected an NRRD label image")
-		return routePlan{}, false
-	}
-
-	// The variant mirrors the backend's coalescing/cache identity. A
-	// malformed spec routes under the empty variant and travels on to
-	// the backend, whose own parser owns the precise 400.
-	variant, format := "", ""
-	if req.URL.Path == "/v1/simulate" {
-		if specJSON != nil {
-			if sp, err := serve.ParseSimSpec(specJSON); err == nil {
-				variant = sp.Mesh.Variant()
-			}
-		}
+		plan.imageKey, plan.stream = hk, req.Body
 	} else {
-		format = "vtk"
+		raw, err := wire.ReadSized(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes),
+			min(req.ContentLength, r.cfg.MaxRequestBytes))
+		var image []byte
+		if err == nil {
+			specJSON, image, err = wire.SplitSpecImage(req.Header.Get("Content-Type"), bytes.NewReader(raw), int64(len(raw)))
+		}
+		var tooBig *http.MaxBytesError
 		switch {
-		case specJSON != nil:
-			if sp, err := serve.ParseMeshSpec(specJSON); err == nil {
-				variant, format = sp.Variant(), sp.Format
-			}
-		default:
-			if sp, err := serve.MeshSpecFromQuery(req.URL.Query()); err == nil {
-				variant, format = sp.Variant(), sp.Format
-			}
+		case errors.As(err, &tooBig):
+			wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
+				"request body exceeds the %d byte cap", r.cfg.MaxRequestBytes)
+			return plan, false
+		case err != nil:
+			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: %v", err)
+			return plan, false
+		case len(image) == 0:
+			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
+				"empty body: expected an NRRD label image")
+			return plan, false
+		}
+		plan.imageKey, plan.raw = wire.ImageKey(image), raw
+	}
+
+	// The variant mirrors the backend's coalescing/cache identity, read
+	// through the backend's own resolver. A malformed spec routes under
+	// the empty variant and travels on to the backend, whose parser owns
+	// the precise 400. Only /v1/mesh has a format: a simulation's answer
+	// is not in any snapshot cache, so it must never arm the ETag table
+	// or the cache ladder.
+	if req.URL.Path == "/v1/mesh" {
+		plan.format = "vtk"
+		if sp, err := wire.ResolveMeshSpec(specJSON, req.URL.Query()); err == nil {
+			plan.variant, plan.format = sp.Variant(), sp.Format
+		}
+	} else if specJSON != nil {
+		if sp, err := wire.ParseSimSpec(specJSON); err == nil {
+			plan.variant = sp.Mesh.Variant()
 		}
 	}
-	key := serve.ImageKey(image)
-	return routePlan{
-		routeKey: key + "|" + variant,
-		imageKey: key, variant: variant, format: format,
-		raw: raw,
-	}, true
+	plan.routeKey = routeKey(plan.imageKey, plan.variant)
+	return plan, true
 }
 
 // forward sends one proxy attempt. The original request's context —
@@ -601,10 +422,7 @@ func (r *Router) relay(w http.ResponseWriter, req *http.Request, resp *http.Resp
 		r.mProxied.With(backend, outcomeUpstream4xx).Inc()
 	default:
 		r.mProxied.With(backend, outcomeOK).Inc()
-		if r.budget != nil {
-			// Successes are what earn retry allowance back.
-			r.budget.deposit()
-		}
+		r.budget.deposit() // successes are what earn retry allowance back
 		if plan.format != "" {
 			if raw := rawETagFromHeader(resp.Header.Get("ETag")); raw != "" {
 				r.etags.learn(plan.routeKey, raw, backend)
@@ -626,15 +444,20 @@ func (r *Router) noteTransportFailure(backend string) {
 	}
 }
 
-// answer503 writes the router-originated unavailability envelope with
-// the shared Retry-After policy: the estimate is the time the health
-// loop needs to eject-and-detect (FailThreshold probe periods),
-// jittered and clamped to [1,30]s exactly as the backends do.
-func (r *Router) answer503(w http.ResponseWriter, format string, args ...any) {
+// unavailable writes the router-originated 503 envelope with the shared
+// Retry-After policy: the estimate is the time the health loop needs to
+// eject-and-detect (FailThreshold probe periods), jittered and clamped
+// to [1,30]s exactly as the backends do.
+func (r *Router) unavailable(w http.ResponseWriter, format string, args ...any) {
 	est := float64(r.cfg.FailThreshold) * r.cfg.ProbeInterval.Seconds()
 	w.Header().Set("Retry-After",
-		strconv.Itoa(serve.ClampRetryAfter(est, r.cfg.Jitter)))
-	serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, format, args...)
+		strconv.Itoa(wire.ClampRetryAfter(est, r.cfg.Jitter)))
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, format, args...)
+}
+
+// answer503 fails a proxy job as unavailable.
+func (r *Router) answer503(w http.ResponseWriter, format string, args ...any) {
+	r.unavailable(w, format, args...)
 	r.mFailed.Inc()
 }
 
@@ -646,7 +469,7 @@ func (r *Router) answer503(w http.ResponseWriter, format string, args ...any) {
 // blamed in the health ledger for a client that hung up.
 func (r *Router) answerCanceled(w http.ResponseWriter, backend string, err error) {
 	r.mProxied.With(backend, outcomeClientGone).Inc()
-	serve.WriteError(w, serve.StatusClientClosedRequest, serve.CodeCanceled,
+	wire.WriteError(w, wire.StatusClientClosedRequest, wire.CodeCanceled,
 		"client canceled during proxy to %s: %v", backend, err)
 	r.mFailed.Inc()
 }
@@ -667,15 +490,12 @@ type drainResult struct {
 // the drained node was warm for — and then ejects the node from the
 // ring immediately instead of waiting for probes to notice the drain.
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
-	backend := strings.TrimRight(strings.TrimSpace(req.URL.Query().Get("backend")), "/")
-	if backend != "" && !strings.Contains(backend, "://") {
-		backend = "http://" + backend
-	}
+	backend := normalizeBackend(req.URL.Query().Get("backend"))
 	r.mu.Lock()
 	_, known := r.backends[backend]
 	r.mu.Unlock()
 	if !known {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"unknown backend %q: want one of the configured base URLs", backend)
 		return
 	}
@@ -684,7 +504,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	defer cancel()
 	dreq, err := http.NewRequestWithContext(ctx, http.MethodPost, backend+"/v1/drain", nil)
 	if err != nil {
-		serve.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, "building drain request: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "building drain request: %v", err)
 		return
 	}
 	resp, err := r.cfg.Transport.RoundTrip(dreq)
@@ -708,17 +528,17 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 		} `json:"keys"`
 	}
 	if resp.StatusCode != http.StatusOK {
-		serve.WriteError(w, http.StatusBadGateway, serve.CodeUnavailable,
+		wire.WriteError(w, http.StatusBadGateway, wire.CodeUnavailable,
 			"backend %s answered drain with status %d", backend, resp.StatusCode)
 		return
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&ann); err != nil {
-		serve.WriteError(w, http.StatusBadGateway, serve.CodeUnavailable,
+		wire.WriteError(w, http.StatusBadGateway, wire.CodeUnavailable,
 			"backend %s drain response unreadable: %v", backend, err)
 		return
 	}
 	for _, k := range ann.Keys {
-		r.etags.learn(k.ImageKey+"|"+k.Variant, k.ETag, backend)
+		r.etags.learn(routeKey(k.ImageKey, k.Variant), k.ETag, backend)
 	}
 	r.ejectBackend(backend)
 	r.mDrains.Inc()
@@ -736,11 +556,7 @@ func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	n := r.ring.Size()
 	r.mu.Unlock()
 	if n == 0 {
-		est := float64(r.cfg.FailThreshold) * r.cfg.ProbeInterval.Seconds()
-		w.Header().Set("Retry-After",
-			strconv.Itoa(serve.ClampRetryAfter(est, r.cfg.Jitter)))
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable,
-			"no healthy backends")
+		r.unavailable(w, "no healthy backends")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -765,9 +581,6 @@ type Stats struct {
 	Retries            int64          `json:"retries"`
 	RetryExhausted     int64          `json:"retry_budget_exhausted"`
 	RetryBudgetTokens  float64        `json:"retry_budget_tokens"`
-	HedgedWon          int64          `json:"hedged_probes_won,omitempty"`
-	HedgedLost         int64          `json:"hedged_probes_lost,omitempty"`
-	HedgedStarved      int64          `json:"hedged_probes_starved,omitempty"`
 	InflightKeys       []string       `json:"inflight_keys,omitempty"`
 }
 
@@ -797,12 +610,7 @@ func (r *Router) Stats() Stats {
 		PlannedDrains:      r.mDrains.Value(),
 		Retries:            r.mRetries.Value(),
 		RetryExhausted:     r.mRetryExhausted.Value(),
-		HedgedWon:          r.mHedged.Value("won"),
-		HedgedLost:         r.mHedged.Value("lost"),
-		HedgedStarved:      r.mHedged.Value("starved"),
-	}
-	if r.budget != nil {
-		st.RetryBudgetTokens = r.budget.balance()
+		RetryBudgetTokens:  r.budget.balance(),
 	}
 	for _, name := range r.order {
 		b := r.backends[name]

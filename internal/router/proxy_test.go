@@ -13,8 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // cacheStub is a pi2md stand-in with a switchable replica cache: the
@@ -43,21 +42,26 @@ func newCacheFleet(t *testing.T, n int, rawETag string) []*cacheStub {
 		mux.HandleFunc("POST /v1/mesh", func(w http.ResponseWriter, r *http.Request) {
 			b.meshHits.Add(1)
 			io.Copy(io.Discard, r.Body)
-			w.Header().Set(serve.NodeHeader, b.id)
-			w.Header().Set("ETag", serve.EntityTag(b.rawETag, "vtk"))
+			w.Header().Set(wire.NodeHeader, b.id)
+			w.Header().Set("ETag", wire.EntityTag(b.rawETag, "vtk"))
 			io.WriteString(w, "full-"+b.id)
+		})
+		mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set(wire.NodeHeader, b.id)
+			io.WriteString(w, "solved-"+b.id)
 		})
 		mux.HandleFunc("GET /v1/cache/", func(w http.ResponseWriter, r *http.Request) {
 			b.probeHits.Add(1)
 			if !b.cached.Load() {
-				serve.WriteError(w, http.StatusNotFound, serve.CodeCacheMiss, "no cached result")
+				wire.WriteError(w, http.StatusNotFound, wire.CodeCacheMiss, "no cached result")
 				return
 			}
-			entity := serve.EntityTag(b.rawETag, "vtk")
-			w.Header().Set(serve.NodeHeader, b.id)
+			entity := wire.EntityTag(b.rawETag, "vtk")
+			w.Header().Set(wire.NodeHeader, b.id)
 			w.Header().Set("ETag", entity)
-			w.Header().Set(serve.CacheOnlyHeader, "hit")
-			if serve.ETagMatch(r.Header.Get("If-None-Match"), entity) {
+			w.Header().Set(wire.CacheOnlyHeader, "hit")
+			if wire.ETagMatch(r.Header.Get("If-None-Match"), entity) {
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
@@ -202,15 +206,15 @@ func TestProxyClientCancel499(t *testing.T) {
 		t.Fatal("handler did not return after client cancel")
 	}
 
-	if rec.Code != serve.StatusClientClosedRequest {
-		t.Fatalf("status %d, want %d", rec.Code, serve.StatusClientClosedRequest)
+	if rec.Code != wire.StatusClientClosedRequest {
+		t.Fatalf("status %d, want %d", rec.Code, wire.StatusClientClosedRequest)
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
 		t.Fatalf("canceled response carries Retry-After %q; a hung-up client must not be told to retry", ra)
 	}
 	code, reason, retryAfterS := decodeEnvelope(t, rec.Body)
-	if code != serve.CodeCanceled || reason == "" {
-		t.Fatalf("envelope code=%q reason=%q, want %q with a reason", code, reason, serve.CodeCanceled)
+	if code != wire.CodeCanceled || reason == "" {
+		t.Fatalf("envelope code=%q reason=%q, want %q with a reason", code, reason, wire.CodeCanceled)
 	}
 	if retryAfterS != 0 {
 		t.Fatalf("envelope retry_after_s=%d, want 0", retryAfterS)
@@ -258,8 +262,8 @@ func TestPlanRouteRejectsBadImageKey(t *testing.T) {
 		}
 		code, reason, _ := decodeEnvelope(t, resp.Body)
 		resp.Body.Close()
-		if code != serve.CodeBadRequest || reason == "" {
-			t.Fatalf("%s: envelope code=%q reason=%q, want %q", tc.name, code, reason, serve.CodeBadRequest)
+		if code != wire.CodeBadRequest || reason == "" {
+			t.Fatalf("%s: envelope code=%q reason=%q, want %q", tc.name, code, reason, wire.CodeBadRequest)
 		}
 	}
 	// None of the garbage reached a backend or leaked a flight pin.
@@ -416,7 +420,7 @@ func TestRouterLocal304ShortCircuit(t *testing.T) {
 	defer rts.Close()
 
 	body := []byte("fake-nrrd-payload-etag")
-	entity := serve.EntityTag(raw, "vtk")
+	entity := wire.EntityTag(raw, "vtk")
 
 	resp := postMesh(t, rts, body, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -540,8 +544,8 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(b2) != "cached-"+survivor.id {
 		t.Fatalf("post-death request: status %d body %q, want the survivor's cached copy", resp.StatusCode, b2)
 	}
-	if got := resp.Header.Get(serve.CacheOnlyHeader); got != "hit" {
-		t.Fatalf("cache-served response lost the %s marker (%q)", serve.CacheOnlyHeader, got)
+	if got := resp.Header.Get(wire.CacheOnlyHeader); got != "hit" {
+		t.Fatalf("cache-served response lost the %s marker (%q)", wire.CacheOnlyHeader, got)
 	}
 	if got := survivor.meshHits.Load(); got != 0 {
 		t.Fatalf("replica hit still re-meshed on the survivor (%d mesh hits)", got)
@@ -667,7 +671,7 @@ func TestRouterDrainHandoff(t *testing.T) {
 	// drained node's key is answered 304 by the router, touching nobody.
 	resp = postMesh(t, rts, []byte("any-body"), map[string]string{
 		ImageKeyHeader:  imageKey,
-		"If-None-Match": serve.EntityTag(raw, "vtk"),
+		"If-None-Match": wire.EntityTag(raw, "vtk"),
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
@@ -776,7 +780,7 @@ func TestETagStaleDropOnMiss(t *testing.T) {
 	// Client-visible staleness check: a validator naming the gone
 	// entity must forward and re-mesh, never 304 locally against a
 	// blob nobody can produce.
-	resp = postMesh(t, rts, body, map[string]string{"If-None-Match": serve.EntityTag(raw, "vtk")})
+	resp = postMesh(t, rts, body, map[string]string{"If-None-Match": wire.EntityTag(raw, "vtk")})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
@@ -787,85 +791,58 @@ func TestETagStaleDropOnMiss(t *testing.T) {
 	}
 }
 
-// TestHedgedCacheProbeWinner: a cache-only probe that stalls past the
-// hedge delay gets a speculative second probe at the next rung; the
-// hedge's hit is relayed, the win is counted, the stalled loser is
-// canceled before it ever reaches its backend, and the key re-homes to
-// the winner.
-func TestHedgedCacheProbeWinner(t *testing.T) {
+// TestStreamedSimulateNeverCacheAnswered: a simulation's answer lives in
+// no snapshot cache, so even with the key's mesh entity in the ETag
+// table and its last-known server gone — everything that arms the
+// replica ladder and the local 304 for /v1/mesh — a streamed
+// /v1/simulate must be forwarded and answered by a backend's solver.
+// Before the fix the key-header path set a format whatever the route,
+// and the cached mesh (or a local 304) came back as the simulation.
+func TestStreamedSimulateNeverCacheAnswered(t *testing.T) {
 	raw := "0123456789abcdef"
 	fleet := newCacheFleet(t, 2, raw)
 	for _, b := range fleet {
 		b.cached.Store(true)
 	}
 	dead := "http://127.0.0.1:9" // configured but never healthy
-	r := newTestRouter(t, Config{
-		Backends:      append(cacheFleetURLs(fleet), dead),
-		Replicas:      2,
-		HedgeMinDelay: 20 * time.Millisecond,
-	})
+	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead), Replicas: 2})
 	probeAllCache(r, fleet)
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
 
-	body := []byte("fake-nrrd-payload-hedge")
-	key := meshRouteKey(t, body)
-	// Attribute the key to the dead node: trigger 1 arms the ladder.
-	r.etags.learn(key, raw, dead)
-	cands := r.candidates(key)
-	if len(cands) < 2 {
-		t.Fatalf("want 2 healthy ladder candidates, have %v", cands)
-	}
-	stubOf := func(u string) *cacheStub {
-		for _, b := range fleet {
-			if b.ts.URL == u {
-				return b
-			}
+	imageKey := strings.Repeat("0123456789abcdef", 4)
+	r.etags.learn(routeKey(imageKey, ""), raw, dead)
+
+	for name, inm := range map[string]string{"ladder": "", "local 304": wire.EntityTag(raw, "vtk")} {
+		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/simulate", strings.NewReader("spec-and-image"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("no stub for %s", u)
-		return nil
+		req.Header.Set(ImageKeyHeader, imageKey)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(got), "solved-") || resp.Header.Get(wire.CacheOnlyHeader) != "" {
+			t.Errorf("%s: status %d body %q %s=%q, want a backend's own simulation",
+				name, resp.StatusCode, got, wire.CacheOnlyHeader, resp.Header.Get(wire.CacheOnlyHeader))
+		}
 	}
-	primary, hedge := stubOf(cands[0]), stubOf(cands[1])
-
-	// Stall only the first probe (the primary): its hedge races ahead.
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed:     1,
-		Rates:    map[faultinject.Point]float64{faultinject.HedgeLoser: 1},
-		MaxFires: map[faultinject.Point]int64{faultinject.HedgeLoser: 1},
-		Delay:    400 * time.Millisecond,
-	}))
-	defer restore()
-
-	resp := postMesh(t, rts, body, nil)
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(got) != "cached-"+hedge.id {
-		t.Fatalf("hedged request: status %d body %q, want the hedge's cached copy %q",
-			resp.StatusCode, got, "cached-"+hedge.id)
+	var probes int64
+	for _, b := range fleet {
+		probes += b.probeHits.Load()
 	}
-	if h := resp.Header.Get(serve.CacheOnlyHeader); h != "hit" {
-		t.Fatalf("%s = %q, want \"hit\"", serve.CacheOnlyHeader, h)
+	if st := r.Stats(); probes != 0 || st.ReplicaCacheHits != 0 || st.ETag304s != 0 {
+		t.Errorf("cache probes=%d replica_cache_hits=%d etag_304s=%d, want none for a simulation",
+			probes, st.ReplicaCacheHits, st.ETag304s)
 	}
-	st := r.Stats()
-	if st.HedgedWon != 1 || st.HedgedLost != 0 {
-		t.Fatalf("hedged won=%d lost=%d, want 1/0", st.HedgedWon, st.HedgedLost)
-	}
-	if st.Retries != 1 {
-		t.Fatalf("retries = %d, want exactly the hedge's withdrawal", st.Retries)
-	}
-	if st.ReplicaCacheHits != 1 {
-		t.Fatalf("replica_cache_hits = %d, want 1", st.ReplicaCacheHits)
-	}
-	// The key re-homed to the winner.
-	if ent, ok := r.etags.lookup(key); !ok || ent.backend != hedge.ts.URL {
-		t.Fatalf("etag entry = %+v ok=%v, want re-homed to the hedge winner", ent, ok)
-	}
-	// The loser was canceled while still stalled: by the time its
-	// injected delay elapses, its context is gone and the probe never
-	// reaches the backend.
-	time.Sleep(600 * time.Millisecond)
-	if got := primary.probeHits.Load(); got != 0 {
-		t.Fatalf("canceled loser still probed its backend %d times", got)
+	if _, ok := r.etags.lookup(routeKey(imageKey, "")); !ok {
+		t.Error("the simulation dropped the mesh's ETag entry")
 	}
 }
 
@@ -880,12 +857,14 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	fleet := newCacheFleet(t, 2, raw)
 	part := &partition{}
 	r := newTestRouter(t, Config{
-		Backends:        cacheFleetURLs(fleet),
-		Replicas:        2,
-		FailThreshold:   10,
-		RetryBudgetSeed: -1, // boot with an empty bucket
-		Transport:       part,
+		Backends:      cacheFleetURLs(fleet),
+		Replicas:      2,
+		FailThreshold: 10,
+		Transport:     part,
 	})
+	r.budget.mu.Lock()
+	r.budget.tokens = 0 // as if the boot allowance were already spent
+	r.budget.mu.Unlock()
 	probeAllCache(r, fleet)
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
@@ -911,8 +890,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("empty-bucket failover: status %d, want 503", resp.StatusCode)
 	}
-	if code != serve.CodeUnavailable || !strings.Contains(reason, "retry budget exhausted") {
-		t.Fatalf("envelope code=%q reason=%q, want %q naming the exhausted budget", code, reason, serve.CodeUnavailable)
+	if code != wire.CodeUnavailable || !strings.Contains(reason, "retry budget exhausted") {
+		t.Fatalf("envelope code=%q reason=%q, want %q naming the exhausted budget", code, reason, wire.CodeUnavailable)
 	}
 	if retryAfterS < 1 || retryAfterS > 30 {
 		t.Fatalf("retry_after_s = %d outside the [1,30] clamp", retryAfterS)

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/serve"
+	"repro/internal/metrics"
 )
 
 // ImageKeyHeader lets a client that already knows its image's SHA-256
@@ -33,6 +33,13 @@ const (
 	outcomeClientGone   = "client_gone"     // the client canceled or disconnected mid-attempt
 )
 
+// What no deployment, test or benchmark sets differently is a constant.
+const (
+	vnodes        = 128             // virtual nodes per ring member
+	probeTimeout  = 2 * time.Second // bound on one /readyz probe
+	etagTableSize = 4096            // (routeKey → ETag) entries, evicted LRU
+)
+
 // Config configures a Router. Zero values select the defaults noted
 // on each field.
 type Config struct {
@@ -43,14 +50,10 @@ type Config struct {
 	// members a buffered request may be tried against (owner first).
 	// Default 2.
 	Replicas int
-	// VNodes is the virtual-node count per member. Default 128.
-	VNodes int
 	// ProbeInterval is the mean health-probe period per backend; the
 	// actual period is jittered to [0.5,1.5)× so probes across backends
 	// and routers never phase-lock. Default 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe. Default 2s.
-	ProbeTimeout time.Duration
 	// FailThreshold is the consecutive probe (or proxy transport)
 	// failure count that ejects a backend from the ring. One successful
 	// probe rejoins it. Default 3.
@@ -58,30 +61,6 @@ type Config struct {
 	// MaxRequestBytes caps the buffered-body routing path, mirroring
 	// the backend's own cap. Default 64 MiB.
 	MaxRequestBytes int64
-	// ETagCacheSize bounds the (routeKey → ETag) table behind the
-	// router-side 304 short-circuit and the replica-cache read trigger.
-	// Default 4096 entries, evicted LRU.
-	ETagCacheSize int
-	// RetryBudget is the fraction of successful relays earned back as
-	// retry allowance, Finagle-style: every fallback forward, extra
-	// cache probe, or hedge beyond a request's first attempt withdraws
-	// one token from a shared bucket that successes refill at this
-	// ratio. 0 selects the default 0.1 (one retry per ten successes);
-	// negative disables budget gating entirely (unbounded retries, the
-	// pre-budget behavior).
-	RetryBudget float64
-	// RetryBudgetSeed is the bucket's boot-time token balance — the
-	// burst allowance a fresh router may spend before it has earned
-	// anything. 0 selects the default 10; negative means an empty
-	// bucket.
-	RetryBudgetSeed float64
-	// HedgeQuantile is the observed cache-probe latency quantile after
-	// which a second replica probe is hedged on tail-latency reads. 0
-	// selects the default 0.95; negative disables hedging.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge delay while the probe-latency
-	// histogram is still sparse (default 25ms).
-	HedgeMinDelay time.Duration
 	// Transport performs backend HTTP round trips for both proxying
 	// and probing — tests inject partitions here. Default
 	// http.DefaultTransport.
@@ -96,37 +75,14 @@ func (c *Config) withDefaults() Config {
 	if out.Replicas <= 0 {
 		out.Replicas = 2
 	}
-	if out.VNodes <= 0 {
-		out.VNodes = 128
-	}
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = time.Second
-	}
-	if out.ProbeTimeout <= 0 {
-		out.ProbeTimeout = 2 * time.Second
 	}
 	if out.FailThreshold <= 0 {
 		out.FailThreshold = 3
 	}
 	if out.MaxRequestBytes <= 0 {
 		out.MaxRequestBytes = 64 << 20
-	}
-	if out.ETagCacheSize <= 0 {
-		out.ETagCacheSize = 4096
-	}
-	if out.RetryBudget == 0 {
-		out.RetryBudget = 0.1
-	}
-	if out.RetryBudgetSeed == 0 {
-		out.RetryBudgetSeed = 10
-	} else if out.RetryBudgetSeed < 0 {
-		out.RetryBudgetSeed = 0
-	}
-	if out.HedgeQuantile == 0 {
-		out.HedgeQuantile = 0.95
-	}
-	if out.HedgeMinDelay <= 0 {
-		out.HedgeMinDelay = 25 * time.Millisecond
 	}
 	if out.Transport == nil {
 		out.Transport = http.DefaultTransport
@@ -182,32 +138,30 @@ type Router struct {
 	etags *etagTable
 
 	// budget bounds retry amplification across the fallback and
-	// replica-cache ladders; nil when gating is disabled.
+	// replica-cache ladders.
 	budget *retryBudget
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	started bool
 
-	reg             *serve.Registry
-	mBackendHealthy *serve.GaugeVec
-	mProxied        *serve.CounterVec2
-	mRebalances     *serve.Counter
-	mRingMembers    *serve.Gauge
-	mJobs           *serve.Counter
-	mCompleted      *serve.Counter
-	mFailed         *serve.Counter
-	mFlightJoins    *serve.Counter
-	mProbeFailures  *serve.Counter
-	mProxySeconds   *serve.Histogram
-	mReplicaHits    *serve.Counter
-	mReplicaMisses  *serve.Counter
-	mETag304        *serve.Counter
-	mDrains         *serve.Counter
-	mRetries        *serve.Counter
-	mRetryExhausted *serve.Counter
-	mHedged         *serve.CounterVec // pi2mr_hedged_probes_total{outcome}
-	mProbeSeconds   *serve.Histogram  // pi2mr_cache_probe_seconds
+	reg             *metrics.Registry
+	mBackendHealthy *metrics.GaugeVec
+	mProxied        *metrics.CounterVec // pi2mr_proxied_jobs_total{backend,outcome}
+	mRebalances     *metrics.Counter
+	mRingMembers    *metrics.Gauge
+	mJobs           *metrics.Counter
+	mCompleted      *metrics.Counter
+	mFailed         *metrics.Counter
+	mFlightJoins    *metrics.Counter
+	mProbeFailures  *metrics.Counter
+	mProxySeconds   *metrics.Histogram
+	mReplicaHits    *metrics.Counter
+	mReplicaMisses  *metrics.Counter
+	mETag304        *metrics.Counter
+	mDrains         *metrics.Counter
+	mRetries        *metrics.Counter
+	mRetryExhausted *metrics.Counter
 }
 
 // New builds a Router over the configured backends. Call Start to
@@ -223,19 +177,14 @@ func New(cfg Config) (*Router, error) {
 		start:    time.Now(),
 		backends: make(map[string]*backendState, len(cfg.Backends)),
 		flights:  make(map[string]*flightPin),
-		etags:    newETagTable(cfg.ETagCacheSize),
+		etags:    newETagTable(etagTableSize),
+		budget:   newRetryBudget(),
 		stop:     make(chan struct{}),
 	}
-	if cfg.RetryBudget > 0 {
-		r.budget = newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetSeed)
-	}
 	for _, b := range cfg.Backends {
-		name := strings.TrimRight(strings.TrimSpace(b), "/")
+		name := normalizeBackend(b)
 		if name == "" {
 			return nil, fmt.Errorf("router: empty backend URL")
-		}
-		if !strings.Contains(name, "://") {
-			name = "http://" + name
 		}
 		if _, dup := r.backends[name]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", name)
@@ -244,14 +193,14 @@ func New(cfg Config) (*Router, error) {
 		r.order = append(r.order, name)
 	}
 	sort.Strings(r.order)
-	r.allRing = NewRing(r.order, cfg.VNodes)
-	r.ring = NewRing(nil, cfg.VNodes)
+	r.allRing = NewRing(r.order, vnodes)
+	r.ring = NewRing(nil, vnodes)
 
-	reg := serve.NewRegistry()
+	reg := metrics.NewRegistry()
 	r.reg = reg
 	r.mBackendHealthy = reg.GaugeVec("pi2mr_backend_healthy",
 		"Whether the backend is in the routing ring (1) or ejected (0).", "backend")
-	r.mProxied = reg.CounterVec2("pi2mr_proxied_jobs_total",
+	r.mProxied = reg.CounterVec("pi2mr_proxied_jobs_total",
 		"Proxy attempts by backend and outcome.", "backend", "outcome")
 	r.mRebalances = reg.Counter("pi2mr_ring_rebalances_total",
 		"Ring rebuilds caused by membership changes (ejections and rejoins).")
@@ -279,26 +228,26 @@ func New(cfg Config) (*Router, error) {
 	r.mDrains = reg.Counter("pi2mr_planned_drains_total",
 		"Planned backend drains executed through POST /v1/drain.")
 	r.mRetries = reg.Counter("pi2mr_retries_total",
-		"Backend round trips beyond a request's first attempt (fallback forwards, extra cache probes, hedges), each paid for by a retry-budget token.")
+		"Backend round trips beyond a request's first attempt (fallback forwards, extra cache probes), each paid for by a retry-budget token.")
 	r.mRetryExhausted = reg.Counter("pi2mr_retry_budget_exhausted_total",
 		"Requests whose fallback ladder was stopped by an empty retry budget.")
-	r.mHedged = reg.CounterVec("pi2mr_hedged_probes_total",
-		"Hedged cache-only probes by outcome: won (hedge answered first), lost (primary answered first), starved (budget declined the hedge).", "outcome")
-	r.mProbeSeconds = reg.Histogram("pi2mr_cache_probe_seconds",
-		"Latency of replica cache-only probes; its upper quantile sets the hedge delay.",
-		[]float64{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10})
 	reg.GaugeFunc("pi2mr_retry_budget_tokens",
-		"Tokens currently in the retry budget (0 with gating disabled).",
-		func() float64 {
-			if r.budget == nil {
-				return 0
-			}
-			return r.budget.balance()
-		})
+		"Tokens currently in the retry budget.", r.budget.balance)
 	for _, name := range r.order {
 		r.mBackendHealthy.With(name).Set(0)
 	}
 	return r, nil
+}
+
+// normalizeBackend canonicalizes a backend base URL as configured or as
+// named to /v1/drain: surrounding space and trailing slashes stripped,
+// http:// assumed. Empty stays empty.
+func normalizeBackend(s string) string {
+	name := strings.TrimRight(strings.TrimSpace(s), "/")
+	if name != "" && !strings.Contains(name, "://") {
+		name = "http://" + name
+	}
+	return name
 }
 
 // Start launches one health-probe loop per backend.
@@ -384,7 +333,7 @@ func (r *Router) checkBackend(name string) (bool, string) {
 	if err != nil {
 		return false, err.Error()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	resp, err := r.cfg.Transport.RoundTrip(req.WithContext(ctx))
 	if err != nil {
@@ -427,7 +376,7 @@ func (r *Router) rebuildRingLocked() {
 		}
 		r.mBackendHealthy.With(name).Set(v)
 	}
-	r.ring = NewRing(healthy, r.cfg.VNodes)
+	r.ring = NewRing(healthy, vnodes)
 	r.mRingMembers.Set(int64(len(healthy)))
 	r.mRebalances.Inc()
 }

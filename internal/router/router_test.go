@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // stubBackend is a minimal pi2md stand-in: /readyz always ready,
@@ -44,7 +44,7 @@ func newStubFleet(t *testing.T, n int) []*stubBackend {
 				<-b.gate
 			}
 			io.Copy(io.Discard, r.Body)
-			w.Header().Set(serve.NodeHeader, id)
+			w.Header().Set(wire.NodeHeader, id)
 			io.WriteString(w, "mesh\n")
 		})
 		b.ts = httptest.NewServer(mux)
@@ -112,11 +112,11 @@ func probeAll(r *Router, fleet []*stubBackend) {
 // /v1/mesh POST.
 func meshRouteKey(t *testing.T, body []byte) string {
 	t.Helper()
-	spec, err := serve.MeshSpecFromQuery(url.Values{})
+	spec, err := wire.MeshSpecFromQuery(url.Values{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serve.ImageKey(body) + "|" + spec.Variant()
+	return routeKey(wire.ImageKey(body), spec.Variant())
 }
 
 func postMesh(t *testing.T, rts *httptest.Server, body []byte, hdr map[string]string) *http.Response {
@@ -151,7 +151,7 @@ func TestRouterRoutesConsistently(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
-		got := resp.Header.Get(serve.NodeHeader)
+		got := resp.Header.Get(wire.NodeHeader)
 		resp.Body.Close()
 		if got == "" {
 			t.Fatal("relayed response lost the node header")
@@ -251,7 +251,7 @@ func TestRouterCrossNodeSingleFlight(t *testing.T) {
 			defer wg.Done()
 			resp := postMesh(t, rts, body, nil)
 			defer resp.Body.Close()
-			nodes <- resp.Header.Get(serve.NodeHeader)
+			nodes <- resp.Header.Get(wire.NodeHeader)
 		}()
 		// First request must be pinned before the second arrives.
 		deadline := time.Now().Add(5 * time.Second)
@@ -327,8 +327,8 @@ func TestRouterUnavailableEnvelope(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatalf("decoding envelope: %v", err)
 	}
-	if env.Error.Code != serve.CodeUnavailable || env.Error.Reason == "" {
-		t.Fatalf("envelope = %+v, want code %q with a reason", env.Error, serve.CodeUnavailable)
+	if env.Error.Code != wire.CodeUnavailable || env.Error.Reason == "" {
+		t.Fatalf("envelope = %+v, want code %q with a reason", env.Error, wire.CodeUnavailable)
 	}
 	if env.Error.RetryAfterS != sec {
 		t.Fatalf("retry_after_s=%d disagrees with header %d", env.Error.RetryAfterS, sec)
@@ -356,7 +356,7 @@ func TestRouterStreamingKeyHeader(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("streamed request %d: status %d", i, resp.StatusCode)
 		}
-		got := resp.Header.Get(serve.NodeHeader)
+		got := resp.Header.Get(wire.NodeHeader)
 		resp.Body.Close()
 		if node == "" {
 			node = got

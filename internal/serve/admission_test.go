@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // TestAdmissionCountsWaitersOnly is the regression test for the
@@ -99,8 +100,8 @@ func TestCancelClassification(t *testing.T) {
 	req := httptest.NewRequest("POST", ts.URL+"/v1/mesh", bytes.NewReader(nrrdBody(t, 8))).WithContext(cctx)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != StatusClientClosedRequest {
-		t.Fatalf("canceled HTTP request: status %d, want %d", rec.Code, StatusClientClosedRequest)
+	if rec.Code != wire.StatusClientClosedRequest {
+		t.Fatalf("canceled HTTP request: status %d, want %d", rec.Code, wire.StatusClientClosedRequest)
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
 		t.Errorf("canceled request carries Retry-After %q; a gone client must not be invited back", ra)
@@ -113,7 +114,7 @@ func TestCancelClassification(t *testing.T) {
 // digest, not a collision-prone 8-byte prefix.
 func TestImageKeyFullDigest(t *testing.T) {
 	body := []byte("not really an image, but hashing does not care")
-	key := ImageKey(body)
+	key := wire.ImageKey(body)
 	if len(key) != 64 {
 		t.Fatalf("ImageKey is %d hex chars, want 64 (full SHA-256)", len(key))
 	}
@@ -142,7 +143,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 		return b.Bytes()
 	}
 	b1, b2, b3 := body(6), body(7), body(8)
-	k1, k2, k3 := ImageKey(b1), ImageKey(b2), ImageKey(b3)
+	k1, k2, k3 := wire.ImageKey(b1), wire.ImageKey(b2), wire.ImageKey(b3)
 
 	im1, err := srv.decodeImage(k1, b1)
 	if err != nil {
@@ -210,7 +211,7 @@ func TestDecodeImageRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := b.Bytes()
-	key := ImageKey(body)
+	key := wire.ImageKey(body)
 
 	const goroutines = 16
 	ptrs := make([]*img.Image, goroutines)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // newBareServer builds a Server without an HTTP front end for
@@ -280,7 +281,7 @@ func TestCoalesceHTTP(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 	body := nrrdBody(t, 10)
-	key := ImageKey(body)
+	key := wire.ImageKey(body)
 
 	// Hold the only session: the leader queues, followers pile onto
 	// its flight, and nothing can run until we let go.
@@ -332,7 +333,7 @@ func TestCoalesceSlowSession(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 	body := nrrdBody(t, 10)
-	key := ImageKey(body)
+	key := wire.ImageKey(body)
 
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Seed:  3,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // BrownoutHeader is stamped on every response whose mesh was produced
@@ -122,7 +123,7 @@ func ParseBrownoutLadder(s string) ([]BrownoutTier, error) {
 // variant-key derivation, so the degraded result is cached and
 // coalesced under its own honest variant and can never poison a
 // full-quality entry.
-func (m MeshSpec) browned(t BrownoutTier) MeshSpec {
+func browned(m wire.MeshSpec, t BrownoutTier) wire.MeshSpec {
 	if t.MaxRadiusEdge > 0 && (m.MaxRadiusEdge == 0 || m.MaxRadiusEdge < t.MaxRadiusEdge) {
 		// 0 means "template default" (the paper's bound 2), which every
 		// valid tier relaxes.
@@ -253,7 +254,7 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 // deadline headroom is what is left of the job deadline the walk has
 // already put on ctx. On refusal the overloaded rejection is counted
 // and ErrOverloaded returned.
-func (s *Server) applyBrownout(ctx context.Context, spec MeshSpec) (MeshSpec, int, error) {
+func (s *Server) applyBrownout(ctx context.Context, spec wire.MeshSpec) (wire.MeshSpec, int, error) {
 	deadline, _ := ctx.Deadline()
 	tier, refuse := s.brownout.decide(time.Now(), s.waiting.Load(), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
 	if refuse {
@@ -263,5 +264,5 @@ func (s *Server) applyBrownout(ctx context.Context, spec MeshSpec) (MeshSpec, in
 	if tier <= 0 {
 		return spec, 0, nil
 	}
-	return spec.browned(s.brownout.ladder[tier-1]), tier, nil
+	return browned(spec, s.brownout.ladder[tier-1]), tier, nil
 }

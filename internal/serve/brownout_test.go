@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cachestore"
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // readAll drains and closes a response body.
@@ -69,28 +70,28 @@ func TestBrownedRelaxOnly(t *testing.T) {
 	tier := BrownoutTier{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 2, MaxElements: 100000}
 
 	// Default-knob request: every tier knob applies.
-	d := MeshSpec{}.browned(tier)
+	d := browned(wire.MeshSpec{}, tier)
 	if d.MaxRadiusEdge != 3 || d.MinFacetAngle != 15 || d.DeltaScale != 2 || d.MaxElements != 100000 {
 		t.Fatalf("default spec browned = %+v, want all tier knobs applied", d)
 	}
-	empty := MeshSpec{}
+	empty := wire.MeshSpec{}
 	if d.Variant() == empty.Variant() {
 		t.Fatal("degraded spec derives the same variant key as full quality")
 	}
-	if err := d.validate(); err != nil {
+	if err := d.Validate(); err != nil {
 		t.Fatalf("browned spec fails validation: %v", err)
 	}
 
 	// Already-coarser request: nothing tightens.
-	coarse := MeshSpec{MaxRadiusEdge: 5, MinFacetAngle: 5, DeltaScale: 4, MaxElements: 50000}
-	b := coarse.browned(tier)
+	coarse := wire.MeshSpec{MaxRadiusEdge: 5, MinFacetAngle: 5, DeltaScale: 4, MaxElements: 50000}
+	b := browned(coarse, tier)
 	if b != coarse {
 		t.Fatalf("coarser-than-tier spec was rewritten: %+v -> %+v", coarse, b)
 	}
 
 	// Stricter-than-tier request: every knob relaxes to the tier.
-	strict := MeshSpec{MaxRadiusEdge: 2, MinFacetAngle: 30, MaxElements: 500000}
-	s := strict.browned(tier)
+	strict := wire.MeshSpec{MaxRadiusEdge: 2, MinFacetAngle: 30, MaxElements: 500000}
+	s := browned(strict, tier)
 	if s.MaxRadiusEdge != 3 || s.MinFacetAngle != 15 || s.DeltaScale != 2 || s.MaxElements != 100000 {
 		t.Fatalf("strict spec browned = %+v, want tier bounds", s)
 	}
@@ -179,11 +180,11 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	// Scale 6: large enough that the degraded tier's doubled δ
 	// actually produces a different (smaller) mesh.
 	body := nrrdBody(t, 6)
-	key := ImageKey(body)
-	empty := MeshSpec{}
+	key := wire.ImageKey(body)
+	empty := wire.MeshSpec{}
 	fullVariant := empty.Variant()
 	ladder := DefaultBrownoutLadder()
-	degSpec := empty.browned(ladder[len(ladder)-1])
+	degSpec := browned(empty, ladder[len(ladder)-1])
 	degradedVariant := degSpec.Variant()
 
 	resp, err := http.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cachestore"
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // openTestCache opens a store in a temp dir and closes it with the test.
@@ -243,7 +244,7 @@ func TestConditionalGet(t *testing.T) {
 
 // TestEtagMatch pins the If-None-Match comparison rules.
 func TestEtagMatch(t *testing.T) {
-	e := EntityTag("00c0ffee00c0ffee", "vtk")
+	e := wire.EntityTag("00c0ffee00c0ffee", "vtk")
 	cases := []struct {
 		header string
 		want   bool
@@ -253,12 +254,12 @@ func TestEtagMatch(t *testing.T) {
 		{`W/` + e, true},
 		{`"other"` + ", " + e, true},
 		{`"other"`, false},
-		{EntityTag("00c0ffee00c0ffee", "off"), false},
+		{wire.EntityTag("00c0ffee00c0ffee", "off"), false},
 		{"", false},
 	}
 	for _, c := range cases {
-		if got := ETagMatch(c.header, e); got != c.want {
-			t.Errorf("ETagMatch(%q) = %v, want %v", c.header, got, c.want)
+		if got := wire.ETagMatch(c.header, e); got != c.want {
+			t.Errorf("wire.ETagMatch(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
 }

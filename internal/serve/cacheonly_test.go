@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // readEnvelope decodes the shared error envelope.
@@ -34,7 +36,7 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
 	client := ts.Client()
 	body := nrrdBody(t, 7)
-	hdr := func(req *http.Request) { req.Header.Set(CacheOnlyHeader, "1") }
+	hdr := func(req *http.Request) { req.Header.Set(wire.CacheOnlyHeader, "1") }
 
 	post := func(mod func(*http.Request)) *http.Response {
 		t.Helper()
@@ -60,8 +62,8 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	}
 	code, reason := readEnvelope(t, resp.Body)
 	resp.Body.Close()
-	if code != CodeCacheMiss || reason == "" {
-		t.Fatalf("cold cache-only envelope: code=%q reason=%q, want %q", code, reason, CodeCacheMiss)
+	if code != wire.CodeCacheMiss || reason == "" {
+		t.Fatalf("cold cache-only envelope: code=%q reason=%q, want %q", code, reason, wire.CodeCacheMiss)
 	}
 	if got := srv.pool.Stats().Checkouts; got != checkoutsBefore {
 		t.Fatalf("cache-only miss consumed a session lease (%d -> %d)", checkoutsBefore, got)
@@ -91,8 +93,8 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm cache-only: status %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get(CacheOnlyHeader); got != "hit" {
-		t.Fatalf("%s = %q, want \"hit\"", CacheOnlyHeader, got)
+	if got := resp.Header.Get(wire.CacheOnlyHeader); got != "hit" {
+		t.Fatalf("%s = %q, want \"hit\"", wire.CacheOnlyHeader, got)
 	}
 	if got := resp.Header.Get("ETag"); got != etag {
 		t.Fatalf("cache-only ETag %q differs from meshed %q", got, etag)
@@ -139,7 +141,7 @@ func TestCacheProbeEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
 	client := ts.Client()
 	body := nrrdBody(t, 7)
-	key := ImageKey(body)
+	key := wire.ImageKey(body)
 
 	get := func(path, inm string) *http.Response {
 		t.Helper()
@@ -165,8 +167,8 @@ func TestCacheProbeEndpoint(t *testing.T) {
 		}
 		code, _ := readEnvelope(t, resp.Body)
 		resp.Body.Close()
-		if code != CodeBadRequest {
-			t.Fatalf("bad key envelope code %q, want %q", code, CodeBadRequest)
+		if code != wire.CodeBadRequest {
+			t.Fatalf("bad key envelope code %q, want %q", code, wire.CodeBadRequest)
 		}
 	}
 
@@ -177,8 +179,8 @@ func TestCacheProbeEndpoint(t *testing.T) {
 	}
 	code, _ := readEnvelope(t, resp.Body)
 	resp.Body.Close()
-	if code != CodeCacheMiss {
-		t.Fatalf("cold probe envelope code %q, want %q", code, CodeCacheMiss)
+	if code != wire.CodeCacheMiss {
+		t.Fatalf("cold probe envelope code %q, want %q", code, wire.CodeCacheMiss)
 	}
 
 	// Warm the default variant, then probe it.
@@ -199,9 +201,9 @@ func TestCacheProbeEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm probe: status %d", resp.StatusCode)
 	}
-	if resp.Header.Get(CacheOnlyHeader) != "hit" || resp.Header.Get("ETag") != etag {
+	if resp.Header.Get(wire.CacheOnlyHeader) != "hit" || resp.Header.Get("ETag") != etag {
 		t.Fatalf("warm probe headers: %s=%q ETag=%q, want hit/%q",
-			CacheOnlyHeader, resp.Header.Get(CacheOnlyHeader), resp.Header.Get("ETag"), etag)
+			wire.CacheOnlyHeader, resp.Header.Get(wire.CacheOnlyHeader), resp.Header.Get("ETag"), etag)
 	}
 	if !bytes.Equal(probed, meshed) {
 		t.Fatal("probe body differs from the meshed one")
@@ -261,7 +263,7 @@ func TestCacheProbeEndpoint(t *testing.T) {
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("variant mesh: status %d", mresp.StatusCode)
 	}
-	spec, err := MeshSpecFromQuery(url.Values{"delta": {"2.5"}})
+	spec, err := wire.MeshSpecFromQuery(url.Values{"delta": {"2.5"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +335,11 @@ func TestDrainHandoffEndpoint(t *testing.T) {
 		t.Fatalf("drain announced %d keys, want 2", len(ann.Keys))
 	}
 	// MRU first: bodyB meshed last.
-	if ann.Keys[0].ImageKey != ImageKey(bodyB) || ann.Keys[1].ImageKey != ImageKey(bodyA) {
+	if ann.Keys[0].ImageKey != wire.ImageKey(bodyB) || ann.Keys[1].ImageKey != wire.ImageKey(bodyA) {
 		t.Fatalf("drain keys out of MRU order: %v", ann.Keys)
 	}
 	for _, k := range ann.Keys {
-		if !ValidImageKey(k.ImageKey) || k.ETag == "" {
+		if !wire.ValidImageKey(k.ImageKey) || k.ETag == "" {
 			t.Fatalf("drain key %+v malformed", k)
 		}
 	}
@@ -352,11 +354,11 @@ func TestDrainHandoffEndpoint(t *testing.T) {
 	}
 	code, _ := readEnvelope(t, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || code != CodeDraining {
-		t.Fatalf("post-drain mesh: status %d code %q, want 503 %q", resp.StatusCode, code, CodeDraining)
+	if resp.StatusCode != http.StatusServiceUnavailable || code != wire.CodeDraining {
+		t.Fatalf("post-drain mesh: status %d code %q, want 503 %q", resp.StatusCode, code, wire.CodeDraining)
 	}
 	// ...but cached reads still serve (the handoff window).
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/cache/"+ImageKey(bodyA), nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/cache/"+wire.ImageKey(bodyA), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +376,7 @@ func TestDrainHandoffEndpoint(t *testing.T) {
 // TestValidImageKey: the key validator accepts exactly the SHA-256
 // lowercase-hex shape.
 func TestValidImageKey(t *testing.T) {
-	if !ValidImageKey(ImageKey([]byte("x"))) {
+	if !wire.ValidImageKey(wire.ImageKey([]byte("x"))) {
 		t.Fatal("real image key rejected")
 	}
 	for _, bad := range []string{
@@ -383,8 +385,8 @@ func TestValidImageKey(t *testing.T) {
 		strings.Repeat("A", 64), strings.Repeat("g", 64),
 		strings.Repeat("a", 32) + " " + strings.Repeat("a", 31),
 	} {
-		if ValidImageKey(bad) {
-			t.Fatalf("ValidImageKey(%q) = true, want false", bad)
+		if wire.ValidImageKey(bad) {
+			t.Fatalf("wire.ValidImageKey(%q) = true, want false", bad)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // chaosSeed returns the soak seed: PI2MD_CHAOS_SEED if set (the CI
@@ -263,7 +264,7 @@ func TestChaosSoak(t *testing.T) {
 	var fiveXX, fourXX, twoXX int
 	for o := range outcomes {
 		switch {
-		case o.code >= 500 || o.code == StatusClientClosedRequest:
+		case o.code >= 500 || o.code == wire.StatusClientClosedRequest:
 			fiveXX++
 		case o.code >= 400:
 			fourXX++
@@ -273,7 +274,7 @@ func TestChaosSoak(t *testing.T) {
 		if o.code >= 400 {
 			// Every rejection is machine-readable: the structured JSON
 			// envelope with a code and a human reason, no bare strings.
-			var env errorEnvelope
+			var env wire.ErrorEnvelope
 			if err := json.Unmarshal([]byte(o.body), &env); err != nil ||
 				env.Error.Code == "" || env.Error.Reason == "" {
 				t.Errorf("status %d body is not the error envelope: %q", o.code, o.body)

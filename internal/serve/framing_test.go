@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // wantFramed asserts a response was length-framed: an exact
@@ -36,7 +37,7 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 	srv, ts := newSimServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 	image := nrrdBody(t, 24) // a body well past net/http's 2 KiB sniff-and-frame buffer
-	key := ImageKey(image)
+	key := wire.ImageKey(image)
 
 	do := func(name string, req *http.Request, wantStatus int) (*http.Response, []byte) {
 		t.Helper()
@@ -114,7 +115,7 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 	if !bytes.Equal(hitBody, follower.body) {
 		t.Error("the hit's body differs from the follower's")
 	}
-	framed("cache-only hit", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image, CacheOnlyHeader, "1"))
+	framed("cache-only hit", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image, wire.CacheOnlyHeader, "1"))
 	framed("probe", pinReq(t, "GET", ts.URL+"/v1/cache/"+key, "", nil))
 	framed("format=off", pinReq(t, "POST", ts.URL+"/v1/mesh?format=off", "application/octet-stream", image))
 
@@ -155,8 +156,8 @@ func TestFailedEncodeIs500(t *testing.T) {
 		t.Fatalf("status %d, want 500; body %q", rec.Code, rec.Body)
 	}
 	code, reason := readEnvelope(t, bytes.NewReader(rec.Body.Bytes()))
-	if code != CodeInternal || !strings.Contains(reason, "2 values for 4 vertices") {
-		t.Errorf("envelope %q %q, want %q naming the length mismatch", code, reason, CodeInternal)
+	if code != wire.CodeInternal || !strings.Contains(reason, "2 values for 4 vertices") {
+		t.Errorf("envelope %q %q, want %q naming the length mismatch", code, reason, wire.CodeInternal)
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type %q, want the envelope's", ct)
@@ -192,9 +193,9 @@ func TestReadSizedTrustsNoDeclaration(t *testing.T) {
 		{"understated", 10, 4 * len(payload)},
 		{"zero", 0, 4 * len(payload)},
 		{"overstated", int64(len(payload)) + 1000, len(payload) + 1000 + bytes.MinRead},
-		{"absurdly overstated", 1 << 40, maxPresize + bytes.MinRead},
+		{"absurdly overstated", 1 << 40, 1<<20 + bytes.MinRead}, // wire's presize bound
 	} {
-		got, err := ReadSized(shortReader{bytes.NewReader(payload)}, c.declared)
+		got, err := wire.ReadSized(shortReader{bytes.NewReader(payload)}, c.declared)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -209,7 +210,7 @@ func TestReadSizedTrustsNoDeclaration(t *testing.T) {
 	// The cap stays the caller's MaxBytesReader, reachable through
 	// errors.As exactly as with io.ReadAll, however large the claim.
 	for _, declared := range []int64{-1, 10, int64(len(payload)), 1 << 40} {
-		_, err := ReadSized(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(payload)), 1000), declared)
+		_, err := wire.ReadSized(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(payload)), 1000), declared)
 		var tooBig *http.MaxBytesError
 		if !errors.As(err, &tooBig) {
 			t.Errorf("declared %d: error %v, want a MaxBytesError", declared, err)
@@ -219,11 +220,11 @@ func TestReadSizedTrustsNoDeclaration(t *testing.T) {
 	// Both upload surfaces split the same bytes under any declaration.
 	multi, ctype := multipartBody(t, map[string][]byte{"spec": []byte(`{"delta":2}`), "image": payload})
 	for _, declared := range []int64{-1, 3, int64(len(multi)), 1 << 40} {
-		spec, image, err := SplitSpecImage("application/octet-stream", bytes.NewReader(payload), declared)
+		spec, image, err := wire.SplitSpecImage("application/octet-stream", bytes.NewReader(payload), declared)
 		if err != nil || spec != nil || !bytes.Equal(image, payload) {
 			t.Errorf("raw body, declared %d: spec %q, %d image bytes, err %v", declared, spec, len(image), err)
 		}
-		spec, image, err = SplitSpecImage(ctype, bytes.NewReader(multi), declared)
+		spec, image, err = wire.SplitSpecImage(ctype, bytes.NewReader(multi), declared)
 		if err != nil || string(spec) != `{"delta":2}` || !bytes.Equal(image, payload) {
 			t.Errorf("multipart, declared %d: spec %q, %d image bytes, err %v", declared, spec, len(image), err)
 		}

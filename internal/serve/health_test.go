@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // sessionPtr reads the session currently installed in pool slot i.
@@ -231,8 +232,8 @@ func TestWatchdogLimitIsTheDeadline(t *testing.T) {
 	elapsed := time.Since(start)
 	code, _ := readEnvelope(t, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || code != CodeWatchdog {
-		t.Fatalf("wedged run answered %d %q, want 503 %q", resp.StatusCode, code, CodeWatchdog)
+	if resp.StatusCode != http.StatusServiceUnavailable || code != wire.CodeWatchdog {
+		t.Fatalf("wedged run answered %d %q, want 503 %q", resp.StatusCode, code, wire.CodeWatchdog)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("watchdog rejection carries no Retry-After")

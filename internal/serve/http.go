@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,12 +9,12 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/meshio"
+	"repro/internal/wire"
 )
 
 // Handler returns the server's HTTP surface:
@@ -47,50 +46,18 @@ func (s *Server) Handler() http.Handler {
 	return s.countRequests(mux)
 }
 
-// CacheOnlyHeader is the cache-only fast-path request header on
-// POST /v1/mesh: with value "1" the request is answered straight from
-// the persistent result cache — hit → the full encoded response with
-// its ETag, miss → 404 cache_miss — and never touches the queue, the
-// session pool, coalescing, or breakers. Responses served this way
-// (from the header or from GET /v1/cache) echo the same header with
-// value "hit", so a proxy can prove no meshing happened. Cache-only
-// reads are also served while draining: a draining node stays a read
-// replica until the process exits.
-const CacheOnlyHeader = "X-Pi2md-Cache-Only"
-
-// ValidImageKey reports whether s has the only shape an image key can
-// have: the full SHA-256 content hash as 64 lowercase hex characters.
-// Both tiers use it to reject client-vouched keys before they become
-// route keys, cache paths, or metric labels.
-func ValidImageKey(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // countRequests wraps the mux to record every response's status code
 // and stamp the node identity: every response — success or rejection —
 // carries X-Pi2md-Node, so a router test can assert which backend a
 // request landed on without parsing bodies.
 func (s *Server) countRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(NodeHeader, s.nodeID)
+		w.Header().Set(wire.NodeHeader, s.nodeID)
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(cw, r)
 		s.mRequests.With(strconv.Itoa(cw.code)).Inc()
 	})
 }
-
-// NodeHeader is the response header carrying the serving backend's
-// boot-stable node identity.
-const NodeHeader = "X-Pi2md-Node"
 
 type codeWriter struct {
 	http.ResponseWriter
@@ -111,41 +78,20 @@ func (w *codeWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// maxPresize bounds what a declared Content-Length may make ReadSized
-// allocate before a byte has arrived: a length is a claim, and a client
-// that claims 64 MiB and sends nothing must not cost 64 MiB.
-const maxPresize = 1 << 20
-
-// ReadSized reads r to EOF like io.ReadAll, into a buffer presized from
-// the body's declared length (a Request.ContentLength), so that a body
-// as long as it says is read without a single growth copy. A negative
-// length means unknown and is io.ReadAll. A wrong declaration costs
-// only what it saves: a longer body is still read whole, a shorter one
-// leaves spare capacity no larger than maxPresize. Size capping is the
-// caller's job (wrap r in an http.MaxBytesReader).
-func ReadSized(r io.Reader, declared int64) ([]byte, error) {
-	if declared < 0 {
-		return io.ReadAll(r)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, min(declared, maxPresize)+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
-}
-
 // readUpload reads the request body under the MaxRequestBytes cap and
 // splits it into its JSON spec part (nil when there is none) and its
 // image payload. On failure it has answered — 413 over the cap, 400
 // otherwise — and ok is false.
 func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, image []byte, ok bool) {
-	specJSON, image, err := SplitSpecImage(r.Header.Get("Content-Type"),
+	specJSON, image, err := wire.SplitSpecImage(r.Header.Get("Content-Type"),
 		http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), min(r.ContentLength, s.cfg.MaxRequestBytes))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
 			"request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)
 	case err != nil:
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: %v", err)
 	default:
 		return specJSON, image, true
 	}
@@ -156,29 +102,35 @@ func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, i
 // payload, honoring body-over-params precedence: a multipart "spec"
 // part replaces the query string wholesale, a spec-less request parses
 // the query exactly as the server always has.
-func (s *Server) readMeshRequest(w http.ResponseWriter, r *http.Request) (MeshSpec, []byte, bool) {
+func (s *Server) readMeshRequest(w http.ResponseWriter, r *http.Request) (wire.MeshSpec, []byte, bool) {
 	specJSON, image, ok := s.readUpload(w, r)
 	if !ok {
-		return MeshSpec{}, nil, false
+		return wire.MeshSpec{}, nil, false
 	}
 	if len(image) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"empty body: expected an NRRD label image")
-		return MeshSpec{}, nil, false
+		return wire.MeshSpec{}, nil, false
 	}
-	var spec MeshSpec
-	var err error
-	if specJSON != nil {
-		spec, err = ParseMeshSpec(specJSON)
-	} else {
-		spec, err = MeshSpecFromQuery(r.URL.Query())
-	}
+	spec, err := wire.ResolveMeshSpec(specJSON, r.URL.Query())
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return MeshSpec{}, nil, false
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "bad request: %v", err)
+		return wire.MeshSpec{}, nil, false
 	}
 	return spec, image, true
 }
+
+// requestError is a failure that is the request's own fault, discovered
+// past the handler's parse step — an undecodable image, a cache-only
+// miss, boundary conditions that constrain no vertex of the actual mesh
+// — carrying the status and envelope code it is answered with.
+type requestError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
 
 // writeMeshError maps a walk (or solve) failure to its HTTP response
 // and returns the envelope code it chose — the simulate handler derives
@@ -196,18 +148,18 @@ func (s *Server) writeMeshError(w http.ResponseWriter, err error) string {
 		w.WriteHeader(http.StatusNotModified)
 		return ""
 	case errors.As(err, &reqErr):
-		WriteError(w, reqErr.status, reqErr.code, "%s", reqErr.msg)
+		wire.WriteError(w, reqErr.status, reqErr.code, "%s", reqErr.msg)
 		return reqErr.code
 	case errors.Is(err, ErrQueueFull):
 		s.setRetryAfter(w)
-		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
-		return CodeQueueFull
+		wire.WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull, "%v", err)
+		return wire.CodeQueueFull
 	case errors.Is(err, ErrDeadline):
 		// Capacity signal: the job's deadline expired before a
 		// session freed up (or mid-run). Worth retrying shortly.
 		s.setRetryAfter(w)
-		WriteError(w, http.StatusServiceUnavailable, CodeDeadline, "%v", err)
-		return CodeDeadline
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDeadline, "%v", err)
+		return wire.CodeDeadline
 	case errors.As(err, &brkOpen):
 		// The breaker knows exactly when it will admit a probe;
 		// its own hint beats the latency-derived one.
@@ -216,34 +168,34 @@ func (s *Server) writeMeshError(w http.ResponseWriter, err error) string {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		WriteError(w, http.StatusServiceUnavailable, CodeBreakerOpen, "%v", err)
-		return CodeBreakerOpen
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "%v", err)
+		return wire.CodeBreakerOpen
 	case errors.Is(err, ErrWatchdog):
 		// The run was abandoned and its session quarantined; by the
 		// time a retry lands the pool has likely backfilled.
 		s.setRetryAfter(w)
-		WriteError(w, http.StatusServiceUnavailable, CodeWatchdog, "%v", err)
-		return CodeWatchdog
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeWatchdog, "%v", err)
+		return wire.CodeWatchdog
 	case errors.Is(err, ErrCanceled):
 		// The client gave up; nobody is listening, but the status
 		// still lands in logs and metrics (nginx's 499).
-		WriteError(w, StatusClientClosedRequest, CodeCanceled, "%v", err)
-		return CodeCanceled
+		wire.WriteError(w, wire.StatusClientClosedRequest, wire.CodeCanceled, "%v", err)
+		return wire.CodeCanceled
 	case errors.Is(err, ErrOverloaded):
 		// Even the coarsest brownout tier can't meet the deadline; the
 		// queue-position estimate tells the client when it might.
 		s.setRetryAfter(w)
-		WriteError(w, http.StatusServiceUnavailable, CodeOverloaded, "%v", err)
-		return CodeOverloaded
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeOverloaded, "%v", err)
+		return wire.CodeOverloaded
 	case errors.Is(err, ErrDraining):
-		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
-		return CodeDraining
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "%v", err)
+		return wire.CodeDraining
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, core.ErrSessionBusy):
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
-		return CodeUnavailable
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "%v", err)
+		return wire.CodeUnavailable
 	default:
-		WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return CodeInternal
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "%v", err)
+		return wire.CodeInternal
 	}
 }
 
@@ -260,9 +212,9 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{
-		key: ImageKey(body), body: body, variant: spec.Variant(), tune: spec.tune(),
+		key: wire.ImageKey(body), body: body, variant: spec.Variant(), tune: tune(&spec),
 		format: spec.Format, ifNoneMatch: r.Header.Get("If-None-Match"),
-		cacheOnly: r.Header.Get(CacheOnlyHeader) == "1",
+		cacheOnly: r.Header.Get(wire.CacheOnlyHeader) == "1",
 		timeout:   time.Duration(spec.Timeout), spec: &spec,
 	}
 	sr, err := s.walk(r.Context(), j)
@@ -295,10 +247,10 @@ func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err er
 		return
 	}
 	if j.cacheOnly {
-		w.Header().Set(CacheOnlyHeader, "hit")
+		w.Header().Set(wire.CacheOnlyHeader, "hit")
 	}
 	if sr.ETag != "" {
-		w.Header().Set("ETag", EntityTag(sr.ETag, j.format))
+		w.Header().Set("ETag", wire.EntityTag(sr.ETag, j.format))
 	}
 	sendBody(w, contentType, body)
 }
@@ -352,17 +304,17 @@ func sendBody(w http.ResponseWriter, contentType string, body *[]byte) {
 func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	j := &job{key: r.PathValue("imageKey"), variant: r.PathValue("variant"),
 		ifNoneMatch: r.Header.Get("If-None-Match"), cacheOnly: true}
-	if !ValidImageKey(j.key) {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
+	if !wire.ValidImageKey(j.key) {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"image key must be 64 lowercase hex characters (the full SHA-256 of the image)")
 		return
 	}
 	if unesc, err := url.PathUnescape(j.variant); err == nil {
 		j.variant = unesc
 	}
-	format := MeshSpec{Format: r.URL.Query().Get("format")}
-	if err := format.validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	format := wire.MeshSpec{Format: r.URL.Query().Get("format")}
+	if err := format.Validate(); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	j.format = format.Format
@@ -370,7 +322,7 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	var notMod *notModified
 	if errors.As(err, &notMod) {
 		s.mCacheOnlyServed.Inc()
-		w.Header().Set(CacheOnlyHeader, "hit")
+		w.Header().Set(wire.CacheOnlyHeader, "hit")
 	}
 	s.reply(w, j, sr, err)
 }
@@ -410,37 +362,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// EntityTag builds the quoted HTTP entity tag for a cached snapshot in
-// one response format. The format is folded in because the same
-// snapshot encodes to different bytes as VTK and OFF — one blob, two
-// entities. The router builds candidate entity tags from its learned
-// raw etags with it, so the two tiers can never disagree on the quoting
-// or the format suffix.
-func EntityTag(etag, format string) string {
-	return `"` + etag + "-" + format + `"`
-}
-
-// ETagMatch implements If-None-Match: a literal "*" matches anything,
-// otherwise the comma-separated candidate list is compared tag by tag.
-// Weak validators (W/ prefix) compare by their opaque part — weak
-// comparison is permitted for If-None-Match. The router answers local
-// 304s with this exact comparison.
-func ETagMatch(header, entity string) bool {
-	opaque := func(t string) string {
-		t = strings.TrimSpace(t)
-		t = strings.TrimPrefix(t, "W/")
-		return t
-	}
-	want := opaque(entity)
-	for _, cand := range strings.Split(header, ",") {
-		c := opaque(cand)
-		if c == "*" || c == want {
-			return true
-		}
-	}
-	return false
-}
-
 // setRetryAfter stamps the latency-derived Retry-After hint on a
 // capacity rejection.
 func (s *Server) setRetryAfter(w http.ResponseWriter) {
@@ -460,11 +381,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // 503 while draining or while every pool session is quarantined.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
 		return
 	}
 	if s.pool.Healthy() == 0 {
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable,
 			"no healthy sessions (all quarantined)")
 		return
 	}

@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // pin is everything a client or the router can observe of one response.
@@ -55,7 +57,7 @@ func doPin(t *testing.T, c *http.Client, name string, req *http.Request, want pi
 		status:    resp.StatusCode,
 		etag:      resp.Header.Get("ETag"),
 		ctype:     resp.Header.Get("Content-Type"),
-		cacheOnly: resp.Header.Get(CacheOnlyHeader),
+		cacheOnly: resp.Header.Get(wire.CacheOnlyHeader),
 		brownout:  resp.Header.Get(BrownoutHeader),
 		sha:       sha(body),
 	}
@@ -196,12 +198,12 @@ func queryValues(qs string) url.Values {
 // false.
 func TestParseMeshSpecHostile(t *testing.T) {
 	for _, qs := range hostileParams {
-		if _, err := MeshSpecFromQuery(queryValues(qs)); err == nil {
+		if _, err := wire.MeshSpecFromQuery(queryValues(qs)); err == nil {
 			t.Errorf("query %q accepted, want an error", qs)
 		}
 	}
 	// Sanity: the legitimate knobs still parse.
-	spec, err := MeshSpecFromQuery(queryValues(
+	spec, err := wire.MeshSpecFromQuery(queryValues(
 		"format=off&delta=0.5&max_elements=1000&max_radius_edge=2.2&min_facet_angle=25&timeout=30s"))
 	if err != nil {
 		t.Fatalf("legitimate query rejected: %v", err)
@@ -216,7 +218,7 @@ func TestParseMeshSpecHostile(t *testing.T) {
 // checkSaneMeshSpec is the fuzz oracle shared by the query and JSON
 // surfaces: anything either parser accepts must be a sane engine
 // configuration.
-func checkSaneMeshSpec(t *testing.T, m MeshSpec, input string) {
+func checkSaneMeshSpec(t *testing.T, m wire.MeshSpec, input string) {
 	t.Helper()
 	for name, v := range map[string]float64{
 		"delta":           m.Delta,
@@ -239,10 +241,8 @@ func checkSaneMeshSpec(t *testing.T, m MeshSpec, input string) {
 	if m.Format != "vtk" && m.Format != "off" {
 		t.Fatalf("accepted format=%q from %q", m.Format, input)
 	}
-	if m.Size != nil {
-		if err := m.Size.validate(); err != nil {
-			t.Fatalf("accepted invalid size spec from %q: %v", input, err)
-		}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("accepted a spec that fails its own validation from %q: %v", input, err)
 	}
 }
 
@@ -265,7 +265,7 @@ func FuzzParseMeshParams(f *testing.F) {
 		if u, err := url.Parse("/v1/mesh?" + qs); err == nil {
 			q = u.Query()
 		}
-		m, err := MeshSpecFromQuery(q)
+		m, err := wire.MeshSpecFromQuery(q)
 		if err != nil {
 			return
 		}
@@ -291,7 +291,7 @@ func FuzzParseMeshSpec(f *testing.F) {
 	f.Add(`{"size": {"per_label": {"evil": 2}}}`)
 	f.Add(`{"size": {"balls": [{"center": [0,0,0], "r": -1, "h": 1}]}}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		m, err := ParseMeshSpec([]byte(body))
+		m, err := wire.ParseMeshSpec([]byte(body))
 		if err != nil {
 			return
 		}
@@ -317,7 +317,7 @@ func FuzzParseSimSpec(f *testing.F) {
 	f.Add(`{"dirichlet": [{"value": 0}], "conductivity": {"per_label": {"1": -1}}}`)
 	f.Add(`{"version": 2, "dirichlet": [{"value": 0}]}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		sp, err := ParseSimSpec([]byte(body))
+		sp, err := wire.ParseSimSpec([]byte(body))
 		if err != nil {
 			return
 		}

@@ -1,3 +1,15 @@
+// Package serve is the serving layer of PI2M: a bounded pool of warm
+// core.Sessions multiplexing concurrent image-to-mesh requests, a job
+// admission controller with queue-depth and deadline rejection, and an
+// HTTP surface (POST /v1/mesh, /healthz, /v1/stats, /metrics). What it
+// shares with the router — the wire contract and the metrics registry —
+// lives in the leaf packages internal/wire and internal/metrics.
+//
+// The layering: Pool owns sessions and affinity; Server owns
+// admission, the image cache, metrics and encoding; the HTTP handlers
+// are a thin translation of Server errors into status codes. cmd/pi2md
+// is the daemon wrapping a Server in an http.Server with graceful
+// drain.
 package serve
 
 import (
@@ -5,12 +17,10 @@ import (
 	"container/list"
 	"context"
 	cryptorand "crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -21,6 +31,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Admission and execution errors; the HTTP layer maps them to status
@@ -47,9 +59,11 @@ var (
 	ErrWatchdog = errors.New("serve: run abandoned by the runaway-run watchdog")
 )
 
-// StatusClientClosedRequest is nginx's non-standard 499: the client
-// canceled the request before the server could answer.
-const StatusClientClosedRequest = 499
+// ImageKey and NodeHeader are wire's, kept under these names for the
+// benchmark harness, which imports them from here.
+const NodeHeader = wire.NodeHeader
+
+func ImageKey(body []byte) string { return wire.ImageKey(body) }
 
 // Config parameterizes a Server.
 type Config struct {
@@ -230,40 +244,40 @@ type Server struct {
 	}
 
 	// Metrics (the catalogue documented in DESIGN.md "Serving layer").
-	reg               *Registry
-	mRequests         *CounterVec // pi2md_http_requests_total{code}
-	mAccepted         *Counter
-	mCompleted        *Counter
-	mFailed           *Counter
-	mRejected         *CounterVec // pi2md_jobs_rejected_total{reason}
-	mCoalesced        *Counter
-	mQueueWait        *Histogram
-	mRunSeconds       *Histogram
-	mLeaseSeconds     *Histogram
-	mSnapshotBytes    *Histogram
-	mCells            *Counter
-	mCellsPerSec      *Gauge
-	mRollbacks        *Counter
-	mDegraded         *Counter
-	mAborted          *Counter
-	mTransitions      *Counter
-	mEDTHits          *Counter
-	mWarmRuns         *Counter
-	mAffinityHits     *Counter
-	mImgCacheHit      *Counter
-	mImgCacheMiss     *Counter
-	mEvictions        *Counter
-	mWatchdogKills    *Counter
-	mWatchdogAbandons *Counter
-	mBreakerTrips     *Counter
-	mCacheServed      *Counter
-	mCacheOnlyServed  *Counter
-	mCacheOnlyMiss    *Counter
-	mImgCacheEvict    *Counter
-	mSolveSeconds     *Histogram  // pi2md_solve_seconds
-	mSolveIters       *Histogram  // pi2md_solve_iterations
-	mSimJobs          *CounterVec // pi2md_simulate_jobs_total{outcome}
-	mBrownedOut       *CounterVec // pi2md_browned_out_jobs_total{tier}
+	reg               *metrics.Registry
+	mRequests         *metrics.CounterVec // pi2md_http_requests_total{code}
+	mAccepted         *metrics.Counter
+	mCompleted        *metrics.Counter
+	mFailed           *metrics.Counter
+	mRejected         *metrics.CounterVec // pi2md_jobs_rejected_total{reason}
+	mCoalesced        *metrics.Counter
+	mQueueWait        *metrics.Histogram
+	mRunSeconds       *metrics.Histogram
+	mLeaseSeconds     *metrics.Histogram
+	mSnapshotBytes    *metrics.Histogram
+	mCells            *metrics.Counter
+	mCellsPerSec      *metrics.Gauge
+	mRollbacks        *metrics.Counter
+	mDegraded         *metrics.Counter
+	mAborted          *metrics.Counter
+	mTransitions      *metrics.Counter
+	mEDTHits          *metrics.Counter
+	mWarmRuns         *metrics.Counter
+	mAffinityHits     *metrics.Counter
+	mImgCacheHit      *metrics.Counter
+	mImgCacheMiss     *metrics.Counter
+	mEvictions        *metrics.Counter
+	mWatchdogKills    *metrics.Counter
+	mWatchdogAbandons *metrics.Counter
+	mBreakerTrips     *metrics.Counter
+	mCacheServed      *metrics.Counter
+	mCacheOnlyServed  *metrics.Counter
+	mCacheOnlyMiss    *metrics.Counter
+	mImgCacheEvict    *metrics.Counter
+	mSolveSeconds     *metrics.Histogram  // pi2md_solve_seconds
+	mSolveIters       *metrics.Histogram  // pi2md_solve_iterations
+	mSimJobs          *metrics.CounterVec // pi2md_simulate_jobs_total{outcome}
+	mBrownedOut       *metrics.CounterVec // pi2md_browned_out_jobs_total{tier}
 
 	// lastRuns is a ring of recent run summaries for /v1/stats.
 	lastMu   sync.Mutex
@@ -290,7 +304,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	pool.SetHealth(HealthConfig{SuspectThreshold: cfg.SuspectThreshold})
-	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: NewRegistry(), nodeID: newNodeID()}
+	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
 	s.imgCache.m = make(map[string]*list.Element)
 	s.imgCache.lru = list.New()
 	s.flights = make(map[string]*flight)
@@ -514,7 +528,7 @@ func (s *Server) InflightKeys() []string {
 }
 
 // Registry exposes the metrics registry (for /metrics and tests).
-func (s *Server) Registry() *Registry { return s.reg }
+func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Pool exposes the session pool (for stats and eviction janitors).
 func (s *Server) Pool() *Pool { return s.pool }
@@ -525,17 +539,6 @@ func (s *Server) EvictIdle(maxIdle time.Duration) int {
 	n := s.pool.EvictIdle(maxIdle)
 	s.mEvictions.Add(int64(n))
 	return n
-}
-
-// ImageKey is the image identity used for session affinity, the
-// parsed-image cache, and single-flight coalescing: the full SHA-256
-// content hash of the serialized input. It must be the complete
-// digest — a truncated key that collides would silently serve a wrong
-// cached image to the colliding request and fan a wrong mesh out to
-// every coalesced waiter.
-func ImageKey(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
 }
 
 // imgCacheEnt is one parsed-image cache entry; bytes is the image's
@@ -851,27 +854,6 @@ func abortedByCaller(res *core.Result) bool {
 	return false
 }
 
-// ClampRetryAfter is the serving tier's one Retry-After policy: the
-// latency estimate (seconds) is jittered ±20% by jitter (so
-// synchronized clients don't retry in lockstep) and clamped to [1, 30]
-// seconds. Both the backend's capacity rejections and the router's
-// own 503s (backend down, ring empty) derive their hints here — a
-// router must never echo a raw cooldown the backend would have
-// clamped.
-func ClampRetryAfter(estSeconds float64, jitter func() float64) int {
-	if jitter != nil {
-		estSeconds *= 0.8 + 0.4*jitter()
-	}
-	sec := int(math.Ceil(estSeconds))
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 30 {
-		sec = 30
-	}
-	return sec
-}
-
 // retryAfterSeconds derives the Retry-After hint for capacity
 // rejections from the rejected waiter's actual queue position rather
 // than a flat wait quantile: a job arriving now would drain behind
@@ -881,7 +863,7 @@ func ClampRetryAfter(estSeconds float64, jitter func() float64) int {
 // from a queue that is barely over — then jittered and clamped by the
 // shared policy.
 func (s *Server) retryAfterSeconds() int {
-	return ClampRetryAfter(s.retryAfterEstimate(s.waiting.Load()), s.retryJitter)
+	return wire.ClampRetryAfter(s.retryAfterEstimate(s.waiting.Load()), s.retryJitter)
 }
 
 // retryAfterEstimate is the raw (unjittered, unclamped) wait estimate

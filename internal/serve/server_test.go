@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/img"
 	"repro/internal/meshio"
+	"repro/internal/wire"
 )
 
 // nrrdBody serializes a small sphere phantom as raw NRRD bytes.
@@ -574,22 +575,22 @@ func TestPinMeshPath(t *testing.T) {
 		doPin(t, c, "vtk conditional against the off entity", pinReq(t, "POST", mesh, octet, body, "If-None-Match", offTag),
 			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
 		doPin(t, c, "oversized upload", pinReq(t, "POST", mesh, octet, nrrdBody(t, 24)),
-			pin{status: 413, code: CodeTooLarge, ctype: "application/json",
-				sha: sha(envelope(CodeTooLarge, "request body exceeds the 4096 byte cap"))})
+			pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
+				sha: sha(envelope(wire.CodeTooLarge, "request body exceeds the 4096 byte cap"))})
 		doPin(t, c, "empty upload", pinReq(t, "POST", mesh, octet, nil),
-			pin{status: 400, code: CodeBadRequest, ctype: "application/json",
-				sha: sha(envelope(CodeBadRequest, "empty body: expected an NRRD label image"))})
-		doPin(t, c, "cache-only miss", pinReq(t, "POST", mesh+"?delta=3", octet, body, CacheOnlyHeader, "1"),
-			pin{status: 404, code: CodeCacheMiss, ctype: "application/json",
-				sha: sha(envelope(CodeCacheMiss, fmt.Sprintf("no cached result for image %.16s… variant %q", ImageKey(body), "d=3,n=0,re=0,fa=0")))})
+			pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
+				sha: sha(envelope(wire.CodeBadRequest, "empty body: expected an NRRD label image"))})
+		doPin(t, c, "cache-only miss", pinReq(t, "POST", mesh+"?delta=3", octet, body, wire.CacheOnlyHeader, "1"),
+			pin{status: 404, code: wire.CodeCacheMiss, ctype: "application/json",
+				sha: sha(envelope(wire.CodeCacheMiss, fmt.Sprintf("no cached result for image %.16s… variant %q", wire.ImageKey(body), "d=3,n=0,re=0,fa=0")))})
 
 		srv.AnnounceDrain(0)
 		doPin(t, c, "cached pair while draining", pinReq(t, "POST", mesh, octet, body),
-			pin{status: 503, code: CodeDraining, ctype: "application/json",
-				sha: sha(envelope(CodeDraining, "serve: server draining"))})
+			pin{status: 503, code: wire.CodeDraining, ctype: "application/json",
+				sha: sha(envelope(wire.CodeDraining, "serve: server draining"))})
 		doPin(t, c, "conditional while draining", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
 			pin{status: 304, etag: vtkTag, sha: sha(nil)})
-		doPin(t, c, "cache-only while draining", pinReq(t, "POST", mesh, octet, body, CacheOnlyHeader, "1"),
+		doPin(t, c, "cache-only while draining", pinReq(t, "POST", mesh, octet, body, wire.CacheOnlyHeader, "1"),
 			pin{status: 200, etag: vtkTag, ctype: "text/vtk", cacheOnly: "hit", sha: sha(vtk)})
 		if n := srv.mRejected.Value("draining"); n != 1 {
 			t.Errorf("brownout=%v: draining rejections = %d, want 1", brownout, n)

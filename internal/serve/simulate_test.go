@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cachestore"
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // newSimServer is newTestServer plus a persistent result cache, so
@@ -157,15 +158,15 @@ func TestSimulateSolveCanceled(t *testing.T) {
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, r)
 
-	if w.Code != StatusClientClosedRequest {
-		t.Fatalf("canceled solve answered %d, want %d: %s", w.Code, StatusClientClosedRequest, w.Body.String())
+	if w.Code != wire.StatusClientClosedRequest {
+		t.Fatalf("canceled solve answered %d, want %d: %s", w.Code, wire.StatusClientClosedRequest, w.Body.String())
 	}
-	var env errorEnvelope
+	var env wire.ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatalf("499 body is not the JSON envelope: %q", w.Body.String())
 	}
-	if env.Error.Code != CodeCanceled {
-		t.Errorf("envelope code = %q, want %q", env.Error.Code, CodeCanceled)
+	if env.Error.Code != wire.CodeCanceled {
+		t.Errorf("envelope code = %q, want %q", env.Error.Code, wire.CodeCanceled)
 	}
 	if v := srv.mSimJobs.Value("canceled"); v != 1 {
 		t.Errorf("simulate_jobs_total{canceled} = %d, want 1", v)
@@ -187,12 +188,12 @@ func TestSimulateBadBC(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unmatchable BC answered %d, want 400: %s", resp.StatusCode, body)
 	}
-	var env errorEnvelope
+	var env wire.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("bad_bc body is not the JSON envelope: %q", body)
 	}
-	if env.Error.Code != CodeBadBC {
-		t.Errorf("envelope code = %q, want %q", env.Error.Code, CodeBadBC)
+	if env.Error.Code != wire.CodeBadBC {
+		t.Errorf("envelope code = %q, want %q", env.Error.Code, wire.CodeBadBC)
 	}
 	if v := srv.mSimJobs.Value("bad_bc"); v != 1 {
 		t.Errorf("simulate_jobs_total{bad_bc} = %d, want 1", v)
@@ -203,7 +204,7 @@ func TestSimulateBadBC(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty dirichlet answered %d: %s", resp.StatusCode, body)
 	}
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != CodeBadRequest {
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != wire.CodeBadRequest {
 		t.Errorf("pre-mesh rejection envelope: %q", body)
 	}
 }
@@ -222,17 +223,17 @@ func TestPinSimulateUploadErrors(t *testing.T) {
 		doPin(t, c, name, pinReq(t, "POST", sim, ctype, body), want)
 	}
 	row("oversized upload", map[string][]byte{"spec": []byte(spec), "image": nrrdBody(t, 24)},
-		pin{status: 413, code: CodeTooLarge, ctype: "application/json",
-			sha: sha(envelope(CodeTooLarge, "request body exceeds the 4096 byte cap"))})
+		pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
+			sha: sha(envelope(wire.CodeTooLarge, "request body exceeds the 4096 byte cap"))})
 	row("empty image part", map[string][]byte{"spec": []byte(spec), "image": {}},
-		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(CodeBadRequest, `empty "image" part: expected an NRRD label image`))})
+		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(wire.CodeBadRequest, `empty "image" part: expected an NRRD label image`))})
 	row("no spec part", map[string][]byte{"image": nrrdBody(t, 7)},
-		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(CodeBadRequest, `missing "spec" part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image`))})
+		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(wire.CodeBadRequest, `missing "spec" part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image`))})
 	row("undecodable image", map[string][]byte{"spec": []byte(spec), "image": []byte("not an image")},
-		pin{status: 400, code: CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(CodeBadRequest, "decoding image: nrrd: reading magic: EOF"))})
+		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
+			sha: sha(envelope(wire.CodeBadRequest, "decoding image: nrrd: reading magic: EOF"))})
 	if v := srv.mSimJobs.Value("bad_request"); v != 4 {
 		t.Errorf("simulate_jobs_total{bad_request} = %d, want 4", v)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
 
 // job is one request on its way through walk: what its handler parsed
@@ -25,11 +26,11 @@ type job struct {
 	body  []byte
 
 	// HTTP-only inputs; zero through MeshSnapshot.
-	format      string        // entity format the conditional compares under
-	ifNoneMatch string        // If-None-Match header
-	cacheOnly   bool          // answer from the result cache or not at all
-	timeout     time.Duration // the spec's own deadline (0 = none asked)
-	spec        *MeshSpec     // /v1/mesh only: the knobs the brownout controller may rewrite
+	format      string         // entity format the conditional compares under
+	ifNoneMatch string         // If-None-Match header
+	cacheOnly   bool           // answer from the result cache or not at all
+	timeout     time.Duration  // the spec's own deadline (0 = none asked)
+	spec        *wire.MeshSpec // /v1/mesh only: the knobs the brownout controller may rewrite
 
 	tier int // out: brownout tier the job was rewritten to (0 = as asked)
 }
@@ -96,7 +97,7 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 	// blob read, no session.
 	if j.ifNoneMatch != "" {
 		if tag, ok := s.CacheETag(j.key, j.variant); ok {
-			if entity := EntityTag(tag, j.format); ETagMatch(j.ifNoneMatch, entity) {
+			if entity := wire.EntityTag(tag, j.format); wire.ETagMatch(j.ifNoneMatch, entity) {
 				return nil, &notModified{entity}
 			}
 		}
@@ -117,13 +118,13 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 	}
 	if j.cacheOnly {
 		s.mCacheOnlyMiss.Inc()
-		return nil, &requestError{http.StatusNotFound, CodeCacheMiss,
+		return nil, &requestError{http.StatusNotFound, wire.CodeCacheMiss,
 			fmt.Sprintf("no cached result for image %.16s… variant %q", j.key, j.variant)}
 	}
 	if j.image == nil {
 		var err error
 		if j.image, err = s.decodeImage(j.key, j.body); err != nil {
-			return nil, &requestError{http.StatusBadRequest, CodeBadRequest, "decoding image: " + err.Error()}
+			return nil, &requestError{http.StatusBadRequest, wire.CodeBadRequest, "decoding image: " + err.Error()}
 		}
 	}
 	// Every job runs under a deadline (queue wait + run): the spec's, the
@@ -149,7 +150,7 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 			return nil, err
 		}
 		if tier > 0 {
-			j.tier, j.variant, j.tune = tier, spec.Variant(), spec.tune()
+			j.tier, j.variant, j.tune = tier, spec.Variant(), tune(&spec)
 			if sr, ok := s.cachedSnapshot(j.key, j.variant); ok {
 				return sr, nil
 			}

@@ -1,4 +1,4 @@
-package serve
+package wire
 
 import (
 	"encoding/json"
@@ -27,34 +27,23 @@ const (
 	CodeInternal    = "internal"     // anything else
 )
 
-// errorEnvelope is the JSON error document every non-2xx response
+// ErrorEnvelope is the JSON error document every non-2xx response
 // carries:
 //
 //	{"error": {"code": "queue_full", "reason": "...", "retry_after_s": 2}}
 //
 // retry_after_s mirrors the Retry-After header when one is set, so a
 // JSON-only client never has to read headers to back off correctly.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
+type ErrorEnvelope struct {
+	Error ErrorBody `json:"error"`
 }
 
-type errorBody struct {
+// ErrorBody is the envelope's one member.
+type ErrorBody struct {
 	Code        string `json:"code"`
 	Reason      string `json:"reason"`
 	RetryAfterS int    `json:"retry_after_s,omitempty"`
 }
-
-// requestError is a failure that is the request's own fault, discovered
-// past the handler's parse step — an undecodable image, a cache-only
-// miss, boundary conditions that constrain no vertex of the actual mesh
-// — carrying the status and envelope code it is answered with.
-type requestError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *requestError) Error() string { return e.msg }
 
 // WriteError writes the structured JSON error envelope with the given
 // status and machine-readable code — the one rejection shape every
@@ -70,7 +59,7 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{
+	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{
 		Code:        code,
 		Reason:      fmt.Sprintf(format, args...),
 		RetryAfterS: retry,

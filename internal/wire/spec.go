@@ -1,4 +1,4 @@
-package serve
+package wire
 
 import (
 	"bytes"
@@ -13,11 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/img"
-	"repro/internal/sizing"
 )
 
 // SpecVersion is the current request-spec version. A spec may omit the
@@ -99,8 +94,8 @@ type MeshSpec struct {
 	Size *SizeSpec `json:"size,omitempty"`
 }
 
-// SizeSpec describes a per-request size function compiled to
-// core.Config.SizeFunc: per-tissue circumradius bounds and/or
+// SizeSpec describes a per-request size function (the backend compiles
+// it to the engine's size function): per-tissue circumradius bounds and/or
 // ball-shaped focus regions, combined by pointwise minimum.
 type SizeSpec struct {
 	// PerLabel bounds circumradii per tissue label (JSON object keys
@@ -139,10 +134,10 @@ func checkKnob(name string, v float64) error {
 	return nil
 }
 
-// validate is the single validation path shared by the query and body
+// Validate is the single validation path shared by the query and body
 // surfaces: everything parseMeshParams historically enforced, plus the
-// size-spec rules.
-func (m *MeshSpec) validate() error {
+// size-spec rules. It defaults an empty Format to "vtk".
+func (m *MeshSpec) Validate() error {
 	if err := checkVersion(m.Version); err != nil {
 		return err
 	}
@@ -269,7 +264,7 @@ func MeshSpecFromQuery(q url.Values) (MeshSpec, error) {
 		}
 		m.Timeout = Duration(d)
 	}
-	if err := m.validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return m, err
 	}
 	return m, nil
@@ -285,17 +280,20 @@ func ParseMeshSpec(data []byte) (MeshSpec, error) {
 	if err := dec.Decode(&m); err != nil {
 		return m, fmt.Errorf("decoding mesh spec: %v", err)
 	}
-	if err := m.validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return m, err
 	}
 	return m, nil
 }
 
-// hasTuning reports whether the spec overrides anything on the session
-// template (format and timeout are serving-side, not tuning).
-func (m *MeshSpec) hasTuning() bool {
-	return m.Delta > 0 || m.MaxElements > 0 || m.MaxRadiusEdge > 0 ||
-		m.MinFacetAngle > 0 || m.Size != nil || m.DeltaScale > 1
+// ResolveMeshSpec is body-over-params precedence, once for both tiers:
+// a request's JSON spec part (non-nil) replaces the query string
+// wholesale, a spec-less request parses the query.
+func ResolveMeshSpec(specJSON []byte, q url.Values) (MeshSpec, error) {
+	if specJSON != nil {
+		return ParseMeshSpec(specJSON)
+	}
+	return MeshSpecFromQuery(q)
 }
 
 // Variant canonicalizes the tuning knobs — the second half of the
@@ -352,77 +350,6 @@ func (sz *SizeSpec) canonical() string {
 			ball.Center[0], ball.Center[1], ball.Center[2], ball.R, ball.H, ball.HOut)
 	}
 	return b.String()
-}
-
-// tune compiles the spec into the per-run hook RunTuned applies over
-// the session template; nil when the spec has no overrides (the common
-// path runs the template verbatim). The size function is compiled
-// inside the hook because PerLabel needs the run's attached image.
-func (m *MeshSpec) tune() func(*core.Config) {
-	if !m.hasTuning() {
-		return nil
-	}
-	spec := *m // the hook outlives the request; copy the knobs
-	return func(cfg *core.Config) {
-		if spec.Delta > 0 {
-			cfg.Delta = spec.Delta
-		}
-		if spec.MaxElements > 0 {
-			cfg.MaxElements = spec.MaxElements
-		}
-		if spec.MaxRadiusEdge > 0 {
-			cfg.MaxRadiusEdge = spec.MaxRadiusEdge
-		}
-		if spec.MinFacetAngle > 0 {
-			cfg.MinFacetAngle = spec.MinFacetAngle
-		}
-		if spec.Size != nil {
-			cfg.SizeFunc = core.SizeFunc(spec.Size.compile(cfg.Image))
-		}
-		if spec.DeltaScale > 1 {
-			// Applied last, over whatever δ the run would otherwise use:
-			// the explicit override above, the template's value, or the
-			// auto default (2× min voxel spacing) resolved here because
-			// the engine's own resolution happens after this hook.
-			d := cfg.Delta
-			if d <= 0 && cfg.Image != nil {
-				d = 2 * cfg.Image.MinSpacing()
-			}
-			if d > 0 {
-				cfg.Delta = d * spec.DeltaScale
-			}
-		}
-	}
-}
-
-// compile builds the sizing.Func the spec describes; constraints
-// compose by pointwise minimum (every bound holds).
-func (sz *SizeSpec) compile(im *img.Image) sizing.Func {
-	var fs []sizing.Func
-	if len(sz.PerLabel) > 0 && im != nil {
-		byLabel := make(map[img.Label]float64, len(sz.PerLabel))
-		for k, h := range sz.PerLabel {
-			l, _ := strconv.Atoi(k)
-			byLabel[img.Label(l)] = h
-		}
-		def := sz.Default
-		if def <= 0 {
-			def = math.Inf(1)
-		}
-		fs = append(fs, sizing.PerLabel(im, byLabel, def))
-	}
-	for _, b := range sz.Balls {
-		hOut := b.HOut
-		if hOut <= 0 {
-			hOut = math.Inf(1)
-		}
-		fs = append(fs, sizing.Ball(
-			geom.Vec3{X: b.Center[0], Y: b.Center[1], Z: b.Center[2]}, b.R, b.H, hOut))
-	}
-	if len(fs) == 1 {
-		return fs[0]
-	}
-	return sizing.Min(fs...)
 }
 
 // SplitSpecImage splits one request body stream into its JSON spec
