@@ -399,8 +399,8 @@ func BenchmarkAblation_Tuning(b *testing.B) {
 // BenchmarkSession_ColdVsWarm measures the session tentpole: the
 // per-run cost of a fresh session (allocate everything) against a
 // reused one (reset-and-reuse arenas, grids, EDT buffers and cached
-// transform). BENCH_pr2.json is the record of this pair when it landed;
-// the traced benchmark run (go run ./bench -trace 1) tracks it now.
+// transform). CHANGES.md (PR 2) records this pair when it landed; the
+// traced benchmark run (go run ./bench -trace 1) tracks it now.
 func BenchmarkSession_ColdVsWarm(b *testing.B) {
 	phantoms := []struct {
 		name string

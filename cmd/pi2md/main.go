@@ -15,10 +15,10 @@
 //	curl -s localhost:8080/metrics
 //
 // On SIGINT/SIGTERM the daemon stops accepting, lets in-flight jobs
-// finish (bounded by -drain-timeout), saves its breaker priors, and
-// exits. The result cache needs no shutdown step: every cached mesh was
-// durable when its request returned, so a kill -9 loses none of them —
-// each boot re-verifies every blob and rebuilds the index from them.
+// finish (bounded by -drain-timeout), and exits. Nothing is written at
+// shutdown: every cached mesh was durable when its request returned, so
+// a kill -9 loses none of them — each boot re-verifies every blob and
+// rebuilds the index from them — and breakers start closed.
 package main
 
 import (
@@ -38,6 +38,14 @@ import (
 	"repro/internal/serve"
 )
 
+const (
+	// idleEvict is how long a session may sit unused before the janitor
+	// releases its arenas and EDT buffers.
+	idleEvict = 10 * time.Minute
+	// livelockTimeout is the per-run livelock watchdog.
+	livelockTimeout = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("pi2md: ")
@@ -48,22 +56,11 @@ func main() {
 		pool         = flag.Int("pool", 2, "warm sessions (run concurrency ceiling)")
 		queue        = flag.Int("queue", 16, "max jobs queued beyond the running ones")
 		workers      = flag.Int("workers", 0, "refinement threads per session (0 = GOMAXPROCS)")
-		delta        = flag.Float64("delta", 0, "δ sampling parameter in world units (0 = 2x min voxel spacing)")
 		maxBytes     = flag.Int64("max-bytes", 64<<20, "request body size cap")
 		timeout      = flag.Duration("timeout", 60*time.Second, "default per-job deadline (queue wait + run)")
-		idleEvict    = flag.Duration("idle-evict", 10*time.Minute, "evict sessions idle this long (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		imageCache   = flag.Int("image-cache", 8, "parsed input images retained by content hash (<0 disables)")
-		imageCacheB  = flag.Int64("image-cache-bytes", 256<<20, "byte budget for the parsed-image LRU cache (<0 disables)")
 		cacheDir     = flag.String("cache-dir", "", "persistent result-cache directory (empty disables the cache)")
 		cacheMaxB    = flag.Int64("cache-max-bytes", 1<<30, "LRU byte budget for the persistent result cache")
-		coalesceMax  = flag.Int("coalesce-max", 32, "max jobs sharing one run via single-flight coalescing (1 disables)")
-		livelock     = flag.Duration("livelock-timeout", 2*time.Minute, "per-run livelock watchdog (0 disables)")
-		suspect      = flag.Int("suspect-threshold", 3, "consecutive suspect runs before a session is quarantined and rebuilt")
-		brkThresh    = flag.Int("breaker-threshold", 3, "consecutive leader failures tripping a per-image circuit breaker (<0 disables)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker fast-fail window before a half-open probe")
-		wdGrace      = flag.Duration("watchdog-grace", 2*time.Second, "how long a run may ignore the end of its job deadline before its session is abandoned")
-		solveTimeout = flag.Duration("solve-timeout", 30*time.Second, "ceiling on the FEM solve stage of /v1/simulate (caps per-request asks)")
 		brownout     = flag.Bool("brownout", true, "degrade mesh quality instead of rejecting under overload (X-Pi2md-Brownout responses)")
 		brownoutLad  = flag.String("brownout-ladder", "", "degradation ladder: tiers separated by /, knobs re=,fa=,ds=,n= (empty = built-in re=3,fa=15/re=4,fa=10,ds=2,n=100000)")
 		brownoutHold = flag.Duration("brownout-hold", 5*time.Second, "calm period before the brownout controller steps back up one quality tier")
@@ -87,43 +84,29 @@ func main() {
 	}
 
 	srv, err := serve.NewServer(serve.Config{
-		PoolSize:         *pool,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxRequestBytes:  *maxBytes,
-		ImageCacheSize:   *imageCache,
-		ImageCacheBytes:  *imageCacheB,
-		Cache:            cache,
-		CoalesceMax:      *coalesceMax,
-		SuspectThreshold: *suspect,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		WatchdogGrace:    *wdGrace,
-		SolveTimeout:     *solveTimeout,
-		Brownout:         *brownout,
-		BrownoutLadder:   ladder,
-		BrownoutHold:     *brownoutHold,
-		Session: core.Config{
-			Workers:         *workers,
-			Delta:           *delta,
-			LivelockTimeout: *livelock,
-		},
+		PoolSize:        *pool,
+		QueueDepth:      *queue,
+		DefaultTimeout:  *timeout,
+		MaxRequestBytes: *maxBytes,
+		Cache:           cache,
+		Brownout:        *brownout,
+		BrownoutLadder:  ladder,
+		BrownoutHold:    *brownoutHold,
+		Session:         core.Config{Workers: *workers, LivelockTimeout: livelockTimeout},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	if *idleEvict > 0 {
-		ticker := time.NewTicker(*idleEvict / 2)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				if n := srv.EvictIdle(*idleEvict); n > 0 {
-					log.Printf("evicted %d idle session(s)", n)
-				}
+	ticker := time.NewTicker(idleEvict / 2)
+	defer ticker.Stop()
+	go func() {
+		for range ticker.C {
+			if n := srv.EvictIdle(idleEvict); n > 0 {
+				log.Printf("evicted %d idle session(s)", n)
 			}
-		}()
-	}
+		}
+	}()
 
 	// The pprof surface lives on its own listener, opt-in, and is never
 	// registered on the serving mux: profiling endpoints leak heap and

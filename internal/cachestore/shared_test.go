@@ -25,20 +25,16 @@ func mustOpen(t *testing.T, dir string) (*Store, FsckReport) {
 
 // requireOnlyBlobs asserts the whole durable state under dir: blobs/
 // holds verifiable *.snap files (plus *.tmp if allowTmp) and nothing
-// else, and the root holds only blobs/, quarantine/ and the named
-// sidecars. It returns the blob count and byte total.
-func requireOnlyBlobs(t *testing.T, dir string, allowTmp bool, sidecars ...string) (n int, bytes int64) {
+// else, and the root holds only blobs/ and quarantine/. It returns the
+// blob count and byte total.
+func requireOnlyBlobs(t *testing.T, dir string, allowTmp bool) (n int, bytes int64) {
 	t.Helper()
-	allowed := map[string]bool{blobsDirName: true, quarantineName: true}
-	for _, sc := range sidecars {
-		allowed[sc] = true
-	}
 	root, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, de := range root {
-		if !allowed[de.Name()] {
+		if name := de.Name(); name != blobsDirName && name != quarantineName {
 			t.Errorf("unexpected %s in the cache directory: the blobs are the only durable state", de.Name())
 		}
 	}
@@ -279,9 +275,6 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 			}
 			put(a, "both", 20)
 			put(b, "both", 21) // the later write wins whole
-			if err := a.WriteSidecar("breaker_priors.json", []byte(`{}`)); err != nil {
-				t.Fatal(err)
-			}
 			// Each serves what the other wrote without a restart.
 			if got, tag, ok := b.Get("a0", ""); !ok || tag != order[0].etag || !snapsEqual(got, order[0].snap) {
 				t.Fatal("b cannot read a's blob")
@@ -298,7 +291,7 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 			put(second, "late", 30) // the survivor keeps writing after its peer closed
 			second.Close()
 
-			if n, _ := requireOnlyBlobs(t, dir, false, "breaker_priors.json"); n != len(order) {
+			if n, _ := requireOnlyBlobs(t, dir, false); n != len(order) {
 				t.Fatalf("%d blobs on disk, want %d", n, len(order))
 			}
 			c, rep := mustOpen(t, dir)
@@ -317,7 +310,7 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 					t.Fatalf("%s: served ok=%v etag=%s, want the bytes written under %s", w.key, ok, tag, w.etag)
 				}
 			}
-			requireOnlyBlobs(t, dir, false, "breaker_priors.json")
+			requireOnlyBlobs(t, dir, false)
 		})
 	}
 }

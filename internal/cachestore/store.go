@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -27,7 +26,6 @@ type Config struct {
 	//	                                 is rebuilt from them at Open
 	//	<dir>/blobs/*.tmp                writes in flight
 	//	<dir>/quarantine/                corrupt blobs, moved aside
-	//	<dir>/<name>                     sidecars (WriteSidecar)
 	//
 	// Any number of stores, in one process or several, may share a
 	// directory without coordinating.
@@ -416,29 +414,6 @@ func (s *Store) KeysMRU() []KeyInfo {
 		out = append(out, KeyInfo{ImageKey: e.imageKey, Variant: e.variant, ETag: e.etag, Bytes: e.bytes})
 	}
 	return out
-}
-
-// WriteSidecar atomically writes a small named state file (e.g. the
-// serving layer's breaker priors) next to blobs/. name must be a
-// bare filename.
-func (s *Store) WriteSidecar(name string, data []byte) error {
-	if strings.ContainsAny(name, `/\`) || name == "" {
-		return fmt.Errorf("cachestore: bad sidecar name %q", name)
-	}
-	return atomicWriteFile(filepath.Join(s.cfg.Dir, name), data)
-}
-
-// ReadSidecar reads a sidecar written by WriteSidecar; a missing file
-// returns (nil, false).
-func (s *Store) ReadSidecar(name string) ([]byte, bool) {
-	if strings.ContainsAny(name, `/\`) || name == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, name))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
 }
 
 // Close marks the store closed: later Puts are refused and reads stop

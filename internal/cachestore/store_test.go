@@ -1,7 +1,6 @@
 package cachestore
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -511,27 +510,6 @@ func TestKillMidWriteFsckSoak(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestSidecarRoundTrip(t *testing.T) {
-	s, _, err := Open(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, ok := s.ReadSidecar("priors.json"); ok {
-		t.Fatal("missing sidecar read as present")
-	}
-	if err := s.WriteSidecar("priors.json", []byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	data, ok := s.ReadSidecar("priors.json")
-	if !ok || !bytes.Equal(data, []byte(`{"a":1}`)) {
-		t.Fatalf("sidecar round trip: %q %v", data, ok)
-	}
-	if err := s.WriteSidecar("../escape", nil); err == nil {
-		t.Fatal("path-traversal sidecar name accepted")
 	}
 }
 

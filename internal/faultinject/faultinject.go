@@ -48,7 +48,7 @@ const (
 	SlowSession
 	// RunPoisoned fails a serving-layer run outright before it starts,
 	// simulating an input that reliably crashes the engine — the
-	// trigger for per-key circuit breakers and session suspicion.
+	// trigger for per-key circuit breakers and session quarantine.
 	RunPoisoned
 	// LeaseLeak stalls a run while it ignores its context, simulating
 	// a wedged run that holds its pool lease past cancellation — the

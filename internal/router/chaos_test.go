@@ -418,6 +418,10 @@ func TestRouterChaosSoak(t *testing.T) {
 		t.Fatal("the soak never completed a single mesh")
 	}
 
+	// Bodies are length-framed, so a client has its whole answer before
+	// finish bumps the completed counter. Close blocks until every handler
+	// has returned; only then is the ledger final.
+	rts.Close()
 	st := rt.Stats()
 	if st.ProxiedJobs != st.CompletedJobs+st.FailedJobs {
 		t.Fatalf("ledger unbalanced: proxied=%d completed=%d failed=%d",

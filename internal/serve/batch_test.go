@@ -392,7 +392,7 @@ func TestCoalesceSlowSession(t *testing.T) {
 // strand its followers — the panic is recovered into a flight error
 // and fanned out, and the leader's session is quarantined.
 func TestCoalesceLeaderPanic(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: -1})
+	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
 	image := img.SpherePhantom(8)
 	const key = "coalesce-leader-panic"
 

@@ -70,16 +70,10 @@ func newBreakerTable(threshold int, cooldown time.Duration) *breakerTable {
 	}
 }
 
-// enabled reports whether breakers are active at all (threshold > 0).
-func (t *breakerTable) enabled() bool { return t != nil && t.threshold > 0 }
-
 // admitLocked decides whether a would-be leader for ckey may run.
 // Caller holds flightMu. Returns ok=true to admit; otherwise
 // retryAfter is the time until a probe will be admitted.
 func (t *breakerTable) admitLocked(ckey string, now time.Time) (ok bool, retryAfter time.Duration) {
-	if !t.enabled() {
-		return true, 0
-	}
 	e, present := t.entries[ckey]
 	if !present || e.state == breakerClosed {
 		return true, 0
@@ -107,9 +101,6 @@ func (t *breakerTable) admitLocked(ckey string, now time.Time) (ok bool, retryAf
 // Caller holds flightMu. Capacity rejections and caller cancellations
 // are not reported — they say nothing about the key's health.
 func (t *breakerTable) reportLocked(ckey string, ok bool, now time.Time) (tripped bool) {
-	if !t.enabled() {
-		return false
-	}
 	e, present := t.entries[ckey]
 	if ok {
 		// Success closes (and forgets) the breaker whatever its state.
@@ -148,9 +139,6 @@ func (t *breakerTable) reportLocked(ckey string, ok bool, now time.Time) (trippe
 // caller reasons before the key's health could be observed, so the
 // next arrival gets to probe. Caller holds flightMu.
 func (t *breakerTable) releaseProbeLocked(ckey string) {
-	if !t.enabled() {
-		return
-	}
 	if e, ok := t.entries[ckey]; ok && e.state == breakerHalfOpen {
 		e.probing = false
 	}
@@ -159,9 +147,6 @@ func (t *breakerTable) releaseProbeLocked(ckey string) {
 // openCountLocked counts breakers that are not closed (open or
 // half-open) — the pi2md_breaker_state gauge. Caller holds flightMu.
 func (t *breakerTable) openCountLocked() int {
-	if !t.enabled() {
-		return 0
-	}
 	n := 0
 	for _, e := range t.entries {
 		if e.state != breakerClosed {
@@ -169,49 +154,6 @@ func (t *breakerTable) openCountLocked() int {
 		}
 	}
 	return n
-}
-
-// openKeysLocked lists the coalesce keys whose breakers are not closed
-// — what Drain persists as priors for the next boot. Caller holds
-// flightMu.
-func (t *breakerTable) openKeysLocked() []string {
-	if !t.enabled() {
-		return nil
-	}
-	var keys []string
-	for k, e := range t.entries {
-		if e.state != breakerClosed {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// seedLocked re-arms breakers for keys known bad at the last graceful
-// shutdown. Each is seeded open with an already-elapsed cooldown, so
-// the first arrival for the key is admitted as a half-open probe (one
-// session at risk) instead of a full-speed retry storm — and a key
-// that was actually fixed across the restart closes on that first
-// success. Caller holds flightMu.
-func (t *breakerTable) seedLocked(keys []string, now time.Time) {
-	if !t.enabled() {
-		return
-	}
-	for _, k := range keys {
-		if k == "" {
-			continue
-		}
-		if _, ok := t.entries[k]; ok {
-			continue
-		}
-		t.entries[k] = &breakerEntry{
-			state:     breakerOpen,
-			fails:     t.threshold,
-			openedAt:  now.Add(-t.cooldown),
-			lastTouch: now,
-		}
-	}
-	t.pruneLocked(now)
 }
 
 // pruneLocked evicts the least-recently-touched entries once the table

@@ -80,7 +80,6 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		CoalesceMax:      1, // breakers must work without coalescing too
 		BreakerThreshold: 2,
 		BreakerCooldown:  200 * time.Millisecond,
-		SuspectThreshold: 10, // keep session quarantine out of this test
 	})
 	poisoned := img.SpherePhantom(10)
 	healthy := img.SpherePhantom(12)
@@ -147,7 +146,6 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		CoalesceMax:      1, // forbid joining the probe's flight: force the breaker decision
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,
-		SuspectThreshold: 10,
 	})
 	image := img.SpherePhantom(10)
 	ctx := context.Background()

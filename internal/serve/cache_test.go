@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -311,48 +310,5 @@ func TestCacheDegradedServesEveryRequest(t *testing.T) {
 	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !bytes.Contains(rec.Body.Bytes(), []byte("pi2md_cache_degraded 1")) {
 		t.Fatal("metrics do not report pi2md_cache_degraded 1")
-	}
-}
-
-// TestBreakerPriorsRoundTrip: a drain persists open breaker keys next
-// to the index; the next boot re-arms them open with an elapsed
-// cooldown, so the first arrival is a single half-open probe.
-func TestBreakerPriorsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cache1 := openTestCache(t, dir)
-	srv1 := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: 3, Cache: cache1})
-	now := time.Now()
-	srv1.flightMu.Lock()
-	for i := 0; i < 3; i++ {
-		srv1.breakers.reportLocked("poisoned-key", false, now)
-	}
-	open := srv1.breakers.openCountLocked()
-	srv1.flightMu.Unlock()
-	if open != 1 {
-		t.Fatalf("breakers open before drain = %d, want 1", open)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv1.Drain(drainCtx); err != nil {
-		t.Fatal(err)
-	}
-
-	cache2 := openTestCache(t, dir)
-	srv2 := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: 3, Cache: cache2})
-	srv2.flightMu.Lock()
-	ok, _ := srv2.breakers.admitLocked("poisoned-key", time.Now())
-	openAfter := srv2.breakers.openCountLocked()
-	srv2.flightMu.Unlock()
-	if openAfter != 1 {
-		t.Fatalf("breakers open after warm start = %d, want 1", openAfter)
-	}
-	if !ok {
-		t.Fatal("seeded breaker refused its first probe: the elapsed cooldown must admit one")
-	}
-	srv2.flightMu.Lock()
-	ok2, _ := srv2.breakers.admitLocked("poisoned-key", time.Now())
-	srv2.flightMu.Unlock()
-	if ok2 {
-		t.Fatal("seeded breaker admitted a second concurrent probe")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -35,6 +36,18 @@ func chaosSeed(t *testing.T) int64 {
 	return 11
 }
 
+// freshNRRD returns base with a comment line after the magic: a new
+// SHA-256 over identical voxels, so the server has never seen the image
+// and must run it (the bench harness's trick for cold requests).
+func freshNRRD(base []byte, seed int64, serial int) []byte {
+	nl := bytes.IndexByte(base, '\n') + 1
+	tag := fmt.Sprintf("# chaos %016x %08d\n", uint64(seed), serial)
+	out := make([]byte, 0, len(base)+len(tag))
+	out = append(out, base[:nl]...)
+	out = append(out, tag...)
+	return append(out, base[nl:]...)
+}
+
 // chaosOutcome is one request's observed behavior, checked against
 // the service invariants after the storm.
 type chaosOutcome struct {
@@ -45,13 +58,16 @@ type chaosOutcome struct {
 
 // TestChaosSoak is the service-level chaos harness: a live Server
 // under a seeded randomized workload with injected worker panics,
-// slow sessions, queue-full storms, poisoned runs, a wedged run, and
-// failing rebuilds. It asserts the self-healing invariants:
+// slow sessions, queue-full storms, poisoned runs, a poison wave that
+// trips one key's breaker, a wedged run, and failing rebuilds. Most mesh
+// posts carry a never-seen body, so the storm runs sessions rather than
+// the result cache. It asserts the self-healing invariants:
 //
 //   - no request hangs (every worker returns, bounded);
 //   - every 4xx/5xx carries a reason, every 429/503 a Retry-After;
 //   - the pool returns to PoolSize healthy sessions without operator
-//     action, and every breaker closes after recovery probes;
+//     action, and every breaker closes after recovery probes — at least
+//     one was open, and fast-failed an arrival without a run;
 //   - the metrics stay consistent: accepted == completed + failed,
 //     runs == accepted − coalesced − watchdog-abandoned − cache-served,
 //     and one HTTP 200 per completed job;
@@ -73,7 +89,6 @@ func TestChaosSoak(t *testing.T) {
 		QueueDepth:       8,
 		DefaultTimeout:   5 * time.Second,
 		CoalesceMax:      4,
-		SuspectThreshold: 2,
 		BreakerThreshold: 3,
 		BreakerCooldown:  150 * time.Millisecond,
 		WatchdogGrace:    50 * time.Millisecond,
@@ -159,6 +174,9 @@ func TestChaosSoak(t *testing.T) {
 					sim := simBodies[bi][rng.Intn(len(simSpecs))]
 					url = ts.URL + "/v1/simulate"
 					body, ctype = sim.body, sim.ctype
+				case roll < 80:
+					// Never seen before: the result cache cannot answer it.
+					body = freshNRRD(body, seed, w*perWorker+i)
 				}
 				resp, err := client.Post(url, ctype, bytes.NewReader(body))
 				if err != nil {
@@ -184,18 +202,36 @@ func TestChaosSoak(t *testing.T) {
 	}
 	restore()
 
-	// ---- Phase B: deterministic kill wave (leader panics). --------
-	for i := 0; i < 2; i++ {
-		key := fmt.Sprintf("chaos-kill-%d", i)
-		im, err := img.ReadNRRD(bytes.NewReader(bodies[i%len(bodies)]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = srv.MeshSnapshot(context.Background(), key, "", im,
+	// ---- Phase B: poison wave — one (key, variant) trips its breaker. --
+	// Three panicking leaders (BreakerThreshold) on a body the storm never
+	// posted, under the key and empty variant a plain POST of it derives,
+	// so Phase D's recovery probe is the arrival that closes the breaker.
+	poison := nrrdBody(t, 10)
+	poisonKey := wire.ImageKey(poison)
+	poisonImage, err := img.ReadNRRD(bytes.NewReader(poison))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tripsBefore := srv.mBreakerTrips.Value()
+	for i := 0; i < 3; i++ {
+		_, err = srv.MeshSnapshot(context.Background(), poisonKey, "", poisonImage,
 			func(*core.Config) { panic("chaos: injected tune panic") })
 		if err == nil {
-			t.Fatal("panicking kill-wave run returned no error")
+			t.Fatal("panicking poison-wave run returned no error")
 		}
+	}
+	if trips := srv.mBreakerTrips.Value() - tripsBefore; trips < 1 {
+		t.Errorf("breaker trips = %d after three failed leaders on one key, want >= 1", trips)
+	}
+	runsBefore := srv.mRunSeconds.Count()
+	if _, err = srv.MeshSnapshot(context.Background(), poisonKey, "", poisonImage, nil); !errors.Is(err, ErrBreakerOpen) {
+		t.Errorf("fourth arrival on the poisoned key returned %v, want ErrBreakerOpen", err)
+	}
+	if n := srv.mRunSeconds.Count(); n != runsBefore {
+		t.Errorf("the open breaker let a run through: runs %d -> %d", runsBefore, n)
+	}
+	if open := srv.Stats().BreakersOpen; open < 1 {
+		t.Errorf("breakers open = %d going into recovery, want >= 1 (Phase D must have one to close)", open)
 	}
 
 	// ---- Phase C: one wedged run for the watchdog. ----------------
@@ -228,21 +264,25 @@ func TestChaosSoak(t *testing.T) {
 	// ---- Phase D: recovery — self-heal without operator action. ---
 	var healed, breakersClosed bool
 	recoveryDeadline := time.Now().Add(20 * time.Second)
+	probe := func(query string, b []byte) {
+		r, err := client.Post(ts.URL+"/v1/mesh"+query, "application/octet-stream", bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("recovery probe: %v", err)
+		}
+		r.Body.Close()
+	}
 	for time.Now().Before(recoveryDeadline) {
 		srv.pool.WaitSettled()
-		// Healthy probes for every (body, variant) pair the storm may
-		// have tripped a breaker for; successes close them.
+		// Healthy probes for the poisoned key and every (body, variant)
+		// pair the storm may have tripped a breaker for; successes close
+		// them.
+		probe("", poison)
 		for _, b := range bodies {
 			for _, v := range variants {
-				url := ts.URL + "/v1/mesh"
 				if v != "" {
-					url += "?" + v
+					v = "?" + v
 				}
-				r, err := client.Post(url, "application/octet-stream", bytes.NewReader(b))
-				if err != nil {
-					t.Fatalf("recovery probe: %v", err)
-				}
-				r.Body.Close()
+				probe(v, b)
 			}
 		}
 		healed = srv.pool.Healthy() == poolSize
@@ -260,6 +300,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// ---- Invariants. ----------------------------------------------
+	// Bodies are length-framed, so a client has its whole answer before
+	// the handler's epilogue bumps pi2md_http_requests_total. Close blocks
+	// until every handler has returned; only then is the ledger final.
+	ts.Close()
 	close(outcomes)
 	var fiveXX, fourXX, twoXX int
 	for o := range outcomes {
@@ -322,7 +366,16 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("quarantines %d != rebuilds %d after settling", ps.Quarantines, ps.HealthRebuilds)
 	}
 	if ps.Quarantines < 1 {
-		t.Errorf("quarantines = %d; the kill wave alone should have quarantined sessions", ps.Quarantines)
+		t.Errorf("quarantines = %d; the poison wave alone should have quarantined sessions", ps.Quarantines)
+	}
+	if trips := srv.mBreakerTrips.Value(); trips < 1 {
+		t.Errorf("breaker trips = %d, want >= 1", trips)
+	}
+	if n := srv.mRejected.Value("breaker_open"); n < 1 {
+		t.Errorf("breaker-open rejections = %d, want >= 1", n)
+	}
+	if runs*4 < accepted {
+		t.Errorf("runs %d < accepted %d / 4: the soak is testing the result cache, not the sessions", runs, accepted)
 	}
 	if completed < 1 {
 		t.Error("no job completed during the soak")

@@ -15,6 +15,10 @@ import (
 	"repro/internal/wire"
 )
 
+// breakerNever is a BreakerThreshold no test reaches: it keeps the
+// per-key breaker out of tests that are about the session ledger.
+const breakerNever = 1 << 20
+
 // sessionPtr reads the session currently installed in pool slot i.
 func sessionPtr(p *Pool, i int) *core.Session {
 	p.mu.Lock()
@@ -29,7 +33,7 @@ func sessionPtr(p *Pool, i int) *core.Session {
 // Now the abort quarantines the slot, an asynchronous rebuild swaps
 // in a fresh session, and capacity returns to PoolSize.
 func TestAbortedSessionQuarantined(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: -1})
+	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
 	image := img.SpherePhantom(12)
 
 	old := sessionPtr(srv.pool, 0)
@@ -67,51 +71,34 @@ func TestAbortedSessionQuarantined(t *testing.T) {
 	}
 }
 
-// TestSuspectThresholdQuarantine: run errors raise a session's
-// suspicion; crossing the threshold quarantines it, while a clean run
-// in between resets the count.
-func TestSuspectThresholdQuarantine(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, SuspectThreshold: 2, BreakerThreshold: -1})
+// TestFailedRunQuarantined: one failed run is enough — a single
+// RunPoisoned run quarantines its session, the slot is rebuilt, and the
+// next run on it is clean.
+func TestFailedRunQuarantined(t *testing.T) {
+	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
 	image := img.SpherePhantom(10)
-	ctx := context.Background()
+	old := sessionPtr(srv.pool, 0)
 
-	// Part 1: suspect, clean, suspect — never two in a row, so no
-	// quarantine with threshold 2.
-	for i := 0; i < 2; i++ {
-		restore := faultinject.Enable(faultinject.New(faultinject.Config{
-			Rates:    map[faultinject.Point]float64{faultinject.RunPoisoned: 1},
-			MaxFires: map[faultinject.Point]int64{faultinject.RunPoisoned: 1},
-		}))
-		if _, err := srv.MeshSnapshot(ctx, "suspect", "", image, nil); err == nil {
-			t.Fatal("poisoned run returned no error")
-		}
-		restore()
-		if _, err := srv.MeshSnapshot(ctx, "suspect", "", image, nil); err != nil {
-			t.Fatalf("clean run %d: %v", i, err)
-		}
-	}
-	if q := srv.pool.Quarantines(); q != 0 {
-		t.Fatalf("quarantines = %d after interleaved clean runs, want 0", q)
-	}
-
-	// Part 2: two consecutive suspect runs cross the threshold.
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Rates:    map[faultinject.Point]float64{faultinject.RunPoisoned: 1},
-		MaxFires: map[faultinject.Point]int64{faultinject.RunPoisoned: 2},
+		MaxFires: map[faultinject.Point]int64{faultinject.RunPoisoned: 1},
 	}))
-	for i := 0; i < 2; i++ {
-		if _, err := srv.MeshSnapshot(ctx, "suspect", "", image, nil); err == nil {
-			t.Fatal("poisoned run returned no error")
-		}
-		srv.pool.WaitSettled() // let a (possible) rebuild finish before the next run
+	defer restore()
+	if _, err := srv.MeshSnapshot(context.Background(), "poisoned", "", image, nil); err == nil {
+		t.Fatal("poisoned run returned no error")
 	}
-	restore()
 	srv.pool.WaitSettled()
-	if q := srv.pool.Quarantines(); q != 1 {
-		t.Errorf("quarantines = %d after two consecutive suspect runs, want 1", q)
+	if q, rb, h := srv.pool.Quarantines(), srv.pool.Rebuilds(), srv.pool.Healthy(); q != 1 || rb != 1 || h != 1 {
+		t.Errorf("after one failed run: quarantines = %d, rebuilds = %d, healthy = %d, want 1, 1 and 1", q, rb, h)
 	}
-	if h := srv.pool.Healthy(); h != 1 {
-		t.Errorf("healthy = %d, want 1", h)
+	if cur := sessionPtr(srv.pool, 0); cur == old {
+		t.Error("slot still holds the session whose run failed")
+	}
+	if _, err := srv.MeshSnapshot(context.Background(), "poisoned", "", image, nil); err != nil {
+		t.Fatalf("run on the rebuilt session: %v", err)
+	}
+	if q := srv.pool.Quarantines(); q != 1 {
+		t.Errorf("quarantines = %d after a clean run, want still 1", q)
 	}
 }
 
@@ -120,7 +107,6 @@ func TestSuspectThresholdQuarantine(t *testing.T) {
 // full healthy capacity with exactly one recorded rebuild.
 func TestRebuildFailRetry(t *testing.T) {
 	p := testPool(t, 1)
-	p.SetHealth(HealthConfig{RebuildBackoff: time.Millisecond})
 	in := faultinject.New(faultinject.Config{
 		Rates:    map[faultinject.Point]float64{faultinject.RebuildFail: 1},
 		MaxFires: map[faultinject.Point]int64{faultinject.RebuildFail: 2},
@@ -155,7 +141,7 @@ func TestWatchdogAbandon(t *testing.T) {
 	srv := newBareServer(t, Config{
 		PoolSize:         1,
 		WatchdogGrace:    50 * time.Millisecond,
-		BreakerThreshold: -1,
+		BreakerThreshold: breakerNever,
 	})
 	image := img.SpherePhantom(10)
 	old := sessionPtr(srv.pool, 0)
@@ -255,7 +241,7 @@ func TestWatchdogLimitIsTheDeadline(t *testing.T) {
 // rebuild failing, /readyz reports 503 while /healthz stays 200
 // (liveness vs readiness); once rebuilds succeed, readiness returns.
 func TestReadyzZeroHealthy(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, BreakerThreshold: -1})
+	srv, ts := newTestServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
 	client := ts.Client()
 	image := img.SpherePhantom(10)
 

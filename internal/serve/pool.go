@@ -28,8 +28,7 @@ var ErrPoolClosed = errors.New("serve: pool closed")
 // single ownership, so a busy rejection through a lease indicates a
 // caller bug and is surfaced as an error.
 type Pool struct {
-	cfg    core.Config
-	health HealthConfig
+	cfg core.Config
 
 	mu      sync.Mutex
 	entries []*poolEntry
@@ -46,7 +45,11 @@ type Pool struct {
 	checkouts    int64
 	affinityHits int64
 	evictions    int64
-	rebuilds     int64
+
+	// sessions sums the reuse counters of every run a lease has finished
+	// (Lease.RunTuned's before/after delta), so Stats never has to ask a
+	// session — a busy one holds its own lock for the whole run.
+	sessions core.SessionStats
 
 	// Health-ledger counters (see DESIGN.md "Failure model", the
 	// serving-layer ladder).
@@ -57,32 +60,9 @@ type Pool struct {
 	rebuildWG sync.WaitGroup
 }
 
-// HealthConfig parameterizes the pool's session health ledger.
-type HealthConfig struct {
-	// SuspectThreshold is the number of consecutive suspect runs
-	// (recovered panics, degraded outcomes, run errors) after which a
-	// session is quarantined and rebuilt. A clean run resets the
-	// counter. Default 3; values <= 0 select the default.
-	SuspectThreshold int
-	// RebuildBackoff is the initial delay between failed rebuild
-	// attempts of a quarantined slot; it doubles up to a 500ms cap.
-	// Default 10ms.
-	RebuildBackoff time.Duration
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.SuspectThreshold <= 0 {
-		h.SuspectThreshold = 3
-	}
-	if h.RebuildBackoff <= 0 {
-		h.RebuildBackoff = 10 * time.Millisecond
-	}
-	return h
-}
-
-// SetHealth replaces the pool's health-ledger configuration. Call it
-// before serving; it is not synchronized against concurrent checkouts.
-func (p *Pool) SetHealth(h HealthConfig) { p.health = h.withDefaults() }
+// rebuildBackoff is the initial delay between failed rebuild attempts
+// of a quarantined slot; it doubles up to a 500ms cap.
+const rebuildBackoff = 10 * time.Millisecond
 
 // poolEntry is one slot of the pool.
 type poolEntry struct {
@@ -91,10 +71,8 @@ type poolEntry struct {
 	busy     bool
 	lastUsed time.Time
 
-	// Health ledger: suspicion counts consecutive suspect runs; a
-	// quarantined slot is unschedulable until its asynchronous rebuild
+	// A quarantined slot is unschedulable until its asynchronous rebuild
 	// swaps a fresh session in.
-	suspicion   int
 	quarantined bool
 }
 
@@ -105,7 +83,6 @@ type PoolStats struct {
 	Checkouts    int64 `json:"checkouts"`
 	AffinityHits int64 `json:"affinity_hits"`
 	Evictions    int64 `json:"evictions"`
-	Rebuilds     int64 `json:"rebuilds"`
 
 	// Health ledger: Healthy/Quarantined are the current slot states;
 	// Quarantines/HealthRebuilds are lifetime totals.
@@ -114,7 +91,8 @@ type PoolStats struct {
 	Quarantines    int64 `json:"quarantines_total"`
 	HealthRebuilds int64 `json:"health_rebuilds_total"`
 
-	// Sessions aggregates the member sessions' reuse counters.
+	// Sessions aggregates the reuse counters of every run served through
+	// a lease, sessions since evicted or rebuilt included.
 	Sessions core.SessionStats `json:"sessions"`
 }
 
@@ -126,7 +104,7 @@ func NewPool(n int, cfg core.Config) (*Pool, error) {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", n)
 	}
 	cfg.Image = nil
-	p := &Pool{cfg: cfg, health: HealthConfig{}.withDefaults(), entries: make([]*poolEntry, n)}
+	p := &Pool{cfg: cfg, entries: make([]*poolEntry, n)}
 	for i := range p.entries {
 		s, err := core.NewSession(cfg)
 		if err != nil {
@@ -140,14 +118,6 @@ func NewPool(n int, cfg core.Config) (*Pool, error) {
 // Size returns the number of sessions in the pool.
 func (p *Pool) Size() int { return len(p.entries) }
 
-// Lease verdicts, recorded by the caller between Run and Release and
-// folded into the session health ledger at release time.
-const (
-	verdictClean   = iota // run gave no health signal; resets suspicion
-	verdictSuspect        // failure machinery engaged; counts toward quarantine
-	verdictBad            // session-poisoning outcome; quarantine immediately
-)
-
 // Lease is exclusive ownership of one pool session between Checkout
 // and Release.
 type Lease struct {
@@ -158,9 +128,9 @@ type Lease struct {
 	affinity bool
 	released bool
 
-	// verdict is the health outcome the caller recorded for this
-	// lease's runs; abandoned marks a lease detached by the watchdog.
-	verdict   int
+	// bad is the health outcome the caller recorded for this lease's
+	// runs (MarkBad); abandoned marks a lease detached by the watchdog.
+	bad       bool
 	abandoned bool
 
 	// edtHit and warm record the session's reuse behavior across the
@@ -408,28 +378,25 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 	if after.WarmRuns > before.WarmRuns {
 		l.warm = true
 	}
+	p := l.p
+	p.mu.Lock()
+	p.sessions.Runs += after.Runs - before.Runs
+	p.sessions.WarmRuns += after.WarmRuns - before.WarmRuns
+	p.sessions.WarmEDTHits += after.WarmEDTHits - before.WarmEDTHits
+	p.sessions.BusyRejects += after.BusyRejects - before.BusyRejects
+	p.mu.Unlock()
 	return res, err
 }
 
-// MarkSuspect records that this lease's run engaged the failure
-// machinery (recovered panics, a degraded outcome, a run error). At
-// release, consecutive suspect runs past HealthConfig.SuspectThreshold
-// quarantine the session.
-func (l *Lease) MarkSuspect() {
-	if l.verdict < verdictSuspect {
-		l.verdict = verdictSuspect
-	}
-}
+// MarkBad records that this lease's run engaged the failure machinery
+// — a run error, a panic (recovered or not), a degraded outcome, an
+// abort for a non-caller reason — so the session's arenas were touched
+// by code that failed. At release the session is quarantined and
+// rebuilt off the request path.
+func (l *Lease) MarkBad() { l.bad = true }
 
-// MarkBad records a session-poisoning outcome (a panicked run, an
-// abort for a non-caller reason). At release the session is
-// quarantined immediately and rebuilt off the request path.
-func (l *Lease) MarkBad() { l.verdict = verdictBad }
-
-// Release returns the session to the pool, folding the lease's health
-// verdict into the ledger: a clean run resets suspicion, a suspect run
-// counts toward the threshold, and a bad run (or a threshold crossing)
-// quarantines the slot and kicks off an asynchronous rebuild.
+// Release returns the session to the pool; a lease marked bad
+// quarantines the slot and kicks off an asynchronous rebuild instead.
 // Idempotent; a no-op on leases detached by Abandon.
 func (l *Lease) Release() {
 	if l.released || l.abandoned {
@@ -440,18 +407,9 @@ func (l *Lease) Release() {
 	e := l.e
 	p.mu.Lock()
 	e.busy = false
-	switch l.verdict {
-	case verdictBad:
+	if l.bad {
 		p.quarantineLocked(e, l.s)
-	case verdictSuspect:
-		e.suspicion++
-		if e.suspicion >= p.health.SuspectThreshold {
-			p.quarantineLocked(e, l.s)
-		}
-	default:
-		e.suspicion = 0
-	}
-	if !e.quarantined {
+	} else {
 		if l.key != "" {
 			e.key = l.key
 		}
@@ -505,7 +463,6 @@ func (p *Pool) quarantineLocked(e *poolEntry, old *core.Session) {
 	}
 	e.quarantined = true
 	e.key = ""
-	e.suspicion = 0
 	p.quarantines++
 	if p.closed {
 		if old != nil {
@@ -526,7 +483,7 @@ func (p *Pool) rebuild(e *poolEntry, old *core.Session) {
 	if old != nil {
 		old.Close()
 	}
-	backoff := p.health.RebuildBackoff
+	backoff := rebuildBackoff
 	for {
 		p.mu.Lock()
 		closed := p.closed
@@ -550,7 +507,6 @@ func (p *Pool) rebuild(e *poolEntry, old *core.Session) {
 			}
 			e.s = fresh
 			e.key = ""
-			e.suspicion = 0
 			e.quarantined = false
 			e.busy = false
 			e.lastUsed = time.Time{}
@@ -581,9 +537,7 @@ func (p *Pool) Healthy() int {
 }
 
 // Quarantines reports how many sessions the health ledger has pulled
-// from rotation since the pool was created. Unlike Stats, this reads
-// only the pool's own counters — it never touches a session and so
-// never blocks on one mid-run.
+// from rotation since the pool was created.
 func (p *Pool) Quarantines() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -630,14 +584,15 @@ func (p *Pool) EvictIdle(maxIdle time.Duration) int {
 		e.key = ""
 		e.lastUsed = time.Time{}
 		p.evictions++
-		p.rebuilds++
 		n++
 	}
 	return n
 }
 
-// Stats snapshots the pool counters and the member sessions'
-// aggregated reuse counters.
+// Stats snapshots the pool's own counters. It touches no session — a
+// busy one holds its lock for the whole run, and p.mu is what every
+// checkout, release and grant waits on — so a /metrics scrape costs a
+// loop over the slots.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -646,26 +601,19 @@ func (p *Pool) Stats() PoolStats {
 		Checkouts:      p.checkouts,
 		AffinityHits:   p.affinityHits,
 		Evictions:      p.evictions,
-		Rebuilds:       p.rebuilds,
 		Quarantines:    p.quarantines,
 		HealthRebuilds: p.healthRebuilds,
+		Sessions:       p.sessions,
 	}
 	for _, e := range p.entries {
 		if e.busy {
 			st.Busy++
 		}
 		if e.quarantined {
-			// A quarantined slot's session is mid-teardown (possibly a
-			// wedged run holding its own lock) — don't block stats on it.
 			st.Quarantined++
-			continue
+		} else {
+			st.Healthy++
 		}
-		st.Healthy++
-		ss := e.s.Stats()
-		st.Sessions.Runs += ss.Runs
-		st.Sessions.WarmRuns += ss.WarmRuns
-		st.Sessions.WarmEDTHits += ss.WarmEDTHits
-		st.Sessions.BusyRejects += ss.BusyRejects
 	}
 	return st
 }

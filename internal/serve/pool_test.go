@@ -122,7 +122,7 @@ func TestPoolEvictIdle(t *testing.T) {
 		t.Fatalf("evicted %d sessions, want exactly the 1 that ever ran", n)
 	}
 	st := p.Stats()
-	if st.Evictions != 1 || st.Rebuilds != 1 {
+	if st.Evictions != 1 {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
 
@@ -200,5 +200,77 @@ func TestPoolConcurrentRunners(t *testing.T) {
 	}
 	if st.Sessions.BusyRejects != 0 {
 		t.Fatalf("leased sessions were hit concurrently: %d busy rejects", st.Sessions.BusyRejects)
+	}
+}
+
+// TestStatsNeverWaitsOnARun: a session holds its own lock for the whole
+// of a run, and p.mu is what every checkout, release and grant waits on
+// — so nothing reachable from /metrics, /v1/stats or /readyz may ask a
+// session anything while holding it. With a run parked in its tune hook,
+// each probe (and a checkout of the other, free session) returns at once.
+func TestStatsNeverWaitsOnARun(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PoolSize: 2})
+	entered, unpark := make(chan struct{}), make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() {
+		_, err := srv.MeshSnapshot(context.Background(), "parked", "v", img.SpherePhantom(8),
+			func(*core.Config) { close(entered); <-unpark })
+		runDone <- err
+	}()
+	<-entered
+
+	get := func(path string) func() {
+		return func() {
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}
+	probes := []struct {
+		name string
+		fn   func()
+	}{
+		{"GET /metrics", get("/metrics")},
+		{"GET /v1/stats", get("/v1/stats")},
+		{"GET /readyz", get("/readyz")},
+		{"Pool.Stats", func() {
+			if st := srv.pool.Stats(); st.Busy != 1 {
+				t.Errorf("busy = %d with one run parked, want 1", st.Busy)
+			}
+		}},
+		{"TryCheckout+Release of the free session", func() {
+			l, err := srv.pool.TryCheckout("other")
+			if err != nil || l == nil {
+				t.Errorf("TryCheckout = %v, %v, want the free session", l, err)
+				return
+			}
+			l.Release()
+		}},
+	}
+	var wg sync.WaitGroup
+	for _, p := range probes {
+		done := make(chan struct{})
+		wg.Add(1)
+		go func(fn func()) {
+			defer wg.Done()
+			defer close(done)
+			fn()
+		}(p.fn)
+		select {
+		case <-done:
+		case <-time.After(50 * time.Millisecond):
+			t.Errorf("%s still waiting after 50ms behind a parked run", p.name)
+		}
+	}
+	close(unpark)
+	wg.Wait()
+	if err := <-runDone; err != nil {
+		t.Fatalf("parked run: %v", err)
+	}
+	if st := srv.pool.Stats(); st.Sessions.Runs != 1 {
+		t.Errorf("sessions.runs = %d after the run returned, want 1", st.Sessions.Runs)
 	}
 }

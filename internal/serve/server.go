@@ -18,7 +18,6 @@ import (
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -94,9 +93,8 @@ type Config struct {
 	ImageCacheBytes int64
 	// Cache is the optional persistent result cache. When set, a
 	// (image, variant) pair already stored is served from disk without
-	// consuming a pool session or consulting breakers, every completed
-	// leader run is persisted off-lease, and boot warm-starts pool
-	// affinity and breaker priors from the recovered index.
+	// consuming a pool session or consulting breakers, and every
+	// completed leader run is persisted off-lease.
 	Cache *cachestore.Store
 	// CoalesceMax caps how many jobs may share one meshing run via
 	// single-flight coalescing, including the leader. A job whose
@@ -105,15 +103,10 @@ type Config struct {
 	// consuming a pool session. 0 selects the default (32); 1 disables
 	// coalescing; negative values are treated as 1.
 	CoalesceMax int
-	// SuspectThreshold is how many consecutive suspect runs (degraded
-	// outcomes, recovered panics, run errors) quarantine a session for
-	// an asynchronous rebuild (default 3). A run that panics or aborts
-	// for non-caller reasons quarantines its session immediately.
-	SuspectThreshold int
 	// BreakerThreshold is how many consecutive leader failures for one
 	// (image, variant) coalesce key trip that key's circuit breaker,
 	// fast-failing the key with 503 + Retry-After while healthy keys
-	// flow. 0 selects the default (3); negative disables breakers.
+	// flow (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker fast-fails its key
 	// before admitting a single half-open probe (default 5s).
@@ -170,10 +163,7 @@ func (c Config) withDefaults() Config {
 	if c.CoalesceMax < 1 {
 		c.CoalesceMax = 1
 	}
-	if c.SuspectThreshold <= 0 {
-		c.SuspectThreshold = 3
-	}
-	if c.BreakerThreshold == 0 {
+	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
@@ -303,7 +293,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool.SetHealth(HealthConfig{SuspectThreshold: cfg.SuspectThreshold})
 	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
 	s.imgCache.m = make(map[string]*list.Element)
 	s.imgCache.lru = list.New()
@@ -313,7 +302,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Brownout && len(cfg.BrownoutLadder) > 0 {
 		s.brownout = newBrownoutController(cfg.BrownoutLadder, cfg.BrownoutHold, cfg.QueueDepth, cfg.PoolSize)
 	}
-	s.warmStart()
 
 	r := s.reg
 	s.mRequests = r.CounterVec("pi2md_http_requests_total",
@@ -380,7 +368,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mBreakerTrips = r.Counter("pi2md_breaker_trips_total",
 		"Circuit-breaker transitions into the open state.")
 	r.CounterFunc("pi2md_sessions_quarantined_total",
-		"Sessions pulled from rotation by the health ledger (panicked, aborted, repeatedly suspect, or abandoned runs).",
+		"Sessions pulled from rotation by the health ledger (failed, panicked, degraded, aborted, or abandoned runs).",
 		func() float64 { return float64(s.pool.Quarantines()) })
 	r.CounterFunc("pi2md_session_rebuilds_total",
 		"Quarantined pool slots rebuilt with a fresh session and returned to rotation.",
@@ -463,35 +451,6 @@ func NewServer(cfg Config) (*Server, error) {
 		"Blobs the boot fsck moved to quarantine for failing verification.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.FsckQuarantined) }))
 	return s, nil
-}
-
-// breakerPriorsSidecar is the sidecar file Drain persists in the cache
-// directory so a graceful restart re-arms known-bad keys. A kill -9
-// loses it by design — the priors are an optimization, the blobs are
-// the durable artifact.
-const breakerPriorsSidecar = "breaker_priors.json"
-
-type breakerPriors struct {
-	OpenKeys []string `json:"open_keys"`
-}
-
-// warmStart re-arms breaker priors from the last graceful drain's
-// sidecar (seeded open with an elapsed cooldown, so the first arrival
-// probes instead of fast-failing). Pool affinity is not seeded: a cached
-// key never reaches a session, and a new variant of a cached image finds
-// every session's EDT cache equally cold.
-func (s *Server) warmStart() {
-	if s.cache == nil {
-		return
-	}
-	if data, ok := s.cache.ReadSidecar(breakerPriorsSidecar); ok {
-		var priors breakerPriors
-		if json.Unmarshal(data, &priors) == nil && len(priors.OpenKeys) > 0 {
-			s.flightMu.Lock()
-			s.breakers.seedLocked(priors.OpenKeys, time.Now())
-			s.flightMu.Unlock()
-		}
-	}
 }
 
 // newNodeID draws the 8-byte random hex serving identity. Stability
@@ -709,9 +668,9 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	}
 	s.mRunSeconds.Observe(time.Since(runStart).Seconds())
 	if err != nil {
-		// Run errors and recovered panics: a panic already marked the
-		// session bad in guardedRun; anything else makes it suspect.
-		lease.MarkSuspect()
+		// A run error says the engine gave up on this session's state (a
+		// panic already marked it in guardedRun): quarantine it.
+		lease.MarkBad()
 		s.mFailed.Inc()
 		return nil, fmt.Errorf("serve: run: %w", err)
 	}
@@ -731,8 +690,8 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	if res.Stats.RecoveredPanics > 0 {
 		// The run survived worker/bootstrap panics (possibly still
 		// StatusCompleted): the session's arenas were touched by code
-		// that crashed, so raise suspicion even on success.
-		lease.MarkSuspect()
+		// that crashed, so quarantine the session even on success.
+		lease.MarkBad()
 	}
 	switch res.Status {
 	case core.StatusAborted:
@@ -753,7 +712,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 		return nil, fmt.Errorf("serve: run aborted: %w", res.Err())
 	case core.StatusDegraded:
 		s.mDegraded.Inc()
-		lease.MarkSuspect()
+		lease.MarkBad()
 	}
 
 	// Copy the final geometry out of the lease window, then release:
@@ -988,10 +947,10 @@ func (s *Server) AnnounceDrain(limit int) []cachestore.KeyInfo {
 
 // Drain gracefully shuts the server down: new jobs are rejected with
 // ErrDraining, in-flight jobs (coalesced followers included) run to
-// completion (bounded by ctx), breaker priors are persisted next to
-// the cache index for the next boot's warm start, and the pool is
-// closed. It returns ctx.Err() if the wait was cut short (the pool is
-// closed regardless). The caller owns closing the cache store itself.
+// completion (bounded by ctx), and the pool is closed. It returns
+// ctx.Err() if the wait was cut short (the pool is closed regardless).
+// It writes nothing: breakers are process state and start closed on the
+// next boot. The caller owns closing the cache store itself.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
@@ -1007,14 +966,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			err = ctx.Err()
-		}
-	}
-	if s.cache != nil {
-		s.flightMu.Lock()
-		open := s.breakers.openKeysLocked()
-		s.flightMu.Unlock()
-		if data, merr := json.Marshal(breakerPriors{OpenKeys: open}); merr == nil {
-			s.cache.WriteSidecar(breakerPriorsSidecar, data)
 		}
 	}
 	s.pool.Close()

@@ -299,10 +299,10 @@ func ResolveMeshSpec(specJSON []byte, q url.Values) (MeshSpec, error) {
 // Variant canonicalizes the tuning knobs — the second half of the
 // (image key, variant) identity that coalescing, breakers, the
 // cachestore, and the router's hash ring all agree on. The knob
-// encoding is frozen — cache entries and breaker priors persisted by
-// earlier builds must keep resolving — so the size spec, which did not
-// exist then, is appended as a new segment rather than folded into the
-// old one. Empty means "template verbatim".
+// encoding is frozen — cache entries persisted by earlier builds must
+// keep resolving — so the size spec, which did not exist then, is
+// appended as a new segment rather than folded into the old one. Empty
+// means "template verbatim".
 func (m *MeshSpec) Variant() string {
 	var parts []string
 	if m.Delta > 0 || m.MaxElements > 0 || m.MaxRadiusEdge > 0 || m.MinFacetAngle > 0 {

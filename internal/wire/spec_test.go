@@ -13,7 +13,7 @@ func queryValues(qs string) url.Values {
 
 // TestVariantGolden pins the tuning-variant encoding: the pre-spec
 // knob segment is a compatibility contract (persisted cache entries
-// and breaker priors resolve through it), and the size segment must be
+// resolve through it), and the size segment must be
 // canonical — same spec, same string, regardless of JSON key order.
 func TestVariantGolden(t *testing.T) {
 	cases := []struct {

@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/serve"
 )
 
 // ErrSessionBusy is returned by Session.Run when another Run is
 // already in flight on the same session: runs never queue. Retry
-// after the in-flight run returns, or use a Pool.
+// after the in-flight run returns, or give each caller its own Session.
 var ErrSessionBusy = core.ErrSessionBusy
 
 // SessionStats counts a Session's reuse behavior (runs, warm runs,
@@ -256,28 +255,3 @@ func (s *Session) Invalidate() { s.s.Invalidate() }
 
 // Stats returns a snapshot of the session's reuse counters.
 func (s *Session) Stats() SessionStats { return s.s.Stats() }
-
-// Pool multiplexes concurrent meshing over a fixed number of warm
-// sessions with image-identity affinity and idle eviction — the
-// building block of the serving layer (internal/serve carries the
-// full documentation). Checkout a Lease, Run on it, Release it.
-type Pool = serve.Pool
-
-// PoolLease is exclusive ownership of one pool session between
-// Checkout and Release.
-type PoolLease = serve.Lease
-
-// PoolStats snapshots a Pool's checkout/affinity/eviction counters
-// and the member sessions' aggregated reuse counters.
-type PoolStats = serve.PoolStats
-
-// NewPool builds a pool of size identically-configured sessions. The
-// options are the same ones NewSession takes; WithFaultInjection is
-// ignored here (arm the harness process-globally in tests instead).
-func NewPool(size int, opts ...Option) (*Pool, error) {
-	var o sessionOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return serve.NewPool(size, o.cfg)
-}

@@ -128,59 +128,6 @@ func TestSessionVTKRawRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPoolFacade exercises pi2m.NewPool end to end: checkout with
-// affinity, a run through a lease, the busy-rejection export, and a
-// full NRRD → mesh → VTK round-trip with no temp files.
-func TestPoolFacade(t *testing.T) {
-	pool, err := pi2m.NewPool(2,
-		pi2m.WithThreads(1),
-		pi2m.WithLivelockTimeout(time.Minute),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	// The image travels through the io.Reader/io.Writer NRRD path.
-	var nrrd bytes.Buffer
-	if err := pi2m.WriteNRRD(&nrrd, pi2m.SpherePhantom(12)); err != nil {
-		t.Fatal(err)
-	}
-	im, err := pi2m.ReadNRRD(&nrrd)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lease, err := pool.Checkout(context.Background(), "sphere12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := lease.Run(context.Background(), im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elements() == 0 {
-		t.Fatal("pool run produced an empty mesh")
-	}
-	var vtk bytes.Buffer
-	if err := pi2m.WriteVTK(&vtk, res.Mesh, res.Final, im); err != nil {
-		t.Fatal(err)
-	}
-	lease.Release()
-	raw, err := pi2m.ReadVTK(&vtk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw.Cells) != res.Elements() {
-		t.Fatalf("round-trip: %d cells in, %d out", res.Elements(), len(raw.Cells))
-	}
-
-	st := pool.Stats()
-	if st.Checkouts != 1 || st.Sessions.Runs != 1 {
-		t.Fatalf("pool stats after one run: %+v", st)
-	}
-}
-
 // TestSessionBusyExport verifies the facade exposes the core's
 // busy-rejection sentinel under the same identity.
 func TestSessionBusyExport(t *testing.T) {
