@@ -17,9 +17,14 @@
 //     keep consistent with them. Open reads and verifies every blob,
 //     moves corrupt or mislabeled ones to quarantine/ (counted, never
 //     served), and orders the survivors by creation time into the LRU;
-//   - every read re-verifies the CRC and the embedded identity before a
-//     byte is returned, so even corruption that happens at rest after
-//     boot cannot be served;
+//   - every read of a blob re-verifies the CRC and the embedded identity
+//     before a byte is returned. The serving layer may keep what a
+//     verified blob encodes to in memory and answer later asks from that
+//     (still consulting the index through ETag first), so the guarantee
+//     is: every byte served was encoded from a blob whose CRC and
+//     identity were verified when it was read; at-rest corruption after
+//     that is found by the next Get of that blob or the next boot's
+//     fsck, never served;
 //   - a read that misses the in-memory index tries the key's blob path,
 //     so any number of processes may share one directory with no
 //     coordination: a blob a peer wrote is verified and adopted;

@@ -166,10 +166,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// ETag answers a conditional-GET lookup from the index alone — no blob
-// I/O. ok is false when the pair is not cached. A successful lookup
-// counts as a hit and refreshes the entry's recency: the caller is
-// about to answer 304 from it.
+// ETag answers a lookup from the index alone — no blob I/O. ok is false
+// when the pair is not cached. A successful lookup counts as a hit and
+// refreshes the entry's recency: the caller is about to answer from it
+// — a 304, bytes it already holds for this etag, or a Read.
 func (s *Store) ETag(imageKey, variant string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -204,12 +204,23 @@ func (s *Store) Contains(imageKey, variant string) bool {
 // what lets a replica answer for a dead peer's keys the moment the bytes
 // are reachable, without a restart or a re-mesh.
 func (s *Store) Get(imageKey, variant string) (*core.MeshSnapshot, string, bool) {
+	return s.get(imageKey, variant, 1)
+}
+
+// Read is Get for a caller whose ETag lookup has just counted this
+// request's hit: the same read, verification and outcomes, except that
+// success is not counted a second time.
+func (s *Store) Read(imageKey, variant string) (*core.MeshSnapshot, string, bool) {
+	return s.get(imageKey, variant, 0)
+}
+
+func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, string, bool) {
 	k := entryKey(imageKey, variant)
 	s.mu.Lock()
 	e := s.entries[k]
 	if e != nil && e.mem != nil {
 		s.lru.MoveToFront(e.elem)
-		s.hits.Add(1)
+		s.hits.Add(hit)
 		snap, etag := e.mem, e.etag
 		s.mu.Unlock()
 		return snap, etag, true
@@ -251,7 +262,7 @@ func (s *Store) Get(imageKey, variant string) (*core.MeshSnapshot, string, bool)
 		s.adopted.Add(1)
 		s.evictLocked()
 	}
-	s.hits.Add(1)
+	s.hits.Add(hit)
 	return snap, etag, true
 }
 

@@ -530,3 +530,43 @@ func TestKeysMRUOrder(t *testing.T) {
 		t.Fatalf("MRU order wrong: %+v", keys)
 	}
 }
+
+// TestReadAfterETagCountsOneHit: a caller that looks a pair up with ETag
+// and then reads its blob with Read has made one request, and the store
+// counts one hit for it; everything else about Read is Get — the same
+// bytes, the same recency refresh, a miss still counted as one.
+func TestReadAfterETagCountsOneHit(t *testing.T) {
+	s, _, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snap := testSnap(6)
+	tag, err := s.Put("img1", "", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("img2", "", testSnap(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, ok := s.ETag("img1", ""); !ok || got != tag {
+		t.Fatalf("ETag = %q, %v, want %q", got, ok, tag)
+	}
+	got, gotTag, ok := s.Read("img1", "")
+	if !ok || gotTag != tag || !snapsEqual(got, snap) {
+		t.Fatalf("Read after ETag: ok=%v tag=%q, want the stored snapshot under %q", ok, gotTag, tag)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("ETag + Read counted %d hits and %d misses, want 1 and 0", st.Hits, st.Misses)
+	}
+	if mru := s.KeysMRU(); mru[0].ImageKey != "img1" {
+		t.Fatalf("Read did not refresh recency: MRU head is %q", mru[0].ImageKey)
+	}
+	if _, _, ok := s.Read("never-written", ""); ok {
+		t.Fatal("Read of a pair never written succeeded")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("after a failed Read: %d hits and %d misses, want 1 and 1", st.Hits, st.Misses)
+	}
+}

@@ -161,7 +161,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if again != im1 {
 		t.Fatal("cached image not returned by pointer identity")
 	}
-	if hits := srv.mImgCacheHit.Value(); hits != 1 {
+	if hits := srv.imgCache.hit.Value(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 
@@ -170,10 +170,10 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if _, err := srv.decodeImage(k3, b3); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.imgCache.bytes; got != n1+n3 || got > n2+n3 {
+	if got := srv.imgCache.stats().Bytes; got != n1+n3 || got > n2+n3 {
 		t.Fatalf("cache accounts %d bytes after eviction, want %d (within budget %d)", got, n1+n3, n2+n3)
 	}
-	if ev := srv.mImgCacheEvict.Value(); ev != 1 {
+	if ev := srv.imgCache.evict.Value(); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	re1, err := srv.decodeImage(k1, b1)
@@ -186,7 +186,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if _, err := srv.decodeImage(k2, b2); err != nil {
 		t.Fatal(err)
 	}
-	if hits := srv.mImgCacheHit.Value(); hits != 2 {
+	if hits := srv.imgCache.hit.Value(); hits != 2 {
 		t.Fatalf("hits = %d, want 2: k2 should have re-parsed after its eviction", hits)
 	}
 
@@ -196,7 +196,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if _, err := tiny.decodeImage(k1, b1); err != nil {
 		t.Fatal(err)
 	}
-	if tiny.imgCache.lru.Len() != 0 {
+	if tiny.imgCache.stats().Entries != 0 {
 		t.Fatal("over-budget image was admitted to the cache")
 	}
 }

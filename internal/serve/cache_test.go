@@ -47,7 +47,7 @@ func TestCacheHitShortCircuitsAdmission(t *testing.T) {
 	}
 	checkoutsBefore := srv.pool.Stats().Checkouts
 	runsBefore := srv.mRunSeconds.Count()
-	parsesBefore, parseHitsBefore := srv.mImgCacheMiss.Value(), srv.mImgCacheHit.Value()
+	parsesBefore, parseHitsBefore := srv.imgCache.miss.Value(), srv.imgCache.hit.Value()
 
 	second, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -75,7 +75,7 @@ func TestCacheHitShortCircuitsAdmission(t *testing.T) {
 	}
 	// A hit needs the upload's hash, not its voxels: it neither parses
 	// the NRRD nor touches the parsed-image LRU.
-	if m, h := srv.mImgCacheMiss.Value(), srv.mImgCacheHit.Value(); m != parsesBefore || h != parseHitsBefore {
+	if m, h := srv.imgCache.miss.Value(), srv.imgCache.hit.Value(); m != parsesBefore || h != parseHitsBefore {
 		t.Fatalf("cache hit decoded its upload: image-cache misses %d -> %d, hits %d -> %d",
 			parsesBefore, m, parseHitsBefore, h)
 	}
@@ -213,17 +213,28 @@ func TestConditionalGet(t *testing.T) {
 		t.Fatalf("runs = %d after the 304, want 1", n)
 	}
 
-	// A stale validator re-serves the full body (200, from cache).
-	req2, _ := http.NewRequest("POST", ts.URL+"/v1/mesh", bytes.NewReader(body))
-	req2.Header.Set("If-None-Match", `"0000000000000000-vtk"`)
-	full, err := client.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, full.Body)
-	full.Body.Close()
-	if full.StatusCode != http.StatusOK {
-		t.Fatalf("stale validator: %d, want 200", full.StatusCode)
+	// A stale validator re-serves the full body (200, from cache) — and
+	// looks the pair up in the store once, whether the body then comes
+	// from the blob (the first ask) or from memory (the second).
+	for wantEntityHits, path := range []string{"disk", "memory"} {
+		hitsBefore, entityHitsBefore := cache.Stats().Hits, srv.entities.hit.Value()
+		req2, _ := http.NewRequest("POST", ts.URL+"/v1/mesh", bytes.NewReader(body))
+		req2.Header.Set("If-None-Match", `"0000000000000000-vtk"`)
+		full, err := client.Do(req2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, full.Body)
+		full.Body.Close()
+		if full.StatusCode != http.StatusOK {
+			t.Fatalf("stale validator (%s): %d, want 200", path, full.StatusCode)
+		}
+		if got := cache.Stats().Hits - hitsBefore; got != 1 {
+			t.Fatalf("stale validator (%s): store hits rose by %d, want exactly 1 per request", path, got)
+		}
+		if got := srv.entities.hit.Value() - entityHitsBefore; got != int64(wantEntityHits) {
+			t.Fatalf("stale validator (%s): entity hits rose by %d, want %d", path, got, wantEntityHits)
+		}
 	}
 
 	// The format is part of the entity: the VTK tag must not validate an

@@ -73,7 +73,8 @@ type chaosOutcome struct {
 //     and one HTTP 200 per completed job;
 //   - the persistent cache, under injected torn writes, bit flips, and
 //     disk-full errors, never fails a request (corrupt entries are
-//     quarantined and re-meshed, write failures degrade to memory-only).
+//     quarantined and re-meshed, write failures degrade to memory-only),
+//     and repeated hits are answered from the entity cache.
 //
 // A JSON invariant report is written to $PI2MD_CHAOS_REPORT if set.
 func TestChaosSoak(t *testing.T) {
@@ -388,6 +389,13 @@ func TestChaosSoak(t *testing.T) {
 	if cs.Hits+cs.Misses == 0 {
 		t.Error("the soak never exercised the result cache")
 	}
+	// Some of those hits were answered from memory — and an entity is
+	// only ever built from a blob Get verified, so the same invariants
+	// cover them.
+	entityHits := srv.entities.hit.Value()
+	if entityHits < 1 {
+		t.Errorf("entity hits = %d, want >= 1: no repeated hit was answered from memory", entityHits)
+	}
 
 	// ---- Invariant report (CI artifact). --------------------------
 	if path := os.Getenv("PI2MD_CHAOS_REPORT"); path != "" {
@@ -414,6 +422,7 @@ func TestChaosSoak(t *testing.T) {
 			"pool_healed":        healed,
 			"breakers_closed":    breakersClosed,
 			"cache_served":       cacheServed,
+			"entity_hits":        entityHits,
 			"simulate_ok":        srv.mSimJobs.Value("ok"),
 			"simulate_failed":    postMeshSimFail,
 			"cache_hits":         cs.Hits,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -227,32 +228,59 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, j, sr, err)
 }
 
+// entity is one encoded reply held by the entity cache: exactly the
+// bytes a verified blob encoded to in one format, plus what the ledgers
+// need to book another answer from them. Concurrent responses share
+// body; nothing writes to it after insertion.
+type entity struct {
+	body        []byte
+	contentType string
+	run         core.RunSummary
+}
+
+// entityCacheBytes is the entity cache's budget — ≈ 230 scale-48 or
+// ≈ 30 scale-96 VTK bodies. A constant: it bounds what is held, and a
+// hot set beyond it degrades to the disk hit every hit was before.
+const entityCacheBytes = 32 << 20
+
 // reply encodes a walk's outcome: the error mapping, or the snapshot in
 // the job's format under its format-folded entity tag. A cache-only
 // answer is marked as such, so a proxy can prove no meshing happened.
 // Encoding happens off-lease: the session that produced the mesh is
-// already serving the next job.
+// already serving the next job. A body encoded for a cache hit — its
+// pair is being asked for a second time — is kept for the third; a
+// fresh run's is not, so never-seen images cannot fill the cache.
 func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err error) {
 	if err != nil {
 		s.writeMeshError(w, err)
 		return
 	}
-	contentType, encode := "text/vtk", meshio.AppendVTKSnapshot
-	if j.format == "off" {
-		contentType, encode = "model/off", meshio.AppendOFFSnapshot
-	}
-	body, err := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
-	if err != nil {
-		s.writeMeshError(w, err)
-		return
+	tag := wire.EntityTag(sr.ETag, j.format)
+	ent := sr.entity
+	if ent == nil {
+		contentType, encode := "text/vtk", meshio.AppendVTKSnapshot
+		if j.format == "off" {
+			contentType, encode = "model/off", meshio.AppendOFFSnapshot
+		}
+		body, err := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
+		if err != nil {
+			s.writeMeshError(w, err)
+			return
+		}
+		defer releaseBody(body)
+		ent = &entity{*body, contentType, sr.Summary.Run}
+		if n := int64(len(*body)); sr.Summary.CacheHit && sr.ETag != "" && n <= s.entities.budget {
+			// The pooled buffer goes back; the cache owns an exact-size copy.
+			s.entities.add(tag, &entity{bytes.Clone(*body), contentType, sr.Summary.Run}, n)
+		}
 	}
 	if j.cacheOnly {
 		w.Header().Set(wire.CacheOnlyHeader, "hit")
 	}
 	if sr.ETag != "" {
-		w.Header().Set("ETag", wire.EntityTag(sr.ETag, j.format))
+		w.Header().Set("ETag", tag)
 	}
-	sendBody(w, contentType, body)
+	sendBody(w, ent.contentType, ent.body)
 }
 
 // bodyPool keeps encode buffers between responses. A buffer that grew
@@ -272,7 +300,8 @@ func releaseBody(body *[]byte) {
 // 200 with an entity is encoded whole before its first header is set:
 // that is what lets sendBody frame it by length, and what leaves an
 // encode that fails still in time to be answered as the 500 it is, with
-// nothing of the entity on the wire. A returned body goes to sendBody.
+// nothing of the entity on the wire. A returned body goes to sendBody,
+// then back through releaseBody.
 func encodeBody(encode func([]byte) ([]byte, error)) (*[]byte, error) {
 	body := bodyPool.Get().(*[]byte)
 	var err error
@@ -284,14 +313,12 @@ func encodeBody(encode func([]byte) ([]byte, error)) (*[]byte, error) {
 }
 
 // sendBody sends an encoded body under an exact Content-Length, in one
-// Write, and gives its buffer back: the response is length-framed, not
-// chunked, so a client or a proxy can tell a truncated mesh from a
-// complete one.
-func sendBody(w http.ResponseWriter, contentType string, body *[]byte) {
+// Write: the response is length-framed, not chunked, so a client or a
+// proxy can tell a truncated mesh from a complete one.
+func sendBody(w http.ResponseWriter, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(*body)))
-	w.Write(*body)
-	releaseBody(body)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleCacheProbe is GET /v1/cache/{imageKey}/{variant}: the body-less

@@ -14,7 +14,6 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
@@ -222,16 +221,12 @@ type Server struct {
 	// brownout is the adaptive quality controller; nil when disabled.
 	brownout *brownoutController
 
-	// imgCache retains parsed input images under an LRU-by-bytes
-	// discipline (one byte per voxel), bounded by both ImageCacheSize
-	// (entries) and ImageCacheBytes (budget). lru holds *imgCacheEnt
-	// values, front = most recently used; m indexes its elements.
-	imgCache struct {
-		sync.Mutex
-		m     map[string]*list.Element
-		lru   *list.List
-		bytes int64
-	}
+	// imgCache retains parsed input images by image key, one byte per
+	// voxel, bounded by both ImageCacheSize (entries) and ImageCacheBytes
+	// (budget). entities retains the encoded bodies of cache hits by
+	// entity tag (see entity).
+	imgCache *lru[*img.Image]
+	entities *lru[*entity]
 
 	// Metrics (the catalogue documented in DESIGN.md "Serving layer").
 	reg               *metrics.Registry
@@ -254,8 +249,6 @@ type Server struct {
 	mEDTHits          *metrics.Counter
 	mWarmRuns         *metrics.Counter
 	mAffinityHits     *metrics.Counter
-	mImgCacheHit      *metrics.Counter
-	mImgCacheMiss     *metrics.Counter
 	mEvictions        *metrics.Counter
 	mWatchdogKills    *metrics.Counter
 	mWatchdogAbandons *metrics.Counter
@@ -263,7 +256,6 @@ type Server struct {
 	mCacheServed      *metrics.Counter
 	mCacheOnlyServed  *metrics.Counter
 	mCacheOnlyMiss    *metrics.Counter
-	mImgCacheEvict    *metrics.Counter
 	mSolveSeconds     *metrics.Histogram  // pi2md_solve_seconds
 	mSolveIters       *metrics.Histogram  // pi2md_solve_iterations
 	mSimJobs          *metrics.CounterVec // pi2md_simulate_jobs_total{outcome}
@@ -294,8 +286,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
-	s.imgCache.m = make(map[string]*list.Element)
-	s.imgCache.lru = list.New()
 	s.flights = make(map[string]*flight)
 	s.breakers = newBreakerTable(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	s.retryJitter = rand.Float64
@@ -355,10 +345,16 @@ func NewServer(cfg Config) (*Server, error) {
 		"Runs that reused a session's warm arenas.")
 	s.mAffinityHits = r.Counter("pi2md_pool_affinity_hits_total",
 		"Checkouts routed to the session that last ran the same image.")
-	s.mImgCacheHit = r.Counter("pi2md_image_cache_hits_total",
-		"Request bodies whose parsed image was served from the cache.")
-	s.mImgCacheMiss = r.Counter("pi2md_image_cache_misses_total",
-		"Request bodies that had to be parsed.")
+	memCacheEvents := r.CounterVec("pi2md_mem_cache_events_total",
+		"In-process cache events — cache: image (parsed uploads, by image key) or entity (encoded bodies of cache hits, by entity tag); event: hit, miss (the image was parsed, the body encoded) or evict (dropped by the LRU bounds).", "cache", "event")
+	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
+		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes).", "cache")
+	imgBudget := cfg.ImageCacheBytes
+	if cfg.ImageCacheSize < 0 {
+		imgBudget = -1 // either bound negative disables: nothing fits
+	}
+	s.imgCache = newLRU[*img.Image]("image", imgBudget, cfg.ImageCacheSize, memCacheEvents, memCacheBytes)
+	s.entities = newLRU[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
 	s.mEvictions = r.Counter("pi2md_pool_evictions_total",
 		"Idle sessions evicted to release their retained memory.")
 	s.mWatchdogKills = r.Counter("pi2md_watchdog_kills_total",
@@ -390,8 +386,6 @@ func NewServer(cfg Config) (*Server, error) {
 		"Cache-only requests (X-Pi2md-Cache-Only or GET /v1/cache) answered from the result cache.")
 	s.mCacheOnlyMiss = r.Counter("pi2md_cache_only_miss_total",
 		"Cache-only requests answered 404 cache_miss because the pair is not cached.")
-	s.mImgCacheEvict = r.Counter("pi2md_image_cache_evictions_total",
-		"Parsed images evicted from the image cache by the LRU byte budget.")
 	s.mSolveSeconds = r.Histogram("pi2md_solve_seconds",
 		"Wall time of the FEM solve stage of /v1/simulate (assembly + CG), off-lease.",
 		[]float64{0.001, 0.01, 0.05, 0.2, 1, 5, 15, 30})
@@ -500,65 +494,20 @@ func (s *Server) EvictIdle(maxIdle time.Duration) int {
 	return n
 }
 
-// imgCacheEnt is one parsed-image cache entry; bytes is the image's
-// voxel count (one byte per voxel), the unit the LRU budget accounts.
-type imgCacheEnt struct {
-	key   string
-	im    *img.Image
-	bytes int64
-}
-
-// imgCacheEnabled reports whether the parsed-image cache is active:
-// both the entry cap and the byte budget must be non-negative.
-func (s *Server) imgCacheEnabled() bool {
-	return s.cfg.ImageCacheSize > 0 && s.cfg.ImageCacheBytes > 0
-}
-
-// decodeImage parses body as NRRD through the cache: a repeated
+// decodeImage parses body as NRRD through the image cache: a repeated
 // identical body returns the previously parsed *img.Image, giving the
 // leased session a chance to reuse its cached distance transform
-// (which is keyed by image pointer identity). The cache is LRU
-// accounted in bytes — a hit refreshes recency, and inserting past
-// either the entry cap or the byte budget evicts the least recently
-// used images first.
+// (which is keyed by image pointer identity). Racing parses of one body
+// converge on one pointer.
 func (s *Server) decodeImage(key string, body []byte) (*img.Image, error) {
-	if s.imgCacheEnabled() {
-		s.imgCache.Lock()
-		if el, ok := s.imgCache.m[key]; ok {
-			s.imgCache.lru.MoveToFront(el)
-			im := el.Value.(*imgCacheEnt).im
-			s.imgCache.Unlock()
-			s.mImgCacheHit.Inc()
-			return im, nil
-		}
-		s.imgCache.Unlock()
+	if im, ok := s.imgCache.get(key); ok {
+		return im, nil
 	}
-	s.mImgCacheMiss.Inc()
 	im, err := img.ReadNRRD(bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if s.imgCacheEnabled() {
-		s.imgCache.Lock()
-		if el, dup := s.imgCache.m[key]; dup {
-			im = el.Value.(*imgCacheEnt).im // lost a parse race; converge on one pointer
-		} else if n := int64(im.NumVoxels()); n <= s.cfg.ImageCacheBytes {
-			ent := &imgCacheEnt{key: key, im: im, bytes: n}
-			s.imgCache.m[key] = s.imgCache.lru.PushFront(ent)
-			s.imgCache.bytes += n
-			for (s.imgCache.bytes > s.cfg.ImageCacheBytes ||
-				s.imgCache.lru.Len() > s.cfg.ImageCacheSize) && s.imgCache.lru.Len() > 1 {
-				back := s.imgCache.lru.Back()
-				old := back.Value.(*imgCacheEnt)
-				s.imgCache.lru.Remove(back)
-				delete(s.imgCache.m, old.key)
-				s.imgCache.bytes -= old.bytes
-				s.mImgCacheEvict.Inc()
-			}
-		}
-		s.imgCache.Unlock()
-	}
-	return im, nil
+	return s.imgCache.add(key, im, int64(im.NumVoxels())), nil
 }
 
 // SnapshotResult is the outcome a mesh job hands back: the serving
@@ -572,6 +521,10 @@ type SnapshotResult struct {
 	// ETag is the persistent cache's entity identity for this snapshot
 	// (hex CRC64 of the stored blob); empty when no cache is wired.
 	ETag string
+
+	// entity is set instead of Snapshot when an HTTP job was answered
+	// from the entity cache: the reply is already encoded.
+	entity *entity
 }
 
 // CacheETag answers a conditional GET from the cache index alone — no
@@ -870,6 +823,8 @@ type Stats struct {
 	InflightKeys []string          `json:"inflight_keys,omitempty"`
 	Pool         PoolStats         `json:"pool"`
 	Cache        *cachestore.Stats `json:"cache,omitempty"`
+	ImageCache   MemCacheStats     `json:"image_cache"`
+	EntityCache  MemCacheStats     `json:"entity_cache"`
 	RecentRuns   []JobSummary      `json:"recent_runs"`
 }
 
@@ -917,6 +872,8 @@ func (s *Server) Stats() Stats {
 		InflightKeys:  s.InflightKeys(),
 		Pool:          s.pool.Stats(),
 		Cache:         cacheStats,
+		ImageCache:    s.imgCache.stats(),
+		EntityCache:   s.entities.stats(),
 		RecentRuns:    recent,
 	}
 }

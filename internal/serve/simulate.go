@@ -353,5 +353,6 @@ func (s *Server) replySimulation(w http.ResponseWriter, format string, snap *cor
 		compact, _ := json.Marshal(summary)
 		w.Header().Set("X-Simulate-Summary", string(compact))
 	}
-	sendBody(w, contentType, body)
+	sendBody(w, contentType, *body)
+	releaseBody(body)
 }

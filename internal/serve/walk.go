@@ -26,7 +26,7 @@ type job struct {
 	body  []byte
 
 	// HTTP-only inputs; zero through MeshSnapshot.
-	format      string         // entity format the conditional compares under
+	format      string         // entity format of the reply; "" = the caller wants the snapshot, not its encoding
 	ifNoneMatch string         // If-None-Match header
 	cacheOnly   bool           // answer from the result cache or not at all
 	timeout     time.Duration  // the spec's own deadline (0 = none asked)
@@ -93,14 +93,19 @@ func (s *Server) MeshSnapshot(ctx context.Context, key, variant string, image *i
 // the job ended — a snapshot, *notModified, or an error writeMeshError
 // maps — and leaves encoding to the caller.
 func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
-	// Conditional: answered from the cache index alone — no decode, no
-	// blob read, no session.
-	if j.ifNoneMatch != "" {
-		if tag, ok := s.CacheETag(j.key, j.variant); ok {
-			if entity := wire.EntityTag(tag, j.format); wire.ETagMatch(j.ifNoneMatch, entity) {
-				return nil, &notModified{entity}
-			}
+	// Index: the one store lookup of a job that replies with an encoded
+	// entity. It counts the request's hit and refreshes the pair's
+	// recency, whichever of the next steps answers it.
+	var etag, tag string
+	if j.format != "" && s.cache != nil {
+		if etag, _ = s.cache.ETag(j.key, j.variant); etag != "" {
+			tag = wire.EntityTag(etag, j.format)
 		}
+	}
+	// Conditional: answered from the index alone — no decode, no blob
+	// read, no session.
+	if tag != "" && j.ifNoneMatch != "" && wire.ETagMatch(j.ifNoneMatch, tag) {
+		return nil, &notModified{tag}
 	}
 	// Drain gate. Cache-only reads pass: a draining node stays a read
 	// replica until the process exits.
@@ -109,11 +114,15 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 		return nil, ErrDraining
 	}
 	// The cache, ahead of all admission machinery: a hit can never be
-	// rejected for capacity and never trips or probes a breaker.
-	if sr, ok := s.cachedSnapshot(j.key, j.variant); ok {
-		if j.cacheOnly {
-			s.mCacheOnlyServed.Inc()
+	// rejected for capacity and never trips or probes a breaker. Memory
+	// first — only for a pair the index holds now, and only what its
+	// verified blob encoded to the last time it was read.
+	if tag != "" {
+		if ent, ok := s.entities.get(tag); ok {
+			return s.cacheServed(j, &SnapshotResult{ETag: etag, entity: ent}, ent.run), nil
 		}
+	}
+	if sr, ok := s.cachedSnapshot(j, tag != ""); ok {
 		return sr, nil
 	}
 	if j.cacheOnly {
@@ -151,7 +160,7 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 		}
 		if tier > 0 {
 			j.tier, j.variant, j.tune = tier, spec.Variant(), tune(&spec)
-			if sr, ok := s.cachedSnapshot(j.key, j.variant); ok {
+			if sr, ok := s.cachedSnapshot(j, false); ok {
 				return sr, nil
 			}
 		}
@@ -209,29 +218,39 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 }
 
 // cachedSnapshot answers a job from the persistent result cache, if it
-// can — the only place a request reads it. The blob is re-verified on
-// read; the job never touches the pool, the queue, or the key's
-// breaker. A cache-served job counts as accepted + completed (the
-// caller got a mesh) plus cacheServed, so the run-count invariant stays
-// runs == accepted − coalesced − abandoned − cacheServed.
-func (s *Server) cachedSnapshot(key, variant string) (*SnapshotResult, bool) {
+// can — the only place a request reads a blob, verified as it is read.
+// counted says the walk's index lookup already counted this request's
+// hit.
+func (s *Server) cachedSnapshot(j *job, counted bool) (*SnapshotResult, bool) {
 	if s.cache == nil {
 		return nil, false
 	}
-	snap, etag, ok := s.cache.Get(key, variant)
+	read := s.cache.Get
+	if counted {
+		read = s.cache.Read
+	}
+	snap, etag, ok := read(j.key, j.variant)
 	if !ok {
 		return nil, false
 	}
+	return s.cacheServed(j, &SnapshotResult{Snapshot: snap, ETag: etag}, snap.Summary), true
+}
+
+// cacheServed books a job answered from the cache, from disk or from
+// memory alike: it never touches the pool, the queue, or the key's
+// breaker, and counts as accepted + completed (the caller got a mesh)
+// plus cacheServed, so the run-count invariant stays
+// runs == accepted − coalesced − abandoned − cacheServed.
+func (s *Server) cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResult {
 	s.mAccepted.Inc()
 	s.mCompleted.Inc()
 	s.mCacheServed.Inc()
-	sr := &SnapshotResult{
-		Summary:  JobSummary{ImageKey: key, CacheHit: true, Run: snap.Summary},
-		Snapshot: snap,
-		ETag:     etag,
+	if j.cacheOnly {
+		s.mCacheOnlyServed.Inc()
 	}
+	sr.Summary = JobSummary{ImageKey: j.key, CacheHit: true, Run: run}
 	s.recordRun(sr.Summary)
-	return sr, true
+	return sr
 }
 
 // recordRun appends to /v1/stats' ring of recent runs.
