@@ -252,13 +252,11 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 // applyBrownout runs the controller for one request and returns the
 // (possibly rewritten) spec plus the tier it was rewritten to. The
 // deadline headroom is what is left of the job deadline the walk has
-// already put on ctx. On refusal the overloaded rejection is counted
-// and ErrOverloaded returned.
+// already put on ctx. On refusal it returns ErrOverloaded.
 func (s *Server) applyBrownout(ctx context.Context, spec wire.MeshSpec) (wire.MeshSpec, int, error) {
 	deadline, _ := ctx.Deadline()
 	tier, refuse := s.brownout.decide(time.Now(), s.waiting.Load(), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
 	if refuse {
-		s.mRejected.With("overloaded").Inc()
 		return spec, 0, ErrOverloaded
 	}
 	if tier <= 0 {

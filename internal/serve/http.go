@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,48 +82,46 @@ func (w *codeWriter) Write(b []byte) (int, error) {
 
 // readUpload reads the request body under the MaxRequestBytes cap and
 // splits it into its JSON spec part (nil when there is none) and its
-// image payload. On failure it has answered — 413 over the cap, 400
-// otherwise — and ok is false.
-func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, image []byte, ok bool) {
-	specJSON, image, err := wire.SplitSpecImage(r.Header.Get("Content-Type"),
+// image payload; over the cap is 413 too_large, unreadable 400.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (specJSON, image []byte, err error) {
+	specJSON, image, err = wire.SplitSpecImage(r.Header.Get("Content-Type"),
 		http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), min(r.ContentLength, s.cfg.MaxRequestBytes))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-			"request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)
+		return nil, nil, &requestError{http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
+			fmt.Sprintf("request body exceeds the %d byte cap", s.cfg.MaxRequestBytes)}
 	case err != nil:
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: %v", err)
-	default:
-		return specJSON, image, true
+		return nil, nil, badRequest("reading body: %v", err)
 	}
-	return nil, nil, false
+	return specJSON, image, nil
 }
 
 // readMeshRequest resolves a request into its MeshSpec and image
 // payload, honoring body-over-params precedence: a multipart "spec"
 // part replaces the query string wholesale, a spec-less request parses
-// the query exactly as the server always has.
-func (s *Server) readMeshRequest(w http.ResponseWriter, r *http.Request) (wire.MeshSpec, []byte, bool) {
-	specJSON, image, ok := s.readUpload(w, r)
-	if !ok {
-		return wire.MeshSpec{}, nil, false
+// the query exactly as the server always has. On failure it has
+// answered and ok is false.
+func (s *Server) readMeshRequest(w http.ResponseWriter, r *http.Request) (spec wire.MeshSpec, image []byte, ok bool) {
+	specJSON, image, err := s.readUpload(w, r)
+	switch {
+	case err != nil:
+	case len(image) == 0:
+		err = badRequest("empty body: expected an NRRD label image")
+	default:
+		if spec, err = wire.ResolveMeshSpec(specJSON, r.URL.Query()); err != nil {
+			err = badRequest("bad request: %v", err)
+		}
 	}
-	if len(image) == 0 {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"empty body: expected an NRRD label image")
-		return wire.MeshSpec{}, nil, false
-	}
-	spec, err := wire.ResolveMeshSpec(specJSON, r.URL.Query())
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "bad request: %v", err)
+		s.writeMeshError(w, err)
 		return wire.MeshSpec{}, nil, false
 	}
 	return spec, image, true
 }
 
-// requestError is a failure that is the request's own fault, discovered
-// past the handler's parse step — an undecodable image, a cache-only
+// requestError is a failure that is the request's own fault — an
+// oversized or malformed upload, an undecodable image, a cache-only
 // miss, boundary conditions that constrain no vertex of the actual mesh
 // — carrying the status and envelope code it is answered with.
 type requestError struct {
@@ -133,71 +132,32 @@ type requestError struct {
 
 func (e *requestError) Error() string { return e.msg }
 
-// writeMeshError maps a walk (or solve) failure to its HTTP response
-// and returns the envelope code it chose — the simulate handler derives
-// the job outcome from it. Every endpoint answers through it, so no two
-// can disagree on what a rejection looks like.
-func (s *Server) writeMeshError(w http.ResponseWriter, err error) string {
-	var brkOpen *BreakerOpenError
-	var reqErr *requestError
+func badRequest(format string, args ...any) error {
+	return &requestError{http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf(format, args...)}
+}
+
+// writeMeshError answers a failed walk, upload or solve: classify's
+// status and envelope code, plus what the ending needs — the entity tag
+// on a 304 (the client keeps validating with it), the breaker's own
+// Retry-After on breaker_open (it knows when it will admit a probe), the
+// queue-derived one on the other capacity codes (a canceled client is
+// not invited back). Every endpoint answers through it, so no two can
+// disagree on what a rejection looks like.
+func (s *Server) writeMeshError(w http.ResponseWriter, err error) {
+	status, code := classify(err)
 	var notMod *notModified
+	var brkOpen *BreakerOpenError
 	switch {
 	case errors.As(err, &notMod):
-		// 304 carries the entity tag back so the client can keep
-		// validating with it.
 		w.Header().Set("ETag", notMod.entity)
-		w.WriteHeader(http.StatusNotModified)
-		return ""
-	case errors.As(err, &reqErr):
-		wire.WriteError(w, reqErr.status, reqErr.code, "%s", reqErr.msg)
-		return reqErr.code
-	case errors.Is(err, ErrQueueFull):
-		s.setRetryAfter(w)
-		wire.WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull, "%v", err)
-		return wire.CodeQueueFull
-	case errors.Is(err, ErrDeadline):
-		// Capacity signal: the job's deadline expired before a
-		// session freed up (or mid-run). Worth retrying shortly.
-		s.setRetryAfter(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDeadline, "%v", err)
-		return wire.CodeDeadline
+		w.WriteHeader(status)
+		return
 	case errors.As(err, &brkOpen):
-		// The breaker knows exactly when it will admit a probe;
-		// its own hint beats the latency-derived one.
-		secs := int(math.Ceil(brkOpen.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "%v", err)
-		return wire.CodeBreakerOpen
-	case errors.Is(err, ErrWatchdog):
-		// The run was abandoned and its session quarantined; by the
-		// time a retry lands the pool has likely backfilled.
-		s.setRetryAfter(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeWatchdog, "%v", err)
-		return wire.CodeWatchdog
-	case errors.Is(err, ErrCanceled):
-		// The client gave up; nobody is listening, but the status
-		// still lands in logs and metrics (nginx's 499).
-		wire.WriteError(w, wire.StatusClientClosedRequest, wire.CodeCanceled, "%v", err)
-		return wire.CodeCanceled
-	case errors.Is(err, ErrOverloaded):
-		// Even the coarsest brownout tier can't meet the deadline; the
-		// queue-position estimate tells the client when it might.
-		s.setRetryAfter(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeOverloaded, "%v", err)
-		return wire.CodeOverloaded
-	case errors.Is(err, ErrDraining):
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "%v", err)
-		return wire.CodeDraining
-	case errors.Is(err, ErrPoolClosed), errors.Is(err, core.ErrSessionBusy):
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "%v", err)
-		return wire.CodeUnavailable
-	default:
-		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "%v", err)
-		return wire.CodeInternal
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(brkOpen.RetryAfter.Seconds())))))
+	case code == wire.CodeQueueFull, code == wire.CodeDeadline, code == wire.CodeWatchdog, code == wire.CodeOverloaded:
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
+	wire.WriteError(w, status, code, "%v", err)
 }
 
 // handleMesh is POST /v1/mesh: parse the request, walk it, encode the
@@ -212,20 +172,12 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j := &job{
+	s.reply(r.Context(), w, &job{
 		key: wire.ImageKey(body), body: body, variant: spec.Variant(), tune: tune(&spec),
 		format: spec.Format, ifNoneMatch: r.Header.Get("If-None-Match"),
 		cacheOnly: r.Header.Get(wire.CacheOnlyHeader) == "1",
 		timeout:   time.Duration(spec.Timeout), spec: &spec,
-	}
-	sr, err := s.walk(r.Context(), j)
-	if j.tier > 0 {
-		w.Header().Set(BrownoutHeader, strconv.Itoa(j.tier))
-		if err == nil {
-			s.mBrownedOut.With(strconv.Itoa(j.tier)).Inc()
-		}
-	}
-	s.reply(w, j, sr, err)
+	})
 }
 
 // entity is one encoded reply held by the entity cache: exactly the
@@ -243,14 +195,21 @@ type entity struct {
 // hot set beyond it degrades to the disk hit every hit was before.
 const entityCacheBytes = 32 << 20
 
-// reply encodes a walk's outcome: the error mapping, or the snapshot in
-// the job's format under its format-folded entity tag. A cache-only
-// answer is marked as such, so a proxy can prove no meshing happened.
-// Encoding happens off-lease: the session that produced the mesh is
-// already serving the next job. A body encoded for a cache hit — its
-// pair is being asked for a second time — is kept for the third; a
-// fresh run's is not, so never-seen images cannot fill the cache.
-func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err error) {
+// reply walks j and answers how it ended: writeMeshError, or the
+// snapshot in the job's format under its format-folded entity tag,
+// encoded off-lease. A cache-only 200 or 304 is marked as such (a proxy
+// can prove no meshing happened), a browned answer carries its tier. A
+// body encoded for a cache hit — a pair asked for a second time — is
+// kept for the third; a fresh run's is not, so never-seen images cannot
+// fill the cache.
+func (s *Server) reply(ctx context.Context, w http.ResponseWriter, j *job) {
+	sr, err := s.walk(ctx, j)
+	if j.tier > 0 {
+		w.Header().Set(BrownoutHeader, strconv.Itoa(j.tier))
+	}
+	if status, _ := classify(err); j.cacheOnly && status < http.StatusBadRequest {
+		w.Header().Set(wire.CacheOnlyHeader, "hit")
+	}
 	if err != nil {
 		s.writeMeshError(w, err)
 		return
@@ -262,20 +221,14 @@ func (s *Server) reply(w http.ResponseWriter, j *job, sr *SnapshotResult, err er
 		if j.format == "off" {
 			contentType, encode = "model/off", meshio.AppendOFFSnapshot
 		}
-		body, err := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
-		if err != nil {
-			s.writeMeshError(w, err)
-			return
-		}
+		// The mesh encoders cannot fail: there is no error to answer.
+		body, _ := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
 		defer releaseBody(body)
 		ent = &entity{*body, contentType, sr.Summary.Run}
 		if n := int64(len(*body)); sr.Summary.CacheHit && sr.ETag != "" && n <= s.entities.budget {
 			// The pooled buffer goes back; the cache owns an exact-size copy.
 			s.entities.add(tag, &entity{bytes.Clone(*body), contentType, sr.Summary.Run}, n)
 		}
-	}
-	if j.cacheOnly {
-		w.Header().Set(wire.CacheOnlyHeader, "hit")
 	}
 	if sr.ETag != "" {
 		w.Header().Set("ETag", tag)
@@ -332,8 +285,7 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	j := &job{key: r.PathValue("imageKey"), variant: r.PathValue("variant"),
 		ifNoneMatch: r.Header.Get("If-None-Match"), cacheOnly: true}
 	if !wire.ValidImageKey(j.key) {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"image key must be 64 lowercase hex characters (the full SHA-256 of the image)")
+		s.writeMeshError(w, badRequest("image key must be 64 lowercase hex characters (the full SHA-256 of the image)"))
 		return
 	}
 	if unesc, err := url.PathUnescape(j.variant); err == nil {
@@ -341,17 +293,11 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	}
 	format := wire.MeshSpec{Format: r.URL.Query().Get("format")}
 	if err := format.Validate(); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		s.writeMeshError(w, badRequest("%v", err))
 		return
 	}
 	j.format = format.Format
-	sr, err := s.walk(r.Context(), j)
-	var notMod *notModified
-	if errors.As(err, &notMod) {
-		s.mCacheOnlyServed.Inc()
-		w.Header().Set(wire.CacheOnlyHeader, "hit")
-	}
-	s.reply(w, j, sr, err)
+	s.reply(r.Context(), w, j)
 }
 
 // drainKey is one warm-state handoff entry of the drain response.
@@ -387,12 +333,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// setRetryAfter stamps the latency-derived Retry-After hint on a
-// capacity rejection.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 }
 
 // handleHealthz is pure liveness: if the process can answer, it is

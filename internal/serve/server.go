@@ -33,8 +33,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Admission and execution errors; the HTTP layer maps them to status
-// codes (queue full → 429, draining/deadline → 503, caller
+// Admission and execution errors; classify maps them to status codes
+// and envelope codes (queue full → 429, draining/deadline → 503, caller
 // cancellation → 499, bad input → 400).
 var (
 	// ErrQueueFull rejects a job because the wait queue is at capacity
@@ -122,8 +122,9 @@ type Config struct {
 	// Brownout enables the adaptive quality-brownout controller: under
 	// queue or deadline pressure, /v1/mesh requests are rewritten to a
 	// degraded quality tier (cached under their own honest variant key,
-	// stamped X-Pi2md-Brownout) instead of being rejected. Disabled by
-	// default; the daemon enables it with -brownout.
+	// stamped X-Pi2md-Brownout) instead of being rejected. Off in a zero
+	// Config; pi2md's -brownout flag defaults to true, so the daemon runs
+	// with it unless started with -brownout=false.
 	Brownout bool
 	// BrownoutLadder is the degradation ladder the controller walks
 	// (nil = DefaultBrownoutLadder when Brownout is set).
@@ -536,20 +537,6 @@ func (s *Server) CacheETag(key, variant string) (string, bool) {
 	return s.cache.ETag(key, variant)
 }
 
-// rejectForCtx classifies a context failure while waiting for a
-// session: deadline expiry is a capacity signal (ErrDeadline, retry
-// later), caller cancellation is not (ErrCanceled, the client went
-// away). Conflating the two inflates the deadline metric and tells
-// dead clients to retry.
-func (s *Server) rejectForCtx(err error) error {
-	if errors.Is(err, context.Canceled) {
-		s.mRejected.With("canceled").Inc()
-		return fmt.Errorf("%w: %v", ErrCanceled, err)
-	}
-	s.mRejected.With("deadline").Inc()
-	return fmt.Errorf("%w: %v", ErrDeadline, err)
-}
-
 // runOnce is the walk's tail for a leader — the one actual meshing run
 // under admission control: a non-blocking checkout (free sessions
 // bypass the queue entirely), a bounded wait otherwise, the supervised
@@ -564,14 +551,12 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	// the documented contract.
 	lease, err := s.pool.TryCheckout(j.key)
 	if err != nil {
-		s.mRejected.With("pool_closed").Inc()
 		return nil, err
 	}
 	var wait time.Duration
 	if lease == nil {
 		if n := s.waiting.Add(1); n > int64(s.cfg.QueueDepth) {
 			s.waiting.Add(-1)
-			s.mRejected.With("queue_full").Inc()
 			return nil, ErrQueueFull
 		}
 		waitStart := time.Now()
@@ -580,13 +565,12 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 		wait = time.Since(waitStart)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, s.rejectForCtx(err)
+				return nil, fmt.Errorf("%w: %v", ctxKind(err), err)
 			}
-			s.mRejected.With("pool_closed").Inc()
 			return nil, err
 		}
 	}
-	s.mAccepted.Inc()
+	j.accepted = true
 	s.mQueueWait.Observe(wait.Seconds())
 
 	// The lease window: released explicitly right after the snapshot
@@ -616,7 +600,6 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 		// quarantined; the run's true wall time is unknowable here, so
 		// mRunSeconds is deliberately not observed — the invariant is
 		// runs == accepted − coalesced − watchdog_abandoned.
-		s.mFailed.Inc()
 		return nil, err
 	}
 	s.mRunSeconds.Observe(time.Since(runStart).Seconds())
@@ -624,7 +607,6 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 		// A run error says the engine gave up on this session's state (a
 		// panic already marked it in guardedRun): quarantine it.
 		lease.MarkBad()
-		s.mFailed.Inc()
 		return nil, fmt.Errorf("serve: run: %w", err)
 	}
 
@@ -649,15 +631,11 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	switch res.Status {
 	case core.StatusAborted:
 		s.mAborted.Inc()
-		s.mFailed.Inc()
 		if abortedByCaller(res) {
 			// The caller's own deadline or cancellation cut the run
 			// short mid-flight: the session cooperated and is healthy,
 			// and the failure classifies like a pre-run rejection.
-			if errors.Is(jctx.Err(), context.Canceled) {
-				return nil, fmt.Errorf("%w: run aborted mid-flight: %v", ErrCanceled, res.Err())
-			}
-			return nil, fmt.Errorf("%w: run aborted mid-flight: %v", ErrDeadline, res.Err())
+			return nil, fmt.Errorf("%w: run aborted mid-flight: %v", ctxKind(jctx.Err()), res.Err())
 		}
 		// Aborted for engine reasons (panic budget, livelock): the
 		// session's internal state is untrustworthy — quarantine it.
@@ -669,14 +647,13 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	}
 
 	// Copy the final geometry out of the lease window, then release:
-	// everything below — metrics, the stats ring, response encoding in
-	// the caller — runs off-lease while the session already serves the
-	// next job.
+	// everything below — metrics, the persist, settle and response
+	// encoding in the caller — runs off-lease while the session already
+	// serves the next job.
 	snap := res.Snapshot()
 	release()
 	s.mSnapshotBytes.Observe(float64(snap.SizeBytes()))
 
-	s.mCompleted.Inc()
 	s.mCells.Add(int64(sum.Elements))
 	s.mCellsPerSec.Set(int64(sum.CellsPerSec))
 
@@ -688,7 +665,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 		etag, _ = s.cache.Put(j.key, j.variant, snap)
 	}
 
-	sr := &SnapshotResult{
+	return &SnapshotResult{
 		ETag: etag,
 		Summary: JobSummary{
 			ImageKey:    j.key,
@@ -698,9 +675,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 			Run:         sum,
 		},
 		Snapshot: snap,
-	}
-	s.recordRun(sr.Summary)
-	return sr, nil
+	}, nil
 }
 
 // guardedRun executes the run itself behind a panic guard: a panic

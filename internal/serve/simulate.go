@@ -155,17 +155,6 @@ func sourceFunc(src *wire.SourceSpec) func(geom.Vec3) float64 {
 	}
 }
 
-// solveBudget derives the solve stage's wall-time budget: the spec's
-// ask, capped by the server's SolveTimeout (a hostile spec must not
-// reserve unbounded solver time).
-func (s *Server) solveBudget(spec *wire.SimSpec) time.Duration {
-	budget := time.Duration(spec.Solve.Timeout)
-	if budget <= 0 || budget > s.cfg.SolveTimeout {
-		budget = s.cfg.SolveTimeout
-	}
-	return budget
-}
-
 // runSolve assembles and solves the spec's problem on the snapshot,
 // supervised exactly like a meshing run: the solve runs under a
 // deadline (budget), CG observes it cooperatively every few iterations,
@@ -173,7 +162,8 @@ func (s *Server) solveBudget(spec *wire.SimSpec) time.Duration {
 // abandoned to its goroutine (it holds only heap memory, no session)
 // with ErrWatchdog rather than wedging the request forever. Everything
 // runs off-lease — the mesh session was released before this function
-// is called.
+// is called. A failure comes back as the typed ending classify reads:
+// ErrCanceled, ErrDeadline, ErrWatchdog, or a 400/500 requestError.
 func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wire.SimSpec) (*fem.Solution, map[int32]float64, error) {
 	dirichlet, err := dirichletFromSpec(snap, spec.Dirichlet)
 	if err != nil {
@@ -195,7 +185,12 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 		return nil, nil, &requestError{http.StatusBadRequest, wire.CodeBadRequest, err.Error()}
 	}
 
-	budget := s.solveBudget(spec)
+	// The spec's ask, capped by SolveTimeout: a hostile spec must not
+	// reserve unbounded solver time.
+	budget := time.Duration(spec.Solve.Timeout)
+	if budget <= 0 || budget > s.cfg.SolveTimeout {
+		budget = s.cfg.SolveTimeout
+	}
 	solveCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
@@ -217,12 +212,16 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 			})
 		}
 	})
-	if !finished {
+	switch {
+	case !finished:
 		return nil, nil, fmt.Errorf("%w: solve exceeded %v and ignored cancellation for %v",
 			ErrWatchdog, budget, s.cfg.WatchdogGrace)
-	}
-	if solveErr != nil {
-		return nil, nil, solveErr
+	case errors.Is(solveErr, context.Canceled):
+		return nil, nil, &stageError{ErrCanceled, "solve canceled: " + solveErr.Error()}
+	case errors.Is(solveErr, context.DeadlineExceeded):
+		return nil, nil, &stageError{ErrDeadline, fmt.Sprintf("solve exceeded its %v budget: %v", budget, solveErr)}
+	case solveErr != nil:
+		return nil, nil, &requestError{http.StatusInternalServerError, wire.CodeSolveFailed, "solve failed: " + solveErr.Error()}
 	}
 	// A solve that converged right at the deadline still answers: the
 	// field is complete and the caller is still listening.
@@ -236,28 +235,21 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 // FEM problem is assembled and solved off-lease under its own budget,
 // and the field returns as VTK POINT_DATA with a JSON summary.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	outcome := func(o string) { s.mSimJobs.With(o).Inc() }
-
-	specJSON, body, ok := s.readUpload(w, r)
-	if !ok {
-		outcome("bad_request")
-		return
+	specJSON, body, err := s.readUpload(w, r)
+	var spec wire.SimSpec
+	switch {
+	case err != nil:
+	case specJSON == nil:
+		err = badRequest("missing %q part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image", "spec")
+	case len(body) == 0:
+		err = badRequest("empty %q part: expected an NRRD label image", "image")
+	default:
+		if spec, err = wire.ParseSimSpec(specJSON); err != nil {
+			err = badRequest("bad simulation spec: %v", err)
+		}
 	}
-	if specJSON == nil {
-		outcome("bad_request")
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"missing %q part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image", "spec")
-		return
-	}
-	if len(body) == 0 {
-		outcome("bad_request")
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "empty %q part: expected an NRRD label image", "image")
-		return
-	}
-	spec, err := wire.ParseSimSpec(specJSON)
 	if err != nil {
-		outcome("bad_request")
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "bad simulation spec: %v", err)
+		s.endSimulation(w, false, err)
 		return
 	}
 
@@ -268,11 +260,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sr, err := s.walk(r.Context(), &job{key: key, body: body, variant: variant,
 		tune: tune(&spec.Mesh), timeout: time.Duration(spec.Mesh.Timeout)})
 	if err != nil {
-		if s.writeMeshError(w, err) == wire.CodeBadRequest {
-			outcome("bad_request") // the image did not decode
-		} else {
-			outcome("mesh_failed")
-		}
+		s.endSimulation(w, false, err)
 		return
 	}
 
@@ -281,26 +269,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sol, dirichlet, err := s.runSolve(r.Context(), sr.Snapshot, &spec)
 	solveSecs := time.Since(solveStart).Seconds()
 	if err != nil {
-		var reqErr *requestError
-		switch {
-		case errors.As(err, &reqErr):
-			outcome("bad_bc")
-			s.writeMeshError(w, err)
-		case errors.Is(err, ErrWatchdog):
-			outcome("watchdog")
-			s.writeMeshError(w, err)
-		case errors.Is(err, context.Canceled):
-			outcome("canceled")
-			wire.WriteError(w, wire.StatusClientClosedRequest, wire.CodeCanceled, "solve canceled: %v", err)
-		case errors.Is(err, context.DeadlineExceeded):
-			outcome("deadline")
-			s.setRetryAfter(w)
-			wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDeadline,
-				"solve exceeded its %v budget: %v", s.solveBudget(&spec), err)
-		default:
-			outcome("solve_failed")
-			wire.WriteError(w, http.StatusInternalServerError, wire.CodeSolveFailed, "solve failed: %v", err)
-		}
+		s.endSimulation(w, true, err)
 		return
 	}
 	s.mSolveSeconds.Observe(solveSecs)
@@ -327,6 +296,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.replySimulation(w, spec.Format, sr.Snapshot, sol.U, &summary)
 }
 
+// endSimulation books a /v1/simulate job's outcome once, from whether it
+// was meshed and classify's code, and answers a failure through
+// writeMeshError. Unmeshed, it is bad_request or mesh_failed; meshed, the
+// code — a 400 counts as bad_bc, an unencodable field as solve_failed.
+func (s *Server) endSimulation(w http.ResponseWriter, meshed bool, err error) {
+	_, code := classify(err)
+	outcome := code
+	switch {
+	case err == nil:
+		outcome = "ok"
+	case !meshed && (code == wire.CodeBadRequest || code == wire.CodeTooLarge):
+		outcome = wire.CodeBadRequest
+	case !meshed:
+		outcome = "mesh_failed"
+	case code == wire.CodeBadRequest:
+		outcome = wire.CodeBadBC
+	case code == wire.CodeInternal:
+		outcome = wire.CodeSolveFailed
+	}
+	s.mSimJobs.With(outcome).Inc()
+	if err != nil {
+		s.writeMeshError(w, err)
+	}
+}
+
 // replySimulation encodes and sends a solved simulation: the summary
 // alone as indented JSON for format "summary", otherwise the field u on
 // its mesh as VTK with the summary compacted into X-Simulate-Summary.
@@ -343,12 +337,10 @@ func (s *Server) replySimulation(w http.ResponseWriter, format string, snap *cor
 		}
 	}
 	body, err := encodeBody(encode)
+	s.endSimulation(w, true, err)
 	if err != nil {
-		s.mSimJobs.With("solve_failed").Inc() // a field that cannot be encoded is no answer
-		s.writeMeshError(w, err)
 		return
 	}
-	s.mSimJobs.With("ok").Inc()
 	if format != "summary" {
 		compact, _ := json.Marshal(summary)
 		w.Header().Set("X-Simulate-Summary", string(compact))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -32,7 +33,10 @@ type job struct {
 	timeout     time.Duration  // the spec's own deadline (0 = none asked)
 	spec        *wire.MeshSpec // /v1/mesh only: the knobs the brownout controller may rewrite
 
-	tier int // out: brownout tier the job was rewritten to (0 = as asked)
+	// Facts the walk records as it learns them; settle books them.
+	tier      int  // brownout tier the job was rewritten to (0 = as asked)
+	accepted  bool // reached a session, a finished flight's outcome, or the cache
+	coalesced bool // a follower that received its leader's outcome
 }
 
 // notModified ends the walk at the conditional: the client already
@@ -40,6 +44,60 @@ type job struct {
 type notModified struct{ entity string }
 
 func (*notModified) Error() string { return "serve: not modified" }
+
+// stageError is a typed ending (ErrCanceled, ErrDeadline) in the words
+// of the stage that met it: it classifies as kind and reads as msg.
+type stageError struct {
+	kind error
+	msg  string
+}
+
+func (e *stageError) Error() string { return e.msg }
+func (e *stageError) Unwrap() error { return e.kind }
+
+// classify is the one map from how a job ended to what it is answered
+// with: the HTTP status and the envelope code ("" for a 200 or a 304).
+// writeMeshError, settle and endSimulation all read it, so the wire, the
+// job ledger and the simulate outcome cannot disagree about an ending.
+func classify(err error) (status int, code string) {
+	var reqErr *requestError
+	switch {
+	case err == nil:
+		return http.StatusOK, ""
+	case errors.As(err, new(*notModified)):
+		return http.StatusNotModified, ""
+	case errors.As(err, &reqErr):
+		return reqErr.status, reqErr.code
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests, wire.CodeQueueFull
+	case errors.Is(err, ErrDeadline):
+		return http.StatusServiceUnavailable, wire.CodeDeadline
+	case errors.Is(err, ErrBreakerOpen):
+		return http.StatusServiceUnavailable, wire.CodeBreakerOpen
+	case errors.Is(err, ErrWatchdog):
+		return http.StatusServiceUnavailable, wire.CodeWatchdog
+	case errors.Is(err, ErrCanceled):
+		return wire.StatusClientClosedRequest, wire.CodeCanceled
+	case errors.Is(err, ErrOverloaded):
+		return http.StatusServiceUnavailable, wire.CodeOverloaded
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable, wire.CodeDraining
+	case errors.Is(err, ErrPoolClosed), errors.Is(err, core.ErrSessionBusy):
+		return http.StatusServiceUnavailable, wire.CodeUnavailable
+	}
+	return http.StatusInternalServerError, wire.CodeInternal
+}
+
+// ctxKind names a context's end as a job ending: caller cancellation is
+// ErrCanceled (the client went away: 499, no Retry-After), anything else
+// ErrDeadline (a capacity signal worth retrying). Conflating the two
+// inflates the deadline count and tells dead clients to retry.
+func ctxKind(err error) error {
+	if errors.Is(err, context.Canceled) {
+		return ErrCanceled
+	}
+	return ErrDeadline
+}
 
 // flight is one single-flight coalescing group: the leader executes
 // the run, followers subscribe to done and share the outcome. members
@@ -90,9 +148,17 @@ func (s *Server) MeshSnapshot(ctx context.Context, key, variant string, image *i
 // and MeshSnapshot all enter here, after the handler has read and capped
 // the body and derived key and variant, and take the same steps in the
 // same order (DESIGN.md "The request walk" numbers them). It reports how
-// the job ended — a snapshot, *notModified, or an error writeMeshError
-// maps — and leaves encoding to the caller.
-func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
+// the job ended — a snapshot, *notModified, or an error classify maps —
+// books it once on the way out (settle), and leaves encoding to the
+// caller.
+func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err error) {
+	held := false // in Drain's wait group, released only once the job is booked
+	defer func() {
+		s.settle(j, sr, err)
+		if held {
+			s.inflight.Done()
+		}
+	}()
 	// Index: the one store lookup of a job that replies with an encoded
 	// entity. It counts the request's hit and refreshes the pair's
 	// recency, whichever of the next steps answers it.
@@ -110,7 +176,6 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 	// Drain gate. Cache-only reads pass: a draining node stays a read
 	// replica until the process exits.
 	if !j.cacheOnly && s.draining.Load() {
-		s.mRejected.With("draining").Inc()
 		return nil, ErrDraining
 	}
 	// The cache, ahead of all admission machinery: a hit can never be
@@ -119,21 +184,19 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 	// verified blob encoded to the last time it was read.
 	if tag != "" {
 		if ent, ok := s.entities.get(tag); ok {
-			return s.cacheServed(j, &SnapshotResult{ETag: etag, entity: ent}, ent.run), nil
+			return cacheServed(j, &SnapshotResult{ETag: etag, entity: ent}, ent.run), nil
 		}
 	}
 	if sr, ok := s.cachedSnapshot(j, tag != ""); ok {
 		return sr, nil
 	}
 	if j.cacheOnly {
-		s.mCacheOnlyMiss.Inc()
 		return nil, &requestError{http.StatusNotFound, wire.CodeCacheMiss,
 			fmt.Sprintf("no cached result for image %.16s… variant %q", j.key, j.variant)}
 	}
 	if j.image == nil {
-		var err error
 		if j.image, err = s.decodeImage(j.key, j.body); err != nil {
-			return nil, &requestError{http.StatusBadRequest, wire.CodeBadRequest, "decoding image: " + err.Error()}
+			return nil, badRequest("decoding image: %v", err)
 		}
 	}
 	// Every job runs under a deadline (queue wait + run): the spec's, the
@@ -166,11 +229,10 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 		}
 	}
 	if faultinject.Fire(faultinject.QueueFull) {
-		s.mRejected.With("queue_full").Inc()
 		return nil, ErrQueueFull
 	}
 	s.inflight.Add(1)
-	defer s.inflight.Done()
+	held = true
 
 	// Flight and breaker, under one lock: both decide who may lead a run
 	// for this (key, variant). Join before consulting the breaker —
@@ -181,12 +243,11 @@ func (s *Server) walk(ctx context.Context, j *job) (*SnapshotResult, error) {
 	if f, ok := s.flights[ckey]; ok && f.members < s.cfg.CoalesceMax {
 		f.members++
 		s.flightMu.Unlock()
-		return s.joinFlight(ctx, j.key, f)
+		return s.joinFlight(ctx, j, f)
 	}
 	// Leading: an open breaker fast-fails without touching the pool.
 	if ok, retry := s.breakers.admitLocked(ckey, time.Now()); !ok {
 		s.flightMu.Unlock()
-		s.mRejected.With("breaker_open").Inc()
 		return nil, &BreakerOpenError{Key: ckey, RetryAfter: retry}
 	}
 	// A still-running full flight stays reachable by its members but
@@ -233,63 +294,92 @@ func (s *Server) cachedSnapshot(j *job, counted bool) (*SnapshotResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.cacheServed(j, &SnapshotResult{Snapshot: snap, ETag: etag}, snap.Summary), true
+	return cacheServed(j, &SnapshotResult{Snapshot: snap, ETag: etag}, snap.Summary), true
 }
 
-// cacheServed books a job answered from the cache, from disk or from
-// memory alike: it never touches the pool, the queue, or the key's
-// breaker, and counts as accepted + completed (the caller got a mesh)
-// plus cacheServed, so the run-count invariant stays
-// runs == accepted − coalesced − abandoned − cacheServed.
-func (s *Server) cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResult {
-	s.mAccepted.Inc()
-	s.mCompleted.Inc()
-	s.mCacheServed.Inc()
-	if j.cacheOnly {
-		s.mCacheOnlyServed.Inc()
-	}
+// cacheServed is a job answered from the cache, from disk or from memory
+// alike: accepted without touching the pool, the queue, or the key's
+// breaker.
+func cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResult {
+	j.accepted = true
 	sr.Summary = JobSummary{ImageKey: j.key, CacheHit: true, Run: run}
-	s.recordRun(sr.Summary)
 	return sr
 }
 
-// recordRun appends to /v1/stats' ring of recent runs.
-func (s *Server) recordRun(sum JobSummary) {
-	s.lastMu.Lock()
-	s.lastRuns = append(s.lastRuns, sum)
-	if len(s.lastRuns) > 16 {
-		s.lastRuns = s.lastRuns[len(s.lastRuns)-16:]
+// settle books how a job ended — the whole job ledger, once, at the
+// walk's exit — from the facts the walk recorded on j and classify's
+// reading of err. An accepted job is completed or failed; one turned
+// away before that is rejected under its envelope code; a 304, a 400 and
+// a cache-only 404 are neither. So accepted == completed + failed, and
+// runs == accepted − coalesced − watchdog-abandoned − cache-served: a
+// follower rides its leader's run, a cache hit never runs.
+func (s *Server) settle(j *job, sr *SnapshotResult, err error) {
+	status, code := classify(err)
+	if j.accepted {
+		s.mAccepted.Inc()
+		if err == nil {
+			s.mCompleted.Inc()
+		} else {
+			s.mFailed.Inc()
+		}
 	}
-	s.lastMu.Unlock()
+	if j.coalesced {
+		s.mCoalesced.Inc()
+	}
+	switch {
+	case status == http.StatusOK:
+		if sr.Summary.CacheHit {
+			s.mCacheServed.Inc()
+		}
+		if j.cacheOnly {
+			s.mCacheOnlyServed.Inc()
+		}
+		if j.tier > 0 {
+			s.mBrownedOut.With(strconv.Itoa(j.tier)).Inc()
+		}
+		if !j.coalesced { // the leader's run is the one on record
+			s.lastMu.Lock()
+			s.lastRuns = append(s.lastRuns, sr.Summary)
+			if len(s.lastRuns) > 16 {
+				s.lastRuns = s.lastRuns[len(s.lastRuns)-16:]
+			}
+			s.lastMu.Unlock()
+		}
+	case status == http.StatusNotModified:
+		if j.cacheOnly {
+			s.mCacheOnlyServed.Inc()
+		}
+	case code == wire.CodeCacheMiss:
+		s.mCacheOnlyMiss.Inc()
+	case !j.accepted && status >= http.StatusTooManyRequests:
+		s.mRejected.With(code).Inc()
+	}
 }
 
 // joinFlight waits for the flight's leader to finish and adapts the
 // shared outcome to this follower: same snapshot, own metadata. A
 // follower that gives up first (deadline or cancellation) detaches —
 // the leader keeps running for the remaining members.
-func (s *Server) joinFlight(jctx context.Context, key string, f *flight) (*SnapshotResult, error) {
+func (s *Server) joinFlight(jctx context.Context, j *job, f *flight) (*SnapshotResult, error) {
 	waitStart := time.Now()
 	select {
 	case <-jctx.Done():
 		s.flightMu.Lock()
 		f.members--
 		s.flightMu.Unlock()
-		return nil, s.rejectForCtx(jctx.Err())
+		return nil, fmt.Errorf("%w: %v", ctxKind(jctx.Err()), jctx.Err())
 	case <-f.done:
 	}
-	// Counted only now: a follower that detached above was never served
+	// Accepted only now: a follower that detached above was never served
 	// from the leader's run, and counting it would break
 	// runs == accepted − coalesced − abandoned.
-	s.mCoalesced.Inc()
-	s.mAccepted.Inc()
+	j.accepted, j.coalesced = true, true
 	if f.err != nil {
-		s.mFailed.Inc()
 		return nil, fmt.Errorf("serve: coalesced run: %w", f.err)
 	}
-	s.mCompleted.Inc()
-	sr := &SnapshotResult{
+	return &SnapshotResult{
 		Summary: JobSummary{
-			ImageKey:    key,
+			ImageKey:    j.key,
 			QueueWaitMs: float64(time.Since(waitStart)) / 1e6,
 			EDTCacheHit: f.out.Summary.EDTCacheHit,
 			WarmRun:     f.out.Summary.WarmRun,
@@ -298,8 +388,7 @@ func (s *Server) joinFlight(jctx context.Context, key string, f *flight) (*Snaps
 		},
 		Snapshot: f.out.Snapshot,
 		ETag:     f.out.ETag,
-	}
-	return sr, nil
+	}, nil
 }
 
 // supervise is the whole watchdog: it runs fn on its own goroutine and
