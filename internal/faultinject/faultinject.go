@@ -48,15 +48,15 @@ const (
 	SlowSession
 	// RunPoisoned fails a serving-layer run outright before it starts,
 	// simulating an input that reliably crashes the engine — the
-	// trigger for per-key circuit breakers and session quarantine.
+	// trigger for per-key circuit breakers and session replacement.
 	RunPoisoned
 	// LeaseLeak stalls a run while it ignores its context, simulating
 	// a wedged run that holds its pool lease past cancellation — the
 	// trigger for the runaway-run watchdog's abandon path.
 	LeaseLeak
-	// RebuildFail fails an asynchronous quarantined-session rebuild
-	// attempt, forcing the pool's rebuild loop to retry with backoff.
-	RebuildFail
+	// _ keeps the slot of a retired point, so the points after it keep
+	// their numbers — and every seed its firing pattern (fire hashes p).
+	_
 	// CacheWriteFail fails a cachestore blob write with an I/O error
 	// (EIO-like), exercising the store's degradation to memory-only
 	// mode.
@@ -111,8 +111,6 @@ func (p Point) String() string {
 		return "run-poisoned"
 	case LeaseLeak:
 		return "lease-leak"
-	case RebuildFail:
-		return "rebuild-fail"
 	case CacheWriteFail:
 		return "cache-write-fail"
 	case CacheTornWrite:

@@ -301,7 +301,7 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 
 // CounterFunc registers a counter whose value is read from f at
 // exposition time — for monotone counters owned by another subsystem
-// (e.g. the pool's quarantine ledger). f must be safe to call
+// (e.g. the session pool's reuse counters). f must be safe to call
 // concurrently and must never decrease.
 func (r *Registry) CounterFunc(name, help string, f func() float64) {
 	r.register(&metric{name: name, help: help, typ: "counter", counterFunc: f})

@@ -73,7 +73,7 @@ func TestCancelClassification(t *testing.T) {
 	go func() {
 		// Cancel once the job is parked in the wait queue.
 		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) && srv.waiting.Load() == 0 {
+		for time.Now().Before(deadline) && srv.pool.Waiters() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -236,25 +236,5 @@ func TestDecodeImageRace(t *testing.T) {
 		if ptrs[i] != ptrs[0] {
 			t.Fatal("racing decodes returned divergent image pointers")
 		}
-	}
-}
-
-// TestPoolTryCheckout covers the non-blocking checkout the admission
-// fix relies on: a free pool leases immediately, a fully-busy pool
-// answers (nil, nil) without blocking, a closed pool errors.
-func TestPoolTryCheckout(t *testing.T) {
-	p := testPool(t, 1)
-	l, err := p.TryCheckout("k")
-	if err != nil || l == nil {
-		t.Fatalf("TryCheckout on a free pool: lease=%v err=%v", l, err)
-	}
-	busy, err := p.TryCheckout("k")
-	if err != nil || busy != nil {
-		t.Fatalf("TryCheckout on a busy pool: lease=%v err=%v, want (nil, nil)", busy, err)
-	}
-	l.Release()
-	p.Close()
-	if _, err := p.TryCheckout("k"); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("TryCheckout on a closed pool: %v, want ErrPoolClosed", err)
 	}
 }

@@ -255,7 +255,7 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 // already put on ctx. On refusal it returns ErrOverloaded.
 func (s *Server) applyBrownout(ctx context.Context, spec wire.MeshSpec) (wire.MeshSpec, int, error) {
 	deadline, _ := ctx.Deadline()
-	tier, refuse := s.brownout.decide(time.Now(), s.waiting.Load(), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
+	tier, refuse := s.brownout.decide(time.Now(), int64(s.pool.Waiters()), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
 	if refuse {
 		return spec, 0, ErrOverloaded
 	}

@@ -16,13 +16,13 @@ import (
 // FIFO-by-wakeup behavior handing the session to whichever goroutine
 // the scheduler woke first.
 func TestCheckoutEDFOrdering(t *testing.T) {
-	p, err := NewPool(1, core.Config{Workers: 1})
+	p, err := NewPool(1, 16, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	hold, err := p.TryCheckout("")
+	hold, err := p.Checkout(context.Background(), "")
 	if err != nil || hold == nil {
 		t.Fatalf("priming checkout: lease=%v err=%v", hold, err)
 	}
@@ -77,13 +77,13 @@ func TestCheckoutEDFOrdering(t *testing.T) {
 // any deadline outranks one with none, and equal-deadline waiters are
 // served FIFO.
 func TestCheckoutEDFDeadlineBeatsNone(t *testing.T) {
-	p, err := NewPool(1, core.Config{Workers: 1})
+	p, err := NewPool(1, 16, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	hold, err := p.TryCheckout("")
+	hold, err := p.Checkout(context.Background(), "")
 	if err != nil || hold == nil {
 		t.Fatalf("priming checkout: lease=%v err=%v", hold, err)
 	}
@@ -129,13 +129,13 @@ func TestCheckoutEDFDeadlineBeatsNone(t *testing.T) {
 // race: a waiter whose context dies must hand any in-flight grant to
 // the next waiter instead of leaking the session.
 func TestCheckoutCanceledWaiterReleasesGrant(t *testing.T) {
-	p, err := NewPool(1, core.Config{Workers: 1})
+	p, err := NewPool(1, 16, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	hold, err := p.TryCheckout("")
+	hold, err := p.Checkout(context.Background(), "")
 	if err != nil || hold == nil {
 		t.Fatalf("priming checkout: lease=%v err=%v", hold, err)
 	}

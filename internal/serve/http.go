@@ -24,7 +24,7 @@ import (
 //	POST /v1/mesh      NRRD body (raw or gzip encoding) → VTK/OFF mesh
 //	POST /v1/simulate  multipart spec+image → solved FEM field on the mesh
 //	GET  /healthz      liveness (always "ok" while the process is alive)
-//	GET  /readyz       readiness (503 while draining or with no healthy sessions)
+//	GET  /readyz       readiness (503 while draining)
 //	GET  /v1/stats     JSON serving statistics
 //	GET  /metrics      Prometheus text exposition
 //
@@ -336,24 +336,18 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is pure liveness: if the process can answer, it is
-// alive. Draining and pool health are readiness concerns — /readyz —
-// so an orchestrator doesn't kill a pod that is merely finishing its
-// in-flight work or rebuilding quarantined sessions.
+// alive. Draining is a readiness concern — /readyz — so an orchestrator
+// doesn't kill a pod that is merely finishing its in-flight work.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
 }
 
 // handleReadyz reports whether the server should receive new traffic:
-// 503 while draining or while every pool session is quarantined.
+// 503 while draining. Every pool slot always holds a usable session.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
-		return
-	}
-	if s.pool.Healthy() == 0 {
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable,
-			"no healthy sessions (all quarantined)")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

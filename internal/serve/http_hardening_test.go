@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -109,7 +110,19 @@ func TestRetryAfterTracksLatency(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		srv.mLeaseSeconds.Observe(3)
 	}
-	srv.waiting.Store(4)
+	hold, err := srv.pool.Checkout(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, unqueue := context.WithCancel(context.Background())
+	for i := 0; i < 4; i++ {
+		go func() {
+			if l, err := srv.pool.Checkout(queued, ""); err == nil {
+				l.Release()
+			}
+		}()
+	}
+	waitWaiters(t, srv.pool, 4)
 	slow := srv.retryAfterSeconds()
 	if slow < 10 {
 		t.Errorf("loaded-server hint = %ds, want >= 10 ((4 queued + 1) x p50 lease ~5s)", slow)
@@ -129,7 +142,8 @@ func TestRetryAfterTracksLatency(t *testing.T) {
 	if low < 1 || high > 30 {
 		t.Errorf("jittered hints %d..%d escape the [1,30] clamp", low, high)
 	}
-	srv.waiting.Store(0)
+	unqueue()
+	hold.Release()
 }
 
 // TestRetryAfterMonotoneInQueuePosition: the raw estimate is

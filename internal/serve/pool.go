@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/img"
 )
 
@@ -19,9 +18,10 @@ var ErrPoolClosed = errors.New("serve: pool closed")
 // Pool multiplexes work over a fixed number of warm core.Sessions.
 // Checkout hands out an exclusive Lease on one session, preferring
 // the session that last ran the same image identity so the session's
-// cached distance transform actually hits; Checkin returns it. Idle
-// sessions can be evicted — their arenas and EDT buffers released —
-// and are transparently rebuilt cold on the next checkout.
+// cached distance transform actually hits; Release returns it. A slot
+// whose session failed, was abandoned or sat idle too long gets a
+// fresh, empty session in the same critical section (replaceLocked),
+// so every slot is always schedulable.
 //
 // The pool relies on core.Session's busy-rejection contract
 // (ErrSessionBusy) only as a backstop: leases already guarantee
@@ -35,34 +35,25 @@ type Pool struct {
 	closed  bool
 
 	// waiters is the blocked-checkout queue, ordered earliest-deadline-
-	// first (ties FIFO by arrival). When a session frees up it is handed
-	// to the most deadline-pressed waiter, not whichever goroutine the
-	// scheduler happens to wake — a near-deadline interactive mesh job
-	// overtakes a queued long-deadline solve.
-	waiters   waiterHeap
-	waiterSeq uint64
+	// first (ties FIFO by arrival), and at most maxWaiters long. When a
+	// session frees up it is handed to the most deadline-pressed waiter,
+	// not whichever goroutine the scheduler happens to wake — a
+	// near-deadline interactive mesh job overtakes a queued long-deadline
+	// solve.
+	waiters    waiterHeap
+	waiterSeq  uint64
+	maxWaiters int
 
 	checkouts    int64
 	affinityHits int64
 	evictions    int64
+	quarantines  int64 // bad or abandoned sessions replaced
 
 	// sessions sums the reuse counters of every run a lease has finished
 	// (Lease.RunTuned's before/after delta), so Stats never has to ask a
 	// session — a busy one holds its own lock for the whole run.
 	sessions core.SessionStats
-
-	// Health-ledger counters (see DESIGN.md "Failure model", the
-	// serving-layer ladder).
-	quarantines    int64
-	healthRebuilds int64
-
-	// rebuilds in flight, so tests can wait for the pool to settle.
-	rebuildWG sync.WaitGroup
 }
-
-// rebuildBackoff is the initial delay between failed rebuild attempts
-// of a quarantined slot; it doubles up to a 500ms cap.
-const rebuildBackoff = 10 * time.Millisecond
 
 // poolEntry is one slot of the pool.
 type poolEntry struct {
@@ -70,10 +61,6 @@ type poolEntry struct {
 	key      string // image identity of the last run ("" = never ran)
 	busy     bool
 	lastUsed time.Time
-
-	// A quarantined slot is unschedulable until its asynchronous rebuild
-	// swaps a fresh session in.
-	quarantined bool
 }
 
 // PoolStats is a snapshot of the pool's behavior.
@@ -83,28 +70,23 @@ type PoolStats struct {
 	Checkouts    int64 `json:"checkouts"`
 	AffinityHits int64 `json:"affinity_hits"`
 	Evictions    int64 `json:"evictions"`
-
-	// Health ledger: Healthy/Quarantined are the current slot states;
-	// Quarantines/HealthRebuilds are lifetime totals.
-	Healthy        int   `json:"healthy"`
-	Quarantined    int   `json:"quarantined"`
-	Quarantines    int64 `json:"quarantines_total"`
-	HealthRebuilds int64 `json:"health_rebuilds_total"`
+	Quarantines  int64 `json:"quarantines_total"`
 
 	// Sessions aggregates the reuse counters of every run served through
-	// a lease, sessions since evicted or rebuilt included.
+	// a lease, sessions since evicted or replaced included.
 	Sessions core.SessionStats `json:"sessions"`
 }
 
 // NewPool builds a pool of n sessions sharing one configuration
-// template. Sessions start empty (a core.Session allocates lazily on
+// template, where at most maxWaiters checkouts may wait for a session
+// at once. Sessions start empty (a core.Session allocates lazily on
 // first Run), so construction is cheap; the pool warms as it serves.
-func NewPool(n int, cfg core.Config) (*Pool, error) {
+func NewPool(n, maxWaiters int, cfg core.Config) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", n)
 	}
 	cfg.Image = nil
-	p := &Pool{cfg: cfg, entries: make([]*poolEntry, n)}
+	p := &Pool{cfg: cfg, entries: make([]*poolEntry, n), maxWaiters: maxWaiters}
 	for i := range p.entries {
 		s, err := core.NewSession(cfg)
 		if err != nil {
@@ -123,7 +105,7 @@ func (p *Pool) Size() int { return len(p.entries) }
 type Lease struct {
 	p        *Pool
 	e        *poolEntry
-	s        *core.Session // captured at checkout; stable across entry rebuilds
+	s        *core.Session // captured at checkout; stable across slot replacements
 	key      string
 	affinity bool
 	released bool
@@ -225,21 +207,21 @@ func (p *Pool) failWaitersLocked() {
 	p.waiters = nil
 }
 
-// Waiters reports how many checkouts are currently blocked (test hook
-// for the EDF ordering tests).
+// Waiters reports how many checkouts are currently blocked: the queue
+// depth admission, Retry-After and the brownout controller read.
 func (p *Pool) Waiters() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.waiters)
 }
 
-// pickFree selects an unleased, unquarantined entry, preferring exact
-// image-identity affinity, then any session that has run before (warm
-// arenas), then a cold one.
+// pickFree selects an unleased entry, preferring exact image-identity
+// affinity, then any session that has run before (warm arenas), then a
+// cold one.
 func (p *Pool) pickFree(key string) *poolEntry {
 	var warm, cold *poolEntry
 	for _, e := range p.entries {
-		if e.busy || e.quarantined {
+		if e.busy {
 			continue
 		}
 		if key != "" && e.key == key {
@@ -259,13 +241,15 @@ func (p *Pool) pickFree(key string) *poolEntry {
 	return warm
 }
 
-// Checkout blocks until a session is free (or ctx is done) and leases
-// it. key names the image identity the caller intends to run —
-// typically a content hash of the input — and steers the checkout to
-// the session most likely to hold a warm distance transform for it.
-// Blocked checkouts are served earliest-deadline-first: a freed
-// session goes to the waiter whose ctx deadline is nearest, not to an
-// arbitrary scheduler wakeup.
+// Checkout leases a free session at once; with none free it waits (or
+// until ctx is done), unless maxWaiters checkouts already do — then it
+// fails with ErrQueueFull. A checkout that finds a free session never
+// counts against the queue. key names the image identity the caller
+// intends to run — typically a content hash of the input — and steers
+// the checkout to the session most likely to hold a warm distance
+// transform for it. Waiting checkouts are served earliest-deadline-
+// first: a freed session goes to the waiter whose ctx deadline is
+// nearest, not to an arbitrary scheduler wakeup.
 func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -275,14 +259,18 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		p.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
-	if err := ctx.Err(); err != nil {
-		p.mu.Unlock()
-		return nil, err
-	}
 	if e := p.pickFree(key); e != nil {
 		l := p.leaseLocked(e, key)
 		p.mu.Unlock()
 		return l, nil
+	}
+	if len(p.waiters) >= p.maxWaiters {
+		p.mu.Unlock()
+		return nil, ErrQueueFull
+	}
+	if err := ctx.Err(); err != nil {
+		p.mu.Unlock()
+		return nil, err
 	}
 	w := &waiter{key: key, seq: p.waiterSeq, ch: make(chan *Lease, 1)}
 	p.waiterSeq++
@@ -312,10 +300,9 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		if l, ok := <-w.ch; ok {
 			p.mu.Lock()
 			l.e.busy = false
-			p.checkouts-- // the grant was never used
-			if l.affinity {
-				p.affinityHits--
-			}
+			// The grant was never used. affinityHits keeps it: it is read
+			// as a Prometheus counter, which must never decrease.
+			p.checkouts--
 			if p.closed {
 				l.s.Close()
 			} else {
@@ -325,23 +312,6 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		}
 		return nil, ctx.Err()
 	}
-}
-
-// TryCheckout leases a free session immediately, or returns (nil,
-// nil) without blocking when every session is busy. It is the
-// admission controller's fast path: a job that finds a free session
-// never counts against the wait queue.
-func (p *Pool) TryCheckout(key string) (*Lease, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, ErrPoolClosed
-	}
-	e := p.pickFree(key)
-	if e == nil {
-		return nil, nil
-	}
-	return p.leaseLocked(e, key), nil
 }
 
 // AffinityHit reports whether the checkout landed on the session that
@@ -391,13 +361,12 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 // MarkBad records that this lease's run engaged the failure machinery
 // — a run error, a panic (recovered or not), a degraded outcome, an
 // abort for a non-caller reason — so the session's arenas were touched
-// by code that failed. At release the session is quarantined and
-// rebuilt off the request path.
+// by code that failed. At release the slot gets a fresh session.
 func (l *Lease) MarkBad() { l.bad = true }
 
-// Release returns the session to the pool; a lease marked bad
-// quarantines the slot and kicks off an asynchronous rebuild instead.
-// Idempotent; a no-op on leases detached by Abandon.
+// Release returns the session to the pool; the session of a lease
+// marked bad is closed and replaced instead. Idempotent; a no-op on
+// leases detached by Abandon.
 func (l *Lease) Release() {
 	if l.released || l.abandoned {
 		return
@@ -405,44 +374,46 @@ func (l *Lease) Release() {
 	l.released = true
 	p := l.p
 	e := l.e
+	var old *core.Session
 	p.mu.Lock()
 	e.busy = false
-	if l.bad {
-		p.quarantineLocked(e, l.s)
-	} else {
+	switch {
+	case p.closed:
+		old = l.s // the pool closed while this lease was out
+	case l.bad:
+		p.quarantines++
+		old = p.replaceLocked(e)
+	default:
 		if l.key != "" {
 			e.key = l.key
 		}
 		e.lastUsed = time.Now()
-		if p.closed {
-			l.s.Close() // the pool closed while this lease was out
-		} else {
-			p.grantLocked()
-		}
+		p.grantLocked()
 	}
 	p.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 }
 
-// Abandon detaches a lease whose run ignored cancellation: the slot is
-// quarantined and backfilled by an asynchronous rebuild so pool
-// capacity recovers, while the wedged session stays out of the pool.
-// The caller must invoke FinishAbandoned once the runaway run finally
-// returns, to close the detached session. Idempotent.
+// Abandon detaches a lease whose run ignored cancellation: the slot
+// gets a fresh session at once, so pool capacity never drops, while the
+// wedged session stays out of the pool. The caller must invoke
+// FinishAbandoned once the runaway run finally returns, to close the
+// detached session — Close would block until then. Idempotent.
 func (l *Lease) Abandon() {
 	p := l.p
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if l.released || l.abandoned {
-		p.mu.Unlock()
 		return
 	}
 	l.abandoned = true
-	e := l.e
-	e.busy = false
-	// The wedged session is NOT handed to the rebuild goroutine for
-	// closing — Close would block until the stuck run returns.
-	// FinishAbandoned closes it instead.
-	p.quarantineLocked(e, nil)
-	p.mu.Unlock()
+	l.e.busy = false
+	if !p.closed {
+		p.quarantines++
+		p.replaceLocked(l.e)
+	}
 }
 
 // FinishAbandoned closes the session detached by Abandon. Call it
@@ -454,139 +425,55 @@ func (l *Lease) FinishAbandoned() {
 	}
 }
 
-// quarantineLocked (p.mu held) marks the slot unschedulable and starts
-// its asynchronous rebuild. old, when non-nil, is the session the
-// rebuild goroutine closes off the request path.
-func (p *Pool) quarantineLocked(e *poolEntry, old *core.Session) {
-	if e.quarantined {
-		return
+// replaceLocked (p.mu held) is the one way a slot changes sessions —
+// after a bad lease, an abandoned one or an idle eviction: it installs
+// a fresh, empty session with no affinity and hands the slot to the
+// next waiter. It returns the old session for the caller to close once
+// p.mu is released.
+func (p *Pool) replaceLocked(e *poolEntry) *core.Session {
+	fresh, err := core.NewSession(p.cfg)
+	if err != nil {
+		// The template validated at NewPool time; a failure here is
+		// unreachable, but never leave a closed session in the pool.
+		panic(fmt.Sprintf("serve: replacing a pool session: %v", err))
 	}
-	e.quarantined = true
-	e.key = ""
-	p.quarantines++
-	if p.closed {
-		if old != nil {
-			go old.Close()
-		}
-		return
-	}
-	p.rebuildWG.Add(1)
-	go p.rebuild(e, old)
+	old := e.s
+	e.s, e.key, e.lastUsed = fresh, "", time.Time{}
+	p.grantLocked()
+	return old
 }
 
-// rebuild replaces a quarantined slot's session with a freshly built
-// one, retrying with doubling backoff when construction fails (the
-// RebuildFail injection point simulates that), and wakes waiters once
-// capacity is restored. Runs off the request path.
-func (p *Pool) rebuild(e *poolEntry, old *core.Session) {
-	defer p.rebuildWG.Done()
-	if old != nil {
-		old.Close()
-	}
-	backoff := rebuildBackoff
-	for {
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return
-		}
-		var fresh *core.Session
-		var err error
-		if faultinject.Fire(faultinject.RebuildFail) {
-			err = errors.New("serve: session rebuild failed (injected)")
-		} else {
-			fresh, err = core.NewSession(p.cfg)
-		}
-		if err == nil {
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				fresh.Close()
-				return
-			}
-			e.s = fresh
-			e.key = ""
-			e.quarantined = false
-			e.busy = false
-			e.lastUsed = time.Time{}
-			p.healthRebuilds++
-			p.grantLocked()
-			p.mu.Unlock()
-			return
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
-	}
-}
-
-// Healthy returns the number of unquarantined slots — the capacity
-// /readyz and the chaos harness reason about.
-func (p *Pool) Healthy() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.entries {
-		if !e.quarantined {
-			n++
-		}
-	}
-	return n
-}
-
-// Quarantines reports how many sessions the health ledger has pulled
-// from rotation since the pool was created.
+// Quarantines reports how many bad or abandoned sessions the pool has
+// replaced since it was created.
 func (p *Pool) Quarantines() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.quarantines
 }
 
-// Rebuilds reports how many quarantined slots have been rebuilt with
-// a fresh session and returned to rotation.
-func (p *Pool) Rebuilds() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.healthRebuilds
-}
-
-// WaitSettled blocks until every in-flight quarantine rebuild has
-// finished (test hook).
-func (p *Pool) WaitSettled() { p.rebuildWG.Wait() }
-
 // EvictIdle closes sessions that have been idle longer than maxIdle,
 // releasing their retained arenas, grids and EDT buffers, and
-// replaces them with empty sessions that rebuild lazily on their next
-// checkout. It returns how many sessions were evicted. Sessions that
-// never ran are never evicted (there is nothing to release).
+// replaces them with empty sessions that allocate lazily on their next
+// run. It returns how many sessions were evicted. Sessions that never
+// ran are never evicted (there is nothing to release).
 func (p *Pool) EvictIdle(maxIdle time.Duration) int {
 	cutoff := time.Now().Add(-maxIdle)
+	var evicted []*core.Session
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0
-	}
-	n := 0
-	for _, e := range p.entries {
-		if e.busy || e.quarantined || e.key == "" || e.lastUsed.After(cutoff) {
-			continue
+	if !p.closed {
+		for _, e := range p.entries {
+			if e.busy || e.key == "" || e.lastUsed.After(cutoff) {
+				continue
+			}
+			evicted = append(evicted, p.replaceLocked(e))
 		}
-		e.s.Close()
-		fresh, err := core.NewSession(p.cfg)
-		if err != nil {
-			// The template validated at NewPool time; a failure here is
-			// unreachable, but never leave a closed session in the pool.
-			panic(fmt.Sprintf("serve: rebuilding evicted session: %v", err))
-		}
-		e.s = fresh
-		e.key = ""
-		e.lastUsed = time.Time{}
-		p.evictions++
-		n++
+		p.evictions += int64(len(evicted))
 	}
-	return n
+	p.mu.Unlock()
+	for _, s := range evicted {
+		s.Close()
+	}
+	return len(evicted)
 }
 
 // Stats snapshots the pool's own counters. It touches no session — a
@@ -597,22 +484,16 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := PoolStats{
-		Size:           len(p.entries),
-		Checkouts:      p.checkouts,
-		AffinityHits:   p.affinityHits,
-		Evictions:      p.evictions,
-		Quarantines:    p.quarantines,
-		HealthRebuilds: p.healthRebuilds,
-		Sessions:       p.sessions,
+		Size:         len(p.entries),
+		Checkouts:    p.checkouts,
+		AffinityHits: p.affinityHits,
+		Evictions:    p.evictions,
+		Quarantines:  p.quarantines,
+		Sessions:     p.sessions,
 	}
 	for _, e := range p.entries {
 		if e.busy {
 			st.Busy++
-		}
-		if e.quarantined {
-			st.Quarantined++
-		} else {
-			st.Healthy++
 		}
 	}
 	return st
@@ -629,10 +510,7 @@ func (p *Pool) Close() error {
 	}
 	p.closed = true
 	for _, e := range p.entries {
-		// Quarantined slots are owned by their rebuild goroutine (or an
-		// abandoned lease's FinishAbandoned) — closing here could block
-		// on a wedged run.
-		if !e.busy && !e.quarantined {
+		if !e.busy {
 			e.s.Close()
 		}
 	}

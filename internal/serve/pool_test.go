@@ -13,7 +13,7 @@ import (
 
 func testPool(t *testing.T, n int) *Pool {
 	t.Helper()
-	p, err := NewPool(n, core.Config{Workers: 1, LivelockTimeout: time.Minute})
+	p, err := NewPool(n, 16, core.Config{Workers: 1, LivelockTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,10 @@ func TestStatsNeverWaitsOnARun(t *testing.T) {
 				t.Errorf("busy = %d with one run parked, want 1", st.Busy)
 			}
 		}},
-		{"TryCheckout+Release of the free session", func() {
-			l, err := srv.pool.TryCheckout("other")
+		{"Checkout+Release of the free session", func() {
+			l, err := srv.pool.Checkout(context.Background(), "other")
 			if err != nil || l == nil {
-				t.Errorf("TryCheckout = %v, %v, want the free session", l, err)
+				t.Errorf("Checkout = %v, %v, want the free session", l, err)
 				return
 			}
 			l.Release()

@@ -52,7 +52,7 @@ var (
 	ErrCanceled = errors.New("serve: canceled by the caller before a session was available")
 	// ErrWatchdog fails a job whose run (or solve) was still going
 	// WatchdogGrace after its deadline ended its context; a run's session
-	// was abandoned and quarantined rather than leaked. The HTTP layer
+	// was abandoned and replaced rather than leaked. The HTTP layer
 	// answers 503 with a Retry-After.
 	ErrWatchdog = errors.New("serve: run abandoned by the runaway-run watchdog")
 )
@@ -69,9 +69,9 @@ type Config struct {
 	// ceiling (default 2).
 	PoolSize int
 	// QueueDepth is the maximum number of admitted jobs waiting for a
-	// session beyond the ones running; one more is rejected with
-	// ErrQueueFull (default 16). A job that finds a free session is
-	// admitted without counting against the queue.
+	// session beyond the ones running — the pool's waiter bound; one more
+	// is rejected with ErrQueueFull (default 16). A job that finds a free
+	// session is admitted without counting against the queue.
 	QueueDepth int
 	// DefaultTimeout caps a job's total time (queue wait + run) when
 	// the request does not carry its own deadline (default 60s).
@@ -112,7 +112,7 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// WatchdogGrace is how long a run (or a solve) may keep going after
 	// its job's deadline ended its context before it is abandoned — a
-	// run's session quarantined instead of leaked (default 2s).
+	// run's session replaced instead of leaked (default 2s).
 	WatchdogGrace time.Duration
 	// SolveTimeout caps the solve stage of a /v1/simulate job — the
 	// ceiling a request's own solve budget is clamped to (default 30s).
@@ -201,7 +201,6 @@ type Server struct {
 	// router (or an operator) can verify shard affinity end to end.
 	nodeID string
 
-	waiting  atomic.Int64 // admitted jobs blocked in Checkout
 	inflight sync.WaitGroup
 	draining atomic.Bool
 
@@ -247,9 +246,6 @@ type Server struct {
 	mDegraded         *metrics.Counter
 	mAborted          *metrics.Counter
 	mTransitions      *metrics.Counter
-	mEDTHits          *metrics.Counter
-	mWarmRuns         *metrics.Counter
-	mAffinityHits     *metrics.Counter
 	mEvictions        *metrics.Counter
 	mWatchdogKills    *metrics.Counter
 	mWatchdogAbandons *metrics.Counter
@@ -282,7 +278,7 @@ type JobSummary struct {
 // the metrics registry.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	pool, err := NewPool(cfg.PoolSize, cfg.Session)
+	pool, err := NewPool(cfg.PoolSize, cfg.QueueDepth, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
@@ -309,13 +305,16 @@ func NewServer(cfg Config) (*Server, error) {
 		"Mesh jobs served from another job's run via single-flight coalescing (followers).")
 	r.GaugeFunc("pi2md_queue_depth",
 		"Admitted jobs currently waiting for a session.",
-		func() float64 { return float64(s.waiting.Load()) })
+		func() float64 { return float64(s.pool.Waiters()) })
 	r.GaugeFunc("pi2md_pool_sessions",
 		"Sessions in the pool.",
 		func() float64 { return float64(s.pool.Size()) })
+	poolStat := func(pick func(PoolStats) int64) func() float64 {
+		return func() float64 { return float64(pick(s.pool.Stats())) }
+	}
 	r.GaugeFunc("pi2md_pool_busy_sessions",
 		"Sessions currently leased to a running job.",
-		func() float64 { return float64(s.pool.Stats().Busy) })
+		poolStat(func(st PoolStats) int64 { return int64(st.Busy) }))
 	s.mQueueWait = r.Histogram("pi2md_queue_wait_seconds",
 		"Time admitted jobs spent waiting for a session.",
 		[]float64{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10, 30})
@@ -340,12 +339,15 @@ func NewServer(cfg Config) (*Server, error) {
 		"Runs that aborted (cancellation, panic budget, livelock).")
 	s.mTransitions = r.Counter("pi2md_degradation_transitions_total",
 		"Failure-handling transitions recorded across all runs.")
-	s.mEDTHits = r.Counter("pi2md_edt_cache_hits_total",
-		"Runs that reused a session's cached distance transform.")
-	s.mWarmRuns = r.Counter("pi2md_warm_runs_total",
-		"Runs that reused a session's warm arenas.")
-	s.mAffinityHits = r.Counter("pi2md_pool_affinity_hits_total",
-		"Checkouts routed to the session that last ran the same image.")
+	r.CounterFunc("pi2md_edt_cache_hits_total",
+		"Runs that reused a session's cached distance transform.",
+		poolStat(func(st PoolStats) int64 { return int64(st.Sessions.WarmEDTHits) }))
+	r.CounterFunc("pi2md_warm_runs_total",
+		"Runs that reused a session's warm arenas.",
+		poolStat(func(st PoolStats) int64 { return int64(st.Sessions.WarmRuns) }))
+	r.CounterFunc("pi2md_pool_affinity_hits_total",
+		"Checkouts routed to the session that last ran the same image.",
+		poolStat(func(st PoolStats) int64 { return st.AffinityHits }))
 	memCacheEvents := r.CounterVec("pi2md_mem_cache_events_total",
 		"In-process cache events — cache: image (parsed uploads, by image key) or entity (encoded bodies of cache hits, by entity tag); event: hit, miss (the image was parsed, the body encoded) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
@@ -361,15 +363,12 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mWatchdogKills = r.Counter("pi2md_watchdog_kills_total",
 		"Runs still going when their job deadline — the watchdog's limit — ended their context.")
 	s.mWatchdogAbandons = r.Counter("pi2md_watchdog_abandoned_total",
-		"Runs that ignored the end of their context past the grace window; their sessions were quarantined.")
+		"Runs that ignored the end of their context past the grace window; their sessions were replaced.")
 	s.mBreakerTrips = r.Counter("pi2md_breaker_trips_total",
 		"Circuit-breaker transitions into the open state.")
 	r.CounterFunc("pi2md_sessions_quarantined_total",
-		"Sessions pulled from rotation by the health ledger (failed, panicked, degraded, aborted, or abandoned runs).",
-		func() float64 { return float64(s.pool.Quarantines()) })
-	r.CounterFunc("pi2md_session_rebuilds_total",
-		"Quarantined pool slots rebuilt with a fresh session and returned to rotation.",
-		func() float64 { return float64(s.pool.Rebuilds()) })
+		"Bad sessions replaced with a fresh one at release (failed, panicked, degraded, aborted, or abandoned runs).",
+		poolStat(func(st PoolStats) int64 { return st.Quarantines }))
 	r.GaugeFunc("pi2md_breaker_state",
 		"Coalesce keys whose circuit breaker is currently open or half-open.",
 		func() float64 {
@@ -378,9 +377,6 @@ func NewServer(cfg Config) (*Server, error) {
 			s.flightMu.Unlock()
 			return float64(n)
 		})
-	r.GaugeFunc("pi2md_pool_healthy_sessions",
-		"Pool slots holding a healthy (non-quarantined) session.",
-		func() float64 { return float64(s.pool.Healthy()) })
 	s.mCacheServed = r.Counter("pi2md_cache_served_jobs_total",
 		"Mesh jobs answered from the persistent result cache without consuming a session.")
 	s.mCacheOnlyServed = r.Counter("pi2md_cache_only_served_total",
@@ -538,37 +534,20 @@ func (s *Server) CacheETag(key, variant string) (string, bool) {
 }
 
 // runOnce is the walk's tail for a leader — the one actual meshing run
-// under admission control: a non-blocking checkout (free sessions
-// bypass the queue entirely), a bounded wait otherwise, the supervised
+// under admission control: a checkout (free sessions bypass the queue
+// entirely, the pool bounds the waiters), the supervised
 // run under the job deadline, the snapshot copy-out that ends the lease
 // before any encoding, and the off-lease persist into the result cache.
 // Coalesced followers never reach this function.
 func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) {
-	// Admission: a job only counts against QueueDepth while it is
-	// actually waiting. A burst that fits the free sessions is
-	// admitted without touching the wait counter, so QueueDepth
-	// bounds the waiters beyond the PoolSize running jobs — exactly
-	// the documented contract.
-	lease, err := s.pool.TryCheckout(j.key)
+	waitStart := time.Now()
+	lease, err := s.pool.Checkout(jctx, j.key)
+	wait := time.Since(waitStart)
 	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			return nil, fmt.Errorf("%w: %v", ctxKind(err), err)
+		}
 		return nil, err
-	}
-	var wait time.Duration
-	if lease == nil {
-		if n := s.waiting.Add(1); n > int64(s.cfg.QueueDepth) {
-			s.waiting.Add(-1)
-			return nil, ErrQueueFull
-		}
-		waitStart := time.Now()
-		lease, err = s.pool.Checkout(jctx, j.key)
-		s.waiting.Add(-1)
-		wait = time.Since(waitStart)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, fmt.Errorf("%w: %v", ctxKind(err), err)
-			}
-			return nil, err
-		}
 	}
 	j.accepted = true
 	s.mQueueWait.Observe(wait.Seconds())
@@ -596,8 +575,8 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	res, err := s.superviseRun(jctx, lease, j.image, j.tune)
 	if errors.Is(err, ErrWatchdog) {
 		// The run ignored cancellation past the grace window. Its lease
-		// was abandoned (Release above is now a no-op) and the session
-		// quarantined; the run's true wall time is unknowable here, so
+		// was abandoned (Release above is now a no-op) and the slot given
+		// a fresh session; the run's true wall time is unknowable here, so
 		// mRunSeconds is deliberately not observed — the invariant is
 		// runs == accepted − coalesced − watchdog_abandoned.
 		return nil, err
@@ -605,27 +584,18 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	s.mRunSeconds.Observe(time.Since(runStart).Seconds())
 	if err != nil {
 		// A run error says the engine gave up on this session's state (a
-		// panic already marked it in guardedRun): quarantine it.
+		// panic already marked it in guardedRun): replace it.
 		lease.MarkBad()
 		return nil, fmt.Errorf("serve: run: %w", err)
 	}
 
-	if lease.AffinityHit() {
-		s.mAffinityHits.Inc()
-	}
-	if lease.EDTHit() {
-		s.mEDTHits.Inc()
-	}
-	if lease.WarmRun() {
-		s.mWarmRuns.Inc()
-	}
 	sum := res.Summary()
 	s.mRollbacks.Add(sum.Rollbacks)
 	s.mTransitions.Add(int64(sum.Transitions))
 	if res.Stats.RecoveredPanics > 0 {
 		// The run survived worker/bootstrap panics (possibly still
 		// StatusCompleted): the session's arenas were touched by code
-		// that crashed, so quarantine the session even on success.
+		// that crashed, so replace the session even on success.
 		lease.MarkBad()
 	}
 	switch res.Status {
@@ -638,7 +608,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 			return nil, fmt.Errorf("%w: run aborted mid-flight: %v", ctxKind(jctx.Err()), res.Err())
 		}
 		// Aborted for engine reasons (panic budget, livelock): the
-		// session's internal state is untrustworthy — quarantine it.
+		// session's internal state is untrustworthy — replace it.
 		lease.MarkBad()
 		return nil, fmt.Errorf("serve: run aborted: %w", res.Err())
 	case core.StatusDegraded:
@@ -682,7 +652,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 // escaping the engine (or a tune hook) is converted into an error so
 // no coalesced follower can hang on a never-closed flight, and the
 // session — whose internal state the panic may have corrupted — is
-// marked bad for quarantine on release.
+// marked bad, to be replaced on release.
 func (s *Server) guardedRun(ctx context.Context, lease *Lease, image *img.Image, tune func(*core.Config)) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -703,8 +673,7 @@ func (s *Server) guardedRun(ctx context.Context, lease *Lease, image *img.Image,
 // that comes back within the grace window after its deadline is
 // classified by the normal outcome path (it reads as a mid-flight
 // deadline abort). One that does not has its lease abandoned — the pool
-// quarantines the slot and backfills with a fresh session — and a
-// reaper goroutine closes the wedged session whenever the run finally
+// gives the slot a fresh session — and a reaper goroutine closes the wedged session whenever the run finally
 // returns.
 func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Image, tune func(*core.Config)) (*core.Result, error) {
 	// Written by the run's goroutine, read only once it has finished: an
@@ -750,7 +719,7 @@ func abortedByCaller(res *core.Result) bool {
 // from a queue that is barely over — then jittered and clamped by the
 // shared policy.
 func (s *Server) retryAfterSeconds() int {
-	return wire.ClampRetryAfter(s.retryAfterEstimate(s.waiting.Load()), s.retryJitter)
+	return wire.ClampRetryAfter(s.retryAfterEstimate(int64(s.pool.Waiters())), s.retryJitter)
 }
 
 // retryAfterEstimate is the raw (unjittered, unclamped) wait estimate
@@ -758,13 +727,6 @@ func (s *Server) retryAfterSeconds() int {
 func (s *Server) retryAfterEstimate(pos int64) float64 {
 	p50 := s.mLeaseSeconds.Quantile(0.50)
 	return (float64(pos)/float64(s.cfg.PoolSize) + 1) * p50
-}
-
-// Ready reports whether the server can currently serve meshing work:
-// not draining, and at least one healthy (non-quarantined) session in
-// the pool. The /readyz endpoint exposes it.
-func (s *Server) Ready() bool {
-	return !s.draining.Load() && s.pool.Healthy() > 0
 }
 
 // Stats is the /v1/stats document.
@@ -824,7 +786,7 @@ func (s *Server) Stats() Stats {
 		NodeID:        s.nodeID,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.draining.Load(),
-		QueueDepth:    s.waiting.Load(),
+		QueueDepth:    int64(s.pool.Waiters()),
 		QueueCapacity: s.cfg.QueueDepth,
 		Accepted:      s.mAccepted.Value(),
 		Completed:     s.mCompleted.Value(),

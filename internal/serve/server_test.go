@@ -139,7 +139,9 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatalf("warm-up response %d is not parseable VTK: %v", i, err)
 		}
 	}
-	if hits := srv.mEDTHits.Value(); hits < 1 {
+	var warm bytes.Buffer
+	srv.Registry().WritePrometheus(&warm)
+	if hits := int64(metricValue(t, warm.String(), "pi2md_edt_cache_hits_total")); hits < 1 {
 		t.Fatalf("warm-up produced %d EDT cache hits, want >= 1", hits)
 	}
 
