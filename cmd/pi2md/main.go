@@ -1,7 +1,11 @@
 // Command pi2md is the PI2M meshing daemon: an HTTP server
 // multiplexing image-to-mesh requests over a bounded pool of warm
 // sessions, with admission control, a crash-safe persistent result
-// cache, Prometheus metrics and graceful drain.
+// cache, Prometheus metrics and graceful drain. Under overload it
+// browns out — serves a coarser mesh, stamped X-Pi2md-Brownout — rather
+// than rejecting. Its ten flags are what a deployment sets; the brownout
+// ladder and hold, breaker, watchdog, coalescing and image-cache bounds
+// are fixed in package serve.
 //
 //	pi2md -addr :8080 -pool 4 -queue 32 -cache-dir /var/lib/pi2md/cache
 //
@@ -61,16 +65,8 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		cacheDir     = flag.String("cache-dir", "", "persistent result-cache directory (empty disables the cache)")
 		cacheMaxB    = flag.Int64("cache-max-bytes", 1<<30, "LRU byte budget for the persistent result cache")
-		brownout     = flag.Bool("brownout", true, "degrade mesh quality instead of rejecting under overload (X-Pi2md-Brownout responses)")
-		brownoutLad  = flag.String("brownout-ladder", "", "degradation ladder: tiers separated by /, knobs re=,fa=,ds=,n= (empty = built-in re=3,fa=15/re=4,fa=10,ds=2,n=100000)")
-		brownoutHold = flag.Duration("brownout-hold", 5*time.Second, "calm period before the brownout controller steps back up one quality tier")
 	)
 	flag.Parse()
-
-	ladder, err := serve.ParseBrownoutLadder(*brownoutLad)
-	if err != nil {
-		log.Fatalf("-brownout-ladder: %v", err)
-	}
 
 	var cache *cachestore.Store
 	if *cacheDir != "" {
@@ -89,9 +85,7 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxRequestBytes: *maxBytes,
 		Cache:           cache,
-		Brownout:        *brownout,
-		BrownoutLadder:  ladder,
-		BrownoutHold:    *brownoutHold,
+		Brownout:        true,
 		Session:         core.Config{Workers: *workers, LivelockTimeout: livelockTimeout},
 	})
 	if err != nil {
@@ -102,7 +96,7 @@ func main() {
 	defer ticker.Stop()
 	go func() {
 		for range ticker.C {
-			if n := srv.EvictIdle(idleEvict); n > 0 {
+			if n := srv.Pool().EvictIdle(idleEvict); n > 0 {
 				log.Printf("evicted %d idle session(s)", n)
 			}
 		}

@@ -103,7 +103,6 @@ func TestRouterChaosSoak(t *testing.T) {
 			PoolSize:       1,
 			QueueDepth:     8,
 			DefaultTimeout: 10 * time.Second,
-			CoalesceMax:    4,
 			Cache:          store,
 			Session:        core.Config{Workers: 1, LivelockTimeout: time.Minute},
 		})

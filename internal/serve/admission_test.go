@@ -25,7 +25,8 @@ import (
 // burst.
 func TestAdmissionCountsWaitersOnly(t *testing.T) {
 	const pool = 4
-	srv := newBareServer(t, Config{PoolSize: pool, QueueDepth: 1, CoalesceMax: 1})
+	srv := newBareServer(t, Config{PoolSize: pool, QueueDepth: 1})
+	srv.coalesceMax = 1
 	image := img.SpherePhantom(6)
 
 	for round := 0; round < 5; round++ {
@@ -133,7 +134,8 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	n1, n2, n3 := n(6), n(7), n(8)
 	// Budget fits the two largest images but not all three, so the third
 	// insert must evict exactly one entry — whichever is least recent.
-	srv := newBareServer(t, Config{PoolSize: 1, ImageCacheSize: 10, ImageCacheBytes: n2 + n3})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.imgCache.maxEntries, srv.imgCache.budget = 10, n2+n3
 
 	body := func(scale int) []byte {
 		var b bytes.Buffer
@@ -192,7 +194,8 @@ func TestImageCacheLRUBytes(t *testing.T) {
 
 	// An image larger than the whole budget is refused outright rather
 	// than evicting the entire cache.
-	tiny := newBareServer(t, Config{PoolSize: 1, ImageCacheSize: 10, ImageCacheBytes: 16})
+	tiny := newBareServer(t, Config{PoolSize: 1})
+	tiny.imgCache.maxEntries, tiny.imgCache.budget = 10, 16
 	if _, err := tiny.decodeImage(k1, b1); err != nil {
 		t.Fatal(err)
 	}

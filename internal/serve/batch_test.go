@@ -190,11 +190,12 @@ func TestCoalesceLeaderError(t *testing.T) {
 	}
 }
 
-// TestCoalesceGroupCap: with CoalesceMax=2 a full flight stops
+// TestCoalesceGroupCap: with a cap of 2 members a full flight stops
 // accepting members; the third identical job leads a second flight on
 // its own session instead of joining.
 func TestCoalesceGroupCap(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 2, CoalesceMax: 2})
+	srv := newBareServer(t, Config{PoolSize: 2})
+	srv.coalesceMax = 2
 	image := img.SpherePhantom(8)
 	const key = "coalesce-cap"
 
@@ -392,7 +393,8 @@ func TestCoalesceSlowSession(t *testing.T) {
 // strand its followers — the panic is recovered into a flight error
 // and fanned out, and the leader's session is replaced.
 func TestCoalesceLeaderPanic(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.breakers.threshold = breakerNever
 	image := img.SpherePhantom(8)
 	const key = "coalesce-leader-panic"
 
@@ -439,7 +441,7 @@ func TestCoalesceLeaderPanic(t *testing.T) {
 	}
 
 	// The panic marked the session bad: replaced at release.
-	if q := srv.pool.Quarantines(); q != 1 {
+	if q := srv.pool.Stats().Quarantines; q != 1 {
 		t.Errorf("quarantines = %d, want 1 (panicked session must not return to the pool)", q)
 	}
 }

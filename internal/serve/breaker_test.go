@@ -75,12 +75,9 @@ func TestBreakerStateMachine(t *testing.T) {
 // consuming a session — while other keys keep flowing; after the
 // cooldown a successful probe closes it.
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	srv := newBareServer(t, Config{
-		PoolSize:         1,
-		CoalesceMax:      1, // breakers must work without coalescing too
-		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
-	})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.coalesceMax = 1 // breakers must work without coalescing too
+	srv.breakers.threshold, srv.breakers.cooldown = 2, 200*time.Millisecond
 	poisoned := img.SpherePhantom(10)
 	healthy := img.SpherePhantom(12)
 	ctx := context.Background()
@@ -141,12 +138,9 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 // still running, a second arrival for the same key is fast-failed —
 // exactly one probe at a time.
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	srv := newBareServer(t, Config{
-		PoolSize:         2,
-		CoalesceMax:      1, // forbid joining the probe's flight: force the breaker decision
-		BreakerThreshold: 1,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	srv := newBareServer(t, Config{PoolSize: 2})
+	srv.coalesceMax = 1 // forbid joining the probe's flight: force the breaker decision
+	srv.breakers.threshold, srv.breakers.cooldown = 1, 50*time.Millisecond
 	image := img.SpherePhantom(10)
 	ctx := context.Background()
 

@@ -3,10 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,12 +22,12 @@ const BrownoutHeader = "X-Pi2md-Brownout"
 // a Retry-After derived from the queue estimate.
 var ErrOverloaded = errors.New("serve: overloaded beyond the coarsest brownout tier")
 
-// BrownoutTier is one rung of the degradation ladder: the quality
+// brownoutTier is one rung of the degradation ladder: the quality
 // bounds a request is relaxed to when the controller is at that tier.
 // Zero fields leave the corresponding spec knob alone, and every
 // rewrite is relax-only — a tier can never make a request *stricter*
 // than the client asked for.
-type BrownoutTier struct {
+type brownoutTier struct {
 	// MaxRadiusEdge relaxes rule R4 to at least this bound (0 = keep).
 	MaxRadiusEdge float64
 	// MinFacetAngle relaxes rule R1 down to at most this many degrees
@@ -45,75 +41,14 @@ type BrownoutTier struct {
 	MaxElements int
 }
 
-// DefaultBrownoutLadder is the two-rung ladder both the daemon and the
-// tests use unless overridden: tier 1 relaxes the quality bounds past
-// the paper's defaults (R4 2→3, R1 30°→15°), tier 2 additionally
-// halves the sampling density per axis (~8× fewer samples) and caps
-// the element count — a genuine preview mesh.
-func DefaultBrownoutLadder() []BrownoutTier {
-	return []BrownoutTier{
-		{MaxRadiusEdge: 3, MinFacetAngle: 15},
-		{MaxRadiusEdge: 4, MinFacetAngle: 10, DeltaScale: 2, MaxElements: 100000},
-	}
-}
-
-// ParseBrownoutLadder parses the -brownout-ladder flag syntax: tiers
-// separated by '/', knobs within a tier separated by ',', each knob
-// one of re= (max radius-edge), fa= (min facet angle), ds= (delta
-// scale), n= (max elements). Example:
-//
-//	re=3,fa=15/re=4,fa=10,ds=2,n=100000
-//
-// An empty string yields the default ladder.
-func ParseBrownoutLadder(s string) ([]BrownoutTier, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return DefaultBrownoutLadder(), nil
-	}
-	var ladder []BrownoutTier
-	for i, tierStr := range strings.Split(s, "/") {
-		var t BrownoutTier
-		for _, kv := range strings.Split(tierStr, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("brownout ladder tier %d: %q is not knob=value", i+1, kv)
-			}
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-				return nil, fmt.Errorf("brownout ladder tier %d: bad %s=%q", i+1, k, v)
-			}
-			switch k {
-			case "re":
-				if f != 0 && f < 2 {
-					return nil, fmt.Errorf("brownout ladder tier %d: re=%g below the provable bound 2", i+1, f)
-				}
-				t.MaxRadiusEdge = f
-			case "fa":
-				t.MinFacetAngle = f
-			case "ds":
-				if f != 0 && f < 1 {
-					return nil, fmt.Errorf("brownout ladder tier %d: ds=%g would refine, not coarsen", i+1, f)
-				}
-				t.DeltaScale = f
-			case "n":
-				if f != math.Trunc(f) {
-					return nil, fmt.Errorf("brownout ladder tier %d: n=%q is not an integer", i+1, v)
-				}
-				t.MaxElements = int(f)
-			default:
-				return nil, fmt.Errorf("brownout ladder tier %d: unknown knob %q (want re/fa/ds/n)", i+1, k)
-			}
-		}
-		if t == (BrownoutTier{}) {
-			return nil, fmt.Errorf("brownout ladder tier %d is empty", i+1)
-		}
-		ladder = append(ladder, t)
-	}
-	return ladder, nil
+// brownoutLadder is the ladder every controller walks: tier 1 relaxes
+// the quality bounds past the paper's defaults (R4 2→3, R1 30°→15°),
+// tier 2 additionally halves the sampling density per axis (~8× fewer
+// samples) and caps the element count — a genuine preview mesh.
+// Read-only.
+var brownoutLadder = []brownoutTier{
+	{MaxRadiusEdge: 3, MinFacetAngle: 15},
+	{MaxRadiusEdge: 4, MinFacetAngle: 10, DeltaScale: 2, MaxElements: 100000},
 }
 
 // browned returns a copy of the spec rewritten to tier t's bounds.
@@ -123,7 +58,7 @@ func ParseBrownoutLadder(s string) ([]BrownoutTier, error) {
 // variant-key derivation, so the degraded result is cached and
 // coalesced under its own honest variant and can never poison a
 // full-quality entry.
-func browned(m wire.MeshSpec, t BrownoutTier) wire.MeshSpec {
+func browned(m wire.MeshSpec, t brownoutTier) wire.MeshSpec {
 	if t.MaxRadiusEdge > 0 && (m.MaxRadiusEdge == 0 || m.MaxRadiusEdge < t.MaxRadiusEdge) {
 		// 0 means "template default" (the paper's bound 2), which every
 		// valid tier relaxes.
@@ -143,7 +78,7 @@ func browned(m wire.MeshSpec, t BrownoutTier) wire.MeshSpec {
 
 // brownoutController is the feedback controller that picks the tier.
 // Inputs are the live EDF queue depth, the waiter's deadline headroom,
-// and the observed p90 lease time; output is a ladder index (0 = full
+// and its p90 wait estimate; output is a ladder index (0 = full
 // quality) plus a refuse verdict for the hopeless case. Escalation is
 // immediate — by the time the queue says "overloaded" the cheap
 // response is already late — while de-escalation steps down one tier
@@ -151,26 +86,17 @@ func browned(m wire.MeshSpec, t BrownoutTier) wire.MeshSpec {
 // sitting at a tier boundary from flapping a client between qualities
 // on alternate requests.
 type brownoutController struct {
-	ladder   []BrownoutTier
+	ladder   []brownoutTier
 	hold     time.Duration
 	queueCap float64
-	pool     float64
 
 	mu   sync.Mutex
 	tier int       // current ladder position, 0..len(ladder)
 	calm time.Time // start of the current spell of desired < tier
 }
 
-func newBrownoutController(ladder []BrownoutTier, hold time.Duration, queueCap, poolSize int) *brownoutController {
-	if hold <= 0 {
-		hold = 5 * time.Second
-	}
-	return &brownoutController{
-		ladder:   ladder,
-		hold:     hold,
-		queueCap: float64(queueCap),
-		pool:     math.Max(1, float64(poolSize)),
-	}
+func newBrownoutController(ladder []brownoutTier, hold time.Duration, queueCap int) *brownoutController {
+	return &brownoutController{ladder: ladder, hold: hold, queueCap: float64(queueCap)}
 }
 
 // Tier reports the controller's current ladder position (0 = full
@@ -184,13 +110,11 @@ func (b *brownoutController) Tier() int {
 
 // decide advances the controller with one request's worth of evidence
 // and returns the tier that request should run at. queued is the
-// number of jobs already waiting admission, p90lease the observed p90
-// lease seconds, headroom the requester's deadline budget.
-func (b *brownoutController) decide(now time.Time, queued int64, p90lease float64, headroom time.Duration) (tier int, refuse bool) {
+// number of jobs already waiting admission, estWait the p90 wait
+// estimate in seconds of a job joining behind them (Server.waitEstimate),
+// headroom the requester's deadline budget.
+func (b *brownoutController) decide(now time.Time, queued int64, estWait float64, headroom time.Duration) (tier int, refuse bool) {
 	n := len(b.ladder)
-	if n == 0 {
-		return 0, false
-	}
 
 	// Desired tier from queue pressure: the fill fraction maps linearly
 	// onto the n+1 rungs (full quality plus n degraded tiers), so an
@@ -204,14 +128,12 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 		desired = 0
 	}
 
-	// Desired tier from deadline pressure: a queue-position wait
-	// estimate (this waiter drains behind queued/pool lease slots, plus
-	// its own run) against the requester's budget. If the estimate
-	// already eats the whole budget, only the deepest tier has a
-	// chance; past half the budget, at least some degradation does.
-	estWait := (float64(queued)/b.pool + 1) * p90lease
+	// Desired tier from deadline pressure: the wait estimate against the
+	// requester's budget. If the estimate already eats the whole budget,
+	// only the deepest tier has a chance; past half the budget, at least
+	// some degradation does.
 	est := time.Duration(estWait * float64(time.Second))
-	if headroom > 0 && p90lease > 0 {
+	if headroom > 0 && estWait > 0 {
 		switch {
 		case est > headroom:
 			desired = n
@@ -255,7 +177,8 @@ func (b *brownoutController) decide(now time.Time, queued int64, p90lease float6
 // already put on ctx. On refusal it returns ErrOverloaded.
 func (s *Server) applyBrownout(ctx context.Context, spec wire.MeshSpec) (wire.MeshSpec, int, error) {
 	deadline, _ := ctx.Deadline()
-	tier, refuse := s.brownout.decide(time.Now(), int64(s.pool.Waiters()), s.mLeaseSeconds.Quantile(0.90), time.Until(deadline))
+	queued := int64(s.pool.Waiters())
+	tier, refuse := s.brownout.decide(time.Now(), queued, s.waitEstimate(queued, 0.90), time.Until(deadline))
 	if refuse {
 		return spec, 0, ErrOverloaded
 	}

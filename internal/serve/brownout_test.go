@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -24,50 +25,56 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return out
 }
 
-func TestParseBrownoutLadder(t *testing.T) {
-	good := []struct {
-		in   string
-		want int // tiers
-	}{
-		{"", 2}, // default ladder
-		{"re=3,fa=15", 1},
-		{"re=3,fa=15/re=4,fa=10,ds=2,n=100000", 2},
-		{"ds=4", 1},
-		{" re=2.5 , fa=20 ", 1},
+// looseness reads a spec's four quality knobs with their template
+// defaults filled in (R4 2, R1 30°, δ scale 1, no element cap), each
+// signed so that a larger value is a cheaper mesh.
+func looseness(m wire.MeshSpec) [4]float64 {
+	re, fa, ds, n := m.MaxRadiusEdge, m.MinFacetAngle, m.DeltaScale, float64(m.MaxElements)
+	if re == 0 {
+		re = 2
 	}
-	for _, c := range good {
-		ladder, err := ParseBrownoutLadder(c.in)
-		if err != nil {
-			t.Errorf("ParseBrownoutLadder(%q): %v", c.in, err)
-			continue
-		}
-		if len(ladder) != c.want {
-			t.Errorf("ParseBrownoutLadder(%q) = %d tiers, want %d", c.in, len(ladder), c.want)
-		}
+	if fa == 0 {
+		fa = 30
 	}
-	bad := []string{
-		"re=1.5",      // below the provable R4 bound
-		"ds=0.5",      // would refine, not coarsen
-		"n=1.5",       // not an integer
-		"re=NaN",      // not a number
-		"zz=3",        // unknown knob
-		"re=3//fa=10", // empty middle tier
-		"re",          // not knob=value
-		"fa=-4",       // negative
+	if ds < 1 {
+		ds = 1
 	}
-	for _, in := range bad {
-		if _, err := ParseBrownoutLadder(in); err == nil {
-			t.Errorf("ParseBrownoutLadder(%q) accepted, want error", in)
-		}
+	if n == 0 {
+		n = math.Inf(1)
 	}
+	return [4]float64{re, -fa, ds, -n}
 }
 
 // TestBrownedRelaxOnly: a tier rewrite only ever moves a knob in the
 // cheaper direction — a client that already asked for something
 // coarser keeps what it asked for — and the rewritten spec derives a
-// different variant key than the original.
+// different variant key than the original. Every rung of the ladder
+// the daemon ships is checked the same way: each yields a valid spec
+// with a variant of its own, and a deeper rung is never stricter than a
+// shallower one (or than full quality) on any knob.
 func TestBrownedRelaxOnly(t *testing.T) {
-	tier := BrownoutTier{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 2, MaxElements: 100000}
+	full := wire.MeshSpec{}
+	variants := map[string]int{full.Variant(): 0}
+	prev := looseness(full)
+	for i, rung := range brownoutLadder {
+		b := browned(wire.MeshSpec{}, rung)
+		if err := b.Validate(); err != nil {
+			t.Fatalf("rung %d browned spec fails validation: %v", i+1, err)
+		}
+		if j, dup := variants[b.Variant()]; dup {
+			t.Fatalf("rung %d derives the same variant key as tier %d", i+1, j)
+		}
+		variants[b.Variant()] = i + 1
+		cur := looseness(b)
+		for k := range cur {
+			if cur[k] < prev[k] {
+				t.Fatalf("rung %d is stricter than tier %d on knob %d: %+v", i+1, i, k, b)
+			}
+		}
+		prev = cur
+	}
+
+	tier := brownoutTier{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 2, MaxElements: 100000}
 
 	// Default-knob request: every tier knob applies.
 	d := browned(wire.MeshSpec{}, tier)
@@ -103,7 +110,7 @@ func TestBrownedRelaxOnly(t *testing.T) {
 // resets the calm timer.
 func TestBrownoutControllerHysteresis(t *testing.T) {
 	hold := 10 * time.Second
-	b := newBrownoutController(DefaultBrownoutLadder(), hold, 16, 2)
+	b := newBrownoutController(brownoutLadder, hold, 16)
 	now := time.Unix(1000, 0)
 
 	// Idle: stays at full quality.
@@ -112,7 +119,7 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 	}
 
 	// Full queue: escalates to the deepest tier immediately.
-	if tier, _ := b.decide(now, 16, 0.1, time.Minute); tier != 2 {
+	if tier, _ := b.decide(now, 16, 0.9, time.Minute); tier != 2 {
 		t.Fatalf("saturated decide = tier %d, want 2", tier)
 	}
 
@@ -123,7 +130,7 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 	}
 
 	// A pressure blip resets the calm timer.
-	if tier, _ := b.decide(now, 16, 0.1, time.Minute); tier != 2 {
+	if tier, _ := b.decide(now, 16, 0.9, time.Minute); tier != 2 {
 		t.Fatalf("blip decide = tier %d, want 2", tier)
 	}
 	now = now.Add(hold * 3 / 4)
@@ -144,13 +151,13 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 	// Deadline pressure escalates even with a shallow queue: the wait
 	// estimate (2 queued / 2 pool + 1) x 30s p90 lease = 60s blows a
 	// 10s headroom.
-	if tier, _ := b.decide(now, 2, 30, 10*time.Second); tier != 2 {
+	if tier, _ := b.decide(now, 2, 60, 10*time.Second); tier != 2 {
 		t.Fatalf("deadline-pressure decide = tier %d, want 2", tier)
 	}
 
-	// Hopeless: the wait estimate alone exceeds 4x the headroom at the
-	// deepest tier.
-	if _, refuse := b.decide(now, 8, 30, 10*time.Second); !refuse {
+	// Hopeless: the wait estimate alone, (8 queued / 2 pool + 1) x 30s =
+	// 150s, exceeds 4x the headroom at the deepest tier.
+	if _, refuse := b.decide(now, 8, 150, 10*time.Second); !refuse {
 		t.Fatal("hopeless overload not refused")
 	}
 }
@@ -165,11 +172,11 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	}
 	t.Cleanup(func() { cache.Close() })
 	srv, ts := newTestServer(t, Config{
-		PoolSize:     1,
-		Cache:        cache,
-		Brownout:     true,
-		BrownoutHold: 10 * time.Millisecond,
+		PoolSize: 1,
+		Cache:    cache,
+		Brownout: true,
 	})
+	srv.brownout.hold = 10 * time.Millisecond
 
 	// Pin the controller at maximal pressure: every request degrades to
 	// the deepest tier.
@@ -183,7 +190,7 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	key := wire.ImageKey(body)
 	empty := wire.MeshSpec{}
 	fullVariant := empty.Variant()
-	ladder := DefaultBrownoutLadder()
+	ladder := brownoutLadder
 	degSpec := browned(empty, ladder[len(ladder)-1])
 	degradedVariant := degSpec.Variant()
 
@@ -243,11 +250,11 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 // to the same tier share one coalesced flight and receive
 // byte-identical bodies, both stamped with the brownout header.
 func TestBrownoutCoalescedByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		PoolSize:     1,
-		Brownout:     true,
-		BrownoutHold: time.Minute,
+	srv, ts := newTestServer(t, Config{
+		PoolSize: 1,
+		Brownout: true,
 	})
+	srv.brownout.hold = time.Minute
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Seed: 1,
 		Rates: map[faultinject.Point]float64{

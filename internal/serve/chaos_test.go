@@ -86,15 +86,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Cleanup(func() { cache.Close() })
 	srv, ts := newTestServer(t, Config{
-		PoolSize:         poolSize,
-		QueueDepth:       8,
-		DefaultTimeout:   5 * time.Second,
-		CoalesceMax:      4,
-		BreakerThreshold: 3,
-		BreakerCooldown:  150 * time.Millisecond,
-		WatchdogGrace:    50 * time.Millisecond,
-		Cache:            cache,
+		PoolSize:       poolSize,
+		QueueDepth:     8,
+		DefaultTimeout: 5 * time.Second,
+		Cache:          cache,
 	})
+	srv.coalesceMax, srv.watchdogGrace = 4, 50*time.Millisecond
+	srv.breakers.threshold, srv.breakers.cooldown = 3, 150*time.Millisecond
 	client := ts.Client()
 
 	bodies := [][]byte{nrrdBody(t, 6), nrrdBody(t, 7), nrrdBody(t, 8)}

@@ -15,7 +15,7 @@ import (
 	"repro/internal/wire"
 )
 
-// breakerNever is a BreakerThreshold no test reaches: it keeps the
+// breakerNever is a breaker threshold no test reaches: it keeps the
 // per-key breaker out of tests that are about the session ledger.
 const breakerNever = 1 << 20
 
@@ -32,7 +32,8 @@ func sessionPtr(p *Pool, i int) *core.Session {
 // — the pool returned that session to the next caller uninspected.
 // Now the abort replaces the slot's session before the job returns.
 func TestAbortedSessionQuarantined(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.breakers.threshold = breakerNever
 	image := img.SpherePhantom(12)
 
 	old := sessionPtr(srv.pool, 0)
@@ -50,7 +51,7 @@ func TestAbortedSessionQuarantined(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
-	if q := srv.pool.Quarantines(); q != 1 {
+	if q := srv.pool.Stats().Quarantines; q != 1 {
 		t.Errorf("quarantines = %d, want 1", q)
 	}
 	if cur := sessionPtr(srv.pool, 0); cur == old {
@@ -67,7 +68,8 @@ func TestAbortedSessionQuarantined(t *testing.T) {
 // RunPoisoned run gets its session replaced, and the next run on the
 // slot is clean.
 func TestFailedRunQuarantined(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1, BreakerThreshold: breakerNever})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.breakers.threshold = breakerNever
 	image := img.SpherePhantom(10)
 	old := sessionPtr(srv.pool, 0)
 
@@ -79,7 +81,7 @@ func TestFailedRunQuarantined(t *testing.T) {
 	if _, err := srv.MeshSnapshot(context.Background(), "poisoned", "", image, nil); err == nil {
 		t.Fatal("poisoned run returned no error")
 	}
-	if q := srv.pool.Quarantines(); q != 1 {
+	if q := srv.pool.Stats().Quarantines; q != 1 {
 		t.Errorf("after one failed run: quarantines = %d, want 1", q)
 	}
 	if cur := sessionPtr(srv.pool, 0); cur == old {
@@ -88,7 +90,7 @@ func TestFailedRunQuarantined(t *testing.T) {
 	if _, err := srv.MeshSnapshot(context.Background(), "poisoned", "", image, nil); err != nil {
 		t.Fatalf("run on the rebuilt session: %v", err)
 	}
-	if q := srv.pool.Quarantines(); q != 1 {
+	if q := srv.pool.Stats().Quarantines; q != 1 {
 		t.Errorf("quarantines = %d after a clean run, want still 1", q)
 	}
 }
@@ -98,11 +100,9 @@ func TestFailedRunQuarantined(t *testing.T) {
 // window, and its session replaced; the next job runs on the fresh
 // session.
 func TestWatchdogAbandon(t *testing.T) {
-	srv := newBareServer(t, Config{
-		PoolSize:         1,
-		WatchdogGrace:    50 * time.Millisecond,
-		BreakerThreshold: breakerNever,
-	})
+	srv := newBareServer(t, Config{PoolSize: 1})
+	srv.watchdogGrace = 50 * time.Millisecond
+	srv.breakers.threshold = breakerNever
 	image := img.SpherePhantom(10)
 	old := sessionPtr(srv.pool, 0)
 
@@ -130,7 +130,7 @@ func TestWatchdogAbandon(t *testing.T) {
 		t.Errorf("watchdog abandons = %d, want 1", a)
 	}
 
-	if q := srv.pool.Quarantines(); q != 1 {
+	if q := srv.pool.Stats().Quarantines; q != 1 {
 		t.Errorf("quarantines = %d, want 1", q)
 	}
 	if cur := sessionPtr(srv.pool, 0); cur == old {
@@ -150,13 +150,13 @@ func TestWatchdogAbandon(t *testing.T) {
 
 // TestWatchdogLimitIsTheDeadline: on a freshly booted server with the
 // default configuration, a wedged run holds its caller for the deadline
-// the job agreed to plus WatchdogGrace — not a multiple of the deadline
+// the job agreed to plus the watchdog grace — not a multiple of the deadline
 // that depends on how much run history the process has — and is then
 // answered 503 watchdog, its session abandoned and replaced.
 func TestWatchdogLimitIsTheDeadline(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	const deadline = 200 * time.Millisecond
-	grace := srv.cfg.WatchdogGrace
+	grace := srv.watchdogGrace
 
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Rates:    map[faultinject.Point]float64{faultinject.LeaseLeak: 1},

@@ -190,11 +190,6 @@ type entity struct {
 	run         core.RunSummary
 }
 
-// entityCacheBytes is the entity cache's budget — ≈ 230 scale-48 or
-// ≈ 30 scale-96 VTK bodies. A constant: it bounds what is held, and a
-// hot set beyond it degrades to the disk hit every hit was before.
-const entityCacheBytes = 32 << 20
-
 // reply walks j and answers how it ended: writeMeshError, or the
 // snapshot in the job's format under its format-folded entity tag,
 // encoded off-lease. A cache-only 200 or 304 is marked as such (a proxy

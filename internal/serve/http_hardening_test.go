@@ -157,15 +157,15 @@ func TestRetryAfterMonotoneInQueuePosition(t *testing.T) {
 	}
 	prev := -1.0
 	for pos := int64(0); pos <= 32; pos++ {
-		est := srv.retryAfterEstimate(pos)
+		est := srv.waitEstimate(pos, 0.50)
 		if est < prev {
 			t.Fatalf("estimate not monotone: pos %d -> %gs, pos %d -> %gs", pos-1, prev, pos, est)
 		}
 		prev = est
 	}
-	if srv.retryAfterEstimate(32) <= srv.retryAfterEstimate(0) {
+	if srv.waitEstimate(32, 0.50) <= srv.waitEstimate(0, 0.50) {
 		t.Fatalf("estimate flat across queue depth: deep=%g shallow=%g",
-			srv.retryAfterEstimate(32), srv.retryAfterEstimate(0))
+			srv.waitEstimate(32, 0.50), srv.waitEstimate(0, 0.50))
 	}
 }
 

@@ -46,12 +46,14 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 		QueueDepth:     4,
 		DefaultTimeout: 30 * time.Second,
 		Brownout:       brownout,
-		BrownoutHold:   200 * time.Millisecond,
-		BrownoutLadder: []BrownoutTier{
+	})
+	if brownout {
+		srv.brownout.hold = 200 * time.Millisecond
+		srv.brownout.ladder = []brownoutTier{
 			{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 4},
 			{MaxRadiusEdge: 4, MinFacetAngle: 10, DeltaScale: 8, MaxElements: 100000},
-		},
-	})
+		}
+	}
 	body := nrrdBody(t, 16)
 	client := &http.Client{Timeout: time.Minute}
 

@@ -116,7 +116,7 @@ type Lease struct {
 	abandoned bool
 
 	// edtHit and warm record the session's reuse behavior across the
-	// lease's Run calls.
+	// lease's runs.
 	edtHit bool
 	warm   bool
 }
@@ -318,23 +318,18 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 // last ran the same image identity.
 func (l *Lease) AffinityHit() bool { return l.affinity }
 
-// EDTHit reports whether any Run on this lease reused the session's
+// EDTHit reports whether any run on this lease reused the session's
 // cached distance transform.
 func (l *Lease) EDTHit() bool { return l.edtHit }
 
-// WarmRun reports whether any Run on this lease reused warm arenas.
+// WarmRun reports whether any run on this lease reused warm arenas.
 func (l *Lease) WarmRun() bool { return l.warm }
 
-// Run executes one image-to-mesh conversion on the leased session.
-// The caller must extract everything it needs from the Result before
-// releasing the lease: the next Run on the same session recycles the
-// mesh arenas underneath it.
-func (l *Lease) Run(ctx context.Context, image *img.Image) (*core.Result, error) {
-	return l.RunTuned(ctx, image, nil)
-}
-
-// RunTuned is Run with per-run configuration overrides; see
-// core.Session.RunTuned.
+// RunTuned executes one image-to-mesh conversion on the leased session
+// with per-run configuration overrides (nil for none; see
+// core.Session.RunTuned). The caller must extract everything it needs
+// from the Result before releasing the lease: the next run on the same
+// session recycles the mesh arenas underneath it.
 func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.Config)) (*core.Result, error) {
 	if l.released {
 		return nil, errors.New("serve: Run on a released Lease")
@@ -441,14 +436,6 @@ func (p *Pool) replaceLocked(e *poolEntry) *core.Session {
 	e.s, e.key, e.lastUsed = fresh, "", time.Time{}
 	p.grantLocked()
 	return old
-}
-
-// Quarantines reports how many bad or abandoned sessions the pool has
-// replaced since it was created.
-func (p *Pool) Quarantines() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quarantines
 }
 
 // EvictIdle closes sessions that have been idle longer than maxIdle,

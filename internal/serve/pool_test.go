@@ -33,7 +33,7 @@ func TestPoolAffinityRouting(t *testing.T) {
 	if l.AffinityHit() {
 		t.Error("cold pool reported an affinity hit")
 	}
-	if _, err := l.Run(context.Background(), im); err != nil {
+	if _, err := l.RunTuned(context.Background(), im, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Release()
@@ -49,7 +49,7 @@ func TestPoolAffinityRouting(t *testing.T) {
 	if !l2.AffinityHit() {
 		t.Error("checkout for a known key missed affinity")
 	}
-	if _, err := l2.Run(context.Background(), im); err != nil {
+	if _, err := l2.RunTuned(context.Background(), im, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !l2.EDTHit() {
@@ -110,7 +110,7 @@ func TestPoolEvictIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Run(context.Background(), im); err != nil {
+	if _, err := l.RunTuned(context.Background(), im, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Release()
@@ -135,7 +135,7 @@ func TestPoolEvictIdle(t *testing.T) {
 	if l2.AffinityHit() {
 		t.Error("eviction left stale affinity behind")
 	}
-	res, err := l2.Run(context.Background(), im)
+	res, err := l2.RunTuned(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPoolConcurrentRunners(t *testing.T) {
 				return
 			}
 			defer l.Release()
-			res, err := l.Run(context.Background(), im)
+			res, err := l.RunTuned(context.Background(), im, nil)
 			if err != nil {
 				t.Errorf("run: %v", err)
 				return

@@ -51,7 +51,7 @@ var (
 	// answers 499 without a Retry-After.
 	ErrCanceled = errors.New("serve: canceled by the caller before a session was available")
 	// ErrWatchdog fails a job whose run (or solve) was still going
-	// WatchdogGrace after its deadline ended its context; a run's session
+	// abandonGrace after its deadline ended its context; a run's session
 	// was abandoned and replaced rather than leaked. The HTTP layer
 	// answers 503 with a Retry-After.
 	ErrWatchdog = errors.New("serve: run abandoned by the runaway-run watchdog")
@@ -79,64 +79,58 @@ type Config struct {
 	// MaxRequestBytes caps the request body the HTTP layer will read
 	// (default 64 MiB).
 	MaxRequestBytes int64
-	// ImageCacheSize is the number of parsed input images retained by
-	// content hash, so a repeated identical request reuses the same
-	// *img.Image pointer and can hit the session's distance-transform
-	// cache (default 8, 0 keeps the default; negative disables).
-	ImageCacheSize int
-	// ImageCacheBytes is the byte budget for the parsed-image cache —
-	// the same LRU-by-bytes discipline as the persistent result cache,
-	// accounting one byte per voxel. Eviction frees the least recently
-	// used image first (default 256 MiB, 0 keeps the default; negative
-	// disables the cache).
-	ImageCacheBytes int64
 	// Cache is the optional persistent result cache. When set, a
 	// (image, variant) pair already stored is served from disk without
 	// consuming a pool session or consulting breakers, and every
 	// completed leader run is persisted off-lease.
 	Cache *cachestore.Store
-	// CoalesceMax caps how many jobs may share one meshing run via
-	// single-flight coalescing, including the leader. A job whose
-	// coalesce key (image key + tuning variant) matches a job already
-	// queued or running subscribes to that job's snapshot instead of
-	// consuming a pool session. 0 selects the default (32); 1 disables
-	// coalescing; negative values are treated as 1.
-	CoalesceMax int
-	// BreakerThreshold is how many consecutive leader failures for one
-	// (image, variant) coalesce key trip that key's circuit breaker,
-	// fast-failing the key with 503 + Retry-After while healthy keys
-	// flow (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker fast-fails its key
-	// before admitting a single half-open probe (default 5s).
-	BreakerCooldown time.Duration
-	// WatchdogGrace is how long a run (or a solve) may keep going after
-	// its job's deadline ended its context before it is abandoned — a
-	// run's session replaced instead of leaked (default 2s).
-	WatchdogGrace time.Duration
-	// SolveTimeout caps the solve stage of a /v1/simulate job — the
-	// ceiling a request's own solve budget is clamped to (default 30s).
-	// The solve runs off-lease, so this bounds goroutine and CPU time,
-	// not session occupancy.
-	SolveTimeout time.Duration
 	// Brownout enables the adaptive quality-brownout controller: under
 	// queue or deadline pressure, /v1/mesh requests are rewritten to a
-	// degraded quality tier (cached under their own honest variant key,
-	// stamped X-Pi2md-Brownout) instead of being rejected. Off in a zero
-	// Config; pi2md's -brownout flag defaults to true, so the daemon runs
-	// with it unless started with -brownout=false.
+	// degraded tier of the built-in ladder (cached under their own honest
+	// variant key, stamped X-Pi2md-Brownout) instead of being rejected.
+	// Off in a zero Config; pi2md always sets it.
 	Brownout bool
-	// BrownoutLadder is the degradation ladder the controller walks
-	// (nil = DefaultBrownoutLadder when Brownout is set).
-	BrownoutLadder []BrownoutTier
-	// BrownoutHold is how long load must stay calm before the
-	// controller steps back up one quality tier — the de-escalation
-	// hysteresis (default 5s).
-	BrownoutHold time.Duration
 	// Session is the configuration template every pool session runs
 	// with. Its Image field is ignored.
 	Session core.Config
 }
+
+// The serving values no deployment turns. A test that needs another
+// sets the field holding it after NewServer.
+const (
+	// imageCacheEntries parsed uploads are kept: enough for a client
+	// re-sending its last few images to reuse their distance transforms.
+	imageCacheEntries = 8
+	// imageCacheBytes bounds them at one byte per voxel — one 640³
+	// volume.
+	imageCacheBytes = 256 << 20
+	// entityCacheBytes is the entity cache's budget — ≈ 230 scale-48 or
+	// ≈ 30 scale-96 VTK bodies: it bounds what is held, and a hot set
+	// beyond it degrades to the disk hit every hit was before.
+	entityCacheBytes = 32 << 20
+	// coalesceLimit jobs, leader included, may share one run: a full
+	// flight bounds what one leader's failure fans out to.
+	coalesceLimit = 32
+	// breakerThreshold consecutive failed leaders open a key's breaker:
+	// one failure can be bad luck, three in a row is the input.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker fast-fails its key
+	// before one half-open probe — a few runs' time, not a client's
+	// whole retry budget.
+	breakerCooldown = 5 * time.Second
+	// abandonGrace is how long a run or a solve may outlive its deadline
+	// before the watchdog gives up on it: ample for a run that polls its
+	// context every few operations.
+	abandonGrace = 2 * time.Second
+	// solveTimeout caps a /v1/simulate solve, whatever budget the spec
+	// asks for: the solve runs off-lease, so this bounds the CPU a
+	// hostile spec can reserve, not session occupancy.
+	solveTimeout = 30 * time.Second
+	// brownoutHold of calm steps the brownout controller back up one
+	// tier: long enough that a burst's tail does not flap a client
+	// between qualities.
+	brownoutHold = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.PoolSize <= 0 {
@@ -150,38 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 64 << 20
-	}
-	if c.ImageCacheSize == 0 {
-		c.ImageCacheSize = 8
-	}
-	if c.ImageCacheBytes == 0 {
-		c.ImageCacheBytes = 256 << 20
-	}
-	if c.CoalesceMax == 0 {
-		c.CoalesceMax = 32
-	}
-	if c.CoalesceMax < 1 {
-		c.CoalesceMax = 1
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = 2 * time.Second
-	}
-	if c.SolveTimeout <= 0 {
-		c.SolveTimeout = 30 * time.Second
-	}
-	if c.Brownout {
-		if c.BrownoutLadder == nil {
-			c.BrownoutLadder = DefaultBrownoutLadder()
-		}
-		if c.BrownoutHold <= 0 {
-			c.BrownoutHold = 5 * time.Second
-		}
 	}
 	return c
 }
@@ -213,6 +175,12 @@ type Server struct {
 	flights  map[string]*flight
 	breakers *breakerTable
 
+	// coalesceMax caps a flight's members, leader included (coalesceLimit;
+	// 1 forbids joining). watchdogGrace is how long a run or a solve may
+	// outlive its deadline before it is abandoned (abandonGrace).
+	coalesceMax   int
+	watchdogGrace time.Duration
+
 	// retryJitter randomizes the Retry-After hint (±20%) so
 	// synchronized clients don't retry in lockstep; injectable for
 	// deterministic tests.
@@ -222,9 +190,9 @@ type Server struct {
 	brownout *brownoutController
 
 	// imgCache retains parsed input images by image key, one byte per
-	// voxel, bounded by both ImageCacheSize (entries) and ImageCacheBytes
-	// (budget). entities retains the encoded bodies of cache hits by
-	// entity tag (see entity).
+	// voxel, so a repeated upload reuses its *img.Image pointer and can
+	// hit a session's distance-transform cache. entities retains the
+	// encoded bodies of cache hits by entity tag (see entity).
 	imgCache *lru[*img.Image]
 	entities *lru[*entity]
 
@@ -246,7 +214,6 @@ type Server struct {
 	mDegraded         *metrics.Counter
 	mAborted          *metrics.Counter
 	mTransitions      *metrics.Counter
-	mEvictions        *metrics.Counter
 	mWatchdogKills    *metrics.Counter
 	mWatchdogAbandons *metrics.Counter
 	mBreakerTrips     *metrics.Counter
@@ -284,10 +251,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
 	s.flights = make(map[string]*flight)
-	s.breakers = newBreakerTable(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	s.breakers = newBreakerTable(breakerThreshold, breakerCooldown)
+	s.coalesceMax, s.watchdogGrace = coalesceLimit, abandonGrace
 	s.retryJitter = rand.Float64
-	if cfg.Brownout && len(cfg.BrownoutLadder) > 0 {
-		s.brownout = newBrownoutController(cfg.BrownoutLadder, cfg.BrownoutHold, cfg.QueueDepth, cfg.PoolSize)
+	if cfg.Brownout {
+		s.brownout = newBrownoutController(brownoutLadder, brownoutHold, cfg.QueueDepth)
 	}
 
 	r := s.reg
@@ -352,14 +320,11 @@ func NewServer(cfg Config) (*Server, error) {
 		"In-process cache events — cache: image (parsed uploads, by image key) or entity (encoded bodies of cache hits, by entity tag); event: hit, miss (the image was parsed, the body encoded) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
 		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes).", "cache")
-	imgBudget := cfg.ImageCacheBytes
-	if cfg.ImageCacheSize < 0 {
-		imgBudget = -1 // either bound negative disables: nothing fits
-	}
-	s.imgCache = newLRU[*img.Image]("image", imgBudget, cfg.ImageCacheSize, memCacheEvents, memCacheBytes)
+	s.imgCache = newLRU[*img.Image]("image", imageCacheBytes, imageCacheEntries, memCacheEvents, memCacheBytes)
 	s.entities = newLRU[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
-	s.mEvictions = r.Counter("pi2md_pool_evictions_total",
-		"Idle sessions evicted to release their retained memory.")
+	r.CounterFunc("pi2md_pool_evictions_total",
+		"Idle sessions evicted to release their retained memory.",
+		poolStat(func(st PoolStats) int64 { return st.Evictions }))
 	s.mWatchdogKills = r.Counter("pi2md_watchdog_kills_total",
 		"Runs still going when their job deadline — the watchdog's limit — ended their context.")
 	s.mWatchdogAbandons = r.Counter("pi2md_watchdog_abandoned_total",
@@ -482,14 +447,6 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Pool exposes the session pool (for stats and eviction janitors).
 func (s *Server) Pool() *Pool { return s.pool }
-
-// EvictIdle evicts pool sessions idle longer than maxIdle, recording
-// the evictions in the metrics. See Pool.EvictIdle.
-func (s *Server) EvictIdle(maxIdle time.Duration) int {
-	n := s.pool.EvictIdle(maxIdle)
-	s.mEvictions.Add(int64(n))
-	return n
-}
 
 // decodeImage parses body as NRRD through the image cache: a repeated
 // identical body returns the previously parsed *img.Image, giving the
@@ -680,7 +637,7 @@ func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Ima
 	// abandoned run may still write them long after this returns.
 	var res *core.Result
 	var err error
-	done, finished := supervise(jctx, s.cfg.WatchdogGrace, func() {
+	done, finished := supervise(jctx, s.watchdogGrace, func() {
 		res, err = s.guardedRun(jctx, lease, image, tune)
 	})
 	if errors.Is(jctx.Err(), context.DeadlineExceeded) {
@@ -695,7 +652,7 @@ func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Ima
 		<-done
 		lease.FinishAbandoned()
 	}()
-	return nil, fmt.Errorf("%w: run ignored the end of its deadline for %v", ErrWatchdog, s.cfg.WatchdogGrace)
+	return nil, fmt.Errorf("%w: run ignored the end of its deadline for %v", ErrWatchdog, s.watchdogGrace)
 }
 
 // abortedByCaller reports whether an aborted run was cut short by its
@@ -712,21 +669,20 @@ func abortedByCaller(res *core.Result) bool {
 
 // retryAfterSeconds derives the Retry-After hint for capacity
 // rejections from the rejected waiter's actual queue position rather
-// than a flat wait quantile: a job arriving now would drain behind
-// queued/PoolSize lease slots plus its own run, each taking about a
-// median lease. The estimate is therefore monotone in queue depth — a
-// rejection from a deep queue backs its client off longer than one
-// from a queue that is barely over — then jittered and clamped by the
-// shared policy.
+// than a flat wait quantile: the median-lease wait estimate, monotone in
+// queue depth — a rejection from a deep queue backs its client off
+// longer than one from a queue that is barely over — then jittered and
+// clamped by the shared policy.
 func (s *Server) retryAfterSeconds() int {
-	return wire.ClampRetryAfter(s.retryAfterEstimate(int64(s.pool.Waiters())), s.retryJitter)
+	return wire.ClampRetryAfter(s.waitEstimate(int64(s.pool.Waiters()), 0.50), s.retryJitter)
 }
 
-// retryAfterEstimate is the raw (unjittered, unclamped) wait estimate
-// in seconds for a waiter at queue position pos.
-func (s *Server) retryAfterEstimate(pos int64) float64 {
-	p50 := s.mLeaseSeconds.Quantile(0.50)
-	return (float64(pos)/float64(s.cfg.PoolSize) + 1) * p50
+// waitEstimate is the raw (unjittered, unclamped) wait in seconds of a
+// job at queue position pos: it drains behind pos/PoolSize lease slots
+// plus its own run, each taking the q-quantile lease. Retry-After reads
+// it at the median, the brownout controller at the p90.
+func (s *Server) waitEstimate(pos int64, q float64) float64 {
+	return (float64(pos)/float64(s.cfg.PoolSize) + 1) * s.mLeaseSeconds.Quantile(q)
 }
 
 // Stats is the /v1/stats document.

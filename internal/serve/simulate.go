@@ -158,7 +158,7 @@ func sourceFunc(src *wire.SourceSpec) func(geom.Vec3) float64 {
 // runSolve assembles and solves the spec's problem on the snapshot,
 // supervised exactly like a meshing run: the solve runs under a
 // deadline (budget), CG observes it cooperatively every few iterations,
-// and a solve that somehow ignores cancellation past WatchdogGrace is
+// and a solve that somehow ignores cancellation past the watchdog grace is
 // abandoned to its goroutine (it holds only heap memory, no session)
 // with ErrWatchdog rather than wedging the request forever. Everything
 // runs off-lease — the mesh session was released before this function
@@ -185,11 +185,11 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 		return nil, nil, &requestError{http.StatusBadRequest, wire.CodeBadRequest, err.Error()}
 	}
 
-	// The spec's ask, capped by SolveTimeout: a hostile spec must not
+	// The spec's ask, capped by solveTimeout: a hostile spec must not
 	// reserve unbounded solver time.
 	budget := time.Duration(spec.Solve.Timeout)
-	if budget <= 0 || budget > s.cfg.SolveTimeout {
-		budget = s.cfg.SolveTimeout
+	if budget <= 0 || budget > solveTimeout {
+		budget = solveTimeout
 	}
 	solveCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
@@ -197,7 +197,7 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 	// Written by the solve's goroutine, read only once it has finished.
 	var sol *fem.Solution
 	var solveErr error
-	_, finished := supervise(solveCtx, s.cfg.WatchdogGrace, func() {
+	_, finished := supervise(solveCtx, s.watchdogGrace, func() {
 		var sys *fem.System
 		sys, solveErr = fem.Assemble(&fem.Problem{
 			Mesh:         raw,
@@ -215,7 +215,7 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 	switch {
 	case !finished:
 		return nil, nil, fmt.Errorf("%w: solve exceeded %v and ignored cancellation for %v",
-			ErrWatchdog, budget, s.cfg.WatchdogGrace)
+			ErrWatchdog, budget, s.watchdogGrace)
 	case errors.Is(solveErr, context.Canceled):
 		return nil, nil, &stageError{ErrCanceled, "solve canceled: " + solveErr.Error()}
 	case errors.Is(solveErr, context.DeadlineExceeded):

@@ -248,7 +248,8 @@ func TestPinSimulateUploadErrors(t *testing.T) {
 // the result cache otherwise — and still receive their own distinct
 // fields.
 func TestSimulateSharedMeshTwoSolves(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, CoalesceMax: 4})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv.coalesceMax = 4
 	client := ts.Client()
 	image := nrrdBody(t, 16)
 

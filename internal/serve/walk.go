@@ -130,7 +130,7 @@ func coalesceKey(key, variant string) string {
 // upload), variant a canonical encoding of the per-job tuning; jobs
 // agreeing on (key, variant) are coalesced: the first becomes the
 // leader and runs, later arrivals subscribe to its outcome without
-// consuming a pool session, up to Config.CoalesceMax members per flight
+// consuming a pool session, up to coalesceLimit members per flight
 // (a full flight stops accepting and a fresh one forms).
 //
 // Followers receive the leader's SnapshotResult with their own
@@ -240,7 +240,7 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 	// (possibly half-open probe) run is always safe.
 	ckey := coalesceKey(j.key, j.variant)
 	s.flightMu.Lock()
-	if f, ok := s.flights[ckey]; ok && f.members < s.cfg.CoalesceMax {
+	if f, ok := s.flights[ckey]; ok && f.members < s.coalesceMax {
 		f.members++
 		s.flightMu.Unlock()
 		return s.joinFlight(ctx, j, f)

@@ -100,7 +100,7 @@ type SolveSpec struct {
 	// MaxIter caps CG iterations (0 = 10 × unknowns).
 	MaxIter int `json:"max_iter,omitempty"`
 	// Timeout bounds the solve stage's wall time; it is capped by the
-	// server's SolveTimeout (0 = the server's SolveTimeout).
+	// server's fixed 30 s solve ceiling (0 = the ceiling).
 	Timeout Duration `json:"timeout,omitempty"`
 }
 
