@@ -329,7 +329,7 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 			min(req.ContentLength, r.cfg.MaxRequestBytes))
 		var image []byte
 		if err == nil {
-			specJSON, image, err = wire.SplitSpecImage(req.Header.Get("Content-Type"), bytes.NewReader(raw), int64(len(raw)))
+			specJSON, image, err = wire.SplitBuffered(req.Header.Get("Content-Type"), raw)
 		}
 		var tooBig *http.MaxBytesError
 		switch {
@@ -345,7 +345,7 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 				"empty body: expected an NRRD label image")
 			return plan, false
 		}
-		plan.imageKey, plan.raw = wire.ImageKey(image), raw
+		plan.imageKey, plan.raw = r.uploads.Of(image), raw
 	}
 
 	// The variant mirrors the backend's coalescing/cache identity, read
@@ -582,6 +582,9 @@ type Stats struct {
 	RetryExhausted     int64          `json:"retry_budget_exhausted"`
 	RetryBudgetTokens  float64        `json:"retry_budget_tokens"`
 	InflightKeys       []string       `json:"inflight_keys,omitempty"`
+
+	// UploadCache is what the upload memo retains.
+	UploadCache wire.MemCacheStats `json:"upload_cache"`
 }
 
 // BackendStats is one backend's health ledger snapshot.
@@ -624,6 +627,7 @@ func (r *Router) Stats() Stats {
 	}
 	r.mu.Unlock()
 	st.ETagEntries = r.etags.len()
+	st.UploadCache = r.uploads.Stats()
 	st.InflightKeys = r.InflightKeys()
 	return st
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // ImageKeyHeader lets a client that already knows its image's SHA-256
@@ -137,6 +138,10 @@ type Router struct {
 	// what entity — the state behind local 304s and replica cache reads.
 	etags *etagTable
 
+	// uploads keys a buffered upload seen before without hashing it; its
+	// counts are unexported (no pi2mr_ family), /v1/stats shows its size.
+	uploads *wire.UploadKeys
+
 	// budget bounds retry amplification across the fallback and
 	// replica-cache ladders.
 	budget *retryBudget
@@ -178,6 +183,7 @@ func New(cfg Config) (*Router, error) {
 		backends: make(map[string]*backendState, len(cfg.Backends)),
 		flights:  make(map[string]*flightPin),
 		etags:    newETagTable(etagTableSize),
+		uploads:  wire.NewUploadKeys(new(metrics.Counter), new(metrics.Counter), new(metrics.Gauge)),
 		budget:   newRetryBudget(),
 		stop:     make(chan struct{}),
 	}

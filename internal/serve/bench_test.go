@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cachestore"
@@ -68,6 +69,12 @@ func BenchmarkHit(b *testing.B) {
 			}
 			if got := srv.entities.hit.Value(); got != want {
 				b.Fatalf("entity hits = %d over %d timed requests, want %d", got, b.N, want)
+			}
+			// Both modes key every timed upload from the memo: no SHA-256.
+			var m strings.Builder
+			srv.Registry().WritePrometheus(&m)
+			if got := metricValue(b, m.String(), `pi2md_mem_cache_events_total{cache="upload",event="hit"}`); got != float64(b.N) {
+				b.Fatalf("upload-memo hits = %v over %d timed requests, want every one", got, b.N)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,6 +250,60 @@ func TestConditionalGet(t *testing.T) {
 	off.Body.Close()
 	if off.StatusCode != http.StatusOK {
 		t.Fatalf("cross-format validator answered %d, want 200", off.StatusCode)
+	}
+}
+
+// flipVoxel returns a copy of a raw NRRD with the middle voxel's byte
+// changed.
+func flipVoxel(t *testing.T, nrrd []byte) []byte {
+	t.Helper()
+	data := bytes.Index(nrrd, []byte("\n\n")) + 2
+	if data < 2 || data >= len(nrrd) {
+		t.Fatal("no attached voxel data")
+	}
+	f := bytes.Clone(nrrd)
+	f[data+(len(f)-data)/2] ^= 1
+	return f
+}
+
+// TestImageKeyFollowsTheBytes: the upload memo answers repeats, and a
+// copy with one voxel byte flipped is a new image — a new ETag and
+// exactly one more run — which the old tag does not validate, whether
+// the memo has seen the copy before or not.
+func TestImageKeyFollowsTheBytes(t *testing.T) {
+	cache := openTestCache(t, t.TempDir())
+	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+	client := ts.Client()
+	image := nrrdBody(t, 7)
+	uploadHits := func() float64 {
+		var b strings.Builder
+		srv.Registry().WritePrometheus(&b)
+		return metricValue(t, b.String(), `pi2md_mem_cache_events_total{cache="upload",event="hit"}`)
+	}
+
+	_, tag := meshOK(t, client, ts.URL, "", image)
+	for i := 0; i < 2; i++ {
+		if _, again := meshOK(t, client, ts.URL, "", image); again != tag {
+			t.Fatalf("repeat %d: ETag %s, want %s", i+1, again, tag)
+		}
+	}
+	if uploadHits() != 1 || srv.mRunSeconds.Count() != 1 {
+		t.Fatalf("three POSTs of one image: %v upload-memo hits, %d runs; want 1 and 1", uploadHits(), srv.mRunSeconds.Count())
+	}
+
+	flipped := flipVoxel(t, image)
+	if _, newTag := meshOK(t, client, ts.URL, "", flipped); newTag == tag || srv.mRunSeconds.Count() != 2 {
+		t.Fatalf("flipped copy: ETag %s (old %s), %d runs; want a new tag and 2 runs", newTag, tag, srv.mRunSeconds.Count())
+	}
+	for i := 0; i < 2; i++ {
+		resp, _ := fetch(t, client, pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", flipped, "If-None-Match", tag))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("old tag on the flipped copy (ask %d): status %d, want 200", i+1, resp.StatusCode)
+		}
+	}
+	if uploadHits() != 2 || srv.mRunSeconds.Count() != 2 || srv.Stats().UploadCache.Entries != 2 {
+		t.Fatalf("after the flipped copy: %v upload-memo hits, %d runs, %d memo entries; want 2, 2, 2",
+			uploadHits(), srv.mRunSeconds.Count(), srv.Stats().UploadCache.Entries)
 	}
 }
 

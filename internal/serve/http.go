@@ -173,7 +173,7 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reply(r.Context(), w, &job{
-		key: wire.ImageKey(body), body: body, variant: spec.Variant(), tune: tune(&spec),
+		key: s.uploads.Of(body), body: body, variant: spec.Variant(), tune: tune(&spec),
 		format: spec.Format, ifNoneMatch: r.Header.Get("If-None-Match"),
 		cacheOnly: r.Header.Get(wire.CacheOnlyHeader) == "1",
 		timeout:   time.Duration(spec.Timeout), spec: &spec,

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // lru is a byte-budgeted least-recently-used map, safe for concurrent
@@ -81,10 +82,7 @@ func (c *lru[V]) add(key string, val V, size int64) V {
 }
 
 // MemCacheStats is what /v1/stats says about one in-process cache.
-type MemCacheStats struct {
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-}
+type MemCacheStats = wire.MemCacheStats
 
 func (c *lru[V]) stats() MemCacheStats {
 	c.mu.Lock()

@@ -192,9 +192,11 @@ type Server struct {
 	// imgCache retains parsed input images by image key, one byte per
 	// voxel, so a repeated upload reuses its *img.Image pointer and can
 	// hit a session's distance-transform cache. entities retains the
-	// encoded bodies of cache hits by entity tag (see entity).
+	// encoded bodies of cache hits by entity tag (see entity). uploads
+	// keys an upload seen before without hashing it.
 	imgCache *lru[*img.Image]
 	entities *lru[*entity]
+	uploads  *wire.UploadKeys
 
 	// Metrics (the catalogue documented in DESIGN.md "Serving layer").
 	reg               *metrics.Registry
@@ -317,11 +319,12 @@ func NewServer(cfg Config) (*Server, error) {
 		"Checkouts routed to the session that last ran the same image.",
 		poolStat(func(st PoolStats) int64 { return st.AffinityHits }))
 	memCacheEvents := r.CounterVec("pi2md_mem_cache_events_total",
-		"In-process cache events — cache: image (parsed uploads, by image key) or entity (encoded bodies of cache hits, by entity tag); event: hit, miss (the image was parsed, the body encoded) or evict (dropped by the LRU bounds).", "cache", "event")
+		"In-process cache events — cache: image (parsed uploads, by image key), entity (encoded bodies of cache hits, by entity tag) or upload (image keys of repeated uploads, by their bytes); event: hit, miss (the image was parsed, the body encoded, the upload hashed) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
-		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes).", "cache")
+		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes; upload: upload buffer capacity).", "cache")
 	s.imgCache = newLRU[*img.Image]("image", imageCacheBytes, imageCacheEntries, memCacheEvents, memCacheBytes)
 	s.entities = newLRU[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
+	s.uploads = wire.NewUploadKeys(memCacheEvents.With("upload", "hit"), memCacheEvents.With("upload", "miss"), memCacheBytes.With("upload"))
 	r.CounterFunc("pi2md_pool_evictions_total",
 		"Idle sessions evicted to release their retained memory.",
 		poolStat(func(st PoolStats) int64 { return st.Evictions }))
@@ -718,6 +721,7 @@ type Stats struct {
 	Cache        *cachestore.Stats `json:"cache,omitempty"`
 	ImageCache   MemCacheStats     `json:"image_cache"`
 	EntityCache  MemCacheStats     `json:"entity_cache"`
+	UploadCache  MemCacheStats     `json:"upload_cache"`
 	RecentRuns   []JobSummary      `json:"recent_runs"`
 }
 
@@ -767,6 +771,7 @@ func (s *Server) Stats() Stats {
 		Cache:         cacheStats,
 		ImageCache:    s.imgCache.stats(),
 		EntityCache:   s.entities.stats(),
+		UploadCache:   s.uploads.Stats(),
 		RecentRuns:    recent,
 	}
 }

@@ -102,7 +102,7 @@ func post(t *testing.T, c *http.Client, url string, body []byte) (int, []byte) {
 }
 
 // metricValue scans a Prometheus exposition for a sample line.
-func metricValue(t *testing.T, exposition, sample string) float64 {
+func metricValue(t testing.TB, exposition, sample string) float64 {
 	t.Helper()
 	sc := bufio.NewScanner(strings.NewReader(exposition))
 	for sc.Scan() {

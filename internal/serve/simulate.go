@@ -256,7 +256,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// Mesh stage: the walk /v1/mesh takes, including the per-stage
 	// timeout. A concurrent simulate (or mesh) request for the same
 	// (image, variant) shares the run; a cached mesh skips it entirely.
-	key, variant := wire.ImageKey(body), spec.Mesh.Variant()
+	key, variant := s.uploads.Of(body), spec.Mesh.Variant()
 	sr, err := s.walk(r.Context(), &job{key: key, body: body, variant: variant,
 		tune: tune(&spec.Mesh), timeout: time.Duration(spec.Mesh.Timeout)})
 	if err != nil {

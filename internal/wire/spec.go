@@ -413,3 +413,13 @@ func SplitSpecImage(contentType string, body io.Reader, declared int64) (spec, i
 	}
 	return spec, image, nil
 }
+
+// SplitBuffered is SplitSpecImage over a body already read whole, as the
+// router holds one to replay it: a plain body is its own image, not a
+// copy of it.
+func SplitBuffered(contentType string, raw []byte) (spec, image []byte, err error) {
+	if mt, _, _ := mime.ParseMediaType(contentType); mt != "multipart/form-data" {
+		return nil, raw, nil
+	}
+	return SplitSpecImage(contentType, bytes.NewReader(raw), int64(len(raw)))
+}

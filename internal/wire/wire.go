@@ -2,9 +2,9 @@
 // must derive identically: the error envelope and its codes, the
 // tier-private headers, the Retry-After policy, the (image key, variant,
 // entity tag) identity of a request, and the request specs with their
-// parsing and validation. pi2md answers with it, pi2mrouter routes on
-// it; it imports nothing from this module, so the router links no
-// mesher.
+// parsing and validation, and the memo both tiers derive an upload's
+// image key through. pi2md answers with it, pi2mrouter routes on it; it
+// imports nothing from this module, so the router links no mesher.
 package wire
 
 import (
