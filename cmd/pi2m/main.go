@@ -118,7 +118,7 @@ func main() {
 		opts = append(opts, pi2m.WithProgress(func(p pi2m.Progress) {
 			fmt.Printf("  ... %8.2fs: %d operations, %d elements\n",
 				p.Wall.Seconds(), p.Operations, p.Elements)
-		}, 0))
+		}))
 	}
 
 	session, err := pi2m.NewSession(opts...)

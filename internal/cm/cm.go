@@ -14,10 +14,9 @@ import (
 	"time"
 )
 
-// Default thresholds from the paper ("the value of r+ is set to 5",
+// Thresholds from the paper ("the value of r+ is set to 5",
 // "the value for s+ is set to 10 ... this value yielded the best
-// results"). The constructors accept overrides for ablation studies;
-// zero selects these defaults.
+// results").
 const (
 	// RandomRollbackLimit is r+: consecutive rollbacks before
 	// Random-CM sleeps (Section 5.2).
@@ -140,7 +139,6 @@ type Random struct {
 	rollbacks []padded // consecutive rollbacks per thread
 	rngs      []*rand.Rand
 	ov        overheads
-	limit     int64
 	// SleepUnit scales the random sleep; the paper uses milliseconds.
 	sleepUnit time.Duration
 }
@@ -149,20 +147,10 @@ type Random struct {
 // duration corresponding to the paper's 1 millisecond unit (tests pass
 // smaller values).
 func NewRandom(n int, sleepUnit time.Duration) *Random {
-	return NewRandomLimit(n, sleepUnit, RandomRollbackLimit)
-}
-
-// NewRandomLimit is NewRandom with an explicit r+ (for the paper's
-// "other values yielded similar results" ablation).
-func NewRandomLimit(n int, sleepUnit time.Duration, rPlus int) *Random {
-	if rPlus <= 0 {
-		rPlus = RandomRollbackLimit
-	}
 	r := &Random{
 		rollbacks: make([]padded, n),
 		rngs:      make([]*rand.Rand, n),
 		ov:        newOverheads(n),
-		limit:     int64(rPlus),
 		sleepUnit: sleepUnit,
 	}
 	for i := range r.rngs {
@@ -177,8 +165,8 @@ func (*Random) Name() string { return "Random-CM" }
 // OnRollback implements Manager.
 func (r *Random) OnRollback(tid, conflictTid int) {
 	n := r.rollbacks[tid].v.Add(1)
-	if n > r.limit {
-		d := time.Duration(1+r.rngs[tid].Intn(int(r.limit))) * r.sleepUnit
+	if n > RandomRollbackLimit {
+		d := time.Duration(1+r.rngs[tid].Intn(RandomRollbackLimit)) * r.sleepUnit
 		start := time.Now()
 		time.Sleep(d)
 		r.ov.add(tid, time.Since(start))
@@ -212,7 +200,6 @@ type Global struct {
 
 	waitFlag []atomic.Bool // true while thread must busy-wait
 	success  []padded      // consecutive successes per thread
-	sPlus    int64
 	done     atomic.Bool
 	coord    *Coordinator
 	ov       overheads
@@ -221,19 +208,10 @@ type Global struct {
 // NewGlobal creates a Global-CM for n threads sharing coord with the
 // load balancer.
 func NewGlobal(n int, coord *Coordinator) *Global {
-	return NewGlobalLimit(n, coord, SuccessLimit)
-}
-
-// NewGlobalLimit is NewGlobal with an explicit s+.
-func NewGlobalLimit(n int, coord *Coordinator, sPlus int) *Global {
-	if sPlus <= 0 {
-		sPlus = SuccessLimit
-	}
 	return &Global{
 		queue:    make([]int, 0, n),
 		waitFlag: make([]atomic.Bool, n),
 		success:  make([]padded, n),
-		sPlus:    int64(sPlus),
 		coord:    coord,
 		ov:       newOverheads(n),
 	}
@@ -265,7 +243,7 @@ func (g *Global) OnRollback(tid, conflictTid int) {
 
 // OnSuccess implements Manager.
 func (g *Global) OnSuccess(tid int) {
-	if s := g.success[tid].v.Add(1); s > g.sPlus {
+	if s := g.success[tid].v.Add(1); s > SuccessLimit {
 		if g.WakeOne() {
 			g.success[tid].v.Store(0)
 		}
@@ -312,7 +290,6 @@ func (g *Global) ContentionNs(tid int) int64 { return g.ov.get(tid) }
 // blocks (no livelock) and at least one does not (no deadlock).
 type Local struct {
 	threads []localThread
-	sPlus   int64
 	done    atomic.Bool
 	coord   *Coordinator
 	ov      overheads
@@ -328,15 +305,7 @@ type localThread struct {
 
 // NewLocal creates a Local-CM for n threads.
 func NewLocal(n int, coord *Coordinator) *Local {
-	return NewLocalLimit(n, coord, SuccessLimit)
-}
-
-// NewLocalLimit is NewLocal with an explicit s+.
-func NewLocalLimit(n int, coord *Coordinator, sPlus int) *Local {
-	if sPlus <= 0 {
-		sPlus = SuccessLimit
-	}
-	return &Local{threads: make([]localThread, n), sPlus: int64(sPlus), coord: coord, ov: newOverheads(n)}
+	return &Local{threads: make([]localThread, n), coord: coord, ov: newOverheads(n)}
 }
 
 // Name implements Manager.
@@ -394,7 +363,7 @@ func (l *Local) OnRollback(tid, conflictTid int) {
 // OnSuccess implements Manager (Figure 2b).
 func (l *Local) OnSuccess(tid int) {
 	me := &l.threads[tid]
-	if s := me.success.Add(1); s > l.sPlus {
+	if s := me.success.Add(1); s > SuccessLimit {
 		if l.wakeFrom(tid) {
 			me.success.Store(0)
 		}

@@ -76,22 +76,6 @@ type Config struct {
 	// DisableRemovals turns off rule R6 (for ablation).
 	DisableRemovals bool
 
-	// DonateThreshold is the minimum number of valid poor elements a
-	// thread must hold before it may give work away (Section 4.4; the
-	// paper "set that threshold equal to 5, since it yielded the best
-	// results"). Zero selects 5.
-	DonateThreshold int
-
-	// SuccessLimit overrides s+ for the blocking contention managers;
-	// RollbackLimit overrides r+ for Random-CM (both Section 5 tuning
-	// knobs; zero selects the paper's 10 and 5).
-	SuccessLimit  int
-	RollbackLimit int
-
-	// EDTWorkers is the parallelism of the distance-transform
-	// pre-processing (default Workers).
-	EDTWorkers int
-
 	// LivelockTimeout aborts the run when no operation commits for
 	// this long — the watchdog that detects Aggressive-CM/Random-CM
 	// livelocks (Section 5.5). Zero disables it.
@@ -102,34 +86,43 @@ type Config struct {
 	TimelineSample time.Duration
 
 	// Progress, when non-nil, is called from a sampler goroutine every
-	// ProgressSample (default 250ms) with a running snapshot — for
-	// long-running CLI feedback. It must be fast and thread-safe. A
-	// panic in the callback is recovered (the run degrades, further
-	// progress reports are dropped) rather than crashing the process.
-	Progress       func(Progress)
-	ProgressSample time.Duration
+	// progressSample with a running snapshot — for long-running CLI
+	// feedback. It must be fast and thread-safe. A panic in the
+	// callback is recovered (the run degrades, further progress reports
+	// are dropped) rather than crashing the process.
+	Progress func(Progress)
 
-	// PanicBudget is the number of panics a single worker thread may
-	// recover from (releasing its vertex locks and re-queuing the
-	// in-flight element) before the run is aborted with a structured
-	// reason. Zero selects 3; negative disables the budget (unlimited
-	// recoveries).
-	PanicBudget int
-
-	// RetryBudget bounds how many times a poor element whose operation
-	// panicked is re-queued before being dropped. Zero selects 2.
-	RetryBudget int
-
-	// OnTransition, when non-nil, is called (panic-guarded) each time
-	// the failure-handling machinery records a Transition: a
-	// contention-manager hot-swap, the switch to sequential drain, a
-	// cancellation, or an abort. It must be thread-safe.
-	OnTransition func(Transition)
+	// Test seams: zero selects the shipped constant. panicBudget < 0
+	// means unlimited recoveries; onTransition sees every recorded
+	// Transition as it happens.
+	panicBudget    int
+	progressSample time.Duration
+	onTransition   func(Transition)
 
 	// userSizeFunc keeps the caller's unwrapped SizeFunc so the panic
 	// guard wraps exactly the user code, not the default.
 	userSizeFunc SizeFunc
 }
+
+// The paper's donation threshold and the failure-handling budgets,
+// fixed for every run.
+const (
+	// donateThreshold is the minimum number of valid poor elements a
+	// thread must hold before it may give work away (Section 4.4: the
+	// paper "set that threshold equal to 5, since it yielded the best
+	// results").
+	donateThreshold = 5
+	// panicBudget is the number of panics a single worker thread may
+	// recover from (releasing its vertex locks and re-queuing the
+	// in-flight element) before the run aborts with a structured
+	// reason.
+	panicBudget = 3
+	// retryBudget bounds how many times a poor element whose operation
+	// panicked is re-queued before being dropped.
+	retryBudget = 2
+	// progressSample is the period of the Progress callback.
+	progressSample = 250 * time.Millisecond
+)
 
 // noSizeBound is the R5 bound meaning "no constraint"; also the value
 // a panicking user SizeFunc degrades to.
@@ -145,8 +138,19 @@ type Progress struct {
 // validate checks every knob that does not depend on the input image,
 // so a Session can reject a bad template at construction time.
 func (cfg Config) validate() error {
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{{"Delta", cfg.Delta}, {"MaxRadiusEdge", cfg.MaxRadiusEdge}, {"MinFacetAngle", cfg.MinFacetAngle}} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("core: %s %g is not finite", k.name, k.v)
+		}
+	}
 	if cfg.Delta < 0 {
 		return fmt.Errorf("core: negative Delta")
+	}
+	if cfg.MinFacetAngle < 0 {
+		return fmt.Errorf("core: negative MinFacetAngle")
 	}
 	if cfg.MaxRadiusEdge != 0 && cfg.MaxRadiusEdge < 0.5 {
 		return fmt.Errorf("core: MaxRadiusEdge %g below the provable bound", cfg.MaxRadiusEdge)
@@ -185,28 +189,19 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.SizeFunc == nil {
 		cfg.SizeFunc = func(geom.Vec3) float64 { return noSizeBound }
 	}
-	if cfg.PanicBudget == 0 {
-		cfg.PanicBudget = 3
-	} else if cfg.PanicBudget < 0 {
-		cfg.PanicBudget = math.MaxInt
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 2
+	if cfg.panicBudget == 0 {
+		cfg.panicBudget = panicBudget
+	} else if cfg.panicBudget < 0 {
+		cfg.panicBudget = math.MaxInt
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.EDTWorkers <= 0 {
-		cfg.EDTWorkers = cfg.Workers
-	}
 	if cfg.Topology == (balance.Topology{}) {
 		cfg.Topology = balance.ForWorkers(cfg.Workers)
 	}
-	if cfg.DonateThreshold <= 0 {
-		cfg.DonateThreshold = 5
-	}
-	if cfg.ProgressSample <= 0 {
-		cfg.ProgressSample = 250 * time.Millisecond
+	if cfg.progressSample <= 0 {
+		cfg.progressSample = progressSample
 	}
 	if cfg.ContentionManager == "" {
 		cfg.ContentionManager = "local"
@@ -222,11 +217,11 @@ func (cfg Config) newCM(coord *cm.Coordinator) cm.Manager {
 	case "aggressive":
 		return cm.NewAggressive()
 	case "random":
-		return cm.NewRandomLimit(cfg.Workers, time.Millisecond, cfg.RollbackLimit)
+		return cm.NewRandom(cfg.Workers, time.Millisecond)
 	case "global":
-		return cm.NewGlobalLimit(cfg.Workers, coord, cfg.SuccessLimit)
+		return cm.NewGlobal(cfg.Workers, coord)
 	default:
-		return cm.NewLocalLimit(cfg.Workers, coord, cfg.SuccessLimit)
+		return cm.NewLocal(cfg.Workers, coord)
 	}
 }
 

@@ -106,7 +106,7 @@ type thread struct {
 	poorForeign atomic.Int64
 
 	// panics counts operations this thread recovered from a panic; the
-	// run aborts once it exceeds Config.PanicBudget.
+	// run aborts once it exceeds the panic budget.
 	panics int
 
 	// cur describes the operation in flight, so the panic handler can
@@ -134,7 +134,7 @@ const (
 // for it, optionally with a classification already computed (act.rule
 // != RuleNone): a conflicted operation re-queues its element with the
 // action cached so the retry skips re-classification. retries counts
-// panic-recovery re-queues of this item, bounded by Config.RetryBudget.
+// panic-recovery re-queues of this item, bounded by retryBudget.
 type pelItem struct {
 	cell    arena.Handle
 	retries int32
@@ -205,7 +205,7 @@ func (r *Refiner) flushScratch(t *thread) {
 	if len(t.scratch) == 0 {
 		return
 	}
-	if !r.seqDrain.Load() && t.poorOwn+t.poorForeign.Load() >= int64(r.cfg.DonateThreshold) {
+	if !r.seqDrain.Load() && t.poorOwn+t.poorForeign.Load() >= donateThreshold {
 		if beggar, ok := r.bal.ClaimBeggar(t.id); ok {
 			bt := r.threads[beggar]
 			for _, item := range t.scratch {
@@ -372,7 +372,7 @@ func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 
 	switch t.curKind {
 	case curInsertion:
-		if int(t.cur.retries) < r.cfg.RetryBudget {
+		if t.cur.retries < retryBudget {
 			t.cur.retries++
 			r.countIn(t, t.cur.cell)
 			t.pel = append(t.pel, t.cur)
@@ -386,7 +386,7 @@ func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 	}
 	t.curKind = curNone
 
-	if t.panics > r.cfg.PanicBudget {
+	if t.panics > r.cfg.panicBudget {
 		reason := fmt.Sprintf("panic budget exhausted: thread %d recovered %d panics, last: %v",
 			t.id, t.panics, p)
 		r.recordTransition("abort", reason)
@@ -625,22 +625,14 @@ func (r *Refiner) abortRun(reason string) {
 	r.finish()
 }
 
-// recordTransition appends an event to the run's transition log and
-// notifies the (panic-guarded) Config.OnTransition callback.
+// recordTransition appends an event to the run's transition log.
 func (r *Refiner) recordTransition(event, detail string) {
 	tr := Transition{Wall: time.Since(r.startWall), Event: event, Detail: detail}
 	r.trMu.Lock()
 	r.transitions = append(r.transitions, tr)
 	r.trMu.Unlock()
-	if cb := r.cfg.OnTransition; cb != nil {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					r.noteCallbackPanic("OnTransition", p)
-				}
-			}()
-			cb(tr)
-		}()
+	if r.cfg.onTransition != nil {
+		r.cfg.onTransition(tr)
 	}
 }
 
@@ -782,7 +774,7 @@ func (r *Refiner) startAux() func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tick := time.NewTicker(r.cfg.ProgressSample)
+			tick := time.NewTicker(r.cfg.progressSample)
 			defer tick.Stop()
 			for {
 				select {

@@ -279,7 +279,7 @@ func TestProgressCallback(t *testing.T) {
 	_, err := Run(Config{
 		Image:          img.AbdominalPhantom(72, 72, 48),
 		Workers:        2,
-		ProgressSample: time.Millisecond,
+		progressSample: time.Millisecond,
 		Progress: func(p Progress) {
 			mu.Lock()
 			snaps = append(snaps, p)

@@ -62,10 +62,9 @@ type Session struct {
 	// EDT working buffers plus a cache of the last transform, keyed by
 	// image pointer identity: re-running on the same *img.Image skips
 	// the transform entirely.
-	edtComp    edt.Computer
-	edtIm      *img.Image
-	edtWorkers int
-	edtTr      *edt.Transform
+	edtComp edt.Computer
+	edtIm   *img.Image
+	edtTr   *edt.Transform
 
 	stats SessionStats
 }
@@ -79,7 +78,7 @@ type SessionStats struct {
 	// worker count changed).
 	WarmRuns int
 	// WarmEDTHits counts runs that reused the cached distance
-	// transform outright (same image pointer, same EDT parallelism).
+	// transform outright (same image pointer).
 	WarmEDTHits int
 	// BusyRejects counts Run calls rejected with ErrSessionBusy
 	// because another Run was in flight.
@@ -188,7 +187,6 @@ func (s *Session) RunTuned(ctx context.Context, image *img.Image, tune func(*Con
 		// per-thread state is sized by the template, so a tuned run
 		// keeps the session's parallelism.
 		cfg.Workers = s.tmpl.Workers
-		cfg.EDTWorkers = s.tmpl.EDTWorkers
 		if err := cfg.validate(); err != nil {
 			return nil, err
 		}
@@ -211,13 +209,13 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Pre-processing: the parallel Euclidean distance transform. The
 	// session reuses the Computer's buffers always, and the finished
-	// transform itself when the image and parallelism are unchanged.
+	// transform itself when the image is unchanged.
 	edtStart := time.Now()
-	if s.edtTr != nil && s.edtIm == cfg.Image && s.edtWorkers == cfg.EDTWorkers {
+	if s.edtTr != nil && s.edtIm == cfg.Image {
 		s.stats.WarmEDTHits++
 	} else {
-		s.edtTr = s.edtComp.Compute(cfg.Image, cfg.EDTWorkers)
-		s.edtIm, s.edtWorkers = cfg.Image, cfg.EDTWorkers
+		s.edtTr = s.edtComp.Compute(cfg.Image, cfg.Workers)
+		s.edtIm = cfg.Image
 	}
 	r.edt = s.edtTr
 	res.EDTTime = time.Since(edtStart)

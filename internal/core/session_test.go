@@ -285,7 +285,7 @@ func TestSessionWarmFaultStorm(t *testing.T) {
 	im := img.SpherePhantom(32)
 	s, err := NewSession(Config{
 		Workers:         4,
-		PanicBudget:     -1,
+		panicBudget:     -1,
 		LivelockTimeout: 30 * time.Second,
 	})
 	if err != nil {

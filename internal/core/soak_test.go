@@ -159,7 +159,7 @@ func TestSoakFaultStorm(t *testing.T) {
 	res, err := Run(Config{
 		Image:           im,
 		Workers:         4,
-		PanicBudget:     -1, // the storm may concentrate on one thread
+		panicBudget:     -1, // the storm may concentrate on one thread
 		LivelockTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -203,7 +203,7 @@ func TestLivelockRecoveredByCMSwap(t *testing.T) {
 		Workers:           4,
 		ContentionManager: "aggressive",
 		LivelockTimeout:   200 * time.Millisecond,
-		OnTransition: func(tr Transition) {
+		onTransition: func(tr Transition) {
 			if tr.Event == "cm-swap" {
 				inj.Disarm(faultinject.LockDeny)
 			}
@@ -247,7 +247,7 @@ func TestLivelockRecoveredBySequentialDrain(t *testing.T) {
 		Workers:           4,
 		ContentionManager: "local",
 		LivelockTimeout:   200 * time.Millisecond,
-		OnTransition: func(tr Transition) {
+		onTransition: func(tr Transition) {
 			if tr.Event == "sequential-drain" {
 				inj.Disarm(faultinject.LockDeny)
 			}
@@ -327,7 +327,7 @@ func TestPanicBudgetAborts(t *testing.T) {
 	res, err := Run(Config{
 		Image:       img.SpherePhantom(24),
 		Workers:     2,
-		PanicBudget: 2,
+		panicBudget: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestContextCancellation(t *testing.T) {
 	defer cancel()
 	s, err := NewSession(Config{
 		Workers:        2,
-		ProgressSample: 2 * time.Millisecond,
+		progressSample: 2 * time.Millisecond,
 		Progress:       func(Progress) { cancel() },
 	})
 	if err != nil {
@@ -413,7 +413,7 @@ func TestCallbackPanicsRecovered(t *testing.T) {
 		Image:          im,
 		Workers:        2,
 		SizeFunc:       func(geom.Vec3) float64 { panic("user size function bug") },
-		ProgressSample: 2 * time.Millisecond,
+		progressSample: 2 * time.Millisecond,
 		Progress:       func(Progress) { panic("user progress bug") },
 	})
 	if err != nil {

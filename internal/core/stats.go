@@ -59,7 +59,7 @@ type RunStats struct {
 
 	// Failure-model counters (see DESIGN.md "Failure model").
 	RecoveredPanics int64 // worker panics recovered in place
-	DroppedItems    int64 // elements/removals dropped after exhausting RetryBudget
+	DroppedItems    int64 // elements/removals dropped after exhausting the retry budget
 	CallbackPanics  int64 // panics recovered inside user callbacks
 }
 

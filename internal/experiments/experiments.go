@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the
 // paper's evaluation (Sections 5-7) at host scale. Each experiment
 // returns typed rows plus a formatter that prints the same columns the
-// paper reports; cmd/experiments drives them from the command line and
-// bench_test.go wraps them as Go benchmarks.
+// paper reports; cmd/experiments drives them from the command line.
 //
 // Scale. The paper ran on Blacklight (up to 256 cores, 150M-element
 // meshes). This host runs the same code paths with the thread counts
@@ -29,25 +28,10 @@ type Params struct {
 	ImageScale int
 	// Threads are the worker counts to sweep.
 	Threads []int
-	// Delta is the base δ; zero uses 2 voxels.
-	Delta float64
 	// LivelockTimeout bounds runs with livelock-prone managers.
 	LivelockTimeout time.Duration
 	// Repeats averages timings over this many runs (default 1).
 	Repeats int
-	// Topology models the machine for the load balancer; zero means a
-	// Blacklight-shaped topology sized for the largest thread count.
-	Topology balance.Topology
-}
-
-// DefaultParams returns host-scale defaults.
-func DefaultParams() Params {
-	return Params{
-		ImageScale:      96,
-		Threads:         []int{1, 2, 4, 8},
-		LivelockTimeout: 60 * time.Second,
-		Repeats:         1,
-	}
 }
 
 func (p Params) withDefaults() Params {
@@ -82,22 +66,23 @@ func HeadNeck(scale int) *img.Image {
 	return img.HeadNeckPhantom(scale, scale, scale)
 }
 
-// run executes one PI2M configuration, averaging over p.Repeats.
-func (p Params) run(im *img.Image, workers int, cmName, balName string, delta float64) (*core.Result, time.Duration, error) {
-	last, avg, _, err := p.runStd(im, workers, cmName, balName, delta)
+// topology is the Blacklight-shaped machine model sized for the
+// largest thread count of the sweep.
+func (p Params) topology() balance.Topology { return balance.ForWorkers(maxInt(p.Threads)) }
+
+// run executes one PI2M configuration, averaging over p.Repeats. A zero
+// delta selects the core default.
+func (p Params) run(im *img.Image, topo balance.Topology, workers int, cmName, balName string, delta float64) (*core.Result, time.Duration, error) {
+	last, avg, _, err := p.runStd(im, topo, workers, cmName, balName, delta)
 	return last, avg, err
 }
 
 // runStd is run, also reporting the sample standard deviation of the
 // run times (the paper reports timing stddev in Section 6.3).
-func (p Params) runStd(im *img.Image, workers int, cmName, balName string, delta float64) (*core.Result, time.Duration, time.Duration, error) {
+func (p Params) runStd(im *img.Image, topo balance.Topology, workers int, cmName, balName string, delta float64) (*core.Result, time.Duration, time.Duration, error) {
 	var last *core.Result
 	var times []float64
 	for i := 0; i < p.Repeats; i++ {
-		topo := p.Topology
-		if topo == (balance.Topology{}) {
-			topo = balance.ForWorkers(maxInt(p.Threads))
-		}
 		res, err := core.Run(core.Config{
 			Image:             im,
 			Workers:           workers,
@@ -169,7 +154,7 @@ func Table1(p Params) ([]Table1Row, error) {
 	p = p.withDefaults()
 	im := Abdominal(p.ImageScale)
 
-	_, baseTime, err := p.run(im, 1, "local", "hws", p.Delta)
+	_, baseTime, err := p.run(im, p.topology(), 1, "local", "hws", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +162,7 @@ func Table1(p Params) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, threads := range p.Threads {
 		for _, cmName := range []string{"aggressive", "random", "global", "local"} {
-			res, avg, err := p.run(im, threads, cmName, "hws", p.Delta)
+			res, avg, err := p.run(im, p.topology(), threads, cmName, "hws", 0)
 			if err != nil {
 				return nil, err
 			}
@@ -279,31 +264,29 @@ type Fig5Row struct {
 // a fixed abdominal phantom (paper Section 6.2).
 func Fig5(p Params) ([]Fig5Row, error) {
 	p = p.withDefaults()
-	if p.Topology == (balance.Topology{}) {
-		// A fine-grained topology (2 cores/socket, 2 sockets/blade), so
-		// host-scale thread counts already span several blades and the
-		// RWS/HWS locality difference is visible — the paper's 176
-		// threads spanned 11 Blacklight blades.
-		blades := (maxInt(p.Threads) + 3) / 4
-		if blades < 2 {
-			blades = 2
-		}
-		p.Topology = balance.Topology{CoresPerSocket: 2, SocketsPerBlade: 2, Blades: blades}
+	// A fine-grained topology (2 cores/socket, 2 sockets/blade), so
+	// host-scale thread counts already span several blades and the
+	// RWS/HWS locality difference is visible — the paper's 176 threads
+	// spanned 11 Blacklight blades.
+	blades := (maxInt(p.Threads) + 3) / 4
+	if blades < 2 {
+		blades = 2
 	}
+	topo := balance.Topology{CoresPerSocket: 2, SocketsPerBlade: 2, Blades: blades}
 	im := Abdominal(p.ImageScale)
 
-	_, t1, err := p.run(im, 1, "local", "hws", p.Delta)
+	_, t1, err := p.run(im, topo, 1, "local", "hws", 0)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []Fig5Row
 	for _, threads := range p.Threads {
-		rws, tRWS, err := p.run(im, threads, "local", "rws", p.Delta)
+		rws, tRWS, err := p.run(im, topo, threads, "local", "rws", 0)
 		if err != nil {
 			return nil, err
 		}
-		hws, tHWS, err := p.run(im, threads, "local", "hws", p.Delta)
+		hws, tHWS, err := p.run(im, topo, threads, "local", "hws", 0)
 		if err != nil {
 			return nil, err
 		}
@@ -381,16 +364,13 @@ func Table4(p Params, input string) ([]Table4Row, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown input %q", input)
 	}
-	delta1 := p.Delta
-	if delta1 == 0 {
-		delta1 = 2 * im.MinSpacing()
-	}
+	delta1 := 2 * im.MinSpacing()
 
 	var rows []Table4Row
 	var base Table4Row
 	for i, threads := range p.Threads {
 		delta := delta1 * math.Pow(float64(threads), -1.0/3.0)
-		res, avg, std, err := p.runStd(im, threads, "local", "hws", delta)
+		res, avg, std, err := p.runStd(im, p.topology(), threads, "local", "hws", delta)
 		if err != nil {
 			return nil, err
 		}
@@ -470,14 +450,11 @@ func Table5(p Params) ([]Table5Row, error) {
 		return nil, err
 	}
 	im := Abdominal(p.ImageScale)
-	delta1 := p.Delta
-	if delta1 == 0 {
-		delta1 = 2 * im.MinSpacing()
-	}
+	delta1 := 2 * im.MinSpacing()
 	var rows []Table5Row
 	for i, cores := range p.Threads {
 		delta := delta1 * math.Pow(float64(cores), -1.0/3.0)
-		res, avg, err := p.run(im, 2*cores, "local", "hws", delta)
+		res, avg, err := p.run(im, p.topology(), 2*cores, "local", "hws", delta)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +508,6 @@ func Fig6(p Params) ([]core.TimelinePoint, error) {
 		Workers:           maxInt(p.Threads),
 		ContentionManager: "local",
 		Balancer:          "hws",
-		Delta:             p.Delta,
 		LivelockTimeout:   p.LivelockTimeout,
 		TimelineSample:    20 * time.Millisecond,
 	})
@@ -541,16 +517,10 @@ func Fig6(p Params) ([]core.TimelinePoint, error) {
 	return res.Timeline, nil
 }
 
-// FormatFig6 renders the timeline as (wall secs, cumulative overhead
-// secs) pairs, followed by the useful-work fraction the paper derives
-// from the same curve ("73% of the time, all 176 threads were doing
-// useful work" during its Phase 1).
-func FormatFig6(points []core.TimelinePoint) string {
-	return FormatFig6Threads(points, 0)
-}
-
-// FormatFig6Threads is FormatFig6 with the thread count known, so the
-// useful-work fraction can be reported.
+// FormatFig6Threads renders the timeline of a run on threads workers
+// as (wall secs, cumulative overhead secs) pairs, followed by the
+// useful-work fraction the paper derives from the same curve ("73% of
+// the time, all 176 threads were doing useful work" during its Phase 1).
 func FormatFig6Threads(points []core.TimelinePoint, threads int) string {
 	var b strings.Builder
 	b.WriteString("Figure 6 — cumulative overhead vs wall time\n")
@@ -558,7 +528,7 @@ func FormatFig6Threads(points []core.TimelinePoint, threads int) string {
 	for _, pt := range points {
 		fmt.Fprintf(&b, "%12.3f %20.4f\n", pt.Wall.Seconds(), secs(pt.OverheadNs))
 	}
-	if threads > 0 && len(points) > 0 {
+	if len(points) > 0 {
 		last := points[len(points)-1]
 		total := float64(threads) * last.Wall.Seconds()
 		if total > 0 {

@@ -132,7 +132,7 @@ func TestFig6(t *testing.T) {
 			t.Error("cumulative overhead decreased")
 		}
 	}
-	if !strings.Contains(FormatFig6(pts), "Figure 6") {
+	if !strings.Contains(FormatFig6Threads(pts, 2), "Figure 6") {
 		t.Error("format missing title")
 	}
 }

@@ -51,7 +51,6 @@ func Table6(p Params) ([]Table6Row, error) {
 		res, err := core.Run(core.Config{
 			Image:             in.im,
 			Workers:           1,
-			Delta:             p.Delta,
 			ContentionManager: "local",
 			Balancer:          "hws",
 			LivelockTimeout:   p.LivelockTimeout,
@@ -69,10 +68,7 @@ func Table6(p Params) ([]Table6Row, error) {
 		// calibrated so it produces a mesh of similar size to PI2M's
 		// ("we set the sizing parameters of CGAL and TetGen to values
 		// that produced meshes of similar size to ours").
-		seqDelta := p.Delta
-		if seqDelta == 0 {
-			seqDelta = 2 * in.im.MinSpacing()
-		}
+		seqDelta := 2 * in.im.MinSpacing()
 		seq, err := baseline.SeqMesh(in.im, baseline.Options{Delta: seqDelta})
 		if err != nil {
 			return nil, err
@@ -95,7 +91,7 @@ func Table6(p Params) ([]Table6Row, error) {
 			quality.SymmetricHausdorff(seqTris, in.im, tr)))
 
 		// TetGen stand-in: receives PI2M's boundary triangulation.
-		plc, err := baseline.PLCMesh(in.im, piTris, baseline.Options{Delta: p.Delta})
+		plc, err := baseline.PLCMesh(in.im, piTris, baseline.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ type sessionOptions struct {
 
 // WithConfig replaces the whole configuration template at once — the
 // escape hatch for knobs without a dedicated option (Topology,
-// SuccessLimit, TimelineSample, ...). The Image field is ignored: the
+// TimelineSample, ...). The Image field is ignored: the
 // image and a context are per-Run arguments. Options after WithConfig
 // still apply on top of it.
 func WithConfig(cfg Config) Option {
@@ -49,12 +49,6 @@ func WithConfig(cfg Config) Option {
 // GOMAXPROCS).
 func WithThreads(n int) Option {
 	return func(o *sessionOptions) { o.cfg.Workers = n }
-}
-
-// WithEDTWorkers sets the parallelism of the distance-transform
-// pre-processing (default: the refinement thread count).
-func WithEDTWorkers(n int) Option {
-	return func(o *sessionOptions) { o.cfg.EDTWorkers = n }
 }
 
 // WithDelta sets the δ sampling parameter in world units — the
@@ -111,47 +105,17 @@ func WithoutRemovals() Option {
 	return func(o *sessionOptions) { o.cfg.DisableRemovals = true }
 }
 
-// WithDonateThreshold sets the minimum number of valid poor elements
-// a thread must hold before it may give work away (default 5).
-func WithDonateThreshold(n int) Option {
-	return func(o *sessionOptions) { o.cfg.DonateThreshold = n }
-}
-
 // WithLivelockTimeout aborts a run when no operation commits for this
 // long (0 disables the watchdog).
 func WithLivelockTimeout(d time.Duration) Option {
 	return func(o *sessionOptions) { o.cfg.LivelockTimeout = d }
 }
 
-// WithPanicBudget sets how many panics a single worker thread may
-// recover from before the run aborts (0 selects 3; negative means
-// unlimited).
-func WithPanicBudget(n int) Option {
-	return func(o *sessionOptions) { o.cfg.PanicBudget = n }
-}
-
-// WithRetryBudget bounds how many times a poor element whose
-// operation panicked is re-queued before being dropped (0 selects 2).
-func WithRetryBudget(n int) Option {
-	return func(o *sessionOptions) { o.cfg.RetryBudget = n }
-}
-
 // WithProgress installs a running-snapshot callback, sampled every
-// `sample` (0 selects 250ms). The callback must be fast and
-// thread-safe; a panic inside it degrades the run instead of
-// crashing.
-func WithProgress(f func(Progress), sample time.Duration) Option {
-	return func(o *sessionOptions) {
-		o.cfg.Progress = f
-		o.cfg.ProgressSample = sample
-	}
-}
-
-// WithTransitionLog installs a callback invoked on every recorded
-// failure-handling Transition (contention-manager hot-swap,
-// sequential drain, cancellation, abort). It must be thread-safe.
-func WithTransitionLog(f func(Transition)) Option {
-	return func(o *sessionOptions) { o.cfg.OnTransition = f }
+// 250ms. The callback must be fast and thread-safe; a panic inside it
+// degrades the run instead of crashing.
+func WithProgress(f func(Progress)) Option {
+	return func(o *sessionOptions) { o.cfg.Progress = f }
 }
 
 // WithFaultInjection arms the deterministic fault harness around every

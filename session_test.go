@@ -3,6 +3,7 @@ package pi2m_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -12,11 +13,20 @@ import (
 // TestSessionFacade exercises the functional-option surface: option
 // validation, warm reuse, the io-based NRRD roundtrip, and Close.
 func TestSessionFacade(t *testing.T) {
-	if _, err := pi2m.NewSession(pi2m.WithContentionManager("bogus")); err == nil {
-		t.Fatal("bad contention manager accepted")
-	}
-	if _, err := pi2m.NewSession(pi2m.WithDelta(-1)); err == nil {
-		t.Fatal("negative delta accepted")
+	for name, bad := range map[string]pi2m.Option{
+		"contention manager bogus": pi2m.WithContentionManager("bogus"),
+		"delta -1":                 pi2m.WithDelta(-1),
+		"delta NaN":                pi2m.WithDelta(math.NaN()),
+		"delta +Inf":               pi2m.WithDelta(math.Inf(1)),
+		"radius-edge NaN":          pi2m.WithMaxRadiusEdge(math.NaN()),
+		"radius-edge +Inf":         pi2m.WithMaxRadiusEdge(math.Inf(1)),
+		"facet angle NaN":          pi2m.WithMinFacetAngle(math.NaN()),
+		"facet angle +Inf":         pi2m.WithMinFacetAngle(math.Inf(1)),
+		"facet angle -1":           pi2m.WithMinFacetAngle(-1),
+	} {
+		if _, err := pi2m.NewSession(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 
 	s, err := pi2m.NewSession(
@@ -72,7 +82,6 @@ func TestSessionFaultInjection(t *testing.T) {
 	s, err := pi2m.NewSession(
 		pi2m.WithThreads(2),
 		pi2m.WithFaultInjection(11, 0.02),
-		pi2m.WithPanicBudget(-1),
 		pi2m.WithLivelockTimeout(time.Minute),
 	)
 	if err != nil {
