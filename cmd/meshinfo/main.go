@@ -11,9 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	pi2m "repro"
 	"repro/internal/geom"
@@ -41,15 +42,11 @@ func main() {
 	fmt.Printf("%s: %d vertices, %d tetrahedra\n", flag.Arg(0), len(m.Verts), len(m.Cells))
 
 	if len(m.Labels) > 0 {
-		perLabel := map[int]int{}
+		perLabel := map[pi2m.Label]int{}
 		for _, l := range m.Labels {
 			perLabel[l]++
 		}
-		var labels []int
-		for l := range perLabel {
-			labels = append(labels, l)
-		}
-		sort.Ints(labels)
+		labels := slices.Sorted(maps.Keys(perLabel))
 		fmt.Println("tissues:")
 		for _, l := range labels {
 			fmt.Printf("  label %d: %d cells\n", l, perLabel[l])
@@ -100,27 +97,10 @@ func main() {
 	fmt.Printf("quality: max radius-edge %.3f, dihedral range (%.2f°, %.2f°)\n",
 		worstRatio, minDih, maxDih)
 
-	// Boundary topology: faces appearing once across all cells.
-	type fkey [3]int32
-	faceCount := map[fkey]int{}
-	norm := func(a, b, c int32) fkey {
-		k := fkey{a, b, c}
-		sort.Slice(k[:], func(i, j int) bool { return k[i] < k[j] })
-		return k
-	}
-	for _, c := range m.Cells {
-		faceCount[norm(c[0], c[1], c[2])]++
-		faceCount[norm(c[0], c[1], c[3])]++
-		faceCount[norm(c[0], c[2], c[3])]++
-		faceCount[norm(c[1], c[2], c[3])]++
-	}
-	var tris []pi2m.Triangle
-	for k, n := range faceCount {
-		if n == 1 {
-			tris = append(tris, pi2m.Triangle{A: pos(k[0]), B: pos(k[1]), C: pos(k[2])})
-		}
-	}
-	topo := pi2m.SurfaceTopology(tris)
+	// Exterior surface topology: the boundary of the mesh with its
+	// tissue interfaces ignored, i.e. the faces without a neighbor.
+	exterior := &pi2m.MeshSnapshot{Verts: m.Verts, Cells: m.Cells}
+	topo := pi2m.SurfaceTopology(exterior.BoundaryTriangles())
 	fmt.Printf("boundary: %s\n", topo)
 
 	if *hist {

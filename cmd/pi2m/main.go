@@ -18,9 +18,9 @@ import (
 
 	pi2m "repro"
 	"repro/internal/edt"
-	"repro/internal/meshio"
 	"repro/internal/quality"
 	"repro/internal/render"
+	"repro/internal/smooth"
 )
 
 func buildPhantom(name string, scale int) (*pi2m.Image, error) {
@@ -181,11 +181,11 @@ func main() {
 			e.BusyWaitJoules, e.DVFSJoules, 100*e.SavingsFraction, e.ElementsPerJouleDVFS)
 	}
 
-	q := res.Quality()
+	mesh := res.Snapshot()
+	tris := mesh.BoundaryTriangles()
+	q := quality.Evaluate(mesh.Verts, mesh.Cells, tris)
 	fmt.Printf("quality: max radius-edge %.3f, dihedral (%.1f°, %.1f°), min boundary angle %.1f°\n",
 		q.MaxRadiusEdge, q.MinDihedral, q.MaxDihedral, q.MinBoundaryPlanarAngle)
-
-	tris := res.Boundary()
 	fmt.Printf("boundary: %d triangles\n", len(tris))
 	if *fidelity {
 		tr := edt.Compute(im, *workers)
@@ -194,22 +194,15 @@ func main() {
 	}
 
 	if *outVTK != "" {
+		out := mesh
 		if *smoothIt > 0 {
-			sm := pi2m.Extract(res.Mesh, res.Final, im)
+			sm := smooth.New(mesh)
 			st := sm.Taubin(*smoothIt, 0.5, -0.53)
 			fmt.Printf("smoothing: roughness -%.1f%%, volume drift %+.3f%%\n",
 				100*st.RoughnessDrop, 100*(st.VolumeAfter-st.VolumeBefore)/st.VolumeBefore)
-			raw := &pi2m.RawMesh{Verts: sm.Verts, Cells: sm.Cells}
-			for _, l := range sm.Labels {
-				raw.Labels = append(raw.Labels, int(l))
-			}
-			err = writeTo(*outVTK, func(w *os.File) error { return pi2m.WriteVTKRaw(w, raw) })
-		} else {
-			err = writeTo(*outVTK, func(w *os.File) error {
-				return pi2m.WriteVTK(w, res.Mesh, res.Final, im)
-			})
+			out = sm.MeshSnapshot
 		}
-		if err != nil {
+		if err := writeTo(*outVTK, func(w *os.File) error { return pi2m.WriteVTKSnapshot(w, out) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outVTK)
@@ -221,13 +214,8 @@ func main() {
 		fmt.Printf("wrote %s\n", *outOFF)
 	}
 	if *outPNG != "" {
-		ext := pi2m.Extract(res.Mesh, res.Final, im)
-		raw := &meshio.RawMesh{Verts: ext.Verts, Cells: ext.Cells}
-		for _, l := range ext.Labels {
-			raw.Labels = append(raw.Labels, int(l))
-		}
 		_, hi := im.Bounds()
-		if err := render.WritePNGFile(*outPNG, raw, render.Options{Z: hi.Z / 2}); err != nil {
+		if err := render.WritePNGFile(*outPNG, mesh, render.Options{Z: hi.Z / 2}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outPNG)

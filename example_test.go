@@ -28,7 +28,7 @@ func ExampleNewSession() {
 		panic(err)
 	}
 
-	topo := result.Topology()
+	topo := pi2m.SurfaceTopology(result.Snapshot().BoundaryTriangles())
 	fmt.Println("status:", result.Status)
 	fmt.Println("closed surface:", topo.Closed, "euler:", topo.Euler)
 	// Output:
@@ -74,9 +74,9 @@ func ExampleRun() {
 	// status: completed
 }
 
-// ExampleWriteVTK streams a mesh to any io.Writer — here an in-memory
-// buffer — instead of a file path.
-func ExampleWriteVTK() {
+// ExampleWriteVTKSnapshot streams a mesh to any io.Writer — here an
+// in-memory buffer — instead of a file path.
+func ExampleWriteVTKSnapshot() {
 	session, _ := pi2m.NewSession(pi2m.WithThreads(1), pi2m.WithLivelockTimeout(time.Minute))
 	defer session.Close()
 	image := pi2m.SpherePhantom(16)
@@ -86,7 +86,7 @@ func ExampleWriteVTK() {
 	}
 
 	var buf bytes.Buffer
-	if err := pi2m.WriteVTK(&buf, result.Mesh, result.Final, image); err != nil {
+	if err := pi2m.WriteVTKSnapshot(&buf, result.Snapshot()); err != nil {
 		panic(err)
 	}
 	line, _ := bufio.NewReader(&buf).ReadString('\n')

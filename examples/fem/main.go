@@ -16,8 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/img"
-	"repro/internal/meshio"
-	"repro/internal/smooth"
 )
 
 func main() {
@@ -30,16 +28,12 @@ func main() {
 	fmt.Printf("meshed %d tetrahedra from a %d-tissue image in %v\n",
 		result.Elements(), len(image.LabelVolumes()), result.TotalTime.Round(time.Millisecond))
 
-	// 2. Extract an indexed mesh with per-cell tissue labels.
-	ext := smooth.Extract(result.Mesh, result.Final, image)
-	raw := &meshio.RawMesh{Verts: ext.Verts, Cells: ext.Cells}
-	for _, l := range ext.Labels {
-		raw.Labels = append(raw.Labels, int(l))
-	}
+	// 2. The indexed mesh with per-cell tissue labels.
+	mesh := result.Snapshot()
 
 	// 3. Per-tissue conductivity (arbitrary units): blood conducts
 	//    best, bone worst.
-	conductivity := map[int]float64{
+	conductivity := map[img.Label]float64{
 		1: 0.2, // body / soft tissue
 		2: 0.5, // liver
 		3: 0.4, // kidneys
@@ -47,37 +41,34 @@ func main() {
 		5: 0.02, // spine (bone)
 		6: 0.7,  // aorta (blood)
 	}
-	perCell := make([]float64, len(raw.Cells))
-	for i, l := range raw.Labels {
+	perCell := make([]float64, len(mesh.Cells))
+	for i, l := range mesh.Labels {
 		perCell[i] = conductivity[l]
 	}
 
 	// 4. Boundary conditions: the aorta's vertices at potential 1, the
-	//    outer body surface at 0. The outer surface is identified as
-	//    boundary vertices incident only to body-labeled (1) cells —
-	//    interface vertices between tissues stay free.
-	touches := make(map[int32]map[int]bool)
-	for ci, cell := range raw.Cells {
+	//    outer body surface at 0: exterior vertices incident only to
+	//    body-labeled (1) cells.
+	touches := make(map[int32]map[img.Label]bool)
+	for ci, cell := range mesh.Cells {
 		for _, v := range cell {
 			if touches[v] == nil {
-				touches[v] = map[int]bool{}
+				touches[v] = map[img.Label]bool{}
 			}
-			touches[v][raw.Labels[ci]] = true
+			touches[v][mesh.Labels[ci]] = true
 		}
 	}
-	onBoundary := map[int32]bool{}
-	for _, tr := range ext.BoundaryTris {
-		for _, v := range tr {
-			onBoundary[v] = true
-		}
-	}
+	exterior, _ := mesh.ExteriorVertices()
 	dirichlet := map[int32]float64{}
 	aortaVerts := 0
 	for v, labels := range touches {
 		if labels[6] {
 			dirichlet[v] = 1 // on or inside the aorta
 			aortaVerts++
-		} else if onBoundary[v] && len(labels) == 1 && labels[1] {
+		}
+	}
+	for _, v := range exterior {
+		if labels := touches[v]; len(labels) == 1 && labels[1] {
 			dirichlet[v] = 0 // outer body surface
 		}
 	}
@@ -86,7 +77,7 @@ func main() {
 
 	// 5. Assemble and solve.
 	sys, err := fem.Assemble(&fem.Problem{
-		Mesh:         raw,
+		Mesh:         mesh,
 		Conductivity: perCell,
 		Dirichlet:    dirichlet,
 	})
@@ -102,19 +93,19 @@ func main() {
 		sys.N, sol.Iterations, time.Since(start).Round(time.Millisecond), sol.Residual)
 
 	// 6. Field summary per tissue: mean potential.
-	sum := map[int]float64{}
-	cnt := map[int]int{}
-	for ci, cell := range raw.Cells {
+	sum := map[img.Label]float64{}
+	cnt := map[img.Label]int{}
+	for ci, cell := range mesh.Cells {
 		var u float64
 		for _, v := range cell {
 			u += sol.U[v]
 		}
-		sum[raw.Labels[ci]] += u / 4
-		cnt[raw.Labels[ci]]++
+		sum[mesh.Labels[ci]] += u / 4
+		cnt[mesh.Labels[ci]]++
 	}
-	names := map[int]string{1: "body", 2: "liver", 3: "kidney L", 4: "kidney R", 5: "spine", 6: "aorta"}
+	names := map[img.Label]string{1: "body", 2: "liver", 3: "kidney L", 4: "kidney R", 5: "spine", 6: "aorta"}
 	fmt.Println("mean potential per tissue:")
-	for l := 1; l <= 6; l++ {
+	for l := img.Label(1); l <= 6; l++ {
 		if cnt[l] == 0 {
 			continue
 		}

@@ -9,14 +9,15 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
+	"maps"
+	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/meshio"
-	"repro/internal/quality"
 )
 
 func main() {
@@ -45,29 +46,31 @@ func main() {
 		result.Stats.RuleCounts)
 
 	// Partition the final mesh by tissue.
+	mesh := result.Snapshot()
 	perTissue := map[img.Label]int{}
-	for _, h := range result.Final {
-		perTissue[image.LabelAt(result.Mesh.Cells.At(h).CC)]++
+	for _, l := range mesh.Labels {
+		perTissue[l]++
 	}
-	var labels []int
-	for l := range perTissue {
-		labels = append(labels, int(l))
-	}
-	sort.Ints(labels)
-	names := map[int]string{
+	names := map[img.Label]string{
 		1: "body", 2: "liver", 3: "left kidney",
 		4: "right kidney", 5: "spine", 6: "aorta",
 	}
-	for _, l := range labels {
-		fmt.Printf("  %-14s %6d tetrahedra\n", names[l], perTissue[img.Label(l)])
+	for _, l := range slices.Sorted(maps.Keys(perTissue)) {
+		fmt.Printf("  %-14s %6d tetrahedra\n", names[l], perTissue[l])
 	}
 
 	// The boundary set includes inter-tissue interfaces, not just the
 	// outer surface.
-	tris := quality.BoundaryTriangles(result.Mesh, result.Final, image)
-	fmt.Printf("boundary + interface triangles: %d\n", len(tris))
+	fmt.Printf("boundary + interface triangles: %d\n", len(mesh.BoundaryTriangles()))
 
-	if err := meshio.WriteVTKFile("abdominal.vtk", result.Mesh, result.Final, image); err != nil {
+	f, err := os.Create("abdominal.vtk")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := meshio.WriteVTKSnapshot(f, mesh); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote abdominal.vtk (tissue labels as cell data)")

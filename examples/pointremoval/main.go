@@ -27,7 +27,7 @@ func run(image *img.Image, disable bool) (*core.Result, quality.Stats) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res, quality.Evaluate(res.Mesh, res.Final, image)
+	return res, res.Quality()
 }
 
 func main() {

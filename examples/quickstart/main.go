@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	pi2m "repro"
@@ -30,17 +31,26 @@ func main() {
 		result.Elements(), result.TotalTime.Round(time.Millisecond),
 		result.ElementsPerSecond())
 
-	q := pi2m.Evaluate(result.Mesh, result.Final, image)
+	// The snapshot is the indexed mesh every later step reads.
+	mesh := result.Snapshot()
+	q := mesh.Quality()
 	fmt.Printf("quality: radius-edge ≤ %.2f, dihedral angles in (%.1f°, %.1f°)\n",
 		q.MaxRadiusEdge, q.MinDihedral, q.MaxDihedral)
 
-	tris := pi2m.BoundaryTriangles(result.Mesh, result.Final, image)
+	tris := mesh.BoundaryTriangles()
 	topo := pi2m.SurfaceTopology(tris)
 	fmt.Printf("topology: %d boundary triangles, Euler characteristic %d (sphere = 2), watertight %v\n",
 		len(tris), topo.Euler, topo.Closed)
 
 	// 4. Export for ParaView / Meshlab.
-	if err := pi2m.WriteVTKFile("sphere.vtk", result.Mesh, result.Final, image); err != nil {
+	f, err := os.Create("sphere.vtk")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := pi2m.WriteVTKSnapshot(f, mesh); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	if err := pi2m.WriteOFFFile("sphere-surface.off", tris); err != nil {

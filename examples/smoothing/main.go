@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -28,7 +29,7 @@ func main() {
 	}
 	fmt.Printf("meshed %d tetrahedra\n", result.Elements())
 
-	mesh := smooth.Extract(result.Mesh, result.Final, image)
+	mesh := smooth.New(result.Snapshot())
 	fmt.Printf("extracted: %d vertices, %d cells, %d boundary triangles\n",
 		len(mesh.Verts), len(mesh.Cells), len(mesh.BoundaryTris))
 
@@ -45,11 +46,14 @@ func main() {
 	fmt.Printf("  min cell vol  %.4g -> %.4g (still positive: %v)\n",
 		min0, mesh.MinCellVolume(), mesh.MinCellVolume() > 0)
 
-	raw := &meshio.RawMesh{Verts: mesh.Verts, Cells: mesh.Cells}
-	for _, l := range mesh.Labels {
-		raw.Labels = append(raw.Labels, int(l))
+	f, err := os.Create("headneck-smoothed.vtk")
+	if err != nil {
+		log.Fatal(err)
 	}
-	if err := meshio.WriteVTKRawFile("headneck-smoothed.vtk", raw); err != nil {
+	if err := meshio.WriteVTKSnapshot(f, mesh.MeshSnapshot); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nwrote headneck-smoothed.vtk")

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/quality"
 )
 
 func TestSeqMeshSphere(t *testing.T) {
@@ -39,8 +38,8 @@ func TestSeqMeshQualityMatchesPI2M(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq := quality.Evaluate(seq.Mesh, seq.Final, im)
-	pq := quality.Evaluate(par.Mesh, par.Final, im)
+	sq := core.SnapshotOf(seq.Mesh, seq.Final, im).Quality()
+	pq := par.Quality()
 	if sq.MaxRadiusEdge > 2.5 || pq.MaxRadiusEdge > 2.5 {
 		t.Errorf("radius-edge bounds: seq %v, pi2m %v", sq.MaxRadiusEdge, pq.MaxRadiusEdge)
 	}
@@ -58,7 +57,7 @@ func TestPLCMeshFillsVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris := quality.BoundaryTriangles(par.Mesh, par.Final, im)
+	tris := par.Snapshot().BoundaryTriangles()
 	res, err := PLCMesh(im, tris, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +68,7 @@ func TestPLCMeshFillsVolume(t *testing.T) {
 	if err := res.Mesh.Check(); err != nil {
 		t.Fatalf("mesh invalid: %v", err)
 	}
-	s := quality.Evaluate(res.Mesh, res.Final, im)
+	s := core.SnapshotOf(res.Mesh, res.Final, im).Quality()
 	if s.MaxRadiusEdge > 2.5 {
 		t.Errorf("PLC mesh radius-edge = %v", s.MaxRadiusEdge)
 	}

@@ -37,7 +37,7 @@ var goldenMeshes = []struct {
 func vtkSHA(t *testing.T, res *core.Result, im *img.Image) string {
 	t.Helper()
 	h := sha256.New()
-	if err := meshio.WriteVTK(h, res.Mesh, res.Final, im); err != nil {
+	if err := meshio.WriteVTKSnapshot(h, res.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))

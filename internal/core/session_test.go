@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/img"
+	"repro/internal/quality"
 )
 
 // meshFingerprint hashes the final mesh's geometry: every final cell's
@@ -185,7 +186,7 @@ func TestSessionShapeChange(t *testing.T) {
 		if res.Stats.DanglingPoorCount != 0 {
 			t.Fatalf("dangling poor count %d", res.Stats.DanglingPoorCount)
 		}
-		if topo := res.Topology(); !topo.Closed {
+		if topo := quality.SurfaceTopology(res.Snapshot().BoundaryTriangles()); !topo.Closed {
 			t.Fatalf("boundary not closed: %v", topo)
 		}
 	}
@@ -304,7 +305,7 @@ func TestSessionWarmFaultStorm(t *testing.T) {
 		if res.Stats.DanglingPoorCount != 0 {
 			t.Fatalf("run %d: dangling poor count %d", i, res.Stats.DanglingPoorCount)
 		}
-		if topo := res.Topology(); topo.BorderEdges != 0 {
+		if topo := quality.SurfaceTopology(res.Snapshot().BoundaryTriangles()); topo.BorderEdges != 0 {
 			t.Fatalf("run %d: boundary has %d border edges", i, topo.BorderEdges)
 		}
 	}

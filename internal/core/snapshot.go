@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/arena"
 	"repro/internal/delaunay"
 	"repro/internal/geom"
@@ -8,18 +10,19 @@ import (
 	"repro/internal/quality"
 )
 
-// MeshSnapshot is a compact, self-contained copy of a run's final
-// mesh: the vertex positions used by the final cells (compacted in
-// first-seen order, exactly the order meshio.WriteVTK emits), the
-// cells as indices into that vertex slice, the per-cell tissue labels,
-// and the run summary. Unlike a Result — whose Mesh and Final handles
-// are recycled by the session's next Run — a snapshot owns its memory
-// outright and stays valid forever, so it can cross a pool lease
-// boundary: take it inside the lease window, release the session, and
-// encode or analyze at leisure.
+// MeshSnapshot is the indexed tetrahedral mesh every consumer after
+// the Delaunay kernel reads: quality, I/O, smoothing, FEM and
+// rendering. It holds the vertex positions used by the final cells
+// (compacted in first-seen order), the cells as indices into that
+// vertex slice, the per-cell tissue labels, and the run summary.
+// Unlike a Result — whose Mesh and Final handles are recycled by the
+// session's next Run — a snapshot owns its memory outright and stays
+// valid forever, so it can cross a pool lease boundary: take it inside
+// the lease window, release the session, and encode or analyze at
+// leisure.
 //
-// A snapshot is immutable after creation and safe to share across
-// goroutines; encoders must treat it as read-only.
+// A snapshot taken from a run is immutable and safe to share across
+// goroutines; readers must treat it as read-only.
 type MeshSnapshot struct {
 	// Verts holds the positions of every vertex referenced by a final
 	// cell, compacted in first-seen order over Final.
@@ -45,9 +48,10 @@ func (r *Result) Snapshot() *MeshSnapshot {
 }
 
 // SnapshotOf copies the final cells of m into a MeshSnapshot with a
-// zero Summary: the one place the first-seen vertex compaction every
-// encoder's output order rests on is written down. Cells carry the
-// label at their circumcenter when im is non-nil.
+// zero Summary: the one extraction from a kernel mesh, and the one
+// place the first-seen vertex compaction every encoder's output order
+// rests on is written down. Cells carry the label at their
+// circumcenter when im is non-nil.
 func SnapshotOf(m *delaunay.Mesh, final []arena.Handle, im *img.Image) *MeshSnapshot {
 	s := &MeshSnapshot{Cells: make([][4]int32, len(final))}
 	if im != nil {
@@ -96,10 +100,39 @@ func (s *MeshSnapshot) label(i int32) img.Label {
 // oriented cell.
 var snapFaces = [4][3]int{{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}}
 
+// Neighbors is the snapshot's one adjacency pass: for each cell i and
+// face f (the face opposite the cell's vertex f), the index of the
+// cell across that face, or -1 when the face lies on the exterior
+// surface. On a conforming mesh the relation is symmetric. Every
+// boundary view — BoundaryTriangles, ExteriorVertices, smoothing's
+// boundary — derives from it.
+func (s *MeshSnapshot) Neighbors() [][4]int32 {
+	nb := make([][4]int32, len(s.Cells))
+	// open holds each face seen once so far, keyed by its sorted
+	// vertices, as 4·cell + face; the second sighting pairs and drops it.
+	open := make(map[[3]int32]int, len(s.Cells))
+	for ci, c := range s.Cells {
+		for f, fv := range snapFaces {
+			k := [3]int32{c[fv[0]], c[fv[1]], c[fv[2]]}
+			slices.Sort(k[:])
+			slot, ok := open[k]
+			if !ok {
+				open[k] = 4*ci + f
+				nb[ci][f] = -1
+				continue
+			}
+			delete(open, k)
+			nb[ci][f] = int32(slot / 4)
+			nb[slot/4][slot%4] = int32(ci)
+		}
+	}
+	return nb
+}
+
 // ExteriorVertices returns the vertices on the snapshot's exterior
-// surface — vertices of facets owned by exactly one cell (the domain
-// boundary ∂O; tissue-interface facets between two cells are interior
-// and excluded) — along with, for each such vertex, the set of tissue
+// surface — vertices of faces without a neighbor (the domain boundary
+// ∂O; tissue-interface facets between two cells are interior and
+// excluded) — along with, for each such vertex, the set of tissue
 // labels of the boundary cells it touches. verts is sorted ascending
 // and duplicate-free; labels[v] lists each label at most once, in
 // first-seen order.
@@ -108,129 +141,54 @@ var snapFaces = [4][3]int{{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}}
 // clause constrains exterior vertices, optionally filtered by the
 // tissue they bound or by a geometric predicate on their position.
 func (s *MeshSnapshot) ExteriorVertices() (verts []int32, labels map[int32][]img.Label) {
-	type fkey [3]int32
-	canon := func(a, b, c int32) fkey {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return fkey{a, b, c}
-	}
-	// Count face owners; faces seen once are exterior.
-	owners := make(map[fkey]int32, 2*len(s.Cells))
-	for ci, c := range s.Cells {
-		for f := 0; f < 4; f++ {
-			k := canon(c[snapFaces[f][0]], c[snapFaces[f][1]], c[snapFaces[f][2]])
-			if _, ok := owners[k]; ok {
-				owners[k] = -1 // shared: interior
-			} else {
-				owners[k] = int32(ci)
-			}
-		}
-	}
 	labels = make(map[int32][]img.Label)
-	seen := make(map[int32]bool)
-	for ci, c := range s.Cells {
-		for f := 0; f < 4; f++ {
-			k := canon(c[snapFaces[f][0]], c[snapFaces[f][1]], c[snapFaces[f][2]])
-			if owners[k] != int32(ci) {
+	for ci, nb := range s.Neighbors() {
+		l := s.label(int32(ci))
+		for f, other := range nb {
+			if other >= 0 {
 				continue
 			}
-			l := s.label(int32(ci))
 			for _, j := range snapFaces[f] {
-				v := c[j]
-				if !seen[v] {
-					seen[v] = true
+				v := s.Cells[ci][j]
+				ls, seen := labels[v]
+				if !seen {
 					verts = append(verts, v)
 				}
-				if !containsLabel(labels[v], l) {
-					labels[v] = append(labels[v], l)
+				if !slices.Contains(ls, l) {
+					labels[v] = append(ls, l)
 				}
 			}
 		}
 	}
-	sortInt32s(verts)
+	slices.Sort(verts)
 	return verts, labels
 }
 
-func containsLabel(ls []img.Label, l img.Label) bool {
-	for _, x := range ls {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-func sortInt32s(v []int32) {
-	// Insertion-free stdlib sort without pulling in a generics dep here.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // BoundaryTriangles extracts the boundary facets of the snapshot: a
-// facet belonging to exactly one cell, or shared by two cells of
-// different tissues. It is the off-lease equivalent of
-// quality.BoundaryTriangles — same triangle set (interface facets
-// emitted once), derived purely from the copied geometry, so OFF
-// encoding needs neither the mesh nor the lease.
+// face without a neighbor, or shared by two cells of different
+// tissues. Facets come in cell order, faces 0-3, each oriented as its
+// cell sees it; an interface facet comes once, from its lower-indexed
+// cell.
 func (s *MeshSnapshot) BoundaryTriangles() []quality.Triangle {
-	type fkey [3]int32
-	canon := func(a, b, c int32) fkey {
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return fkey{a, b, c}
-	}
-	// Pass 1: adjacency by canonical face key ([2]int32{owner, other};
-	// -1 marks an unshared slot).
-	adj := make(map[fkey][2]int32, 2*len(s.Cells))
-	for ci, c := range s.Cells {
-		for f := 0; f < 4; f++ {
-			k := canon(c[snapFaces[f][0]], c[snapFaces[f][1]], c[snapFaces[f][2]])
-			if p, ok := adj[k]; ok {
-				p[1] = int32(ci)
-				adj[k] = p
-			} else {
-				adj[k] = [2]int32{int32(ci), -1}
-			}
-		}
-	}
-	// Pass 2: emit in cell order, faces 0-3, keeping each cell's face
-	// orientation; interface facets come once, from the lower-indexed
-	// side.
 	var out []quality.Triangle
-	for ci, c := range s.Cells {
-		for f := 0; f < 4; f++ {
-			k := canon(c[snapFaces[f][0]], c[snapFaces[f][1]], c[snapFaces[f][2]])
-			p := adj[k]
-			other := p[0]
-			if other == int32(ci) {
-				other = p[1]
-			}
+	for ci, nb := range s.Neighbors() {
+		c := s.Cells[ci]
+		for f, other := range nb {
 			if other >= 0 && (s.label(int32(ci)) == s.label(other) || int32(ci) > other) {
 				continue
 			}
+			fv := snapFaces[f]
 			out = append(out, quality.Triangle{
-				A: s.Verts[c[snapFaces[f][0]]],
-				B: s.Verts[c[snapFaces[f][1]]],
-				C: s.Verts[c[snapFaces[f][2]]],
+				A: s.Verts[c[fv[0]]], B: s.Verts[c[fv[1]]], C: s.Verts[c[fv[2]]],
 			})
 		}
 	}
 	return out
+}
+
+// Quality evaluates the paper's element-quality statistics (Table 6's
+// radius-edge, dihedral and boundary planar angle columns) over the
+// snapshot.
+func (s *MeshSnapshot) Quality() quality.Stats {
+	return quality.Evaluate(s.Verts, s.Cells, s.BoundaryTriangles())
 }

@@ -48,7 +48,8 @@ func TestSoakLargeMultiTissue(t *testing.T) {
 		t.Errorf("dangling poor count %d", res.Stats.DanglingPoorCount)
 	}
 
-	q := quality.Evaluate(res.Mesh, res.Final, im)
+	snap := res.Snapshot()
+	q := snap.Quality()
 	if q.MaxRadiusEdge > 2.5 {
 		t.Errorf("max radius-edge %v", q.MaxRadiusEdge)
 	}
@@ -57,35 +58,37 @@ func TestSoakLargeMultiTissue(t *testing.T) {
 	// smooth isosurfaces) suppresses an R3 insertion; such facets must
 	// be a sub-percent tail. (The paper's own Table 6 reports sub-30°
 	// minima for CGAL as well.)
-	tris0 := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	tris := snap.BoundaryTriangles()
 	small := 0
-	for _, tr := range tris0 {
+	for _, tr := range tris {
 		if geom.MinTriangleAngle(tr.A, tr.B, tr.C) < 30 {
 			small++
 		}
 	}
-	if frac := float64(small) / float64(len(tris0)); frac > 0.01 {
+	if frac := float64(small) / float64(len(tris)); frac > 0.01 {
 		t.Errorf("%.2f%% of boundary facets below 30° (min %.1f°)",
 			100*frac, q.MinBoundaryPlanarAngle)
 	}
 	t.Logf("boundary angle: min %.1f°, %d/%d facets below 30°",
-		q.MinBoundaryPlanarAngle, small, len(tris0))
+		q.MinBoundaryPlanarAngle, small, len(tris))
 
 	// Every tissue present, each with a meaningful share of elements.
-	per := quality.EvaluatePerTissue(res.Mesh, res.Final, im)
+	per := map[img.Label]int{}
+	for _, l := range snap.Labels {
+		per[l]++
+	}
 	if len(per) != 6 {
 		t.Fatalf("tissues in mesh: %d, want 6", len(per))
 	}
-	for l, s := range per {
-		if s.NumTets < 20 {
-			t.Errorf("tissue %d has only %d elements", l, s.NumTets)
+	for l, n := range per {
+		if n < 20 {
+			t.Errorf("tissue %d has only %d elements", l, n)
 		}
 	}
 
 	// The union of boundary+interface triangles is watertight as a
 	// complex away from junction curves; each tissue's own surface
 	// (cells of that label vs everything else) must be closed.
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
 	if len(tris) == 0 {
 		t.Fatal("no boundary triangles")
 	}
@@ -109,7 +112,7 @@ func hasTransition(res *Result, event string) bool {
 // checkMeshIntegrity asserts the invariants that must survive any
 // fault: structural mesh validity, balanced poor-element bookkeeping,
 // and a watertight boundary complex of whatever was extracted.
-func checkMeshIntegrity(t *testing.T, res *Result, im *img.Image) {
+func checkMeshIntegrity(t *testing.T, res *Result) {
 	t.Helper()
 	if err := res.Mesh.Check(); err != nil {
 		t.Fatalf("mesh invariants: %v", err)
@@ -120,7 +123,7 @@ func checkMeshIntegrity(t *testing.T, res *Result, im *img.Image) {
 	if res.Elements() == 0 {
 		t.Fatal("empty final mesh")
 	}
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	tris := res.Snapshot().BoundaryTriangles()
 	if len(tris) == 0 {
 		t.Fatal("no boundary triangles")
 	}
@@ -180,7 +183,7 @@ func TestSoakFaultStorm(t *testing.T) {
 	if res.Err() != nil {
 		t.Errorf("Err() = %v for a non-aborted run", res.Err())
 	}
-	checkMeshIntegrity(t, res, im)
+	checkMeshIntegrity(t, res)
 }
 
 // TestLivelockRecoveredByCMSwap is the acceptance test for rung 1 of
@@ -226,7 +229,7 @@ func TestLivelockRecoveredByCMSwap(t *testing.T) {
 	if res.Status != StatusDegraded {
 		t.Errorf("status %v, want degraded", res.Status)
 	}
-	checkMeshIntegrity(t, res, im)
+	checkMeshIntegrity(t, res)
 }
 
 // TestLivelockRecoveredBySequentialDrain exercises rung 2: the run
@@ -267,7 +270,7 @@ func TestLivelockRecoveredBySequentialDrain(t *testing.T) {
 	if res.Livelocked || res.Status != StatusDegraded {
 		t.Errorf("status %v livelocked=%v, want degraded/false", res.Status, res.Livelocked)
 	}
-	checkMeshIntegrity(t, res, im)
+	checkMeshIntegrity(t, res)
 }
 
 // TestLadderExhaustionAborts leaves a total denial storm armed through
@@ -430,5 +433,5 @@ func TestCallbackPanicsRecovered(t *testing.T) {
 	if !hasTransition(res, "callback-panic") {
 		t.Errorf("no callback-panic transition: %+v", res.Transitions)
 	}
-	checkMeshIntegrity(t, res, im)
+	checkMeshIntegrity(t, res)
 }

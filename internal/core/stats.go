@@ -161,25 +161,9 @@ func (r *Result) Err() error {
 func (r *Result) Elements() int { return len(r.Final) }
 
 // Quality evaluates the paper's quality metrics (dihedral angles,
-// radius-edge ratios, boundary planar angles) over the final mesh —
-// quality.Evaluate with the run's own mesh, cell list and image.
-func (r *Result) Quality() quality.Stats {
-	return quality.Evaluate(r.Mesh, r.Final, r.Config.Image)
-}
-
-// Boundary extracts the final mesh's boundary triangles (material
-// interfaces included) — quality.BoundaryTriangles with the run's own
-// mesh, cell list and image.
-func (r *Result) Boundary() []quality.Triangle {
-	return quality.BoundaryTriangles(r.Mesh, r.Final, r.Config.Image)
-}
-
-// Topology computes the surface topology (Euler characteristic,
-// components, closedness) of the final mesh's boundary —
-// quality.SurfaceTopology over Boundary().
-func (r *Result) Topology() quality.Topology {
-	return quality.SurfaceTopology(r.Boundary())
-}
+// radius-edge ratios, boundary planar angles) over the final mesh:
+// MeshSnapshot.Quality of the run's snapshot.
+func (r *Result) Quality() quality.Stats { return r.Snapshot().Quality() }
 
 // RunSummary is a compact, serialization-friendly digest of a Result
 // — what a serving layer logs, exposes over a stats endpoint, or

@@ -58,10 +58,11 @@ func Table6(p Params) ([]Table6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		piTris := quality.BoundaryTriangles(res.Mesh, res.Final, in.im)
+		pi := res.Snapshot()
+		piTris := pi.BoundaryTriangles()
 		rows = append(rows, table6Row(in.name, "PI2M",
 			res.Elements(), res.TotalTime,
-			quality.Evaluate(res.Mesh, res.Final, in.im),
+			quality.Evaluate(pi.Verts, pi.Cells, piTris),
 			quality.SymmetricHausdorff(piTris, in.im, tr)))
 
 		// CGAL stand-in. As in the paper, its sizing parameter is
@@ -84,10 +85,11 @@ func Table6(p Params) ([]Table6Row, error) {
 				return nil, err
 			}
 		}
-		seqTris := quality.BoundaryTriangles(seq.Mesh, seq.Final, in.im)
+		seqSnap := core.SnapshotOf(seq.Mesh, seq.Final, in.im)
+		seqTris := seqSnap.BoundaryTriangles()
 		rows = append(rows, table6Row(in.name, "SeqMesher (CGAL stand-in)",
 			seq.Elements(), seq.TotalTime,
-			quality.Evaluate(seq.Mesh, seq.Final, in.im),
+			quality.Evaluate(seqSnap.Verts, seqSnap.Cells, seqTris),
 			quality.SymmetricHausdorff(seqTris, in.im, tr)))
 
 		// TetGen stand-in: receives PI2M's boundary triangulation.
@@ -97,7 +99,7 @@ func Table6(p Params) ([]Table6Row, error) {
 		}
 		r := table6Row(in.name, "PLCMesher (TetGen stand-in)",
 			plc.Elements(), plc.TotalTime,
-			quality.Evaluate(plc.Mesh, plc.Final, in.im),
+			core.SnapshotOf(plc.Mesh, plc.Final, in.im).Quality(),
 			-1) // fidelity not reported: the surface was its input
 		rows = append(rows, r)
 	}

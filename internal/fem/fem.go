@@ -15,14 +15,14 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/meshio"
 )
 
 // Problem is a Poisson problem on a tetrahedral mesh: -∇·(k∇u) = f in
 // the volume, u = g on the constrained vertices.
 type Problem struct {
-	Mesh *meshio.RawMesh
+	Mesh *core.MeshSnapshot
 
 	// Conductivity per cell (nil = 1 everywhere). Multi-tissue
 	// simulations assign per-label conductivities.

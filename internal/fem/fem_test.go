@@ -9,13 +9,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/img"
-	"repro/internal/meshio"
-	"repro/internal/smooth"
 )
 
 // unitTetraMesh is the reference single-element mesh.
-func unitTetraMesh() *meshio.RawMesh {
-	return &meshio.RawMesh{
+func unitTetraMesh() *core.MeshSnapshot {
+	return &core.MeshSnapshot{
 		Verts: []geom.Vec3{
 			{X: 0, Y: 0, Z: 0}, {X: 1, Y: 0, Z: 0}, {X: 0, Y: 1, Z: 0}, {X: 0, Y: 0, Z: 1},
 		},
@@ -102,29 +100,27 @@ func TestFullyConstrainedRejected(t *testing.T) {
 }
 
 func TestEmptyMeshRejected(t *testing.T) {
-	if _, err := Assemble(&Problem{Mesh: &meshio.RawMesh{}}); err == nil {
+	if _, err := Assemble(&Problem{Mesh: &core.MeshSnapshot{}}); err == nil {
 		t.Fatal("empty mesh accepted")
 	}
 }
 
-// meshedSphere returns a PI2M sphere mesh extracted to RawMesh form,
-// with its boundary vertex set.
-func meshedSphere(t *testing.T, n int) (*meshio.RawMesh, []bool) {
+// meshedSphere returns a PI2M sphere mesh's snapshot with its
+// boundary vertex set.
+func meshedSphere(t *testing.T, n int) (*core.MeshSnapshot, []bool) {
 	t.Helper()
 	im := img.SpherePhantom(n)
 	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := smooth.Extract(res.Mesh, res.Final, im)
-	raw := &meshio.RawMesh{Verts: s.Verts, Cells: s.Cells}
-	boundary := make([]bool, len(s.Verts))
-	for _, tr := range s.BoundaryTris {
-		for _, v := range tr {
-			boundary[v] = true
-		}
+	snap := res.Snapshot()
+	boundary := make([]bool, len(snap.Verts))
+	ext, _ := snap.ExteriorVertices()
+	for _, v := range ext {
+		boundary[v] = true
 	}
-	return raw, boundary
+	return snap, boundary
 }
 
 // TestHarmonicReproduction is the classic patch test: with boundary
@@ -379,13 +375,11 @@ func TestHConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := smooth.Extract(res.Mesh, res.Final, im)
-		raw := &meshio.RawMesh{Verts: s.Verts, Cells: s.Cells}
+		raw := res.Snapshot()
+		ext, _ := raw.ExteriorVertices()
 		dir := map[int32]float64{}
-		for _, tr := range s.BoundaryTris {
-			for _, v := range tr {
-				dir[v] = 0
-			}
+		for _, v := range ext {
+			dir[v] = 0
 		}
 		sys, err := Assemble(&Problem{
 			Mesh: raw, Dirichlet: dir,

@@ -3,15 +3,15 @@ package fem
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/meshio"
 )
 
 // Field is a solved scalar field over a mesh, evaluable at arbitrary
 // points by barycentric interpolation — probing a simulation result
 // along a line, at a sensor location, or onto a voxel grid.
 type Field struct {
-	mesh *meshio.RawMesh
+	mesh *core.MeshSnapshot
 	u    []float64
 
 	// Uniform grid over cell bounding boxes for point-in-cell search.
@@ -23,7 +23,7 @@ type Field struct {
 
 // NewField indexes the mesh for evaluation. u is per-vertex (as
 // produced by System.Solve).
-func NewField(mesh *meshio.RawMesh, u []float64) *Field {
+func NewField(mesh *core.MeshSnapshot, u []float64) *Field {
 	f := &Field{mesh: mesh, u: u}
 	f.lo = mesh.Verts[0]
 	f.hi = mesh.Verts[0]

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/meshio"
+	"repro/internal/core"
 )
 
 // ConductivityFromLabels maps a mesh's per-cell tissue labels to the
@@ -18,7 +18,7 @@ import (
 // Every conductivity must be positive and finite: a zero or negative
 // k produces a stiffness matrix that is not positive definite, which
 // CG cannot solve (and a server must reject before assembling).
-func ConductivityFromLabels(m *meshio.RawMesh, byLabel map[int]float64, def float64) ([]float64, error) {
+func ConductivityFromLabels(m *core.MeshSnapshot, byLabel map[int]float64, def float64) ([]float64, error) {
 	if def == 0 {
 		def = 1
 	}
@@ -36,7 +36,7 @@ func ConductivityFromLabels(m *meshio.RawMesh, byLabel map[int]float64, def floa
 	out := make([]float64, len(m.Cells))
 	if len(m.Labels) == len(m.Cells) {
 		for i, l := range m.Labels {
-			if k, ok := byLabel[l]; ok {
+			if k, ok := byLabel[int(l)]; ok {
 				out[i] = k
 			} else {
 				out[i] = def

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/geom"
+	"repro/internal/img"
 	"repro/internal/quality"
 )
 
@@ -53,8 +54,8 @@ func appendRepeat(b []byte, s string, n int) []byte {
 }
 
 // appendVTK appends an indexed tetrahedral mesh as a legacy-ASCII VTK
-// unstructured grid; with tissue set, labels follow as cell data.
-func appendVTK[L ~int | ~uint8](b []byte, verts []geom.Vec3, cells [][4]int32, labels []L, tissue bool) []byte {
+// unstructured grid; non-nil labels follow as cell data.
+func appendVTK(b []byte, verts []geom.Vec3, cells [][4]int32, labels []img.Label) []byte {
 	// Typical: 3×17 digits a point; 4×4 digits, a type, a label a cell.
 	b = slices.Grow(b, len(vtkHeader)+128+56*len(verts)+32*len(cells))
 	b = append(b, vtkHeader...)
@@ -70,7 +71,7 @@ func appendVTK[L ~int | ~uint8](b []byte, verts []geom.Vec3, cells [][4]int32, l
 	}
 	b = append(appendInt(append(b, "CELL_TYPES "...), len(cells)), '\n')
 	b = appendRepeat(b, "10\n", len(cells)) // VTK_TETRA
-	if tissue {
+	if labels != nil {
 		b = appendInt(append(b, "CELL_DATA "...), len(cells))
 		b = append(b, "\nSCALARS tissue int 1\nLOOKUP_TABLE default\n"...)
 		for _, l := range labels {

@@ -76,10 +76,6 @@ func refVTKSnapshot(w io.Writer, s *core.MeshSnapshot) {
 	refVTKGrid(w, s.Verts, s.Cells, labels, s.Labels != nil)
 }
 
-func refVTKRaw(w io.Writer, m *RawMesh) {
-	refVTKGrid(w, m.Verts, m.Cells, m.Labels, len(m.Labels) == len(m.Cells) && len(m.Labels) > 0)
-}
-
 func refVTKSnapshotField(w io.Writer, s *core.MeshSnapshot, name string, u []float64) {
 	refVTKSnapshot(w, s)
 	fmt.Fprintf(w, "POINT_DATA %d\n", len(s.Verts))
@@ -164,8 +160,10 @@ func adversarialSnapshot() *core.MeshSnapshot {
 	return s
 }
 
-// TestEncodersMatchFmtReference pins all five writers to the fmt
-// reference, on a real W=1 mesh and on the adversarial values.
+// TestEncodersMatchFmtReference pins every writer to the fmt
+// reference, on a real W=1 mesh and on the adversarial values, and
+// SnapshotOf's vertex compaction to the reference's own walk over the
+// kernel mesh.
 func TestEncodersMatchFmtReference(t *testing.T) {
 	res, im := smallMesh(t)
 	real := res.Snapshot()
@@ -178,14 +176,14 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 	empty := &core.MeshSnapshot{}
 	emptyLabeled := &core.MeshSnapshot{Labels: []img.Label{}}
 
-	sameBytes(t, "WriteVTK",
-		func(w io.Writer) error { return WriteVTK(w, res.Mesh, res.Final, im) },
+	sameBytes(t, "SnapshotOf",
+		func(w io.Writer) error { return WriteVTKSnapshot(w, core.SnapshotOf(res.Mesh, res.Final, im)) },
 		func(w io.Writer) { refVTK(w, res.Mesh, res.Final, im) })
-	sameBytes(t, "WriteVTK, no image",
-		func(w io.Writer) error { return WriteVTK(w, res.Mesh, res.Final, nil) },
+	sameBytes(t, "SnapshotOf, no image",
+		func(w io.Writer) error { return WriteVTKSnapshot(w, core.SnapshotOf(res.Mesh, res.Final, nil)) },
 		func(w io.Writer) { refVTK(w, res.Mesh, res.Final, nil) })
-	sameBytes(t, "WriteVTK, no cells",
-		func(w io.Writer) error { return WriteVTK(w, res.Mesh, nil, im) },
+	sameBytes(t, "SnapshotOf, no cells",
+		func(w io.Writer) error { return WriteVTKSnapshot(w, core.SnapshotOf(res.Mesh, nil, im)) },
 		func(w io.Writer) { refVTK(w, res.Mesh, nil, im) })
 
 	for name, s := range map[string]*core.MeshSnapshot{
@@ -194,22 +192,7 @@ func TestEncodersMatchFmtReference(t *testing.T) {
 		sameBytes(t, "WriteVTKSnapshot, "+name,
 			func(w io.Writer) error { return WriteVTKSnapshot(w, s) },
 			func(w io.Writer) { refVTKSnapshot(w, s) })
-		raw := RawFromSnapshot(s)
-		sameBytes(t, "WriteVTKRaw, "+name,
-			func(w io.Writer) error { return WriteVTKRaw(w, raw) },
-			func(w io.Writer) { refVTKRaw(w, raw) })
 	}
-	// Labels that do not cover the cells are left out of a RawMesh's
-	// encoding; extreme int labels are printed in full.
-	raw := RawFromSnapshot(adv)
-	raw.Labels = []int{math.MinInt64, math.MaxInt64, -1}
-	sameBytes(t, "WriteVTKRaw, int labels",
-		func(w io.Writer) error { return WriteVTKRaw(w, raw) },
-		func(w io.Writer) { refVTKRaw(w, raw) })
-	raw.Labels = raw.Labels[:2]
-	sameBytes(t, "WriteVTKRaw, short labels",
-		func(w io.Writer) error { return WriteVTKRaw(w, raw) },
-		func(w io.Writer) { refVTKRaw(w, raw) })
 
 	sameBytes(t, "WriteVTKSnapshotField, real",
 		func(w io.Writer) error { return WriteVTKSnapshotField(w, real, "u", field) },
@@ -253,12 +236,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // one Write, and a failed encode writes nothing — what lets a caller
 // frame the output by its length.
 func TestWritersWriteOnce(t *testing.T) {
-	res, im := smallMesh(t)
+	res, _ := smallMesh(t)
 	snap := res.Snapshot()
 	for name, write := range map[string]func(io.Writer) error{
-		"WriteVTK":              func(w io.Writer) error { return WriteVTK(w, res.Mesh, res.Final, im) },
 		"WriteVTKSnapshot":      func(w io.Writer) error { return WriteVTKSnapshot(w, snap) },
-		"WriteVTKRaw":           func(w io.Writer) error { return WriteVTKRaw(w, RawFromSnapshot(snap)) },
+		"WriteOFF":              func(w io.Writer) error { return WriteOFF(w, snap.BoundaryTriangles()) },
 		"WriteVTKSnapshotField": func(w io.Writer) error { return WriteVTKSnapshotField(w, snap, "u", make([]float64, len(snap.Verts))) },
 		"WriteOFFSnapshot":      func(w io.Writer) error { return WriteOFFSnapshot(w, snap) },
 	} {

@@ -11,7 +11,7 @@ import (
 // consistent.
 func FuzzReadVTK(f *testing.F) {
 	var ok bytes.Buffer
-	if err := WriteVTKRaw(&ok, rawTetra()); err != nil {
+	if err := WriteVTKSnapshot(&ok, tetraSnapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ok.String())
@@ -19,6 +19,7 @@ func FuzzReadVTK(f *testing.F) {
 	f.Add("POINTS 999999999999 double\n")
 	f.Add("CELLS -5 0\n")
 	f.Add("POINTS 1 double\n0 0 0\nCELLS 1 5\n4 0 0 0 7\n")
+	f.Add(labelOutOfRange)
 
 	f.Fuzz(func(t *testing.T, data string) {
 		m, err := ReadVTK(strings.NewReader(data))
@@ -35,7 +36,7 @@ func FuzzReadVTK(f *testing.F) {
 				}
 			}
 		}
-		if len(m.Labels) != 0 && len(m.Labels) != len(m.Cells) {
+		if m.Labels != nil && len(m.Labels) != len(m.Cells) {
 			t.Fatal("label count disagrees with cells")
 		}
 	})

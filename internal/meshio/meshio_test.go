@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -25,9 +26,9 @@ func smallMesh(t *testing.T) (*core.Result, *img.Image) {
 }
 
 func TestWriteVTK(t *testing.T) {
-	res, im := smallMesh(t)
+	res, _ := smallMesh(t)
 	var buf bytes.Buffer
-	if err := WriteVTK(&buf, res.Mesh, res.Final, im); err != nil {
+	if err := WriteVTKSnapshot(&buf, res.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,7 +78,7 @@ func TestWriteVTK(t *testing.T) {
 func TestWriteVTKNoImage(t *testing.T) {
 	res, _ := smallMesh(t)
 	var buf bytes.Buffer
-	if err := WriteVTK(&buf, res.Mesh, res.Final, nil); err != nil {
+	if err := WriteVTKSnapshot(&buf, core.SnapshotOf(res.Mesh, res.Final, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "CELL_DATA") {
@@ -86,8 +87,8 @@ func TestWriteVTKNoImage(t *testing.T) {
 }
 
 func TestWriteOFF(t *testing.T) {
-	res, im := smallMesh(t)
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	res, _ := smallMesh(t)
+	tris := res.Snapshot().BoundaryTriangles()
 	var buf bytes.Buffer
 	if err := WriteOFF(&buf, tris); err != nil {
 		t.Fatal(err)
@@ -132,13 +133,17 @@ func TestWriteOFFSharedVertices(t *testing.T) {
 }
 
 func TestWriteFiles(t *testing.T) {
-	res, im := smallMesh(t)
-	dir := t.TempDir()
-	if err := WriteVTKFile(dir+"/m.vtk", res.Mesh, res.Final, im); err != nil {
+	res, _ := smallMesh(t)
+	path := t.TempDir() + "/m.off"
+	tris := res.Snapshot().BoundaryTriangles()
+	if err := WriteOFFFile(path, tris); err != nil {
 		t.Fatal(err)
 	}
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
-	if err := WriteOFFFile(dir+"/m.off", tris); err != nil {
+	var want bytes.Buffer
+	if err := WriteOFF(&want, tris); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("OFF file differs from the streamed encoding (%v)", err)
 	}
 }

@@ -8,13 +8,13 @@ import (
 )
 
 // AppendVTKSnapshot appends a MeshSnapshot to b as a legacy-ASCII VTK
-// unstructured grid — byte-identical to WriteVTK over the Result the
-// snapshot was taken from — without allocating when b has room. It is
-// the serving layer's off-lease encoding path: the snapshot is copied
-// out under the session lease, and the text (about 0.25 GB/s) is
-// produced after the session has moved on to the next job.
+// unstructured grid, with the tissue labels as cell data when the
+// snapshot has them, without allocating when b has room. It is the
+// serving layer's off-lease encoding path: the snapshot is copied out
+// under the session lease, and the text (about 0.25 GB/s) is produced
+// after the session has moved on to the next job.
 func AppendVTKSnapshot(b []byte, s *core.MeshSnapshot) []byte {
-	return appendVTK(b, s.Verts, s.Cells, s.Labels, s.Labels != nil)
+	return appendVTK(b, s.Verts, s.Cells, s.Labels)
 }
 
 // WriteVTKSnapshot writes AppendVTKSnapshot's encoding to w.
@@ -22,21 +22,10 @@ func WriteVTKSnapshot(w io.Writer, s *core.MeshSnapshot) error {
 	return writeOnce(w, AppendVTKSnapshot(nil, s))
 }
 
-// RawFromSnapshot adapts a MeshSnapshot to the RawMesh shape the fem
-// package consumes. Verts and Cells are shared, not copied — the
-// snapshot is immutable and fem only reads them — so building a
-// simulation problem from a cached snapshot costs one small labels
-// slice, not a geometry copy.
-func RawFromSnapshot(s *core.MeshSnapshot) *RawMesh {
-	m := &RawMesh{Verts: s.Verts, Cells: s.Cells}
-	if s.Labels != nil {
-		m.Labels = make([]int, len(s.Labels))
-		for i, l := range s.Labels {
-			m.Labels[i] = int(l)
-		}
-	}
-	return m
-}
+// RawFromSnapshot returns s. It remains only because bench/trace.go
+// still calls it; every other caller passes the snapshot itself, and
+// it goes once that file does too.
+func RawFromSnapshot(s *core.MeshSnapshot) *core.MeshSnapshot { return s }
 
 // AppendVTKSnapshotField is AppendVTKSnapshot followed by a POINT_DATA
 // section carrying one scalar field u (one value per snapshot vertex,
@@ -58,9 +47,9 @@ func WriteVTKSnapshotField(w io.Writer, s *core.MeshSnapshot, name string, u []f
 	return writeOnce(w, b)
 }
 
-// AppendOFFSnapshot appends the snapshot's boundary triangulation as
-// an OFF surface mesh, extracting the boundary from the copied geometry
-// (MeshSnapshot.BoundaryTriangles) — no mesh or lease required.
+// AppendOFFSnapshot appends the snapshot's boundary triangulation
+// (MeshSnapshot.BoundaryTriangles) as an OFF surface mesh — no kernel
+// mesh or lease required.
 func AppendOFFSnapshot(b []byte, s *core.MeshSnapshot) []byte {
 	return appendOFF(b, s.BoundaryTriangles())
 }

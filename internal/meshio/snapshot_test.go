@@ -2,68 +2,55 @@ package meshio
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/arena"
+	"repro/internal/core"
+	"repro/internal/delaunay"
+	"repro/internal/img"
 	"repro/internal/quality"
 )
 
-// TestWriteVTKSnapshotParity: the snapshot encoder must be
-// byte-identical to the lease-bound encoder over the same run — the
-// serving layer fans the snapshot bytes out to coalesced waiters that
-// would previously each have encoded from the live mesh.
-func TestWriteVTKSnapshotParity(t *testing.T) {
-	res, im := smallMesh(t)
-
-	var direct bytes.Buffer
-	if err := WriteVTK(&direct, res.Mesh, res.Final, im); err != nil {
-		t.Fatal(err)
+// boundaryTrianglesOracle is the handle-based boundary extraction that
+// read the kernel mesh before MeshSnapshot.Neighbors became the one
+// facet pass, kept verbatim as the reference the snapshot's boundary
+// is checked against.
+func boundaryTrianglesOracle(m *delaunay.Mesh, final []arena.Handle, im *img.Image) []quality.Triangle {
+	inFinal := make(map[arena.Handle]img.Label, len(final))
+	for _, h := range final {
+		inFinal[h] = im.LabelAt(m.Cells.At(h).CC)
 	}
-	var fromSnap bytes.Buffer
-	if err := WriteVTKSnapshot(&fromSnap, res.Snapshot()); err != nil {
-		t.Fatal(err)
+	var out []quality.Triangle
+	for _, h := range final {
+		c := m.Cells.At(h)
+		myLabel := inFinal[h]
+		for f := 0; f < 4; f++ {
+			nb := c.Neighbor(f)
+			nbLabel, ok := inFinal[nb]
+			boundary := !ok || nbLabel != myLabel
+			if !boundary {
+				continue
+			}
+			// Emit interface facets once (from the lower handle side);
+			// facets to non-final cells are emitted unconditionally.
+			if ok && nb < h {
+				continue
+			}
+			face := c.Face(f)
+			out = append(out, quality.Triangle{
+				A: m.Pos(face[0]), B: m.Pos(face[1]), C: m.Pos(face[2]),
+			})
+		}
 	}
-	if !bytes.Equal(direct.Bytes(), fromSnap.Bytes()) {
-		t.Fatalf("snapshot VTK differs from direct VTK (%d vs %d bytes)",
-			direct.Len(), fromSnap.Len())
-	}
+	return out
 }
 
-// TestWriteOFFSnapshotParity: the OFF fan-out path must byte-match the
-// lease-bound encoder over the same run, mirroring the VTK parity test
-// — coalesced waiters and cache-served repeats receive snapshot-encoded
-// OFF bodies, so any drift between the two encoders would make a cache
-// hit observably different from a fresh mesh.
-func TestWriteOFFSnapshotParity(t *testing.T) {
-	res, im := smallMesh(t)
-
-	var direct bytes.Buffer
-	if err := WriteOFF(&direct, quality.BoundaryTriangles(res.Mesh, res.Final, im)); err != nil {
-		t.Fatal(err)
-	}
-	var fromSnap bytes.Buffer
-	if err := WriteOFFSnapshot(&fromSnap, res.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), fromSnap.Bytes()) {
-		t.Fatalf("snapshot OFF differs from direct OFF (%d vs %d bytes)",
-			direct.Len(), fromSnap.Len())
-	}
-	// And the snapshot encoder is deterministic: the same snapshot must
-	// encode to the same bytes every time (cache hits re-encode).
-	var again bytes.Buffer
-	if err := WriteOFFSnapshot(&again, res.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromSnap.Bytes(), again.Bytes()) {
-		t.Fatal("WriteOFFSnapshot is not deterministic for the same snapshot")
-	}
-}
-
-// triKey reduces a triangle to an order-independent identity so the
-// two boundary extractions can be compared as multisets (they agree
-// on the facet set, not necessarily on emission order or winding
-// start).
+// triKey reduces a triangle to an order-independent identity so two
+// boundary extractions can be compared as multisets (they agree on the
+// facet set, not necessarily on emission order or winding start).
 func triKey(tr quality.Triangle) [9]float64 {
 	pts := [3][3]float64{
 		{tr.A.X, tr.A.Y, tr.A.Z},
@@ -85,32 +72,105 @@ func triKey(tr quality.Triangle) [9]float64 {
 	return k
 }
 
-// TestSnapshotBoundaryParity: MeshSnapshot.BoundaryTriangles must
-// produce the same facet multiset as quality.BoundaryTriangles over
-// the live mesh, so OFF responses encoded off-lease match on-lease
-// ones geometrically.
-func TestSnapshotBoundaryParity(t *testing.T) {
-	res, im := smallMesh(t)
+// faceVerts returns the sorted vertices of face f of cell c: the three
+// other than its vertex f.
+func faceVerts(c [4]int32, f int) [3]int32 {
+	var k [3]int32
+	n := 0
+	for j, v := range c {
+		if j != f {
+			k[n] = v
+			n++
+		}
+	}
+	slices.Sort(k[:])
+	return k
+}
 
-	live := quality.BoundaryTriangles(res.Mesh, res.Final, im)
-	snap := res.Snapshot().BoundaryTriangles()
-	if len(live) != len(snap) {
-		t.Fatalf("boundary sizes differ: live %d, snapshot %d", len(live), len(snap))
-	}
-	count := make(map[[9]float64]int, len(live))
-	for _, tr := range live {
-		count[triKey(tr)]++
-	}
-	for _, tr := range snap {
-		k := triKey(tr)
-		if count[k] == 0 {
-			t.Fatal("snapshot boundary contains a facet the live extraction does not")
-		}
-		count[k]--
-	}
-	for _, n := range count {
-		if n != 0 {
-			t.Fatal("live boundary contains a facet the snapshot extraction does not")
-		}
+// TestSnapshotBoundaryParity checks the snapshot's one facet pass on a
+// single-tissue mesh and on a five-tissue one, serial and parallel:
+// Neighbors is a symmetric pairing of faces, BoundaryTriangles is the
+// oracle's facet multiset (its exact sequence and OFF bytes at W=1,
+// where Final is in handle order), and ExteriorVertices is the vertex
+// set of the neighborless faces.
+func TestSnapshotBoundaryParity(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		im      *img.Image
+		workers int
+	}{
+		{"sphere-20 W=1", img.SpherePhantom(20), 1},
+		{"knee-48 W=1", img.KneePhantom(48, 48, 48), 1},
+		{"knee-48 W=2", img.KneePhantom(48, 48, 48), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Run(core.Config{Image: tc.im, Workers: tc.workers, LivelockTimeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := res.Snapshot()
+			nb := snap.Neighbors()
+
+			exterior, interior := 0, 0
+			var extVerts []int32
+			for ci, row := range nb {
+				for f, other := range row {
+					if other < 0 {
+						exterior++
+						k := faceVerts(snap.Cells[ci], f)
+						extVerts = append(extVerts, k[:]...)
+						continue
+					}
+					if int(other) < ci {
+						interior++
+					}
+					back := slices.Index(nb[other][:], int32(ci))
+					if back < 0 || faceVerts(snap.Cells[other], back) != faceVerts(snap.Cells[ci], f) {
+						t.Fatalf("cell %d face %d sees cell %d, which does not see it back across that face", ci, f, other)
+					}
+				}
+			}
+			if exterior+2*interior != 4*len(snap.Cells) {
+				t.Fatalf("%d exterior + 2×%d interior facets, want 4×%d cells", exterior, interior, len(snap.Cells))
+			}
+
+			got := snap.BoundaryTriangles()
+			want := boundaryTrianglesOracle(res.Mesh, res.Final, tc.im)
+			count := make(map[[9]float64]int, len(want))
+			for _, tr := range want {
+				count[triKey(tr)]++
+			}
+			for _, tr := range got {
+				count[triKey(tr)]--
+			}
+			for _, n := range count {
+				if n != 0 {
+					t.Fatalf("boundary facet multisets differ: snapshot %d, oracle %d triangles", len(got), len(want))
+				}
+			}
+			if tc.workers == 1 {
+				var fromSnap, fromOracle bytes.Buffer
+				if err := WriteOFFSnapshot(&fromSnap, snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteOFF(&fromOracle, want); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) || !bytes.Equal(fromSnap.Bytes(), fromOracle.Bytes()) {
+					t.Fatalf("W=1 boundary differs from the oracle's in order (OFF %d vs %d bytes)", fromSnap.Len(), fromOracle.Len())
+				}
+			}
+
+			slices.Sort(extVerts)
+			verts, labels := snap.ExteriorVertices()
+			if !slices.Equal(verts, slices.Compact(extVerts)) {
+				t.Fatalf("ExteriorVertices has %d vertices, the neighborless faces %d", len(verts), len(slices.Compact(extVerts)))
+			}
+			for _, v := range verts {
+				if len(labels[v]) == 0 {
+					t.Fatalf("exterior vertex %d has no tissue label", v)
+				}
+			}
+		})
 	}
 }

@@ -18,8 +18,9 @@ func Example() {
 		fmt.Println("error:", err)
 		return
 	}
-	s := quality.Evaluate(res.Mesh, res.Final, image)
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, image)
+	snap := res.Snapshot()
+	tris := snap.BoundaryTriangles()
+	s := quality.Evaluate(snap.Verts, snap.Cells, tris)
 	topo := quality.SurfaceTopology(tris)
 	fmt.Println("radius-edge within bound:", s.MaxRadiusEdge <= 2.0+1e-9)
 	fmt.Println("torus Euler characteristic:", topo.Euler)

@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/arena"
-	"repro/internal/delaunay"
-	"repro/internal/geom"
-	"repro/internal/img"
 )
 
 // Histogram accumulates a bounded scalar distribution (dihedral
@@ -99,66 +94,4 @@ func (h *Histogram) String() string {
 	fmt.Fprintf(&b, "n=%d min=%.3f mean=%.3f max=%.3f (under=%d over=%d)\n",
 		h.Count, h.Min, h.Mean(), h.Max, h.underflow, h.overflow)
 	return b.String()
-}
-
-// DihedralHistogram bins all dihedral angles (degrees) of the final
-// cells.
-func DihedralHistogram(m *delaunay.Mesh, final []arena.Handle, bins int) *Histogram {
-	h := NewHistogram(0, 180, bins)
-	for _, ch := range final {
-		c := m.Cells.At(ch)
-		for _, a := range geom.DihedralAngles(m.Pos(c.V[0]), m.Pos(c.V[1]), m.Pos(c.V[2]), m.Pos(c.V[3])) {
-			h.Add(a)
-		}
-	}
-	return h
-}
-
-// RadiusEdgeHistogram bins the radius-edge ratios of the final cells.
-func RadiusEdgeHistogram(m *delaunay.Mesh, final []arena.Handle, bins int) *Histogram {
-	h := NewHistogram(0, 3, bins)
-	for _, ch := range final {
-		c := m.Cells.At(ch)
-		h.Add(geom.RadiusEdgeRatio(m.Pos(c.V[0]), m.Pos(c.V[1]), m.Pos(c.V[2]), m.Pos(c.V[3])))
-	}
-	return h
-}
-
-// EdgeLengthHistogram bins the edge lengths of the final cells (each
-// edge counted once per incident cell).
-func EdgeLengthHistogram(m *delaunay.Mesh, final []arena.Handle, hi float64, bins int) *Histogram {
-	h := NewHistogram(0, hi, bins)
-	pairs := [6][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	for _, ch := range final {
-		c := m.Cells.At(ch)
-		for _, pr := range pairs {
-			h.Add(m.Pos(c.V[pr[0]]).Dist(m.Pos(c.V[pr[1]])))
-		}
-	}
-	return h
-}
-
-// Volume sums the (positive) volumes of the final cells.
-func Volume(m *delaunay.Mesh, final []arena.Handle) float64 {
-	var v float64
-	for _, ch := range final {
-		c := m.Cells.At(ch)
-		v += geom.TetraVolume(m.Pos(c.V[0]), m.Pos(c.V[1]), m.Pos(c.V[2]), m.Pos(c.V[3]))
-	}
-	return v
-}
-
-// EvaluatePerTissue computes Stats separately for each tissue label
-// (boundary counts refer to each tissue's own interface set).
-func EvaluatePerTissue(m *delaunay.Mesh, final []arena.Handle, im *img.Image) map[img.Label]Stats {
-	byLabel := map[img.Label][]arena.Handle{}
-	for _, h := range final {
-		l := im.LabelAt(m.Cells.At(h).CC)
-		byLabel[l] = append(byLabel[l], h)
-	}
-	out := make(map[img.Label]Stats, len(byLabel))
-	for l, cells := range byLabel {
-		out[l] = Evaluate(m, cells, im)
-	}
-	return out
 }

@@ -4,10 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/img"
 	"repro/internal/quality"
 )
 
@@ -53,69 +50,4 @@ func TestHistogramPanics(t *testing.T) {
 		}
 	}()
 	quality.NewHistogram(5, 5, 10)
-}
-
-func TestMeshHistograms(t *testing.T) {
-	im := img.SpherePhantom(32)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dh := quality.DihedralHistogram(res.Mesh, res.Final, 18)
-	if dh.Count != 6*res.Elements() {
-		t.Errorf("dihedral samples = %d, want %d", dh.Count, 6*res.Elements())
-	}
-	if dh.Min <= 0 || dh.Max >= 180 {
-		t.Errorf("dihedral range (%v, %v)", dh.Min, dh.Max)
-	}
-
-	rh := quality.RadiusEdgeHistogram(res.Mesh, res.Final, 30)
-	if rh.Count != res.Elements() {
-		t.Errorf("ratio samples = %d", rh.Count)
-	}
-	if rh.Max > 2.5 {
-		t.Errorf("ratio max = %v", rh.Max)
-	}
-	// Essentially all ratios within the provable bound.
-	if f := rh.Fraction(0, 2.05); f < 0.99 {
-		t.Errorf("only %.2f of ratios within bound", f)
-	}
-
-	eh := quality.EdgeLengthHistogram(res.Mesh, res.Final, 40, 20)
-	if eh.Count != 6*res.Elements() {
-		t.Errorf("edge samples = %d", eh.Count)
-	}
-	if eh.Min <= 0 {
-		t.Errorf("min edge %v", eh.Min)
-	}
-}
-
-func TestVolumeAndPerTissue(t *testing.T) {
-	im := img.AbdominalPhantom(36, 36, 24)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := quality.Volume(res.Mesh, res.Final)
-	if total <= 0 {
-		t.Fatal("non-positive volume")
-	}
-	per := quality.EvaluatePerTissue(res.Mesh, res.Final, im)
-	if len(per) < 3 {
-		t.Fatalf("only %d tissues in per-tissue stats", len(per))
-	}
-	sum := 0
-	for l, s := range per {
-		if s.NumTets == 0 {
-			t.Errorf("tissue %d empty", l)
-		}
-		if s.MaxRadiusEdge > 2.5 {
-			t.Errorf("tissue %d ratio %v", l, s.MaxRadiusEdge)
-		}
-		sum += s.NumTets
-	}
-	if sum != res.Elements() {
-		t.Errorf("per-tissue cells %d != total %d", sum, res.Elements())
-	}
 }

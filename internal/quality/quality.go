@@ -7,8 +7,6 @@ package quality
 import (
 	"math"
 
-	"repro/internal/arena"
-	"repro/internal/delaunay"
 	"repro/internal/edt"
 	"repro/internal/geom"
 	"repro/internal/img"
@@ -36,29 +34,25 @@ type Stats struct {
 	MinBoundaryPlanarAngle float64 // degrees
 }
 
-// Evaluate computes Stats over the final cells of a mesh. The image is
-// used to label cells (a facet between differently-labeled tissues
-// counts as boundary, as does a facet to a cell outside the final
-// mesh).
-func Evaluate(m *delaunay.Mesh, final []arena.Handle, im *img.Image) Stats {
+// Evaluate computes Stats over an indexed tetrahedral mesh — cells
+// indexing verts — and its boundary triangulation (exterior and
+// tissue-interface facets), the geometry core.MeshSnapshot.Quality
+// passes it.
+func Evaluate(verts []geom.Vec3, cells [][4]int32, boundary []Triangle) Stats {
 	s := Stats{
-		NumTets:                len(final),
+		NumTets:                len(cells),
+		NumBoundaryTriangles:   len(boundary),
 		MinDihedral:            math.Inf(1),
 		MaxDihedral:            math.Inf(-1),
 		MinBoundaryPlanarAngle: math.Inf(1),
 	}
-	for _, tri := range BoundaryTriangles(m, final, im) {
-		s.NumBoundaryTriangles++
+	for _, tri := range boundary {
 		if a := geom.MinTriangleAngle(tri.A, tri.B, tri.C); a < s.MinBoundaryPlanarAngle {
 			s.MinBoundaryPlanarAngle = a
 		}
 	}
-	for _, h := range final {
-		c := m.Cells.At(h)
-		a := m.Pos(c.V[0])
-		b := m.Pos(c.V[1])
-		cc := m.Pos(c.V[2])
-		d := m.Pos(c.V[3])
+	for _, c := range cells {
+		a, b, cc, d := verts[c[0]], verts[c[1]], verts[c[2]], verts[c[3]]
 		if re := geom.RadiusEdgeRatio(a, b, cc, d); re > s.MaxRadiusEdge {
 			s.MaxRadiusEdge = re
 		}
@@ -71,39 +65,6 @@ func Evaluate(m *delaunay.Mesh, final []arena.Handle, im *img.Image) Stats {
 		}
 	}
 	return s
-}
-
-// BoundaryTriangles extracts the boundary facets of the final mesh: a
-// facet of a final cell whose neighbor is missing from the final set,
-// or whose neighbor lies in a different tissue.
-func BoundaryTriangles(m *delaunay.Mesh, final []arena.Handle, im *img.Image) []Triangle {
-	inFinal := make(map[arena.Handle]img.Label, len(final))
-	for _, h := range final {
-		inFinal[h] = im.LabelAt(m.Cells.At(h).CC)
-	}
-	var out []Triangle
-	for _, h := range final {
-		c := m.Cells.At(h)
-		myLabel := inFinal[h]
-		for f := 0; f < 4; f++ {
-			nb := c.Neighbor(f)
-			nbLabel, ok := inFinal[nb]
-			boundary := !ok || nbLabel != myLabel
-			if !boundary {
-				continue
-			}
-			// Emit interface facets once (from the lower handle side);
-			// facets to non-final cells are emitted unconditionally.
-			if ok && nb < h {
-				continue
-			}
-			face := c.Face(f)
-			out = append(out, Triangle{
-				A: m.Pos(face[0]), B: m.Pos(face[1]), C: m.Pos(face[2]),
-			})
-		}
-	}
-	return out
 }
 
 // pointTriangleDist2 returns the squared distance from p to triangle

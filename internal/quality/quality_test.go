@@ -79,8 +79,8 @@ func meshSphere(t *testing.T, n int) (*core.Result, *img.Image) {
 }
 
 func TestEvaluateSphere(t *testing.T) {
-	res, im := meshSphere(t, 32)
-	s := quality.Evaluate(res.Mesh, res.Final, im)
+	res, _ := meshSphere(t, 32)
+	s := res.Snapshot().Quality()
 	if s.NumTets != res.Elements() {
 		t.Errorf("NumTets = %d, want %d", s.NumTets, res.Elements())
 	}
@@ -100,8 +100,8 @@ func TestEvaluateSphere(t *testing.T) {
 
 func TestBoundaryTrianglesNearSurface(t *testing.T) {
 	n := 32
-	res, im := meshSphere(t, n)
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	res, _ := meshSphere(t, n)
+	tris := res.Snapshot().BoundaryTriangles()
 	c := v3(float64(n)/2, float64(n)/2, float64(n)/2)
 	r := 0.35 * float64(n)
 	for _, tri := range tris {
@@ -116,7 +116,7 @@ func TestBoundaryTrianglesNearSurface(t *testing.T) {
 func TestHausdorffSphere(t *testing.T) {
 	res, im := meshSphere(t, 32)
 	tr := edt.Compute(im, 2)
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	tris := res.Snapshot().BoundaryTriangles()
 	m2s, s2m := quality.Hausdorff(tris, im, tr)
 	// Theorem 1 at voxel resolution: a few voxels at this δ (=2).
 	if m2s > 4 || s2m > 4 {
@@ -145,8 +145,9 @@ func TestMultiTissueInterfacesAreBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
-	s := quality.Evaluate(res.Mesh, res.Final, im)
+	snap := res.Snapshot()
+	tris := snap.BoundaryTriangles()
+	s := snap.Quality()
 	if len(tris) != s.NumBoundaryTriangles {
 		t.Fatalf("triangle counts disagree")
 	}

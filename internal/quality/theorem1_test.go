@@ -35,7 +35,7 @@ func TestTheorem1Convergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+		tris := res.Snapshot().BoundaryTriangles()
 		h := quality.SymmetricHausdorff(tris, im, tr)
 		hausdorff = append(hausdorff, h)
 		t.Logf("delta=%g: %d elements, Hausdorff %.3f", d, res.Elements(), h)

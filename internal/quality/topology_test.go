@@ -73,7 +73,7 @@ func TestMeshedSphereIsTopologicalSphere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	tris := res.Snapshot().BoundaryTriangles()
 	topo := quality.SurfaceTopology(tris)
 	if !topo.Closed {
 		t.Fatalf("sphere boundary not closed: %v", topo)
@@ -94,7 +94,7 @@ func TestMeshedTorusIsTopologicalTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tris := quality.BoundaryTriangles(res.Mesh, res.Final, im)
+	tris := res.Snapshot().BoundaryTriangles()
 	topo := quality.SurfaceTopology(tris)
 	if !topo.Closed {
 		t.Fatalf("torus boundary not closed: %v", topo)

@@ -13,8 +13,8 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/meshio"
 )
 
 // palette assigns stable distinguishable colors to tissue labels
@@ -43,7 +43,7 @@ type Options struct {
 }
 
 // Section renders the z = opts.Z cross-section of the mesh.
-func Section(m *meshio.RawMesh, opts Options) *image.RGBA {
+func Section(m *core.MeshSnapshot, opts Options) *image.RGBA {
 	if opts.PixelsPerUnit <= 0 {
 		opts.PixelsPerUnit = 8
 	}
@@ -73,7 +73,7 @@ func Section(m *meshio.RawMesh, opts Options) *image.RGBA {
 		}
 		label := 1
 		if len(m.Labels) > 0 {
-			label = m.Labels[ci]
+			label = int(m.Labels[ci])
 		}
 		fill := palette[label%len(palette)]
 
@@ -146,12 +146,12 @@ func insideTetra(pos [4]geom.Vec3, p geom.Vec3) (inside, nearFace bool) {
 }
 
 // WritePNG renders a section and encodes it.
-func WritePNG(w io.Writer, m *meshio.RawMesh, opts Options) error {
+func WritePNG(w io.Writer, m *core.MeshSnapshot, opts Options) error {
 	return png.Encode(w, Section(m, opts))
 }
 
 // WritePNGFile renders a section to a file.
-func WritePNGFile(path string, m *meshio.RawMesh, opts Options) error {
+func WritePNGFile(path string, m *core.MeshSnapshot, opts Options) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

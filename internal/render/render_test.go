@@ -10,19 +10,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/img"
-	"repro/internal/meshio"
-	"repro/internal/smooth"
 )
 
-func singleTetra(label int) *meshio.RawMesh {
-	m := &meshio.RawMesh{
+func singleTetra(label img.Label) *core.MeshSnapshot {
+	m := &core.MeshSnapshot{
 		Verts: []geom.Vec3{
 			{X: 0, Y: 0, Z: 0}, {X: 4, Y: 0, Z: 0}, {X: 0, Y: 4, Z: 0}, {X: 0, Y: 0, Z: 4},
 		},
 		Cells: [][4]int32{{0, 1, 2, 3}},
 	}
 	if label > 0 {
-		m.Labels = []int{label}
+		m.Labels = []img.Label{label}
 	}
 	return m
 }
@@ -74,13 +72,8 @@ func TestWritePNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := smooth.Extract(res.Mesh, res.Final, image)
-	raw := &meshio.RawMesh{Verts: ext.Verts, Cells: ext.Cells}
-	for _, l := range ext.Labels {
-		raw.Labels = append(raw.Labels, int(l))
-	}
 	var buf bytes.Buffer
-	if err := WritePNG(&buf, raw, Options{Z: 14}); err != nil {
+	if err := WritePNG(&buf, res.Snapshot(), Options{Z: 14}); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := png.Decode(&buf)

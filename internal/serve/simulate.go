@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -45,24 +46,6 @@ type MeshQuality struct {
 	MinDihedralDeg float64 `json:"min_dihedral_deg"`
 }
 
-// snapshotQuality measures the mesh the field was solved on; it runs
-// off-lease over the immutable snapshot.
-func snapshotQuality(s *core.MeshSnapshot) MeshQuality {
-	q := MeshQuality{MinDihedralDeg: 180}
-	for _, c := range s.Cells {
-		a, b, cc, d := s.Verts[c[0]], s.Verts[c[1]], s.Verts[c[2]], s.Verts[c[3]]
-		if re := geom.RadiusEdgeRatio(a, b, cc, d); re > q.MaxRadiusEdge {
-			q.MaxRadiusEdge = re
-		}
-		for _, ang := range geom.DihedralAngles(a, b, cc, d) {
-			if ang < q.MinDihedralDeg {
-				q.MinDihedralDeg = ang
-			}
-		}
-	}
-	return q
-}
-
 // dirichletFromSpec resolves the spec's clauses against the snapshot's
 // exterior surface. Later clauses override earlier ones; the result
 // must constrain at least one vertex.
@@ -94,7 +77,7 @@ func dirichletFromSpec(snap *core.MeshSnapshot, bcs []wire.BCSpec) (map[int32]fl
 		for _, v := range verts {
 			p := snap.Verts[v]
 			if bc.Label != nil {
-				if !containsIntLabel(labels[v], img.Label(*bc.Label)) {
+				if !slices.Contains(labels[v], img.Label(*bc.Label)) {
 					continue
 				}
 			}
@@ -126,15 +109,6 @@ func dirichletFromSpec(snap *core.MeshSnapshot, bcs []wire.BCSpec) (map[int32]fl
 			"dirichlet clauses constrain no vertex of the meshed surface"}
 	}
 	return out, nil
-}
-
-func containsIntLabel(ls []img.Label, l img.Label) bool {
-	for _, x := range ls {
-		if x == l {
-			return true
-		}
-	}
-	return false
 }
 
 // sourceFunc compiles the spec's source term; nil means f = 0.
@@ -169,7 +143,6 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 	if err != nil {
 		return nil, nil, err
 	}
-	raw := meshio.RawFromSnapshot(snap)
 	var byLabel map[int]float64
 	def := 0.0
 	if c := spec.Conductivity; c != nil {
@@ -180,7 +153,7 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 			byLabel[l] = v
 		}
 	}
-	conductivity, err := fem.ConductivityFromLabels(raw, byLabel, def)
+	conductivity, err := fem.ConductivityFromLabels(snap, byLabel, def)
 	if err != nil {
 		return nil, nil, &requestError{http.StatusBadRequest, wire.CodeBadRequest, err.Error()}
 	}
@@ -200,7 +173,7 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 	_, finished := supervise(solveCtx, s.watchdogGrace, func() {
 		var sys *fem.System
 		sys, solveErr = fem.Assemble(&fem.Problem{
-			Mesh:         raw,
+			Mesh:         snap,
 			Conductivity: conductivity,
 			Source:       sourceFunc(spec.Source),
 			Dirichlet:    dirichlet,
@@ -275,6 +248,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.mSolveSeconds.Observe(solveSecs)
 	s.mSolveIters.Observe(float64(sol.Iterations))
 
+	// The quality of the mesh the field was solved on, measured off-lease.
+	q := sr.Snapshot.Quality()
 	summary := SimSummary{
 		ImageKey:            key,
 		Variant:             variant,
@@ -286,7 +261,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Iterations:          sol.Iterations,
 		Residual:            sol.Residual,
 		SolveSeconds:        solveSecs,
-		Quality:             snapshotQuality(sr.Snapshot),
+		Quality:             MeshQuality{MaxRadiusEdge: q.MaxRadiusEdge, MinDihedralDeg: q.MinDihedral},
 	}
 	summary.FieldMin, summary.FieldMax = math.Inf(1), math.Inf(-1)
 	for _, u := range sol.U {

@@ -5,27 +5,27 @@
 // Section 7): CFD applications such as airway modeling want smooth
 // boundaries, while FE quality must not be destroyed.
 //
-// The implementation extracts a mutable copy of the final mesh,
-// applies Taubin λ|μ smoothing to the boundary vertices, restores the
+// The implementation takes a mutable copy of a mesh snapshot, applies
+// Taubin λ|μ smoothing to the boundary vertices, restores the
 // enclosed volume exactly by a uniform offset along vertex normals,
 // and guards every displacement against element inversion.
 package smooth
 
 import (
 	"math"
+	"slices"
 
-	"repro/internal/arena"
-	"repro/internal/delaunay"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/img"
 )
 
-// Mesh is a standalone, mutable tetrahedral mesh extracted from a
-// refinement result (the shared Delaunay structure is immutable).
+// Mesh is a mutable copy of a snapshot for smoothing: it embeds its
+// own MeshSnapshot, whose Verts the smoothing moves and whose Cells and
+// Labels it shares with the source, so a smoothed mesh goes wherever a
+// snapshot goes (meshio's writers, fem, render).
 type Mesh struct {
-	Verts  []geom.Vec3
-	Cells  [][4]int32
-	Labels []img.Label // per-cell tissue label (may be nil)
+	*core.MeshSnapshot
 
 	// Boundary structure.
 	BoundaryTris  [][3]int32 // outward-oriented boundary triangles
@@ -34,73 +34,50 @@ type Mesh struct {
 	vertCells     [][]int32 // incident cells per vertex (boundary verts only)
 }
 
-// Extract copies the final cells into a standalone mesh. Boundary
-// facets are those without a final cell on the other side, or between
-// different tissues when im is non-nil.
-func Extract(m *delaunay.Mesh, final []arena.Handle, im *img.Image) *Mesh {
-	s := &Mesh{}
-	vidOf := make(map[arena.Handle]int32)
-	vid := func(h arena.Handle) int32 {
-		if i, ok := vidOf[h]; ok {
-			return i
+// outward orders the face opposite vertex f (MeshSnapshot.Neighbors'
+// face f) so its normal points away from vertex f — out of a
+// positively oriented cell.
+var outward = [4][3]int{{1, 2, 3}, {0, 3, 2}, {0, 1, 3}, {0, 2, 1}}
+
+// New prepares a snapshot for smoothing. Its boundary is the
+// snapshot's: faces without a neighbor, and faces between cells of
+// different tissues (emitted once, from the lower-indexed cell). The
+// vertex positions are copied, so s itself is never modified.
+func New(s *core.MeshSnapshot) *Mesh {
+	copied := *s
+	copied.Verts = slices.Clone(s.Verts)
+	m := &Mesh{MeshSnapshot: &copied}
+	label := func(ci int32) img.Label {
+		if s.Labels == nil {
+			return 0
 		}
-		i := int32(len(s.Verts))
-		vidOf[h] = i
-		s.Verts = append(s.Verts, m.Pos(h))
-		return i
+		return s.Labels[ci]
 	}
-
-	inFinal := make(map[arena.Handle]img.Label, len(final))
-	for _, h := range final {
-		var l img.Label
-		if im != nil {
-			l = im.LabelAt(m.Cells.At(h).CC)
-		}
-		inFinal[h] = l
-	}
-
-	for _, h := range final {
-		c := m.Cells.At(h)
-		var cell [4]int32
-		for i := 0; i < 4; i++ {
-			cell[i] = vid(c.V[i])
-		}
-		s.Cells = append(s.Cells, cell)
-		if im != nil {
-			s.Labels = append(s.Labels, inFinal[h])
-		}
-
-		myLabel := inFinal[h]
-		for f := 0; f < 4; f++ {
-			nb := c.Neighbor(f)
-			nbLabel, ok := inFinal[nb]
-			if ok && nbLabel == myLabel {
+	for ci, nb := range s.Neighbors() {
+		c := s.Cells[ci]
+		for f, other := range nb {
+			if other >= 0 && (label(int32(ci)) == label(other) || int32(ci) > other) {
 				continue
 			}
-			if ok && nb < h {
-				continue // interface facet emitted once
-			}
-			face := c.Face(f)
-			// ftab orients the face with the opposite vertex on the
-			// positive side (inside); reverse for an outward normal.
-			s.BoundaryTris = append(s.BoundaryTris,
-				[3]int32{vid(face[0]), vid(face[2]), vid(face[1])})
+			o := outward[f]
+			m.BoundaryTris = append(m.BoundaryTris, [3]int32{c[o[0]], c[o[1]], c[o[2]]})
 		}
 	}
-
-	s.buildAdjacency()
-	return s
+	m.buildAdjacency()
+	return m
 }
 
+// buildAdjacency lists each boundary vertex's neighbors along boundary
+// edges in facet order — a fixed order, so the Laplacian averages sum
+// the same way on every run — and its incident cells.
 func (s *Mesh) buildAdjacency() {
 	n := len(s.Verts)
 	s.boundaryVert = make([]bool, n)
-	nbSet := make([]map[int32]struct{}, n)
+	s.vertNeighbors = make([][]int32, n)
 	addEdge := func(a, b int32) {
-		if nbSet[a] == nil {
-			nbSet[a] = make(map[int32]struct{}, 8)
+		if !slices.Contains(s.vertNeighbors[a], b) {
+			s.vertNeighbors[a] = append(s.vertNeighbors[a], b)
 		}
-		nbSet[a][b] = struct{}{}
 	}
 	for _, tr := range s.BoundaryTris {
 		for i := 0; i < 3; i++ {
@@ -108,12 +85,6 @@ func (s *Mesh) buildAdjacency() {
 			s.boundaryVert[a] = true
 			addEdge(a, b)
 			addEdge(b, a)
-		}
-	}
-	s.vertNeighbors = make([][]int32, n)
-	for v, set := range nbSet {
-		for u := range set {
-			s.vertNeighbors[v] = append(s.vertNeighbors[v], u)
 		}
 	}
 	s.vertCells = make([][]int32, n)

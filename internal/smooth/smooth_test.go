@@ -2,13 +2,13 @@ package smooth
 
 import (
 	"math"
-
-	"repro/internal/quality"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
+	"repro/internal/quality"
 )
 
 func extractSphere(t *testing.T, n int) (*Mesh, *core.Result) {
@@ -18,7 +18,7 @@ func extractSphere(t *testing.T, n int) (*Mesh, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Extract(res.Mesh, res.Final, im), res
+	return New(res.Snapshot()), res
 }
 
 func TestExtractConsistency(t *testing.T) {
@@ -62,6 +62,26 @@ func TestTaubinSmoothsAndConservesVolume(t *testing.T) {
 	}
 }
 
+// TestTaubinDeterministic: smoothing the same snapshot twice gives
+// bitwise the same vertices, and leaves the snapshot itself untouched.
+func TestTaubinDeterministic(t *testing.T) {
+	res, err := core.Run(core.Config{Image: img.SpherePhantom(32), Workers: 1, LivelockTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Snapshot()
+	before := slices.Clone(snap.Verts)
+	a, b := New(snap), New(snap)
+	a.Taubin(10, 0.5, -0.53)
+	b.Taubin(10, 0.5, -0.53)
+	if !slices.Equal(a.Verts, b.Verts) {
+		t.Fatal("two smoothings of one snapshot moved its vertices differently")
+	}
+	if slices.Equal(a.Verts, before) || !slices.Equal(snap.Verts, before) {
+		t.Fatal("smoothing must move the copy's vertices and leave the snapshot's alone")
+	}
+}
+
 func TestTaubinZeroIterationsIsNoOp(t *testing.T) {
 	s, _ := extractSphere(t, 24)
 	v0 := s.Verts[0]
@@ -79,7 +99,7 @@ func TestSmoothMultiTissue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Extract(res.Mesh, res.Final, im)
+	s := New(res.Snapshot())
 	v0 := s.Volume()
 	s.Taubin(5, 0.5, -0.53)
 	if s.MinCellVolume() <= 0 {

@@ -9,7 +9,8 @@
 //	session, _ := pi2m.NewSession(pi2m.WithThreads(4))
 //	defer session.Close()
 //	result, err := session.Run(ctx, image)
-//	pi2m.WriteVTKFile("mesh.vtk", result.Mesh, result.Final, image)
+//	mesh := result.Snapshot() // quality, boundary, VTK/OFF, FEM all read it
+//	pi2m.WriteVTKSnapshot(w, mesh)
 //
 // A Session retains the pipeline's expensive allocations, so calling
 // Run repeatedly (time series, parameter sweeps, interactive use)
@@ -19,9 +20,8 @@
 // The names here alias the implementation packages under internal/,
 // which carry the full documentation: internal/core (the refiner),
 // internal/img (images), internal/quality (metrics), internal/meshio
-// (export), internal/sizing (size functions), internal/smooth
-// (boundary smoothing), internal/fem (a P1 Poisson solver to consume
-// the meshes).
+// (export), internal/sizing (size functions), internal/fem (a P1
+// Poisson solver to consume the meshes).
 package pi2m
 
 import (
@@ -36,7 +36,6 @@ import (
 	"repro/internal/meshio"
 	"repro/internal/quality"
 	"repro/internal/sizing"
-	"repro/internal/smooth"
 )
 
 // Core types.
@@ -58,8 +57,9 @@ type (
 	EnergyModel = core.EnergyModel
 	// EnergyReport is the outcome of applying an EnergyModel.
 	EnergyReport = core.EnergyReport
-	// MeshSnapshot is a lease-independent copy of a run's final mesh;
-	// take one with Result.Snapshot while the Result is still valid.
+	// MeshSnapshot is the indexed mesh every consumer reads — quality,
+	// I/O, FEM — a lease-independent copy of a run's final mesh; take
+	// one with Result.Snapshot while the Result is still valid.
 	MeshSnapshot = core.MeshSnapshot
 	// RunSummary is the compact digest of a run carried by snapshots
 	// and serving statistics.
@@ -86,13 +86,7 @@ type (
 	// watertightness of a boundary triangulation.
 	SurfaceTopologyInfo = quality.Topology
 
-	// SmoothMesh is the mutable extracted mesh used by smoothing and
-	// the FEM solver.
-	SmoothMesh = smooth.Mesh
-	// RawMesh is the indexed interchange mesh for I/O and FEM.
-	RawMesh = meshio.RawMesh
-
-	// FEMProblem is a Poisson problem -∇·(k∇u) = f on a RawMesh with
+	// FEMProblem is a Poisson problem -∇·(k∇u) = f on a MeshSnapshot with
 	// Dirichlet constraints — the simulation the paper's meshes exist
 	// for. See internal/fem.
 	FEMProblem = fem.Problem
@@ -156,38 +150,14 @@ func WriteNRRDFile(path string, im *Image) error { return img.WriteNRRDFile(path
 // fidelity numbers — and (*Image).Downsample halves resolution with
 // majority-vote labels for previews.
 
-// Evaluate computes element quality statistics over a final mesh.
-func Evaluate(m *Mesh, final []CellHandle, im *Image) QualityStats {
-	return quality.Evaluate(m, final, im)
-}
-
-// BoundaryTriangles extracts the boundary/interface triangulation.
-func BoundaryTriangles(m *Mesh, final []CellHandle, im *Image) []Triangle {
-	return quality.BoundaryTriangles(m, final, im)
-}
-
 // SurfaceTopology verifies the combinatorial topology of a boundary
 // triangulation (Theorem 1's guarantee, checkable).
 func SurfaceTopology(tris []Triangle) SurfaceTopologyInfo {
 	return quality.SurfaceTopology(tris)
 }
 
-// WriteVTK exports a final mesh as a legacy VTK unstructured grid
-// with tissue labels to w.
-func WriteVTK(w io.Writer, m *Mesh, final []CellHandle, im *Image) error {
-	return meshio.WriteVTK(w, m, final, im)
-}
-
-// WriteVTKFile exports a final mesh as a legacy VTK unstructured grid
-// with tissue labels.
-func WriteVTKFile(path string, m *Mesh, final []CellHandle, im *Image) error {
-	return meshio.WriteVTKFile(path, m, final, im)
-}
-
 // WriteVTKSnapshot exports a MeshSnapshot as a legacy VTK
-// unstructured grid to w — byte-identical to WriteVTK over the Result
-// the snapshot was taken from, but valid after the session has moved
-// on (the serving layer's off-lease encoding path).
+// unstructured grid, tissue labels as cell data, to w.
 func WriteVTKSnapshot(w io.Writer, s *MeshSnapshot) error {
 	return meshio.WriteVTKSnapshot(w, s)
 }
@@ -209,30 +179,12 @@ func WriteOFFFile(path string, tris []Triangle) error {
 }
 
 // ReadVTK parses a legacy-VTK tetrahedral mesh (as written by
-// WriteVTK/WriteVTKRaw) from r into an indexed RawMesh.
-func ReadVTK(r io.Reader) (*RawMesh, error) { return meshio.ReadVTK(r) }
+// WriteVTKSnapshot or WriteVTKSnapshotField) from r into a
+// MeshSnapshot.
+func ReadVTK(r io.Reader) (*MeshSnapshot, error) { return meshio.ReadVTK(r) }
 
 // ReadVTKFile parses a legacy-VTK tetrahedral mesh from a file.
-func ReadVTKFile(path string) (*RawMesh, error) { return meshio.ReadVTKFile(path) }
-
-// WriteVTKRaw exports an indexed RawMesh as a legacy VTK unstructured
-// grid to w.
-func WriteVTKRaw(w io.Writer, m *RawMesh) error { return meshio.WriteVTKRaw(w, m) }
-
-// WriteVTKRawFile exports an indexed RawMesh as a legacy VTK
-// unstructured grid file.
-func WriteVTKRawFile(path string, m *RawMesh) error { return meshio.WriteVTKRawFile(path, m) }
-
-// Extract copies a final mesh into a standalone mutable mesh for
-// smoothing or FE assembly.
-func Extract(m *Mesh, final []CellHandle, im *Image) *SmoothMesh {
-	return smooth.Extract(m, final, im)
-}
-
-// RawFromSnapshot adapts a MeshSnapshot to the RawMesh the FEM layer
-// consumes — vertex and cell storage is shared, so treat the snapshot
-// as read-only while the RawMesh is in use.
-func RawFromSnapshot(s *MeshSnapshot) *RawMesh { return meshio.RawFromSnapshot(s) }
+func ReadVTKFile(path string) (*MeshSnapshot, error) { return meshio.ReadVTKFile(path) }
 
 // FEMAssemble builds the stiffness matrix and load vector of a
 // Poisson problem; solve the returned system with Solve or SolveCtx.
@@ -240,7 +192,7 @@ func FEMAssemble(p *FEMProblem) (*FEMSystem, error) { return fem.Assemble(p) }
 
 // ConductivityFromLabels expands per-tissue-label conductivities into
 // the per-cell coefficient array FEMProblem.Conductivity takes.
-func ConductivityFromLabels(m *RawMesh, byLabel map[int]float64, def float64) ([]float64, error) {
+func ConductivityFromLabels(m *MeshSnapshot, byLabel map[int]float64, def float64) ([]float64, error) {
 	return fem.ConductivityFromLabels(m, byLabel, def)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // TestPublicAPIRoundtrip exercises the facade end to end: phantom →
-// run → quality → topology → export → NRRD roundtrip.
+// run → snapshot quality → topology → export → NRRD roundtrip.
 func TestPublicAPIRoundtrip(t *testing.T) {
 	image := SpherePhantom(24)
 	result, err := Run(Config{Image: image, Workers: 2, LivelockTimeout: time.Minute})
@@ -18,20 +18,18 @@ func TestPublicAPIRoundtrip(t *testing.T) {
 		t.Fatal("empty mesh")
 	}
 
-	q := Evaluate(result.Mesh, result.Final, image)
+	mesh := result.Snapshot()
+	q := mesh.Quality()
 	if q.MaxRadiusEdge > 2.5 {
 		t.Errorf("radius-edge %v", q.MaxRadiusEdge)
 	}
-	tris := BoundaryTriangles(result.Mesh, result.Final, image)
+	tris := mesh.BoundaryTriangles()
 	topo := SurfaceTopology(tris)
 	if !topo.Closed || topo.Euler != 2 {
 		t.Errorf("sphere topology: %v", topo)
 	}
 
 	dir := t.TempDir()
-	if err := WriteVTKFile(dir+"/m.vtk", result.Mesh, result.Final, image); err != nil {
-		t.Fatal(err)
-	}
 	if err := WriteOFFFile(dir+"/m.off", tris); err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +42,6 @@ func TestPublicAPIRoundtrip(t *testing.T) {
 	}
 	if back.NumVoxels() != image.NumVoxels() {
 		t.Fatal("NRRD roundtrip lost voxels")
-	}
-
-	sm := Extract(result.Mesh, result.Final, image)
-	if len(sm.Cells) != result.Elements() {
-		t.Fatal("extraction lost cells")
 	}
 
 	e := result.Energy(DefaultEnergyModel())
