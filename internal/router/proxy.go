@@ -60,6 +60,10 @@ type routePlan struct {
 	format   string // "vtk"/"off" for /v1/mesh, "" for /v1/simulate
 	raw      []byte // buffered body; nil on the streaming path
 	stream   io.Reader
+	// exact: the router hashed the buffered image and resolved the spec
+	// itself, so a cache read of (imageKey, variant, format) names the
+	// very entity the POST would be answered with.
+	exact bool
 }
 
 // routeKey joins the two halves of a job's identity into the key the
@@ -70,7 +74,8 @@ func routeKey(imageKey, variant string) string { return imageKey + "|" + variant
 // conditional request from the local ETag table when it can, join or
 // start the key's cross-node flight, walk the candidate ladder
 // (pinned backend, then ring replicas) — cache-only first when the
-// key's last-known server is gone — stream the first response back, or
+// key's last-known server is gone, a cache read ahead of the upload when
+// the key is known exactly — stream the first response back, or
 // answer 503 with the shared Retry-After policy when every candidate
 // is unreachable.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
@@ -89,20 +94,22 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	// content-derived (CRC64 of the cached blob, keyed by the image's
 	// SHA-256), so a match here is exactly the match the backend would
 	// have computed. A stale entry fails the comparison and the request
-	// forwards normally — the backend stays authoritative.
+	// forwards normally — the backend stays authoritative. This is the
+	// request's one table read; trigger 1 and the keyed read act on it too.
+	var ent etagEntry
+	known := false
 	if plan.format != "" {
-		if inm := req.Header.Get("If-None-Match"); inm != "" {
-			if ent, ok := r.etags.lookup(plan.routeKey); ok {
-				entity := wire.EntityTag(ent.etag, plan.format)
-				if wire.ETagMatch(inm, entity) {
-					w.Header().Set("ETag", entity)
-					w.WriteHeader(http.StatusNotModified)
-					r.mETag304.Inc()
-					r.mCompleted.Inc()
-					r.mProxySeconds.Observe(time.Since(started).Seconds())
-					return
-				}
-			}
+		ent, known = r.etags.lookup(plan.routeKey)
+	}
+	if inm := req.Header.Get("If-None-Match"); known && inm != "" {
+		entity := wire.EntityTag(ent.etag, plan.format)
+		if wire.ETagMatch(inm, entity) {
+			w.Header().Set("ETag", entity)
+			w.WriteHeader(http.StatusNotModified)
+			r.mETag304.Inc()
+			r.mCompleted.Inc()
+			r.mProxySeconds.Observe(time.Since(started).Seconds())
+			return
 		}
 	}
 
@@ -112,10 +119,11 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		r.mFlightJoins.Inc()
 	}
 
-	// Every backend round trip beyond this request's first — fallback
+	// Every backend attempt beyond this request's first — fallback
 	// forwards, extra cache probes — is accounted against the shared
 	// retry budget, so a dying fleet sees bounded amplification
-	// instead of Replicas× its offered load.
+	// instead of Replicas× its offered load. A keyed attempt's cache read
+	// and the forward behind it are one attempt (send).
 	att := &attempts{r: r}
 
 	// Candidate ladder: the flight's pinned backend first — even if
@@ -137,20 +145,21 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	// cache-only (a body-less GET) before paying a full re-mesh on the
 	// new owner.
 	probed := false
-	if plan.format != "" {
-		if ent, ok := r.etags.lookup(plan.routeKey); ok && ent.backend != "" && !r.isHealthy(ent.backend) {
-			probed = true
-			if r.tryCacheLadder(w, req, plan, cands, started, att) {
-				return
-			}
-			// No survivor holds the blob (or the budget stopped the
-			// walk): drop the entry — guarded on it still naming the
-			// unhealthy backend — so the next request for this key goes
-			// straight to the new owner instead of re-walking this
-			// ladder forever.
-			r.etags.dropIf(plan.routeKey, ent.backend)
+	if known && ent.backend != "" && !r.isHealthy(ent.backend) {
+		probed = true
+		if r.tryCacheLadder(w, req, plan, cands, started, att) {
+			return
 		}
+		// No survivor holds the blob (or the budget stopped the
+		// walk): drop the entry — guarded on it still naming the
+		// unhealthy backend — so the next request for this key goes
+		// straight to the new owner instead of re-walking this
+		// ladder forever.
+		r.etags.dropIf(plan.routeKey, ent.backend)
 	}
+	// A key the table knows, named exactly: the first attempt reads the
+	// first candidate's cache before it ships the upload (send).
+	keyed := known && plan.exact && !probed
 
 	for i, cand := range cands {
 		var body io.Reader
@@ -172,7 +181,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		r.setPin(plan.routeKey, cand)
-		resp, err := r.forward(req, cand, body, plan)
+		resp, err := r.send(req, cand, body, plan, keyed && i == 0)
 		if err != nil {
 			if req.Context().Err() != nil {
 				// The client went away or its deadline expired mid-attempt;
@@ -351,13 +360,14 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 	// The variant mirrors the backend's coalescing/cache identity, read
 	// through the backend's own resolver. A malformed spec routes under
 	// the empty variant and travels on to the backend, whose parser owns
-	// the precise 400. Only /v1/mesh has a format: a simulation's answer
-	// is not in any snapshot cache, so it must never arm the ETag table
-	// or the cache ladder.
+	// the precise 400 — it is never exact, so no cache read can answer
+	// in the backend's place. Only /v1/mesh has a format: a simulation's
+	// answer is not in any snapshot cache, so it must never arm the ETag
+	// table or the cache ladder.
 	if req.URL.Path == "/v1/mesh" {
 		plan.format = "vtk"
 		if sp, err := wire.ResolveMeshSpec(specJSON, req.URL.Query()); err == nil {
-			plan.variant, plan.format = sp.Variant(), sp.Format
+			plan.variant, plan.format, plan.exact = sp.Variant(), sp.Format, plan.raw != nil
 		}
 	} else if specJSON != nil {
 		if sp, err := wire.ParseSimSpec(specJSON); err == nil {
@@ -368,11 +378,32 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 	return plan, true
 }
 
-// forward sends one proxy attempt. The original request's context —
-// and with it the client's deadline and disconnect — governs the
-// round trip, so a backend never works for a caller that already gave
-// up, and the backend's own deadline-based admission sees the true
-// budget.
+// send makes one proxy attempt. A keyed attempt first asks backend's
+// cache body-less (probeCache) and returns a 200 or 304 as the answer;
+// anything else is drained — a 404 drops the table entry naming backend,
+// as on the ladder — and the body follows. Read and forward are one
+// attempt, so a gone blob costs a small round trip and no retry token. A
+// transport failure of the read is the attempt's, as a forward's would be.
+func (r *Router) send(req *http.Request, backend string, body io.Reader, plan routePlan, keyed bool) (*http.Response, error) {
+	if keyed {
+		resp, err := r.probeCache(req, backend, plan)
+		if err != nil || resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
+			return resp, err
+		}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			r.etags.dropIf(plan.routeKey, backend)
+		}
+	}
+	return r.forward(req, backend, body, plan)
+}
+
+// forward sends the request, body and all, to backend. The original
+// request's context — and with it the client's deadline and disconnect —
+// governs the round trip, so a backend never works for a caller that
+// already gave up, and the backend's own deadline-based admission sees
+// the true budget.
 func (r *Router) forward(orig *http.Request, backend string, body io.Reader, plan routePlan) (*http.Response, error) {
 	if faultinject.Fire(faultinject.ProxyDialFail) {
 		return nil, errInjectedDial
