@@ -175,12 +175,6 @@ func main() {
 		st.RuleCounts[1], st.RuleCounts[2], st.RuleCounts[3],
 		st.RuleCounts[4], st.RuleCounts[5], st.RuleCounts[6])
 
-	if *workers != 1 {
-		e := res.Energy(pi2m.DefaultEnergyModel())
-		fmt.Printf("energy model: %.1f J busy-wait, %.1f J with DVFS idling (%.0f%% saved), %.0f elements/J\n",
-			e.BusyWaitJoules, e.DVFSJoules, 100*e.SavingsFraction, e.ElementsPerJouleDVFS)
-	}
-
 	mesh := res.Snapshot()
 	tris := mesh.BoundaryTriangles()
 	q := quality.Evaluate(mesh.Verts, mesh.Cells, tris)

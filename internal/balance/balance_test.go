@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -269,5 +270,67 @@ func TestTransfersTotal(t *testing.T) {
 	s := TransferStats{IntraSocket: 3, IntraBlade: 2, InterBlade: 1}
 	if s.Total() != 6 {
 		t.Errorf("Total = %d", s.Total())
+	}
+}
+
+// TestReleaseRacesRegistration parks and wakes a beggar 20k times, with
+// the donor claiming from the moment the previous cycle ends so that its
+// Wake lands while the beggar is still registering or just about to
+// park. A lost wake-up leaves the beggar parked and the donor with
+// nobody to claim, which the 10 s deadline reports. Fresh lists then
+// race Quiesce against registration the same way.
+func TestReleaseRacesRegistration(t *testing.T) {
+	const cycles = 20000
+	for _, mk := range []func() Balancer{
+		func() Balancer { return NewRWS(2, ForWorkers(2)) },
+		func() Balancer { return NewHWS(2, ForWorkers(2)) },
+	} {
+		b := mk()
+		t.Run(b.Name(), func(t *testing.T) {
+			deadline := time.After(10 * time.Second)
+			beggarDone := make(chan struct{})
+			go func() {
+				defer close(beggarDone)
+				for i := 0; i < cycles; i++ {
+					if !b.AwaitWork(1) {
+						t.Errorf("cycle %d: AwaitWork reported termination", i)
+						return
+					}
+				}
+			}()
+			for i := 0; i < cycles; i++ {
+				for {
+					if beggar, ok := b.ClaimBeggar(0); ok {
+						b.Wake(beggar)
+						break
+					}
+					select {
+					case <-deadline:
+						b.Quiesce()
+						t.Fatalf("cycle %d: wake-up lost", i)
+					default:
+						runtime.Gosched()
+					}
+				}
+			}
+			select {
+			case <-beggarDone:
+			case <-deadline:
+				b.Quiesce()
+				t.Fatal("the last wake-up was lost")
+			}
+
+			for i := 0; i < cycles/10; i++ {
+				q := mk()
+				done := make(chan struct{})
+				go func() { q.AwaitWork(1); close(done) }()
+				q.Quiesce()
+				select {
+				case <-done:
+				case <-deadline:
+					t.Fatalf("quiesce %d: the beggar never returned", i)
+				}
+			}
+		})
 	}
 }

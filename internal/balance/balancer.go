@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +45,7 @@ type Balancer interface {
 type common struct {
 	topo    Topology
 	hasWork []atomic.Bool
+	tokens  []chan struct{} // where each idle thread parks
 	idleNs  []atomic.Int64
 	idle    atomic.Int32
 	done    atomic.Bool
@@ -58,20 +58,49 @@ type common struct {
 }
 
 func newCommon(n int, topo Topology) common {
+	tokens := make([]chan struct{}, n)
+	for i := range tokens {
+		tokens[i] = make(chan struct{}, 1)
+	}
 	return common{
 		topo:    topo,
 		hasWork: make([]atomic.Bool, n),
+		tokens:  tokens,
 		idleNs:  make([]atomic.Int64, n),
 	}
 }
 
-func (c *common) wake(beggar int) { c.hasWork[beggar].Store(true) }
+// post wakes a thread parked on its one-slot token channel, without
+// blocking: a token already pending will do. hasWork and done stay the
+// condition and a token only means "look again", so a release that
+// stores its flag before posting is never lost, and a stale token costs
+// one extra check.
+func post(token chan struct{}) {
+	select {
+	case token <- struct{}{}:
+	default:
+	}
+}
+
+// Wake implements Balancer.
+func (c *common) Wake(beggar int) {
+	c.hasWork[beggar].Store(true)
+	post(c.tokens[beggar])
+}
+
+// Quiesce implements Balancer.
+func (c *common) Quiesce() {
+	c.done.Store(true)
+	for _, token := range c.tokens {
+		post(token)
+	}
+}
 
 func (c *common) await(tid int) bool {
 	start := time.Now()
 	c.idle.Add(1)
 	for !c.hasWork[tid].Load() && !c.done.Load() {
-		runtime.Gosched()
+		<-c.tokens[tid]
 	}
 	c.idle.Add(-1)
 	c.idleNs[tid].Add(int64(time.Since(start)))
@@ -139,12 +168,6 @@ func (b *RWS) ClaimBeggar(donor int) (int, bool) {
 	b.record(donor, beggar)
 	return beggar, true
 }
-
-// Wake implements Balancer.
-func (b *RWS) Wake(beggar int) { b.wake(beggar) }
-
-// Quiesce implements Balancer.
-func (b *RWS) Quiesce() { b.done.Store(true) }
 
 // IdleNs implements Balancer.
 func (b *RWS) IdleNs(tid int) int64 { return b.idleNs[tid].Load() }
@@ -233,12 +256,6 @@ func (b *HWS) ClaimBeggar(donor int) (int, bool) {
 	b.record(donor, beggar)
 	return beggar, true
 }
-
-// Wake implements Balancer.
-func (b *HWS) Wake(beggar int) { b.wake(beggar) }
-
-// Quiesce implements Balancer.
-func (b *HWS) Quiesce() { b.done.Store(true) }
 
 // IdleNs implements Balancer.
 func (b *HWS) IdleNs(tid int) int64 { return b.idleNs[tid].Load() }

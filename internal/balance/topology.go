@@ -1,5 +1,5 @@
 // Package balance implements PI2M's load balancing (paper Sections
-// 4.4 and 6.1): idle threads register on a Begging List and busy-wait;
+// 4.4 and 6.1): idle threads register on a Begging List and park;
 // running threads donate freshly created poor elements to the first
 // registered beggar. Two organizations of the begging list are
 // provided — the classic flat Random Work Stealing (RWS) and the

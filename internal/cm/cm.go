@@ -8,7 +8,6 @@ package cm
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +97,18 @@ func newOverheads(n int) overheads {
 
 func (o *overheads) add(tid int, d time.Duration) { o.ns[tid].v.Add(int64(d)) }
 func (o *overheads) get(tid int) int64            { return o.ns[tid].v.Load() }
+
+// post wakes a blocked thread parked on its one-slot token channel,
+// without blocking: a token already pending will do. The thread's flag
+// stays the condition and a token only means "look again", so a release
+// that stores the flag before posting is never lost, and a stale token
+// costs one extra check.
+func post(token chan struct{}) {
+	select {
+	case token <- struct{}{}:
+	default:
+	}
+}
 
 // ---------------------------------------------------------------------
 // Aggressive-CM
@@ -198,8 +209,9 @@ type Global struct {
 	mu    sync.Mutex
 	queue []int // FIFO of blocked thread ids
 
-	waitFlag []atomic.Bool // true while thread must busy-wait
-	success  []padded      // consecutive successes per thread
+	waitFlag []atomic.Bool   // true while thread must wait
+	tokens   []chan struct{} // where each thread parks
+	success  []padded        // consecutive successes per thread
 	done     atomic.Bool
 	coord    *Coordinator
 	ov       overheads
@@ -208,13 +220,18 @@ type Global struct {
 // NewGlobal creates a Global-CM for n threads sharing coord with the
 // load balancer.
 func NewGlobal(n int, coord *Coordinator) *Global {
-	return &Global{
+	g := &Global{
 		queue:    make([]int, 0, n),
 		waitFlag: make([]atomic.Bool, n),
+		tokens:   make([]chan struct{}, n),
 		success:  make([]padded, n),
 		coord:    coord,
 		ov:       newOverheads(n),
 	}
+	for i := range g.tokens {
+		g.tokens[i] = make(chan struct{}, 1)
+	}
+	return g
 }
 
 // Name implements Manager.
@@ -235,7 +252,7 @@ func (g *Global) OnRollback(tid, conflictTid int) {
 	g.queue = append(g.queue, tid)
 	g.mu.Unlock()
 	for g.waitFlag[tid].Load() && !g.done.Load() {
-		runtime.Gosched()
+		<-g.tokens[tid]
 	}
 	g.coord.Reactivate()
 	g.ov.add(tid, time.Since(start))
@@ -260,8 +277,14 @@ func (g *Global) WakeOne() bool {
 	tid := g.queue[0]
 	g.queue = g.queue[1:]
 	g.mu.Unlock()
-	g.waitFlag[tid].Store(false)
+	g.release(tid)
 	return true
+}
+
+// release clears a dequeued thread's wait flag, then wakes it.
+func (g *Global) release(tid int) {
+	g.waitFlag[tid].Store(false)
+	post(g.tokens[tid])
 }
 
 // Quiesce implements Manager.
@@ -271,8 +294,9 @@ func (g *Global) Quiesce() {
 	q := g.queue
 	g.queue = nil
 	g.mu.Unlock()
+	// A thread that registers after the queue was taken sees done.
 	for _, tid := range q {
-		g.waitFlag[tid].Store(false)
+		g.release(tid)
 	}
 }
 
@@ -297,15 +321,20 @@ type Local struct {
 
 type localThread struct {
 	mu       sync.Mutex
-	cl       []int       // contention list: threads blocked on this one
-	busyWait atomic.Bool // this thread has decided to block
+	cl       []int         // contention list: threads blocked on this one
+	busyWait atomic.Bool   // this thread has decided to block
+	wake     chan struct{} // where this thread parks
 	success  atomic.Int64
-	_        [4]int64 // padding
+	_        [3]int64 // padding
 }
 
 // NewLocal creates a Local-CM for n threads.
 func NewLocal(n int, coord *Coordinator) *Local {
-	return &Local{threads: make([]localThread, n), coord: coord, ov: newOverheads(n)}
+	l := &Local{threads: make([]localThread, n), coord: coord, ov: newOverheads(n)}
+	for i := range l.threads {
+		l.threads[i].wake = make(chan struct{}, 1)
+	}
+	return l
 }
 
 // Name implements Manager.
@@ -354,7 +383,7 @@ func (l *Local) OnRollback(tid, conflictTid int) {
 
 	start := time.Now()
 	for me.busyWait.Load() && !l.done.Load() {
-		runtime.Gosched()
+		<-me.wake
 	}
 	l.coord.Reactivate()
 	l.ov.add(tid, time.Since(start))
@@ -381,8 +410,15 @@ func (l *Local) wakeFrom(tid int) bool {
 	waiter := me.cl[0]
 	me.cl = me.cl[1:]
 	me.mu.Unlock()
-	l.threads[waiter].busyWait.Store(false)
+	l.release(waiter)
 	return true
+}
+
+// release clears a dequeued waiter's busy_wait flag, then wakes it.
+func (l *Local) release(waiter int) {
+	w := &l.threads[waiter]
+	w.busyWait.Store(false)
+	post(w.wake)
 }
 
 // WakeOne implements Manager: scan the per-thread lists for any
@@ -405,8 +441,9 @@ func (l *Local) Quiesce() {
 		cl := t.cl
 		t.cl = nil
 		t.mu.Unlock()
+		// A waiter that registers after its list was taken sees done.
 		for _, w := range cl {
-			l.threads[w].busyWait.Store(false)
+			l.release(w)
 		}
 	}
 }

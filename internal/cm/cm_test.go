@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,5 +389,60 @@ func TestContentionTimeMonotone(t *testing.T) {
 	}
 	if m.ContentionNs(1) != 0 {
 		t.Errorf("idle thread accumulated contention time")
+	}
+}
+
+// TestReleaseRacesRegistration blocks and releases a waiter 20k times,
+// with the releaser retrying from the moment the previous cycle ends so
+// that its release lands while the waiter is still registering or just
+// about to park. A lost wake-up leaves the waiter parked and the
+// releaser with nobody to pop, which the 10 s deadline reports. Fresh
+// managers then race Quiesce against registration the same way.
+func TestReleaseRacesRegistration(t *testing.T) {
+	const cycles = 20000
+	for _, mk := range []func() Manager{
+		func() Manager { return NewGlobal(2, NewCoordinator(2)) },
+		func() Manager { return NewLocal(2, NewCoordinator(2)) },
+	} {
+		m := mk()
+		t.Run(m.Name(), func(t *testing.T) {
+			deadline := time.After(10 * time.Second)
+			waiterDone := make(chan struct{})
+			go func() {
+				defer close(waiterDone)
+				for i := 0; i < cycles; i++ {
+					m.OnRollback(0, 1)
+				}
+			}()
+			for i := 0; i < cycles; i++ {
+				for !m.WakeOne() {
+					select {
+					case <-deadline:
+						m.Quiesce()
+						t.Fatalf("cycle %d: wake-up lost", i)
+					default:
+						runtime.Gosched()
+					}
+				}
+			}
+			select {
+			case <-waiterDone:
+			case <-deadline:
+				m.Quiesce()
+				t.Fatal("the last release was lost")
+			}
+
+			for i := 0; i < cycles/10; i++ {
+				q := mk()
+				done := make(chan struct{})
+				go func() { q.OnRollback(0, 1); close(done) }()
+				q.Quiesce()
+				select {
+				case <-done:
+				case <-deadline:
+					t.Fatalf("quiesce %d: the waiter never returned", i)
+				}
+			}
+		})
 	}
 }

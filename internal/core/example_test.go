@@ -49,13 +49,3 @@ func ExampleConfig_sizeFunction() {
 	// Output:
 	// size function densifies: true
 }
-
-// ExampleResult_Energy applies the Section 8 energy model to a run.
-func ExampleResult_Energy() {
-	image := img.SpherePhantom(24)
-	result, _ := core.Run(core.Config{Image: image, Workers: 2, LivelockTimeout: time.Minute})
-	report := result.Energy(core.DefaultEnergyModel())
-	fmt.Println("DVFS never costs more:", report.DVFSJoules <= report.BusyWaitJoules)
-	// Output:
-	// DVFS never costs more: true
-}

@@ -557,7 +557,7 @@ func (r *Refiner) idle(t *thread) bool {
 		}
 		// Last active thread.
 		if r.cm().WakeOne() {
-			runtime.Gosched()
+			runtime.Gosched() // a hand-off: let the woken waiter reactivate
 			t.drainInbox()
 			if len(t.pel) > 0 || len(t.removals) > 0 {
 				return true
@@ -571,7 +571,7 @@ func (r *Refiner) idle(t *thread) bool {
 		// Work may have been donated to a parked thread that has not
 		// resumed yet; its inbox is the only place it can hide.
 		if r.anyInboxPending() {
-			runtime.Gosched()
+			runtime.Gosched() // a hand-off: let the donee drain its inbox
 			continue
 		}
 		// A thread that deactivated in the coordinator but has not yet
@@ -580,7 +580,7 @@ func (r *Refiner) idle(t *thread) bool {
 		// Only threads actually parked on the begging list are known to
 		// be empty-handed, so termination requires all of them there.
 		if r.bal.Idle() != len(r.threads)-1 {
-			runtime.Gosched()
+			runtime.Gosched() // a hand-off: let it reach the begging list
 			continue
 		}
 		// No work anywhere: terminate the run.

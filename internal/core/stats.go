@@ -37,7 +37,7 @@ type RunStats struct {
 	RuleCounts [7]int64
 
 	// The three overhead components (totals across threads).
-	ContentionNs  int64 // busy-waiting in / accessing the contention manager
+	ContentionNs  int64 // blocked in / accessing the contention manager
 	LoadBalanceNs int64 // idling on the begging list
 	RollbackNs    int64 // partially-completed work discarded by rollbacks
 

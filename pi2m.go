@@ -53,10 +53,6 @@ type (
 	// Transition is one recorded failure-handling action; Result.
 	// Transitions logs them in order.
 	Transition = core.Transition
-	// EnergyModel and EnergyReport expose the Section 8 energy model.
-	EnergyModel = core.EnergyModel
-	// EnergyReport is the outcome of applying an EnergyModel.
-	EnergyReport = core.EnergyReport
 	// MeshSnapshot is the indexed mesh every consumer reads — quality,
 	// I/O, FEM — a lease-independent copy of a run's final mesh; take
 	// one with Result.Snapshot while the Result is still valid.
@@ -114,10 +110,6 @@ const (
 // mesh more than one image (or the same image repeatedly) should hold
 // a Session instead to reuse its memory across runs.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
-
-// DefaultEnergyModel returns the per-core power model used by
-// Result.Energy.
-func DefaultEnergyModel() EnergyModel { return core.DefaultEnergyModel() }
 
 // Phantoms: synthetic stand-ins for segmented atlases (paper Table 3).
 var (
