@@ -56,7 +56,8 @@ func sweepTemps(dir string) int {
 // self-described identity does not hash to, is quarantined), order the
 // survivors by creation time into the LRU, and evict down to the byte
 // budget so a restart with a smaller -cache-max-bytes converges before
-// serving begins.
+// serving begins. A blob larger than the whole budget stays on disk,
+// unindexed.
 func (s *Store) fsck() (FsckReport, error) {
 	var rep FsckReport
 	blobsDir := filepath.Join(s.cfg.Dir, blobsDirName)
@@ -103,8 +104,7 @@ func (s *Store) fsck() (FsckReport, error) {
 		return cmp.Or(cmp.Compare(a.createdNS, b.createdNS), cmp.Compare(a.name, b.name))
 	})
 	for _, f := range live {
-		s.indexLocked(f.e)
+		s.index.Put(entryKey(f.e.imageKey, f.e.variant), f.e, f.e.bytes)
 	}
-	s.evictLocked()
 	return rep, nil
 }

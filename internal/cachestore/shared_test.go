@@ -314,3 +314,53 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 		})
 	}
 }
+
+// TestOversizedPeerBlobSparesTheCache: a peer with a larger budget writes
+// a blob bigger than a reader's whole budget. The reader serves it, from
+// a lookup and after a reopen, but indexes it neither time, so its other
+// entries and their blob files in the shared directory survive.
+func TestOversizedPeerBlobSparesTheCache(t *testing.T) {
+	dir := t.TempDir()
+	writer, _ := mustOpen(t, dir)
+	defer writer.Close()
+	openReader := func() *Store {
+		s, _, err := Open(Config{Dir: dir, MaxBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	reader := openReader()
+	small := []string{"s1", "s2", "s3"}
+	for i, key := range small {
+		if _, err := reader.Put(key, "", testSnap(1+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	huge := testSnap(400)
+	if _, err := writer.Put("huge", "", huge); err != nil {
+		t.Fatal(err)
+	}
+	survives := func(s *Store, when string) {
+		t.Helper()
+		if got, _, ok := s.Get("huge", ""); !ok || !snapsEqual(got, huge) {
+			t.Fatalf("%s: the peer's oversized blob was not served", when)
+		}
+		if st := s.Stats(); st.Entries != len(small) || st.Evictions != 0 || st.Bytes > 4<<10 || s.Contains("huge", "") {
+			t.Fatalf("%s: the oversized blob was indexed: %+v", when, st)
+		}
+		for _, key := range small {
+			if _, err := os.Stat(filepath.Join(dir, blobsDirName, blobName(key, ""))); err != nil {
+				t.Fatalf("%s: %s's blob file is gone: %v", when, key, err)
+			}
+			if _, _, ok := s.Get(key, ""); !ok {
+				t.Fatalf("%s: %s is no longer served", when, key)
+			}
+		}
+	}
+	survives(reader, "lookup")
+	reader.Close()
+	reopened := openReader()
+	defer reopened.Close()
+	survives(reopened, "reopen")
+}

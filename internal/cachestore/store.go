@@ -1,7 +1,6 @@
 package cachestore
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 )
 
 // Config parameterizes a Store.
@@ -73,7 +73,6 @@ type entry struct {
 	variant  string
 	bytes    int64
 	etag     string
-	elem     *list.Element
 	mem      *core.MeshSnapshot
 }
 
@@ -96,12 +95,10 @@ func blobName(imageKey, variant string) string {
 type Store struct {
 	cfg Config
 
-	mu         sync.Mutex
-	entries    map[string]*entry
-	lru        *list.List // front = most recently used
-	totalBytes int64
-	closed     bool
-	lastProbe  time.Time
+	mu        sync.Mutex
+	index     lru.Cache[string, *entry] // by entryKey, bounded by MaxBytes
+	closed    bool
+	lastProbe time.Time
 
 	degraded atomic.Bool
 
@@ -117,11 +114,8 @@ type Store struct {
 // but the directories themselves.
 func Open(cfg Config) (*Store, FsckReport, error) {
 	cfg = cfg.withDefaults()
-	s := &Store{
-		cfg:     cfg,
-		entries: make(map[string]*entry),
-		lru:     list.New(),
-	}
+	s := &Store{cfg: cfg}
+	s.index = lru.Cache[string, *entry]{MaxBytes: cfg.MaxBytes, OnEvict: s.evicted}
 	for _, d := range []string{cfg.Dir, filepath.Join(cfg.Dir, blobsDirName), filepath.Join(cfg.Dir, quarantineName)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, FsckReport{}, fmt.Errorf("cachestore: creating %s: %w", d, err)
@@ -143,14 +137,14 @@ func (s *Store) Degraded() bool { return s.degraded.Load() }
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.index.Len()
 }
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	bytes := s.totalBytes
-	n := len(s.entries)
+	bytes := s.index.Bytes()
+	n := s.index.Len()
 	s.mu.Unlock()
 	return Stats{
 		Hits:            s.hits.Load(),
@@ -173,11 +167,10 @@ func (s *Store) Stats() Stats {
 func (s *Store) ETag(imageKey, variant string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[entryKey(imageKey, variant)]
+	e, ok := s.index.Get(entryKey(imageKey, variant))
 	if !ok {
 		return "", false
 	}
-	s.lru.MoveToFront(e.elem)
 	s.hits.Add(1)
 	return e.etag, true
 }
@@ -187,7 +180,7 @@ func (s *Store) ETag(imageKey, variant string) (string, bool) {
 func (s *Store) Contains(imageKey, variant string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[entryKey(imageKey, variant)]
+	_, ok := s.index.Peek(entryKey(imageKey, variant))
 	return ok
 }
 
@@ -217,9 +210,8 @@ func (s *Store) Read(imageKey, variant string) (*core.MeshSnapshot, string, bool
 func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, string, bool) {
 	k := entryKey(imageKey, variant)
 	s.mu.Lock()
-	e := s.entries[k]
+	e, _ := s.index.Get(k)
 	if e != nil && e.mem != nil {
-		s.lru.MoveToFront(e.elem)
 		s.hits.Add(hit)
 		snap, etag := e.mem, e.etag
 		s.mu.Unlock()
@@ -249,18 +241,20 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		if e != nil {
-			s.removeLocked(k, e, false)
+		// Only if it is still e: a concurrent Put may have replaced it.
+		if cur, _ := s.index.Peek(k); e != nil && cur == e {
+			s.index.Remove(k)
 		}
 		s.misses.Add(1)
 		return nil, "", false
 	}
-	if cur, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(cur.elem)
-	} else if !s.closed {
-		s.indexLocked(&entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag})
-		s.adopted.Add(1)
-		s.evictLocked()
+	if _, ok := s.index.Get(k); !ok && !s.closed {
+		// A blob over this store's budget — a peer's with a larger one —
+		// is served but not indexed.
+		e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
+		if s.index.Put(k, e, e.bytes) {
+			s.adopted.Add(1)
+		}
 	}
 	s.hits.Add(hit)
 	return snap, etag, true
@@ -319,27 +313,16 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 		}
 	}
 
-	k := entryKey(imageKey, variant)
-	if old, ok := s.entries[k]; ok {
-		s.removeLocked(k, old, false)
-	}
 	e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
 	if !durable {
 		e.mem = snap
 		e.bytes = int64(snap.SizeBytes())
 	}
-	s.indexLocked(e)
+	// Replacing an entry deletes nothing: its blob path is the one just
+	// written.
+	s.index.Put(entryKey(imageKey, variant), e, e.bytes)
 	s.writes.Add(1)
-	s.evictLocked()
 	return etag, nil
-}
-
-// indexLocked makes e the most recently used entry. Caller holds s.mu
-// (or is Open, before the store is shared).
-func (s *Store) indexLocked(e *entry) {
-	e.elem = s.lru.PushFront(e)
-	s.entries[entryKey(e.imageKey, e.variant)] = e
-	s.totalBytes += e.bytes
 }
 
 // writeBlobFile writes one framed blob with atomicWriteFile's crash-safe
@@ -365,31 +348,12 @@ func (s *Store) writeBlobFile(name string, data []byte) error {
 	return atomicWriteFile(filepath.Join(s.cfg.Dir, blobsDirName, name), data)
 }
 
-// evictLocked enforces the byte budget, least-recently-used first. The
-// newest entry is never evicted (budget admission already capped its
-// size). Caller holds s.mu (or is Open, before the store is shared).
-func (s *Store) evictLocked() {
-	for s.totalBytes > s.cfg.MaxBytes && s.lru.Len() > 1 {
-		el := s.lru.Back()
-		if el == nil {
-			return
-		}
-		e := el.Value.(*entry)
-		s.removeLocked(entryKey(e.imageKey, e.variant), e, true)
-		s.evictions.Add(1)
-	}
-}
-
-// removeLocked unlinks an entry, if it is still the live one for its
-// key, and optionally deletes its blob. Caller holds s.mu.
-func (s *Store) removeLocked(k string, e *entry, deleteBlob bool) {
-	if s.entries[k] != e {
-		return
-	}
-	delete(s.entries, k)
-	s.lru.Remove(e.elem)
-	s.totalBytes -= e.bytes
-	if deleteBlob && e.mem == nil {
+// evicted is the index's eviction hook: an entry the byte budget forced
+// out is counted and its blob deleted. It runs under s.mu (or in Open,
+// before the store is shared).
+func (s *Store) evicted(_ string, e *entry) {
+	s.evictions.Add(1)
+	if e.mem == nil {
 		os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant)))
 	}
 }
@@ -419,9 +383,8 @@ type KeyInfo struct {
 func (s *Store) KeysMRU() []KeyInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]KeyInfo, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	out := make([]KeyInfo, 0, s.index.Len())
+	for _, e := range s.index.All() {
 		out = append(out, KeyInfo{ImageKey: e.imageKey, Variant: e.variant, ETag: e.etag, Bytes: e.bytes})
 	}
 	return out

@@ -16,6 +16,11 @@ import (
 	"repro/internal/spatial"
 )
 
+// ErrSessionBusy is returned by Session.Run when another Run is
+// already in flight on the same session. The session is unharmed;
+// retry after the in-flight run returns, or use another session.
+var ErrSessionBusy = errors.New("core: session busy: concurrent Run on the same Session")
+
 // Session is a reusable run engine: it owns the long-lived allocations
 // of the PI2M pipeline — the mesh's cell/vertex arenas, the spatial
 // hash grids, the EDT working buffers, and the per-thread refinement
@@ -37,11 +42,6 @@ import (
 // cold Run would for the same configuration and image (bit-identical
 // with Workers=1; statistically identical under speculative
 // parallelism, exactly as two cold runs are).
-// ErrSessionBusy is returned by Session.Run when another Run is
-// already in flight on the same session. The session is unharmed;
-// retry after the in-flight run returns, or use another session.
-var ErrSessionBusy = errors.New("core: session busy: concurrent Run on the same Session")
-
 type Session struct {
 	// running is the in-use flag: Run sets it with a CAS and clears it
 	// on return, so a concurrent Run fails fast with ErrSessionBusy

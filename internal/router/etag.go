@@ -1,9 +1,10 @@
 package router
 
 import (
-	"container/list"
 	"strings"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // etagEntry is what the router remembers about one route key: the raw
@@ -15,26 +16,20 @@ import (
 // etag is a pure function of the cached blob's bytes and the image key
 // is a content hash.
 type etagEntry struct {
-	key     string // route key: imageKey + "|" + variant
 	etag    string // raw 16-hex CRC64, no quotes, no format suffix
 	backend string // backend that last served/announced this key
 }
 
 // etagTable is the bounded LRU (routeKey → etagEntry) map behind the
 // router's local 304 short-circuit and its replica-cache read trigger.
+// Entries are charged nothing: the entry cap is the only bound.
 type etagTable struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // front = most recently used; values are *etagEntry
+	mu      sync.Mutex
+	entries lru.Cache[string, etagEntry]
 }
 
 func newETagTable(capacity int) *etagTable {
-	return &etagTable{
-		cap: capacity,
-		m:   make(map[string]*list.Element, capacity),
-		lru: list.New(),
-	}
+	return &etagTable{entries: lru.Cache[string, etagEntry]{MaxEntries: capacity}}
 }
 
 // learn upserts the entry for key, refreshing recency and evicting the
@@ -45,30 +40,14 @@ func (t *etagTable) learn(key, etag, backend string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.m[key]; ok {
-		e := el.Value.(*etagEntry)
-		e.etag, e.backend = etag, backend
-		t.lru.MoveToFront(el)
-		return
-	}
-	t.m[key] = t.lru.PushFront(&etagEntry{key: key, etag: etag, backend: backend})
-	for t.lru.Len() > t.cap {
-		back := t.lru.Back()
-		delete(t.m, back.Value.(*etagEntry).key)
-		t.lru.Remove(back)
-	}
+	t.entries.Put(key, etagEntry{etag, backend}, 0)
 }
 
-// lookup returns a copy of key's entry, refreshing its recency.
+// lookup returns key's entry, refreshing its recency.
 func (t *etagTable) lookup(key string) (etagEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	el, ok := t.m[key]
-	if !ok {
-		return etagEntry{}, false
-	}
-	t.lru.MoveToFront(el)
-	return *el.Value.(*etagEntry), true
+	return t.entries.Get(key)
 }
 
 // dropIf removes key's entry only while it still names backend as the
@@ -82,16 +61,15 @@ func (t *etagTable) lookup(key string) (etagEntry, bool) {
 func (t *etagTable) dropIf(key, backend string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.m[key]; ok && el.Value.(*etagEntry).backend == backend {
-		delete(t.m, key)
-		t.lru.Remove(el)
+	if e, ok := t.entries.Peek(key); ok && e.backend == backend {
+		t.entries.Remove(key)
 	}
 }
 
 func (t *etagTable) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lru.Len()
+	return t.entries.Len()
 }
 
 // rawETagFromHeader extracts the raw (format-less) etag out of a
@@ -106,15 +84,22 @@ func rawETagFromHeader(header string) string {
 	}
 	t = t[1 : len(t)-1]
 	dash := strings.LastIndexByte(t, '-')
-	if dash != 16 {
+	if dash != 16 || !validRawETag(t[:dash]) {
 		return ""
 	}
-	raw := t[:dash]
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return ""
+	return t[:dash]
+}
+
+// validRawETag reports whether s is shaped like the serving tier's raw
+// etags: 16 lowercase hex digits.
+func validRawETag(s string) bool {
+	if len(s) != 16 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	return raw
+	return true
 }

@@ -509,7 +509,7 @@ func (r *Router) answerCanceled(w http.ResponseWriter, backend string, err error
 type drainResult struct {
 	Backend       string `json:"backend"`
 	NodeID        string `json:"node_id,omitempty"`
-	KeysPrewarmed int    `json:"keys_prewarmed"`
+	KeysPrewarmed int    `json:"keys_prewarmed"` // announced keys valid enough to learn
 	Ejected       bool   `json:"ejected"`
 }
 
@@ -568,15 +568,21 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 			"backend %s drain response unreadable: %v", backend, err)
 		return
 	}
+	// Announced keys are backend input, checked like relayed ETags, so
+	// junk cannot push real entries out of the bounded table.
+	learned := 0
 	for _, k := range ann.Keys {
-		r.etags.learn(routeKey(k.ImageKey, k.Variant), k.ETag, backend)
+		if wire.ValidImageKey(k.ImageKey) && validRawETag(k.ETag) {
+			r.etags.learn(routeKey(k.ImageKey, k.Variant), k.ETag, backend)
+			learned++
+		}
 	}
 	r.ejectBackend(backend)
 	r.mDrains.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(drainResult{
 		Backend: backend, NodeID: ann.NodeID,
-		KeysPrewarmed: len(ann.Keys), Ejected: true,
+		KeysPrewarmed: learned, Ejected: true,
 	})
 }
 

@@ -613,7 +613,7 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 }
 
 // TestRouterDrainHandoff: POST /v1/drain tells the backend to drain,
-// learns its announced MRU keys into the ETag table, and ejects the
+// learns its well-formed announced MRU keys into the ETag table, and ejects the
 // node — so conditional requests for its keys keep 304ing locally and
 // cache-only reads route to survivors, with no window where new work
 // lands on the draining node.
@@ -623,6 +623,12 @@ func TestRouterDrainHandoff(t *testing.T) {
 	fleet := newCacheFleet(t, 2, raw)
 	fleet[0].drainKeys = []map[string]string{
 		{"image_key": imageKey, "variant": "", "etag": raw},
+		// Junk is skipped: neither prewarmed nor learned.
+		{"image_key": "not-a-key", "variant": "", "etag": raw},
+		{"image_key": strings.ToUpper(imageKey), "variant": "", "etag": raw},
+		{"image_key": imageKey, "variant": "a", "etag": `"` + raw + `-vtk"`},
+		{"image_key": imageKey, "variant": "b", "etag": strings.ToUpper(raw)},
+		{"image_key": imageKey, "variant": "c", "etag": raw + "0"},
 	}
 	r := newTestRouter(t, Config{Backends: cacheFleetURLs(fleet)})
 	probeAllCache(r, fleet)

@@ -183,7 +183,7 @@ func New(cfg Config) (*Router, error) {
 		backends: make(map[string]*backendState, len(cfg.Backends)),
 		flights:  make(map[string]*flightPin),
 		etags:    newETagTable(etagTableSize),
-		uploads:  wire.NewUploadKeys(new(metrics.Counter), new(metrics.Counter), new(metrics.Gauge)),
+		uploads:  wire.NewUploadKeys(new(metrics.Counter), new(metrics.Counter), new(metrics.Counter), new(metrics.Gauge)),
 		budget:   newRetryBudget(),
 		stop:     make(chan struct{}),
 	}

@@ -135,7 +135,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	// Budget fits the two largest images but not all three, so the third
 	// insert must evict exactly one entry — whichever is least recent.
 	srv := newBareServer(t, Config{PoolSize: 1})
-	srv.imgCache.maxEntries, srv.imgCache.budget = 10, n2+n3
+	srv.imgCache.cache.MaxEntries, srv.imgCache.cache.MaxBytes = 10, n2+n3
 
 	body := func(scale int) []byte {
 		var b bytes.Buffer
@@ -195,7 +195,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	// An image larger than the whole budget is refused outright rather
 	// than evicting the entire cache.
 	tiny := newBareServer(t, Config{PoolSize: 1})
-	tiny.imgCache.maxEntries, tiny.imgCache.budget = 10, 16
+	tiny.imgCache.cache.MaxEntries, tiny.imgCache.cache.MaxBytes = 10, 16
 	if _, err := tiny.decodeImage(k1, b1); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func BenchmarkHit(b *testing.B) {
 			}
 			defer srv.Drain(nil)
 			if mode == "disk" {
-				srv.entities.budget = 0
+				srv.entities.cache.MaxBytes = 0
 			}
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // ErrBreakerOpen is the sentinel wrapped by BreakerOpenError: the
@@ -42,19 +44,18 @@ const (
 // for this key), so they share a lock by design — admitLocked and
 // reportLocked must only be called with flightMu held.
 type breakerEntry struct {
-	state     int
-	fails     int       // consecutive leader failures while closed
-	openedAt  time.Time // when the breaker last tripped
-	probing   bool      // half-open: one trial leader is in flight
-	lastTouch time.Time // for bounded-table pruning
+	state    int
+	fails    int       // consecutive leader failures while closed
+	openedAt time.Time // when the breaker last tripped
+	probing  bool      // half-open: one trial leader is in flight
 }
 
 // breakerTable is the per-key breaker collection, owned by Server and
 // guarded by flightMu.
 type breakerTable struct {
-	entries   map[string]*breakerEntry
-	threshold int           // consecutive failures that trip a breaker
-	cooldown  time.Duration // open → half-open delay
+	entries   lru.Cache[string, *breakerEntry] // by last touch
+	threshold int                              // consecutive failures that trip a breaker
+	cooldown  time.Duration                    // open → half-open delay
 }
 
 // maxBreakerEntries bounds the table so an attacker cycling hostile
@@ -64,7 +65,7 @@ const maxBreakerEntries = 1024
 
 func newBreakerTable(threshold int, cooldown time.Duration) *breakerTable {
 	return &breakerTable{
-		entries:   make(map[string]*breakerEntry),
+		entries:   lru.Cache[string, *breakerEntry]{MaxEntries: maxBreakerEntries},
 		threshold: threshold,
 		cooldown:  cooldown,
 	}
@@ -74,11 +75,11 @@ func newBreakerTable(threshold int, cooldown time.Duration) *breakerTable {
 // Caller holds flightMu. Returns ok=true to admit; otherwise
 // retryAfter is the time until a probe will be admitted.
 func (t *breakerTable) admitLocked(ckey string, now time.Time) (ok bool, retryAfter time.Duration) {
-	e, present := t.entries[ckey]
+	e, present := t.entries.Peek(ckey)
 	if !present || e.state == breakerClosed {
 		return true, 0
 	}
-	e.lastTouch = now
+	t.entries.Get(ckey) // touch
 	if e.state == breakerOpen {
 		if wait := t.cooldown - now.Sub(e.openedAt); wait > 0 {
 			return false, wait
@@ -101,20 +102,16 @@ func (t *breakerTable) admitLocked(ckey string, now time.Time) (ok bool, retryAf
 // Caller holds flightMu. Capacity rejections and caller cancellations
 // are not reported — they say nothing about the key's health.
 func (t *breakerTable) reportLocked(ckey string, ok bool, now time.Time) (tripped bool) {
-	e, present := t.entries[ckey]
 	if ok {
 		// Success closes (and forgets) the breaker whatever its state.
-		if present {
-			delete(t.entries, ckey)
-		}
+		t.entries.Remove(ckey)
 		return false
 	}
+	e, present := t.entries.Get(ckey)
 	if !present {
 		e = &breakerEntry{}
-		t.entries[ckey] = e
-		t.pruneLocked(now)
+		t.entries.Put(ckey, e, 0)
 	}
-	e.lastTouch = now
 	switch e.state {
 	case breakerHalfOpen:
 		// The probe failed: back to open, restart the cooldown.
@@ -139,7 +136,7 @@ func (t *breakerTable) reportLocked(ckey string, ok bool, now time.Time) (trippe
 // caller reasons before the key's health could be observed, so the
 // next arrival gets to probe. Caller holds flightMu.
 func (t *breakerTable) releaseProbeLocked(ckey string) {
-	if e, ok := t.entries[ckey]; ok && e.state == breakerHalfOpen {
+	if e, ok := t.entries.Peek(ckey); ok && e.state == breakerHalfOpen {
 		e.probing = false
 	}
 }
@@ -148,27 +145,10 @@ func (t *breakerTable) releaseProbeLocked(ckey string) {
 // half-open) — the pi2md_breaker_state gauge. Caller holds flightMu.
 func (t *breakerTable) openCountLocked() int {
 	n := 0
-	for _, e := range t.entries {
+	for _, e := range t.entries.All() {
 		if e.state != breakerClosed {
 			n++
 		}
 	}
 	return n
-}
-
-// pruneLocked evicts the least-recently-touched entries once the table
-// exceeds its bound. Caller holds flightMu.
-func (t *breakerTable) pruneLocked(now time.Time) {
-	for len(t.entries) > maxBreakerEntries {
-		var oldestKey string
-		var oldest time.Time
-		first := true
-		for k, e := range t.entries {
-			if first || e.lastTouch.Before(oldest) {
-				first = false
-				oldestKey, oldest = k, e.lastTouch
-			}
-		}
-		delete(t.entries, oldestKey)
-	}
 }

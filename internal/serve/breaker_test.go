@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -65,8 +66,26 @@ func TestBreakerStateMachine(t *testing.T) {
 	if n := tb.openCountLocked(); n != 0 {
 		t.Fatalf("open count = %d after successful probe, want 0", n)
 	}
-	if _, present := tb.entries["k"]; present {
+	if _, present := tb.entries.Peek("k"); present {
 		t.Error("closed breaker entry not forgotten")
+	}
+}
+
+// TestBreakerTableBound: a full table makes room for a new failing key
+// by forgetting the least recently touched one, so the new key can still
+// trip its breaker.
+func TestBreakerTableBound(t *testing.T) {
+	now := time.Unix(0, 0)
+	tb := newBreakerTable(2, time.Second)
+	for i := 0; i < maxBreakerEntries; i++ {
+		tb.reportLocked(fmt.Sprint("old", i), false, now)
+	}
+	tb.reportLocked("new", false, now)
+	if !tb.reportLocked("new", false, now) {
+		t.Fatal("a new key's second failure did not trip its breaker in a full table")
+	}
+	if _, kept := tb.entries.Peek("old0"); kept || tb.entries.Len() != maxBreakerEntries {
+		t.Fatalf("table of %d kept its least recently touched entry: %v", tb.entries.Len(), kept)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -315,7 +316,7 @@ func TestEntityCacheAdmission(t *testing.T) {
 	t.Run("over the budget: served, not kept", func(t *testing.T) {
 		cache := openTestCache(t, t.TempDir())
 		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
-		srv.entities.budget = 100
+		srv.entities.cache.MaxBytes = 100
 		image := nrrdBody(t, 6)
 		first, _ := meshOK(t, ts.Client(), ts.URL, "", image)
 		for i := 0; i < 3; i++ {
@@ -346,7 +347,7 @@ func TestEntityCacheAdmission(t *testing.T) {
 		if n[0] > n[1] || n[1] > n[2] {
 			t.Fatalf("entity sizes %v are not ascending with the phantom's scale", n)
 		}
-		srv.entities.budget = n[1] + n[2]
+		srv.entities.cache.MaxBytes = n[1] + n[2]
 		hit := func(i int) { meshOK(t, c, ts.URL, "", images[i]) }
 
 		hit(0) // disk: admits 0
@@ -381,6 +382,11 @@ func TestEntityCacheAdmission(t *testing.T) {
 		if got := metricValue(t, exp, `pi2md_mem_cache_events_total{cache="entity",event="hit"}`); got != 2 {
 			t.Errorf("pi2md_mem_cache_events_total{entity,hit} = %v, want 2", got)
 		}
+		for _, c := range []string{"image", "entity", "upload"} {
+			if series := `pi2md_mem_cache_events_total{cache="` + c + `",event="evict"} `; !strings.Contains(exp, series) {
+				t.Errorf("/metrics lacks %s", series)
+			}
+		}
 		if st := srv.Stats(); st.EntityCache != srv.entities.stats() || st.ImageCache != srv.imgCache.stats() {
 			t.Errorf("/v1/stats reports entity %+v image %+v, the caches %+v and %+v",
 				st.EntityCache, st.ImageCache, srv.entities.stats(), srv.imgCache.stats())
@@ -413,7 +419,7 @@ func TestEntityCacheConcurrentHits(t *testing.T) {
 			largest = max(largest, int64(len(body)))
 		}
 	}
-	srv.entities.budget = 3 * largest
+	srv.entities.cache.MaxBytes = 3 * largest
 
 	const clients, perClient = 8, 40
 	var wg sync.WaitGroup
@@ -482,8 +488,8 @@ func TestEntityCacheConcurrentHits(t *testing.T) {
 		t.Error(err)
 	}
 	st := srv.entities.stats()
-	if st.Bytes > srv.entities.budget || st.Entries < 1 {
-		t.Errorf("resident %d bytes in %d entries under a budget of %d", st.Bytes, st.Entries, srv.entities.budget)
+	if st.Bytes > srv.entities.cache.MaxBytes || st.Entries < 1 {
+		t.Errorf("resident %d bytes in %d entries under a budget of %d", st.Bytes, st.Entries, srv.entities.cache.MaxBytes)
 	}
 	if srv.entities.hit.Value() < 1 || srv.entities.evict.Value() < 1 {
 		t.Errorf("entity hits %d, evictions %d: the storm exercised neither", srv.entities.hit.Value(), srv.entities.evict.Value())

@@ -220,7 +220,7 @@ func (s *Server) reply(ctx context.Context, w http.ResponseWriter, j *job) {
 		body, _ := encodeBody(func(b []byte) ([]byte, error) { return encode(b, sr.Snapshot), nil })
 		defer releaseBody(body)
 		ent = &entity{*body, contentType, sr.Summary.Run}
-		if n := int64(len(*body)); sr.Summary.CacheHit && sr.ETag != "" && n <= s.entities.budget {
+		if n := int64(len(*body)); sr.Summary.CacheHit && sr.ETag != "" && n <= s.entities.cache.MaxBytes {
 			// The pooled buffer goes back; the cache owns an exact-size copy.
 			s.entities.add(tag, &entity{bytes.Clone(*body), contentType, sr.Summary.Run}, n)
 		}

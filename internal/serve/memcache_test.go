@@ -57,7 +57,7 @@ func TestLRU(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newLRU[*string](tc.name, tc.budget, tc.maxEntries, events, bytes)
+			c := newMemCache[*string](tc.name, tc.budget, tc.maxEntries, events, bytes)
 			resident := map[string]*string{}
 			for i, st := range tc.steps {
 				switch st.op {

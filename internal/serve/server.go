@@ -194,8 +194,8 @@ type Server struct {
 	// hit a session's distance-transform cache. entities retains the
 	// encoded bodies of cache hits by entity tag (see entity). uploads
 	// keys an upload seen before without hashing it.
-	imgCache *lru[*img.Image]
-	entities *lru[*entity]
+	imgCache *memCache[*img.Image]
+	entities *memCache[*entity]
 	uploads  *wire.UploadKeys
 
 	// Metrics (the catalogue documented in DESIGN.md "Serving layer").
@@ -322,9 +322,10 @@ func NewServer(cfg Config) (*Server, error) {
 		"In-process cache events — cache: image (parsed uploads, by image key), entity (encoded bodies of cache hits, by entity tag) or upload (image keys of repeated uploads, by their bytes); event: hit, miss (the image was parsed, the body encoded, the upload hashed) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
 		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes; upload: upload buffer capacity).", "cache")
-	s.imgCache = newLRU[*img.Image]("image", imageCacheBytes, imageCacheEntries, memCacheEvents, memCacheBytes)
-	s.entities = newLRU[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
-	s.uploads = wire.NewUploadKeys(memCacheEvents.With("upload", "hit"), memCacheEvents.With("upload", "miss"), memCacheBytes.With("upload"))
+	s.imgCache = newMemCache[*img.Image]("image", imageCacheBytes, imageCacheEntries, memCacheEvents, memCacheBytes)
+	s.entities = newMemCache[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
+	s.uploads = wire.NewUploadKeys(memCacheEvents.With("upload", "hit"), memCacheEvents.With("upload", "miss"),
+		memCacheEvents.With("upload", "evict"), memCacheBytes.With("upload"))
 	r.CounterFunc("pi2md_pool_evictions_total",
 		"Idle sessions evicted to release their retained memory.",
 		poolStat(func(st PoolStats) int64 { return st.Evictions }))
@@ -716,13 +717,13 @@ type Stats struct {
 	// InflightKeys are the coalesce keys with an open single-flight
 	// entry right now — how a router (or operator) verifies that
 	// proxy-joined traffic landed in an existing flight.
-	InflightKeys []string          `json:"inflight_keys,omitempty"`
-	Pool         PoolStats         `json:"pool"`
-	Cache        *cachestore.Stats `json:"cache,omitempty"`
-	ImageCache   MemCacheStats     `json:"image_cache"`
-	EntityCache  MemCacheStats     `json:"entity_cache"`
-	UploadCache  MemCacheStats     `json:"upload_cache"`
-	RecentRuns   []JobSummary      `json:"recent_runs"`
+	InflightKeys []string           `json:"inflight_keys,omitempty"`
+	Pool         PoolStats          `json:"pool"`
+	Cache        *cachestore.Stats  `json:"cache,omitempty"`
+	ImageCache   wire.MemCacheStats `json:"image_cache"`
+	EntityCache  wire.MemCacheStats `json:"entity_cache"`
+	UploadCache  wire.MemCacheStats `json:"upload_cache"`
+	RecentRuns   []JobSummary       `json:"recent_runs"`
 }
 
 // Stats snapshots the serving counters for /v1/stats.

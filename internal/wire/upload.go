@@ -2,9 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"container/list"
 	"hash/maphash"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 const (
@@ -39,31 +40,27 @@ type (
 type UploadKeys struct {
 	hit, miss   counter
 	resident    gauge
-	budget      int64
 	fingerprint func([]byte) uint64
 
 	mu    sync.Mutex
 	seen  [doorkeeperSize]uint64 // ring of recently hashed fingerprints
 	next  int
-	m     map[uint64]*list.Element // of *upload
-	order *list.List               // front = most recently used
-	bytes int64
+	index lru.Cache[uint64, upload] // by fingerprint
 }
 
 type upload struct {
-	fp   uint64
 	key  string
 	body []byte
 }
 
 // NewUploadKeys returns an empty memo that counts the calls of Of
-// answered from it as hit and those that hashed as miss, and sets
-// resident to the bytes it retains.
-func NewUploadKeys(hit, miss counter, resident gauge) *UploadKeys {
+// answered from it as hit, those that hashed as miss and the bodies its
+// budget dropped as evict, and sets resident to the bytes it retains.
+func NewUploadKeys(hit, miss, evict counter, resident gauge) *UploadKeys {
 	seed := maphash.MakeSeed()
-	return &UploadKeys{hit: hit, miss: miss, resident: resident, budget: uploadKeysBytes,
+	return &UploadKeys{hit: hit, miss: miss, resident: resident,
 		fingerprint: func(b []byte) uint64 { return maphash.Bytes(seed, b) },
-		m:           make(map[uint64]*list.Element), order: list.New()}
+		index:       lru.Cache[uint64, upload]{MaxBytes: uploadKeysBytes, OnEvict: func(uint64, upload) { evict.Inc() }}}
 }
 
 // Of returns ImageKey(body), always. The memo may retain body itself,
@@ -71,19 +68,20 @@ func NewUploadKeys(hit, miss counter, resident gauge) *UploadKeys {
 func (u *UploadKeys) Of(body []byte) string {
 	fp := u.fingerprint(body)
 	u.mu.Lock()
-	if el, ok := u.m[fp]; ok && bytes.Equal(el.Value.(*upload).body, body) {
-		u.order.MoveToFront(el)
-		key := el.Value.(*upload).key
+	if e, ok := u.index.Get(fp); ok && bytes.Equal(e.body, body) {
 		u.mu.Unlock()
 		u.hit.Inc()
-		return key
+		return e.key
 	}
 	again := u.sightedLocked(fp)
 	u.mu.Unlock()
 	u.miss.Inc()
 	key := ImageKey(body)
-	if again && int64(cap(body)) <= u.budget {
-		u.add(&upload{fp, key, body})
+	if again {
+		u.mu.Lock()
+		u.index.Put(fp, upload{key, body}, int64(cap(body)))
+		u.resident.Set(u.index.Bytes())
+		u.mu.Unlock()
 	}
 	return key
 }
@@ -101,31 +99,9 @@ func (u *UploadKeys) sightedLocked(fp uint64) bool {
 	return false
 }
 
-// add makes e the most recently used entry, replacing whatever its
-// fingerprint held, and evicts from the back until the budget holds.
-func (u *UploadKeys) add(e *upload) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if el, ok := u.m[e.fp]; ok {
-		u.removeLocked(el)
-	}
-	u.m[e.fp] = u.order.PushFront(e)
-	u.bytes += int64(cap(e.body))
-	for u.bytes > u.budget {
-		u.removeLocked(u.order.Back())
-	}
-	u.resident.Set(u.bytes)
-}
-
-func (u *UploadKeys) removeLocked(el *list.Element) {
-	e := u.order.Remove(el).(*upload)
-	delete(u.m, e.fp)
-	u.bytes -= int64(cap(e.body))
-}
-
 // Stats reports the entries and bytes retained.
 func (u *UploadKeys) Stats() MemCacheStats {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return MemCacheStats{Entries: u.order.Len(), Bytes: u.bytes}
+	return MemCacheStats{Entries: u.index.Len(), Bytes: u.index.Bytes()}
 }

@@ -18,7 +18,7 @@ func (t *tally) Set(n int64) { t.Store(n) }
 
 func newTestKeys() (u *UploadKeys, hit, miss, resident *tally) {
 	hit, miss, resident = new(tally), new(tally), new(tally)
-	return NewUploadKeys(hit, miss, resident), hit, miss, resident
+	return NewUploadKeys(hit, miss, new(tally), resident), hit, miss, resident
 }
 
 // flipped returns a copy of b with byte i changed: a caller never writes
@@ -102,11 +102,12 @@ func TestUploadKeysOneShot(t *testing.T) {
 }
 
 // TestUploadKeysBudget: a body is charged its capacity, the least
-// recently used body is evicted first, and one larger than the whole
-// budget is never retained.
+// recently used body is evicted first and counted, and one larger than
+// the whole budget is never retained.
 func TestUploadKeysBudget(t *testing.T) {
-	u, hit, _, resident := newTestKeys()
-	u.budget = 300
+	hit, evict, resident := new(tally), new(tally), new(tally)
+	u := NewUploadKeys(hit, new(tally), evict, resident)
+	u.index.MaxBytes = 300
 	body := func(tag byte) []byte { return append(make([]byte, 0, 100), tag, tag) }
 	admit := func(b []byte) { u.Of(b); u.Of(b) }
 	a, b, c, d := body('a'), body('b'), body('c'), body('d')
@@ -132,8 +133,8 @@ func TestUploadKeysBudget(t *testing.T) {
 	}
 	huge := make([]byte, 301)
 	admit(huge)
-	if st := u.Stats(); st.Bytes > 300 || st.Entries != 3 {
-		t.Fatalf("a body over the budget changed the memo to %+v", st)
+	if st := u.Stats(); st.Bytes > 300 || st.Entries != 3 || evict.Load() != 2 {
+		t.Fatalf("a body over the budget changed the memo to %+v after %d evictions, want 2 (d pushed out b, b back in pushed out a)", st, evict.Load())
 	}
 }
 
@@ -141,7 +142,7 @@ func TestUploadKeysBudget(t *testing.T) {
 // all get ImageKey; run it under -race.
 func TestUploadKeysConcurrent(t *testing.T) {
 	u, hit, _, _ := newTestKeys()
-	u.budget = 4 << 10 // small enough that eviction runs too
+	u.index.MaxBytes = 4 << 10 // small enough that eviction runs too
 	bodies := make([][]byte, 16)
 	keys := make([]string, len(bodies))
 	for i := range bodies {
@@ -166,8 +167,8 @@ func TestUploadKeysConcurrent(t *testing.T) {
 	if hit.Load() == 0 {
 		t.Error("no concurrent call was answered from the memo")
 	}
-	if st := u.Stats(); st.Bytes > u.budget {
-		t.Errorf("memo holds %d bytes over a %d budget", st.Bytes, u.budget)
+	if st := u.Stats(); st.Bytes > u.index.MaxBytes {
+		t.Errorf("memo holds %d bytes over a %d budget", st.Bytes, u.index.MaxBytes)
 	}
 }
 

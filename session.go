@@ -119,7 +119,7 @@ func WithProgress(f func(Progress)) Option {
 }
 
 // WithFaultInjection arms the deterministic fault harness around every
-// Run of the session: lock denials and steal drops fire at `rate`,
+// Run and RunTuned of the session: lock denials and steal drops fire at `rate`,
 // worker panics and commit delays at rate/10, seeded by `seed`. The
 // bootstrap is kept clean (faults start only after the first few
 // hundred lock attempts) so the storm targets refinement, mirroring
@@ -181,6 +181,15 @@ func NewSession(opts ...Option) (*Session, error) {
 // the next operation boundary and Run returns a partial Result with
 // StatusAborted.
 func (s *Session) Run(ctx context.Context, image *Image) (*Result, error) {
+	return s.RunTuned(ctx, image, nil)
+}
+
+// RunTuned is Run with per-run configuration overrides: tune receives
+// a copy of the session's configuration template (image attached) and
+// may adjust per-run quality knobs — Delta, MaxElements,
+// MaxRadiusEdge, MinFacetAngle, SizeFunc — before validation. The
+// template itself is never modified. See core.Session.RunTuned.
+func (s *Session) RunTuned(ctx context.Context, image *Image, tune func(*Config)) (*Result, error) {
 	if s.faultOn {
 		restore := faultinject.Enable(faultinject.New(faultinject.Config{
 			Seed: s.faultSeed,
@@ -197,15 +206,6 @@ func (s *Session) Run(ctx context.Context, image *Image) (*Result, error) {
 		}))
 		defer restore()
 	}
-	return s.s.Run(ctx, image)
-}
-
-// RunTuned is Run with per-run configuration overrides: tune receives
-// a copy of the session's configuration template (image attached) and
-// may adjust per-run quality knobs — Delta, MaxElements,
-// MaxRadiusEdge, MinFacetAngle, SizeFunc — before validation. The
-// template itself is never modified. See core.Session.RunTuned.
-func (s *Session) RunTuned(ctx context.Context, image *Image, tune func(*Config)) (*Result, error) {
 	return s.s.RunTuned(ctx, image, tune)
 }
 

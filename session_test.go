@@ -101,6 +101,28 @@ func TestSessionFaultInjection(t *testing.T) {
 	}
 }
 
+// TestSessionRunTunedFaultInjection: the harness is armed around
+// RunTuned too. One worker has no contention, so every rollback is an
+// injected lock denial.
+func TestSessionRunTunedFaultInjection(t *testing.T) {
+	s, err := pi2m.NewSession(
+		pi2m.WithThreads(1),
+		pi2m.WithFaultInjection(11, 0.02),
+		pi2m.WithLivelockTimeout(time.Minute),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.RunTuned(context.Background(), pi2m.SpherePhantom(24), func(c *pi2m.Config) { c.Delta = 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Rollbacks == 0 {
+		t.Fatal("a fault-armed RunTuned rolled nothing back: the harness was not armed")
+	}
+}
+
 // TestSessionVTKRawRoundtrip drives the io-based VTK read/write pair
 // through the facade: a mesh read back writes the same bytes again.
 func TestSessionVTKRawRoundtrip(t *testing.T) {
