@@ -37,7 +37,7 @@ func BenchmarkRefineW1(b *testing.B) {
 		return res
 	}
 	for i := range images {
-		run(i) // warm the arenas, grids and scratch meshes
+		run(i) // warm the arenas and grids
 	}
 	var cells, ops, removals int64
 	b.ResetTimer()
@@ -93,7 +93,7 @@ func BenchmarkRefineW2Fresh(b *testing.B) {
 		return res
 	}
 	for i := range nrrd {
-		run(i) // warm the arenas, grids and scratch meshes
+		run(i) // warm the arenas and grids
 	}
 	var cells int64
 	var edt time.Duration

@@ -15,11 +15,17 @@ import (
 
 // goldenMeshes pins the single-worker output on the three atlas
 // phantoms at the daemon workloads' scale (48): the element count and
-// the SHA-256 of the legacy-VTK encoding. The values were recorded on
-// the commit before the kernel's bootstrap-by-copy and map-free scratch
-// landed (c28b5c6), so the test fails on any kernel change that alters
-// which handles an operation draws, the order it visits cells in, or a
-// single coordinate bit.
+// the SHA-256 of the legacy-VTK encoding. The test fails on any kernel
+// change that alters which handles an operation draws, the order it
+// visits cells in, or a single coordinate bit.
+//
+// The values were re-recorded when vertex removal began filling its
+// hole directly instead of through a scratch mesh: the fill holds the
+// same tetrahedra, but creates them in another order, so the refiner
+// meets them in another order and the meshes moved (knee 4600 → 4676
+// elements, abdominal 3048 → 3028, head-neck 3684 → 3682). That each
+// removal's triangulation is unchanged is what the delaunay package's
+// TestRemovalFillMatchesOracle proves, removal by removal.
 var goldenMeshes = []struct {
 	name     string
 	image    func() *img.Image
@@ -27,11 +33,11 @@ var goldenMeshes = []struct {
 	vtkSHA   string
 }{
 	{"knee", func() *img.Image { return img.KneePhantom(48, 48, 48) },
-		4600, "79e94b4490376d9e26044fe28a5509f773f07ea3366b65144fe15884a7234f9a"},
+		4676, "f5b71105c57bdbf4a6a8d98915794075340014dac98876fa38d83cf2a5738d62"},
 	{"abdominal", func() *img.Image { return img.AbdominalPhantom(48, 48, 32) },
-		3048, "204ece1e40adaf980b56340be7aeb332b8f1f0f76c71781f5b61b4cf4f4d7337"},
+		3028, "6564786f01cd78ab3429d874d60a18810e1beee4b54bd151a427cb6e1e960e18"},
 	{"headneck", func() *img.Image { return img.HeadNeckPhantom(48, 48, 48) },
-		3684, "187b59dff6175c2eaec6ba0674b620b26ebf0c03ad5ba04323f13594235740ed"},
+		3682, "249ab8332d9356baa37269de215551b206d768bb11eadae4b4f9c741c68f25aa"},
 }
 
 func vtkSHA(t *testing.T, res *core.Result, im *img.Image) string {

@@ -263,7 +263,7 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	r.bal = cfg.newBalancer()
 
 	// Per-thread state: retained threads reset (keeping PEL/inbox/
-	// inside capacity and the kernel workers' removal scratch meshes);
+	// inside capacity and the kernel workers' operation scratch);
 	// a changed worker count rebuilds.
 	if warm && len(s.threads) == cfg.Workers {
 		for _, t := range s.threads {

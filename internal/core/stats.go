@@ -215,12 +215,6 @@ func (r *Result) ElementsPerSecond() float64 {
 
 // collect assembles the Result after the workers have quiesced.
 func (r *Refiner) collect(res *Result) {
-	// Panics recovered inside the removal scratch meshes' bootstraps
-	// count as recovered worker panics (they fired on a worker's
-	// operation path and were handled in place).
-	for _, t := range r.threads {
-		r.recoveredPanics.Add(t.w.ScratchPanicRecoveries())
-	}
 	res.Mesh = r.mesh
 	res.Timeline = r.timeline
 	res.Livelocked = r.livelocked.Load()

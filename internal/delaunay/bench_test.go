@@ -44,14 +44,13 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkRemove times one committed removal: gathering the ball,
-// restoring the scratch mesh, re-triangulating the link in it and
-// instantiating the fill.
+// BenchmarkRemove times one committed removal: gathering the ball and
+// its link, filling the hole face by face and publishing the fill.
 func BenchmarkRemove(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	w, verts := seededMesh(b, b.N+2000, rng)
 	rng.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
-	if _, st := w.Remove(verts[b.N]); st != OK { // builds the scratch mesh
+	if _, st := w.Remove(verts[b.N]); st != OK { // warms the removal tables
 		b.Fatalf("remove: %v", st)
 	}
 	b.ReportAllocs()

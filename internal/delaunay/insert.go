@@ -234,7 +234,7 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	m := w.m
 
 	// New vertex, born locked by this worker on a shared mesh. Every
-	// field is written: arena slots may be recycled scratch storage.
+	// field is written: after a Reset, arena slots are recycled storage.
 	// Nothing can reach it before phase 2, so the stores are plain.
 	vh := w.va.Alloc()
 	v := m.Verts.At(vh)

@@ -47,10 +47,8 @@
 // no-op that acquires nothing (no CAS, no unlock store, LocksAcquired
 // stays 0, every Vertex.lock stays 0) and makes publish and kill plain
 // stores. It is one Mesh field read on the same code path, not a second
-// kernel. Three callers set it: the removal scratch mesh (always — its
-// worker is the only goroutine that can reach it), core.Session for a
-// Workers == 1 run, and the sequential baselines. NewMesh returns a
-// shared mesh. The fault
+// kernel. Two callers set it: core.Session for a Workers == 1 run, and
+// the sequential baselines. NewMesh returns a shared mesh. The fault
 // harness's LockDeny site fires ahead of the shortcut, so a
 // single-owner mesh still sees synthetic denials and rolls back.
 //
@@ -99,9 +97,8 @@ type Vertex struct {
 
 	flags uint32 // vertDead
 
-	// Stamp is the global insertion order, used to replay insertions
-	// in the same order inside the local triangulations of vertex
-	// removal (paper Section 4.2).
+	// Stamp is the global insertion order (from 1; 0 marks a slot never
+	// initialized).
 	Stamp uint64
 
 	Kind VertKind
@@ -177,8 +174,8 @@ func (c *Cell) SetInside(in bool) {
 func (c *Cell) Neighbor(i int) arena.Handle { return arena.Handle(atomic.LoadUint32(&c.n[i])) }
 
 // init fills in every field of a freshly allocated cell with plain
-// stores: nothing can reach it yet, and arena slots may be recycled
-// scratch storage, so nothing is left as found. Its neighbors start
+// stores: nothing can reach it yet, and after a Reset arena slots are
+// recycled storage, so nothing is left as found. Its neighbors start
 // out Nil.
 func (c *Cell) init(m *Mesh, v [4]arena.Handle) {
 	c.V = v
@@ -248,9 +245,7 @@ type Mesh struct {
 
 	// recoveredBoot counts panics recovered (and retried) inside this
 	// mesh's bootstrap — only the fault harness can inject one there.
-	// Mesh.Reset zeroes it; resetTo does not, so the removal scratch
-	// meshes accumulate across the rebuilds of one run (one per box:
-	// restoring a recorded bootstrap passes no injection site).
+	// Reset zeroes it.
 	recoveredBoot atomic.Int64
 }
 
@@ -324,7 +319,7 @@ func NewMesh(lo, hi geom.Vec3) (*Mesh, error) {
 		Verts: arena.New[Vertex](),
 		Cells: arena.New[Cell](),
 	}
-	if err := m.resetTo(lo, hi); err != nil {
+	if err := m.Reset(lo, hi); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -332,22 +327,14 @@ func NewMesh(lo, hi geom.Vec3) (*Mesh, error) {
 
 // Reset clears the mesh and restores the initial triangulation over a
 // (possibly different) virtual box, retaining the arena chunks of the
-// previous build so a warm rebuild performs almost no allocation. It
+// previous build so a warm rebuild performs almost no allocation. Over
+// the box of the last bootstrap it rewinds both arenas to the recorded
+// state, so handles are handed out afterwards in the same sequence as
+// after a rebuild; over any other box it rebuilds and records anew. It
 // must not race with any concurrent worker; a run session calls it
 // between runs, when all workers are quiescent.
 func (m *Mesh) Reset(lo, hi geom.Vec3) error {
 	m.recoveredBoot.Store(0)
-	return m.resetTo(lo, hi)
-}
-
-// resetTo returns the mesh to the initial triangulation over [lo, hi].
-// Over the box of the last bootstrap it rewinds both arenas to the
-// recorded state, so handles are handed out afterwards in the same
-// sequence as after a rebuild; over any other box it rebuilds and
-// records anew. Only valid when the caller owns the mesh exclusively
-// (vertex removal's local triangulations, the inter-run reset of a
-// session).
-func (m *Mesh) resetTo(lo, hi geom.Vec3) error {
 	if b := m.boot; b != nil && lo == m.boxLo && hi == m.boxHi {
 		m.Verts.Rewind(b.verts)
 		m.Cells.Rewind(b.cells)
@@ -392,7 +379,7 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 		v := m.Verts.At(h)
 		// The insphere radius of a regular tetrahedron is 1/3 of its
 		// circumradius; scale so the insphere radius is 3r. Every field
-		// is (re)initialized: scratch meshes recycle arena chunks.
+		// is (re)initialized: a Reset recycles arena chunks.
 		v.Pos = ctr.Add(d.Scale(3 * r * 3 / 1.7320508075688772)) // |d| = sqrt(3)
 		v.Kind = KindBox
 		v.Stamp = m.stamp.Add(1)
@@ -482,7 +469,12 @@ func circum(m *Mesh, vh [4]arena.Handle) (geom.Vec3, float64) {
 // sortedFace returns face i of c as a sorted vertex-handle triple (a
 // canonical key for face matching).
 func sortedFace(c *Cell, i int) tkey {
-	a, b, d := c.V[ftab[i][0]], c.V[ftab[i][1]], c.V[ftab[i][2]]
+	return sortedTri([3]arena.Handle{c.V[ftab[i][0]], c.V[ftab[i][1]], c.V[ftab[i][2]]})
+}
+
+// sortedTri is sortedFace's key for a bare vertex triple.
+func sortedTri(t [3]arena.Handle) tkey {
+	a, b, d := t[0], t[1], t[2]
 	if a > b {
 		a, b = b, a
 	}

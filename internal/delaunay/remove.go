@@ -1,52 +1,46 @@
 package delaunay
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/arena"
-	"repro/internal/geom"
+	"repro/internal/predicates"
 )
 
-// holeFace records one face of the hole boundary left by removing a
-// vertex: the retiring ball cell that provided it and the live cell
-// outside the hole (arena.Nil on the hull).
-type holeFace struct {
-	ball arena.Handle
-	out  arena.Handle
+// fillFace is the state of one face of a removal's fill, keyed by its
+// sorted vertices. A face of the hole boundary has ball set: the
+// retiring ball cell that provided it, with out the live cell outside
+// the hole (arena.Nil on the hull). A face between two fill cells has
+// ball Nil, out the fill cell built on one side and face its index
+// there. The face is open until in, the fill cell on the other side,
+// is set.
+type fillFace struct {
+	ball, out, in arena.Handle
+	face          int
 }
 
 // rewire defers one outside-cell neighbor update to the commit point
 // of a removal (the first mutation other workers can observe).
 type rewire struct {
-	out     arena.Handle
-	oldBall arena.Handle
-	cell    arena.Handle
-	face    int
+	out, oldBall, cell arena.Handle
 }
 
 // removeScratch clears the removal state of the worker's pooled scratch.
 func (w *Worker) removeScratch() {
 	sc := w.sc
-	sc.hole.clear()
+	sc.faces.clear()
 	sc.linkSeen.clear()
-	sc.toGlobal.clear()
-	sc.localToNew.clear()
 	sc.link = sc.link[:0]
+	sc.open = sc.open[:0]
 	sc.fill = sc.fill[:0]
 	sc.rewires = sc.rewires[:0]
 }
 
 // Remove speculatively deletes vertex vh from the triangulation,
 // re-triangulating its ball so that the mesh remains Delaunay (paper
-// Section 4.2). The hole left by the vertex is filled with the
-// conflict region of the vertex's position inside a *local* Delaunay
-// triangulation of its link, built by re-inserting the link vertices
-// in their global insertion (timestamp) order — the paper's strategy
-// for keeping the local re-triangulation compatible with the shared
-// mesh in degenerate configurations. If the local and global
-// triangulations still disagree (exactly cospherical links), the
-// operation returns Failed and the mesh is untouched.
+// Section 4.2). The hole left by the vertex is filled directly with
+// the Delaunay triangulation of its link (see fillHole). If the fill
+// cannot be completed (a geometric inconsistency the exact predicates
+// are meant to rule out), the operation returns Failed and the mesh is
+// untouched.
 func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	w.reset()
 	m := w.m
@@ -86,7 +80,7 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	*visited.at(key1(start)) = visitCavity
 	ball = append(ball, start)
 	w.removeScratch()
-	hole := &w.sc.hole
+	faces := &w.sc.faces
 	for i := 0; i < len(ball); i++ {
 		ch := ball[i]
 		c := m.Cells.At(ch)
@@ -94,10 +88,12 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 		for f := 0; f < 4; f++ {
 			nb := c.Neighbor(f)
 			if f == iv {
-				// Face opposite v: hole boundary. nb is live: a
-				// neighbor pointer read under the face's vertex locks
-				// always refers to a live cell.
-				*hole.at(sortedFace(c, f)) = holeFace{ball: ch, out: nb}
+				// Face opposite v: hole boundary, oriented with v (the
+				// hole) on its positive side. nb is live: a neighbor
+				// pointer read under the face's vertex locks always
+				// refers to a live cell.
+				*faces.at(sortedFace(c, f)) = fillFace{ball: ch, out: nb}
+				w.sc.open = append(w.sc.open, c.Face(f))
 				continue
 			}
 			if nb == arena.Nil {
@@ -122,7 +118,7 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	}
 	w.sc.cavity = ball
 
-	// Link vertices, sorted by global insertion stamp.
+	// Link vertices, in the order the ball lists them.
 	linkSeen := &w.sc.linkSeen
 	link := w.sc.link
 	for _, ch := range ball {
@@ -138,25 +134,27 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 		}
 	}
 	w.sc.link = link
-	slices.SortFunc(link, func(a, b arena.Handle) int {
-		return cmp.Compare(m.Verts.At(a).Stamp, m.Verts.At(b).Stamp)
-	})
 
-	// Every ball cell contributed exactly one hole face.
-	fill, st := w.triangulateHole(v.Pos, link, hole, len(ball))
-	if st != OK {
+	fill, ok := w.fillHole(link)
+	if !ok {
 		// No mutation has happened; release and report.
-		if st == Conflict {
-			w.rollback()
-		} else {
-			w.unlockAll()
-			w.countFailure(st)
-		}
-		return nil, st
+		w.unlockAll()
+		w.Stats.FailedOps++
+		return nil, Failed
 	}
 
-	// Commit: publish fill cells (triangulateHole wired them), refresh
-	// hints, retire the ball, kill the vertex.
+	// Commit: point the outside cells at the fill (the first mutation
+	// visible to other workers), refresh hints, retire the ball, kill
+	// the vertex.
+	for _, r := range w.sc.rewires {
+		if r.out == arena.Nil {
+			continue
+		}
+		out := m.Cells.At(r.out)
+		if j := out.FaceIndex(r.oldBall); j >= 0 {
+			m.publish(out, j, r.cell)
+		}
+	}
 	for _, nh := range fill {
 		nc := m.Cells.At(nh)
 		for i := 0; i < 4; i++ {
@@ -175,153 +173,102 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	return &w.result, OK
 }
 
-// triangulateHole builds the local Delaunay triangulation of the link
-// vertices and instantiates the conflict region of p as new global
-// cells, wired internally and to the hole boundary. It returns the new
-// cell handles without publishing them (they are unreachable until the
-// caller retires the ball). Nothing is mutated on failure: the new
-// cells are allocated but never linked, which the append-only arena
-// tolerates (they are simply garbage).
-func (w *Worker) triangulateHole(
-	p geom.Vec3,
-	link []arena.Handle,
-	hole *table[holeFace],
-	holeFaces int,
-) ([]arena.Handle, Status) {
+// fillHole fills the hole left by a removal with the Delaunay
+// triangulation of the link vertices, built face by face (gift
+// wrapping). w.sc.open starts as the hole boundary, each face oriented
+// with the hole on its positive side. Each open face popped gets the
+// link vertex on its positive side whose circumsphere with the face
+// holds no other such vertex; the new cell closes that face, and each
+// of its other faces either closes a face that is still open — a hole
+// face, whose outside cell the commit points at the new cell, or a face
+// of an earlier fill cell, wired here — or opens a new face, pushed
+// reversed.
+//
+// InSphereSoS perturbs by lexicographic point rank, so the fill is the
+// unique perturbed Delaunay triangulation of the link inside the hole
+// — the cells the shared mesh would hold had the vertex never been
+// inserted — whatever order the link comes in. Every face is opened
+// once and closed once; a face met a third time, or an open face with
+// no vertex on its positive side, means the predicates disagreed with
+// the mesh, and the fill is abandoned. Once the stack is empty every
+// hole face has been matched exactly once and no internal face is open.
+//
+// The fill is returned unpublished, with w.sc.rewires listing the
+// outside cells to point at it. On failure nothing reachable has been
+// touched: the cells allocated so far are flagged dead and left as
+// garbage in the append-only arena.
+func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 	m := w.m
-
-	// Reset the scratch mesh: the global hull's bounding box inflated
-	// 4x, so every global vertex — box corners and super-tet corners
-	// included — stays strictly interior to the scratch hull. The box
-	// depends only on the global box, so after a worker's first removal
-	// of a run this restores the recorded bootstrap by copy.
-	lo, hi := m.superLo, m.superHi
-	span := hi.Sub(lo)
-	slo := lo.Sub(span.Scale(1.5))
-	shi := hi.Add(span.Scale(1.5))
-	if w.scratch == nil {
-		sm, err := NewMesh(slo, shi)
-		if err != nil {
-			return nil, Failed
+	faces := &w.sc.faces
+	open := w.sc.open
+	fill := w.sc.fill[:0]
+	rewires := w.sc.rewires[:0]
+	ok := true
+	for ok && len(open) > 0 {
+		tri := open[len(open)-1]
+		open = open[:len(open)-1]
+		if faces.get(sortedTri(tri)).in != arena.Nil {
+			continue // closed since it was pushed
 		}
-		// Only this worker's goroutine can ever reach the scratch mesh.
-		sm.SetSingleOwner(true)
-		w.scratch = sm
-		w.scratchW = w.scratch.NewWorker(0)
-	} else {
-		if err := w.scratch.resetTo(slo, shi); err != nil {
-			return nil, Failed
+		apex := w.apex(tri, link)
+		if apex == arena.Nil {
+			ok = false
+			break
 		}
-		w.scratchW.va.Reset()
-		w.scratchW.ca.Reset()
-	}
-	sm, sw := w.scratch, w.scratchW
-
-	// Insert link vertices in stamp order, tracking local->global.
-	toGlobal := &w.sc.toGlobal
-	hint := sm.FirstCell()
-	for _, gh := range link {
-		res, st := sw.Insert(m.Verts.At(gh).Pos, KindIso, hint)
-		if st != OK {
-			return nil, Failed
-		}
-		*toGlobal.at(key1(res.NewVert)) = gh
-		hint = res.Created[0]
-	}
-
-	// Conflict region of p in the local triangulation.
-	loc, st := sw.locate(p, hint)
-	if st != OK {
-		return nil, Failed
-	}
-	sw.reset()
-	st = sw.growCavity(p, loc)
-	sw.unlockAll()
-	if st != OK {
-		return nil, Failed
-	}
-
-	// Every conflict cell must consist purely of link vertices.
-	for _, lch := range sw.sc.cavity {
-		lc := sm.Cells.At(lch)
-		for i := 0; i < 4; i++ {
-			if toGlobal.get(key1(lc.V[i])) == arena.Nil {
-				return nil, Failed
+		nh := w.ca.Alloc()
+		nc := m.Cells.At(nh)
+		nc.init(m, [4]arena.Handle{tri[0], tri[1], tri[2], apex})
+		fill = append(fill, nh)
+		// Face 3 is tri itself; faces 0-2 hold the apex.
+		for f := 0; f < 4; f++ {
+			e := faces.at(sortedFace(nc, f))
+			switch {
+			case e.ball == arena.Nil && e.out == arena.Nil:
+				// New: wait for the cell on its far side.
+				*e = fillFace{out: nh, face: f}
+				fc := nc.Face(f)
+				open = append(open, [3]arena.Handle{fc[0], fc[2], fc[1]})
+			case e.in != arena.Nil:
+				ok = false
+			default:
+				e.in = nh
+				nc.n[f] = uint32(e.out)
+				if e.ball != arena.Nil {
+					rewires = append(rewires, rewire{out: e.out, oldBall: e.ball, cell: nh})
+				} else {
+					m.Cells.At(e.out).n[e.face] = uint32(nh)
+				}
 			}
 		}
 	}
-	// The conflict region's boundary must match the hole boundary
-	// exactly: same number of faces, every face present.
-	if len(sw.sc.boundary) != holeFaces {
-		return nil, Failed
-	}
-
-	// Instantiate fill cells.
-	localToNew := &w.sc.localToNew
-	fill := w.sc.fill[:0]
-	for _, lch := range sw.sc.cavity {
-		lc := sm.Cells.At(lch)
-		nh := w.ca.Alloc()
-		var gv [4]arena.Handle
-		for i := 0; i < 4; i++ {
-			gv[i] = toGlobal.get(key1(lc.V[i]))
-		}
-		m.Cells.At(nh).init(m, gv)
-		*localToNew.at(key1(lch)) = nh
-		fill = append(fill, nh)
-	}
-
-	w.sc.fill = fill
-
-	// Wire adjacency with plain stores (the fill is still unreachable).
-	// Interior faces copy the local structure; boundary faces attach to
-	// the hole.
-	// discard abandons the (still unpublished) fill cells on a late
-	// failure so that post-hoc sweeps do not see them as live.
-	discard := func() {
+	w.sc.open, w.sc.fill, w.sc.rewires = open, fill, rewires
+	if !ok {
 		for _, h := range fill {
 			m.Cells.At(h).flags = cellDead
 		}
 	}
-	rewires := w.sc.rewires[:0]
-	for _, lch := range sw.sc.cavity {
-		lc := sm.Cells.At(lch)
-		nh := localToNew.get(key1(lch))
-		nc := m.Cells.At(nh)
-		for f := 0; f < 4; f++ {
-			lnb := lc.Neighbor(f)
-			if inner := localToNew.get(key1(lnb)); inner != arena.Nil {
-				nc.n[f] = uint32(inner)
-				continue
-			}
-			// A hole face matches once: taking it empties its slot.
-			hf := hole.at(sortedFace(nc, f))
-			if hf.ball == arena.Nil {
-				discard()
-				return nil, Failed
-			}
-			nc.n[f] = uint32(hf.out)
-			rewires = append(rewires, rewire{out: hf.out, oldBall: hf.ball, cell: nh, face: f})
-			*hf = holeFace{}
-		}
-	}
-	if len(rewires) != holeFaces {
-		discard()
-		return nil, Failed
-	}
+	return fill, ok
+}
 
-	w.sc.rewires = rewires
-
-	// Point the outside cells at the fill. This is the first mutation
-	// visible to other workers; all checks have passed.
-	for _, r := range rewires {
-		if r.out == arena.Nil {
+// apex returns the link vertex that closes the open face tri: of the
+// link vertices strictly on its positive side, the one whose
+// circumsphere with tri contains none of the others, or arena.Nil if
+// the side is empty.
+func (w *Worker) apex(tri [3]arena.Handle, link []arena.Handle) arena.Handle {
+	m := w.m
+	a, b, c := m.Pos(tri[0]), m.Pos(tri[1]), m.Pos(tri[2])
+	best := arena.Nil
+	for _, q := range link {
+		if q == tri[0] || q == tri[1] || q == tri[2] {
 			continue
 		}
-		out := m.Cells.At(r.out)
-		if j := out.FaceIndex(r.oldBall); j >= 0 {
-			m.publish(out, j, r.cell)
+		p := m.Pos(q)
+		if predicates.Orient3D(a, b, c, p) <= 0 {
+			continue
+		}
+		if best == arena.Nil || predicates.InSphereSoS(a, b, c, m.Pos(best), p) > 0 {
+			best = q
 		}
 	}
-	return fill, OK
+	return best
 }

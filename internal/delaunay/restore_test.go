@@ -181,8 +181,8 @@ func TestFailedBootstrapIsNotRestored(t *testing.T) {
 	requireSameMesh(t, "after a failed reset", m, unitBox())
 }
 
-// TestSteadyStateOpsDoNotAllocate: once a worker's buffers, tables and
-// removal scratch mesh are warm, an Insert and a Remove allocate
+// TestSteadyStateOpsDoNotAllocate: once a worker's buffers and tables
+// are warm, an Insert and a Remove allocate
 // nothing, on a shared mesh and on a single-owner one. (A new arena
 // chunk every few hundred operations is far below one allocation per
 // run, which is what AllocsPerRun reports.)
@@ -218,7 +218,7 @@ func TestSteadyStateOpsDoNotAllocate(t *testing.T) {
 			}
 			removed++
 		}
-		remove() // builds the scratch mesh
+		remove() // warms the removal tables
 		if n := testing.AllocsPerRun(runs, remove); n != 0 {
 			t.Errorf("single-owner=%v: Remove allocates %.0f times per operation", single, n)
 		}

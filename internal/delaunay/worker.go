@@ -89,11 +89,6 @@ type Worker struct {
 	result OpResult
 	rng    *rand.Rand
 
-	// scratch is the reusable local mesh for vertex removal's hole
-	// re-triangulation (see Remove).
-	scratch  *Mesh
-	scratchW *Worker
-
 	// ConflictTid is the owner of the lock that caused the most recent
 	// Conflict status (-1 otherwise).
 	ConflictTid int
@@ -115,13 +110,12 @@ type opScratch struct {
 	edges    table[edgeRef] // star edge -> the new cell still waiting across it
 
 	// Vertex-removal state.
-	hole       table[holeFace]     // sorted hole face -> ball cell, outside cell
-	linkSeen   table[bool]         // link vertices already collected
-	link       []arena.Handle      // link vertices, sorted by stamp
-	toGlobal   table[arena.Handle] // scratch vertex -> global vertex
-	localToNew table[arena.Handle] // scratch conflict cell -> global fill cell
-	fill       []arena.Handle
-	rewires    []rewire
+	faces    table[fillFace] // sorted face -> the cells on its sides
+	linkSeen table[bool]     // link vertices already collected
+	link     []arena.Handle
+	open     [][3]arena.Handle // faces still to fill, hole side positive
+	fill     []arena.Handle
+	rewires  []rewire
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
@@ -164,9 +158,7 @@ func walkRNG(tid int) *rand.Rand {
 // PrepareReuse readies a retained worker for a fresh run on a mesh
 // that has been Reset: the allocators detach from the recycled arena
 // chunks, kernel counters restart, and the walk RNG is reseeded so a
-// warm run is indistinguishable from a cold one. The removal scratch
-// mesh is deliberately kept — it is the single largest per-worker
-// allocation and self-resets on each use.
+// warm run is indistinguishable from a cold one.
 func (w *Worker) PrepareReuse() {
 	w.va.Reset()
 	w.ca.Reset()
@@ -177,35 +169,16 @@ func (w *Worker) PrepareReuse() {
 	if w.sc == nil {
 		w.sc = scratchPool.Get().(*opScratch)
 	}
-	if w.scratch != nil {
-		w.scratch.recoveredBoot.Store(0)
-	}
 }
 
-// ScratchPanicRecoveries reports panics recovered inside the removal
-// scratch mesh's bootstrap, so a run can fold them into its failure
-// accounting.
-func (w *Worker) ScratchPanicRecoveries() int64 {
-	if w.scratch == nil {
-		return 0
-	}
-	return w.scratch.BootstrapPanicRecoveries()
-}
-
-// Release returns the worker's pooled scratch (and its removal scratch
-// worker's, recursively) to the package pool. The worker must not be
-// used afterwards. Optional — a dropped worker is simply collected —
-// but short-lived workers that Release let the bootstrap of the next
-// mesh reset reuse their buffers.
+// Release returns the worker's pooled scratch to the package pool. The
+// worker must not be used afterwards. Optional — a dropped worker is
+// simply collected — but short-lived workers that Release let the
+// bootstrap of the next mesh reset reuse their buffers.
 func (w *Worker) Release() {
 	if w.sc != nil {
 		scratchPool.Put(w.sc)
 		w.sc = nil
-	}
-	if w.scratchW != nil {
-		w.scratchW.Release()
-		w.scratchW = nil
-		w.scratch = nil
 	}
 }
 

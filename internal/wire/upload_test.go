@@ -139,10 +139,16 @@ func TestUploadKeysBudget(t *testing.T) {
 }
 
 // TestUploadKeysConcurrent: many goroutines keying overlapping bodies
-// all get ImageKey; run it under -race.
+// all get ImageKey; run it under -race. The shared working set fits the
+// budget, so once admitted a body is answered from the memo unless an
+// eviction intervenes; every 64th call a goroutine admits a one-off 2
+// KiB body, so eviction runs concurrently too. (A working set cycling
+// through a budget smaller than itself is LRU's worst case: every call
+// can miss.)
 func TestUploadKeysConcurrent(t *testing.T) {
-	u, hit, _, _ := newTestKeys()
-	u.index.MaxBytes = 4 << 10 // small enough that eviction runs too
+	hit, evict := new(tally), new(tally)
+	u := NewUploadKeys(hit, new(tally), evict, new(tally))
+	u.index.MaxBytes = 16 << 10
 	bodies := make([][]byte, 16)
 	keys := make([]string, len(bodies))
 	for i := range bodies {
@@ -155,17 +161,21 @@ func TestUploadKeysConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for n := 0; n < 500; n++ {
-				i := (g*7 + n) % len(bodies)
-				if got := u.Of(bodies[i]); got != keys[i] {
-					t.Errorf("Of(body %d) = %s, want %s", i, got, keys[i])
+				b := bodies[(g*7+n)%len(bodies)]
+				if n%64 == 63 {
+					b = bytes.Repeat([]byte{byte(g), byte(n)}, 1<<10)
+					u.Of(b) // the second sighting admits it
+				}
+				if got, want := u.Of(b), ImageKey(b); got != want {
+					t.Errorf("goroutine %d call %d: Of = %s, want %s", g, n, got, want)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if hit.Load() == 0 {
-		t.Error("no concurrent call was answered from the memo")
+	if hit.Load() == 0 || evict.Load() == 0 {
+		t.Errorf("%d calls answered from the memo, %d evictions: want both", hit.Load(), evict.Load())
 	}
 	if st := u.Stats(); st.Bytes > u.index.MaxBytes {
 		t.Errorf("memo holds %d bytes over a %d budget", st.Bytes, u.index.MaxBytes)
