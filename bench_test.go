@@ -8,7 +8,6 @@ package pi2m
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -35,7 +34,6 @@ func BenchmarkAblation_Removals(b *testing.B) {
 					Image:           im,
 					Workers:         2,
 					DisableRemovals: disable,
-					LivelockTimeout: 60 * time.Second,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -57,7 +55,7 @@ func BenchmarkAblation_Removals(b *testing.B) {
 // leave them): the conditioning gap shows up as CG iterations.
 func BenchmarkAblation_QualityVsSolver(b *testing.B) {
 	im := img.SpherePhantom(48)
-	res, err := core.Run(core.Config{Image: im, Workers: 1, LivelockTimeout: 60 * time.Second})
+	res, err := core.Run(core.Config{Image: im, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func BenchmarkSession_ColdVsWarm(b *testing.B) {
 			b.ReportAllocs()
 			var elements int64
 			for i := 0; i < b.N; i++ {
-				s, err := NewSession(WithThreads(2), WithLivelockTimeout(time.Minute))
+				s, err := NewSession(WithThreads(2))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,7 +167,7 @@ func BenchmarkSession_ColdVsWarm(b *testing.B) {
 			b.ReportMetric(float64(elements)/b.Elapsed().Seconds(), "cells/s")
 		})
 		b.Run(ph.name+"/warm", func(b *testing.B) {
-			s, err := NewSession(WithThreads(2), WithLivelockTimeout(time.Minute))
+			s, err := NewSession(WithThreads(2))
 			if err != nil {
 				b.Fatal(err)
 			}

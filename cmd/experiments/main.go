@@ -21,7 +21,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -35,7 +34,6 @@ func main() {
 		scale   = flag.Int("scale", 96, "phantom edge length in voxels")
 		threads = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 		repeats = flag.Int("repeats", 1, "average timings over this many runs")
-		timeout = flag.Duration("livelock-timeout", 60*time.Second, "watchdog for livelock-prone managers")
 		csvDir  = flag.String("csv", "", "also write plot-ready CSV files into this directory")
 	)
 	flag.Parse()
@@ -49,10 +47,9 @@ func main() {
 		ths = append(ths, n)
 	}
 	p := experiments.Params{
-		ImageScale:      *scale,
-		Threads:         ths,
-		Repeats:         *repeats,
-		LivelockTimeout: *timeout,
+		ImageScale: *scale,
+		Threads:    ths,
+		Repeats:    *repeats,
 	}
 
 	want := func(name string) bool { return *run == "all" || *run == name }

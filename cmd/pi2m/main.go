@@ -105,7 +105,6 @@ func main() {
 		pi2m.WithDelta(*delta),
 		pi2m.WithContentionManager(*cmName),
 		pi2m.WithBalancer(*balancer),
-		pi2m.WithLivelockTimeout(2 * time.Minute),
 	}
 	if *fseed != 0 {
 		opts = append(opts, pi2m.WithFaultInjection(*fseed, *frate))
@@ -146,7 +145,7 @@ func main() {
 		// A partial mesh is still written below; make the cause loud.
 		log.Printf("run aborted: %v — the outputs below are PARTIAL", res.Err())
 		if res.Livelocked {
-			log.Printf("hint: the degradation ladder was exhausted; try -cm local or fewer workers")
+			log.Printf("hint: the run stalled (no operation committed for a minute); try -cm local or fewer workers")
 		}
 	case pi2m.StatusDegraded:
 		st := res.Stats

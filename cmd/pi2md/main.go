@@ -42,13 +42,9 @@ import (
 	"repro/internal/serve"
 )
 
-const (
-	// idleEvict is how long a session may sit unused before the janitor
-	// releases its arenas and EDT buffers.
-	idleEvict = 10 * time.Minute
-	// livelockTimeout is the per-run livelock watchdog.
-	livelockTimeout = 2 * time.Minute
-)
+// idleEvict is how long a session may sit unused before the janitor
+// releases its arenas and EDT buffers.
+const idleEvict = 10 * time.Minute
 
 func main() {
 	log.SetFlags(log.LstdFlags)
@@ -86,7 +82,7 @@ func main() {
 		MaxRequestBytes: *maxBytes,
 		Cache:           cache,
 		Brownout:        true,
-		Session:         core.Config{Workers: *workers, LivelockTimeout: livelockTimeout},
+		Session:         core.Config{Workers: *workers},
 	})
 	if err != nil {
 		log.Fatal(err)

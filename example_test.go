@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
 
 	pi2m "repro"
 )
@@ -15,7 +14,6 @@ import (
 func ExampleNewSession() {
 	session, err := pi2m.NewSession(
 		pi2m.WithThreads(1),
-		pi2m.WithLivelockTimeout(time.Minute),
 	)
 	if err != nil {
 		panic(err)
@@ -40,7 +38,7 @@ func ExampleNewSession() {
 // recycles the first run's arenas, grids and distance transform, and
 // produces the identical mesh.
 func ExampleSession_Run() {
-	session, err := pi2m.NewSession(pi2m.WithThreads(1), pi2m.WithLivelockTimeout(time.Minute))
+	session, err := pi2m.NewSession(pi2m.WithThreads(1))
 	if err != nil {
 		panic(err)
 	}
@@ -62,9 +60,8 @@ func ExampleSession_Run() {
 // that mesh a single image.
 func ExampleRun() {
 	result, err := pi2m.Run(pi2m.Config{
-		Image:           pi2m.SpherePhantom(24),
-		Workers:         1,
-		LivelockTimeout: time.Minute,
+		Image:   pi2m.SpherePhantom(24),
+		Workers: 1,
 	})
 	if err != nil {
 		panic(err)
@@ -77,7 +74,7 @@ func ExampleRun() {
 // ExampleWriteVTKSnapshot streams a mesh to any io.Writer — here an
 // in-memory buffer — instead of a file path.
 func ExampleWriteVTKSnapshot() {
-	session, _ := pi2m.NewSession(pi2m.WithThreads(1), pi2m.WithLivelockTimeout(time.Minute))
+	session, _ := pi2m.NewSession(pi2m.WithThreads(1))
 	defer session.Close()
 	image := pi2m.SpherePhantom(16)
 	result, err := session.Run(context.Background(), image)

@@ -21,7 +21,6 @@ import (
 
 func mesh(image *pi2m.Image, cfg pi2m.Config) (int, int, time.Duration) {
 	cfg.Image = image
-	cfg.LivelockTimeout = time.Minute
 	res, err := pi2m.Run(cfg)
 	if err != nil {
 		log.Fatal(err)

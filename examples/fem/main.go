@@ -21,7 +21,7 @@ import (
 func main() {
 	// 1. Image to mesh.
 	image := img.AbdominalPhantom(72, 72, 48)
-	result, err := core.Run(core.Config{Image: image, LivelockTimeout: time.Minute})
+	result, err := core.Run(core.Config{Image: image})
 	if err != nil {
 		log.Fatal(err)
 	}

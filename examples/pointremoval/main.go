@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -22,7 +21,6 @@ func run(image *img.Image, disable bool) (*core.Result, quality.Stats) {
 	res, err := core.Run(core.Config{
 		Image:           image,
 		DisableRemovals: disable,
-		LivelockTimeout: time.Minute,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,9 +21,8 @@ func main() {
 	var t1 time.Duration
 	for _, workers := range []int{1, 2, 4, 8} {
 		res, err := core.Run(core.Config{
-			Image:           image,
-			Workers:         workers,
-			LivelockTimeout: time.Minute,
+			Image:   image,
+			Workers: workers,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -43,7 +42,6 @@ func main() {
 			Image:             image,
 			Workers:           4,
 			ContentionManager: cmName,
-			LivelockTimeout:   time.Minute,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -60,10 +58,9 @@ func main() {
 	fmt.Println("\nload balancers at 4 workers (modeled Blacklight topology):")
 	for _, bal := range []string{"rws", "hws"} {
 		res, err := core.Run(core.Config{
-			Image:           image,
-			Workers:         4,
-			Balancer:        bal,
-			LivelockTimeout: time.Minute,
+			Image:    image,
+			Workers:  4,
+			Balancer: bal,
 		})
 		if err != nil {
 			log.Fatal(err)

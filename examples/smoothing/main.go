@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -23,7 +22,7 @@ import (
 
 func main() {
 	image := img.HeadNeckPhantom(64, 64, 64)
-	result, err := core.Run(core.Config{Image: image, LivelockTimeout: time.Minute})
+	result, err := core.Run(core.Config{Image: image})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -34,7 +33,7 @@ func TestSeqMeshQualityMatchesPI2M(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: 60 * time.Second})
+	par, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestSeqMeshQualityMatchesPI2M(t *testing.T) {
 func TestPLCMeshFillsVolume(t *testing.T) {
 	im := img.SpherePhantom(24)
 	// Boundary from a PI2M run, exactly like the paper feeds TetGen.
-	par, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: 60 * time.Second})
+	par, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func BenchmarkRefineW1(b *testing.B) {
 		img.KneePhantom(48, 48, 48),
 		img.HeadNeckPhantom(48, 48, 48),
 	}
-	s, err := core.NewSession(core.Config{Workers: 1, LivelockTimeout: time.Minute})
+	s, err := core.NewSession(core.Config{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkRefineW2Fresh(b *testing.B) {
 		}
 		nrrd[i] = buf.Bytes()
 	}
-	s, err := core.NewSession(core.Config{Workers: 2, LivelockTimeout: time.Minute})
+	s, err := core.NewSession(core.Config{Workers: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -77,8 +77,11 @@ type Config struct {
 	DisableRemovals bool
 
 	// LivelockTimeout aborts the run when no operation commits for
-	// this long — the watchdog that detects Aggressive-CM/Random-CM
-	// livelocks (Section 5.5). Zero disables it.
+	// this long — the always-armed watchdog that detects
+	// Aggressive-CM/Random-CM livelocks (Section 5.1) and would catch a
+	// lost wake-up. Zero selects livelockTimeout (one minute); there is
+	// no "off". The field stays only because the benchmark harness sets
+	// it; it goes once that harness no longer does.
 	LivelockTimeout time.Duration
 
 	// TimelineSample enables the Figure 6 overhead timeline with the
@@ -122,6 +125,9 @@ const (
 	retryBudget = 2
 	// progressSample is the period of the Progress callback.
 	progressSample = 250 * time.Millisecond
+	// livelockTimeout is the stall watchdog's window when
+	// Config.LivelockTimeout is zero.
+	livelockTimeout = time.Minute
 )
 
 // noSizeBound is the R5 bound meaning "no constraint"; also the value
@@ -202,6 +208,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.progressSample <= 0 {
 		cfg.progressSample = progressSample
+	}
+	if cfg.LivelockTimeout <= 0 {
+		cfg.LivelockTimeout = livelockTimeout
 	}
 	if cfg.ContentionManager == "" {
 		cfg.ContentionManager = "local"

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/delaunay"
@@ -19,7 +18,6 @@ func runSphere(t *testing.T, n int, workers int, cmName, balName string) *Result
 		Workers:           workers,
 		ContentionManager: cmName,
 		Balancer:          balName,
-		LivelockTimeout:   30 * time.Second,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -118,11 +116,11 @@ func TestRadiusEdgeBound(t *testing.T) {
 
 func TestDeltaControlsMeshSize(t *testing.T) {
 	im := img.SpherePhantom(32)
-	small, err := Run(Config{Image: im, Delta: 2, Workers: 2, LivelockTimeout: 30 * time.Second})
+	small, err := Run(Config{Image: im, Delta: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Run(Config{Image: im, Delta: 4, Workers: 2, LivelockTimeout: 30 * time.Second})
+	large, err := Run(Config{Image: im, Delta: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +134,12 @@ func TestSizeFunc(t *testing.T) {
 	im := img.SpherePhantom(32)
 	uniform, err := Run(Config{
 		Image: im, Workers: 2,
-		SizeFunc:        func(geom.Vec3) float64 { return 3.0 },
-		LivelockTimeout: 30 * time.Second,
+		SizeFunc: func(geom.Vec3) float64 { return 3.0 },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := Run(Config{Image: im, Workers: 2, LivelockTimeout: 30 * time.Second})
+	free, err := Run(Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +165,6 @@ func TestDisableRemovals(t *testing.T) {
 	im := img.SpherePhantom(24)
 	res, err := Run(Config{
 		Image: im, Workers: 2, DisableRemovals: true,
-		LivelockTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +204,7 @@ func TestBothBalancers(t *testing.T) {
 
 func TestMultiLabelRun(t *testing.T) {
 	im := img.AbdominalPhantom(32, 32, 24)
-	res, err := Run(Config{Image: im, Workers: 4, LivelockTimeout: 60 * time.Second})
+	res, err := Run(Config{Image: im, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

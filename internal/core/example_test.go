@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -13,9 +12,8 @@ import (
 func ExampleRun() {
 	image := img.SpherePhantom(24)
 	result, err := core.Run(core.Config{
-		Image:           image,
-		Workers:         1,
-		LivelockTimeout: time.Minute,
+		Image:   image,
+		Workers: 1,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -33,7 +31,7 @@ func ExampleRun() {
 func ExampleConfig_sizeFunction() {
 	image := img.SpherePhantom(32)
 	center := geom.Vec3{X: 16, Y: 16, Z: 16}
-	coarse, _ := core.Run(core.Config{Image: image, Workers: 1, LivelockTimeout: time.Minute})
+	coarse, _ := core.Run(core.Config{Image: image, Workers: 1})
 	fine, _ := core.Run(core.Config{
 		Image:   image,
 		Workers: 1,
@@ -43,7 +41,6 @@ func ExampleConfig_sizeFunction() {
 			}
 			return 1e18
 		},
-		LivelockTimeout: time.Minute,
 	})
 	fmt.Println("size function densifies:", fine.Elements() > coarse.Elements())
 	// Output:

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -58,7 +57,7 @@ func TestGoldenSingleWorkerOutput(t *testing.T) {
 		t.Skipf("golden hashes were recorded on amd64; %s may fuse multiply-adds and round differently", runtime.GOARCH)
 	}
 	for _, g := range goldenMeshes {
-		s, err := core.NewSession(core.Config{Workers: 1, LivelockTimeout: time.Minute})
+		s, err := core.NewSession(core.Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/delaunay"
@@ -158,8 +157,7 @@ func TestDecisionsMatchOracle(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			calls := 0
 			s, err := NewSession(Config{
-				Workers:         1,
-				LivelockTimeout: time.Minute,
+				Workers: 1,
 				// Volume cells beyond 4 voxels keep R5 in play; the call
 				// count puts the cancellation early or late in the run.
 				SizeFunc: func(geom.Vec3) float64 {

@@ -30,13 +30,7 @@ type Refiner struct {
 	isoGrid *spatial.Grid // isosurface samples (Kind Iso/Surface), spacing δ
 	ccGrid  *spatial.Grid // inserted circumcenters, for R6
 
-	// cmSlot holds the active contention manager; the livelock
-	// watchdog may hot-swap it mid-run (see escalate), so every access
-	// goes through cm(). cmBaseNs accumulates the per-thread contention
-	// time of retired managers.
-	cmSlot   atomic.Pointer[cmEntry]
-	cmBaseNs []atomic.Int64
-
+	cm    cm.Manager
 	bal   balance.Balancer
 	coord *cm.Coordinator
 
@@ -44,8 +38,7 @@ type Refiner struct {
 
 	done       atomic.Bool
 	failed     atomic.Bool // run aborted: the Result is partial
-	livelocked atomic.Bool // the stall watchdog exhausted the ladder
-	seqDrain   atomic.Bool // degradation: all work drains through thread 0
+	livelocked atomic.Bool // the stall watchdog aborted the run
 
 	ops atomic.Int64
 	// insideCount is the number of live final-mesh cells (for
@@ -68,13 +61,6 @@ type Refiner struct {
 	tlMu      sync.Mutex
 }
 
-// cmEntry pairs a contention manager with its selector name, so the
-// escalation ladder knows what is currently installed.
-type cmEntry struct {
-	name string
-	m    cm.Manager
-}
-
 // thread is the per-worker refinement state.
 type thread struct {
 	id int
@@ -84,9 +70,8 @@ type thread struct {
 	removals []arena.Handle // pending R6 victim vertices
 
 	inbox struct {
-		mu       sync.Mutex
-		items    []pelItem
-		removals []arena.Handle // forwarded R6 work (sequential drain)
+		mu    sync.Mutex
+		items []pelItem
 	}
 
 	inside      []arena.Handle // cells created with circumcenter inside O
@@ -99,9 +84,9 @@ type thread struct {
 	// id + 1 while an element is counted, so increment/decrement pair up
 	// exactly once. The thread's own adjustments — nearly all of them,
 	// and all of them in a single-worker run — go to the plain poorOwn;
-	// only another thread's (a donation, an invalidation from outside,
-	// a hand-off) pay for an atomic. Only the owner needs the sum while
-	// the run is live (the donation threshold).
+	// only another thread's (a donation, an invalidation from outside)
+	// pay for an atomic. Only the owner needs the sum while the run is
+	// live (the donation threshold).
 	poorOwn     int64
 	poorForeign atomic.Int64
 
@@ -141,12 +126,6 @@ type pelItem struct {
 	near    nearest
 	act     action
 }
-
-// cm returns the active contention manager.
-func (r *Refiner) cm() cm.Manager { return r.cmSlot.Load().m }
-
-// cmName returns the active contention manager's selector name.
-func (r *Refiner) cmName() string { return r.cmSlot.Load().name }
 
 // Run performs the complete PI2M pipeline on cfg: parallel EDT, then
 // parallel Delaunay refinement to the quality/fidelity criteria, then
@@ -199,13 +178,12 @@ func (r *Refiner) publishInside(t *thread) {
 // flushScratch moves newly found poor elements to the thread's own PEL
 // or donates them to a beggar. Per Section 4.4, a thread may only give
 // work away while its own counter of valid poor elements is at least
-// the threshold. In sequential-drain mode donation is disabled: work
-// must flow toward thread 0, never away from it.
+// the threshold.
 func (r *Refiner) flushScratch(t *thread) {
 	if len(t.scratch) == 0 {
 		return
 	}
-	if !r.seqDrain.Load() && t.poorOwn+t.poorForeign.Load() >= donateThreshold {
+	if t.poorOwn+t.poorForeign.Load() >= donateThreshold {
 		if beggar, ok := r.bal.ClaimBeggar(t.id); ok {
 			bt := r.threads[beggar]
 			for _, item := range t.scratch {
@@ -266,10 +244,6 @@ func (t *thread) drainInbox() {
 		t.pel = append(t.pel, t.inbox.items...)
 		t.inbox.items = t.inbox.items[:0]
 	}
-	if len(t.inbox.removals) > 0 {
-		t.removals = append(t.removals, t.inbox.removals...)
-		t.inbox.removals = t.inbox.removals[:0]
-	}
 	t.inbox.mu.Unlock()
 }
 
@@ -302,12 +276,6 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 	// A lone worker has nobody to fill its inbox.
 	if len(r.threads) > 1 {
 		t.drainInbox()
-	}
-
-	// Degradation mode: every thread but 0 forwards its work and then
-	// parks through the regular idle path.
-	if r.seqDrain.Load() && t.id != 0 {
-		r.handoff(t)
 	}
 
 	// Pending R6 removals first: they unblock termination near the
@@ -356,7 +324,7 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 // the locks the unwound operation still holds (in reverse), count the
 // fault, re-queue the in-flight element within its retry budget, and
 // keep the worker running until its panic budget is exhausted — then
-// escalate to a clean structured abort of the whole run.
+// end the whole run with a clean structured abort.
 func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 	t.w.RecoverFromPanic()
 	r.recoveredPanics.Add(1)
@@ -396,31 +364,6 @@ func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 	return true
 }
 
-// handoff forwards a non-zero thread's pending work to thread 0's
-// inbox (sequential-drain mode), transferring the poor-element counts
-// with it.
-func (r *Refiner) handoff(t *thread) {
-	if len(t.pel) == 0 && len(t.removals) == 0 {
-		return
-	}
-	t0 := r.threads[0]
-	moved := int64(0)
-	for _, item := range t.pel {
-		if r.countOut(t, item.cell) {
-			r.tag(item.cell, t0)
-			moved++
-		}
-	}
-	t0.poorForeign.Add(moved)
-	t0.inbox.mu.Lock()
-	t0.inbox.items = append(t0.inbox.items, t.pel...)
-	t0.inbox.removals = append(t0.inbox.removals, t.removals...)
-	t0.inbox.mu.Unlock()
-	t.pel = t.pel[:0]
-	t.removals = t.removals[:0]
-	r.bal.Wake(0)
-}
-
 // doInsertion executes one rule-driven point insertion.
 func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 	start := time.Now()
@@ -430,7 +373,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		t.ruleCount[act.rule]++
 		r.ops.Add(1)
 		r.postCommit(t, act, res)
-		r.cm().OnSuccess(t.id)
+		r.cm.OnSuccess(t.id)
 		r.flushScratch(t)
 	case delaunay.Conflict:
 		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
@@ -440,7 +383,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
 		t.pel = pushBottom(t.pel, pelItem{cell: ch, near: t.cur.near, act: act, retries: t.cur.retries})
-		r.cm().OnRollback(t.id, t.w.ConflictTid)
+		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
 		// were classified by whoever killed it.
@@ -464,12 +407,12 @@ func (r *Refiner) doRemoval(t *thread, vh arena.Handle) {
 		t.ruleCount[R6]++
 		r.ops.Add(1)
 		r.postCommit(t, action{rule: R6}, res)
-		r.cm().OnSuccess(t.id)
+		r.cm.OnSuccess(t.id)
 		r.flushScratch(t)
 	case delaunay.Conflict:
 		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
 		t.removals = pushBottom(t.removals, vh)
-		r.cm().OnRollback(t.id, t.w.ConflictTid)
+		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale, delaunay.Failed:
 		// Already removed, or a degenerate link: keep the vertex (the
 		// quality rules still hold; R6 is a termination aid).
@@ -556,7 +499,7 @@ func (r *Refiner) idle(t *thread) bool {
 			return true
 		}
 		// Last active thread.
-		if r.cm().WakeOne() {
+		if r.cm.WakeOne() {
 			runtime.Gosched() // a hand-off: let the woken waiter reactivate
 			t.drainInbox()
 			if len(t.pel) > 0 || len(t.removals) > 0 {
@@ -594,7 +537,7 @@ func (r *Refiner) idle(t *thread) bool {
 func (r *Refiner) anyInboxPending() bool {
 	for _, t := range r.threads {
 		t.inbox.mu.Lock()
-		n := len(t.inbox.items) + len(t.inbox.removals)
+		n := len(t.inbox.items)
 		t.inbox.mu.Unlock()
 		if n > 0 {
 			return true
@@ -607,7 +550,7 @@ func (r *Refiner) anyInboxPending() bool {
 // thread.
 func (r *Refiner) finish() {
 	if r.done.CompareAndSwap(false, true) {
-		r.cm().Quiesce()
+		r.cm.Quiesce()
 		r.bal.Quiesce()
 	}
 }
@@ -649,102 +592,42 @@ func (r *Refiner) noteCallbackPanic(name string, p any) {
 	}
 }
 
-// escalate is the graceful-degradation ladder, invoked by the stall
-// watchdog instead of the old immediate abort. Rung 1: hot-swap the
-// contention manager to Local-CM, which provably cannot livelock
-// (Section 5.4). Rung 2: drain all PELs through a single thread —
-// sequential refinement cannot roll back, so it cannot livelock
-// either. Rung 3: abort with a structured reason. It returns false
-// when the ladder is exhausted and the run was aborted.
-func (r *Refiner) escalate(stalledFor time.Duration) bool {
-	switch {
-	case r.cfg.Workers > 1 && r.cmName() != "local" && !r.seqDrain.Load():
-		from := r.cmName()
-		r.swapCM("local")
-		r.recordTransition("cm-swap",
-			fmt.Sprintf("stalled %v under %s: hot-swapped to Local-CM", stalledFor.Round(time.Millisecond), from))
-		return true
-	case r.cfg.Workers > 1 && !r.seqDrain.Load():
-		from := r.cmName() // engageSeqDrain swaps the CM; name the one that stalled
-		r.engageSeqDrain()
-		r.recordTransition("sequential-drain",
-			fmt.Sprintf("stalled %v under %s: draining all PELs through thread 0", stalledFor.Round(time.Millisecond), from))
-		return true
-	default:
-		reason := fmt.Sprintf("livelock: no committed operation for %v and the degradation ladder is exhausted", stalledFor.Round(time.Millisecond))
-		r.livelocked.Store(true)
-		r.recordTransition("abort", reason)
-		r.abortRun(reason)
-		return false
-	}
-}
-
-// swapCM installs the named contention manager and retires the current
-// one, releasing any threads blocked inside it.
-func (r *Refiner) swapCM(name string) {
-	cfg := r.cfg
-	cfg.ContentionManager = name
-	next := &cmEntry{name: name, m: cfg.newCM(r.coord)}
-	old := r.cmSlot.Swap(next)
-	// New rollbacks now consult the new manager; release everyone still
-	// blocked in the old one, then bank its contention time. (Threads
-	// released this instant may add a final slice to the old manager
-	// after the snapshot — a bounded undercount, noted in DESIGN.md.)
-	old.m.Quiesce()
-	for i := range r.cmBaseNs {
-		r.cmBaseNs[i].Add(old.m.ContentionNs(i))
-	}
-}
-
-// engageSeqDrain switches the run into sequential-drain mode: the
-// contention manager becomes a no-op (a single active thread cannot
-// conflict), and every parked thread is woken so it forwards its work
-// to thread 0 and re-parks.
-func (r *Refiner) engageSeqDrain() {
-	r.seqDrain.Store(true)
-	r.swapCM("aggressive")
-	for i := range r.threads {
-		r.bal.Wake(i)
-	}
-}
-
 // startAux launches the stall watchdog, the context watcher, and the
-// timeline/progress samplers; the returned function stops them.
+// timeline/progress samplers; the returned function stops them. The
+// watchdog is always armed: a run that commits no operation for
+// LivelockTimeout — an Aggressive-CM or Random-CM livelock (Section
+// 5.1), or a lost wake-up — aborts with Livelocked set instead of
+// hanging.
 func (r *Refiner) startAux() func() {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	if r.cfg.LivelockTimeout > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(r.cfg.LivelockTimeout / 10)
-			defer tick.Stop()
-			last := r.ops.Load()
-			lastChange := time.Now()
-			for {
-				select {
-				case <-stop:
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(r.cfg.LivelockTimeout / 10)
+		defer tick.Stop()
+		last := r.ops.Load()
+		lastChange := time.Now()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if cur := r.ops.Load(); cur != last {
+					last = cur
+					lastChange = time.Now()
+				} else if stalled := time.Since(lastChange); stalled >= r.cfg.LivelockTimeout {
+					reason := fmt.Sprintf("livelock: no operation committed for %v under the %s contention manager",
+						stalled.Round(time.Millisecond), r.cfg.ContentionManager)
+					r.livelocked.Store(true)
+					r.recordTransition("abort", reason)
+					r.abortRun(reason)
 					return
-				case <-tick.C:
-					cur := r.ops.Load()
-					if cur != last {
-						last = cur
-						lastChange = time.Now()
-						continue
-					}
-					if stalled := time.Since(lastChange); stalled >= r.cfg.LivelockTimeout {
-						if !r.escalate(stalled) {
-							return // ladder exhausted: run aborted
-						}
-						// Give the new rung a full window to make progress.
-						last = r.ops.Load()
-						lastChange = time.Now()
-					}
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	if ctx := r.ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -816,10 +699,8 @@ func (r *Refiner) startAux() func() {
 
 func (r *Refiner) sampleTimeline() {
 	var totalNs int64
-	mgr := r.cm()
 	for i, t := range r.threads {
-		totalNs += r.cmBaseNs[i].Load() + mgr.ContentionNs(i) +
-			r.bal.IdleNs(i) + atomic.LoadInt64(&t.rollbackNs)
+		totalNs += r.cm.ContentionNs(i) + r.bal.IdleNs(i) + atomic.LoadInt64(&t.rollbackNs)
 	}
 	pt := TimelinePoint{
 		Wall:       time.Since(r.startWall),

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/cm"
@@ -19,7 +17,7 @@ import (
 // queued, not lost, and without allocating — and succeed when retried.
 func TestRolledBackRemovalIsRequeued(t *testing.T) {
 	im := img.SpherePhantom(24)
-	s, err := NewSession(Config{Workers: 2, ContentionManager: "aggressive", LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 2, ContentionManager: "aggressive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +32,7 @@ func TestRolledBackRemovalIsRequeued(t *testing.T) {
 	r := &Refiner{cfg: cfg, im: im, edt: s.edtTr, mesh: s.mesh,
 		isoGrid: s.isoGrid, ccGrid: s.ccGrid, threads: s.threads}
 	r.coord = cm.NewCoordinator(cfg.Workers)
-	r.cmSlot.Store(&cmEntry{name: cfg.ContentionManager, m: cfg.newCM(r.coord)})
-	r.cmBaseNs = make([]atomic.Int64, cfg.Workers)
+	r.cm = cfg.newCM(r.coord)
 	r.bal = cfg.newBalancer()
 
 	// Three surviving circumcenters: one to roll back, two queued ahead.

@@ -17,10 +17,9 @@ import (
 func TestR4Fires(t *testing.T) {
 	im := img.SpherePhantom(96)
 	res, err := Run(Config{
-		Image:           im,
-		Workers:         1,
-		SizeFunc:        func(geom.Vec3) float64 { return 3 },
-		LivelockTimeout: time.Minute,
+		Image:    im,
+		Workers:  1,
+		SizeFunc: func(geom.Vec3) float64 { return 3 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +58,8 @@ func TestRuleStrings(t *testing.T) {
 func TestOversubscription(t *testing.T) {
 	im := img.SpherePhantom(24)
 	res, err := Run(Config{
-		Image:           im,
-		Workers:         16,
-		LivelockTimeout: time.Minute,
+		Image:   im,
+		Workers: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +78,9 @@ func TestOversubscription(t *testing.T) {
 func TestTimelineRecorded(t *testing.T) {
 	im := img.SpherePhantom(40)
 	res, err := Run(Config{
-		Image:           im,
-		Workers:         4,
-		TimelineSample:  2 * time.Millisecond,
-		LivelockTimeout: time.Minute,
+		Image:          im,
+		Workers:        4,
+		TimelineSample: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +102,7 @@ func TestKneeAndHeadNeckPhantoms(t *testing.T) {
 		"knee":     img.KneePhantom(40, 40, 40),
 		"headneck": img.HeadNeckPhantom(40, 40, 40),
 	} {
-		res, err := Run(Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+		res, err := Run(Config{Image: im, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +120,7 @@ func TestKneeAndHeadNeckPhantoms(t *testing.T) {
 // incorporates the ... Euclidean distance transform").
 func TestEDTTimeReported(t *testing.T) {
 	im := img.SpherePhantom(32)
-	res, err := Run(Config{Image: im, Workers: 1, LivelockTimeout: time.Minute})
+	res, err := Run(Config{Image: im, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +141,8 @@ func TestEDTTimeReported(t *testing.T) {
 func TestPoorCounterBalanced(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		res, err := Run(Config{
-			Image:           img.AbdominalPhantom(40, 40, 28),
-			Workers:         workers,
-			LivelockTimeout: time.Minute,
+			Image:   img.AbdominalPhantom(40, 40, 28),
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -180,12 +176,11 @@ func TestDeltaFuncDensifiesSurface(t *testing.T) {
 			}
 			return 4
 		},
-		LivelockTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := Run(Config{Image: im, Workers: 2, Delta: 4, LivelockTimeout: time.Minute})
+	uniform, err := Run(Config{Image: im, Workers: 2, Delta: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +196,15 @@ func TestDeltaFuncDensifiesSurface(t *testing.T) {
 // once the cap is reached, with a valid (if unfinished) mesh.
 func TestMaxElementsStopsEarly(t *testing.T) {
 	im := img.SpherePhantom(64)
-	full, err := Run(Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	full, err := Run(Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := full.Elements() / 4
 	capped, err := Run(Config{
-		Image:           im,
-		Workers:         2,
-		MaxElements:     cap,
-		LivelockTimeout: time.Minute,
+		Image:       im,
+		Workers:     2,
+		MaxElements: cap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +227,7 @@ func TestMaxElementsStopsEarly(t *testing.T) {
 func TestSingleWorkerDeterminism(t *testing.T) {
 	im := img.KneePhantom(40, 40, 40)
 	run := func() (int, int, int64) {
-		res, err := Run(Config{Image: im, Workers: 1, LivelockTimeout: time.Minute})
+		res, err := Run(Config{Image: im, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +247,7 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 // motivates: blood-flow simulation).
 func TestVesselPhantomThinStructures(t *testing.T) {
 	im := img.VesselPhantom(64)
-	res, err := Run(Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := Run(Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +279,6 @@ func TestProgressCallback(t *testing.T) {
 			snaps = append(snaps, p)
 			mu.Unlock()
 		},
-		LivelockTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

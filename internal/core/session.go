@@ -258,8 +258,7 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Coordination state is cheap and run-scoped: built fresh.
 	r.coord = cm.NewCoordinator(cfg.Workers)
-	r.cmSlot.Store(&cmEntry{name: cfg.ContentionManager, m: cfg.newCM(r.coord)})
-	r.cmBaseNs = make([]atomic.Int64, cfg.Workers)
+	r.cm = cfg.newCM(r.coord)
 	r.bal = cfg.newBalancer()
 
 	// Per-thread state: retained threads reset (keeping PEL/inbox/
@@ -319,7 +318,6 @@ func (t *thread) resetForRun() {
 	t.pel = t.pel[:0]
 	t.removals = t.removals[:0]
 	t.inbox.items = t.inbox.items[:0]
-	t.inbox.removals = t.inbox.removals[:0]
 	t.inside = t.inside[:0]
 	t.insideDelta = 0
 	t.poorOwn = 0

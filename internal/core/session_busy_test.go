@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/img"
 )
@@ -17,7 +16,7 @@ import (
 // usable, and the rejections are counted. Run under -race in CI.
 func TestSessionConcurrentRunBusy(t *testing.T) {
 	im := img.SpherePhantom(16)
-	s, err := NewSession(Config{Workers: 2, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/img"
@@ -45,7 +44,7 @@ func meshFingerprint(res *Result) uint64 {
 // count, same geometry, same quality stats.
 func TestSessionWarmRunDeterministic(t *testing.T) {
 	im := img.SpherePhantom(32)
-	s, err := NewSession(Config{Workers: 1, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func TestSessionWarmRunDeterministic(t *testing.T) {
 // session's warm run.
 func TestSessionWarmMatchesColdSession(t *testing.T) {
 	im := img.SpherePhantom(24)
-	cfg := Config{Workers: 1, LivelockTimeout: time.Minute}
+	cfg := Config{Workers: 1}
 
 	s1, err := NewSession(cfg)
 	if err != nil {
@@ -123,7 +122,7 @@ func TestSessionWarmMatchesColdSession(t *testing.T) {
 // timer/runtime noise.
 func TestSessionWarmAllocReduction(t *testing.T) {
 	im := img.SpherePhantom(32)
-	cfg := Config{Workers: 1, LivelockTimeout: time.Minute}
+	cfg := Config{Workers: 1}
 
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -165,7 +164,7 @@ func TestSessionWarmAllocReduction(t *testing.T) {
 // different shapes and deltas; every run must produce a valid result
 // (grids and mesh rebuild as needed).
 func TestSessionShapeChange(t *testing.T) {
-	s, err := NewSession(Config{Workers: 2, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestSessionShapeChange(t *testing.T) {
 // stale A — and so equal a cold run of A on a fresh session bit for
 // bit, as must a fourth that restores A by copy.
 func TestSessionBoxChangeAndBack(t *testing.T) {
-	cfg := Config{Workers: 1, LivelockTimeout: time.Minute}
+	cfg := Config{Workers: 1}
 	a, b := img.SpherePhantom(24), img.AbdominalPhantom(30, 30, 20)
 	alo, ahi := a.Bounds()
 	if blo, bhi := b.Bounds(); alo == blo && ahi == bhi {
@@ -247,7 +246,7 @@ func TestSessionBoxChangeAndBack(t *testing.T) {
 // run's cells left behind in them would read as live cells referencing
 // removed vertices on a perfectly sound mesh.
 func TestSessionWarmSmallerRunChecks(t *testing.T) {
-	s, err := NewSession(Config{Workers: 1, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +284,8 @@ func TestSessionWarmFaultStorm(t *testing.T) {
 
 	im := img.SpherePhantom(32)
 	s, err := NewSession(Config{
-		Workers:         4,
-		panicBudget:     -1,
-		LivelockTimeout: 30 * time.Second,
+		Workers:     4,
+		panicBudget: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +316,7 @@ func TestSessionWarmFaultStorm(t *testing.T) {
 // a warm run just like a cold one.
 func TestSessionCancellation(t *testing.T) {
 	im := img.SpherePhantom(48)
-	s, err := NewSession(Config{Workers: 2, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Error("negative Delta accepted at NewSession")
 	}
 
-	s, err := NewSession(Config{Workers: 1, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

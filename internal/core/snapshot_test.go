@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/img"
 )
@@ -14,7 +13,7 @@ import (
 // original Result. This is the property the serving layer's off-lease
 // encoding depends on.
 func TestSnapshotSurvivesNextRun(t *testing.T) {
-	s, err := NewSession(Config{Workers: 1, LivelockTimeout: time.Minute})
+	s, err := NewSession(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestSnapshotSurvivesNextRun(t *testing.T) {
 // TestSnapshotSizeBytes sanity-checks the metric feed: the estimate
 // must scale with the actual payload.
 func TestSnapshotSizeBytes(t *testing.T) {
-	res, err := Run(Config{Image: img.SpherePhantom(10), Workers: 1, LivelockTimeout: time.Minute})
+	res, err := Run(Config{Image: img.SpherePhantom(10), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,14 +76,13 @@ const (
 	// met and no failure handling engaged.
 	StatusCompleted Status = iota
 	// StatusDegraded: the run produced a complete, valid mesh, but the
-	// failure machinery engaged along the way (recovered panics, a
-	// contention-manager hot-swap, a sequential drain, or a callback
-	// panic). Transitions and the stats say what happened.
+	// failure machinery engaged along the way (recovered worker or
+	// callback panics). Transitions and the stats say what happened.
 	StatusDegraded
-	// StatusAborted: the run stopped early (cancellation, panic budget,
-	// or an exhausted degradation ladder). The Result is partial: the
-	// mesh is structurally valid but quality/fidelity criteria may be
-	// unmet; Reason carries the structured cause.
+	// StatusAborted: the run stopped early (cancellation, an exhausted
+	// panic budget, or a stall the watchdog caught). The Result is
+	// partial: the mesh is structurally valid but quality/fidelity
+	// criteria may be unmet; Reason carries the structured cause.
 	StatusAborted
 )
 
@@ -101,13 +100,12 @@ func (s Status) String() string {
 }
 
 // Transition is one recorded action of the failure-handling machinery:
-// a contention-manager hot-swap, the switch to sequential drain, a
-// cancellation, a callback panic, or an abort.
+// a cancellation, a callback panic, or an abort.
 type Transition struct {
 	// Wall is the refinement wall-clock time of the transition.
 	Wall time.Duration
-	// Event is the machine-readable kind: "cm-swap",
-	// "sequential-drain", "cancel", "callback-panic", "abort".
+	// Event is the machine-readable kind: "cancel", "callback-panic",
+	// "abort".
 	Event string
 	// Detail is the human-readable explanation.
 	Detail string
@@ -135,10 +133,10 @@ type Result struct {
 	// Transitions logs every failure-handling action in order.
 	Transitions []Transition
 
-	// Livelocked reports that the stall watchdog exhausted the whole
-	// degradation ladder (CM hot-swap, then sequential drain) without
-	// recovering progress and aborted the run. Kept for backward
-	// compatibility; new code should inspect Status/Transitions.
+	// Livelocked reports that the stall watchdog aborted the run: no
+	// operation committed for Config.LivelockTimeout. This is Table 1's
+	// livelock column; the Status is StatusAborted and the last
+	// Transition is the "abort" that names the stall.
 	Livelocked bool
 
 	Stats    RunStats
@@ -235,7 +233,6 @@ func (r *Refiner) collect(res *Result) {
 	s.DroppedItems = r.droppedItems.Load()
 	s.CallbackPanics = r.callbackPanics.Load()
 	s.PerThreadOverheadNs = make([]int64, r.cfg.Workers)
-	mgr := r.cm()
 	for i, t := range r.threads {
 		ws := t.w.Stats
 		s.Inserts += ws.Inserts
@@ -249,7 +246,7 @@ func (r *Refiner) collect(res *Result) {
 		for rule, n := range t.ruleCount {
 			s.RuleCounts[rule] += n
 		}
-		cn := r.cmBaseNs[i].Load() + mgr.ContentionNs(i)
+		cn := r.cm.ContentionNs(i)
 		ln := r.bal.IdleNs(i)
 		rn := atomic.LoadInt64(&t.rollbackNs)
 		s.ContentionNs += cn

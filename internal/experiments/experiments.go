@@ -28,8 +28,6 @@ type Params struct {
 	ImageScale int
 	// Threads are the worker counts to sweep.
 	Threads []int
-	// LivelockTimeout bounds runs with livelock-prone managers.
-	LivelockTimeout time.Duration
 	// Repeats averages timings over this many runs (default 1).
 	Repeats int
 }
@@ -40,9 +38,6 @@ func (p Params) withDefaults() Params {
 	}
 	if len(p.Threads) == 0 {
 		p.Threads = []int{1, 2, 4, 8}
-	}
-	if p.LivelockTimeout == 0 {
-		p.LivelockTimeout = 60 * time.Second
 	}
 	if p.Repeats == 0 {
 		p.Repeats = 1
@@ -90,7 +85,6 @@ func (p Params) runStd(im *img.Image, topo balance.Topology, workers int, cmName
 			Balancer:          balName,
 			Delta:             delta,
 			Topology:          topo,
-			LivelockTimeout:   p.LivelockTimeout,
 		})
 		if err != nil {
 			return nil, 0, 0, err
@@ -508,7 +502,6 @@ func Fig6(p Params) ([]core.TimelinePoint, error) {
 		Workers:           maxInt(p.Threads),
 		ContentionManager: "local",
 		Balancer:          "hws",
-		LivelockTimeout:   p.LivelockTimeout,
 		TimelineSample:    20 * time.Millisecond,
 	})
 	if err != nil {

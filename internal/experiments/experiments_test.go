@@ -3,15 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyParams keeps experiment tests fast.
 func tinyParams() Params {
 	return Params{
-		ImageScale:      32,
-		Threads:         []int{1, 2},
-		LivelockTimeout: 30 * time.Second,
+		ImageScale: 32,
+		Threads:    []int{1, 2},
 	}
 }
 

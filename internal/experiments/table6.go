@@ -53,7 +53,6 @@ func Table6(p Params) ([]Table6Row, error) {
 			Workers:           1,
 			ContentionManager: "local",
 			Balancer:          "hws",
-			LivelockTimeout:   p.LivelockTimeout,
 		})
 		if err != nil {
 			return nil, err

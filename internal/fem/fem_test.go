@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -110,7 +109,7 @@ func TestEmptyMeshRejected(t *testing.T) {
 func meshedSphere(t *testing.T, n int) (*core.MeshSnapshot, []bool) {
 	t.Helper()
 	im := img.SpherePhantom(n)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +369,7 @@ func TestHConvergence(t *testing.T) {
 
 	errAt := func(delta float64) float64 {
 		res, err := core.Run(core.Config{
-			Image: im, Workers: 2, Delta: delta, LivelockTimeout: time.Minute,
+			Image: im, Workers: 2, Delta: delta,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -276,7 +275,7 @@ func FuzzAppendVTKFloat(f *testing.F) {
 // body the daemon benchmark workloads serve.
 func kneeSnapshot(tb testing.TB) *core.MeshSnapshot {
 	tb.Helper()
-	res, err := core.Run(core.Config{Image: img.KneePhantom(48, 48, 48), Workers: 1, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: img.KneePhantom(48, 48, 48), Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -18,7 +17,7 @@ import (
 func smallMesh(t *testing.T) (*core.Result, *img.Image) {
 	t.Helper()
 	im := img.SpherePhantom(20)
-	res, err := core.Run(core.Config{Image: im, Workers: 1, LivelockTimeout: 60 * time.Second})
+	res, err := core.Run(core.Config{Image: im, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -112,7 +111,7 @@ const labelOutOfRange = "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nCELLS 1 5\
 
 func TestVTKRoundtripOfRealMesh(t *testing.T) {
 	im := img.SpherePhantom(24)
-	res, err := core.Run(core.Config{Image: im, Workers: 1, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestVTKRoundtripOfRealMesh(t *testing.T) {
 
 func TestSmoothedMeshExport(t *testing.T) {
 	im := img.SpherePhantom(24)
-	res, err := core.Run(core.Config{Image: im, Workers: 1, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

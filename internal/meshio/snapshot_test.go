@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -104,7 +103,7 @@ func TestSnapshotBoundaryParity(t *testing.T) {
 		{"knee-48 W=2", img.KneePhantom(48, 48, 48), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := core.Run(core.Config{Image: tc.im, Workers: tc.workers, LivelockTimeout: time.Minute})
+			res, err := core.Run(core.Config{Image: tc.im, Workers: tc.workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package quality_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -13,7 +12,7 @@ import (
 // Theorem 1 topology check on a meshed torus.
 func Example() {
 	image := img.TorusPhantom(32)
-	res, err := core.Run(core.Config{Image: image, Workers: 1, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: image, Workers: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

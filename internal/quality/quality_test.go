@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/edt"
@@ -71,7 +70,7 @@ func TestPointTriangleDistProperty(t *testing.T) {
 func meshSphere(t *testing.T, n int) (*core.Result, *img.Image) {
 	t.Helper()
 	im := img.SpherePhantom(n)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: 60 * time.Second})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestHausdorffEmptyTriangles(t *testing.T) {
 
 func TestMultiTissueInterfacesAreBoundary(t *testing.T) {
 	im := img.AbdominalPhantom(32, 32, 24)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: 60 * time.Second})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package quality_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/edt"
@@ -27,10 +26,9 @@ func TestTheorem1Convergence(t *testing.T) {
 	var hausdorff []float64
 	for _, d := range deltas {
 		res, err := core.Run(core.Config{
-			Image:           im,
-			Workers:         2,
-			Delta:           d,
-			LivelockTimeout: time.Minute,
+			Image:   im,
+			Workers: 2,
+			Delta:   d,
 		})
 		if err != nil {
 			t.Fatal(err)

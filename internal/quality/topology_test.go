@@ -2,7 +2,6 @@ package quality_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -69,7 +68,7 @@ func TestSurfaceTopologyTwoComponents(t *testing.T) {
 // be a single closed surface with Euler characteristic 2.
 func TestMeshedSphereIsTopologicalSphere(t *testing.T) {
 	im := img.SpherePhantom(48)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestMeshedSphereIsTopologicalSphere(t *testing.T) {
 // phantom's boundary must have Euler characteristic 0.
 func TestMeshedTorusIsTopologicalTorus(t *testing.T) {
 	im := img.TorusPhantom(48)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

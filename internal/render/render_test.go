@@ -5,7 +5,6 @@ import (
 	"image/color"
 	"image/png"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -68,7 +67,7 @@ func TestSectionAboveMeshEmpty(t *testing.T) {
 
 func TestWritePNG(t *testing.T) {
 	image := img.AbdominalPhantom(40, 40, 28)
-	res, err := core.Run(core.Config{Image: image, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: image, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

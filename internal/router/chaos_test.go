@@ -104,7 +104,7 @@ func TestRouterChaosSoak(t *testing.T) {
 			QueueDepth:     8,
 			DefaultTimeout: 10 * time.Second,
 			Cache:          store,
-			Session:        core.Config{Workers: 1, LivelockTimeout: time.Minute},
+			Session:        core.Config{Workers: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -34,7 +34,7 @@ func TestRouterRelaysLengthFramed(t *testing.T) {
 		srv, err := serve.NewServer(serve.Config{
 			PoolSize: 1,
 			Cache:    store,
-			Session:  core.Config{Workers: 1, LivelockTimeout: time.Minute},
+			Session:  core.Config{Workers: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 func testPool(t *testing.T, n int) *Pool {
 	t.Helper()
-	p, err := NewPool(n, 16, core.Config{Workers: 1, LivelockTimeout: time.Minute})
+	p, err := NewPool(n, 16, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,7 +304,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mRollbacks = r.Counter("pi2md_rollbacks_total",
 		"Speculative-operation rollbacks across all runs.")
 	s.mDegraded = r.Counter("pi2md_degraded_runs_total",
-		"Runs that completed through the failure-handling ladder.")
+		"Runs that completed after recovering worker or callback panics.")
 	s.mAborted = r.Counter("pi2md_aborted_runs_total",
 		"Runs that aborted (cancellation, panic budget, livelock).")
 	s.mTransitions = r.Counter("pi2md_degradation_transitions_total",
@@ -661,7 +661,7 @@ func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Ima
 
 // abortedByCaller reports whether an aborted run was cut short by its
 // own context (a "cancel" transition) rather than by the engine's
-// failure ladder — the session cooperated, so it stays healthy.
+// failure handling — the session cooperated, so it stays healthy.
 func abortedByCaller(res *core.Result) bool {
 	for _, tr := range res.Transitions {
 		if tr.Event == "cancel" {

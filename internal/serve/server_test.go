@@ -70,9 +70,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Session.Workers == 0 {
 		cfg.Session.Workers = 1
 	}
-	if cfg.Session.LivelockTimeout == 0 {
-		cfg.Session.LivelockTimeout = time.Minute
-	}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

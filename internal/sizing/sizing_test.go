@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/edt"
@@ -123,15 +122,14 @@ func TestMinAndScale(t *testing.T) {
 // and verifies the targeted tissue is meshed more densely.
 func TestSizingDrivesRefinement(t *testing.T) {
 	im := img.AbdominalPhantom(40, 40, 28)
-	base, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	base, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fine, err := core.Run(core.Config{
-		Image:           im,
-		Workers:         2,
-		SizeFunc:        core.SizeFunc(PerLabel(im, map[img.Label]float64{2: 2.5}, math.Inf(1))),
-		LivelockTimeout: time.Minute,
+		Image:    im,
+		Workers:  2,
+		SizeFunc: core.SizeFunc(PerLabel(im, map[img.Label]float64{2: 2.5}, math.Inf(1))),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -14,7 +13,7 @@ import (
 func extractSphere(t *testing.T, n int) (*Mesh, *core.Result) {
 	t.Helper()
 	im := img.SpherePhantom(n)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestTaubinSmoothsAndConservesVolume(t *testing.T) {
 // TestTaubinDeterministic: smoothing the same snapshot twice gives
 // bitwise the same vertices, and leaves the snapshot itself untouched.
 func TestTaubinDeterministic(t *testing.T) {
-	res, err := core.Run(core.Config{Image: img.SpherePhantom(32), Workers: 1, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: img.SpherePhantom(32), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestTaubinZeroIterationsIsNoOp(t *testing.T) {
 
 func TestSmoothMultiTissue(t *testing.T) {
 	im := img.AbdominalPhantom(36, 36, 24)
-	res, err := core.Run(core.Config{Image: im, Workers: 2, LivelockTimeout: time.Minute})
+	res, err := core.Run(core.Config{Image: im, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,13 @@ package pi2m
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // TestPublicAPIRoundtrip exercises the facade end to end: phantom →
 // run → snapshot quality → topology → export → NRRD roundtrip.
 func TestPublicAPIRoundtrip(t *testing.T) {
 	image := SpherePhantom(24)
-	result, err := Run(Config{Image: image, Workers: 2, LivelockTimeout: time.Minute})
+	result, err := Run(Config{Image: image, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,9 @@ func WithoutRemovals() Option {
 }
 
 // WithLivelockTimeout aborts a run when no operation commits for this
-// long (0 disables the watchdog).
+// long. The watchdog is always armed: 0 keeps the one-minute default.
+// The option stays only because the benchmark harness sets it; it goes
+// once that harness no longer does.
 func WithLivelockTimeout(d time.Duration) Option {
 	return func(o *sessionOptions) { o.cfg.LivelockTimeout = d }
 }

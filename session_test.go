@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	pi2m "repro"
 )
@@ -35,7 +34,6 @@ func TestSessionFacade(t *testing.T) {
 		pi2m.WithContentionManager("local"),
 		pi2m.WithMaxRadiusEdge(2),
 		pi2m.WithMinFacetAngle(30),
-		pi2m.WithLivelockTimeout(time.Minute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +80,6 @@ func TestSessionFaultInjection(t *testing.T) {
 	s, err := pi2m.NewSession(
 		pi2m.WithThreads(2),
 		pi2m.WithFaultInjection(11, 0.02),
-		pi2m.WithLivelockTimeout(time.Minute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +105,6 @@ func TestSessionRunTunedFaultInjection(t *testing.T) {
 	s, err := pi2m.NewSession(
 		pi2m.WithThreads(1),
 		pi2m.WithFaultInjection(11, 0.02),
-		pi2m.WithLivelockTimeout(time.Minute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +123,8 @@ func TestSessionRunTunedFaultInjection(t *testing.T) {
 // through the facade: a mesh read back writes the same bytes again.
 func TestSessionVTKRawRoundtrip(t *testing.T) {
 	res, err := pi2m.Run(pi2m.Config{
-		Image:           pi2m.SpherePhantom(16),
-		Workers:         1,
-		LivelockTimeout: time.Minute,
+		Image:   pi2m.SpherePhantom(16),
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
