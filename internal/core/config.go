@@ -110,10 +110,11 @@ type Config struct {
 // The paper's donation threshold and the failure-handling budgets,
 // fixed for every run.
 const (
-	// donateThreshold is the minimum number of valid poor elements a
+	// donateThreshold is the minimum number of valid queued elements a
 	// thread must hold before it may give work away (Section 4.4: the
 	// paper "set that threshold equal to 5, since it yielded the best
-	// results").
+	// results"). The paper counts classified poor elements; a PEL here
+	// holds unclassified candidates, ~98 % of which are poor.
 	donateThreshold = 5
 	// panicBudget is the number of panics a single worker thread may
 	// recover from (releasing its vertex locks and re-queuing the

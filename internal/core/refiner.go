@@ -69,15 +69,18 @@ type thread struct {
 	pel      []pelItem      // poor element list (LIFO)
 	removals []arena.Handle // pending R6 victim vertices
 
+	// inbox holds work donated by other threads. n mirrors len(items),
+	// stored under mu, so an empty inbox is seen without the lock.
 	inbox struct {
 		mu    sync.Mutex
 		items []pelItem
+		n     atomic.Int32
 	}
 
 	inside      []arena.Handle // cells created with circumcenter inside O
 	insideDelta int64          // change to Refiner.insideCount not yet added to it
 
-	// The valid poor elements currently in this thread's PEL (paper
+	// The valid queued elements currently in this thread's PEL (paper
 	// Section 4.4) number poorOwn + poorForeign: incremented when an
 	// element is pushed here (by anyone), decremented by whichever
 	// thread pops or invalidates it. Cell.Aux holds the owning thread
@@ -115,16 +118,14 @@ const (
 	curRemoval
 )
 
-// pelItem is a poor element with the surface query its creator made
-// for it, optionally with a classification already computed (act.rule
-// != RuleNone): a conflicted operation re-queues its element with the
-// action cached so the retry skips re-classification. retries counts
+// pelItem is a queued candidate cell: a handle and nothing the cell's
+// classification would fill in. Every rule question about the cell is
+// asked when it is popped, so a cell invalidated while queued never
+// pays for one, and a retry is classified afresh. retries counts
 // panic-recovery re-queues of this item, bounded by retryBudget.
 type pelItem struct {
 	cell    arena.Handle
 	retries int32
-	near    nearest
-	act     action
 }
 
 // Run performs the complete PI2M pipeline on cfg: parallel EDT, then
@@ -150,20 +151,18 @@ func newRefiner(ctx context.Context, cfg Config) *Refiner {
 	return r
 }
 
-// noteCreated classifies a fresh (or bootstrap) cell: records it in
-// the final-mesh list when its circumcenter is inside O — the one time
-// the image is asked for the circumcenter's label; the rules read the
-// flag — and appends it to the thread's PEL candidates when a rule
-// may apply.
+// noteCreated records a fresh (or bootstrap) cell: in the final-mesh
+// list when its circumcenter is inside O — the one time the image is
+// asked for the circumcenter's label; the rules read the flag — and
+// in the thread's PEL candidates. Whether a rule applies is asked at
+// pop time.
 func (r *Refiner) noteCreated(t *thread, h arena.Handle, c *delaunay.Cell) {
 	if r.im.LabelAt(c.CC) != 0 {
 		c.SetInside(true)
 		t.inside = append(t.inside, h)
 		t.insideDelta++
 	}
-	if near, poor := r.poorQuick(c); poor {
-		t.scratch = append(t.scratch, pelItem{cell: h, near: near})
-	}
+	t.scratch = append(t.scratch, pelItem{cell: h})
 }
 
 // publishInside adds the thread's pending final-mesh count changes to
@@ -175,10 +174,10 @@ func (r *Refiner) publishInside(t *thread) {
 	}
 }
 
-// flushScratch moves newly found poor elements to the thread's own PEL
-// or donates them to a beggar. Per Section 4.4, a thread may only give
-// work away while its own counter of valid poor elements is at least
-// the threshold.
+// flushScratch moves newly created cells to the thread's own PEL or
+// donates them to a beggar. Per Section 4.4, a thread may only give
+// work away while its own counter of valid queued elements is at
+// least the threshold.
 func (r *Refiner) flushScratch(t *thread) {
 	if len(t.scratch) == 0 {
 		return
@@ -192,6 +191,7 @@ func (r *Refiner) flushScratch(t *thread) {
 			bt.poorForeign.Add(int64(len(t.scratch)))
 			bt.inbox.mu.Lock()
 			bt.inbox.items = append(bt.inbox.items, t.scratch...)
+			bt.inbox.n.Store(int32(len(bt.inbox.items)))
 			bt.inbox.mu.Unlock()
 			r.bal.Wake(beggar)
 			t.scratch = t.scratch[:0]
@@ -207,7 +207,7 @@ func (r *Refiner) flushScratch(t *thread) {
 
 // tag records in cell ch that owner's count includes it.
 func (r *Refiner) tag(ch arena.Handle, owner *thread) {
-	r.mesh.Cells.At(ch).Aux.Store(uint64(owner.id + 1))
+	r.mesh.Cells.At(ch).Aux.Store(uint32(owner.id + 1))
 }
 
 // countIn marks cell ch as a counted poor element of t, the calling
@@ -219,8 +219,8 @@ func (r *Refiner) countIn(t *thread, ch arena.Handle) {
 
 // countOut releases the poor-element count for ch, whichever thread
 // holds it, on behalf of the calling thread t; reports whether it was
-// still counted. Most cells reaching here are not (popped earlier, or
-// never queued), and a load tells without the swap's bus lock.
+// still counted. Most cells reaching here are not (popped earlier),
+// and a load tells without the swap's bus lock.
 func (r *Refiner) countOut(t *thread, ch arena.Handle) bool {
 	aux := &r.mesh.Cells.At(ch).Aux
 	if aux.Load() == 0 {
@@ -238,12 +238,16 @@ func (r *Refiner) countOut(t *thread, ch arena.Handle) bool {
 	return true
 }
 
+// drainInbox moves donated work to the PEL. An empty inbox — nearly
+// every call — costs one atomic load, not a lock.
 func (t *thread) drainInbox() {
-	t.inbox.mu.Lock()
-	if len(t.inbox.items) > 0 {
-		t.pel = append(t.pel, t.inbox.items...)
-		t.inbox.items = t.inbox.items[:0]
+	if t.inbox.n.Load() == 0 {
+		return
 	}
+	t.inbox.mu.Lock()
+	t.pel = append(t.pel, t.inbox.items...)
+	t.inbox.items = t.inbox.items[:0]
+	t.inbox.n.Store(0)
 	t.inbox.mu.Unlock()
 }
 
@@ -299,22 +303,16 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 	if c.Dead() {
 		return true // invalidated while queued (Section 4.3)
 	}
+	// Every rule question is asked here, once per pop, so a conflicted
+	// retry is classified afresh against the samples added since.
 	t.cur, t.curKind = item, curInsertion
-	act := item.act
-	// Fresh items carry no classification (the creating thread only
-	// ran the cheap poorness test); conflicted retries carry theirs,
-	// revalidated against the sparsity gates that newer samples may
-	// have closed.
-	fresh := act.rule == RuleNone
-	stale := (act.rule == R1 && r.isoGrid.AnyWithin(act.point, r.cfg.Delta)) ||
-		(act.rule == R3 && r.isoGrid.AnyWithin(act.point, r.cfg.Delta/4))
-	if fresh || stale {
-		var ok bool
-		act, ok = r.classify(c, item.near)
-		if !ok {
-			return true
-		}
-		t.cur.act = act
+	near, poor := r.poorQuick(c)
+	if !poor {
+		return true
+	}
+	act, ok := r.classify(c, near)
+	if !ok {
+		return true
 	}
 	r.doInsertion(t, item.cell, act)
 	return true
@@ -330,8 +328,8 @@ func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
 	r.recoveredPanics.Add(1)
 	t.panics++
 
-	// Poor elements discovered by the unwound operation stay with this
-	// thread (donation could deadlock against a half-recovered state).
+	// Cells created by the unwound operation stay with this thread
+	// (donation could deadlock against a half-recovered state).
 	for _, item := range t.scratch {
 		r.countIn(t, item.cell)
 	}
@@ -382,7 +380,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// element" (Section 4.2) — and the thread consults the
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
-		t.pel = pushBottom(t.pel, pelItem{cell: ch, near: t.cur.near, act: act, retries: t.cur.retries})
+		t.pel = pushBottom(t.pel, pelItem{cell: ch, retries: t.cur.retries})
 		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
@@ -536,10 +534,7 @@ func (r *Refiner) idle(t *thread) bool {
 // work.
 func (r *Refiner) anyInboxPending() bool {
 	for _, t := range r.threads {
-		t.inbox.mu.Lock()
-		n := len(t.inbox.items)
-		t.inbox.mu.Unlock()
-		if n > 0 {
+		if t.inbox.n.Load() > 0 {
 			return true
 		}
 	}

@@ -97,3 +97,133 @@ func TestRolledBackRemovalIsRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStaleRetryIsReclassified drives the Conflict arm of doInsertion
+// for an R1 element, then closes its sparsity gate before the retry —
+// another thread's isosurface sample lands within δ of the planned
+// point. A re-queued element is a bare handle, classified afresh when
+// popped, so the retry must see the new sample and do nothing: no
+// operation, no re-queue, and the element's count released.
+func TestStaleRetryIsReclassified(t *testing.T) {
+	im := img.SpherePhantom(24)
+	s, err := NewSession(Config{Workers: 2, ContentionManager: "aggressive", MaxElements: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), im)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A refiner over the stopped run's state, with every list empty and
+	// every count released.
+	r := newRefiner(nil, res.Config)
+	r.edt, r.mesh, r.isoGrid, r.ccGrid, r.threads = s.edtTr, s.mesh, s.isoGrid, s.ccGrid, s.threads
+	r.coord = cm.NewCoordinator(r.cfg.Workers)
+	r.cm = r.cfg.newCM(r.coord)
+	r.bal = r.cfg.newBalancer()
+	type candidate struct {
+		h   arena.Handle
+		act action
+	}
+	var r1 []candidate
+	r.mesh.LiveCells(func(h arena.Handle, c *delaunay.Cell) {
+		c.Aux.Store(0)
+		if act, ok := r.classify(c, r.nearestSurface(c.CC)); ok && act.rule == R1 {
+			r1 = append(r1, candidate{h, act})
+		}
+	})
+	for _, th := range r.threads {
+		th.pel, th.removals = th.pel[:0], th.removals[:0]
+		th.poorOwn = 0
+		th.poorForeign.Store(0)
+	}
+	th := r.threads[1]
+
+	deny := faultinject.New(faultinject.Config{
+		Seed:  5,
+		Rates: map[faultinject.Point]float64{faultinject.LockDeny: 1},
+	})
+	for _, cand := range r1 {
+		c := r.mesh.Cells.At(cand.h)
+		// The R1 operation, denied its locks, goes back to the PEL.
+		restore := faultinject.Enable(deny)
+		rollbacks := th.w.Stats.Rollbacks
+		th.cur, th.curKind = pelItem{cell: cand.h}, curInsertion
+		r.doInsertion(th, cand.h, cand.act)
+		restore()
+		if th.w.Stats.Rollbacks != rollbacks+1 || len(th.pel) != 1 || th.pel[0].cell != cand.h {
+			t.Fatalf("denied R1 on cell %d: %d rollbacks, PEL %v", cand.h, th.w.Stats.Rollbacks-rollbacks, th.pel)
+		}
+		if th.poorOwn != 1 {
+			t.Fatalf("re-queued element counted %d times", th.poorOwn)
+		}
+
+		// Meanwhile an isosurface sample lands at the planned point.
+		r.isoGrid.Add(cand.act.point, 0)
+		if _, ok := r.classify(c, r.nearestSurface(c.CC)); ok {
+			// Another rule (R2, R3, R4 or R5) still applies to this
+			// cell: a retry would rightly do that. Try the next one.
+			r.countOut(th, cand.h)
+			th.pel = th.pel[:0]
+			continue
+		}
+
+		ops, rules := r.ops.Load(), th.ruleCount
+		if !r.iterate(th) {
+			t.Fatal("iterate ended the run")
+		}
+		if r.ops.Load() != ops || th.ruleCount != rules {
+			t.Fatalf("stale R1 retry on cell %d ran an operation: rules %v → %v", cand.h, rules, th.ruleCount)
+		}
+		if len(th.pel) != 0 || th.poorOwn != 0 || c.Aux.Load() != 0 {
+			t.Fatalf("stale R1 retry left PEL %v, count %d, Aux %d", th.pel, th.poorOwn, c.Aux.Load())
+		}
+		if c.Dead() {
+			t.Fatalf("cell %d died without an operation", cand.h)
+		}
+		if err := r.mesh.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("none of %d pending R1 elements is left poor by nothing else: the test is vacuous", len(r1))
+}
+
+// TestRetriesLeaveNoDanglingCount soaks a warm two-worker session whose
+// operations keep losing their locks: every conflicted element is
+// re-queued as a handle and re-classified, and each run must still end
+// with every poor-element count released.
+func TestRetriesLeaveNoDanglingCount(t *testing.T) {
+	inj := faultinject.New(faultinject.Config{
+		Seed:  11,
+		Rates: map[faultinject.Point]float64{faultinject.LockDeny: 0.01},
+		After: map[faultinject.Point]int64{faultinject.LockDeny: 200},
+	})
+	defer faultinject.Enable(inj)()
+
+	images := []*img.Image{img.SpherePhantom(24), img.KneePhantom(24, 24, 24)}
+	s, err := NewSession(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var rollbacks int64
+	for i := 0; i < 20; i++ {
+		res, err := s.Run(context.Background(), images[i%len(images)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != StatusCompleted {
+			t.Fatalf("run %d: %v", i, res.Status)
+		}
+		if res.Stats.DanglingPoorCount != 0 {
+			t.Fatalf("run %d: dangling poor count %d", i, res.Stats.DanglingPoorCount)
+		}
+		rollbacks += res.Stats.Rollbacks
+	}
+	if rollbacks == 0 {
+		t.Fatal("no operation was rolled back: no retry was exercised")
+	}
+}

@@ -105,10 +105,10 @@ func newImageConsts(im *img.Image, cfg Config) imageConsts {
 }
 
 // nearest is a cell's one question to the distance transform: the
-// center of the surface voxel nearest its circumcenter. The creating
-// thread asks it for the cheap poorness test and the answer travels
-// with the queued element, so the full classify at pop time does not
-// ask again. ok is false when the image has no surface voxels.
+// center of the surface voxel nearest its circumcenter. The popping
+// thread asks it for the cheap poorness test and hands the answer to
+// the full classify, which does not ask again. ok is false when the
+// image has no surface voxels.
 type nearest struct {
 	sv geom.Vec3
 	ok bool
@@ -150,12 +150,12 @@ func (r *Refiner) isoPointNear(p geom.Vec3, sv geom.Vec3) (geom.Vec3, bool) {
 	return r.im.SurfacePoint(p, p.Add(dir), r.ic.tol)
 }
 
-// poorQuick is the creation-time poorness test: a cheap conservative
-// over-approximation of "some rule applies", used when the creating
-// thread classifies new cells for its PEL and for donation (Section
-// 4.4). The expensive geometry (surface marches) is deferred to the
-// full classify at pop time, which reuses the surface query returned
-// here. c's inside flag must already be set.
+// poorQuick is the cheap poorness test asked of a popped cell before
+// the full classify: a conservative over-approximation of R1, R2, R4
+// and R5, but not of R3 (see its end), so it gates classify rather
+// than merely shortcutting it. The expensive geometry (surface
+// marches) is left to classify, which reuses the surface query
+// returned here. c's inside flag must already be set.
 func (r *Refiner) poorQuick(c *delaunay.Cell) (nearest, bool) {
 	if math.IsInf(c.R2, 1) {
 		return nearest{}, false
@@ -177,8 +177,8 @@ func (r *Refiner) poorQuick(c *delaunay.Cell) (nearest, bool) {
 	}
 	// R3 across a facet whose Voronoi edge strays near the surface
 	// while this circumcenter is far: the neighbor's own quick test
-	// covers it from the other side, and the full classify at pop
-	// checks both directions.
+	// covers it from the other side, and the full classify checks both
+	// directions.
 	return near, false
 }
 

@@ -318,6 +318,7 @@ func (t *thread) resetForRun() {
 	t.pel = t.pel[:0]
 	t.removals = t.removals[:0]
 	t.inbox.items = t.inbox.items[:0]
+	t.inbox.n.Store(0)
 	t.inside = t.inside[:0]
 	t.insideDelta = 0
 	t.poorOwn = 0

@@ -143,9 +143,10 @@ type Cell struct {
 	flags uint32
 
 	// Aux is scratch space for the refiner's per-cell bookkeeping
-	// (poor-element-list membership); the kernel only zeroes it when it
-	// initializes the cell.
-	Aux atomic.Uint64
+	// (poor-element-list membership: the owning thread id + 1); the
+	// kernel only zeroes it when it initializes the cell. 32 bits keep
+	// the cell at 72 bytes.
+	Aux atomic.Uint32
 }
 
 // ftab lists, for each face index i (the face opposite vertex i), the
@@ -182,7 +183,7 @@ func (c *Cell) init(m *Mesh, v [4]arena.Handle) {
 	c.n = [4]uint32{}
 	c.CC, c.R2 = circum(m, v)
 	c.flags = 0
-	c.Aux = atomic.Uint64{}
+	c.Aux = atomic.Uint32{}
 }
 
 // apexAcross returns the vertex of n opposite the face it shares with

@@ -27,7 +27,7 @@ type cellState struct {
 	cc    geom.Vec3
 	r2    float64
 	flags uint32
-	aux   uint64
+	aux   uint32
 }
 
 // requireSameMesh fails unless got and want agree on every mesh field
