@@ -105,12 +105,6 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// Busy reports whether a Run is currently in flight. It is a racy
-// snapshot — by the time the caller acts, the run may have finished —
-// but a false return after the caller has serialized checkouts (as
-// the serve pool does) is authoritative.
-func (s *Session) Busy() bool { return s.running.Load() }
-
 // Invalidate drops the cached distance transform. Call it after
 // mutating an image in place before re-running on it; runs on a
 // different *img.Image never see stale data (the cache is keyed by

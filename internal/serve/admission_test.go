@@ -64,7 +64,7 @@ func TestCancelClassification(t *testing.T) {
 	image := img.SpherePhantom(8)
 
 	// Occupy the only session so jobs must wait.
-	lease, err := srv.Pool().Checkout(context.Background(), "")
+	lease, err := srv.Pool().Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCancelClassification(t *testing.T) {
 
 // TestImageKeyFullDigest is the regression test for the truncated
 // image key: the key doubles as the coalescing join key and the
-// image-cache/affinity identity, so it must be the complete SHA-256
+// image-cache identity, so it must be the complete SHA-256
 // digest, not a collision-prone 8-byte prefix.
 func TestImageKeyFullDigest(t *testing.T) {
 	body := []byte("not really an image, but hashing does not care")

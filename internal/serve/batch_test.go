@@ -283,7 +283,7 @@ func TestCoalesceHTTP(t *testing.T) {
 
 	// Hold the only session: the leader queues, followers pile onto
 	// its flight, and nothing can run until we let go.
-	lease, err := srv.Pool().Checkout(context.Background(), "")
+	lease, err := srv.Pool().Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestCoalesceSlowSession(t *testing.T) {
 	}))
 	defer restore()
 
-	lease, err := srv.Pool().Checkout(context.Background(), "")
+	lease, err := srv.Pool().Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func browned(m wire.MeshSpec, t brownoutTier) wire.MeshSpec {
 }
 
 // brownoutController is the feedback controller that picks the tier.
-// Inputs are the live EDF queue depth, the waiter's deadline headroom,
+// Inputs are the live queue depth, the waiter's deadline headroom,
 // and its p90 wait estimate; output is a ladder index (0 = full
 // quality) plus a refuse verdict for the hopeless case. Escalation is
 // immediate — by the time the queue says "overloaded" the cheap

@@ -135,7 +135,7 @@ func (r *endingRig) simulate(t *testing.T, spec string) ending {
 // answered 200.
 func (r *endingRig) withLeader(t *testing.T, follow func() (wait func() ending)) ending {
 	t.Helper()
-	lease, err := r.srv.Pool().Checkout(context.Background(), "")
+	lease, err := r.srv.Pool().Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

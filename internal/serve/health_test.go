@@ -19,11 +19,12 @@ import (
 // per-key breaker out of tests that are about the session ledger.
 const breakerNever = 1 << 20
 
-// sessionPtr reads the session currently installed in pool slot i.
+// sessionPtr reads the session currently installed in free slot i of
+// an idle pool.
 func sessionPtr(p *Pool, i int) *core.Session {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.entries[i].s
+	return p.free[i].s
 }
 
 // TestAbortedSessionQuarantined is the regression test for the

@@ -110,14 +110,14 @@ func TestRetryAfterTracksLatency(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		srv.mLeaseSeconds.Observe(3)
 	}
-	hold, err := srv.pool.Checkout(context.Background(), "")
+	hold, err := srv.pool.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	queued, unqueue := context.WithCancel(context.Background())
 	for i := 0; i < 4; i++ {
 		go func() {
-			if l, err := srv.pool.Checkout(queued, ""); err == nil {
+			if l, err := srv.pool.Checkout(queued); err == nil {
 				l.Release()
 			}
 		}()

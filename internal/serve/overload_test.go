@@ -73,7 +73,7 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 
 	// Storm: 7 closed-loop workers against 1 running + 4 queued slots.
 	// delta=0.5 makes a full-quality run take ~85ms on this phantom
-	// (seconds under -race), so the EDF queue saturates immediately;
+	// (seconds under -race), so the queue saturates immediately;
 	// the ladder tiers (ds=4, ds=8) run the same image 15-80x cheaper.
 	const workers = 7
 	tally := &overloadTally{}

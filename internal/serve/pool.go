@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,38 +16,36 @@ import (
 var ErrPoolClosed = errors.New("serve: pool closed")
 
 // Pool multiplexes work over a fixed number of warm core.Sessions.
-// Checkout hands out an exclusive Lease on one session, preferring
-// the session that last ran the same image identity so the session's
-// cached distance transform actually hits; Release returns it. A slot
-// whose session failed, was abandoned or sat idle too long gets a
-// fresh, empty session in the same critical section (replaceLocked),
-// so every slot is always schedulable.
+// Checkout hands out an exclusive Lease on the session released last;
+// Release returns it. A slot whose session failed, was abandoned or
+// sat idle too long gets a fresh, empty session in the same critical
+// section (replaceLocked), so every slot is always schedulable.
 //
 // The pool relies on core.Session's busy-rejection contract
 // (ErrSessionBusy) only as a backstop: leases already guarantee
 // single ownership, so a busy rejection through a lease indicates a
 // caller bug and is surfaced as an error.
 type Pool struct {
-	cfg core.Config
+	cfg  core.Config
+	size int
 
-	mu      sync.Mutex
-	entries []*poolEntry
-	closed  bool
+	mu sync.Mutex
 
-	// waiters is the blocked-checkout queue, ordered earliest-deadline-
-	// first (ties FIFO by arrival), and at most maxWaiters long. When a
-	// session frees up it is handed to the most deadline-pressed waiter,
-	// not whichever goroutine the scheduler happens to wake — a
-	// near-deadline interactive mesh job overtakes a queued long-deadline
-	// solve.
-	waiters    waiterHeap
-	waiterSeq  uint64
+	// free is a stack of idle slots, the one released last on top, so a
+	// client re-meshing one image sequentially lands on the session that
+	// holds its distance transform however large the pool.
+	free   []*poolEntry
+	closed bool
+
+	// waiters is the blocked-checkout queue in arrival order, at most
+	// maxWaiters long. A freed slot goes to the oldest waiter; it is
+	// non-empty only while free is empty.
+	waiters    []chan *Lease
 	maxWaiters int
 
-	checkouts    int64
-	affinityHits int64
-	evictions    int64
-	quarantines  int64 // bad or abandoned sessions replaced
+	checkouts   int64
+	evictions   int64
+	quarantines int64 // bad or abandoned sessions replaced
 
 	// sessions sums the reuse counters of every run a lease has finished
 	// (Lease.RunTuned's before/after delta), so Stats never has to ask a
@@ -58,19 +56,16 @@ type Pool struct {
 // poolEntry is one slot of the pool.
 type poolEntry struct {
 	s        *core.Session
-	key      string // image identity of the last run ("" = never ran)
-	busy     bool
-	lastUsed time.Time
+	lastUsed time.Time // release after its last run (zero = never ran)
 }
 
 // PoolStats is a snapshot of the pool's behavior.
 type PoolStats struct {
-	Size         int   `json:"size"`
-	Busy         int   `json:"busy"`
-	Checkouts    int64 `json:"checkouts"`
-	AffinityHits int64 `json:"affinity_hits"`
-	Evictions    int64 `json:"evictions"`
-	Quarantines  int64 `json:"quarantines_total"`
+	Size        int   `json:"size"`
+	Busy        int   `json:"busy"`
+	Checkouts   int64 `json:"checkouts"`
+	Evictions   int64 `json:"evictions"`
+	Quarantines int64 `json:"quarantines_total"`
 
 	// Sessions aggregates the reuse counters of every run served through
 	// a lease, sessions since evicted or replaced included.
@@ -86,19 +81,19 @@ func NewPool(n, maxWaiters int, cfg core.Config) (*Pool, error) {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", n)
 	}
 	cfg.Image = nil
-	p := &Pool{cfg: cfg, entries: make([]*poolEntry, n), maxWaiters: maxWaiters}
-	for i := range p.entries {
+	p := &Pool{cfg: cfg, size: n, free: make([]*poolEntry, n), maxWaiters: maxWaiters}
+	for i := range p.free {
 		s, err := core.NewSession(cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.entries[i] = &poolEntry{s: s}
+		p.free[i] = &poolEntry{s: s}
 	}
 	return p, nil
 }
 
 // Size returns the number of sessions in the pool.
-func (p *Pool) Size() int { return len(p.entries) }
+func (p *Pool) Size() int { return p.size }
 
 // Lease is exclusive ownership of one pool session between Checkout
 // and Release.
@@ -106,8 +101,6 @@ type Lease struct {
 	p        *Pool
 	e        *poolEntry
 	s        *core.Session // captured at checkout; stable across slot replacements
-	key      string
-	affinity bool
 	released bool
 
 	// bad is the health outcome the caller recorded for this lease's
@@ -115,96 +108,24 @@ type Lease struct {
 	bad       bool
 	abandoned bool
 
-	// edtHit and warm record the session's reuse behavior across the
-	// lease's runs.
+	// ran, edtHit and warm record the session's use and reuse behavior
+	// across the lease's runs.
+	ran    bool
 	edtHit bool
 	warm   bool
 }
 
-// waiter is one goroutine blocked in Checkout. deadline is the
-// caller's context deadline (zero = none, sorts last); seq breaks ties
-// FIFO. ch carries the granted lease and is buffered so the granter
-// never blocks; idx is the heap position, -1 once popped (granted) or
-// removed (canceled).
-type waiter struct {
-	key      string
-	deadline time.Time
-	seq      uint64
-	ch       chan *Lease
-	idx      int
-}
-
-// waiterHeap orders waiters earliest-deadline-first; waiters without a
-// deadline sort after every deadline-bearing one, and equal deadlines
-// fall back to arrival order.
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	di, dj := h[i].deadline, h[j].deadline
-	if di.IsZero() != dj.IsZero() {
-		return !di.IsZero()
+// putLocked (p.mu held) is the one way a slot becomes free: it hands
+// the slot to the oldest waiter, or pushes it on the free stack.
+func (p *Pool) putLocked(e *poolEntry) {
+	if len(p.waiters) == 0 {
+		p.free = append(p.free, e)
+		return
 	}
-	if !di.IsZero() && !di.Equal(dj) {
-		return di.Before(dj)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h waiterHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *waiterHeap) Push(x any) {
-	w := x.(*waiter)
-	w.idx = len(*h)
-	*h = append(*h, w)
-}
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.idx = -1
-	*h = old[:n-1]
-	return w
-}
-
-// grantLocked (p.mu held) hands free sessions to blocked waiters in
-// deadline order: the earliest-deadline waiter gets the session its
-// affinity prefers. It stops when no session is free or no waiter
-// remains.
-func (p *Pool) grantLocked() {
-	for len(p.waiters) > 0 {
-		e := p.pickFree(p.waiters[0].key)
-		if e == nil {
-			return
-		}
-		w := heap.Pop(&p.waiters).(*waiter)
-		w.ch <- p.leaseLocked(e, w.key)
-	}
-}
-
-// leaseLocked (p.mu held) is the one place a session changes hands: it
-// marks the free entry busy, accounts the checkout and its affinity,
-// and wraps it in a Lease.
-func (p *Pool) leaseLocked(e *poolEntry, key string) *Lease {
-	e.busy = true
+	ch := p.waiters[0]
+	p.waiters = p.waiters[1:]
 	p.checkouts++
-	hit := key != "" && e.key == key
-	if hit {
-		p.affinityHits++
-	}
-	return &Lease{p: p, e: e, s: e.s, key: key, affinity: hit}
-}
-
-// failWaitersLocked (p.mu held) wakes every blocked waiter with a
-// pool-closed verdict by closing their grant channels.
-func (p *Pool) failWaitersLocked() {
-	for _, w := range p.waiters {
-		w.idx = -1
-		close(w.ch)
-	}
-	p.waiters = nil
+	ch <- &Lease{p: p, e: e, s: e.s}
 }
 
 // Waiters reports how many checkouts are currently blocked: the queue
@@ -215,42 +136,13 @@ func (p *Pool) Waiters() int {
 	return len(p.waiters)
 }
 
-// pickFree selects an unleased entry, preferring exact image-identity
-// affinity, then any session that has run before (warm arenas), then a
-// cold one.
-func (p *Pool) pickFree(key string) *poolEntry {
-	var warm, cold *poolEntry
-	for _, e := range p.entries {
-		if e.busy {
-			continue
-		}
-		if key != "" && e.key == key {
-			return e
-		}
-		if e.key != "" {
-			if warm == nil {
-				warm = e
-			}
-		} else if cold == nil {
-			cold = e
-		}
-	}
-	if cold != nil {
-		return cold // a never-used session beats evicting a warm cache
-	}
-	return warm
-}
-
-// Checkout leases a free session at once; with none free it waits (or
-// until ctx is done), unless maxWaiters checkouts already do — then it
-// fails with ErrQueueFull. A checkout that finds a free session never
-// counts against the queue. key names the image identity the caller
-// intends to run — typically a content hash of the input — and steers
-// the checkout to the session most likely to hold a warm distance
-// transform for it. Waiting checkouts are served earliest-deadline-
-// first: a freed session goes to the waiter whose ctx deadline is
-// nearest, not to an arbitrary scheduler wakeup.
-func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
+// Checkout leases the session released last at once; with none free
+// it waits (or until ctx is done), unless maxWaiters checkouts already
+// do — then it fails with ErrQueueFull. A checkout that finds a free
+// session never counts against the queue. Waiting checkouts are served
+// in arrival order: every lease lasts one mesh run, so no waiter can
+// starve behind a long one.
+func (p *Pool) Checkout(ctx context.Context) (*Lease, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -259,10 +151,12 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		p.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
-	if e := p.pickFree(key); e != nil {
-		l := p.leaseLocked(e, key)
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.checkouts++
 		p.mu.Unlock()
-		return l, nil
+		return &Lease{p: p, e: e, s: e.s}, nil
 	}
 	if len(p.waiters) >= p.maxWaiters {
 		p.mu.Unlock()
@@ -272,51 +166,33 @@ func (p *Pool) Checkout(ctx context.Context, key string) (*Lease, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	w := &waiter{key: key, seq: p.waiterSeq, ch: make(chan *Lease, 1)}
-	p.waiterSeq++
-	if dl, ok := ctx.Deadline(); ok {
-		w.deadline = dl
-	}
-	heap.Push(&p.waiters, w)
+	// Buffered, so the granter never blocks.
+	ch := make(chan *Lease, 1)
+	p.waiters = append(p.waiters, ch)
 	p.mu.Unlock()
 
 	select {
-	case l, ok := <-w.ch:
+	case l, ok := <-ch:
 		if !ok {
 			return nil, ErrPoolClosed
 		}
 		return l, nil
 	case <-ctx.Done():
 		p.mu.Lock()
-		if w.idx >= 0 {
-			heap.Remove(&p.waiters, w.idx)
+		if i := slices.Index(p.waiters, ch); i >= 0 {
+			p.waiters = slices.Delete(p.waiters, i, i+1)
 			p.mu.Unlock()
 			return nil, ctx.Err()
 		}
 		p.mu.Unlock()
-		// Lost the race: a grant (or close) is already in flight. Take
-		// it and hand the session straight to the next waiter — it must
-		// not leak on this abandoned checkout.
-		if l, ok := <-w.ch; ok {
-			p.mu.Lock()
-			l.e.busy = false
-			// The grant was never used. affinityHits keeps it: it is read
-			// as a Prometheus counter, which must never decrease.
-			p.checkouts--
-			if p.closed {
-				l.s.Close()
-			} else {
-				p.grantLocked()
-			}
-			p.mu.Unlock()
+		// Lost the race: a grant (or close) is already in flight. The
+		// session must not leak on this abandoned checkout.
+		if l, ok := <-ch; ok {
+			l.Release()
 		}
 		return nil, ctx.Err()
 	}
 }
-
-// AffinityHit reports whether the checkout landed on the session that
-// last ran the same image identity.
-func (l *Lease) AffinityHit() bool { return l.affinity }
 
 // EDTHit reports whether any run on this lease reused the session's
 // cached distance transform.
@@ -334,6 +210,7 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 	if l.released {
 		return nil, errors.New("serve: Run on a released Lease")
 	}
+	l.ran = true
 	before := l.s.Stats()
 	res, err := l.s.RunTuned(ctx, image, tune)
 	after := l.s.Stats()
@@ -371,20 +248,16 @@ func (l *Lease) Release() {
 	e := l.e
 	var old *core.Session
 	p.mu.Lock()
-	e.busy = false
 	switch {
 	case p.closed:
 		old = l.s // the pool closed while this lease was out
 	case l.bad:
 		p.quarantines++
 		old = p.replaceLocked(e)
-	default:
-		if l.key != "" {
-			e.key = l.key
-		}
+	case l.ran:
 		e.lastUsed = time.Now()
-		p.grantLocked()
 	}
+	p.putLocked(e)
 	p.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -404,11 +277,11 @@ func (l *Lease) Abandon() {
 		return
 	}
 	l.abandoned = true
-	l.e.busy = false
 	if !p.closed {
 		p.quarantines++
 		p.replaceLocked(l.e)
 	}
+	p.putLocked(l.e)
 }
 
 // FinishAbandoned closes the session detached by Abandon. Call it
@@ -422,9 +295,8 @@ func (l *Lease) FinishAbandoned() {
 
 // replaceLocked (p.mu held) is the one way a slot changes sessions —
 // after a bad lease, an abandoned one or an idle eviction: it installs
-// a fresh, empty session with no affinity and hands the slot to the
-// next waiter. It returns the old session for the caller to close once
-// p.mu is released.
+// a fresh, empty session and returns the old one for the caller to
+// close once p.mu is released.
 func (p *Pool) replaceLocked(e *poolEntry) *core.Session {
 	fresh, err := core.NewSession(p.cfg)
 	if err != nil {
@@ -433,8 +305,7 @@ func (p *Pool) replaceLocked(e *poolEntry) *core.Session {
 		panic(fmt.Sprintf("serve: replacing a pool session: %v", err))
 	}
 	old := e.s
-	e.s, e.key, e.lastUsed = fresh, "", time.Time{}
-	p.grantLocked()
+	e.s, e.lastUsed = fresh, time.Time{}
 	return old
 }
 
@@ -448,8 +319,8 @@ func (p *Pool) EvictIdle(maxIdle time.Duration) int {
 	var evicted []*core.Session
 	p.mu.Lock()
 	if !p.closed {
-		for _, e := range p.entries {
-			if e.busy || e.key == "" || e.lastUsed.After(cutoff) {
+		for _, e := range p.free {
+			if e.lastUsed.IsZero() || e.lastUsed.After(cutoff) {
 				continue
 			}
 			evicted = append(evicted, p.replaceLocked(e))
@@ -465,25 +336,18 @@ func (p *Pool) EvictIdle(maxIdle time.Duration) int {
 
 // Stats snapshots the pool's own counters. It touches no session — a
 // busy one holds its lock for the whole run, and p.mu is what every
-// checkout, release and grant waits on — so a /metrics scrape costs a
-// loop over the slots.
+// checkout, release and grant waits on.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PoolStats{
-		Size:         len(p.entries),
-		Checkouts:    p.checkouts,
-		AffinityHits: p.affinityHits,
-		Evictions:    p.evictions,
-		Quarantines:  p.quarantines,
-		Sessions:     p.sessions,
+	return PoolStats{
+		Size:        p.size,
+		Busy:        p.size - len(p.free),
+		Checkouts:   p.checkouts,
+		Evictions:   p.evictions,
+		Quarantines: p.quarantines,
+		Sessions:    p.sessions,
 	}
-	for _, e := range p.entries {
-		if e.busy {
-			st.Busy++
-		}
-	}
-	return st
 }
 
 // Close fails all pending and future checkouts with ErrPoolClosed and
@@ -496,11 +360,12 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	for _, e := range p.entries {
-		if !e.busy {
-			e.s.Close()
-		}
+	for _, e := range p.free {
+		e.s.Close()
 	}
-	p.failWaitersLocked()
+	for _, ch := range p.waiters {
+		close(ch)
+	}
+	p.waiters = nil
 	return nil
 }

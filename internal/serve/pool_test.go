@@ -21,56 +21,48 @@ func testPool(t *testing.T, n int) *Pool {
 	return p
 }
 
-func TestPoolAffinityRouting(t *testing.T) {
+// TestPoolReusesLastReleased: a client re-meshing one image
+// sequentially lands on the session it released, so the new lease
+// reuses that session's arenas and cached distance transform — on a
+// pool of two, where a round-robin hand-out would miss every other run.
+func TestPoolReusesLastReleased(t *testing.T) {
 	p := testPool(t, 2)
 	im := img.SpherePhantom(12)
 
-	// First run on key "a" lands somewhere and warms that session.
-	l, err := p.Checkout(context.Background(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.AffinityHit() {
-		t.Error("cold pool reported an affinity hit")
-	}
-	if _, err := l.RunTuned(context.Background(), im, nil); err != nil {
-		t.Fatal(err)
-	}
-	l.Release()
-
-	// A checkout for the same key must be routed back to it, and the
-	// run must reuse the cached distance transform (same image
-	// pointer through the same session).
-	l2, err := p.Checkout(context.Background(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Release()
-	if !l2.AffinityHit() {
-		t.Error("checkout for a known key missed affinity")
-	}
-	if _, err := l2.RunTuned(context.Background(), im, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !l2.EDTHit() {
-		t.Error("affinity-routed rerun did not hit the EDT cache")
-	}
-	if !l2.WarmRun() {
-		t.Error("affinity-routed rerun was not warm")
+	for run := 0; run < 3; run++ {
+		l, err := p.Checkout(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.RunTuned(context.Background(), im, nil); err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+		if run == 0 {
+			if l.EDTHit() || l.WarmRun() {
+				t.Errorf("first run on a cold pool: EDTHit=%v WarmRun=%v", l.EDTHit(), l.WarmRun())
+			}
+			continue
+		}
+		if !l.EDTHit() {
+			t.Errorf("sequential rerun %d did not hit the EDT cache", run)
+		}
+		if !l.WarmRun() {
+			t.Errorf("sequential rerun %d was not warm", run)
+		}
 	}
 
-	st := p.Stats()
-	if st.AffinityHits != 1 {
-		t.Errorf("AffinityHits = %d, want 1", st.AffinityHits)
+	if st := p.Stats(); st.Sessions.WarmEDTHits != 2 || st.Sessions.Runs != 3 {
+		t.Errorf("aggregated runs/WarmEDTHits = %d/%d, want 3/2", st.Sessions.Runs, st.Sessions.WarmEDTHits)
 	}
-	if st.Sessions.WarmEDTHits != 1 {
-		t.Errorf("aggregated WarmEDTHits = %d, want 1", st.Sessions.WarmEDTHits)
+	if n := p.EvictIdle(0); n != 1 {
+		t.Errorf("evicted %d sessions, want 1 (the other never ran)", n)
 	}
 }
 
 func TestPoolCheckoutBlocksAndDeadline(t *testing.T) {
 	p := testPool(t, 1)
-	l, err := p.Checkout(context.Background(), "x")
+	l, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +70,14 @@ func TestPoolCheckoutBlocksAndDeadline(t *testing.T) {
 	// With the only session leased, a bounded checkout must time out.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := p.Checkout(ctx, "x"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.Checkout(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("checkout on exhausted pool: err = %v, want deadline", err)
 	}
 
 	// Releasing unblocks a waiter.
 	done := make(chan error, 1)
 	go func() {
-		l2, err := p.Checkout(context.Background(), "x")
+		l2, err := p.Checkout(context.Background())
 		if err == nil {
 			l2.Release()
 		}
@@ -106,7 +98,7 @@ func TestPoolCheckoutBlocksAndDeadline(t *testing.T) {
 func TestPoolEvictIdle(t *testing.T) {
 	p := testPool(t, 2)
 	im := img.SpherePhantom(12)
-	l, err := p.Checkout(context.Background(), "k")
+	l, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +119,11 @@ func TestPoolEvictIdle(t *testing.T) {
 	}
 
 	// The evicted slot must serve again, cold.
-	l2, err := p.Checkout(context.Background(), "k")
+	l2, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Release()
-	if l2.AffinityHit() {
-		t.Error("eviction left stale affinity behind")
-	}
 	res, err := l2.RunTuned(context.Background(), im, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,13 +135,13 @@ func TestPoolEvictIdle(t *testing.T) {
 
 func TestPoolCloseFailsWaiters(t *testing.T) {
 	p := testPool(t, 1)
-	l, err := p.Checkout(context.Background(), "")
+	l, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Checkout(context.Background(), "")
+		_, err := p.Checkout(context.Background())
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -161,7 +150,7 @@ func TestPoolCloseFailsWaiters(t *testing.T) {
 		t.Fatalf("waiter got %v, want ErrPoolClosed", err)
 	}
 	l.Release() // lease outlives Close; releasing must not panic
-	if _, err := p.Checkout(context.Background(), ""); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.Checkout(context.Background()); !errors.Is(err, ErrPoolClosed) {
 		t.Fatal("checkout after close succeeded")
 	}
 }
@@ -177,7 +166,7 @@ func TestPoolConcurrentRunners(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, err := p.Checkout(context.Background(), "same")
+			l, err := p.Checkout(context.Background())
 			if err != nil {
 				t.Errorf("checkout: %v", err)
 				return
@@ -242,7 +231,7 @@ func TestStatsNeverWaitsOnARun(t *testing.T) {
 			}
 		}},
 		{"Checkout+Release of the free session", func() {
-			l, err := srv.pool.Checkout(context.Background(), "other")
+			l, err := srv.pool.Checkout(context.Background())
 			if err != nil || l == nil {
 				t.Errorf("Checkout = %v, %v, want the free session", l, err)
 				return

@@ -5,7 +5,7 @@
 // shares with the router — the wire contract and the metrics registry —
 // lives in the leaf packages internal/wire and internal/metrics.
 //
-// The layering: Pool owns sessions and affinity; Server owns
+// The layering: Pool owns sessions and their checkout order; Server owns
 // admission, the image cache, metrics and encoding; the HTTP handlers
 // are a thin translation of Server errors into status codes. cmd/pi2md
 // is the daemon wrapping a Server in an http.Server with graceful
@@ -315,9 +315,6 @@ func NewServer(cfg Config) (*Server, error) {
 	r.CounterFunc("pi2md_warm_runs_total",
 		"Runs that reused a session's warm arenas.",
 		poolStat(func(st PoolStats) int64 { return int64(st.Sessions.WarmRuns) }))
-	r.CounterFunc("pi2md_pool_affinity_hits_total",
-		"Checkouts routed to the session that last ran the same image.",
-		poolStat(func(st PoolStats) int64 { return st.AffinityHits }))
 	memCacheEvents := r.CounterVec("pi2md_mem_cache_events_total",
 		"In-process cache events — cache: image (parsed uploads, by image key), entity (encoded bodies of cache hits, by entity tag) or upload (image keys of repeated uploads, by their bytes); event: hit, miss (the image was parsed, the body encoded, the upload hashed) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
@@ -502,7 +499,7 @@ func (s *Server) CacheETag(key, variant string) (string, bool) {
 // Coalesced followers never reach this function.
 func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) {
 	waitStart := time.Now()
-	lease, err := s.pool.Checkout(jctx, j.key)
+	lease, err := s.pool.Checkout(jctx)
 	wait := time.Since(waitStart)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

@@ -372,7 +372,7 @@ func TestServerDeadlineRejection(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 
-	lease, err := srv.Pool().Checkout(context.Background(), "")
+	lease, err := srv.Pool().Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

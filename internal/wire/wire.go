@@ -52,7 +52,7 @@ func ValidImageKey(s string) bool {
 	return true
 }
 
-// ImageKey is the image identity used for session affinity, the
+// ImageKey is the image identity used for shard routing, the
 // parsed-image cache, and single-flight coalescing: the full SHA-256
 // content hash of the serialized input. It must be the complete
 // digest — a truncated key that collides would silently serve a wrong
