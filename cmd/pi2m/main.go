@@ -77,8 +77,6 @@ func main() {
 		clean    = flag.Int("clean", 0, "remove segmentation islands smaller than this many voxels")
 		down     = flag.Int("downsample", 0, "halve the image resolution this many times before meshing")
 		timeout  = flag.Duration("timeout", 0, "cancel the run after this long, keeping the partial mesh (0 = none)")
-		fseed    = flag.Int64("fault-seed", 0, "enable the deterministic fault-injection harness with this seed (0 = off)")
-		frate    = flag.Float64("fault-rate", 0.01, "per-check fire probability for injected faults (with -fault-seed)")
 	)
 	flag.Parse()
 
@@ -105,10 +103,6 @@ func main() {
 		pi2m.WithDelta(*delta),
 		pi2m.WithContentionManager(*cmName),
 		pi2m.WithBalancer(*balancer),
-	}
-	if *fseed != 0 {
-		opts = append(opts, pi2m.WithFaultInjection(*fseed, *frate))
-		fmt.Printf("fault injection: seed %d, rate %g\n", *fseed, *frate)
 	}
 	if *size > 0 {
 		opts = append(opts, pi2m.WithSizeFunc(pi2m.SizeFunc(pi2m.UniformSize(*size))))
@@ -137,20 +131,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, tr := range res.Transitions {
-		fmt.Printf("degradation: [%8.2fs] %s: %s\n", tr.Wall.Seconds(), tr.Event, tr.Detail)
-	}
-	switch res.Status {
-	case pi2m.StatusAborted:
+	if res.Status == pi2m.StatusAborted {
 		// A partial mesh is still written below; make the cause loud.
 		log.Printf("run aborted: %v — the outputs below are PARTIAL", res.Err())
 		if res.Livelocked {
 			log.Printf("hint: the run stalled (no operation committed for a minute); try -cm local or fewer workers")
 		}
-	case pi2m.StatusDegraded:
-		st := res.Stats
-		log.Printf("run degraded: %d recovered panics, %d dropped items, %d callback panics",
-			st.RecoveredPanics, st.DroppedItems, st.CallbackPanics)
 	}
 	if res.Elements() == 0 {
 		log.Fatal("no elements were produced; nothing to report or write")

@@ -90,25 +90,15 @@ type Config struct {
 
 	// Progress, when non-nil, is called from a sampler goroutine every
 	// progressSample with a running snapshot — for long-running CLI
-	// feedback. It must be fast and thread-safe. A panic in the
-	// callback is recovered (the run degrades, further progress reports
-	// are dropped) rather than crashing the process.
+	// feedback. It must be fast and thread-safe. A panic in it, as in
+	// SizeFunc or DeltaFunc, aborts the run with the panic as its cause.
 	Progress func(Progress)
 
-	// Test seams: zero selects the shipped constant. panicBudget < 0
-	// means unlimited recoveries; onTransition sees every recorded
-	// Transition as it happens.
-	panicBudget    int
+	// progressSample is a test seam: zero selects the shipped constant.
 	progressSample time.Duration
-	onTransition   func(Transition)
-
-	// userSizeFunc keeps the caller's unwrapped SizeFunc so the panic
-	// guard wraps exactly the user code, not the default.
-	userSizeFunc SizeFunc
 }
 
-// The paper's donation threshold and the failure-handling budgets,
-// fixed for every run.
+// Constants fixed for every run.
 const (
 	// donateThreshold is the minimum number of valid queued elements a
 	// thread must hold before it may give work away (Section 4.4: the
@@ -116,14 +106,6 @@ const (
 	// results"). The paper counts classified poor elements; a PEL here
 	// holds unclassified candidates, ~98 % of which are poor.
 	donateThreshold = 5
-	// panicBudget is the number of panics a single worker thread may
-	// recover from (releasing its vertex locks and re-queuing the
-	// in-flight element) before the run aborts with a structured
-	// reason.
-	panicBudget = 3
-	// retryBudget bounds how many times a poor element whose operation
-	// panicked is re-queued before being dropped.
-	retryBudget = 2
 	// progressSample is the period of the Progress callback.
 	progressSample = 250 * time.Millisecond
 	// livelockTimeout is the stall watchdog's window when
@@ -131,8 +113,7 @@ const (
 	livelockTimeout = time.Minute
 )
 
-// noSizeBound is the R5 bound meaning "no constraint"; also the value
-// a panicking user SizeFunc degrades to.
+// noSizeBound is the R5 bound meaning "no constraint".
 var noSizeBound = math.Inf(1)
 
 // Progress is a point-in-time snapshot of a running refinement.
@@ -192,14 +173,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MinFacetAngle == 0 {
 		cfg.MinFacetAngle = 30
 	}
-	cfg.userSizeFunc = cfg.SizeFunc
 	if cfg.SizeFunc == nil {
 		cfg.SizeFunc = func(geom.Vec3) float64 { return noSizeBound }
-	}
-	if cfg.panicBudget == 0 {
-		cfg.panicBudget = panicBudget
-	} else if cfg.panicBudget < 0 {
-		cfg.panicBudget = math.MaxInt
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

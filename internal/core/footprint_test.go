@@ -10,12 +10,13 @@ import (
 )
 
 // TestPoorListHoldsHandles pins the refiner's per-cell memory: a queued
-// cell is a handle and a retry count, a cell's refiner word is 32 bits,
-// and the poor-element lists of a warm two-worker session at the
+// cell is a bare handle, a cell's refiner word is 32 bits, and the
+// poor-element lists of a warm two-worker session at the
 // lib_mesh scale stay a few MiB.
 func TestPoorListHoldsHandles(t *testing.T) {
-	if got := unsafe.Sizeof(pelItem{}); got != 8 {
-		t.Errorf("pelItem is %d bytes, want 8", got)
+	var th thread
+	if got := unsafe.Sizeof(th.pel[0]); got != 4 {
+		t.Errorf("a PEL item is %d bytes, want 4", got)
 	}
 	if got := unsafe.Sizeof(delaunay.Cell{}); got != 72 {
 		t.Errorf("delaunay.Cell is %d bytes, want 72", got)
@@ -44,7 +45,7 @@ func TestPoorListHoldsHandles(t *testing.T) {
 	for _, th := range s.threads {
 		items += cap(th.pel) + cap(th.scratch) + cap(th.inbox.items)
 	}
-	bytes := items * int(unsafe.Sizeof(pelItem{}))
+	bytes := items * int(unsafe.Sizeof(th.pel[0]))
 	t.Logf("PEL, scratch and inbox capacity: %d items, %.2f MiB", items, float64(bytes)/(1<<20))
 	if bytes >= 4<<20 {
 		t.Errorf("poor-element lists hold %.2f MiB after two warm runs, want < 4 MiB", float64(bytes)/(1<<20))

@@ -47,14 +47,9 @@ type Refiner struct {
 	// thread.insideDelta and adds them here once.
 	insideCount atomic.Int64
 
-	recoveredPanics atomic.Int64
-	droppedItems    atomic.Int64
-	callbackPanics  atomic.Int64
-
-	// trMu guards the transition log and the abort reason.
-	trMu        sync.Mutex
-	transitions []Transition
-	reason      string
+	// causeMu guards cause, the first reason the run was aborted for.
+	causeMu sync.Mutex
+	cause   error
 
 	startWall time.Time
 	timeline  []TimelinePoint
@@ -66,14 +61,14 @@ type thread struct {
 	id int
 	w  *delaunay.Worker
 
-	pel      []pelItem      // poor element list (LIFO)
+	pel      []arena.Handle // poor element list (LIFO)
 	removals []arena.Handle // pending R6 victim vertices
 
 	// inbox holds work donated by other threads. n mirrors len(items),
 	// stored under mu, so an empty inbox is seen without the lock.
 	inbox struct {
 		mu    sync.Mutex
-		items []pelItem
+		items []arena.Handle
 		n     atomic.Int32
 	}
 
@@ -93,39 +88,13 @@ type thread struct {
 	poorOwn     int64
 	poorForeign atomic.Int64
 
-	// panics counts operations this thread recovered from a panic; the
-	// run aborts once it exceeds the panic budget.
-	panics int
-
-	// cur describes the operation in flight, so the panic handler can
-	// re-queue it. curKind is curNone outside an operation.
-	cur     pelItem
-	curVert arena.Handle
-	curKind uint8
-
 	// Overheads (paper Section 5.5). Contention time lives in the CM,
 	// idle time in the balancer; rollbackNs is the partially-completed
 	// work thrown away by rollbacks.
 	rollbackNs int64
 
 	ruleCount [7]int64 // indexed by Rule
-	scratch   []pelItem
-}
-
-const (
-	curNone uint8 = iota
-	curInsertion
-	curRemoval
-)
-
-// pelItem is a queued candidate cell: a handle and nothing the cell's
-// classification would fill in. Every rule question about the cell is
-// asked when it is popped, so a cell invalidated while queued never
-// pays for one, and a retry is classified afresh. retries counts
-// panic-recovery re-queues of this item, bounded by retryBudget.
-type pelItem struct {
-	cell    arena.Handle
-	retries int32
+	scratch   []arena.Handle
 }
 
 // Run performs the complete PI2M pipeline on cfg: parallel EDT, then
@@ -154,15 +123,17 @@ func newRefiner(ctx context.Context, cfg Config) *Refiner {
 // noteCreated records a fresh (or bootstrap) cell: in the final-mesh
 // list when its circumcenter is inside O — the one time the image is
 // asked for the circumcenter's label; the rules read the flag — and
-// in the thread's PEL candidates. Whether a rule applies is asked at
-// pop time.
+// in the thread's PEL candidates. A queued cell is a bare handle:
+// every rule question about it is asked when it is popped, so a cell
+// invalidated while queued never pays for one, and a retry is
+// classified afresh.
 func (r *Refiner) noteCreated(t *thread, h arena.Handle, c *delaunay.Cell) {
 	if r.im.LabelAt(c.CC) != 0 {
 		c.SetInside(true)
 		t.inside = append(t.inside, h)
 		t.insideDelta++
 	}
-	t.scratch = append(t.scratch, pelItem{cell: h})
+	t.scratch = append(t.scratch, h)
 }
 
 // publishInside adds the thread's pending final-mesh count changes to
@@ -185,8 +156,8 @@ func (r *Refiner) flushScratch(t *thread) {
 	if t.poorOwn+t.poorForeign.Load() >= donateThreshold {
 		if beggar, ok := r.bal.ClaimBeggar(t.id); ok {
 			bt := r.threads[beggar]
-			for _, item := range t.scratch {
-				r.tag(item.cell, bt)
+			for _, ch := range t.scratch {
+				r.tag(ch, bt)
 			}
 			bt.poorForeign.Add(int64(len(t.scratch)))
 			bt.inbox.mu.Lock()
@@ -198,8 +169,8 @@ func (r *Refiner) flushScratch(t *thread) {
 			return
 		}
 	}
-	for _, item := range t.scratch {
-		r.countIn(t, item.cell)
+	for _, ch := range t.scratch {
+		r.countIn(t, ch)
 	}
 	t.pel = append(t.pel, t.scratch...)
 	t.scratch = t.scratch[:0]
@@ -254,10 +225,6 @@ func (t *thread) drainInbox() {
 // workerLoop is Algorithm 1: pop a poor element, apply the rule's
 // operation speculatively, handle rollbacks through the contention
 // manager, update PELs, and balance load until global termination.
-// Each iteration runs panic-isolated (see iterate): a panic in the
-// kernel, the rules, or injected by the fault harness is recovered,
-// counted, and the in-flight element re-queued, instead of killing the
-// process.
 func (r *Refiner) workerLoop(t *thread) {
 	for !r.done.Load() {
 		if !r.iterate(t) {
@@ -266,14 +233,17 @@ func (r *Refiner) workerLoop(t *thread) {
 	}
 }
 
-// iterate executes one protected iteration. It returns false when the
-// worker must exit (termination, or this thread's panic budget is
-// exhausted).
+// iterate executes one iteration. It returns false when the worker
+// must exit. A panic — in the kernel, the rules, a user callback, or
+// injected by the fault harness — releases the operation's vertex
+// locks and aborts the run with the panic as its cause: the mesh is
+// left as the last committed operation left it.
 func (r *Refiner) iterate(t *thread) (cont bool) {
-	t.curKind = curNone
 	defer func() {
 		if p := recover(); p != nil {
-			cont = r.recoverWorker(t, p)
+			t.w.RecoverFromPanic()
+			r.abortRun(fmt.Errorf("thread %d panicked: %v", t.id, p))
+			cont = false
 		}
 	}()
 
@@ -287,7 +257,6 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 	if len(t.removals) > 0 {
 		vh := t.removals[len(t.removals)-1]
 		t.removals = t.removals[:len(t.removals)-1]
-		t.curVert, t.curKind = vh, curRemoval
 		r.doRemoval(t, vh)
 		return true
 	}
@@ -296,16 +265,15 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 		return r.idle(t)
 	}
 
-	item := t.pel[len(t.pel)-1]
+	ch := t.pel[len(t.pel)-1]
 	t.pel = t.pel[:len(t.pel)-1]
-	r.countOut(t, item.cell)
-	c := r.mesh.Cells.At(item.cell)
+	r.countOut(t, ch)
+	c := r.mesh.Cells.At(ch)
 	if c.Dead() {
 		return true // invalidated while queued (Section 4.3)
 	}
 	// Every rule question is asked here, once per pop, so a conflicted
 	// retry is classified afresh against the samples added since.
-	t.cur, t.curKind = item, curInsertion
 	near, poor := r.poorQuick(c)
 	if !poor {
 		return true
@@ -314,51 +282,7 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 	if !ok {
 		return true
 	}
-	r.doInsertion(t, item.cell, act)
-	return true
-}
-
-// recoverWorker is the panic handler of one worker iteration: release
-// the locks the unwound operation still holds (in reverse), count the
-// fault, re-queue the in-flight element within its retry budget, and
-// keep the worker running until its panic budget is exhausted — then
-// end the whole run with a clean structured abort.
-func (r *Refiner) recoverWorker(t *thread, p any) (cont bool) {
-	t.w.RecoverFromPanic()
-	r.recoveredPanics.Add(1)
-	t.panics++
-
-	// Cells created by the unwound operation stay with this thread
-	// (donation could deadlock against a half-recovered state).
-	for _, item := range t.scratch {
-		r.countIn(t, item.cell)
-	}
-	t.pel = append(t.pel, t.scratch...)
-	t.scratch = t.scratch[:0]
-
-	switch t.curKind {
-	case curInsertion:
-		if t.cur.retries < retryBudget {
-			t.cur.retries++
-			r.countIn(t, t.cur.cell)
-			t.pel = append(t.pel, t.cur)
-		} else {
-			r.droppedItems.Add(1)
-		}
-	case curRemoval:
-		// R6 is a termination aid, not a correctness requirement: a
-		// removal that panicked is dropped rather than retried.
-		r.droppedItems.Add(1)
-	}
-	t.curKind = curNone
-
-	if t.panics > r.cfg.panicBudget {
-		reason := fmt.Sprintf("panic budget exhausted: thread %d recovered %d panics, last: %v",
-			t.id, t.panics, p)
-		r.recordTransition("abort", reason)
-		r.abortRun(reason)
-		return false
-	}
+	r.doInsertion(t, ch, act)
 	return true
 }
 
@@ -380,7 +304,7 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// element" (Section 4.2) — and the thread consults the
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
-		t.pel = pushBottom(t.pel, pelItem{cell: ch, retries: t.cur.retries})
+		t.pel = pushBottom(t.pel, ch)
 		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
@@ -550,41 +474,18 @@ func (r *Refiner) finish() {
 	}
 }
 
-// abortRun terminates the run with a structured reason; the Result is
-// partial but consistent (every committed operation is atomic under
-// the locking protocol).
-func (r *Refiner) abortRun(reason string) {
-	r.trMu.Lock()
-	if r.reason == "" {
-		r.reason = reason
+// abortRun terminates the run; the Result is partial but consistent
+// (every committed operation is atomic under the locking protocol).
+// Only the first cause is kept: a cancellation that lands after an
+// engine abort does not rename it.
+func (r *Refiner) abortRun(cause error) {
+	r.causeMu.Lock()
+	if r.cause == nil {
+		r.cause = cause
 	}
-	r.trMu.Unlock()
+	r.causeMu.Unlock()
 	r.failed.Store(true)
 	r.finish()
-}
-
-// recordTransition appends an event to the run's transition log.
-func (r *Refiner) recordTransition(event, detail string) {
-	tr := Transition{Wall: time.Since(r.startWall), Event: event, Detail: detail}
-	r.trMu.Lock()
-	r.transitions = append(r.transitions, tr)
-	r.trMu.Unlock()
-	if r.cfg.onTransition != nil {
-		r.cfg.onTransition(tr)
-	}
-}
-
-// noteCallbackPanic counts a recovered panic in user-supplied callback
-// code; the first one is recorded in the transition log so the run is
-// marked Degraded.
-func (r *Refiner) noteCallbackPanic(name string, p any) {
-	if r.callbackPanics.Add(1) == 1 {
-		tr := Transition{Wall: time.Since(r.startWall), Event: "callback-panic",
-			Detail: fmt.Sprintf("%s: %v", name, p)}
-		r.trMu.Lock()
-		r.transitions = append(r.transitions, tr)
-		r.trMu.Unlock()
-	}
 }
 
 // startAux launches the stall watchdog, the context watcher, and the
@@ -613,11 +514,9 @@ func (r *Refiner) startAux() func() {
 					last = cur
 					lastChange = time.Now()
 				} else if stalled := time.Since(lastChange); stalled >= r.cfg.LivelockTimeout {
-					reason := fmt.Sprintf("livelock: no operation committed for %v under the %s contention manager",
-						stalled.Round(time.Millisecond), r.cfg.ContentionManager)
 					r.livelocked.Store(true)
-					r.recordTransition("abort", reason)
-					r.abortRun(reason)
+					r.abortRun(fmt.Errorf("livelock: no operation committed for %v under the %s contention manager",
+						stalled.Round(time.Millisecond), r.cfg.ContentionManager))
 					return
 				}
 			}
@@ -630,9 +529,7 @@ func (r *Refiner) startAux() func() {
 			// synchronously. The watcher goroutine alone races tiny
 			// runs, which can complete before it is ever scheduled and
 			// return StatusCompleted for a canceled job.
-			reason := fmt.Sprintf("canceled: %v", err)
-			r.recordTransition("cancel", reason)
-			r.abortRun(reason)
+			r.abortRun(fmt.Errorf("canceled: %w", err))
 		} else {
 			wg.Add(1)
 			go func() {
@@ -640,9 +537,7 @@ func (r *Refiner) startAux() func() {
 				select {
 				case <-stop:
 				case <-ctx.Done():
-					reason := fmt.Sprintf("canceled: %v", ctx.Err())
-					r.recordTransition("cancel", reason)
-					r.abortRun(reason)
+					r.abortRun(fmt.Errorf("canceled: %w", ctx.Err()))
 				}
 			}()
 		}
@@ -652,6 +547,12 @@ func (r *Refiner) startAux() func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A panicking callback aborts the run, as in a worker.
+			defer func() {
+				if p := recover(); p != nil {
+					r.abortRun(fmt.Errorf("progress callback panicked: %v", p))
+				}
+			}()
 			tick := time.NewTicker(r.cfg.progressSample)
 			defer tick.Stop()
 			for {
@@ -704,47 +605,4 @@ func (r *Refiner) sampleTimeline() {
 	r.tlMu.Lock()
 	r.timeline = append(r.timeline, pt)
 	r.tlMu.Unlock()
-}
-
-// guardCallbacks wraps the user-supplied callbacks so a panic in user
-// code is recovered and degrades the run instead of crashing a worker
-// or sampler goroutine.
-func (r *Refiner) guardCallbacks() {
-	if f := r.cfg.userSizeFunc; f != nil {
-		r.cfg.SizeFunc = func(p geom.Vec3) (out float64) {
-			defer func() {
-				if pv := recover(); pv != nil {
-					r.noteCallbackPanic("SizeFunc", pv)
-					out = noSizeBound
-				}
-			}()
-			return f(p)
-		}
-	}
-	if f := r.cfg.DeltaFunc; f != nil {
-		r.cfg.DeltaFunc = func(p geom.Vec3) (out float64) {
-			defer func() {
-				if pv := recover(); pv != nil {
-					r.noteCallbackPanic("DeltaFunc", pv)
-					out = r.cfg.Delta
-				}
-			}()
-			return f(p)
-		}
-	}
-	if f := r.cfg.Progress; f != nil {
-		var disabled atomic.Bool
-		r.cfg.Progress = func(p Progress) {
-			if disabled.Load() {
-				return
-			}
-			defer func() {
-				if pv := recover(); pv != nil {
-					r.noteCallbackPanic("Progress", pv)
-					disabled.Store(true)
-				}
-			}()
-			f(p)
-		}
-	}
 }

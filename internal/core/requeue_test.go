@@ -150,10 +150,9 @@ func TestStaleRetryIsReclassified(t *testing.T) {
 		// The R1 operation, denied its locks, goes back to the PEL.
 		restore := faultinject.Enable(deny)
 		rollbacks := th.w.Stats.Rollbacks
-		th.cur, th.curKind = pelItem{cell: cand.h}, curInsertion
 		r.doInsertion(th, cand.h, cand.act)
 		restore()
-		if th.w.Stats.Rollbacks != rollbacks+1 || len(th.pel) != 1 || th.pel[0].cell != cand.h {
+		if th.w.Stats.Rollbacks != rollbacks+1 || len(th.pel) != 1 || th.pel[0] != cand.h {
 			t.Fatalf("denied R1 on cell %d: %d rollbacks, PEL %v", cand.h, th.w.Stats.Rollbacks-rollbacks, th.pel)
 		}
 		if th.poorOwn != 1 {

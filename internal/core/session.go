@@ -12,6 +12,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/delaunay"
 	"repro/internal/edt"
+	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/spatial"
 )
@@ -196,7 +197,6 @@ func (s *Session) RunTuned(ctx context.Context, image *img.Image, tune func(*Con
 // defaulted.
 func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	r := newRefiner(ctx, cfg)
-	r.guardCallbacks()
 
 	res := &Result{Config: cfg}
 	wallStart := time.Now()
@@ -218,26 +218,14 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	// mesh resets in place, recycling its arena chunks.
 	lo, hi := r.im.Bounds()
 	warm := s.mesh != nil
-	if warm {
-		if err := s.mesh.Reset(lo, hi); err != nil {
-			return nil, fmt.Errorf("core: bootstrap triangulation: %w", err)
-		}
-	} else {
-		m, err := delaunay.NewMesh(lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("core: bootstrap triangulation: %w", err)
-		}
-		s.mesh = m
+	if err := s.bootstrap(lo, hi); err != nil {
+		return nil, fmt.Errorf("core: bootstrap triangulation: %w", err)
 	}
 	r.mesh = s.mesh
 	// One worker is one owner: the mesh and the grids below take no
 	// locks (the aux goroutines of startAux only read run counters).
 	single := cfg.Workers == 1
 	s.mesh.SetSingleOwner(single)
-	// Panics the fault harness injected into the (sequential)
-	// bootstrap were recovered and retried in place; they still count
-	// toward the run's failure accounting.
-	r.recoveredPanics.Add(s.mesh.BootstrapPanicRecoveries())
 
 	// The sparsity grids reshape in place: consecutive images of
 	// different shapes share the bucket arrays of the largest.
@@ -304,6 +292,27 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// bootstrap resets the retained mesh over [lo, hi], or builds the
+// session's first one. A panic there — only the fault harness can
+// inject one — becomes the error, and the session drops the mesh so
+// the next Run builds afresh.
+func (s *Session) bootstrap(lo, hi geom.Vec3) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mesh = nil
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	if s.mesh != nil {
+		return s.mesh.Reset(lo, hi)
+	}
+	m, err := delaunay.NewMesh(lo, hi)
+	if err == nil {
+		s.mesh = m
+	}
+	return err
+}
+
 // resetForRun readies a retained thread for a fresh run: every slice
 // keeps its capacity, every counter restarts, and the kernel worker
 // re-attaches to the recycled arenas.
@@ -317,10 +326,6 @@ func (t *thread) resetForRun() {
 	t.insideDelta = 0
 	t.poorOwn = 0
 	t.poorForeign.Store(0)
-	t.panics = 0
-	t.cur = pelItem{}
-	t.curVert = arena.Nil
-	t.curKind = curNone
 	t.rollbackNs = 0
 	t.ruleCount = [7]int64{}
 	t.scratch = t.scratch[:0]

@@ -56,11 +56,6 @@ type RunStats struct {
 	// counters at termination; the push/pop/invalidate protocol pairs
 	// every increment with exactly one decrement, so it must be zero.
 	DanglingPoorCount int64
-
-	// Failure-model counters (see DESIGN.md "Failure model").
-	RecoveredPanics int64 // worker panics recovered in place
-	DroppedItems    int64 // elements/removals dropped after exhausting the retry budget
-	CallbackPanics  int64 // panics recovered inside user callbacks
 }
 
 // TotalOverheadNs is the sum of the three overhead components.
@@ -73,16 +68,12 @@ type Status int
 
 const (
 	// StatusCompleted: the run terminated normally with all criteria
-	// met and no failure handling engaged.
+	// met.
 	StatusCompleted Status = iota
-	// StatusDegraded: the run produced a complete, valid mesh, but the
-	// failure machinery engaged along the way (recovered worker or
-	// callback panics). Transitions and the stats say what happened.
-	StatusDegraded
-	// StatusAborted: the run stopped early (cancellation, an exhausted
-	// panic budget, or a stall the watchdog caught). The Result is
-	// partial: the mesh is structurally valid but quality/fidelity
-	// criteria may be unmet; Reason carries the structured cause.
+	// StatusAborted: the run stopped early (cancellation, a panic, or
+	// a stall the watchdog caught). The Result is partial: the mesh is
+	// structurally valid but quality/fidelity criteria may be unmet;
+	// Reason and Err carry the first cause.
 	StatusAborted
 )
 
@@ -91,24 +82,10 @@ func (s Status) String() string {
 	switch s {
 	case StatusCompleted:
 		return "completed"
-	case StatusDegraded:
-		return "degraded"
 	case StatusAborted:
 		return "aborted"
 	}
 	return fmt.Sprintf("status(%d)", int(s))
-}
-
-// Transition is one recorded action of the failure-handling machinery:
-// a cancellation, a callback panic, or an abort.
-type Transition struct {
-	// Wall is the refinement wall-clock time of the transition.
-	Wall time.Duration
-	// Event is the machine-readable kind: "cancel", "callback-panic",
-	// "abort".
-	Event string
-	// Detail is the human-readable explanation.
-	Detail string
 }
 
 // Result is the outcome of a PI2M run.
@@ -125,34 +102,31 @@ type Result struct {
 	RefineTime time.Duration
 	TotalTime  time.Duration
 
-	// Status classifies the outcome; Reason is the structured cause
-	// when the run aborted (empty otherwise).
+	// Status classifies the outcome; Reason is the text of the first
+	// cause when the run aborted (empty otherwise).
 	Status Status
 	Reason string
-
-	// Transitions logs every failure-handling action in order.
-	Transitions []Transition
+	cause  error
 
 	// Livelocked reports that the stall watchdog aborted the run: no
 	// operation committed for Config.LivelockTimeout. This is Table 1's
-	// livelock column; the Status is StatusAborted and the last
-	// Transition is the "abort" that names the stall.
+	// livelock column; the Status is StatusAborted and Reason names the
+	// stall.
 	Livelocked bool
 
 	Stats    RunStats
 	Timeline []TimelinePoint
 }
 
-// Err returns a non-nil error when the run aborted, carrying the
-// structured reason; nil for completed and degraded runs.
+// Err returns nil for a completed run and, for an aborted one, an
+// error wrapping the first cause: errors.Is(err, context.Canceled) or
+// context.DeadlineExceeded tells the caller's own cut from an engine
+// abort.
 func (r *Result) Err() error {
 	if r.Status != StatusAborted {
 		return nil
 	}
-	if r.Reason != "" {
-		return fmt.Errorf("core: run aborted: %s", r.Reason)
-	}
-	return fmt.Errorf("core: run aborted")
+	return fmt.Errorf("core: run aborted: %w", r.cause)
 }
 
 // Elements returns the number of tetrahedra in the final mesh.
@@ -167,39 +141,33 @@ func (r *Result) Quality() quality.Stats { return r.Snapshot().Quality() }
 // — what a serving layer logs, exposes over a stats endpoint, or
 // folds into metrics without holding the mesh alive.
 type RunSummary struct {
-	Status          string  `json:"status"`
-	Reason          string  `json:"reason,omitempty"`
-	Elements        int     `json:"elements"`
-	CellsPerSec     float64 `json:"cells_per_sec"`
-	EDTMillis       float64 `json:"edt_ms"`
-	RefineMillis    float64 `json:"refine_ms"`
-	TotalMillis     float64 `json:"total_ms"`
-	Threads         int     `json:"threads"`
-	Inserts         int64   `json:"inserts"`
-	Removals        int64   `json:"removals"`
-	Rollbacks       int64   `json:"rollbacks"`
-	RecoveredPanics int64   `json:"recovered_panics,omitempty"`
-	DroppedItems    int64   `json:"dropped_items,omitempty"`
-	Transitions     int     `json:"transitions,omitempty"`
+	Status       string  `json:"status"`
+	Reason       string  `json:"reason,omitempty"`
+	Elements     int     `json:"elements"`
+	CellsPerSec  float64 `json:"cells_per_sec"`
+	EDTMillis    float64 `json:"edt_ms"`
+	RefineMillis float64 `json:"refine_ms"`
+	TotalMillis  float64 `json:"total_ms"`
+	Threads      int     `json:"threads"`
+	Inserts      int64   `json:"inserts"`
+	Removals     int64   `json:"removals"`
+	Rollbacks    int64   `json:"rollbacks"`
 }
 
 // Summary digests the run into a RunSummary.
 func (r *Result) Summary() RunSummary {
 	return RunSummary{
-		Status:          r.Status.String(),
-		Reason:          r.Reason,
-		Elements:        r.Elements(),
-		CellsPerSec:     r.ElementsPerSecond(),
-		EDTMillis:       float64(r.EDTTime) / 1e6,
-		RefineMillis:    float64(r.RefineTime) / 1e6,
-		TotalMillis:     float64(r.TotalTime) / 1e6,
-		Threads:         r.Stats.Threads,
-		Inserts:         r.Stats.Inserts,
-		Removals:        r.Stats.Removals,
-		Rollbacks:       r.Stats.Rollbacks,
-		RecoveredPanics: r.Stats.RecoveredPanics,
-		DroppedItems:    r.Stats.DroppedItems,
-		Transitions:     len(r.Transitions),
+		Status:       r.Status.String(),
+		Reason:       r.Reason,
+		Elements:     r.Elements(),
+		CellsPerSec:  r.ElementsPerSecond(),
+		EDTMillis:    float64(r.EDTTime) / 1e6,
+		RefineMillis: float64(r.RefineTime) / 1e6,
+		TotalMillis:  float64(r.TotalTime) / 1e6,
+		Threads:      r.Stats.Threads,
+		Inserts:      r.Stats.Inserts,
+		Removals:     r.Stats.Removals,
+		Rollbacks:    r.Stats.Rollbacks,
 	}
 }
 
@@ -216,22 +184,12 @@ func (r *Refiner) collect(res *Result) {
 	res.Mesh = r.mesh
 	res.Timeline = r.timeline
 	res.Livelocked = r.livelocked.Load()
-	res.Transitions = r.transitions
-	res.Reason = r.reason
-	switch {
-	case r.failed.Load():
-		res.Status = StatusAborted
-	case len(r.transitions) > 0 || r.recoveredPanics.Load() > 0 || r.callbackPanics.Load() > 0:
-		res.Status = StatusDegraded
-	default:
-		res.Status = StatusCompleted
+	if r.failed.Load() {
+		res.Status, res.cause, res.Reason = StatusAborted, r.cause, r.cause.Error()
 	}
 
 	s := &res.Stats
 	s.Threads = r.cfg.Workers
-	s.RecoveredPanics = r.recoveredPanics.Load()
-	s.DroppedItems = r.droppedItems.Load()
-	s.CallbackPanics = r.callbackPanics.Load()
 	s.PerThreadOverheadNs = make([]int64, r.cfg.Workers)
 	for i, t := range r.threads {
 		ws := t.w.Stats

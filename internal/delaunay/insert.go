@@ -52,7 +52,7 @@ func (w *Worker) Insert(p geom.Vec3, kind VertKind, start arena.Handle) (*OpResu
 
 	// Fault-injection sites, both at the point of maximum leverage:
 	// every cavity lock is held but the mesh is still untouched, so a
-	// recovered panic here must release the locks to unwedge the run,
+	// panic here must release the locks to leave the partial mesh clean,
 	// and a delay here maximizes the contention window other workers
 	// see. Both compile to a nil-check when injection is disabled.
 	faultinject.Check(faultinject.WorkerPanic)

@@ -243,11 +243,6 @@ type Mesh struct {
 	// initial triangulation is a pure function of the box, so a reset
 	// over the same box copies it back instead of rebuilding it.
 	boot *bootRecord
-
-	// recoveredBoot counts panics recovered (and retried) inside this
-	// mesh's bootstrap — only the fault harness can inject one there.
-	// Reset zeroes it.
-	recoveredBoot atomic.Int64
 }
 
 // bootRecord is what a reset must put back besides the box and hull
@@ -259,10 +254,6 @@ type bootRecord struct {
 	stamp     uint64
 	firstCell uint32
 }
-
-// BootstrapPanicRecoveries reports panics recovered inside this mesh's
-// bootstrap since construction or the last Reset.
-func (m *Mesh) BootstrapPanicRecoveries() int64 { return m.recoveredBoot.Load() }
 
 // SetSingleOwner declares whether, from now until the next call, a
 // single goroutine at a time operates on the mesh — workers, walkers
@@ -335,7 +326,6 @@ func NewMesh(lo, hi geom.Vec3) (*Mesh, error) {
 // must not race with any concurrent worker; a run session calls it
 // between runs, when all workers are quiescent.
 func (m *Mesh) Reset(lo, hi geom.Vec3) error {
-	m.recoveredBoot.Store(0)
 	if b := m.boot; b != nil && lo == m.boxLo && hi == m.boxHi {
 		m.Verts.Rewind(b.verts)
 		m.Cells.Rewind(b.cells)
@@ -418,15 +408,14 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 			Z: pick(b&4 != 0, hi.Z, lo.Z),
 		}
 		// Nobody else is on the mesh during bootstrap, so a Conflict can
-		// only be a synthetic CAS denial from the fault harness, and a
-		// panic in Insert only an injected one (every pre-commit site leaves
-		// the mesh untouched). Retry a bounded number of times rather
-		// than failing construction: the warm rebuild of a session
-		// runs with any active injector's After budgets long spent.
+		// only be a synthetic CAS denial from the fault harness. Retry a
+		// bounded number of times rather than failing construction: the
+		// warm rebuild of a session runs with any active injector's After
+		// budgets long spent.
 		var res *OpResult
 		var st Status
 		for attempt := 0; ; attempt++ {
-			res, st = bootstrapInsert(w, p, start)
+			res, st = w.Insert(p, KindBox, start)
 			if st != Conflict || attempt >= 16 {
 				break
 			}
@@ -438,20 +427,6 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 	}
 	m.firstCell.Store(uint32(start))
 	return nil
-}
-
-// bootstrapInsert performs one panic-guarded corner insertion: a panic
-// (only the fault harness can inject one here) releases the worker's
-// locks and reports Conflict so the caller's bounded retry loop runs.
-func bootstrapInsert(w *Worker, p geom.Vec3, start arena.Handle) (res *OpResult, st Status) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			w.RecoverFromPanic()
-			w.m.recoveredBoot.Add(1)
-			res, st = nil, Conflict
-		}
-	}()
-	return w.Insert(p, KindBox, start)
 }
 
 // circum computes the cached circumsphere of a cell; degenerate cells

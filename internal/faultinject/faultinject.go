@@ -33,7 +33,7 @@ const (
 	CommitDelay
 	// WorkerPanic panics inside an in-flight operation at the
 	// pre-commit site (locks held, mesh untouched), exercising the
-	// refiner's panic isolation.
+	// refiner's panic abort.
 	WorkerPanic
 	// DropSteal makes the load balancer's ClaimBeggar come back empty,
 	// as if the begging list were lost; donors keep the work local.

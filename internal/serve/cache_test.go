@@ -25,6 +25,55 @@ func openTestCache(t *testing.T, dir string) *cachestore.Store {
 	return c
 }
 
+// TestPanickedRunNotCached: a run that met a panic aborts, so its
+// partial mesh is neither answered nor cached; the next identical
+// request runs afresh and is cached.
+func TestPanickedRunNotCached(t *testing.T) {
+	cache := openTestCache(t, t.TempDir())
+	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+	client := ts.Client()
+	body := nrrdBody(t, 12)
+	key := wire.ImageKey(body)
+
+	restore := faultinject.Enable(faultinject.New(faultinject.Config{
+		Rates:    map[faultinject.Point]float64{faultinject.WorkerPanic: 1},
+		After:    map[faultinject.Point]int64{faultinject.WorkerPanic: 20}, // clear the bootstrap
+		MaxFires: map[faultinject.Point]int64{faultinject.WorkerPanic: 1},
+	}))
+	resp, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 500 {
+		t.Fatalf("a panicked run answered %d, want a 5xx", resp.StatusCode)
+	}
+	if code, _ := readEnvelope(t, resp.Body); code == "" {
+		t.Fatal("a panicked run's answer carries no error code")
+	}
+	if cache.Contains(key, "") {
+		t.Fatal("the panicked run's partial mesh was cached")
+	}
+
+	runs := srv.mRunSeconds.Count()
+	again, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, again.Body)
+	again.Body.Close()
+	if again.StatusCode != http.StatusOK {
+		t.Fatalf("the retry answered %d", again.StatusCode)
+	}
+	if n := srv.mRunSeconds.Count(); n != runs+1 {
+		t.Errorf("the retry made %d runs, want 1", n-runs)
+	}
+	if !cache.Contains(key, "") {
+		t.Error("the retry's mesh was not cached")
+	}
+}
+
 // TestCacheHitShortCircuitsAdmission: a repeated request is answered
 // from the persistent cache without consuming a pool session, a queue
 // slot, or a run — the short-circuit the restart economics depend on.

@@ -27,11 +27,10 @@ func sessionPtr(p *Pool, i int) *core.Session {
 	return p.free[i].s
 }
 
-// TestAbortedSessionQuarantined is the regression test for the
-// pre-fix bug this PR exists for: a WorkerPanic storm exhausts the
-// run's panic budget, the run aborts, and — before the health ledger
-// — the pool returned that session to the next caller uninspected.
-// Now the abort replaces the slot's session before the job returns.
+// TestAbortedSessionQuarantined: a WorkerPanic storm aborts the run,
+// and the abort replaces the slot's session before the job returns —
+// the pool must never hand that session to the next caller
+// uninspected.
 func TestAbortedSessionQuarantined(t *testing.T) {
 	srv := newBareServer(t, Config{PoolSize: 1})
 	srv.breakers.threshold = breakerNever
@@ -46,7 +45,7 @@ func TestAbortedSessionQuarantined(t *testing.T) {
 	_, err := srv.MeshSnapshot(context.Background(), "quarantine-abort", "", image, nil)
 	restore()
 	if err == nil {
-		t.Fatal("panic-budget-exhausted run returned no error")
+		t.Fatal("panicked run returned no error")
 	}
 	if !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("unexpected error: %v", err)

@@ -231,8 +231,7 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 }
 
 // MarkBad records that this lease's run engaged the failure machinery
-// — a run error, a panic (recovered or not), a degraded outcome, an
-// abort for a non-caller reason — so the session's arenas were touched
+// — a run error, a panic, an abort for a non-caller reason — so the session's arenas were touched
 // by code that failed. At release the slot gets a fresh session.
 func (l *Lease) MarkBad() { l.bad = true }
 

@@ -213,9 +213,7 @@ type Server struct {
 	mCells            *metrics.Counter
 	mCellsPerSec      *metrics.Gauge
 	mRollbacks        *metrics.Counter
-	mDegraded         *metrics.Counter
 	mAborted          *metrics.Counter
-	mTransitions      *metrics.Counter
 	mWatchdogKills    *metrics.Counter
 	mWatchdogAbandons *metrics.Counter
 	mBreakerTrips     *metrics.Counter
@@ -266,7 +264,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mAccepted = r.Counter("pi2md_jobs_accepted_total",
 		"Mesh jobs that reached a session (leaders) or a shared run's outcome (followers).")
 	s.mCompleted = r.Counter("pi2md_jobs_completed_total",
-		"Mesh jobs whose caller received a mesh (completed or degraded runs, coalesced followers included).")
+		"Mesh jobs whose caller received a mesh (completed runs, coalesced followers included).")
 	s.mFailed = r.Counter("pi2md_jobs_failed_total",
 		"Admitted mesh jobs that ended without a mesh (aborts, run errors, fanned-out leader failures).")
 	s.mRejected = r.CounterVec("pi2md_jobs_rejected_total",
@@ -303,12 +301,8 @@ func NewServer(cfg Config) (*Server, error) {
 		"Generation rate of the most recent completed job.")
 	s.mRollbacks = r.Counter("pi2md_rollbacks_total",
 		"Speculative-operation rollbacks across all runs.")
-	s.mDegraded = r.Counter("pi2md_degraded_runs_total",
-		"Runs that completed after recovering worker or callback panics.")
 	s.mAborted = r.Counter("pi2md_aborted_runs_total",
-		"Runs that aborted (cancellation, panic budget, livelock).")
-	s.mTransitions = r.Counter("pi2md_degradation_transitions_total",
-		"Failure-handling transitions recorded across all runs.")
+		"Runs that aborted (cancellation, panic, livelock).")
 	r.CounterFunc("pi2md_edt_cache_hits_total",
 		"Runs that reused a session's cached distance transform.",
 		poolStat(func(st PoolStats) int64 { return int64(st.Sessions.WarmEDTHits) }))
@@ -333,7 +327,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mBreakerTrips = r.Counter("pi2md_breaker_trips_total",
 		"Circuit-breaker transitions into the open state.")
 	r.CounterFunc("pi2md_sessions_quarantined_total",
-		"Bad sessions replaced with a fresh one at release (failed, panicked, degraded, aborted, or abandoned runs).",
+		"Bad sessions replaced with a fresh one at release (failed, panicked, aborted, or abandoned runs).",
 		poolStat(func(st PoolStats) int64 { return st.Quarantines }))
 	r.GaugeFunc("pi2md_breaker_state",
 		"Coalesce keys whose circuit breaker is currently open or half-open.",
@@ -549,15 +543,7 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 
 	sum := res.Summary()
 	s.mRollbacks.Add(sum.Rollbacks)
-	s.mTransitions.Add(int64(sum.Transitions))
-	if res.Stats.RecoveredPanics > 0 {
-		// The run survived worker/bootstrap panics (possibly still
-		// StatusCompleted): the session's arenas were touched by code
-		// that crashed, so replace the session even on success.
-		lease.MarkBad()
-	}
-	switch res.Status {
-	case core.StatusAborted:
+	if res.Status == core.StatusAborted {
 		s.mAborted.Inc()
 		if abortedByCaller(res) {
 			// The caller's own deadline or cancellation cut the run
@@ -565,13 +551,10 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 			// and the failure classifies like a pre-run rejection.
 			return nil, fmt.Errorf("%w: run aborted mid-flight: %v", ctxKind(jctx.Err()), res.Err())
 		}
-		// Aborted for engine reasons (panic budget, livelock): the
-		// session's internal state is untrustworthy — replace it.
+		// Aborted for engine reasons (a panic, livelock): the session's
+		// internal state is untrustworthy — replace it.
 		lease.MarkBad()
 		return nil, fmt.Errorf("serve: run aborted: %w", res.Err())
-	case core.StatusDegraded:
-		s.mDegraded.Inc()
-		lease.MarkBad()
 	}
 
 	// Copy the final geometry out of the lease window, then release:
@@ -656,16 +639,12 @@ func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Ima
 	return nil, fmt.Errorf("%w: run ignored the end of its deadline for %v", ErrWatchdog, s.watchdogGrace)
 }
 
-// abortedByCaller reports whether an aborted run was cut short by its
-// own context (a "cancel" transition) rather than by the engine's
-// failure handling — the session cooperated, so it stays healthy.
+// abortedByCaller reports whether an aborted run was cut short first
+// by its own context rather than by the engine (a panic, a stall) —
+// the session cooperated, so it stays healthy.
 func abortedByCaller(res *core.Result) bool {
-	for _, tr := range res.Transitions {
-		if tr.Event == "cancel" {
-			return true
-		}
-	}
-	return false
+	err := res.Err()
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // retryAfterSeconds derives the Retry-After hint for capacity

@@ -48,11 +48,8 @@ type (
 	RunStats = core.RunStats
 	// SizeFunc is the R5 size function type.
 	SizeFunc = core.SizeFunc
-	// Status classifies how a run ended (completed/degraded/aborted).
+	// Status classifies how a run ended (completed/aborted).
 	Status = core.Status
-	// Transition is one recorded failure-handling action; Result.
-	// Transitions logs them in order.
-	Transition = core.Transition
 	// MeshSnapshot is the indexed mesh every consumer reads — quality,
 	// I/O, FEM — a lease-independent copy of a run's final mesh; take
 	// one with Result.Snapshot while the Result is still valid.
@@ -95,12 +92,10 @@ type (
 	FEMSolveOptions = fem.SolveOptions
 )
 
-// Statuses of a Result (see internal/core): a degraded run still holds
-// a complete valid mesh; an aborted one is partial with Result.Err()
-// carrying the structured reason.
+// Statuses of a Result (see internal/core): an aborted run is partial,
+// with Result.Err() wrapping the first cause.
 const (
 	StatusCompleted = core.StatusCompleted
-	StatusDegraded  = core.StatusDegraded
 	StatusAborted   = core.StatusAborted
 )
 

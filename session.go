@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 )
 
 // ErrSessionBusy is returned by Session.Run when another Run is
@@ -27,13 +26,6 @@ type Option func(*sessionOptions)
 
 type sessionOptions struct {
 	cfg core.Config
-
-	// Facade-level fault-injection knobs (WithFaultInjection). The
-	// injector itself is process-global, so the Session enables it
-	// around each Run and restores the previous state afterwards.
-	faultOn   bool
-	faultSeed int64
-	faultRate float64
 }
 
 // WithConfig replaces the whole configuration template at once — the
@@ -115,28 +107,9 @@ func WithLivelockTimeout(d time.Duration) Option {
 
 // WithProgress installs a running-snapshot callback, sampled every
 // 250ms. The callback must be fast and thread-safe; a panic inside it
-// degrades the run instead of crashing.
+// aborts the run instead of crashing.
 func WithProgress(f func(Progress)) Option {
 	return func(o *sessionOptions) { o.cfg.Progress = f }
-}
-
-// WithFaultInjection arms the deterministic fault harness around every
-// Run and RunTuned of the session: lock denials and steal drops fire at `rate`,
-// worker panics and commit delays at rate/10, seeded by `seed`. The
-// bootstrap is kept clean (faults start only after the first few
-// hundred lock attempts) so the storm targets refinement, mirroring
-// the cmd/pi2m -fault-rate flag.
-//
-// The fault harness is process-global: while a Run of a session built
-// with this option is in flight, other concurrently running sessions
-// see the same faults. Intended for tests and resilience experiments,
-// not production meshing.
-func WithFaultInjection(seed int64, rate float64) Option {
-	return func(o *sessionOptions) {
-		o.faultOn = rate > 0
-		o.faultSeed = seed
-		o.faultRate = rate
-	}
 }
 
 // Session is a reusable run engine. It retains the expensive
@@ -150,10 +123,6 @@ func WithFaultInjection(seed int64, rate float64) Option {
 // output: a warm Run produces exactly the mesh a cold Run would.
 type Session struct {
 	s *core.Session
-
-	faultOn   bool
-	faultSeed int64
-	faultRate float64
 }
 
 // NewSession validates the options and returns an empty session. The
@@ -169,12 +138,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		s:         cs,
-		faultOn:   o.faultOn,
-		faultSeed: o.faultSeed,
-		faultRate: o.faultRate,
-	}, nil
+	return &Session{s: cs}, nil
 }
 
 // Run performs the complete PI2M pipeline on image, reusing the
@@ -192,22 +156,6 @@ func (s *Session) Run(ctx context.Context, image *Image) (*Result, error) {
 // MaxRadiusEdge, MinFacetAngle, SizeFunc — before validation. The
 // template itself is never modified. See core.Session.RunTuned.
 func (s *Session) RunTuned(ctx context.Context, image *Image, tune func(*Config)) (*Result, error) {
-	if s.faultOn {
-		restore := faultinject.Enable(faultinject.New(faultinject.Config{
-			Seed: s.faultSeed,
-			Rates: map[faultinject.Point]float64{
-				faultinject.LockDeny:    s.faultRate,
-				faultinject.WorkerPanic: s.faultRate / 10,
-				faultinject.DropSteal:   s.faultRate,
-				faultinject.CommitDelay: s.faultRate / 10,
-			},
-			After: map[faultinject.Point]int64{
-				faultinject.LockDeny:    500,
-				faultinject.WorkerPanic: 20,
-			},
-		}))
-		defer restore()
-	}
 	return s.s.RunTuned(ctx, image, tune)
 }
 

@@ -74,51 +74,6 @@ func TestSessionFacade(t *testing.T) {
 	}
 }
 
-// TestSessionFaultInjection arms the harness through the facade and
-// checks the run still yields a complete, closed mesh.
-func TestSessionFaultInjection(t *testing.T) {
-	s, err := pi2m.NewSession(
-		pi2m.WithThreads(2),
-		pi2m.WithFaultInjection(11, 0.02),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background(), pi2m.SpherePhantom(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status == pi2m.StatusAborted {
-		t.Fatalf("fault storm aborted: %s", res.Reason)
-	}
-	topo := pi2m.SurfaceTopology(res.Snapshot().BoundaryTriangles())
-	if !topo.Closed || topo.Euler != 2 {
-		t.Fatalf("sphere topology under faults: %+v", topo)
-	}
-}
-
-// TestSessionRunTunedFaultInjection: the harness is armed around
-// RunTuned too. One worker has no contention, so every rollback is an
-// injected lock denial.
-func TestSessionRunTunedFaultInjection(t *testing.T) {
-	s, err := pi2m.NewSession(
-		pi2m.WithThreads(1),
-		pi2m.WithFaultInjection(11, 0.02),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.RunTuned(context.Background(), pi2m.SpherePhantom(24), func(c *pi2m.Config) { c.Delta = 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Rollbacks == 0 {
-		t.Fatal("a fault-armed RunTuned rolled nothing back: the harness was not armed")
-	}
-}
-
 // TestSessionVTKRawRoundtrip drives the io-based VTK read/write pair
 // through the facade: a mesh read back writes the same bytes again.
 func TestSessionVTKRawRoundtrip(t *testing.T) {
