@@ -5,12 +5,16 @@
 // of individual heap objects: entries are addressed by dense uint32
 // handles, allocation is per-worker (a worker owns the chunk it is
 // currently filling, so allocation is contention-free except when a
-// new chunk must be registered), and storage is append-only so that
-// speculative readers can always dereference a handle they obtained
-// earlier — the entry may be marked dead by its owner, but the memory
-// stays valid and type-stable. This mirrors the custom allocators of
-// the paper's C++ implementation and keeps pressure off the Go GC by
-// using a small number of large slices.
+// new chunk must be registered), and memory is never returned until
+// Reset, so speculative readers can always dereference a handle they
+// obtained earlier — the entry may be marked dead by its owner, but
+// the memory stays valid and type-stable. The arena itself only
+// appends; an owner that knows no reader can still hold a handle may
+// put a dead entry's slot to new use (the Delaunay kernel does so on a
+// single-owner mesh, through per-worker free lists). This mirrors the
+// custom allocators of the paper's C++ implementation, which recycle
+// storage, and keeps pressure off the Go GC by using a small number of
+// large slices.
 package arena
 
 import (

@@ -106,7 +106,7 @@ func SeqMesh(im *img.Image, opt Options) (*Result, error) {
 		im: im, tr: tr, m: m, w: w, iso: isoGrid, opt: opt,
 	}
 	m.LiveCells(func(h arena.Handle, c *delaunay.Cell) {
-		s.queue = append(s.queue, h)
+		s.queue = append(s.queue, queued{h, c.Gen()})
 	})
 	if err := s.refine(); err != nil {
 		return nil, err
@@ -130,9 +130,35 @@ type seqMesher struct {
 	iso *spatial.Grid
 	opt Options
 
-	queue   []arena.Handle // FIFO
+	queue   []queued // FIFO
 	head    int
 	inserts int64
+}
+
+// queued is a FIFO entry: a cell and the generation of its slot when it
+// was queued. The single-owner mesh reuses the slots of killed cells,
+// and a FIFO meets a killed cell's entry before the entry of the cell
+// that reused its slot, so the handle alone would name the newer cell.
+type queued struct {
+	h   arena.Handle
+	gen uint32
+}
+
+// appendQueued queues the cells an operation created.
+func appendQueued(q []queued, m *delaunay.Mesh, created []arena.Handle) []queued {
+	for _, h := range created {
+		q = append(q, queued{h, m.Cells.At(h).Gen()})
+	}
+	return q
+}
+
+// at returns the queued cell, or nil once it has been killed.
+func (q queued) at(m *delaunay.Mesh) *delaunay.Cell {
+	c := m.Cells.At(q.h)
+	if c.Dead() || c.Gen() != q.gen {
+		return nil
+	}
+	return c
 }
 
 const maxSeqOps = 200_000_000 // hard safety bound
@@ -142,29 +168,29 @@ func (s *seqMesher) refine() error {
 		if s.inserts > maxSeqOps {
 			return fmt.Errorf("baseline: runaway refinement")
 		}
-		ch := s.queue[s.head]
+		q := s.queue[s.head]
 		s.head++
 		// Periodically drop the consumed queue prefix.
 		if s.head > 1<<16 && s.head*2 > len(s.queue) {
 			s.queue = append(s.queue[:0], s.queue[s.head:]...)
 			s.head = 0
 		}
-		c := s.m.Cells.At(ch)
-		if c.Dead() {
+		c := q.at(s.m)
+		if c == nil {
 			continue
 		}
 		p, kind, ok := s.classify(c)
 		if !ok {
 			continue
 		}
-		res, st := s.w.Insert(p, kind, ch)
+		res, st := s.w.Insert(p, kind, q.h)
 		switch st {
 		case delaunay.OK:
 			s.inserts++
 			if kind == delaunay.KindIso || kind == delaunay.KindSurface {
 				s.iso.Add(p, uint32(res.NewVert))
 			}
-			s.queue = append(s.queue, res.Created...)
+			s.queue = appendQueued(s.queue, s.m, res.Created)
 		case delaunay.Failed, delaunay.Outside, delaunay.Stale:
 			// Re-examined when neighbors change; drop.
 		default:
@@ -270,6 +296,12 @@ func PLCMesh(im *img.Image, tris []quality.Triangle, opt Options) (*Result, erro
 	m.SetSingleOwner(true)
 	w := m.NewWorker(0)
 
+	// The volume phase meets the cells in the order they were created,
+	// so every cell the vertex phase creates is queued as it appears;
+	// the ones it kills again are skipped when reached.
+	queue := make([]queued, 0, 1024)
+	m.LiveCells(func(h arena.Handle, c *delaunay.Cell) { queue = append(queue, queued{h, c.Gen()}) })
+
 	// Insert the PLC vertices (deduplicated by exact position).
 	seen := make(map[geom.Vec3]bool)
 	hint := m.FirstCell()
@@ -285,6 +317,7 @@ func PLCMesh(im *img.Image, tris []quality.Triangle, opt Options) (*Result, erro
 			case delaunay.OK:
 				inserts++
 				hint = res.Created[0]
+				queue = appendQueued(queue, m, res.Created)
 			case delaunay.Failed, delaunay.Stale:
 				// duplicate raced in; harmless
 			default:
@@ -294,21 +327,19 @@ func PLCMesh(im *img.Image, tris []quality.Triangle, opt Options) (*Result, erro
 	}
 
 	// Volume filling: quality + size refinement only (rules R4/R5).
-	queue := make([]arena.Handle, 0, 1024)
-	m.LiveCells(func(h arena.Handle, c *delaunay.Cell) { queue = append(queue, h) })
 	head := 0
 	for head < len(queue) {
 		if inserts > maxSeqOps {
 			return nil, fmt.Errorf("baseline: runaway refinement")
 		}
-		ch := queue[head]
+		q := queue[head]
 		head++
 		if head > 1<<16 && head*2 > len(queue) {
 			queue = append(queue[:0], queue[head:]...)
 			head = 0
 		}
-		c := m.Cells.At(ch)
-		if c.Dead() || math.IsInf(c.R2, 1) {
+		c := q.at(m)
+		if c == nil || math.IsInf(c.R2, 1) {
 			continue
 		}
 		cc := c.CC
@@ -321,11 +352,11 @@ func PLCMesh(im *img.Image, tris []quality.Triangle, opt Options) (*Result, erro
 		if !poor && rad <= opt.SizeBound {
 			continue
 		}
-		res, st := w.Insert(cc, delaunay.KindCircum, ch)
+		res, st := w.Insert(cc, delaunay.KindCircum, q.h)
 		switch st {
 		case delaunay.OK:
 			inserts++
-			queue = append(queue, res.Created...)
+			queue = appendQueued(queue, m, res.Created)
 		case delaunay.Failed, delaunay.Outside, delaunay.Stale:
 		default:
 			return nil, fmt.Errorf("baseline: volume refinement: %v", st)

@@ -51,3 +51,44 @@ func TestPoorListHoldsHandles(t *testing.T) {
 		t.Errorf("poor-element lists hold %.2f MiB after two warm runs, want < 4 MiB", float64(bytes)/(1<<20))
 	}
 }
+
+// TestSingleOwnerArenaTracksLive: a single-worker run owns its mesh, so
+// its worker creates cells in the slots its commits killed, and the
+// cell arena ends every run at its live size — where an append-only
+// arena holds four to five cells for each live one. One warm session
+// meshes the three scale-48 atlas phantoms and the knee at 96, twice
+// over, so every image runs both on a rebuilt and on a restored
+// bootstrap.
+func TestSingleOwnerArenaTracksLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight single-worker runs up to scale 96")
+	}
+	images := []struct {
+		name string
+		im   *img.Image
+	}{
+		{"knee-48", img.KneePhantom(48, 48, 48)},
+		{"abdominal-48", img.AbdominalPhantom(48, 48, 32)},
+		{"headneck-48", img.HeadNeckPhantom(48, 48, 48)},
+		{"knee-96", img.KneePhantom(96, 96, 96)},
+	}
+	s, err := NewSession(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for pass := 0; pass < 2; pass++ {
+		for _, im := range images {
+			res, err := s.Run(context.Background(), im.im)
+			if err != nil || res.Status != StatusCompleted {
+				t.Fatalf("%s pass %d: %v, %v", im.name, pass, res.Status, err)
+			}
+			alloc, live := res.Mesh.NumCellsAllocated(), res.Mesh.NumLiveCells()
+			t.Logf("%s pass %d: %d cells allocated, %d live (%.3fx)", im.name, pass, alloc, live, float64(alloc)/float64(live))
+			if float64(alloc) > 1.05*float64(live) {
+				t.Errorf("%s pass %d: %d cells allocated for %d live (%.2fx), want at most 1.05x",
+					im.name, pass, alloc, live, float64(alloc)/float64(live))
+			}
+		}
+	}
+}

@@ -267,11 +267,14 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 
 	ch := t.pel[len(t.pel)-1]
 	t.pel = t.pel[:len(t.pel)-1]
-	r.countOut(t, ch)
-	c := r.mesh.Cells.At(ch)
-	if c.Dead() {
-		return true // invalidated while queued (Section 4.3)
+	// A cell killed while queued (Section 4.3) released its count, and
+	// on a single-owner mesh its slot may since hold a newer cell, whose
+	// own entry sits above this stale one and is popped first: either
+	// way, only a still-counted handle names the cell that was queued.
+	if !r.countOut(t, ch) {
+		return true
 	}
+	c := r.mesh.Cells.At(ch)
 	// Every rule question is asked here, once per pop, so a conflicted
 	// retry is classified afresh against the samples added since.
 	near, poor := r.poorQuick(c)

@@ -226,3 +226,107 @@ func TestRetriesLeaveNoDanglingCount(t *testing.T) {
 		t.Fatal("no operation was rolled back: no retry was exercised")
 	}
 }
+
+// TestReusedSlotIsNotReclassified is TestStaleRetryIsReclassified's
+// sibling for slot reuse. On a single-owner mesh a cell killed while
+// queued gives up its slot, and a later commit creates a cell there, so
+// the queued handle now names a cell that was never queued under it.
+// Popping that stale entry must release nothing and ask nothing: the
+// new cell is poor, and classifying it would run an operation.
+func TestReusedSlotIsNotReclassified(t *testing.T) {
+	im := img.SpherePhantom(24)
+	s, err := NewSession(Config{Workers: 1, MaxElements: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), im)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A refiner over the stopped run's state — its mesh still single-owner
+	// — with every list empty and every count released.
+	r := newRefiner(nil, res.Config)
+	r.edt, r.mesh, r.isoGrid, r.ccGrid, r.threads = s.edtTr, s.mesh, s.isoGrid, s.ccGrid, s.threads
+	r.coord = cm.NewCoordinator(r.cfg.Workers)
+	r.cm = r.cfg.newCM(r.coord)
+	r.bal = r.cfg.newBalancer()
+	th := r.threads[0]
+	reset := func() {
+		r.mesh.LiveCells(func(_ arena.Handle, c *delaunay.Cell) { c.Aux.Store(0) })
+		th.pel, th.removals, th.scratch = th.pel[:0], th.removals[:0], th.scratch[:0]
+		th.poorOwn = 0
+	}
+	poor := func(c *delaunay.Cell) (action, bool) {
+		near, ok := r.poorQuick(c)
+		if !ok {
+			return action{}, false
+		}
+		return r.classify(c, near)
+	}
+
+	for attempt := 0; attempt < 20; attempt++ {
+		reset()
+		var h arena.Handle
+		var act action
+		r.mesh.LiveCells(func(ch arena.Handle, c *delaunay.Cell) {
+			if a, ok := poor(c); ok && h == arena.Nil && a.rule != R6 {
+				h, act = ch, a
+			}
+		})
+		if h == arena.Nil {
+			t.Fatal("no poor cell left to queue")
+		}
+		c := r.mesh.Cells.At(h)
+		gen := c.Gen()
+
+		// h is queued; an operation on its own region kills it while it
+		// waits, and the cells that operation creates are queued above it.
+		r.countIn(th, h)
+		th.pel = append(th.pel, h)
+		r.doInsertion(th, h, act)
+		if !c.Dead() || th.poorOwn != int64(len(th.pel)-1) {
+			t.Fatalf("the operation left cell %d dead=%v, %d counted for %d queued above it",
+				h, c.Dead(), th.poorOwn, len(th.pel)-1)
+		}
+		// Refine above it until a commit creates a cell in h's slot.
+		for i := 0; c.Gen() == gen && len(th.pel) > 1 && i < 50; i++ {
+			if !r.iterate(th) {
+				t.Fatal("iterate ended the run")
+			}
+		}
+		if c.Gen() == gen || c.Dead() {
+			continue // not reused, or reused and killed again: try another
+		}
+		if _, ok := poor(c); !ok {
+			continue // the new cell needs nothing: popping it would prove nothing
+		}
+		// Everything queued above the stale entry, the new cell's own
+		// entry included, is released unprocessed.
+		for _, e := range th.pel[1:] {
+			r.countOut(th, e)
+		}
+		th.pel, th.removals = th.pel[:1], th.removals[:0]
+		if th.pel[0] != h || th.poorOwn != 0 || c.Aux.Load() != 0 {
+			t.Fatalf("before the pop: PEL %v, count %d, Aux %d", th.pel, th.poorOwn, c.Aux.Load())
+		}
+
+		ops, rules, stats := r.ops.Load(), th.ruleCount, th.w.Stats
+		if !r.iterate(th) {
+			t.Fatal("iterate ended the run")
+		}
+		if r.ops.Load() != ops || th.ruleCount != rules || th.w.Stats != stats {
+			t.Fatalf("the stale entry for slot %d ran an operation on the cell now there: rules %v → %v",
+				h, rules, th.ruleCount)
+		}
+		if len(th.pel) != 0 || th.poorOwn != 0 || c.Aux.Load() != 0 || c.Dead() {
+			t.Fatalf("after the pop: PEL %v, count %d, Aux %d, dead %v", th.pel, th.poorOwn, c.Aux.Load(), c.Dead())
+		}
+		if err := r.mesh.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("no attempt left a poor cell in a reused slot under a stale entry: the test is vacuous")
+}

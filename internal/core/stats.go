@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -218,12 +219,31 @@ func (r *Refiner) collect(res *Result) {
 	}
 
 	// Final mesh: the per-thread inside lists, filtered for cells that
-	// survived refinement (Section 4.3's on-the-fly bookkeeping).
-	for _, t := range r.threads {
-		for _, h := range t.inside {
-			if !r.mesh.Cells.At(h).Dead() {
-				res.Final = append(res.Final, h)
+	// survived refinement (Section 4.3's on-the-fly bookkeeping). On a
+	// single-owner mesh a slot can be listed once per inside cell it
+	// has held, so each live inside cell is kept once, at its last entry
+	// — its latest creation: the lists are walked backwards, a kept
+	// cell's Aux marks it, and the result is reversed. DanglingPoorCount
+	// has been read above, so the counts in Aux are spent; the marks are
+	// cleared again, leaving every Aux zero as a completed run does.
+	for i := len(r.threads) - 1; i >= 0; i-- {
+		inside := r.threads[i].inside
+		for j := len(inside) - 1; j >= 0; j-- {
+			h := inside[j]
+			c := r.mesh.Cells.At(h)
+			if c.Dead() || !c.Inside() || c.Aux.Load() == finalMark {
+				continue
 			}
+			c.Aux.Store(finalMark)
+			res.Final = append(res.Final, h)
 		}
 	}
+	slices.Reverse(res.Final)
+	for _, h := range res.Final {
+		r.mesh.Cells.At(h).Aux.Store(0)
+	}
 }
+
+// finalMark is the Aux value collect leaves on a cell it has put in
+// Final; a thread id + 1 never reaches it.
+const finalMark = ^uint32(0)

@@ -264,7 +264,7 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 		b := in.V[ftab[bf.face][1]]
 		c := in.V[ftab[bf.face][2]]
 
-		nh := w.ca.Alloc()
+		nh := w.newCell()
 		nc := m.Cells.At(nh)
 		nc.init(m, [4]arena.Handle{a, b, c, vh})
 
@@ -316,7 +316,7 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 
 	// Retire the cavity.
 	for _, ch := range w.sc.cavity {
-		m.kill(m.Cells.At(ch))
+		w.retire(ch)
 		w.result.Killed = append(w.result.Killed, ch)
 	}
 

@@ -52,9 +52,14 @@
 // harness's LockDeny site fires ahead of the shortcut, so a
 // single-owner mesh still sees synthetic denials and rolls back.
 //
-// Storage is append-only (package arena): a speculative reader holding
-// a stale handle always sees type-stable memory, at worst flagged
-// dead, never recycled.
+// Storage. Cells and vertices live in arenas (package arena), so a
+// speculative reader holding a stale handle always sees type-stable
+// memory. On a shared mesh that memory is at worst flagged dead, never
+// recycled: the lock-free walk depends on it. On a single-owner mesh
+// nobody can be mid-walk, so each Worker keeps the cells its committed
+// operations killed on a free list and creates new cells there first;
+// a handle held across operations may then name a newer cell, and its
+// holder must tell them apart (Cell.Gen). Vertices are never reused.
 package delaunay
 
 import (
@@ -117,13 +122,16 @@ func (v *Vertex) Incident() arena.Handle { return arena.Handle(v.incident) }
 // lock, or -1 when free. Intended for diagnostics.
 func (v *Vertex) LockedBy() int { return int(atomic.LoadInt32(&v.lock)) - 1 }
 
-// Cell flags.
+// Cell flags. The bits above the two flags hold the slot's generation.
 const (
 	cellDead = 1 << iota
 	// CellInside is set by the refiner when the cell's circumcenter
 	// lies inside the imaged object O (the final mesh is the set of
 	// such cells, paper Fig. 1c).
 	CellInside = 1 << 1
+
+	cellGenShift = 2
+	cellFlagMask = 1<<cellGenShift - 1
 )
 
 // Cell is a tetrahedron. V, CC and R2 are immutable after creation;
@@ -157,6 +165,13 @@ var ftab = [4][3]int{{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}}
 // Dead reports whether the cell has been replaced by a later operation.
 func (c *Cell) Dead() bool { return atomic.LoadUint32(&c.flags)&cellDead != 0 }
 
+// Gen returns the slot's generation: how many times, modulo 2^30, a
+// cell has been created in it since its arena chunk was last zeroed.
+// A single-owner mesh reuses the slots of killed cells, so a caller
+// that keeps a handle across operations records Gen with it and treats
+// a mismatch as it would a dead cell.
+func (c *Cell) Gen() uint32 { return atomic.LoadUint32(&c.flags) >> cellGenShift }
+
 // Inside reports whether the refiner classified the cell as having its
 // circumcenter inside the object.
 func (c *Cell) Inside() bool { return atomic.LoadUint32(&c.flags)&CellInside != 0 }
@@ -175,14 +190,15 @@ func (c *Cell) SetInside(in bool) {
 func (c *Cell) Neighbor(i int) arena.Handle { return arena.Handle(atomic.LoadUint32(&c.n[i])) }
 
 // init fills in every field of a freshly allocated cell with plain
-// stores: nothing can reach it yet, and after a Reset arena slots are
-// recycled storage, so nothing is left as found. Its neighbors start
-// out Nil.
+// stores: nothing can reach it yet, and a slot may be recycled storage
+// (after a Reset, or from a single-owner worker's free list), so
+// nothing is left as found but the generation, which it bumps. Its
+// neighbors start out Nil.
 func (c *Cell) init(m *Mesh, v [4]arena.Handle) {
 	c.V = v
 	c.n = [4]uint32{}
 	c.CC, c.R2 = circum(m, v)
-	c.flags = 0
+	c.flags = c.flags&^cellFlagMask + 1<<cellGenShift
 	c.Aux = atomic.Uint32{}
 }
 
@@ -258,9 +274,11 @@ type bootRecord struct {
 // SetSingleOwner declares whether, from now until the next call, a
 // single goroutine at a time operates on the mesh — workers, walkers
 // and readers included. On a single-owner mesh operations acquire no
-// vertex locks and publish with plain stores; the results are those of
-// a shared mesh, cell for cell. The call itself must not race with any
-// use of the mesh. Meshes start out shared.
+// vertex locks, publish with plain stores, and create cells in the
+// slots of cells they killed; the triangulation is that of a shared
+// mesh, cell for cell, though the handles naming the cells differ. The
+// call itself must not race with any use of the mesh. NewMesh and Reset
+// leave the mesh shared, so the bootstrap never reuses a slot.
 func (m *Mesh) SetSingleOwner(on bool) { m.single = on }
 
 // publish points face i of the reachable cell c at h. On a shared mesh
@@ -274,8 +292,9 @@ func (m *Mesh) publish(c *Cell, i int, h arena.Handle) {
 	atomic.StoreUint32(&c.n[i], uint32(h))
 }
 
-// kill retires the reachable cell c. SetInside may be racing on the
-// same word of a shared mesh, hence the read-modify-write.
+// kill retires the reachable cell c, keeping its generation.
+// SetInside may be racing on the same word of a shared mesh, hence the
+// read-modify-write.
 func (m *Mesh) kill(c *Cell) {
 	if m.single {
 		c.flags |= cellDead
@@ -324,8 +343,11 @@ func NewMesh(lo, hi geom.Vec3) (*Mesh, error) {
 // state, so handles are handed out afterwards in the same sequence as
 // after a rebuild; over any other box it rebuilds and records anew. It
 // must not race with any concurrent worker; a run session calls it
-// between runs, when all workers are quiescent.
+// between runs, when all workers are quiescent. The mesh comes back
+// shared (see SetSingleOwner), and a retained Worker must be readied
+// with PrepareReuse before its next operation.
 func (m *Mesh) Reset(lo, hi geom.Vec3) error {
+	m.single = false
 	if b := m.boot; b != nil && lo == m.boxLo && hi == m.boxHi {
 		m.Verts.Rewind(b.verts)
 		m.Cells.Rewind(b.cells)
@@ -476,8 +498,11 @@ func (m *Mesh) Bounds() (lo, hi geom.Vec3) { return m.boxLo, m.boxHi }
 // removed vertices).
 func (m *Mesh) NumVerts() int { return m.Verts.Len() - 1 }
 
-// NumCellsAllocated returns the number of cell slots allocated
-// (including dead cells).
+// NumCellsAllocated returns the number of cell slots the arena has
+// handed out: live cells, dead ones, and those waiting on a
+// single-owner worker's free list. On a shared mesh no slot is reused
+// within a run, so it counts every cell created since the last Reset;
+// on a single-owner mesh it stays close to the live count.
 func (m *Mesh) NumCellsAllocated() int { return m.Cells.Len() - 1 }
 
 // Pos returns the position of vertex h.

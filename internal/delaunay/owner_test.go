@@ -1,7 +1,9 @@
 package delaunay
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,11 +13,14 @@ import (
 	"repro/internal/geom"
 )
 
-// opTrace is everything an operation sequence hands back to its
-// caller: the status of every operation and every handle it drew.
+// opTrace is what an operation sequence hands back to its caller that
+// does not depend on which cell slots it drew: the status of every
+// operation, the vertex each insertion created (vertex slots are never
+// reused), and how many cells each commit created and killed.
 type opTrace struct {
-	status  []Status
-	handles []arena.Handle
+	status []Status
+	verts  []arena.Handle
+	sizes  [][2]int
 }
 
 func (tr *opTrace) note(res *OpResult, st Status) {
@@ -23,9 +28,8 @@ func (tr *opTrace) note(res *OpResult, st Status) {
 	if st != OK {
 		return
 	}
-	tr.handles = append(tr.handles, res.NewVert)
-	tr.handles = append(tr.handles, res.Created...)
-	tr.handles = append(tr.handles, res.Killed...)
+	tr.verts = append(tr.verts, res.NewVert)
+	tr.sizes = append(tr.sizes, [2]int{len(res.Created), len(res.Killed)})
 }
 
 // mixedProgram runs a seeded sequence on m: n insertions, alternating
@@ -72,16 +76,40 @@ func mixedProgram(t *testing.T, m *Mesh, w *Worker, n int, check func()) *opTrac
 	return tr
 }
 
+// liveTuples lists the live cells of a quiesced mesh as their vertex
+// handles, sorted: the triangulation, independent of the cell slots
+// holding it.
+func liveTuples(m *Mesh) [][4]arena.Handle {
+	var out [][4]arena.Handle
+	m.LiveCells(func(_ arena.Handle, c *Cell) { out = append(out, c.V) })
+	slices.SortFunc(out, func(a, b [4]arena.Handle) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return cmp.Compare(a[i], b[i])
+			}
+		}
+		return 0
+	})
+	return out
+}
+
 // TestSingleOwnerMatchesShared: the single-owner shortcut changes what
-// an operation pays, never what it does. One program on a shared and on
-// a single-owner mesh must draw the same handles in the same order and
-// leave every slot of both arenas identical — while the single-owner
-// run acquires nothing.
+// an operation pays and which cell slots it fills, never what it does.
+// One program on a shared and on a single-owner mesh must return the
+// same status for every operation and end with the same triangulation
+// over the same vertex handles — while the single-owner run acquires
+// nothing and, reusing the slots its commits killed, holds little more
+// arena than the most cells it ever had live. (The program ends with
+// removals, which shrink the mesh; their slots wait on the free list,
+// so the bound is on the peak, and every slot is accounted for.)
 func TestSingleOwnerMatchesShared(t *testing.T) {
 	inserts := 5200
 	if testing.Short() {
 		inserts = 1000 // one goroutine: the race detector has nothing to find here
 	}
+	boot := unitBox()
+	bootLive := boot.NumLiveCells()
+	bootDead := boot.NumCellsAllocated() - bootLive
 	run := func(single bool) (*Mesh, *Worker, *opTrace) {
 		m := unitBox()
 		m.SetSingleOwner(single)
@@ -100,27 +128,44 @@ func TestSingleOwnerMatchesShared(t *testing.T) {
 	shared, sw, strace := run(false)
 	single, ow, otrace := run(true)
 
-	if len(strace.status) != len(otrace.status) || len(strace.handles) != len(otrace.handles) {
-		t.Fatalf("shared ran %d ops drawing %d handles, single-owner %d drawing %d",
-			len(strace.status), len(strace.handles), len(otrace.status), len(otrace.handles))
+	if len(strace.status) != len(otrace.status) {
+		t.Fatalf("shared ran %d ops, single-owner %d", len(strace.status), len(otrace.status))
 	}
 	for i := range strace.status {
 		if strace.status[i] != otrace.status[i] {
 			t.Fatalf("op %d: shared %v, single-owner %v", i, strace.status[i], otrace.status[i])
 		}
 	}
-	for i := range strace.handles {
-		if strace.handles[i] != otrace.handles[i] {
-			t.Fatalf("handle %d of the sequence: shared %d, single-owner %d", i, strace.handles[i], otrace.handles[i])
-		}
+	if !slices.Equal(strace.verts, otrace.verts) || !slices.Equal(strace.sizes, otrace.sizes) {
+		t.Fatal("the committed operations created different vertices or different numbers of cells")
 	}
-	requireSameMesh(t, "single-owner against shared", single, shared)
+	st, ot := liveTuples(shared), liveTuples(single)
+	if !slices.Equal(st, ot) {
+		t.Fatalf("live triangulations differ: shared %d cells, single-owner %d", len(st), len(ot))
+	}
 	if !testing.Short() {
-		// O(cells x verts), seconds at this size; the two meshes were
-		// just shown identical slot for slot, so one sweep covers both.
+		// O(cells x verts), seconds at this size; the two triangulations
+		// were just shown identical, so one sweep covers both.
 		if err := single.CheckDelaunayGlobal(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	live, peak := bootLive, bootLive
+	for _, sz := range otrace.sizes {
+		live += sz[0] - sz[1]
+		peak = max(peak, live)
+	}
+	alloc := single.NumCellsAllocated()
+	if live != len(ot) || alloc != live+len(ow.free)+bootDead {
+		t.Errorf("single-owner arena holds %d cells: %d live (%d by the trace), %d free, %d dead since the bootstrap",
+			alloc, len(ot), live, len(ow.free), bootDead)
+	}
+	if float64(alloc) > 1.05*float64(peak) {
+		t.Errorf("single-owner arena holds %d cells for a peak of %d live (%.2fx)", alloc, peak, float64(alloc)/float64(peak))
+	}
+	if shared.NumCellsAllocated() <= single.NumCellsAllocated() {
+		t.Errorf("the shared arena (%d cells) is no larger than the single-owner one (%d): nothing was reused",
+			shared.NumCellsAllocated(), single.NumCellsAllocated())
 	}
 
 	if sw.Stats.LocksAcquired == 0 {

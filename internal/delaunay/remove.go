@@ -163,7 +163,7 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 		w.result.Created = append(w.result.Created, nh)
 	}
 	for _, ch := range ball {
-		m.kill(m.Cells.At(ch))
+		w.retire(ch)
 		w.result.Killed = append(w.result.Killed, ch)
 	}
 	m.killVert(v)
@@ -195,8 +195,10 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 //
 // The fill is returned unpublished, with w.sc.rewires listing the
 // outside cells to point at it. On failure nothing reachable has been
-// touched: the cells allocated so far are flagged dead and left as
-// garbage in the append-only arena.
+// touched: the cells allocated so far are flagged dead, keeping their
+// generation, and go back on the free list of a single-owner mesh; on a
+// shared mesh they stay behind as garbage, since no slot is reused
+// there.
 func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 	m := w.m
 	faces := &w.sc.faces
@@ -215,7 +217,7 @@ func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 			ok = false
 			break
 		}
-		nh := w.ca.Alloc()
+		nh := w.newCell()
 		nc := m.Cells.At(nh)
 		nc.init(m, [4]arena.Handle{tri[0], tri[1], tri[2], apex})
 		fill = append(fill, nh)
@@ -244,7 +246,10 @@ func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 	w.sc.open, w.sc.fill, w.sc.rewires = open, fill, rewires
 	if !ok {
 		for _, h := range fill {
-			m.Cells.At(h).flags = cellDead
+			m.Cells.At(h).flags |= cellDead
+		}
+		if m.single {
+			w.free = append(w.free, fill...)
 		}
 	}
 	return fill, ok

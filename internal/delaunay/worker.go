@@ -76,6 +76,11 @@ type Worker struct {
 	va *arena.Allocator[Vertex]
 	ca *arena.Allocator[Cell]
 
+	// free holds the cells this worker's committed operations killed on
+	// a single-owner mesh; newCell reuses them, last killed first,
+	// before drawing on ca. Empty on a shared mesh.
+	free []arena.Handle
+
 	// locked holds the vertices locked by the in-flight operation, in
 	// acquisition order.
 	locked []arena.Handle
@@ -157,11 +162,13 @@ func walkRNG(tid int) *rand.Rand {
 
 // PrepareReuse readies a retained worker for a fresh run on a mesh
 // that has been Reset: the allocators detach from the recycled arena
-// chunks, kernel counters restart, and the walk RNG is reseeded so a
-// warm run is indistinguishable from a cold one.
+// chunks, the free list (slots the reset discarded) empties, kernel
+// counters restart, and the walk RNG is reseeded so a warm run is
+// indistinguishable from a cold one.
 func (w *Worker) PrepareReuse() {
 	w.va.Reset()
 	w.ca.Reset()
+	w.free = w.free[:0]
 	w.Stats = Stats{}
 	w.rng = walkRNG(int(w.tid))
 	w.ConflictTid = -1
@@ -244,6 +251,28 @@ func (w *Worker) unlockAll() {
 		atomic.StoreInt32(&w.m.Verts.At(vh).lock, 0)
 	}
 	w.locked = w.locked[:0]
+}
+
+// newCell returns a slot for a cell the in-flight operation creates:
+// one its own earlier operations killed, on a single-owner mesh, or a
+// fresh arena slot.
+func (w *Worker) newCell() arena.Handle {
+	if n := len(w.free); n > 0 && w.m.single {
+		h := w.free[n-1]
+		w.free = w.free[:n-1]
+		return h
+	}
+	return w.ca.Alloc()
+}
+
+// retire kills cell ch as part of a commit, after the operation has
+// created every cell it needs. On a single-owner mesh nobody else can
+// hold the handle mid-walk, so the slot goes on the free list at once.
+func (w *Worker) retire(ch arena.Handle) {
+	w.m.kill(w.m.Cells.At(ch))
+	if w.m.single {
+		w.free = append(w.free, ch)
+	}
 }
 
 // reset prepares the worker's scratch state for a new operation.

@@ -15,27 +15,34 @@ import (
 
 // boundaryTrianglesOracle is the handle-based boundary extraction that
 // read the kernel mesh before MeshSnapshot.Neighbors became the one
-// facet pass, kept verbatim as the reference the snapshot's boundary
-// is checked against.
+// facet pass, kept as the reference the snapshot's boundary is checked
+// against. It emits an interface facet from the side earlier in Final,
+// by position: handles do not follow Final's order, since a
+// single-owner mesh reuses the slots of killed cells.
 func boundaryTrianglesOracle(m *delaunay.Mesh, final []arena.Handle, im *img.Image) []quality.Triangle {
-	inFinal := make(map[arena.Handle]img.Label, len(final))
-	for _, h := range final {
-		inFinal[h] = im.LabelAt(m.Cells.At(h).CC)
+	type entry struct {
+		label img.Label
+		pos   int
+	}
+	inFinal := make(map[arena.Handle]entry, len(final))
+	for i, h := range final {
+		inFinal[h] = entry{im.LabelAt(m.Cells.At(h).CC), i}
 	}
 	var out []quality.Triangle
-	for _, h := range final {
+	for i, h := range final {
 		c := m.Cells.At(h)
-		myLabel := inFinal[h]
+		myLabel := inFinal[h].label
 		for f := 0; f < 4; f++ {
 			nb := c.Neighbor(f)
-			nbLabel, ok := inFinal[nb]
-			boundary := !ok || nbLabel != myLabel
+			other, ok := inFinal[nb]
+			boundary := !ok || other.label != myLabel
 			if !boundary {
 				continue
 			}
-			// Emit interface facets once (from the lower handle side);
-			// facets to non-final cells are emitted unconditionally.
-			if ok && nb < h {
+			// Emit interface facets once (from the side earlier in
+			// Final); facets to non-final cells are emitted
+			// unconditionally.
+			if ok && other.pos < i {
 				continue
 			}
 			face := c.Face(f)
