@@ -16,10 +16,11 @@
 // Backends are health-probed on /readyz at jittered intervals; a node
 // failing -fail-threshold consecutive probes (or proxy attempts) is
 // ejected from the ring and its keys re-home to the surviving
-// replicas with minimal movement. One passing probe rejoins it. While
-// a key is in flight, later requests for it are proxied to the same
-// backend so they join its coalescing flight rather than re-running
-// the job — cross-node single-flight.
+// replicas with minimal movement. One passing probe rejoins it. Every
+// request is buffered (up to -max-bytes) and keyed by the SHA-256 of
+// its image bytes, so an attempt that fails replays on the next
+// replica; concurrent requests for one key meet on its owner, whose
+// coalescing runs the job once.
 //
 // The router keeps a bounded (route key → entity tag, backend) table
 // learned from relayed responses: If-None-Match requests that name the
@@ -66,7 +67,7 @@ func main() {
 		replicas      = flag.Int("replicas", 2, "fallback ladder depth: distinct backends tried per key")
 		probeInterval = flag.Duration("probe-interval", time.Second, "mean backend health-probe period (jittered)")
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive failures ejecting a backend from the ring")
-		maxBytes      = flag.Int64("max-bytes", 64<<20, "body cap on the buffered (key-deriving) routing path")
+		maxBytes      = flag.Int64("max-bytes", 64<<20, "request body cap (the router buffers each body to key it)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight proxies")
 	)
 	flag.Parse()

@@ -81,8 +81,7 @@ type chaosOutcome struct {
 //     answered from a survivor's result cache via the cache-only
 //     replica read (replica_cache_hits > 0), not re-meshed;
 //   - after the restart the node rejoins and its keys re-home to it;
-//   - the router ledger balances: proxied == completed + failed, and
-//     no flight pin outlives its requests.
+//   - the router ledger balances: proxied == completed + failed.
 func TestRouterChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is long")
@@ -425,9 +424,6 @@ func TestRouterChaosSoak(t *testing.T) {
 	if st.ProxiedJobs != st.CompletedJobs+st.FailedJobs {
 		t.Fatalf("ledger unbalanced: proxied=%d completed=%d failed=%d",
 			st.ProxiedJobs, st.CompletedJobs, st.FailedJobs)
-	}
-	if n := len(rt.InflightKeys()); n != 0 {
-		t.Fatalf("%d flight pins outlived their requests", n)
 	}
 	if st.Rebalances < 4 {
 		// 3 joins at boot + at least the kill/rejoin pair (injected

@@ -106,15 +106,13 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 	for _, row := range []struct {
 		name, path, ctype string
 		body              []byte
-		streamed          bool
 		want              int
 	}{
-		{"raw body + query knobs", "/v1/mesh?max_radius_edge=2.5&format=off", octets, image, false, 200},
-		{"multipart with spec", "/v1/mesh?max_radius_edge=9", withSpecType, withSpec, false, 200},
-		{"multipart without spec", "/v1/mesh?max_elements=50000", noSpecType, noSpec, false, 200},
-		{"simulate multipart", "/v1/simulate", simType, sim, false, 200},
-		{"streamed key header + query", "/v1/mesh?min_facet_angle=25", octets, image, true, 200},
-		{"malformed spec", "/v1/mesh", badSpecType, badSpec, false, 400},
+		{"raw body + query knobs", "/v1/mesh?max_radius_edge=2.5&format=off", octets, image, 200},
+		{"multipart with spec", "/v1/mesh?max_radius_edge=9", withSpecType, withSpec, 200},
+		{"multipart without spec", "/v1/mesh?max_elements=50000", noSpecType, noSpec, 200},
+		{"simulate multipart", "/v1/simulate", simType, sim, 200},
+		{"malformed spec", "/v1/mesh", badSpecType, badSpec, 400},
 	} {
 		request := func(base string) *http.Request {
 			req, err := http.NewRequest(http.MethodPost, base+row.path, bytes.NewReader(row.body))
@@ -122,9 +120,6 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			req.Header.Set("Content-Type", row.ctype)
-			if row.streamed {
-				req.Header.Set(ImageKeyHeader, wire.ImageKey(image))
-			}
 			return req
 		}
 		resp, err := http.DefaultClient.Do(request(rts.URL))
@@ -182,14 +177,20 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 // route key: the local-304 shortcut the original's tag armed does not
 // answer it, whether the memo has seen the copy before or not — the
 // backend does, with a 200 and exactly one more run — while the
-// original's own conditional stays local.
+// original's own conditional stays local. A key a client claims in an
+// X-Pi2md-Image-Key header names nothing: the upload is routed and its
+// tag learned under the hash of its bytes.
 func TestRouteKeyFollowsTheBytes(t *testing.T) {
 	srv, _, r, rts := newRoutedPi2md(t)
 	image := sphereNRRD(t, 16)
-	flipped := bytes.Clone(image)
-	data := bytes.Index(flipped, []byte("\n\n")) + 2
-	flipped[data+(len(flipped)-data)/2] ^= 1
-	post := func(body []byte, ifNoneMatch string) (int, string) {
+	data := bytes.Index(image, []byte("\n\n")) + 2
+	flip := func(at int) []byte {
+		b := bytes.Clone(image)
+		b[at] ^= 1
+		return b
+	}
+	flipped := flip(data + (len(image)-data)/2)
+	post := func(body []byte, ifNoneMatch string, hdr ...string) (int, string) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/mesh", bytes.NewReader(body))
 		if err != nil {
@@ -197,6 +198,9 @@ func TestRouteKeyFollowsTheBytes(t *testing.T) {
 		}
 		if ifNoneMatch != "" {
 			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -233,6 +237,20 @@ func TestRouteKeyFollowsTheBytes(t *testing.T) {
 	}
 	if st := r.Stats().UploadCache; st.Entries != 2 {
 		t.Fatalf("router upload memo holds %d entries, want the original and the copy", st.Entries)
+	}
+
+	claimed := strings.Repeat("0", 64)
+	third := flip(data + (len(image)-data)/3)
+	code, thirdTag := post(third, "", "X-Pi2md-Image-Key", claimed)
+	if code != http.StatusOK || thirdTag == "" || thirdTag == tag || runs() != 3 {
+		t.Fatalf("upload under a wrong key header: %d with ETag %q after %d runs; want 200, its own tag, 3 runs", code, thirdTag, runs())
+	}
+	awaitLearned(t, r, routeKey(wire.ImageKey(third), ""))
+	if _, ok := r.etags.lookup(routeKey(claimed, "")); ok {
+		t.Fatal("the ETag table learned the header's claimed key")
+	}
+	if code, _ := post(third, thirdTag, "X-Pi2md-Image-Key", claimed); code != http.StatusNotModified || r.Stats().ETag304s != 2 {
+		t.Fatalf("its own tag under a wrong key header: status %d, %d local 304s; want a local 304", code, r.Stats().ETag304s)
 	}
 }
 
@@ -285,13 +303,11 @@ func postFor(t *testing.T, url, ctype string, body []byte, hdr map[string]string
 }
 
 // TestKnownKeyAnsweredAsItsPOST: once the ETag table knows a key, a
-// request the router hashed and resolved itself is answered by a
-// body-less cache read, and that answer is the one a POST of the same
-// request straight to the backend gets: status, envelope code, ETag and
-// body bytes. A request the router cannot name exactly — a spec the
-// backend rejects, a client-vouched key whose body spec the router never
-// sees — goes to the backend whole. Answering either from the cache read
-// makes the last three rows differ.
+// request whose spec resolves is answered by a body-less cache read, and
+// that answer is the one a POST of the same request straight to the
+// backend gets: status, envelope code, ETag and body bytes. A request
+// whose spec the backend rejects goes to the backend whole; answering it
+// from the cache read makes the last two rows differ.
 func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
 	_, backend, r, rts := newRoutedPi2md(t)
 	image := sphereNRRD(t, 16)
@@ -315,29 +331,17 @@ func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
 			tag = a.etag
 		}
 	}
-	// relay learns the ETag after the body is out, so the client can
-	// finish reading the last priming response first.
-	deadline := time.Now().Add(5 * time.Second)
 	for _, variant := range []string{"", sp.Variant()} {
-		for {
-			if _, ok := r.etags.lookup(routeKey(key, variant)); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("priming left variant %q out of the ETag table", variant)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitLearned(t, r, routeKey(key, variant))
 	}
 
 	knobSpec, knobSpecType := multipartUpload(image, `{"max_radius_edge": 1e6, "max_elements": 1000000}`)
 	badSpec, badSpecType := multipartUpload(image, `{"delta": -1}`)
-	offSpec, offSpecType := multipartUpload(image, `{"format": "off"}`)
 	for _, row := range []struct {
 		name, path, ctype string
 		body              []byte
 		hdr               map[string]string
-		keyed             bool // answered by the cache read (a client cache-only POST is marked too)
+		keyed             bool // answered by the cache read
 	}{
 		{"default spec", "/v1/mesh", octets, image, nil, true},
 		{"query knobs", "/v1/mesh" + knobs, octets, image, nil, true},
@@ -347,11 +351,8 @@ func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
 		{"If-None-Match that does not", "/v1/mesh", octets, image,
 			map[string]string{"If-None-Match": `"ffffffffffffffff-vtk"`}, true},
 		{"If-None-Match *", "/v1/mesh", octets, image, map[string]string{"If-None-Match": "*"}, false},
-		{"client cache-only", "/v1/mesh", octets, image, map[string]string{wire.CacheOnlyHeader: "1"}, true},
 		{"malformed multipart spec", "/v1/mesh", badSpecType, badSpec, nil, false},
 		{"max_radius_edge below the bound", "/v1/mesh?max_radius_edge=0.1", octets, image, nil, false},
-		{"streamed key, body spec disagrees with query", "/v1/mesh" + knobs, offSpecType, offSpec,
-			map[string]string{ImageKeyHeader: key}, false},
 	} {
 		got := postFor(t, rts.URL+row.path, row.ctype, row.body, row.hdr)
 		want := postFor(t, backend.URL+row.path, row.ctype, row.body, row.hdr)

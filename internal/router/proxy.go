@@ -48,35 +48,30 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// routePlan is a resolved proxy decision: the route identity, the bytes
-// to send (nil means stream req.Body through once, no replay), and the
-// response format. format is non-empty only for /v1/mesh — it marks the
-// request as one whose result lives in the backends' snapshot caches,
-// which is what arms the ETag table and the replica cache-only ladder.
+// routePlan is a resolved proxy decision: the route identity, the
+// buffered body every attempt replays, and the response format. format
+// is non-empty only for a /v1/mesh whose spec resolved: its answer then
+// lives in the backends' snapshot caches as exactly (imageKey, variant,
+// format), which is what arms the ETag table, the keyed read and the
+// replica cache-only ladder.
 type routePlan struct {
 	routeKey string // routeKey(imageKey, variant)
 	imageKey string
 	variant  string
-	format   string // "vtk"/"off" for /v1/mesh, "" for /v1/simulate
-	raw      []byte // buffered body; nil on the streaming path
-	stream   io.Reader
-	// exact: the router hashed the buffered image and resolved the spec
-	// itself, so a cache read of (imageKey, variant, format) names the
-	// very entity the POST would be answered with.
-	exact bool
+	format   string // "vtk"/"off" for a resolved /v1/mesh, else ""
+	raw      []byte // the whole request body
 }
 
 // routeKey joins the two halves of a job's identity into the key the
-// ring, the pin table and the ETag table all index by.
+// ring and the ETag table both index by.
 func routeKey(imageKey, variant string) string { return imageKey + "|" + variant }
 
-// handleProxy is the whole proxy path: derive the route key, answer a
-// conditional request from the local ETag table when it can, join or
-// start the key's cross-node flight, walk the candidate ladder
-// (pinned backend, then ring replicas) — cache-only first when the
-// key's last-known server is gone, a cache read ahead of the upload when
-// the key is known exactly — stream the first response back, or
-// answer 503 with the shared Retry-After policy when every candidate
+// handleProxy is the whole proxy path: buffer the body and derive the
+// route key, answer a conditional request from the local ETag table
+// when it can, walk the ring replicas in ownership order — cache-only
+// first when the key's last-known server is gone, a cache read ahead of
+// the upload when the table knows the key — relay the first response,
+// or answer 503 with the shared Retry-After policy when every candidate
 // is unreachable.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
@@ -113,31 +108,13 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	pinned, joined := r.joinFlight(plan.routeKey)
-	defer r.leaveFlight(plan.routeKey)
-	if joined {
-		r.mFlightJoins.Inc()
-	}
-
 	// Every backend attempt beyond this request's first — fallback
 	// forwards, extra cache probes — is accounted against the shared
 	// retry budget, so a dying fleet sees bounded amplification
 	// instead of Replicas× its offered load. A keyed attempt's cache read
 	// and the forward behind it are one attempt (send).
 	att := &attempts{r: r}
-
-	// Candidate ladder: the flight's pinned backend first — even if
-	// membership changed under it, the in-flight run and its coalescing
-	// flight live there — then the ring replicas in ownership order.
-	cands := make([]string, 0, r.cfg.Replicas+1)
-	if pinned != "" {
-		cands = append(cands, pinned)
-	}
-	for _, c := range r.candidates(plan.routeKey) {
-		if c != pinned {
-			cands = append(cands, c)
-		}
-	}
+	cands := r.candidates(plan.routeKey)
 
 	// Replica cache reads, trigger 1 — ejection of the key's server:
 	// when the backend that last served this key is no longer healthy,
@@ -157,31 +134,17 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		// ladder forever.
 		r.etags.dropIf(plan.routeKey, ent.backend)
 	}
-	// A key the table knows, named exactly: the first attempt reads the
-	// first candidate's cache before it ships the upload (send).
-	keyed := known && plan.exact && !probed
+	// A key the table knows: the first attempt reads the first
+	// candidate's cache before it ships the upload (send).
+	keyed := known && !probed
 
 	for i, cand := range cands {
-		var body io.Reader
-		switch {
-		case plan.raw != nil:
-			body = bytes.NewReader(plan.raw)
-		case i == 0:
-			body = plan.stream
-		default:
-			// Streaming path: the body is gone after the first attempt;
-			// no replay is possible.
-			r.answer503(w, "backend %s unreachable and request body is not replayable (streamed via %s)",
-				cands[0], ImageKeyHeader)
-			return
-		}
 		if !att.allow() {
 			r.answer503(w, "retry budget exhausted routing key %s (stopped before attempt %d)",
 				plan.routeKey, i+1)
 			return
 		}
-		r.setPin(plan.routeKey, cand)
-		resp, err := r.send(req, cand, body, plan, keyed && i == 0)
+		resp, err := r.send(req, cand, plan, keyed && i == 0)
 		if err != nil {
 			if req.Context().Err() != nil {
 				// The client went away or its deadline expired mid-attempt;
@@ -280,7 +243,6 @@ func (r *Router) tryCacheLadder(w http.ResponseWriter, req *http.Request, plan r
 			continue
 		}
 		r.mReplicaHits.Inc()
-		r.setPin(plan.routeKey, cand)
 		r.finish(w, req, resp, cand, plan, started)
 		return true
 	}
@@ -310,64 +272,43 @@ func (r *Router) probeCache(req *http.Request, backend string, plan routePlan) (
 	return r.cfg.Transport.RoundTrip(preq)
 }
 
-// planRoute derives the (image key, variant) route key and the bytes
-// to forward. On a local rejection (oversize, empty, unreadable body,
-// malformed key header) it writes the error envelope and returns
-// ok=false; the caller accounts the failure.
+// planRoute buffers the body and derives the (image key, variant)
+// route key from it. On a local rejection (oversize, empty, unreadable
+// body) it writes the error envelope and returns ok=false; the caller
+// accounts the failure.
 func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan, bool) {
 	var plan routePlan
-	var specJSON []byte
-	if hk := req.Header.Get(ImageKeyHeader); hk != "" {
-		// Streaming path: the client vouched for the key, the router
-		// never touches the body. The key must look exactly like what it
-		// claims to be — a full SHA-256 in lowercase hex — or arbitrary
-		// client bytes would become route keys, poisoning the pin table,
-		// the ETag table, and metrics cardinality. The only spec a
-		// body-less router can see is the query string; a spec part in
-		// the body that disagrees only costs routing locality, never
-		// correctness — the backend re-derives everything.
-		if !wire.ValidImageKey(hk) {
-			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-				"%s must be 64 lowercase hex characters (the full SHA-256 of the image), got %d bytes",
-				ImageKeyHeader, len(hk))
-			return plan, false
-		}
-		plan.imageKey, plan.stream = hk, req.Body
-	} else {
-		raw, err := wire.ReadSized(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes),
-			min(req.ContentLength, r.cfg.MaxRequestBytes))
-		var image []byte
-		if err == nil {
-			specJSON, image, err = wire.SplitBuffered(req.Header.Get("Content-Type"), raw)
-		}
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				"request body exceeds the %d byte cap", r.cfg.MaxRequestBytes)
-			return plan, false
-		case err != nil:
-			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: %v", err)
-			return plan, false
-		case len(image) == 0:
-			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-				"empty body: expected an NRRD label image")
-			return plan, false
-		}
-		plan.imageKey, plan.raw = r.uploads.Of(image), raw
+	raw, err := wire.ReadSized(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes),
+		min(req.ContentLength, r.cfg.MaxRequestBytes))
+	var specJSON, image []byte
+	if err == nil {
+		specJSON, image, err = wire.SplitBuffered(req.Header.Get("Content-Type"), raw)
 	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
+			"request body exceeds the %d byte cap", r.cfg.MaxRequestBytes)
+		return plan, false
+	case err != nil:
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: %v", err)
+		return plan, false
+	case len(image) == 0:
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
+			"empty body: expected an NRRD label image")
+		return plan, false
+	}
+	plan.imageKey, plan.raw = r.uploads.Of(image), raw
 
 	// The variant mirrors the backend's coalescing/cache identity, read
 	// through the backend's own resolver. A malformed spec routes under
-	// the empty variant and travels on to the backend, whose parser owns
-	// the precise 400 — it is never exact, so no cache read can answer
-	// in the backend's place. Only /v1/mesh has a format: a simulation's
-	// answer is not in any snapshot cache, so it must never arm the ETag
-	// table or the cache ladder.
+	// the empty variant with no format and travels on to the backend,
+	// whose parser owns the precise 400: no cache read or table entry may
+	// answer in the backend's place. A simulation has no format either:
+	// its answer is not in any snapshot cache.
 	if req.URL.Path == "/v1/mesh" {
-		plan.format = "vtk"
 		if sp, err := wire.ResolveMeshSpec(specJSON, req.URL.Query()); err == nil {
-			plan.variant, plan.format, plan.exact = sp.Variant(), sp.Format, plan.raw != nil
+			plan.variant, plan.format = sp.Variant(), sp.Format
 		}
 	} else if specJSON != nil {
 		if sp, err := wire.ParseSimSpec(specJSON); err == nil {
@@ -384,7 +325,7 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 // as on the ladder — and the body follows. Read and forward are one
 // attempt, so a gone blob costs a small round trip and no retry token. A
 // transport failure of the read is the attempt's, as a forward's would be.
-func (r *Router) send(req *http.Request, backend string, body io.Reader, plan routePlan, keyed bool) (*http.Response, error) {
+func (r *Router) send(req *http.Request, backend string, plan routePlan, keyed bool) (*http.Response, error) {
 	if keyed {
 		resp, err := r.probeCache(req, backend, plan)
 		if err != nil || resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
@@ -396,29 +337,24 @@ func (r *Router) send(req *http.Request, backend string, body io.Reader, plan ro
 			r.etags.dropIf(plan.routeKey, backend)
 		}
 	}
-	return r.forward(req, backend, body, plan)
+	return r.forward(req, backend, plan)
 }
 
-// forward sends the request, body and all, to backend. The original
-// request's context — and with it the client's deadline and disconnect —
-// governs the round trip, so a backend never works for a caller that
-// already gave up, and the backend's own deadline-based admission sees
-// the true budget.
-func (r *Router) forward(orig *http.Request, backend string, body io.Reader, plan routePlan) (*http.Response, error) {
+// forward sends the request, its buffered body replayed, to backend.
+// The original request's context — and with it the client's deadline
+// and disconnect — governs the round trip, so a backend never works for
+// a caller that already gave up, and the backend's own deadline-based
+// admission sees the true budget.
+func (r *Router) forward(orig *http.Request, backend string, plan routePlan) (*http.Response, error) {
 	if faultinject.Fire(faultinject.ProxyDialFail) {
 		return nil, errInjectedDial
 	}
 	req, err := http.NewRequestWithContext(orig.Context(), orig.Method,
-		backend+orig.URL.RequestURI(), body)
+		backend+orig.URL.RequestURI(), bytes.NewReader(plan.raw))
 	if err != nil {
 		return nil, err
 	}
 	copyHeaders(req.Header, orig.Header)
-	if plan.raw != nil {
-		req.ContentLength = int64(len(plan.raw))
-	} else {
-		req.ContentLength = orig.ContentLength
-	}
 	return r.cfg.Transport.RoundTrip(req)
 }
 
@@ -609,7 +545,6 @@ type Stats struct {
 	ProxiedJobs        int64          `json:"proxied_jobs"`
 	CompletedJobs      int64          `json:"completed_jobs"`
 	FailedJobs         int64          `json:"failed_jobs"`
-	FlightJoins        int64          `json:"flight_joins"`
 	ReplicaCacheHits   int64          `json:"replica_cache_hits"`
 	ReplicaCacheMisses int64          `json:"replica_cache_misses"`
 	ETag304s           int64          `json:"etag_304s"`
@@ -618,7 +553,6 @@ type Stats struct {
 	Retries            int64          `json:"retries"`
 	RetryExhausted     int64          `json:"retry_budget_exhausted"`
 	RetryBudgetTokens  float64        `json:"retry_budget_tokens"`
-	InflightKeys       []string       `json:"inflight_keys,omitempty"`
 
 	// UploadCache is what the upload memo retains.
 	UploadCache wire.MemCacheStats `json:"upload_cache"`
@@ -643,7 +577,6 @@ func (r *Router) Stats() Stats {
 		ProxiedJobs:        r.mJobs.Value(),
 		CompletedJobs:      r.mCompleted.Value(),
 		FailedJobs:         r.mFailed.Value(),
-		FlightJoins:        r.mFlightJoins.Value(),
 		ReplicaCacheHits:   r.mReplicaHits.Value(),
 		ReplicaCacheMisses: r.mReplicaMisses.Value(),
 		ETag304s:           r.mETag304.Value(),
@@ -665,7 +598,6 @@ func (r *Router) Stats() Stats {
 	r.mu.Unlock()
 	st.ETagEntries = r.etags.len()
 	st.UploadCache = r.uploads.Stats()
-	st.InflightKeys = r.InflightKeys()
 	return st
 }
 

@@ -111,6 +111,22 @@ func decodeEnvelope(t *testing.T, body io.Reader) (code, reason string, retryAft
 	return env.Error.Code, env.Error.Reason, env.Error.RetryAfterS
 }
 
+// awaitLearned waits for key's ETag table entry: relay learns it only
+// after the body is out, so a client can finish reading first.
+func awaitLearned(t *testing.T, r *Router, key string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := r.etags.lookup(key); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no ETag entry learned for %s", key)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRelayMidBodyBackendDeath: a backend that sends headers and then
 // dies mid-body must be accounted a transport failure — failed job,
 // transport_error outcome, a strike in the health ledger — not a
@@ -231,60 +247,6 @@ func TestProxyClientCancel499(t *testing.T) {
 	if fails := st.Backends[0].ConsecutiveFails; fails != 0 {
 		t.Fatalf("client cancel blamed the backend (ConsecutiveFails=%d)", fails)
 	}
-	if got := len(r.InflightKeys()); got != 0 {
-		t.Fatalf("%d keys still pinned after cancel", got)
-	}
-}
-
-// TestPlanRouteRejectsBadImageKey: the streaming path must validate
-// X-Pi2md-Image-Key as a full lowercase-hex SHA-256 before using it as
-// a route key. Before the fix, arbitrary client bytes became route
-// keys verbatim.
-func TestPlanRouteRejectsBadImageKey(t *testing.T) {
-	fleet := newStubFleet(t, 2)
-	r := newTestRouter(t, Config{Backends: fleetURLs(fleet)})
-	probeAll(r, fleet)
-	rts := httptest.NewServer(r.Handler())
-	defer rts.Close()
-
-	bad := []struct{ name, key string }{
-		{"too short", "deadbeef"},
-		{"too long", strings.Repeat("a", 65)},
-		{"uppercase hex", strings.Repeat("DEADBEEF00112233", 4)},
-		{"non-hex at right length", strings.Repeat("deadbeef0011223", 4) + "zzzz"},
-		{"path traversal", "../../../../../../etc/passwd/aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"},
-		{"spaces", strings.Repeat("deadbeef0011223 ", 4)},
-	}
-	for _, tc := range bad {
-		resp := postMesh(t, rts, []byte("body"), map[string]string{ImageKeyHeader: tc.key})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
-		}
-		code, reason, _ := decodeEnvelope(t, resp.Body)
-		resp.Body.Close()
-		if code != wire.CodeBadRequest || reason == "" {
-			t.Fatalf("%s: envelope code=%q reason=%q, want %q", tc.name, code, reason, wire.CodeBadRequest)
-		}
-	}
-	// None of the garbage reached a backend or leaked a flight pin.
-	if got := fleet[0].hits.Load() + fleet[1].hits.Load(); got != 0 {
-		t.Fatalf("rejected keys reached backends %d times", got)
-	}
-	if got := len(r.InflightKeys()); got != 0 {
-		t.Fatalf("%d flight pins leaked from rejected keys", got)
-	}
-	st := r.Stats()
-	if int(st.FailedJobs) != len(bad) || st.ProxiedJobs != st.CompletedJobs+st.FailedJobs {
-		t.Fatalf("ledger after rejections: %+v", st)
-	}
-
-	// A well-formed key still routes.
-	resp := postMesh(t, rts, []byte("body"),
-		map[string]string{ImageKeyHeader: strings.Repeat("0123456789abcdef", 4)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid key: status %d, want 200", resp.StatusCode)
-	}
-	resp.Body.Close()
 }
 
 // TestCopyHeadersConnectionNamed: RFC 7230 §6.1 — headers named in the
@@ -619,7 +581,8 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 // lands on the draining node.
 func TestRouterDrainHandoff(t *testing.T) {
 	raw := "0123456789abcdef"
-	imageKey := strings.Repeat("0123456789abcdef", 4)
+	upload := []byte("any-body")
+	imageKey := wire.ImageKey(upload)
 	fleet := newCacheFleet(t, 2, raw)
 	fleet[0].drainKeys = []map[string]string{
 		{"image_key": imageKey, "variant": "", "etag": raw},
@@ -675,8 +638,7 @@ func TestRouterDrainHandoff(t *testing.T) {
 
 	// The handoff pays off immediately: a conditional request for the
 	// drained node's key is answered 304 by the router, touching nobody.
-	resp = postMesh(t, rts, []byte("any-body"), map[string]string{
-		ImageKeyHeader:  imageKey,
+	resp = postMesh(t, rts, upload, map[string]string{
 		"If-None-Match": wire.EntityTag(raw, "vtk"),
 	})
 	resp.Body.Close()
@@ -693,7 +655,7 @@ func TestRouterDrainHandoff(t *testing.T) {
 	// A non-conditional request for that key finds the recorded server
 	// unhealthy and reads the survivor's cache instead of re-meshing.
 	fleet[1].cached.Store(true)
-	resp = postMesh(t, rts, []byte("any-body"), map[string]string{ImageKeyHeader: imageKey})
+	resp = postMesh(t, rts, upload, nil)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || string(body) != "cached-"+fleet[1].id {
@@ -797,14 +759,13 @@ func TestETagStaleDropOnMiss(t *testing.T) {
 	}
 }
 
-// TestStreamedSimulateNeverCacheAnswered: a simulation's answer lives in
-// no snapshot cache, so even with the key's mesh entity in the ETag
-// table and its last-known server gone — everything that arms the
-// replica ladder and the local 304 for /v1/mesh — a streamed
-// /v1/simulate must be forwarded and answered by a backend's solver.
-// Before the fix the key-header path set a format whatever the route,
-// and the cached mesh (or a local 304) came back as the simulation.
-func TestStreamedSimulateNeverCacheAnswered(t *testing.T) {
+// TestSimulateNeverCacheAnswered: a simulation's answer lives in no
+// snapshot cache, so even with the key's mesh entity in the ETag table
+// and its last-known server gone — everything that arms the replica
+// ladder and the local 304 for /v1/mesh — a /v1/simulate must be
+// forwarded and answered by a backend's solver, never by the cached
+// mesh or a local 304.
+func TestSimulateNeverCacheAnswered(t *testing.T) {
 	raw := "0123456789abcdef"
 	fleet := newCacheFleet(t, 2, raw)
 	for _, b := range fleet {
@@ -816,15 +777,15 @@ func TestStreamedSimulateNeverCacheAnswered(t *testing.T) {
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
 
-	imageKey := strings.Repeat("0123456789abcdef", 4)
+	upload := []byte("spec-and-image")
+	imageKey := wire.ImageKey(upload)
 	r.etags.learn(routeKey(imageKey, ""), raw, dead)
 
 	for name, inm := range map[string]string{"ladder": "", "local 304": wire.EntityTag(raw, "vtk")} {
-		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/simulate", strings.NewReader("spec-and-image"))
+		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/simulate", bytes.NewReader(upload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(ImageKeyHeader, imageKey)
 		if inm != "" {
 			req.Header.Set("If-None-Match", inm)
 		}
@@ -849,6 +810,67 @@ func TestStreamedSimulateNeverCacheAnswered(t *testing.T) {
 	}
 	if _, ok := r.etags.lookup(routeKey(imageKey, "")); !ok {
 		t.Error("the simulation dropped the mesh's ETag entry")
+	}
+}
+
+// TestMalformedSpecNeverCacheAnswered: a /v1/mesh whose spec the
+// backend rejects has no cached entity, even when the ETag table knows
+// its image under the default variant. Neither the local 304 nor the
+// replica ladder may answer it: the request reaches a backend, whose
+// parser owns the 400. Before the fix the router routed it under the
+// default variant with format vtk, so a matching If-None-Match got a
+// local 304 and an entry naming a dead backend got a replica's cached
+// mesh.
+func TestMalformedSpecNeverCacheAnswered(t *testing.T) {
+	raw := "0123456789abcdef"
+	fleet := newCacheFleet(t, 2, raw)
+	for _, b := range fleet {
+		b.cached.Store(true)
+	}
+	dead := "http://127.0.0.1:9" // configured but never healthy
+	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead), Replicas: 2})
+	probeAllCache(r, fleet)
+	rts := httptest.NewServer(r.Handler())
+	defer rts.Close()
+
+	upload := []byte("fake-nrrd-payload-malformed-spec")
+	key := meshRouteKey(t, upload)
+	resp := postMesh(t, rts, upload, nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	awaitLearned(t, r, key)
+
+	malformed := func(name string, hdr map[string]string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/mesh?max_radius_edge=0.1", bytes.NewReader(upload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(got), "full-") || resp.Header.Get(wire.CacheOnlyHeader) != "" {
+			t.Errorf("%s: status %d body %q %s=%q, want the backend's own answer",
+				name, resp.StatusCode, got, wire.CacheOnlyHeader, resp.Header.Get(wire.CacheOnlyHeader))
+		}
+	}
+	malformed("matching If-None-Match, healthy backend", map[string]string{"If-None-Match": wire.EntityTag(raw, "vtk")})
+	r.etags.learn(key, raw, dead)
+	malformed("entry naming a dead backend", nil)
+
+	var probes int64
+	for _, b := range fleet {
+		probes += b.probeHits.Load()
+	}
+	if st := r.Stats(); probes != 0 || st.ReplicaCacheHits != 0 || st.ETag304s != 0 {
+		t.Errorf("cache probes=%d replica_cache_hits=%d etag_304s=%d, want none for a rejected spec",
+			probes, st.ReplicaCacheHits, st.ETag304s)
 	}
 }
 

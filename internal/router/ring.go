@@ -8,9 +8,9 @@
 //
 // The layering mirrors the single-node design: Ring owns ownership
 // math and nothing else; the health prober owns membership; Router
-// owns routing, cross-node single-flight pinning, the streaming proxy
-// with its replica-fallback ladder, and metrics. cmd/pi2mrouter is the
-// daemon wrapping a Router in an http.Server.
+// owns routing, the buffering proxy with its replica-fallback ladder,
+// and metrics. cmd/pi2mrouter is the daemon wrapping a Router in an
+// http.Server.
 package router
 
 import (

@@ -16,15 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ImageKeyHeader lets a client that already knows its image's SHA-256
-// (every repeat client does — it is the cache key) opt into the pure
-// streaming path: the router routes on the header and pipes the body
-// through without buffering it. Without the header the router must
-// read the body to derive the key — content-addressed routing cannot
-// pick a backend before it has hashed the content — so it buffers up
-// to MaxRequestBytes, which also buys replica-fallback replay.
-const ImageKeyHeader = "X-Pi2md-Image-Key"
-
 // Proxy outcome labels of pi2mr_proxied_jobs_total.
 const (
 	outcomeOK           = "ok"              // relayed a 2xx/3xx
@@ -48,7 +39,7 @@ type Config struct {
 	// one is required. Trailing slashes are stripped.
 	Backends []string
 	// Replicas bounds the fallback ladder: how many distinct ring
-	// members a buffered request may be tried against (owner first).
+	// members a request may be tried against (owner first).
 	// Default 2.
 	Replicas int
 	// ProbeInterval is the mean health-probe period per backend; the
@@ -59,8 +50,8 @@ type Config struct {
 	// failure count that ejects a backend from the ring. One successful
 	// probe rejoins it. Default 3.
 	FailThreshold int
-	// MaxRequestBytes caps the buffered-body routing path, mirroring
-	// the backend's own cap. Default 64 MiB.
+	// MaxRequestBytes caps the buffered request body, mirroring the
+	// backend's own cap. Default 64 MiB.
 	MaxRequestBytes int64
 	// Transport performs backend HTTP round trips for both proxying
 	// and probing — tests inject partitions here. Default
@@ -107,20 +98,10 @@ type backendState struct {
 	lastErr   string
 }
 
-// flightPin is the cross-node single-flight record for one route key:
-// while any request for the key is in flight, later arrivals are
-// steered to the same backend so they join its local coalescing
-// flight instead of re-running the job on whichever node the ring
-// points at after a membership change.
-type flightPin struct {
-	backend string // last backend an attempt was sent to; "" until first send
-	members int
-}
-
 // Router is the distributed meshing tier: consistent-hash routing of
 // (image key, variant) onto healthy pi2md backends, with health-probed
-// membership, cross-node single-flight pinning, a streaming proxy with
-// replica fallback, and its own metrics registry.
+// membership, a buffering proxy with replica fallback, and its own
+// metrics registry.
 type Router struct {
 	cfg   Config
 	start time.Time
@@ -130,9 +111,6 @@ type Router struct {
 	order    []string // sorted backend names
 	ring     *Ring    // healthy members only; empty ⇒ fail open to allRing
 	allRing  *Ring    // every configured member, fixed at construction
-
-	flightMu sync.Mutex
-	flights  map[string]*flightPin
 
 	// etags remembers which backend last served each route key and with
 	// what entity — the state behind local 304s and replica cache reads.
@@ -158,7 +136,6 @@ type Router struct {
 	mJobs           *metrics.Counter
 	mCompleted      *metrics.Counter
 	mFailed         *metrics.Counter
-	mFlightJoins    *metrics.Counter
 	mProbeFailures  *metrics.Counter
 	mProxySeconds   *metrics.Histogram
 	mReplicaHits    *metrics.Counter
@@ -181,7 +158,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		start:    time.Now(),
 		backends: make(map[string]*backendState, len(cfg.Backends)),
-		flights:  make(map[string]*flightPin),
 		etags:    newETagTable(etagTableSize),
 		uploads:  wire.NewUploadKeys(new(metrics.Counter), new(metrics.Counter), new(metrics.Counter), new(metrics.Gauge)),
 		budget:   newRetryBudget(),
@@ -218,8 +194,6 @@ func New(cfg Config) (*Router, error) {
 		"Jobs answered with a relayed backend response (any status).")
 	r.mFailed = reg.Counter("pi2mr_failed_jobs_total",
 		"Jobs answered with a router-originated error envelope.")
-	r.mFlightJoins = reg.Counter("pi2mr_flight_joins_total",
-		"Requests that joined an already in-flight key's pinned backend.")
 	r.mProbeFailures = reg.Counter("pi2mr_probe_failures_total",
 		"Health probes that failed (timeout, non-200, or injected drop).")
 	r.mProxySeconds = reg.Histogram("pi2mr_proxy_seconds",
@@ -415,47 +389,6 @@ func (r *Router) Owner(key string) string {
 	return r.ring.Owner(key)
 }
 
-// joinFlight registers interest in key and returns the currently
-// pinned backend ("" for a fresh flight) plus whether an existing
-// flight was joined.
-func (r *Router) joinFlight(key string) (string, bool) {
-	r.flightMu.Lock()
-	defer r.flightMu.Unlock()
-	f := r.flights[key]
-	if f == nil {
-		f = &flightPin{}
-		r.flights[key] = f
-		f.members++
-		return "", false
-	}
-	f.members++
-	return f.backend, true
-}
-
-// setPin records the backend the key's current attempt is against.
-func (r *Router) setPin(key, backend string) {
-	r.flightMu.Lock()
-	defer r.flightMu.Unlock()
-	if f := r.flights[key]; f != nil {
-		f.backend = backend
-	}
-}
-
-// leaveFlight drops one member from key's flight, deleting the pin
-// with the last member.
-func (r *Router) leaveFlight(key string) {
-	r.flightMu.Lock()
-	defer r.flightMu.Unlock()
-	f := r.flights[key]
-	if f == nil {
-		return
-	}
-	f.members--
-	if f.members <= 0 {
-		delete(r.flights, key)
-	}
-}
-
 // isHealthy reports whether name is a configured backend currently in
 // the healthy ring. The replica-cache trigger keys off it: a route key
 // whose last-known server is no longer healthy is worth probing the
@@ -487,16 +420,4 @@ func (r *Router) ejectBackend(name string) bool {
 		r.rebuildRingLocked()
 	}
 	return true
-}
-
-// InflightKeys returns the sorted route keys currently pinned.
-func (r *Router) InflightKeys() []string {
-	r.flightMu.Lock()
-	keys := make([]string, 0, len(r.flights))
-	for k := range r.flights {
-		keys = append(keys, k)
-	}
-	r.flightMu.Unlock()
-	sort.Strings(keys)
-	return keys
 }

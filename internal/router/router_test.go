@@ -10,11 +10,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -227,73 +225,6 @@ func TestRouterFailoverToReplica(t *testing.T) {
 	}
 }
 
-// TestRouterCrossNodeSingleFlight: while a key is in flight, a second
-// request for it is steered to the same backend (joining its local
-// coalescing flight) and the pin shows up in /v1/stats.
-func TestRouterCrossNodeSingleFlight(t *testing.T) {
-	fleet := newStubFleet(t, 2)
-	gate := make(chan struct{})
-	for _, b := range fleet {
-		b.gate = gate
-	}
-	r := newTestRouter(t, Config{Backends: fleetURLs(fleet)})
-	probeAll(r, fleet)
-	rts := httptest.NewServer(r.Handler())
-	defer rts.Close()
-
-	body := []byte("fake-nrrd-payload-C")
-	key := meshRouteKey(t, body)
-	nodes := make(chan string, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp := postMesh(t, rts, body, nil)
-			defer resp.Body.Close()
-			nodes <- resp.Header.Get(wire.NodeHeader)
-		}()
-		// First request must be pinned before the second arrives.
-		deadline := time.Now().Add(5 * time.Second)
-		for len(r.InflightKeys()) < 1 {
-			if time.Now().After(deadline) {
-				t.Error("flight never registered")
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	keys := r.InflightKeys()
-	if len(keys) != 1 || keys[0] != key {
-		t.Errorf("inflight keys = %v, want [%s]", keys, key)
-	}
-	// Hold the gate until the second request has reached a backend —
-	// which happens strictly after it joined the flight — so the join
-	// is counted before the first request can complete and unpin.
-	deadline := time.Now().Add(5 * time.Second)
-	for fleet[0].hits.Load()+fleet[1].hits.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never reached a backend")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	close(nodes)
-	var a, b string
-	a = <-nodes
-	b = <-nodes
-	if a != b || a == "" {
-		t.Fatalf("coalescable requests landed on %q and %q, want one backend", a, b)
-	}
-	if st := r.Stats(); st.FlightJoins != 1 {
-		t.Fatalf("flight_joins = %d, want 1", st.FlightJoins)
-	}
-	if got := len(r.InflightKeys()); got != 0 {
-		t.Fatalf("%d keys still pinned after completion", got)
-	}
-}
-
 // TestRouterUnavailableEnvelope: with every backend unreachable the
 // router's 503 carries the shared error envelope and a Retry-After
 // inside the [1,30]s clamp, mirroring the backend's own policy.
@@ -335,34 +266,6 @@ func TestRouterUnavailableEnvelope(t *testing.T) {
 	}
 	if st := r.Stats(); st.ProxiedJobs != st.CompletedJobs+st.FailedJobs {
 		t.Fatalf("ledger unbalanced: %+v", st)
-	}
-}
-
-// TestRouterStreamingKeyHeader: a request carrying X-Pi2md-Image-Key
-// routes on the header — identical headers land together even with
-// different bodies (the backend, not the router, owns content
-// verification).
-func TestRouterStreamingKeyHeader(t *testing.T) {
-	fleet := newStubFleet(t, 3)
-	r := newTestRouter(t, Config{Backends: fleetURLs(fleet)})
-	probeAll(r, fleet)
-	rts := httptest.NewServer(r.Handler())
-	defer rts.Close()
-
-	hdr := map[string]string{ImageKeyHeader: strings.Repeat("deadbeef00112233", 4)}
-	var node string
-	for i := 0; i < 4; i++ {
-		resp := postMesh(t, rts, []byte(fmt.Sprintf("different-body-%d", i)), hdr)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("streamed request %d: status %d", i, resp.StatusCode)
-		}
-		got := resp.Header.Get(wire.NodeHeader)
-		resp.Body.Close()
-		if node == "" {
-			node = got
-		} else if got != node {
-			t.Fatalf("streamed request %d landed on %s, earlier on %s", i, got, node)
-		}
 	}
 }
 

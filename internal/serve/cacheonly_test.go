@@ -27,27 +27,19 @@ func readEnvelope(t *testing.T, body io.Reader) (code, reason string) {
 	return env.Error.Code, env.Error.Reason
 }
 
-// TestCacheOnlyFastPath: the X-Pi2md-Cache-Only header answers straight
-// from the result cache — a hit streams the cached entity without a
-// session lease or a run, a miss is 404 cache_miss without queueing —
-// and keeps working while the node drains.
+// TestCacheOnlyFastPath: the cache-only read, GET /v1/cache/{key},
+// answers straight from the result cache — a hit sends the cached entity
+// without a session lease or a run, a miss is 404 cache_miss without
+// queueing — and keeps working while the node drains.
 func TestCacheOnlyFastPath(t *testing.T) {
 	cache := openTestCache(t, t.TempDir())
 	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
 	client := ts.Client()
 	body := nrrdBody(t, 7)
-	hdr := func(req *http.Request) { req.Header.Set(wire.CacheOnlyHeader, "1") }
 
-	post := func(mod func(*http.Request)) *http.Response {
+	read := func() *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/mesh", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mod != nil {
-			mod(req)
-		}
-		resp, err := client.Do(req)
+		resp, err := client.Get(ts.URL + "/v1/cache/" + wire.ImageKey(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +48,7 @@ func TestCacheOnlyFastPath(t *testing.T) {
 
 	// Cold cache: cache-only is a 404 cache_miss, not a mesh run.
 	checkoutsBefore := srv.pool.Stats().Checkouts
-	resp := post(hdr)
+	resp := read()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cold cache-only: status %d, want 404", resp.StatusCode)
 	}
@@ -73,7 +65,10 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	}
 
 	// Warm the cache with one real mesh.
-	resp = post(nil)
+	resp, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
 	meshed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -87,7 +82,7 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	// Warm cache: cache-only serves the identical entity without a run.
 	checkoutsBefore = srv.pool.Stats().Checkouts
 	runsBefore := srv.mRunSeconds.Count()
-	resp = post(hdr)
+	resp = read()
 	served, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -125,7 +120,7 @@ func TestCacheOnlyFastPath(t *testing.T) {
 	if rz.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining readyz = %d, want 503", rz.StatusCode)
 	}
-	resp = post(hdr)
+	resp = read()
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

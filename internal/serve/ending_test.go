@@ -114,8 +114,8 @@ func envelopeCode(status int, body []byte) string {
 	return env.Error.Code
 }
 
-func (r *endingRig) mesh(query string, image []byte, hdr ...string) ending {
-	return r.do("POST", "/v1/mesh"+query, "application/octet-stream", image, hdr...)
+func (r *endingRig) mesh(query string, image []byte) ending {
+	return r.do("POST", "/v1/mesh"+query, "application/octet-stream", image)
 }
 
 // meshOK is a setup step that must succeed; it keeps the entity tag.
@@ -243,7 +243,9 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 			func(t *testing.T, r *endingRig) ending { return r.mesh("", r.base) },
 			ending{503, wire.CodeBreakerOpen}, map[string]int64{"rejected:breaker_open": 1}},
 		{"cache-only miss", nil,
-			func(t *testing.T, r *endingRig) ending { return r.mesh("", r.base, wire.CacheOnlyHeader, "1") },
+			func(t *testing.T, r *endingRig) ending {
+				return r.do("GET", "/v1/cache/"+wire.ImageKey(r.base), "", nil)
+			},
 			ending{404, wire.CodeCacheMiss}, map[string]int64{"cache_only_miss": 1}},
 		{"undecodable upload", nil,
 			func(t *testing.T, r *endingRig) ending { return r.mesh("", []byte("not an NRRD image")) },
@@ -253,11 +255,6 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 				return withFaults(faultinject.RunPoisoned, 1, func() ending { return r.mesh("", r.base) })
 			},
 			ending{500, wire.CodeInternal}, map[string]int64{"accepted": 1, "failed": 1}},
-		{"cache-only 304, POST /v1/mesh", meshFirst,
-			func(t *testing.T, r *endingRig) ending {
-				return r.mesh("", r.base, wire.CacheOnlyHeader, "1", "If-None-Match", r.etag)
-			},
-			ending{304, ""}, map[string]int64{"cache_only_served": 1}},
 		{"cache-only 304, GET /v1/cache", meshFirst,
 			func(t *testing.T, r *endingRig) ending {
 				return r.do("GET", "/v1/cache/"+wire.ImageKey(r.base), "", nil, "If-None-Match", r.etag)
@@ -321,9 +318,8 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 }
 
 // TestCacheOnly304SameOnBothSurfaces: a cache-only conditional that
-// validates is the same answer whether it arrives as a POST /v1/mesh with
-// X-Pi2md-Cache-Only or as the body-less GET /v1/cache probe — a bare
-// 304 stamped as a cache-only hit, counted once in
+// validates — the body-less GET /v1/cache read, the one cache-only
+// surface — is a bare 304 stamped as a cache-only hit, counted once in
 // pi2md_cache_only_served_total.
 func TestCacheOnly304SameOnBothSurfaces(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: openTestCache(t, t.TempDir())})
@@ -331,18 +327,10 @@ func TestCacheOnly304SameOnBothSurfaces(t *testing.T) {
 	image := nrrdBody(t, 7)
 	_, etag := meshOK(t, c, ts.URL, "", image)
 
-	for _, surface := range []struct {
-		name string
-		req  *http.Request
-	}{
-		{"POST /v1/mesh", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image,
-			wire.CacheOnlyHeader, "1", "If-None-Match", etag)},
-		{"GET /v1/cache", pinReq(t, "GET", ts.URL+"/v1/cache/"+wire.ImageKey(image), "", nil, "If-None-Match", etag)},
-	} {
-		served := srv.mCacheOnlyServed.Value()
-		doPin(t, c, surface.name, surface.req, pin{status: 304, etag: etag, cacheOnly: "hit", sha: sha(nil)})
-		if got := srv.mCacheOnlyServed.Value() - served; got != 1 {
-			t.Errorf("%s: cache_only_served moved by %d, want 1", surface.name, got)
-		}
+	served := srv.mCacheOnlyServed.Value()
+	doPin(t, c, "GET /v1/cache", pinReq(t, "GET", ts.URL+"/v1/cache/"+wire.ImageKey(image), "", nil, "If-None-Match", etag),
+		pin{status: 304, etag: etag, cacheOnly: "hit", sha: sha(nil)})
+	if got := srv.mCacheOnlyServed.Value() - served; got != 1 {
+		t.Errorf("cache_only_served moved by %d, want 1", got)
 	}
 }

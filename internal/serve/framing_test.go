@@ -115,7 +115,6 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 	if !bytes.Equal(hitBody, follower.body) {
 		t.Error("the hit's body differs from the follower's")
 	}
-	framed("cache-only hit", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image, wire.CacheOnlyHeader, "1"))
 	framed("probe", pinReq(t, "GET", ts.URL+"/v1/cache/"+key, "", nil))
 	framed("format=off", pinReq(t, "POST", ts.URL+"/v1/mesh?format=off", "application/octet-stream", image))
 

@@ -175,8 +175,7 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	s.reply(r.Context(), w, &job{
 		key: s.uploads.Of(body), body: body, variant: spec.Variant(), tune: tune(&spec),
 		format: spec.Format, ifNoneMatch: r.Header.Get("If-None-Match"),
-		cacheOnly: r.Header.Get(wire.CacheOnlyHeader) == "1",
-		timeout:   time.Duration(spec.Timeout), spec: &spec,
+		timeout: time.Duration(spec.Timeout), spec: &spec,
 	})
 }
 

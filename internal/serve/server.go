@@ -340,9 +340,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mCacheServed = r.Counter("pi2md_cache_served_jobs_total",
 		"Mesh jobs answered from the persistent result cache without consuming a session.")
 	s.mCacheOnlyServed = r.Counter("pi2md_cache_only_served_total",
-		"Cache-only requests (X-Pi2md-Cache-Only or GET /v1/cache) answered from the result cache.")
+		"Cache-only reads (GET /v1/cache) answered from the result cache.")
 	s.mCacheOnlyMiss = r.Counter("pi2md_cache_only_miss_total",
-		"Cache-only requests answered 404 cache_miss because the pair is not cached.")
+		"Cache-only reads answered 404 cache_miss because the pair is not cached.")
 	s.mSolveSeconds = r.Histogram("pi2md_solve_seconds",
 		"Wall time of the FEM solve stage of /v1/simulate (assembly + CG), off-lease.",
 		[]float64{0.001, 0.01, 0.05, 0.2, 1, 5, 15, 30})
@@ -422,10 +422,8 @@ func newNodeID() string {
 func (s *Server) NodeID() string { return s.nodeID }
 
 // InflightKeys snapshots the coalesce keys with an open single-flight
-// entry — the flight-table introspection a router uses to verify that
-// proxy-joined followers actually landed in an existing flight, and
-// operators use to see what a node is computing right now. Sorted for
-// stable output.
+// entry: the operator's view of what a node is computing right now.
+// Sorted for stable output.
 func (s *Server) InflightKeys() []string {
 	s.flightMu.Lock()
 	keys := make([]string, 0, len(s.flights))
@@ -691,8 +689,7 @@ type Stats struct {
 	BrownedOut    int64   `json:"jobs_browned_out,omitempty"`
 	RejectedOver  int64   `json:"jobs_rejected_overloaded,omitempty"`
 	// InflightKeys are the coalesce keys with an open single-flight
-	// entry right now — how a router (or operator) verifies that
-	// proxy-joined traffic landed in an existing flight.
+	// entry right now: what the node is computing.
 	InflightKeys []string           `json:"inflight_keys,omitempty"`
 	Pool         PoolStats          `json:"pool"`
 	Cache        *cachestore.Stats  `json:"cache,omitempty"`

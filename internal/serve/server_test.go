@@ -579,9 +579,6 @@ func TestPinMeshPath(t *testing.T) {
 		doPin(t, c, "empty upload", pinReq(t, "POST", mesh, octet, nil),
 			pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
 				sha: sha(envelope(wire.CodeBadRequest, "empty body: expected an NRRD label image"))})
-		doPin(t, c, "cache-only miss", pinReq(t, "POST", mesh+"?delta=3", octet, body, wire.CacheOnlyHeader, "1"),
-			pin{status: 404, code: wire.CodeCacheMiss, ctype: "application/json",
-				sha: sha(envelope(wire.CodeCacheMiss, fmt.Sprintf("no cached result for image %.16s… variant %q", wire.ImageKey(body), "d=3,n=0,re=0,fa=0")))})
 
 		srv.AnnounceDrain(0)
 		doPin(t, c, "cached pair while draining", pinReq(t, "POST", mesh, octet, body),
@@ -589,8 +586,6 @@ func TestPinMeshPath(t *testing.T) {
 				sha: sha(envelope(wire.CodeDraining, "serve: server draining"))})
 		doPin(t, c, "conditional while draining", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
 			pin{status: 304, etag: vtkTag, sha: sha(nil)})
-		doPin(t, c, "cache-only while draining", pinReq(t, "POST", mesh, octet, body, wire.CacheOnlyHeader, "1"),
-			pin{status: 200, etag: vtkTag, ctype: "text/vtk", cacheOnly: "hit", sha: sha(vtk)})
 		if n := srv.mRejected.Value("draining"); n != 1 {
 			t.Errorf("brownout=%v: draining rejections = %d, want 1", brownout, n)
 		}

@@ -24,21 +24,21 @@ const StatusClientClosedRequest = 499
 // boot-stable node identity.
 const NodeHeader = "X-Pi2md-Node"
 
-// CacheOnlyHeader is the cache-only fast-path request header on
-// POST /v1/mesh: with value "1" the request is answered straight from
-// the persistent result cache — hit → the full encoded response with
-// its ETag, miss → 404 cache_miss — and never touches the queue, the
-// session pool, coalescing, or breakers. Responses served this way
-// (from the header or from GET /v1/cache) echo the same header with
-// value "hit", so a proxy can prove no meshing happened. Cache-only
-// reads are also served while draining: a draining node stays a read
-// replica until the process exits.
+// CacheOnlyHeader marks a response of the cache-only read,
+// GET /v1/cache/{imageKey}[/{variant}]. That read is answered straight
+// from the persistent result cache — hit → the full encoded response
+// with its ETag, miss → 404 cache_miss — and never touches the queue,
+// the session pool, coalescing, or breakers. Its 200s and 304s carry
+// this header with value "hit", so a proxy can prove no meshing
+// happened. Cache-only reads are also served while draining: a
+// draining node stays a read replica until the process exits.
 const CacheOnlyHeader = "X-Pi2md-Cache-Only"
 
 // ValidImageKey reports whether s has the only shape an image key can
 // have: the full SHA-256 content hash as 64 lowercase hex characters.
-// Both tiers use it to reject client-vouched keys before they become
-// route keys, cache paths, or metric labels.
+// Both tiers use it to reject keys they did not hash themselves (a
+// cache read's path, a drain announcement) before they become table
+// keys or cache paths.
 func ValidImageKey(s string) bool {
 	if len(s) != 64 {
 		return false
