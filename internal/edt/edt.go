@@ -1,6 +1,8 @@
-// Package edt computes the exact Euclidean distance transform and
-// feature transform of a segmented image's surface voxels, in
-// parallel.
+// Package edt computes the exact Euclidean feature transform of a
+// segmented image's surface voxels — for every voxel, the surface voxel
+// nearest it — in parallel. It stores the features only (4 bytes per
+// voxel): a squared distance lives only while its scan line is swept,
+// and a query measures its own distance to the feature.
 //
 // PI2M needs, for an arbitrary query point p, the surface voxel
 // closest to p (paper Section 3: the EDT "returns the surface voxel q
@@ -9,7 +11,8 @@
 // filter of Staubs et al. [56]; this implementation uses the same
 // dimension-by-dimension exact decomposition (lower envelopes of
 // parabolas per scan line, Felzenszwalb-Huttenlocher form of the
-// Maurer recurrence), parallelized across scan lines, which produces
+// Maurer recurrence), parallelized across z-planes for the two
+// in-plane passes and across scan lines for the third, which produces
 // the identical exact transform and likewise scales linearly with the
 // number of workers.
 package edt
@@ -43,16 +46,15 @@ func Compute(im *img.Image, workers int) *Transform {
 	return new(Computer).Compute(im, workers)
 }
 
-// Computer owns the large working buffers of the transform so that
-// repeated Computes on same-sized images reuse them instead of
-// reallocating (the warm path of a run session). The zero value is
-// ready to use.
+// Computer owns the transform's one volume-sized buffer, the features
+// (4 bytes per voxel), so that repeated Computes on same-sized images
+// reuse it instead of reallocating (the warm path of a run session).
+// The zero value is ready to use.
 //
-// Each call to Compute recycles the buffers backing the Transform the
+// Each call to Compute recycles the buffer backing the Transform the
 // previous call on the same Computer returned, invalidating it; the
 // caller owns that lifecycle (a Session only ever keeps the latest).
 type Computer struct {
-	d2   []float64
 	feat []int32
 }
 
@@ -68,64 +70,104 @@ func grow[T any](s []T, n int) []T {
 var inf = math.Inf(1)
 
 // Compute builds the feature transform of im's surface voxels, reusing
-// c's buffers (0 workers means GOMAXPROCS).
+// c's buffer (0 workers means GOMAXPROCS).
+//
+// No squared distance outlives its scan line. A pass's sites are the
+// voxels the previous pass gave a feature, each valued at its squared
+// distance to that feature, recomputed with the arithmetic that
+// previous pass evaluated it with, so bit for bit the value a
+// volume-sized distance buffer would have held; one that overflows to
+// +Inf is no site, as a stored +Inf was none.
 func (c *Computer) Compute(im *img.Image, workers int) *Transform {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nx, ny, nz := im.NX, im.NY, im.NZ
-	n := nx * ny * nz
+	plane := nx * ny
 
-	// d2 holds running squared distance; feat the current best feature.
-	// Neither is cleared: pass 1 writes every element of every row.
-	c.d2 = grow(c.d2, n)
-	c.feat = grow(c.feat, n)
-	d2, feat := c.d2, c.feat
+	// feat is not cleared: pass 1 writes every element of every row.
+	c.feat = grow(c.feat, plane*nz)
+	feat := c.feat
+	invNX := 1 / float64(nx)
 
-	// Pass 1: along X (stride 1), rows indexed by (j,k). Each row finds
-	// its own surface voxels — the seeds, at distance 0 from themselves
-	// — and scans them while the row is hot, so seeding is as parallel
-	// as the scan and no seed list or cleared buffer exists in between.
+	// Passes 1 and 2 stay within one z-plane, so each plane runs both
+	// back to back while its features are in cache.
 	sx, sy, sz := im.Spacing.X, im.Spacing.Y, im.Spacing.Z
-	parallelFor(ny*nz, workers, func(row int, sc *lineScratch) {
-		base := row * nx
-		sc.seeds = im.AppendSurfaceRow(sc.seeds[:0], row%ny, row/ny)
-		if len(sc.seeds) == 0 {
-			for i := base; i < base+nx; i++ {
-				d2[i] = inf
-				feat[i] = -1
+	parallelFor(nz, workers, func(k int, sc *lineScratch) {
+		sc.size(max(nx, ny))
+		q, f, src := sc.q, sc.f, sc.src
+		// Pass 1: along X (stride 1), the plane's rows j. Each row finds
+		// its own surface voxels — the seeds, at distance 0 from
+		// themselves — and scans them while the row is hot, so seeding is
+		// as parallel as the scan and no seed list or cleared buffer
+		// exists in between.
+		for j := 0; j < ny; j++ {
+			base := (k*ny + j) * nx
+			sc.seeds = im.AppendSurfaceRow(sc.seeds[:0], j, k)
+			if len(sc.seeds) == 0 {
+				for i := base; i < base+nx; i++ {
+					feat[i] = -1
+				}
+				continue
 			}
-			return
+			for s, idx := range sc.seeds {
+				q[s], f[s], src[s] = idx-base, 0, int32(idx)
+			}
+			sc.envelope(len(sc.seeds), sx)
+			sc.fill(nx, base, 1, feat)
 		}
-		sc.size(nx)
-		for s, idx := range sc.seeds {
-			sc.q[s], sc.f[s], sc.src[s] = idx-base, 0, int32(idx)
+		// Pass 2: along Y (stride nx), the plane's columns i. A pass-1
+		// feature lies on its voxel's own X row, so their index
+		// difference is the x offset a, and pass 1 evaluated the distance
+		// as a*a + 0.
+		for i := 0; i < nx; i++ {
+			base := k*plane + i
+			n := 0
+			for y, idx := 0, base; y < ny; y, idx = y+1, idx+nx {
+				if v := feat[idx]; v >= 0 {
+					a := sx * float64(idx-int(v))
+					if d := a * a; d != inf {
+						q[n], f[n], src[n] = y, d, v
+						n++
+					}
+				}
+			}
+			if n > 0 {
+				sc.envelope(n, sy)
+				sc.fill(ny, base, nx, feat)
+			}
 		}
-		sc.envelope(len(sc.seeds), sx)
-		sc.fill(nx, sx, base, 1, d2, feat)
 	})
-	// Pass 2: along Y (stride nx), rows indexed by (i,k).
-	parallelFor(nx*nz, workers, func(row int, sc *lineScratch) {
-		i := row % nx
-		k := row / nx
-		base := k*nx*ny + i
-		if n := sc.gather(ny, base, nx, d2, feat); n > 0 {
-			sc.envelope(n, sy)
-			sc.fill(ny, sy, base, nx, d2, feat)
+	// Pass 3: along Z (stride nx*ny), rows indexed by (i,j). A pass-2
+	// feature lies in its voxel's own z-plane, at (fi,fj), and pass 2
+	// evaluated the distance as b*b + f with a, b the x and y offsets and
+	// f = a*a from pass 1, a rounded value. The float64 conversion rounds
+	// a*a the same way, so a platform that fuses multiply-adds fuses only
+	// b*b into the sum, as it did in pass 2's fill.
+	parallelFor(plane, workers, func(row int, sc *lineScratch) {
+		i, j := unindexPlane(row, nx, invNX)
+		sc.size(nz)
+		q, f, src := sc.q, sc.f, sc.src
+		n := 0
+		for z, idx := 0, row; z < nz; z, idx = z+1, idx+plane {
+			if v := feat[idx]; v >= 0 {
+				fi, fj := unindexPlane(int(v)-idx+row, nx, invNX)
+				a := sx * float64(i-fi)
+				b := sy * float64(j-fj)
+				if d := b*b + float64(a*a); d != inf {
+					q[n], f[n], src[n] = z, d, v
+					n++
+				}
+			}
 		}
-	})
-	// Pass 3: along Z (stride nx*ny), rows indexed by (i,j). Nothing
-	// reads the distances after the last pass, so it writes features
-	// only.
-	parallelFor(nx*ny, workers, func(row int, sc *lineScratch) {
-		if n := sc.gather(nz, row, nx*ny, d2, feat); n > 0 {
+		if n > 0 {
 			sc.envelope(n, sz)
-			sc.fill(nz, sz, row, nx*ny, nil, feat)
+			sc.fill(nz, row, plane, feat)
 		}
 	})
 	return &Transform{
 		im: im, feature: feat,
-		plane: nx * ny, invPlane: 1 / float64(nx*ny), invNX: 1 / float64(nx),
+		plane: plane, invPlane: 1 / float64(plane), invNX: invNX,
 	}
 }
 
@@ -152,22 +194,6 @@ func (sc *lineScratch) size(m int) {
 	sc.f = grow(sc.f, m)
 	sc.src = grow(sc.src, m)
 	sc.z = grow(sc.z, m+1)
-}
-
-// gather collects the finite elements of one scan line of length m —
-// first element at base, consecutive ones stride apart in d2/feat —
-// as the line's sites, and returns their number.
-func (sc *lineScratch) gather(m, base, stride int, d2 []float64, feat []int32) int {
-	sc.size(m)
-	q, f, src := sc.q, sc.f, sc.src
-	n := 0
-	for x, i := 0, base; x < m; x, i = x+1, i+stride {
-		if v := d2[i]; v != inf {
-			q[n], f[n], src[n] = x, v, feat[i]
-			n++
-		}
-	}
-	return n
 }
 
 // envelope reduces the first n > 0 sites to the lower envelope of
@@ -205,27 +231,16 @@ func (sc *lineScratch) envelope(n int, s float64) {
 	}
 }
 
-// fill evaluates the envelope along the line: out(x) = min over sites
-// of s²(x-q)² + f(q), with the feature achieving it. d2 may be nil
-// when only the features are wanted.
-func (sc *lineScratch) fill(m int, s float64, base, stride int, d2 []float64, feat []int32) {
-	qs, f, src, z := sc.q, sc.f, sc.src, sc.z
+// fill evaluates the envelope along the line of length m — first
+// element at base, consecutive ones stride apart in feat — writing at
+// each x the feature of the site whose parabola is lowest there.
+func (sc *lineScratch) fill(m, base, stride int, feat []int32) {
+	src, z := sc.src, sc.z
 	k := 0
-	if d2 == nil {
-		for x, i := 0, base; x < m; x, i = x+1, i+stride {
-			for z[k+1] < float64(x) {
-				k++
-			}
-			feat[i] = src[k]
-		}
-		return
-	}
 	for x, i := 0, base; x < m; x, i = x+1, i+stride {
 		for z[k+1] < float64(x) {
 			k++
 		}
-		dx := s * float64(x-qs[k])
-		d2[i] = dx*dx + f[k]
 		feat[i] = src[k]
 	}
 }
@@ -295,12 +310,19 @@ func (t *Transform) NearestSurfaceVoxel(p geom.Vec3) (geom.Vec3, bool) {
 	if rem >= t.plane {
 		fk, rem = fk+1, rem-t.plane
 	}
-	fj := int(float64(rem) * t.invNX)
-	fi := rem - fj*im.NX
-	if fi >= im.NX {
-		fj, fi = fj+1, fi-im.NX
-	}
+	fi, fj := unindexPlane(rem, im.NX, t.invNX)
 	return im.VoxelCenter(fi, fj, fk), true
+}
+
+// unindexPlane splits an offset within one z-plane of row length nx
+// into (i, j) with the same reciprocal estimate and remainder fix-up.
+func unindexPlane(rem, nx int, invNX float64) (i, j int) {
+	j = int(float64(rem) * invNX)
+	i = rem - j*nx
+	if i >= nx {
+		i, j = i-nx, j+1
+	}
+	return i, j
 }
 
 // DistanceToSurface returns the distance (world units) from p to the

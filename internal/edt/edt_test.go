@@ -152,6 +152,24 @@ func TestEDTExactDistanceProperty(t *testing.T) {
 	}
 }
 
+// TestComputerBytesPerVoxel pins the transform's footprint: a cold
+// Compute allocates its feature array (4 B per voxel) and scan-line
+// scratch, nothing else volume-sized — a distance buffer brought back
+// beside the features would triple it.
+func TestComputerBytesPerVoxel(t *testing.T) {
+	im := img.KneePhantom(96, 96, 96)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			new(Computer).Compute(im, 2)
+		}
+	})
+	perVoxel := float64(res.AllocedBytesPerOp()) / float64(im.NumVoxels())
+	t.Logf("cold knee-96 W=2 Compute: %.3f B/voxel", perVoxel)
+	if perVoxel > 4.25 {
+		t.Errorf("a cold Compute allocates %.3f B/voxel, want at most 4.25", perVoxel)
+	}
+}
+
 // BenchmarkEDT times the transform on a warm Computer — the shape a
 // session runs it in — at the two benchmark scales.
 func BenchmarkEDT(b *testing.B) {

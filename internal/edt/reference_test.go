@@ -178,7 +178,34 @@ func TestFeaturesMatchReference(t *testing.T) {
 	}
 }
 
-// TestWarmComputerNoStaleEntries: the buffers are never cleared, so a
+// TestFeaturesMatchReferenceNonDyadic compares against the reference
+// where rounding decides ties: at spacings no power of two divides, a
+// squared distance that is recomputed rather than stored must round
+// exactly as the reference's stored one did, or an equidistant rival
+// wins. Small random images make such ties common.
+func TestFeaturesMatchReferenceNonDyadic(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	densities := []float64{0.01, 0.05, 0.2, 0.5}
+	images := 200
+	if testing.Short() {
+		images = 50
+	}
+	var c Computer
+	for _, sp := range []geom.Vec3{{X: 0.3, Y: 0.7, Z: 0.9}, {X: 1.1, Y: 0.1, Z: 0.2}} {
+		for trial := 0; trial < images; trial++ {
+			nx, ny, nz := 5+rng.Intn(21), 5+rng.Intn(21), 3+rng.Intn(11)
+			dens := densities[trial%len(densities)]
+			im := randomLabels(rng, nx, ny, nz, sp, dens)
+			want := referenceFeatures(im)
+			for _, workers := range []int{1, 2, 3} {
+				requireSameFeatures(t, fmt.Sprintf("%v %dx%dx%d_%g W=%d", sp, nx, ny, nz, dens, workers),
+					c.Compute(im, workers).feature, want)
+			}
+		}
+	}
+}
+
+// TestWarmComputerNoStaleEntries: the buffer is never cleared, so a
 // smaller (and an empty) image after a larger one must still see only
 // its own features.
 func TestWarmComputerNoStaleEntries(t *testing.T) {

@@ -188,3 +188,44 @@ func TestNRRDHeaderLineCapAllowsLegitimate(t *testing.T) {
 		t.Fatalf("legitimate 8KB comment rejected: %v", err)
 	}
 }
+
+// TestReadNRRDAllocatesOneBytePerVoxel: a decode holds the voxel block
+// once — in the image's label slice — whether it is stored raw or
+// gzipped, so a knee-96 decode allocates little beyond one byte per
+// voxel.
+func TestReadNRRDAllocatesOneBytePerVoxel(t *testing.T) {
+	im := KneePhantom(96, 96, 96)
+	var raw bytes.Buffer
+	if err := WriteNRRD(&raw, im); err != nil {
+		t.Fatal(err)
+	}
+	var gzipped bytes.Buffer
+	fmt.Fprintf(&gzipped, "NRRD0004\ntype: uint8\ndimension: 3\nsizes: %d %d %d\nspacings: 1 1 1\nencoding: gzip\n\n",
+		im.NX, im.NY, im.NZ)
+	gz := gzip.NewWriter(&gzipped)
+	gz.Write(labelBytes(im))
+	gz.Close()
+
+	for _, enc := range []struct {
+		name string
+		file []byte
+	}{{"raw", raw.Bytes()}, {"gzip", gzipped.Bytes()}} {
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadNRRD(bytes.NewReader(enc.file)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		perVoxel := float64(res.AllocedBytesPerOp()) / float64(im.NumVoxels())
+		t.Logf("%s: %.3f B/voxel", enc.name, perVoxel)
+		if perVoxel > 1.05 {
+			t.Errorf("%s decode allocates %.3f B/voxel, want at most 1.05", enc.name, perVoxel)
+		}
+		// A decode after many (on a recycled gzip decoder) is still exact.
+		got, err := ReadNRRD(bytes.NewReader(enc.file))
+		if err != nil || !bytes.Equal(labelBytes(got), labelBytes(im)) {
+			t.Errorf("%s: a repeated decode differs from the image (err %v)", enc.name, err)
+		}
+	}
+}
