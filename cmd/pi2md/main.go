@@ -4,8 +4,8 @@
 // cache, Prometheus metrics and graceful drain. Under overload it
 // browns out — serves a coarser mesh, stamped X-Pi2md-Brownout — rather
 // than rejecting. Its ten flags are what a deployment sets; the brownout
-// ladder and hold, breaker, watchdog, coalescing and image-cache bounds
-// are fixed in package serve.
+// ladder and hold, coalescing and image-cache bounds are fixed in
+// package serve.
 //
 //	pi2md -addr :8080 -pool 4 -queue 32 -cache-dir /var/lib/pi2md/cache
 //
@@ -22,7 +22,7 @@
 // finish (bounded by -drain-timeout), and exits. Nothing is written at
 // shutdown: every cached mesh was durable when its request returned, so
 // a kill -9 loses none of them — each boot re-verifies every blob and
-// rebuilds the index from them — and breakers start closed.
+// rebuilds the index from them.
 package main
 
 import (

@@ -2,7 +2,7 @@
 // HTTP proxy that consistent-hashes each job's (image SHA-256, quality
 // variant) key onto a fleet of pi2md backends, so repeat and
 // coalescable traffic for an image lands on the node whose warm
-// sessions, result cache, and circuit breakers already know it.
+// sessions and result cache already know it.
 //
 //	pi2mrouter -addr :8090 -backends http://node1:8080,http://node2:8080
 //

@@ -48,14 +48,12 @@ const (
 	SlowSession
 	// RunPoisoned fails a serving-layer run outright before it starts,
 	// simulating an input that reliably crashes the engine — the
-	// trigger for per-key circuit breakers and session replacement.
+	// trigger for session replacement.
 	RunPoisoned
-	// LeaseLeak stalls a run while it ignores its context, simulating
-	// a wedged run that holds its pool lease past cancellation — the
-	// trigger for the runaway-run watchdog's abandon path.
-	LeaseLeak
-	// _ keeps the slot of a retired point, so the points after it keep
-	// their numbers — and every seed its firing pattern (fire hashes p).
+	// Each _ keeps the slot of a retired point, so the points after it
+	// keep their numbers — and every seed its firing pattern (fire
+	// hashes p).
+	_
 	_
 	// CacheWriteFail fails a cachestore blob write with an I/O error
 	// (EIO-like), exercising the store's degradation to memory-only
@@ -109,8 +107,6 @@ func (p Point) String() string {
 		return "slow-session"
 	case RunPoisoned:
 		return "run-poisoned"
-	case LeaseLeak:
-		return "lease-leak"
 	case CacheWriteFail:
 		return "cache-write-fail"
 	case CacheTornWrite:

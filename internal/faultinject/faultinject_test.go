@@ -128,3 +128,39 @@ func TestAfterSuppressesWarmup(t *testing.T) {
 		t.Fatalf("Checked = %d, want 11 (warm-up checks still count)", got)
 	}
 }
+
+// TestPointNumbersPinned: a point's number seeds its firing pattern
+// (fire hashes p), so a deletion that renumbers the points after it
+// silently changes every chaos seed's faults. Retired points keep their
+// slots as _; these are the numbers and names every seed was tuned on.
+func TestPointNumbersPinned(t *testing.T) {
+	pinned := []struct {
+		p    Point
+		n    int
+		name string
+	}{
+		{LockDeny, 0, "lock-deny"},
+		{CommitDelay, 1, "commit-delay"},
+		{WorkerPanic, 2, "worker-panic"},
+		{DropSteal, 3, "drop-steal"},
+		{SlowEDT, 4, "slow-edt"},
+		{QueueFull, 5, "queue-full"},
+		{SlowSession, 6, "slow-session"},
+		{RunPoisoned, 7, "run-poisoned"},
+		{CacheWriteFail, 10, "cache-write-fail"},
+		{CacheTornWrite, 11, "cache-torn-write"},
+		{CacheBitFlip, 12, "cache-bit-flip"},
+		{CacheENOSPC, 13, "cache-enospc"},
+		{ProxyDialFail, 14, "proxy-dial-fail"},
+		{ProbeFail, 15, "probe-fail"},
+		{BrownoutStuck, 16, "brownout-stuck"},
+	}
+	for _, pin := range pinned {
+		if int(pin.p) != pin.n || pin.p.String() != pin.name {
+			t.Errorf("point %d %q, want %d %q", int(pin.p), pin.p.String(), pin.n, pin.name)
+		}
+	}
+	if NumPoints != 17 {
+		t.Errorf("NumPoints = %d, want 17", NumPoints)
+	}
+}

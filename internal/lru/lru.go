@@ -1,7 +1,7 @@
 // Package lru is the one recency-and-budget index behind every bounded
 // table of the serving tier: the parsed-image, entity and upload caches,
-// the router's ETag table, the breaker table and the result store's
-// index. It is a stdlib-only leaf.
+// the router's ETag table and the result store's index. It is a
+// stdlib-only leaf.
 package lru
 
 import (

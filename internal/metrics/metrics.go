@@ -89,8 +89,8 @@ func (h *Histogram) Sum() float64 {
 // counts: the upper bound of the first bucket whose cumulative count
 // reaches q of the total. Observations in the +Inf overflow bucket
 // clamp to the largest finite bound. Returns 0 with no observations.
-// The estimate is bucket-granular — good enough for retry hints and
-// watchdog limits, which clamp the result anyway.
+// The estimate is bucket-granular — good enough for retry hints, which
+// clamp the result anyway, and the brownout controller's wait estimate.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q <= 0 || q > 1 {
 		return 0

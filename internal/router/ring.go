@@ -1,10 +1,9 @@
 // Package router is the distributed meshing tier: a thin HTTP proxy
 // that consistent-hashes the (image SHA-256, quality variant) key —
-// the same identity the backends use for coalescing, circuit breakers,
-// and the persistent result cache — onto a fleet of pi2md nodes, so
-// repeat and coalescable traffic for an image always lands where its
-// warm state (sessions, EDT transform cache, breakers, cached blobs)
-// already lives.
+// the same identity the backends use for coalescing and the persistent
+// result cache — onto a fleet of pi2md nodes, so repeat and coalescable
+// traffic for an image always lands where its warm state (sessions, EDT
+// transform cache, cached blobs) already lives.
 //
 // The layering mirrors the single-node design: Ring owns ownership
 // math and nothing else; the health prober owns membership; Router

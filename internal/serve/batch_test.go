@@ -391,7 +391,6 @@ func TestCoalesceSlowSession(t *testing.T) {
 // and fanned out, and the leader's session is replaced.
 func TestCoalesceLeaderPanic(t *testing.T) {
 	srv := newBareServer(t, Config{PoolSize: 1})
-	srv.breakers.threshold = breakerNever
 	image := img.SpherePhantom(8)
 	const key = "coalesce-leader-panic"
 

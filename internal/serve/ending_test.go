@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/wire"
@@ -231,17 +232,47 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 				return withFaults(faultinject.QueueFull, 1, func() ending { return r.mesh("", r.base) })
 			},
 			ending{429, wire.CodeQueueFull}, map[string]int64{"rejected:queue_full": 1}},
-		{"open breaker",
+		{"a key whose last three runs failed is run again",
 			func(t *testing.T, r *endingRig) {
 				withFaults(faultinject.RunPoisoned, 3, func() ending {
-					for i := 0; i < 3; i++ { // BreakerThreshold failed leaders trip it
-						r.mesh("", r.base)
+					for i := 0; i < 3; i++ {
+						if e := r.mesh("", r.base); e.status != http.StatusInternalServerError {
+							t.Fatalf("poisoned run %d answered %+v", i, e)
+						}
 					}
 					return ending{}
 				})
 			},
 			func(t *testing.T, r *endingRig) ending { return r.mesh("", r.base) },
-			ending{503, wire.CodeBreakerOpen}, map[string]int64{"rejected:breaker_open": 1}},
+			ending{200, ""}, served},
+		{"leader's deadline ends mid-run", nil,
+			func(t *testing.T, r *endingRig) ending {
+				quarantined, aborts := r.srv.pool.Stats().Quarantines, r.srv.mDeadlineAborts.Value()
+				// The session stalls past the job's deadline between
+				// checkout and run: the run starts on an ended context.
+				defer faultinject.Enable(faultinject.New(faultinject.Config{
+					Rates:    map[faultinject.Point]float64{faultinject.SlowSession: 1},
+					MaxFires: map[faultinject.Point]int64{faultinject.SlowSession: 1},
+					Delay:    200 * time.Millisecond,
+				}))()
+				resp, err := r.ts.Client().Post(r.ts.URL+"/v1/mesh?timeout=50ms", "application/octet-stream", bytes.NewReader(r.base))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				out, _ := io.ReadAll(resp.Body)
+				if resp.Header.Get("Retry-After") == "" {
+					t.Error("deadline 503 carries no Retry-After")
+				}
+				if q := r.srv.pool.Stats().Quarantines; q != quarantined {
+					t.Errorf("quarantines %d -> %d: a session whose run its deadline cut is healthy and stays", quarantined, q)
+				}
+				if n := r.srv.mDeadlineAborts.Value() - aborts; n != 1 {
+					t.Errorf("deadline aborts moved by %d, want 1", n)
+				}
+				return ending{resp.StatusCode, envelopeCode(resp.StatusCode, out)}
+			},
+			ending{503, wire.CodeDeadline}, map[string]int64{"accepted": 1, "failed": 1}},
 		{"cache-only miss", nil,
 			func(t *testing.T, r *endingRig) ending {
 				return r.do("GET", "/v1/cache/"+wire.ImageKey(r.base), "", nil)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -138,23 +137,19 @@ func badRequest(format string, args ...any) error {
 
 // writeMeshError answers a failed walk, upload or solve: classify's
 // status and envelope code, plus what the ending needs — the entity tag
-// on a 304 (the client keeps validating with it), the breaker's own
-// Retry-After on breaker_open (it knows when it will admit a probe), the
-// queue-derived one on the other capacity codes (a canceled client is
-// not invited back). Every endpoint answers through it, so no two can
+// on a 304 (the client keeps validating with it), the queue-derived
+// Retry-After on the capacity codes (a canceled client is not invited
+// back). Every endpoint answers through it, so no two can
 // disagree on what a rejection looks like.
 func (s *Server) writeMeshError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
 	var notMod *notModified
-	var brkOpen *BreakerOpenError
 	switch {
 	case errors.As(err, &notMod):
 		w.Header().Set("ETag", notMod.entity)
 		w.WriteHeader(status)
 		return
-	case errors.As(err, &brkOpen):
-		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(brkOpen.RetryAfter.Seconds())))))
-	case code == wire.CodeQueueFull, code == wire.CodeDeadline, code == wire.CodeWatchdog, code == wire.CodeOverloaded:
+	case code == wire.CodeQueueFull, code == wire.CodeDeadline, code == wire.CodeOverloaded:
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
 	wire.WriteError(w, status, code, "%v", err)

@@ -17,9 +17,9 @@ var ErrPoolClosed = errors.New("serve: pool closed")
 
 // Pool multiplexes work over a fixed number of warm core.Sessions.
 // Checkout hands out an exclusive Lease on the session released last;
-// Release returns it. A slot whose session failed, was abandoned or
-// sat idle too long gets a fresh, empty session in the same critical
-// section (replaceLocked), so every slot is always schedulable.
+// Release returns it. A slot whose session failed or sat idle too long
+// gets a fresh, empty session in the same critical section
+// (replaceLocked), so every slot is always schedulable.
 //
 // The pool relies on core.Session's busy-rejection contract
 // (ErrSessionBusy) only as a backstop: leases already guarantee
@@ -45,7 +45,7 @@ type Pool struct {
 
 	checkouts   int64
 	evictions   int64
-	quarantines int64 // bad or abandoned sessions replaced
+	quarantines int64 // bad sessions replaced
 
 	// sessions sums the reuse counters of every run a lease has finished
 	// (Lease.RunTuned's before/after delta), so Stats never has to ask a
@@ -104,9 +104,8 @@ type Lease struct {
 	released bool
 
 	// bad is the health outcome the caller recorded for this lease's
-	// runs (MarkBad); abandoned marks a lease detached by the watchdog.
-	bad       bool
-	abandoned bool
+	// runs (MarkBad).
+	bad bool
 
 	// ran, edtHit and warm record the session's use and reuse behavior
 	// across the lease's runs.
@@ -236,10 +235,9 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 func (l *Lease) MarkBad() { l.bad = true }
 
 // Release returns the session to the pool; the session of a lease
-// marked bad is closed and replaced instead. Idempotent; a no-op on
-// leases detached by Abandon.
+// marked bad is closed and replaced instead. Idempotent.
 func (l *Lease) Release() {
-	if l.released || l.abandoned {
+	if l.released {
 		return
 	}
 	l.released = true
@@ -263,37 +261,8 @@ func (l *Lease) Release() {
 	}
 }
 
-// Abandon detaches a lease whose run ignored cancellation: the slot
-// gets a fresh session at once, so pool capacity never drops, while the
-// wedged session stays out of the pool. The caller must invoke
-// FinishAbandoned once the runaway run finally returns, to close the
-// detached session — Close would block until then. Idempotent.
-func (l *Lease) Abandon() {
-	p := l.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l.released || l.abandoned {
-		return
-	}
-	l.abandoned = true
-	if !p.closed {
-		p.quarantines++
-		p.replaceLocked(l.e)
-	}
-	p.putLocked(l.e)
-}
-
-// FinishAbandoned closes the session detached by Abandon. Call it
-// after the runaway run has returned; Close blocks until the session
-// is idle, so calling it early stalls the caller, not the pool.
-func (l *Lease) FinishAbandoned() {
-	if l.abandoned {
-		l.s.Close()
-	}
-}
-
 // replaceLocked (p.mu held) is the one way a slot changes sessions —
-// after a bad lease, an abandoned one or an idle eviction: it installs
+// after a bad lease or an idle eviction: it installs
 // a fresh, empty session and returns the old one for the caller to
 // close once p.mu is released.
 func (p *Pool) replaceLocked(e *poolEntry) *core.Session {

@@ -50,11 +50,6 @@ var (
 	// server-capacity signal: the client went away, so the HTTP layer
 	// answers 499 without a Retry-After.
 	ErrCanceled = errors.New("serve: canceled by the caller before a session was available")
-	// ErrWatchdog fails a job whose run (or solve) was still going
-	// abandonGrace after its deadline ended its context; a run's session
-	// was abandoned and replaced rather than leaked. The HTTP layer
-	// answers 503 with a Retry-After.
-	ErrWatchdog = errors.New("serve: run abandoned by the runaway-run watchdog")
 )
 
 // ImageKey and NodeHeader are wire's, kept under these names for the
@@ -81,8 +76,8 @@ type Config struct {
 	MaxRequestBytes int64
 	// Cache is the optional persistent result cache. When set, a
 	// (image, variant) pair already stored is served from disk without
-	// consuming a pool session or consulting breakers, and every
-	// completed leader run is persisted off-lease.
+	// consuming a pool session, and every completed leader run is
+	// persisted off-lease.
 	Cache *cachestore.Store
 	// Brownout enables the adaptive quality-brownout controller: under
 	// queue or deadline pressure, /v1/mesh requests are rewritten to a
@@ -111,17 +106,6 @@ const (
 	// coalesceLimit jobs, leader included, may share one run: a full
 	// flight bounds what one leader's failure fans out to.
 	coalesceLimit = 32
-	// breakerThreshold consecutive failed leaders open a key's breaker:
-	// one failure can be bad luck, three in a row is the input.
-	breakerThreshold = 3
-	// breakerCooldown is how long an open breaker fast-fails its key
-	// before one half-open probe — a few runs' time, not a client's
-	// whole retry budget.
-	breakerCooldown = 5 * time.Second
-	// abandonGrace is how long a run or a solve may outlive its deadline
-	// before the watchdog gives up on it: ample for a run that polls its
-	// context every few operations.
-	abandonGrace = 2 * time.Second
 	// solveTimeout caps a /v1/simulate solve, whatever budget the spec
 	// asks for: the solve runs off-lease, so this bounds the CPU a
 	// hostile spec can reserve, not session occupancy.
@@ -168,18 +152,13 @@ type Server struct {
 
 	// flights is the single-flight table: one entry per in-progress
 	// (image key, tuning variant) pair; followers subscribe instead of
-	// consuming a session. breakers shares flightMu: both tables decide
-	// who may lead a run for a coalesce key, so they move under one
-	// lock.
+	// consuming a session.
 	flightMu sync.Mutex
 	flights  map[string]*flight
-	breakers *breakerTable
 
 	// coalesceMax caps a flight's members, leader included (coalesceLimit;
-	// 1 forbids joining). watchdogGrace is how long a run or a solve may
-	// outlive its deadline before it is abandoned (abandonGrace).
-	coalesceMax   int
-	watchdogGrace time.Duration
+	// 1 forbids joining).
+	coalesceMax int
 
 	// retryJitter randomizes the Retry-After hint (±20%) so
 	// synchronized clients don't retry in lockstep; injectable for
@@ -199,31 +178,29 @@ type Server struct {
 	uploads  *wire.UploadKeys
 
 	// Metrics (the catalogue documented in DESIGN.md "Serving layer").
-	reg               *metrics.Registry
-	mRequests         *metrics.CounterVec // pi2md_http_requests_total{code}
-	mAccepted         *metrics.Counter
-	mCompleted        *metrics.Counter
-	mFailed           *metrics.Counter
-	mRejected         *metrics.CounterVec // pi2md_jobs_rejected_total{reason}
-	mCoalesced        *metrics.Counter
-	mQueueWait        *metrics.Histogram
-	mRunSeconds       *metrics.Histogram
-	mLeaseSeconds     *metrics.Histogram
-	mSnapshotBytes    *metrics.Histogram
-	mCells            *metrics.Counter
-	mCellsPerSec      *metrics.Gauge
-	mRollbacks        *metrics.Counter
-	mAborted          *metrics.Counter
-	mWatchdogKills    *metrics.Counter
-	mWatchdogAbandons *metrics.Counter
-	mBreakerTrips     *metrics.Counter
-	mCacheServed      *metrics.Counter
-	mCacheOnlyServed  *metrics.Counter
-	mCacheOnlyMiss    *metrics.Counter
-	mSolveSeconds     *metrics.Histogram  // pi2md_solve_seconds
-	mSolveIters       *metrics.Histogram  // pi2md_solve_iterations
-	mSimJobs          *metrics.CounterVec // pi2md_simulate_jobs_total{outcome}
-	mBrownedOut       *metrics.CounterVec // pi2md_browned_out_jobs_total{tier}
+	reg              *metrics.Registry
+	mRequests        *metrics.CounterVec // pi2md_http_requests_total{code}
+	mAccepted        *metrics.Counter
+	mCompleted       *metrics.Counter
+	mFailed          *metrics.Counter
+	mRejected        *metrics.CounterVec // pi2md_jobs_rejected_total{reason}
+	mCoalesced       *metrics.Counter
+	mQueueWait       *metrics.Histogram
+	mRunSeconds      *metrics.Histogram
+	mLeaseSeconds    *metrics.Histogram
+	mSnapshotBytes   *metrics.Histogram
+	mCells           *metrics.Counter
+	mCellsPerSec     *metrics.Gauge
+	mRollbacks       *metrics.Counter
+	mAborted         *metrics.Counter
+	mDeadlineAborts  *metrics.Counter
+	mCacheServed     *metrics.Counter
+	mCacheOnlyServed *metrics.Counter
+	mCacheOnlyMiss   *metrics.Counter
+	mSolveSeconds    *metrics.Histogram  // pi2md_solve_seconds
+	mSolveIters      *metrics.Histogram  // pi2md_solve_iterations
+	mSimJobs         *metrics.CounterVec // pi2md_simulate_jobs_total{outcome}
+	mBrownedOut      *metrics.CounterVec // pi2md_browned_out_jobs_total{tier}
 
 	// lastRuns is a ring of recent run summaries for /v1/stats.
 	lastMu   sync.Mutex
@@ -251,8 +228,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
 	s.flights = make(map[string]*flight)
-	s.breakers = newBreakerTable(breakerThreshold, breakerCooldown)
-	s.coalesceMax, s.watchdogGrace = coalesceLimit, abandonGrace
+	s.coalesceMax = coalesceLimit
 	s.retryJitter = rand.Float64
 	if cfg.Brownout {
 		s.brownout = newBrownoutController(brownoutLadder, brownoutHold, cfg.QueueDepth)
@@ -320,23 +296,11 @@ func NewServer(cfg Config) (*Server, error) {
 	r.CounterFunc("pi2md_pool_evictions_total",
 		"Idle sessions evicted to release their retained memory.",
 		poolStat(func(st PoolStats) int64 { return st.Evictions }))
-	s.mWatchdogKills = r.Counter("pi2md_watchdog_kills_total",
-		"Runs still going when their job deadline — the watchdog's limit — ended their context.")
-	s.mWatchdogAbandons = r.Counter("pi2md_watchdog_abandoned_total",
-		"Runs that ignored the end of their context past the grace window; their sessions were replaced.")
-	s.mBreakerTrips = r.Counter("pi2md_breaker_trips_total",
-		"Circuit-breaker transitions into the open state.")
+	s.mDeadlineAborts = r.Counter("pi2md_deadline_aborts_total",
+		"Runs still going when their job deadline ended their context.")
 	r.CounterFunc("pi2md_sessions_quarantined_total",
-		"Bad sessions replaced with a fresh one at release (failed, panicked, aborted, or abandoned runs).",
+		"Bad sessions replaced with a fresh one at release (failed, panicked, or aborted runs).",
 		poolStat(func(st PoolStats) int64 { return st.Quarantines }))
-	r.GaugeFunc("pi2md_breaker_state",
-		"Coalesce keys whose circuit breaker is currently open or half-open.",
-		func() float64 {
-			s.flightMu.Lock()
-			n := s.breakers.openCountLocked()
-			s.flightMu.Unlock()
-			return float64(n)
-		})
 	s.mCacheServed = r.Counter("pi2md_cache_served_jobs_total",
 		"Mesh jobs answered from the persistent result cache without consuming a session.")
 	s.mCacheOnlyServed = r.Counter("pi2md_cache_only_served_total",
@@ -350,7 +314,7 @@ func NewServer(cfg Config) (*Server, error) {
 		"CG iterations of completed /v1/simulate solves.",
 		[]float64{10, 30, 100, 300, 1000, 3000, 10000})
 	s.mSimJobs = r.CounterVec("pi2md_simulate_jobs_total",
-		"Simulation jobs by outcome: ok, bad_request (pre-mesh), mesh_failed, and the post-mesh failures (bad_bc, solve_failed, canceled, deadline, watchdog).", "outcome")
+		"Simulation jobs by outcome: ok, bad_request (pre-mesh), mesh_failed, and the post-mesh failures (bad_bc, solve_failed, canceled, deadline).", "outcome")
 	s.mBrownedOut = r.CounterVec("pi2md_browned_out_jobs_total",
 		"Mesh jobs served at a degraded quality tier by the brownout controller, by tier.", "tier")
 	r.GaugeFunc("pi2md_brownout_tier",
@@ -485,8 +449,8 @@ func (s *Server) CacheETag(key, variant string) (string, bool) {
 
 // runOnce is the walk's tail for a leader — the one actual meshing run
 // under admission control: a checkout (free sessions bypass the queue
-// entirely, the pool bounds the waiters), the supervised
-// run under the job deadline, the snapshot copy-out that ends the lease
+// entirely, the pool bounds the waiters), the run under the job
+// deadline, the snapshot copy-out that ends the lease
 // before any encoding, and the off-lease persist into the result cache.
 // Coalesced followers never reach this function.
 func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) {
@@ -522,14 +486,9 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	faultinject.Sleep(faultinject.SlowSession)
 
 	runStart := time.Now()
-	res, err := s.superviseRun(jctx, lease, j.image, j.tune)
-	if errors.Is(err, ErrWatchdog) {
-		// The run ignored cancellation past the grace window. Its lease
-		// was abandoned (Release above is now a no-op) and the slot given
-		// a fresh session; the run's true wall time is unknowable here, so
-		// mRunSeconds is deliberately not observed — the invariant is
-		// runs == accepted − coalesced − watchdog_abandoned.
-		return nil, err
+	res, err := s.guardedRun(jctx, lease, j.image, j.tune)
+	if errors.Is(jctx.Err(), context.DeadlineExceeded) {
+		s.mDeadlineAborts.Inc()
 	}
 	s.mRunSeconds.Observe(time.Since(runStart).Seconds())
 	if err != nil {
@@ -599,42 +558,10 @@ func (s *Server) guardedRun(ctx context.Context, lease *Lease, image *img.Image,
 			err = fmt.Errorf("serve: run panicked: %v", r)
 		}
 	}()
-	// Injectable wedge: the run stalls while ignoring its context —
-	// exactly the failure the watchdog's abandon path exists for.
-	faultinject.Sleep(faultinject.LeaseLeak)
 	if faultinject.Fire(faultinject.RunPoisoned) {
 		return nil, errors.New("serve: injected run-poisoned failure")
 	}
 	return lease.RunTuned(ctx, image, tune)
-}
-
-// superviseRun runs the job under the watchdog (see supervise). A run
-// that comes back within the grace window after its deadline is
-// classified by the normal outcome path (it reads as a mid-flight
-// deadline abort). One that does not has its lease abandoned — the pool
-// gives the slot a fresh session — and a reaper goroutine closes the wedged session whenever the run finally
-// returns.
-func (s *Server) superviseRun(jctx context.Context, lease *Lease, image *img.Image, tune func(*core.Config)) (*core.Result, error) {
-	// Written by the run's goroutine, read only once it has finished: an
-	// abandoned run may still write them long after this returns.
-	var res *core.Result
-	var err error
-	done, finished := supervise(jctx, s.watchdogGrace, func() {
-		res, err = s.guardedRun(jctx, lease, image, tune)
-	})
-	if errors.Is(jctx.Err(), context.DeadlineExceeded) {
-		s.mWatchdogKills.Inc()
-	}
-	if finished {
-		return res, err
-	}
-	s.mWatchdogAbandons.Inc()
-	lease.Abandon()
-	go func() {
-		<-done
-		lease.FinishAbandoned()
-	}()
-	return nil, fmt.Errorf("%w: run ignored the end of its deadline for %v", ErrWatchdog, s.watchdogGrace)
 }
 
 // abortedByCaller reports whether an aborted run was cut short first
@@ -677,11 +604,7 @@ type Stats struct {
 	RejectedFull  int64   `json:"jobs_rejected_queue_full"`
 	RejectedDL    int64   `json:"jobs_rejected_deadline"`
 	RejectedCancl int64   `json:"jobs_rejected_canceled"`
-	RejectedBrkr  int64   `json:"jobs_rejected_breaker_open"`
-	WatchdogKills int64   `json:"watchdog_kills"`
-	WatchdogAband int64   `json:"watchdog_abandoned"`
-	BreakersOpen  int     `json:"breakers_open"`
-	BreakerTrips  int64   `json:"breaker_trips"`
+	DeadlineAbort int64   `json:"deadline_aborts"`
 	CacheServed   int64   `json:"jobs_cache_served"`
 	CacheOnly     int64   `json:"jobs_cache_only_served,omitempty"`
 	CacheOnlyMiss int64   `json:"jobs_cache_only_miss,omitempty"`
@@ -704,9 +627,6 @@ func (s *Server) Stats() Stats {
 	s.lastMu.Lock()
 	recent := append([]JobSummary(nil), s.lastRuns...)
 	s.lastMu.Unlock()
-	s.flightMu.Lock()
-	breakersOpen := s.breakers.openCountLocked()
-	s.flightMu.Unlock()
 	var cacheStats *cachestore.Stats
 	if s.cache != nil {
 		st := s.cache.Stats()
@@ -729,11 +649,7 @@ func (s *Server) Stats() Stats {
 		RejectedFull:  s.mRejected.Value("queue_full"),
 		RejectedDL:    s.mRejected.Value("deadline"),
 		RejectedCancl: s.mRejected.Value("canceled"),
-		RejectedBrkr:  s.mRejected.Value("breaker_open"),
-		WatchdogKills: s.mWatchdogKills.Value(),
-		WatchdogAband: s.mWatchdogAbandons.Value(),
-		BreakersOpen:  breakersOpen,
-		BreakerTrips:  s.mBreakerTrips.Value(),
+		DeadlineAbort: s.mDeadlineAborts.Value(),
 		CacheServed:   s.mCacheServed.Value(),
 		CacheOnly:     s.mCacheOnlyServed.Value(),
 		CacheOnlyMiss: s.mCacheOnlyMiss.Value(),
@@ -778,8 +694,7 @@ func (s *Server) AnnounceDrain(limit int) []cachestore.KeyInfo {
 // ErrDraining, in-flight jobs (coalesced followers included) run to
 // completion (bounded by ctx), and the pool is closed. It returns
 // ctx.Err() if the wait was cut short (the pool is closed regardless).
-// It writes nothing: breakers are process state and start closed on the
-// next boot. The caller owns closing the cache store itself.
+// It writes nothing; the caller owns closing the cache store itself.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})

@@ -129,15 +129,12 @@ func sourceFunc(src *wire.SourceSpec) func(geom.Vec3) float64 {
 	}
 }
 
-// runSolve assembles and solves the spec's problem on the snapshot,
-// supervised exactly like a meshing run: the solve runs under a
-// deadline (budget), CG observes it cooperatively every few iterations,
-// and a solve that somehow ignores cancellation past the watchdog grace is
-// abandoned to its goroutine (it holds only heap memory, no session)
-// with ErrWatchdog rather than wedging the request forever. Everything
-// runs off-lease — the mesh session was released before this function
-// is called. A failure comes back as the typed ending classify reads:
-// ErrCanceled, ErrDeadline, ErrWatchdog, or a 400/500 requestError.
+// runSolve assembles and solves the spec's problem on the snapshot on
+// the request's own goroutine: the solve runs under a deadline (budget)
+// that CG observes cooperatively every few iterations. Everything runs
+// off-lease — the mesh session was released before this function is
+// called. A failure comes back as the typed ending classify reads:
+// ErrCanceled, ErrDeadline, or a 400/500 requestError.
 func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wire.SimSpec) (*fem.Solution, map[int32]float64, error) {
 	dirichlet, err := dirichletFromSpec(snap, spec.Dirichlet)
 	if err != nil {
@@ -167,28 +164,20 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 	solveCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	// Written by the solve's goroutine, read only once it has finished.
 	var sol *fem.Solution
-	var solveErr error
-	_, finished := supervise(solveCtx, s.watchdogGrace, func() {
-		var sys *fem.System
-		sys, solveErr = fem.Assemble(&fem.Problem{
-			Mesh:         snap,
-			Conductivity: conductivity,
-			Source:       sourceFunc(spec.Source),
-			Dirichlet:    dirichlet,
-		})
-		if solveErr == nil {
-			sol, solveErr = sys.SolveCtx(solveCtx, fem.SolveOptions{
-				Tol:     spec.Solve.Tol,
-				MaxIter: spec.Solve.MaxIter,
-			})
-		}
+	sys, solveErr := fem.Assemble(&fem.Problem{
+		Mesh:         snap,
+		Conductivity: conductivity,
+		Source:       sourceFunc(spec.Source),
+		Dirichlet:    dirichlet,
 	})
+	if solveErr == nil {
+		sol, solveErr = sys.SolveCtx(solveCtx, fem.SolveOptions{
+			Tol:     spec.Solve.Tol,
+			MaxIter: spec.Solve.MaxIter,
+		})
+	}
 	switch {
-	case !finished:
-		return nil, nil, fmt.Errorf("%w: solve exceeded %v and ignored cancellation for %v",
-			ErrWatchdog, budget, s.watchdogGrace)
 	case errors.Is(solveErr, context.Canceled):
 		return nil, nil, &stageError{ErrCanceled, "solve canceled: " + solveErr.Error()}
 	case errors.Is(solveErr, context.DeadlineExceeded):
@@ -203,7 +192,7 @@ func (s *Server) runSolve(ctx context.Context, snap *core.MeshSnapshot, spec *wi
 
 // handleSimulate is POST /v1/simulate: a multipart request ("spec"
 // JSON + "image" NRRD) is meshed through the exact pipeline /v1/mesh
-// uses — same admission, coalescing, persistent cache, and supervision;
+// uses — same admission, coalescing, persistent cache, and deadline;
 // a cached or coalesced mesh skips straight to the solve — then the
 // FEM problem is assembled and solved off-lease under its own budget,
 // and the field returns as VTK POINT_DATA with a JSON summary.
@@ -237,7 +226,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Solve stage, off-lease and supervised under its own budget.
+	// Solve stage, off-lease under its own budget.
 	solveStart := time.Now()
 	sol, dirichlet, err := s.runSolve(r.Context(), sr.Snapshot, &spec)
 	solveSecs := time.Since(solveStart).Seconds()

@@ -72,10 +72,6 @@ func classify(err error) (status int, code string) {
 		return http.StatusTooManyRequests, wire.CodeQueueFull
 	case errors.Is(err, ErrDeadline):
 		return http.StatusServiceUnavailable, wire.CodeDeadline
-	case errors.Is(err, ErrBreakerOpen):
-		return http.StatusServiceUnavailable, wire.CodeBreakerOpen
-	case errors.Is(err, ErrWatchdog):
-		return http.StatusServiceUnavailable, wire.CodeWatchdog
 	case errors.Is(err, ErrCanceled):
 		return wire.StatusClientClosedRequest, wire.CodeCanceled
 	case errors.Is(err, ErrOverloaded):
@@ -179,9 +175,9 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 		return nil, ErrDraining
 	}
 	// The cache, ahead of all admission machinery: a hit can never be
-	// rejected for capacity and never trips or probes a breaker. Memory
-	// first — only for a pair the index holds now, and only what its
-	// verified blob encoded to the last time it was read.
+	// rejected for capacity. Memory first — only for a pair the index
+	// holds now, and only what its verified blob encoded to the last
+	// time it was read.
 	if tag != "" {
 		if ent, ok := s.entities.get(tag); ok {
 			return cacheServed(j, &SnapshotResult{ETag: etag, entity: ent}, ent.run), nil
@@ -200,7 +196,7 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 		}
 	}
 	// Every job runs under a deadline (queue wait + run): the spec's, the
-	// caller's, or the server default. The watchdog relies on it.
+	// caller's, or the server default.
 	timeout := j.timeout
 	if _, ok := ctx.Deadline(); !ok && timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -234,21 +230,14 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 	s.inflight.Add(1)
 	held = true
 
-	// Flight and breaker, under one lock: both decide who may lead a run
-	// for this (key, variant). Join before consulting the breaker —
-	// followers don't consume a session, and riding an in-flight
-	// (possibly half-open probe) run is always safe.
+	// Flight: join a run in progress for this (key, variant) — a
+	// follower consumes no session — or lead a new one.
 	ckey := coalesceKey(j.key, j.variant)
 	s.flightMu.Lock()
 	if f, ok := s.flights[ckey]; ok && f.members < s.coalesceMax {
 		f.members++
 		s.flightMu.Unlock()
 		return s.joinFlight(ctx, j, f)
-	}
-	// Leading: an open breaker fast-fails without touching the pool.
-	if ok, retry := s.breakers.admitLocked(ckey, time.Now()); !ok {
-		s.flightMu.Unlock()
-		return nil, &BreakerOpenError{Key: ckey, RetryAfter: retry}
 	}
 	// A still-running full flight stays reachable by its members but
 	// is unlinked from the table, so the next arrival starts over here.
@@ -258,18 +247,7 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 
 	f.out, f.err = s.runOnce(ctx, j)
 
-	// Report to the breaker. Capacity rejections and caller
-	// cancellations say nothing about whether the key is poisoned, but a
-	// half-open probe that ends in one still returns its probe slot so
-	// the next arrival can try.
-	neutral := errors.Is(f.err, ErrQueueFull) || errors.Is(f.err, ErrDeadline) ||
-		errors.Is(f.err, ErrCanceled) || errors.Is(f.err, ErrPoolClosed)
 	s.flightMu.Lock()
-	if neutral {
-		s.breakers.releaseProbeLocked(ckey)
-	} else if s.breakers.reportLocked(ckey, f.err == nil, time.Now()) {
-		s.mBreakerTrips.Inc()
-	}
 	if s.flights[ckey] == f {
 		delete(s.flights, ckey)
 	}
@@ -298,8 +276,7 @@ func (s *Server) cachedSnapshot(j *job, counted bool) (*SnapshotResult, bool) {
 }
 
 // cacheServed is a job answered from the cache, from disk or from memory
-// alike: accepted without touching the pool, the queue, or the key's
-// breaker.
+// alike: accepted without touching the pool or the queue.
 func cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResult {
 	j.accepted = true
 	sr.Summary = JobSummary{ImageKey: j.key, CacheHit: true, Run: run}
@@ -311,8 +288,8 @@ func cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResul
 // reading of err. An accepted job is completed or failed; one turned
 // away before that is rejected under its envelope code; a 304, a 400 and
 // a cache-only 404 are neither. So accepted == completed + failed, and
-// runs == accepted − coalesced − watchdog-abandoned − cache-served: a
-// follower rides its leader's run, a cache hit never runs.
+// runs == accepted − coalesced − cache-served: a follower rides its
+// leader's run, a cache hit never runs.
 func (s *Server) settle(j *job, sr *SnapshotResult, err error) {
 	status, code := classify(err)
 	if j.accepted {
@@ -372,7 +349,7 @@ func (s *Server) joinFlight(jctx context.Context, j *job, f *flight) (*SnapshotR
 	}
 	// Accepted only now: a follower that detached above was never served
 	// from the leader's run, and counting it would break
-	// runs == accepted − coalesced − abandoned.
+	// runs == accepted − coalesced − cache-served.
 	j.accepted, j.coalesced = true, true
 	if f.err != nil {
 		return nil, fmt.Errorf("serve: coalesced run: %w", f.err)
@@ -389,30 +366,4 @@ func (s *Server) joinFlight(jctx context.Context, j *job, f *flight) (*SnapshotR
 		Snapshot: f.out.Snapshot,
 		ETag:     f.out.ETag,
 	}, nil
-}
-
-// supervise is the whole watchdog: it runs fn on its own goroutine and
-// waits for it, and the limit is the deadline ctx already carries. fn
-// is expected to honour ctx; one still going grace after ctx ended is
-// given up on — finished is false, and done closes whenever fn does
-// return, for a caller with something to reap.
-func supervise(ctx context.Context, grace time.Duration, fn func()) (done <-chan struct{}, finished bool) {
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		fn()
-	}()
-	select {
-	case <-ch:
-		return ch, true
-	case <-ctx.Done():
-	}
-	t := time.NewTimer(grace)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return ch, true
-	case <-t.C:
-		return ch, false
-	}
 }

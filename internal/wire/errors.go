@@ -16,8 +16,6 @@ const (
 	CodeTooLarge    = "too_large"    // request body over MaxRequestBytes
 	CodeQueueFull   = "queue_full"   // admission queue at capacity
 	CodeDeadline    = "deadline"     // job or solve deadline expired
-	CodeBreakerOpen = "breaker_open" // the key's circuit breaker is open
-	CodeWatchdog    = "watchdog"     // run/solve abandoned by the watchdog
 	CodeCanceled    = "canceled"     // the client went away (499)
 	CodeOverloaded  = "overloaded"   // even the coarsest brownout tier can't meet the deadline
 	CodeDraining    = "draining"     // server shutting down

@@ -297,8 +297,8 @@ func ResolveMeshSpec(specJSON []byte, q url.Values) (MeshSpec, error) {
 }
 
 // Variant canonicalizes the tuning knobs — the second half of the
-// (image key, variant) identity that coalescing, breakers, the
-// cachestore, and the router's hash ring all agree on. The knob
+// (image key, variant) identity that coalescing, the cachestore, and
+// the router's hash ring all agree on. The knob
 // encoding is frozen — cache entries persisted by earlier builds must
 // keep resolving — so the size spec, which did not exist then, is
 // appended as a new segment rather than folded into the old one. Empty

@@ -28,7 +28,7 @@ const NodeHeader = "X-Pi2md-Node"
 // GET /v1/cache/{imageKey}[/{variant}]. That read is answered straight
 // from the persistent result cache — hit → the full encoded response
 // with its ETag, miss → 404 cache_miss — and never touches the queue,
-// the session pool, coalescing, or breakers. Its 200s and 304s carry
+// the session pool, or coalescing. Its 200s and 304s carry
 // this header with value "hit", so a proxy can prove no meshing
 // happened. Cache-only reads are also served while draining: a
 // draining node stays a read replica until the process exits.
