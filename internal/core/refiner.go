@@ -165,6 +165,7 @@ func (r *Refiner) flushScratch(t *thread) {
 			bt.inbox.n.Store(int32(len(bt.inbox.items)))
 			bt.inbox.mu.Unlock()
 			r.bal.Wake(beggar)
+			r.untagDead(t, t.scratch)
 			t.scratch = t.scratch[:0]
 			return
 		}
@@ -172,8 +173,26 @@ func (r *Refiner) flushScratch(t *thread) {
 	for _, ch := range t.scratch {
 		r.countIn(t, ch)
 	}
+	r.untagDead(t, t.scratch)
 	t.pel = append(t.pel, t.scratch...)
 	t.scratch = t.scratch[:0]
+}
+
+// untagDead releases the count of every cell in hs that another worker
+// killed before its tag landed: the killer's countOut found nothing to
+// release then, and a count left on a dead cell would be lost when the
+// slot is reused (init zeroes Aux). It runs inside the tagging thread's
+// epoch section, so the slot cannot have been reused yet. A lone worker
+// kills only its own cells, which it has tagged already.
+func (r *Refiner) untagDead(t *thread, hs []arena.Handle) {
+	if len(r.threads) == 1 {
+		return
+	}
+	for _, h := range hs {
+		if r.mesh.Cells.At(h).Dead() {
+			r.countOut(t, h)
+		}
+	}
 }
 
 // tag records in cell ch that owner's count includes it.
@@ -238,13 +257,21 @@ func (r *Refiner) workerLoop(t *thread) {
 // injected by the fault harness — releases the operation's vertex
 // locks and aborts the run with the panic as its cause: the mesh is
 // left as the last committed operation left it.
+//
+// An iteration is one epoch section of the kernel worker (see
+// delaunay.Worker.Pin): no cell it reaches is reused before it ends.
+// A thread about to park — idle on the begging list, or blocked by the
+// contention manager — closes the section first, so that a parked
+// thread never holds the other workers' killed cells in limbo.
 func (r *Refiner) iterate(t *thread) (cont bool) {
+	t.w.Pin()
 	defer func() {
 		if p := recover(); p != nil {
 			t.w.RecoverFromPanic()
 			r.abortRun(fmt.Errorf("thread %d panicked: %v", t.id, p))
 			cont = false
 		}
+		t.w.Unpin()
 	}()
 
 	// A lone worker has nobody to fill its inbox.
@@ -262,19 +289,27 @@ func (r *Refiner) iterate(t *thread) (cont bool) {
 	}
 
 	if len(t.pel) == 0 {
+		t.w.Unpin()
 		return r.idle(t)
 	}
 
 	ch := t.pel[len(t.pel)-1]
 	t.pel = t.pel[:len(t.pel)-1]
 	// A cell killed while queued (Section 4.3) released its count, and
-	// on a single-owner mesh its slot may since hold a newer cell, whose
-	// own entry sits above this stale one and is popped first: either
-	// way, only a still-counted handle names the cell that was queued.
+	// its slot may since hold a newer cell, whose own entry sits above
+	// this stale one — or, with several workers, in another thread's
+	// PEL — and is popped there: either way, only a still-counted handle
+	// names a cell that is queued, and no slot is reused while counted.
 	if !r.countOut(t, ch) {
 		return true
 	}
 	c := r.mesh.Cells.At(ch)
+	// With several workers a counted cell may have been killed by
+	// another one whose countOut has not run yet; it is not read past
+	// its flags. From here the section keeps the slot from reuse.
+	if c.Dead() {
+		return true
+	}
 	// Every rule question is asked here, once per pop, so a conflicted
 	// retry is classified afresh against the samples added since.
 	near, poor := r.poorQuick(c)
@@ -307,7 +342,9 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		// element" (Section 4.2) — and the thread consults the
 		// contention manager (Section 4.5).
 		r.countIn(t, ch)
+		r.untagDead(t, []arena.Handle{ch})
 		t.pel = pushBottom(t.pel, ch)
+		t.w.Unpin() // the contention manager may park the thread
 		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
@@ -337,6 +374,7 @@ func (r *Refiner) doRemoval(t *thread, vh arena.Handle) {
 	case delaunay.Conflict:
 		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
 		t.removals = pushBottom(t.removals, vh)
+		t.w.Unpin()
 		r.cm.OnRollback(t.id, t.w.ConflictTid)
 	case delaunay.Stale, delaunay.Failed:
 		// Already removed, or a degenerate link: keep the vertex (the

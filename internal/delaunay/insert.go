@@ -16,7 +16,19 @@ const (
 // locating it by walking from start (usually the poor cell being
 // refined). On OK, the result lists the created and killed cells and
 // the new vertex's handle. Any other status leaves the mesh untouched.
+// The operation is one epoch section unless the caller has pinned the
+// worker (see Pin).
 func (w *Worker) Insert(p geom.Vec3, kind VertKind, start arena.Handle) (*OpResult, Status) {
+	if w.pinned || w.m.single {
+		return w.insert(p, kind, start)
+	}
+	w.pin()
+	res, st := w.insert(p, kind, start)
+	w.Unpin()
+	return res, st
+}
+
+func (w *Worker) insert(p geom.Vec3, kind VertKind, start arena.Handle) (*OpResult, Status) {
 	w.reset()
 
 	loc, st := w.locate(p, start)
@@ -152,6 +164,8 @@ const (
 // and w.sc.boundary their boundary faces; all their vertices (and the
 // apexes of tested outside cells) are locked.
 func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
+	visited := &w.sc.visited
+	*visited.at(key1(loc)) = visitCavity
 	c0 := w.m.Cells.At(loc)
 	if !w.lockCell(c0) {
 		return Conflict
@@ -172,8 +186,6 @@ func (w *Worker) growCavity(p geom.Vec3, loc arena.Handle) Status {
 		// walk raced; re-checked here exactly.
 		return Failed
 	}
-	visited := &w.sc.visited
-	*visited.at(key1(loc)) = visitCavity
 	w.sc.cavity = append(w.sc.cavity, loc)
 
 	// Depth-first expansion; w.sc.cavity doubles as the worklist since
@@ -295,7 +307,8 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	}
 
 	// Phase 2: publish, pointing the surviving outside cells at the
-	// new star.
+	// new star, once every cell of it is live.
+	m.revive(w.result.Created)
 	for i, bf := range w.sc.boundary {
 		if bf.out == arena.Nil {
 			continue
@@ -321,6 +334,7 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 	}
 
 	m.firstCell.Store(uint32(w.result.Created[0]))
+	w.seal()
 	w.Stats.Inserts++
 	w.Stats.CavityCells += int64(len(w.sc.cavity))
 	w.unlockAll()
@@ -329,7 +343,15 @@ func (w *Worker) commitInsert(p geom.Vec3, kind VertKind) {
 // Locate returns the live cell containing p, walking from start. It is
 // the public point-location entry for library users (field probes,
 // in-mesh queries); refinement itself uses the internal path. The
-// result may be stale immediately under concurrent mutation.
+// result may be stale immediately under concurrent mutation, and on a
+// shared mesh it is only safe to read inside the epoch section it was
+// found in: pin the worker around the call and the reads (see Pin).
 func (w *Worker) Locate(p geom.Vec3, start arena.Handle) (arena.Handle, Status) {
-	return w.locate(p, start)
+	if w.pinned || w.m.single {
+		return w.locate(p, start)
+	}
+	w.pin()
+	h, st := w.locate(p, start)
+	w.Unpin()
+	return h, st
 }

@@ -53,18 +53,28 @@
 // single-owner mesh still sees synthetic denials and rolls back.
 //
 // Storage. Cells and vertices live in arenas (package arena), so a
-// speculative reader holding a stale handle always sees type-stable
-// memory. On a shared mesh that memory is at worst flagged dead, never
-// recycled: the lock-free walk depends on it. On a single-owner mesh
-// nobody can be mid-walk, so each Worker keeps the cells its committed
-// operations killed on a free list and creates new cells there first;
-// a handle held across operations may then name a newer cell, and its
-// holder must tell them apart (Cell.Gen). Vertices are never reused.
+// reader holding a stale handle always sees type-stable memory. Each
+// Worker creates cells in the slots of killed ones first (its free
+// list), so a handle held across operations may name a newer cell, and
+// its holder must tell them apart (Cell.Gen, or the refiner's Aux
+// count). On a single-owner mesh nobody can be mid-walk, so a killed
+// cell is free at once. On a shared mesh the lock-free walk may still
+// be on it, so it is reclaimed by epochs (Fraser 2004): a worker
+// announces the global epoch when it opens a section (Worker.Pin; each
+// operation opens one unless its caller has) and is quiescent between
+// sections; a commit's killed cells wait in the worker's limbo,
+// stamped with the epoch read after its last kill, until the epoch is
+// epochLag past the stamp; and the epoch advances only once every
+// worker inside a section has announced it. A cell whose slot is
+// reused is rebuilt dead and revived just before it is published, so
+// a stale handle reads a dead cell or a complete one, never a
+// half-written one. Vertices are never reused.
 package delaunay
 
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/arena"
@@ -189,17 +199,40 @@ func (c *Cell) SetInside(in bool) {
 // Neighbor returns the cell across face i (arena.Nil on the hull).
 func (c *Cell) Neighbor(i int) arena.Handle { return arena.Handle(atomic.LoadUint32(&c.n[i])) }
 
-// init fills in every field of a freshly allocated cell with plain
-// stores: nothing can reach it yet, and a slot may be recycled storage
-// (after a Reset, or from a single-owner worker's free list), so
-// nothing is left as found but the generation, which it bumps. Its
-// neighbors start out Nil.
+// init fills in every field of a freshly allocated cell: nothing can
+// reach it yet, and a slot may be recycled storage (after a Reset, or
+// from a worker's free list), so nothing is left as found but the
+// generation, which it bumps. Its neighbors start out Nil. On a shared
+// mesh a reader holding a handle from an earlier section may be
+// loading flags and Aux, so those two are stored atomically and the
+// cell starts dead; the commit revives it before publishing it.
+// Every other field is plain: no reader looks past a dead flag.
 func (c *Cell) init(m *Mesh, v [4]arena.Handle) {
 	c.V = v
 	c.n = [4]uint32{}
 	c.CC, c.R2 = circum(m, v)
-	c.flags = c.flags&^cellFlagMask + 1<<cellGenShift
-	c.Aux = atomic.Uint32{}
+	flags := c.flags&^cellFlagMask + 1<<cellGenShift
+	if m.single {
+		c.flags = flags
+		c.Aux = atomic.Uint32{}
+		return
+	}
+	c.Aux.Store(0)
+	atomic.StoreUint32(&c.flags, flags|cellDead)
+}
+
+// revive makes the cells the in-flight operation built ready to
+// publish: on a shared mesh, one release store each, after which a
+// reader holding a stale handle to the slot sees the new cell
+// complete. Single-owner cells are born live.
+func (m *Mesh) revive(cells []arena.Handle) {
+	if m.single {
+		return
+	}
+	for _, h := range cells {
+		c := m.Cells.At(h)
+		atomic.StoreUint32(&c.flags, c.flags&^cellDead)
+	}
 }
 
 // apexAcross returns the vertex of n opposite the face it shares with
@@ -245,6 +278,14 @@ type Mesh struct {
 
 	stamp atomic.Uint64
 
+	// epoch is the global reclamation epoch of a shared mesh, and
+	// workers every Worker made on it and not yet Released, whose
+	// announcements advance reads (see the package comment). workers is
+	// copied on write under regMu.
+	epoch   atomic.Uint64
+	regMu   sync.Mutex
+	workers atomic.Pointer[[]*Worker]
+
 	// Virtual box and super-tetrahedron geometry.
 	boxLo, boxHi     geom.Vec3
 	superLo, superHi geom.Vec3
@@ -275,11 +316,57 @@ type bootRecord struct {
 // single goroutine at a time operates on the mesh — workers, walkers
 // and readers included. On a single-owner mesh operations acquire no
 // vertex locks, publish with plain stores, and create cells in the
-// slots of cells they killed; the triangulation is that of a shared
-// mesh, cell for cell, though the handles naming the cells differ. The
-// call itself must not race with any use of the mesh. NewMesh and Reset
-// leave the mesh shared, so the bootstrap never reuses a slot.
+// slots of cells they killed as soon as the commit that killed them
+// ends; a shared mesh reuses the same slots only once no worker can
+// still hold them (see Worker.Pin). Either way the triangulation is
+// the same, cell for cell, though the handles naming the cells differ.
+// The call itself must not race with any use of the mesh. NewMesh and
+// Reset leave the mesh shared; the bootstrap never reuses a slot.
 func (m *Mesh) SetSingleOwner(on bool) { m.single = on }
+
+// register lists w among the mesh's workers.
+func (m *Mesh) register(w *Worker) {
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	var ws []*Worker
+	if p := m.workers.Load(); p != nil {
+		ws = append(ws, *p...)
+	}
+	ws = append(ws, w)
+	m.workers.Store(&ws)
+}
+
+// unregister takes w off the mesh's list of workers.
+func (m *Mesh) unregister(w *Worker) {
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	p := m.workers.Load()
+	if p == nil {
+		return
+	}
+	ws := make([]*Worker, 0, len(*p))
+	for _, o := range *p {
+		if o != w {
+			ws = append(ws, o)
+		}
+	}
+	m.workers.Store(&ws)
+}
+
+// advance moves the global epoch past e if every worker inside a
+// section has announced e. It reports whether the epoch is now past e,
+// by this call or another.
+func (m *Mesh) advance(e uint64) bool {
+	if p := m.workers.Load(); p != nil {
+		for _, w := range *p {
+			if a := w.ann.Load(); a != 0 && a>>1 != e {
+				return false
+			}
+		}
+	}
+	m.epoch.CompareAndSwap(e, e+1)
+	return true
+}
 
 // publish points face i of the reachable cell c at h. On a shared mesh
 // this is the atomic store that makes a new star or fill visible to
@@ -406,6 +493,7 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 	}
 	ch := ca.Alloc()
 	m.Cells.At(ch).init(m, sv)
+	m.revive([]arena.Handle{ch})
 	for _, h := range sv {
 		m.Verts.At(h).incident = uint32(ch)
 	}
@@ -421,6 +509,7 @@ func (m *Mesh) bootstrap(lo, hi geom.Vec3) error {
 
 	// Insert the eight box corners through the kernel.
 	w := m.NewWorker(0)
+	w.keepKilled = true
 	defer w.Release()
 	start := ch
 	for b := 0; b < 8; b++ {
@@ -499,10 +588,12 @@ func (m *Mesh) Bounds() (lo, hi geom.Vec3) { return m.boxLo, m.boxHi }
 func (m *Mesh) NumVerts() int { return m.Verts.Len() - 1 }
 
 // NumCellsAllocated returns the number of cell slots the arena has
-// handed out: live cells, dead ones, and those waiting on a
-// single-owner worker's free list. On a shared mesh no slot is reused
-// within a run, so it counts every cell created since the last Reset;
-// on a single-owner mesh it stays close to the live count.
+// handed out: live cells, and dead ones in a worker's limbo or on its
+// free list. It stays close to the live count on a single-owner mesh,
+// which reuses a killed cell's slot as soon as its commit ends, and on
+// a shared one, where a killed cell first waits out epochLag epochs —
+// longer while a worker inside its section is parked or off the CPU.
+// The bootstrap's worker keeps every cell it killed.
 func (m *Mesh) NumCellsAllocated() int { return m.Cells.Len() - 1 }
 
 // Pos returns the position of vertex h.

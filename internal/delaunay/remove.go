@@ -40,8 +40,19 @@ func (w *Worker) removeScratch() {
 // the Delaunay triangulation of its link (see fillHole). If the fill
 // cannot be completed (a geometric inconsistency the exact predicates
 // are meant to rule out), the operation returns Failed and the mesh is
-// untouched.
+// untouched. Like Insert, it is one epoch section unless the caller
+// has pinned the worker.
 func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
+	if w.pinned || w.m.single {
+		return w.remove(vh)
+	}
+	w.pin()
+	res, st := w.remove(vh)
+	w.Unpin()
+	return res, st
+}
+
+func (w *Worker) remove(vh arena.Handle) (*OpResult, Status) {
 	w.reset()
 	m := w.m
 
@@ -143,9 +154,10 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 		return nil, Failed
 	}
 
-	// Commit: point the outside cells at the fill (the first mutation
-	// visible to other workers), refresh hints, retire the ball, kill
-	// the vertex.
+	// Commit: revive the fill and point the outside cells at it (the
+	// first mutation visible to other workers), refresh hints, retire
+	// the ball, kill the vertex.
+	m.revive(fill)
 	for _, r := range w.sc.rewires {
 		if r.out == arena.Nil {
 			continue
@@ -168,6 +180,7 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 	}
 	m.killVert(v)
 	m.firstCell.Store(uint32(fill[0]))
+	w.seal()
 	w.Stats.Removals++
 	w.unlockAll()
 	return &w.result, OK
@@ -195,10 +208,10 @@ func (w *Worker) Remove(vh arena.Handle) (*OpResult, Status) {
 //
 // The fill is returned unpublished, with w.sc.rewires listing the
 // outside cells to point at it. On failure nothing reachable has been
-// touched: the cells allocated so far are flagged dead, keeping their
-// generation, and go back on the free list of a single-owner mesh; on a
-// shared mesh they stay behind as garbage, since no slot is reused
-// there.
+// touched and nobody else can have read the cells allocated so far:
+// they are dead (born so on a shared mesh, flagged so on a single-owner
+// one, keeping their generation) and go straight back on the free
+// list, no limbo needed.
 func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 	m := w.m
 	faces := &w.sc.faces
@@ -245,10 +258,12 @@ func (w *Worker) fillHole(link []arena.Handle) ([]arena.Handle, bool) {
 	}
 	w.sc.open, w.sc.fill, w.sc.rewires = open, fill, rewires
 	if !ok {
-		for _, h := range fill {
-			m.Cells.At(h).flags |= cellDead
-		}
 		if m.single {
+			for _, h := range fill {
+				m.Cells.At(h).flags |= cellDead
+			}
+		}
+		if !w.keepKilled {
 			w.free = append(w.free, fill...)
 		}
 	}

@@ -76,10 +76,30 @@ type Worker struct {
 	va *arena.Allocator[Vertex]
 	ca *arena.Allocator[Cell]
 
-	// free holds the cells this worker's committed operations killed on
-	// a single-owner mesh; newCell reuses them, last killed first,
-	// before drawing on ca. Empty on a shared mesh.
+	// free holds cell slots nobody can still be reading: on a
+	// single-owner mesh the cells this worker's committed operations
+	// killed, on a shared one those that have left limbo, and on either
+	// an abandoned removal fill. newCell reuses them, last freed first,
+	// before drawing on ca.
 	free []arena.Handle
+
+	// limbo holds, oldest first, the cells this worker's commits killed
+	// on a shared mesh, until no worker can still hold them; marks
+	// splits it by commit (see reclaim).
+	limbo []arena.Handle
+	marks []limboMark
+
+	// keepKilled leaves killed cells where they lie, never to be reused:
+	// the bootstrap's worker sets it, so that the recorded initial
+	// triangulation a Reset restores is a cold build's, handle for
+	// handle.
+	keepKilled bool
+
+	// pinned is set while the worker is inside an epoch section; ann is
+	// what it announced there, epoch<<1 | 1, and 0 while it is
+	// quiescent (see Pin).
+	pinned bool
+	ann    atomic.Uint64
 
 	// locked holds the vertices locked by the in-flight operation, in
 	// acquisition order.
@@ -140,10 +160,18 @@ type edgeRef struct {
 	face int
 }
 
+// limboMark closes one commit's run of limbo: limbo[:end] holds its
+// cells and older ones, and stamp is the global epoch read after its
+// last kill.
+type limboMark struct {
+	stamp uint64
+	end   int
+}
+
 // NewWorker creates a worker with the given id (ids must be unique
 // among concurrently operating workers and >= 0).
 func (m *Mesh) NewWorker(tid int) *Worker {
-	return &Worker{
+	w := &Worker{
 		m:           m,
 		tid:         int32(tid),
 		va:          m.Verts.NewAllocator(),
@@ -152,6 +180,8 @@ func (m *Mesh) NewWorker(tid int) *Worker {
 		rng:         walkRNG(tid),
 		ConflictTid: -1,
 	}
+	m.register(w)
+	return w
 }
 
 // walkRNG seeds the walk-randomization generator deterministically per
@@ -162,13 +192,16 @@ func walkRNG(tid int) *rand.Rand {
 
 // PrepareReuse readies a retained worker for a fresh run on a mesh
 // that has been Reset: the allocators detach from the recycled arena
-// chunks, the free list (slots the reset discarded) empties, kernel
-// counters restart, and the walk RNG is reseeded so a warm run is
-// indistinguishable from a cold one.
+// chunks, the free list and limbo (slots the reset discarded) empty,
+// kernel counters restart, and the walk RNG is reseeded so a warm run
+// is indistinguishable from a cold one.
 func (w *Worker) PrepareReuse() {
 	w.va.Reset()
 	w.ca.Reset()
 	w.free = w.free[:0]
+	w.limbo = w.limbo[:0]
+	w.marks = w.marks[:0]
+	w.Unpin()
 	w.Stats = Stats{}
 	w.rng = walkRNG(int(w.tid))
 	w.ConflictTid = -1
@@ -178,11 +211,14 @@ func (w *Worker) PrepareReuse() {
 	}
 }
 
-// Release returns the worker's pooled scratch to the package pool. The
-// worker must not be used afterwards. Optional — a dropped worker is
-// simply collected — but short-lived workers that Release let the
-// bootstrap of the next mesh reset reuse their buffers.
+// Release returns the worker's pooled scratch to the package pool and
+// takes it off the mesh's list of workers. The worker must not be used
+// afterwards. A dropped worker stays listed, quiescent, for the life of
+// the mesh; short-lived workers that Release also let the bootstrap of
+// the next mesh reset reuse their buffers.
 func (w *Worker) Release() {
+	w.Unpin()
+	w.m.unregister(w)
 	if w.sc != nil {
 		scratchPool.Put(w.sc)
 		w.sc = nil
@@ -201,6 +237,9 @@ func (w *Worker) ID() int { return int(w.tid) }
 // twice. On a single-owner mesh there is nobody to exclude: it succeeds
 // without touching the vertex, so nothing is ever held or counted.
 func (w *Worker) tryLock(vh arena.Handle) bool {
+	if lockHook != nil {
+		lockHook(w, vh)
+	}
 	// The injection site comes first, so a single-owner mesh still sees
 	// synthetic denials.
 	if faultinject.Fire(faultinject.LockDeny) {
@@ -254,10 +293,9 @@ func (w *Worker) unlockAll() {
 }
 
 // newCell returns a slot for a cell the in-flight operation creates:
-// one its own earlier operations killed, on a single-owner mesh, or a
-// fresh arena slot.
+// one from the free list, or a fresh arena slot.
 func (w *Worker) newCell() arena.Handle {
-	if n := len(w.free); n > 0 && w.m.single {
+	if n := len(w.free); n > 0 {
 		h := w.free[n-1]
 		w.free = w.free[:n-1]
 		return h
@@ -267,13 +305,102 @@ func (w *Worker) newCell() arena.Handle {
 
 // retire kills cell ch as part of a commit, after the operation has
 // created every cell it needs. On a single-owner mesh nobody else can
-// hold the handle mid-walk, so the slot goes on the free list at once.
+// hold the handle mid-walk, so the slot goes on the free list at once;
+// on a shared mesh it waits in limbo (see seal and reclaim).
 func (w *Worker) retire(ch arena.Handle) {
 	w.m.kill(w.m.Cells.At(ch))
-	if w.m.single {
+	switch {
+	case w.m.single:
 		w.free = append(w.free, ch)
+	case !w.keepKilled:
+		w.limbo = append(w.limbo, ch)
 	}
 }
+
+// seal stamps the cells the commit just put in limbo with the global
+// epoch. It runs after the commit's last kill and its firstCell store:
+// until then a not-yet-killed cavity cell, or the old firstCell, still
+// leads a walker that entered its section earlier to a killed one, and
+// an epoch read at the first kill could let the slot go while that
+// walker holds it.
+func (w *Worker) seal() {
+	if n := len(w.limbo); n > 0 && (len(w.marks) == 0 || w.marks[len(w.marks)-1].end < n) {
+		w.marks = append(w.marks, limboMark{stamp: w.m.epoch.Load(), end: n})
+	}
+}
+
+// epochLag is how many epochs a killed cell waits in limbo. The global
+// epoch moves from e to e+1 only once every worker inside a section has
+// announced e, so while any worker that could have reached a cell
+// killed at epoch s is still inside its section, the epoch stays at or
+// below s+1.
+const epochLag = 2
+
+// Pin opens an epoch section on a shared mesh: until Unpin, no cell
+// this worker can reach is reused. Insert, Remove and Locate pin for
+// their own duration when the caller has not; a caller that keeps
+// handles from one of them to the next — the refiner, from a pop to
+// its follow-up bookkeeping — pins around them all. A handle from an
+// earlier section may name a reused slot: it reads as dead while the
+// slot is free or being rebuilt, and as a complete, newer cell after.
+// A worker that blocks must Unpin first, or it holds every other
+// worker's killed cells in limbo. A no-op on a single-owner mesh, or
+// when already pinned.
+func (w *Worker) Pin() {
+	if !w.pinned && !w.m.single {
+		w.pin()
+	}
+}
+
+// Unpin closes the worker's epoch section; a no-op outside one.
+func (w *Worker) Unpin() {
+	if w.pinned {
+		w.ann.Store(0)
+		w.pinned = false
+	}
+}
+
+// pin reclaims what limbo allows while the worker is still quiescent,
+// so it never holds the epoch back itself, then announces the epoch.
+func (w *Worker) pin() {
+	w.reclaim()
+	w.ann.Store(w.m.epoch.Load()<<1 | 1)
+	w.pinned = true
+}
+
+// reclaim moves to the free list every limbo cell killed at least
+// epochLag epochs ago, first advancing the epoch as far as the other
+// workers' announcements allow.
+func (w *Worker) reclaim() {
+	if len(w.marks) == 0 {
+		return
+	}
+	m := w.m
+	e := m.epoch.Load()
+	for w.marks[0].stamp+epochLag > e && m.advance(e) {
+		e = m.epoch.Load()
+	}
+	n := 0
+	for n < len(w.marks) && w.marks[n].stamp+epochLag <= e {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	end := w.marks[n-1].end
+	w.free = append(w.free, w.limbo[:end]...)
+	w.limbo = w.limbo[:copy(w.limbo, w.limbo[end:])]
+	w.marks = w.marks[:copy(w.marks, w.marks[n:])]
+	for i := range w.marks {
+		w.marks[i].end -= end
+	}
+}
+
+// lockHook, when set, runs at the top of every tryLock, with the vertex
+// about to be locked: the point where an operation can meet another.
+// Tests set it to interleave workers deterministically; it is nil
+// otherwise.
+var lockHook func(*Worker, arena.Handle)
 
 // reset prepares the worker's scratch state for a new operation.
 func (w *Worker) reset() {
@@ -295,11 +422,12 @@ func (w *Worker) rollback() {
 
 // RecoverFromPanic restores the worker to a usable state after a panic
 // unwound an in-flight operation: every held vertex lock is released in
-// reverse acquisition order (innermost first, mirroring the unwind) and
-// the scratch state is cleared. It returns the number of locks that
-// were released. The shared mesh is untouched by definition at every
-// panic-safe site (the commit phases perform no allocation and no call
-// that can panic), so dropping the locks re-exposes a consistent mesh.
+// reverse acquisition order (innermost first, mirroring the unwind),
+// the scratch state is cleared and the epoch section is closed. It
+// returns the number of locks that were released. The shared mesh is
+// untouched by definition at every panic-safe site (the commit phases
+// perform no allocation and no call that can panic), so dropping the
+// locks re-exposes a consistent mesh.
 func (w *Worker) RecoverFromPanic() int {
 	n := len(w.locked)
 	for i := n - 1; i >= 0; i-- {
@@ -307,5 +435,6 @@ func (w *Worker) RecoverFromPanic() int {
 	}
 	w.locked = w.locked[:0]
 	w.reset()
+	w.Unpin()
 	return n
 }

@@ -143,13 +143,21 @@ type Stats struct {
 // with inversion guarding, then restores the enclosed volume by a
 // uniform normal offset (itself guarded). Typical parameters:
 // λ=0.5, μ=-0.53.
+//
+// The guard may shorten a vertex's shrinking λ step; its inflating μ
+// step is then shortened by the same factor. Otherwise a vertex whose
+// λ step keeps meeting a thin cell is pushed out by every full μ step
+// and pulled back by only part of the next λ step, and it ratchets
+// away from the surface: the roughness of such a mesh grew 2.5-fold
+// over ten passes.
 func (s *Mesh) Taubin(iters int, lambda, mu float64) Stats {
 	st := Stats{Iterations: iters, VolumeBefore: s.Volume()}
 	r0 := s.roughness()
 
+	taken := make([]float64, len(s.Verts))
 	for it := 0; it < iters; it++ {
-		st.apply(s, lambda)
-		st.apply(s, mu)
+		st.apply(s, lambda, nil, taken)
+		st.apply(s, mu, taken, nil)
 	}
 
 	// Volume conservation: offset boundary vertices along their
@@ -165,8 +173,11 @@ func (s *Mesh) Taubin(iters int, lambda, mu float64) Stats {
 
 // apply performs one Laplacian step scaled by k over all boundary
 // vertices (Jacobi style: displacements computed from the current
-// positions, then applied with the inversion guard).
-func (st *Stats) apply(s *Mesh, k float64) {
+// positions, then applied with the inversion guard). When limit is
+// non-nil, vertex v's step is further scaled by limit[v]; when taken
+// is non-nil, it records the fraction of each step the guard let
+// through.
+func (st *Stats) apply(s *Mesh, k float64, limit, taken []float64) {
 	disp := make([]geom.Vec3, len(s.Verts))
 	for v := range s.Verts {
 		if !s.boundaryVert[v] || len(s.vertNeighbors[v]) == 0 {
@@ -178,33 +189,42 @@ func (st *Stats) apply(s *Mesh, k float64) {
 		}
 		avg = avg.Scale(1 / float64(len(s.vertNeighbors[v])))
 		disp[v] = avg.Sub(s.Verts[v]).Scale(k)
+		if limit != nil {
+			disp[v] = disp[v].Scale(limit[v])
+		}
 	}
 	for v := range s.Verts {
 		if disp[v] == (geom.Vec3{}) {
 			continue
 		}
-		if s.tryMove(int32(v), disp[v]) {
+		f := s.tryMove(int32(v), disp[v])
+		if f > 0 {
 			st.Moved++
 		} else {
 			st.Reverted++
+		}
+		if taken != nil {
+			taken[v] = f
 		}
 	}
 }
 
 // tryMove displaces vertex v, halving the step until no incident cell
-// inverts (up to 4 halvings; reports failure if even the smallest step
-// inverts something).
-func (s *Mesh) tryMove(v int32, d geom.Vec3) bool {
+// inverts (up to 4 halvings). It returns the fraction of d applied: 1,
+// 1/2, 1/4 or 1/8, or 0 if even the smallest step inverts something
+// and the vertex stays put.
+func (s *Mesh) tryMove(v int32, d geom.Vec3) float64 {
 	old := s.Verts[v]
+	f := 1.0
 	for attempt := 0; attempt < 4; attempt++ {
-		s.Verts[v] = old.Add(d)
+		s.Verts[v] = old.Add(d.Scale(f))
 		if s.incidentOK(v) {
-			return true
+			return f
 		}
-		d = d.Scale(0.5)
+		f /= 2
 	}
 	s.Verts[v] = old
-	return false
+	return 0
 }
 
 func (s *Mesh) incidentOK(v int32) bool {
@@ -244,7 +264,7 @@ func (s *Mesh) restoreVolume(target float64, st *Stats) {
 			if !s.boundaryVert[v] || normals[v] == (geom.Vec3{}) {
 				continue
 			}
-			if s.tryMove(int32(v), normals[v].Scale(offset)) {
+			if s.tryMove(int32(v), normals[v].Scale(offset)) > 0 {
 				st.Moved++
 			} else {
 				st.Reverted++

@@ -1,11 +1,15 @@
 package smooth
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/quality"
 )
@@ -59,6 +63,62 @@ func TestTaubinSmoothsAndConservesVolume(t *testing.T) {
 	if s.MinCellVolume() <= 0 {
 		t.Fatal("smoothing inverted an element")
 	}
+}
+
+// TestTaubinGuardKeepsStepsPaired smooths a mesh kept from a two-worker
+// run of the sphere phantom at scale 32, one of the ~1 in 150 such runs
+// whose roughness used to rise. On it the inversion guard shortened
+// one vertex's shrinking λ step in every pass while its inflating μ
+// step went through in full, and the vertex ratcheted off the surface:
+// roughness 118 -> 122 after ten passes, 83 of it at that one vertex.
+// With the μ step shortened like the λ step, smoothing must lower the
+// roughness, conserve the volume and invert nothing.
+func TestTaubinGuardKeepsStepsPaired(t *testing.T) {
+	s := New(readFixture(t, "testdata/sphere32-w2-ratchet.txt"))
+	v0 := s.Volume()
+	st := s.Taubin(10, 0.5, -0.53)
+	if st.RoughnessDrop <= 0 {
+		t.Errorf("roughness did not drop: %v", st.RoughnessDrop)
+	}
+	if math.Abs(s.Volume()-v0) > 0.01*v0 {
+		t.Errorf("volume drifted: %v -> %v", v0, s.Volume())
+	}
+	if s.MinCellVolume() <= 0 {
+		t.Fatal("smoothing inverted an element")
+	}
+}
+
+// readFixture reads a mesh written one line per vertex ("v x y z") and
+// per cell ("c a b c d label").
+func readFixture(t *testing.T, path string) *core.MeshSnapshot {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &core.MeshSnapshot{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var (
+			v       geom.Vec3
+			c       [4]int32
+			l       img.Label
+			n       int
+			scanErr error
+		)
+		switch line[0] {
+		case 'v':
+			n, scanErr = fmt.Sscanf(line, "v %g %g %g", &v.X, &v.Y, &v.Z)
+			snap.Verts = append(snap.Verts, v)
+		case 'c':
+			n, scanErr = fmt.Sscanf(line, "c %d %d %d %d %d", &c[0], &c[1], &c[2], &c[3], &l)
+			snap.Cells = append(snap.Cells, c)
+			snap.Labels = append(snap.Labels, l)
+		}
+		if scanErr != nil || n == 0 {
+			t.Fatalf("%s: bad line %q: %v", path, line, scanErr)
+		}
+	}
+	return snap
 }
 
 // TestTaubinDeterministic: smoothing the same snapshot twice gives
