@@ -7,7 +7,8 @@
 // It clones the repository into a scratch directory (-dir, default a
 // "<repo>-benchpair" directory beside the working tree), checks out
 // -against there, and runs the unchanged `go run ./bench -workload W
-// -seed S -seconds T` in each tree in turn: pair i uses the i-th seed
+// -seed S` in each tree in turn, at the run length each tree's bench
+// sets: pair i uses the i-th seed
 // (cycling), and odd-numbered pairs run the other commit first, even
 // ones the working tree. From the JSON line each run ends with it
 // prints, per metric: both sides' median and interquartile range, the
@@ -55,7 +56,6 @@ func main() {
 		workload = flag.String("workload", "", "benchmark workload (required)")
 		pairs    = flag.Int("pairs", 10, "number of alternating pairs")
 		seeds    = flag.String("seeds", "1", "comma-separated bench seeds, used by the pairs in turn")
-		seconds  = flag.Float64("seconds", 20, "bench -seconds for every run")
 		dir      = flag.String("dir", "", "where to clone the other commit (default: <repo>-benchpair beside the working tree)")
 	)
 	flag.Parse()
@@ -96,7 +96,7 @@ func main() {
 		}
 		for _, side := range order {
 			fmt.Fprintf(os.Stderr, "pair %d/%d, seed %d: %s\n", i+1, *pairs, seed, label(side, sha))
-			res, err := runBench(trees[side], *workload, seed, *seconds)
+			res, err := runBench(trees[side], *workload, seed)
 			if err != nil {
 				fail(fmt.Errorf("pair %d, %s: %v", i+1, label(side, sha), err))
 			}
@@ -181,9 +181,8 @@ func readSpecs(path string) ([]spec, error) {
 // object on the last line of its output. A run whose output check fails
 // exits non-zero but still reports; only a run with no result is an
 // error.
-func runBench(tree, workload string, seed int64, seconds float64) (result, error) {
-	cmd := exec.Command("go", "run", "./bench", "-workload", workload,
-		"-seed", strconv.FormatInt(seed, 10), "-seconds", strconv.FormatFloat(seconds, 'g', -1, 64))
+func runBench(tree, workload string, seed int64) (result, error) {
+	cmd := exec.Command("go", "run", "./bench", "-workload", workload, "-seed", strconv.FormatInt(seed, 10))
 	cmd.Dir = tree
 	cmd.Stderr = os.Stderr
 	out, runErr := cmd.Output()

@@ -2,8 +2,10 @@ package delaunay
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/arena"
 	"repro/internal/faultinject"
@@ -343,9 +345,10 @@ const epochLag = 2
 // its follow-up bookkeeping — pins around them all. A handle from an
 // earlier section may name a reused slot: it reads as dead while the
 // slot is free or being rebuilt, and as a complete, newer cell after.
-// A worker that blocks must Unpin first, or it holds every other
-// worker's killed cells in limbo. A no-op on a single-owner mesh, or
-// when already pinned.
+// A worker that blocks must Unpin first: it holds every other worker's
+// killed cells in limbo, and once a worker's limbo passes limboCap
+// that worker's next Pin waits for it. A no-op on a single-owner mesh,
+// or when already pinned.
 func (w *Worker) Pin() {
 	if !w.pinned && !w.m.single {
 		w.pin()
@@ -361,38 +364,56 @@ func (w *Worker) Unpin() {
 }
 
 // pin reclaims what limbo allows while the worker is still quiescent,
-// so it never holds the epoch back itself, then announces the epoch.
+// so it never holds the epoch back itself, not even while it waits
+// there, then announces the epoch.
 func (w *Worker) pin() {
 	w.reclaim()
 	w.ann.Store(w.m.epoch.Load()<<1 | 1)
 	w.pinned = true
 }
 
+// limboCap bounds a worker's limbo on a shared mesh, in cells. A
+// worker inside its section holds the epoch back for as long as it
+// stays there — descheduled by the host, say — and meanwhile the
+// others create every cell in a fresh slot. Past the cap, a worker's
+// next Pin waits, quiescent, until the laggard has moved on and its
+// limbo is back under the cap. While every section runs, a limbo
+// holds a few hundred cells.
+const limboCap = 1024
+
 // reclaim moves to the free list every limbo cell killed at least
 // epochLag epochs ago, first advancing the epoch as far as the other
-// workers' announcements allow.
+// workers' announcements allow. With more than limboCap cells left in
+// limbo it waits for the announcements to move and tries again.
 func (w *Worker) reclaim() {
-	if len(w.marks) == 0 {
-		return
-	}
-	m := w.m
-	e := m.epoch.Load()
-	for w.marks[0].stamp+epochLag > e && m.advance(e) {
-		e = m.epoch.Load()
-	}
-	n := 0
-	for n < len(w.marks) && w.marks[n].stamp+epochLag <= e {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	end := w.marks[n-1].end
-	w.free = append(w.free, w.limbo[:end]...)
-	w.limbo = w.limbo[:copy(w.limbo, w.limbo[end:])]
-	w.marks = w.marks[:copy(w.marks, w.marks[n:])]
-	for i := range w.marks {
-		w.marks[i].end -= end
+	for spins := 0; len(w.marks) > 0; spins++ {
+		m := w.m
+		e := m.epoch.Load()
+		for w.marks[0].stamp+epochLag > e && m.advance(e) {
+			e = m.epoch.Load()
+		}
+		n := 0
+		for n < len(w.marks) && w.marks[n].stamp+epochLag <= e {
+			n++
+		}
+		if n > 0 {
+			end := w.marks[n-1].end
+			w.free = append(w.free, w.limbo[:end]...)
+			w.limbo = w.limbo[:copy(w.limbo, w.limbo[end:])]
+			w.marks = w.marks[:copy(w.marks, w.marks[n:])]
+			for i := range w.marks {
+				w.marks[i].end -= end
+			}
+		}
+		if len(w.limbo) <= limboCap {
+			return
+		}
+		// Yield first: the laggard may be waiting for this thread's P.
+		if spins < 64 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(20 * time.Microsecond)
+		}
 	}
 }
 

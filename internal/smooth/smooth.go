@@ -175,8 +175,8 @@ func (s *Mesh) Taubin(iters int, lambda, mu float64) Stats {
 // vertices (Jacobi style: displacements computed from the current
 // positions, then applied with the inversion guard). When limit is
 // non-nil, vertex v's step is further scaled by limit[v]; when taken
-// is non-nil, it records the fraction of each step the guard let
-// through.
+// is non-nil, it records for every vertex the fraction of its step the
+// guard let through (1 for a vertex with no step).
 func (st *Stats) apply(s *Mesh, k float64, limit, taken []float64) {
 	disp := make([]geom.Vec3, len(s.Verts))
 	for v := range s.Verts {
@@ -195,6 +195,9 @@ func (st *Stats) apply(s *Mesh, k float64, limit, taken []float64) {
 	}
 	for v := range s.Verts {
 		if disp[v] == (geom.Vec3{}) {
+			if taken != nil {
+				taken[v] = 1 // the guard shortened nothing
+			}
 			continue
 		}
 		f := s.tryMove(int32(v), disp[v])

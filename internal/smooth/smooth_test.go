@@ -88,6 +88,45 @@ func TestTaubinGuardKeepsStepsPaired(t *testing.T) {
 	}
 }
 
+// TestUnmovedVertexTakesFullMuStep: a boundary vertex with no λ step —
+// the centre of a square pyramid's base, at the mean of the base
+// corners — had nothing shortened by the guard, so its μ step must go
+// through in full, whatever an earlier pass recorded for it.
+func TestUnmovedVertexTakesFullMuStep(t *testing.T) {
+	const centre = 0
+	snap := &core.MeshSnapshot{Verts: []geom.Vec3{
+		{X: 0, Y: 0, Z: 0},
+		{X: 1, Y: 1, Z: 0}, {X: -1, Y: 1, Z: 0}, {X: -1, Y: -1, Z: 0}, {X: 1, Y: -1, Z: 0},
+		{X: 0, Y: 0, Z: 1},
+	}}
+	for i := int32(1); i <= 4; i++ {
+		c := [4]int32{centre, i, i%4 + 1, 5}
+		v := snap.Verts
+		if geom.TetraVolume(v[c[0]], v[c[1]], v[c[2]], v[c[3]]) < 0 {
+			c[1], c[2] = c[2], c[1]
+		}
+		snap.Cells = append(snap.Cells, c)
+	}
+	s := New(snap)
+	if !s.boundaryVert[centre] {
+		t.Fatal("the base centre is not a boundary vertex")
+	}
+
+	var st Stats
+	taken := make([]float64, len(s.Verts)) // as a pass that reverted every step leaves it
+	st.apply(s, 0.5, nil, taken)
+	if got := s.Verts[centre]; got != (geom.Vec3{}) {
+		t.Fatalf("the base centre took a λ step: %v", got)
+	}
+	if taken[centre] != 1 {
+		t.Errorf("taken[centre] = %v after a pass that gave it no step, want 1", taken[centre])
+	}
+	st.apply(s, -0.53, taken, nil)
+	if got := s.Verts[centre]; got.Z >= 0 {
+		t.Errorf("the base centre's μ step was cut: it is at %v, want it pushed below the base", got)
+	}
+}
+
 // readFixture reads a mesh written one line per vertex ("v x y z") and
 // per cell ("c a b c d label").
 func readFixture(t *testing.T, path string) *core.MeshSnapshot {
