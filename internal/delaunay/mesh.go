@@ -65,10 +65,12 @@
 // sections; a commit's killed cells wait in the worker's limbo,
 // stamped with the epoch read after its last kill, until the epoch is
 // epochLag past the stamp; and the epoch advances only once every
-// worker inside a section has announced it. A cell whose slot is
-// reused is rebuilt dead and revived just before it is published, so
-// a stale handle reads a dead cell or a complete one, never a
-// half-written one. Vertices are never reused.
+// worker inside a section has announced it. A worker whose limbo
+// passes limboCap waits at its next Pin for the others to move on, so
+// a worker stuck in its section costs time, not memory. A cell whose
+// slot is reused is rebuilt dead and revived just before it is
+// published, so a stale handle reads a dead cell or a complete one,
+// never a half-written one. Vertices are never reused.
 package delaunay
 
 import (
@@ -592,7 +594,8 @@ func (m *Mesh) NumVerts() int { return m.Verts.Len() - 1 }
 // free list. It stays close to the live count on a single-owner mesh,
 // which reuses a killed cell's slot as soon as its commit ends, and on
 // a shared one, where a killed cell first waits out epochLag epochs —
-// longer while a worker inside its section is parked or off the CPU.
+// longer, up to limboCap cells per worker, while a worker inside its
+// section is off the CPU.
 // The bootstrap's worker keeps every cell it killed.
 func (m *Mesh) NumCellsAllocated() int { return m.Cells.Len() - 1 }
 
