@@ -207,7 +207,7 @@ func TestForEachSkipsNilChunks(t *testing.T) {
 	al.Alloc()
 	count := 0
 	a.ForEach(func(h Handle, e *entry) { count++ })
-	// Chunk 0 (8191 visitable slots) + chunk 1 (ChunkSize slots).
+	// Chunk 0 (ChunkSize-1 visitable slots) + chunk 1 (ChunkSize slots).
 	if count != 2*ChunkSize-1 {
 		t.Fatalf("visited %d slots, want %d", count, 2*ChunkSize-1)
 	}

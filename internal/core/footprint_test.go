@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -52,6 +53,49 @@ func TestPoorListHoldsHandles(t *testing.T) {
 	t.Logf("PEL, scratch and inbox capacity: %d items, %.2f MiB", items, float64(bytes)/(1<<20))
 	if bytes >= 4<<20 {
 		t.Errorf("poor-element lists hold %.2f MiB after two warm runs, want < 4 MiB", float64(bytes)/(1<<20))
+	}
+}
+
+// TestWarmSessionRetainsLittleHeap bounds what a warm single-worker
+// session keeps between runs — its mesh arenas, sparsity grids, EDT
+// features and per-thread lists — after meshing the three scale-48
+// atlas phantoms twice: the live heap it adds, measured after a
+// collection with the session alive. Grids that cost 40 B for every
+// cell of the box and 8,192-entry arena chunks kept 7.1 MiB; grids
+// that cost a pointer per cell plus their occupied buckets, and
+// 1,024-entry chunks, keep 3.2 MiB (the chunks alone 6.6 MiB: the grid
+// at this scale is TestGridCostsFollowPoints's to guard).
+func TestWarmSessionRetainsLittleHeap(t *testing.T) {
+	images := []*img.Image{
+		img.KneePhantom(48, 48, 48),
+		img.AbdominalPhantom(48, 48, 32),
+		img.HeadNeckPhantom(48, 48, 48),
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	s, err := NewSession(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for pass := 0; pass < 2; pass++ {
+		for i, im := range images {
+			if res, err := s.Run(context.Background(), im); err != nil || res.Status != StatusCompleted {
+				t.Fatalf("image %d pass %d: %v, %v", i, pass, res.Status, err)
+			}
+		}
+	}
+	kept := heap() - base
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(images)
+	t.Logf("a warm session retains %.2f MiB", float64(kept)/(1<<20))
+	if kept > 4<<20 {
+		t.Errorf("a warm session retains %.2f MiB of heap, want at most 4 MiB", float64(kept)/(1<<20))
 	}
 }
 

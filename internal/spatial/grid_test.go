@@ -1,7 +1,9 @@
 package spatial
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -104,7 +106,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			}
 			g.SetSingleOwner(single)
 			if fresh := NewGrid(v3(0, 0, 0), sh.hi, sh.cell); g.nx != fresh.nx || g.ny != fresh.ny || g.nz != fresh.nz ||
-				g.inv != fresh.inv || g.lo != fresh.lo || len(g.buckets) != len(fresh.buckets) {
+				g.inv != fresh.inv || g.lo != fresh.lo || len(g.cells) != len(fresh.cells) {
 				t.Fatalf("shape %d: reshaped geometry differs from NewGrid's", si)
 			}
 			if g.Len() != 0 {
@@ -169,6 +171,133 @@ func TestReshapeKeepsStorage(t *testing.T) {
 		fill()
 	}); n != 0 {
 		t.Errorf("alternating shapes allocate %v times per cycle", n)
+	}
+}
+
+// TestGridCostsFollowPoints: a grid over the knee-96 box at the δ=2
+// cell size (49³ cells) holding a few thousand surface samples
+// allocates 8 B per cell plus what its occupied cells hold — not a
+// bucket per cell (40 B each). An occupied cell costs its bucket and
+// its pool slot (≤ 64 B) and each point at most 128 B: an entry is 32 B
+// and append's doubling allocates at most four entries per one kept.
+func TestGridCostsFollowPoints(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]geom.Vec3, n)
+	for i := range pts { // a sphere of radius 30 about the box centre
+		z, phi := 2*rng.Float64()-1, 2*math.Pi*rng.Float64()
+		r := 30 * math.Sqrt(1-z*z)
+		pts[i] = v3(48+r*math.Cos(phi), 48+r*math.Sin(phi), 48+30*z)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGrid(v3(0, 0, 0), v3(96, 96, 96), 2)
+	for i, p := range pts {
+		g.Add(p, uint32(i))
+	}
+	runtime.ReadMemStats(&after)
+	cells, occupied := len(g.cells), g.attached
+	if cells != 49*49*49 {
+		t.Fatalf("%d cells, want 49³", cells)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(8*cells + 64*occupied + 128*n + 1024)
+	t.Logf("%d cells, %d occupied, %d points: %d B allocated (%.1f B per cell), bound %d B",
+		cells, occupied, n, bytes, float64(bytes)/float64(cells), bound)
+	if bytes > bound {
+		t.Errorf("grid allocated %d B, want at most %d (8 B per cell plus its occupied buckets)", bytes, bound)
+	}
+	if g.Len() != n {
+		t.Errorf("Len = %d, want %d", g.Len(), n)
+	}
+}
+
+// TestConcurrentAttach: writers Add into the same empty cells of a
+// shared grid at once, racing to attach their buckets, while readers
+// query those cells. Afterwards every point is found, Len is exact,
+// and each occupied cell has exactly one bucket, attached to it alone.
+func TestConcurrentAttach(t *testing.T) {
+	const writers, readers, perWriter = 4, 2, 400
+	g := NewGrid(v3(0, 0, 0), v3(10, 10, 10), 1)
+	// Eight cells, none occupied before the writers start.
+	centres := []geom.Vec3{
+		v3(2.5, 2.5, 2.5), v3(3.5, 2.5, 2.5), v3(2.5, 3.5, 2.5), v3(2.5, 2.5, 3.5),
+		v3(7.5, 7.5, 7.5), v3(6.5, 7.5, 7.5), v3(7.5, 6.5, 7.5), v3(7.5, 7.5, 6.5),
+	}
+	point := func(w, i int) geom.Vec3 {
+		c := centres[(w+i)%len(centres)]
+		d := 0.4 * float64(w*perWriter+i) / (writers * perWriter)
+		return v3(c.X+d, c.Y-d, c.Z+d/2)
+	}
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	var wg, rg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perWriter; i++ {
+				g.Add(point(w, i), uint32(w*perWriter+i))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			<-start
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := centres[(r+i)%len(centres)]
+				g.AnyWithin(c, 0.6)
+				g.ForEachWithin(c, 0.6, func(uint32, geom.Vec3) bool { return true })
+				g.Len()
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	if got := g.Len(); got != writers*perWriter {
+		t.Errorf("Len = %d, want %d", got, writers*perWriter)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			p, id := point(w, i), uint32(w*perWriter+i)
+			found := false
+			g.ForEachWithin(p, 0, func(got uint32, q geom.Vec3) bool {
+				found = got == id && q == p
+				return !found
+			})
+			if !found {
+				t.Fatalf("point %d at %v not found", id, p)
+			}
+		}
+	}
+	if g.attached != len(centres) {
+		t.Errorf("%d buckets attached for %d occupied cells", g.attached, len(centres))
+	}
+	owner := map[int32]*bucket{}
+	for _, b := range g.pool[:g.attached] {
+		if owner[b.cell] != nil {
+			t.Errorf("cell %d has two buckets", b.cell)
+		}
+		owner[b.cell] = b
+		if g.cells[b.cell].Load() != b {
+			t.Errorf("cell %d does not point at the bucket attached to it", b.cell)
+		}
+	}
+	for c := range g.cells {
+		if b := g.cells[c].Load(); b != nil && owner[int32(c)] != b {
+			t.Errorf("cell %d holds a bucket that is not attached", c)
+		}
 	}
 }
 
