@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/arena"
@@ -10,7 +11,8 @@ import (
 	"repro/internal/img"
 )
 
-// runSphere meshes a small sphere phantom with the given options.
+// runSphere meshes a small sphere phantom with the given options and
+// validates the Result.
 func runSphere(t *testing.T, n int, workers int, cmName, balName string) *Result {
 	t.Helper()
 	cfg := Config{
@@ -23,20 +25,50 @@ func runSphere(t *testing.T, n int, workers int, cmName, balName string) *Result
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Livelocked {
-		t.Fatalf("livelock watchdog fired")
+	if res.Status != StatusCompleted {
+		t.Fatalf("status %v (%s), want completed", res.Status, res.Reason)
+	}
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
 
+// TestValidateNamesEachInvariant breaks one invariant at a time on a
+// clean completed run (runSphere has validated it) and requires
+// Validate to report that one alone, by name.
+func TestValidateNamesEachInvariant(t *testing.T) {
+	res := runSphere(t, 24, 1, "local", "hws")
+	check := func(what string, r *Result, name string) {
+		t.Helper()
+		err := r.Validate()
+		joined, _ := err.(interface{ Unwrap() []error })
+		if joined == nil || len(joined.Unwrap()) != 1 || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Validate() = %v, want one error naming %q", what, err, name)
+		}
+	}
+	dangling := *res
+	dangling.Stats.DanglingPoorCount = 1
+	check("a poor-element count left held", &dangling, "poor-element count")
+	dangling.Status = StatusAborted
+	if err := dangling.Validate(); err != nil {
+		t.Errorf("an aborted run keeps its queued elements counted, yet Validate() = %v", err)
+	}
+
+	tight := *res
+	tight.Config.MaxRadiusEdge = 1
+	check("MaxRadiusEdge tightened to 1", &tight, "radius-edge bound")
+
+	// An even permutation of a cell's vertices keeps its orientation and
+	// its vertex set, but leaves its neighbour pointers across the wrong
+	// faces.
+	c := res.Mesh.Cells.At(res.Final[0])
+	c.V[0], c.V[1], c.V[2], c.V[3] = c.V[1], c.V[0], c.V[3], c.V[2]
+	check("a cell's neighbour pointers a face off", res, "mesh structure")
+}
+
 func TestRunSphereSequential(t *testing.T) {
 	res := runSphere(t, 24, 1, "local", "hws")
-	if res.Elements() == 0 {
-		t.Fatal("empty final mesh")
-	}
-	if err := res.Mesh.Check(); err != nil {
-		t.Fatalf("final mesh invalid: %v", err)
-	}
 	if res.Stats.Inserts == 0 {
 		t.Error("no insertions recorded")
 	}
@@ -50,12 +82,6 @@ func TestRunSphereSequential(t *testing.T) {
 
 func TestRunSphereParallel(t *testing.T) {
 	res := runSphere(t, 32, 4, "local", "hws")
-	if res.Elements() == 0 {
-		t.Fatal("empty final mesh")
-	}
-	if err := res.Mesh.Check(); err != nil {
-		t.Fatalf("final mesh invalid: %v", err)
-	}
 	if res.Stats.LocksAcquired == 0 {
 		t.Error("a four-worker run acquired no vertex locks")
 	}
@@ -93,25 +119,10 @@ func TestFinalMeshVolume(t *testing.T) {
 	}
 }
 
+// TestRadiusEdgeBound: a two-worker run keeps R4's bound, within
+// radiusEdgeSlack (runSphere's Validate checks it).
 func TestRadiusEdgeBound(t *testing.T) {
-	res := runSphere(t, 24, 2, "local", "hws")
-	worst := 0.0
-	for _, h := range res.Final {
-		c := res.Mesh.Cells.At(h)
-		ratio := geom.RadiusEdgeRatio(
-			res.Mesh.Pos(c.V[0]), res.Mesh.Pos(c.V[1]),
-			res.Mesh.Pos(c.V[2]), res.Mesh.Pos(c.V[3]))
-		if ratio > worst {
-			worst = ratio
-		}
-	}
-	// The provable bound is 2; allow numerical slack (paper Section 7:
-	// "due to numerical errors, these bounds might be smaller in
-	// practice than what theory suggests").
-	if worst > 2.5 {
-		t.Errorf("worst radius-edge ratio %.3f exceeds bound", worst)
-	}
-	t.Logf("worst radius-edge ratio: %.3f", worst)
+	runSphere(t, 24, 2, "local", "hws")
 }
 
 func TestDeltaControlsMeshSize(t *testing.T) {
@@ -172,21 +183,15 @@ func TestDisableRemovals(t *testing.T) {
 	if res.Stats.Removals != 0 {
 		t.Errorf("removals happened despite DisableRemovals: %d", res.Stats.Removals)
 	}
-	if err := res.Mesh.Check(); err != nil {
-		t.Fatalf("mesh invalid without removals: %v", err)
+	if err := res.Validate(); err != nil {
+		t.Fatalf("without removals: %v", err)
 	}
 }
 
 func TestAllContentionManagers(t *testing.T) {
 	for _, name := range []string{"aggressive", "random", "global", "local"} {
 		t.Run(name, func(t *testing.T) {
-			res := runSphere(t, 20, 3, name, "hws")
-			if res.Elements() == 0 {
-				t.Fatal("empty mesh")
-			}
-			if err := res.Mesh.Check(); err != nil {
-				t.Fatalf("mesh invalid: %v", err)
-			}
+			runSphere(t, 20, 3, name, "hws")
 		})
 	}
 }
@@ -194,10 +199,7 @@ func TestAllContentionManagers(t *testing.T) {
 func TestBothBalancers(t *testing.T) {
 	for _, name := range []string{"rws", "hws"} {
 		t.Run(name, func(t *testing.T) {
-			res := runSphere(t, 20, 3, "local", name)
-			if res.Elements() == 0 {
-				t.Fatal("empty mesh")
-			}
+			runSphere(t, 20, 3, "local", name)
 		})
 	}
 }
@@ -208,11 +210,8 @@ func TestMultiLabelRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Elements() == 0 {
-		t.Fatal("empty mesh")
-	}
-	if err := res.Mesh.Check(); err != nil {
-		t.Fatalf("mesh invalid: %v", err)
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	// The final mesh must contain cells in several tissues.
 	labels := map[img.Label]int{}

@@ -217,8 +217,8 @@ func TestRetriesLeaveNoDanglingCount(t *testing.T) {
 		if res.Status != StatusCompleted {
 			t.Fatalf("run %d: %v", i, res.Status)
 		}
-		if res.Stats.DanglingPoorCount != 0 {
-			t.Fatalf("run %d: dangling poor count %d", i, res.Stats.DanglingPoorCount)
+		if err := res.Validate(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 		rollbacks += res.Stats.Rollbacks
 	}

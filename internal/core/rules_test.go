@@ -21,23 +21,15 @@ func TestR4Fires(t *testing.T) {
 		Workers:  1,
 		SizeFunc: func(geom.Vec3) float64 { return 3 },
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || res.Status != StatusCompleted {
+		t.Fatalf("%v, %v", res.Status, err)
 	}
 	if res.Stats.RuleCounts[R4] == 0 {
 		t.Errorf("R4 never fired at coarse delta (rules: %v)", res.Stats.RuleCounts)
 	}
 	// The bound must still hold.
-	worst := 0.0
-	for _, h := range res.Final {
-		c := res.Mesh.Cells.At(h)
-		if r := geom.RadiusEdgeRatio(res.Mesh.Pos(c.V[0]), res.Mesh.Pos(c.V[1]),
-			res.Mesh.Pos(c.V[2]), res.Mesh.Pos(c.V[3])); r > worst {
-			worst = r
-		}
-	}
-	if worst > 2.5 {
-		t.Errorf("worst ratio %.3f with coarse delta", worst)
+	if err := res.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -61,16 +53,10 @@ func TestOversubscription(t *testing.T) {
 		Image:   im,
 		Workers: 16,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || res.Status != StatusCompleted {
+		t.Fatalf("%v (%s), %v", res.Status, res.Reason, err)
 	}
-	if res.Livelocked {
-		t.Fatal("livelocked under oversubscription")
-	}
-	if res.Elements() == 0 {
-		t.Fatal("empty mesh")
-	}
-	if err := res.Mesh.Check(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,13 +89,10 @@ func TestKneeAndHeadNeckPhantoms(t *testing.T) {
 		"headneck": img.HeadNeckPhantom(40, 40, 40),
 	} {
 		res, err := Run(Config{Image: im, Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err != nil || res.Status != StatusCompleted {
+			t.Fatalf("%s: %v, %v", name, res.Status, err)
 		}
-		if res.Elements() == 0 {
-			t.Fatalf("%s: empty mesh", name)
-		}
-		if err := res.Mesh.Check(); err != nil {
+		if err := res.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -144,11 +127,11 @@ func TestPoorCounterBalanced(t *testing.T) {
 			Image:   img.AbdominalPhantom(40, 40, 28),
 			Workers: workers,
 		})
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || res.Status != StatusCompleted {
+			t.Fatalf("workers=%d: %v, %v", workers, res.Status, err)
 		}
-		if res.Stats.DanglingPoorCount != 0 {
-			t.Errorf("workers=%d: dangling poor count %d", workers, res.Stats.DanglingPoorCount)
+		if err := res.Validate(); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
 		}
 	}
 }
@@ -187,7 +170,7 @@ func TestDeltaFuncDensifiesSurface(t *testing.T) {
 	if res.Elements() <= uniform.Elements() {
 		t.Errorf("focused delta did not densify: %d vs %d", res.Elements(), uniform.Elements())
 	}
-	if err := res.Mesh.Check(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -215,7 +198,7 @@ func TestMaxElementsStopsEarly(t *testing.T) {
 		t.Errorf("capped run produced %d elements (cap %d, full %d)",
 			capped.Elements(), cap, full.Elements())
 	}
-	if err := capped.Mesh.Check(); err != nil {
+	if err := capped.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +234,7 @@ func TestVesselPhantomThinStructures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Mesh.Check(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	vessel := 0

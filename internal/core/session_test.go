@@ -72,8 +72,8 @@ func TestSessionWarmRunDeterministic(t *testing.T) {
 		if q := warm.Quality(); q != coldQ {
 			t.Fatalf("warm run %d: quality stats %+v, cold %+v", i, q, coldQ)
 		}
-		if warm.Stats.DanglingPoorCount != 0 {
-			t.Fatalf("warm run %d: dangling poor count %d", i, warm.Stats.DanglingPoorCount)
+		if err := warm.Validate(); err != nil {
+			t.Fatalf("warm run %d: %v", i, err)
 		}
 	}
 	st := s.Stats()
@@ -176,15 +176,13 @@ func TestSessionShapeChange(t *testing.T) {
 		img.SpherePhantom(24),
 	} {
 		res, err := s.Run(context.Background(), im)
-		if err != nil {
+		if err != nil || res.Status != StatusCompleted {
+			t.Fatalf("%v, %v", res.Status, err)
+		}
+		if err := res.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if res.Elements() == 0 {
-			t.Fatal("empty final mesh")
-		}
-		if res.Stats.DanglingPoorCount != 0 {
-			t.Fatalf("dangling poor count %d", res.Stats.DanglingPoorCount)
-		}
+		// One tissue: its boundary is also manifold.
 		if topo := quality.SurfaceTopology(res.Snapshot().BoundaryTriangles()); !topo.Closed {
 			t.Fatalf("boundary not closed: %v", topo)
 		}
@@ -234,7 +232,7 @@ func TestSessionBoxChangeAndBack(t *testing.T) {
 		if n, fp := res.Elements(), meshFingerprint(res); n != wantN[im] || fp != wantFP[im] {
 			t.Fatalf("run %d: %d elements, fingerprint %x; a cold run gives %d, %x", i, n, fp, wantN[im], wantFP[im])
 		}
-		if err := res.Mesh.Check(); err != nil {
+		if err := res.Validate(); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -256,7 +254,7 @@ func TestSessionWarmSmallerRunChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Mesh.Check(); err != nil {
+		if err := res.Validate(); err != nil {
 			t.Fatalf("SpherePhantom(%d) on the shared session: %v", scale, err)
 		}
 	}
@@ -291,14 +289,8 @@ func TestSessionWarmFaultStorm(t *testing.T) {
 		if res.Status != StatusCompleted {
 			t.Fatalf("run %d: status %v (%s), want completed", i, res.Status, res.Reason)
 		}
-		if res.Elements() == 0 {
-			t.Fatalf("run %d: empty final mesh", i)
-		}
-		if res.Stats.DanglingPoorCount != 0 {
-			t.Fatalf("run %d: dangling poor count %d", i, res.Stats.DanglingPoorCount)
-		}
-		if topo := quality.SurfaceTopology(res.Snapshot().BoundaryTriangles()); topo.BorderEdges != 0 {
-			t.Fatalf("run %d: boundary has %d border edges", i, topo.BorderEdges)
+		if err := res.Validate(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 	}
 	if inj.Fired(faultinject.LockDeny) == 0 {
@@ -360,14 +352,14 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	im := img.SpherePhantom(16)
-	res, err := s.Run(context.Background(), im)
-	if err != nil {
+	if _, err := s.Run(context.Background(), im); err != nil {
 		t.Fatal(err)
 	}
 
 	s.Invalidate()
-	if _, err := s.Run(context.Background(), im); err != nil {
-		t.Fatal(err)
+	res, err := s.Run(context.Background(), im)
+	if err != nil || res.Status != StatusCompleted {
+		t.Fatalf("%v, %v", res.Status, err)
 	}
 	if st := s.Stats(); st.WarmEDTHits != 0 {
 		t.Errorf("EDT cache hit after Invalidate: %+v", st)
@@ -383,7 +375,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Error("Run on closed session succeeded")
 	}
 	// The last result's mesh must survive Close.
-	if res.Elements() == 0 || res.Mesh.NumVerts() == 0 {
-		t.Error("result invalidated by Close")
+	if err := res.Validate(); err != nil {
+		t.Errorf("result invalidated by Close: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/balance"
 	"repro/internal/delaunay"
+	"repro/internal/geom"
 	"repro/internal/quality"
 )
 
@@ -55,7 +57,9 @@ type RunStats struct {
 
 	// DanglingPoorCount is the sum of the per-thread poor-element
 	// counters at termination; the push/pop/invalidate protocol pairs
-	// every increment with exactly one decrement, so it must be zero.
+	// every increment with exactly one decrement, so it is zero at a
+	// fixpoint. A run that aborted or hit MaxElements leaves its queued
+	// elements counted.
 	DanglingPoorCount int64
 }
 
@@ -128,6 +132,52 @@ func (r *Result) Err() error {
 		return nil
 	}
 	return fmt.Errorf("core: run aborted: %w", r.cause)
+}
+
+// radiusEdgeSlack is the factor Validate allows a completed run's worst
+// radius-edge ratio above Config.MaxRadiusEdge (2.5 at the default 2):
+// rule R4's bound is provable, but "due to numerical errors, these
+// bounds might be smaller in practice than what theory suggests"
+// (paper Section 7).
+const radiusEdgeSlack = 1.25
+
+// Validate checks the Result against the invariants every run keeps and
+// returns errors.Join of one error per broken invariant, each naming
+// it, or nil. Any run, aborted or not, keeps a structurally valid mesh
+// (Mesh.Check) and a watertight boundary (no border edge). A run that
+// reached its fixpoint — completed and not cut by MaxElements — also
+// released every poor-element count, has a non-empty final mesh, and
+// keeps its worst radius-edge ratio within radiusEdgeSlack of
+// Config.MaxRadiusEdge. Like Snapshot, it must be called before the
+// owning session's next Run.
+func (r *Result) Validate() error {
+	var errs []error
+	if err := r.Mesh.Check(); err != nil {
+		errs = append(errs, fmt.Errorf("mesh structure: %w", err))
+	}
+	tris := SnapshotOf(r.Mesh, r.Final, r.Config.Image).BoundaryTriangles()
+	if n := quality.SurfaceTopology(tris).BorderEdges; n != 0 {
+		errs = append(errs, fmt.Errorf("watertight boundary: %d border edges", n))
+	}
+	if r.Status != StatusCompleted || (r.Config.MaxElements > 0 && r.Elements() >= r.Config.MaxElements) {
+		return errors.Join(errs...)
+	}
+	if n := r.Stats.DanglingPoorCount; n != 0 {
+		errs = append(errs, fmt.Errorf("poor-element count: %d dangling at the fixpoint", n))
+	}
+	if len(r.Final) == 0 {
+		errs = append(errs, errors.New("final mesh: empty at the fixpoint"))
+	}
+	worst := 0.0
+	for _, h := range r.Final {
+		c := r.Mesh.Cells.At(h)
+		worst = max(worst, geom.RadiusEdgeRatio(
+			r.Mesh.Pos(c.V[0]), r.Mesh.Pos(c.V[1]), r.Mesh.Pos(c.V[2]), r.Mesh.Pos(c.V[3])))
+	}
+	if bound := radiusEdgeSlack * r.Config.MaxRadiusEdge; worst > bound {
+		errs = append(errs, fmt.Errorf("radius-edge bound: worst ratio %.3f exceeds %.3f", worst, bound))
+	}
+	return errors.Join(errs...)
 }
 
 // Elements returns the number of tetrahedra in the final mesh.

@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/img"
 )
@@ -274,9 +273,6 @@ func parallelFor(n, workers int, fn func(int, *lineScratch)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			// Injected straggler: one slice of one pass stalls, proving
-			// the pass barrier tolerates wildly imbalanced slice times.
-			faultinject.Sleep(faultinject.SlowEDT)
 			sc := linePool.Get().(*lineScratch)
 			for i := lo; i < hi; i++ {
 				fn(i, sc)

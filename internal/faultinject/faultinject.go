@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for
 // the refinement engine. Production code is instrumented with named
 // injection points (a denied CAS lock, a delayed commit, a worker
-// panic, a dropped work-steal, a slowed EDT slice); when no injector is
+// panic, a dropped work-steal, a stalled session); when no injector is
 // installed every hook reduces to a single atomic nil-check, so the
 // instrumentation is free in normal operation.
 //
@@ -38,8 +38,8 @@ const (
 	// DropSteal makes the load balancer's ClaimBeggar come back empty,
 	// as if the begging list were lost; donors keep the work local.
 	DropSteal
-	// SlowEDT stalls one slice of the parallel distance transform.
-	SlowEDT
+	// _ is a retired point's slot; see the two below RunPoisoned.
+	_
 	// QueueFull makes the serving layer's admission check report a
 	// full job queue, forcing a synthetic 429 rejection.
 	QueueFull
@@ -99,8 +99,6 @@ func (p Point) String() string {
 		return "worker-panic"
 	case DropSteal:
 		return "drop-steal"
-	case SlowEDT:
-		return "slow-edt"
 	case QueueFull:
 		return "queue-full"
 	case SlowSession:
@@ -150,7 +148,7 @@ type Config struct {
 	// deterministic warm-up, so a storm can start mid-run after the
 	// bootstrap and early refinement have gone through cleanly.
 	After map[Point]int64
-	// Delay is the stall applied by CommitDelay and SlowEDT firings
+	// Delay is the stall applied by CommitDelay and SlowSession firings
 	// (default 1ms).
 	Delay time.Duration
 }

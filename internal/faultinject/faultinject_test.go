@@ -143,7 +143,6 @@ func TestPointNumbersPinned(t *testing.T) {
 		{CommitDelay, 1, "commit-delay"},
 		{WorkerPanic, 2, "worker-panic"},
 		{DropSteal, 3, "drop-steal"},
-		{SlowEDT, 4, "slow-edt"},
 		{QueueFull, 5, "queue-full"},
 		{SlowSession, 6, "slow-session"},
 		{RunPoisoned, 7, "run-poisoned"},

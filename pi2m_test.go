@@ -6,23 +6,18 @@ import (
 )
 
 // TestPublicAPIRoundtrip exercises the facade end to end: phantom →
-// run → snapshot quality → topology → export → NRRD roundtrip.
+// run → Validate → topology → export → NRRD roundtrip.
 func TestPublicAPIRoundtrip(t *testing.T) {
 	image := SpherePhantom(24)
 	result, err := Run(Config{Image: image, Workers: 2})
-	if err != nil {
+	if err != nil || result.Status != StatusCompleted {
+		t.Fatalf("%v, %v", result.Status, err)
+	}
+	if err := result.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if result.Elements() == 0 {
-		t.Fatal("empty mesh")
-	}
 
-	mesh := result.Snapshot()
-	q := mesh.Quality()
-	if q.MaxRadiusEdge > 2.5 {
-		t.Errorf("radius-edge %v", q.MaxRadiusEdge)
-	}
-	tris := mesh.BoundaryTriangles()
+	tris := result.Snapshot().BoundaryTriangles()
 	topo := SurfaceTopology(tris)
 	if !topo.Closed || topo.Euler != 2 {
 		t.Errorf("sphere topology: %v", topo)

@@ -40,11 +40,11 @@ func TestSessionFacade(t *testing.T) {
 	}
 	image := pi2m.TorusPhantom(24)
 	res1, err := s.Run(context.Background(), image)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || res1.Status != pi2m.StatusCompleted {
+		t.Fatalf("%v, %v", res1.Status, err)
 	}
-	if res1.Elements() == 0 {
-		t.Fatal("empty mesh")
+	if err := res1.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Run(context.Background(), image); err != nil {
 		t.Fatal(err)
