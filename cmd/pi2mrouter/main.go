@@ -35,11 +35,11 @@
 // -drain-timeout), and exits; it holds no durable state — the ETag
 // table is a rebuildable cache.
 //
-// The flags are deployment settings: -addr -backends -replicas
-// -probe-interval -fail-threshold -max-bytes -drain-timeout. Ring
-// density, the probe deadline, the ETag table's size and the retry
-// budget that bounds failover amplification are constants in
-// internal/router. The binary links no mesher.
+// The flags are deployment settings: -addr -backends -probe-interval
+// -fail-threshold -max-bytes -drain-timeout. The ladder depth (two
+// distinct backends per key), ring density, the probe deadline and the
+// ETag table's size are constants in internal/router. The binary links
+// no mesher.
 package main
 
 import (
@@ -64,7 +64,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		backends      = flag.String("backends", "", "comma-separated pi2md base URLs (required)")
-		replicas      = flag.Int("replicas", 2, "fallback ladder depth: distinct backends tried per key")
 		probeInterval = flag.Duration("probe-interval", time.Second, "mean backend health-probe period (jittered)")
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive failures ejecting a backend from the ring")
 		maxBytes      = flag.Int64("max-bytes", 64<<20, "request body cap (the router buffers each body to key it)")
@@ -84,7 +83,6 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Backends:        list,
-		Replicas:        *replicas,
 		ProbeInterval:   *probeInterval,
 		FailThreshold:   *failThreshold,
 		MaxRequestBytes: *maxBytes,

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -56,6 +58,53 @@ func (l *lockedJitter) Float64() float64 {
 	return l.rng.Float64()
 }
 
+// ladderKey carries a proxied request's ladderTrips through the
+// router's context into its backend round trips.
+type ladderKey struct{}
+
+// ladderTrips is one proxied request's backend round trips: cache
+// reads (GET) and forwards (POST), by backend. The router makes them one
+// after another on the request's goroutine.
+type ladderTrips struct {
+	reads map[string]int
+	fwds  map[string]int
+}
+
+// countTrips is the soak's transport: it books every round trip made
+// for a proxied request, then hands it to the partition. Health probes
+// carry no ladder and pass straight through.
+type countTrips struct{ next http.RoundTripper }
+
+func (c countTrips) RoundTrip(req *http.Request) (*http.Response, error) {
+	if l, ok := req.Context().Value(ladderKey{}).(*ladderTrips); ok {
+		backend := req.URL.Scheme + "://" + req.URL.Host
+		if req.Method == http.MethodGet {
+			l.reads[backend]++
+		} else {
+			l.fwds[backend]++
+		}
+	}
+	return c.next.RoundTrip(req)
+}
+
+// check reports how the request broke the ladder's structural bound, or
+// "": each backend gets at most one cache read and one forward, and on
+// a ring that held still for the whole request only the key's first
+// `replicas` members (ladder) are tried. A nil ladder checks counts only.
+func (l *ladderTrips) check(ladder []string) string {
+	for _, trips := range []map[string]int{l.reads, l.fwds} {
+		for b, n := range trips {
+			if n > 1 {
+				return fmt.Sprintf("%d cache reads or %d forwards to %s", l.reads[b], l.fwds[b], b)
+			}
+			if ladder != nil && !slices.Contains(ladder, b) {
+				return fmt.Sprintf("%s tried outside the ladder %v", b, ladder)
+			}
+		}
+	}
+	return ""
+}
+
 type chaosOutcome struct {
 	key        int // body index
 	code       int
@@ -81,7 +130,8 @@ type chaosOutcome struct {
 //     answered from a survivor's result cache via the cache-only
 //     replica read (replica_cache_hits > 0), not re-meshed;
 //   - after the restart the node rejoins and its keys re-home to it;
-//   - the router ledger balances: proxied == completed + failed.
+//   - the router ledger balances: proxied == completed + failed;
+//   - every request keeps the failover bound (ladderTrips.check).
 func TestRouterChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is long")
@@ -129,10 +179,9 @@ func TestRouterChaosSoak(t *testing.T) {
 	}
 	rt, err := New(Config{
 		Backends:      urls,
-		Replicas:      2,
 		ProbeInterval: 30 * time.Millisecond,
 		FailThreshold: 2,
-		Transport:     part,
+		Transport:     countTrips{next: part},
 		Jitter:        (&lockedJitter{rng: rand.New(rand.NewSource(seed + 1))}).Float64,
 	})
 	if err != nil {
@@ -140,7 +189,35 @@ func TestRouterChaosSoak(t *testing.T) {
 	}
 	rt.Start()
 	defer rt.Stop()
-	rts := httptest.NewServer(rt.Handler())
+	// Every proxied request is checked against the ladder's bound as its
+	// handler returns.
+	spec, err := wire.MeshSpecFromQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		ladderMu     sync.Mutex
+		ladderBroken []string
+	)
+	proxy := rt.Handler()
+	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		raw, _ := io.ReadAll(req.Body)
+		req.Body = io.NopCloser(bytes.NewReader(raw))
+		l := &ladderTrips{reads: map[string]int{}, fwds: map[string]int{}}
+		rt.mu.Lock()
+		gen := rt.mRebalances.Value()
+		ladder := rt.ring.Replicas(routeKey(wire.ImageKey(raw), spec.Variant()), replicas)
+		rt.mu.Unlock()
+		proxy.ServeHTTP(w, req.WithContext(context.WithValue(req.Context(), ladderKey{}, l)))
+		if rt.mRebalances.Value() != gen {
+			ladder = nil // membership moved mid-request
+		}
+		if why := l.check(ladder); why != "" {
+			ladderMu.Lock()
+			ladderBroken = append(ladderBroken, why)
+			ladderMu.Unlock()
+		}
+	}))
 	defer rts.Close()
 
 	// Injected network chaos rides on top of the kill wave: sporadic
@@ -179,10 +256,6 @@ func TestRouterChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		bodies[i] = buf.Bytes()
-		spec, err := wire.MeshSpecFromQuery(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		keys[i] = routeKey(wire.ImageKey(bodies[i]), spec.Variant())
 	}
 
@@ -434,16 +507,15 @@ func TestRouterChaosSoak(t *testing.T) {
 		t.Fatalf("replica_cache_hits = %d after an owner kill over warm replicas, want >=1", st.ReplicaCacheHits)
 	}
 
-	// Retry-budget ledger: every retry withdrew a token, and tokens only
-	// enter the bucket at boot (seed) or as a fraction of ok relays —
-	// so the retry count can never exceed seed + ratio x ok_relays.
-	var okRelays int64
-	for _, backend := range rt.order {
-		okRelays += rt.mProxied.Value(backend, outcomeOK)
+	// The failover bound, checked per request as each ended: at most
+	// len(candidates) backends, each with at most one cache read and one
+	// forward, so at most k = 2·len(candidates) − 1 retries a request,
+	// len(candidates) being every backend while the ring is empty.
+	if len(ladderBroken) > 0 {
+		t.Fatalf("%d requests broke the ladder bound, first: %s", len(ladderBroken), ladderBroken[0])
 	}
-	if maxRetries := retrySeed + retryRatio*float64(okRelays); float64(st.Retries) > maxRetries+1e-9 {
-		t.Fatalf("retries = %d exceed the budget ledger bound %.1f (seed %.0f + %.2f x %d ok relays)",
-			st.Retries, maxRetries, float64(retrySeed), retryRatio, okRelays)
+	if k := int64(2*len(urls) - 1); st.Retries > k*st.ProxiedJobs {
+		t.Fatalf("retries = %d exceed %d x %d proxied jobs", st.Retries, k, st.ProxiedJobs)
 	}
 
 	if path := os.Getenv("PI2MR_CHAOS_REPORT"); path != "" {
@@ -463,7 +535,6 @@ func TestRouterChaosSoak(t *testing.T) {
 			"etag_304s":            st.ETag304s,
 			"cache_only_served":    cacheOnlyServed,
 			"retries":              st.Retries,
-			"retry_exhausted":      st.RetryExhausted,
 		}
 		raw, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -50,7 +50,7 @@ func TestRouterRelaysLengthFramed(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	part := &partition{}
-	r := newTestRouter(t, Config{Backends: urls, Replicas: 2, FailThreshold: 1, Transport: part})
+	r := newTestRouter(t, Config{Backends: urls, FailThreshold: 1, Transport: part})
 	for _, u := range urls {
 		r.ProbeOnce(u)
 	}

@@ -395,8 +395,7 @@ func (s *statusWriter) WriteHeader(code int) {
 // by the backend's pi2md_cache_only_served_total and by neither of the
 // router's replica counters, which stay the failover ladder's. When the
 // blob is gone, the read's 404 and the upload behind it are one attempt:
-// with an empty retry budget the request still meshes, and neither retry
-// counter moves.
+// the request meshes at no retry, and neither replica counter moves.
 func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 	var mu sync.Mutex
 	var calls []string // "METHOD status upload-bytes" per /v1/ request
@@ -460,10 +459,6 @@ func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 	if _, _, ok := store.Get(wire.ImageKey(image), ""); ok {
 		t.Fatal("the store still serves a removed blob")
 	}
-	r.budget.mu.Lock()
-	r.budget.tokens = 0
-	r.budget.mu.Unlock()
-
 	again := postFor(t, rts.URL+"/v1/mesh", "application/octet-stream", image, nil)
 	if again.status != http.StatusOK || !bytes.Equal(again.body, first.body) {
 		t.Fatalf("after eviction: status %d %q, want a 200 re-mesh", again.status, again.code)
@@ -475,8 +470,8 @@ func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 		t.Errorf("backend cache-only served/miss = %d/%d, runs %d; want 1/1 and 2", st.CacheOnly, st.CacheOnlyMiss, st.Pool.Checkouts)
 	}
 	st := r.Stats()
-	if st.Retries != 0 || st.RetryExhausted != 0 {
-		t.Errorf("retries = %d, budget exhausted = %d; an evicted key must cost no retry", st.Retries, st.RetryExhausted)
+	if st.Retries != 0 {
+		t.Errorf("retries = %d; an evicted key must cost no retry", st.Retries)
 	}
 	if st.ReplicaCacheHits != 0 || st.ReplicaCacheMisses != 0 {
 		t.Errorf("replica cache hits/misses = %d/%d after a keyed miss, want 0/0", st.ReplicaCacheHits, st.ReplicaCacheMisses)

@@ -108,12 +108,12 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	// Every backend attempt beyond this request's first — fallback
-	// forwards, extra cache probes — is accounted against the shared
-	// retry budget, so a dying fleet sees bounded amplification
-	// instead of Replicas× its offered load. A keyed attempt's cache read
-	// and the forward behind it are one attempt (send).
-	att := &attempts{r: r}
+	// The ladder's length is the only bound on failover work: each
+	// candidate gets at most one cache read and one forward, and only a
+	// transport failure or a cache miss moves the ladder along. Every
+	// attempt after the request's first counts as a retry; a keyed
+	// attempt's cache read and the forward behind it are one (send).
+	tried := 0
 	cands := r.candidates(plan.routeKey)
 
 	// Replica cache reads, trigger 1 — ejection of the key's server:
@@ -124,14 +124,13 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	probed := false
 	if known && ent.backend != "" && !r.isHealthy(ent.backend) {
 		probed = true
-		if r.tryCacheLadder(w, req, plan, cands, started, att) {
+		if r.tryCacheLadder(w, req, plan, cands, started, &tried) {
 			return
 		}
-		// No survivor holds the blob (or the budget stopped the
-		// walk): drop the entry — guarded on it still naming the
-		// unhealthy backend — so the next request for this key goes
-		// straight to the new owner instead of re-walking this
-		// ladder forever.
+		// No survivor holds the blob: drop the entry — guarded on it
+		// still naming the unhealthy backend — so the next request for
+		// this key goes straight to the new owner instead of re-walking
+		// this ladder forever.
 		r.etags.dropIf(plan.routeKey, ent.backend)
 	}
 	// A key the table knows: the first attempt reads the first
@@ -139,11 +138,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	keyed := known && !probed
 
 	for i, cand := range cands {
-		if !att.allow() {
-			r.answer503(w, "retry budget exhausted routing key %s (stopped before attempt %d)",
-				plan.routeKey, i+1)
-			return
-		}
+		r.countAttempt(&tried)
 		resp, err := r.send(req, cand, plan, keyed && i == 0)
 		if err != nil {
 			if req.Context().Err() != nil {
@@ -161,7 +156,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			// cache-only) whether it already holds the result.
 			if plan.format != "" && !probed {
 				probed = true
-				if r.tryCacheLadder(w, req, plan, cands[i+1:], started, att) {
+				if r.tryCacheLadder(w, req, plan, cands[i+1:], started, &tried) {
 					return
 				}
 			}
@@ -185,25 +180,13 @@ func (r *Router) finish(w http.ResponseWriter, req *http.Request, resp *http.Res
 	r.mProxySeconds.Observe(time.Since(started).Seconds())
 }
 
-// attempts is one request's retry-budget ledger: the first backend
-// round trip is always free (it is the request, not a retry), every
-// additional one must withdraw a token. A declined allow stops the
-// ladder and is counted as budget exhaustion.
-type attempts struct {
-	r    *Router
-	used int
-}
-
-func (a *attempts) allow() bool {
-	if a.used > 0 {
-		if !a.r.budget.withdraw() {
-			a.r.mRetryExhausted.Inc()
-			return false
-		}
-		a.r.mRetries.Inc()
+// countAttempt counts one backend attempt of a request that has made
+// *tried so far: the first is the request, every later one a retry.
+func (r *Router) countAttempt(tried *int) {
+	if *tried > 0 {
+		r.mRetries.Inc()
 	}
-	a.used++
-	return true
+	*tried++
 }
 
 // tryCacheLadder walks candidates with cache-only probes — GET
@@ -215,11 +198,9 @@ func (a *attempts) allow() bool {
 // stops re-arming this ladder on every request. A transport failure
 // feeds the health ledger like any other. Returns true when a response
 // was relayed and the request is done.
-func (r *Router) tryCacheLadder(w http.ResponseWriter, req *http.Request, plan routePlan, cands []string, started time.Time, att *attempts) bool {
+func (r *Router) tryCacheLadder(w http.ResponseWriter, req *http.Request, plan routePlan, cands []string, started time.Time, tried *int) bool {
 	for _, cand := range cands {
-		if !att.allow() {
-			return false
-		}
+		r.countAttempt(tried)
 		resp, err := r.probeCache(req, cand, plan)
 		if err != nil {
 			if req.Context().Err() != nil {
@@ -323,7 +304,7 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 // cache body-less (probeCache) and returns a 200 or 304 as the answer;
 // anything else is drained — a 404 drops the table entry naming backend,
 // as on the ladder — and the body follows. Read and forward are one
-// attempt, so a gone blob costs a small round trip and no retry token. A
+// attempt, so a gone blob costs a small round trip and counts no retry. A
 // transport failure of the read is the attempt's, as a forward's would be.
 func (r *Router) send(req *http.Request, backend string, plan routePlan, keyed bool) (*http.Response, error) {
 	if keyed {
@@ -389,7 +370,6 @@ func (r *Router) relay(w http.ResponseWriter, req *http.Request, resp *http.Resp
 		r.mProxied.With(backend, outcomeUpstream4xx).Inc()
 	default:
 		r.mProxied.With(backend, outcomeOK).Inc()
-		r.budget.deposit() // successes are what earn retry allowance back
 		if plan.format != "" {
 			if raw := rawETagFromHeader(resp.Header.Get("ETag")); raw != "" {
 				r.etags.learn(plan.routeKey, raw, backend)
@@ -551,8 +531,6 @@ type Stats struct {
 	ETagEntries        int            `json:"etag_entries"`
 	PlannedDrains      int64          `json:"planned_drains"`
 	Retries            int64          `json:"retries"`
-	RetryExhausted     int64          `json:"retry_budget_exhausted"`
-	RetryBudgetTokens  float64        `json:"retry_budget_tokens"`
 
 	// UploadCache is what the upload memo retains.
 	UploadCache wire.MemCacheStats `json:"upload_cache"`
@@ -582,8 +560,6 @@ func (r *Router) Stats() Stats {
 		ETag304s:           r.mETag304.Value(),
 		PlannedDrains:      r.mDrains.Value(),
 		Retries:            r.mRetries.Value(),
-		RetryExhausted:     r.mRetryExhausted.Value(),
-		RetryBudgetTokens:  r.budget.balance(),
 	}
 	for _, name := range r.order {
 		b := r.backends[name]

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -466,7 +467,6 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	part := &partition{}
 	r := newTestRouter(t, Config{
 		Backends:      cacheFleetURLs(fleet),
-		Replicas:      2,
 		FailThreshold: 1, // first transport failure ejects
 		Transport:     part,
 	})
@@ -701,7 +701,6 @@ func TestETagStaleDropOnMiss(t *testing.T) {
 	part := &partition{}
 	r := newTestRouter(t, Config{
 		Backends:      cacheFleetURLs(fleet),
-		Replicas:      2,
 		FailThreshold: 10, // the dead owner stays "healthy": trigger-2 territory
 		Transport:     part,
 	})
@@ -772,7 +771,7 @@ func TestSimulateNeverCacheAnswered(t *testing.T) {
 		b.cached.Store(true)
 	}
 	dead := "http://127.0.0.1:9" // configured but never healthy
-	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead), Replicas: 2})
+	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead)})
 	probeAllCache(r, fleet)
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
@@ -828,7 +827,7 @@ func TestMalformedSpecNeverCacheAnswered(t *testing.T) {
 		b.cached.Store(true)
 	}
 	dead := "http://127.0.0.1:9" // configured but never healthy
-	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead), Replicas: 2})
+	r := newTestRouter(t, Config{Backends: append(cacheFleetURLs(fleet), dead)})
 	probeAllCache(r, fleet)
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
@@ -874,95 +873,70 @@ func TestMalformedSpecNeverCacheAnswered(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhausted: with an empty token bucket every round
-// trip beyond a request's first is refused — the fallback ladder stops
-// before touching a survivor and the client gets the budget-exhausted
-// 503 — and successful relays earn the allowance back at the
-// configured ratio, after which exactly one funded probe rescues the
-// next failover.
-func TestRetryBudgetExhausted(t *testing.T) {
-	raw := "0123456789abcdef"
-	fleet := newCacheFleet(t, 2, raw)
+// TestFailoverBeforeEjection: the owner is partitioned but stays in the
+// ring (the threshold is above its failure count), so every request
+// walks the ladder — the owner's transport failure, a cache read on the
+// second replica, the forward to it — and never the third backend. The
+// ladder's length is the only bound on that work: each request is
+// answered 200 by the survivor at exactly two retries, however many
+// came before it. Once the survivor is ejected too, its key's next
+// request reads the new ladder's caches first and then forwards; the
+// owner's second failure does not start another cache walk.
+func TestFailoverBeforeEjection(t *testing.T) {
+	const requests = 12
+	fleet := newCacheFleet(t, 3, "0123456789abcdef")
 	part := &partition{}
 	r := newTestRouter(t, Config{
 		Backends:      cacheFleetURLs(fleet),
-		Replicas:      2,
-		FailThreshold: 10,
+		FailThreshold: requests + 3,
 		Transport:     part,
 	})
-	r.budget.mu.Lock()
-	r.budget.tokens = 0 // as if the boot allowance were already spent
-	r.budget.mu.Unlock()
 	probeAllCache(r, fleet)
 	rts := httptest.NewServer(r.Handler())
 	defer rts.Close()
 
-	body := []byte("fake-nrrd-payload-budget")
+	body := []byte("fake-nrrd-payload-failover")
 	key := meshRouteKey(t, body)
-	owner := r.Owner(key)
-	var ownerStub, survivor *cacheStub
+	ladder := r.ring.Replicas(key, len(fleet))
+	stub := map[string]*cacheStub{}
 	for _, b := range fleet {
-		if b.ts.URL == owner {
-			ownerStub = b
-		} else {
-			survivor = b
-		}
+		stub[b.ts.URL] = b
 	}
-
-	// Empty bucket: the owner's transport failure cannot buy a single
-	// fallback round trip.
+	owner, survivor, third := ladder[0], stub[ladder[1]], stub[ladder[2]]
 	part.set(owner, true)
-	resp := postMesh(t, rts, body, nil)
-	code, reason, retryAfterS := decodeEnvelope(t, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("empty-bucket failover: status %d, want 503", resp.StatusCode)
-	}
-	if code != wire.CodeUnavailable || !strings.Contains(reason, "retry budget exhausted") {
-		t.Fatalf("envelope code=%q reason=%q, want %q naming the exhausted budget", code, reason, wire.CodeUnavailable)
-	}
-	if retryAfterS < 1 || retryAfterS > 30 {
-		t.Fatalf("retry_after_s = %d outside the [1,30] clamp", retryAfterS)
-	}
-	if got := survivor.meshHits.Load() + survivor.probeHits.Load(); got != 0 {
-		t.Fatalf("the exhausted budget still let %d round trips reach the survivor", got)
-	}
-	st := r.Stats()
-	if st.Retries != 0 || st.RetryExhausted != 2 {
-		t.Fatalf("retries=%d exhausted=%d, want 0/2 (cache rung + fallback forward both refused)",
-			st.Retries, st.RetryExhausted)
-	}
 
-	// Successful relays at the default 0.1 ratio earn the allowance
-	// back; 12 of them overshoot one whole token (10 would leave the
-	// sum a rounding hair below 1.0 and the withdraw would refuse).
-	part.set(owner, false)
-	for i := 0; i < 12; i++ {
+	sent := 0
+	post := func(want *cacheStub, retries int64) {
+		t.Helper()
+		sent++
 		resp := postMesh(t, rts, body, nil)
-		io.Copy(io.Discard, resp.Body)
+		got, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("refill relay %d: status %d", i, resp.StatusCode)
+		if resp.StatusCode != http.StatusOK || string(got) != "full-"+want.id {
+			t.Fatalf("request %d: status %d body %q, want %s's 200", sent, resp.StatusCode, got, want.id)
+		}
+		if st := r.Stats(); st.Retries != retries {
+			t.Fatalf("request %d: retries = %d, want %d", sent, st.Retries, retries)
 		}
 	}
-	if tok := r.Stats().RetryBudgetTokens; tok < 1 || tok > 1.3 {
-		t.Fatalf("budget tokens = %g after 12 ok relays, want ~1.2", tok)
+	for i := 1; i <= requests; i++ {
+		post(survivor, int64(2*i)) // a cache read and a forward each
 	}
-	if got := ownerStub.meshHits.Load(); got != 12 {
-		t.Fatalf("owner served %d relays, want 12", got)
+	if !slices.Contains(r.HealthyBackends(), owner) {
+		t.Fatalf("owner %s left the ring below its failure threshold", owner)
+	}
+	if got := survivor.meshHits.Load(); got != requests {
+		t.Fatalf("survivor meshed %d requests, want %d", got, requests)
+	}
+	if got := third.meshHits.Load() + third.probeHits.Load(); got != 0 {
+		t.Fatalf("%d round trips reached the third backend, past the ladder's depth", got)
 	}
 
-	// The earned token funds exactly one fallback probe, which rescues
-	// the next failover from the survivor's cache.
-	survivor.cached.Store(true)
-	part.set(owner, true)
-	resp = postMesh(t, rts, body, nil)
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(got) != "cached-"+survivor.id {
-		t.Fatalf("funded failover: status %d body %q, want the survivor's cached copy", resp.StatusCode, got)
-	}
-	if st := r.Stats(); st.Retries != 1 {
-		t.Fatalf("retries = %d, want exactly the funded probe", st.Retries)
+	// Reads of the owner and the third backend, the owner's failed
+	// forward, the third's forward: three retries.
+	r.ejectBackend(survivor.ts.URL)
+	post(third, 2*requests+3)
+	if got := third.probeHits.Load(); got != 1 {
+		t.Fatalf("third backend's cache read %d times, want once", got)
 	}
 }

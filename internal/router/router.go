@@ -27,6 +27,7 @@ const (
 
 // What no deployment, test or benchmark sets differently is a constant.
 const (
+	replicas      = 2               // fallback ladder depth: distinct ring members tried per key
 	vnodes        = 128             // virtual nodes per ring member
 	probeTimeout  = 2 * time.Second // bound on one /readyz probe
 	etagTableSize = 4096            // (routeKey → ETag) entries, evicted LRU
@@ -38,10 +39,6 @@ type Config struct {
 	// Backends are the pi2md base URLs ("http://host:port"); at least
 	// one is required. Trailing slashes are stripped.
 	Backends []string
-	// Replicas bounds the fallback ladder: how many distinct ring
-	// members a request may be tried against (owner first).
-	// Default 2.
-	Replicas int
 	// ProbeInterval is the mean health-probe period per backend; the
 	// actual period is jittered to [0.5,1.5)× so probes across backends
 	// and routers never phase-lock. Default 1s.
@@ -64,9 +61,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Replicas <= 0 {
-		out.Replicas = 2
-	}
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = time.Second
 	}
@@ -120,10 +114,6 @@ type Router struct {
 	// counts are unexported (no pi2mr_ family), /v1/stats shows its size.
 	uploads *wire.UploadKeys
 
-	// budget bounds retry amplification across the fallback and
-	// replica-cache ladders.
-	budget *retryBudget
-
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	started bool
@@ -143,7 +133,6 @@ type Router struct {
 	mETag304        *metrics.Counter
 	mDrains         *metrics.Counter
 	mRetries        *metrics.Counter
-	mRetryExhausted *metrics.Counter
 }
 
 // New builds a Router over the configured backends. Call Start to
@@ -160,7 +149,6 @@ func New(cfg Config) (*Router, error) {
 		backends: make(map[string]*backendState, len(cfg.Backends)),
 		etags:    newETagTable(etagTableSize),
 		uploads:  wire.NewUploadKeys(new(metrics.Counter), new(metrics.Counter), new(metrics.Counter), new(metrics.Gauge)),
-		budget:   newRetryBudget(),
 		stop:     make(chan struct{}),
 	}
 	for _, b := range cfg.Backends {
@@ -208,11 +196,7 @@ func New(cfg Config) (*Router, error) {
 	r.mDrains = reg.Counter("pi2mr_planned_drains_total",
 		"Planned backend drains executed through POST /v1/drain.")
 	r.mRetries = reg.Counter("pi2mr_retries_total",
-		"Backend round trips beyond a request's first attempt (fallback forwards, extra cache probes), each paid for by a retry-budget token.")
-	r.mRetryExhausted = reg.Counter("pi2mr_retry_budget_exhausted_total",
-		"Requests whose fallback ladder was stopped by an empty retry budget.")
-	reg.GaugeFunc("pi2mr_retry_budget_tokens",
-		"Tokens currently in the retry budget.", r.budget.balance)
+		"Backend attempts beyond a request's first (fallback forwards, cache reads on the failover ladder).")
 	for _, name := range r.order {
 		r.mBackendHealthy.With(name).Set(0)
 	}
@@ -378,7 +362,7 @@ func (r *Router) candidates(key string) []string {
 	if r.ring.Size() == 0 {
 		return r.allRing.Replicas(key, r.allRing.Size())
 	}
-	return r.ring.Replicas(key, r.cfg.Replicas)
+	return r.ring.Replicas(key, replicas)
 }
 
 // Owner reports the healthy-ring owner of a route key ("" when the

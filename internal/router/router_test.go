@@ -184,7 +184,6 @@ func TestRouterFailoverToReplica(t *testing.T) {
 	part := &partition{}
 	r := newTestRouter(t, Config{
 		Backends:      fleetURLs(fleet),
-		Replicas:      3,
 		FailThreshold: 2,
 		Transport:     part,
 	})
