@@ -15,9 +15,6 @@ type CSR struct {
 	n      int
 }
 
-// N returns the dimension.
-func (m *CSR) N() int { return m.n }
-
 // NNZ returns the stored nonzero count.
 func (m *CSR) NNZ() int { return len(m.Val) }
 

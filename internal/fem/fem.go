@@ -13,7 +13,6 @@ package fem
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -42,7 +41,6 @@ type System struct {
 	K   *CSR
 	B   []float64
 	ids []int32 // free index -> vertex id
-	inv []int32 // vertex id -> free index (-1 if constrained)
 	u0  []float64
 }
 
@@ -115,7 +113,7 @@ func Assemble(p *Problem) (*System, error) {
 	for v, g := range p.Dirichlet {
 		u0[v] = g
 	}
-	return &System{N: n, K: builder.build(), B: b, ids: ids, inv: inv, u0: u0}, nil
+	return &System{N: n, K: builder.build(), B: b, ids: ids, u0: u0}, nil
 }
 
 // p1Gradients returns the constant gradients of the four linear basis
@@ -194,20 +192,4 @@ func (s *System) SolveCtx(ctx context.Context, opt SolveOptions) (*Solution, err
 		u[v] = x[fi]
 	}
 	return &Solution{U: u, Iterations: iters, Residual: res}, nil
-}
-
-// EnergyNorm returns sqrt(u^T K u) over the free unknowns of a field
-// given per original vertex — a scalar to compare discretizations.
-func (s *System) EnergyNorm(u []float64) float64 {
-	x := make([]float64, s.N)
-	for fi, v := range s.ids {
-		x[fi] = u[v]
-	}
-	y := make([]float64, s.N)
-	s.K.MulVec(x, y)
-	var e float64
-	for i := range x {
-		e += x[i] * y[i]
-	}
-	return math.Sqrt(math.Abs(e))
 }

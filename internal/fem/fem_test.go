@@ -294,70 +294,6 @@ func TestCGRejectsNonSPD(t *testing.T) {
 	}
 }
 
-// TestParallelAssemblyMatchesSequential compares the parallel and
-// sequential assemblies as operators (matrix-vector products on random
-// vectors) and as solvers.
-func TestParallelAssemblyMatchesSequential(t *testing.T) {
-	raw, boundary := meshedSphere(t, 32)
-	dir := map[int32]float64{}
-	for v, b := range boundary {
-		if b {
-			dir[int32(v)] = raw.Verts[v].Z
-		}
-	}
-	src := func(p geom.Vec3) float64 { return p.X - p.Y }
-	prob := &Problem{Mesh: raw, Dirichlet: dir, Source: src}
-
-	seq, err := Assemble(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := AssembleParallel(prob, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.N != par.N || seq.K.NNZ() != par.K.NNZ() {
-		t.Fatalf("shape mismatch: N %d/%d NNZ %d/%d", seq.N, par.N, seq.K.NNZ(), par.K.NNZ())
-	}
-	for i := range seq.B {
-		if math.Abs(seq.B[i]-par.B[i]) > 1e-9*(1+math.Abs(seq.B[i])) {
-			t.Fatalf("load vector differs at %d: %v vs %v", i, seq.B[i], par.B[i])
-		}
-	}
-	// Operator comparison on a few vectors.
-	x := make([]float64, seq.N)
-	y1 := make([]float64, seq.N)
-	y2 := make([]float64, seq.N)
-	for trial := 0; trial < 5; trial++ {
-		for i := range x {
-			x[i] = math.Sin(float64(i*(trial+1)) * 0.7)
-		}
-		seq.K.MulVec(x, y1)
-		par.K.MulVec(x, y2)
-		for i := range y1 {
-			if math.Abs(y1[i]-y2[i]) > 1e-9*(1+math.Abs(y1[i])) {
-				t.Fatalf("operator differs at row %d: %v vs %v", i, y1[i], y2[i])
-			}
-		}
-	}
-}
-
-func TestParallelAssemblySmallMeshFallsBack(t *testing.T) {
-	m := unitTetraMesh()
-	p := &Problem{Mesh: m, Dirichlet: map[int32]float64{1: 1, 2: 0, 3: 0}}
-	sys, err := AssembleParallel(p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := sys.Solve(1e-12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.U[0]-1.0/3.0) > 1e-9 {
-		t.Fatalf("u0 = %v", sol.U[0])
-	}
-}
-
 // TestHConvergence ties the meshing and solving halves together: for
 // the Poisson ball problem (-Δu = 1, u = 0 on ∂O, exact solution
 // (R²-r²)/6), refining δ must reduce the discrete solution's interior

@@ -105,7 +105,7 @@ func (s *Scene) Voxelize(nx, ny, nz int, spacing geom.Vec3) *Image {
 }
 
 // SpherePhantom returns an n^3 image of a single sphere filling ~70%
-// of the image extent — the quickstart input (paper Figure 1's
+// of the image extent — the facade examples' input (paper Figure 1's
 // single-object pipeline).
 func SpherePhantom(n int) *Image {
 	s := SphereScene(n)

@@ -15,7 +15,7 @@
 // A Session retains the pipeline's expensive allocations, so calling
 // Run repeatedly (time series, parameter sweeps, interactive use)
 // reuses memory instead of reallocating — the warm path of the
-// paper's real-time story. One-shot callers can use pi2m.Run.
+// paper's real-time story. A Session is the facade's one entry point.
 //
 // The names here alias the implementation packages under internal/,
 // which carry the full documentation: internal/core (the refiner),
@@ -98,13 +98,6 @@ const (
 	StatusCompleted = core.StatusCompleted
 	StatusAborted   = core.StatusAborted
 )
-
-// Run executes the PI2M pipeline (parallel EDT + parallel Delaunay
-// refinement) on cfg — a one-shot convenience equivalent to creating
-// a Session from cfg, running it once, and closing it. Callers that
-// mesh more than one image (or the same image repeatedly) should hold
-// a Session instead to reuse its memory across runs.
-func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // Phantoms: synthetic stand-ins for segmented atlases (paper Table 3).
 var (

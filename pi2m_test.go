@@ -1,15 +1,21 @@
 package pi2m
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 // TestPublicAPIRoundtrip exercises the facade end to end: phantom →
-// run → Validate → topology → export → NRRD roundtrip.
+// session run → Validate → topology → export → NRRD roundtrip.
 func TestPublicAPIRoundtrip(t *testing.T) {
 	image := SpherePhantom(24)
-	result, err := Run(Config{Image: image, Workers: 2})
+	session, err := NewSession(WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer session.Close()
+	result, err := session.Run(context.Background(), image)
 	if err != nil || result.Status != StatusCompleted {
 		t.Fatalf("%v, %v", result.Status, err)
 	}

@@ -28,15 +28,6 @@ type sessionOptions struct {
 	cfg core.Config
 }
 
-// WithConfig replaces the whole configuration template at once — the
-// escape hatch for knobs without a dedicated option (Topology,
-// TimelineSample, ...). The Image field is ignored: the
-// image and a context are per-Run arguments. Options after WithConfig
-// still apply on top of it.
-func WithConfig(cfg Config) Option {
-	return func(o *sessionOptions) { o.cfg = cfg }
-}
-
 // WithThreads sets the number of refinement threads (default
 // GOMAXPROCS).
 func WithThreads(n int) Option {
@@ -92,11 +83,6 @@ func WithBalancer(name string) Option {
 	return func(o *sessionOptions) { o.cfg.Balancer = name }
 }
 
-// WithoutRemovals turns off rule R6 vertex removals (for ablation).
-func WithoutRemovals() Option {
-	return func(o *sessionOptions) { o.cfg.DisableRemovals = true }
-}
-
 // WithLivelockTimeout aborts a run when no operation commits for this
 // long. The watchdog is always armed: 0 keeps the one-minute default.
 // The option stays only because the benchmark harness sets it; it goes
@@ -133,7 +119,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	o.cfg.Image = nil
 	cs, err := core.NewSession(o.cfg)
 	if err != nil {
 		return nil, err

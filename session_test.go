@@ -77,10 +77,12 @@ func TestSessionFacade(t *testing.T) {
 // TestSessionVTKRawRoundtrip drives the io-based VTK read/write pair
 // through the facade: a mesh read back writes the same bytes again.
 func TestSessionVTKRawRoundtrip(t *testing.T) {
-	res, err := pi2m.Run(pi2m.Config{
-		Image:   pi2m.SpherePhantom(16),
-		Workers: 1,
-	})
+	session, err := pi2m.NewSession(pi2m.WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer session.Close()
+	res, err := session.Run(context.Background(), pi2m.SpherePhantom(16))
 	if err != nil {
 		t.Fatal(err)
 	}
