@@ -28,9 +28,10 @@
 //   - a read that misses the in-memory index tries the key's blob path,
 //     so any number of processes may share one directory with no
 //     coordination: a blob a peer wrote is verified and adopted;
-//   - a failing disk degrades, it does not fail requests: ENOSPC/EIO on
-//     write flips the store to memory-only read-through with a periodic
-//     durable re-probe.
+//   - a refused write caches nothing: ENOSPC/EIO on write is counted and
+//     returned by Put, the pair stays un-indexed, and the next Put of it
+//     tries the disk again. The caller still has its snapshot, so a
+//     failing disk costs re-meshes, never a request.
 package cachestore
 
 import (

@@ -30,22 +30,14 @@ type Config struct {
 	// Any number of stores, in one process or several, may share a
 	// directory without coordinating.
 	Dir string
-	// MaxBytes is the LRU byte budget across all live entries (blob
-	// bytes on disk, estimated snapshot bytes for memory-only entries).
+	// MaxBytes is the LRU byte budget across the live entries' blobs.
 	// 0 selects the default of 1 GiB.
 	MaxBytes int64
-	// ReprobeInterval is how often a degraded (memory-only) store
-	// re-probes the disk with a real write, flipping back to durable
-	// mode on success. 0 selects the default of 5s.
-	ReprobeInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 1 << 30
-	}
-	if c.ReprobeInterval <= 0 {
-		c.ReprobeInterval = 5 * time.Second
 	}
 	return c
 }
@@ -56,24 +48,21 @@ type Stats struct {
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
 	Writes          int64 `json:"writes"`
+	WriteErrors     int64 `json:"write_errors"`
 	Evictions       int64 `json:"evictions"`
 	Corrupt         int64 `json:"corrupt"`
 	Adopted         int64 `json:"adopted,omitempty"`
 	FsckQuarantined int64 `json:"fsck_quarantined"`
 	Bytes           int64 `json:"bytes"`
 	Entries         int   `json:"entries"`
-	Degraded        bool  `json:"degraded"`
 }
 
-// entry is one live index entry. mem is non-nil for entries accepted
-// while the store was degraded: they live in memory only and are
-// served without touching the disk.
+// entry is one live index entry: the blob at blobName(imageKey, variant).
 type entry struct {
 	imageKey string
 	variant  string
 	bytes    int64
 	etag     string
-	mem      *core.MeshSnapshot
 }
 
 const (
@@ -95,16 +84,13 @@ func blobName(imageKey, variant string) string {
 type Store struct {
 	cfg Config
 
-	mu        sync.Mutex
-	index     lru.Cache[string, *entry] // by entryKey, bounded by MaxBytes
-	closed    bool
-	lastProbe time.Time
+	mu     sync.Mutex
+	index  lru.Cache[string, *entry] // by entryKey, bounded by MaxBytes
+	closed bool
 
-	degraded atomic.Bool
-
-	hits, misses, writes, evictions, corrupt atomic.Int64
-	adopted                                  atomic.Int64
-	fsckQuarantined                          int64 // set once by Open
+	hits, misses, writes, writeErrors, evictions, corrupt atomic.Int64
+	adopted                                               atomic.Int64
+	fsckQuarantined                                       int64 // set once by Open
 }
 
 // Open opens (or creates) the store at cfg.Dir and runs the boot-time
@@ -129,10 +115,6 @@ func Open(cfg Config) (*Store, FsckReport, error) {
 	return s, rep, nil
 }
 
-// Degraded reports whether the store is in memory-only mode after a
-// disk write failure.
-func (s *Store) Degraded() bool { return s.degraded.Load() }
-
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -150,13 +132,13 @@ func (s *Store) Stats() Stats {
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
 		Writes:          s.writes.Load(),
+		WriteErrors:     s.writeErrors.Load(),
 		Evictions:       s.evictions.Load(),
 		Corrupt:         s.corrupt.Load(),
 		Adopted:         s.adopted.Load(),
 		FsckQuarantined: s.fsckQuarantined,
 		Bytes:           bytes,
 		Entries:         n,
-		Degraded:        s.degraded.Load(),
 	}
 }
 
@@ -211,12 +193,6 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 	k := entryKey(imageKey, variant)
 	s.mu.Lock()
 	e, _ := s.index.Get(k)
-	if e != nil && e.mem != nil {
-		s.hits.Add(hit)
-		snap, etag := e.mem, e.etag
-		s.mu.Unlock()
-		return snap, etag, true
-	}
 	s.mu.Unlock()
 
 	// A failed read — never written, evicted (by us or a peer), or the
@@ -260,11 +236,12 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 	return snap, etag, true
 }
 
-// Put stores a snapshot for (imageKey, variant). Disk failures never
-// propagate to the caller: a write error (ENOSPC, EIO, injected) flips
-// the store to memory-only degraded mode and the entry is kept in
-// memory instead, so meshing never fails because the disk did. The
-// returned etag identifies the entry for conditional GETs.
+// Put stores a snapshot for (imageKey, variant) as a durable blob and
+// returns the etag that identifies the entry for conditional GETs. A
+// write error (ENOSPC, EIO, injected) is counted and returned with no
+// etag, and the index is left alone: the pair is simply not cached. A
+// snapshot over the whole budget is skipped too, without an error; any
+// other nil return means the blob is durable.
 func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, error) {
 	if imageKey == "" || snap == nil {
 		return "", errors.New("cachestore: Put needs an image key and a snapshot")
@@ -291,33 +268,11 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 		return etag, errors.New("cachestore: store closed")
 	}
 
-	durable := true
-	if s.degraded.Load() {
-		if time.Since(s.lastProbe) < s.cfg.ReprobeInterval {
-			durable = false
-		} else {
-			s.lastProbe = time.Now()
-		}
+	if err := s.writeBlobFile(name, data); err != nil {
+		s.writeErrors.Add(1)
+		return "", err
 	}
-	if durable {
-		if werr := s.writeBlobFile(name, data); werr != nil {
-			// Memory-only from here: reads of already-stored blobs keep
-			// working (the disk may still read fine); new entries live in
-			// memory until a re-probe write lands.
-			s.degraded.Store(true)
-			s.lastProbe = time.Now()
-			durable = false
-		} else if s.degraded.Load() {
-			// The re-probe landed: the disk accepts writes again.
-			s.degraded.Store(false)
-		}
-	}
-
 	e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
-	if !durable {
-		e.mem = snap
-		e.bytes = int64(snap.SizeBytes())
-	}
 	// Replacing an entry deletes nothing: its blob path is the one just
 	// written.
 	s.index.Put(entryKey(imageKey, variant), e, e.bytes)
@@ -327,14 +282,10 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 
 // writeBlobFile writes one framed blob with atomicWriteFile's crash-safe
 // discipline; the two fsyncs there are every durable write a Put makes.
-// The faultinject points simulate the disk failing (CacheWriteFail/
-// CacheENOSPC) or lying (CacheTornWrite/CacheBitFlip — the write
-// "succeeds" but the blob is corrupt, which the CRC must catch later).
-// Caller holds s.mu.
+// The faultinject points simulate the disk failing (CacheWriteFail) or
+// lying (CacheTornWrite/CacheBitFlip — the write "succeeds" but the
+// blob is corrupt, which the CRC must catch later). Caller holds s.mu.
 func (s *Store) writeBlobFile(name string, data []byte) error {
-	if faultinject.Fire(faultinject.CacheENOSPC) {
-		return fmt.Errorf("cachestore: injected disk-full: %w", syscall.ENOSPC)
-	}
 	if faultinject.Fire(faultinject.CacheWriteFail) {
 		return fmt.Errorf("cachestore: injected write failure: %w", syscall.EIO)
 	}
@@ -353,9 +304,7 @@ func (s *Store) writeBlobFile(name string, data []byte) error {
 // before the store is shared).
 func (s *Store) evicted(_ string, e *entry) {
 	s.evictions.Add(1)
-	if e.mem == nil {
-		os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant)))
-	}
+	os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant)))
 }
 
 // quarantineBlob moves a corrupt blob into quarantine/ so it is never

@@ -1,9 +1,11 @@
 package cachestore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -349,9 +351,12 @@ func TestFsckRebuildsFromBlobsAlone(t *testing.T) {
 	}
 }
 
-func TestStoreDegradesOnENOSPCAndReprobes(t *testing.T) {
+// TestStoreWriteFailureCachesNothing: a write the disk refuses is
+// returned to the caller, counted, and leaves neither a blob nor an
+// index entry; the next write lands durably and is served.
+func TestStoreWriteFailureCachesNothing(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(Config{Dir: dir, ReprobeInterval: 50 * time.Millisecond})
+	s, _, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,46 +364,38 @@ func TestStoreDegradesOnENOSPCAndReprobes(t *testing.T) {
 
 	in := faultinject.New(faultinject.Config{
 		Seed:     1,
-		Rates:    map[faultinject.Point]float64{faultinject.CacheENOSPC: 1},
-		MaxFires: map[faultinject.Point]int64{faultinject.CacheENOSPC: 1},
+		Rates:    map[faultinject.Point]float64{faultinject.CacheWriteFail: 1},
+		MaxFires: map[faultinject.Point]int64{faultinject.CacheWriteFail: 1},
 	})
 	restore := faultinject.Enable(in)
 	defer restore()
 
-	snap := testSnap(6)
-	etag, err := s.Put("img1", "", snap)
-	if err != nil {
-		t.Fatalf("put under ENOSPC must not fail the caller: %v", err)
-	}
-	if !s.Degraded() {
-		t.Fatal("store not degraded after ENOSPC")
-	}
-	// The entry is served from memory even though the disk refused it.
-	got, gotTag, ok := s.Get("img1", "")
-	if !ok || gotTag != etag || !snapsEqual(snap, got) {
-		t.Fatal("memory read-through failed while degraded")
+	if _, err := s.Put("img1", "", testSnap(6)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("put under an injected write failure returned %v, want EIO", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, blobsDirName, blobName("img1", ""))); !os.IsNotExist(err) {
-		t.Fatal("blob written despite injected ENOSPC")
+		t.Fatal("blob written despite the injected failure")
 	}
-	// Within the re-probe window further puts stay memory-only.
-	if _, err := s.Put("img2", "", testSnap(4)); err != nil {
-		t.Fatal(err)
+	if s.Contains("img1", "") || s.Len() != 0 {
+		t.Fatal("a refused write was indexed")
 	}
-	if !s.Degraded() {
-		t.Fatal("degraded flag cleared without a successful probe")
+	if st := s.Stats(); st.WriteErrors != 1 || st.Writes != 0 {
+		t.Fatalf("write errors %d, writes %d, want 1 and 0", st.WriteErrors, st.Writes)
 	}
-	// After the interval the next put probes the (now healthy) disk and
-	// restores durable mode.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := s.Put("img3", "", testSnap(5)); err != nil {
-		t.Fatal(err)
+
+	snap := testSnap(5)
+	etag, err := s.Put("img1", "", snap)
+	if err != nil {
+		t.Fatalf("put on a healthy disk: %v", err)
 	}
-	if s.Degraded() {
-		t.Fatal("store still degraded after successful re-probe")
+	if _, err := os.Stat(filepath.Join(dir, blobsDirName, blobName("img1", ""))); err != nil {
+		t.Fatalf("blob missing after a successful put: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, blobsDirName, blobName("img3", ""))); err != nil {
-		t.Fatalf("post-recovery blob missing: %v", err)
+	if got, gotTag, ok := s.Get("img1", ""); !ok || gotTag != etag || !snapsEqual(snap, got) {
+		t.Fatal("the durable entry is not served")
+	}
+	if st := s.Stats(); st.WriteErrors != 1 || st.Writes != 1 {
+		t.Fatalf("write errors %d, writes %d, want 1 and 1", st.WriteErrors, st.Writes)
 	}
 }
 
@@ -470,7 +467,9 @@ func TestKillMidWriteFsckSoak(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				k := fmt.Sprintf("img%d", i)
 				snap := testSnap(i%7 + 3)
-				if _, err := s.Put(k, "", snap); err != nil {
+				if _, err := s.Put(k, "", snap); errors.Is(err, syscall.EIO) {
+					continue // refused: not cached, so not expected back
+				} else if err != nil {
 					t.Fatalf("put %s: %v", k, err)
 				}
 				want[k] = snap

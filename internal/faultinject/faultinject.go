@@ -56,8 +56,7 @@ const (
 	_
 	_
 	// CacheWriteFail fails a cachestore blob write with an I/O error
-	// (EIO-like), exercising the store's degradation to memory-only
-	// mode.
+	// (EIO-like): Put returns it and the pair is not cached.
 	CacheWriteFail
 	// CacheTornWrite truncates a cachestore blob mid-write before the
 	// rename, simulating a crash that left a torn-but-visible blob; the
@@ -67,9 +66,8 @@ const (
 	// was computed, simulating silent media corruption; reads must
 	// detect and quarantine it, never serve it.
 	CacheBitFlip
-	// CacheENOSPC fails a cachestore blob write with ENOSPC,
-	// exercising the disk-full degradation ladder.
-	CacheENOSPC
+	// _ is a retired point's slot; see the two below RunPoisoned.
+	_
 	// ProxyDialFail fails a router→backend proxied request at the
 	// transport, as if the network partitioned that backend away
 	// mid-traffic; the router must fall back to the next ring replica.
@@ -111,8 +109,6 @@ func (p Point) String() string {
 		return "cache-torn-write"
 	case CacheBitFlip:
 		return "cache-bit-flip"
-	case CacheENOSPC:
-		return "cache-enospc"
 	case ProxyDialFail:
 		return "proxy-dial-fail"
 	case ProbeFail:

@@ -149,7 +149,6 @@ func TestPointNumbersPinned(t *testing.T) {
 		{CacheWriteFail, 10, "cache-write-fail"},
 		{CacheTornWrite, 11, "cache-torn-write"},
 		{CacheBitFlip, 12, "cache-bit-flip"},
-		{CacheENOSPC, 13, "cache-enospc"},
 		{ProxyDialFail, 14, "proxy-dial-fail"},
 		{ProbeFail, 15, "probe-fail"},
 		{BrownoutStuck, 16, "brownout-stuck"},

@@ -340,7 +340,7 @@ func NewServer(cfg Config) (*Server, error) {
 		"Persistent-cache lookups that found no servable entry (corrupt entries count here, never as hits).",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.Misses) }))
 	r.CounterFunc("pi2md_cache_writes_total",
-		"Snapshots persisted into the result cache (memory-only writes while degraded included).",
+		"Snapshots persisted into the result cache as durable blobs.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.Writes) }))
 	r.CounterFunc("pi2md_cache_evictions_total",
 		"Result-cache entries evicted by the LRU byte budget.",
@@ -351,14 +351,9 @@ func NewServer(cfg Config) (*Server, error) {
 	r.GaugeFunc("pi2md_cache_bytes",
 		"Bytes accounted to live result-cache entries.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.Bytes) }))
-	r.GaugeFunc("pi2md_cache_degraded",
-		"1 while the result cache is in memory-only degraded mode after a disk write failure, else 0.",
-		cacheStat(func(st cachestore.Stats) float64 {
-			if st.Degraded {
-				return 1
-			}
-			return 0
-		}))
+	r.CounterFunc("pi2md_cache_write_errors_total",
+		"Result-cache blob writes the disk refused (ENOSPC, EIO); the pair was served but not cached.",
+		cacheStat(func(st cachestore.Stats) float64 { return float64(st.WriteErrors) }))
 	r.CounterFunc("pi2md_cache_adopted_total",
 		"Un-indexed blobs found at their deterministic path (written by a peer sharing the directory) verified and adopted at read time.",
 		cacheStat(func(st cachestore.Stats) float64 { return float64(st.Adopted) }))
@@ -525,9 +520,9 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	s.mCells.Add(int64(sum.Elements))
 	s.mCellsPerSec.Set(int64(sum.CellsPerSec))
 
-	// Persist off-lease: the session already serves the next job, and
-	// Put absorbs disk failures (degrading the store) rather than
-	// surfacing them — a full disk must never fail a finished mesh.
+	// Persist off-lease: the session already serves the next job. A
+	// refused write is counted by the store and leaves the pair
+	// uncached; it never fails a finished mesh.
 	var etag string
 	if s.cache != nil {
 		etag, _ = s.cache.Put(j.key, j.variant, snap)
