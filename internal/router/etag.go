@@ -21,7 +21,7 @@ type etagEntry struct {
 }
 
 // etagTable is the bounded LRU (routeKey → etagEntry) map behind the
-// router's local 304 short-circuit and its replica-cache read trigger.
+// router's local 304 short-circuit and the keyed cache read.
 // Entries are charged nothing: the entry cap is the only bound.
 type etagTable struct {
 	mu      sync.Mutex
@@ -51,11 +51,11 @@ func (t *etagTable) lookup(key string) (etagEntry, bool) {
 }
 
 // dropIf removes key's entry only while it still names backend as the
-// server — the staleness fix for a replica probe answered 404
-// cache_miss by the very backend the table attributed the key to: the
-// blob is gone (evicted, or the node restarted empty), so keeping the
-// entry would re-arm the cache-only ladder on every subsequent request
-// for a result nobody holds. The backend guard makes the drop safe
+// server — the staleness fix for a cache read answered 404 cache_miss
+// by the very backend the table attributed the key to: the blob is gone
+// (evicted, or the node restarted empty), so keeping the entry would
+// answer local 304s and pay a cache read ahead of every upload for a
+// result nobody holds. The backend guard makes the drop safe
 // against a concurrent learn from a fresher response: re-homed entries
 // survive.
 func (t *etagTable) dropIf(key, backend string) {

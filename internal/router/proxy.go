@@ -52,8 +52,8 @@ func (r *Router) Handler() http.Handler {
 // buffered body every attempt replays, and the response format. format
 // is non-empty only for a /v1/mesh whose spec resolved: its answer then
 // lives in the backends' snapshot caches as exactly (imageKey, variant,
-// format), which is what arms the ETag table, the keyed read and the
-// replica cache-only ladder.
+// format), which is what arms the ETag table and the ladder's cache
+// reads.
 type routePlan struct {
 	routeKey string // routeKey(imageKey, variant)
 	imageKey string
@@ -68,11 +68,10 @@ func routeKey(imageKey, variant string) string { return imageKey + "|" + variant
 
 // handleProxy is the whole proxy path: buffer the body and derive the
 // route key, answer a conditional request from the local ETag table
-// when it can, walk the ring replicas in ownership order — cache-only
-// first when the key's last-known server is gone, a cache read ahead of
-// the upload when the table knows the key — relay the first response,
-// or answer 503 with the shared Retry-After policy when every candidate
-// is unreachable.
+// when it can, walk the ring replicas in ownership order — a cache read
+// ahead of the upload when the table knows the key or the attempt is a
+// failover — relay the first response, or answer 503 with the shared
+// Retry-After policy when every candidate is unreachable.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
 	r.mJobs.Inc()
@@ -90,7 +89,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	// SHA-256), so a match here is exactly the match the backend would
 	// have computed. A stale entry fails the comparison and the request
 	// forwards normally — the backend stays authoritative. This is the
-	// request's one table read; trigger 1 and the keyed read act on it too.
+	// request's one table read; the ladder's cache reads act on it too.
 	var ent etagEntry
 	known := false
 	if plan.format != "" {
@@ -109,37 +108,21 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// The ladder's length is the only bound on failover work: each
-	// candidate gets at most one cache read and one forward, and only a
-	// transport failure or a cache miss moves the ladder along. Every
-	// attempt after the request's first counts as a retry; a keyed
-	// attempt's cache read and the forward behind it are one (send).
-	tried := 0
+	// candidate gets one attempt, and only a transport failure moves the
+	// ladder along, so every attempt after the first is a retry. An
+	// attempt reads its candidate's cache before it uploads when the
+	// table knows the key, and on every failover attempt: a key whose
+	// server is gone is then read from a replica's cache, not re-meshed.
+	// The read is a replica read when it is a failover attempt's, or when
+	// its candidate is not the backend the table recorded.
 	cands := r.candidates(plan.routeKey)
-
-	// Replica cache reads, trigger 1 — ejection of the key's server:
-	// when the backend that last served this key is no longer healthy,
-	// a survivor may still hold the result on disk. Probe the ladder
-	// cache-only (a body-less GET) before paying a full re-mesh on the
-	// new owner.
-	probed := false
-	if known && ent.backend != "" && !r.isHealthy(ent.backend) {
-		probed = true
-		if r.tryCacheLadder(w, req, plan, cands, started, &tried) {
-			return
-		}
-		// No survivor holds the blob: drop the entry — guarded on it
-		// still naming the unhealthy backend — so the next request for
-		// this key goes straight to the new owner instead of re-walking
-		// this ladder forever.
-		r.etags.dropIf(plan.routeKey, ent.backend)
-	}
-	// A key the table knows: the first attempt reads the first
-	// candidate's cache before it ships the upload (send).
-	keyed := known && !probed
-
 	for i, cand := range cands {
-		r.countAttempt(&tried)
-		resp, err := r.send(req, cand, plan, keyed && i == 0)
+		if i > 0 {
+			r.mRetries.Inc()
+		}
+		read := plan.format != "" && (known || i > 0)
+		replica := i > 0 || cand != ent.backend
+		resp, err := r.send(req, cand, plan, read, replica)
 		if err != nil {
 			if req.Context().Err() != nil {
 				// The client went away or its deadline expired mid-attempt;
@@ -151,83 +134,19 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			}
 			r.mProxied.With(cand, outcomeTransportErr).Inc()
 			r.noteTransportFailure(cand)
-			// Replica cache reads, trigger 2 — transport failure: before
-			// re-meshing on the remaining candidates, ask each (body-less,
-			// cache-only) whether it already holds the result.
-			if plan.format != "" && !probed {
-				probed = true
-				if r.tryCacheLadder(w, req, plan, cands[i+1:], started, &tried) {
-					return
-				}
-			}
 			continue
 		}
-		r.finish(w, req, resp, cand, plan, started)
+		// Settle the job: completed when the whole body reached the
+		// client, failed otherwise, timed either way.
+		if r.relay(w, req, resp, cand, plan) {
+			r.mCompleted.Inc()
+		} else {
+			r.mFailed.Inc()
+		}
+		r.mProxySeconds.Observe(time.Since(started).Seconds())
 		return
 	}
 	r.answer503(w, "no reachable backend for key %s (tried %d)", plan.routeKey, len(cands))
-}
-
-// finish relays a backend's response and settles the job: completed
-// when the whole body reached the client, failed otherwise, timed either
-// way.
-func (r *Router) finish(w http.ResponseWriter, req *http.Request, resp *http.Response, backend string, plan routePlan, started time.Time) {
-	if r.relay(w, req, resp, backend, plan) {
-		r.mCompleted.Inc()
-	} else {
-		r.mFailed.Inc()
-	}
-	r.mProxySeconds.Observe(time.Since(started).Seconds())
-}
-
-// countAttempt counts one backend attempt of a request that has made
-// *tried so far: the first is the request, every later one a retry.
-func (r *Router) countAttempt(tried *int) {
-	if *tried > 0 {
-		r.mRetries.Inc()
-	}
-	*tried++
-}
-
-// tryCacheLadder walks candidates with cache-only probes — GET
-// /v1/cache/{key}/{variant}, no request body — and relays the first
-// hit: a backend that still holds the blob serves it (or validates the
-// client's ETag to a 304) with zero re-meshing. A 404 cache_miss moves
-// the ladder along — and drops the ETag entry when the missing backend
-// is the very one the table attributed the key to, so a gone blob
-// stops re-arming this ladder on every request. A transport failure
-// feeds the health ledger like any other. Returns true when a response
-// was relayed and the request is done.
-func (r *Router) tryCacheLadder(w http.ResponseWriter, req *http.Request, plan routePlan, cands []string, started time.Time, tried *int) bool {
-	for _, cand := range cands {
-		r.countAttempt(tried)
-		resp, err := r.probeCache(req, cand, plan)
-		if err != nil {
-			if req.Context().Err() != nil {
-				r.answerCanceled(w, cand, err)
-				return true
-			}
-			r.noteTransportFailure(cand)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotModified {
-			// A miss moves the ladder along. Any other rejection (bad
-			// key, draining-side surprise) is not a cache answer either:
-			// fall back to the full path, where the backend's own parser
-			// owns the verdict.
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusNotFound {
-				r.mReplicaMisses.Inc()
-				r.etags.dropIf(plan.routeKey, cand)
-			}
-			continue
-		}
-		r.mReplicaHits.Inc()
-		r.finish(w, req, resp, cand, plan, started)
-		return true
-	}
-	return false
 }
 
 // probeCache asks one backend for the plan's key from its result cache
@@ -300,23 +219,34 @@ func (r *Router) planRoute(w http.ResponseWriter, req *http.Request) (routePlan,
 	return plan, true
 }
 
-// send makes one proxy attempt. A keyed attempt first asks backend's
-// cache body-less (probeCache) and returns a 200 or 304 as the answer;
-// anything else is drained — a 404 drops the table entry naming backend,
-// as on the ladder — and the body follows. Read and forward are one
-// attempt, so a gone blob costs a small round trip and counts no retry. A
-// transport failure of the read is the attempt's, as a forward's would be.
-func (r *Router) send(req *http.Request, backend string, plan routePlan, keyed bool) (*http.Response, error) {
-	if keyed {
+// send makes one proxy attempt. An attempt that reads first asks
+// backend's cache body-less (probeCache) and returns a 200 or 304 as the
+// answer; anything else is drained — a 404 drops the table entry naming
+// backend, so a gone blob stops answering local 304s — and the body
+// follows. Read and forward are one attempt, so a gone blob costs a small
+// round trip and no retry. A transport failure of the read is the
+// attempt's, as a forward's would be. A replica read's hit or 404 is
+// counted in the replica cache counters.
+func (r *Router) send(req *http.Request, backend string, plan routePlan, read, replica bool) (*http.Response, error) {
+	if read {
 		resp, err := r.probeCache(req, backend, plan)
-		if err != nil || resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
-			return resp, err
+		if err != nil {
+			return nil, err
+		}
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusNotModified:
+			if replica {
+				r.mReplicaHits.Inc()
+			}
+			return resp, nil
+		case http.StatusNotFound:
+			if replica {
+				r.mReplicaMisses.Inc()
+			}
+			r.etags.dropIf(plan.routeKey, backend)
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			r.etags.dropIf(plan.routeKey, backend)
-		}
 	}
 	return r.forward(req, backend, plan)
 }
@@ -433,8 +363,8 @@ type drainResult struct {
 // handoff. The router tells the backend to drain; the backend answers
 // with its MRU cached keys; the router learns each (routeKey → etag,
 // backend) into its ETag table — so conditional requests keep 304ing
-// locally and the replica cache-only ladder fires for exactly the keys
-// the drained node was warm for — and then ejects the node from the
+// locally and the keys the drained node was warm for are read from the
+// survivors' caches before any upload — and then ejects the node from the
 // ring immediately instead of waiting for probes to notice the drain.
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	backend := normalizeBackend(req.URL.Query().Get("backend"))

@@ -457,10 +457,12 @@ func TestRouterLocal304ShortCircuit(t *testing.T) {
 }
 
 // TestRouterReplicaCacheLadder: when the backend that served a key
-// goes away, the router walks the remaining candidates cache-only
-// before paying a full re-mesh — transport-failure trigger on the
-// request that discovers the death, unhealthy-server trigger once the
-// node is ejected — and falls back to a full mesh on a cache miss.
+// goes away, the router reads the next candidate's cache before paying a
+// full re-mesh — on the failover attempt of the request that discovers
+// the death, and on the first attempt once the node is ejected, its
+// candidate no longer the recorded server — and falls back to a full
+// mesh on a cache miss. A failover attempt reads first even for a key
+// the table has never seen.
 func TestRouterReplicaCacheLadder(t *testing.T) {
 	raw := "0123456789abcdef"
 	fleet := newCacheFleet(t, 2, raw)
@@ -498,8 +500,8 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	survivor.cached.Store(true)
 	part.set(owner, true)
 
-	// Trigger 2: the forward to the still-"healthy" owner fails mid-walk;
-	// the ladder probes the survivor cache-only and relays the hit.
+	// The keyed read of the still-"healthy" owner fails; the failover
+	// attempt reads the survivor's cache and relays the hit.
 	resp = postMesh(t, rts, body, nil)
 	b2, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -526,8 +528,8 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	// recorded backend, so a healthy-survivor request forwards normally.
 	// Flip the fleet — the survivor dies (via a probe, before any request
 	// discovers it), the old owner heals and rejoins — and the next
-	// request hits trigger 1: recorded server known-unhealthy, probe the
-	// ladder cache-first without a failed forward.
+	// request's first attempt reads the owner, a backend other than the
+	// recorded one, without a failed forward.
 	part.set(owner, false)
 	r.ProbeOnce(owner) // one passing probe rejoins the old owner
 	part.set(survivor.ts.URL, true)
@@ -549,7 +551,7 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	}
 
 	// Miss path: the recorded server (now the owner again) stays ejected
-	// by hand; its cache goes cold. The probe 404s, the ladder moves on
+	// by hand; its cache goes cold. The read 404s and the upload follows
 	// to a full re-mesh.
 	part.set(survivor.ts.URL, false)
 	r.ProbeOnce(survivor.ts.URL) // survivor rejoins
@@ -571,6 +573,40 @@ func TestRouterReplicaCacheLadder(t *testing.T) {
 	}
 	if st.ProxiedJobs != st.CompletedJobs+st.FailedJobs {
 		t.Fatalf("ledger unbalanced: %+v", st)
+	}
+
+	// A key the table has never seen: its owner is partitioned, the
+	// survivor holds the blob. The failover attempt reads the survivor's
+	// cache before it uploads.
+	fleet = newCacheFleet(t, 2, raw)
+	part = &partition{}
+	r = newTestRouter(t, Config{Backends: cacheFleetURLs(fleet), FailThreshold: 1, Transport: part})
+	probeAllCache(r, fleet)
+	rts2 := httptest.NewServer(r.Handler())
+	defer rts2.Close()
+	body = []byte("fake-nrrd-payload-replica-unseen")
+	owner = r.Owner(meshRouteKey(t, body))
+	for _, b := range fleet {
+		if b.ts.URL != owner {
+			survivor = b
+		}
+	}
+	survivor.cached.Store(true)
+	part.set(owner, true)
+	resp = postMesh(t, rts2, body, nil)
+	b5, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(b5) != "cached-"+survivor.id {
+		t.Fatalf("unseen key: status %d body %q, want the survivor's cached copy", resp.StatusCode, b5)
+	}
+	if got := resp.Header.Get(wire.CacheOnlyHeader); got != "hit" {
+		t.Fatalf("unseen key: %s = %q, want hit", wire.CacheOnlyHeader, got)
+	}
+	if got := survivor.meshHits.Load(); got != 0 {
+		t.Fatalf("unseen key re-meshed on the survivor (%d mesh hits)", got)
+	}
+	if got := r.Stats().ReplicaCacheHits; got != 1 {
+		t.Fatalf("unseen key: replica_cache_hits = %d, want 1", got)
 	}
 }
 
@@ -875,13 +911,13 @@ func TestMalformedSpecNeverCacheAnswered(t *testing.T) {
 
 // TestFailoverBeforeEjection: the owner is partitioned but stays in the
 // ring (the threshold is above its failure count), so every request
-// walks the ladder — the owner's transport failure, a cache read on the
-// second replica, the forward to it — and never the third backend. The
-// ladder's length is the only bound on that work: each request is
-// answered 200 by the survivor at exactly two retries, however many
-// came before it. Once the survivor is ejected too, its key's next
-// request reads the new ladder's caches first and then forwards; the
-// owner's second failure does not start another cache walk.
+// walks the ladder — the owner's transport failure, then one attempt on
+// the second replica: a cache read and the forward behind it — and never
+// the third backend. The ladder's length is the only bound on that work:
+// each request is answered 200 by the survivor at exactly one retry,
+// however many came before it. Once the survivor is ejected too, its
+// key's next request fails on the owner and reads, then uploads to, the
+// third backend: one retry again.
 func TestFailoverBeforeEjection(t *testing.T) {
 	const requests = 12
 	fleet := newCacheFleet(t, 3, "0123456789abcdef")
@@ -920,7 +956,7 @@ func TestFailoverBeforeEjection(t *testing.T) {
 		}
 	}
 	for i := 1; i <= requests; i++ {
-		post(survivor, int64(2*i)) // a cache read and a forward each
+		post(survivor, int64(i)) // one failover attempt each
 	}
 	if !slices.Contains(r.HealthyBackends(), owner) {
 		t.Fatalf("owner %s left the ring below its failure threshold", owner)
@@ -932,10 +968,10 @@ func TestFailoverBeforeEjection(t *testing.T) {
 		t.Fatalf("%d round trips reached the third backend, past the ladder's depth", got)
 	}
 
-	// Reads of the owner and the third backend, the owner's failed
-	// forward, the third's forward: three retries.
+	// The owner's failed read, then the third's read and forward: one
+	// failover attempt.
 	r.ejectBackend(survivor.ts.URL)
-	post(third, 2*requests+3)
+	post(third, requests+1)
 	if got := third.probeHits.Load(); got != 1 {
 		t.Fatalf("third backend's cache read %d times, want once", got)
 	}

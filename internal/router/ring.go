@@ -7,9 +7,9 @@
 //
 // The layering mirrors the single-node design: Ring owns ownership
 // math and nothing else; the health prober owns membership; Router
-// owns routing, the buffering proxy with its replica-fallback ladder,
-// and metrics. cmd/pi2mrouter is the daemon wrapping a Router in an
-// http.Server.
+// owns routing, the buffering proxy with its failover ladder and its
+// cache reads, and metrics. cmd/pi2mrouter is the daemon wrapping a
+// Router in an http.Server.
 package router
 
 import (

@@ -188,15 +188,15 @@ func New(cfg Config) (*Router, error) {
 		"End-to-end proxy latency, first byte in to last byte relayed.",
 		[]float64{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10, 30, 120})
 	r.mReplicaHits = reg.Counter("pi2mr_replica_cache_hits_total",
-		"Jobs answered by a replica's cache-only read after the key's last-known server became unreachable.")
+		"Cache reads answered 200 or 304 by a backend other than the key's recorded server, or on a failover attempt.")
 	r.mReplicaMisses = reg.Counter("pi2mr_replica_cache_misses_total",
-		"Cache-only replica probes answered 404 cache_miss (the ladder moved on).")
+		"Replica cache reads answered 404 cache_miss (the upload followed to the same backend).")
 	r.mETag304 = reg.Counter("pi2mr_etag_304_total",
 		"Conditional requests answered 304 from the router's ETag table without a backend round trip.")
 	r.mDrains = reg.Counter("pi2mr_planned_drains_total",
 		"Planned backend drains executed through POST /v1/drain.")
 	r.mRetries = reg.Counter("pi2mr_retries_total",
-		"Backend attempts beyond a request's first (fallback forwards, cache reads on the failover ladder).")
+		"Failover attempts: backend attempts beyond a request's first, each a cache read, a forward, or both.")
 	for _, name := range r.order {
 		r.mBackendHealthy.With(name).Set(0)
 	}
@@ -371,17 +371,6 @@ func (r *Router) Owner(key string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.Owner(key)
-}
-
-// isHealthy reports whether name is a configured backend currently in
-// the healthy ring. The replica-cache trigger keys off it: a route key
-// whose last-known server is no longer healthy is worth probing the
-// ladder cache-only before paying a re-mesh on the new owner.
-func (r *Router) isHealthy(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.backends[name]
-	return b != nil && b.healthy
 }
 
 // ejectBackend removes name from the healthy ring immediately — the

@@ -264,8 +264,8 @@ func sendBody(w http.ResponseWriter, contentType string, body []byte) {
 }
 
 // handleCacheProbe is GET /v1/cache/{imageKey}/{variant}: the body-less
-// cache-only walk — the read a router sends across replicas before
-// paying a re-mesh. The variant travels path-escaped (it may be empty —
+// cache-only read a router sends before it uploads — for a key it has
+// seen, and on every failover attempt. The variant travels path-escaped (it may be empty —
 // the default-knob variant — in which case the path is just the key);
 // the format query parameter selects the encoding exactly as /v1/mesh
 // does. A probe that already holds the entity costs a 304, not a body,
