@@ -19,8 +19,6 @@ import (
 	pi2m "repro"
 	"repro/internal/edt"
 	"repro/internal/quality"
-	"repro/internal/render"
-	"repro/internal/smooth"
 )
 
 func buildPhantom(name string, scale int) (*pi2m.Image, error) {
@@ -70,12 +68,8 @@ func main() {
 		balancer = flag.String("balancer", "hws", "load balancer: rws|hws")
 		outVTK   = flag.String("o", "", "write the tetrahedral mesh as legacy VTK")
 		outOFF   = flag.String("surface", "", "write the boundary triangulation as OFF")
-		outPNG   = flag.String("png", "", "render a mid-height cross-section to PNG")
 		fidelity = flag.Bool("fidelity", true, "compute the Hausdorff distance")
-		smoothIt = flag.Int("smooth", 0, "volume-conserving Taubin smoothing iterations for the output")
 		verbose  = flag.Bool("v", false, "print refinement progress")
-		clean    = flag.Int("clean", 0, "remove segmentation islands smaller than this many voxels")
-		down     = flag.Int("downsample", 0, "halve the image resolution this many times before meshing")
 		timeout  = flag.Duration("timeout", 0, "cancel the run after this long, keeping the partial mesh (0 = none)")
 	)
 	flag.Parse()
@@ -89,13 +83,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *clean > 0 {
-		n := im.RemoveIslands(*clean)
-		fmt.Printf("cleanup: relabeled %d island voxels\n", n)
-	}
-	for i := 0; i < *down; i++ {
-		im = im.Downsample()
 	}
 
 	opts := []pi2m.Option{
@@ -173,15 +160,7 @@ func main() {
 	}
 
 	if *outVTK != "" {
-		out := mesh
-		if *smoothIt > 0 {
-			sm := smooth.New(mesh)
-			st := sm.Taubin(*smoothIt, 0.5, -0.53)
-			fmt.Printf("smoothing: roughness -%.1f%%, volume drift %+.3f%%\n",
-				100*st.RoughnessDrop, 100*(st.VolumeAfter-st.VolumeBefore)/st.VolumeBefore)
-			out = sm.MeshSnapshot
-		}
-		if err := writeTo(*outVTK, func(w *os.File) error { return pi2m.WriteVTKSnapshot(w, out) }); err != nil {
+		if err := writeTo(*outVTK, func(w *os.File) error { return pi2m.WriteVTKSnapshot(w, mesh) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outVTK)
@@ -191,12 +170,5 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outOFF)
-	}
-	if *outPNG != "" {
-		_, hi := im.Bounds()
-		if err := render.WritePNGFile(*outPNG, mesh, render.Options{Z: hi.Z / 2}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *outPNG)
 	}
 }

@@ -917,7 +917,10 @@ func TestMalformedSpecNeverCacheAnswered(t *testing.T) {
 // each request is answered 200 by the survivor at exactly one retry,
 // however many came before it. Once the survivor is ejected too, its
 // key's next request fails on the owner and reads, then uploads to, the
-// third backend: one retry again.
+// third backend: one retry again. In between, with owner and survivor
+// both partitioned and neither ejected, a request ends in the router's
+// 503 and the third backend sees nothing: the ladder is two deep, not
+// the whole ring.
 func TestFailoverBeforeEjection(t *testing.T) {
 	const requests = 12
 	fleet := newCacheFleet(t, 3, "0123456789abcdef")
@@ -968,10 +971,34 @@ func TestFailoverBeforeEjection(t *testing.T) {
 		t.Fatalf("%d round trips reached the third backend, past the ladder's depth", got)
 	}
 
+	// Owner and survivor both down, neither ejected: a 503, and the
+	// third backend is never tried.
+	part.set(survivor.ts.URL, true)
+	sent++
+	resp := postMesh(t, rts, body, nil)
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request %d: status %d body %q, want the router's 503", sent, resp.StatusCode, got)
+	}
+	if code, _, _ := decodeEnvelope(t, bytes.NewReader(got)); code != wire.CodeUnavailable {
+		t.Fatalf("request %d: envelope code %q, want %q", sent, code, wire.CodeUnavailable)
+	}
+	if hb := r.HealthyBackends(); !slices.Contains(hb, owner) || !slices.Contains(hb, survivor.ts.URL) {
+		t.Fatalf("healthy ring %v lost a partitioned ladder member below its failure threshold", hb)
+	}
+	if got := third.meshHits.Load() + third.probeHits.Load(); got != 0 {
+		t.Fatalf("%d round trips reached the third backend with both ladder members down", got)
+	}
+	if st := r.Stats(); st.Retries != requests+1 {
+		t.Fatalf("request %d: retries = %d, want %d", sent, st.Retries, requests+1)
+	}
+	part.set(survivor.ts.URL, false)
+
 	// The owner's failed read, then the third's read and forward: one
 	// failover attempt.
 	r.ejectBackend(survivor.ts.URL)
-	post(third, requests+1)
+	post(third, requests+2)
 	if got := third.probeHits.Load(); got != 1 {
 		t.Fatalf("third backend's cache read %d times, want once", got)
 	}

@@ -124,12 +124,6 @@ func ReadNRRDFile(path string) (*Image, error) { return img.ReadNRRDFile(path) }
 // WriteNRRDFile saves a label image in NRRD format.
 func WriteNRRDFile(path string, im *Image) error { return img.WriteNRRDFile(path, im) }
 
-// Image processing helpers (Image methods, re-documented here for
-// discoverability): (*Image).RemoveIslands cleans segmentation
-// artifacts — the isolated voxel clusters the paper blames for its
-// fidelity numbers — and (*Image).Downsample halves resolution with
-// majority-vote labels for previews.
-
 // SurfaceTopology verifies the combinatorial topology of a boundary
 // triangulation (Theorem 1's guarantee, checkable).
 func SurfaceTopology(tris []Triangle) SurfaceTopologyInfo {
