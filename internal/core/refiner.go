@@ -39,6 +39,7 @@ type Refiner struct {
 	done       atomic.Bool
 	failed     atomic.Bool // run aborted: the Result is partial
 	livelocked atomic.Bool // the stall watchdog aborted the run
+	capped     atomic.Bool // MaxElements cut the run before its fixpoint
 
 	ops atomic.Int64
 	// insideCount is the number of live final-mesh cells (for
@@ -418,6 +419,7 @@ func (r *Refiner) postCommit(t *thread, act action, res *delaunay.OpResult) {
 	}
 	r.publishInside(t)
 	if r.cellBudgetExceeded() {
+		r.capped.Store(true)
 		r.finish()
 	}
 	if res.NewVert == arena.Nil {

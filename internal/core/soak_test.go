@@ -207,15 +207,26 @@ func TestCallbackPanicsRecovered(t *testing.T) {
 		}
 		return math.Inf(1) // clamped to Delta
 	}
+	// The sampler ticks on wall time, so a loaded host can finish the
+	// small phantom before the first tick and the callback never runs.
+	// The Progress source's size queries therefore wait a millisecond
+	// each until the callback has fired (it disarms itself), and the
+	// run outlasts the tick.
 	progress := func(Progress) {
-		if armed.Load() {
+		if armed.CompareAndSwap(true, false) {
 			panic("progress bug")
 		}
+	}
+	untilTick := func(geom.Vec3) float64 {
+		if armed.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return noSizeBound
 	}
 	checkPanicAborts(t, &armed, []panicSource{
 		{"SizeFunc", "size function bug", Config{SizeFunc: size}, false},
 		{"DeltaFunc", "delta function bug", Config{DeltaFunc: delta}, false},
-		{"Progress", "progress bug", Config{Progress: progress, progressSample: time.Millisecond}, false},
+		{"Progress", "progress bug", Config{Progress: progress, SizeFunc: untilTick, progressSample: time.Millisecond}, false},
 	})
 }
 

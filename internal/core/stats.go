@@ -119,6 +119,11 @@ type Result struct {
 	// stall.
 	Livelocked bool
 
+	// capped records that the MaxElements cap ended refinement. Commits
+	// that land after the cut (R6 removals at W>1) can leave the final
+	// mesh below the cap, so Validate reads this, not Elements.
+	capped bool
+
 	Stats    RunStats
 	Timeline []TimelinePoint
 }
@@ -159,7 +164,7 @@ func (r *Result) Validate() error {
 	if n := quality.SurfaceTopology(tris).BorderEdges; n != 0 {
 		errs = append(errs, fmt.Errorf("watertight boundary: %d border edges", n))
 	}
-	if r.Status != StatusCompleted || (r.Config.MaxElements > 0 && r.Elements() >= r.Config.MaxElements) {
+	if r.Status != StatusCompleted || r.capped {
 		return errors.Join(errs...)
 	}
 	if n := r.Stats.DanglingPoorCount; n != 0 {
@@ -235,6 +240,7 @@ func (r *Refiner) collect(res *Result) {
 	res.Mesh = r.mesh
 	res.Timeline = r.timeline
 	res.Livelocked = r.livelocked.Load()
+	res.capped = r.capped.Load()
 	if r.failed.Load() {
 		res.Status, res.cause, res.Reason = StatusAborted, r.cause, r.cause.Error()
 	}

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/img"
 	"repro/internal/wire"
@@ -25,18 +21,19 @@ import (
 // burst.
 func TestAdmissionCountsWaitersOnly(t *testing.T) {
 	const pool = 4
-	srv := newBareServer(t, Config{PoolSize: pool, QueueDepth: 1})
+	srv, _ := newTestServer(t, Config{PoolSize: pool, QueueDepth: 1})
 	srv.coalesceMax = 1
-	image := img.SpherePhantom(6)
+	srv.cache = nil // nothing is asked twice: a cache would only write
+	base := nrrdBody(t, 6)
 
 	for round := 0; round < 5; round++ {
 		start := make(chan struct{})
 		errs := make(chan error, pool)
 		for i := 0; i < pool; i++ {
-			key := fmt.Sprintf("admit-%d-%d", round, i) // distinct keys: no coalescing path at all
+			body := freshNRRD(base, int64(round), i) // distinct keys: no coalescing path at all
 			go func() {
 				<-start
-				_, err := srv.MeshSnapshot(context.Background(), key, "", image, nil)
+				_, err := srv.walk(context.Background(), &job{key: wire.ImageKey(body), body: body})
 				errs <- err
 			}()
 		}
@@ -51,61 +48,6 @@ func TestAdmissionCountsWaitersOnly(t *testing.T) {
 	}
 	if n := srv.mRejected.Value("queue_full"); n != 0 {
 		t.Errorf("queue_full rejections = %d, want 0", n)
-	}
-}
-
-// TestCancelClassification is the regression test for the
-// cancel-vs-deadline misclassification: a caller that cancels while
-// waiting for a session must be rejected with ErrCanceled and the
-// "canceled" metric reason — not dressed up as a deadline expiry that
-// invites a retry nobody will read.
-func TestCancelClassification(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	image := img.SpherePhantom(8)
-
-	// Occupy the only session so jobs must wait.
-	lease, err := srv.Pool().Checkout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lease.Release()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Cancel once the job is parked in the wait queue.
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) && srv.pool.Waiters() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
-	_, err = srv.MeshSnapshot(ctx, "cancel-classify", "", image, nil)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled job returned %v, want ErrCanceled", err)
-	}
-	if errors.Is(err, ErrDeadline) {
-		t.Fatal("caller cancellation classified as deadline expiry")
-	}
-	if n := srv.mRejected.Value("canceled"); n != 1 {
-		t.Errorf(`rejected{reason="canceled"} = %d, want 1`, n)
-	}
-	if n := srv.mRejected.Value("deadline"); n != 0 {
-		t.Errorf(`rejected{reason="deadline"} = %d, want 0`, n)
-	}
-
-	// Through HTTP the same condition is 499 (client closed request)
-	// with no Retry-After: there is no point telling a dead client to
-	// come back later.
-	cctx, ccancel := context.WithCancel(context.Background())
-	ccancel()
-	req := httptest.NewRequest("POST", ts.URL+"/v1/mesh", bytes.NewReader(nrrdBody(t, 8))).WithContext(cctx)
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != wire.StatusClientClosedRequest {
-		t.Fatalf("canceled HTTP request: status %d, want %d", rec.Code, wire.StatusClientClosedRequest)
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "" {
-		t.Errorf("canceled request carries Retry-After %q; a gone client must not be invited back", ra)
 	}
 }
 
@@ -134,17 +76,10 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	n1, n2, n3 := n(6), n(7), n(8)
 	// Budget fits the two largest images but not all three, so the third
 	// insert must evict exactly one entry — whichever is least recent.
-	srv := newBareServer(t, Config{PoolSize: 1})
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	srv.imgCache.cache.MaxEntries, srv.imgCache.cache.MaxBytes = 10, n2+n3
 
-	body := func(scale int) []byte {
-		var b bytes.Buffer
-		if err := img.WriteNRRD(&b, img.SpherePhantom(scale)); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	b1, b2, b3 := body(6), body(7), body(8)
+	b1, b2, b3 := nrrdBody(t, 6), nrrdBody(t, 7), nrrdBody(t, 8)
 	k1, k2, k3 := wire.ImageKey(b1), wire.ImageKey(b2), wire.ImageKey(b3)
 
 	im1, err := srv.decodeImage(k1, b1)
@@ -194,7 +129,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 
 	// An image larger than the whole budget is refused outright rather
 	// than evicting the entire cache.
-	tiny := newBareServer(t, Config{PoolSize: 1})
+	tiny, _ := newTestServer(t, Config{PoolSize: 1})
 	tiny.imgCache.cache.MaxEntries, tiny.imgCache.cache.MaxBytes = 10, 16
 	if _, err := tiny.decodeImage(k1, b1); err != nil {
 		t.Fatal(err)
@@ -208,12 +143,8 @@ func TestImageCacheLRUBytes(t *testing.T) {
 // converge on one *img.Image pointer — the session EDT cache is keyed
 // by pointer identity, so divergent pointers silently defeat it.
 func TestDecodeImageRace(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
-	var b bytes.Buffer
-	if err := img.WriteNRRD(&b, img.SpherePhantom(8)); err != nil {
-		t.Fatal(err)
-	}
-	body := b.Bytes()
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	body := nrrdBody(t, 8)
 	key := wire.ImageKey(body)
 
 	const goroutines = 16

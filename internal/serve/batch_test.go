@@ -4,35 +4,14 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/img"
 	"repro/internal/wire"
 )
-
-// newBareServer builds a Server without an HTTP front end for
-// direct-API coalescing tests.
-func newBareServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	if cfg.Session.Workers == 0 {
-		cfg.Session.Workers = 1
-	}
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return s
-}
 
 // waitMembers polls the flight table until the flight for ckey has at
 // least want members (the deterministic join barrier of these tests).
@@ -64,18 +43,19 @@ type jobOutcome struct {
 // three followers joining the flight, one session checkout, one run,
 // and the identical snapshot pointer fanned out to everyone.
 func TestCoalesceFanOut(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
-	image := img.SpherePhantom(8)
-	const key = "coalesce-fanout"
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	srv.cache = nil // nothing is asked twice: a cache would only write
+	body := nrrdBody(t, 8)
+	key := wire.ImageKey(body)
 
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	leaderc := make(chan jobOutcome, 1)
 	go func() {
-		sr, err := srv.MeshSnapshot(context.Background(), key, "", image, func(*core.Config) {
+		sr, err := srv.walk(context.Background(), &job{key: key, body: body, tune: func(*core.Config) {
 			close(entered)
 			<-gate
-		})
+		}})
 		leaderc <- jobOutcome{sr, err}
 	}()
 	<-entered // the leader is inside its run, holding the only session
@@ -84,7 +64,7 @@ func TestCoalesceFanOut(t *testing.T) {
 	fc := make(chan jobOutcome, followers)
 	for i := 0; i < followers; i++ {
 		go func() {
-			sr, err := srv.MeshSnapshot(context.Background(), key, "", image, nil)
+			sr, err := srv.walk(context.Background(), &job{key: key, body: body})
 			fc <- jobOutcome{sr, err}
 		}()
 	}
@@ -134,67 +114,15 @@ func TestCoalesceFanOut(t *testing.T) {
 	}
 }
 
-// TestCoalesceLeaderError: a leader whose run dies (context canceled
-// mid-run) must fan the error out — followers get the failure
-// promptly, never a hang.
-func TestCoalesceLeaderError(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
-	image := img.SpherePhantom(8)
-	const key = "coalesce-leader-error"
-
-	lctx, cancelLeader := context.WithCancel(context.Background())
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	leaderc := make(chan jobOutcome, 1)
-	go func() {
-		sr, err := srv.MeshSnapshot(lctx, key, "", image, func(*core.Config) {
-			close(entered)
-			<-gate
-		})
-		leaderc <- jobOutcome{sr, err}
-	}()
-	<-entered
-
-	const followers = 2
-	fc := make(chan jobOutcome, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			sr, err := srv.MeshSnapshot(context.Background(), key, "", image, nil)
-			fc <- jobOutcome{sr, err}
-		}()
-	}
-	waitMembers(t, srv, key, 1+followers)
-
-	cancelLeader()
-	close(gate)
-
-	leader := <-leaderc
-	if leader.err == nil {
-		t.Fatal("canceled leader returned no error")
-	}
-	for i := 0; i < followers; i++ {
-		select {
-		case f := <-fc:
-			if f.err == nil {
-				t.Error("follower of a failed leader returned no error")
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("follower hung after leader failure")
-		}
-	}
-	if n := srv.mFailed.Value(); n != 1+followers {
-		t.Errorf("jobs_failed_total = %d, want %d (leader + fanned-out followers)", n, 1+followers)
-	}
-}
-
 // TestCoalesceGroupCap: with a cap of 2 members a full flight stops
 // accepting members; the third identical job leads a second flight on
 // its own session instead of joining.
 func TestCoalesceGroupCap(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 2})
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	srv.coalesceMax = 2
-	image := img.SpherePhantom(8)
-	const key = "coalesce-cap"
+	body := nrrdBody(t, 8)
+	key := wire.ImageKey(body)
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
@@ -205,7 +133,7 @@ func TestCoalesceGroupCap(t *testing.T) {
 	outc := make(chan jobOutcome, 3)
 	run := func(tn func(*core.Config)) {
 		go func() {
-			sr, err := srv.MeshSnapshot(context.Background(), key, "", image, tn)
+			sr, err := srv.walk(context.Background(), &job{key: key, body: body, tune: tn})
 			outc <- jobOutcome{sr, err}
 		}()
 	}
@@ -238,9 +166,10 @@ func TestCoalesceGroupCap(t *testing.T) {
 // → different flights (a coalesced waiter must never receive a mesh
 // built with someone else's parameters).
 func TestCoalesceVariantsDoNotShare(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 2})
-	image := img.SpherePhantom(8)
-	const key = "coalesce-variant"
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
+	srv.cache = nil // nothing is asked twice: a cache would only write
+	body := nrrdBody(t, 8)
+	key := wire.ImageKey(body)
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
@@ -250,12 +179,12 @@ func TestCoalesceVariantsDoNotShare(t *testing.T) {
 	}
 	outc := make(chan jobOutcome, 2)
 	go func() {
-		sr, err := srv.MeshSnapshot(context.Background(), key, "d=2", image, tune)
+		sr, err := srv.walk(context.Background(), &job{key: key, variant: "d=2", body: body, tune: tune})
 		outc <- jobOutcome{sr, err}
 	}()
 	<-entered
 	go func() {
-		sr, err := srv.MeshSnapshot(context.Background(), key, "d=3", image, tune)
+		sr, err := srv.walk(context.Background(), &job{key: key, variant: "d=3", body: body, tune: tune})
 		outc <- jobOutcome{sr, err}
 	}()
 	<-entered // the second variant ran its own tune: it did not coalesce
@@ -277,6 +206,7 @@ func TestCoalesceVariantsDoNotShare(t *testing.T) {
 // bodies, coalesced = N-1.
 func TestCoalesceHTTP(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	client := ts.Client()
 	body := nrrdBody(t, 10)
 	key := wire.ImageKey(body)
@@ -289,16 +219,9 @@ func TestCoalesceHTTP(t *testing.T) {
 	}
 
 	const n = 4
-	type reply struct {
-		code int
-		out  []byte
-	}
-	replies := make(chan reply, n)
+	replies := make(chan answer, n)
 	for i := 0; i < n; i++ {
-		go func() {
-			code, out := post(t, client, ts.URL+"/v1/mesh", body)
-			replies <- reply{code, out}
-		}()
+		go func() { replies <- send(t, client, "POST", ts.URL+"/v1/mesh", octet, body) }()
 	}
 	waitMembers(t, srv, key, n)
 	lease.Release()
@@ -306,12 +229,12 @@ func TestCoalesceHTTP(t *testing.T) {
 	var first []byte
 	for i := 0; i < n; i++ {
 		r := <-replies
-		if r.code != http.StatusOK {
-			t.Fatalf("status %d: %s", r.code, r.out)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", r.StatusCode, r.body)
 		}
 		if first == nil {
-			first = r.out
-		} else if !bytes.Equal(first, r.out) {
+			first = r.body
+		} else if !bytes.Equal(first, r.body) {
 			t.Error("coalesced responses are not byte-identical")
 		}
 	}
@@ -329,6 +252,7 @@ func TestCoalesceHTTP(t *testing.T) {
 // and only one run happened.
 func TestCoalesceSlowSession(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	client := ts.Client()
 	body := nrrdBody(t, 10)
 	key := wire.ImageKey(body)
@@ -352,13 +276,13 @@ func TestCoalesceSlowSession(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, out := post(t, client, ts.URL+"/v1/mesh", body)
-			if code != http.StatusOK {
-				t.Errorf("status %d: %s", code, out)
+			a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body)
+			if a.StatusCode != http.StatusOK {
+				t.Errorf("status %d: %s", a.StatusCode, a.body)
 				return
 			}
 			mu.Lock()
-			bodies = append(bodies, out)
+			bodies = append(bodies, a.body)
 			mu.Unlock()
 		}()
 	}
@@ -382,62 +306,5 @@ func TestCoalesceSlowSession(t *testing.T) {
 	// histogram must have seen it.
 	if occ := srv.mLeaseSeconds.Snapshot(); occ.Count != 1 || occ.Sum < 0.14 {
 		t.Errorf("lease occupancy count=%d sum=%v; expected one lease >= 140ms", occ.Count, occ.Sum)
-	}
-}
-
-// TestCoalesceLeaderPanic: a leader whose run panics (here: inside
-// the tune hook, which executes unguarded in the engine) must not
-// strand its followers — the panic is recovered into a flight error
-// and fanned out, and the leader's session is replaced.
-func TestCoalesceLeaderPanic(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
-	image := img.SpherePhantom(8)
-	const key = "coalesce-leader-panic"
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	leaderc := make(chan jobOutcome, 1)
-	go func() {
-		sr, err := srv.MeshSnapshot(context.Background(), key, "", image, func(*core.Config) {
-			close(entered)
-			<-gate
-			panic("injected tune panic")
-		})
-		leaderc <- jobOutcome{sr, err}
-	}()
-	<-entered
-
-	const followers = 2
-	fc := make(chan jobOutcome, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			sr, err := srv.MeshSnapshot(context.Background(), key, "", image, nil)
-			fc <- jobOutcome{sr, err}
-		}()
-	}
-	waitMembers(t, srv, key, 1+followers)
-	close(gate)
-
-	leader := <-leaderc
-	if leader.err == nil || !strings.Contains(leader.err.Error(), "panicked") {
-		t.Fatalf("panicked leader returned %v, want a panic-converted error", leader.err)
-	}
-	for i := 0; i < followers; i++ {
-		select {
-		case f := <-fc:
-			if f.err == nil {
-				t.Error("follower of a panicked leader returned no error")
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("follower hung after leader panic")
-		}
-	}
-	if n := srv.mFailed.Value(); n != 1+followers {
-		t.Errorf("jobs_failed_total = %d, want %d", n, 1+followers)
-	}
-
-	// The panic marked the session bad: replaced at release.
-	if q := srv.pool.Stats().Quarantines; q != 1 {
-		t.Errorf("quarantines = %d, want 1 (panicked session must not return to the pool)", q)
 	}
 }

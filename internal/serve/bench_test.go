@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
-	"repro/internal/cachestore"
 	"repro/internal/img"
 )
 
@@ -26,23 +23,10 @@ func BenchmarkHit(b *testing.B) {
 	}
 	for _, mode := range []string{"disk", "memory"} {
 		b.Run(mode, func(b *testing.B) {
-			cache, _, err := cachestore.Open(cachestore.Config{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cache.Close()
-			cfg := Config{PoolSize: 1, Cache: cache}
-			cfg.Session.Workers = 1
-			srv, err := NewServer(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Drain(nil)
+			srv, ts := newTestServer(b, Config{PoolSize: 1})
 			if mode == "disk" {
 				srv.entities.cache.MaxBytes = 0
 			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
 			hit := func() int64 {
 				resp, err := ts.Client().Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(image.Bytes()))
 				if err != nil {
@@ -71,10 +55,8 @@ func BenchmarkHit(b *testing.B) {
 				b.Fatalf("entity hits = %d over %d timed requests, want %d", got, b.N, want)
 			}
 			// Both modes key every timed upload from the memo: no SHA-256.
-			var m strings.Builder
-			srv.Registry().WritePrometheus(&m)
-			if got := metricValue(b, m.String(), `pi2md_mem_cache_events_total{cache="upload",event="hit"}`); got != float64(b.N) {
-				b.Fatalf("upload-memo hits = %v over %d timed requests, want every one", got, b.N)
+			if got := ledger(srv)["mem:upload,hit"]; got != int64(b.N) {
+				b.Fatalf("upload-memo hits = %d over %d timed requests, want every one", got, b.N)
 			}
 		})
 	}

@@ -2,28 +2,15 @@ package serve
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cachestore"
 	"repro/internal/faultinject"
 	"repro/internal/wire"
 )
-
-// readAll drains and closes a response body.
-func readAll(t *testing.T, resp *http.Response) []byte {
-	t.Helper()
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
 
 // looseness reads a spec's four quality knobs with their template
 // defaults filled in (R4 2, R1 30°, δ scale 1, no element cap), each
@@ -166,16 +153,7 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 // the degraded variant key only, and a follow-up full-quality request
 // re-meshes at full quality — it never serves the coarse blob.
 func TestBrownoutVariantIsolation(t *testing.T) {
-	cache, _, err := cachestore.Open(cachestore.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cache.Close() })
-	srv, ts := newTestServer(t, Config{
-		PoolSize: 1,
-		Cache:    cache,
-		Brownout: true,
-	})
+	srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: true})
 	srv.brownout.hold = 10 * time.Millisecond
 
 	// Pin the controller at maximal pressure: every request degrades to
@@ -194,21 +172,14 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	degSpec := browned(empty, ladder[len(ladder)-1])
 	degradedVariant := degSpec.Variant()
 
-	resp, err := http.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	degraded := send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
+	if degraded.StatusCode != http.StatusOK || degraded.Header.Get(BrownoutHeader) != "2" {
+		t.Fatalf("browned request: status %d, %s %q, want 200 at tier 2", degraded.StatusCode, BrownoutHeader, degraded.Header.Get(BrownoutHeader))
 	}
-	degraded := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("browned request status %d: %s", resp.StatusCode, degraded)
-	}
-	if got := resp.Header.Get(BrownoutHeader); got != "2" {
-		t.Fatalf("%s = %q, want \"2\"", BrownoutHeader, got)
-	}
-	if _, ok := srv.CacheETag(key, degradedVariant); !ok {
+	if !srv.cache.Contains(key, degradedVariant) {
 		t.Fatalf("degraded result not cached under its own variant %q", degradedVariant)
 	}
-	if _, ok := srv.CacheETag(key, fullVariant); ok {
+	if srv.cache.Contains(key, fullVariant) {
 		t.Fatal("degraded result poisoned the full-quality cache entry")
 	}
 	restore()
@@ -222,23 +193,19 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 			t.Fatal("controller never returned to full quality")
 		}
 		time.Sleep(20 * time.Millisecond)
-		resp, err := http.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		a := send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("post-storm request status %d: %s", a.StatusCode, a.body)
 		}
-		out := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-storm request status %d: %s", resp.StatusCode, out)
-		}
-		if resp.Header.Get(BrownoutHeader) == "" {
-			full = out
+		if a.Header.Get(BrownoutHeader) == "" {
+			full = a.body
 			break
 		}
 	}
-	if _, ok := srv.CacheETag(key, fullVariant); !ok {
+	if !srv.cache.Contains(key, fullVariant) {
 		t.Fatal("full-quality result not cached under the full-quality variant")
 	}
-	if bytes.Equal(full, degraded) {
+	if bytes.Equal(full, degraded.body) {
 		t.Fatal("full-quality request served the coarse blob")
 	}
 	if st := srv.Stats(); st.BrownedOut == 0 || st.BrownoutTier != 0 {
@@ -250,10 +217,7 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 // to the same tier share one coalesced flight and receive
 // byte-identical bodies, both stamped with the brownout header.
 func TestBrownoutCoalescedByteIdentity(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		PoolSize: 1,
-		Brownout: true,
-	})
+	srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: true})
 	srv.brownout.hold = time.Minute
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Seed: 1,
@@ -267,23 +231,13 @@ func TestBrownoutCoalescedByteIdentity(t *testing.T) {
 	defer restore()
 
 	body := nrrdBody(t, 2)
-	type reply struct {
-		code int
-		hdr  string
-		out  []byte
-	}
-	replies := make([]reply, 2)
+	replies := make([]answer, 2)
 	var wg sync.WaitGroup
 	for i := range replies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			replies[i] = reply{resp.StatusCode, resp.Header.Get(BrownoutHeader), readAll(t, resp)}
+			replies[i] = send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
 		}(i)
 		// Stagger just enough that the second arrives while the first
 		// (stalled by SlowSession) is still leading the flight.
@@ -291,14 +245,14 @@ func TestBrownoutCoalescedByteIdentity(t *testing.T) {
 	}
 	wg.Wait()
 	for i, r := range replies {
-		if r.code != http.StatusOK {
-			t.Fatalf("request %d status %d: %s", i, r.code, r.out)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("request %d status %d: %s", i, r.StatusCode, r.body)
 		}
-		if r.hdr != "2" {
-			t.Fatalf("request %d %s = %q, want \"2\"", i, BrownoutHeader, r.hdr)
+		if got := r.Header.Get(BrownoutHeader); got != "2" {
+			t.Fatalf("request %d %s = %q, want \"2\"", i, BrownoutHeader, got)
 		}
 	}
-	if !bytes.Equal(replies[0].out, replies[1].out) {
+	if !bytes.Equal(replies[0].body, replies[1].body) {
 		t.Fatal("coalesced degraded responses differ byte-for-byte")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cachestore"
 	"repro/internal/faultinject"
 	"repro/internal/wire"
 )
@@ -74,17 +73,12 @@ type chaosOutcome struct {
 func TestChaosSoak(t *testing.T) {
 	seed := chaosSeed(t)
 	const poolSize = 2
-	cache, _, err := cachestore.Open(cachestore.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cache.Close() })
 	srv, ts := newTestServer(t, Config{
 		PoolSize:       poolSize,
 		QueueDepth:     8,
 		DefaultTimeout: 5 * time.Second,
-		Cache:          cache,
 	})
+	cache := srv.cache
 	srv.coalesceMax = 4
 	client := ts.Client()
 

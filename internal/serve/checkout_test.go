@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestCheckoutServesWaitersInArrivalOrder pins the admission order:
@@ -15,11 +13,8 @@ import (
 // solve runs off-lease), so a far-deadline waiter holds no one up for
 // long, and a later near-deadline one must not overtake it.
 func TestCheckoutServesWaitersInArrivalOrder(t *testing.T) {
-	p, err := NewPool(1, 16, core.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	p := srv.pool
 
 	hold, err := p.Checkout(context.Background())
 	if err != nil || hold == nil {
@@ -69,11 +64,8 @@ func TestCheckoutServesWaitersInArrivalOrder(t *testing.T) {
 // race: a waiter whose context dies must hand any in-flight grant to
 // the next waiter instead of leaking the session.
 func TestCheckoutCanceledWaiterReleasesGrant(t *testing.T) {
-	p, err := NewPool(1, 16, core.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	p := srv.pool
 
 	hold, err := p.Checkout(context.Background())
 	if err != nil || hold == nil {

@@ -3,15 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -19,54 +16,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/wire"
 )
-
-// hitLedger is everything a cache-served request moves: the serving
-// counters, the stats ring, and the store's own lookups.
-type hitLedger struct {
-	accepted, completed, failed   int64
-	cacheServed, cacheOnlyServed  int64
-	runs, storeHits, storeMisses  int64
-	recorded                      int // entries in /v1/stats' ring
-	entityHits, entityMisses, ent int64
-}
-
-func readHitLedger(srv *Server, cache *cachestore.Store) hitLedger {
-	cs := cache.Stats()
-	return hitLedger{
-		accepted: srv.mAccepted.Value(), completed: srv.mCompleted.Value(), failed: srv.mFailed.Value(),
-		cacheServed: srv.mCacheServed.Value(), cacheOnlyServed: srv.mCacheOnlyServed.Value(),
-		runs: srv.mRunSeconds.Count(), storeHits: cs.Hits, storeMisses: cs.Misses,
-		recorded:   len(srv.Stats().RecentRuns),
-		entityHits: srv.entities.hit.Value(), entityMisses: srv.entities.miss.Value(),
-		ent: srv.entities.stats().Bytes,
-	}
-}
-
-// sub returns the movement from before to l.
-func (l hitLedger) sub(before hitLedger) hitLedger {
-	return hitLedger{
-		l.accepted - before.accepted, l.completed - before.completed, l.failed - before.failed,
-		l.cacheServed - before.cacheServed, l.cacheOnlyServed - before.cacheOnlyServed,
-		l.runs - before.runs, l.storeHits - before.storeHits, l.storeMisses - before.storeMisses,
-		l.recorded - before.recorded,
-		l.entityHits - before.entityHits, l.entityMisses - before.entityMisses, l.ent - before.ent,
-	}
-}
-
-// fetch sends req and returns the response with its body read.
-func fetch(t *testing.T, c *http.Client, req *http.Request) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := c.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
-}
 
 // TestEntityCacheServesIdenticalBytes: a hit answered from memory is the
 // disk hit it stands in for — same bytes, same headers, same ledger
@@ -81,25 +30,24 @@ func TestEntityCacheServesIdenticalBytes(t *testing.T) {
 	endpoints := []struct {
 		name      string
 		cacheOnly bool
-		request   func(base, format string) *http.Request
+		request   func(t *testing.T, c *http.Client, base, format string) answer
 	}{
-		{"POST /v1/mesh", false, func(base, format string) *http.Request {
-			return pinReq(t, "POST", base+"/v1/mesh?max_elements=500&format="+format, "application/octet-stream", image)
+		{"POST /v1/mesh", false, func(t *testing.T, c *http.Client, base, format string) answer {
+			return send(t, c, "POST", base+"/v1/mesh?max_elements=500&format="+format, octet, image)
 		}},
-		{"GET /v1/cache", true, func(base, format string) *http.Request {
-			return pinReq(t, "GET", base+"/v1/cache/"+key+"/"+url.PathEscape(variant)+"?format="+format, "", nil)
+		{"GET /v1/cache", true, func(t *testing.T, c *http.Client, base, format string) answer {
+			return send(t, c, "GET", base+"/v1/cache/"+key+"/"+url.PathEscape(variant)+"?format="+format, "", nil)
 		}},
 	}
 	for _, ep := range endpoints {
 		for _, format := range []string{"vtk", "off"} {
 			t.Run(ep.name+" "+format, func(t *testing.T) {
 				dir := t.TempDir()
-				cache := openTestCache(t, dir)
-				srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+				srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: openTestCache(t, dir)})
 				client := ts.Client()
 
 				// The miss: a fresh run, which admits nothing.
-				_, meshed := fetch(t, client, endpoints[0].request(ts.URL, format))
+				meshed := endpoints[0].request(t, client, ts.URL, format).body
 				if st := srv.entities.stats(); st.Entries != 0 {
 					t.Fatalf("a fresh run left %d entities in memory", st.Entries)
 				}
@@ -109,22 +57,19 @@ func TestEntityCacheServesIdenticalBytes(t *testing.T) {
 				}
 
 				// Hit 1: from disk, encoded, admitted.
-				before := readHitLedger(srv, cache)
-				diskResp, diskBody := fetch(t, client, ep.request(ts.URL, format))
-				disk := readHitLedger(srv, cache).sub(before)
-				if diskResp.StatusCode != http.StatusOK || !bytes.Equal(diskBody, meshed) {
-					t.Fatalf("disk hit: status %d, body equal to the meshed one: %v", diskResp.StatusCode, bytes.Equal(diskBody, meshed))
+				before := ledger(srv)
+				diskHit := ep.request(t, client, ts.URL, format)
+				if diskHit.StatusCode != http.StatusOK || !bytes.Equal(diskHit.body, meshed) {
+					t.Fatalf("disk hit: status %d, body equal to the meshed one: %v", diskHit.StatusCode, bytes.Equal(diskHit.body, meshed))
 				}
-				wantCacheOnly := int64(0)
+				want := map[string]int64{"accepted": 1, "completed": 1, "cache_served": 1, "recorded": 1,
+					"store_hits": 1, "store_misses": 0, "mem:entity,hit": 0, "mem:entity,miss": 1,
+					"mem_bytes:entity": int64(len(meshed))}
 				if ep.cacheOnly {
-					wantCacheOnly = 1
+					want["cache_only_served"] = 1
 				}
-				want := hitLedger{accepted: 1, completed: 1, cacheServed: 1, cacheOnlyServed: wantCacheOnly,
-					storeHits: 1, recorded: 1, entityMisses: 1, ent: int64(len(meshed))}
-				if disk != want {
-					t.Fatalf("disk hit moved the ledger by %+v, want %+v", disk, want)
-				}
-				diskRun := srv.Stats().RecentRuns
+				wantMoved(t, moved(before, ledger(srv)), want)
+				diskRun := recentRuns(srv)
 
 				// Hits 2 and 3: from memory, with the blob gone from its path.
 				aside := blobs[0] + ".aside"
@@ -132,29 +77,26 @@ func TestEntityCacheServesIdenticalBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 				for hit := 2; hit <= 3; hit++ {
-					before = readHitLedger(srv, cache)
-					memResp, memBody := fetch(t, client, ep.request(ts.URL, format))
-					mem := readHitLedger(srv, cache).sub(before)
-					if memResp.StatusCode != http.StatusOK {
-						t.Fatalf("hit %d: status %d", hit, memResp.StatusCode)
+					before = ledger(srv)
+					memHit := ep.request(t, client, ts.URL, format)
+					if memHit.StatusCode != http.StatusOK {
+						t.Fatalf("hit %d: status %d", hit, memHit.StatusCode)
 					}
-					if sha(memBody) != sha(diskBody) {
+					if sha(memHit.body) != sha(diskHit.body) {
 						t.Errorf("hit %d: body differs from the disk hit's", hit)
 					}
-					diskResp.Header.Del("Date")
-					memResp.Header.Del("Date")
-					if !reflect.DeepEqual(memResp.Header, diskResp.Header) {
-						t.Errorf("hit %d: headers differ from the disk hit's:\n mem  %v\n disk %v", hit, memResp.Header, diskResp.Header)
+					diskHit.Header.Del("Date")
+					memHit.Header.Del("Date")
+					if !reflect.DeepEqual(memHit.Header, diskHit.Header) {
+						t.Errorf("hit %d: headers differ from the disk hit's:\n mem  %v\n disk %v", hit, memHit.Header, diskHit.Header)
 					}
-					if memResp.ContentLength != int64(len(diskBody)) {
-						t.Errorf("hit %d: Content-Length %d, want %d", hit, memResp.ContentLength, len(diskBody))
+					if memHit.ContentLength != int64(len(diskHit.body)) {
+						t.Errorf("hit %d: Content-Length %d, want %d", hit, memHit.ContentLength, len(diskHit.body))
 					}
 					// The same movement, except that the entity was found.
-					want.entityMisses, want.entityHits, want.ent = 0, 1, 0
-					if mem != want {
-						t.Errorf("hit %d moved the ledger by %+v, want %+v", hit, mem, want)
-					}
-					runs := srv.Stats().RecentRuns
+					want["mem:entity,hit"], want["mem:entity,miss"], want["mem_bytes:entity"] = 1, 0, 0
+					wantMoved(t, moved(before, ledger(srv)), want)
+					runs := recentRuns(srv)
 					if !reflect.DeepEqual(runs[len(runs)-1], diskRun[len(diskRun)-1]) {
 						t.Errorf("hit %d recorded %+v, the disk hit %+v", hit, runs[len(runs)-1], diskRun[len(diskRun)-1])
 					}
@@ -171,11 +113,11 @@ func TestEntityCacheServesIdenticalBytes(t *testing.T) {
 // 200's body and raw ETag header.
 func meshOK(t *testing.T, c *http.Client, base, query string, image []byte) ([]byte, string) {
 	t.Helper()
-	resp, body := fetch(t, c, pinReq(t, "POST", base+"/v1/mesh"+query, "application/octet-stream", image))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/mesh%s: status %d: %.200s", query, resp.StatusCode, body)
+	a := send(t, c, "POST", base+"/v1/mesh"+query, octet, image)
+	if a.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/mesh%s: status %d: %.200s", query, a.StatusCode, a.body)
 	}
-	return body, resp.Header.Get("ETag")
+	return a.body, a.Header.Get("ETag")
 }
 
 func mruKeys(cache *cachestore.Store) []string {
@@ -195,8 +137,8 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 	ka, kb := wire.ImageKey(a), wire.ImageKey(b)
 
 	t.Run("a memory hit refreshes recency as a disk hit does", func(t *testing.T) {
-		cache := openTestCache(t, t.TempDir())
-		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+		srv, ts := newTestServer(t, Config{PoolSize: 1})
+		cache := srv.cache
 		c := ts.Client()
 		meshOK(t, c, ts.URL, "", a)
 		meshOK(t, c, ts.URL, "", b)
@@ -217,12 +159,11 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 
 	t.Run("an evicted pair re-meshes", func(t *testing.T) {
 		// A budget of one blob: b's write evicts a.
-		sizing := openTestCache(t, t.TempDir())
-		_, sts := newTestServer(t, Config{PoolSize: 1, Cache: sizing})
+		sizing, sts := newTestServer(t, Config{PoolSize: 1})
 		meshOK(t, sts.Client(), sts.URL, "", a)
 		meshOK(t, sts.Client(), sts.URL, "", b)
 		var largest int64
-		for _, ki := range sizing.KeysMRU() {
+		for _, ki := range sizing.cache.KeysMRU() {
 			largest = max(largest, ki.Bytes)
 		}
 		cache, _, err := cachestore.Open(cachestore.Config{Dir: t.TempDir(), MaxBytes: largest + 64})
@@ -243,15 +184,12 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 		if cache.Contains(ka, "") {
 			t.Fatal("setup: the store still indexes a after b's write")
 		}
-		before := readHitLedger(srv, cache)
+		before := ledger(srv)
 		again, _ := meshOK(t, c, ts.URL, "", a)
-		got := readHitLedger(srv, cache).sub(before)
-		// Exactly the parent's cold request: one store miss, one run, and
-		// the entity still in memory never looked at.
-		want := hitLedger{accepted: 1, completed: 1, runs: 1, storeMisses: 1, recorded: 1}
-		if got != want {
-			t.Fatalf("asking for an evicted pair moved the ledger by %+v, want %+v", got, want)
-		}
+		// Exactly a cold request: one store miss, one run, and the entity
+		// still in memory never looked at.
+		wantMoved(t, moved(before, ledger(srv)), map[string]int64{"accepted": 1, "completed": 1, "recorded": 1,
+			"store_hits": 0, "store_misses": 1, "mem:entity,hit": 0, "mem:entity,miss": 0})
 		if !bytes.Equal(again, first) {
 			t.Fatal("the re-mesh of an evicted pair produced different bytes")
 		}
@@ -269,16 +207,13 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 		first, _ := meshOK(t, c, ts.URL, "", a) // indexed, but the bytes on disk are flipped
 		restore()
 
-		before := readHitLedger(srv, cache)
+		before := ledger(srv)
 		again, _ := meshOK(t, c, ts.URL, "", a)
-		got := readHitLedger(srv, cache).sub(before)
 		// The index lookup found the pair (one hit), the read found the
 		// corruption (one miss), and the job ran: nothing corrupt served,
 		// nothing admitted.
-		want := hitLedger{accepted: 1, completed: 1, runs: 1, storeHits: 1, storeMisses: 1, recorded: 1, entityMisses: 1}
-		if got != want {
-			t.Fatalf("asking for a corrupt pair moved the ledger by %+v, want %+v", got, want)
-		}
+		wantMoved(t, moved(before, ledger(srv)), map[string]int64{"accepted": 1, "completed": 1, "recorded": 1,
+			"store_hits": 1, "store_misses": 1, "mem:entity,hit": 0, "mem:entity,miss": 1, "mem_bytes:entity": 0})
 		if cs := cache.Stats(); cs.Corrupt != 1 {
 			t.Fatalf("corrupt = %d, want 1", cs.Corrupt)
 		}
@@ -299,8 +234,7 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 // cache evicts least recently used first with exact byte accounting.
 func TestEntityCacheAdmission(t *testing.T) {
 	t.Run("never-seen images leave it empty", func(t *testing.T) {
-		cache := openTestCache(t, t.TempDir())
-		srv, ts := newTestServer(t, Config{PoolSize: 2, Cache: cache})
+		srv, ts := newTestServer(t, Config{PoolSize: 2})
 		base := nrrdBody(t, 6)
 		for i := 0; i < 12; i++ {
 			meshOK(t, ts.Client(), ts.URL, "", freshNRRD(base, 1, i))
@@ -314,8 +248,7 @@ func TestEntityCacheAdmission(t *testing.T) {
 	})
 
 	t.Run("over the budget: served, not kept", func(t *testing.T) {
-		cache := openTestCache(t, t.TempDir())
-		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+		srv, ts := newTestServer(t, Config{PoolSize: 1})
 		srv.entities.cache.MaxBytes = 100
 		image := nrrdBody(t, 6)
 		first, _ := meshOK(t, ts.Client(), ts.URL, "", image)
@@ -333,8 +266,7 @@ func TestEntityCacheAdmission(t *testing.T) {
 	})
 
 	t.Run("LRU order and byte accounting under eviction", func(t *testing.T) {
-		cache := openTestCache(t, t.TempDir())
-		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache})
+		srv, ts := newTestServer(t, Config{PoolSize: 1})
 		c := ts.Client()
 		images := [][]byte{nrrdBody(t, 6), nrrdBody(t, 7), nrrdBody(t, 8)}
 		var n [3]int64
@@ -373,18 +305,16 @@ func TestEntityCacheAdmission(t *testing.T) {
 			t.Fatalf("entity misses %d -> %d, want one more: the evicted entity was still answered from memory", missesBefore, m)
 		}
 		// The same numbers on the wire.
-		rec := httptest.NewRecorder()
-		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		exp := rec.Body.String()
-		if got := metricValue(t, exp, `pi2md_mem_cache_bytes{cache="entity"}`); int64(got) != srv.entities.stats().Bytes {
-			t.Errorf("pi2md_mem_cache_bytes{entity} = %v, want %d", got, srv.entities.stats().Bytes)
+		l := ledger(srv)
+		if got := l["mem_bytes:entity"]; got != srv.entities.stats().Bytes {
+			t.Errorf("pi2md_mem_cache_bytes{entity} = %d, want %d", got, srv.entities.stats().Bytes)
 		}
-		if got := metricValue(t, exp, `pi2md_mem_cache_events_total{cache="entity",event="hit"}`); got != 2 {
-			t.Errorf("pi2md_mem_cache_events_total{entity,hit} = %v, want 2", got)
+		if got := l["mem:entity,hit"]; got != 2 {
+			t.Errorf("pi2md_mem_cache_events_total{entity,hit} = %d, want 2", got)
 		}
 		for _, c := range []string{"image", "entity", "upload"} {
-			if series := `pi2md_mem_cache_events_total{cache="` + c + `",event="evict"} `; !strings.Contains(exp, series) {
-				t.Errorf("/metrics lacks %s", series)
+			if _, ok := l["mem:"+c+",evict"]; !ok {
+				t.Errorf("/metrics lacks the %s evict series", c)
 			}
 		}
 		if st := srv.Stats(); st.EntityCache != srv.entities.stats() || st.ImageCache != srv.imgCache.stats() {
@@ -399,8 +329,7 @@ func TestEntityCacheAdmission(t *testing.T) {
 // entities through a budget that holds about three — every 200 carries
 // exactly the bytes its pair first meshed to, whichever path served it.
 func TestEntityCacheConcurrentHits(t *testing.T) {
-	cache := openTestCache(t, t.TempDir())
-	srv, ts := newTestServer(t, Config{PoolSize: 2, Cache: cache})
+	srv, ts := newTestServer(t, Config{PoolSize: 2})
 	c := ts.Client()
 
 	const keys = 6
@@ -431,33 +360,22 @@ func TestEntityCacheConcurrentHits(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perClient; i++ {
 				k, f := rng.Intn(keys), formats[rng.Intn(len(formats))]
-				req, err := http.NewRequest("POST", ts.URL+"/v1/mesh?format="+f, bytes.NewReader(images[k]))
-				if err != nil {
-					errs <- err
-					return
-				}
+				var hdr []string
 				wantStatus := http.StatusOK
 				switch rng.Intn(3) {
 				case 0:
-					req.Header.Set("If-None-Match", etags[k][f])
-					wantStatus = http.StatusNotModified
+					hdr, wantStatus = []string{"If-None-Match", etags[k][f]}, http.StatusNotModified
 				case 1:
-					req.Header.Set("If-None-Match", `"0000000000000000-`+f+`"`)
+					hdr = []string{"If-None-Match", `"0000000000000000-` + f + `"`}
 				}
-				resp, err := c.Do(req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
+				a := send(t, c, "POST", ts.URL+"/v1/mesh?format="+f, octet, images[k], hdr...)
 				switch {
-				case resp.StatusCode != wantStatus:
-					errs <- fmt.Errorf("client %d op %d: status %d, want %d", w, i, resp.StatusCode, wantStatus)
-				case wantStatus == http.StatusOK && (sha(body) != wantSHA[k][f] || resp.Header.Get("ETag") != etags[k][f]):
-					errs <- fmt.Errorf("client %d op %d: key %d %s served the wrong entity (etag %s)", w, i, k, f, resp.Header.Get("ETag"))
-				case wantStatus == http.StatusNotModified && len(body) != 0:
-					errs <- fmt.Errorf("client %d op %d: 304 with a %d-byte body", w, i, len(body))
+				case a.StatusCode != wantStatus:
+					errs <- fmt.Errorf("client %d op %d: status %d, want %d", w, i, a.StatusCode, wantStatus)
+				case wantStatus == http.StatusOK && (sha(a.body) != wantSHA[k][f] || a.Header.Get("ETag") != etags[k][f]):
+					errs <- fmt.Errorf("client %d op %d: key %d %s served the wrong entity (etag %s)", w, i, k, f, a.Header.Get("ETag"))
+				case wantStatus == http.StatusNotModified && len(a.body) != 0:
+					errs <- fmt.Errorf("client %d op %d: 304 with a %d-byte body", w, i, len(a.body))
 				}
 			}
 		}(w)
@@ -469,15 +387,8 @@ func TestEntityCacheConcurrentHits(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			image := freshNRRD(base, 3, i)
 			for ask := 0; ask < 2; ask++ {
-				resp, err := c.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(image))
-				if err != nil {
-					errs <- err
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("inserter key %d ask %d: status %d", i, ask, resp.StatusCode)
+				if a := send(t, c, "POST", ts.URL+"/v1/mesh", octet, image); a.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("inserter key %d ask %d: status %d", i, ask, a.StatusCode)
 				}
 			}
 		}

@@ -13,19 +13,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/img"
 	"repro/internal/wire"
 )
 
-// wantFramed asserts a response was length-framed: an exact
+// wantFramed asserts an answer was length-framed: an exact
 // Content-Length equal to the bytes that arrived, and no chunking.
-func wantFramed(t *testing.T, name string, resp *http.Response, body []byte) {
+func wantFramed(t *testing.T, name string, a answer) {
 	t.Helper()
-	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || resp.ContentLength != int64(len(body)) {
-		t.Errorf("%s: Content-Length %q (parsed %d) for a %d byte body", name, cl, resp.ContentLength, len(body))
+	if cl := a.Header.Get("Content-Length"); cl != strconv.Itoa(len(a.body)) || a.ContentLength != int64(len(a.body)) {
+		t.Errorf("%s: Content-Length %q (parsed %d) for a %d byte body", name, cl, a.ContentLength, len(a.body))
 	}
-	if len(resp.TransferEncoding) != 0 {
-		t.Errorf("%s: Transfer-Encoding %v, want none", name, resp.TransferEncoding)
+	if len(a.TransferEncoding) != 0 {
+		t.Errorf("%s: Transfer-Encoding %v, want none", name, a.TransferEncoding)
 	}
 }
 
@@ -34,75 +33,43 @@ func wantFramed(t *testing.T, name string, resp *http.Response, body []byte) {
 // probe, OFF, simulate as VTK and as a summary — is one length-framed
 // entity, large bodies included, and a 304 stays body-less.
 func TestResponsesAreLengthFramed(t *testing.T) {
-	srv, ts := newSimServer(t, Config{PoolSize: 1})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 	image := nrrdBody(t, 24) // a body well past net/http's 2 KiB sniff-and-frame buffer
 	key := wire.ImageKey(image)
 
-	do := func(name string, req *http.Request, wantStatus int) (*http.Response, []byte) {
+	framed := func(name string, a answer) answer {
 		t.Helper()
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %.200s", name, a.StatusCode, a.body)
 		}
-		body := readAll(t, resp)
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("%s: status %d, want %d: %.200s", name, resp.StatusCode, wantStatus, body)
+		wantFramed(t, name, a)
+		if len(a.body) < 4096 {
+			t.Errorf("%s: only %d bytes — too small to have been chunked in the first place", name, len(a.body))
 		}
-		return resp, body
-	}
-	framed := func(name string, req *http.Request) (*http.Response, []byte) {
-		t.Helper()
-		resp, body := do(name, req, http.StatusOK)
-		wantFramed(t, name, resp, body)
-		if len(body) < 4096 {
-			t.Errorf("%s: only %d bytes — too small to have been chunked in the first place", name, len(body))
-		}
-		return resp, body
+		return a
 	}
 
 	// The follower needs a flight to join: a leader gated inside its run,
 	// under the key and variant the upload will hash to.
 	gate, entered := make(chan struct{}), make(chan struct{})
 	leaderDone := make(chan error, 1)
-	decoded, err := img.ReadNRRD(bytes.NewReader(image))
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() {
-		_, err := srv.MeshSnapshot(context.Background(), key, "", decoded, func(*core.Config) {
+		_, err := srv.walk(context.Background(), &job{key: key, body: image, tune: func(*core.Config) {
 			close(entered)
 			<-gate
-		})
+		}})
 		leaderDone <- err
 	}()
 	<-entered
-	type answer struct {
-		resp *http.Response
-		body []byte
-		err  error
-	}
 	followerDone := make(chan answer, 1)
-	go func() {
-		resp, err := client.Post(ts.URL+"/v1/mesh", "application/octet-stream", bytes.NewReader(image))
-		if err != nil {
-			followerDone <- answer{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		followerDone <- answer{resp, body, err}
-	}()
+	go func() { followerDone <- send(t, client, "POST", ts.URL+"/v1/mesh", octet, image) }()
 	waitMembers(t, srv, key, 2)
 	close(gate)
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("gated leader: %v", err)
 	}
-	follower := <-followerDone
-	if follower.err != nil || follower.resp.StatusCode != http.StatusOK {
-		t.Fatalf("follower: %v, %+v", follower.err, follower.resp)
-	}
-	wantFramed(t, "coalesced follower", follower.resp, follower.body)
+	follower := framed("coalesced follower", <-followerDone)
 	if n := srv.mCoalesced.Value(); n != 1 {
 		t.Fatalf("coalesced_jobs_total = %d: the follower did not coalesce", n)
 	}
@@ -110,31 +77,33 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 	// A second image for the leader's own response; the first is cached
 	// by now and answers as a hit.
 	other := nrrdBody(t, 22)
-	framed("leader", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", other))
-	hit, hitBody := framed("hit", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image))
-	if !bytes.Equal(hitBody, follower.body) {
+	mesh := ts.URL + "/v1/mesh"
+	framed("leader", send(t, client, "POST", mesh, octet, other))
+	hit := framed("hit", send(t, client, "POST", mesh, octet, image))
+	if !bytes.Equal(hit.body, follower.body) {
 		t.Error("the hit's body differs from the follower's")
 	}
-	framed("probe", pinReq(t, "GET", ts.URL+"/v1/cache/"+key, "", nil))
-	framed("format=off", pinReq(t, "POST", ts.URL+"/v1/mesh?format=off", "application/octet-stream", image))
+	framed("probe", send(t, client, "GET", ts.URL+"/v1/cache/"+key, "", nil))
+	framed("format=off", send(t, client, "POST", mesh+"?format=off", octet, image))
 
-	resp, body := do("304", pinReq(t, "POST", ts.URL+"/v1/mesh", "application/octet-stream", image,
-		"If-None-Match", hit.Header.Get("ETag")), http.StatusNotModified)
-	if len(body) != 0 || resp.Header.Get("Content-Length") != "" {
-		t.Errorf("304 carried %d bytes and Content-Length %q", len(body), resp.Header.Get("Content-Length"))
+	a := send(t, client, "POST", mesh, octet, image, "If-None-Match", hit.Header.Get("ETag"))
+	if a.StatusCode != http.StatusNotModified || len(a.body) != 0 || a.Header.Get("Content-Length") != "" {
+		t.Errorf("304: status %d with %d bytes and Content-Length %q", a.StatusCode, len(a.body), a.Header.Get("Content-Length"))
 	}
 
 	const spec = `{"dirichlet":[{"value":0}],"source":{"uniform":1}}`
-	simResp, simBody := postSimulate(t, client, ts.URL, spec, image)
-	if simResp.StatusCode != http.StatusOK || !bytes.Contains(simBody, []byte("POINT_DATA")) {
-		t.Fatalf("simulate: status %d: %.200s", simResp.StatusCode, simBody)
+	body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(spec), "image": image})
+	sim := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
+	if sim.StatusCode != http.StatusOK || !bytes.Contains(sim.body, []byte("POINT_DATA")) {
+		t.Fatalf("simulate: status %d: %.200s", sim.StatusCode, sim.body)
 	}
-	wantFramed(t, "simulate", simResp, simBody)
-	sumResp, sumBody := postSimulate(t, client, ts.URL, `{"format":"summary",`+spec[1:], image)
-	if sumResp.StatusCode != http.StatusOK || !bytes.HasSuffix(sumBody, []byte("}\n")) {
-		t.Fatalf("simulate summary: status %d: %.200s", sumResp.StatusCode, sumBody)
+	wantFramed(t, "simulate", sim)
+	body, ctype = multipartBody(t, map[string][]byte{"spec": []byte(`{"format":"summary",` + spec[1:]), "image": image})
+	sum := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
+	if sum.StatusCode != http.StatusOK || !bytes.HasSuffix(sum.body, []byte("}\n")) {
+		t.Fatalf("simulate summary: status %d: %.200s", sum.StatusCode, sum.body)
 	}
-	wantFramed(t, "simulate summary", sumResp, sumBody)
+	wantFramed(t, "simulate summary", sum)
 }
 
 // TestFailedEncodeIs500: a response body that cannot be encoded is
@@ -143,7 +112,7 @@ func TestResponsesAreLengthFramed(t *testing.T) {
 // job. Before bodies were encoded ahead of their headers this was a
 // 200 whose entity was empty or cut short.
 func TestFailedEncodeIs500(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	snap := &core.MeshSnapshot{
 		Verts: []geom.Vec3{{}, {X: 1}, {Y: 1}, {Z: 1}},
 		Cells: [][4]int32{{0, 1, 2, 3}},
@@ -151,18 +120,18 @@ func TestFailedEncodeIs500(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.replySimulation(rec, "vtk", snap, []float64{1, 2}, &SimSummary{Vertices: 4})
 
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500; body %q", rec.Code, rec.Body)
+	a := read(t, rec.Result())
+	if a.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %q", a.StatusCode, a.body)
 	}
-	code, reason := readEnvelope(t, bytes.NewReader(rec.Body.Bytes()))
-	if code != wire.CodeInternal || !strings.Contains(reason, "2 values for 4 vertices") {
-		t.Errorf("envelope %q %q, want %q naming the length mismatch", code, reason, wire.CodeInternal)
+	if a.code != wire.CodeInternal || !strings.Contains(a.reason, "2 values for 4 vertices") {
+		t.Errorf("envelope %q %q, want %q naming the length mismatch", a.code, a.reason, wire.CodeInternal)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+	if ct := a.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type %q, want the envelope's", ct)
 	}
 	for _, h := range []string{"X-Simulate-Summary", "Content-Length", "ETag"} {
-		if v := rec.Header().Get(h); v != "" {
+		if v := a.Header.Get(h); v != "" {
 			t.Errorf("failed response carries %s: %q", h, v)
 		}
 	}

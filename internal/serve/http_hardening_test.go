@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"net/url"
 	"testing"
 	"time"
@@ -41,50 +38,23 @@ func envelope(code, reason string) []byte {
 	return []byte(`{"error":{"code":"` + code + `","reason":` + string(r) + "}}\n")
 }
 
-// doPin sends req and checks the response against want, returning the
-// body for rows that compare later responses with it.
-func doPin(t *testing.T, c *http.Client, name string, req *http.Request, want pin) []byte {
+// doPin checks an answer against want, returning the body for rows that
+// compare later answers with it.
+func doPin(t *testing.T, name string, a answer, want pin) []byte {
 	t.Helper()
-	resp, err := c.Do(req)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	got := pin{
-		status:    resp.StatusCode,
-		etag:      resp.Header.Get("ETag"),
-		ctype:     resp.Header.Get("Content-Type"),
-		cacheOnly: resp.Header.Get(wire.CacheOnlyHeader),
-		brownout:  resp.Header.Get(BrownoutHeader),
-		sha:       sha(body),
-	}
-	if resp.StatusCode >= 400 {
-		got.code, _ = readEnvelope(t, bytes.NewReader(body))
+		status:    a.StatusCode,
+		code:      a.code,
+		etag:      a.Header.Get("ETag"),
+		ctype:     a.Header.Get("Content-Type"),
+		cacheOnly: a.Header.Get(wire.CacheOnlyHeader),
+		brownout:  a.Header.Get(BrownoutHeader),
+		sha:       sha(a.body),
 	}
 	if got != want {
-		t.Errorf("%s:\n got %+v\nwant %+v\nbody %.200q", name, got, want, body)
+		t.Errorf("%s:\n got %+v\nwant %+v\nbody %.200q", name, got, want, a.body)
 	}
-	return body
-}
-
-// pinReq builds a request with optional header pairs.
-func pinReq(t *testing.T, method, url, ctype string, body []byte, hdr ...string) *http.Request {
-	t.Helper()
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctype != "" {
-		req.Header.Set("Content-Type", ctype)
-	}
-	for i := 0; i+1 < len(hdr); i += 2 {
-		req.Header.Set(hdr[i], hdr[i+1])
-	}
-	return req
+	return a.body
 }
 
 // TestRetryAfterTracksLatency: the Retry-After hint is derived from
@@ -93,7 +63,7 @@ func pinReq(t *testing.T, method, url, ctype string, body []byte, hdr ...string)
 // quantile, so a loaded server tells clients to back off for about as
 // long as capacity actually takes to free up.
 func TestRetryAfterTracksLatency(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	srv.retryJitter = func() float64 { return 0.5 } // ×1.0: deterministic
 
 	// Fast service: sub-millisecond leases round up to the 1s floor.
@@ -151,7 +121,7 @@ func TestRetryAfterTracksLatency(t *testing.T) {
 // never tells its client to come back sooner than a rejection from a
 // shallow one.
 func TestRetryAfterMonotoneInQueuePosition(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 2})
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
 	for i := 0; i < 100; i++ {
 		srv.mLeaseSeconds.Observe(0.8)
 	}

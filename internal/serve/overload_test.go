@@ -47,6 +47,7 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 		DefaultTimeout: 30 * time.Second,
 		Brownout:       brownout,
 	})
+	srv.cache = nil // every admitted request is a run, as the daemon without -cache-dir runs it
 	if brownout {
 		srv.brownout.hold = 200 * time.Millisecond
 		srv.brownout.ladder = []brownoutTier{
@@ -65,9 +66,8 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 	// refinement early and teaches the controller a lease time far
 	// below the storm's real cost.
 	for i := 0; i < 2; i++ {
-		code, out := post(t, client, ts.URL+"/v1/mesh?delta=0.5&max_elements=20000&timeout=60s", body)
-		if code != http.StatusOK {
-			t.Fatalf("warmup run %d: status %d: %s", i, code, out)
+		if a := send(t, client, "POST", ts.URL+"/v1/mesh?delta=0.5&max_elements=20000&timeout=60s", octet, body); a.StatusCode != http.StatusOK {
+			t.Fatalf("warmup run %d: status %d: %s", i, a.StatusCode, a.body)
 		}
 	}
 

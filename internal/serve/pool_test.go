@@ -9,24 +9,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/img"
+	"repro/internal/wire"
 )
-
-func testPool(t *testing.T, n int) *Pool {
-	t.Helper()
-	p, err := NewPool(n, 16, core.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
-}
 
 // TestPoolReusesLastReleased: a client re-meshing one image
 // sequentially lands on the session it released, so the new lease
 // reuses that session's arenas and cached distance transform — on a
 // pool of two, where a round-robin hand-out would miss every other run.
 func TestPoolReusesLastReleased(t *testing.T) {
-	p := testPool(t, 2)
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
+	p := srv.pool
 	im := img.SpherePhantom(12)
 
 	for run := 0; run < 3; run++ {
@@ -61,7 +53,8 @@ func TestPoolReusesLastReleased(t *testing.T) {
 }
 
 func TestPoolCheckoutBlocksAndDeadline(t *testing.T) {
-	p := testPool(t, 1)
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	p := srv.pool
 	l, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +89,8 @@ func TestPoolCheckoutBlocksAndDeadline(t *testing.T) {
 }
 
 func TestPoolEvictIdle(t *testing.T) {
-	p := testPool(t, 2)
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
+	p := srv.pool
 	im := img.SpherePhantom(12)
 	l, err := p.Checkout(context.Background())
 	if err != nil {
@@ -134,7 +128,8 @@ func TestPoolEvictIdle(t *testing.T) {
 }
 
 func TestPoolCloseFailsWaiters(t *testing.T) {
-	p := testPool(t, 1)
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
+	p := srv.pool
 	l, err := p.Checkout(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +154,8 @@ func TestPoolCloseFailsWaiters(t *testing.T) {
 // goroutines; every run must succeed (leases guarantee exclusivity,
 // so no ErrSessionBusy can surface). Run under -race in CI.
 func TestPoolConcurrentRunners(t *testing.T) {
-	p := testPool(t, 2)
+	srv, _ := newTestServer(t, Config{PoolSize: 2})
+	p := srv.pool
 	im := img.SpherePhantom(12)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -199,11 +195,13 @@ func TestPoolConcurrentRunners(t *testing.T) {
 // each probe (and a checkout of the other, free session) returns at once.
 func TestStatsNeverWaitsOnARun(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 2})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	entered, unpark := make(chan struct{}), make(chan struct{})
 	runDone := make(chan error, 1)
+	body := nrrdBody(t, 8)
 	go func() {
-		_, err := srv.MeshSnapshot(context.Background(), "parked", "v", img.SpherePhantom(8),
-			func(*core.Config) { close(entered); <-unpark })
+		_, err := srv.walk(context.Background(), &job{key: wire.ImageKey(body), variant: "v", body: body,
+			tune: func(*core.Config) { close(entered); <-unpark }})
 		runDone <- err
 	}()
 	<-entered

@@ -380,20 +380,6 @@ func newNodeID() string {
 // NodeID returns this server's boot-stable serving identity.
 func (s *Server) NodeID() string { return s.nodeID }
 
-// InflightKeys snapshots the coalesce keys with an open single-flight
-// entry: the operator's view of what a node is computing right now.
-// Sorted for stable output.
-func (s *Server) InflightKeys() []string {
-	s.flightMu.Lock()
-	keys := make([]string, 0, len(s.flights))
-	for k := range s.flights {
-		keys = append(keys, k)
-	}
-	s.flightMu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
 // Registry exposes the metrics registry (for /metrics and tests).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
@@ -431,15 +417,6 @@ type SnapshotResult struct {
 	// entity is set instead of Snapshot when an HTTP job was answered
 	// from the entity cache: the reply is already encoded.
 	entity *entity
-}
-
-// CacheETag answers a conditional GET from the cache index alone — no
-// blob I/O, no session. ok is false without a cache or a cached entry.
-func (s *Server) CacheETag(key, variant string) (string, bool) {
-	if s.cache == nil {
-		return "", false
-	}
-	return s.cache.ETag(key, variant)
 }
 
 // runOnce is the walk's tail for a leader — the one actual meshing run
@@ -607,7 +584,7 @@ type Stats struct {
 	BrownedOut    int64   `json:"jobs_browned_out,omitempty"`
 	RejectedOver  int64   `json:"jobs_rejected_overloaded,omitempty"`
 	// InflightKeys are the coalesce keys with an open single-flight
-	// entry right now: what the node is computing.
+	// entry right now, sorted: what the node is computing.
 	InflightKeys []string           `json:"inflight_keys,omitempty"`
 	Pool         PoolStats          `json:"pool"`
 	Cache        *cachestore.Stats  `json:"cache,omitempty"`
@@ -631,6 +608,13 @@ func (s *Server) Stats() Stats {
 	if s.brownout != nil {
 		brownoutTier = s.brownout.Tier()
 	}
+	s.flightMu.Lock()
+	inflight := make([]string, 0, len(s.flights))
+	for k := range s.flights {
+		inflight = append(inflight, k)
+	}
+	s.flightMu.Unlock()
+	sort.Strings(inflight)
 	return Stats{
 		NodeID:        s.nodeID,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -651,7 +635,7 @@ func (s *Server) Stats() Stats {
 		BrownoutTier:  brownoutTier,
 		BrownedOut:    s.mBrownedOut.Total(),
 		RejectedOver:  s.mRejected.Value("overloaded"),
-		InflightKeys:  s.InflightKeys(),
+		InflightKeys:  inflight,
 		Pool:          s.pool.Stats(),
 		Cache:         cacheStats,
 		ImageCache:    s.imgCache.stats(),
@@ -660,9 +644,6 @@ func (s *Server) Stats() Stats {
 		RecentRuns:    recent,
 	}
 }
-
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AnnounceDrain flips the server into draining mode — /readyz answers
 // 503 and new mesh jobs are rejected with ErrDraining — and returns up

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -10,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cachestore"
 	"repro/internal/faultinject"
 	"repro/internal/img"
 	"repro/internal/meshio"
@@ -65,8 +66,14 @@ func gzipNRRDBody(t *testing.T, raw []byte) []byte {
 	return b.Bytes()
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer is the serve tests' one fixture: a Server over a fresh
+// result cache (unless cfg brings its own) behind an httptest front,
+// both ended with the test.
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.Cache == nil {
+		cfg.Cache = openTestCache(t, t.TempDir())
+	}
 	if cfg.Session.Workers == 0 {
 		cfg.Session.Workers = 1
 	}
@@ -84,34 +91,173 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func post(t *testing.T, c *http.Client, url string, body []byte) (int, []byte) {
+// openTestCache opens a store in dir and closes it with the test.
+func openTestCache(t testing.TB, dir string) *cachestore.Store {
 	t.Helper()
-	resp, err := c.Post(url, "application/octet-stream", bytes.NewReader(body))
+	c, _, err := cachestore.Open(cachestore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
-// metricValue scans a Prometheus exposition for a sample line.
-func metricValue(t testing.TB, exposition, sample string) float64 {
+const octet = "application/octet-stream"
+
+// answer is one response read whole: the response (its body drained and
+// closed), the body, and the error envelope's code and reason ("" below
+// 400, or for a body that is not the envelope).
+type answer struct {
+	*http.Response
+	body         []byte
+	code, reason string
+}
+
+func (a answer) ending() ending { return ending{a.StatusCode, a.code} }
+
+// read drains resp into an answer.
+func read(t testing.TB, resp *http.Response) answer {
 	t.Helper()
-	sc := bufio.NewScanner(strings.NewReader(exposition))
-	for sc.Scan() {
-		line := sc.Text()
-		if name, val, ok := strings.Cut(line, " "); ok && name == sample {
-			var f float64
-			if _, err := fmt.Sscanf(val, "%g", &f); err == nil {
-				return f
+	defer resp.Body.Close()
+	a := answer{Response: resp}
+	var err error
+	if a.body, err = io.ReadAll(resp.Body); err != nil {
+		t.Error(err)
+	}
+	if resp.StatusCode >= 400 {
+		var env wire.ErrorEnvelope
+		json.Unmarshal(a.body, &env)
+		a.code, a.reason = env.Error.Code, env.Error.Reason
+	}
+	return a
+}
+
+// send sends a request, with optional header pairs after its body, and
+// reads the answer. It may run off the test goroutine: a transport
+// failure fails the test and reads as status 0.
+func send(t testing.TB, c *http.Client, method, url, ctype string, body []byte, hdr ...string) answer {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	var resp *http.Response
+	if err == nil {
+		if ctype != "" {
+			req.Header.Set("Content-Type", ctype)
+		}
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		resp, err = c.Do(req)
+	}
+	if err != nil {
+		t.Errorf("%s %s: %v", method, url, err)
+		return answer{Response: &http.Response{Header: http.Header{}}}
+	}
+	return read(t, resp)
+}
+
+// series names the exposition families the serve tests read by a short
+// name; a labelled sample reads as "name:value[,value]".
+var series = map[string]string{
+	// The job ledger: what settle and, for /v1/simulate, endSimulation
+	// book.
+	"pi2md_jobs_accepted_total":     "accepted",
+	"pi2md_jobs_completed_total":    "completed",
+	"pi2md_jobs_failed_total":       "failed",
+	"pi2md_coalesced_jobs_total":    "coalesced",
+	"pi2md_cache_served_jobs_total": "cache_served",
+	"pi2md_cache_only_served_total": "cache_only_served",
+	"pi2md_cache_only_miss_total":   "cache_only_miss",
+	"pi2md_jobs_rejected_total":     "rejected",
+	"pi2md_browned_out_jobs_total":  "browned_out",
+	"pi2md_simulate_jobs_total":     "simulate",
+	// What the jobs cost, and where their answers came from.
+	"pi2md_run_seconds_count":          "runs",
+	"pi2md_queue_wait_seconds_count":   "waits",
+	"pi2md_edt_cache_hits_total":       "edt_hits",
+	"pi2md_warm_runs_total":            "warm_runs",
+	"pi2md_cells_total":                "cells",
+	"pi2md_sessions_quarantined_total": "quarantined",
+	"pi2md_deadline_aborts_total":      "deadline_aborts",
+	"pi2md_cache_hits_total":           "store_hits",
+	"pi2md_cache_misses_total":         "store_misses",
+	"pi2md_cache_writes_total":         "store_writes",
+	"pi2md_cache_write_errors_total":   "write_errors",
+	"pi2md_mem_cache_events_total":     "mem",
+	"pi2md_mem_cache_bytes":            "mem_bytes",
+	"pi2md_http_requests_total":        "http",
+}
+
+// ledger reads those series off the exposition, plus the length of
+// /v1/stats' recent-runs ring as "recorded": the serve tests' one
+// reader of the exposition.
+func ledger(srv *Server) map[string]int64 {
+	var b strings.Builder
+	srv.Registry().WritePrometheus(&b)
+	out := map[string]int64{"recorded": int64(len(recentRuns(srv)))}
+	for _, line := range strings.Split(b.String(), "\n") {
+		sample, val, _ := strings.Cut(line, " ")
+		family, labels, _ := strings.Cut(sample, "{")
+		name := series[family]
+		if name == "" {
+			continue
+		}
+		if labels != "" {
+			var vals []string
+			for _, l := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+				_, v, _ := strings.Cut(l, "=")
+				vals = append(vals, strings.Trim(v, `"`))
 			}
+			name += ":" + strings.Join(vals, ",")
+		}
+		f, _ := strconv.ParseFloat(val, 64)
+		out[name] = int64(f)
+	}
+	return out
+}
+
+// recentRuns is /v1/stats' recent-runs ring: the serve tests' one
+// reader of it.
+func recentRuns(srv *Server) []JobSummary { return srv.Stats().RecentRuns }
+
+// jobLedger names the job-ledger families, and the recent-runs ring.
+var jobLedger = map[string]bool{
+	"accepted": true, "completed": true, "failed": true, "coalesced": true,
+	"cache_served": true, "cache_only_served": true, "cache_only_miss": true,
+	"rejected": true, "browned_out": true, "simulate": true, "recorded": true,
+}
+
+// wantMoved checks a movement d against want: every job-ledger series
+// moved by exactly what want says (0 when it names none), every other
+// series want names (a zero included) by exactly that, and
+// runs == accepted − coalesced − cache-served.
+func wantMoved(t *testing.T, d, want map[string]int64) {
+	t.Helper()
+	for k, v := range d {
+		family, _, _ := strings.Cut(k, ":")
+		if _, named := want[k]; !named && jobLedger[family] {
+			t.Errorf("%s moved by %d, want 0", k, v)
 		}
 	}
-	return 0
+	for k, v := range want {
+		if d[k] != v {
+			t.Errorf("%s moved by %d, want %d", k, d[k], v)
+		}
+	}
+	if d["runs"] != d["accepted"]-d["coalesced"]-d["cache_served"] {
+		t.Errorf("runs moved by %d, want accepted %d − coalesced %d − cache-served %d",
+			d["runs"], d["accepted"], d["coalesced"], d["cache_served"])
+	}
+}
+
+// moved is what changed from before to after, zero entries dropped.
+func moved(before, after map[string]int64) map[string]int64 {
+	d := map[string]int64{}
+	for k, v := range after {
+		if v != before[k] {
+			d[k] = v - before[k]
+		}
+	}
+	return d
 }
 
 // TestServerEndToEnd is the acceptance test of the serving layer: an
@@ -121,6 +267,7 @@ func metricValue(t testing.TB, exposition, sample string) float64 {
 // and /v1/stats.
 func TestServerEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 2, QueueDepth: 16})
+	srv.cache = nil // the daemon's default (no -cache-dir): every repeat runs
 	client := ts.Client()
 	body := nrrdBody(t, 12)
 
@@ -128,17 +275,15 @@ func TestServerEndToEnd(t *testing.T) {
 	// second request must be routed to the warm session and reuse its
 	// cached distance transform.
 	for i := 0; i < 2; i++ {
-		code, out := post(t, client, ts.URL+"/v1/mesh", body)
-		if code != http.StatusOK {
-			t.Fatalf("warm-up request %d: status %d: %s", i, code, out)
+		a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body)
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up request %d: status %d: %s", i, a.StatusCode, a.body)
 		}
-		if _, err := meshio.ReadVTK(bytes.NewReader(out)); err != nil {
+		if _, err := meshio.ReadVTK(bytes.NewReader(a.body)); err != nil {
 			t.Fatalf("warm-up response %d is not parseable VTK: %v", i, err)
 		}
 	}
-	var warm bytes.Buffer
-	srv.Registry().WritePrometheus(&warm)
-	if hits := int64(metricValue(t, warm.String(), "pi2md_edt_cache_hits_total")); hits < 1 {
+	if hits := ledger(srv)["edt_hits"]; hits < 1 {
 		t.Fatalf("warm-up produced %d EDT cache hits, want >= 1", hits)
 	}
 
@@ -161,14 +306,12 @@ func TestServerEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, out := post(t, client, ts.URL+"/v1/mesh", body)
-			if code == http.StatusOK {
-				if !bytes.Contains(out, []byte("CELL_TYPES")) {
-					t.Error("200 response is not a VTK mesh")
-				}
+			a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body)
+			if a.StatusCode == http.StatusOK && !bytes.Contains(a.body, []byte("CELL_TYPES")) {
+				t.Error("200 response is not a VTK mesh")
 			}
 			mu.Lock()
-			byStatus[code]++
+			byStatus[a.StatusCode]++
 			mu.Unlock()
 		}()
 	}
@@ -183,82 +326,50 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Metrics consistency.
-	code, metricsOut := post(t, client, ts.URL+"/v1/mesh", nil)
-	_ = metricsOut
-	if code != http.StatusBadRequest {
-		t.Fatalf("empty body: status %d, want 400", code)
+	if a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, nil); a.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty body: status %d, want 400", a.StatusCode)
 	}
-	resp, err := client.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	l := ledger(srv)
+	wantCompleted := int64(2 + storm - 2) // warm-up + storm successes
+	if l["completed"] != wantCompleted {
+		t.Errorf("jobs_completed_total = %d, want %d", l["completed"], wantCompleted)
 	}
-	expo, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(expo)
-
-	completed := metricValue(t, text, "pi2md_jobs_completed_total")
-	accepted := metricValue(t, text, "pi2md_jobs_accepted_total")
-	failed := metricValue(t, text, "pi2md_jobs_failed_total")
-	coalesced := metricValue(t, text, "pi2md_coalesced_jobs_total")
-	rejectedFull := metricValue(t, text, `pi2md_jobs_rejected_total{reason="queue_full"}`)
-	edtHits := metricValue(t, text, "pi2md_edt_cache_hits_total")
-	warmRuns := metricValue(t, text, "pi2md_warm_runs_total")
-	waits := metricValue(t, text, "pi2md_queue_wait_seconds_count")
-	runs := metricValue(t, text, "pi2md_run_seconds_count")
-	ok200 := metricValue(t, text, `pi2md_http_requests_total{code="200"}`)
-	cells := metricValue(t, text, "pi2md_cells_total")
-
-	wantCompleted := float64(2 + storm - 2) // warm-up + storm successes
-	if completed != wantCompleted {
-		t.Errorf("jobs_completed_total = %v, want %v", completed, wantCompleted)
+	if l["rejected:queue_full"] != 2 {
+		t.Errorf("jobs_rejected_total{queue_full} = %d, want 2", l["rejected:queue_full"])
 	}
-	if rejectedFull != 2 {
-		t.Errorf("jobs_rejected_total{queue_full} = %v, want 2", rejectedFull)
+	if l["warm_runs"] < 1 {
+		t.Errorf("warm_runs_total = %d, want >= 1", l["warm_runs"])
 	}
-	if edtHits < 1 {
-		t.Errorf("edt_cache_hits_total = %v, want >= 1", edtHits)
-	}
-	if warmRuns < 1 {
-		t.Errorf("warm_runs_total = %v, want >= 1", warmRuns)
-	}
-	if accepted != completed+failed {
-		t.Errorf("accepted %v != completed %v + failed %v", accepted, completed, failed)
+	if l["accepted"] != l["completed"]+l["failed"] {
+		t.Errorf("accepted %d != completed %d + failed %d", l["accepted"], l["completed"], l["failed"])
 	}
 	// Queue-wait and run histograms record leaders only: coalesced
 	// followers never wait for a session or run one.
-	if leaders := accepted - coalesced; waits != leaders || runs != leaders {
-		t.Errorf("histogram counts (wait %v, run %v) disagree with leaders %v (accepted %v - coalesced %v)",
-			waits, runs, leaders, accepted, coalesced)
+	if leaders := l["accepted"] - l["coalesced"]; l["waits"] != leaders || l["runs"] != leaders {
+		t.Errorf("histogram counts (wait %d, run %d) disagree with leaders %d (accepted %d - coalesced %d)",
+			l["waits"], l["runs"], leaders, l["accepted"], l["coalesced"])
 	}
-	if ok200 != completed {
-		t.Errorf("http 200s %v != completed jobs %v", ok200, completed)
+	if l["http:200"] != l["completed"] {
+		t.Errorf("http 200s %d != completed jobs %d", l["http:200"], l["completed"])
 	}
-	if cells <= 0 {
-		t.Errorf("cells_total = %v, want > 0", cells)
+	if l["cells"] <= 0 {
+		t.Errorf("cells_total = %d, want > 0", l["cells"])
 	}
 
 	// /v1/stats must agree with /metrics.
-	resp, err = client.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(send(t, client, "GET", ts.URL+"/v1/stats", "", nil).body, &st); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if st.Completed != int64(completed) || st.RejectedFull != int64(rejectedFull) {
-		t.Errorf("/v1/stats (completed %d, rejected %d) disagrees with /metrics (%v, %v)",
-			st.Completed, st.RejectedFull, completed, rejectedFull)
+	if st.Completed != l["completed"] || st.RejectedFull != l["rejected:queue_full"] {
+		t.Errorf("/v1/stats (completed %d, rejected %d) disagrees with /metrics (%d, %d)",
+			st.Completed, st.RejectedFull, l["completed"], l["rejected:queue_full"])
 	}
 	if st.Pool.Size != 2 {
 		t.Errorf("pool size = %d, want 2", st.Pool.Size)
 	}
 	if st.Pool.Sessions.WarmEDTHits < 1 {
 		t.Errorf("pool sessions report %d EDT hits, want >= 1", st.Pool.Sessions.WarmEDTHits)
-	}
-	if len(st.RecentRuns) == 0 {
-		t.Error("no recent runs in /v1/stats")
 	}
 }
 
@@ -272,11 +383,11 @@ func TestServerRoundTripReaderWriter(t *testing.T) {
 	raw := nrrdBody(t, 12)
 
 	// Raw NRRD → VTK: parse the response back and sanity-check it.
-	code, out := post(t, client, ts.URL+"/v1/mesh?format=vtk", raw)
-	if code != http.StatusOK {
-		t.Fatalf("vtk: status %d: %s", code, out)
+	vtk := send(t, client, "POST", ts.URL+"/v1/mesh?format=vtk", octet, raw)
+	if vtk.StatusCode != http.StatusOK {
+		t.Fatalf("vtk: status %d: %s", vtk.StatusCode, vtk.body)
 	}
-	rm, err := meshio.ReadVTK(bytes.NewReader(out))
+	rm, err := meshio.ReadVTK(bytes.NewReader(vtk.body))
 	if err != nil {
 		t.Fatalf("parsing VTK response: %v", err)
 	}
@@ -293,11 +404,11 @@ func TestServerRoundTripReaderWriter(t *testing.T) {
 	if len(gzBody) >= len(raw) {
 		t.Fatalf("gzip NRRD (%d bytes) is not smaller than raw (%d)", len(gzBody), len(raw))
 	}
-	code, out2 := post(t, client, ts.URL+"/v1/mesh?format=vtk", gzBody)
-	if code != http.StatusOK {
-		t.Fatalf("gzip vtk: status %d: %s", code, out2)
+	gz := send(t, client, "POST", ts.URL+"/v1/mesh?format=vtk", octet, gzBody)
+	if gz.StatusCode != http.StatusOK {
+		t.Fatalf("gzip vtk: status %d: %s", gz.StatusCode, gz.body)
 	}
-	rm2, err := meshio.ReadVTK(bytes.NewReader(out2))
+	rm2, err := meshio.ReadVTK(bytes.NewReader(gz.body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,12 +417,12 @@ func TestServerRoundTripReaderWriter(t *testing.T) {
 	}
 
 	// OFF export of the boundary.
-	code, off := post(t, client, ts.URL+"/v1/mesh?format=off", raw)
-	if code != http.StatusOK {
-		t.Fatalf("off: status %d: %s", code, off)
+	off := send(t, client, "POST", ts.URL+"/v1/mesh?format=off", octet, raw)
+	if off.StatusCode != http.StatusOK {
+		t.Fatalf("off: status %d: %s", off.StatusCode, off.body)
 	}
-	if !bytes.HasPrefix(off, []byte("OFF")) {
-		t.Fatalf("OFF response does not start with OFF header: %.40s", off)
+	if !bytes.HasPrefix(off.body, []byte("OFF")) {
+		t.Fatalf("OFF response does not start with OFF header: %.40s", off.body)
 	}
 }
 
@@ -320,13 +431,13 @@ func TestServerRoundTripReaderWriter(t *testing.T) {
 // voxel count, junk bytes, and bad parameters.
 func TestServerHostileInputs(t *testing.T) {
 	_, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
-	client := ts.Client()
+	mesh := func(query string, body []byte) answer {
+		return send(t, ts.Client(), "POST", ts.URL+"/v1/mesh"+query, octet, body)
+	}
 
 	// A valid-but-large NRRD over the request cap → 413.
-	big := nrrdBody(t, 24) // ~14k voxels > 4k cap
-	code, _ := post(t, client, ts.URL+"/v1/mesh", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body: status %d, want 413", code)
+	if a := mesh("", nrrdBody(t, 24)); a.StatusCode != http.StatusRequestEntityTooLarge { // ~14k voxels > 4k cap
+		t.Errorf("oversized body: status %d, want 413", a.StatusCode)
 	}
 
 	// A gzip-encoded NRRD whose stream inflates past the declared
@@ -343,81 +454,38 @@ func TestServerHostileInputs(t *testing.T) {
 	gz := gzip.NewWriter(&bomb)
 	gz.Write(make([]byte, 2048)) // inflates to 32x the declaration
 	gz.Close()
-	code, out := post(t, client, ts.URL+"/v1/mesh", bomb.Bytes())
-	if code != http.StatusBadRequest {
-		t.Errorf("gzip bomb: status %d (%s), want 400", code, out)
+	if a := mesh("", bomb.Bytes()); a.StatusCode != http.StatusBadRequest {
+		t.Errorf("gzip bomb: status %d (%s), want 400", a.StatusCode, a.body)
 	}
 
 	// Junk bytes → 400 from the NRRD parser.
-	code, _ = post(t, client, ts.URL+"/v1/mesh", []byte("not an image"))
-	if code != http.StatusBadRequest {
-		t.Errorf("junk body: status %d, want 400", code)
+	if a := mesh("", []byte("not an image")); a.StatusCode != http.StatusBadRequest {
+		t.Errorf("junk body: status %d, want 400", a.StatusCode)
 	}
 
-	// Bad query parameters → 400 before any body processing.
-	code, _ = post(t, client, ts.URL+"/v1/mesh?format=stl", nrrdBody(t, 8))
-	if code != http.StatusBadRequest {
-		t.Errorf("bad format: status %d, want 400", code)
-	}
-	code, _ = post(t, client, ts.URL+"/v1/mesh?timeout=banana", nrrdBody(t, 8))
-	if code != http.StatusBadRequest {
-		t.Errorf("bad timeout: status %d, want 400", code)
-	}
-}
-
-// TestServerDeadlineRejection holds the pool's only session and
-// verifies a tightly-bounded request is rejected 503 with the
-// deadline reason rather than waiting forever.
-func TestServerDeadlineRejection(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-
-	lease, err := srv.Pool().Checkout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(ts.URL+"/v1/mesh?timeout=50ms", "application/octet-stream",
-		bytes.NewReader(nrrdBody(t, 8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("deadline-bound request: status %d (%s), want 503", resp.StatusCode, out)
-	}
-	// A deadline rejection is a capacity signal; it must invite a retry.
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("deadline rejection carries no Retry-After header")
-	}
-	if srv.mRejected.Value("deadline") != 1 {
-		t.Fatalf("deadline rejections = %d, want 1", srv.mRejected.Value("deadline"))
-	}
-	if n := srv.mRejected.Value("canceled"); n != 0 {
-		t.Fatalf("canceled rejections = %d, want 0 (deadline expiry misclassified)", n)
-	}
-	lease.Release()
-
-	// With the session back, the same request succeeds.
-	code, _ := post(t, client, ts.URL+"/v1/mesh?timeout=30s", nrrdBody(t, 8))
-	if code != http.StatusOK {
-		t.Fatalf("request after release: status %d, want 200", code)
+	// Bad query parameters → 400 before any body processing, each with
+	// the envelope's code and a reason.
+	for _, q := range []string{"?format=stl", "?timeout=banana", "?delta=NaN"} {
+		if a := mesh(q, nrrdBody(t, 8)); a.StatusCode != http.StatusBadRequest || a.code != wire.CodeBadRequest || a.reason == "" {
+			t.Errorf("%s: status %d, envelope %q %q, want 400 %s with a reason", q, a.StatusCode, a.code, a.reason, wire.CodeBadRequest)
+		}
 	}
 }
 
 // TestServerQualityOverrides verifies per-request knobs reach the run:
 // a coarser delta must produce fewer tetrahedra than the default.
 func TestServerQualityOverrides(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	client := ts.Client()
 	body := nrrdBody(t, 16)
 
 	count := func(url string) int {
-		code, out := post(t, client, url, body)
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", url, code, out)
+		a := send(t, client, "POST", url, octet, body)
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, a.StatusCode, a.body)
 		}
-		rm, err := meshio.ReadVTK(bytes.NewReader(out))
+		rm, err := meshio.ReadVTK(bytes.NewReader(a.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,64 +504,8 @@ func TestServerQualityOverrides(t *testing.T) {
 
 	// A below-bound radius-edge ratio is rejected up front: it could
 	// refine forever, and a server must not accept that.
-	code, _ := post(t, client, ts.URL+"/v1/mesh?max_radius_edge=1.5", body)
-	if code != http.StatusBadRequest {
-		t.Errorf("below-bound radius-edge: status %d, want 400", code)
-	}
-}
-
-// TestServerDrain verifies the graceful-drain contract: draining
-// rejects new work with 503, /readyz flips unready while /healthz
-// stays alive (liveness vs readiness), and in-flight jobs complete.
-func TestServerDrain(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-	body := nrrdBody(t, 12)
-
-	code, _ := post(t, client, ts.URL+"/v1/mesh", body)
-	if code != http.StatusOK {
-		t.Fatalf("pre-drain request failed: %d", code)
-	}
-	resp, err := client.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("readyz before drain: %d, want 200", resp.StatusCode)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-
-	// Liveness is not readiness: the process still answers (an
-	// orchestrator must not kill it mid-drain), but it should stop
-	// receiving new traffic.
-	resp, err = client.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz while drained: %d, want 200 (liveness)", resp.StatusCode)
-	}
-	resp, err = client.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while drained: %d, want 503", resp.StatusCode)
-	}
-	code, _ = post(t, client, ts.URL+"/v1/mesh", body)
-	if code != http.StatusServiceUnavailable {
-		t.Errorf("mesh while drained: %d, want 503", code)
-	}
-	if srv.mRejected.Value("draining") != 1 {
-		t.Errorf("draining rejections = %d, want 1", srv.mRejected.Value("draining"))
+	if a := send(t, client, "POST", ts.URL+"/v1/mesh?max_radius_edge=1.5", octet, body); a.StatusCode != http.StatusBadRequest {
+		t.Errorf("below-bound radius-edge: status %d, want 400", a.StatusCode)
 	}
 }
 
@@ -502,6 +514,7 @@ func TestServerDrain(t *testing.T) {
 // the injected delay.
 func TestServerSlowSessionFault(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv.cache = nil // nothing is asked twice: a cache would only write
 	client := ts.Client()
 	// Two distinct payloads: identical bodies would coalesce into one
 	// run and the follower would never enter the session queue.
@@ -519,8 +532,8 @@ func TestServerSlowSessionFault(t *testing.T) {
 		wg.Add(1)
 		go func(body []byte) {
 			defer wg.Done()
-			if code, out := post(t, client, ts.URL+"/v1/mesh", body); code != http.StatusOK {
-				t.Errorf("status %d: %s", code, out)
+			if a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body); a.StatusCode != http.StatusOK {
+				t.Errorf("status %d: %s", a.StatusCode, a.body)
 			}
 		}(bodies[i])
 	}
@@ -540,51 +553,36 @@ func TestServerSlowSessionFault(t *testing.T) {
 // default): an idle controller must not show.
 func TestPinMeshPath(t *testing.T) {
 	for _, brownout := range []bool{false, true} {
-		cache := openTestCache(t, t.TempDir())
-		srv, ts := newTestServer(t, Config{PoolSize: 1, Cache: cache, Brownout: brownout, MaxRequestBytes: 4 << 10})
+		srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: brownout, MaxRequestBytes: 4 << 10})
 		c := ts.Client()
 		body := nrrdBody(t, 7)
-		const octet = "application/octet-stream"
 		mesh := ts.URL + "/v1/mesh"
-		fetch := func(url string) ([]byte, string) {
-			t.Helper()
-			resp, err := c.Post(url, octet, bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			out, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", url, resp.StatusCode, out)
-			}
-			return out, resp.Header.Get("ETag")
-		}
-		vtk, vtkTag := fetch(mesh)
-		off, offTag := fetch(mesh + "?format=off")
+		vtk, vtkTag := meshOK(t, c, ts.URL, "", body)
+		off, offTag := meshOK(t, c, ts.URL, "?format=off", body)
 		if !strings.HasSuffix(vtkTag, `-vtk"`) || offTag != strings.TrimSuffix(vtkTag, `-vtk"`)+`-off"` {
 			t.Fatalf("entity tags %q / %q: want one blob tag with the format folded in", vtkTag, offTag)
 		}
 
-		doPin(t, c, "repeat hit", pinReq(t, "POST", mesh, octet, body),
+		doPin(t, "repeat hit", send(t, c, "POST", mesh, octet, body),
 			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
-		doPin(t, c, "conditional, matching", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
+		doPin(t, "conditional, matching", send(t, c, "POST", mesh, octet, body, "If-None-Match", vtkTag),
 			pin{status: 304, etag: vtkTag, sha: sha(nil)})
-		doPin(t, c, "off conditional against the vtk entity", pinReq(t, "POST", mesh+"?format=off", octet, body, "If-None-Match", vtkTag),
+		doPin(t, "off conditional against the vtk entity", send(t, c, "POST", mesh+"?format=off", octet, body, "If-None-Match", vtkTag),
 			pin{status: 200, etag: offTag, ctype: "model/off", sha: sha(off)})
-		doPin(t, c, "vtk conditional against the off entity", pinReq(t, "POST", mesh, octet, body, "If-None-Match", offTag),
+		doPin(t, "vtk conditional against the off entity", send(t, c, "POST", mesh, octet, body, "If-None-Match", offTag),
 			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
-		doPin(t, c, "oversized upload", pinReq(t, "POST", mesh, octet, nrrdBody(t, 24)),
+		doPin(t, "oversized upload", send(t, c, "POST", mesh, octet, nrrdBody(t, 24)),
 			pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
 				sha: sha(envelope(wire.CodeTooLarge, "request body exceeds the 4096 byte cap"))})
-		doPin(t, c, "empty upload", pinReq(t, "POST", mesh, octet, nil),
+		doPin(t, "empty upload", send(t, c, "POST", mesh, octet, nil),
 			pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
 				sha: sha(envelope(wire.CodeBadRequest, "empty body: expected an NRRD label image"))})
 
 		srv.AnnounceDrain(0)
-		doPin(t, c, "cached pair while draining", pinReq(t, "POST", mesh, octet, body),
+		doPin(t, "cached pair while draining", send(t, c, "POST", mesh, octet, body),
 			pin{status: 503, code: wire.CodeDraining, ctype: "application/json",
 				sha: sha(envelope(wire.CodeDraining, "serve: server draining"))})
-		doPin(t, c, "conditional while draining", pinReq(t, "POST", mesh, octet, body, "If-None-Match", vtkTag),
+		doPin(t, "conditional while draining", send(t, c, "POST", mesh, octet, body, "If-None-Match", vtkTag),
 			pin{status: 304, etag: vtkTag, sha: sha(nil)})
 		if n := srv.mRejected.Value("draining"); n != 1 {
 			t.Errorf("brownout=%v: draining rejections = %d, want 1", brownout, n)

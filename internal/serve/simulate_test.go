@@ -1,51 +1,18 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cachestore"
 	"repro/internal/faultinject"
 	"repro/internal/wire"
 )
-
-// newSimServer is newTestServer plus a persistent result cache, so
-// repeat simulate requests exercise the cache-hit → solve path.
-func newSimServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	cache, _, err := cachestore.Open(cachestore.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache
-	return newTestServer(t, cfg)
-}
-
-// postSimulate sends a multipart simulate request and returns the
-// response.
-func postSimulate(t *testing.T, client *http.Client, url string, spec string, image []byte) (*http.Response, []byte) {
-	t.Helper()
-	body, ctype := multipartBody(t, map[string][]byte{
-		"spec":  []byte(spec),
-		"image": image,
-	})
-	resp, err := client.Post(url+"/v1/simulate", ctype, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	return resp, buf.Bytes()
-}
 
 // TestSimulateEndToEnd solves -Δu = 1 with u = 0 on the meshed sphere
 // boundary through the full serving stack and checks the discrete
@@ -54,7 +21,7 @@ func postSimulate(t *testing.T, client *http.Client, url string, spec string, im
 // POINT_DATA plus the JSON summary, and that format=summary returns
 // the summary alone.
 func TestSimulateEndToEnd(t *testing.T) {
-	srv, ts := newSimServer(t, Config{PoolSize: 1})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	client := ts.Client()
 	const scale = 32
 	image := nrrdBody(t, scale)
@@ -64,19 +31,20 @@ func TestSimulateEndToEnd(t *testing.T) {
 		"source": {"uniform": 1},
 		"solve": {"tol": 1e-9}
 	}`
-	resp, body := postSimulate(t, client, ts.URL, spec, image)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d: %s", resp.StatusCode, body)
+	body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(spec), "image": image})
+	a := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
+	if a.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d: %s", a.StatusCode, a.body)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/vtk" {
+	if ct := a.Header.Get("Content-Type"); ct != "text/vtk" {
 		t.Errorf("Content-Type = %q, want text/vtk", ct)
 	}
-	text := string(body)
+	text := string(a.body)
 	if !strings.Contains(text, "POINT_DATA") || !strings.Contains(text, "SCALARS u double 1") {
 		t.Error("VTK response missing the POINT_DATA field section")
 	}
 	var summary SimSummary
-	if err := json.Unmarshal([]byte(resp.Header.Get("X-Simulate-Summary")), &summary); err != nil {
+	if err := json.Unmarshal([]byte(a.Header.Get("X-Simulate-Summary")), &summary); err != nil {
 		t.Fatalf("X-Simulate-Summary is not JSON: %v", err)
 	}
 
@@ -111,15 +79,15 @@ func TestSimulateEndToEnd(t *testing.T) {
 
 	// format=summary answers with the JSON document alone — and the
 	// mesh comes from the cache this time (same image, same variant).
-	resp, body = postSimulate(t, client, ts.URL,
-		`{"format": "summary", "dirichlet": [{"value": 0}], "source": {"uniform": 1}, "solve": {"tol": 1e-9}}`,
-		image)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("summary simulate: %d: %s", resp.StatusCode, body)
+	body, ctype = multipartBody(t, map[string][]byte{"image": image,
+		"spec": []byte(`{"format": "summary", "dirichlet": [{"value": 0}], "source": {"uniform": 1}, "solve": {"tol": 1e-9}}`)})
+	a = send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
+	if a.StatusCode != http.StatusOK {
+		t.Fatalf("summary simulate: %d: %s", a.StatusCode, a.body)
 	}
 	var summary2 SimSummary
-	if err := json.Unmarshal(body, &summary2); err != nil {
-		t.Fatalf("summary body is not JSON: %v: %s", err, body)
+	if err := json.Unmarshal(a.body, &summary2); err != nil {
+		t.Fatalf("summary body is not JSON: %v: %s", err, a.body)
 	}
 	if !summary2.CacheHit {
 		t.Error("second simulate over the same (image, variant) did not reuse the cached mesh")
@@ -129,83 +97,6 @@ func TestSimulateEndToEnd(t *testing.T) {
 	}
 	if runs := srv.mRunSeconds.Count(); runs != 1 {
 		t.Errorf("meshing runs = %d, want 1 (second simulate must reuse the snapshot)", runs)
-	}
-}
-
-// TestSimulateSolveCanceled: a request whose client has already gone
-// away by the time the solve starts answers 499 with the canceled
-// envelope — the mesh stage was served from cache, so the failure is
-// attributable to the solve alone.
-func TestSimulateSolveCanceled(t *testing.T) {
-	srv, ts := newSimServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-	image := nrrdBody(t, 16)
-
-	// Prime the mesh cache so the canceled request's mesh stage is a
-	// cache hit (cache reads don't consult the context).
-	if code, out := post(t, client, ts.URL+"/v1/mesh", image); code != http.StatusOK {
-		t.Fatalf("prime mesh: %d: %s", code, out)
-	}
-
-	body, ctype := multipartBody(t, map[string][]byte{
-		"spec":  []byte(`{"dirichlet": [{"value": 0}], "source": {"uniform": 1}}`),
-		"image": image,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the client is gone before the handler runs
-	r := httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)).WithContext(ctx)
-	r.Header.Set("Content-Type", ctype)
-	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, r)
-
-	if w.Code != wire.StatusClientClosedRequest {
-		t.Fatalf("canceled solve answered %d, want %d: %s", w.Code, wire.StatusClientClosedRequest, w.Body.String())
-	}
-	var env wire.ErrorEnvelope
-	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
-		t.Fatalf("499 body is not the JSON envelope: %q", w.Body.String())
-	}
-	if env.Error.Code != wire.CodeCanceled {
-		t.Errorf("envelope code = %q, want %q", env.Error.Code, wire.CodeCanceled)
-	}
-	if v := srv.mSimJobs.Value("canceled"); v != 1 {
-		t.Errorf("simulate_jobs_total{canceled} = %d, want 1", v)
-	}
-}
-
-// TestSimulateBadBC: boundary conditions that constrain no vertex of
-// the actual mesh are the client's fault — 400 with code bad_bc, after
-// the mesh stage (the mesh itself is fine and stays cached).
-func TestSimulateBadBC(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-	image := nrrdBody(t, 16)
-
-	// A sphere predicate nowhere near the mesh selects nothing.
-	resp, body := postSimulate(t, client, ts.URL,
-		`{"dirichlet": [{"sphere": {"center": [1000, 1000, 1000], "r": 1}, "value": 0}]}`,
-		image)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unmatchable BC answered %d, want 400: %s", resp.StatusCode, body)
-	}
-	var env wire.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("bad_bc body is not the JSON envelope: %q", body)
-	}
-	if env.Error.Code != wire.CodeBadBC {
-		t.Errorf("envelope code = %q, want %q", env.Error.Code, wire.CodeBadBC)
-	}
-	if v := srv.mSimJobs.Value("bad_bc"); v != 1 {
-		t.Errorf("simulate_jobs_total{bad_bc} = %d, want 1", v)
-	}
-
-	// Malformed spec: rejected before any meshing.
-	resp, body = postSimulate(t, client, ts.URL, `{"dirichlet": []}`, image)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty dirichlet answered %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != wire.CodeBadRequest {
-		t.Errorf("pre-mesh rejection envelope: %q", body)
 	}
 }
 
@@ -220,7 +111,7 @@ func TestPinSimulateUploadErrors(t *testing.T) {
 	row := func(name string, parts map[string][]byte, want pin) {
 		t.Helper()
 		body, ctype := multipartBody(t, parts)
-		doPin(t, c, name, pinReq(t, "POST", sim, ctype, body), want)
+		doPin(t, name, send(t, c, "POST", sim, ctype, body), want)
 	}
 	row("oversized upload", map[string][]byte{"spec": []byte(spec), "image": nrrdBody(t, 24)},
 		pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
@@ -271,16 +162,17 @@ func TestSimulateSharedMeshTwoSolves(t *testing.T) {
 	summaries := make([]SimSummary, 2)
 	errs := make([]error, 2)
 	for i, value := range []float64{1, 2} {
+		body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(specFor(value)), "image": image})
 		wg.Add(1)
-		go func(i int, value float64) {
+		go func(i int) {
 			defer wg.Done()
-			resp, body := postSimulate(t, client, ts.URL, specFor(value), image)
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("simulate %d: %d: %s", i, resp.StatusCode, body)
+			a := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
+			if a.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("simulate %d: %d: %s", i, a.StatusCode, a.body)
 				return
 			}
-			errs[i] = json.Unmarshal(body, &summaries[i])
-		}(i, value)
+			errs[i] = json.Unmarshal(a.body, &summaries[i])
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -303,5 +195,48 @@ func TestSimulateSharedMeshTwoSolves(t *testing.T) {
 	}
 	if summaries[0].Cells != summaries[1].Cells || summaries[0].Vertices != summaries[1].Vertices {
 		t.Errorf("the two solves ran on different meshes: %+v vs %+v", summaries[0], summaries[1])
+	}
+}
+
+// TestSimulateBadBC: a malformed spec is refused before any meshing;
+// boundary conditions that constrain no vertex of the mesh are the
+// client's fault, found after the mesh stage, whose mesh stays cached.
+func TestSimulateBadBC(t *testing.T) {
+	r := newEndingRig(t)
+	r.base = nrrdBody(t, 16)
+	if e := r.simulate(`{"dirichlet": []}`).ending(); e != (ending{400, wire.CodeBadRequest}) {
+		t.Errorf("an empty dirichlet list answered %+v", e)
+	}
+	if n := r.srv.mRunSeconds.Count(); n != 0 {
+		t.Errorf("a malformed spec made %d runs, want 0", n)
+	}
+	e := r.simulate(`{"dirichlet": [{"sphere": {"center": [1000, 1000, 1000], "r": 1}, "value": 0}]}`).ending()
+	if e != (ending{400, wire.CodeBadBC}) {
+		t.Errorf("an unmatchable BC answered %+v", e)
+	}
+	if !r.srv.cache.Contains(wire.ImageKey(r.base), "") {
+		t.Error("the mesh under an unmatchable BC was not cached")
+	}
+}
+
+// TestSimulateSolveCanceled: a client gone before its solve starts gets
+// 499 canceled; the mesh stage was a cache hit, and the cached mesh
+// serves the next solve without a run.
+func TestSimulateSolveCanceled(t *testing.T) {
+	r := newEndingRig(t)
+	r.base = nrrdBody(t, 16)
+	r.meshOK()
+	spec := `{"dirichlet": [{"value": 0}], "source": {"uniform": 1}}`
+	body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(spec), "image": r.base})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if e := r.direct(ctx, "/v1/simulate", ctype, body).ending(); e != (ending{wire.StatusClientClosedRequest, wire.CodeCanceled}) {
+		t.Errorf("the canceled solve answered %+v", e)
+	}
+	if e := r.simulate(spec).ending(); e != (ending{200, ""}) {
+		t.Errorf("the next solve answered %+v", e)
+	}
+	if n := r.srv.mRunSeconds.Count(); n != 1 {
+		t.Errorf("%d runs, want the one that primed the cache", n)
 	}
 }

@@ -2,15 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // multipartBody builds a multipart/form-data request body with the
@@ -42,7 +37,7 @@ func multipartBody(t *testing.T, parts map[string][]byte) ([]byte, string) {
 // string wholesale — a query knob absent from the body spec does NOT
 // leak through.
 func TestBodySpecPrecedence(t *testing.T) {
-	srv := newBareServer(t, Config{PoolSize: 1})
+	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	body, ctype := multipartBody(t, map[string][]byte{
 		"spec":  []byte(`{"delta": 2.5}`),
 		"image": []byte("fake-image"),
@@ -93,10 +88,7 @@ func TestQuerySurfaceByteIdentical(t *testing.T) {
 	client := ts.Client()
 	image := nrrdBody(t, 8)
 
-	code, viaQuery := post(t, client, ts.URL+"/v1/mesh?delta=2.5", image)
-	if code != http.StatusOK {
-		t.Fatalf("query-surface request: %d: %s", code, viaQuery)
-	}
+	viaQuery, _ := meshOK(t, client, ts.URL, "?delta=2.5", image)
 	if !bytes.HasPrefix(viaQuery, []byte("# vtk DataFile Version 3.0")) {
 		t.Fatalf("query surface no longer returns legacy VTK: %q", viaQuery[:40])
 	}
@@ -105,53 +97,11 @@ func TestQuerySurfaceByteIdentical(t *testing.T) {
 		"spec":  []byte(`{"delta": 2.5}`),
 		"image": image,
 	})
-	resp, err := client.Post(ts.URL+"/v1/mesh", ctype, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	viaBody := send(t, client, "POST", ts.URL+"/v1/mesh", ctype, body)
+	if viaBody.StatusCode != http.StatusOK {
+		t.Fatalf("body-spec request: %d: %s", viaBody.StatusCode, viaBody.body)
 	}
-	viaBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("body-spec request: %d: %s", resp.StatusCode, viaBody)
-	}
-	if !bytes.Equal(viaQuery, viaBody) {
+	if !bytes.Equal(viaQuery, viaBody.body) {
 		t.Error("query-surface and body-spec responses differ for identical knobs")
-	}
-}
-
-// TestErrorEnvelope: every 4xx/5xx carries the structured JSON
-// envelope, and capacity rejections mirror Retry-After into it.
-func TestErrorEnvelope(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-
-	code, body := post(t, client, ts.URL+"/v1/mesh?delta=NaN", []byte("x"))
-	if code != http.StatusBadRequest {
-		t.Fatalf("hostile query: %d", code)
-	}
-	var env wire.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("4xx body is not the JSON envelope: %q", body)
-	}
-	if env.Error.Code != wire.CodeBadRequest || env.Error.Reason == "" {
-		t.Errorf("envelope = %+v, want code %q and a reason", env, wire.CodeBadRequest)
-	}
-
-	// Retry-After mirroring.
-	w := httptest.NewRecorder()
-	w.Header().Set("Retry-After", "7")
-	wire.WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull, "queue full")
-	env = wire.ErrorEnvelope{}
-	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.RetryAfterS != 7 {
-		t.Errorf("retry_after_s = %d, want 7 (mirrors the header)", env.Error.RetryAfterS)
-	}
-	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("error Content-Type = %q", ct)
 	}
 }

@@ -21,12 +21,13 @@ type job struct {
 	variant string             // canonical tuning knobs (MeshSpec.Variant)
 	tune    func(*core.Config) // the same knobs as a per-run hook
 
-	// The image arrives decoded (MeshSnapshot) or as the uploaded bytes,
-	// which are parsed only once the cache has missed.
-	image *img.Image
+	// The uploaded bytes, decoded into image only once the cache has
+	// missed.
 	body  []byte
+	image *img.Image
 
-	// HTTP-only inputs; zero through MeshSnapshot.
+	// How the answer is wanted; /v1/simulate's mesh stage sets only
+	// timeout.
 	format      string         // entity format of the reply; "" = the caller wants the snapshot, not its encoding
 	ifNoneMatch string         // If-None-Match header
 	cacheOnly   bool           // answer from the result cache or not at all
@@ -119,34 +120,21 @@ func coalesceKey(key, variant string) string {
 	return key + "|" + variant
 }
 
-// MeshSnapshot runs one mesh job end to end — cache, admission,
-// queueing, the run under the job deadline — and returns the result as
-// a lease-independent snapshot: the walk, entered with an image already
-// decoded. key is the image's identity (non-empty; ImageKey of the
-// upload), variant a canonical encoding of the per-job tuning; jobs
-// agreeing on (key, variant) are coalesced: the first becomes the
-// leader and runs, later arrivals subscribe to its outcome without
-// consuming a pool session, up to coalesceLimit members per flight
-// (a full flight stops accepting and a fresh one forms).
-//
-// Followers receive the leader's SnapshotResult with their own
-// serving metadata (Coalesced=true, their own queue wait); the
-// Snapshot pointer is shared and read-only. A follower whose context
-// ends before the leader finishes detaches with ErrDeadline or
-// ErrCanceled; a leader that fails fans its error out to every
-// follower.
-func (s *Server) MeshSnapshot(ctx context.Context, key, variant string, image *img.Image, tune func(*core.Config)) (*SnapshotResult, error) {
-	return s.walk(ctx, &job{key: key, variant: variant, image: image, tune: tune})
-}
-
 // walk is the one path a request takes through the server. /v1/mesh,
-// /v1/simulate's mesh stage, cache-only requests, GET /v1/cache probes
-// and MeshSnapshot all enter here, after the handler has read and capped
-// the body and derived key and variant, and take the same steps in the
-// same order (DESIGN.md "The request walk" numbers them). It reports how
-// the job ended — a snapshot, *notModified, or an error classify maps —
-// books it once on the way out (settle), and leaves encoding to the
-// caller.
+// /v1/simulate's mesh stage and GET /v1/cache probes all enter here,
+// after the handler has read and capped the body and derived key and
+// variant, and take the same steps in the same order (DESIGN.md "The
+// request walk" numbers them). It reports how the job ended — a
+// snapshot, *notModified, or an error classify maps — books it once on
+// the way out (settle), and leaves encoding to the caller.
+//
+// Jobs agreeing on (key, variant) coalesce: the first leads and runs,
+// later arrivals join its flight without a session, up to coalesceMax
+// members (a full flight takes no more and the next arrival leads a
+// fresh one). A follower gets the leader's snapshot pointer, shared and
+// read-only, under its own serving metadata; one whose context ends
+// first detaches with ErrDeadline or ErrCanceled, and a leader's failure
+// fans out to every follower.
 func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err error) {
 	held := false // in Drain's wait group, released only once the job is booked
 	defer func() {
@@ -190,10 +178,8 @@ func (s *Server) walk(ctx context.Context, j *job) (sr *SnapshotResult, err erro
 		return nil, &requestError{http.StatusNotFound, wire.CodeCacheMiss,
 			fmt.Sprintf("no cached result for image %.16s… variant %q", j.key, j.variant)}
 	}
-	if j.image == nil {
-		if j.image, err = s.decodeImage(j.key, j.body); err != nil {
-			return nil, badRequest("decoding image: %v", err)
-		}
+	if j.image, err = s.decodeImage(j.key, j.body); err != nil {
+		return nil, badRequest("decoding image: %v", err)
 	}
 	// Every job runs under a deadline (queue wait + run): the spec's, the
 	// caller's, or the server default.
