@@ -16,10 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cachestore"
-	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/img"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -35,14 +32,6 @@ func chaosSeed(t *testing.T) int64 {
 		return n
 	}
 	return 11
-}
-
-// chaosBackend is one real pi2md node under the router: a live
-// serve.Server with its full self-healing stack, plus the partition
-// flag standing in for kill -9 from the router's point of view.
-type chaosBackend struct {
-	srv *serve.Server
-	ts  *httptest.Server
 }
 
 // lockedJitter makes a seeded rand usable from the router's
@@ -105,14 +94,11 @@ func (l *ladderTrips) check(ladder []string) string {
 	return ""
 }
 
+// chaosOutcome is one soak request's answer, or its client-side error.
 type chaosOutcome struct {
-	key        int // body index
-	code       int
-	node       string
-	retryAfter string
-	cacheOnly  string // X-Pi2md-Cache-Only marker, "hit" on replica reads
-	envelopeOK bool
-	reason     string
+	key int // body index
+	answer
+	err error
 }
 
 // TestRouterChaosSoak is the distributed tier's chaos harness: a
@@ -140,43 +126,15 @@ func TestRouterChaosSoak(t *testing.T) {
 
 	// Three real backends, one warm session each — small pools so the
 	// soak exercises queueing and coalescing, not just happy paths.
-	fleet := make([]*chaosBackend, 3)
+	fleet := newPi2mdFleet(t, 3, serve.Config{QueueDepth: 8, DefaultTimeout: 10 * time.Second}, nil)
 	nodeOf := map[string]string{} // backend URL → node id
-	urlOfNode := map[string]string{}
-	for i := range fleet {
-		store, _, err := cachestore.Open(cachestore.Config{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := serve.NewServer(serve.Config{
-			PoolSize:       1,
-			QueueDepth:     8,
-			DefaultTimeout: 10 * time.Second,
-			Cache:          store,
-			Session:        core.Config{Workers: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		b := &chaosBackend{srv: srv, ts: ts}
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Drain(ctx)
-			store.Close()
-		})
-		fleet[i] = b
-		nodeOf[ts.URL] = srv.NodeID()
-		urlOfNode[srv.NodeID()] = ts.URL
-	}
-
-	part := &partition{}
 	urls := make([]string, len(fleet))
 	for i, b := range fleet {
 		urls[i] = b.ts.URL
+		nodeOf[b.ts.URL] = b.srv.NodeID()
 	}
+
+	part := &partition{}
 	rt, err := New(Config{
 		Backends:      urls,
 		ProbeInterval: 30 * time.Millisecond,
@@ -191,10 +149,6 @@ func TestRouterChaosSoak(t *testing.T) {
 	defer rt.Stop()
 	// Every proxied request is checked against the ladder's bound as its
 	// handler returns.
-	spec, err := wire.MeshSpecFromQuery(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var (
 		ladderMu     sync.Mutex
 		ladderBroken []string
@@ -206,7 +160,7 @@ func TestRouterChaosSoak(t *testing.T) {
 		l := &ladderTrips{reads: map[string]int{}, fwds: map[string]int{}}
 		rt.mu.Lock()
 		gen := rt.mRebalances.Value()
-		ladder := rt.ring.Replicas(routeKey(wire.ImageKey(raw), spec.Variant()), replicas)
+		ladder := rt.ring.Replicas(meshKey(raw), replicas)
 		rt.mu.Unlock()
 		proxy.ServeHTTP(w, req.WithContext(context.WithValue(req.Context(), ladderKey{}, l)))
 		if rt.mRebalances.Value() != gen {
@@ -233,61 +187,35 @@ func TestRouterChaosSoak(t *testing.T) {
 	restore := faultinject.Enable(storm)
 	defer restore()
 
-	waitHealthy := func(n int, deadline time.Duration) {
+	waitRing := func(what string, done func(members []string) bool) {
 		t.Helper()
-		end := time.Now().Add(deadline)
-		for len(rt.HealthyBackends()) != n {
+		for end := time.Now().Add(10 * time.Second); !done(rt.HealthyBackends()); time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(end) {
-				t.Fatalf("fleet never reached %d healthy backends (have %v)",
-					n, rt.HealthyBackends())
+				t.Fatalf("%s never happened (ring %v)", what, rt.HealthyBackends())
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	waitHealthy(3, 10*time.Second)
+	waitRing("the fleet's join", func(m []string) bool { return len(m) == len(fleet) })
 
 	// Three distinct small images — three route keys spread over the
 	// ring — plus their derived keys for ownership assertions.
 	bodies := make([][]byte, 3)
 	keys := make([]string, 3)
 	for i := range bodies {
-		var buf bytes.Buffer
-		if err := img.WriteNRRD(&buf, img.SpherePhantom(6+i)); err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = buf.Bytes()
-		keys[i] = routeKey(wire.ImageKey(bodies[i]), spec.Variant())
+		bodies[i] = sphereNRRD(t, 6+i)
+		keys[i] = meshKey(bodies[i])
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	doMesh := func(ki int) chaosOutcome {
-		resp, err := client.Post(rts.URL+"/v1/mesh", "application/octet-stream",
-			bytes.NewReader(bodies[ki]))
+		resp, err := client.Post(rts.URL+"/v1/mesh", octets, bytes.NewReader(bodies[ki]))
 		if err != nil {
-			return chaosOutcome{key: ki, code: -1, reason: err.Error()}
+			return chaosOutcome{key: ki, err: err}
 		}
-		defer resp.Body.Close()
-		out := chaosOutcome{
-			key:        ki,
-			code:       resp.StatusCode,
-			node:       resp.Header.Get(wire.NodeHeader),
-			retryAfter: resp.Header.Get("Retry-After"),
-			cacheOnly:  resp.Header.Get(wire.CacheOnlyHeader),
-		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if resp.StatusCode >= 400 {
-			var env struct {
-				Error struct {
-					Code   string `json:"code"`
-					Reason string `json:"reason"`
-				} `json:"error"`
-			}
-			if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" && env.Error.Reason != "" {
-				out.envelopeOK = true
-				out.reason = env.Error.Code
-			}
-		}
-		return out
+		return chaosOutcome{key: ki, answer: read(t, resp)}
+	}
+	servedBy := func(out chaosOutcome, node string) bool {
+		return out.err == nil && out.StatusCode == http.StatusOK && out.Header.Get(wire.NodeHeader) == node
 	}
 
 	// Seed every backend's result cache with key 0's mesh directly —
@@ -296,17 +224,11 @@ func TestRouterChaosSoak(t *testing.T) {
 	// warmest key cache-only instead of re-meshing it.
 	var seedETag string
 	for _, b := range fleet {
-		resp, err := client.Post(b.ts.URL+"/v1/mesh", "application/octet-stream",
-			bytes.NewReader(bodies[0]))
-		if err != nil {
-			t.Fatal(err)
+		a := call(t, http.MethodPost, b.ts.URL+"/v1/mesh", octets, bodies[0])
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("seeding %s with key 0: status %d", b.srv.NodeID(), a.StatusCode)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("seeding %s with key 0: status %d", b.srv.NodeID(), resp.StatusCode)
-		}
-		if raw := rawETagFromHeader(resp.Header.Get("ETag")); raw != "" {
+		if raw := rawETagFromHeader(a.Header.Get("ETag")); raw != "" {
 			seedETag = raw
 		}
 	}
@@ -347,45 +269,23 @@ func TestRouterChaosSoak(t *testing.T) {
 	time.Sleep(700 * time.Millisecond)
 
 	// Phase 2: kill the owner of key 0 mid-traffic (partitioned away —
-	// kill -9 as seen from the router) and wait for ejection.
-	// The storm's injected dial failures eject backends passively and the
-	// 30 ms probes re-admit them, so at this rate of traffic the ring is
-	// now and then empty for an instant: wait for an owner, don't sample.
-	victim := rt.Owner(keys[0])
-	for end := time.Now().Add(10 * time.Second); victim == "" && time.Now().Before(end); victim = rt.Owner(keys[0]) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if victim == "" {
-		t.Fatal("no owner for key 0 on a healthy ring")
-	}
+	// kill -9 as seen from the router) and wait for ejection. The storm
+	// ejects and re-admits backends now and then, so the owner is read
+	// off the whole fleet's ring, where key 0 re-homes after the restart.
+	victim := rt.allRing.Owner(keys[0])
 	victimNode := nodeOf[victim]
 	part.set(victim, true)
-	end := time.Now().Add(10 * time.Second)
-	for {
-		alive := false
-		for _, h := range rt.HealthyBackends() {
-			alive = alive || h == victim
-		}
-		if !alive {
-			break
-		}
-		if time.Now().After(end) {
-			t.Fatalf("victim %s never ejected", victim)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRing("the victim's ejection", func(m []string) bool { return !slices.Contains(m, victim) })
 
 	// The killed node's keys must be served by survivors: drive key 0
 	// directly and require at least one success from a non-victim node.
 	survivorServed := false
 	for i := 0; i < 10 && !survivorServed; i++ {
 		out := doMesh(0)
-		if out.code == http.StatusOK {
-			if out.node == victimNode {
-				t.Fatalf("dead node %s served key 0", victimNode)
-			}
-			survivorServed = true
+		if servedBy(out, victimNode) {
+			t.Fatalf("dead node %s served key 0", victimNode)
 		}
+		survivorServed = out.err == nil && out.StatusCode == http.StatusOK
 	}
 	if !survivorServed {
 		t.Fatal("no survivor ever served the killed node's key")
@@ -398,7 +298,7 @@ func TestRouterChaosSoak(t *testing.T) {
 	// injected dial failure can burn one), point the entry back at the
 	// dead victim — exactly the state a router restarted mid-outage would
 	// hold.
-	end = time.Now().Add(15 * time.Second)
+	end := time.Now().Add(15 * time.Second)
 	for rt.Stats().ReplicaCacheHits == 0 {
 		if time.Now().After(end) {
 			t.Fatal("owner kill never produced a replica cache-only read for key 0")
@@ -406,7 +306,7 @@ func TestRouterChaosSoak(t *testing.T) {
 		if ent, ok := rt.etags.lookup(keys[0]); !ok || ent.backend != victim {
 			rt.etags.learn(keys[0], seedETag, victim)
 		}
-		if out := doMesh(0); out.code == http.StatusOK && out.node == victimNode {
+		if servedBy(doMesh(0), victimNode) {
 			t.Fatalf("dead node %s served key 0", victimNode)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -415,29 +315,14 @@ func TestRouterChaosSoak(t *testing.T) {
 	// Phase 3: restart wave — heal the partition, wait for rejoin,
 	// then require key 0 to re-home to its original owner.
 	part.set(victim, false)
-	end = time.Now().Add(10 * time.Second)
-	for {
-		back := false
-		for _, h := range rt.HealthyBackends() {
-			back = back || h == victim
-		}
-		if back {
-			break
-		}
-		if time.Now().After(end) {
-			t.Fatalf("victim %s never rejoined", victim)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRing("the victim's rejoin", func(m []string) bool { return slices.Contains(m, victim) })
 	rehomed := false
 	end = time.Now().Add(15 * time.Second)
 	for !rehomed {
 		if time.Now().After(end) {
 			t.Fatalf("key 0 never re-homed to %s after rejoin", victimNode)
 		}
-		if out := doMesh(0); out.code == http.StatusOK && out.node == victimNode {
-			rehomed = true
-		}
+		rehomed = servedBy(doMesh(0), victimNode)
 		time.Sleep(10 * time.Millisecond)
 	}
 
@@ -459,30 +344,29 @@ func TestRouterChaosSoak(t *testing.T) {
 	}
 	var ok200, errs, cacheOnlyServed int
 	for _, out := range outcomes {
-		if out.cacheOnly == "hit" {
-			cacheOnlyServed++
-		}
 		switch {
-		case out.code == -1:
-			t.Errorf("request for key %d died at the client: %s", out.key, out.reason)
-		case out.code >= 400:
+		case out.err != nil:
+			t.Errorf("request for key %d died at the client: %v", out.key, out.err)
+		case out.StatusCode >= 400:
 			errs++
-			if !out.envelopeOK {
-				t.Errorf("status %d without a valid error envelope", out.code)
+			if out.code == "" || out.reason == "" {
+				t.Errorf("status %d without a valid error envelope", out.StatusCode)
 			}
-			if out.code == http.StatusServiceUnavailable || out.code == http.StatusTooManyRequests {
-				sec, err := strconv.Atoi(out.retryAfter)
-				if err != nil || sec < 1 || sec > 30 {
-					t.Errorf("status %d Retry-After %q outside [1,30]s", out.code, out.retryAfter)
+			if out.StatusCode == http.StatusServiceUnavailable || out.StatusCode == http.StatusTooManyRequests {
+				if sec, err := strconv.Atoi(out.Header.Get("Retry-After")); err != nil || sec < 1 || sec > 30 {
+					t.Errorf("status %d Retry-After %q outside [1,30]s", out.StatusCode, out.Header.Get("Retry-After"))
 				}
 			}
-		case out.code == http.StatusOK:
+		case out.StatusCode == http.StatusOK:
 			ok200++
-			if out.node == "" {
+			if out.cacheOnly() {
+				cacheOnlyServed++
+			}
+			if out.Header.Get(wire.NodeHeader) == "" {
 				t.Error("200 response without a node header")
 			}
 		default:
-			t.Errorf("unexpected status %d", out.code)
+			t.Errorf("unexpected status %d", out.StatusCode)
 		}
 	}
 	if ok200 == 0 {

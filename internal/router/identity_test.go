@@ -18,53 +18,57 @@ import (
 	"time"
 
 	"repro/internal/cachestore"
-	"repro/internal/core"
 	"repro/internal/img"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
-// newRoutedPi2md starts one real pi2md with a result cache and a router
-// in front of it, torn down with the test.
-func newRoutedPi2md(t *testing.T) (*serve.Server, *httptest.Server, *Router, *httptest.Server) {
-	t.Helper()
-	srv, _, backend, r, rts := routedPi2md(t, t.TempDir(), nil)
-	return srv, backend, r, rts
+// pi2md is one real backend: a server over its own result cache in dir,
+// served (through wrap, when given) by ts.
+type pi2md struct {
+	srv   *serve.Server
+	store *cachestore.Store
+	dir   string
+	ts    *httptest.Server
 }
 
-// routedPi2md is newRoutedPi2md with the result cache in dir, the store
-// returned, and the backend's handler passed through wrap (nil: as is).
-func routedPi2md(t *testing.T, dir string, wrap func(http.Handler) http.Handler) (*serve.Server, *cachestore.Store, *httptest.Server, *Router, *httptest.Server) {
+// newPi2mdFleet starts n real pi2md nodes from cfg, each over a fresh
+// result cache, a pool of one and one mesher worker unless cfg says
+// otherwise, and drains them with the test.
+func newPi2mdFleet(t *testing.T, n int, cfg serve.Config, wrap func(http.Handler) http.Handler) []*pi2md {
 	t.Helper()
-	store, _, err := cachestore.Open(cachestore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 1
 	}
-	srv, err := serve.NewServer(serve.Config{
-		PoolSize: 1,
-		Cache:    store,
-		Session:  core.Config{Workers: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Session.Workers == 0 {
+		cfg.Session.Workers = 1
 	}
-	h := srv.Handler()
-	if wrap != nil {
-		h = wrap(h)
+	fleet := make([]*pi2md, n)
+	for i := range fleet {
+		b := &pi2md{dir: t.TempDir()}
+		var err error
+		if b.store, _, err = cachestore.Open(cachestore.Config{Dir: b.dir}); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cache = b.store
+		if b.srv, err = serve.NewServer(cfg); err != nil {
+			t.Fatal(err)
+		}
+		h := b.srv.Handler()
+		if wrap != nil {
+			h = wrap(h)
+		}
+		b.ts = httptest.NewServer(h)
+		t.Cleanup(func() {
+			b.ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			b.srv.Drain(ctx)
+			b.store.Close()
+		})
+		fleet[i] = b
 	}
-	backend := httptest.NewServer(h)
-	r := newTestRouter(t, Config{Backends: []string{backend.URL}})
-	r.ProbeOnce(backend.URL)
-	rts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() {
-		rts.Close()
-		backend.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Drain(ctx)
-		store.Close()
-	})
-	return srv, store, backend, r, rts
+	return fleet
 }
 
 func sphereNRRD(t *testing.T, scale int) []byte {
@@ -84,24 +88,13 @@ func sphereNRRD(t *testing.T, scale int) []byte {
 // a 404. A spec the backend rejects must reach it and come back as its
 // 400, not a router error.
 func TestTiersNameRequestsIdentically(t *testing.T) {
-	srv, backend, r, rts := newRoutedPi2md(t)
+	b := newPi2mdFleet(t, 1, serve.Config{}, nil)[0]
+	g := routeTo(t, Config{}, b.ts.URL)
 	image := sphereNRRD(t, 16)
-	form := func(spec string) (body []byte, ctype string) {
-		var b bytes.Buffer
-		mw := multipart.NewWriter(&b)
-		if spec != "" {
-			mw.WriteField("spec", spec)
-		}
-		fw, _ := mw.CreateFormFile("image", "image")
-		fw.Write(image)
-		mw.Close()
-		return b.Bytes(), mw.FormDataContentType()
-	}
-	const octets = "application/octet-stream"
-	withSpec, withSpecType := form(`{"min_facet_angle": 20, "format": "off"}`)
-	noSpec, noSpecType := form("")
-	sim, simType := form(`{"mesh": {"max_radius_edge": 3}, "dirichlet": [{"value": 0}], "source": {"uniform": 1}}`)
-	badSpec, badSpecType := form(`{"delta": -1}`)
+	withSpec, withSpecType := multipartUpload(image, `{"min_facet_angle": 20, "format": "off"}`)
+	noSpec, noSpecType := multipartUpload(image, "")
+	sim, simType := multipartUpload(image, `{"mesh": {"max_radius_edge": 3}, "dirichlet": [{"value": 0}], "source": {"uniform": 1}}`)
+	badSpec, badSpecType := multipartUpload(image, `{"delta": -1}`)
 
 	for _, row := range []struct {
 		name, path, ctype string
@@ -114,36 +107,20 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 		{"simulate multipart", "/v1/simulate", simType, sim, 200},
 		{"malformed spec", "/v1/mesh", badSpecType, badSpec, 400},
 	} {
-		request := func(base string) *http.Request {
-			req, err := http.NewRequest(http.MethodPost, base+row.path, bytes.NewReader(row.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", row.ctype)
-			return req
-		}
-		resp, err := http.DefaultClient.Do(request(rts.URL))
-		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
-		}
-		if resp.StatusCode != row.want {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("%s: status %d, want %d: %.300s", row.name, resp.StatusCode, row.want, b)
+		a := g.post(row.path, row.ctype, row.body)
+		if a.StatusCode != row.want {
+			t.Fatalf("%s: status %d, want %d: %.300s", row.name, a.StatusCode, row.want, a.body)
 		}
 		if row.want != 200 {
-			code, _, _ := decodeEnvelope(t, resp.Body)
-			resp.Body.Close()
-			if code != wire.CodeBadRequest || resp.Header.Get(wire.NodeHeader) != srv.NodeID() {
-				t.Errorf("%s: code %q from node %q, want the backend's own %q",
-					row.name, code, resp.Header.Get(wire.NodeHeader), wire.CodeBadRequest)
+			if node := a.Header.Get(wire.NodeHeader); a.code != wire.CodeBadRequest || node != b.srv.NodeID() {
+				t.Errorf("%s: code %q from node %q, want the backend's own %q", row.name, a.code, node, wire.CodeBadRequest)
 			}
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 
-		req := request("")
-		plan, ok := r.planRoute(httptest.NewRecorder(), req)
+		req := httptest.NewRequest(http.MethodPost, row.path, bytes.NewReader(row.body))
+		req.Header.Set("Content-Type", row.ctype)
+		plan, ok := g.r.planRoute(httptest.NewRecorder(), req)
 		if !ok {
 			t.Fatalf("%s: planRoute rejected what it just routed", row.name)
 		}
@@ -158,16 +135,13 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 			}
 			plan.format = "vtk"
 		}
-		probe, err := r.probeCache(req, backend.URL, plan)
+		resp, err := g.r.probeCache(req, b.ts.URL, plan)
 		if err != nil {
 			t.Fatalf("%s: probe: %v", row.name, err)
 		}
-		io.Copy(io.Discard, probe.Body)
-		probe.Body.Close()
-		if probe.StatusCode != http.StatusOK || probe.Header.Get(wire.CacheOnlyHeader) != "hit" {
-			t.Errorf("%s: probe for (%s, %q, %s) answered %d %s=%q, want a 200 hit",
-				row.name, plan.imageKey[:8], plan.variant, plan.format,
-				probe.StatusCode, wire.CacheOnlyHeader, probe.Header.Get(wire.CacheOnlyHeader))
+		if probe := read(t, resp); probe.StatusCode != http.StatusOK || !probe.cacheOnly() {
+			t.Errorf("%s: probe for (%s, %q, %s) answered %d cache-only %v, want a 200 hit",
+				row.name, plan.imageKey[:8], plan.variant, plan.format, probe.StatusCode, probe.cacheOnly())
 		}
 	}
 }
@@ -181,76 +155,65 @@ func TestTiersNameRequestsIdentically(t *testing.T) {
 // X-Pi2md-Image-Key header names nothing: the upload is routed and its
 // tag learned under the hash of its bytes.
 func TestRouteKeyFollowsTheBytes(t *testing.T) {
-	srv, _, r, rts := newRoutedPi2md(t)
+	b := newPi2mdFleet(t, 1, serve.Config{}, nil)[0]
+	g := routeTo(t, Config{}, b.ts.URL)
 	image := sphereNRRD(t, 16)
 	data := bytes.Index(image, []byte("\n\n")) + 2
 	flip := func(at int) []byte {
-		b := bytes.Clone(image)
-		b[at] ^= 1
-		return b
+		c := bytes.Clone(image)
+		c[at] ^= 1
+		return c
 	}
 	flipped := flip(data + (len(image)-data)/2)
-	post := func(body []byte, ifNoneMatch string, hdr ...string) (int, string) {
+	post := func(body []byte, hdr ...string) (int, string) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/mesh", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ifNoneMatch != "" {
-			req.Header.Set("If-None-Match", ifNoneMatch)
-		}
-		for i := 0; i+1 < len(hdr); i += 2 {
-			req.Header.Set(hdr[i], hdr[i+1])
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header.Get("ETag")
+		a := g.mesh(body, hdr...)
+		return a.StatusCode, a.Header.Get("ETag")
 	}
-	runs := func() int64 { return srv.Stats().Pool.Checkouts }
+	runs := func() int64 { return b.srv.Stats().Pool.Checkouts }
+	local304s := func() int64 { return g.r.Stats().ETag304s }
 
-	code, tag := post(image, "")
+	code, tag := post(image)
 	if code != http.StatusOK || tag == "" {
 		t.Fatalf("first POST: %d with ETag %q, want a 200 with a tag", code, tag)
 	}
 	for i := 0; i < 2; i++ {
-		if code, again := post(image, ""); code != http.StatusOK || again != tag {
+		if code, again := post(image); code != http.StatusOK || again != tag {
 			t.Fatalf("repeat %d: %d with ETag %s, want 200 with %s", i+1, code, again, tag)
 		}
 	}
-	if code, newTag := post(flipped, ""); code != http.StatusOK || newTag == tag || runs() != 2 {
+	if code, newTag := post(flipped); code != http.StatusOK || newTag == tag || runs() != 2 {
 		t.Fatalf("flipped copy: %d with ETag %s (old %s) after %d runs; want 200, a new tag, 2 runs", code, newTag, tag, runs())
 	}
 	for i := 0; i < 2; i++ {
-		if code, _ := post(flipped, tag); code != http.StatusOK {
+		if code, _ := post(flipped, "If-None-Match", tag); code != http.StatusOK {
 			t.Fatalf("old tag on the flipped copy (ask %d): status %d, want 200", i+1, code)
 		}
 	}
-	if st := r.Stats(); st.ETag304s != 0 || runs() != 2 {
-		t.Fatalf("the flipped copy was answered by %d local 304s and %d runs; want 0 and 2", st.ETag304s, runs())
+	if local304s() != 0 || runs() != 2 {
+		t.Fatalf("the flipped copy was answered by %d local 304s and %d runs; want 0 and 2", local304s(), runs())
 	}
-	if code, _ := post(image, tag); code != http.StatusNotModified || r.Stats().ETag304s != 1 {
-		t.Fatalf("old tag on the original: status %d, %d local 304s; want a local 304", code, r.Stats().ETag304s)
+	if code, _ := post(image, "If-None-Match", tag); code != http.StatusNotModified || local304s() != 1 {
+		t.Fatalf("old tag on the original: status %d, %d local 304s; want a local 304", code, local304s())
 	}
-	if st := r.Stats().UploadCache; st.Entries != 2 {
+	if st := g.r.Stats().UploadCache; st.Entries != 2 {
 		t.Fatalf("router upload memo holds %d entries, want the original and the copy", st.Entries)
 	}
 
 	claimed := strings.Repeat("0", 64)
 	third := flip(data + (len(image)-data)/3)
-	code, thirdTag := post(third, "", "X-Pi2md-Image-Key", claimed)
+	code, thirdTag := post(third, "X-Pi2md-Image-Key", claimed)
 	if code != http.StatusOK || thirdTag == "" || thirdTag == tag || runs() != 3 {
 		t.Fatalf("upload under a wrong key header: %d with ETag %q after %d runs; want 200, its own tag, 3 runs", code, thirdTag, runs())
 	}
-	awaitLearned(t, r, routeKey(wire.ImageKey(third), ""))
-	if _, ok := r.etags.lookup(routeKey(claimed, "")); ok {
+	if _, ok := g.r.etags.lookup(meshKey(third)); !ok {
+		t.Fatal("the upload's tag was not learned under the hash of its bytes")
+	}
+	if _, ok := g.r.etags.lookup(routeKey(claimed, "")); ok {
 		t.Fatal("the ETag table learned the header's claimed key")
 	}
-	if code, _ := post(third, thirdTag, "X-Pi2md-Image-Key", claimed); code != http.StatusNotModified || r.Stats().ETag304s != 2 {
-		t.Fatalf("its own tag under a wrong key header: status %d, %d local 304s; want a local 304", code, r.Stats().ETag304s)
+	if code, _ := post(third, "If-None-Match", thirdTag, "X-Pi2md-Image-Key", claimed); code != http.StatusNotModified || local304s() != 2 {
+		t.Fatalf("its own tag under a wrong key header: status %d, %d local 304s; want a local 304", code, local304s())
 	}
 }
 
@@ -267,41 +230,6 @@ func multipartUpload(image []byte, spec string) (body []byte, ctype string) {
 	return b.Bytes(), mw.FormDataContentType()
 }
 
-// answer is what a client sees of one response.
-type answer struct {
-	status    int
-	code      string // error envelope code; "" below 400
-	etag      string
-	body      []byte
-	cacheOnly bool // marked X-Pi2md-Cache-Only: hit
-}
-
-func postFor(t *testing.T, url, ctype string, body []byte, hdr map[string]string) answer {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", ctype)
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	a := answer{status: resp.StatusCode, etag: resp.Header.Get("ETag"),
-		cacheOnly: resp.Header.Get(wire.CacheOnlyHeader) == "hit"}
-	if a.body, err = io.ReadAll(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if a.status >= 400 {
-		a.code, _, _ = decodeEnvelope(t, bytes.NewReader(a.body))
-	}
-	return a
-}
-
 // TestKnownKeyAnsweredAsItsPOST: once the ETag table knows a key, a
 // request whose spec resolves is answered by a body-less cache read, and
 // that answer is the one a POST of the same request straight to the
@@ -309,10 +237,9 @@ func postFor(t *testing.T, url, ctype string, body []byte, hdr map[string]string
 // whose spec the backend rejects goes to the backend whole; answering it
 // from the cache read makes the last two rows differ.
 func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
-	_, backend, r, rts := newRoutedPi2md(t)
+	b := newPi2mdFleet(t, 1, serve.Config{}, nil)[0]
+	g := routeTo(t, Config{}, b.ts.URL)
 	image := sphereNRRD(t, 16)
-	key := wire.ImageKey(image)
-	const octets = "application/octet-stream"
 	// The float knob renders as 1e+06 in the variant: a '+' the cache
 	// read carries in its path.
 	const knobs = "?max_radius_edge=1000000&max_elements=1000000"
@@ -323,16 +250,13 @@ func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
 
 	var tag string
 	for _, path := range []string{"/v1/mesh", "/v1/mesh" + knobs} {
-		a := postFor(t, rts.URL+path, octets, image, nil)
-		if a.status != http.StatusOK {
-			t.Fatalf("priming %s: status %d: %.300s", path, a.status, a.body)
+		a := g.post(path, octets, image)
+		if a.StatusCode != http.StatusOK {
+			t.Fatalf("priming %s: status %d: %.300s", path, a.StatusCode, a.body)
 		}
 		if tag == "" {
-			tag = a.etag
+			tag = a.Header.Get("ETag")
 		}
-	}
-	for _, variant := range []string{"", sp.Variant()} {
-		awaitLearned(t, r, routeKey(key, variant))
 	}
 
 	knobSpec, knobSpecType := multipartUpload(image, `{"max_radius_edge": 1e6, "max_elements": 1000000}`)
@@ -340,31 +264,31 @@ func TestKnownKeyAnsweredAsItsPOST(t *testing.T) {
 	for _, row := range []struct {
 		name, path, ctype string
 		body              []byte
-		hdr               map[string]string
+		hdr               []string
 		keyed             bool // answered by the cache read
 	}{
 		{"default spec", "/v1/mesh", octets, image, nil, true},
 		{"query knobs", "/v1/mesh" + knobs, octets, image, nil, true},
 		{"multipart spec", "/v1/mesh", knobSpecType, knobSpec, nil, true},
 		{"format=off", "/v1/mesh?format=off", octets, image, nil, true},
-		{"If-None-Match that matches", "/v1/mesh", octets, image, map[string]string{"If-None-Match": tag}, false},
-		{"If-None-Match that does not", "/v1/mesh", octets, image,
-			map[string]string{"If-None-Match": `"ffffffffffffffff-vtk"`}, true},
-		{"If-None-Match *", "/v1/mesh", octets, image, map[string]string{"If-None-Match": "*"}, false},
+		{"If-None-Match that matches", "/v1/mesh", octets, image, []string{"If-None-Match", tag}, false},
+		{"If-None-Match that does not", "/v1/mesh", octets, image, []string{"If-None-Match", `"ffffffffffffffff-vtk"`}, true},
+		{"If-None-Match *", "/v1/mesh", octets, image, []string{"If-None-Match", "*"}, false},
 		{"malformed multipart spec", "/v1/mesh", badSpecType, badSpec, nil, false},
 		{"max_radius_edge below the bound", "/v1/mesh?max_radius_edge=0.1", octets, image, nil, false},
 	} {
-		got := postFor(t, rts.URL+row.path, row.ctype, row.body, row.hdr)
-		want := postFor(t, backend.URL+row.path, row.ctype, row.body, row.hdr)
-		if got.status != want.status || got.code != want.code || got.etag != want.etag || !bytes.Equal(got.body, want.body) {
+		got := g.post(row.path, row.ctype, row.body, row.hdr...)
+		want := call(t, http.MethodPost, b.ts.URL+row.path, row.ctype, row.body, row.hdr...)
+		if got.StatusCode != want.StatusCode || got.code != want.code || got.Header.Get("ETag") != want.Header.Get("ETag") || !bytes.Equal(got.body, want.body) {
 			t.Errorf("%s: router answered %d %q ETag %s with %d bytes; the backend's POST, %d %q ETag %s with %d bytes",
-				row.name, got.status, got.code, got.etag, len(got.body), want.status, want.code, want.etag, len(want.body))
+				row.name, got.StatusCode, got.code, got.Header.Get("ETag"), len(got.body),
+				want.StatusCode, want.code, want.Header.Get("ETag"), len(want.body))
 		}
-		if got.cacheOnly != row.keyed {
-			t.Errorf("%s: %s hit = %v, want %v", row.name, wire.CacheOnlyHeader, got.cacheOnly, row.keyed)
+		if got.cacheOnly() != row.keyed {
+			t.Errorf("%s: %s hit = %v, want %v", row.name, wire.CacheOnlyHeader, got.cacheOnly(), row.keyed)
 		}
 	}
-	if st := r.Stats(); st.ReplicaCacheHits != 0 || st.ReplicaCacheMisses != 0 {
+	if st := g.r.Stats(); st.ReplicaCacheHits != 0 || st.ReplicaCacheMisses != 0 {
 		t.Errorf("replica cache hits/misses = %d/%d on a healthy backend, want 0/0", st.ReplicaCacheHits, st.ReplicaCacheMisses)
 	}
 }
@@ -421,55 +345,55 @@ func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 		calls = nil
 		return c
 	}
-	dir := t.TempDir()
-	srv, store, _, r, rts := routedPi2md(t, dir, count)
+	b := newPi2mdFleet(t, 1, serve.Config{}, count)[0]
+	g := routeTo(t, Config{}, b.ts.URL)
 	image := sphereNRRD(t, 16)
 	forward := fmt.Sprintf("POST 200 %d", len(image))
 
-	first := postFor(t, rts.URL+"/v1/mesh", "application/octet-stream", image, nil)
-	if first.status != http.StatusOK {
-		t.Fatalf("first request: status %d", first.status)
+	first := g.post("/v1/mesh", octets, image)
+	if first.StatusCode != http.StatusOK {
+		t.Fatalf("first request: status %d", first.StatusCode)
 	}
 	if got := took(); !slices.Equal(got, []string{forward}) {
 		t.Fatalf("first request reached the backend as %q, want %q", got, forward)
 	}
-	hit := postFor(t, rts.URL+"/v1/mesh", "application/octet-stream", image, nil)
-	if hit.status != http.StatusOK || !hit.cacheOnly || !bytes.Equal(hit.body, first.body) {
-		t.Fatalf("keyed hit: status %d, cache-only %v, same body %v", hit.status, hit.cacheOnly, bytes.Equal(hit.body, first.body))
+	hit := g.post("/v1/mesh", octets, image)
+	if hit.StatusCode != http.StatusOK || !hit.cacheOnly() || !bytes.Equal(hit.body, first.body) {
+		t.Fatalf("keyed hit: status %d, cache-only %v, same body %v", hit.StatusCode, hit.cacheOnly(), bytes.Equal(hit.body, first.body))
 	}
 	if got := took(); !slices.Equal(got, []string{"GET 200 0"}) {
 		t.Fatalf("keyed hit reached the backend as %q, want one body-less read", got)
 	}
-	if st := srv.Stats(); st.CacheOnly != 1 {
+	if st := b.srv.Stats(); st.CacheOnly != 1 {
 		t.Errorf("pi2md_cache_only_served_total = %d after the keyed hit, want 1", st.CacheOnly)
 	}
-	if st := r.Stats(); st.ReplicaCacheHits != 0 || st.ReplicaCacheMisses != 0 {
+	if st := g.r.Stats(); st.ReplicaCacheHits != 0 || st.ReplicaCacheMisses != 0 {
 		t.Errorf("replica cache hits/misses = %d/%d after a keyed hit, want 0/0", st.ReplicaCacheHits, st.ReplicaCacheMisses)
 	}
 
 	// The blob goes (evicted, or lost with its disk); the store notices on
 	// its next read. The table still knows the key.
-	blobs, _ := filepath.Glob(filepath.Join(dir, "blobs", "*.snap"))
+	blobs, _ := filepath.Glob(filepath.Join(b.dir, "blobs", "*.snap"))
 	if len(blobs) != 1 {
 		t.Fatalf("%d blobs cached, want 1", len(blobs))
 	}
 	if err := os.Remove(blobs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := store.Get(wire.ImageKey(image), ""); ok {
+	if _, _, ok := b.store.Get(wire.ImageKey(image), ""); ok {
 		t.Fatal("the store still serves a removed blob")
 	}
-	again := postFor(t, rts.URL+"/v1/mesh", "application/octet-stream", image, nil)
-	if again.status != http.StatusOK || !bytes.Equal(again.body, first.body) {
-		t.Fatalf("after eviction: status %d %q, want a 200 re-mesh", again.status, again.code)
+	again := g.post("/v1/mesh", octets, image)
+	if again.StatusCode != http.StatusOK || !bytes.Equal(again.body, first.body) {
+		t.Fatalf("after eviction: status %d %q, want a 200 re-mesh", again.StatusCode, again.code)
 	}
 	if got := took(); !slices.Equal(got, []string{"GET 404 0", forward}) {
 		t.Fatalf("after eviction the backend saw %q, want a body-less 404 then the upload", got)
 	}
-	if st := srv.Stats(); st.CacheOnly != 1 || st.CacheOnlyMiss != 1 || st.Pool.Checkouts != 2 {
+	if st := b.srv.Stats(); st.CacheOnly != 1 || st.CacheOnlyMiss != 1 || st.Pool.Checkouts != 2 {
 		t.Errorf("backend cache-only served/miss = %d/%d, runs %d; want 1/1 and 2", st.CacheOnly, st.CacheOnlyMiss, st.Pool.Checkouts)
 	}
-	st := r.Stats()
+	st := g.r.Stats()
 	if st.Retries != 0 {
 		t.Errorf("retries = %d; an evicted key must cost no retry", st.Retries)
 	}

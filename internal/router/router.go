@@ -84,12 +84,11 @@ func (c *Config) withDefaults() Config {
 // with its first successful probe, so a router booting against a dead
 // fleet never routes into the void (beyond the fail-open path).
 type backendState struct {
-	name      string // normalized base URL
-	healthy   bool
-	fails     int // consecutive failures (probe or proxy transport)
-	probes    int64
-	lastProbe time.Time
-	lastErr   string
+	name    string // normalized base URL
+	healthy bool
+	fails   int // consecutive failures (probe or proxy transport)
+	probes  int64
+	lastErr string
 }
 
 // Router is the distributed meshing tier: consistent-hash routing of
@@ -272,7 +271,6 @@ func (r *Router) ProbeOnce(name string) {
 		return
 	}
 	b.probes++
-	b.lastProbe = time.Now()
 	b.lastErr = errStr
 	if ok {
 		b.fails = 0
@@ -365,26 +363,18 @@ func (r *Router) candidates(key string) []string {
 	return r.ring.Replicas(key, replicas)
 }
 
-// Owner reports the healthy-ring owner of a route key ("" when the
-// ring is empty) — test and stats surface, not the proxy path.
-func (r *Router) Owner(key string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Owner(key)
-}
-
 // ejectBackend removes name from the healthy ring immediately — the
 // planned-drain path, where waiting FailThreshold probe periods for the
 // now-draining backend's readyz 503s to accumulate would route new
 // work into a node that already said goodbye. The backend's probe loop
 // keeps running; if it ever answers ready again (drain aborted, process
 // restarted) one successful probe rejoins it as usual.
-func (r *Router) ejectBackend(name string) bool {
+func (r *Router) ejectBackend(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.backends[name]
 	if b == nil {
-		return false
+		return
 	}
 	b.fails = r.cfg.FailThreshold
 	b.lastErr = "planned drain"
@@ -392,5 +382,4 @@ func (r *Router) ejectBackend(name string) bool {
 		b.healthy = false
 		r.rebuildRingLocked()
 	}
-	return true
 }

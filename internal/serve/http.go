@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -265,8 +264,9 @@ func sendBody(w http.ResponseWriter, contentType string, body []byte) {
 
 // handleCacheProbe is GET /v1/cache/{imageKey}/{variant}: the body-less
 // cache-only read a router sends before it uploads — for a key it has
-// seen, and on every failover attempt. The variant travels path-escaped (it may be empty —
-// the default-knob variant — in which case the path is just the key);
+// seen, and on every failover attempt. The variant travels path-escaped,
+// and ServeMux unescapes it (it may be empty — the default-knob variant —
+// in which case the path is just the key);
 // the format query parameter selects the encoding exactly as /v1/mesh
 // does. A probe that already holds the entity costs a 304, not a body,
 // and that 304 counts as a cache-only answer too.
@@ -276,9 +276,6 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	if !wire.ValidImageKey(j.key) {
 		s.writeMeshError(w, badRequest("image key must be 64 lowercase hex characters (the full SHA-256 of the image)"))
 		return
-	}
-	if unesc, err := url.PathUnescape(j.variant); err == nil {
-		j.variant = unesc
 	}
 	format := wire.MeshSpec{Format: r.URL.Query().Get("format")}
 	if err := format.Validate(); err != nil {
