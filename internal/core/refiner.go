@@ -93,6 +93,7 @@ type thread struct {
 	// idle time in the balancer; rollbackNs is the partially-completed
 	// work thrown away by rollbacks.
 	rollbackNs int64
+	streak     rollbackStreak // when a rollback consults the contention manager
 
 	ruleCount [7]int64 // indexed by Rule
 	scratch   []arena.Handle
@@ -335,18 +336,16 @@ func (r *Refiner) doInsertion(t *thread, ch arena.Handle, act action) {
 		r.ops.Add(1)
 		r.postCommit(t, act, res)
 		r.cm.OnSuccess(t.id)
+		t.streak.commit()
 		r.flushScratch(t)
 	case delaunay.Conflict:
-		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
 		// The element was not refined: it goes back to the PEL — to the
 		// bottom of the stack, so the thread "moves on to the next bad
-		// element" (Section 4.2) — and the thread consults the
-		// contention manager (Section 4.5).
+		// element" (Section 4.2).
 		r.countIn(t, ch)
 		r.untagDead(t, []arena.Handle{ch})
 		t.pel = pushBottom(t.pel, ch)
-		t.w.Unpin() // the contention manager may park the thread
-		r.cm.OnRollback(t.id, t.w.ConflictTid)
+		r.rolledBack(t, start)
 	case delaunay.Stale:
 		// The cell died between pop and operation; its replacements
 		// were classified by whoever killed it.
@@ -371,17 +370,68 @@ func (r *Refiner) doRemoval(t *thread, vh arena.Handle) {
 		r.ops.Add(1)
 		r.postCommit(t, action{rule: R6}, res)
 		r.cm.OnSuccess(t.id)
+		t.streak.commit()
 		r.flushScratch(t)
 	case delaunay.Conflict:
-		atomic.AddInt64(&t.rollbackNs, int64(time.Since(start)))
 		t.removals = pushBottom(t.removals, vh)
-		t.w.Unpin()
-		r.cm.OnRollback(t.id, t.w.ConflictTid)
+		r.rolledBack(t, start)
 	case delaunay.Stale, delaunay.Failed:
 		// Already removed, or a degenerate link: keep the vertex (the
 		// quality rules still hold; R6 is a termination aid).
 	}
 }
+
+// rolledBack ends a conflicted operation that started at start, once
+// its work item is back on the thread's stack: the time spent on it is
+// rollback overhead, and the thread consults the contention manager
+// (Section 4.5) when its streak of rollbacks says so.
+func (r *Refiner) rolledBack(t *thread, start time.Time) {
+	now := time.Now()
+	atomic.AddInt64(&t.rollbackNs, int64(now.Sub(start)))
+	if !t.streak.rollback(now) {
+		return
+	}
+	t.w.Unpin() // the contention manager may park the thread
+	before := r.cm.ContentionNs(t.id)
+	r.cm.OnRollback(t.id, t.w.ConflictTid)
+	t.streak.consulted(now, time.Duration(r.cm.ContentionNs(t.id)-before))
+}
+
+// rollbackStreak decides when a rolled-back thread consults the
+// contention manager. It is rent-or-buy: a retry costs well under a
+// microsecond and a park in Global- or Local-CM ~100 µs of an idle
+// core, so the thread keeps retrying other work (the rolled-back item
+// went to the bottom of its stack) until its current streak of
+// rollbacks has lasted as long as the manager held it the last time.
+// A commit ends the streak. A manager that held the thread for no time
+// (Aggressive-CM always, Random-CM until it sleeps) is consulted again
+// at the next rollback. If no thread commits, every streak grows until
+// its thread consults the manager, whose handshake (Fig. 2) then rules
+// out livelock as before.
+type rollbackStreak struct {
+	start time.Time     // when the current streak's retrying began; zero while committing
+	hold  time.Duration // how long the manager held the thread at its last consult
+}
+
+// rollback records a rollback at now and reports whether the thread
+// consults the contention manager for it.
+func (s *rollbackStreak) rollback(now time.Time) bool {
+	if s.start.IsZero() {
+		s.start = now
+	}
+	return now.Sub(s.start) >= s.hold
+}
+
+// consulted records that the contention manager, consulted for the
+// rollback at now, held the thread for hold; the thread's retrying
+// starts over when the manager lets it go.
+func (s *rollbackStreak) consulted(now time.Time, hold time.Duration) {
+	s.hold = hold
+	s.start = now.Add(hold)
+}
+
+// commit ends the current streak.
+func (s *rollbackStreak) commit() { s.start = time.Time{} }
 
 // pushBottom puts a rolled-back work item at the bottom of a thread's
 // LIFO stack, so the thread moves on to its other work first: push,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/arena"
 	"repro/internal/cm"
@@ -10,6 +11,17 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/img"
 )
+
+// refinerOver returns a refiner over the state a finished run of s
+// left, as Session.run builds one, for driving its arms directly.
+func refinerOver(s *Session, res *Result) *Refiner {
+	r := newRefiner(nil, res.Config)
+	r.edt, r.mesh, r.isoGrid, r.ccGrid, r.threads = s.edtTr, s.mesh, s.isoGrid, s.ccGrid, s.threads
+	r.coord = cm.NewCoordinator(r.cfg.Workers)
+	r.cm = r.cfg.newCM(r.coord)
+	r.bal = r.cfg.newBalancer()
+	return r
+}
 
 // TestRolledBackRemovalIsRequeued drives the Conflict arm of doRemoval
 // on a two-worker (shared) mesh: a removal denied its locks must go
@@ -27,13 +39,7 @@ func TestRolledBackRemovalIsRequeued(t *testing.T) {
 		t.Fatalf("run: %v, %v", res.Status, err)
 	}
 
-	// A refiner over the finished run's state, as Session.run builds it.
-	cfg := res.Config
-	r := &Refiner{cfg: cfg, im: im, edt: s.edtTr, mesh: s.mesh,
-		isoGrid: s.isoGrid, ccGrid: s.ccGrid, threads: s.threads}
-	r.coord = cm.NewCoordinator(cfg.Workers)
-	r.cm = cfg.newCM(r.coord)
-	r.bal = cfg.newBalancer()
+	r := refinerOver(s, res)
 
 	// Three surviving circumcenters: one to roll back, two queued ahead.
 	var victims []arena.Handle
@@ -98,6 +104,150 @@ func TestRolledBackRemovalIsRequeued(t *testing.T) {
 	}
 }
 
+// TestRollbackEscalation checks when a rolled-back thread consults the
+// contention manager: the rule itself on synthetic times, then its
+// wiring into the Conflict and commit arms of a two-worker refiner.
+func TestRollbackEscalation(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(us int) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
+	const held = 100 * time.Microsecond
+
+	var s rollbackStreak
+	if !s.rollback(at(0)) {
+		t.Fatal("the first rollback did not consult the manager")
+	}
+	s.consulted(at(0), held) // parked until 100 µs
+	for _, us := range []int{101, 150, 199} {
+		if s.rollback(at(us)) {
+			t.Fatalf("a rollback at %d µs, %d µs into retrying, consulted within the last hold %v", us, us-100, held)
+		}
+	}
+	if !s.rollback(at(200)) {
+		t.Fatal("a streak that retried for the last hold did not consult")
+	}
+	s.consulted(at(200), held) // parked until 300 µs
+	long := s
+	if !long.rollback(at(450)) {
+		t.Fatal("without a commit, 150 µs of retrying did not consult")
+	}
+	s.commit()
+	if s.rollback(at(450)) {
+		t.Fatal("a commit did not end the streak: its next rollback consulted")
+	}
+	if s.rollback(at(549)) || !s.rollback(at(550)) {
+		t.Fatal("the streak a commit started does not consult after the last hold")
+	}
+	s.consulted(at(550), 0)
+	for _, us := range []int{550, 551, 552} {
+		if !s.rollback(at(us)) {
+			t.Fatalf("after a zero hold, the rollback at %d µs did not consult", us)
+		}
+		s.consulted(at(us), 0)
+	}
+	s.commit()
+	if !s.rollback(at(600)) {
+		t.Fatal("after a zero hold, a new streak's first rollback did not consult")
+	}
+
+	t.Run("wiring", func(t *testing.T) {
+		im := img.SpherePhantom(24)
+		ss, err := NewSession(Config{Workers: 2, ContentionManager: "aggressive"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		res, err := ss.Run(context.Background(), im)
+		if err != nil || res.Status != StatusCompleted {
+			t.Fatalf("run: %v, %v", res.Status, err)
+		}
+		r := refinerOver(ss, res)
+		mgr := &holdingCM{hold: time.Second}
+		r.cm = mgr
+
+		var victims []arena.Handle
+		r.mesh.LiveVerts(func(h arena.Handle, v *delaunay.Vertex) {
+			if v.Kind == delaunay.KindCircum {
+				victims = append(victims, h)
+			}
+		})
+		if len(victims) < 2 {
+			t.Fatalf("only %d live circumcenters to remove", len(victims))
+		}
+		th := r.threads[1]
+		th.streak = rollbackStreak{}
+		inj := faultinject.New(faultinject.Config{
+			Seed:  5,
+			Rates: map[faultinject.Point]float64{faultinject.LockDeny: 1},
+		})
+		deny := func() {
+			t.Helper()
+			restore := faultinject.Enable(inj)
+			defer restore()
+			th.removals = th.removals[:0]
+			rollbacks := th.w.Stats.Rollbacks
+			r.doRemoval(th, victims[0])
+			if th.w.Stats.Rollbacks != rollbacks+1 {
+				t.Fatal("a denied removal did not roll back")
+			}
+		}
+		want := func(calls int, what string) {
+			t.Helper()
+			if mgr.calls != calls {
+				t.Fatalf("%s: %d consults, want %d", what, mgr.calls, calls)
+			}
+		}
+		deny()
+		want(1, "the first rollback")
+		deny()
+		want(1, "a rollback within the last hold")
+		th.streak.start = time.Now().Add(-time.Hour)
+		deny()
+		want(2, "a rollback an hour into retrying")
+
+		// A committed removal ends the streak: the next rollback starts
+		// a new one, within the last hold.
+		th.streak.start = time.Now().Add(-time.Hour)
+		committed := false
+		for _, vh := range victims[1:] {
+			th.removals = th.removals[:0]
+			removals := th.w.Stats.Removals
+			r.doRemoval(th, vh)
+			if committed = th.w.Stats.Removals == removals+1; committed {
+				break
+			}
+		}
+		if !committed {
+			t.Fatal("no circumcenter removal committed")
+		}
+		deny()
+		want(2, "the first rollback after a commit")
+
+		mgr.hold = 0
+		th.streak.start = time.Now().Add(-time.Hour)
+		deny()
+		want(3, "a rollback an hour into retrying")
+		deny()
+		deny()
+		want(5, "rollbacks after a zero hold")
+	})
+}
+
+// holdingCM is a contention manager that counts its consults and books
+// hold of contention time for each, without blocking.
+type holdingCM struct {
+	cm.Aggressive
+	calls      int
+	hold       time.Duration
+	contention int64
+}
+
+func (h *holdingCM) OnRollback(tid, conflictTid int) {
+	h.calls++
+	h.contention += int64(h.hold)
+}
+
+func (h *holdingCM) ContentionNs(tid int) int64 { return h.contention }
+
 // TestStaleRetryIsReclassified drives the Conflict arm of doInsertion
 // for an R1 element, then closes its sparsity gate before the retry —
 // another thread's isosurface sample lands within δ of the planned
@@ -118,11 +268,7 @@ func TestStaleRetryIsReclassified(t *testing.T) {
 
 	// A refiner over the stopped run's state, with every list empty and
 	// every count released.
-	r := newRefiner(nil, res.Config)
-	r.edt, r.mesh, r.isoGrid, r.ccGrid, r.threads = s.edtTr, s.mesh, s.isoGrid, s.ccGrid, s.threads
-	r.coord = cm.NewCoordinator(r.cfg.Workers)
-	r.cm = r.cfg.newCM(r.coord)
-	r.bal = r.cfg.newBalancer()
+	r := refinerOver(s, res)
 	type candidate struct {
 		h   arena.Handle
 		act action
@@ -247,11 +393,7 @@ func TestReusedSlotIsNotReclassified(t *testing.T) {
 
 	// A refiner over the stopped run's state — its mesh still single-owner
 	// — with every list empty and every count released.
-	r := newRefiner(nil, res.Config)
-	r.edt, r.mesh, r.isoGrid, r.ccGrid, r.threads = s.edtTr, s.mesh, s.isoGrid, s.ccGrid, s.threads
-	r.coord = cm.NewCoordinator(r.cfg.Workers)
-	r.cm = r.cfg.newCM(r.coord)
-	r.bal = r.cfg.newBalancer()
+	r := refinerOver(s, res)
 	th := r.threads[0]
 	reset := func() {
 		r.mesh.LiveCells(func(_ arena.Handle, c *delaunay.Cell) { c.Aux.Store(0) })

@@ -327,6 +327,7 @@ func (t *thread) resetForRun() {
 	t.poorOwn = 0
 	t.poorForeign.Store(0)
 	t.rollbackNs = 0
+	t.streak = rollbackStreak{}
 	t.ruleCount = [7]int64{}
 	t.scratch = t.scratch[:0]
 }
