@@ -81,7 +81,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxRequestBytes: *maxBytes,
 		Cache:           cache,
-		Brownout:        true,
 		Session:         core.Config{Workers: *workers},
 	})
 	if err != nil {

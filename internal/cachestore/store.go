@@ -157,15 +157,6 @@ func (s *Store) ETag(imageKey, variant string) (string, bool) {
 	return e.etag, true
 }
 
-// Contains reports whether the pair is indexed, without counting a hit
-// or touching recency.
-func (s *Store) Contains(imageKey, variant string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index.Peek(entryKey(imageKey, variant))
-	return ok
-}
-
 // Get returns the cached snapshot for (imageKey, variant), re-verifying
 // the blob's CRC and embedded identity before a byte is trusted. A
 // corrupt blob — or a valid one sitting at another key's path — is moved

@@ -153,7 +153,7 @@ func TestBrownoutControllerHysteresis(t *testing.T) {
 // the degraded variant key only, and a follow-up full-quality request
 // re-meshes at full quality — it never serves the coarse blob.
 func TestBrownoutVariantIsolation(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: true})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	srv.brownout.hold = 10 * time.Millisecond
 
 	// Pin the controller at maximal pressure: every request degrades to
@@ -176,10 +176,10 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	if degraded.StatusCode != http.StatusOK || degraded.Header.Get(BrownoutHeader) != "2" {
 		t.Fatalf("browned request: status %d, %s %q, want 200 at tier 2", degraded.StatusCode, BrownoutHeader, degraded.Header.Get(BrownoutHeader))
 	}
-	if !srv.cache.Contains(key, degradedVariant) {
+	if !cached(srv.cache, key, degradedVariant) {
 		t.Fatalf("degraded result not cached under its own variant %q", degradedVariant)
 	}
-	if srv.cache.Contains(key, fullVariant) {
+	if cached(srv.cache, key, fullVariant) {
 		t.Fatal("degraded result poisoned the full-quality cache entry")
 	}
 	restore()
@@ -202,7 +202,7 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 			break
 		}
 	}
-	if !srv.cache.Contains(key, fullVariant) {
+	if !cached(srv.cache, key, fullVariant) {
 		t.Fatal("full-quality result not cached under the full-quality variant")
 	}
 	if bytes.Equal(full, degraded.body) {
@@ -217,7 +217,7 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 // to the same tier share one coalesced flight and receive
 // byte-identical bodies, both stamped with the brownout header.
 func TestBrownoutCoalescedByteIdentity(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: true})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	srv.brownout.hold = time.Minute
 	restore := faultinject.Enable(faultinject.New(faultinject.Config{
 		Seed: 1,

@@ -15,7 +15,7 @@ import (
 // controller rewrites nothing, so there is no second identity to look
 // up.
 func TestColdMissProbesCacheOnce(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: true})
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
 	meshOK(t, ts.Client(), ts.URL, "", nrrdBody(t, 7))
 	if st := srv.cache.Stats(); st.Misses != 1 || st.Writes != 1 {
 		t.Fatalf("one cold request: cache misses = %d, writes = %d, want 1 and 1", st.Misses, st.Writes)

@@ -280,7 +280,6 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 		// up front: here ten-second leases against a one-second deadline.
 		{"refused as hopeless under brownout",
 			func(t *testing.T, r *endingRig) {
-				r.srv.brownout = newBrownoutController(brownoutLadder, brownoutHold, r.srv.cfg.QueueDepth)
 				for i := 0; i < 10; i++ {
 					r.srv.mLeaseSeconds.Observe(10)
 				}
@@ -510,7 +509,7 @@ func TestPanickedRunNotCached(t *testing.T) {
 	r.base = nrrdBody(t, 12)
 	key := wire.ImageKey(r.base)
 	r.engineAbort()
-	if r.srv.cache.Contains(key, "") {
+	if cached(r.srv.cache, key, "") {
 		t.Fatal("the aborted run's partial mesh was cached")
 	}
 	runs := r.srv.mRunSeconds.Count()
@@ -518,7 +517,7 @@ func TestPanickedRunNotCached(t *testing.T) {
 	if n := r.srv.mRunSeconds.Count() - runs; n != 1 {
 		t.Errorf("the retry made %d runs, want 1", n)
 	}
-	if !r.srv.cache.Contains(key, "") {
+	if !cached(r.srv.cache, key, "") {
 		t.Error("the retry's mesh was not cached")
 	}
 }

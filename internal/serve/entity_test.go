@@ -181,7 +181,7 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 			t.Fatalf("setup: entity hits %d, entries %d, want 1 and 1", srv.entities.hit.Value(), srv.entities.stats().Entries)
 		}
 		meshOK(t, c, ts.URL, "", b)
-		if cache.Contains(ka, "") {
+		if cached(cache, ka, "") {
 			t.Fatal("setup: the store still indexes a after b's write")
 		}
 		before := ledger(srv)

@@ -45,7 +45,6 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 		PoolSize:       1,
 		QueueDepth:     4,
 		DefaultTimeout: 30 * time.Second,
-		Brownout:       brownout,
 	})
 	srv.cache = nil // every admitted request is a run, as the daemon without -cache-dir runs it
 	if brownout {
@@ -54,6 +53,8 @@ func runOverloadPhase(t *testing.T, brownout bool, seed int64, storm time.Durati
 			{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 4},
 			{MaxRadiusEdge: 4, MinFacetAngle: 10, DeltaScale: 8, MaxElements: 100000},
 		}
+	} else {
+		srv.brownout = nil
 	}
 	body := nrrdBody(t, 16)
 	client := &http.Client{Timeout: time.Minute}

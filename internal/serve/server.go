@@ -79,12 +79,6 @@ type Config struct {
 	// consuming a pool session, and every completed leader run is
 	// persisted off-lease.
 	Cache *cachestore.Store
-	// Brownout enables the adaptive quality-brownout controller: under
-	// queue or deadline pressure, /v1/mesh requests are rewritten to a
-	// degraded tier of the built-in ladder (cached under their own honest
-	// variant key, stamped X-Pi2md-Brownout) instead of being rejected.
-	// Off in a zero Config; pi2md always sets it.
-	Brownout bool
 	// Session is the configuration template every pool session runs
 	// with. Its Image field is ignored.
 	Session core.Config
@@ -165,7 +159,8 @@ type Server struct {
 	// deterministic tests.
 	retryJitter func() float64
 
-	// brownout is the adaptive quality controller; nil when disabled.
+	// brownout is the adaptive quality controller; nil only where a test
+	// turns it off after NewServer.
 	brownout *brownoutController
 
 	// imgCache retains parsed input images by image key, one byte per
@@ -230,9 +225,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.flights = make(map[string]*flight)
 	s.coalesceMax = coalesceLimit
 	s.retryJitter = rand.Float64
-	if cfg.Brownout {
-		s.brownout = newBrownoutController(brownoutLadder, brownoutHold, cfg.QueueDepth)
-	}
+	s.brownout = newBrownoutController(brownoutLadder, brownoutHold, cfg.QueueDepth)
 
 	r := s.reg
 	s.mRequests = r.CounterVec("pi2md_http_requests_total",

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,6 +101,12 @@ func openTestCache(t testing.TB, dir string) *cachestore.Store {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// cached reports whether the store indexes the pair, read from KeysMRU
+// so that asking counts no hit and moves no recency.
+func cached(c *cachestore.Store, key, variant string) bool {
+	return slices.ContainsFunc(c.KeysMRU(), func(k cachestore.KeyInfo) bool { return k.ImageKey == key && k.Variant == variant })
 }
 
 const octet = "application/octet-stream"
@@ -553,7 +560,10 @@ func TestServerSlowSessionFault(t *testing.T) {
 // default): an idle controller must not show.
 func TestPinMeshPath(t *testing.T) {
 	for _, brownout := range []bool{false, true} {
-		srv, ts := newTestServer(t, Config{PoolSize: 1, Brownout: brownout, MaxRequestBytes: 4 << 10})
+		srv, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
+		if !brownout {
+			srv.brownout = nil
+		}
 		c := ts.Client()
 		body := nrrdBody(t, 7)
 		mesh := ts.URL + "/v1/mesh"

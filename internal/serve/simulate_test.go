@@ -214,7 +214,7 @@ func TestSimulateBadBC(t *testing.T) {
 	if e != (ending{400, wire.CodeBadBC}) {
 		t.Errorf("an unmatchable BC answered %+v", e)
 	}
-	if !r.srv.cache.Contains(wire.ImageKey(r.base), "") {
+	if !cached(r.srv.cache, wire.ImageKey(r.base), "") {
 		t.Error("the mesh under an unmatchable BC was not cached")
 	}
 }
