@@ -15,7 +15,6 @@
 //	curl -s -X POST localhost:8080/v1/drain                   # announce drain, hand off warm keys
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/readyz
-//	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics
 //
 // On SIGINT/SIGTERM the daemon stops accepting, lets in-flight jobs

@@ -407,10 +407,10 @@ func (r *Refiner) rolledBack(t *thread, start time.Time) {
 // (Aggressive-CM always, Random-CM until it sleeps) is consulted again
 // at the next rollback. If no thread commits, every streak grows until
 // its thread consults the manager, whose handshake (Fig. 2) then rules
-// out livelock as before.
+// out livelock as before. The rent is capped at maxRent.
 type rollbackStreak struct {
 	start time.Time     // when the current streak's retrying began; zero while committing
-	hold  time.Duration // how long the manager held the thread at its last consult
+	hold  time.Duration // how long the manager held the thread at its last consult, at most maxRent
 }
 
 // rollback records a rollback at now and reports whether the thread
@@ -426,9 +426,15 @@ func (s *rollbackStreak) rollback(now time.Time) bool {
 // rollback at now, held the thread for hold; the thread's retrying
 // starts over when the manager lets it go.
 func (s *rollbackStreak) consulted(now time.Time, hold time.Duration) {
-	s.hold = hold
+	s.hold = min(hold, maxRent)
 	s.start = now.Add(hold)
 }
+
+// maxRent bounds how long a streak retries before it consults: about
+// twice the ~100 µs a Global- or Local-CM park costs. A longer hold was
+// spent waiting on a descheduled peer or in Random-CM's 1–5 ms sleep,
+// and renting that long turns oversubscription into a rollback storm.
+const maxRent = 200 * time.Microsecond
 
 // commit ends the current streak.
 func (s *rollbackStreak) commit() { s.start = time.Time{} }

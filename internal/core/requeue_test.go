@@ -148,6 +148,11 @@ func TestRollbackEscalation(t *testing.T) {
 	if !s.rollback(at(600)) {
 		t.Fatal("after a zero hold, a new streak's first rollback did not consult")
 	}
+	s.consulted(at(600), 5*time.Millisecond) // parked until 5,600 µs
+	rent := int(maxRent / time.Microsecond)
+	if s.rollback(at(5600+rent-1)) || !s.rollback(at(5600+rent)) {
+		t.Fatalf("after a 5 ms hold, the streak does not consult after %v of retrying", maxRent)
+	}
 
 	t.Run("wiring", func(t *testing.T) {
 		im := img.SpherePhantom(24)

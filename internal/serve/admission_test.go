@@ -107,7 +107,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if _, err := srv.decodeImage(k3, b3); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.imgCache.stats().Bytes; got != n1+n3 || got > n2+n3 {
+	if got := srv.imgCache.cache.Bytes(); got != n1+n3 || got > n2+n3 {
 		t.Fatalf("cache accounts %d bytes after eviction, want %d (within budget %d)", got, n1+n3, n2+n3)
 	}
 	if ev := srv.imgCache.evict.Value(); ev != 1 {
@@ -134,7 +134,7 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	if _, err := tiny.decodeImage(k1, b1); err != nil {
 		t.Fatal(err)
 	}
-	if tiny.imgCache.stats().Entries != 0 {
+	if tiny.imgCache.cache.Len() != 0 {
 		t.Fatal("over-budget image was admitted to the cache")
 	}
 }

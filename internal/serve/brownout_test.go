@@ -208,8 +208,8 @@ func TestBrownoutVariantIsolation(t *testing.T) {
 	if bytes.Equal(full, degraded.body) {
 		t.Fatal("full-quality request served the coarse blob")
 	}
-	if st := srv.Stats(); st.BrownedOut == 0 || st.BrownoutTier != 0 {
-		t.Fatalf("stats = browned_out %d, tier %d; want >0 jobs and tier 0", st.BrownedOut, st.BrownoutTier)
+	if l := ledger(srv); family(l, "browned_out") == 0 || l["brownout_tier"] != 0 {
+		t.Fatalf("browned_out %d, tier %d; want >0 jobs and tier 0", family(l, "browned_out"), l["brownout_tier"])
 	}
 }
 

@@ -107,9 +107,9 @@ func TestImageKeyFollowsTheBytes(t *testing.T) {
 			t.Fatalf("old tag on the flipped copy (ask %d): status %d, want 200", i+1, a.StatusCode)
 		}
 	}
-	if uploadHits() != 2 || srv.mRunSeconds.Count() != 2 || srv.Stats().UploadCache.Entries != 2 {
+	if uploadHits() != 2 || srv.mRunSeconds.Count() != 2 || srv.uploads.Stats().Entries != 2 {
 		t.Fatalf("after the flipped copy: %v upload-memo hits, %d runs, %d memo entries; want 2, 2, 2",
-			uploadHits(), srv.mRunSeconds.Count(), srv.Stats().UploadCache.Entries)
+			uploadHits(), srv.mRunSeconds.Count(), srv.uploads.Stats().Entries)
 	}
 }
 

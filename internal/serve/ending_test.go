@@ -433,6 +433,11 @@ func TestEveryEndingBooksOnce(t *testing.T) {
 			if after["accepted"] != after["completed"]+after["failed"] {
 				t.Errorf("accepted %d != completed %d + failed %d", after["accepted"], after["completed"], after["failed"])
 			}
+			// What the benchmark's traced pass reads of Stats is the series.
+			if st := r.srv.Stats(); st.Accepted != after["accepted"] || st.Coalesced != after["coalesced"] || st.CacheServed != after["cache_served"] {
+				t.Errorf("Stats reads accepted %d, coalesced %d, cache-served %d; the series %d, %d, %d",
+					st.Accepted, st.Coalesced, st.CacheServed, after["accepted"], after["coalesced"], after["cache_served"])
+			}
 		})
 	}
 }

@@ -48,8 +48,8 @@ func TestEntityCacheServesIdenticalBytes(t *testing.T) {
 
 				// The miss: a fresh run, which admits nothing.
 				meshed := endpoints[0].request(t, client, ts.URL, format).body
-				if st := srv.entities.stats(); st.Entries != 0 {
-					t.Fatalf("a fresh run left %d entities in memory", st.Entries)
+				if n := srv.entities.cache.Len(); n != 0 {
+					t.Fatalf("a fresh run left %d entities in memory", n)
 				}
 				blobs, _ := filepath.Glob(filepath.Join(dir, "blobs", "*.snap"))
 				if len(blobs) != 1 {
@@ -177,8 +177,8 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 		first, _ := meshOK(t, c, ts.URL, "", a)
 		meshOK(t, c, ts.URL, "", a) // disk hit, admitted
 		meshOK(t, c, ts.URL, "", a) // memory hit
-		if srv.entities.hit.Value() != 1 || srv.entities.stats().Entries != 1 {
-			t.Fatalf("setup: entity hits %d, entries %d, want 1 and 1", srv.entities.hit.Value(), srv.entities.stats().Entries)
+		if srv.entities.hit.Value() != 1 || srv.entities.cache.Len() != 1 {
+			t.Fatalf("setup: entity hits %d, entries %d, want 1 and 1", srv.entities.hit.Value(), srv.entities.cache.Len())
 		}
 		meshOK(t, c, ts.URL, "", b)
 		if cached(cache, ka, "") {
@@ -223,8 +223,8 @@ func TestEntityCacheFollowsTheStore(t *testing.T) {
 		if !bytes.Equal(again, first) {
 			t.Fatal("the re-mesh after quarantine produced different bytes")
 		}
-		if st := srv.entities.stats(); st.Entries != 0 {
-			t.Fatalf("%d entities in memory, want 0: nothing was ever a verified hit", st.Entries)
+		if n := srv.entities.cache.Len(); n != 0 {
+			t.Fatalf("%d entities in memory, want 0: nothing was ever a verified hit", n)
 		}
 	})
 }
@@ -239,8 +239,8 @@ func TestEntityCacheAdmission(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			meshOK(t, ts.Client(), ts.URL, "", freshNRRD(base, 1, i))
 		}
-		if st := srv.entities.stats(); st.Entries != 0 || st.Bytes != 0 {
-			t.Fatalf("12 never-seen images left %d entities / %d bytes in memory, want 0 / 0", st.Entries, st.Bytes)
+		if n, b := srv.entities.cache.Len(), srv.entities.cache.Bytes(); n != 0 || b != 0 {
+			t.Fatalf("12 never-seen images left %d entities / %d bytes in memory, want 0 / 0", n, b)
 		}
 		if n := srv.mRunSeconds.Count(); n != 12 {
 			t.Fatalf("runs = %d, want 12", n)
@@ -257,8 +257,8 @@ func TestEntityCacheAdmission(t *testing.T) {
 				t.Fatalf("hit %d served different bytes", i+1)
 			}
 		}
-		if st := srv.entities.stats(); st.Entries != 0 || srv.entities.hit.Value() != 0 {
-			t.Fatalf("an over-budget entity was kept: %d entries, %d hits", st.Entries, srv.entities.hit.Value())
+		if n := srv.entities.cache.Len(); n != 0 || srv.entities.hit.Value() != 0 {
+			t.Fatalf("an over-budget entity was kept: %d entries, %d hits", n, srv.entities.hit.Value())
 		}
 		if srv.mCacheServed.Value() != 3 || srv.mRunSeconds.Count() != 1 {
 			t.Fatalf("cache-served = %d, runs = %d, want 3 and 1", srv.mCacheServed.Value(), srv.mRunSeconds.Count())
@@ -289,8 +289,8 @@ func TestEntityCacheAdmission(t *testing.T) {
 			t.Fatalf("entity hits = %d, want 1", h)
 		}
 		hit(2) // disk: admits 2, evicting 1
-		if st := srv.entities.stats(); st.Bytes != n[0]+n[2] || st.Entries != 2 {
-			t.Fatalf("resident %d bytes in %d entries, want %d in 2", st.Bytes, st.Entries, n[0]+n[2])
+		if b, e := srv.entities.cache.Bytes(), srv.entities.cache.Len(); b != n[0]+n[2] || e != 2 {
+			t.Fatalf("resident %d bytes in %d entries, want %d in 2", b, e, n[0]+n[2])
 		}
 		if ev := srv.entities.evict.Value(); ev != 1 {
 			t.Fatalf("evictions = %d, want 1", ev)
@@ -306,8 +306,10 @@ func TestEntityCacheAdmission(t *testing.T) {
 		}
 		// The same numbers on the wire.
 		l := ledger(srv)
-		if got := l["mem_bytes:entity"]; got != srv.entities.stats().Bytes {
-			t.Errorf("pi2md_mem_cache_bytes{entity} = %d, want %d", got, srv.entities.stats().Bytes)
+		for name, c := range map[string]int64{"entity": srv.entities.cache.Bytes(), "image": srv.imgCache.cache.Bytes()} {
+			if got := l["mem_bytes:"+name]; got != c {
+				t.Errorf("pi2md_mem_cache_bytes{%s} = %d, want %d", name, got, c)
+			}
 		}
 		if got := l["mem:entity,hit"]; got != 2 {
 			t.Errorf("pi2md_mem_cache_events_total{entity,hit} = %d, want 2", got)
@@ -316,10 +318,6 @@ func TestEntityCacheAdmission(t *testing.T) {
 			if _, ok := l["mem:"+c+",evict"]; !ok {
 				t.Errorf("/metrics lacks the %s evict series", c)
 			}
-		}
-		if st := srv.Stats(); st.EntityCache != srv.entities.stats() || st.ImageCache != srv.imgCache.stats() {
-			t.Errorf("/v1/stats reports entity %+v image %+v, the caches %+v and %+v",
-				st.EntityCache, st.ImageCache, srv.entities.stats(), srv.imgCache.stats())
 		}
 	})
 }
@@ -398,9 +396,8 @@ func TestEntityCacheConcurrentHits(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := srv.entities.stats()
-	if st.Bytes > srv.entities.cache.MaxBytes || st.Entries < 1 {
-		t.Errorf("resident %d bytes in %d entries under a budget of %d", st.Bytes, st.Entries, srv.entities.cache.MaxBytes)
+	if b, n := srv.entities.cache.Bytes(), srv.entities.cache.Len(); b > srv.entities.cache.MaxBytes || n < 1 {
+		t.Errorf("resident %d bytes in %d entries under a budget of %d", b, n, srv.entities.cache.MaxBytes)
 	}
 	if srv.entities.hit.Value() < 1 || srv.entities.evict.Value() < 1 {
 		t.Errorf("entity hits %d, evictions %d: the storm exercised neither", srv.entities.hit.Value(), srv.entities.evict.Value())

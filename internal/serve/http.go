@@ -23,7 +23,6 @@ import (
 //	POST /v1/simulate  multipart spec+image → solved FEM field on the mesh
 //	GET  /healthz      liveness (always "ok" while the process is alive)
 //	GET  /readyz       readiness (503 while draining)
-//	GET  /v1/stats     JSON serving statistics
 //	GET  /metrics      Prometheus text exposition
 //
 // /v1/mesh accepts its knobs two ways, parsed into the same MeshSpec:
@@ -41,7 +40,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s.countRequests(mux)
 }
@@ -338,13 +336,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ready\n")
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/lru"
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // memCache is an lru.Cache behind a mutex, booking its events: the one
@@ -54,10 +53,4 @@ func (c *memCache[V]) add(key string, val V, size int64) V {
 	c.cache.Put(key, val, size)
 	c.resident.Set(c.cache.Bytes())
 	return val
-}
-
-func (c *memCache[V]) stats() wire.MemCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return wire.MemCacheStats{Entries: c.cache.Len(), Bytes: c.cache.Bytes()}
 }

@@ -63,8 +63,8 @@ func TestLRU(t *testing.T) {
 					}
 				}
 			}
-			if st := c.stats(); st.Entries != tc.entries || st.Bytes != tc.bytes {
-				t.Errorf("resident %d entries / %d bytes, want %d / %d", st.Entries, st.Bytes, tc.entries, tc.bytes)
+			if n, b := c.cache.Len(), c.cache.Bytes(); n != tc.entries || b != tc.bytes {
+				t.Errorf("resident %d entries / %d bytes, want %d / %d", n, b, tc.entries, tc.bytes)
 			}
 			if got := bytes.Value(tc.name); got != tc.bytes {
 				t.Errorf("bytes gauge = %d, want %d", got, tc.bytes)

@@ -182,11 +182,11 @@ func TestOverloadBrownout(t *testing.T) {
 	if !recovered {
 		t.Fatal("controller never recovered to full quality after the storm")
 	}
-	st := srv.Stats()
-	if st.BrownedOut == 0 {
-		t.Fatal("stats report zero browned-out jobs after a brownout storm")
+	l := ledger(srv)
+	if family(l, "browned_out") == 0 {
+		t.Fatal("zero browned-out jobs after a brownout storm")
 	}
-	if st.BrownoutTier != 0 {
-		t.Fatalf("stats report tier %d after recovery, want 0", st.BrownoutTier)
+	if l["brownout_tier"] != 0 {
+		t.Fatalf("tier %d after recovery, want 0", l["brownout_tier"])
 	}
 }

@@ -61,15 +61,14 @@ type poolEntry struct {
 
 // PoolStats is a snapshot of the pool's behavior.
 type PoolStats struct {
-	Size        int   `json:"size"`
-	Busy        int   `json:"busy"`
-	Checkouts   int64 `json:"checkouts"`
-	Evictions   int64 `json:"evictions"`
-	Quarantines int64 `json:"quarantines_total"`
+	Busy        int
+	Checkouts   int64
+	Evictions   int64
+	Quarantines int64
 
 	// Sessions aggregates the reuse counters of every run served through
 	// a lease, sessions since evicted or replaced included.
-	Sessions core.SessionStats `json:"sessions"`
+	Sessions core.SessionStats
 }
 
 // NewPool builds a pool of n sessions sharing one configuration
@@ -107,11 +106,8 @@ type Lease struct {
 	// runs (MarkBad).
 	bad bool
 
-	// ran, edtHit and warm record the session's use and reuse behavior
-	// across the lease's runs.
-	ran    bool
-	edtHit bool
-	warm   bool
+	// ran records that the lease ran its session.
+	ran bool
 }
 
 // putLocked (p.mu held) is the one way a slot becomes free: it hands
@@ -193,13 +189,6 @@ func (p *Pool) Checkout(ctx context.Context) (*Lease, error) {
 	}
 }
 
-// EDTHit reports whether any run on this lease reused the session's
-// cached distance transform.
-func (l *Lease) EDTHit() bool { return l.edtHit }
-
-// WarmRun reports whether any run on this lease reused warm arenas.
-func (l *Lease) WarmRun() bool { return l.warm }
-
 // RunTuned executes one image-to-mesh conversion on the leased session
 // with per-run configuration overrides (nil for none; see
 // core.Session.RunTuned). The caller must extract everything it needs
@@ -213,12 +202,6 @@ func (l *Lease) RunTuned(ctx context.Context, image *img.Image, tune func(*core.
 	before := l.s.Stats()
 	res, err := l.s.RunTuned(ctx, image, tune)
 	after := l.s.Stats()
-	if after.WarmEDTHits > before.WarmEDTHits {
-		l.edtHit = true
-	}
-	if after.WarmRuns > before.WarmRuns {
-		l.warm = true
-	}
 	p := l.p
 	p.mu.Lock()
 	p.sessions.Runs += after.Runs - before.Runs
@@ -309,7 +292,6 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Size:        p.size,
 		Busy:        p.size - len(p.free),
 		Checkouts:   p.checkouts,
 		Evictions:   p.evictions,

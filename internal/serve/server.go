@@ -1,7 +1,7 @@
 // Package serve is the serving layer of PI2M: a bounded pool of warm
 // core.Sessions multiplexing concurrent image-to-mesh requests, a job
 // admission controller with queue-depth and deadline rejection, and an
-// HTTP surface (POST /v1/mesh, /healthz, /v1/stats, /metrics). What it
+// HTTP surface (POST /v1/mesh, /healthz, /metrics). What it
 // shares with the router — the wire contract and the metrics registry —
 // lives in the leaf packages internal/wire and internal/metrics.
 //
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,10 +133,9 @@ type Server struct {
 	cfg   Config
 	pool  *Pool
 	cache *cachestore.Store
-	start time.Time
 
 	// nodeID is this process's stable serving identity: random at boot,
-	// surfaced in /v1/stats and on every response as X-Pi2md-Node, so a
+	// surfaced on every response as X-Pi2md-Node, so a
 	// router (or an operator) can verify shard affinity end to end.
 	nodeID string
 
@@ -197,20 +195,17 @@ type Server struct {
 	mSimJobs         *metrics.CounterVec // pi2md_simulate_jobs_total{outcome}
 	mBrownedOut      *metrics.CounterVec // pi2md_browned_out_jobs_total{tier}
 
-	// lastRuns is a ring of recent run summaries for /v1/stats.
+	// lastRuns is a ring of recent run summaries, read through Stats.
 	lastMu   sync.Mutex
 	lastRuns []JobSummary
 }
 
-// JobSummary is one served job in /v1/stats' recent-runs ring.
+// JobSummary is one served job: how it was answered and the run that
+// produced its mesh.
 type JobSummary struct {
-	ImageKey    string          `json:"image_key"`
-	QueueWaitMs float64         `json:"queue_wait_ms"`
-	EDTCacheHit bool            `json:"edt_cache_hit"`
-	WarmRun     bool            `json:"warm_run"`
-	Coalesced   bool            `json:"coalesced,omitempty"`
-	CacheHit    bool            `json:"cache_hit,omitempty"`
-	Run         core.RunSummary `json:"run"`
+	Coalesced bool
+	CacheHit  bool
+	Run       core.RunSummary
 }
 
 // NewServer validates the configuration, builds the pool and wires
@@ -221,7 +216,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, start: time.Now(), reg: metrics.NewRegistry(), nodeID: newNodeID()}
+	s := &Server{cfg: cfg, pool: pool, cache: cfg.Cache, reg: metrics.NewRegistry(), nodeID: newNodeID()}
 	s.flights = make(map[string]*flight)
 	s.coalesceMax = coalesceLimit
 	s.retryJitter = rand.Float64
@@ -499,14 +494,8 @@ func (s *Server) runOnce(jctx context.Context, j *job) (*SnapshotResult, error) 
 	}
 
 	return &SnapshotResult{
-		ETag: etag,
-		Summary: JobSummary{
-			ImageKey:    j.key,
-			QueueWaitMs: float64(wait) / 1e6,
-			EDTCacheHit: lease.EDTHit(),
-			WarmRun:     lease.WarmRun(),
-			Run:         sum,
-		},
+		ETag:     etag,
+		Summary:  JobSummary{Run: sum},
 		Snapshot: snap,
 	}, nil
 }
@@ -555,86 +544,24 @@ func (s *Server) waitEstimate(pos int64, q float64) float64 {
 	return (float64(pos)/float64(s.cfg.PoolSize) + 1) * s.mLeaseSeconds.Quantile(q)
 }
 
-// Stats is the /v1/stats document.
+// Stats is what the job ledger keeps beyond /metrics' series: three
+// of its counters and the ring of recent leader runs.
 type Stats struct {
-	NodeID        string  `json:"node_id"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-	QueueDepth    int64   `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	Accepted      int64   `json:"jobs_accepted"`
-	Completed     int64   `json:"jobs_completed"`
-	Failed        int64   `json:"jobs_failed"`
-	Coalesced     int64   `json:"jobs_coalesced"`
-	RejectedFull  int64   `json:"jobs_rejected_queue_full"`
-	RejectedDL    int64   `json:"jobs_rejected_deadline"`
-	RejectedCancl int64   `json:"jobs_rejected_canceled"`
-	DeadlineAbort int64   `json:"deadline_aborts"`
-	CacheServed   int64   `json:"jobs_cache_served"`
-	CacheOnly     int64   `json:"jobs_cache_only_served,omitempty"`
-	CacheOnlyMiss int64   `json:"jobs_cache_only_miss,omitempty"`
-	BrownoutTier  int     `json:"brownout_tier,omitempty"`
-	BrownedOut    int64   `json:"jobs_browned_out,omitempty"`
-	RejectedOver  int64   `json:"jobs_rejected_overloaded,omitempty"`
-	// InflightKeys are the coalesce keys with an open single-flight
-	// entry right now, sorted: what the node is computing.
-	InflightKeys []string           `json:"inflight_keys,omitempty"`
-	Pool         PoolStats          `json:"pool"`
-	Cache        *cachestore.Stats  `json:"cache,omitempty"`
-	ImageCache   wire.MemCacheStats `json:"image_cache"`
-	EntityCache  wire.MemCacheStats `json:"entity_cache"`
-	UploadCache  wire.MemCacheStats `json:"upload_cache"`
-	RecentRuns   []JobSummary       `json:"recent_runs"`
+	Accepted    int64
+	Coalesced   int64
+	CacheServed int64
+	RecentRuns  []JobSummary
 }
 
-// Stats snapshots the serving counters for /v1/stats.
+// Stats snapshots the ledger's job counts and its recent-runs ring.
 func (s *Server) Stats() Stats {
 	s.lastMu.Lock()
-	recent := append([]JobSummary(nil), s.lastRuns...)
-	s.lastMu.Unlock()
-	var cacheStats *cachestore.Stats
-	if s.cache != nil {
-		st := s.cache.Stats()
-		cacheStats = &st
-	}
-	brownoutTier := 0
-	if s.brownout != nil {
-		brownoutTier = s.brownout.Tier()
-	}
-	s.flightMu.Lock()
-	inflight := make([]string, 0, len(s.flights))
-	for k := range s.flights {
-		inflight = append(inflight, k)
-	}
-	s.flightMu.Unlock()
-	sort.Strings(inflight)
+	defer s.lastMu.Unlock()
 	return Stats{
-		NodeID:        s.nodeID,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Draining:      s.draining.Load(),
-		QueueDepth:    int64(s.pool.Waiters()),
-		QueueCapacity: s.cfg.QueueDepth,
-		Accepted:      s.mAccepted.Value(),
-		Completed:     s.mCompleted.Value(),
-		Failed:        s.mFailed.Value(),
-		Coalesced:     s.mCoalesced.Value(),
-		RejectedFull:  s.mRejected.Value("queue_full"),
-		RejectedDL:    s.mRejected.Value("deadline"),
-		RejectedCancl: s.mRejected.Value("canceled"),
-		DeadlineAbort: s.mDeadlineAborts.Value(),
-		CacheServed:   s.mCacheServed.Value(),
-		CacheOnly:     s.mCacheOnlyServed.Value(),
-		CacheOnlyMiss: s.mCacheOnlyMiss.Value(),
-		BrownoutTier:  brownoutTier,
-		BrownedOut:    s.mBrownedOut.Total(),
-		RejectedOver:  s.mRejected.Value("overloaded"),
-		InflightKeys:  inflight,
-		Pool:          s.pool.Stats(),
-		Cache:         cacheStats,
-		ImageCache:    s.imgCache.stats(),
-		EntityCache:   s.entities.stats(),
-		UploadCache:   s.uploads.Stats(),
-		RecentRuns:    recent,
+		Accepted:    s.mAccepted.Value(),
+		Coalesced:   s.mCoalesced.Value(),
+		CacheServed: s.mCacheServed.Value(),
+		RecentRuns:  append([]JobSummary(nil), s.lastRuns...),
 	}
 }
 

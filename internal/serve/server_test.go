@@ -192,11 +192,12 @@ var series = map[string]string{
 	"pi2md_mem_cache_events_total":     "mem",
 	"pi2md_mem_cache_bytes":            "mem_bytes",
 	"pi2md_http_requests_total":        "http",
+	"pi2md_brownout_tier":              "brownout_tier",
 }
 
 // ledger reads those series off the exposition, plus the length of
-// /v1/stats' recent-runs ring as "recorded": the serve tests' one
-// reader of the exposition.
+// the recent-runs ring as "recorded": the serve tests' one reader of
+// the exposition.
 func ledger(srv *Server) map[string]int64 {
 	var b strings.Builder
 	srv.Registry().WritePrometheus(&b)
@@ -222,8 +223,18 @@ func ledger(srv *Server) map[string]int64 {
 	return out
 }
 
-// recentRuns is /v1/stats' recent-runs ring: the serve tests' one
-// reader of it.
+// family sums the labelled series of one family in a ledger.
+func family(l map[string]int64, name string) (n int64) {
+	for k, v := range l {
+		if strings.HasPrefix(k, name+":") {
+			n += v
+		}
+	}
+	return n
+}
+
+// recentRuns is Stats' recent-runs ring: the serve tests' one reader
+// of it.
 func recentRuns(srv *Server) []JobSummary { return srv.Stats().RecentRuns }
 
 // jobLedger names the job-ledger families, and the recent-runs ring.
@@ -270,8 +281,7 @@ func moved(before, after map[string]int64) map[string]int64 {
 // TestServerEndToEnd is the acceptance test of the serving layer: an
 // in-process server over a pool of 2 sessions takes 8 concurrent mesh
 // requests, observes warm-session cache hits, suffers injected
-// queue-full rejections, and reports consistent counters on /metrics
-// and /v1/stats.
+// queue-full rejections, and reports consistent counters on /metrics.
 func TestServerEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 2, QueueDepth: 16})
 	srv.cache = nil // the daemon's default (no -cache-dir): every repeat runs
@@ -361,22 +371,6 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if l["cells"] <= 0 {
 		t.Errorf("cells_total = %d, want > 0", l["cells"])
-	}
-
-	// /v1/stats must agree with /metrics.
-	var st Stats
-	if err := json.Unmarshal(send(t, client, "GET", ts.URL+"/v1/stats", "", nil).body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Completed != l["completed"] || st.RejectedFull != l["rejected:queue_full"] {
-		t.Errorf("/v1/stats (completed %d, rejected %d) disagrees with /metrics (%d, %d)",
-			st.Completed, st.RejectedFull, l["completed"], l["rejected:queue_full"])
-	}
-	if st.Pool.Size != 2 {
-		t.Errorf("pool size = %d, want 2", st.Pool.Size)
-	}
-	if st.Pool.Sessions.WarmEDTHits < 1 {
-		t.Errorf("pool sessions report %d EDT hits, want >= 1", st.Pool.Sessions.WarmEDTHits)
 	}
 }
 

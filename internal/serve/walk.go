@@ -265,7 +265,7 @@ func (s *Server) cachedSnapshot(j *job, counted bool) (*SnapshotResult, bool) {
 // alike: accepted without touching the pool or the queue.
 func cacheServed(j *job, sr *SnapshotResult, run core.RunSummary) *SnapshotResult {
 	j.accepted = true
-	sr.Summary = JobSummary{ImageKey: j.key, CacheHit: true, Run: run}
+	sr.Summary = JobSummary{CacheHit: true, Run: run}
 	return sr
 }
 
@@ -324,7 +324,6 @@ func (s *Server) settle(j *job, sr *SnapshotResult, err error) {
 // follower that gives up first (deadline or cancellation) detaches —
 // the leader keeps running for the remaining members.
 func (s *Server) joinFlight(jctx context.Context, j *job, f *flight) (*SnapshotResult, error) {
-	waitStart := time.Now()
 	select {
 	case <-jctx.Done():
 		s.flightMu.Lock()
@@ -341,14 +340,7 @@ func (s *Server) joinFlight(jctx context.Context, j *job, f *flight) (*SnapshotR
 		return nil, fmt.Errorf("serve: coalesced run: %w", f.err)
 	}
 	return &SnapshotResult{
-		Summary: JobSummary{
-			ImageKey:    j.key,
-			QueueWaitMs: float64(time.Since(waitStart)) / 1e6,
-			EDTCacheHit: f.out.Summary.EDTCacheHit,
-			WarmRun:     f.out.Summary.WarmRun,
-			Coalesced:   true,
-			Run:         f.out.Summary.Run,
-		},
+		Summary:  JobSummary{Coalesced: true, Run: f.out.Summary.Run},
 		Snapshot: f.out.Snapshot,
 		ETag:     f.out.ETag,
 	}, nil

@@ -17,7 +17,8 @@ const (
 	doorkeeperSize = 1024
 )
 
-// MemCacheStats is what /v1/stats says about one in-process cache.
+// MemCacheStats is what the router's /v1/stats says about its upload
+// cache.
 type MemCacheStats struct {
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
