@@ -35,10 +35,13 @@ const (
 	ChunkSize = 1 << ChunkShift
 	chunkMask = ChunkSize - 1
 	// MaxChunks bounds the total capacity at MaxChunks*ChunkSize
-	// entries (2^26 with the defaults, ~4.8 GB of cells). The
-	// chunk-pointer table is a fixed array scanned by the garbage
-	// collector, so it is kept small.
-	MaxChunks = 1 << 16
+	// entries (2^23 with the defaults, ~604 MB of cells, about 2.5× a
+	// 3×10^6-tetrahedron mesh). The chunk-pointer table is a fixed
+	// array, so At loads a chunk in one step; it lives in every arena
+	// whatever its mesh and every collection scans it, so it is kept to
+	// 64 KiB. A run past the capacity panics in Alloc, which the
+	// refiner turns into an aborted run.
+	MaxChunks = 1 << 13
 )
 
 // Handle addresses one entry in an Arena. The zero handle is reserved

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -298,4 +299,25 @@ func TestRewindToEmptyPrefix(t *testing.T) {
 	if h := al.Alloc(); h != first || a.At(h).id != 0 {
 		t.Fatalf("first handle after rewind = %d holding %d, want %d holding 0", h, a.At(h).id, first)
 	}
+}
+
+// TestCapacityExhaustedPanics: one allocator fills every chunk the
+// fixed table can register, ending on the last handle there is, and the
+// Alloc after that panics rather than writing past the table.
+func TestCapacityExhaustedPanics(t *testing.T) {
+	a := New[struct{ b byte }]()
+	al := a.NewAllocator()
+	var last Handle
+	for range (MaxChunks - 1) * ChunkSize { // chunk 0 holds only the nil slot
+		last = al.Alloc()
+	}
+	if last != MaxChunks*ChunkSize-1 {
+		t.Fatalf("last handle %d, want %d", last, MaxChunks*ChunkSize-1)
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "capacity exhausted") {
+			t.Fatalf("Alloc past capacity recovered %q, want a capacity-exhausted panic", r)
+		}
+	}()
+	al.Alloc()
 }

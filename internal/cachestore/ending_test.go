@@ -3,6 +3,7 @@ package cachestore
 import (
 	"errors"
 	"maps"
+	"os"
 	"path/filepath"
 	"slices"
 	"syscall"
@@ -101,12 +102,19 @@ func put(key string, n int, faults ...faultinject.Point) func(f *fixture) {
 	}
 }
 
+// blobSize is the length of the blob testSnap(n) frames to.
+func blobSize(n int) int64 {
+	data, _, _ := encodeBlob(blobMeta{ImageKey: "k", CreatedNS: 1, Summary: testSnap(n).Summary}, testSnap(n))
+	return int64(len(data))
+}
+
 // TestEveryStoreEnding: a write the disk refuses, tears or corrupts, an
-// over-budget write, a write to a closed store, and the one request an
-// ETag lookup and a Read make. A torn or bit-flipped blob is indexed as
-// written, and the read or the boot that meets it quarantines it: it is
-// never served. An ETag lookup that misses counts nothing; the Read
-// after it counts the miss.
+// over-budget write, a write that evicts, a write to a closed store, and
+// the one request an ETag lookup and a Read make. A torn or bit-flipped
+// blob is indexed as written, and the read or the boot that meets it
+// quarantines it: it is never served. An evicted blob is gone, tomb and
+// all, once the put returns. An ETag lookup that misses counts nothing;
+// the Read after it counts the miss.
 func TestEveryStoreEnding(t *testing.T) {
 	runEndings(t,
 		storeEnding{name: "a refused write caches nothing",
@@ -141,6 +149,10 @@ func TestEveryStoreEnding(t *testing.T) {
 				}
 			},
 			moved: Stats{Misses: 1}},
+		storeEnding{name: "an evicting put leaves no victim and no tomb", budget: 2 * blobSize(6),
+			setup: indexed("a", "b"), op: put("c", 3),
+			moved: Stats{Writes: 1, Evictions: 1}, index: []string{"c", "b"},
+			files: []string{"b", "c"}, reopen: []string{"b", "c"}},
 		storeEnding{name: "a put after Close is refused",
 			op: func(f *fixture) {
 				f.s.Close()
@@ -164,6 +176,55 @@ func TestStorePutGetPersistsAcrossReopen(t *testing.T) {
 			op:    func(f *fixture) { f.get("k", "d=2.5", false) },
 			moved: Stats{Misses: 1}, index: k, files: k, reopen: k},
 	)
+}
+
+// TestEvictionUnlinksOutsideTheLock: an evicting put deletes its
+// victim's blob only after releasing the store, so a lookup of another
+// key is answered while that delete is still under way.
+func TestEvictionUnlinksOutsideTheLock(t *testing.T) {
+	f := newFixture(t, 2*blobSize(6))
+	indexed("a", "b")(f)
+	entered, release := make(chan string), make(chan struct{})
+	unlink = func(tomb string) error {
+		entered <- tomb
+		<-release
+		return os.Remove(tomb)
+	}
+	defer func() { unlink = os.Remove }()
+	done := make(chan error)
+	go func() {
+		_, err := f.s.Put("c", "", testSnap(3))
+		done <- err
+	}()
+	var tomb string
+	select {
+	case tomb = <-entered:
+	case err := <-done:
+		t.Fatalf("the put returned (%v) without unlinking a victim", err)
+	}
+	if _, err := os.Stat(f.blobPath("a")); !os.IsNotExist(err) {
+		t.Errorf("the victim's blob is still at its path while its tomb %s waits: %v", filepath.Base(tomb), err)
+	}
+	looked := make(chan bool, 1)
+	go func() {
+		_, ok := f.s.ETag("b", "")
+		looked <- ok
+	}()
+	select {
+	case ok := <-looked:
+		if !ok {
+			t.Error("ETag of b missed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("ETag of another key waited on the eviction's unlink")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tomb); !os.IsNotExist(err) {
+		t.Errorf("the tomb survived its put: %v", err)
+	}
 }
 
 // TestStoreLRUByBytesEviction: a put past the byte budget evicts the

@@ -50,8 +50,8 @@ func sweepTemps(dir string) int {
 }
 
 // fsck builds the index from the blobs on disk — the only durable state
-// there is. It runs inside Open, before the store is shared, so it takes
-// no lock. One pass: sweep abandoned temp files, read and verify every
+// there is. It runs inside Open, under s.mu, before the store is shared.
+// One pass: sweep abandoned temp files, read and verify every
 // blob (a blob that fails its own CRC, or sits under a name its
 // self-described identity does not hash to, is quarantined), order the
 // survivors by creation time into the LRU, and evict down to the byte

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -86,6 +87,7 @@ type Store struct {
 
 	mu     sync.Mutex
 	index  lru.Cache[string, *entry] // by entryKey, bounded by MaxBytes
+	tombs  []string                  // evicted blobs renamed aside, unlinked by unlock
 	closed bool
 
 	hits, misses, writes, writeErrors, evictions, corrupt atomic.Int64
@@ -107,7 +109,9 @@ func Open(cfg Config) (*Store, FsckReport, error) {
 			return nil, FsckReport{}, fmt.Errorf("cachestore: creating %s: %w", d, err)
 		}
 	}
+	s.mu.Lock() // fsck's evictions are unlinked when it is released
 	rep, err := s.fsck()
+	s.unlock()
 	if err != nil {
 		return nil, rep, err
 	}
@@ -206,7 +210,7 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if err != nil {
 		// Only if it is still e: a concurrent Put may have replaced it.
 		if cur, _ := s.index.Peek(k); e != nil && cur == e {
@@ -254,7 +258,7 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 	name := blobName(imageKey, variant)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return etag, errors.New("cachestore: store closed")
 	}
@@ -290,12 +294,35 @@ func (s *Store) writeBlobFile(name string, data []byte) error {
 	return atomicWriteFile(filepath.Join(s.cfg.Dir, blobsDirName, name), data)
 }
 
+// unlink deletes an evicted blob's tomb; a test replaces it to hold an
+// eviction mid-delete.
+var unlink = os.Remove
+
 // evicted is the index's eviction hook: an entry the byte budget forced
-// out is counted and its blob deleted. It runs under s.mu (or in Open,
-// before the store is shared).
+// out is counted and its blob renamed to a fresh *.tmp tomb beside it,
+// which unlock deletes. Freeing a fsynced inode can take tens of
+// milliseconds, renaming to a fresh name microseconds, so only the
+// rename holds s.mu; and a Put of the same key that follows it writes a
+// blob the deletion cannot reach. A tomb a crash leaves is swept as an
+// abandoned write. It runs under s.mu.
 func (s *Store) evicted(_ string, e *entry) {
 	s.evictions.Add(1)
-	os.Remove(filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant)))
+	blob := filepath.Join(s.cfg.Dir, blobsDirName, blobName(e.imageKey, e.variant))
+	tomb := fmt.Sprintf("%s.%016x.tmp", blob, rand.Uint64())
+	if os.Rename(blob, tomb) == nil {
+		s.tombs = append(s.tombs, tomb)
+	}
+}
+
+// unlock releases s.mu, then deletes the tombs of the evictions made
+// while it was held.
+func (s *Store) unlock() {
+	tombs := s.tombs
+	s.tombs = nil
+	s.mu.Unlock()
+	for _, tomb := range tombs {
+		unlink(tomb)
+	}
 }
 
 // quarantineBlob moves a corrupt blob into quarantine/ so it is never

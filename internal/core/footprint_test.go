@@ -63,8 +63,10 @@ func TestPoorListHoldsHandles(t *testing.T) {
 // collection with the session alive. Grids that cost 40 B for every
 // cell of the box and 8,192-entry arena chunks kept 7.1 MiB; grids
 // that cost a pointer per cell plus their occupied buckets, and
-// 1,024-entry chunks, keep 3.2 MiB (the chunks alone 6.6 MiB: the grid
-// at this scale is TestGridCostsFollowPoints's to guard).
+// 1,024-entry chunks, kept 3.2 MiB (the chunks alone 6.6 MiB: the grid
+// at this scale is TestGridCostsFollowPoints's to guard); 64 KiB chunk
+// tables in place of 512 KiB ones keep 2.35 MiB, so a table grown back
+// fails the bound.
 func TestWarmSessionRetainsLittleHeap(t *testing.T) {
 	images := []*img.Image{
 		img.KneePhantom(48, 48, 48),
@@ -94,8 +96,8 @@ func TestWarmSessionRetainsLittleHeap(t *testing.T) {
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(images)
 	t.Logf("a warm session retains %.2f MiB", float64(kept)/(1<<20))
-	if kept > 4<<20 {
-		t.Errorf("a warm session retains %.2f MiB of heap, want at most 4 MiB", float64(kept)/(1<<20))
+	if kept > 11<<18 {
+		t.Errorf("a warm session retains %.2f MiB of heap, want at most 2.75 MiB", float64(kept)/(1<<20))
 	}
 }
 

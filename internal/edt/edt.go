@@ -68,6 +68,10 @@ func grow[T any](s []T, n int) []T {
 
 var inf = math.Inf(1)
 
+// zTile is how many adjacent Z rows pass 3 sweeps together: 16 int32s,
+// one 64-byte cache line per z.
+const zTile = 16
+
 // Compute builds the feature transform of im's surface voxels, reusing
 // c's buffer (0 workers means GOMAXPROCS).
 //
@@ -143,25 +147,43 @@ func (c *Computer) Compute(im *img.Image, workers int) *Transform {
 	// f = a*a from pass 1, a rounded value. The float64 conversion rounds
 	// a*a the same way, so a platform that fuses multiply-adds fuses only
 	// b*b into the sum, as it did in pass 2's fill.
-	parallelFor(plane, workers, func(row int, sc *lineScratch) {
-		i, j := unindexPlane(row, nx, invNX)
+	//
+	// A plane stride that is a multiple of 4 KiB (96² int32s is nine) maps
+	// every z step of a row to one L1 set, so the rows go in tiles of
+	// zTile adjacent ones: each z's 64-byte line of the tile is gathered
+	// into sc.tile, the tile's rows are swept there at stride zTile, and
+	// the tile is scattered back.
+	parallelFor((plane+zTile-1)/zTile, workers, func(t int, sc *lineScratch) {
+		r0 := t * zTile
+		w := min(zTile, plane-r0)
 		sc.size(nz)
-		q, f, src := sc.q, sc.f, sc.src
-		n := 0
-		for z, idx := 0, row; z < nz; z, idx = z+1, idx+plane {
-			if v := feat[idx]; v >= 0 {
-				fi, fj := unindexPlane(int(v)-idx+row, nx, invNX)
-				a := sx * float64(i-fi)
-				b := sy * float64(j-fj)
-				if d := b*b + float64(a*a); d != inf {
-					q[n], f[n], src[n] = z, d, v
-					n++
+		sc.tile = grow(sc.tile, nz*zTile)
+		q, f, src, tile := sc.q, sc.f, sc.src, sc.tile
+		for z := 0; z < nz; z++ {
+			copy(tile[z*zTile:z*zTile+w], feat[z*plane+r0:])
+		}
+		for c := 0; c < w; c++ {
+			row := r0 + c
+			i, j := unindexPlane(row, nx, invNX)
+			n := 0
+			for z, idx := 0, row; z < nz; z, idx = z+1, idx+plane {
+				if v := tile[z*zTile+c]; v >= 0 {
+					fi, fj := unindexPlane(int(v)-idx+row, nx, invNX)
+					a := sx * float64(i-fi)
+					b := sy * float64(j-fj)
+					if d := b*b + float64(a*a); d != inf {
+						q[n], f[n], src[n] = z, d, v
+						n++
+					}
 				}
 			}
+			if n > 0 {
+				sc.envelope(n, sz)
+				sc.fill(nz, c, zTile, tile)
+			}
 		}
-		if n > 0 {
-			sc.envelope(n, sz)
-			sc.fill(nz, row, plane, feat)
+		for z := 0; z < nz; z++ {
+			copy(feat[z*plane+r0:z*plane+r0+w], tile[z*zTile:])
 		}
 	})
 	return &Transform{
@@ -183,7 +205,8 @@ type lineScratch struct {
 	f     []float64
 	src   []int32
 	z     []float64
-	seeds []int // pass 1: the row's surface voxels
+	seeds []int   // pass 1: the row's surface voxels
+	tile  []int32 // pass 3: the features of zTile rows, z-major
 }
 
 var linePool = sync.Pool{New: func() any { return new(lineScratch) }}

@@ -1,7 +1,8 @@
 // Package lru is the one recency-and-budget index behind every bounded
 // table of the serving tier: the parsed-image, entity and upload caches,
-// the router's ETag table and the result store's index. It is a
-// stdlib-only leaf.
+// the router's ETag table and the result store's index. Its Doorkeeper
+// is the one second-sighting admission rule, in front of the upload and
+// parsed-image caches. It is a stdlib-only leaf.
 package lru
 
 import (

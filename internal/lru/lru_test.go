@@ -234,3 +234,22 @@ func TestCacheMatchesModel(t *testing.T) {
 		})
 	}
 }
+
+// TestDoorkeeper: a fingerprint is sighted from its second showing on,
+// for as long as fewer than the ring's length of others came after it.
+func TestDoorkeeper(t *testing.T) {
+	var d Doorkeeper
+	if d.Sighted(1) || !d.Sighted(1) || !d.Sighted(1) {
+		t.Fatal("fingerprint 1 not sighted exactly from its second showing")
+	}
+	n := uint64(len(d.ring))
+	for fp := uint64(2); fp < n+1; fp++ { // 1 and n-1 others fill the ring
+		d.Sighted(fp)
+	}
+	if !d.Sighted(1) {
+		t.Fatal("fingerprint 1 forgotten while still in the ring")
+	}
+	if d.Sighted(n+1) || d.Sighted(1) {
+		t.Fatal("the ring's oldest fingerprint survived one more arrival")
+	}
+}

@@ -184,7 +184,8 @@ func TestRouteKeyFollowsTheBytes(t *testing.T) {
 		a := g.mesh(body, hdr...)
 		return a.StatusCode, a.Header.Get("ETag")
 	}
-	runs := func() int64 { return b.srv.Pool().Stats().Checkouts }
+	leases := b.series("pi2md_lease_seconds_count")
+	runs := func() int64 { return b.series("pi2md_lease_seconds_count") - leases }
 	local304s := func() int64 { return g.r.Stats().ETag304s }
 
 	code, tag := post(image)
@@ -363,6 +364,7 @@ func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 	g := routeTo(t, Config{}, b.ts.URL)
 	image := sphereNRRD(t, 16)
 	forward := fmt.Sprintf("POST 200 %d", len(image))
+	leases := b.series("pi2md_lease_seconds_count")
 
 	first := g.post("/v1/mesh", octets, image)
 	if first.StatusCode != http.StatusOK {
@@ -404,7 +406,7 @@ func TestKeyedHitLeavesTheUploadHome(t *testing.T) {
 	if got := took(); !slices.Equal(got, []string{"GET 404 0", forward}) {
 		t.Fatalf("after eviction the backend saw %q, want a body-less 404 then the upload", got)
 	}
-	served, missed, runs := b.series("pi2md_cache_only_served_total"), b.series("pi2md_cache_only_miss_total"), b.srv.Pool().Stats().Checkouts
+	served, missed, runs := b.series("pi2md_cache_only_served_total"), b.series("pi2md_cache_only_miss_total"), b.series("pi2md_lease_seconds_count")-leases
 	if served != 1 || missed != 1 || runs != 2 {
 		t.Errorf("backend cache-only served/miss = %d/%d, runs %d; want 1/1 and 2", served, missed, runs)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"net/http"
 	"sync"
 	"testing"
 
@@ -67,62 +68,63 @@ func TestImageKeyFullDigest(t *testing.T) {
 	}
 }
 
-// TestImageCacheLRUBytes pins decodeImage's eviction policy: the cache
-// is LRU accounted in bytes (one byte per voxel), a hit refreshes the
-// entry's recency, and inserting past the byte budget evicts the least
-// recently used image — not the oldest insertion.
+// TestImageCacheLRUBytes pins decodeImage's admission and eviction
+// policy: a key's first parse is not retained and its second is, the
+// cache is LRU accounted in bytes (one byte per voxel), a hit refreshes
+// the entry's recency, and admitting past the byte budget evicts the
+// least recently used image — not the oldest insertion.
 func TestImageCacheLRUBytes(t *testing.T) {
 	n := func(scale int) int64 { return int64(img.SpherePhantom(scale).NumVoxels()) }
 	n1, n2, n3 := n(6), n(7), n(8)
 	// Budget fits the two largest images but not all three, so the third
-	// insert must evict exactly one entry — whichever is least recent.
+	// admission must evict exactly one entry — whichever is least recent.
 	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	srv.imgCache.cache.MaxEntries, srv.imgCache.cache.MaxBytes = 10, n2+n3
 
 	b1, b2, b3 := nrrdBody(t, 6), nrrdBody(t, 7), nrrdBody(t, 8)
 	k1, k2, k3 := wire.ImageKey(b1), wire.ImageKey(b2), wire.ImageKey(b3)
+	decode := func(key string, body []byte) *img.Image {
+		t.Helper()
+		im, err := srv.decodeImage(key, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return im
+	}
 
-	im1, err := srv.decodeImage(k1, b1)
-	if err != nil {
-		t.Fatal(err)
+	first := decode(k1, b1)
+	if n, b := srv.imgCache.cache.Len(), srv.imgCache.cache.Bytes(); n != 0 || b != 0 {
+		t.Fatalf("a first sighting left %d images (%d bytes) resident, want none", n, b)
 	}
-	if _, err := srv.decodeImage(k2, b2); err != nil {
-		t.Fatal(err)
+	im1 := decode(k1, b1)
+	if im1 == first || srv.imgCache.cache.Len() != 1 {
+		t.Fatal("the second sighting was not parsed afresh and admitted")
 	}
+	decode(k2, b2)
+	decode(k2, b2)
 	// Refresh k1: under LRU this makes k2 the eviction victim; under the
 	// old FIFO it would have been k1.
-	again, err := srv.decodeImage(k1, b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != im1 {
+	if decode(k1, b1) != im1 {
 		t.Fatal("cached image not returned by pointer identity")
 	}
-	if hits := srv.imgCache.hit.Value(); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
+	if hits, misses := srv.imgCache.hit.Value(), srv.imgCache.miss.Value(); hits != 1 || misses != 4 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/4: a parse not admitted counts a miss", hits, misses)
 	}
 
-	// Third image overflows the byte budget: k2 (least recently used)
-	// goes, the refreshed k1 survives.
-	if _, err := srv.decodeImage(k3, b3); err != nil {
-		t.Fatal(err)
-	}
+	// Third image's admission overflows the byte budget: k2 (least
+	// recently used) goes, the refreshed k1 survives.
+	decode(k3, b3)
+	decode(k3, b3)
 	if got := srv.imgCache.cache.Bytes(); got != n1+n3 || got > n2+n3 {
 		t.Fatalf("cache accounts %d bytes after eviction, want %d (within budget %d)", got, n1+n3, n2+n3)
 	}
 	if ev := srv.imgCache.evict.Value(); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
-	re1, err := srv.decodeImage(k1, b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re1 != im1 {
+	if decode(k1, b1) != im1 {
 		t.Fatal("recently used k1 was evicted; eviction is not LRU")
 	}
-	if _, err := srv.decodeImage(k2, b2); err != nil {
-		t.Fatal(err)
-	}
+	decode(k2, b2)
 	if hits := srv.imgCache.hit.Value(); hits != 2 {
 		t.Fatalf("hits = %d, want 2: k2 should have re-parsed after its eviction", hits)
 	}
@@ -131,21 +133,53 @@ func TestImageCacheLRUBytes(t *testing.T) {
 	// than evicting the entire cache.
 	tiny, _ := newTestServer(t, Config{PoolSize: 1})
 	tiny.imgCache.cache.MaxEntries, tiny.imgCache.cache.MaxBytes = 10, 16
-	if _, err := tiny.decodeImage(k1, b1); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := tiny.decodeImage(k1, b1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if tiny.imgCache.cache.Len() != 0 {
 		t.Fatal("over-budget image was admitted to the cache")
 	}
 }
 
-// TestDecodeImageRace: concurrent decodes of the same body must
-// converge on one *img.Image pointer — the session EDT cache is keyed
-// by pointer identity, so divergent pointers silently defeat it.
+// TestOneShotUploadRetainsNoImage: on the wire, an image uploaded once
+// leaves pi2md_mem_cache_bytes{cache="image"} at 0, a second upload of it
+// (another variant, so the result cache misses) is parsed and retained,
+// and the third reuses that parse, so its session's distance transform.
+func TestOneShotUploadRetainsNoImage(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	image := nrrdBody(t, 8)
+	post := func(delta string) map[string]int64 {
+		t.Helper()
+		if a := send(t, ts.Client(), "POST", ts.URL+"/v1/mesh?delta="+delta, octet, image); a.StatusCode != http.StatusOK {
+			t.Fatalf("delta %s: status %d: %.200s", delta, a.StatusCode, a.body)
+		}
+		return ledger(srv)
+	}
+	if l := post("2"); l["mem_bytes:image"] != 0 || l["mem:image,miss"] != 1 {
+		t.Fatalf("a one-shot upload left %d image bytes resident after %d misses, want 0 after 1", l["mem_bytes:image"], l["mem:image,miss"])
+	}
+	voxels := int64(img.SpherePhantom(8).NumVoxels())
+	if l := post("2.5"); l["mem_bytes:image"] != voxels || l["mem:image,miss"] != 2 || l["edt_hits"] != 0 {
+		t.Fatalf("the second upload left %d image bytes after %d misses and %d EDT hits, want %d after 2 and 0",
+			l["mem_bytes:image"], l["mem:image,miss"], l["edt_hits"], voxels)
+	}
+	if l := post("3"); l["mem:image,hit"] != 1 || l["edt_hits"] != 1 {
+		t.Fatalf("the third upload: %d image hits and %d EDT hits, want 1 and 1", l["mem:image,hit"], l["edt_hits"])
+	}
+}
+
+// TestDecodeImageRace: concurrent decodes of a body seen once before
+// must converge on one *img.Image pointer — the session EDT cache is
+// keyed by pointer identity, so divergent pointers silently defeat it.
 func TestDecodeImageRace(t *testing.T) {
 	srv, _ := newTestServer(t, Config{PoolSize: 1})
 	body := nrrdBody(t, 8)
 	key := wire.ImageKey(body)
+	if _, err := srv.decodeImage(key, body); err != nil {
+		t.Fatal(err)
+	}
 
 	const goroutines = 16
 	ptrs := make([]*img.Image, goroutines)

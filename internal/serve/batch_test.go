@@ -47,6 +47,7 @@ func TestCoalesceFanOut(t *testing.T) {
 	srv.cache = nil // nothing is asked twice: a cache would only write
 	body := nrrdBody(t, 8)
 	key := wire.ImageKey(body)
+	before := ledger(srv)
 
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -100,8 +101,8 @@ func TestCoalesceFanOut(t *testing.T) {
 	if n := srv.mRunSeconds.Count(); n != 1 {
 		t.Errorf("run count = %d, want exactly 1 (single flight)", n)
 	}
-	if n := srv.pool.Stats().Checkouts; n != 1 {
-		t.Errorf("pool checkouts = %d, want 1", n)
+	if n := moved(before, ledger(srv))["leases"]; n != 1 {
+		t.Errorf("session leases = %d, want 1", n)
 	}
 	if a, c := srv.mAccepted.Value(), srv.mCompleted.Value(); a != 1+followers || c != 1+followers {
 		t.Errorf("accepted %d / completed %d, want %d each", a, c, 1+followers)
@@ -123,6 +124,7 @@ func TestCoalesceGroupCap(t *testing.T) {
 	srv.coalesceMax = 2
 	body := nrrdBody(t, 8)
 	key := wire.ImageKey(body)
+	before := ledger(srv)
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
@@ -154,8 +156,8 @@ func TestCoalesceGroupCap(t *testing.T) {
 	if n := srv.mCoalesced.Value(); n != 1 {
 		t.Errorf("coalesced_jobs_total = %d, want 1 (cap keeps job 3 out)", n)
 	}
-	if n := srv.pool.Stats().Checkouts; n != 2 {
-		t.Errorf("pool checkouts = %d, want 2 (two leaders)", n)
+	if n := moved(before, ledger(srv))["leases"]; n != 2 {
+		t.Errorf("session leases = %d, want 2 (two leaders)", n)
 	}
 	if n := srv.mRunSeconds.Count(); n != 2 {
 		t.Errorf("run count = %d, want 2", n)

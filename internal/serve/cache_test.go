@@ -53,6 +53,7 @@ func TestCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("no entries survived the restart (fsck %+v)", rep)
 	}
 	srv2, ts2 := newTestServer(t, Config{PoolSize: 1, Cache: cache2})
+	before := ledger(srv2)
 	served, got := meshOK(t, ts2.Client(), ts2.URL, "", body)
 	if !bytes.Equal(meshed, served) {
 		t.Fatal("restarted server served different bytes for the same request")
@@ -60,7 +61,7 @@ func TestCacheSurvivesRestart(t *testing.T) {
 	if got != etag {
 		t.Fatalf("ETag changed across restart: %q vs %q", got, etag)
 	}
-	if n := srv2.pool.Stats().Checkouts; n != 0 {
+	if n := moved(before, ledger(srv2))["leases"]; n != 0 {
 		t.Fatalf("restart warm request consumed %d session leases, want 0", n)
 	}
 }

@@ -8,8 +8,9 @@ import (
 
 // TestLRU pins what memCache adds to lru.Cache, whose own tests cover
 // the bounds: its hit, miss and evict counts and resident-bytes gauge
-// across an eviction and an over-budget refusal, and a duplicate add
-// keeping the resident value.
+// across an eviction and an over-budget refusal, a duplicate add
+// keeping the resident value, and the doorkeeper refusing a key's first
+// add.
 func TestLRU(t *testing.T) {
 	reg := metrics.NewRegistry()
 	events := reg.CounterVec("events", "", "cache", "event")
@@ -27,21 +28,26 @@ func TestLRU(t *testing.T) {
 		entries         int
 		bytes           int64
 		hit, miss, evic int64
+		door            bool
 	}{
 		{"byte budget evicts the least recently used", []step{
 			{"add", "a", 4, "a"}, {"add", "b", 4, "b"}, {"get", "a", 0, "a"}, // b is now the victim
 			{"add", "c", 4, "c"}, {"get", "b", 0, ""}, {"get", "a", 0, "a"}, {"get", "c", 0, "c"},
-		}, 2, 8, 3, 1, 1},
+		}, 2, 8, 3, 1, 1, false},
 		{"larger than the whole budget is refused, evicting nothing", []step{
 			{"add", "a", 4, "a"}, {"add", "huge", 11, "huge"}, {"get", "huge", 0, ""}, {"get", "a", 0, "a"},
-		}, 1, 4, 1, 1, 0},
+		}, 1, 4, 1, 1, 0, false},
 		{"a duplicate add keeps and returns the resident value", []step{
 			{"add", "a", 4, "a"}, {"add", "a", 9, "a"}, {"get", "a", 0, "a"},
-		}, 1, 4, 1, 0, 0},
+		}, 1, 4, 1, 0, 0, false},
+		{"a doorkeeper admits a key on its second add", []step{
+			{"add", "a", 4, "a"}, {"get", "a", 0, ""}, {"add", "b", 4, "b"},
+			{"add", "a", 4, "a"}, {"get", "a", 0, "a"}, {"get", "b", 0, ""},
+		}, 1, 4, 1, 2, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newMemCache[*string](tc.name, 10, 0, events, bytes) // 10 bytes, no entry cap
+			c := newMemCache[*string](tc.name, 10, 0, tc.door, events, bytes) // 10 bytes, no entry cap
 			resident := map[string]*string{}
 			for i, st := range tc.steps {
 				switch st.op {
@@ -55,7 +61,9 @@ func TestLRU(t *testing.T) {
 					if prev, dup := resident[st.key]; dup && got != prev {
 						t.Fatalf("step %d: duplicate add(%q) replaced the resident value", i, st.key)
 					}
-					resident[st.key] = got
+					if _, in := c.cache.Peek(st.key); in {
+						resident[st.key] = got
+					}
 				case "get":
 					got, ok := c.get(st.key)
 					if ok != (st.want != "") || (ok && *got != st.want) {

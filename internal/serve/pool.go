@@ -43,7 +43,6 @@ type Pool struct {
 	waiters    []chan *Lease
 	maxWaiters int
 
-	checkouts   int64
 	evictions   int64
 	quarantines int64 // bad sessions replaced
 
@@ -62,7 +61,6 @@ type poolEntry struct {
 // PoolStats is a snapshot of the pool's behavior.
 type PoolStats struct {
 	Busy        int
-	Checkouts   int64
 	Evictions   int64
 	Quarantines int64
 
@@ -119,7 +117,6 @@ func (p *Pool) putLocked(e *poolEntry) {
 	}
 	ch := p.waiters[0]
 	p.waiters = p.waiters[1:]
-	p.checkouts++
 	ch <- &Lease{p: p, e: e, s: e.s}
 }
 
@@ -149,7 +146,6 @@ func (p *Pool) Checkout(ctx context.Context) (*Lease, error) {
 	if n := len(p.free); n > 0 {
 		e := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.checkouts++
 		p.mu.Unlock()
 		return &Lease{p: p, e: e, s: e.s}, nil
 	}
@@ -293,7 +289,6 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	return PoolStats{
 		Busy:        p.size - len(p.free),
-		Checkouts:   p.checkouts,
 		Evictions:   p.evictions,
 		Quarantines: p.quarantines,
 		Sessions:    p.sessions,

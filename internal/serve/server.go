@@ -162,10 +162,12 @@ type Server struct {
 	brownout *brownoutController
 
 	// imgCache retains parsed input images by image key, one byte per
-	// voxel, so a repeated upload reuses its *img.Image pointer and can
-	// hit a session's distance-transform cache. entities retains the
-	// encoded bodies of cache hits by entity tag (see entity). uploads
-	// keys an upload seen before without hashing it.
+	// voxel, once a key is seen for the second time, so a repeated
+	// upload reuses its *img.Image pointer and can hit a session's
+	// distance-transform cache while a one-shot upload retains nothing.
+	// entities retains the encoded bodies of cache hits by entity tag
+	// (see entity). uploads keys an upload seen before without hashing
+	// it.
 	imgCache *memCache[*img.Image]
 	entities *memCache[*entity]
 	uploads  *wire.UploadKeys
@@ -277,8 +279,8 @@ func NewServer(cfg Config) (*Server, error) {
 		"In-process cache events — cache: image (parsed uploads, by image key), entity (encoded bodies of cache hits, by entity tag) or upload (image keys of repeated uploads, by their bytes); event: hit, miss (the image was parsed, the body encoded, the upload hashed) or evict (dropped by the LRU bounds).", "cache", "event")
 	memCacheBytes := r.GaugeVec("pi2md_mem_cache_bytes",
 		"Bytes resident in an in-process cache (image: one per voxel; entity: body bytes; upload: upload buffer capacity).", "cache")
-	s.imgCache = newMemCache[*img.Image]("image", imageCacheBytes, imageCacheEntries, memCacheEvents, memCacheBytes)
-	s.entities = newMemCache[*entity]("entity", entityCacheBytes, 0, memCacheEvents, memCacheBytes)
+	s.imgCache = newMemCache[*img.Image]("image", imageCacheBytes, imageCacheEntries, true, memCacheEvents, memCacheBytes)
+	s.entities = newMemCache[*entity]("entity", entityCacheBytes, 0, false, memCacheEvents, memCacheBytes)
 	s.uploads = wire.NewUploadKeys(memCacheEvents.With("upload", "hit"), memCacheEvents.With("upload", "miss"),
 		memCacheEvents.With("upload", "evict"), memCacheBytes.With("upload"))
 	r.CounterFunc("pi2md_pool_evictions_total",
@@ -374,11 +376,11 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // Pool exposes the session pool (for stats and eviction janitors).
 func (s *Server) Pool() *Pool { return s.pool }
 
-// decodeImage parses body as NRRD through the image cache: a repeated
-// identical body returns the previously parsed *img.Image, giving the
-// leased session a chance to reuse its cached distance transform
-// (which is keyed by image pointer identity). Racing parses of one body
-// converge on one pointer.
+// decodeImage parses body as NRRD through the image cache: the second
+// parse of a body is admitted, and every later one returns that
+// *img.Image, giving the leased session a chance to reuse its cached
+// distance transform (which is keyed by image pointer identity). Racing
+// parses of a body seen before converge on one pointer.
 func (s *Server) decodeImage(key string, body []byte) (*img.Image, error) {
 	if im, ok := s.imgCache.get(key); ok {
 		return im, nil

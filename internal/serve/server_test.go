@@ -180,6 +180,7 @@ var series = map[string]string{
 	// What the jobs cost, and where their answers came from.
 	"pi2md_run_seconds_count":          "runs",
 	"pi2md_queue_wait_seconds_count":   "waits",
+	"pi2md_lease_seconds_count":        "leases",
 	"pi2md_edt_cache_hits_total":       "edt_hits",
 	"pi2md_warm_runs_total":            "warm_runs",
 	"pi2md_cells_total":                "cells",
@@ -288,10 +289,11 @@ func TestServerEndToEnd(t *testing.T) {
 	client := ts.Client()
 	body := nrrdBody(t, 12)
 
-	// Phase 1 — warm-up: the same payload twice, sequentially. The
-	// second request must be routed to the warm session and reuse its
-	// cached distance transform.
-	for i := 0; i < 2; i++ {
+	// Phase 1 — warm-up: the same payload three times, sequentially.
+	// The second parse is the one the image cache keeps, so the third
+	// request must be routed to the warm session and reuse its cached
+	// distance transform.
+	for i := 0; i < 3; i++ {
 		a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body)
 		if a.StatusCode != http.StatusOK {
 			t.Fatalf("warm-up request %d: status %d: %s", i, a.StatusCode, a.body)
@@ -347,7 +349,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("empty body: status %d, want 400", a.StatusCode)
 	}
 	l := ledger(srv)
-	wantCompleted := int64(2 + storm - 2) // warm-up + storm successes
+	wantCompleted := int64(3 + storm - 2) // warm-up + storm successes
 	if l["completed"] != wantCompleted {
 		t.Errorf("jobs_completed_total = %d, want %d", l["completed"], wantCompleted)
 	}

@@ -12,9 +12,6 @@ const (
 	// uploadKeysBytes is the memo's budget, charged by capacity: ≈ 150
 	// repeated scale-48 uploads. A hot set beyond it hashes, as before.
 	uploadKeysBytes = 16 << 20
-	// doorkeeperSize recently hashed fingerprints are kept: a body is
-	// admitted only if seen again within that many misses.
-	doorkeeperSize = 1024
 )
 
 // MemCacheStats is what the router's /v1/stats says about its upload
@@ -44,8 +41,7 @@ type UploadKeys struct {
 	fingerprint func([]byte) uint64
 
 	mu    sync.Mutex
-	seen  [doorkeeperSize]uint64 // ring of recently hashed fingerprints
-	next  int
+	door  lru.Doorkeeper            // of recently hashed fingerprints
 	index lru.Cache[uint64, upload] // by fingerprint
 }
 
@@ -74,7 +70,7 @@ func (u *UploadKeys) Of(body []byte) string {
 		u.hit.Inc()
 		return e.key
 	}
-	again := u.sightedLocked(fp)
+	again := u.door.Sighted(fp)
 	u.mu.Unlock()
 	u.miss.Inc()
 	key := ImageKey(body)
@@ -85,19 +81,6 @@ func (u *UploadKeys) Of(body []byte) string {
 		u.mu.Unlock()
 	}
 	return key
-}
-
-// sightedLocked reports whether fp is in the doorkeeper's ring, and
-// records it there if not.
-func (u *UploadKeys) sightedLocked(fp uint64) bool {
-	for _, s := range u.seen {
-		if s == fp {
-			return true
-		}
-	}
-	u.seen[u.next] = fp
-	u.next = (u.next + 1) % len(u.seen)
-	return false
 }
 
 // Stats reports the entries and bytes retained.
