@@ -110,7 +110,8 @@ func blobSize(n int) int64 {
 
 // TestEveryStoreEnding: a write the disk refuses, tears or corrupts, an
 // over-budget write, a write that evicts, a write to a closed store, and
-// the one request an ETag lookup and a Read make. A torn or bit-flipped
+// the one request an ETag lookup and a Read make, and a write of a pair
+// a peer wrote first, which adopts the peer's blob. A torn or bit-flipped
 // blob is indexed as written, and the read or the boot that meets it
 // quarantines it: it is never served. An evicted blob is gone, tomb and
 // all, once the put returns. An ETag lookup that misses counts nothing;
@@ -153,6 +154,16 @@ func TestEveryStoreEnding(t *testing.T) {
 			setup: indexed("a", "b"), op: put("c", 3),
 			moved: Stats{Writes: 1, Evictions: 1}, index: []string{"c", "b"},
 			files: []string{"b", "c"}, reopen: []string{"b", "c"}},
+		storeEnding{name: "a peer wrote the key first",
+			setup: func(f *fixture) { f.blob("k", 9, 1) }, op: put("k", 6),
+			moved: Stats{Adopted: 1, Entries: 1}, index: []string{"k"}, files: []string{"k"}, reopen: []string{"k"}},
+		storeEnding{name: "a peer's write lands between the check and the link",
+			op: func(f *fixture) {
+				link = func(tmp, path string) error { f.blob("k", 9, 1); return os.Link(tmp, path) }
+				defer func() { link = os.Link }()
+				put("k", 6)(f)
+			},
+			moved: Stats{Adopted: 1, Entries: 1}, index: []string{"k"}, files: []string{"k"}, reopen: []string{"k"}},
 		storeEnding{name: "a put after Close is refused",
 			op: func(f *fixture) {
 				f.s.Close()

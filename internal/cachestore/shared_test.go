@@ -2,6 +2,7 @@ package cachestore
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -10,8 +11,9 @@ import (
 
 // TestConcurrentPutSameKeyTwoStores: two stores on one directory write
 // the same key at once while a third keeps booting on it. Each writer
-// renames its own complete temp file, so every Put succeeds and the
-// blob left behind is wholly one writer's.
+// links its own complete temp file or adopts the blob a link already
+// published, so every Put succeeds, the blob left behind is wholly one
+// writer's, and both index its tag.
 func TestConcurrentPutSameKeyTwoStores(t *testing.T) {
 	f := newFixture(t, 0)
 	a := f.s
@@ -53,8 +55,15 @@ func TestConcurrentPutSameKeyTwoStores(t *testing.T) {
 	close(stop)
 	boots.Wait()
 
-	f.blobPath("same")
-	f.open() // a writer's index holds the size of its own write, which may have lost
+	// Whichever published first, both writers index the blob on disk.
+	data, _ := os.ReadFile(f.blobPath("same"))
+	_, onDisk, err := verifyBlobHeader(data)
+	for _, s := range []*Store{a, b} {
+		if tag, _ := s.ETag("same", ""); err != nil || tag != onDisk {
+			t.Errorf("a writer's ETag %s, the blob on disk %s (%v)", tag, onDisk, err)
+		}
+	}
+	f.open()
 	if files := f.check(); !slices.Equal(files, []string{"same"}) {
 		t.Fatalf("files %q, want the one blob", files)
 	}
@@ -67,7 +76,8 @@ func TestConcurrentPutSameKeyTwoStores(t *testing.T) {
 }
 
 // TestPutCrashPoints enumerates every state a kill can leave a Put in —
-// its durable steps are: create temp, write, fsync, rename, fsync dir —
+// its durable steps are: create temp, write, fsync, link, fsync dir,
+// unlink temp —
 // with and without an older blob under the key, and with the leftover
 // temp both fresh (spared by the sweep) and stale (removed). After Open,
 // Get returns exactly the old or exactly the new snapshot, never a
@@ -84,6 +94,7 @@ func TestPutCrashPoints(t *testing.T) {
 		{"temp-half-written", newData[:len(newData)/2], false},
 		{"temp-complete", newData, false},
 		{"renamed", nil, true},
+		{"linked-temp-not-yet-unlinked", newData, true},
 	}
 	for _, present := range []bool{false, true} {
 		for _, pt := range points {
@@ -139,8 +150,8 @@ func TestPutCrashPoints(t *testing.T) {
 }
 
 // TestTwoStoresOneDirectory is the router_hot shape: two stores share a
-// directory with no coordination, interleave writes, and close in either
-// order. A third store opened afterwards serves everything either wrote,
+// directory with no coordination, interleave writes (one key both
+// write), and close in either order. A third store opened afterwards serves everything either wrote,
 // byte-identical and under its original ETag, in write order — and the
 // directory holds blobs and nothing else to keep consistent with them.
 func TestTwoStoresOneDirectory(t *testing.T) {
@@ -162,7 +173,7 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 			put(a, "a0", 3)
 			put(b, "b0", 10)
 			put(a, "both", 20)
-			put(b, "both", 21) // the later write wins whole
+			put(b, "both", 21) // the first write wins: b adopts a's blob
 			// Each serves what the other wrote without a restart.
 			if f.s = b; !f.get("a0", "", false) {
 				t.Fatal("b cannot read a's blob")

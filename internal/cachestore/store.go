@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -219,13 +220,10 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 		s.misses.Add(1)
 		return nil, "", false
 	}
-	if _, ok := s.index.Get(k); !ok && !s.closed {
-		// A blob over this store's budget — a peer's with a larger one —
-		// is served but not indexed.
-		e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
-		if s.index.Put(k, e, e.bytes) {
-			s.adopted.Add(1)
-		}
+	// A blob the index does not hold, or holds under another tag, is a
+	// peer's: the index takes what is on disk.
+	if cur, ok := s.index.Get(k); (!ok || cur.etag != etag) && !s.closed {
+		s.adopt(imageKey, variant, int64(len(data)), etag)
 	}
 	s.hits.Add(hit)
 	return snap, etag, true
@@ -237,6 +235,14 @@ func (s *Store) get(imageKey, variant string, hit int64) (*core.MeshSnapshot, st
 // etag, and the index is left alone: the pair is simply not cached. A
 // snapshot over the whole budget is skipped too, without an error; any
 // other nil return means the blob is durable.
+//
+// The first writer of a pair wins. A verified blob already at the
+// pair's path — a peer's, in a directory two stores share — is adopted
+// instead of written over, and its etag returned; so is one a peer
+// publishes while this write is under way, since a blob is published by
+// a link, which fails on an existing name. Every store then indexes the
+// tag of the bytes on disk. A file at the path that does not verify
+// fails the write; the first read of the pair quarantines it.
 func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, error) {
 	if imageKey == "" || snap == nil {
 		return "", errors.New("cachestore: Put needs an image key and a snapshot")
@@ -255,34 +261,78 @@ func (s *Store) Put(imageKey, variant string, snap *core.MeshSnapshot) (string, 
 		// One oversized entry must not evict the whole cache; skip it.
 		return etag, nil
 	}
-	name := blobName(imageKey, variant)
+	path := filepath.Join(s.cfg.Dir, blobsDirName, blobName(imageKey, variant))
 
+	var tmp string
+	defer func() {
+		if tmp != "" {
+			os.Remove(tmp) // the blob's second name, once s.mu is released
+		}
+	}()
 	s.mu.Lock()
 	defer s.unlock()
 	if s.closed {
 		return etag, errors.New("cachestore: store closed")
 	}
-
-	if err := s.writeBlobFile(name, data); err != nil {
+	if size, tag, ok := verifiedBlob(path, imageKey, variant); ok {
+		return s.adopt(imageKey, variant, size, tag), nil
+	}
+	tmp, err = s.writeBlobFile(path, data)
+	if err == nil {
+		if err = link(tmp, path); errors.Is(err, fs.ErrExist) {
+			if size, tag, ok := verifiedBlob(path, imageKey, variant); ok {
+				return s.adopt(imageKey, variant, size, tag), nil
+			}
+		}
+	}
+	if err != nil {
 		s.writeErrors.Add(1)
 		return "", err
 	}
+	syncDir(filepath.Dir(path))
 	e := &entry{imageKey: imageKey, variant: variant, bytes: int64(len(data)), etag: etag}
-	// Replacing an entry deletes nothing: its blob path is the one just
-	// written.
 	s.index.Put(entryKey(imageKey, variant), e, e.bytes)
 	s.writes.Add(1)
 	return etag, nil
 }
 
-// writeBlobFile writes one framed blob with atomicWriteFile's crash-safe
-// discipline; the two fsyncs there are every durable write a Put makes.
-// The faultinject points simulate the disk failing (CacheWriteFail) or
+// verifiedBlob reads the blob at path and reports its size and etag if
+// it verifies as (imageKey, variant)'s.
+func verifiedBlob(path, imageKey, variant string) (int64, string, bool) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, "", false
+	}
+	meta, etag, err := verifyBlobHeader(data)
+	if err != nil || meta.ImageKey != imageKey || meta.Variant != variant {
+		return 0, "", false
+	}
+	return int64(len(data)), etag, true
+}
+
+// adopt indexes a blob this store did not write, counts it and returns
+// its etag. A blob over this store's budget — a peer's with a larger
+// one — is not indexed, and an entry under another tag is dropped.
+// Caller holds s.mu.
+func (s *Store) adopt(imageKey, variant string, size int64, etag string) string {
+	k := entryKey(imageKey, variant)
+	if s.index.Put(k, &entry{imageKey: imageKey, variant: variant, bytes: size, etag: etag}, size) {
+		s.adopted.Add(1)
+	} else {
+		s.index.Remove(k)
+	}
+	return etag
+}
+
+// writeBlobFile writes one framed blob to a uniquely named temp file
+// beside path and fsyncs it; the caller publishes it under path. The
+// unique name is what lets two processes write one pair at once. The
+// faultinject points simulate the disk failing (CacheWriteFail) or
 // lying (CacheTornWrite/CacheBitFlip — the write "succeeds" but the
 // blob is corrupt, which the CRC must catch later). Caller holds s.mu.
-func (s *Store) writeBlobFile(name string, data []byte) error {
+func (s *Store) writeBlobFile(path string, data []byte) (string, error) {
 	if faultinject.Fire(faultinject.CacheWriteFail) {
-		return fmt.Errorf("cachestore: injected write failure: %w", syscall.EIO)
+		return "", fmt.Errorf("cachestore: injected write failure: %w", syscall.EIO)
 	}
 	if faultinject.Fire(faultinject.CacheTornWrite) {
 		data = data[:len(data)/2]
@@ -291,8 +341,31 @@ func (s *Store) writeBlobFile(name string, data []byte) error {
 		flipped[len(flipped)/3] ^= 0x40
 		data = flipped
 	}
-	return atomicWriteFile(filepath.Join(s.cfg.Dir, blobsDirName, name), data)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return "", err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the blob from a peer under another uid
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
 }
+
+// link publishes a written blob under its path; a test replaces it to
+// land a peer's write between Put's check and its publish.
+var link = os.Link
 
 // unlink deletes an evicted blob's tomb; a test replaces it to hold an
 // eviction mid-delete.
@@ -367,39 +440,7 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// atomicWriteFile writes data to path via a uniquely named temp file in
-// the same directory + fsync + rename, then fsyncs the directory so the
-// rename itself is durable. The unique name is what lets two processes
-// write the same path at once: each renames its own complete file, and
-// the last rename wins whole.
-func atomicWriteFile(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the blob from a peer under another uid
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash;
+// syncDir fsyncs a directory so a just-linked entry survives a crash;
 // best-effort (some filesystems reject directory fsync).
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {

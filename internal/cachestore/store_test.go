@@ -157,7 +157,7 @@ func (f *fixture) corrupt(key string) {
 }
 
 // put is the store's own Put of testSnap(n) under key, with each fault
-// armed to fire once.
+// armed to fire once. A Put that finds key's blob written keeps it.
 func (f *fixture) put(key string, n int, faults ...faultinject.Point) error {
 	f.blobPath(key)
 	cfg := faultinject.Config{Rates: map[faultinject.Point]float64{}, MaxFires: map[faultinject.Point]int64{}}
@@ -168,7 +168,7 @@ func (f *fixture) put(key string, n int, faults ...faultinject.Point) error {
 	defer restore()
 	snap := testSnap(n)
 	etag, err := f.s.Put(key, "", snap)
-	if err == nil && len(faults) == 0 {
+	if err == nil && len(faults) == 0 && etag != f.written[key].etag { // else it adopted the blob there
 		f.written[key] = written{snap, etag}
 	}
 	return err

@@ -587,28 +587,53 @@ func (r *Refiner) abortRun(cause error) {
 	r.finish()
 }
 
-// startAux launches the stall watchdog, the context watcher, and the
-// timeline/progress samplers; the returned function stops them. The
+// startAux launches the run's supervisor, one goroutine that runs the
+// stall watchdog, the context watcher, and the timeline/progress
+// samplers off one select; the returned function stops it. The
 // watchdog is always armed: a run that commits no operation for
 // LivelockTimeout — an Aggressive-CM or Random-CM livelock (Section
 // 5.1), or a lost wake-up — aborts with Livelocked set instead of
 // hanging.
 func (r *Refiner) startAux() func() {
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var done <-chan struct{}
+	if ctx := r.ctx; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			// Already canceled before the first worker starts: abort
+			// synchronously. The supervisor alone races tiny runs,
+			// which can complete before it is ever scheduled and
+			// return StatusCompleted for a canceled job.
+			r.abortRun(fmt.Errorf("canceled: %w", err))
+		} else {
+			done = ctx.Done()
+		}
+	}
+	// A sampler that is off is a nil channel: its case never fires.
+	var tickers []*time.Ticker
+	ticker := func(on bool, d time.Duration) <-chan time.Time {
+		if !on {
+			return nil
+		}
+		t := time.NewTicker(d)
+		tickers = append(tickers, t)
+		return t.C
+	}
+	stall := ticker(true, r.cfg.LivelockTimeout/10)
+	progress := ticker(r.cfg.Progress != nil, r.cfg.progressSample)
+	timeline := ticker(r.cfg.TimelineSample > 0, r.cfg.TimelineSample)
 
-	wg.Add(1)
+	stop, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(r.cfg.LivelockTimeout / 10)
-		defer tick.Stop()
+		defer close(exited)
 		last := r.ops.Load()
 		lastChange := time.Now()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-tick.C:
+			case <-done:
+				r.abortRun(fmt.Errorf("canceled: %w", r.ctx.Err()))
+				done = nil
+			case <-stall:
 				if cur := r.ops.Load(); cur != last {
 					last = cur
 					lastChange = time.Now()
@@ -616,80 +641,40 @@ func (r *Refiner) startAux() func() {
 					r.livelocked.Store(true)
 					r.abortRun(fmt.Errorf("livelock: no operation committed for %v under the %s contention manager",
 						stalled.Round(time.Millisecond), r.cfg.ContentionManager))
-					return
+					stall = nil
 				}
+			case <-progress:
+				if !r.reportProgress() {
+					progress = nil
+				}
+			case <-timeline:
+				r.sampleTimeline()
 			}
 		}
 	}()
-
-	if ctx := r.ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			// Already canceled before the first worker starts: abort
-			// synchronously. The watcher goroutine alone races tiny
-			// runs, which can complete before it is ever scheduled and
-			// return StatusCompleted for a canceled job.
-			r.abortRun(fmt.Errorf("canceled: %w", err))
-		} else {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				select {
-				case <-stop:
-				case <-ctx.Done():
-					r.abortRun(fmt.Errorf("canceled: %w", ctx.Err()))
-				}
-			}()
-		}
-	}
-
-	if r.cfg.Progress != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panicking callback aborts the run, as in a worker.
-			defer func() {
-				if p := recover(); p != nil {
-					r.abortRun(fmt.Errorf("progress callback panicked: %v", p))
-				}
-			}()
-			tick := time.NewTicker(r.cfg.progressSample)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					r.cfg.Progress(Progress{
-						Wall:       time.Since(r.startWall),
-						Operations: r.ops.Load(),
-						Elements:   r.insideCount.Load(),
-					})
-				}
-			}
-		}()
-	}
-
-	if r.cfg.TimelineSample > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(r.cfg.TimelineSample)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					r.sampleTimeline()
-				}
-			}
-		}()
-	}
-
 	return func() {
 		close(stop)
-		wg.Wait()
+		<-exited
+		for _, t := range tickers {
+			t.Stop()
+		}
 	}
+}
+
+// reportProgress calls the Progress callback; a panicking callback
+// aborts the run, as in a worker, and reports false.
+func (r *Refiner) reportProgress() (ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.abortRun(fmt.Errorf("progress callback panicked: %v", p))
+		}
+	}()
+	r.cfg.Progress(Progress{
+		Wall:       time.Since(r.startWall),
+		Operations: r.ops.Load(),
+		Elements:   r.insideCount.Load(),
+	})
+	return true
 }
 
 func (r *Refiner) sampleTimeline() {

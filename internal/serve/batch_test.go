@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"net/http"
-	"sync"
 	"testing"
 	"time"
 
@@ -38,81 +36,124 @@ type jobOutcome struct {
 	err error
 }
 
-// TestCoalesceFanOut is the deterministic single-flight contract: a
-// leader gated mid-run (the tune hook executes inside the lease),
-// three followers joining the flight, one session checkout, one run,
-// and the identical snapshot pointer fanned out to everyone.
+// coalesced is the movement of a leader and n followers.
+func coalesced(n int) map[string]int64 {
+	return map[string]int64{"accepted": int64(n + 1), "completed": int64(n + 1), "coalesced": int64(n), "recorded": 1, "leases": 1}
+}
+
+// TestCoalesceFanOut is the single-flight contract at the walk: three
+// followers join a queued leader's flight, and one lease and one run
+// fan the identical snapshot out to all four, the followers' summaries
+// marked Coalesced and agreeing with the leader's run.
 func TestCoalesceFanOut(t *testing.T) {
-	srv, _ := newTestServer(t, Config{PoolSize: 1})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	body := nrrdBody(t, 8)
-	key := wire.ImageKey(body)
-	before := ledger(srv)
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	leaderc := make(chan jobOutcome, 1)
-	go func() {
-		sr, err := srv.walk(context.Background(), &job{key: key, body: body, tune: func(*core.Config) {
-			close(entered)
-			<-gate
+	runEndings(t, endingRow{name: "three followers share the leader's snapshot", moved: coalesced(3),
+		act: func(t *testing.T, r *endingRig) answer {
+			out := make(chan jobOutcome, 4)
+			lease := r.hold()
+			defer lease.Release() // a failed wait must not strand the flight
+			for members := 1; members <= 4; members++ {
+				go func() {
+					sr, err := r.srv.walk(context.Background(), &job{key: wire.ImageKey(r.base), body: r.base})
+					out <- jobOutcome{sr, err}
+				}()
+				waitMembers(t, r.srv, r.flight(), members)
+			}
+			lease.Release()
+			var leader *SnapshotResult
+			var followers []*SnapshotResult
+			for range 4 {
+				o := <-out
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				if o.sr.Summary.Coalesced {
+					followers = append(followers, o.sr)
+				} else {
+					leader = o.sr
+				}
+			}
+			for _, f := range followers {
+				if leader == nil || f.Snapshot != leader.Snapshot || f.Summary.Run.Elements != leader.Summary.Run.Elements {
+					t.Error("a follower got another snapshot or run summary than its leader")
+				}
+			}
+			if len(followers) != 3 {
+				t.Errorf("%d followers marked Coalesced, want 3", len(followers))
+			}
+			return answer{}
 		}})
-		leaderc <- jobOutcome{sr, err}
-	}()
-	<-entered // the leader is inside its run, holding the only session
+}
 
-	const followers = 3
-	fc := make(chan jobOutcome, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			sr, err := srv.walk(context.Background(), &job{key: key, body: body})
-			fc <- jobOutcome{sr, err}
-		}()
-	}
-	waitMembers(t, srv, key, 1+followers)
-	close(gate)
+// TestCoalesceHTTP: four identical concurrent POSTs while the only
+// session is held get one run and four byte-identical bodies.
+func TestCoalesceHTTP(t *testing.T) {
+	runEndings(t, endingRow{name: "four identical POSTs", want: servedVTK, moved: coalesced(3),
+		act: func(t *testing.T, r *endingRig) answer {
+			lease := r.hold()
+			defer lease.Release() // a failed wait must not strand the flight
+			var waits []func() answer
+			for members := 1; members <= 4; members++ {
+				waits = append(waits, r.joining(members, func() answer { return r.mesh("") }))
+			}
+			lease.Release()
+			first := waits[0]()
+			for _, wait := range waits[1:] {
+				if !bytes.Equal(wait().body, first.body) {
+					t.Error("coalesced answers are not byte-identical")
+				}
+			}
+			return first
+		}})
+}
 
-	leader := <-leaderc
-	if leader.err != nil {
-		t.Fatalf("leader: %v", leader.err)
-	}
-	if leader.sr.Summary.Coalesced {
-		t.Error("leader summary marked Coalesced")
-	}
-	for i := 0; i < followers; i++ {
-		f := <-fc
-		if f.err != nil {
-			t.Fatalf("follower: %v", f.err)
-		}
-		if f.sr.Snapshot != leader.sr.Snapshot {
-			t.Error("follower received a different snapshot than the leader")
-		}
-		if !f.sr.Summary.Coalesced {
-			t.Error("follower summary not marked Coalesced")
-		}
-		if f.sr.Summary.Run.Elements != leader.sr.Summary.Run.Elements {
-			t.Error("follower run summary disagrees with the leader")
-		}
-	}
+// TestCoalesceSlowSession: the SlowSession fault stalls the leader
+// inside its lease while a follower waits on the flight: the stall
+// shows in the lease histogram, and the follower still gets the mesh.
+func TestCoalesceSlowSession(t *testing.T) {
+	runEndings(t, endingRow{name: "a stalled leader", want: servedVTK, moved: coalesced(1),
+		act: func(t *testing.T, r *endingRig) answer {
+			defer faultinject.Enable(faultinject.New(faultinject.Config{
+				Rates: map[faultinject.Point]float64{faultinject.SlowSession: 1},
+				Delay: 150 * time.Millisecond,
+			}))()
+			a := r.withLeader(ending{200, ""}, r.leader, r.follower)
+			if occ := r.srv.mLeaseSeconds.Snapshot(); occ.Sum < 0.14 {
+				t.Errorf("lease occupancy sum %v; want the one lease >= 140ms", occ.Sum)
+			}
+			return a
+		}})
+}
 
-	if n := srv.mCoalesced.Value(); n != followers {
-		t.Errorf("coalesced_jobs_total = %d, want %d", n, followers)
-	}
-	if n := srv.mRunSeconds.Count(); n != 1 {
-		t.Errorf("run count = %d, want exactly 1 (single flight)", n)
-	}
-	if n := moved(before, ledger(srv))["leases"]; n != 1 {
-		t.Errorf("session leases = %d, want 1", n)
-	}
-	if a, c := srv.mAccepted.Value(), srv.mCompleted.Value(); a != 1+followers || c != 1+followers {
-		t.Errorf("accepted %d / completed %d, want %d each", a, c, 1+followers)
-	}
-	srv.flightMu.Lock()
-	left := len(srv.flights)
-	srv.flightMu.Unlock()
-	if left != 0 {
-		t.Errorf("%d flights left in the table after completion", left)
-	}
+// TestCoalesceVariantsDoNotShare: the same image under different
+// quality knobs makes different flights: a coalesced waiter never gets
+// a mesh built with someone else's parameters.
+func TestCoalesceVariantsDoNotShare(t *testing.T) {
+	runEndings(t, endingRow{name: "two variants, two runs", pool: 2,
+		moved: mv("accepted", 2, "completed", 2, "recorded", 2, "leases", 2),
+		act: func(t *testing.T, r *endingRig) answer {
+			gate, entered := make(chan struct{}), make(chan struct{}, 2)
+			done := make(chan error, 2)
+			for _, v := range []string{"d=2", "d=3"} {
+				go func() {
+					_, err := r.srv.walk(context.Background(), &job{key: wire.ImageKey(r.base), variant: v, body: r.base,
+						tune: func(*core.Config) { entered <- struct{}{}; <-gate }})
+					done <- err
+				}()
+				select {
+				case <-entered: // each variant runs its own tune: it did not coalesce
+				case <-time.After(10 * time.Second):
+					close(gate)
+					t.Fatalf("variant %s never ran its own tune", v)
+				}
+			}
+			close(gate)
+			for range 2 {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			return answer{}
+		}})
 }
 
 // TestCoalesceGroupCap: with a cap of 2 members a full flight stops
@@ -161,152 +202,5 @@ func TestCoalesceGroupCap(t *testing.T) {
 	}
 	if n := srv.mRunSeconds.Count(); n != 2 {
 		t.Errorf("run count = %d, want 2", n)
-	}
-}
-
-// TestCoalesceVariantsDoNotShare: same image, different quality knobs
-// → different flights (a coalesced waiter must never receive a mesh
-// built with someone else's parameters).
-func TestCoalesceVariantsDoNotShare(t *testing.T) {
-	srv, _ := newTestServer(t, Config{PoolSize: 2})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	body := nrrdBody(t, 8)
-	key := wire.ImageKey(body)
-
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 2)
-	tune := func(*core.Config) {
-		entered <- struct{}{}
-		<-gate
-	}
-	outc := make(chan jobOutcome, 2)
-	go func() {
-		sr, err := srv.walk(context.Background(), &job{key: key, variant: "d=2", body: body, tune: tune})
-		outc <- jobOutcome{sr, err}
-	}()
-	<-entered
-	go func() {
-		sr, err := srv.walk(context.Background(), &job{key: key, variant: "d=3", body: body, tune: tune})
-		outc <- jobOutcome{sr, err}
-	}()
-	<-entered // the second variant ran its own tune: it did not coalesce
-	close(gate)
-
-	for i := 0; i < 2; i++ {
-		if o := <-outc; o.err != nil {
-			t.Fatalf("job %d: %v", i, o.err)
-		}
-	}
-	if n := srv.mCoalesced.Value(); n != 0 {
-		t.Errorf("coalesced_jobs_total = %d, want 0 across variants", n)
-	}
-}
-
-// TestCoalesceHTTP is the acceptance scenario end to end: N identical
-// concurrent POSTs while the pool's only session is held hostage, so
-// all N provably overlap → exactly one meshing run, N byte-identical
-// bodies, coalesced = N-1.
-func TestCoalesceHTTP(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	client := ts.Client()
-	body := nrrdBody(t, 10)
-	key := wire.ImageKey(body)
-
-	// Hold the only session: the leader queues, followers pile onto
-	// its flight, and nothing can run until we let go.
-	lease, err := srv.Pool().Checkout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 4
-	replies := make(chan answer, n)
-	for i := 0; i < n; i++ {
-		go func() { replies <- send(t, client, "POST", ts.URL+"/v1/mesh", octet, body) }()
-	}
-	waitMembers(t, srv, key, n)
-	lease.Release()
-
-	var first []byte
-	for i := 0; i < n; i++ {
-		r := <-replies
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", r.StatusCode, r.body)
-		}
-		if first == nil {
-			first = r.body
-		} else if !bytes.Equal(first, r.body) {
-			t.Error("coalesced responses are not byte-identical")
-		}
-	}
-	if c := srv.mCoalesced.Value(); c != n-1 {
-		t.Errorf("coalesced_jobs_total = %d, want %d", c, n-1)
-	}
-	if runs := srv.mRunSeconds.Count(); runs != 1 {
-		t.Errorf("meshing runs = %d, want exactly 1", runs)
-	}
-}
-
-// TestCoalesceSlowSession: the SlowSession fault stalls the leader
-// inside its lease while followers wait on the flight. Everyone still
-// gets the mesh, the stall shows up in the lease-occupancy histogram,
-// and only one run happened.
-func TestCoalesceSlowSession(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	client := ts.Client()
-	body := nrrdBody(t, 10)
-	key := wire.ImageKey(body)
-
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed:  3,
-		Rates: map[faultinject.Point]float64{faultinject.SlowSession: 1},
-		Delay: 150 * time.Millisecond,
-	}))
-	defer restore()
-
-	lease, err := srv.Pool().Checkout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var bodies [][]byte
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body)
-			if a.StatusCode != http.StatusOK {
-				t.Errorf("status %d: %s", a.StatusCode, a.body)
-				return
-			}
-			mu.Lock()
-			bodies = append(bodies, a.body)
-			mu.Unlock()
-		}()
-	}
-	waitMembers(t, srv, key, n)
-	lease.Release()
-	wg.Wait()
-	faultinject.Disable()
-
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatal("responses diverged under SlowSession")
-		}
-	}
-	if c := srv.mCoalesced.Value(); c != n-1 {
-		t.Errorf("coalesced_jobs_total = %d, want %d", c, n-1)
-	}
-	if runs := srv.mRunSeconds.Count(); runs != 1 {
-		t.Errorf("meshing runs = %d, want 1", runs)
-	}
-	// The injected stall sits inside the lease window; the occupancy
-	// histogram must have seen it.
-	if occ := srv.mLeaseSeconds.Snapshot(); occ.Count != 1 || occ.Sum < 0.14 {
-		t.Errorf("lease occupancy count=%d sum=%v; expected one lease >= 140ms", occ.Count, occ.Sum)
 	}
 }

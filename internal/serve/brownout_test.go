@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"math"
-	"net/http"
-	"sync"
 	"testing"
 	"time"
 
@@ -35,224 +33,117 @@ func looseness(m wire.MeshSpec) [4]float64 {
 // TestBrownedRelaxOnly: a tier rewrite only ever moves a knob in the
 // cheaper direction — a client that already asked for something
 // coarser keeps what it asked for — and the rewritten spec derives a
-// different variant key than the original. Every rung of the ladder
-// the daemon ships is checked the same way: each yields a valid spec
-// with a variant of its own, and a deeper rung is never stricter than a
+// variant key of its own. Every rung of the ladder the daemon ships
+// yields a valid spec, and a deeper rung is never stricter than a
 // shallower one (or than full quality) on any knob.
 func TestBrownedRelaxOnly(t *testing.T) {
-	full := wire.MeshSpec{}
-	variants := map[string]int{full.Variant(): 0}
-	prev := looseness(full)
+	variants := map[string]int{(&wire.MeshSpec{}).Variant(): 0}
+	prev := looseness(wire.MeshSpec{})
 	for i, rung := range brownoutLadder {
 		b := browned(wire.MeshSpec{}, rung)
-		if err := b.Validate(); err != nil {
-			t.Fatalf("rung %d browned spec fails validation: %v", i+1, err)
-		}
-		if j, dup := variants[b.Variant()]; dup {
-			t.Fatalf("rung %d derives the same variant key as tier %d", i+1, j)
-		}
-		variants[b.Variant()] = i + 1
 		cur := looseness(b)
-		for k := range cur {
-			if cur[k] < prev[k] {
-				t.Fatalf("rung %d is stricter than tier %d on knob %d: %+v", i+1, i, k, b)
-			}
+		if _, dup := variants[b.Variant()]; dup || b.Validate() != nil || cur[0] < prev[0] || cur[1] < prev[1] || cur[2] < prev[2] || cur[3] < prev[3] {
+			t.Errorf("rung %d browns to %+v: want a valid spec, a variant of its own and no knob stricter than tier %d", i+1, b, i)
 		}
-		prev = cur
+		variants[b.Variant()], prev = i+1, cur
 	}
-
 	tier := brownoutTier{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 2, MaxElements: 100000}
-
-	// Default-knob request: every tier knob applies.
-	d := browned(wire.MeshSpec{}, tier)
-	if d.MaxRadiusEdge != 3 || d.MinFacetAngle != 15 || d.DeltaScale != 2 || d.MaxElements != 100000 {
-		t.Fatalf("default spec browned = %+v, want all tier knobs applied", d)
-	}
-	empty := wire.MeshSpec{}
-	if d.Variant() == empty.Variant() {
-		t.Fatal("degraded spec derives the same variant key as full quality")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("browned spec fails validation: %v", err)
-	}
-
-	// Already-coarser request: nothing tightens.
+	atTier := wire.MeshSpec{MaxRadiusEdge: 3, MinFacetAngle: 15, DeltaScale: 2, MaxElements: 100000}
 	coarse := wire.MeshSpec{MaxRadiusEdge: 5, MinFacetAngle: 5, DeltaScale: 4, MaxElements: 50000}
-	b := browned(coarse, tier)
-	if b != coarse {
-		t.Fatalf("coarser-than-tier spec was rewritten: %+v -> %+v", coarse, b)
-	}
-
-	// Stricter-than-tier request: every knob relaxes to the tier.
-	strict := wire.MeshSpec{MaxRadiusEdge: 2, MinFacetAngle: 30, MaxElements: 500000}
-	s := browned(strict, tier)
-	if s.MaxRadiusEdge != 3 || s.MinFacetAngle != 15 || s.DeltaScale != 2 || s.MaxElements != 100000 {
-		t.Fatalf("strict spec browned = %+v, want tier bounds", s)
+	for in, want := range map[wire.MeshSpec]wire.MeshSpec{
+		{}:     atTier, // the default knobs: every tier knob applies
+		coarse: coarse, // nothing tightens
+		{MaxRadiusEdge: 2, MinFacetAngle: 30, MaxElements: 500000}: atTier, // every knob relaxes to the tier
+	} {
+		if got := browned(in, tier); got != want {
+			t.Errorf("browned(%+v) = %+v, want %+v", in, got, want)
+		}
 	}
 }
 
 // TestBrownoutControllerHysteresis drives decide() with a synthetic
 // clock: escalation is immediate under pressure, de-escalation takes a
-// full hold period of calm per tier, and a blip of renewed pressure
-// resets the calm timer.
+// full hold period of calm per tier, a blip of renewed pressure resets
+// the calm timer, and deadline pressure escalates a shallow queue,
+// refusing a wait the deepest tier cannot beat.
 func TestBrownoutControllerHysteresis(t *testing.T) {
-	hold := 10 * time.Second
+	const hold = 10 * time.Second
 	b := newBrownoutController(brownoutLadder, hold, 16)
 	now := time.Unix(1000, 0)
-
-	// Idle: stays at full quality.
-	if tier, refuse := b.decide(now, 0, 0.1, time.Minute); tier != 0 || refuse {
-		t.Fatalf("idle decide = (%d,%v), want (0,false)", tier, refuse)
-	}
-
-	// Full queue: escalates to the deepest tier immediately.
-	if tier, _ := b.decide(now, 16, 0.9, time.Minute); tier != 2 {
-		t.Fatalf("saturated decide = tier %d, want 2", tier)
-	}
-
-	// Calm again, but not for long enough: holds the tier.
-	now = now.Add(hold / 2)
-	if tier, _ := b.decide(now, 0, 0.1, time.Minute); tier != 2 {
-		t.Fatalf("calm %v decide = tier %d, want 2 (hold is %v)", hold/2, tier, hold)
-	}
-
-	// A pressure blip resets the calm timer.
-	if tier, _ := b.decide(now, 16, 0.9, time.Minute); tier != 2 {
-		t.Fatalf("blip decide = tier %d, want 2", tier)
-	}
-	now = now.Add(hold * 3 / 4)
-	if tier, _ := b.decide(now, 0, 0.1, time.Minute); tier != 2 {
-		t.Fatal("calm timer not reset by pressure blip")
-	}
-
-	// Sustained calm: one tier per hold period, never skipping.
-	now = now.Add(hold)
-	if tier, _ := b.decide(now, 0, 0.1, time.Minute); tier != 1 {
-		t.Fatalf("after one hold of calm tier = %d, want 1", tier)
-	}
-	now = now.Add(hold)
-	if tier, _ := b.decide(now, 0, 0.1, time.Minute); tier != 0 {
-		t.Fatalf("after two holds of calm tier = %d, want 0", tier)
-	}
-
-	// Deadline pressure escalates even with a shallow queue: the wait
-	// estimate (2 queued / 2 pool + 1) x 30s p90 lease = 60s blows a
-	// 10s headroom.
-	if tier, _ := b.decide(now, 2, 60, 10*time.Second); tier != 2 {
-		t.Fatalf("deadline-pressure decide = tier %d, want 2", tier)
-	}
-
-	// Hopeless: the wait estimate alone, (8 queued / 2 pool + 1) x 30s =
-	// 150s, exceeds 4x the headroom at the deepest tier.
-	if _, refuse := b.decide(now, 8, 150, 10*time.Second); !refuse {
-		t.Fatal("hopeless overload not refused")
+	for i, step := range []struct {
+		after    time.Duration
+		queued   int64
+		p90      float64
+		headroom time.Duration
+		tier     int
+		refuse   bool
+	}{
+		{0, 0, 0.1, time.Minute, 0, false},            // idle: full quality
+		{0, 16, 0.9, time.Minute, 2, false},           // a full queue: the deepest tier at once
+		{hold / 2, 0, 0.1, time.Minute, 2, false},     // calm, but not for a hold
+		{0, 16, 0.9, time.Minute, 2, false},           // a blip resets the calm timer...
+		{hold * 3 / 4, 0, 0.1, time.Minute, 2, false}, // ...so this is still within a hold
+		{hold, 0, 0.1, time.Minute, 1, false},         // one tier per hold of calm
+		{hold, 0, 0.1, time.Minute, 0, false},
+		// A 60 s wait estimate blows a 10 s headroom: the deepest tier,
+		// and past 4x the headroom, refused.
+		{0, 2, 60, 10 * time.Second, 2, true},
+		{0, 2, 30, 10 * time.Second, 2, false},
+	} {
+		now = now.Add(step.after)
+		if tier, refuse := b.decide(now, step.queued, step.p90, step.headroom); tier != step.tier || refuse != step.refuse {
+			t.Fatalf("step %d: decide = (%d, %v), want (%d, %v)", i, tier, refuse, step.tier, step.refuse)
+		}
 	}
 }
 
-// TestBrownoutVariantIsolation: a browned-out response is cached under
-// the degraded variant key only, and a follow-up full-quality request
-// re-meshes at full quality — it never serves the coarse blob.
+// TestBrownoutVariantIsolation: a browned-out answer is cached under
+// the degraded variant key only, so once the load is gone a
+// full-quality request re-meshes at full quality: it is never answered
+// the coarse blob. (TestBrownoutControllerHysteresis walks the
+// controller back.)
 func TestBrownoutVariantIsolation(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.brownout.hold = 10 * time.Millisecond
-
-	// Pin the controller at maximal pressure: every request degrades to
-	// the deepest tier.
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed:  1,
-		Rates: map[faultinject.Point]float64{faultinject.BrownoutStuck: 1},
-	}))
-	// Scale 6: large enough that the degraded tier's doubled δ
-	// actually produces a different (smaller) mesh.
-	body := nrrdBody(t, 6)
-	key := wire.ImageKey(body)
-	empty := wire.MeshSpec{}
-	fullVariant := empty.Variant()
-	ladder := brownoutLadder
-	degSpec := browned(empty, ladder[len(ladder)-1])
-	degradedVariant := degSpec.Variant()
-
-	degraded := send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
-	if degraded.StatusCode != http.StatusOK || degraded.Header.Get(BrownoutHeader) != "2" {
-		t.Fatalf("browned request: status %d, %s %q, want 200 at tier 2", degraded.StatusCode, BrownoutHeader, degraded.Header.Get(BrownoutHeader))
-	}
-	if !cached(srv.cache, key, degradedVariant) {
-		t.Fatalf("degraded result not cached under its own variant %q", degradedVariant)
-	}
-	if cached(srv.cache, key, fullVariant) {
-		t.Fatal("degraded result poisoned the full-quality cache entry")
-	}
-	restore()
-
-	// Load is gone; the controller walks back to full quality one tier
-	// per hold. Poll until a response carries no brownout header.
-	var full []byte
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never returned to full quality")
-		}
-		time.Sleep(20 * time.Millisecond)
-		a := send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
-		if a.StatusCode != http.StatusOK {
-			t.Fatalf("post-storm request status %d: %s", a.StatusCode, a.body)
-		}
-		if a.Header.Get(BrownoutHeader) == "" {
-			full = a.body
-			break
-		}
-	}
-	if !cached(srv.cache, key, fullVariant) {
-		t.Fatal("full-quality result not cached under the full-quality variant")
-	}
-	if bytes.Equal(full, degraded.body) {
-		t.Fatal("full-quality request served the coarse blob")
-	}
-	if l := ledger(srv); family(l, "browned_out") == 0 || l["brownout_tier"] != 0 {
-		t.Fatalf("browned_out %d, tier %d; want >0 jobs and tier 0", family(l, "browned_out"), l["brownout_tier"])
-	}
+	degraded := browned(wire.MeshSpec{}, brownoutLadder[len(brownoutLadder)-1])
+	runEndings(t, endingRow{name: "a full-quality request after a browned one",
+		setup: func(t *testing.T, r *endingRig) {
+			r.ref = withFaults(faultinject.BrownoutStuck, 1<<30, func() answer { return r.mesh("") })
+			key := wire.ImageKey(r.base)
+			if r.ref.Header.Get(BrownoutHeader) != "2" || !cached(r.srv.cache, key, degraded.Variant()) || cached(r.srv.cache, key, "") {
+				t.Fatalf("the browned answer (tier %q) is not cached under its own variant alone", r.ref.Header.Get(BrownoutHeader))
+			}
+			r.srv.brownout = newBrownoutController(brownoutLadder, brownoutHold, 16) // calm again
+		},
+		act: func(t *testing.T, r *endingRig) answer {
+			a := r.mesh("")
+			if bytes.Equal(a.body, r.ref.body) {
+				t.Error("the full-quality request was answered the coarse mesh")
+			}
+			return a
+		},
+		want: servedVTK, moved: served1})
 }
 
-// TestBrownoutCoalescedByteIdentity: two concurrent requests degraded
-// to the same tier share one coalesced flight and receive
-// byte-identical bodies, both stamped with the brownout header.
+// TestBrownoutCoalescedByteIdentity: a leader and a follower degraded
+// to the same tier share one flight and receive byte-identical bodies,
+// both stamped with the brownout header.
 func TestBrownoutCoalescedByteIdentity(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.brownout.hold = time.Minute
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed: 1,
-		Rates: map[faultinject.Point]float64{
-			faultinject.BrownoutStuck: 1,
-			faultinject.SlowSession:   1,
+	degraded := browned(wire.MeshSpec{}, brownoutLadder[len(brownoutLadder)-1])
+	runEndings(t, endingRow{name: "a browned leader and its follower",
+		moved: with(coalesced(1), "browned_out:2", 2, "leases", 1),
+		act: func(t *testing.T, r *endingRig) answer {
+			r.srv.brownout.hold, r.variant = time.Minute, degraded.Variant()
+			defer faultinject.Enable(faultinject.New(faultinject.Config{
+				Rates: map[faultinject.Point]float64{faultinject.BrownoutStuck: 1},
+			}))()
+			a := r.withLeader(ending{200, ""}, func() ending { r.ref = r.mesh(""); return r.ref.ending() }, r.follower)
+			if r.ref.Header.Get(BrownoutHeader) != "2" || !bytes.Equal(r.ref.body, a.body) {
+				t.Errorf("the leader answered tier %q, the follower tier 2: want the same body", r.ref.Header.Get(BrownoutHeader))
+			}
+			return a
 		},
-		MaxFires: map[faultinject.Point]int64{faultinject.SlowSession: 1},
-		Delay:    200 * time.Millisecond,
-	}))
-	defer restore()
-
-	body := nrrdBody(t, 2)
-	replies := make([]answer, 2)
-	var wg sync.WaitGroup
-	for i := range replies {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			replies[i] = send(t, ts.Client(), "POST", ts.URL+"/v1/mesh", octet, body)
-		}(i)
-		// Stagger just enough that the second arrives while the first
-		// (stalled by SlowSession) is still leading the flight.
-		time.Sleep(30 * time.Millisecond)
-	}
-	wg.Wait()
-	for i, r := range replies {
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("request %d status %d: %s", i, r.StatusCode, r.body)
-		}
-		if got := r.Header.Get(BrownoutHeader); got != "2" {
-			t.Fatalf("request %d %s = %q, want \"2\"", i, BrownoutHeader, got)
-		}
-	}
-	if !bytes.Equal(replies[0].body, replies[1].body) {
-		t.Fatal("coalesced degraded responses differ byte-for-byte")
-	}
+		want: func(r *endingRig) pin {
+			p := served(degraded.Variant(), "vtk")(r)
+			p.brownout = "2"
+			return p
+		}})
 }

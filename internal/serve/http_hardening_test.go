@@ -2,140 +2,68 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"math"
 	"net/url"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// pin is everything a client or the router can observe of one response.
-// The behaviour-pin rows in server_test.go, cacheonly_test.go and
-// simulate_test.go assert all of it, so a rewrite of the request path
-// cannot change a status, an envelope, a header or a body byte unseen.
-type pin struct {
-	status    int
-	code      string // envelope code ("" on a 2xx/304)
-	etag      string
-	ctype     string
-	cacheOnly string // X-Pi2md-Cache-Only
-	brownout  string // X-Pi2md-Brownout
-	sha       string // hex SHA-256 of the body
-}
-
-func sha(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// envelope is the exact body of an error response without a Retry-After.
-func envelope(code, reason string) []byte {
-	r, _ := json.Marshal(reason)
-	return []byte(`{"error":{"code":"` + code + `","reason":` + string(r) + "}}\n")
-}
-
-// doPin checks an answer against want, returning the body for rows that
-// compare later answers with it.
-func doPin(t *testing.T, name string, a answer, want pin) []byte {
-	t.Helper()
-	got := pin{
-		status:    a.StatusCode,
-		code:      a.code,
-		etag:      a.Header.Get("ETag"),
-		ctype:     a.Header.Get("Content-Type"),
-		cacheOnly: a.Header.Get(wire.CacheOnlyHeader),
-		brownout:  a.Header.Get(BrownoutHeader),
-		sha:       sha(a.body),
-	}
-	if got != want {
-		t.Errorf("%s:\n got %+v\nwant %+v\nbody %.200q", name, got, want, a.body)
-	}
-	return a.body
-}
-
 // TestRetryAfterTracksLatency: the Retry-After hint is derived from
-// the rejected waiter's actual queue position — queued/pool lease
-// slots plus its own run, each a median lease — instead of a flat wait
-// quantile, so a loaded server tells clients to back off for about as
-// long as capacity actually takes to free up.
+// the rejected waiter's queue position — the queued jobs plus its own
+// run, each a median lease — so a loaded server tells clients to back
+// off for about as long as capacity takes to free up: 1 s on a fast
+// server, ≥ 10 s with four jobs queued behind 3 s leases, within the
+// [1, 30] clamp and ±20 % jitter either way.
 func TestRetryAfterTracksLatency(t *testing.T) {
-	srv, _ := newTestServer(t, Config{PoolSize: 1})
-	srv.retryJitter = func() float64 { return 0.5 } // ×1.0: deterministic
-
-	// Fast service: sub-millisecond leases round up to the 1s floor.
-	for i := 0; i < 100; i++ {
-		srv.mLeaseSeconds.Observe(0.01)
-	}
-	if got := srv.retryAfterSeconds(); got != 1 {
-		t.Errorf("fast-server hint = %ds, want 1", got)
-	}
-
-	// Load arrives: leases land in the 5s bucket and four jobs are
-	// already queued — the hint must account for draining all of them
-	// before the retrier's own run.
-	for i := 0; i < 1000; i++ {
-		srv.mLeaseSeconds.Observe(3)
-	}
-	hold, err := srv.pool.Checkout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, unqueue := context.WithCancel(context.Background())
-	for i := 0; i < 4; i++ {
-		go func() {
-			if l, err := srv.pool.Checkout(queued); err == nil {
-				l.Release()
-			}
-		}()
-	}
-	waitWaiters(t, srv.pool, 4)
-	slow := srv.retryAfterSeconds()
-	if slow < 10 {
-		t.Errorf("loaded-server hint = %ds, want >= 10 ((4 queued + 1) x p50 lease ~5s)", slow)
-	}
-	if slow > 30 {
-		t.Errorf("hint = %ds exceeds the 30s clamp", slow)
-	}
-
-	// Jitter stays inside ±20% and respects the clamps.
-	srv.retryJitter = func() float64 { return 0 }
-	low := srv.retryAfterSeconds()
-	srv.retryJitter = func() float64 { return 1 }
-	high := srv.retryAfterSeconds()
-	if low > high {
-		t.Errorf("jitter inverted: low=%d high=%d", low, high)
-	}
-	if low < 1 || high > 30 {
-		t.Errorf("jittered hints %d..%d escape the [1,30] clamp", low, high)
-	}
-	unqueue()
-	hold.Release()
+	runPool(t, poolRow{size: 1, act: func(t *testing.T, s *Server, p *Pool) {
+		s.retryJitter = func() float64 { return 0.5 } // ×1.0
+		for i := 0; i < 100; i++ {
+			s.mLeaseSeconds.Observe(0.01)
+		}
+		if got := s.retryAfterSeconds(); got != 1 {
+			t.Errorf("fast-server hint = %ds, want 1", got)
+		}
+		for i := 0; i < 1000; i++ {
+			s.mLeaseSeconds.Observe(3)
+		}
+		hold := checkout(t, p)
+		queued, unqueue := context.WithCancel(context.Background())
+		var waiters []<-chan error
+		for i := 0; i < 4; i++ {
+			waiters = append(waiters, waiting(t, p, queued))
+		}
+		var hints []int
+		for _, j := range []float64{0, 0.5, 1} {
+			s.retryJitter = func() float64 { return j }
+			hints = append(hints, s.retryAfterSeconds())
+		}
+		if hints[1] < 10 || hints[0] > hints[1] || hints[1] > hints[2] || hints[0] < 1 || hints[2] > 30 {
+			t.Errorf("hints %v at jitter 0, ½, 1: want ≥ 10 s in the middle, ordered, within [1, 30]", hints)
+		}
+		unqueue()
+		for _, w := range waiters {
+			<-w
+		}
+		hold.Release()
+	}})
 }
 
-// TestRetryAfterMonotoneInQueuePosition: the raw estimate is
-// nondecreasing in queue position — a rejection from a deep queue
-// never tells its client to come back sooner than a rejection from a
-// shallow one.
+// TestRetryAfterMonotoneInQueuePosition: the raw estimate grows with
+// queue position — a rejection from a deep queue never tells its client
+// to come back sooner than a rejection from a shallow one.
 func TestRetryAfterMonotoneInQueuePosition(t *testing.T) {
 	srv, _ := newTestServer(t, Config{PoolSize: 2})
 	for i := 0; i < 100; i++ {
 		srv.mLeaseSeconds.Observe(0.8)
 	}
-	prev := -1.0
-	for pos := int64(0); pos <= 32; pos++ {
-		est := srv.waitEstimate(pos, 0.50)
-		if est < prev {
-			t.Fatalf("estimate not monotone: pos %d -> %gs, pos %d -> %gs", pos-1, prev, pos, est)
+	for pos := int64(1); pos <= 32; pos++ {
+		if prev, est := srv.waitEstimate(pos-1, 0.50), srv.waitEstimate(pos, 0.50); est < prev {
+			t.Fatalf("pos %d -> %gs, pos %d -> %gs: not monotone", pos-1, prev, pos, est)
 		}
-		prev = est
 	}
 	if srv.waitEstimate(32, 0.50) <= srv.waitEstimate(0, 0.50) {
-		t.Fatalf("estimate flat across queue depth: deep=%g shallow=%g",
-			srv.waitEstimate(32, 0.50), srv.waitEstimate(0, 0.50))
+		t.Fatal("the estimate is flat across queue depth")
 	}
 }
 
@@ -168,65 +96,36 @@ var hostileParams = []string{
 }
 
 func queryValues(qs string) url.Values {
-	u, err := url.Parse("/v1/mesh?" + qs)
-	if err != nil {
-		return url.Values{}
-	}
-	return u.Query()
+	q, _ := url.ParseQuery(qs)
+	return q
 }
 
 // TestParseMeshSpecHostile: every hostile/boundary knob yields a parse
 // error from the shared query→MeshSpec path (the HTTP layer turns it
-// into a 400), never a NaN-configured run. delta=NaN previously
-// slipped through because ParseFloat accepts "NaN" and NaN <= 0 is
-// false.
+// into a 400), never a NaN-configured run. delta=NaN once slipped
+// through because ParseFloat accepts "NaN" and NaN <= 0 is false.
 func TestParseMeshSpecHostile(t *testing.T) {
 	for _, qs := range hostileParams {
 		if _, err := wire.MeshSpecFromQuery(queryValues(qs)); err == nil {
 			t.Errorf("query %q accepted, want an error", qs)
 		}
 	}
-	// Sanity: the legitimate knobs still parse.
-	spec, err := wire.MeshSpecFromQuery(queryValues(
-		"format=off&delta=0.5&max_elements=1000&max_radius_edge=2.2&min_facet_angle=25&timeout=30s"))
-	if err != nil {
-		t.Fatalf("legitimate query rejected: %v", err)
-	}
-	if spec.Format != "off" || spec.Delta != 0.5 || spec.MaxElements != 1000 ||
-		spec.MaxRadiusEdge != 2.2 || spec.MinFacetAngle != 25 ||
-		time.Duration(spec.Timeout) != 30*time.Second {
-		t.Errorf("parsed spec %+v does not match the query", spec)
-	}
 }
 
 // checkSaneMeshSpec is the fuzz oracle shared by the query and JSON
 // surfaces: anything either parser accepts must be a sane engine
-// configuration.
+// configuration — finite non-negative knobs, a radius-edge bound at or
+// above the provable 2, a non-negative element budget and timeout, a
+// known format — that passes its own validation.
 func checkSaneMeshSpec(t *testing.T, m wire.MeshSpec, input string) {
 	t.Helper()
-	for name, v := range map[string]float64{
-		"delta":           m.Delta,
-		"max_radius_edge": m.MaxRadiusEdge,
-		"min_facet_angle": m.MinFacetAngle,
-	} {
+	for _, v := range []float64{m.Delta, m.MaxRadiusEdge, m.MinFacetAngle} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			t.Fatalf("accepted %s=%v from %q (NaN/Inf/negative would reach the engine)", name, v, input)
+			t.Fatalf("accepted %+v from %q: a NaN, infinite or negative knob would reach the engine", m, input)
 		}
 	}
-	if m.MaxRadiusEdge != 0 && m.MaxRadiusEdge < 2 {
-		t.Fatalf("accepted max_radius_edge=%v below the provable bound from %q", m.MaxRadiusEdge, input)
-	}
-	if m.MaxElements < 0 {
-		t.Fatalf("accepted max_elements=%d from %q", m.MaxElements, input)
-	}
-	if m.Timeout < 0 {
-		t.Fatalf("accepted timeout=%v from %q", time.Duration(m.Timeout), input)
-	}
-	if m.Format != "vtk" && m.Format != "off" {
-		t.Fatalf("accepted format=%q from %q", m.Format, input)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("accepted a spec that fails its own validation from %q: %v", input, err)
+	if (m.MaxRadiusEdge != 0 && m.MaxRadiusEdge < 2) || m.MaxElements < 0 || m.Timeout < 0 || (m.Format != "vtk" && m.Format != "off") || m.Validate() != nil {
+		t.Fatalf("accepted %+v from %q", m, input)
 	}
 }
 
@@ -245,15 +144,9 @@ func FuzzParseMeshParams(f *testing.F) {
 	f.Add("timeout=9999999999999999999ns")
 	f.Add("delta=%GG&max_elements=+0")
 	f.Fuzz(func(t *testing.T, qs string) {
-		q := url.Values{}
-		if u, err := url.Parse("/v1/mesh?" + qs); err == nil {
-			q = u.Query()
+		if m, err := wire.MeshSpecFromQuery(queryValues(qs)); err == nil {
+			checkSaneMeshSpec(t, m, qs)
 		}
-		m, err := wire.MeshSpecFromQuery(q)
-		if err != nil {
-			return
-		}
-		checkSaneMeshSpec(t, m, qs)
 	})
 }
 
@@ -275,11 +168,9 @@ func FuzzParseMeshSpec(f *testing.F) {
 	f.Add(`{"size": {"per_label": {"evil": 2}}}`)
 	f.Add(`{"size": {"balls": [{"center": [0,0,0], "r": -1, "h": 1}]}}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		m, err := wire.ParseMeshSpec([]byte(body))
-		if err != nil {
-			return
+		if m, err := wire.ParseMeshSpec([]byte(body)); err == nil {
+			checkSaneMeshSpec(t, m, body)
 		}
-		checkSaneMeshSpec(t, m, body)
 	})
 }
 
@@ -306,26 +197,18 @@ func FuzzParseSimSpec(f *testing.F) {
 			return
 		}
 		checkSaneMeshSpec(t, sp.Mesh, body)
-		if sp.Format != "vtk" && sp.Format != "summary" {
-			t.Fatalf("accepted format=%q from %q", sp.Format, body)
-		}
-		if len(sp.Dirichlet) == 0 {
-			t.Fatalf("accepted a spec with no dirichlet clauses from %q", body)
-		}
+		sane := (sp.Format == "vtk" || sp.Format == "summary") && len(sp.Dirichlet) > 0 &&
+			sp.Solve.Tol >= 0 && sp.Solve.MaxIter >= 0 && sp.Solve.Timeout >= 0
 		for _, bc := range sp.Dirichlet {
-			if math.IsNaN(bc.Value) || math.IsInf(bc.Value, 0) {
-				t.Fatalf("accepted non-finite dirichlet value from %q", body)
-			}
+			sane = sane && !math.IsNaN(bc.Value) && !math.IsInf(bc.Value, 0)
 		}
 		if c := sp.Conductivity; c != nil {
-			for k, v := range c.PerLabel {
-				if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted conductivity %s=%v from %q", k, v, body)
-				}
+			for _, v := range c.PerLabel {
+				sane = sane && v > 0 && !math.IsInf(v, 0)
 			}
 		}
-		if sp.Solve.Tol < 0 || sp.Solve.MaxIter < 0 || sp.Solve.Timeout < 0 {
-			t.Fatalf("accepted negative solver bounds from %q", body)
+		if !sane {
+			t.Fatalf("accepted %+v from %q", sp, body)
 		}
 	})
 }

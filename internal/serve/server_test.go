@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -36,31 +35,15 @@ func nrrdBody(t *testing.T, scale int) []byte {
 // gzipNRRDBody re-encodes a raw NRRD as a gzip-encoded one (NRRD's
 // own data encoding, not HTTP content encoding).
 func gzipNRRDBody(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	im, err := img.ReadNRRD(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	fmt.Fprintln(&b, "NRRD0004")
-	fmt.Fprintln(&b, "type: uint8")
-	fmt.Fprintln(&b, "dimension: 3")
-	fmt.Fprintf(&b, "sizes: %d %d %d\n", im.NX, im.NY, im.NZ)
-	fmt.Fprintf(&b, "spacings: %g %g %g\n", im.Spacing.X, im.Spacing.Y, im.Spacing.Z)
-	fmt.Fprintln(&b, "encoding: gzip")
-	fmt.Fprintln(&b)
-	gz := gzip.NewWriter(&b)
-	vox := make([]byte, 0, im.NumVoxels())
-	for k := 0; k < im.NZ; k++ {
-		for j := 0; j < im.NY; j++ {
-			for i := 0; i < im.NX; i++ {
-				vox = append(vox, byte(im.At(i, j, k)))
-			}
-		}
-	}
-	if _, err := gz.Write(vox); err != nil {
-		t.Fatal(err)
-	}
+	hdr, voxels, _ := bytes.Cut(raw, []byte("\n\n"))
+	return gzipNRRD(t, strings.Replace(string(hdr), "encoding: raw", "encoding: gzip", 1)+"\n\n", voxels)
+}
+
+// gzipNRRD is an NRRD header followed by voxels gzipped.
+func gzipNRRD(t *testing.T, hdr string, voxels []byte) []byte {
+	b := bytes.NewBufferString(hdr)
+	gz := gzip.NewWriter(b)
+	gz.Write(voxels)
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +96,13 @@ const octet = "application/octet-stream"
 
 // answer is one response read whole: the response (its body drained and
 // closed), the body, and the error envelope's code and reason ("" below
-// 400, or for a body that is not the envelope).
+// 400, or for a body that is not the envelope). A direct answer was
+// served in-process and never framed for a wire.
 type answer struct {
 	*http.Response
 	body         []byte
 	code, reason string
+	direct       bool
 }
 
 func (a answer) ending() ending { return ending{a.StatusCode, a.code} }
@@ -376,222 +361,26 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerRoundTripReaderWriter drives NRRD → mesh → VTK and OFF
-// entirely through io.Reader/io.Writer paths — the request body in, a
-// parseable mesh out, no temp files — including a gzip-encoded NRRD
-// under the server's size cap.
-func TestServerRoundTripReaderWriter(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 1 << 20})
-	client := ts.Client()
-	raw := nrrdBody(t, 12)
-
-	// Raw NRRD → VTK: parse the response back and sanity-check it.
-	vtk := send(t, client, "POST", ts.URL+"/v1/mesh?format=vtk", octet, raw)
-	if vtk.StatusCode != http.StatusOK {
-		t.Fatalf("vtk: status %d: %s", vtk.StatusCode, vtk.body)
-	}
-	rm, err := meshio.ReadVTK(bytes.NewReader(vtk.body))
-	if err != nil {
-		t.Fatalf("parsing VTK response: %v", err)
-	}
-	if len(rm.Cells) == 0 || len(rm.Verts) == 0 {
-		t.Fatalf("VTK round-trip lost the mesh: %d cells, %d verts", len(rm.Cells), len(rm.Verts))
-	}
-	if len(rm.Labels) != len(rm.Cells) {
-		t.Fatalf("VTK round-trip lost tissue labels: %d labels for %d cells", len(rm.Labels), len(rm.Cells))
-	}
-
-	// The same volume gzip-encoded must produce the identical mesh
-	// (same voxels, same session template, sequential determinism).
-	gzBody := gzipNRRDBody(t, raw)
-	if len(gzBody) >= len(raw) {
-		t.Fatalf("gzip NRRD (%d bytes) is not smaller than raw (%d)", len(gzBody), len(raw))
-	}
-	gz := send(t, client, "POST", ts.URL+"/v1/mesh?format=vtk", octet, gzBody)
-	if gz.StatusCode != http.StatusOK {
-		t.Fatalf("gzip vtk: status %d: %s", gz.StatusCode, gz.body)
-	}
-	rm2, err := meshio.ReadVTK(bytes.NewReader(gz.body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rm2.Cells) != len(rm.Cells) {
-		t.Errorf("gzip round-trip: %d cells, raw produced %d", len(rm2.Cells), len(rm.Cells))
-	}
-
-	// OFF export of the boundary.
-	off := send(t, client, "POST", ts.URL+"/v1/mesh?format=off", octet, raw)
-	if off.StatusCode != http.StatusOK {
-		t.Fatalf("off: status %d: %s", off.StatusCode, off.body)
-	}
-	if !bytes.HasPrefix(off.body, []byte("OFF")) {
-		t.Fatalf("OFF response does not start with OFF header: %.40s", off.body)
-	}
-}
-
-// TestServerHostileInputs covers the abuse paths: oversized bodies
-// against the size cap, a gzip bomb that decodes past its declared
-// voxel count, junk bytes, and bad parameters.
-func TestServerHostileInputs(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
-	mesh := func(query string, body []byte) answer {
-		return send(t, ts.Client(), "POST", ts.URL+"/v1/mesh"+query, octet, body)
-	}
-
-	// A valid-but-large NRRD over the request cap → 413.
-	if a := mesh("", nrrdBody(t, 24)); a.StatusCode != http.StatusRequestEntityTooLarge { // ~14k voxels > 4k cap
-		t.Errorf("oversized body: status %d, want 413", a.StatusCode)
-	}
-
-	// A gzip-encoded NRRD whose stream inflates past the declared
-	// sizes: the bounded reader must reject it without inflating the
-	// whole bomb. The header fits the cap; the payload lies.
-	var bomb bytes.Buffer
-	fmt.Fprintln(&bomb, "NRRD0004")
-	fmt.Fprintln(&bomb, "type: uint8")
-	fmt.Fprintln(&bomb, "dimension: 3")
-	fmt.Fprintln(&bomb, "sizes: 4 4 4") // declares 64 voxels
-	fmt.Fprintln(&bomb, "spacings: 1 1 1")
-	fmt.Fprintln(&bomb, "encoding: gzip")
-	fmt.Fprintln(&bomb)
-	gz := gzip.NewWriter(&bomb)
-	gz.Write(make([]byte, 2048)) // inflates to 32x the declaration
-	gz.Close()
-	if a := mesh("", bomb.Bytes()); a.StatusCode != http.StatusBadRequest {
-		t.Errorf("gzip bomb: status %d (%s), want 400", a.StatusCode, a.body)
-	}
-
-	// Junk bytes → 400 from the NRRD parser.
-	if a := mesh("", []byte("not an image")); a.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk body: status %d, want 400", a.StatusCode)
-	}
-
-	// Bad query parameters → 400 before any body processing, each with
-	// the envelope's code and a reason.
-	for _, q := range []string{"?format=stl", "?timeout=banana", "?delta=NaN"} {
-		if a := mesh(q, nrrdBody(t, 8)); a.StatusCode != http.StatusBadRequest || a.code != wire.CodeBadRequest || a.reason == "" {
-			t.Errorf("%s: status %d, envelope %q %q, want 400 %s with a reason", q, a.StatusCode, a.code, a.reason, wire.CodeBadRequest)
-		}
-	}
-}
-
-// TestServerQualityOverrides verifies per-request knobs reach the run:
-// a coarser delta must produce fewer tetrahedra than the default.
-func TestServerQualityOverrides(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	client := ts.Client()
-	body := nrrdBody(t, 16)
-
-	count := func(url string) int {
-		a := send(t, client, "POST", url, octet, body)
-		if a.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", url, a.StatusCode, a.body)
-		}
-		rm, err := meshio.ReadVTK(bytes.NewReader(a.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(rm.Cells)
-	}
-
-	fine := count(ts.URL + "/v1/mesh")
-	coarse := count(ts.URL + "/v1/mesh?delta=6")
-	if coarse >= fine {
-		t.Errorf("delta=6 produced %d cells, default produced %d: override did not coarsen", coarse, fine)
-	}
-	capped := count(ts.URL + "/v1/mesh?max_elements=50")
-	if capped > 200 {
-		t.Errorf("max_elements=50 produced %d cells", capped)
-	}
-
-	// A below-bound radius-edge ratio is rejected up front: it could
-	// refine forever, and a server must not accept that.
-	if a := send(t, client, "POST", ts.URL+"/v1/mesh?max_radius_edge=1.5", octet, body); a.StatusCode != http.StatusBadRequest {
-		t.Errorf("below-bound radius-edge: status %d, want 400", a.StatusCode)
-	}
-}
-
 // TestServerSlowSessionFault exercises the SlowSession inject point:
-// with the stall armed, queue wait for a second request grows past
-// the injected delay.
+// with the stall armed, the queue wait of a request behind another
+// image's run grows past the injected delay.
 func TestServerSlowSessionFault(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.cache = nil // nothing is asked twice: a cache would only write
-	client := ts.Client()
-	// Two distinct payloads: identical bodies would coalesce into one
-	// run and the follower would never enter the session queue.
-	bodies := [][]byte{nrrdBody(t, 12), nrrdBody(t, 13)}
-
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed:  7,
-		Rates: map[faultinject.Point]float64{faultinject.SlowSession: 1},
-		Delay: 50 * time.Millisecond,
-	}))
-	defer restore()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(body []byte) {
-			defer wg.Done()
-			if a := send(t, client, "POST", ts.URL+"/v1/mesh", octet, body); a.StatusCode != http.StatusOK {
-				t.Errorf("status %d: %s", a.StatusCode, a.body)
+	runEndings(t, endingRow{name: "a request behind a stalled lease", want: servedVTK,
+		moved: mv("accepted", 2, "completed", 2, "recorded", 2, "waits", 2),
+		act: func(t *testing.T, r *endingRig) answer {
+			defer faultinject.Enable(faultinject.New(faultinject.Config{
+				Rates: map[faultinject.Point]float64{faultinject.SlowSession: 1},
+				Delay: 50 * time.Millisecond,
+			}))()
+			first := make(chan answer, 1)
+			go func() { first <- r.send("POST", "/v1/mesh", octet, nrrdBody(t, 7)) }()
+			for end := time.Now().Add(5 * time.Second); r.srv.pool.Stats().Busy == 0 && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
 			}
-		}(bodies[i])
-	}
-	wg.Wait()
-	faultinject.Disable()
-
-	if srv.mQueueWait.Sum() < 0.045 {
-		t.Errorf("queue wait sum = %vs; the slow-session stall did not back up the queue", srv.mQueueWait.Sum())
-	}
-}
-
-// TestPinMeshPath pins what /v1/mesh answers on the paths no other test
-// looks at byte for byte: a conditional whose validator names the other
-// format, the oversized and empty uploads, and a cached pair on a
-// draining node — refused to a meshing request, served to a cache-only
-// one. It runs with the brownout controller off and on (the daemon's
-// default): an idle controller must not show.
-func TestPinMeshPath(t *testing.T) {
-	for _, brownout := range []bool{false, true} {
-		srv, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
-		if !brownout {
-			srv.brownout = nil
-		}
-		c := ts.Client()
-		body := nrrdBody(t, 7)
-		mesh := ts.URL + "/v1/mesh"
-		vtk, vtkTag := meshOK(t, c, ts.URL, "", body)
-		off, offTag := meshOK(t, c, ts.URL, "?format=off", body)
-		if !strings.HasSuffix(vtkTag, `-vtk"`) || offTag != strings.TrimSuffix(vtkTag, `-vtk"`)+`-off"` {
-			t.Fatalf("entity tags %q / %q: want one blob tag with the format folded in", vtkTag, offTag)
-		}
-
-		doPin(t, "repeat hit", send(t, c, "POST", mesh, octet, body),
-			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
-		doPin(t, "conditional, matching", send(t, c, "POST", mesh, octet, body, "If-None-Match", vtkTag),
-			pin{status: 304, etag: vtkTag, sha: sha(nil)})
-		doPin(t, "off conditional against the vtk entity", send(t, c, "POST", mesh+"?format=off", octet, body, "If-None-Match", vtkTag),
-			pin{status: 200, etag: offTag, ctype: "model/off", sha: sha(off)})
-		doPin(t, "vtk conditional against the off entity", send(t, c, "POST", mesh, octet, body, "If-None-Match", offTag),
-			pin{status: 200, etag: vtkTag, ctype: "text/vtk", sha: sha(vtk)})
-		doPin(t, "oversized upload", send(t, c, "POST", mesh, octet, nrrdBody(t, 24)),
-			pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
-				sha: sha(envelope(wire.CodeTooLarge, "request body exceeds the 4096 byte cap"))})
-		doPin(t, "empty upload", send(t, c, "POST", mesh, octet, nil),
-			pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
-				sha: sha(envelope(wire.CodeBadRequest, "empty body: expected an NRRD label image"))})
-
-		srv.AnnounceDrain(0)
-		doPin(t, "cached pair while draining", send(t, c, "POST", mesh, octet, body),
-			pin{status: 503, code: wire.CodeDraining, ctype: "application/json",
-				sha: sha(envelope(wire.CodeDraining, "serve: server draining"))})
-		doPin(t, "conditional while draining", send(t, c, "POST", mesh, octet, body, "If-None-Match", vtkTag),
-			pin{status: 304, etag: vtkTag, sha: sha(nil)})
-		if n := srv.mRejected.Value("draining"); n != 1 {
-			t.Errorf("brownout=%v: draining rejections = %d, want 1", brownout, n)
-		}
-	}
+			a := r.mesh("")
+			if (<-first).StatusCode != http.StatusOK || r.srv.mQueueWait.Sum() < 0.045 {
+				t.Errorf("queue wait sum = %vs; the slow-session stall did not back up the queue", r.srv.mQueueWait.Sum())
+			}
+			return a
+		}})
 }

@@ -1,208 +1,86 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/wire"
 )
 
 // TestSimulateEndToEnd solves -Δu = 1 with u = 0 on the meshed sphere
 // boundary through the full serving stack and checks the discrete
-// field against the analytic solution u(r) = (R² - r²)/6: the maximum
-// sits near R²/6. Also asserts the response carries the field as VTK
-// POINT_DATA plus the JSON summary, and that format=summary returns
-// the summary alone.
+// field against the analytic solution u(r) = (R² - r²)/6, whose maximum
+// is R²/6: the answer carries the field as VTK POINT_DATA and the JSON
+// summary in a header, and format=summary, its mesh now a cache hit,
+// returns the summary alone, of the same field.
 func TestSimulateEndToEnd(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	client := ts.Client()
-	const scale = 32
-	image := nrrdBody(t, scale)
-
-	spec := `{
-		"dirichlet": [{"value": 0}],
-		"source": {"uniform": 1},
-		"solve": {"tol": 1e-9}
-	}`
-	body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(spec), "image": image})
-	a := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
-	if a.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d: %s", a.StatusCode, a.body)
-	}
-	if ct := a.Header.Get("Content-Type"); ct != "text/vtk" {
-		t.Errorf("Content-Type = %q, want text/vtk", ct)
-	}
-	text := string(a.body)
-	if !strings.Contains(text, "POINT_DATA") || !strings.Contains(text, "SCALARS u double 1") {
-		t.Error("VTK response missing the POINT_DATA field section")
-	}
-	var summary SimSummary
-	if err := json.Unmarshal([]byte(a.Header.Get("X-Simulate-Summary")), &summary); err != nil {
-		t.Fatalf("X-Simulate-Summary is not JSON: %v", err)
-	}
-
-	// Analytic: u_max = R²/6 with R = 0.35·scale (the phantom's
-	// radius). The serving mesh is the raw refinement snapshot (no
-	// surface smoothing), so the tolerance is looser than the fem
-	// package's own analytic test.
-	R := 0.35 * float64(scale)
-	wantMax := R * R / 6
-	if summary.FieldMax < wantMax*0.75 || summary.FieldMax > wantMax*1.25 {
-		t.Errorf("field max = %g, want within 25%% of analytic %g", summary.FieldMax, wantMax)
-	}
-	if summary.FieldMin < -wantMax*0.05 {
-		t.Errorf("field min = %g, want ~0 (boundary value)", summary.FieldMin)
-	}
-	if summary.Iterations < 1 || summary.Residual > 1e-8 {
-		t.Errorf("solver summary: %d iterations, residual %g", summary.Iterations, summary.Residual)
-	}
-	if summary.ConstrainedVertices < 1 || summary.Cells < 1 || summary.Vertices < 1 {
-		t.Errorf("summary sizes: %+v", summary)
-	}
-	if summary.Quality.MaxRadiusEdge <= 0 || summary.Quality.MinDihedralDeg <= 0 {
-		t.Errorf("quality digest empty: %+v", summary.Quality)
-	}
-	if v := srv.mSimJobs.Value("ok"); v != 1 {
-		t.Errorf("simulate_jobs_total{ok} = %d, want 1", v)
-	}
-	if srv.mSolveSeconds.Count() != 1 || srv.mSolveIters.Count() != 1 {
-		t.Errorf("solve metrics: %d seconds obs, %d iter obs, want 1 each",
-			srv.mSolveSeconds.Count(), srv.mSolveIters.Count())
-	}
-
-	// format=summary answers with the JSON document alone — and the
-	// mesh comes from the cache this time (same image, same variant).
-	body, ctype = multipartBody(t, map[string][]byte{"image": image,
-		"spec": []byte(`{"format": "summary", "dirichlet": [{"value": 0}], "source": {"uniform": 1}, "solve": {"tol": 1e-9}}`)})
-	a = send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
-	if a.StatusCode != http.StatusOK {
-		t.Fatalf("summary simulate: %d: %s", a.StatusCode, a.body)
-	}
-	var summary2 SimSummary
-	if err := json.Unmarshal(a.body, &summary2); err != nil {
-		t.Fatalf("summary body is not JSON: %v: %s", err, a.body)
-	}
-	if !summary2.CacheHit {
-		t.Error("second simulate over the same (image, variant) did not reuse the cached mesh")
-	}
-	if summary2.FieldMax != summary.FieldMax {
-		t.Errorf("same problem, different fields: %g vs %g", summary2.FieldMax, summary.FieldMax)
-	}
-	if runs := srv.mRunSeconds.Count(); runs != 1 {
-		t.Errorf("meshing runs = %d, want 1 (second simulate must reuse the snapshot)", runs)
-	}
-}
-
-// TestPinSimulateUploadErrors pins the upload rejections of /v1/simulate
-// — the same body-read mapping /v1/mesh has, with simulate's own wording
-// for the parts — byte for byte, and their bad_request outcome count.
-func TestPinSimulateUploadErrors(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1, MaxRequestBytes: 4 << 10})
-	c := ts.Client()
-	const spec = `{"dirichlet": [{"value": 0}]}`
-	sim := ts.URL + "/v1/simulate"
-	row := func(name string, parts map[string][]byte, want pin) {
-		t.Helper()
-		body, ctype := multipartBody(t, parts)
-		doPin(t, name, send(t, c, "POST", sim, ctype, body), want)
-	}
-	row("oversized upload", map[string][]byte{"spec": []byte(spec), "image": nrrdBody(t, 24)},
-		pin{status: 413, code: wire.CodeTooLarge, ctype: "application/json",
-			sha: sha(envelope(wire.CodeTooLarge, "request body exceeds the 4096 byte cap"))})
-	row("empty image part", map[string][]byte{"spec": []byte(spec), "image": {}},
-		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(wire.CodeBadRequest, `empty "image" part: expected an NRRD label image`))})
-	row("no spec part", map[string][]byte{"image": nrrdBody(t, 7)},
-		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(wire.CodeBadRequest, `missing "spec" part: POST /v1/simulate takes multipart/form-data with a JSON spec and an NRRD image`))})
-	row("undecodable image", map[string][]byte{"spec": []byte(spec), "image": []byte("not an image")},
-		pin{status: 400, code: wire.CodeBadRequest, ctype: "application/json",
-			sha: sha(envelope(wire.CodeBadRequest, "decoding image: nrrd: reading magic: EOF"))})
-	if v := srv.mSimJobs.Value("bad_request"); v != 4 {
-		t.Errorf("simulate_jobs_total{bad_request} = %d, want 4", v)
-	}
-	if v := srv.mSimJobs.Total(); v != 4 {
-		t.Errorf("simulate_jobs_total = %d over all outcomes, want 4", v)
-	}
+	const spec = `"dirichlet": [{"value": 0}], "source": {"uniform": 1}, "solve": {"tol": 1e-9}}`
+	runEndings(t, endingRow{name: "a Poisson solve, then its summary",
+		setup: func(t *testing.T, r *endingRig) { r.base = nrrdBody(t, 32); r.ref = r.simulate("{" + spec) },
+		act: func(t *testing.T, r *endingRig) answer {
+			var s, again SimSummary
+			json.Unmarshal([]byte(r.ref.Header.Get("X-Simulate-Summary")), &s)
+			a := r.simulate(`{"format": "summary", ` + spec)
+			json.Unmarshal(a.body, &again)
+			// R = 0.35·scale, the phantom's radius. The serving mesh is the
+			// raw refinement snapshot (no surface smoothing), so the
+			// tolerance is looser than the fem package's own analytic test.
+			wantMax := 0.35 * 32 * 0.35 * 32 / 6
+			switch {
+			case r.ref.StatusCode != 200 || !bytes.Contains(r.ref.body, []byte("SCALARS u double 1")):
+				t.Errorf("the VTK answer (%d) lacks the POINT_DATA field", r.ref.StatusCode)
+			case s.FieldMax < wantMax*0.75 || s.FieldMax > wantMax*1.25 || s.FieldMin < -wantMax*0.05:
+				t.Errorf("field in [%g, %g], want [0, ~%g]", s.FieldMin, s.FieldMax, wantMax)
+			case s.Iterations < 1 || s.Residual > 1e-8 || s.ConstrainedVertices < 1 || s.Quality.MinDihedralDeg <= 0:
+				t.Errorf("summary %+v", s)
+			case !again.CacheHit || again.FieldMax != s.FieldMax:
+				t.Errorf("the summary answer %+v: want the same field, its mesh from the cache", again)
+			}
+			if r.srv.mSolveSeconds.Count() != 2 || r.srv.mSolveIters.Count() != 2 {
+				t.Errorf("solve metrics: %d seconds, %d iteration observations, want 2 each", r.srv.mSolveSeconds.Count(), r.srv.mSolveIters.Count())
+			}
+			return a
+		},
+		want:  simulated("application/json", "c614029ff31c91f4d02bb5db097cd1886e589847e73b5b3e1280d8bdc06b8740"),
+		moved: with(cacheHit1, "simulate:ok", 1)})
 }
 
 // TestSimulateSharedMeshTwoSolves: two simulate requests agreeing on
-// (image, mesh variant) but differing in boundary conditions share ONE
-// meshing run — via single-flight coalescing when they overlap, via
-// the result cache otherwise — and still receive their own distinct
-// fields.
+// (image, mesh variant) but not on boundary conditions share one
+// meshing run, coalesced, and each gets its own field: with no source
+// and u = v on the whole boundary, the constant v.
 func TestSimulateSharedMeshTwoSolves(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	srv.coalesceMax = 4
-	client := ts.Client()
-	image := nrrdBody(t, 16)
-
-	// Slow the (single) session down so overlapping requests coalesce.
-	restore := faultinject.Enable(faultinject.New(faultinject.Config{
-		Seed:     1,
-		Rates:    map[faultinject.Point]float64{faultinject.SlowSession: 1},
-		MaxFires: map[faultinject.Point]int64{faultinject.SlowSession: 1},
-		Delay:    300 * time.Millisecond,
-	}))
-	defer restore()
-
-	specFor := func(value float64) string {
-		// No source: the solution of Laplace's equation with u = value on
-		// the whole boundary is the constant field u ≡ value.
-		return fmt.Sprintf(`{"format": "summary", "dirichlet": [{"value": %g}]}`, value)
+	spec := func(v int) string { return fmt.Sprintf(`{"format": "summary", "dirichlet": [{"value": %d}]}`, v) }
+	constant := func(t *testing.T, a answer, v float64) SimSummary {
+		var s SimSummary
+		if err := json.Unmarshal(a.body, &s); err != nil || s.FieldMin < v-1e-6 || s.FieldMax > v+1e-6 {
+			t.Errorf("field in [%g, %g] (%v), want the constant %g", s.FieldMin, s.FieldMax, err, v)
+		}
+		return s
 	}
-	var wg sync.WaitGroup
-	summaries := make([]SimSummary, 2)
-	errs := make([]error, 2)
-	for i, value := range []float64{1, 2} {
-		body, ctype := multipartBody(t, map[string][]byte{"spec": []byte(specFor(value)), "image": image})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a := send(t, client, "POST", ts.URL+"/v1/simulate", ctype, body)
-			if a.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("simulate %d: %d: %s", i, a.StatusCode, a.body)
-				return
+	runEndings(t, endingRow{name: "two solves, one mesh", setup: solvable,
+		moved: with(coalesced(1), "simulate:ok", 2),
+		act: func(t *testing.T, r *endingRig) answer {
+			lead := func() ending { r.ref = r.simulate(spec(1)); return r.ref.ending() }
+			a := r.withLeader(ending{200, ""}, lead, func() func() answer {
+				return r.joining(2, func() answer { return r.simulate(spec(2)) })
+			})
+			if s1, s2 := constant(t, r.ref, 1), constant(t, a, 2); s1.Cells != s2.Cells || !s2.Coalesced {
+				t.Errorf("the solves ran on meshes of %d and %d cells, the second coalesced: %v", s1.Cells, s2.Cells, s2.Coalesced)
 			}
-			errs[i] = json.Unmarshal(a.body, &summaries[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if runs := srv.mRunSeconds.Count(); runs != 1 {
-		t.Errorf("meshing runs = %d, want 1 (the mesh must be shared)", runs)
-	}
-	if shared := srv.mCoalesced.Value() + srv.mCacheServed.Value(); shared < 1 {
-		t.Error("neither coalescing nor the cache served the second mesh")
-	}
-	for i, want := range []float64{1, 2} {
-		s := summaries[i]
-		if s.FieldMin < want-1e-6 || s.FieldMax > want+1e-6 {
-			t.Errorf("solve %d: field in [%g, %g], want the constant %g", i, s.FieldMin, s.FieldMax, want)
-		}
-	}
-	if summaries[0].Cells != summaries[1].Cells || summaries[0].Vertices != summaries[1].Vertices {
-		t.Errorf("the two solves ran on different meshes: %+v vs %+v", summaries[0], summaries[1])
-	}
+			return a
+		},
+		want: simulated("application/json", "e4956ca701de7316a0748149700cf7205fd8d6f0209f0a20b2ec19ddb71a83b4")})
 }
 
 // TestSimulateBadBC: a malformed spec is refused before any meshing;
 // boundary conditions that constrain no vertex of the mesh are the
 // client's fault, found after the mesh stage, whose mesh stays cached.
 func TestSimulateBadBC(t *testing.T) {
-	r := newEndingRig(t)
+	r := newEndingRig(t, 1)
 	r.base = nrrdBody(t, 16)
 	if e := r.simulate(`{"dirichlet": []}`).ending(); e != (ending{400, wire.CodeBadRequest}) {
 		t.Errorf("an empty dirichlet list answered %+v", e)
@@ -223,7 +101,7 @@ func TestSimulateBadBC(t *testing.T) {
 // 499 canceled; the mesh stage was a cache hit, and the cached mesh
 // serves the next solve without a run.
 func TestSimulateSolveCanceled(t *testing.T) {
-	r := newEndingRig(t)
+	r := newEndingRig(t, 1)
 	r.base = nrrdBody(t, 16)
 	r.meshOK()
 	spec := `{"dirichlet": [{"value": 0}], "source": {"uniform": 1}}`
